@@ -15,6 +15,15 @@
 //! waves (Lemma 5.4, Corollary 6.11), adding only a constant factor to the
 //! `O(n)` construction time; the [`ConstructionReport`] accounts for the
 //! construction rounds plus that linear marker overhead.
+//!
+//! Those `O(n)` are the paper's ideal rounds. The centralized computation of
+//! the same labels here takes `O((n + m) log n)` wall time: SYNC_MST's
+//! `⌈log n⌉ + 1` phases, then `O(log n)` work per node — its hierarchy chain
+//! ([`smst_graph::Hierarchy::fragments_containing`]), its `ℓ + 1` string
+//! symbols and a binary search in each of its two parts. Every stage visits
+//! fragments in SYNC_MST's canonical order (ascending smallest node) and
+//! nodes in index order, so [`Marker::label`] is a pure function of the
+//! instance: two calls, in one process or two, return identical labels.
 
 use crate::labels::{CoreLabel, PartLabel};
 use crate::partition::{build_partitions, Partitions};
@@ -69,8 +78,7 @@ impl Marker {
     /// # Errors
     ///
     /// Returns [`MarkError::PredicateViolated`] if the candidate subgraph is
-    /// not an MST, or [`MarkError::MalformedInstance`] if it is not even a
-    /// spanning tree.
+    /// not an MST (in particular if it is not even a spanning tree).
     pub fn label(
         &self,
         instance: &Instance,
@@ -83,36 +91,25 @@ impl Marker {
     /// (hierarchy outcome and partitions), used by tests and by the fault
     /// injectors.
     pub fn label_with_internals(&self, instance: &Instance) -> Result<LabeledInternals, MarkError> {
-        if !instance.satisfies_mst() {
-            return Err(MarkError::PredicateViolated(
-                "candidate subgraph is not an MST".into(),
-            ));
-        }
+        // The candidate tree `T` is an MST iff it is the unique MST under ω′
+        // with `T`'s indicator, which is the tree SYNC_MST builds: the
+        // construction doubles as the predicate check.
+        let not_an_mst = || MarkError::PredicateViolated("candidate subgraph is not an MST".into());
         let g = &instance.graph;
-        let tree = instance.candidate_tree()?;
+        let tree = instance.candidate_tree().map_err(|_| not_an_mst())?;
         let outcome = SyncMst.run_for_candidate(g, &tree);
-        debug_assert_eq!(
-            {
-                let mut a = outcome.tree.edges();
-                a.sort_unstable();
-                a
-            },
-            {
-                let mut b = tree.edges();
-                b.sort_unstable();
-                b
-            },
-            "SYNC_MST under the candidate ordering reconstructs the candidate tree"
-        );
+        let rebuilt = outcome.tree.edges();
+        if !rebuilt.into_iter().all(|e| tree.contains_edge(e)) {
+            return Err(not_an_mst());
+        }
 
         let strings = build_strings(g, &outcome.tree, &outcome.hierarchy);
         let partitions = build_partitions(g, &outcome.tree, &outcome.hierarchy);
         let sp_labels = SpanningTreeScheme.mark(instance)?;
         let n = g.node_count();
 
-        let labels: Vec<CoreLabel> = g
-            .nodes()
-            .map(|v| {
+        let labels: Vec<CoreLabel> = (g.nodes().zip(sp_labels).zip(strings))
+            .map(|((v, sp), strings)| {
                 let tp = &partitions.top_parts[partitions.top_part_of[v.index()]];
                 let bp = &partitions.bottom_parts[partitions.bottom_part_of[v.index()]];
                 let part_label = |part: &crate::partition::Part| PartLabel {
@@ -131,10 +128,10 @@ impl Marker {
                     .min()
                     .unwrap_or(0) as u8;
                 CoreLabel {
-                    sp: sp_labels[v.index()].clone(),
+                    sp,
                     n_claim: n as u64,
                     subtree_count: outcome.tree.subtree_size(v) as u64,
-                    strings: strings[v.index()].clone(),
+                    strings,
                     top_min_level,
                     top_part: part_label(tp),
                     bottom_part: part_label(bp),
@@ -175,6 +172,28 @@ mod tests {
         assert_eq!(labels.len(), 30);
         assert!(report.total_rounds() > 0);
         assert!(report.hierarchy_height <= 6);
+    }
+
+    /// Regression: SYNC_MST used to keep its fragments in `HashMap`s and
+    /// visit them in hash order, so the tree's edge order, the hierarchy's
+    /// fragment indices and with them the parts and labels differed from
+    /// call to call.
+    #[test]
+    fn labelling_is_a_pure_function_of_the_instance() {
+        for (n, seed) in [(1usize, 0u64), (40, 1), (300, 2)] {
+            let inst = mst_instance(n, 3 * n, seed);
+            let first = Marker.label_with_internals(&inst).unwrap();
+            let second = Marker.label_with_internals(&inst).unwrap();
+            assert_eq!(first.0, second.0, "n={n}: labels differ");
+            assert_eq!(first.1, second.1);
+            // hierarchy (fragments, parents, candidates) and partitions
+            assert_eq!(format!("{:?}", first.2), format!("{:?}", second.2));
+
+            let a = crate::sync_mst::SyncMst.run(&inst.graph);
+            let b = crate::sync_mst::SyncMst.run(&inst.graph);
+            assert_eq!(a.tree, b.tree, "n={n}: trees differ");
+            assert_eq!(format!("{:?}", a.hierarchy), format!("{:?}", b.hierarchy));
+        }
     }
 
     #[test]

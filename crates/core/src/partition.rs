@@ -21,14 +21,14 @@
 
 use crate::labels::{PieceInfo, StoredPiece};
 use smst_graph::{Hierarchy, NodeId, RootedTree, WeightedGraph};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::VecDeque;
 
 /// One part of one of the two partitions.
 #[derive(Debug, Clone)]
 pub struct Part {
     /// The part's root (its node closest to the root of the candidate tree).
     pub root: NodeId,
-    /// The part's nodes.
+    /// The part's nodes, in ascending order.
     pub nodes: Vec<NodeId>,
     /// The hop depth of each part node inside the part (aligned with
     /// [`Self::nodes`]).
@@ -42,7 +42,8 @@ pub struct Part {
 }
 
 impl Part {
-    /// The permanently stored pieces of a given member node.
+    /// The permanently stored pieces of a given member node (a scan over the
+    /// part's `O(log n)` slots).
     pub fn stored_at(&self, v: NodeId) -> Vec<StoredPiece> {
         self.holders
             .iter()
@@ -55,13 +56,10 @@ impl Part {
             .collect()
     }
 
-    /// The depth of a member node inside the part.
+    /// The depth of a member node inside the part (a binary search).
     pub fn depth_of(&self, v: NodeId) -> usize {
-        self.nodes
-            .iter()
-            .position(|&x| x == v)
-            .map(|i| self.depth[i])
-            .expect("node belongs to the part")
+        let i = self.nodes.binary_search(&v);
+        self.depth[i.expect("node belongs to the part")]
     }
 }
 
@@ -81,7 +79,9 @@ pub struct Partitions {
 }
 
 /// Builds both partitions and the piece placement from a hierarchy with
-/// candidates (as produced by SYNC_MST).
+/// candidates (as produced by SYNC_MST), in `O(n log n)` time: every step
+/// walks fragments, hierarchy subtrees or tree neighbourhoods, never the
+/// whole fragment list.
 ///
 /// # Panics
 ///
@@ -108,95 +108,82 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
         .collect();
 
     // ---- partition P'' : red-centred parts --------------------------------
-    // part id -> (node set, red fragment index)
-    let mut pp_nodes: Vec<BTreeSet<NodeId>> = Vec::new();
+    // pp_red[part] = the part's red fragment, pp_of[v] = the part of node v
     let mut pp_red: Vec<usize> = Vec::new();
     let mut pp_of: Vec<Option<usize>> = vec![None; n];
     for (i, &red) in is_red.iter().enumerate() {
         if red {
-            let set = hierarchy.fragment(i).nodes.clone();
-            for &v in &set {
-                pp_of[v.index()] = Some(pp_nodes.len());
+            for &v in &hierarchy.fragment(i).nodes {
+                pp_of[v.index()] = Some(pp_red.len());
             }
-            pp_nodes.push(set);
             pp_red.push(i);
         }
     }
-    // merge blue fragments, processing large fragments bottom-up
+    // Procedure Merge: processing large fragments bottom-up, every blue child
+    // joins a part touching it through a tree edge that stays inside the
+    // enclosing large fragment (so that every part keeps the Claim 6.3
+    // property: its nodes all belong to ancestor fragments of its red
+    // fragment). A breadth-first search from the assigned nodes touching a
+    // blue child visits every node of a blue child once.
+    let tree_neighbours =
+        |v: NodeId| (tree.parent(v).into_iter()).chain(tree.children(v).iter().copied());
     let mut larges: Vec<usize> = (0..hierarchy.len()).filter(|&i| is_large[i]).collect();
     larges.sort_by_key(|&i| hierarchy.fragment(i).level);
+    let mut queue: VecDeque<NodeId> = VecDeque::new();
     for &flarge in &larges {
-        let mut pending: Vec<usize> = hierarchy
-            .children_of(flarge)
-            .iter()
-            .copied()
-            .filter(|&c| is_blue[c])
-            .collect();
-        let mut guard = 0;
-        while !pending.is_empty() {
-            guard += 1;
-            assert!(
-                guard <= 2 * n + 2,
-                "Procedure Merge failed to converge (hierarchy inconsistent)"
-            );
-            let mut progressed = false;
-            let flarge_nodes = hierarchy.fragment(flarge).nodes.clone();
-            pending.retain(|&b| {
-                let frag = hierarchy.fragment(b);
-                // a part touching the blue fragment through a tree edge that
-                // stays inside the enclosing large fragment (so that every
-                // part keeps the Claim 6.3 property: its nodes all belong to
-                // ancestor fragments of its red fragment)
-                let touching = frag.nodes.iter().find_map(|&v| {
-                    let mut cands = Vec::new();
-                    if let Some(p) = tree.parent(v) {
-                        cands.push(p);
-                    }
-                    cands.extend(tree.children(v).iter().copied());
-                    cands
-                        .into_iter()
-                        .filter(|u| !frag.contains(*u) && flarge_nodes.contains(u))
-                        .find_map(|u| pp_of[u.index()])
-                });
-                match touching {
-                    Some(part) => {
-                        for &v in &frag.nodes {
-                            pp_of[v.index()] = Some(part);
-                        }
-                        pp_nodes[part].extend(frag.nodes.iter().copied());
-                        progressed = true;
-                        false
-                    }
-                    None => true,
-                }
-            });
-            assert!(
-                progressed || pending.is_empty(),
-                "Procedure Merge is stuck: some blue fragment touches no part"
-            );
+        let large = hierarchy.fragment(flarge);
+        let blues = (hierarchy.children_of(flarge).iter()).filter(|&&c| is_blue[c]);
+        for &b in blues.clone() {
+            for &v in &hierarchy.fragment(b).nodes {
+                let assigned = |u: &NodeId| pp_of[u.index()].is_some() && large.contains(*u);
+                queue.extend(tree_neighbours(v).filter(assigned));
+            }
         }
+        while let Some(u) = queue.pop_front() {
+            for w in tree_neighbours(u) {
+                if pp_of[w.index()].is_none() && large.contains(w) {
+                    let blue = (hierarchy.fragments_containing(w).into_iter())
+                        .find(|&b| hierarchy.parent_of(b) == Some(flarge))
+                        .expect("an unassigned node of a large fragment is in a blue child");
+                    for &x in &hierarchy.fragment(blue).nodes {
+                        pp_of[x.index()] = pp_of[u.index()];
+                        queue.push_back(x);
+                    }
+                }
+            }
+        }
+        assert!(
+            blues
+                .clone()
+                .all(|&b| pp_of[hierarchy.fragment(b).root.index()].is_some()),
+            "Procedure Merge is stuck: some blue fragment touches no part"
+        );
     }
     // any node still unassigned (only possible in degenerate tiny hierarchies)
     // becomes its own red-centred part anchored at the top fragment
     let top_idx = (0..hierarchy.len())
         .find(|&i| hierarchy.fragment(i).len() == n)
         .expect("the hierarchy contains the whole tree");
-    for (v, slot) in pp_of.iter_mut().enumerate() {
-        if slot.is_none() {
-            *slot = Some(pp_nodes.len());
-            pp_nodes.push(BTreeSet::from([NodeId(v)]));
-            pp_red.push(top_idx);
+    let mut pp_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); pp_red.len()];
+    for (v, slot) in pp_of.into_iter().enumerate() {
+        match slot {
+            Some(part) => pp_nodes[part].push(NodeId(v)),
+            None => {
+                pp_nodes.push(vec![NodeId(v)]);
+                pp_red.push(top_idx);
+            }
         }
     }
 
     // ---- partition Top: split each P'' part into small-diameter subtrees --
     let mut top_parts: Vec<Part> = Vec::new();
     let mut top_part_of: Vec<usize> = vec![usize::MAX; n];
-    for (pp_idx, nodes) in pp_nodes.iter().enumerate() {
+    let mut pending: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for (nodes, &red) in pp_nodes.iter().zip(&pp_red) {
         // pieces shared by all sub-parts: the top ancestors (and self) of the
         // red fragment
         let mut anc = Vec::new();
-        let mut cur = Some(pp_red[pp_idx]);
+        let mut cur = Some(red);
         while let Some(i) = cur {
             if is_top[i] {
                 anc.push(i);
@@ -205,12 +192,14 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
         }
         let pieces = pieces_for(g, tree, hierarchy, &anc);
         let min_size = threshold.max(pieces.len().div_ceil(2)).max(1);
-        for cluster in split_subtree(tree, nodes, min_size) {
-            let part = make_part(tree, cluster, pieces.clone());
-            for &v in &part.nodes {
-                top_part_of[v.index()] = top_parts.len();
-            }
-            top_parts.push(part);
+        for cluster in split_subtree(tree, nodes, min_size, &mut pending) {
+            add_part(
+                &mut top_parts,
+                &mut top_part_of,
+                tree,
+                cluster,
+                pieces.clone(),
+            );
         }
     }
 
@@ -219,30 +208,34 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
     let mut bottom_part_of: Vec<usize> = vec![usize::MAX; n];
     for i in 0..hierarchy.len() {
         if is_blue[i] || is_green[i] {
-            let frag = hierarchy.fragment(i);
-            // all bottom fragments contained in this fragment
-            let inner: Vec<usize> = (0..hierarchy.len())
-                .filter(|&j| !is_top[j] && hierarchy.fragment(j).nodes.is_subset(&frag.nodes))
-                .collect();
-            let pieces = pieces_for(g, tree, hierarchy, &inner);
-            let part = make_part(tree, frag.nodes.iter().copied().collect(), pieces);
-            for &v in &part.nodes {
-                bottom_part_of[v.index()] = bottom_parts.len();
+            // all bottom fragments contained in this fragment: its subtree of
+            // the hierarchy-tree
+            let mut inner = vec![i];
+            let mut visited = 0;
+            while let Some(&j) = inner.get(visited) {
+                visited += 1;
+                inner.extend_from_slice(hierarchy.children_of(j));
             }
-            bottom_parts.push(part);
+            let pieces = pieces_for(g, tree, hierarchy, &inner);
+            let nodes = hierarchy.fragment(i).nodes.iter().copied().collect();
+            add_part(&mut bottom_parts, &mut bottom_part_of, tree, nodes, pieces);
         }
     }
     // fallback for nodes not covered by any blue/green fragment (happens only
     // when their singleton fragment is itself top, i.e. for very small n)
-    for (v, slot) in bottom_part_of.iter_mut().enumerate() {
-        if *slot == usize::MAX {
+    for v in g.nodes() {
+        if bottom_part_of[v.index()] == usize::MAX {
             let singleton = hierarchy
-                .fragment_at_level(NodeId(v), 0)
+                .fragment_at_level(v, 0)
                 .expect("every node has a level-0 fragment");
             let pieces = pieces_for(g, tree, hierarchy, &[singleton]);
-            let part = make_part(tree, vec![NodeId(v)], pieces);
-            *slot = bottom_parts.len();
-            bottom_parts.push(part);
+            add_part(
+                &mut bottom_parts,
+                &mut bottom_part_of,
+                tree,
+                vec![v],
+                pieces,
+            );
         }
     }
 
@@ -285,112 +278,99 @@ fn pieces_for(
 /// Splits the subtree induced by `nodes` into connected clusters of size at
 /// least `min_size` (except that the final cluster absorbs the remainder),
 /// each of diameter `O(min_size)`.
-fn split_subtree(tree: &RootedTree, nodes: &BTreeSet<NodeId>, min_size: usize) -> Vec<Vec<NodeId>> {
-    // the induced subtree's root and parent/children restricted to `nodes`
-    let root = *nodes
-        .iter()
-        .min_by_key(|&&v| tree.depth(v))
-        .expect("parts are non-empty");
-    let in_set = |v: NodeId| nodes.contains(&v);
-    // DFS order over the induced subtree
-    let mut order = Vec::new();
-    let mut stack = vec![root];
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        for &c in tree.children(v) {
-            if in_set(c) {
-                stack.push(c);
-            }
-        }
-    }
+///
+/// `pending` is per-node scratch space (the cluster accumulated at each
+/// node); it is all-empty on entry and again on return.
+fn split_subtree(
+    tree: &RootedTree,
+    nodes: &[NodeId],
+    min_size: usize,
+    pending: &mut [Vec<NodeId>],
+) -> Vec<Vec<NodeId>> {
+    // Ascending depth is a top-down order of the induced subtree, so its
+    // reverse visits children before parents. Children outside `nodes` have
+    // nothing pending.
+    let mut order = nodes.to_vec();
+    order.sort_by_key(|&v| tree.depth(v));
+    let root = *order.first().expect("parts are non-empty");
     let mut closed: Vec<Vec<NodeId>> = Vec::new();
-    // pending cluster accumulated at each node
-    let mut pending: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     for &v in order.iter().rev() {
         let mut cluster = vec![v];
         for &c in tree.children(v) {
-            if in_set(c) {
-                if let Some(p) = pending.remove(&c) {
-                    cluster.extend(p);
-                }
-            }
+            cluster.append(&mut pending[c.index()]);
         }
         if cluster.len() >= min_size && v != root {
             closed.push(cluster);
         } else {
-            pending.insert(v, cluster);
+            pending[v.index()] = cluster;
         }
     }
     // the remainder containing the root
-    let remainder = pending.remove(&root).unwrap_or_default();
+    let remainder = std::mem::take(&mut pending[root.index()]);
     if remainder.len() >= min_size || closed.is_empty() {
-        if !remainder.is_empty() {
-            closed.push(remainder);
-        }
+        closed.push(remainder);
     } else {
-        // merge the remainder into a closed cluster whose root's parent lies
-        // in the remainder, preserving connectivity
-        let rem_set: BTreeSet<NodeId> = remainder.iter().copied().collect();
+        // merge the remainder (fewer than `min_size` nodes) into a closed
+        // cluster hanging off it, preserving connectivity; a cluster's first
+        // node is its topmost one
         let target = closed
             .iter()
-            .position(|cluster| {
-                cluster.iter().any(|&x| {
-                    tree.parent(x)
-                        .map(|p| rem_set.contains(&p))
-                        .unwrap_or(false)
-                })
-            })
+            .position(|cluster| (tree.parent(cluster[0])).is_some_and(|p| remainder.contains(&p)))
             .expect("some closed cluster hangs off the remainder");
         closed[target].extend(remainder);
     }
     closed
 }
 
-/// Assembles a [`Part`] from its node set and pieces: computes the part root,
-/// per-node depths, the diameter and the DFS piece placement (two slots per
-/// node).
-fn make_part(tree: &RootedTree, mut nodes: Vec<NodeId>, pieces: Vec<PieceInfo>) -> Part {
-    nodes.sort_unstable();
-    nodes.dedup();
-    let set: BTreeSet<NodeId> = nodes.iter().copied().collect();
-    let root = *set
-        .iter()
+/// Assembles a [`Part`] from its node set and pieces and appends it to
+/// `parts`, recording it in `part_of`: computes the part root, per-node
+/// depths, the diameter and the DFS piece placement (two slots per node).
+fn add_part(
+    parts: &mut Vec<Part>,
+    part_of: &mut [usize],
+    tree: &RootedTree,
+    nodes: Vec<NodeId>,
+    pieces: Vec<PieceInfo>,
+) {
+    let idx = parts.len();
+    for &v in &nodes {
+        part_of[v.index()] = idx;
+    }
+    let root = *(nodes.iter())
         .min_by_key(|&&v| tree.depth(v))
         .expect("parts are non-empty");
     // DFS preorder of the induced subtree, used both for depths and holders
-    let mut order = Vec::new();
-    let mut depth_map: HashMap<NodeId, usize> = HashMap::new();
+    let mut order: Vec<(NodeId, usize)> = Vec::with_capacity(nodes.len());
     let mut stack = vec![(root, 0usize)];
     while let Some((v, d)) = stack.pop() {
-        order.push(v);
-        depth_map.insert(v, d);
+        order.push((v, d));
         for &c in tree.children(v) {
-            if set.contains(&c) {
+            if part_of[c.index()] == idx {
                 stack.push((c, d + 1));
             }
         }
     }
     assert_eq!(
         order.len(),
-        set.len(),
+        nodes.len(),
         "a part must induce a connected subtree"
     );
     assert!(
         pieces.len() <= 2 * order.len(),
         "a part must have room for its pieces (two per node)"
     );
-    let holders: Vec<NodeId> = (0..pieces.len()).map(|slot| order[slot / 2]).collect();
-    let max_depth = depth_map.values().copied().max().unwrap_or(0);
-    let nodes_ordered: Vec<NodeId> = order.clone();
-    let depth: Vec<usize> = nodes_ordered.iter().map(|v| depth_map[v]).collect();
-    Part {
+    let holders: Vec<NodeId> = (0..pieces.len()).map(|slot| order[slot / 2].0).collect();
+    let max_depth = order.iter().map(|&(_, d)| d).max().unwrap_or(0);
+    order.sort_unstable();
+    let (nodes, depth) = order.into_iter().unzip();
+    parts.push(Part {
         root,
-        nodes: nodes_ordered,
+        nodes,
         depth,
         diameter: 2 * max_depth,
         pieces,
         holders,
-    }
+    });
 }
 
 #[cfg(test)]
@@ -511,7 +491,7 @@ mod tests {
         let (g, _, h, parts) = build(100, 4);
         let threshold = parts.threshold;
         for p in &parts.top_parts {
-            let mut seen_levels = std::collections::HashSet::new();
+            let mut seen_levels = std::collections::BTreeSet::new();
             for i in 0..h.len() {
                 let frag = h.fragment(i);
                 if frag.len() >= threshold && p.nodes.iter().any(|v| frag.contains(*v)) {

@@ -16,23 +16,23 @@
 //! the paper's phase timing for the ideal-time accounting, and records the
 //! *active fragments* and their selected (candidate) edges — exactly the
 //! hierarchy `H_M` and candidate function `χ_M` that the marker of §5.1 uses.
+//!
+//! **Cost and order of the simulation.** The `O(n)` above counts the paper's
+//! ideal rounds ([`SyncMstOutcome::rounds`]); the centralized execution takes
+//! `O((n + m) log n)` wall time on `Vec`-indexed state: sorting every node's
+//! edges by weight once, `⌈log n⌉ + 1` phases of one pass over the nodes each
+//! (the searches for minimum outgoing edges advance one cursor per node and
+//! so cost `O(m)` more in total), and recording the active fragments, whose
+//! sizes sum to at most `n` per level.
+//! Fragments are kept in a **canonical order**, by ascending smallest node
+//! index, in which every phase scans them, merges them and records the
+//! active ones. The outcome (tree edge order, fragment indices of the
+//! hierarchy, and everything the marker derives from them) is therefore a
+//! pure function of the graph.
 
+use smst_graph::mst::UnionFind;
 use smst_graph::weight::bits_for;
-use smst_graph::{EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
-use std::collections::{BTreeSet, HashMap};
-
-/// One active fragment recorded during the execution: its node set, level
-/// (= the phase at which it was active) and selected candidate edge.
-#[derive(Debug, Clone)]
-pub struct ActiveFragment {
-    /// The nodes of the fragment.
-    pub nodes: BTreeSet<NodeId>,
-    /// The phase at which the fragment was active (its level).
-    pub level: u32,
-    /// The fragment's minimum outgoing edge, selected during the phase
-    /// (`None` only for the final spanning fragment).
-    pub candidate: Option<EdgeId>,
-}
+use smst_graph::{CompositeWeight, EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
 
 /// The outcome of running SYNC_MST.
 #[derive(Debug, Clone)]
@@ -84,10 +84,9 @@ impl SyncMst {
     ///
     /// Panics if the graph is empty or disconnected.
     pub fn run_for_candidate(&self, g: &WeightedGraph, tree: &RootedTree) -> SyncMstOutcome {
-        let in_tree: std::collections::HashSet<EdgeId> = tree.edges().into_iter().collect();
         self.run_with(
             g,
-            |e| g.composite_weight(e, in_tree.contains(&e)),
+            |e| g.composite_weight(e, tree.contains_edge(e)),
             Some(tree.root()),
         )
     }
@@ -99,176 +98,156 @@ impl SyncMst {
         root_override: Option<NodeId>,
     ) -> SyncMstOutcome
     where
-        W: Fn(EdgeId) -> smst_graph::CompositeWeight,
+        W: Fn(EdgeId) -> CompositeWeight,
     {
         let n = g.node_count();
         assert!(n > 0, "SYNC_MST requires a non-empty graph");
         assert!(g.is_connected(), "SYNC_MST requires a connected graph");
 
-        // fragment state: component representative per node, fragment root,
-        // fragment level, member sets
+        // Fragment state, dense and in canonical order: at every phase the
+        // fragments are numbered 0..k by ascending smallest node, `comp` maps
+        // a node to its fragment and `members` lists each fragment's nodes in
+        // ascending order.
         let mut comp: Vec<usize> = (0..n).collect();
-        let mut members: HashMap<usize, BTreeSet<NodeId>> =
-            (0..n).map(|v| (v, BTreeSet::from([NodeId(v)]))).collect();
-        let mut root_of: HashMap<usize, NodeId> = (0..n).map(|v| (v, NodeId(v))).collect();
-        let mut level_of: HashMap<usize, u32> = (0..n).map(|v| (v, 0)).collect();
+        let mut members: Vec<Vec<NodeId>> = (0..n).map(|v| vec![NodeId(v)]).collect();
+        let mut root_of: Vec<NodeId> = (0..n).map(NodeId).collect();
+        // Every node's incident edges by ascending weight, with a cursor at
+        // the lightest one still leaving the node's fragment: an edge inside
+        // a fragment stays inside, so the cursors only advance, and all the
+        // Find_Min_Out_Edge searches together cost O(m) plus O(n) per phase.
+        let weights: Vec<CompositeWeight> =
+            (0..g.edge_count()).map(|e| weight(EdgeId(e))).collect();
+        let by_weight: Vec<Vec<EdgeId>> = (g.nodes())
+            .map(|v| {
+                let mut edges = g.incident_edges(v).to_vec();
+                edges.sort_unstable_by_key(|&e| weights[e.index()]);
+                edges
+            })
+            .collect();
+        let mut cursor: Vec<usize> = vec![0; n];
 
-        let mut active_fragments: Vec<ActiveFragment> = Vec::new();
-        let mut tree_edges: Vec<EdgeId> = Vec::new();
+        // the active fragments: node list, level and selected candidate edge
+        let mut active_fragments: Vec<(Vec<NodeId>, u32, Option<EdgeId>)> = Vec::new();
+        let mut tree_edges: Vec<EdgeId> = Vec::with_capacity(n - 1);
         let mut phase: u32 = 0;
-        let final_root;
 
-        loop {
-            // Count_Size: a fragment is active in this phase iff its size fits
-            // the budget and its level equals the phase.
-            let frags: Vec<usize> = members.keys().copied().collect();
-            let mut active: Vec<usize> = Vec::new();
-            for &f in &frags {
-                let size = members[&f].len() as u64;
-                if size < (1u64 << (phase + 1)) {
-                    // count succeeded: the root keeps level = phase and is active
-                    level_of.insert(f, phase);
-                    active.push(f);
-                } else {
-                    // count overflowed: level is bumped, fragment sits this phase out
-                    level_of.insert(f, phase + 1);
-                }
-            }
+        let final_root = loop {
+            // Count_Size: a fragment is active in this phase iff its size
+            // fits the budget, and its level is then the phase.
+            let k = members.len();
+            let budget = 1usize << (phase + 1);
 
             // termination: a single fragment spanning the graph whose count
             // succeeded ends the algorithm at the end of Count_Size
-            if members.len() == 1 {
-                let f = frags[0];
-                if (members[&f].len() as u64) < (1u64 << (phase + 1)) {
+            if k == 1 {
+                if members[0].len() < budget {
                     // record the spanning fragment as the top of the hierarchy
-                    active_fragments.push(ActiveFragment {
-                        nodes: members[&f].clone(),
-                        level: phase,
-                        candidate: None,
-                    });
-                    final_root = root_of[&f];
-                    break;
+                    active_fragments.push((std::mem::take(&mut members[0]), phase, None));
+                    break root_of[0];
                 }
                 // otherwise keep doubling the budget (still O(n) total)
                 phase += 1;
                 continue;
             }
 
-            // Find_Min_Out_Edge for every active fragment
-            let mut selected: HashMap<usize, EdgeId> = HashMap::new();
-            for &f in &active {
-                let min_edge = members[&f]
-                    .iter()
-                    .flat_map(|&v| g.incident_edges(v).iter().copied())
-                    .filter(|&e| {
-                        let edge = g.edge(e);
-                        comp[edge.u.index()] != comp[edge.v.index()]
-                            && (comp[edge.u.index()] == f || comp[edge.v.index()] == f)
-                    })
-                    .min_by_key(|&e| weight(e));
-                if let Some(e) = min_edge {
-                    selected.insert(f, e);
-                    active_fragments.push(ActiveFragment {
-                        nodes: members[&f].clone(),
-                        level: phase,
-                        candidate: Some(e),
-                    });
+            // Find_Min_Out_Edge for every active fragment: the lightest of
+            // its nodes' lightest outgoing edges
+            let mut selected: Vec<Option<EdgeId>> = vec![None; k];
+            for f in 0..k {
+                if members[f].len() >= budget {
+                    continue;
+                }
+                let lightest = members[f].iter().filter_map(|&v| {
+                    let (edges, at) = (&by_weight[v.index()], &mut cursor[v.index()]);
+                    *at += (edges[*at..].iter())
+                        .take_while(|&&e| comp[g.edge(e).other(v).index()] == f)
+                        .count();
+                    edges.get(*at).copied()
+                });
+                selected[f] = lightest.min_by_key(|&e| weights[e.index()]);
+                if selected[f].is_some() {
+                    // `members` is rebuilt from `comp` after the merge
+                    let nodes = std::mem::take(&mut members[f]);
+                    active_fragments.push((nodes, phase, selected[f]));
                 }
             }
 
             // Merging: every active fragment hooks onto the other endpoint of
             // its selected edge. The connected components of the "selected
             // edge" relation merge into one fragment each.
-            let mut new_rep: HashMap<usize, usize> = frags.iter().map(|&f| (f, f)).collect();
-            let find = |map: &HashMap<usize, usize>, mut x: usize| {
-                while map[&x] != x {
-                    x = map[&x];
-                }
-                x
-            };
-            for (&f, &e) in &selected {
-                let edge = g.edge(e);
-                let other = if comp[edge.u.index()] == f {
-                    comp[edge.v.index()]
-                } else {
-                    comp[edge.u.index()]
-                };
-                let (ra, rb) = (find(&new_rep, f), find(&new_rep, other));
-                if ra != rb {
-                    new_rep.insert(ra, rb);
-                    tree_edges.push(e);
+            let mut groups = UnionFind::new(k);
+            for (f, e) in selected.iter().enumerate() {
+                if let Some(e) = *e {
+                    let edge = g.edge(e);
+                    let (cu, cv) = (comp[edge.u.index()], comp[edge.v.index()]);
+                    if groups.union(f, if cu == f { cv } else { cu }) {
+                        tree_edges.push(e);
+                    }
                 }
             }
 
-            // compute the new fragment groups
-            let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-            for &f in &frags {
-                groups.entry(find(&new_rep, f)).or_default().push(f);
+            // The merged fragments, numbered by first appearance (which keeps
+            // the canonical order), each with its new root: if the group
+            // contains a fragment that selected no edge this phase (it was
+            // passive), that fragment's root survives; otherwise the mutual
+            // pair of the minimum selected edge in the group decides — the
+            // higher-identity endpoint of that edge becomes the new root (the
+            // handshake/pivot rule).
+            let mut id_of_group: Vec<Option<usize>> = vec![None; k];
+            let mut passive_root: Vec<Option<NodeId>> = Vec::new();
+            let mut min_selected: Vec<Option<EdgeId>> = Vec::new();
+            let new_id: Vec<usize> = (0..k)
+                .map(|f| {
+                    let id = *id_of_group[groups.find(f)].get_or_insert_with(|| {
+                        passive_root.push(None);
+                        min_selected.push(None);
+                        passive_root.len() - 1
+                    });
+                    match selected[f] {
+                        None => passive_root[id] = Some(root_of[f]),
+                        Some(e) => {
+                            let lightest = min_selected[id].get_or_insert(e);
+                            if weights[e.index()] < weights[lightest.index()] {
+                                *lightest = e;
+                            }
+                        }
+                    }
+                    id
+                })
+                .collect();
+            members = vec![Vec::new(); passive_root.len()];
+            for (v, c) in comp.iter_mut().enumerate() {
+                *c = new_id[*c];
+                members[*c].push(NodeId(v));
             }
-
-            // new root per merged group: if the group contains a fragment
-            // that selected no edge this phase (it was passive), its root
-            // survives; otherwise the mutual pair of the minimum selected
-            // edge in the group decides — the higher-identity endpoint of
-            // that edge becomes the new root (the handshake/pivot rule).
-            let mut new_members: HashMap<usize, BTreeSet<NodeId>> = HashMap::new();
-            let mut new_roots: HashMap<usize, NodeId> = HashMap::new();
-            let mut new_levels: HashMap<usize, u32> = HashMap::new();
-            for (rep, group) in &groups {
-                let mut set = BTreeSet::new();
-                let mut max_level = 0;
-                for &f in group {
-                    set.extend(members[&f].iter().copied());
-                    max_level = max_level.max(level_of[&f]);
-                }
-                let passive_root = group
-                    .iter()
-                    .find(|f| !selected.contains_key(f))
-                    .map(|f| root_of[f]);
-                let root = match passive_root {
-                    Some(r) => r,
-                    None => {
+            root_of = (passive_root.iter().zip(&min_selected))
+                .map(|(&passive, &min_edge)| {
+                    passive.unwrap_or_else(|| {
                         // all fragments in the group were active; the group's
                         // minimum selected edge is shared by a mutual pair
-                        let min_edge = group
-                            .iter()
-                            .filter_map(|f| selected.get(f))
-                            .copied()
-                            .min_by_key(|&e| weight(e))
-                            .expect("active group selects at least one edge");
-                        let edge = g.edge(min_edge);
+                        let edge =
+                            g.edge(min_edge.expect("active group selects at least one edge"));
                         if g.id(edge.u) > g.id(edge.v) {
                             edge.u
                         } else {
                             edge.v
                         }
-                    }
-                };
-                new_members.insert(*rep, set);
-                new_roots.insert(*rep, root);
-                new_levels.insert(*rep, max_level.max(phase + 1));
-            }
-            for c in comp.iter_mut() {
-                *c = find(&new_rep, *c);
-            }
-            members = new_members;
-            root_of = new_roots;
-            level_of = new_levels;
+                    })
+                })
+                .collect();
             phase += 1;
-        }
+        };
 
         let tree = RootedTree::from_edges(g, &tree_edges, root_override.unwrap_or(final_root))
             .expect("SYNC_MST produces a spanning tree of a connected graph");
 
-        // build the hierarchy (active fragments + singletons are already the
-        // level-0 active fragments)
-        let mut hierarchy_fragments: Vec<Fragment> = Vec::new();
-        let mut candidates: Vec<Option<EdgeId>> = Vec::new();
-        for af in &active_fragments {
-            hierarchy_fragments.push(Fragment::new(&tree, af.nodes.iter().copied(), af.level));
-            candidates.push(af.candidate);
-        }
-        let mut hierarchy = Hierarchy::from_fragments(hierarchy_fragments);
+        // build the hierarchy (the singletons are already the level-0 active
+        // fragments), in recording order: by level, then canonical order
+        let (fragments, candidates): (Vec<Fragment>, Vec<Option<EdgeId>>) = active_fragments
+            .into_iter()
+            .map(|(nodes, level, candidate)| (Fragment::new(&tree, nodes, level), candidate))
+            .unzip();
+        let mut hierarchy = Hierarchy::from_fragments(fragments);
         for (i, cand) in candidates.into_iter().enumerate() {
             if let Some(e) = cand {
                 hierarchy.set_candidate(i, e);

@@ -27,7 +27,6 @@
 use crate::component::ComponentMap;
 use crate::graph::{NodeId, WeightedGraph};
 use crate::tree::RootedTree;
-use std::collections::HashSet;
 
 /// The result of blowing up a graph: the new graph, its distributed candidate
 /// representation, and the mapping from new nodes back to original nodes
@@ -78,7 +77,6 @@ pub fn blowup(g: &WeightedGraph, tree: &RootedTree, tau: usize) -> BlowupResult 
         original.push(Some(v));
     }
     let mut next_id: u64 = g.nodes().map(|v| g.id(v)).max().unwrap_or(0) + 1;
-    let tree_edges: HashSet<_> = tree.edges().into_iter().collect();
 
     let mut pointers: Vec<Option<NodeId>> = vec![None; n];
     for v in g.nodes() {
@@ -112,7 +110,7 @@ pub fn blowup(g: &WeightedGraph, tree: &RootedTree, tau: usize) -> BlowupResult 
             out.add_edge(path[i], path[i + 1], w)
                 .expect("blow-up path edges are fresh");
         }
-        let is_tree_edge = tree_edges.contains(&eid);
+        let is_tree_edge = tree.contains_edge(eid);
         if is_tree_edge {
             // the child endpoint points towards the parent endpoint in the
             // original tree; orient the whole path that way.

@@ -11,11 +11,21 @@
 //!
 //! These structures are shared by the marker (which builds the hierarchy from
 //! the SYNC_MST execution) and by the reference checks the tests use.
+//!
+//! A [`Hierarchy`] is an *indexed* laminar forest. Building it from `F`
+//! fragments of total size `S` costs `O(S + F log F)` (`S ≤ n (ℓ + 1)` and
+//! `F < 2n` for the hierarchy of SYNC_MST, i.e. `O(n log n)`): one
+//! ascending-size sweep finds every parent, and each node keeps the
+//! level-sorted chain of the fragments containing it, so the per-node queries
+//! ([`Hierarchy::fragments_containing`], [`Hierarchy::fragment_at_level`])
+//! cost `O(log n)` and [`Hierarchy::validate`] costs `O(S log n)`. Fragment
+//! indices are the caller's: SYNC_MST supplies them by level, then by
+//! ascending smallest node.
 
 use crate::graph::{EdgeId, NodeId, WeightedGraph};
 use crate::tree::RootedTree;
 use crate::weight::CompositeWeight;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The identity of a fragment: the identity of its root node together with
@@ -139,57 +149,72 @@ impl Fragment {
 /// function χ (Definition 5.2).
 ///
 /// Fragments are stored in a flat vector; `parent`/`children` encode the
-/// hierarchy-tree induced by containment.
+/// hierarchy-tree induced by containment, and `chain` indexes it by node, so
+/// every per-node query costs `O(log n)` instead of a scan over all fragments.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
     fragments: Vec<Fragment>,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
+    /// chain[v] = the fragments containing node `v`, sorted by level (ties by
+    /// index); in a legal hierarchy this is a leaf-to-root path of the
+    /// hierarchy-tree, of length at most `height + 1`.
+    chain: Vec<Vec<usize>>,
     /// Candidate edge χ(F) for each non-top fragment.
     candidate: Vec<Option<EdgeId>>,
 }
 
 impl Hierarchy {
-    /// Builds a hierarchy from a flat list of fragments.
+    /// Builds a hierarchy from a flat list of fragments, in time linear in
+    /// the total size of the fragments (plus sorting them by size).
     ///
     /// The hierarchy-tree is derived from containment: the parent of `F` is
     /// the smallest fragment strictly containing `F`. The input is expected
     /// to be laminar; call [`Self::validate`] to verify all the properties of
     /// Definition 5.1.
     pub fn from_fragments(fragments: Vec<Fragment>) -> Self {
-        let n = fragments.len();
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        for i in 0..n {
-            let mut best: Option<usize> = None;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if fragments[j].nodes.is_superset(&fragments[i].nodes)
-                    && fragments[j].nodes.len() > fragments[i].nodes.len()
-                {
-                    let better = match best {
-                        None => true,
-                        Some(b) => fragments[j].nodes.len() < fragments[b].nodes.len(),
-                    };
-                    if better {
-                        best = Some(j);
-                    }
+        let count = fragments.len();
+        let node_bound = fragments
+            .iter()
+            .filter_map(|f| f.nodes.last())
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0);
+        // Ascending-size sweep: `largest[v]` is the largest fragment seen so
+        // far that contains `v`. In a laminar family the first later fragment
+        // touching it is its smallest strict superset.
+        let mut by_size: Vec<usize> = (0..count).collect();
+        by_size.sort_by_key(|&i| fragments[i].len());
+        let mut parent: Vec<Option<usize>> = vec![None; count];
+        let mut largest: Vec<Option<usize>> = vec![None; node_bound];
+        for &i in &by_size {
+            for v in &fragments[i].nodes {
+                if let Some(inner) = largest[v.0].replace(i) {
+                    parent[inner].get_or_insert(i);
                 }
             }
-            parent[i] = best;
         }
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); count];
         for (i, &p) in parent.iter().enumerate() {
             if let Some(p) = p {
                 children[p].push(i);
             }
         }
+        let mut chain: Vec<Vec<usize>> = vec![Vec::new(); node_bound];
+        for (i, f) in fragments.iter().enumerate() {
+            for v in &f.nodes {
+                chain[v.0].push(i);
+            }
+        }
+        for c in &mut chain {
+            c.sort_by_key(|&i| fragments[i].level);
+        }
         Hierarchy {
-            candidate: vec![None; n],
+            candidate: vec![None; count],
             fragments,
             parent,
             children,
+            chain,
         }
     }
 
@@ -240,17 +265,17 @@ impl Hierarchy {
 
     /// Indices of the fragments containing a node, sorted by level.
     pub fn fragments_containing(&self, v: NodeId) -> Vec<usize> {
-        let mut idxs: Vec<usize> = (0..self.fragments.len())
-            .filter(|&i| self.fragments[i].contains(v))
-            .collect();
-        idxs.sort_by_key(|&i| self.fragments[i].level);
-        idxs
+        self.chain.get(v.0).cloned().unwrap_or_default()
     }
 
     /// The index of the level-`lev` fragment containing `v`, if one exists.
     pub fn fragment_at_level(&self, v: NodeId, lev: u32) -> Option<usize> {
-        (0..self.fragments.len())
-            .find(|&i| self.fragments[i].level == lev && self.fragments[i].contains(v))
+        let chain = self.chain.get(v.0)?;
+        let at = chain.partition_point(|&i| self.fragments[i].level < lev);
+        chain
+            .get(at)
+            .copied()
+            .filter(|&i| self.fragments[i].level == lev)
     }
 
     /// Checks the structural properties of Definition 5.1:
@@ -267,32 +292,16 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        let n = g.node_count();
         let all: BTreeSet<NodeId> = g.nodes().collect();
         if !self.fragments.iter().any(|f| f.nodes == all) {
             return Err("the whole tree is not a fragment of the hierarchy".into());
         }
         for v in g.nodes() {
-            if !self
-                .fragments
-                .iter()
-                .any(|f| f.is_singleton() && f.contains(v))
-            {
+            let chain = self.chain.get(v.0).map_or(&[][..], Vec::as_slice);
+            if !chain.iter().any(|&i| self.fragments[i].is_singleton()) {
                 return Err(format!("missing singleton fragment for node {v}"));
             }
         }
-        // laminar
-        for i in 0..self.fragments.len() {
-            for j in (i + 1)..self.fragments.len() {
-                let a = &self.fragments[i].nodes;
-                let b = &self.fragments[j].nodes;
-                let inter = a.intersection(b).count();
-                if inter > 0 && !(a.is_subset(b) || b.is_subset(a)) {
-                    return Err(format!("fragments {i} and {j} overlap without containment"));
-                }
-            }
-        }
-        // levels strictly increase along containment; connectivity; uniqueness per (node, level)
         for (i, f) in self.fragments.iter().enumerate() {
             if let Some(p) = self.parent[i] {
                 if self.fragments[p].level <= f.level {
@@ -305,16 +314,30 @@ impl Hierarchy {
             if !fragment_is_connected(tree, f) {
                 return Err(format!("fragment {i} is not a connected subtree"));
             }
-            for (j, f2) in self.fragments.iter().enumerate() {
-                if i < j && f.level == f2.level && f.nodes.intersection(&f2.nodes).next().is_some()
+        }
+        // The family is laminar, with one fragment per node and level, iff
+        // the fragments containing a node are exactly a leaf-to-root path of
+        // the hierarchy-tree: if `F` and `F'` share `v`, one is then an
+        // ancestor of the other, and the path of every other node of the
+        // descendant climbs through the same ancestors.
+        for chain in &self.chain {
+            for (k, &i) in chain.iter().enumerate() {
+                let next = chain.get(k + 1).copied();
+                if let Some(j) =
+                    next.filter(|&j| self.fragments[j].level == self.fragments[i].level)
                 {
                     return Err(format!(
                         "fragments {i} and {j} share a node at the same level {}",
-                        f.level
+                        self.fragments[i].level
                     ));
                 }
+                if self.parent[i] != next {
+                    let j = next
+                        .or(self.parent[i])
+                        .expect("one of the two differs from None");
+                    return Err(format!("fragments {i} and {j} overlap without containment"));
+                }
             }
-            let _ = n;
         }
         Ok(())
     }
@@ -385,11 +408,10 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        let tree_edges: BTreeSet<EdgeId> = tree.edges().into_iter().collect();
         for (i, f) in self.fragments.iter().enumerate() {
             if let Some(chi) = self.candidate[i] {
                 let min = f
-                    .minimum_outgoing_edge(g, |e| tree_edges.contains(&e))
+                    .minimum_outgoing_edge(g, |e| tree.contains_edge(e))
                     .ok_or_else(|| format!("fragment {i} has no outgoing edge"))?;
                 if min != chi {
                     return Err(format!(
@@ -402,8 +424,8 @@ impl Hierarchy {
     }
 
     /// Groups fragment indices by level.
-    pub fn levels(&self) -> HashMap<u32, Vec<usize>> {
-        let mut map: HashMap<u32, Vec<usize>> = HashMap::new();
+    pub fn levels(&self) -> BTreeMap<u32, Vec<usize>> {
+        let mut map: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (i, f) in self.fragments.iter().enumerate() {
             map.entry(f.level).or_default().push(i);
         }

@@ -577,7 +577,7 @@ mod tests {
             assert!(g.is_connected());
             assert!(g.has_distinct_weights());
             for e in g.edges() {
-                let u_adjacent: std::collections::HashSet<NodeId> = g.neighbors(e.u).collect();
+                let u_adjacent: std::collections::BTreeSet<NodeId> = g.neighbors(e.u).collect();
                 assert!(
                     !g.neighbors(e.v).any(|w| u_adjacent.contains(&w)),
                     "levels {levels}: edge ({:?},{:?}) closes a triangle",

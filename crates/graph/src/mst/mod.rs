@@ -20,7 +20,6 @@ pub use union_find::UnionFind;
 use crate::graph::{EdgeId, WeightedGraph};
 use crate::tree::RootedTree;
 use crate::NodeId;
-use std::collections::HashSet;
 
 /// The result of an MST computation: the tree edge set plus its total weight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +71,10 @@ impl MstResult {
 /// at least as heavy (under ω′ with the indicator of `T`) as every tree edge on
 /// the `u`–`v` path in `T`. This matches the verification semantics of the
 /// paper exactly (it is agnostic to how ties outside `T` are broken).
+///
+/// It is evaluated by one Kruskal pass in ω′ order (`O(m log m)`): a non-tree
+/// edge joins two components of the lighter edges exactly when some tree edge
+/// on its cycle is heavier.
 pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
     let n = g.node_count();
     if n == 0 {
@@ -84,46 +87,13 @@ pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
         Ok(t) => t,
         Err(_) => return false,
     };
-    let in_tree: HashSet<EdgeId> = candidate.iter().copied().collect();
-    for (eid, edge) in g.edge_entries() {
-        if in_tree.contains(&eid) {
-            continue;
-        }
-        let w_non_tree = g.composite_weight(eid, false);
-        // every tree edge on the cycle closed by `eid` must be lighter
-        let path_ok = cycle_edges(&tree, edge.u, edge.v)
-            .into_iter()
-            .all(|te| g.composite_weight(te, true) < w_non_tree);
-        if !path_ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// The tree edges on the unique tree path between `u` and `v`.
-fn cycle_edges(tree: &RootedTree, u: NodeId, v: NodeId) -> Vec<EdgeId> {
-    let (mut a, mut b) = (u, v);
-    let mut edges = Vec::new();
-    let mut da = tree.depth(a);
-    let mut db = tree.depth(b);
-    while da > db {
-        edges.push(tree.parent_edge(a).expect("deeper node has a parent"));
-        a = tree.parent(a).expect("deeper node has a parent");
-        da -= 1;
-    }
-    while db > da {
-        edges.push(tree.parent_edge(b).expect("deeper node has a parent"));
-        b = tree.parent(b).expect("deeper node has a parent");
-        db -= 1;
-    }
-    while a != b {
-        edges.push(tree.parent_edge(a).expect("non-root has a parent"));
-        edges.push(tree.parent_edge(b).expect("non-root has a parent"));
-        a = tree.parent(a).expect("non-root has a parent");
-        b = tree.parent(b).expect("non-root has a parent");
-    }
-    edges
+    let mut order: Vec<EdgeId> = g.edge_entries().map(|(e, _)| e).collect();
+    order.sort_by_key(|&e| g.composite_weight(e, tree.contains_edge(e)));
+    let mut components = UnionFind::new(n);
+    order.into_iter().all(|e| {
+        let edge = g.edge(e);
+        !components.union(edge.u.0, edge.v.0) || tree.contains_edge(e)
+    })
 }
 
 #[cfg(test)]

@@ -37,6 +37,10 @@ pub struct RootedTree {
     parent_edge: Vec<Option<EdgeId>>,
     children: Vec<Vec<NodeId>>,
     depth: Vec<usize>,
+    /// subtree_size[v] = number of nodes in the subtree rooted at v.
+    subtree_size: Vec<usize>,
+    /// is_tree_edge[e] for every edge of the graph the tree was built over.
+    is_tree_edge: Vec<bool>,
 }
 
 impl RootedTree {
@@ -75,26 +79,34 @@ impl RootedTree {
         let mut parent_edge = vec![None; n];
         let mut depth = vec![usize::MAX; n];
         let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut queue = VecDeque::new();
+        let mut is_tree_edge = vec![false; g.edge_count()];
+        // BFS; `order` doubles as the queue
+        let mut order = vec![root];
         depth[root.0] = 0;
-        queue.push_back(root);
-        let mut visited = 1;
-        while let Some(v) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
             for &(u, e) in &adj[v.0] {
                 if depth[u.0] == usize::MAX {
                     depth[u.0] = depth[v.0] + 1;
                     parent[u.0] = Some(v);
                     parent_edge[u.0] = Some(e);
+                    is_tree_edge[e.0] = true;
                     children[v.0].push(u);
-                    visited += 1;
-                    queue.push_back(u);
+                    order.push(u);
                 }
             }
         }
+        let visited = order.len();
         if visited != n {
             return Err(GraphError::NotASpanningTree(format!(
                 "only {visited} of {n} nodes reachable from the root"
             )));
+        }
+        let mut subtree_size = vec![1; n];
+        for &v in order.iter().skip(1).rev() {
+            let p = parent[v.0].expect("non-root node has a parent");
+            subtree_size[p.0] += subtree_size[v.0];
         }
         Ok(RootedTree {
             root,
@@ -102,6 +114,8 @@ impl RootedTree {
             parent_edge,
             children,
             depth,
+            subtree_size,
+            is_tree_edge,
         })
     }
 
@@ -152,7 +166,7 @@ impl RootedTree {
 
     /// Returns `true` if `e` is one of the tree's edges.
     pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.parent_edge.contains(&Some(e))
+        self.is_tree_edge.get(e.0).copied().unwrap_or(false)
     }
 
     /// `true` if `ancestor` lies on the path from `v` to the root
@@ -203,7 +217,7 @@ impl RootedTree {
 
     /// Size of the subtree rooted at `v` (including `v`).
     pub fn subtree_size(&self, v: NodeId) -> usize {
-        self.dfs_preorder_from(v).len()
+        self.subtree_size[v.0]
     }
 
     /// All nodes of the subtree rooted at `v`.

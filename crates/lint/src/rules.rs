@@ -112,6 +112,8 @@ impl LintConfig {
             ]),
             unsafe_allow: own(&["crates/engine/src/pool.rs"]),
             deterministic: own(&[
+                "crates/core/",
+                "crates/graph/",
                 "crates/engine/",
                 "crates/sim/",
                 "crates/telemetry/",
