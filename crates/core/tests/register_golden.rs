@@ -1,0 +1,301 @@
+//! Golden register digests: the verifier's registers, folded field by field,
+//! must not move when the register *layout* changes.
+//!
+//! The constants below were recorded on the `Vec`-based layout (four string
+//! vectors, `PartLabel::stored: Vec<_>`) before the word-packed layout
+//! replaced it. The fold reads every logical field of every register through
+//! the accessors at the bottom of this file — never `Debug` output, never
+//! `size_of` — so it is a function of the register's *contents* only, and a
+//! layout change that keeps the verifier's behaviour keeps every constant.
+//! Each scenario runs on the sequential reference and on the sharded engine
+//! at one and two threads; all three must produce the same constants.
+
+use smst_core::faults::{corrupt, FaultKind};
+use smst_core::labels::{PartLabel, PieceInfo};
+use smst_core::strings::{EndpSym, NodeStrings, RootSym};
+use smst_core::verifier::{CoreState, TrainState};
+use smst_core::{CoreVerifier, Marker};
+use smst_engine::{EngineConfig, StopCondition};
+use smst_graph::generators::random_connected_graph;
+use smst_graph::mst::kruskal;
+use smst_graph::NodeId;
+use smst_labeling::Instance;
+use smst_rng::{Rng, SeedableRng, StdRng};
+use smst_sim::Verdict;
+
+const N: usize = 300;
+const ROUNDS: usize = 64;
+
+/// `(scenario, register digest, alarming nodes)` after the scenario's last
+/// round. `None` is the fault-free run.
+const GOLDEN: [(Option<FaultKind>, u64, &[usize]); 7] = [
+    (None, 0xfa44_f0b2_d0eb_6f2a, &[]),
+    (
+        Some(FaultKind::RootsString),
+        0x9d7b_4266_708c_d585,
+        &[9, 13, 295],
+    ),
+    (
+        Some(FaultKind::EndpString),
+        0xa156_0b6e_0eb4_90a7,
+        &[153, 206, 249],
+    ),
+    (
+        Some(FaultKind::SpDistance),
+        0x156f_a030_d547_d80d,
+        &[3, 22, 39, 48, 85, 167, 220],
+    ),
+    (
+        Some(FaultKind::StoredPieceWeight),
+        0x633e_2404_45d0_7cea,
+        &[104, 288],
+    ),
+    (
+        Some(FaultKind::PartRoot),
+        0x8d64_1928_dfe5_ccc6,
+        &[60, 77, 169],
+    ),
+    (Some(FaultKind::TrainBuffers), 0xe9a0_de56_4cca_bdd6, &[]),
+];
+
+fn verifier() -> CoreVerifier {
+    let g = random_connected_graph(N, 3 * N, 16);
+    let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+    let inst = Instance::from_tree(g, &tree);
+    let (labels, _) = Marker.label(&inst).unwrap();
+    CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels)
+}
+
+/// Runs one scenario: `ROUNDS` fault-free rounds, then (for a fault kind)
+/// the corruption of three seeded nodes and `ROUNDS` more rounds.
+fn run(
+    verifier: &CoreVerifier,
+    config: &EngineConfig,
+    kind: Option<FaultKind>,
+) -> (u64, Vec<usize>) {
+    let mut runner = config
+        .instantiate(verifier, verifier.graph().clone())
+        .expect("a valid config");
+    runner.run_until(StopCondition::Steps, ROUNDS);
+    if let Some(kind) = kind {
+        let mut rng = StdRng::seed_from_u64(0x601d ^ kind as u64);
+        for i in 0..3u64 {
+            let v = NodeId(rng.gen_range(0..N));
+            corrupt(runner.state_mut(v), kind, 1000 * (kind as u64 + 1) + i);
+        }
+        runner.run_until(StopCondition::Steps, ROUNDS);
+    }
+    let mut fold = Fold::new();
+    for state in &runner.states_snapshot() {
+        fold_state(&mut fold, state);
+    }
+    let alarming = runner.alarming_nodes().iter().map(|v| v.index()).collect();
+    (fold.0, alarming)
+}
+
+#[test]
+fn register_digests_match_the_recorded_layout_on_every_backend() {
+    let verifier = verifier();
+    let configs = [
+        ("reference", EngineConfig::reference()),
+        ("sharded-1", EngineConfig::new().threads(1)),
+        ("sharded-2", EngineConfig::new().threads(2)),
+    ];
+    for (kind, digest, alarming) in GOLDEN {
+        for (name, config) in &configs {
+            let (got_digest, got_alarming) = run(&verifier, config, kind);
+            assert_eq!(
+                (got_digest, got_alarming.as_slice()),
+                (digest, alarming),
+                "{kind:?} on {name}: got ({got_digest:#018x}, {got_alarming:?})"
+            );
+        }
+    }
+}
+
+// ----- the fold -------------------------------------------------------------
+
+/// A 64-bit multiply–xorshift fold (order-sensitive).
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Self {
+        Fold(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn u(&mut self, x: u64) {
+        let mut z = (self.0 ^ x).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^= z >> 29;
+        z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 32);
+    }
+
+    fn opt(&mut self, x: Option<u64>) {
+        match x {
+            None => self.u(0),
+            Some(x) => {
+                self.u(1);
+                self.u(x);
+            }
+        }
+    }
+}
+
+fn fold_piece(f: &mut Fold, p: &PieceInfo) {
+    f.u(p.root_id);
+    f.u(u64::from(p.level));
+    match p.min_out {
+        None => f.u(0),
+        Some(w) => {
+            f.u(1);
+            f.u(w.weight);
+            f.u(u64::from(!w.in_candidate_tree()));
+            f.u(w.id_min);
+            f.u(w.id_max);
+        }
+    }
+}
+
+fn fold_opt_piece(f: &mut Fold, slot_piece_member: Option<(u8, PieceInfo, bool)>) {
+    match slot_piece_member {
+        None => f.u(0),
+        Some((slot, piece, member)) => {
+            f.u(1);
+            f.u(u64::from(slot));
+            fold_piece(f, &piece);
+            f.u(u64::from(member));
+        }
+    }
+}
+
+fn fold_strings(f: &mut Fold, s: &NodeStrings) {
+    f.u(s.len() as u64);
+    for j in 0..s.len() {
+        f.u(match root(s, j) {
+            RootSym::Root => 1,
+            RootSym::NonRoot => 0,
+            RootSym::Absent => 2,
+        });
+        f.u(match endp(s, j) {
+            EndpSym::Up => 0,
+            EndpSym::Down => 1,
+            EndpSym::NotEndpoint => 2,
+            EndpSym::Absent => 3,
+        });
+        f.u(u64::from(parent_bit(s, j)));
+        f.u(u64::from(or_endp_bit(s, j)));
+    }
+}
+
+fn fold_part(f: &mut Fold, p: &PartLabel) {
+    f.u(p.part_root_id);
+    f.u(depth_in_part(p));
+    f.u(diameter_bound(p));
+    f.u(u64::from(p.piece_count));
+    let stored = stored(p);
+    f.u(stored.len() as u64);
+    for (slot, piece) in stored {
+        f.u(u64::from(slot));
+        fold_piece(f, &piece);
+    }
+}
+
+fn fold_train(f: &mut Fold, t: &TrainState) {
+    f.u(u64::from(t.want));
+    fold_opt_piece(f, up(t));
+    fold_opt_piece(f, down(t));
+    f.opt(t.done.map(u64::from));
+    f.u(u64::from(t.delay));
+    f.u(u64::from(t.wraps));
+    match t.last_key {
+        None => f.u(0),
+        Some((level, root_id)) => {
+            f.u(1);
+            f.u(u64::from(level));
+            f.u(root_id);
+        }
+    }
+}
+
+fn fold_state(f: &mut Fold, s: &CoreState) {
+    let l = &s.label;
+    f.u(l.sp.root_id);
+    f.u(l.sp.dist);
+    f.u(l.sp.own_id);
+    f.opt(l.sp.parent_id);
+    f.u(l.n_claim);
+    f.u(l.subtree_count);
+    fold_strings(f, &l.strings);
+    f.u(u64::from(l.top_min_level));
+    fold_part(f, &l.top_part);
+    fold_part(f, &l.bottom_part);
+    for t in &s.trains {
+        fold_train(f, t);
+    }
+    let c = &s.compare;
+    f.u(u64::from(c.level_idx));
+    match &c.ask {
+        None => f.u(0),
+        Some(p) => {
+            f.u(1);
+            fold_piece(f, p);
+        }
+    }
+    f.u(u64::from(c.neighbor_ptr));
+    match c.want_cmp {
+        None => f.u(0),
+        Some((id, level)) => {
+            f.u(1);
+            f.u(id);
+            f.u(u64::from(level));
+        }
+    }
+    for t in 0..2 {
+        f.u(u64::from(c.watched_prev[t]));
+        f.u(u64::from(c.watched_wraps[t]));
+    }
+    f.u(s.seen_levels);
+    f.u(match s.verdict {
+        Verdict::Accept => 0,
+        Verdict::Reject => 1,
+        Verdict::Working => 2,
+    });
+}
+
+// ----- layout-specific accessors (the only part a layout change edits) ------
+
+fn root(s: &NodeStrings, j: usize) -> RootSym {
+    s.roots[j]
+}
+
+fn endp(s: &NodeStrings, j: usize) -> EndpSym {
+    s.endp[j]
+}
+
+fn parent_bit(s: &NodeStrings, j: usize) -> bool {
+    s.parents[j]
+}
+
+fn or_endp_bit(s: &NodeStrings, j: usize) -> bool {
+    s.or_endp[j]
+}
+
+fn depth_in_part(p: &PartLabel) -> u64 {
+    p.depth_in_part
+}
+
+fn diameter_bound(p: &PartLabel) -> u64 {
+    p.diameter_bound
+}
+
+fn stored(p: &PartLabel) -> Vec<(u8, PieceInfo)> {
+    p.stored.iter().map(|s| (s.slot, s.piece)).collect()
+}
+
+fn up(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
+    t.up.map(|u| (u.slot, u.piece, false))
+}
+
+fn down(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
+    t.down.map(|d| (d.slot, d.piece, d.member))
+}
