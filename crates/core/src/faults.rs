@@ -47,40 +47,44 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     match kind {
         FaultKind::RootsString => {
-            let len = state.label.strings.roots.len();
-            if len > 0 {
-                let j = rng.gen_range(0..len);
-                state.label.strings.roots[j] = match state.label.strings.roots[j] {
+            let strings = &mut state.label.strings;
+            if !strings.is_empty() {
+                let j = rng.gen_range(0..strings.len());
+                let flipped = match strings.root(j) {
                     RootSym::Root => RootSym::NonRoot,
                     RootSym::NonRoot => RootSym::Absent,
                     RootSym::Absent => RootSym::Root,
                 };
+                strings.set_root(j, flipped);
             }
         }
         FaultKind::EndpString => {
-            let len = state.label.strings.endp.len();
-            if len > 0 {
-                let j = rng.gen_range(0..len);
-                state.label.strings.endp[j] = match state.label.strings.endp[j] {
+            let strings = &mut state.label.strings;
+            if !strings.is_empty() {
+                let j = rng.gen_range(0..strings.len());
+                let flipped = match strings.endp(j) {
                     EndpSym::Up | EndpSym::Down => EndpSym::NotEndpoint,
                     _ => EndpSym::Up,
                 };
+                strings.set_endp(j, flipped);
             }
         }
         FaultKind::SpDistance => {
             state.label.sp.dist = state.label.sp.dist.wrapping_add(rng.gen_range(1..7));
         }
         FaultKind::StoredPieceWeight => {
-            let part = if rng.gen_bool(0.5) || state.label.bottom_part.stored.is_empty() {
+            let part = if rng.gen_bool(0.5) || state.label.bottom_part.stored[0].is_none() {
                 &mut state.label.top_part
             } else {
                 &mut state.label.bottom_part
             };
-            if let Some(stored) = part.stored.first_mut() {
-                match stored.piece.min_out.as_mut() {
+            if let Some(stored) = part.stored[0].as_mut() {
+                let mut piece = stored.piece();
+                match piece.min_out.as_mut() {
                     Some(w) => w.weight = w.weight.wrapping_add(rng.gen_range(1..1000)),
-                    None => stored.piece.root_id = stored.piece.root_id.wrapping_add(1),
+                    None => piece.root_id = piece.root_id.wrapping_add(1),
                 }
+                stored.set_piece(piece);
             } else {
                 // nothing stored here: fall back to a string corruption
                 corrupt(state, FaultKind::RootsString, seed ^ 1);
@@ -121,8 +125,8 @@ mod tests {
         let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
         let net = verifier.network();
         for (i, kind) in FaultKind::all().into_iter().enumerate() {
-            let mut state = net.state(NodeId(3)).clone();
-            let before = state.clone();
+            let mut state = *net.state(NodeId(3));
+            let before = state;
             corrupt(&mut state, kind, 42 + i as u64);
             // every fault kind except the (self-healing) train-buffer one
             // must change the label portion of the register

@@ -13,6 +13,18 @@
 //! Every component is `O(log n)` bits, so the whole label is `O(log n)` bits —
 //! the memory-optimality claim of the paper, which the `fig_memory`
 //! experiment measures against the `O(log² n)`-bit baseline.
+//!
+//! # In-memory layout
+//!
+//! The label is a fixed-width `Copy` value with no heap behind it: the
+//! strings are six words ([`NodeStrings`]) and each partition holds its at
+//! most two stored pieces inline. A piece sitting in a register cell — stored
+//! permanently, or climbing/flooding in a train buffer — is a [`PieceCell`]:
+//! the piece's four words (`root_id`, and the `weight`, `id_min`, `id_max` of
+//! its minimum outgoing edge) followed by one tail word holding the level
+//! (`u32`), the cell's slot (`u8`) and three flags (has a minimum outgoing
+//! edge, that edge is a non-tree edge, §7.1's membership flag) — 40 bytes,
+//! and `Option<PieceCell>` is no larger (the flags leave it a niche).
 
 use crate::strings::NodeStrings;
 use smst_graph::weight::{bits_for, CompositeWeight};
@@ -41,42 +53,131 @@ impl PieceInfo {
     }
 }
 
-/// A permanently stored piece together with its slot in the part's cycle.
+/// A piece in a register cell: `I(F)` together with the cell's slot in the
+/// part's cycle and §7.1's membership flag, flattened into five words (see
+/// the module docs). The flag is `false` wherever the paper has none (stored
+/// pieces and the climbing buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoredPiece {
-    /// The slot (DFS index) of the piece in the part's cycle.
-    pub slot: u8,
-    /// The piece itself.
-    pub piece: PieceInfo,
+pub struct PieceCell {
+    root_id: u64,
+    // the minimum outgoing edge's fields; all zero without one, so that
+    // equal cells are equal words
+    weight: u64,
+    id_min: u64,
+    id_max: u64,
+    level: u32,
+    slot: u8,
+    has_min_out: bool,
+    non_tree: bool,
+    member: bool,
 }
 
+impl PieceCell {
+    /// The cell holding `piece` at `slot`, membership flag clear.
+    pub fn new(slot: u8, piece: PieceInfo) -> Self {
+        let w = piece.min_out;
+        PieceCell {
+            root_id: piece.root_id,
+            weight: w.map_or(0, |w| w.weight),
+            id_min: w.map_or(0, |w| w.id_min),
+            id_max: w.map_or(0, |w| w.id_max),
+            level: piece.level,
+            slot,
+            has_min_out: w.is_some(),
+            non_tree: w.is_some_and(|w| w.non_tree),
+            member: false,
+        }
+    }
+
+    /// The slot (DFS index) of the piece in the part's cycle.
+    pub fn slot(&self) -> u8 {
+        self.slot
+    }
+
+    /// The piece itself.
+    pub fn piece(&self) -> PieceInfo {
+        PieceInfo {
+            root_id: self.root_id,
+            level: self.level,
+            min_out: self.has_min_out.then_some(CompositeWeight {
+                weight: self.weight,
+                non_tree: self.non_tree,
+                id_min: self.id_min,
+                id_max: self.id_max,
+            }),
+        }
+    }
+
+    /// The level of the piece's fragment.
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// The identity of the root of the piece's fragment.
+    pub fn root_id(&self) -> u64 {
+        self.root_id
+    }
+
+    /// Whether the piece's fragment has a minimum outgoing edge (all but the
+    /// top fragment do).
+    pub fn has_min_out(&self) -> bool {
+        self.has_min_out
+    }
+
+    /// Whether the node holding this cell belongs to the piece's fragment
+    /// (§7.1's flag; meaningful in the flooding buffer only).
+    pub fn member(&self) -> bool {
+        self.member
+    }
+
+    /// The same cell with the membership flag set to `member`.
+    pub fn with_member(self, member: bool) -> Self {
+        PieceCell { member, ..self }
+    }
+
+    /// Replaces the piece, keeping slot and flag (fault injection).
+    pub fn set_piece(&mut self, piece: PieceInfo) {
+        *self = PieceCell::new(self.slot, piece).with_member(self.member);
+    }
+}
+
+/// A permanently stored piece together with its slot in the part's cycle.
+pub type StoredPiece = PieceCell;
+
 /// The per-partition portion of the label.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartLabel {
     /// Identity of the root of the node's part.
     pub part_root_id: u64,
     /// The node's hop depth inside the part's subtree.
-    pub depth_in_part: u64,
+    pub depth_in_part: u32,
     /// Claimed upper bound on the part's diameter (must be `O(log n)`).
-    pub diameter_bound: u64,
+    pub diameter_bound: u32,
     /// The number of piece slots circulating in the part.
     pub piece_count: u8,
-    /// The pieces stored permanently at this node (at most two).
-    pub stored: Vec<StoredPiece>,
+    /// The pieces stored permanently at this node (§6.2 places at most two),
+    /// filled from the front.
+    pub stored: [Option<StoredPiece>; 2],
 }
 
 impl PartLabel {
+    /// The pieces stored permanently at this node.
+    pub fn stored_pieces(&self) -> impl Iterator<Item = &StoredPiece> {
+        self.stored.iter().flatten()
+    }
+
     /// Number of bits of a faithful encoding.
     pub fn bits(&self, max_id: u64, max_weight: u64, levels: usize, n: usize) -> u64 {
         u64::from(bits_for(max_id))
             + 2 * u64::from(bits_for(n as u64))
             + 8
-            + self.stored.len() as u64 * (8 + PieceInfo::bits(max_id, max_weight, levels))
+            + self.stored_pieces().count() as u64
+                * (8 + PieceInfo::bits(max_id, max_weight, levels))
     }
 }
 
 /// The complete node label assigned by the marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreLabel {
     /// Example SP fields (root identity, distance, own identity, parent
     /// identity).
@@ -128,12 +229,7 @@ mod tests {
             depth_in_part: 2,
             diameter_bound: 8,
             piece_count: 4,
-            stored: (0..stored)
-                .map(|i| StoredPiece {
-                    slot: i as u8,
-                    piece,
-                })
-                .collect(),
+            stored: [0, 1].map(|i| (i < stored).then(|| StoredPiece::new(i as u8, piece))),
         };
         CoreLabel {
             sp: SpLabel {
@@ -146,7 +242,7 @@ mod tests {
             subtree_count: 5,
             strings: NodeStrings::blank(levels),
             top_min_level: 2,
-            top_part: part.clone(),
+            top_part: part,
             bottom_part: part,
         }
     }
@@ -176,5 +272,37 @@ mod tests {
     #[test]
     fn piece_bits_positive() {
         assert!(PieceInfo::bits(100, 100, 8) > 0);
+    }
+
+    #[test]
+    fn piece_cells_round_trip_in_five_words() {
+        let with_edge = PieceInfo {
+            root_id: u64::MAX,
+            level: 63,
+            min_out: Some(CompositeWeight::new(u64::MAX, false, 9, 4)),
+        };
+        let top = PieceInfo {
+            root_id: 5,
+            level: 12,
+            min_out: None,
+        };
+        for piece in [with_edge, top] {
+            let cell = PieceCell::new(200, piece);
+            assert_eq!(
+                (cell.slot(), cell.piece(), cell.member()),
+                (200, piece, false)
+            );
+            assert_eq!(cell.level(), piece.level);
+            assert_eq!(cell.root_id(), piece.root_id);
+            assert_eq!(cell.has_min_out(), piece.min_out.is_some());
+            let flagged = cell.with_member(true);
+            assert_eq!((flagged.slot(), flagged.piece()), (200, piece));
+            assert!(flagged.member() && flagged != cell);
+            let mut replaced = flagged;
+            replaced.set_piece(top);
+            assert_eq!(replaced, PieceCell::new(200, top).with_member(true));
+        }
+        assert_eq!(std::mem::size_of::<PieceCell>(), 40);
+        assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 40);
     }
 }

@@ -112,12 +112,17 @@ impl Marker {
             .map(|((v, sp), strings)| {
                 let tp = &partitions.top_parts[partitions.top_part_of[v.index()]];
                 let bp = &partitions.bottom_parts[partitions.bottom_part_of[v.index()]];
-                let part_label = |part: &crate::partition::Part| PartLabel {
-                    part_root_id: g.id(part.root),
-                    depth_in_part: part.depth_of(v) as u64,
-                    diameter_bound: part.diameter as u64,
-                    piece_count: part.pieces.len() as u8,
-                    stored: part.stored_at(v),
+                let part_label = |part: &crate::partition::Part| {
+                    let stored = part.stored_at(v);
+                    assert!(stored.len() <= 2, "§6.2 places at most two pieces per node");
+                    let narrow = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
+                    PartLabel {
+                        part_root_id: g.id(part.root),
+                        depth_in_part: narrow(part.depth_of(v)),
+                        diameter_bound: narrow(part.diameter),
+                        piece_count: part.pieces.len() as u8,
+                        stored: [stored.first().copied(), stored.get(1).copied()],
+                    }
                 };
                 let top_min_level = outcome
                     .hierarchy
@@ -290,8 +295,11 @@ mod tests {
             // constant number, the rest arrive by train — here we check that
             // the label's own part metadata is consistent.
             let label = &labels[v.index()];
-            assert!(label.top_part.stored.len() <= 2);
-            assert!(label.bottom_part.stored.len() <= 2);
+            for part in [&label.top_part, &label.bottom_part] {
+                // stored pieces fill the two inline cells from the front
+                assert!(part.stored[0].is_some() || part.stored[1].is_none());
+                assert!(part.stored_pieces().all(|s| s.slot() < part.piece_count));
+            }
             assert!(!needed.is_empty());
             assert_eq!(label.n_claim, g.node_count() as u64);
         }

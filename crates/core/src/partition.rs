@@ -49,10 +49,7 @@ impl Part {
             .iter()
             .enumerate()
             .filter(|&(_, &h)| h == v)
-            .map(|(slot, _)| StoredPiece {
-                slot: slot as u8,
-                piece: self.pieces[slot],
-            })
+            .map(|(slot, _)| StoredPiece::new(slot as u8, self.pieces[slot]))
             .collect()
     }
 

@@ -24,8 +24,10 @@
 //! Any violation makes the node output [`Verdict::Reject`] — "raising an
 //! alarm" in the paper's terminology.
 
-use crate::labels::{CoreLabel, PieceInfo};
-use crate::strings::{check_strings, EndpSym, RootSym, StringNeighborhood};
+use crate::labels::{CoreLabel, PartLabel, PieceCell, PieceInfo};
+use crate::strings::{
+    ceil_log2, check_strings, ChildSummary, EndpSym, RootSym, StringNeighborhood,
+};
 use smst_graph::weight::CompositeWeight;
 use smst_graph::{ComponentMap, NodeId, Port, WeightedGraph};
 use smst_sim::{Network, NodeContext, NodeProgram, Verdict};
@@ -35,28 +37,16 @@ pub const TRAIN_TOP: usize = 0;
 /// Index of the Bottom-partition train.
 pub const TRAIN_BOTTOM: usize = 1;
 
-/// A piece climbing towards the part root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpItem {
-    /// The slot being collected.
-    pub slot: u8,
-    /// The piece contents.
-    pub piece: PieceInfo,
-}
+/// A piece climbing towards the part root, with the slot being collected.
+pub type UpItem = PieceCell;
 
-/// A piece flooding down from the part root, carrying the membership flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DownItem {
-    /// The slot being distributed.
-    pub slot: u8,
-    /// The piece contents.
-    pub piece: PieceInfo,
-    /// Whether this node belongs to the piece's fragment (§7.1's flag).
-    pub member: bool,
-}
+/// A piece flooding down from the part root: the slot being distributed, the
+/// piece, and whether this node belongs to the piece's fragment (§7.1's
+/// flag, [`PieceCell::member`]).
+pub type DownItem = PieceCell;
 
 /// The per-train dynamic registers of a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainState {
     /// The slot currently being circulated (driven by the part root).
     pub want: u8,
@@ -89,10 +79,15 @@ impl TrainState {
             last_key: None,
         }
     }
+
+    /// The level of the member piece this train currently shows, if any.
+    fn shown_member_level(&self) -> Option<u32> {
+        self.down.filter(|d| d.member()).map(|d| d.level())
+    }
 }
 
 /// The comparison (client) state of §7.2.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompareState {
     /// Index into the node's level list `J(v)` of the level being compared.
     pub level_idx: u8,
@@ -123,8 +118,11 @@ impl CompareState {
     }
 }
 
-/// The full register of a node running the verifier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The full register of a node running the verifier: a fixed-width `Copy`
+/// value with no heap behind it (see [`crate::labels`] and
+/// [`crate::strings`] for the layout), so copying it *is* copying the
+/// paper's `O(log n)`-bit register and an activation allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreState {
     /// The node's label (the corruptible proof).
     pub label: CoreLabel,
@@ -137,6 +135,68 @@ pub struct CoreState {
     pub seen_levels: u64,
     /// The node's current verdict.
     pub verdict: Verdict,
+}
+
+// Layout tripwires: the register stays `Copy` and no larger than the inline
+// part of the `Vec`-based layout it replaced (696 bytes, which excluded
+// 130–250 bytes of heap per node) — `peak_rss_mb` follows this number.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<CoreState>();
+    assert!(std::mem::size_of::<CoreState>() <= 696);
+};
+
+/// What one pass over the neighbour registers gathers from the tree children
+/// (the neighbours whose parent pointer names this node): everything the
+/// structural checks and the two trains need from them.
+struct Children {
+    /// Sum of the children's NumK subtree counts.
+    subtree_sum: u64,
+    /// The children's strings, summarised for the RS/EPS checks.
+    strings: ChildSummary,
+    /// Per train: the climbing piece of the first child in the same part
+    /// that carries the wanted slot.
+    up: [Option<UpItem>; 2],
+    /// Per train: whether every child in the same part acknowledged the
+    /// wanted slot.
+    done: [bool; 2],
+}
+
+impl Children {
+    /// `wanted[t]` is the slot train `t` circulates this activation (`None`
+    /// if the part has no pieces).
+    fn gather(
+        ctx: &NodeContext,
+        own: &CoreState,
+        neighbors: &[&CoreState],
+        wanted: [Option<u8>; 2],
+    ) -> Self {
+        let mut kids = Children {
+            subtree_sum: 0,
+            strings: ChildSummary::new(&own.label.strings),
+            up: [None, None],
+            done: [true, true],
+        };
+        for s in neighbors {
+            if s.label.sp.parent_id != Some(ctx.id) {
+                continue;
+            }
+            kids.subtree_sum += s.label.subtree_count;
+            kids.strings.add(&s.label.strings);
+            for (which, want) in wanted.into_iter().enumerate() {
+                let Some(want) = want else { continue };
+                if part_of(s, which).part_root_id != part_of(own, which).part_root_id {
+                    continue;
+                }
+                let train = &s.trains[which];
+                if kids.up[which].is_none() {
+                    kids.up[which] = train.up.filter(|u| u.slot() == want);
+                }
+                kids.done[which] &= train.done == Some(want);
+            }
+        }
+        kids
+    }
 }
 
 /// The verifier program. It carries the (read-only) network inputs every node
@@ -208,24 +268,29 @@ impl CoreVerifier {
 
     // ----- structural 1-round checks (§5, SP, NumK, partitions) ------------
 
-    fn structural_ok(&self, ctx: &NodeContext, own: &CoreState, neighbors: &[&CoreState]) -> bool {
-        let v = ctx.node;
+    fn structural_ok(
+        &self,
+        ctx: &NodeContext,
+        own: &CoreState,
+        neighbors: &[&CoreState],
+        parent: Option<&CoreState>,
+        children: &Children,
+    ) -> bool {
         let label = &own.label;
-        // SP: truthful identity, agreement on the root, distance rules
+        // SP: truthful identity, agreement on the root, distance rules;
+        // NumK: agreement on n
         if label.sp.own_id != ctx.id {
             return false;
         }
         if neighbors
             .iter()
-            .any(|s| s.label.sp.root_id != label.sp.root_id)
+            .any(|s| s.label.sp.root_id != label.sp.root_id || s.label.n_claim != label.n_claim)
         {
             return false;
         }
-        let parent_port = self.parent_port(v);
-        let parent = parent_port.map(|p| neighbors[p.index()]);
         match parent {
             None => {
-                if self.components.pointer(v).is_some() {
+                if self.components.pointer(ctx.node).is_some() {
                     return false; // pointer names a non-existent port
                 }
                 if label.sp.dist != 0 || label.sp.root_id != ctx.id || label.sp.parent_id.is_some()
@@ -241,29 +306,21 @@ impl CoreVerifier {
                 }
             }
         }
-        // NumK: agreement on n and subtree aggregation
-        if neighbors.iter().any(|s| s.label.n_claim != label.n_claim) {
-            return false;
-        }
-        let children: Vec<&&CoreState> = neighbors
-            .iter()
-            .filter(|s| s.label.sp.parent_id == Some(ctx.id))
-            .collect();
-        let child_sum: u64 = children.iter().map(|s| s.label.subtree_count).sum();
-        if label.subtree_count != 1 + child_sum {
+        // NumK: subtree aggregation
+        if label.subtree_count != 1 + children.subtree_sum {
             return false;
         }
         if parent.is_none() && label.subtree_count != label.n_claim {
             return false;
         }
         // strings legality (RS / EPS conditions)
-        let max_len = (label.n_claim.max(2) as f64).log2().ceil() as usize + 1;
+        let log_n = ceil_log2(label.n_claim);
         let view = StringNeighborhood {
             own: &label.strings,
             parent: parent.map(|p| &p.label.strings),
-            children: children.iter().map(|c| &c.label.strings).collect(),
+            children: children.strings,
             is_tree_root: parent.is_none(),
-            max_len,
+            max_len: log_n as usize + 1,
         };
         if check_strings(&view).is_err() {
             return false;
@@ -271,17 +328,8 @@ impl CoreVerifier {
         // partition representation: parts are subtrees, so a non-root of a
         // part must have its tree parent in the same part; diameters and
         // piece counts are bounded and agreed upon inside the part
-        let log_n = (label.n_claim.max(2) as f64).log2().ceil() as u64;
-        for (mine, getter) in [
-            (
-                &label.top_part,
-                top_part_of as fn(&CoreState) -> &crate::labels::PartLabel,
-            ),
-            (
-                &label.bottom_part,
-                bottom_part_of as fn(&CoreState) -> &crate::labels::PartLabel,
-            ),
-        ] {
+        for which in [TRAIN_TOP, TRAIN_BOTTOM] {
+            let mine = part_of(own, which);
             let i_am_part_root = mine.part_root_id == ctx.id;
             if i_am_part_root {
                 if mine.depth_in_part != 0 {
@@ -291,11 +339,11 @@ impl CoreVerifier {
                 match parent {
                     None => return false,
                     Some(p) => {
-                        let pp = getter(p);
+                        let pp = part_of(p, which);
                         if pp.part_root_id != mine.part_root_id {
                             return false;
                         }
-                        if mine.depth_in_part != pp.depth_in_part + 1 {
+                        if u64::from(mine.depth_in_part) != u64::from(pp.depth_in_part) + 1 {
                             return false;
                         }
                         if pp.diameter_bound != mine.diameter_bound
@@ -309,16 +357,13 @@ impl CoreVerifier {
             if mine.diameter_bound > 6 * log_n + 6 {
                 return false;
             }
-            if u64::from(mine.piece_count) > 2 * (log_n + 2) {
+            if u32::from(mine.piece_count) > 2 * (log_n + 2) {
                 return false;
             }
             if mine.depth_in_part > mine.diameter_bound {
                 return false;
             }
-            if mine.stored.len() > 2 {
-                return false;
-            }
-            if mine.stored.iter().any(|s| s.slot >= mine.piece_count) {
+            if mine.stored_pieces().any(|s| s.slot() >= mine.piece_count) {
                 return false;
             }
         }
@@ -339,64 +384,52 @@ impl CoreVerifier {
         own: &CoreState,
         neighbors: &[&CoreState],
     ) -> bool {
-        let shown: Vec<u32> = own
-            .trains
-            .iter()
-            .filter_map(|t| t.down.as_ref())
-            .filter(|d| d.member)
-            .map(|d| d.piece.level)
-            .collect();
-        if shown.is_empty() {
+        let shown = [
+            own.trains[TRAIN_TOP].shown_member_level(),
+            own.trains[TRAIN_BOTTOM].shown_member_level(),
+        ];
+        if shown == [None, None] {
             return false;
         }
         neighbors.iter().any(|s| {
             s.compare
                 .want_cmp
-                .map(|(id, lev)| id == ctx.id && shown.contains(&lev))
-                .unwrap_or(false)
+                .is_some_and(|(id, lev)| id == ctx.id && shown.contains(&Some(lev)))
         })
     }
 
+    /// The part parent of a node: its tree parent, if in the same part.
+    fn part_parent<'a>(
+        own: &CoreState,
+        parent: Option<&'a CoreState>,
+        which: usize,
+    ) -> Option<&'a CoreState> {
+        parent.filter(|p| part_of(p, which).part_root_id == part_of(own, which).part_root_id)
+    }
+
+    /// First half of a train step: decides the slot the train circulates
+    /// this activation (`None` if the part has no pieces) and updates the
+    /// registers that pace it.
     #[allow(clippy::too_many_arguments)]
-    fn step_train(
+    fn step_train_slot(
         &self,
         which: usize,
         ctx: &NodeContext,
         own: &CoreState,
-        neighbors: &[&CoreState],
+        parent: Option<&CoreState>,
         next: &mut CoreState,
         wants_hold: bool,
         alarm: &mut bool,
-    ) {
-        let v = ctx.node;
-        let part = if which == TRAIN_TOP {
-            &own.label.top_part
-        } else {
-            &own.label.bottom_part
-        };
+    ) -> Option<u8> {
+        let part = part_of(own, which);
         let k = part.piece_count;
         let train = &own.trains[which];
         let out = &mut next.trains[which];
         if k == 0 {
             *out = TrainState::fresh();
-            return;
+            return None;
         }
         let i_am_root = part.part_root_id == ctx.id;
-        let parent_port = self.parent_port(v);
-        let parent_state = parent_port.map(|p| neighbors[p.index()]);
-        let parent_same_part = parent_state
-            .map(|p| part_of(p, which).part_root_id == part.part_root_id)
-            .unwrap_or(false);
-        // part children: tree children in the same part
-        let part_children: Vec<&&CoreState> = neighbors
-            .iter()
-            .filter(|s| {
-                s.label.sp.parent_id == Some(ctx.id)
-                    && part_of(s, which).part_root_id == part.part_root_id
-            })
-            .collect();
-
-        // 1. the slot being circulated
         let mut wraps = train.wraps;
         let want = if i_am_root {
             let mut w = if train.want >= k { 0 } else { train.want };
@@ -407,7 +440,7 @@ impl CoreVerifier {
                 // cyclic-order check of §8: the completed piece's key must
                 // strictly increase within a cycle
                 if let Some(d) = &train.down {
-                    let key = (d.piece.level, d.piece.root_id);
+                    let key = (d.level(), d.root_id());
                     if let Some(last) = train.last_key {
                         if w != 0 && key <= last {
                             *alarm = true;
@@ -427,10 +460,7 @@ impl CoreVerifier {
             };
             w
         } else {
-            let w = parent_state
-                .filter(|_| parent_same_part)
-                .map(|p| p.trains[which].want)
-                .unwrap_or(0);
+            let w = Self::part_parent(own, parent, which).map_or(0, |p| p.trains[which].want);
             let w = if w >= k { 0 } else { w };
             if w < train.want {
                 wraps = wraps.saturating_add(1);
@@ -439,52 +469,51 @@ impl CoreVerifier {
         };
         out.want = want;
         out.wraps = wraps;
-        if i_am_root {
-            if out.want == 0 && want != train.want {
-                out.last_key = None;
-            } else if out.last_key.is_none() {
-                out.last_key = train.last_key;
-            }
+        if i_am_root && want == 0 && want != train.want {
+            out.last_key = None;
         }
+        Some(want)
+    }
+
+    /// Second half of a train step: the climbing and flooding buffers, the
+    /// acknowledgement and the checks on the shown piece, for the slot
+    /// `want` decided by [`Self::step_train_slot`].
+    #[allow(clippy::too_many_arguments)]
+    fn step_train_buffers(
+        &self,
+        which: usize,
+        want: u8,
+        ctx: &NodeContext,
+        own: &CoreState,
+        parent: Option<&CoreState>,
+        children: &Children,
+        next: &mut CoreState,
+        wants_hold: bool,
+        alarm: &mut bool,
+    ) {
+        let part = part_of(own, which);
+        let train = &own.trains[which];
+        let out = &mut next.trains[which];
+        let i_am_root = part.part_root_id == ctx.id;
 
         // 2. the upward (convergecast) buffer
-        let stored = part.stored.iter().find(|s| s.slot == want);
-        out.up = if let Some(s) = stored {
-            Some(UpItem {
-                slot: want,
-                piece: s.piece,
-            })
-        } else if train.up.map(|u| u.slot == want).unwrap_or(false) {
-            train.up
-        } else {
-            part_children
-                .iter()
-                .filter_map(|c| c.trains[which].up)
-                .find(|u| u.slot == want)
-        };
+        let stored = part.stored_pieces().find(|s| s.slot() == want).copied();
+        out.up = stored
+            .or(train.up.filter(|u| u.slot() == want))
+            .or(children.up[which]);
 
         // 3. the downward (broadcast / Show) buffer, with the membership flag
         let replace_with: Option<DownItem> = if i_am_root {
-            let source = stored
-                .map(|s| s.piece)
-                .or_else(|| out.up.filter(|u| u.slot == want).map(|u| u.piece));
-            source.map(|piece| DownItem {
-                slot: want,
-                piece,
-                member: self.root_membership(which, &own.label, piece),
-            })
+            // `out.up` is the stored piece if there is one
+            out.up
+                .map(|u| u.with_member(self.root_membership(which, &own.label, u)))
         } else {
-            parent_state
-                .filter(|_| parent_same_part)
+            Self::part_parent(own, parent, which)
                 .and_then(|p| p.trains[which].down)
-                .filter(|d| d.slot == want)
-                .map(|d| DownItem {
-                    slot: d.slot,
-                    piece: d.piece,
-                    member: self.child_membership(&own.label, ctx, d),
-                })
+                .filter(|d| d.slot() == want)
+                .map(|d| d.with_member(self.child_membership(&own.label, ctx, d)))
         };
-        let current_ok = train.down.map(|d| d.slot == want).unwrap_or(false);
+        let current_ok = train.down.is_some_and(|d| d.slot() == want);
         out.down = match (current_ok, replace_with) {
             (true, _) => train.down,
             (false, Some(new)) => {
@@ -503,30 +532,22 @@ impl CoreVerifier {
         };
 
         // 4. the acknowledgement
-        let have = out.down.map(|d| d.slot == want).unwrap_or(false);
-        let children_done = part_children
-            .iter()
-            .all(|c| c.trains[which].done == Some(want));
-        out.done = if have && children_done {
-            Some(want)
-        } else {
-            None
-        };
+        let have = out.down.is_some_and(|d| d.slot() == want);
+        out.done = (have && children.done[which]).then_some(want);
 
         // 5. checks on the member piece currently shown (§8, Claim 8.3)
-        if let Some(d) = out.down {
-            if d.member {
-                let j = d.piece.level as usize;
-                let strings = &own.label.strings;
-                if j >= strings.len() || strings.roots[j] == RootSym::Absent {
-                    *alarm = true;
-                } else {
-                    next.seen_levels |= 1u64 << (j as u32).min(63);
-                    if strings.roots[j] == RootSym::Root && d.piece.root_id != ctx.id {
+        if let Some(d) = out.down.filter(|d| d.member()) {
+            let j = d.level() as usize;
+            let strings = &own.label.strings;
+            match strings.root(j) {
+                RootSym::Absent => *alarm = true,
+                sym => {
+                    next.seen_levels |= 1u64 << j;
+                    if sym == RootSym::Root && d.root_id() != ctx.id {
                         *alarm = true;
                     }
                     // only the top fragment (the whole tree) has no outgoing edge
-                    if d.piece.min_out.is_none() && j + 1 != strings.len() {
+                    if !d.has_min_out() && j + 1 != strings.len() {
                         *alarm = true;
                     }
                 }
@@ -535,9 +556,8 @@ impl CoreVerifier {
     }
 
     /// Membership rule at the part root (§7.1's flag, initial value).
-    fn root_membership(&self, which: usize, label: &CoreLabel, piece: PieceInfo) -> bool {
-        let j = piece.level as usize;
-        if j >= label.strings.len() || label.strings.roots[j] == RootSym::Absent {
+    fn root_membership(&self, which: usize, label: &CoreLabel, piece: UpItem) -> bool {
+        if label.strings.root(piece.level() as usize) == RootSym::Absent {
             return false;
         }
         match which {
@@ -545,24 +565,20 @@ impl CoreVerifier {
                 // the part intersects at most one top fragment per level
                 // (Claim 6.3), so having a top fragment at this level means it
                 // is the piece's fragment
-                piece.level >= u32::from(label.top_min_level)
+                piece.level() >= u32::from(label.top_min_level)
             }
-            _ => piece.root_id == label.sp.own_id,
+            _ => piece.root_id() == label.sp.own_id,
         }
     }
 
     /// Membership rule when copying the piece from the part parent.
     fn child_membership(&self, label: &CoreLabel, ctx: &NodeContext, d: DownItem) -> bool {
-        let j = d.piece.level as usize;
-        if d.piece.root_id == ctx.id {
-            return true;
-        }
-        d.member && j < label.strings.len() && label.strings.roots[j] == RootSym::NonRoot
+        d.root_id() == ctx.id
+            || (d.member() && label.strings.root(d.level() as usize) == RootSym::NonRoot)
     }
 
     // ----- comparison machinery (§7.2, §8) ----------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn step_compare(
         &self,
         ctx: &NodeContext,
@@ -571,28 +587,29 @@ impl CoreVerifier {
         next: &mut CoreState,
         alarm: &mut bool,
     ) {
-        let levels = own.label.strings.levels_present();
-        if levels.is_empty() {
+        // J(v), the node's levels in ascending order, is the set bits of
+        // the present mask
+        let levels = own.label.strings.present();
+        let level_count = levels.count_ones() as usize;
+        if level_count == 0 {
             next.compare = CompareState::fresh();
             return;
         }
-        let mut cmp = own.compare.clone();
-        if usize::from(cmp.level_idx) >= levels.len() {
+        let mut cmp = own.compare;
+        if usize::from(cmp.level_idx) >= level_count {
             cmp = CompareState::fresh();
         }
-        let level = levels[usize::from(cmp.level_idx)] as u32;
+        // the `level_idx`-th set bit: drop the lower ones
+        let level = (0..cmp.level_idx)
+            .fold(levels, |m, _| m & (m - 1))
+            .trailing_zeros();
 
         // obtain the Ask piece for the current level from one of our trains
-        if cmp.ask.map(|p| p.level != level).unwrap_or(false) {
+        if cmp.ask.is_some_and(|p| p.level != level) {
             cmp.ask = None;
         }
         if cmp.ask.is_none() {
-            cmp.ask = next
-                .trains
-                .iter()
-                .filter_map(|t| t.down)
-                .find(|d| d.member && d.piece.level == level)
-                .map(|d| d.piece);
+            cmp.ask = shown_member_piece(next, level);
             cmp.neighbor_ptr = 0;
             cmp.want_cmp = None;
             cmp.watched_wraps = [0, 0];
@@ -608,10 +625,7 @@ impl CoreVerifier {
             advanced = false;
             let port = Port(usize::from(cmp.neighbor_ptr));
             let u = neighbors[port.index()];
-            let j = level as usize;
-            let u_has_level =
-                j < u.label.strings.len() && u.label.strings.roots[j] != RootSym::Absent;
-            if !u_has_level {
+            if u.label.strings.root(level as usize) == RootSym::Absent {
                 // the neighbour has no level-j fragment: the edge is outgoing
                 self.check_outgoing(ctx, own, port, u, ask, level, alarm);
                 cmp.neighbor_ptr += 1;
@@ -621,13 +635,8 @@ impl CoreVerifier {
                 continue;
             }
             // does the neighbour currently show its member level-j piece?
-            let shown = u
-                .trains
-                .iter()
-                .filter_map(|t| t.down)
-                .find(|d| d.member && d.piece.level == level);
-            if let Some(d) = shown {
-                self.check_event(ctx, own, port, u, ask, d.piece, level, alarm);
+            if let Some(their) = shown_member_piece(u, level) {
+                self.check_event(ctx, own, port, u, ask, their, level, alarm);
                 cmp.neighbor_ptr += 1;
                 cmp.want_cmp = None;
                 cmp.watched_wraps = [0, 0];
@@ -654,7 +663,7 @@ impl CoreVerifier {
         }
         if usize::from(cmp.neighbor_ptr) >= ctx.degree {
             // done with this level: move on
-            cmp.level_idx = ((usize::from(cmp.level_idx) + 1) % levels.len()) as u8;
+            cmp.level_idx = ((usize::from(cmp.level_idx) + 1) % level_count) as u8;
             cmp.ask = None;
             cmp.neighbor_ptr = 0;
             cmp.want_cmp = None;
@@ -711,7 +720,7 @@ impl CoreVerifier {
         // Claim 8.3: tree neighbours in the same fragment must hold identical
         // pieces; the strings already tell whether the parent shares the
         // fragment
-        if is_parent && own.label.strings.roots.get(j) == Some(&RootSym::NonRoot) && ask != their {
+        if is_parent && own.label.strings.root(j) == RootSym::NonRoot && ask != their {
             *alarm = true;
         }
         if same_fragment && ask != their {
@@ -747,16 +756,9 @@ impl CoreVerifier {
         level: u32,
     ) -> bool {
         let j = level as usize;
-        if j >= own.label.strings.len() {
-            return false;
-        }
-        match own.label.strings.endp[j] {
+        match own.label.strings.endp(j) {
             EndpSym::Up => self.parent_port(ctx.node) == Some(port),
-            EndpSym::Down => {
-                u.label.sp.parent_id == Some(ctx.id)
-                    && j < u.label.strings.len()
-                    && u.label.strings.parents[j]
-            }
+            EndpSym::Down => u.label.sp.parent_id == Some(ctx.id) && u.label.strings.parent_bit(j),
             _ => false,
         }
     }
@@ -771,7 +773,7 @@ const MAX_WATCH_WRAPS: u8 = 3;
 /// Cycles of both own trains after which the completeness check fires.
 const COMPLETENESS_WRAPS: u8 = 2;
 
-fn part_of(s: &CoreState, which: usize) -> &crate::labels::PartLabel {
+fn part_of(s: &CoreState, which: usize) -> &PartLabel {
     if which == TRAIN_TOP {
         &s.label.top_part
     } else {
@@ -779,12 +781,14 @@ fn part_of(s: &CoreState, which: usize) -> &crate::labels::PartLabel {
     }
 }
 
-fn top_part_of(s: &CoreState) -> &crate::labels::PartLabel {
-    &s.label.top_part
-}
-
-fn bottom_part_of(s: &CoreState) -> &crate::labels::PartLabel {
-    &s.label.bottom_part
+/// The member piece of the given level that one of the node's trains
+/// currently shows, if any.
+fn shown_member_piece(s: &CoreState, level: u32) -> Option<PieceInfo> {
+    s.trains
+        .iter()
+        .filter_map(|t| t.down)
+        .find(|d| d.member() && d.level() == level)
+        .map(|d| d.piece())
 }
 
 impl NodeProgram for CoreVerifier {
@@ -792,7 +796,7 @@ impl NodeProgram for CoreVerifier {
 
     fn init(&self, ctx: &NodeContext) -> CoreState {
         CoreState {
-            label: self.labels[ctx.node.index()].clone(),
+            label: self.labels[ctx.node.index()],
             trains: [TrainState::fresh(), TrainState::fresh()],
             compare: CompareState::fresh(),
             seen_levels: 0,
@@ -802,38 +806,39 @@ impl NodeProgram for CoreVerifier {
 
     fn step(&self, ctx: &NodeContext, own: &CoreState, neighbors: &[&CoreState]) -> CoreState {
         let mut alarm = false;
-        let mut next = own.clone();
+        let mut next = *own;
         next.verdict = Verdict::Accept;
+        let parent = self.parent_port(ctx.node).map(|p| neighbors[p.index()]);
+
+        // the slot each train circulates, then the one pass over the tree
+        // children that everything below shares
+        let wants_hold = self.neighbor_wants_shown(ctx, own, neighbors);
+        let wanted = [TRAIN_TOP, TRAIN_BOTTOM].map(|which| {
+            self.step_train_slot(which, ctx, own, parent, &mut next, wants_hold, &mut alarm)
+        });
+        let children = Children::gather(ctx, own, neighbors, wanted);
 
         // 1. structural 1-round checks
-        if !self.structural_ok(ctx, own, neighbors) {
+        if !self.structural_ok(ctx, own, neighbors, parent, &children) {
             alarm = true;
         }
 
         // 2. trains
-        let wants_hold = self.neighbor_wants_shown(ctx, own, neighbors);
-        self.step_train(
-            TRAIN_TOP, ctx, own, neighbors, &mut next, wants_hold, &mut alarm,
-        );
-        self.step_train(
-            TRAIN_BOTTOM,
-            ctx,
-            own,
-            neighbors,
-            &mut next,
-            wants_hold,
-            &mut alarm,
-        );
+        for (which, want) in wanted.into_iter().enumerate() {
+            if let Some(want) = want {
+                self.step_train_buffers(
+                    which, want, ctx, own, parent, &children, &mut next, wants_hold, &mut alarm,
+                );
+            }
+        }
 
         // 3. comparisons
         self.step_compare(ctx, own, neighbors, &mut next, &mut alarm);
 
         // 4. completeness (cycle-set) check of §8
         if next.trains.iter().all(|t| t.wraps >= COMPLETENESS_WRAPS) {
-            for j in own.label.strings.levels_present() {
-                if next.seen_levels & (1u64 << (j as u32).min(63)) == 0 {
-                    alarm = true;
-                }
+            if own.label.strings.present() & !next.seen_levels != 0 {
+                alarm = true;
             }
             next.seen_levels = 0;
             for t in &mut next.trains {

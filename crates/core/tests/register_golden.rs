@@ -2,8 +2,8 @@
 //! must not move when the register *layout* changes.
 //!
 //! The constants below were recorded on the `Vec`-based layout (four string
-//! vectors, `PartLabel::stored: Vec<_>`) before the word-packed layout
-//! replaced it. The fold reads every logical field of every register through
+//! vectors, `PartLabel::stored: Vec<_>`, one commit before the word-packed
+//! layout replaced it). The fold reads every logical field of every register through
 //! the accessors at the bottom of this file — never `Debug` output, never
 //! `size_of` — so it is a function of the register's *contents* only, and a
 //! layout change that keeps the verifier's behaviour keeps every constant.
@@ -265,37 +265,37 @@ fn fold_state(f: &mut Fold, s: &CoreState) {
 // ----- layout-specific accessors (the only part a layout change edits) ------
 
 fn root(s: &NodeStrings, j: usize) -> RootSym {
-    s.roots[j]
+    s.root(j)
 }
 
 fn endp(s: &NodeStrings, j: usize) -> EndpSym {
-    s.endp[j]
+    s.endp(j)
 }
 
 fn parent_bit(s: &NodeStrings, j: usize) -> bool {
-    s.parents[j]
+    s.parent_bit(j)
 }
 
 fn or_endp_bit(s: &NodeStrings, j: usize) -> bool {
-    s.or_endp[j]
+    s.or_endp_bit(j)
 }
 
 fn depth_in_part(p: &PartLabel) -> u64 {
-    p.depth_in_part
+    u64::from(p.depth_in_part)
 }
 
 fn diameter_bound(p: &PartLabel) -> u64 {
-    p.diameter_bound
+    u64::from(p.diameter_bound)
 }
 
 fn stored(p: &PartLabel) -> Vec<(u8, PieceInfo)> {
-    p.stored.iter().map(|s| (s.slot, s.piece)).collect()
+    p.stored_pieces().map(|s| (s.slot(), s.piece())).collect()
 }
 
 fn up(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
-    t.up.map(|u| (u.slot, u.piece, false))
+    t.up.map(|u| (u.slot(), u.piece(), u.member()))
 }
 
 fn down(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
-    t.down.map(|d| (d.slot, d.piece, d.member))
+    t.down.map(|d| (d.slot(), d.piece(), d.member()))
 }

@@ -1,0 +1,89 @@
+//! The verifier register is a fixed-width `Copy` value, so an activation
+//! allocates nothing: counted by a `#[global_allocator]` that forwards to the
+//! system allocator. The engine itself allocates one neighbour buffer per
+//! shard per round (plus its dispatch), whatever the program, so the verifier
+//! is held to *exactly* the count of an 8-byte flood — whose `step` is a fold
+//! over `u64`s — on the same graph and envelope. This file holds exactly one
+//! test: the counter is process-wide, and a concurrently running test would
+//! be counted too.
+
+use smst_core::{CoreVerifier, Marker};
+use smst_engine::programs::MinIdFlood;
+use smst_engine::{EngineConfig, StopCondition};
+use smst_graph::generators::random_connected_graph;
+use smst_graph::mst::kruskal;
+use smst_graph::NodeId;
+use smst_labeling::Instance;
+use smst_sim::NodeProgram;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: see the impl.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: see the impl.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: see the impl.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: see the impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: see the impl.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: see the impl.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by 8 warmed-up rounds of `program` on `graph`.
+fn allocations_in_eight_rounds<P>(program: &P, config: &EngineConfig, inst: &Instance) -> u64
+where
+    P: NodeProgram + Sync + 'static,
+    P::State: Send + Sync,
+{
+    let mut runner = config
+        .instantiate(program, inst.graph.clone())
+        .expect("a valid config");
+    // warm-up: pool threads spawned, buffers grown, trains circulating
+    runner.run_until(StopCondition::Steps, 16);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..8 {
+        runner.step();
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn verifier_rounds_allocate_no_more_than_a_flood() {
+    let n = 512;
+    let g = random_connected_graph(n, 3 * n, 21);
+    let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+    let inst = Instance::from_tree(g, &tree);
+    let (labels, _) = Marker.label(&inst).unwrap();
+    let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+    for threads in [1, 2] {
+        let config = EngineConfig::new().threads(threads);
+        let flood = allocations_in_eight_rounds(&MinIdFlood::new(0), &config, &inst);
+        let verify = allocations_in_eight_rounds(&verifier, &config, &inst);
+        // 8 rounds × 512 activations: a single allocating activation shows
+        assert_eq!(
+            verify, flood,
+            "{threads} thread(s): the engine alone allocates {flood} times in 8 rounds"
+        );
+        assert!(flood <= 8 * 4, "per-round engine allocations grew: {flood}");
+    }
+}

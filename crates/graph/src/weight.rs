@@ -25,7 +25,7 @@ pub type Weight = u64;
 /// A composite weight implementing the lexicographic perturbation ω′ of §2.1.
 ///
 /// Ordering is lexicographic over `(weight, non_tree, id_min, id_max)`:
-/// smaller raw weight first, then tree edges (`non_tree = 0`) before non-tree
+/// smaller raw weight first, then tree edges (`non_tree = false`) before non-tree
 /// edges of equal raw weight, then endpoint identifiers as a final tie-break.
 ///
 /// # Examples
@@ -42,8 +42,9 @@ pub type Weight = u64;
 pub struct CompositeWeight {
     /// The original weight ω(e).
     pub weight: Weight,
-    /// `1 − Y(e)`: 0 if the edge belongs to the candidate tree, 1 otherwise.
-    pub non_tree: u8,
+    /// `1 − Y(e)`: `false` if the edge belongs to the candidate tree, `true`
+    /// otherwise (a `bool`, so that `Option<CompositeWeight>` needs no tag).
+    pub non_tree: bool,
     /// The smaller endpoint identifier.
     pub id_min: u64,
     /// The larger endpoint identifier.
@@ -59,7 +60,7 @@ impl CompositeWeight {
     pub fn new(weight: Weight, in_candidate_tree: bool, id_a: u64, id_b: u64) -> Self {
         CompositeWeight {
             weight,
-            non_tree: if in_candidate_tree { 0 } else { 1 },
+            non_tree: !in_candidate_tree,
             id_min: id_a.min(id_b),
             id_max: id_a.max(id_b),
         }
@@ -74,7 +75,7 @@ impl CompositeWeight {
 
     /// Returns `true` if this weight marks an edge of the candidate tree.
     pub fn in_candidate_tree(&self) -> bool {
-        self.non_tree == 0
+        !self.non_tree
     }
 }
 
@@ -100,7 +101,10 @@ impl fmt::Display for CompositeWeight {
         write!(
             f,
             "⟨{}, {}, {}, {}⟩",
-            self.weight, self.non_tree, self.id_min, self.id_max
+            self.weight,
+            u8::from(self.non_tree),
+            self.id_min,
+            self.id_max
         )
     }
 }

@@ -56,7 +56,7 @@ impl OneRoundScheme for DiameterBoundScheme {
             .graph
             .nodes()
             .map(|v| DiameterLabel {
-                sp: sp_labels[v.index()].clone(),
+                sp: sp_labels[v.index()],
                 height_bound: bound,
             })
             .collect())

@@ -227,7 +227,7 @@ impl OneRoundScheme for KkpMstScheme {
 
         Ok(g.nodes()
             .map(|v| KkpLabel {
-                sp: sp_labels[v.index()].clone(),
+                sp: sp_labels[v.index()],
                 levels: (0..levels)
                     .map(|j| KkpLevel {
                         fragment_root_id: frag_root_id[j][v.index()],

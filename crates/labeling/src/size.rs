@@ -50,7 +50,7 @@ impl OneRoundScheme for SizeScheme {
             .graph
             .nodes()
             .map(|v| SizeLabel {
-                sp: sp_labels[v.index()].clone(),
+                sp: sp_labels[v.index()],
                 n_claim: n,
                 subtree_count: tree.subtree_size(v) as u64,
             })

@@ -18,7 +18,7 @@ use smst_graph::weight::bits_for;
 use smst_graph::NodeId;
 
 /// The Example SP label.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpLabel {
     /// Claimed identity of the root of the spanning tree.
     pub root_id: u64,

@@ -122,16 +122,32 @@ impl<P: NodeProgram> Network<P> {
         self.states[v.index()] = next;
     }
 
-    /// Computes (without applying) the next register of node `v`.
-    pub fn next_state(&self, program: &P, v: NodeId) -> P::State {
-        let ctx = &self.contexts[v.index()];
-        let neighbor_states: Vec<&P::State> = self
-            .graph
-            .incident_edges(v)
-            .iter()
-            .map(|&e| &self.states[self.graph.edge(e).other(v).index()])
-            .collect();
-        program.step(ctx, &self.states[v.index()], &neighbor_states)
+    /// Computes (without applying) the next register of every node into
+    /// `out` — one synchronous round read off the current configuration.
+    /// The neighbour buffer is allocated once for the whole round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one state per node.
+    pub fn next_states_into(&self, program: &P, out: &mut [P::State]) {
+        assert_eq!(
+            out.len(),
+            self.states.len(),
+            "one state per node is required"
+        );
+        let mut neighbor_states: Vec<&P::State> = Vec::with_capacity(16);
+        for (v, slot) in self.graph.nodes().zip(out) {
+            neighbor_states.clear();
+            neighbor_states.extend(
+                (self.graph.incident_edges(v).iter())
+                    .map(|&e| &self.states[self.graph.edge(e).other(v).index()]),
+            );
+            *slot = program.step(
+                &self.contexts[v.index()],
+                &self.states[v.index()],
+                &neighbor_states,
+            );
+        }
     }
 
     /// The verdicts of all nodes under the current configuration.

@@ -7,7 +7,6 @@
 use crate::network::Network;
 use crate::observer::{RoundObserver, RoundStats};
 use crate::program::NodeProgram;
-use smst_graph::NodeId;
 
 /// Runs a [`Network`] in lock-step synchronous rounds and keeps a running
 /// round counter.
@@ -79,9 +78,8 @@ impl<'p, P: NodeProgram> SyncRunner<'p, P> {
         // smst-lint: allow(clock, reason = "observer-gated round timing; wall time never feeds round state")
         let start = self.observer.is_some().then(std::time::Instant::now);
         let n = self.network.node_count();
-        for (v, slot) in self.scratch.iter_mut().enumerate().take(n) {
-            *slot = self.network.next_state(self.program, NodeId(v));
-        }
+        self.network
+            .next_states_into(self.program, &mut self.scratch);
         self.network.swap_states(&mut self.scratch);
         self.rounds += 1;
         if let Some(mut observer) = self.observer.take() {
