@@ -17,8 +17,8 @@ use smst_adversary::chaos::{
 use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    EngineConfig, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError, PoolHandle,
-    RecoveryPolicy, ScenarioSpec,
+    EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
+    PoolHandle, RecoveryPolicy, Runner, ScenarioSpec, StopCondition,
 };
 use smst_sim::FaultSchedule;
 use smst_telemetry::{names, ChaosArtifact, FlightRecorder, Metrics};
@@ -120,8 +120,8 @@ fn main() {
     stalled.set_observer(Box::new(flight.clone()));
     // smst-lint: allow(clock, reason = "smoke binary prints watchdog wall time for the operator readout")
     let started = std::time::Instant::now();
-    match stalled.try_run_rounds(8) {
-        Err(PoolError::BarrierTimeout { timeout }) => {
+    match stalled.try_run_until(StopCondition::Steps, 8) {
+        Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {
             assert_eq!(timeout, watchdog, "the configured watchdog surfaced");
             println!(
                 "  stall: barrier watchdog tripped after {:?} (limit {watchdog:?})",

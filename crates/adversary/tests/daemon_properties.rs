@@ -10,6 +10,7 @@
 //!    sequential `AsyncRunner` register-for-register on the engine.
 
 use smst_adversary::{CutFocusDaemon, DaemonSpec, StallDaemon, StarveDaemon};
+use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::{caterpillar_graph, path_graph, random_connected_graph, ring_graph};
 use smst_graph::WeightedGraph;
 use smst_sim::{
@@ -198,13 +199,11 @@ fn chunked_daemons_at_batch_one_replay_the_central_daemon() {
     ] {
         let mut sequential =
             AsyncRunner::new(&MinId, Network::new(&MinId, g.clone()), central.clone());
-        let mut engine = smst_engine::ShardedAsyncRunner::with_batch_daemon(
-            &MinId,
-            g.clone(),
-            Box::new(ChunkedDaemon::new(central.clone(), 1)),
-            3,
-            smst_engine::LayoutPolicy::Identity,
-        );
+        let mut engine = EngineConfig::new()
+            .batch_daemon(Box::new(ChunkedDaemon::new(central.clone(), 1)))
+            .threads(3)
+            .instantiate(&MinId, g.clone())
+            .expect("a valid batch-daemon envelope");
         for unit in 0..6 {
             assert_eq!(
                 engine.states_snapshot(),
@@ -212,7 +211,7 @@ fn chunked_daemons_at_batch_one_replay_the_central_daemon() {
                 "{central:?} diverged at unit {unit}"
             );
             sequential.step_time_unit();
-            engine.step_time_unit();
+            engine.step();
         }
         assert_eq!(
             engine.activations(),
@@ -243,15 +242,13 @@ fn adversarial_daemons_run_on_the_engine_and_converge() {
             repeats: 1,
         },
     ] {
-        let mut runner = smst_engine::ShardedAsyncRunner::with_batch_daemon(
-            &MinId,
-            g.clone(),
-            spec.build(&g),
-            2,
-            smst_engine::LayoutPolicy::Identity,
-        );
+        let mut runner = EngineConfig::new()
+            .batch_daemon(spec.build(&g))
+            .threads(2)
+            .instantiate(&MinId, g.clone())
+            .expect("a valid batch-daemon envelope");
         let t = runner
-            .run_until_all_accept(2 * n)
+            .run_until(StopCondition::AllAccept, 2 * n)
             .unwrap_or_else(|| panic!("{spec:?} starved the flood"));
         assert!(t <= n, "{spec:?} took {t} > n = {n} units");
     }

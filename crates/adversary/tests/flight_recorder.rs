@@ -6,8 +6,8 @@
 
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    EngineConfig, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError, RecoveryPolicy,
-    ScenarioSpec,
+    EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
+    RecoveryPolicy, Runner, ScenarioSpec, StopCondition,
 };
 use smst_telemetry::FlightRecorder;
 use std::time::Duration;
@@ -29,8 +29,8 @@ fn forced_barrier_timeout_dumps_a_flight_artifact() {
     let flight = FlightRecorder::new(16);
     runner.set_observer(Box::new(flight.clone()));
 
-    let timeout = match runner.try_run_rounds(6) {
-        Err(PoolError::BarrierTimeout { timeout }) => timeout,
+    let timeout = match runner.try_run_until(StopCondition::Steps, 6) {
+        Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => timeout,
         other => panic!("a hung worker must trip the watchdog, got {other:?}"),
     };
     assert_eq!(timeout, watchdog);

@@ -29,7 +29,9 @@
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::MinIdFlood;
-use smst_engine::{EngineConfig, LayoutPolicy, ParallelSyncRunner, PinPolicy};
+use smst_engine::{
+    EngineConfig, LayoutPolicy, ParallelSyncRunner, PinPolicy, Runner, StopCondition,
+};
 use smst_graph::generators::expander_graph;
 use smst_graph::WeightedGraph;
 use smst_sim::{RecordingObserver, TeeObserver};
@@ -48,14 +50,14 @@ fn halo_case(
     let mut direct = ParallelSyncRunner::from_config(&program, g.clone(), engine)
         .expect("a sync envelope is valid");
     group.bench(&format!("{tag}/direct"), iters, || {
-        direct.run_rounds(ROUNDS_PER_ITER);
-        direct.rounds()
+        direct.run_until(StopCondition::Steps, ROUNDS_PER_ITER);
+        direct.steps()
     });
     let mut halo = ParallelSyncRunner::from_config(&program, g.clone(), &engine.clone().halo(true))
         .expect("a sync halo envelope is valid");
     group.bench(&format!("{tag}/halo"), iters, || {
-        halo.run_rounds(ROUNDS_PER_ITER);
-        halo.rounds()
+        halo.run_until(StopCondition::Steps, ROUNDS_PER_ITER);
+        halo.steps()
     });
     let mut pinned = ParallelSyncRunner::from_config(
         &program,
@@ -64,8 +66,8 @@ fn halo_case(
     )
     .expect("a pinned halo envelope is valid");
     group.bench(&format!("{tag}/halo+pin"), iters, || {
-        pinned.run_rounds(ROUNDS_PER_ITER);
-        pinned.rounds()
+        pinned.run_until(StopCondition::Steps, ROUNDS_PER_ITER);
+        pinned.steps()
     });
 }
 
@@ -111,7 +113,7 @@ fn main() {
             tee.push(observer);
         }
         probe.set_observer(Box::new(tee));
-        probe.run_rounds(4);
+        probe.run_until(StopCondition::Steps, 4);
         let stats = recording.stats();
         assert_eq!(stats.len(), 4, "one callback per observed round");
         let plan = probe.halo_plan().expect("halo mode on");

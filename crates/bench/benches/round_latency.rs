@@ -6,7 +6,7 @@
 //! times **single rounds** (not throughput over many rounds):
 //!
 //! * `seq` — the sequential [`SyncRunner`] reference;
-//! * `pool/threads=1` — the pool-backed [`ParallelSyncRunner`] single-shard
+//! * `pool/threads=1` — the pool-backed sharded runner's single-shard
 //!   path; the acceptance gauge is **within 5% of `seq`** (spawn overhead
 //!   eliminated);
 //! * `pool/threads=1/telemetry=disabled` — the same path driven through
@@ -28,11 +28,22 @@
 
 use smst_bench::harness::{bench, smoke_mode, BenchGroup};
 use smst_engine::programs::MinIdFlood;
-use smst_engine::{EngineConfig, LayoutPolicy, ParallelSyncRunner};
+use smst_engine::{EngineConfig, LayoutPolicy, Runner, StopCondition};
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
 use smst_sim::{Network, RecordingObserver, SyncRunner, TeeObserver};
 use smst_telemetry::{RoundsArtifact, Telemetry};
+
+/// The sharded runner of a synchronous envelope over `g`.
+fn pool_runner<'p>(
+    program: &'p MinIdFlood,
+    g: &WeightedGraph,
+    config: &EngineConfig,
+) -> Box<dyn Runner<MinIdFlood> + 'p> {
+    config
+        .instantiate(program, g.clone())
+        .expect("a sync envelope is valid")
+}
 
 fn round_case(group: &mut BenchGroup, label: &str, g: &WeightedGraph, iters: u32) {
     let program = MinIdFlood::new(0);
@@ -41,21 +52,21 @@ fn round_case(group: &mut BenchGroup, label: &str, g: &WeightedGraph, iters: u32
         seq.step_round();
         seq.rounds()
     });
-    let mut one = ParallelSyncRunner::new(&program, g.clone(), 1);
+    let mut one = pool_runner(&program, g, &EngineConfig::new());
     let pool1 = group.bench(&format!("{label}/pool/threads=1"), iters, || {
-        one.step_round();
-        one.rounds()
+        one.step();
+        one.steps()
     });
     println!(
         "    -> threads=1 vs sequential (acceptance: <= 1.05): {:.3}",
         pool1.median_ns as f64 / base.median_ns as f64
     );
-    telemetry_overhead_case(group, label, g, iters, &mut one, pool1.min_ns);
+    telemetry_overhead_case(group, label, g, iters, one.as_mut(), pool1.min_ns);
     for threads in [2usize, 4] {
-        let mut par = ParallelSyncRunner::new(&program, g.clone(), threads);
+        let mut par = pool_runner(&program, g, &EngineConfig::new().threads(threads));
         group.bench(&format!("{label}/pool/threads={threads}"), iters, || {
-            par.step_round();
-            par.rounds()
+            par.step();
+            par.steps()
         });
     }
 }
@@ -71,7 +82,7 @@ fn telemetry_overhead_case(
     label: &str,
     g: &WeightedGraph,
     iters: u32,
-    plain: &mut ParallelSyncRunner<'_, MinIdFlood>,
+    plain: &mut dyn Runner<MinIdFlood>,
     plain_min_ns: u128,
 ) {
     let telemetry = Telemetry::disabled();
@@ -80,13 +91,13 @@ fn telemetry_overhead_case(
         "disabled telemetry must not produce an observer"
     );
     let program = MinIdFlood::new(0);
-    let mut runner = ParallelSyncRunner::new(&program, g.clone(), 1);
+    let mut runner = pool_runner(&program, g, &EngineConfig::new());
     let disabled = group.bench(
         &format!("{label}/pool/threads=1/telemetry=disabled"),
         iters,
         || {
-            runner.step_round();
-            runner.rounds()
+            runner.step();
+            runner.steps()
         },
     );
     let mut ratio = disabled.min_ns as f64 / plain_min_ns as f64;
@@ -96,12 +107,12 @@ fn telemetry_overhead_case(
                 break;
             }
             let again = bench("telemetry=disabled (re-measure)", iters, || {
-                runner.step_round();
-                runner.rounds()
+                runner.step();
+                runner.steps()
             });
             let plain_again = bench("plain (re-measure)", iters, || {
-                plain.step_round();
-                plain.rounds()
+                plain.step();
+                plain.steps()
             });
             ratio = ratio.min(again.min_ns as f64 / plain_again.min_ns as f64);
         }
@@ -121,15 +132,10 @@ fn layout_case(group: &mut BenchGroup, n: usize, degree: usize, iters: u32) {
         ("identity", LayoutPolicy::Identity),
         ("rcm", LayoutPolicy::Rcm),
     ] {
-        let mut runner = ParallelSyncRunner::from_config(
-            &program,
-            g.clone(),
-            &EngineConfig::new().threads(4).layout(layout),
-        )
-        .expect("a sync envelope is valid");
+        let mut runner = pool_runner(&program, &g, &EngineConfig::new().threads(4).layout(layout));
         group.bench(&format!("expander/{n}/threads=4/{tag}"), iters, || {
-            runner.step_round();
-            runner.rounds()
+            runner.step();
+            runner.steps()
         });
     }
 }
@@ -152,10 +158,14 @@ fn rounds_artifact_pass(group: &mut BenchGroup, n: usize, rounds: usize) {
         if let Some(observer) = telemetry.observer(&run) {
             tee.push(observer);
         }
-        let mut runner = ParallelSyncRunner::new(&program, g.clone(), threads).halo_exchange(halo);
+        let mut runner = pool_runner(
+            &program,
+            &g,
+            &EngineConfig::new().threads(threads).halo(halo),
+        );
         runner.set_observer(Box::new(tee));
         let wall = std::time::Instant::now();
-        runner.run_rounds(rounds);
+        runner.run_until(StopCondition::Steps, rounds);
         let wall_ns = wall.elapsed().as_nanos() as u64;
         let stats = recording.stats();
         assert_eq!(stats.len(), rounds, "one record per observed round");

@@ -19,7 +19,7 @@
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_core::MstVerificationScheme;
 use smst_engine::programs::MinIdFlood;
-use smst_engine::{EngineConfig, LayoutPolicy, ParallelSyncRunner};
+use smst_engine::{EngineConfig, LayoutPolicy, ParallelSyncRunner, Runner, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
@@ -40,10 +40,15 @@ fn flood_case(group: &mut BenchGroup, n: usize, rounds: usize, iters: u32) {
         seq_runner.rounds()
     });
     for threads in THREAD_COUNTS {
-        let mut par_runner = ParallelSyncRunner::new(&program, g.clone(), threads);
+        let mut par_runner = ParallelSyncRunner::from_config(
+            &program,
+            g.clone(),
+            &EngineConfig::new().threads(threads),
+        )
+        .expect("a sync envelope is valid");
         let par = group.bench(&format!("flood/{n}/threads={threads}"), iters, || {
-            par_runner.run_rounds(rounds);
-            par_runner.rounds()
+            par_runner.run_until(StopCondition::Steps, rounds);
+            par_runner.steps()
         });
         println!(
             "    -> speedup over sequential at {} threads: {:.2}x",
@@ -86,8 +91,8 @@ fn verifier_case(group: &mut BenchGroup, n: usize, rounds: usize, iters: u32) {
                 &format!("verifier/{n}/threads={threads}{tag}"),
                 iters,
                 || {
-                    par_runner.run_rounds(rounds);
-                    par_runner.rounds()
+                    par_runner.run_until(StopCondition::Steps, rounds);
+                    par_runner.steps()
                 },
             );
             println!(
@@ -108,7 +113,7 @@ fn verifier_case(group: &mut BenchGroup, n: usize, rounds: usize, iters: u32) {
     )
     .expect("a sync envelope is valid");
     a.run_rounds(5);
-    b.run_rounds(5);
+    b.run_until(StopCondition::Steps, 5);
     assert!(
         a.network().states() == b.states_snapshot().as_slice(),
         "sharded run diverged from sequential"

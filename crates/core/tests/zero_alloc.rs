@@ -1,9 +1,10 @@
 //! The verifier register is a fixed-width `Copy` value, so an activation
 //! allocates nothing: counted by a `#[global_allocator]` that forwards to the
 //! system allocator. The engine itself allocates one neighbour buffer per
-//! shard per round (plus its dispatch), whatever the program, so the verifier
-//! is held to *exactly* the count of an 8-byte flood — whose `step` is a fold
-//! over `u64`s — on the same graph and envelope. This file holds exactly one
+//! sweep (plus its dispatch and, asynchronously, the daemon's schedule),
+//! whatever the program, so the verifier is held to *exactly* the count of an
+//! 8-byte flood — whose `step` is a fold over `u64`s — on the same graph and
+//! envelope, synchronous and asynchronous. This file holds exactly one
 //! test: the counter is process-wide, and a concurrently running test would
 //! be counted too.
 
@@ -14,7 +15,7 @@ use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
 use smst_labeling::Instance;
-use smst_sim::NodeProgram;
+use smst_sim::{Daemon, NodeProgram};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,8 +50,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by 8 warmed-up rounds of `program` on `graph`.
-fn allocations_in_eight_rounds<P>(program: &P, config: &EngineConfig, inst: &Instance) -> u64
+/// Allocations made by 8 warmed-up steps of `program` on `graph`.
+fn allocations_in_eight_steps<P>(program: &P, config: &EngineConfig, inst: &Instance) -> u64
 where
     P: NodeProgram + Sync + 'static,
     P::State: Send + Sync,
@@ -77,13 +78,26 @@ fn verifier_rounds_allocate_no_more_than_a_flood() {
     let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
     for threads in [1, 2] {
         let config = EngineConfig::new().threads(threads);
-        let flood = allocations_in_eight_rounds(&MinIdFlood::new(0), &config, &inst);
-        let verify = allocations_in_eight_rounds(&verifier, &config, &inst);
+        let flood = allocations_in_eight_steps(&MinIdFlood::new(0), &config, &inst);
+        let verify = allocations_in_eight_steps(&verifier, &config, &inst);
         // 8 rounds × 512 activations: a single allocating activation shows
         assert_eq!(
             verify, flood,
             "{threads} thread(s): the engine alone allocates {flood} times in 8 rounds"
         );
         assert!(flood <= 8 * 4, "per-round engine allocations grew: {flood}");
+        // the asynchronous envelope: the schedule and the per-batch buffers
+        // are functions of (daemon, n) alone, so the counts must agree too
+        let daemon = Daemon::Random {
+            seed: 9,
+            extra_factor: 1,
+        };
+        let config = config.asynchronous(daemon, 64);
+        let flood = allocations_in_eight_steps(&MinIdFlood::new(0), &config, &inst);
+        let verify = allocations_in_eight_steps(&verifier, &config, &inst);
+        assert_eq!(
+            verify, flood,
+            "{threads} thread(s), async: the engine alone allocates {flood} times in 8 units"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! synchronous sharded mode, sharded-only knobs on the reference backend)
 //! **before** anything reaches the worker pool, and
 //! [`EngineConfig::instantiate`] builds the matching execution path as a
-//! `Box<dyn Runner<P>>` — all four runners behind one call.
+//! `Box<dyn Runner<P>>` — every runner behind one call.
 //!
 //! Before this module, every knob (threads, layout, pinning, halo, batch
 //! daemons) was re-threaded by hand through `ScenarioSpec`, the adapters,
@@ -40,7 +40,7 @@
 
 use crate::layout::LayoutPolicy;
 use crate::parallel_sync::ParallelSyncRunner;
-use crate::pool::{PinPolicy, PoolError};
+use crate::pool::{panic_message, BarrierTimeoutPanic, PinPolicy, PoolError};
 use crate::runner::Runner;
 use crate::sharded_async::ShardedAsyncRunner;
 use smst_graph::WeightedGraph;
@@ -349,9 +349,97 @@ impl RecoveryPolicy {
 
     /// The sleep before retry number `attempt` (1-based): the base backoff
     /// doubled per prior retry, saturating.
-    pub(crate) fn backoff_before(&self, attempt: u32) -> Duration {
+    pub fn backoff_before(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
         self.backoff.saturating_mul(factor)
+    }
+
+    /// The one supervised-attempt loop behind every backend's step: runs
+    /// `attempt(ctx)` until it succeeds, and after an
+    /// [`AttemptFailure::Died`] — while the policy has retries left — sleeps
+    /// the backoff, calls `restore(ctx)` (put back the pre-attempt
+    /// registers, respawn dead peers) and tries again. The caller keeps
+    /// whatever a replay needs (a register snapshot, when
+    /// `max_retries > 0`) in `ctx` or the closures.
+    ///
+    /// An [`AttemptFailure::Timeout`] is **never retried** and surfaces as
+    /// [`PoolError::BarrierTimeout`]; exhausted retries, and a failing
+    /// `restore`, surface as [`PoolError::WorkerPanic`] carrying the
+    /// attempt count and the last message.
+    pub fn supervise<C, T>(
+        &self,
+        ctx: &mut C,
+        mut attempt: impl FnMut(&mut C) -> Result<T, AttemptFailure>,
+        mut restore: impl FnMut(&mut C) -> Result<(), String>,
+    ) -> Result<T, PoolError> {
+        let mut attempts = 0u32;
+        loop {
+            let message = match attempt(ctx) {
+                Ok(value) => return Ok(value),
+                // a hung worker is a liveness bug, not a transient fault
+                Err(AttemptFailure::Timeout(timeout)) => {
+                    return Err(PoolError::BarrierTimeout { timeout })
+                }
+                Err(AttemptFailure::Died(message)) => message,
+            };
+            attempts += 1;
+            if attempts > self.max_retries {
+                return Err(PoolError::WorkerPanic { attempts, message });
+            }
+            let backoff = self.backoff_before(attempts);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
+            if let Err(message) = restore(ctx) {
+                return Err(PoolError::WorkerPanic { attempts, message });
+            }
+        }
+    }
+
+    /// [`supervise`](Self::supervise) for in-process attempts that fail by
+    /// unwinding: a caught panic is classified by
+    /// [`AttemptFailure::from_panic`] (the pool has already respawned the
+    /// dead worker), and `restore` cannot fail.
+    pub(crate) fn supervise_unwinding<C>(
+        &self,
+        ctx: &mut C,
+        mut attempt: impl FnMut(&mut C),
+        mut restore: impl FnMut(&mut C),
+    ) -> Result<(), PoolError> {
+        self.supervise(
+            ctx,
+            |ctx| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt(ctx)))
+                    .map_err(AttemptFailure::from_panic)
+            },
+            |ctx| {
+                restore(ctx);
+                Ok(())
+            },
+        )
+    }
+}
+
+/// Why one attempt under [`RecoveryPolicy::supervise`] failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttemptFailure {
+    /// A part hung past the watchdog (the configured timeout). Never
+    /// retried.
+    Timeout(Duration),
+    /// The attempt died — a worker panic, a dead or out-of-protocol peer —
+    /// with this message. Retried while the policy allows.
+    Died(String),
+}
+
+impl AttemptFailure {
+    /// Classifies the payload of a caught unwind: the pool's watchdog
+    /// sentinel is a [`Timeout`](Self::Timeout), anything else
+    /// [`Died`](Self::Died) with the panic message.
+    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        match payload.downcast_ref::<BarrierTimeoutPanic>() {
+            Some(timeout) => AttemptFailure::Timeout(timeout.0),
+            None => AttemptFailure::Died(panic_message(&payload)),
+        }
     }
 }
 
@@ -720,6 +808,15 @@ impl EngineConfig {
         Ok(())
     }
 
+    /// The [`ConfigError::WrongMode`] a typed constructor that executes
+    /// `expected` envelopes returns when handed this one.
+    pub fn wrong_mode(&self, expected: &'static str) -> ConfigError {
+        ConfigError::WrongMode {
+            expected,
+            got: self.describe(),
+        }
+    }
+
     /// A short, stable descriptor of the envelope (for labels, bench meta
     /// and artifacts), e.g. `sharded-sync(threads=4,layout=Rcm,halo)`.
     pub fn describe(&self) -> String {
@@ -745,8 +842,8 @@ impl EngineConfig {
     }
 
     /// Builds the execution path this envelope describes over `graph`,
-    /// with every register initialized by `program.init` — any of the four
-    /// runners, behind one object-safe [`Runner`].
+    /// with every register initialized by `program.init` — any runner,
+    /// behind one object-safe [`Runner`].
     ///
     /// Fails with the [`ConfigError`] of [`validate`](Self::validate) on
     /// an inconsistent envelope; never panics on configuration problems.
@@ -998,6 +1095,124 @@ mod tests {
             .inject(InjectionSpec::panic_at(1, 0))
             .describe();
         assert_eq!(described, "sharded-sync(threads=4)");
+    }
+
+    /// What a supervised attempt sees: how often it ran, how often it was
+    /// restored, and the "registers" a restore must put back.
+    #[derive(Default)]
+    struct Supervised {
+        attempts: u32,
+        restores: u32,
+        registers: u32,
+    }
+
+    #[test]
+    fn supervise_retries_backs_off_and_restores() {
+        let policy = RecoveryPolicy::retries(2).backoff(Duration::from_millis(5));
+        let mut ctx = Supervised::default();
+        // smst-lint: allow(clock, reason = "test asserts the backoff's wall-time floor, not round state")
+        let started = std::time::Instant::now();
+        let outcome = policy.supervise(
+            &mut ctx,
+            |ctx| {
+                ctx.attempts += 1;
+                ctx.registers += 100; // a failed attempt leaves garbage behind
+                if ctx.attempts <= 2 {
+                    Err(AttemptFailure::Died(format!("boom {}", ctx.attempts)))
+                } else {
+                    Ok(ctx.registers)
+                }
+            },
+            |ctx| {
+                ctx.restores += 1;
+                ctx.registers = 0;
+                Ok(())
+            },
+        );
+        // the third attempt ran on restored registers
+        assert_eq!(outcome, Ok(100));
+        assert_eq!((ctx.attempts, ctx.restores), (3, 2));
+        // 5 ms before the first retry, 10 ms before the second
+        assert!(started.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn supervise_surfaces_exhausted_retries_and_failed_restores() {
+        let mut ctx = Supervised::default();
+        let die = |ctx: &mut Supervised| -> Result<(), AttemptFailure> {
+            ctx.attempts += 1;
+            Err(AttemptFailure::Died(format!("boom {}", ctx.attempts)))
+        };
+        let restore = |ctx: &mut Supervised| {
+            ctx.restores += 1;
+            Ok(())
+        };
+        // the default policy never retries (and never restores)
+        assert_eq!(
+            RecoveryPolicy::none().supervise(&mut ctx, die, restore),
+            Err(PoolError::WorkerPanic {
+                attempts: 1,
+                message: "boom 1".to_string()
+            })
+        );
+        assert_eq!(ctx.restores, 0);
+        // one retry: two attempts, the last message wins
+        let mut ctx = Supervised::default();
+        assert_eq!(
+            RecoveryPolicy::retries(1).supervise(&mut ctx, die, restore),
+            Err(PoolError::WorkerPanic {
+                attempts: 2,
+                message: "boom 2".to_string()
+            })
+        );
+        assert_eq!((ctx.attempts, ctx.restores), (2, 1));
+        // a restore that fails ends the run with its own message
+        let mut ctx = Supervised::default();
+        assert_eq!(
+            RecoveryPolicy::retries(5).supervise(&mut ctx, die, |_| Err("no respawn".to_string())),
+            Err(PoolError::WorkerPanic {
+                attempts: 1,
+                message: "no respawn".to_string()
+            })
+        );
+        assert_eq!(ctx.attempts, 1);
+    }
+
+    #[test]
+    fn supervise_never_retries_a_timeout() {
+        let limit = Duration::from_millis(40);
+        let mut ctx = Supervised::default();
+        let outcome: Result<(), PoolError> = RecoveryPolicy::retries(5).supervise(
+            &mut ctx,
+            |ctx| {
+                ctx.attempts += 1;
+                Err(AttemptFailure::Timeout(limit))
+            },
+            |ctx| {
+                ctx.restores += 1;
+                Ok(())
+            },
+        );
+        assert_eq!(outcome, Err(PoolError::BarrierTimeout { timeout: limit }));
+        assert_eq!((ctx.attempts, ctx.restores), (1, 0));
+        // unwinding attempts are classified by payload: the pool's watchdog
+        // sentinel is a timeout, any other panic a (retryable) death
+        let unwinding = |payload: fn()| {
+            RecoveryPolicy::retries(1).supervise_unwinding(&mut (), |()| payload(), |()| {})
+        };
+        assert_eq!(
+            unwinding(|| std::panic::panic_any(BarrierTimeoutPanic(Duration::from_millis(7)))),
+            Err(PoolError::BarrierTimeout {
+                timeout: Duration::from_millis(7)
+            })
+        );
+        assert_eq!(
+            unwinding(|| panic!("worker boom")),
+            Err(PoolError::WorkerPanic {
+                attempts: 2,
+                message: "worker boom".to_string()
+            })
+        );
     }
 
     #[test]

@@ -1,76 +1,74 @@
 //! # smst-engine
 //!
 //! A sharded, deterministic, **parallel** execution engine that runs any
-//! [`smst_sim::NodeProgram`] over million-node graphs.
+//! [`smst_sim::NodeProgram`] over million-node graphs, bit-for-bit equal to
+//! the sequential simulator in `smst-sim` (the semantic reference).
 //!
-//! The sequential simulator in `smst-sim` is the semantic reference: one
-//! thread, one node at a time. This crate scales the same execution model to
-//! the sizes where the paper's claims become interesting (`O(log n)` bits
-//! and polylog detection only matter when `n` is large) without changing a
-//! single program:
+//! The paper's model has one primitive — a node reads its neighbours'
+//! registers and rewrites its own — and the engine has one of each thing
+//! that primitive needs:
 //!
-//! * [`topology::CsrTopology`] — a flattened, port-ordered, cache-friendly
-//!   neighbour index built once per run;
-//! * [`layout::Layout`] + [`layout::LayoutPolicy`] — an optional RCM
-//!   renumbering pass that packs neighbours into nearby indices (shard-local
-//!   state arenas), carried with its inverse so every public API keeps
-//!   speaking original node ids;
-//! * [`shard::Shard`] + [`shard::partition_balanced`] — contiguous node
-//!   ranges with equalized per-round work (adjacency entries, not node
-//!   counts), one per worker;
-//! * [`shard::HaloPlan`] — the per-shard boundary analysis behind the
-//!   **halo-exchange execution mode**: each worker computes on a
-//!   shard-local arena of interior registers plus halo copies of its
-//!   external neighbours, and rounds end with an explicit, measurable pull
-//!   exchange instead of incidental cross-shard cache misses;
-//! * [`pool::WorkerPool`] + [`pool::PoolHandle`] — a persistent, shared pool
-//!   of parked worker threads: rounds and batches are dispatched by bumping
-//!   an epoch (single-digit µs), and multi-round chunks run behind a
-//!   lightweight round barrier without returning to the dispatcher — no
-//!   per-round thread spawns anywhere; [`pool::PinPolicy`] optionally pins
-//!   each worker to a core (raw `sched_setaffinity` on Linux, no-op
-//!   elsewhere) so shard arenas keep their cache and NUMA placement;
-//!   [`pool::PhaseTimes`] optionally splits observed rounds into
-//!   compute / barrier / halo-exchange wall-clock phases, surfaced through
-//!   [`smst_sim::RoundStats`] (timing never affects results);
-//! * [`ParallelSyncRunner`] — double-buffered lock-step rounds; each round
-//!   is an embarrassingly parallel map over shards, **bit-for-bit equal**
-//!   to [`smst_sim::SyncRunner`] at every thread count;
-//! * [`ShardedAsyncRunner`] — the distributed-daemon generalization of
-//!   [`smst_sim::AsyncRunner`]: any [`smst_sim::BatchDaemon`]'s batches of
-//!   simultaneous activations executed in parallel, reproducible at any
-//!   thread count, and exactly equal to the central daemon at batch
-//!   width 1 (adversarial batch daemons live in `smst-adversary`);
-//! * [`EngineConfig`] + [`runner::Runner`] — **the one engine API**: a
-//!   validated configuration of the full execution envelope (backend,
-//!   mode/daemon, threads, layout, pinning, halo) whose
-//!   [`instantiate`](EngineConfig::instantiate) returns any of the four
-//!   execution paths (the two sequential reference runners and the two
-//!   sharded runners) behind one object-safe `Box<dyn Runner<P>>`, with a
+//! * **one kernel** — [`sweep`]: walk a CSR view, gather the neighbour
+//!   registers in port order, call `step`, write into the caller's slice.
+//!   It is the only `step` call site outside the `smst-sim` reference;
+//! * **one arena** — [`Arena`]: program, graph, renumbered
+//!   [`CsrTopology`], [`Layout`] (+ inverse), contexts and registers in
+//!   internal order, built by one pipeline and speaking original node ids
+//!   on its whole read / fault surface;
+//! * **one round primitive** — [`WorkerPool::run_rounds`]: a chunk of
+//!   double-buffered rounds over per-part write regions with an optional
+//!   pull exchange, on a persistent pool of parked workers
+//!   ([`PoolHandle`]; [`PinPolicy`] optionally pins them, [`PhaseTimes`]
+//!   optionally splits observed rounds into compute / barrier / exchange);
+//! * **one supervised-attempt loop** — [`RecoveryPolicy::supervise`]:
+//!   retry, back off, restore; watchdog timeouts are never retried;
+//! * **one driving loop** — [`drive_until`] behind
+//!   [`Runner::run_until`] / [`Runner::try_run_until`].
+//!
+//! The runners are schedulers over those pieces — they decide *who is
+//! activated when*, which is all that separates the paper's synchronous and
+//! asynchronous bounds:
+//!
+//! * [`ParallelSyncRunner`] — rounds over a [`HaloPlan`]: every part
+//!   sweeps its [`Shard`] ([`partition_balanced`] equalizes adjacency
+//!   work, not node counts). The direct plan reads the whole previous
+//!   buffer; the halo plan runs on shard-local arenas with an explicit,
+//!   measurable exchange;
+//! * [`ShardedAsyncRunner`] — any [`smst_sim::BatchDaemon`]'s batches of
+//!   simultaneous activations swept into a reused buffer, equal to the
+//!   central daemon at batch width 1;
+//! * the `smst-net` crate's coordinator and worker processes — one halo
+//!   region per process, the exchange on a socket.
+//!
+//! On top:
+//!
+//! * [`EngineConfig`] + [`Runner`] — **the one engine API**: a validated
+//!   configuration of the full execution envelope (backend, mode/daemon,
+//!   threads, layout, pinning, halo, recovery, injection) whose
+//!   [`instantiate`](EngineConfig::instantiate) returns any execution path
+//!   behind one object-safe `Box<dyn Runner<P>>`, with a
 //!   [`smst_sim::RoundObserver`] hook for per-round accounting;
 //! * [`ScenarioSpec`] — one declarative API over graph family × fault
 //!   bursts × [`EngineConfig`];
-//! * [`chaos`] — the verify-forever chaos plane: recurring
-//!   [`smst_sim::FaultSchedule`] waves driven through the one `Runner`
-//!   loop with per-wave detection-latency and rounds-to-quiescence
-//!   accounting, riding on the engine's self-healing pool
-//!   ([`RecoveryPolicy`] retry/backoff/watchdog for panicked or hung
-//!   workers, one-shot [`InjectionSpec`] chaos injections, typed
-//!   [`EngineError`]s from the `try_*` runner surface);
+//! * [`chaos`] — recurring [`smst_sim::FaultSchedule`] waves driven through
+//!   the one `Runner` loop with per-wave detection-latency and
+//!   rounds-to-quiescence accounting, on the self-healing pool (one-shot
+//!   [`InjectionSpec`] chaos injections, typed [`EngineError`]s from the
+//!   `try_*` surface);
 //! * [`adapters`] — the paper's verifier and the self-stabilizing
-//!   transformer running unchanged on the engine, with sequential-equality
-//!   guarantees pinned by tests;
+//!   transformer running unchanged on the engine;
 //! * [`programs`] — compact demo workloads for million-node smoke tests
 //!   and throughput benches.
 //!
 //! # Determinism contract
 //!
 //! Every run is a pure function of `(program, scenario/graph seed, daemon
-//! seed, batch width)`. Thread count and layout **never** change results —
-//! they are purely wall-clock knobs — because rounds and batches read only
-//! pre-step registers (double buffering), the layout pass preserves every
-//! node's port order exactly, and all scheduling randomness comes from
-//! counter-seeded [`smst_rng`] generators, never from thread interleaving.
+//! seed, batch width)`. Thread count, layout, halo mode, pinning and
+//! recovery **never** change results — they are purely wall-clock knobs —
+//! because the kernel reads only pre-step registers (double buffering),
+//! every CSR the kernel walks preserves each node's port order exactly,
+//! and all scheduling randomness comes from counter-seeded [`smst_rng`]
+//! generators, never from thread interleaving.
 //!
 //! # Safety
 //!
@@ -82,8 +80,10 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
+pub mod arena;
 pub mod chaos;
 pub mod config;
+pub mod kernel;
 pub mod layout;
 pub mod parallel_sync;
 pub mod pool;
@@ -94,15 +94,17 @@ pub mod shard;
 pub mod sharded_async;
 pub mod topology;
 
+pub use arena::Arena;
 pub use chaos::{run_chaos, run_chaos_scenario, ChaosOutcome, ChaosReport};
 pub use config::{
-    register_remote_factory, Backend, ConfigError, DaemonConfig, EngineConfig, EngineError,
-    InjectionKind, InjectionSpec, Mode, RecoveryPolicy, RemoteFactory,
+    register_remote_factory, AttemptFailure, Backend, ConfigError, DaemonConfig, EngineConfig,
+    EngineError, InjectionKind, InjectionSpec, Mode, RecoveryPolicy, RemoteFactory,
 };
+pub use kernel::sweep;
 pub use layout::{Layout, LayoutPolicy};
 pub use parallel_sync::ParallelSyncRunner;
 pub use pool::{PhaseTimes, PinPolicy, PoolError, PoolHandle, PoolStats, WorkerPool};
-pub use runner::{try_drive_until, RunReport, Runner, StopCondition};
+pub use runner::{drive_until, RunReport, Runner, StopCondition};
 pub use scenario::{FaultBurst, GraphFamily, ScenarioOutcome, ScenarioReport, ScenarioSpec};
 pub use shard::{partition_balanced, HaloPlan, Shard};
 pub use sharded_async::ShardedAsyncRunner;

@@ -1,88 +1,71 @@
-//! The sharded, parallel synchronous executor.
+//! The sharded synchronous executor: lock-step rounds over a plan.
 //!
-//! [`ParallelSyncRunner`] executes the same lock-step rounds as
-//! [`smst_sim::SyncRunner`], but over shards: the register vector is
-//! **double-buffered**, every round is a pure function of the previous
-//! round's registers, and each worker computes the next registers of one
-//! contiguous [`Shard`] into its disjoint slice of the
-//! scratch buffer — a shard-local state arena. Workers come from a
-//! persistent [`WorkerPool`](crate::pool::WorkerPool): rounds are
-//! dispatched by bumping an epoch on parked threads (no per-round thread
-//! spawns), and [`run_rounds`](ParallelSyncRunner::run_rounds) hands the
-//! pool a whole chunk of rounds at once, so workers synchronize on a
-//! lightweight round barrier between rounds instead of returning to the
-//! dispatcher.
+//! [`ParallelSyncRunner`] executes the same rounds as
+//! [`smst_sim::SyncRunner`] on an [`Arena`] split into one contiguous
+//! [`Shard`](crate::shard::Shard) per worker. A chunk of rounds is one call
+//! of the pool's round primitive
+//! ([`WorkerPool::run_rounds`](crate::pool::WorkerPool::run_rounds)) over a
+//! [`HaloPlan`]: every part [`sweep`]s its shard out of the previous-round
+//! buffer into its region of the next-round buffer. The two execution modes
+//! are two plans fed to that same loop:
 //!
-//! An optional [`LayoutPolicy`] renumbers nodes (RCM) before sharding so
-//! that neighbour reads stay inside the shard's arena; see
-//! [`crate::layout`]. All public APIs speak original node ids regardless.
+//! * **direct** ([`HaloPlan::direct`]) — the buffers are the register
+//!   vector and one back buffer, regions are the shards, parts read the
+//!   whole previous buffer through the arena's CSR;
+//! * **halo exchange** ([`HaloPlan::build`]) — the buffers are shard-local
+//!   arenas (interiors + halo copies) gathered from the registers before
+//!   the chunk and scattered back after it, parts read only their own
+//!   region through its local CSR, and every round ends with the plan's
+//!   pull exchange — cross-shard traffic as one measurable step.
 //!
-//! # Determinism
+//! # Invariants
 //!
-//! A synchronous round is deterministic by construction ([`NodeProgram`]
-//! implementations are required to be deterministic functions of the read
-//! registers), sharding only changes *who computes* a register, never *what
-//! it reads*, and the layout pass preserves each node's port order exactly.
-//! Final states are therefore **bit-for-bit identical** to the sequential
-//! [`SyncRunner`](smst_sim::SyncRunner) at every thread count, with the
-//! layout pass on or off; `tests/` pins this with per-round differential
-//! and property tests.
-//!
-//! # Recovery
-//!
-//! Under a [`RecoveryPolicy`] with retries, every step chunk is guarded:
-//! the runner snapshots its registers before dispatch, catches a worker
-//! panic (the pool has already respawned the dead worker), restores the
-//! snapshot, sleeps the backoff and replays the chunk. A successful replay
-//! starts from the exact pre-chunk registers, so recovery is invisible in
-//! the deterministic trace. Exhausted retries (and barrier-watchdog
-//! timeouts, which are never retried) surface as typed [`PoolError`]s
-//! through [`try_step_round`](ParallelSyncRunner::try_step_round) /
-//! [`Runner::try_step`].
+//! * **Determinism.** A round is a pure function of the previous round's
+//!   registers; sharding only changes *who computes* a register, never
+//!   *what it reads*, and both plans hand `step` the neighbours in port
+//!   order. Registers are therefore bit-for-bit those of the sequential
+//!   [`SyncRunner`](smst_sim::SyncRunner) at every thread count, layout and
+//!   mode.
+//! * **Between chunks the arena's registers are current** (the halo arenas
+//!   are re-gathered per chunk), so faults injected between steps are seen
+//!   by the next round in both modes.
+//! * **Recovery is invisible.** Every chunk runs under
+//!   [`RecoveryPolicy::supervise`]: with retries configured the registers
+//!   are snapshotted before dispatch, a worker panic (the pool has already
+//!   respawned the dead worker) restores them and replays the chunk.
+//!   Exhausted retries and barrier-watchdog timeouts (never retried)
+//!   surface as typed [`PoolError`]s through [`Runner::try_step`].
+//! * **Unobserved runs never read the clock**; while a
+//!   [`RoundObserver`] is attached chunks run round-granular so every
+//!   boundary is measured.
 
+use crate::arena::Arena;
 use crate::config::{
-    ArmedInjection, Backend, ConfigError, EngineConfig, EngineError, InjectionSpec, RecoveryPolicy,
+    ArmedInjection, Backend, ConfigError, EngineConfig, EngineError, RecoveryPolicy,
 };
-use crate::layout::{Layout, LayoutPolicy};
-use crate::pool::{
-    panic_message, BarrierTimeoutPanic, PhaseTimes, PinPolicy, PoolError, PoolHandle,
-};
-use crate::runner::{RunReport, Runner, StopCondition};
-use crate::shard::{partition_balanced, HaloPlan, Shard};
-use crate::topology::CsrTopology;
+use crate::kernel::sweep;
+use crate::pool::{PhaseTimes, PoolError, PoolHandle};
+use crate::runner::{drive_until, RunReport, Runner, StopCondition};
+use crate::shard::{partition_balanced, HaloPlan};
 use smst_graph::{NodeId, WeightedGraph};
-use smst_sim::{FaultPlan, Network, NodeContext, NodeProgram, RoundObserver, RoundStats, Verdict};
-
-/// The halo-exchange machinery of a runner: the boundary analysis plus the
-/// double-buffered shard-local arenas (kept across calls so repeated
-/// `run_rounds` reuse the allocations).
-#[derive(Debug)]
-struct HaloState<S> {
-    plan: HaloPlan,
-    front: Vec<S>,
-    back: Vec<S>,
-}
+use smst_sim::{FaultPlan, Network, NodeContext, NodeProgram, RoundObserver, RoundStats};
 
 /// Runs a [`NodeProgram`] in lock-step synchronous rounds, one shard per
 /// pool worker.
 #[derive(Debug)]
 pub struct ParallelSyncRunner<'p, P: NodeProgram> {
-    program: &'p P,
-    graph: WeightedGraph,
-    /// CSR in internal (layout) order.
-    topo: CsrTopology,
-    layout: Layout,
-    /// Contexts and registers in internal (layout) order.
-    contexts: Vec<NodeContext>,
-    states: Vec<P::State>,
-    scratch: Vec<P::State>,
-    shards: Vec<Shard>,
-    /// Shard boundaries as pool-dispatch bounds (`len == shards.len() + 1`).
-    bounds: Vec<usize>,
-    /// `Some` when the runner executes rounds in halo-exchange mode.
-    halo: Option<HaloState<P::State>>,
+    arena: Arena<'p, P>,
+    /// What every part writes, re-pulls and reads through: the halo plan in
+    /// halo mode, the direct plan otherwise.
+    plan: HaloPlan,
+    /// Halo mode only: the front shard-local arena, gathered from the
+    /// registers before every chunk. In direct mode the register vector
+    /// itself is the front buffer.
+    halo_front: Option<Vec<P::State>>,
+    /// The back buffer of the double-buffered rounds, shaped like the front
+    /// buffer of the mode (sized by the first chunk, kept across calls).
+    back: Vec<P::State>,
     pool: PoolHandle,
-    pin: PinPolicy,
     threads: usize,
     rounds: usize,
     /// Supervised recovery for panicked chunks + the barrier watchdog.
@@ -103,18 +86,12 @@ where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
-    /// Creates a runner over `graph` with every register initialized by
-    /// `program.init`, using `threads` worker threads and no layout pass.
-    pub fn new(program: &'p P, graph: WeightedGraph, threads: usize) -> Self {
-        Self::init_and_build(program, graph, threads, LayoutPolicy::Identity)
-    }
-
     /// Builds the runner an [`EngineConfig`] describes (a synchronous
-    /// sharded envelope): threads, layout, halo mode and pinning all come
-    /// from the one validated config — the typed-constructor twin of
-    /// [`EngineConfig::instantiate`] for callers that need the concrete
-    /// runner (e.g. to inspect [`halo_plan`](Self::halo_plan) or
-    /// [`shards`](Self::shards)).
+    /// sharded envelope): threads, layout, halo mode, pinning, recovery and
+    /// injection all come from the one validated config — the
+    /// typed-constructor twin of [`EngineConfig::instantiate`] for callers
+    /// that need the concrete runner (e.g. to inspect
+    /// [`halo_plan`](Self::halo_plan) or the [`arena`](Self::arena)).
     pub fn from_config(
         program: &'p P,
         graph: WeightedGraph,
@@ -122,416 +99,127 @@ where
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         if config.backend != Backend::Sharded || config.mode.is_async() {
-            return Err(ConfigError::WrongMode {
-                expected: "sharded synchronous",
-                got: config.describe(),
-            });
+            return Err(config.wrong_mode("sharded synchronous"));
         }
-        Ok(
-            Self::init_and_build(program, graph, config.threads, config.layout)
-                .halo_exchange(config.halo)
-                .pinning(config.pin)
-                .apply_chaos_knobs(config),
-        )
-    }
-
-    /// [`from_config`](Self::from_config) with explicitly provided initial
-    /// registers (arbitrary / adversarial initialization), indexed by
-    /// original node id — the config-validated twin of
-    /// [`with_states`](Self::with_states).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the node count.
-    pub fn from_config_with_states(
-        program: &'p P,
-        graph: WeightedGraph,
-        states: Vec<P::State>,
-        config: &EngineConfig,
-    ) -> Result<Self, ConfigError> {
-        config.validate()?;
-        if config.backend != Backend::Sharded || config.mode.is_async() {
-            return Err(ConfigError::WrongMode {
-                expected: "sharded synchronous",
-                got: config.describe(),
-            });
-        }
-        Ok(
-            Self::states_and_build(program, graph, states, config.threads, config.layout)
-                .halo_exchange(config.halo)
-                .pinning(config.pin)
-                .apply_chaos_knobs(config),
-        )
-    }
-
-    fn apply_chaos_knobs(mut self, config: &EngineConfig) -> Self {
-        self.recovery = config.recovery;
-        self.injection = config.injection.map(ArmedInjection::new);
-        self
-    }
-
-    fn init_and_build(
-        program: &'p P,
-        graph: WeightedGraph,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> Self {
-        let states: Vec<P::State> = graph
-            .nodes()
-            .map(|v| program.init(&NodeContext::for_node(&graph, v)))
-            .collect();
-        Self::from_parts(program, graph, states, threads, policy)
-    }
-
-    /// Creates a runner with explicitly provided initial registers
-    /// (arbitrary / adversarial initialization), indexed by original node
-    /// id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the node count.
-    pub fn with_states(
-        program: &'p P,
-        graph: WeightedGraph,
-        states: Vec<P::State>,
-        threads: usize,
-    ) -> Self {
-        Self::states_and_build(program, graph, states, threads, LayoutPolicy::Identity)
-    }
-
-    fn states_and_build(
-        program: &'p P,
-        graph: WeightedGraph,
-        states: Vec<P::State>,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.node_count(),
-            "one initial state per node is required"
-        );
-        Self::from_parts(program, graph, states, threads, policy)
-    }
-
-    /// Adopts the graph and current registers of a sequential [`Network`],
-    /// so existing programs migrate without changes.
-    pub fn from_network(program: &'p P, network: &Network<P>, threads: usize) -> Self {
-        Self::with_states(
-            program,
-            network.graph().clone(),
-            network.states().to_vec(),
-            threads,
-        )
-    }
-
-    fn from_parts(
-        program: &'p P,
-        graph: WeightedGraph,
-        states: Vec<P::State>,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> Self {
-        let base_topo = CsrTopology::build(&graph);
-        let layout = policy.build(&base_topo);
-        let topo = layout.apply(&base_topo);
-        let contexts: Vec<NodeContext> = (0..graph.node_count())
-            .map(|internal| NodeContext::for_node(&graph, NodeId(layout.original(internal))))
-            .collect();
-        let states = layout.permute(states);
-        let threads = threads.max(1);
-        let shards = partition_balanced(&topo, threads);
-        let mut bounds: Vec<usize> = shards.iter().map(|s| s.start).collect();
-        bounds.push(shards.last().map_or(0, |s| s.end));
-        let scratch = states.clone();
-        let pool = PoolHandle::for_threads(threads);
-        ParallelSyncRunner {
-            program,
-            graph,
-            topo,
-            layout,
-            contexts,
-            states,
-            scratch,
-            shards,
-            bounds,
-            halo: None,
-            pool,
-            pin: PinPolicy::None,
-            threads,
+        let arena = Arena::new(program, graph, config.layout);
+        let shards = partition_balanced(arena.topology(), config.threads);
+        let plan = if config.halo {
+            HaloPlan::build(arena.topology(), &shards)
+        } else {
+            HaloPlan::direct(&shards)
+        };
+        Ok(ParallelSyncRunner {
+            arena,
+            plan,
+            halo_front: config.halo.then(Vec::new),
+            back: Vec::new(),
+            pool: PoolHandle::for_threads_with(config.threads, config.pin),
+            threads: config.threads,
             rounds: 0,
-            recovery: RecoveryPolicy::default(),
-            injection: None,
+            recovery: config.recovery,
+            injection: config.injection.map(ArmedInjection::new),
             observer: None,
             phases: PhaseTimes::new(),
-        }
+        })
     }
 
-    /// Sets the [`RecoveryPolicy`] guarding every step chunk (retries,
-    /// backoff, barrier watchdog). Results are recovery-invariant: a
-    /// successful retry replays from the pre-chunk registers.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
-    /// Arms a one-shot chaos [`InjectionSpec`] (tests and campaigns): the
-    /// matching `(round, shard)` compute misbehaves exactly once.
-    pub fn inject(mut self, spec: InjectionSpec) -> Self {
-        self.injection = Some(ArmedInjection::new(spec));
-        self
-    }
-
-    /// Attaches a [`RoundObserver`] invoked after every round (replacing
-    /// any previous one). While observed, multi-round chunks run
-    /// round-granular (an epoch dispatch per round instead of one per
-    /// chunk) so every round boundary is measurable — results never
-    /// change, only wall-clock.
-    pub fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn RoundObserver>> {
-        self.observer.take()
-    }
-
-    /// Switches the halo-exchange execution mode on or off (off by
-    /// default). In halo mode every worker computes on a **shard-local
-    /// arena** of interior registers plus halo copies of its external
-    /// neighbours, and rounds end with an explicit pull exchange that
-    /// refreshes the halos — cross-shard traffic becomes one measurable
-    /// step per round instead of incidental cache misses. Results are
-    /// bit-for-bit identical to the direct mode (and to the sequential
-    /// [`SyncRunner`](smst_sim::SyncRunner)): the halo copies are refreshed
-    /// exactly at round boundaries, matching double-buffer semantics.
-    pub fn halo_exchange(mut self, enabled: bool) -> Self {
-        if enabled {
-            if self.halo.is_none() {
-                self.halo = Some(Self::build_halo_state(&self.topo, &self.shards));
-            }
-        } else {
-            self.halo = None;
-        }
-        self
-    }
-
-    fn build_halo_state(topo: &CsrTopology, shards: &[Shard]) -> HaloState<P::State> {
-        HaloState {
-            plan: HaloPlan::build(topo, shards),
-            front: Vec::new(),
-            back: Vec::new(),
-        }
-    }
-
-    /// Sets the worker [`PinPolicy`], re-acquiring a pool whose workers
-    /// were spawned under it (pinning is a property of the spawned
-    /// threads). Purely a wall-clock knob — results never change.
-    pub fn pinning(mut self, pin: PinPolicy) -> Self {
-        if pin != self.pin {
-            self.pin = pin;
-            self.pool = PoolHandle::for_threads_with(self.threads, pin);
-        }
-        self
+    /// The arena the rounds run on: program, graph, layout, renumbered
+    /// topology and the registers in internal order.
+    pub fn arena(&self) -> &Arena<'p, P> {
+        &self.arena
     }
 
     /// The halo plan when halo-exchange mode is enabled (per-shard halo
     /// sizes, exchange volume).
     pub fn halo_plan(&self) -> Option<&HaloPlan> {
-        self.halo.as_ref().map(|h| &h.plan)
+        self.halo_front.is_some().then_some(&self.plan)
     }
 
-    /// The worker pin policy the runner dispatches under.
-    pub fn pin_policy(&self) -> PinPolicy {
-        self.pin
-    }
-
-    /// The number of rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// The worker-thread count the runner was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The shard layout (one entry per worker), in internal node indices.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// The node layout (identity unless built with
-    /// [`LayoutPolicy::Rcm`]).
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// The pool handle the runner dispatches rounds on.
-    pub fn pool(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// The CSR topology the rounds sweep, in internal (post-layout) node
-    /// order — e.g. for inspecting what the layout pass did
-    /// ([`layout::mean_bandwidth`](crate::layout::mean_bandwidth)).
-    pub fn topology(&self) -> &CsrTopology {
-        &self.topo
-    }
-
-    /// The graph being executed.
-    pub fn graph(&self) -> &WeightedGraph {
-        &self.graph
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &P {
-        self.program
-    }
-
-    /// All registers in the engine's **internal storage order** — original
-    /// node-id order exactly when [`layout`](Self::layout)
-    /// `.is_identity()`. Use [`states_snapshot`](Self::states_snapshot) for
-    /// an order-independent view.
-    pub fn states(&self) -> &[P::State] {
-        &self.states
-    }
-
-    /// The registers in original node-id order (clones; layout-independent).
-    pub fn states_snapshot(&self) -> Vec<P::State> {
-        (0..self.states.len())
-            .map(|v| self.states[self.layout.internal(v)].clone())
-            .collect()
-    }
-
-    /// One shard's slice of the register arena (internal order).
-    pub fn shard_states(&self, shard: usize) -> &[P::State] {
-        let s = self.shards[shard];
-        &self.states[s.start..s.end]
-    }
-
-    /// The register of one node (original id).
-    pub fn state(&self, v: NodeId) -> &P::State {
-        &self.states[self.layout.internal(v.index())]
-    }
-
-    /// Mutable access to one register (fault injection; original id).
-    pub fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        &mut self.states[self.layout.internal(v.index())]
-    }
-
-    /// The static context of a node (original id).
-    pub fn context(&self, v: NodeId) -> &NodeContext {
-        &self.contexts[self.layout.internal(v.index())]
-    }
-
-    /// Applies a [`FaultPlan`] by passing every planned node's register to
-    /// `mutate` (mirrors [`FaultPlan::apply`] for the sequential runner).
-    pub fn apply_faults<F>(&mut self, plan: &FaultPlan, mut mutate: F)
-    where
-        F: FnMut(NodeId, &mut P::State),
-    {
-        for &v in plan.nodes() {
-            mutate(v, &mut self.states[self.layout.internal(v.index())]);
-        }
-    }
-
-    /// Consumes the runner, returning a sequential [`Network`] holding the
-    /// final registers in original node-id order (interop with the rest of
-    /// the workspace).
-    pub fn into_network(self) -> Network<P> {
-        let states = self.layout.unpermute(self.states);
-        Network::with_states(self.graph, states)
-    }
-
-    /// Executes exactly one synchronous round.
-    pub fn step_round(&mut self) {
-        self.run_rounds(1);
-    }
-
-    /// [`step_round`](Self::step_round) surfacing pooled-execution
-    /// failures as a typed [`PoolError`] instead of unwinding (supervised
-    /// recovery has already been attempted under the configured
-    /// [`RecoveryPolicy`]). After an `Err` the registers are unspecified.
-    pub fn try_step_round(&mut self) -> Result<(), PoolError> {
-        self.try_run_rounds(1)
-    }
-
-    /// Executes `count` rounds in a single chunked pool dispatch: the
-    /// parked workers run all `count` rounds back to back, synchronizing on
-    /// a round barrier, and only then return to the caller. While an
-    /// observer is attached, the chunk runs round-granular instead so the
-    /// observer sees every round boundary (results are identical).
-    pub fn run_rounds(&mut self, count: usize) {
-        self.try_run_rounds(count)
-            .unwrap_or_else(|err| panic!("{err}"));
-    }
-
-    /// The fallible core of [`run_rounds`](Self::run_rounds): every chunk
-    /// runs under the [`RecoveryPolicy`] guard.
-    pub fn try_run_rounds(&mut self, count: usize) -> Result<(), PoolError> {
+    /// Executes `count` rounds: one chunked pool dispatch when unobserved
+    /// (the parked workers run all `count` rounds back to back behind the
+    /// round barrier), one timed single-round chunk per round while an
+    /// observer is attached. Results are identical either way.
+    fn try_rounds(&mut self, count: usize) -> Result<(), PoolError> {
         if self.observer.is_none() {
-            return self.run_chunk_recovering(count, false);
+            return self.supervised_chunk(count, false);
         }
         for _ in 0..count {
             // smst-lint: allow(clock, reason = "observed-path round timing; only reached when an observer is attached")
             let start = std::time::Instant::now();
-            self.run_chunk_recovering(1, true)?;
+            self.supervised_chunk(1, true)?;
             self.observe_round(start.elapsed().as_nanos() as u64);
         }
         Ok(())
     }
 
-    /// Runs one chunk under the [`RecoveryPolicy`]: catch a worker panic
-    /// (the pool respawns the dead worker on its own), restore the
-    /// pre-chunk snapshot, back off and replay. Barrier-watchdog timeouts
-    /// are never retried. With the default policy this still converts the
-    /// unwind into `Err` — the panicking surface re-raises it.
-    fn run_chunk_recovering(&mut self, count: usize, timed: bool) -> Result<(), PoolError> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let snapshot = (self.recovery.max_retries > 0)
-            .then(|| (self.states.clone(), self.scratch.clone(), self.rounds));
-        let had_halo = self.halo.is_some();
-        let mut attempts = 0u32;
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_rounds_unobserved(count, timed)
-            }));
-            let payload = match outcome {
-                Ok(()) => return Ok(()),
-                Err(payload) => payload,
-            };
-            // discard any partial phase accumulation of the failed chunk
-            let _ = self.phases.take();
-            attempts += 1;
-            if let Some(timeout) = payload.downcast_ref::<BarrierTimeoutPanic>() {
-                // a hung worker is a liveness bug, not a transient fault
-                return Err(PoolError::BarrierTimeout { timeout: timeout.0 });
+    /// One chunk under the [`RecoveryPolicy`]: a replay restarts from the
+    /// exact pre-chunk registers (both back buffers are overwritten before
+    /// they are read, so the registers are all there is to restore).
+    fn supervised_chunk(&mut self, count: usize, timed: bool) -> Result<(), PoolError> {
+        let snapshot = (self.recovery.max_retries > 0).then(|| self.arena.states.clone());
+        let policy = self.recovery;
+        policy.supervise_unwinding(
+            self,
+            |this| this.run_chunk(count, timed),
+            |this| {
+                // discard the partial phase accumulation of the failed chunk
+                let _ = this.phases.take();
+                let states = snapshot.as_ref().expect("retries imply a snapshot");
+                this.arena.states.clone_from(states);
+            },
+        )
+    }
+
+    /// The round loop: `count` rounds of "every part sweeps its shard" on
+    /// the pool. `timed` routes the pool's per-phase clocks into
+    /// [`Self::phases`] (observed rounds only).
+    fn run_chunk(&mut self, count: usize, timed: bool) {
+        let (program, topo) = (self.arena.program, &self.arena.topo);
+        let (contexts, states) = (&self.arena.contexts[..], &mut self.arena.states);
+        let plan = &self.plan;
+        let front = match &mut self.halo_front {
+            Some(front) => {
+                plan.gather_into(states, front);
+                front
             }
-            let Some((states, scratch, rounds)) = snapshot.as_ref() else {
-                return Err(PoolError::WorkerPanic {
-                    attempts,
-                    message: panic_message(&payload),
-                });
-            };
-            if attempts > self.recovery.max_retries {
-                return Err(PoolError::WorkerPanic {
-                    attempts,
-                    message: panic_message(&payload),
-                });
-            }
-            self.states.clone_from(states);
-            self.scratch.clone_from(scratch);
-            self.rounds = *rounds;
-            // the unwind may have dropped the halo arenas mid-take
-            if had_halo && self.halo.is_none() {
-                self.halo = Some(Self::build_halo_state(&self.topo, &self.shards));
-            }
-            let backoff = self.recovery.backoff_before(attempts);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
+            None => states,
+        };
+        // `back` only needs the matching length: round 0 overwrites every
+        // slot (regions in compute, halo slots in exchange) before any read
+        if self.back.len() != front.len() {
+            self.back.clone_from(front);
         }
+        let (injection, base) = (self.injection.as_ref(), self.rounds);
+        self.pool.pool().run_rounds(
+            plan.regions(),
+            plan.exchange(),
+            count,
+            front,
+            &mut self.back,
+            |part, round, prev, out| {
+                if let Some(injection) = injection {
+                    injection.maybe_fire(base + round, part);
+                }
+                let shard = plan.shards()[part];
+                match plan.local_csr(part) {
+                    Some(csr) => sweep(
+                        program,
+                        csr,
+                        &contexts[shard.nodes()],
+                        &prev[plan.region(part)],
+                        0..shard.len(),
+                        out,
+                    ),
+                    None => sweep(program, topo, contexts, prev, shard.nodes(), out),
+                }
+            },
+            timed.then_some(&self.phases),
+            self.recovery.watchdog_timeout,
+        );
+        if let Some(front) = &self.halo_front {
+            plan.scatter_interiors(front, &mut self.arena.states);
+        }
+        self.rounds += count;
     }
 
     /// Reports the just-completed round to the attached observer, draining
@@ -540,209 +228,23 @@ where
     /// phases, so gather/scatter and pool wake-up land there and the four
     /// timing fields sum to the round total exactly.
     fn observe_round(&mut self, total_ns: u64) {
-        let Some(mut observer) = self.observer.take() else {
-            return;
-        };
         let (compute_ns, barrier_ns, exchange_ns) = self.phases.take();
-        let halo_bytes = match &self.halo {
-            Some(halo) if self.shards.len() > 1 => {
-                (halo.plan.total_halo() * std::mem::size_of::<P::State>()) as u64
-            }
-            _ => 0,
-        };
-        observer.on_round(&RoundStats {
+        let stats = RoundStats {
             round: self.rounds - 1,
-            alarms: self.alarming_nodes().len(),
-            activations: self.states.len(),
-            halo_bytes,
+            alarms: self.arena.alarm_count(),
+            activations: self.arena.node_count(),
+            halo_bytes: self
+                .plan
+                .exchanged_bytes_per_round(std::mem::size_of::<P::State>())
+                as u64,
             dispatch_ns: total_ns.saturating_sub(compute_ns + barrier_ns + exchange_ns),
             compute_ns,
             barrier_ns,
             exchange_ns,
-        });
-        self.observer = Some(observer);
-    }
-
-    /// The chunked dispatch core of [`run_rounds`](Self::run_rounds).
-    /// `timed` routes the pool's per-phase clocks into [`Self::phases`]
-    /// (observed rounds only — the unobserved path stays clock-free).
-    fn run_rounds_unobserved(&mut self, count: usize, timed: bool) {
-        if count == 0 {
-            return;
+        };
+        if let Some(observer) = self.observer.as_mut() {
+            observer.on_round(&stats);
         }
-        if self.shards.is_empty() {
-            // the empty graph: no registers, every round is a no-op (the
-            // pool must not be dispatched with zero parts)
-            self.rounds += count;
-            return;
-        }
-        if self.halo.is_some() && self.shards.len() > 1 {
-            self.run_rounds_halo(count, timed);
-            self.rounds += count;
-            return;
-        }
-        let program = self.program;
-        let topo = &self.topo;
-        let contexts = &self.contexts;
-        let shards = &self.shards;
-        let injection = self.injection.as_ref();
-        let base = self.rounds;
-        if shards.len() == 1 {
-            // single-shard path: no dispatch, no synchronization at all
-            let shard = shards[0];
-            for round in 0..count {
-                if let Some(inj) = injection {
-                    inj.maybe_fire(base + round, 0);
-                }
-                // smst-lint: allow(clock, reason = "observer-gated phase timing; wall time never feeds round state")
-                let start = timed.then(std::time::Instant::now);
-                compute_shard(
-                    program,
-                    topo,
-                    contexts,
-                    &self.states,
-                    shard,
-                    &mut self.scratch,
-                );
-                if let Some(t) = start {
-                    self.phases.add_compute_ns(t.elapsed().as_nanos() as u64);
-                }
-                std::mem::swap(&mut self.states, &mut self.scratch);
-            }
-        } else {
-            self.pool.pool().run_rounds_double_buffered_phased(
-                &self.bounds,
-                count,
-                &mut self.states,
-                &mut self.scratch,
-                |part, round, prev, out| {
-                    if let Some(inj) = injection {
-                        inj.maybe_fire(base + round, part);
-                    }
-                    compute_shard(program, topo, contexts, prev, shards[part], out);
-                },
-                timed.then_some(&self.phases),
-                self.recovery.watchdog_timeout,
-            );
-        }
-        self.rounds += count;
-    }
-
-    /// The halo-mode round loop: gather the registers into the shard-local
-    /// arenas (interiors + fresh halo copies), run `count` rounds on the
-    /// pool's phased halo primitive, scatter the interiors back.
-    ///
-    /// `scratch` is refreshed with the previous round's registers on the
-    /// way out, so [`run_to_fixpoint`](Self::run_to_fixpoint)'s
-    /// states-vs-scratch comparison keeps working in halo mode.
-    fn run_rounds_halo(&mut self, count: usize, timed: bool) {
-        let mut halo = self.halo.take().expect("halo mode checked by caller");
-        {
-            let plan = &halo.plan;
-            plan.gather_into(&self.states, &mut halo.front);
-            // `back` only needs matching length: round 0 overwrites every
-            // slot (interiors in compute, halos in exchange) before any
-            // read, so after the first call its stale contents are free
-            if halo.back.len() != halo.front.len() {
-                halo.back = halo.front.clone();
-            }
-            let regions = plan.regions();
-            let program = self.program;
-            let contexts = &self.contexts;
-            let injection = self.injection.as_ref();
-            let base = self.rounds;
-            self.pool.pool().run_rounds_halo_phased(
-                &regions,
-                plan.exchange(),
-                count,
-                &mut halo.front,
-                &mut halo.back,
-                |part, round, prev, out| {
-                    if let Some(inj) = injection {
-                        inj.maybe_fire(base + round, part);
-                    }
-                    compute_shard_halo(program, plan, part, contexts, prev, out);
-                },
-                timed.then_some(&self.phases),
-                self.recovery.watchdog_timeout,
-            );
-            plan.scatter_interiors(&halo.front, &mut self.states);
-            plan.scatter_interiors(&halo.back, &mut self.scratch);
-        }
-        self.halo = Some(halo);
-    }
-
-    /// Runs until `stop` returns `true` (checked after each round) or until
-    /// `max_rounds` additional rounds have elapsed. Returns the number of
-    /// rounds executed by this call if the condition was met.
-    ///
-    /// `stop` observes the registers in internal storage order (original
-    /// order under the identity layout).
-    pub fn run_until<F>(&mut self, max_rounds: usize, mut stop: F) -> Option<usize>
-    where
-        F: FnMut(&[P::State]) -> bool,
-    {
-        if stop(&self.states) {
-            return Some(0);
-        }
-        for executed in 1..=max_rounds {
-            self.step_round();
-            if stop(&self.states) {
-                return Some(executed);
-            }
-        }
-        None
-    }
-
-    /// The verdicts of all nodes under the current configuration, in
-    /// original node-id order.
-    pub fn verdicts(&self) -> Vec<Verdict> {
-        (0..self.states.len())
-            .map(|v| {
-                let i = self.layout.internal(v);
-                self.program.verdict(&self.contexts[i], &self.states[i])
-            })
-            .collect()
-    }
-
-    /// The nodes currently raising an alarm (original ids, ascending).
-    pub fn alarming_nodes(&self) -> Vec<NodeId> {
-        (0..self.states.len())
-            .map(NodeId)
-            .filter(|v| {
-                let i = self.layout.internal(v.index());
-                self.program.verdict(&self.contexts[i], &self.states[i]) == Verdict::Reject
-            })
-            .collect()
-    }
-
-    /// `true` if at least one node raises an alarm.
-    pub fn any_alarm(&self) -> bool {
-        self.contexts
-            .iter()
-            .zip(&self.states)
-            .any(|(ctx, s)| self.program.verdict(ctx, s) == Verdict::Reject)
-    }
-
-    /// `true` if every node accepts.
-    pub fn all_accept(&self) -> bool {
-        self.contexts
-            .iter()
-            .zip(&self.states)
-            .all(|(ctx, s)| self.program.verdict(ctx, s) == Verdict::Accept)
-    }
-
-    /// Runs until some node raises an alarm, for at most `max_rounds`
-    /// rounds. Returns the detection time in rounds. (Delegates to the
-    /// shared [`Runner::run_until`] loop.)
-    pub fn run_until_alarm(&mut self, max_rounds: usize) -> Option<usize> {
-        Runner::run_until(self, StopCondition::FirstAlarm, max_rounds)
-    }
-
-    /// Runs until every node accepts, for at most `max_rounds` rounds.
-    /// (Delegates to the shared [`Runner::run_until`] loop.)
-    pub fn run_until_all_accept(&mut self, max_rounds: usize) -> Option<usize> {
-        Runner::run_until(self, StopCondition::AllAccept, max_rounds)
     }
 }
 
@@ -751,12 +253,8 @@ where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
-    fn step(&mut self) {
-        self.step_round();
-    }
-
     fn try_step(&mut self) -> Result<(), EngineError> {
-        self.try_step_round().map_err(EngineError::from)
+        Ok(self.try_rounds(1)?)
     }
 
     fn steps(&self) -> usize {
@@ -764,58 +262,47 @@ where
     }
 
     fn activations(&self) -> usize {
-        self.rounds * self.states.len()
+        self.rounds * self.arena.node_count()
     }
 
     fn graph(&self) -> &WeightedGraph {
-        &self.graph
+        self.arena.graph()
     }
 
     fn state(&self, v: NodeId) -> &P::State {
-        ParallelSyncRunner::state(self, v)
+        self.arena.state(v)
     }
 
     fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        ParallelSyncRunner::state_mut(self, v)
+        self.arena.state_mut(v)
     }
 
     fn states_snapshot(&self) -> Vec<P::State> {
-        ParallelSyncRunner::states_snapshot(self)
+        self.arena.states_snapshot()
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        ParallelSyncRunner::context(self, v).clone()
+        self.arena.context(v).clone()
     }
 
     fn any_alarm(&self) -> bool {
-        ParallelSyncRunner::any_alarm(self)
+        self.arena.any_alarm()
     }
 
     fn all_accept(&self) -> bool {
-        ParallelSyncRunner::all_accept(self)
+        self.arena.all_accept()
     }
 
     fn alarming_nodes(&self) -> Vec<NodeId> {
-        ParallelSyncRunner::alarming_nodes(self)
+        self.arena.alarming_nodes()
     }
 
     fn apply_faults(&mut self, plan: &FaultPlan, mutate: &mut dyn FnMut(NodeId, &mut P::State)) {
-        ParallelSyncRunner::apply_faults(self, plan, mutate);
+        self.arena.apply_faults(plan, mutate);
     }
 
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        ParallelSyncRunner::set_observer(self, observer);
-    }
-
-    fn run_until(&mut self, until: StopCondition, max_steps: usize) -> Option<usize> {
-        // a fixed-step run needs no per-round condition checks: use the
-        // chunked pool dispatch (one epoch bump for the whole budget)
-        // instead of the shared step-by-step loop — results are identical
-        if matches!(until, StopCondition::Steps) {
-            self.run_rounds(max_steps);
-            return Some(max_steps);
-        }
-        crate::runner::drive_until(self, until, max_steps)
+        self.observer = Some(observer);
     }
 
     fn try_run_until(
@@ -823,25 +310,27 @@ where
         until: StopCondition,
         max_steps: usize,
     ) -> Result<Option<usize>, EngineError> {
-        // same chunked fast path as `run_until`, over the fallible surface
+        // a fixed-step run needs no per-round condition checks: one chunked
+        // pool dispatch for the whole budget instead of the shared
+        // step-by-step loop — results are identical
         if matches!(until, StopCondition::Steps) {
-            self.try_run_rounds(max_steps)?;
+            self.try_rounds(max_steps)?;
             return Ok(Some(max_steps));
         }
-        crate::runner::try_drive_until(self, until, max_steps)
+        drive_until(self, until, max_steps)
     }
 
     fn report(&self) -> RunReport {
         let mut engine = format!("parallel-sync(threads={}", self.threads);
-        if !self.layout.is_identity() {
+        if !self.arena.layout().is_identity() {
             engine.push_str(",layout");
         }
-        if self.halo.is_some() {
+        if self.halo_front.is_some() {
             engine.push_str(",halo");
         }
         engine.push(')');
         RunReport {
-            node_count: self.states.len(),
+            node_count: self.arena.node_count(),
             steps: self.rounds,
             activations: Runner::activations(self),
             threads: self.threads,
@@ -850,82 +339,18 @@ where
     }
 
     fn into_network(self: Box<Self>) -> Network<P> {
-        ParallelSyncRunner::into_network(*self)
-    }
-}
-
-impl<'p, P> ParallelSyncRunner<'p, P>
-where
-    P: NodeProgram + Sync,
-    P::State: Send + Sync + PartialEq,
-{
-    /// Runs until a fixpoint (no register changed in a round), for at most
-    /// `max_rounds` rounds. Returns the number of rounds until the first
-    /// unchanged round.
-    pub fn run_to_fixpoint(&mut self, max_rounds: usize) -> Option<usize> {
-        for executed in 1..=max_rounds {
-            self.step_round();
-            // after the swap, `scratch` holds the previous round's registers
-            if self.states == self.scratch {
-                return Some(executed);
-            }
-        }
-        None
-    }
-}
-
-/// Computes the next registers of one shard into `out`
-/// (`out[i]` ↔ internal node `shard.start + i`).
-fn compute_shard<P: NodeProgram>(
-    program: &P,
-    topo: &CsrTopology,
-    contexts: &[NodeContext],
-    states: &[P::State],
-    shard: Shard,
-    out: &mut [P::State],
-) {
-    debug_assert_eq!(out.len(), shard.len());
-    let mut neighbor_buf: Vec<&P::State> = Vec::with_capacity(16);
-    for (slot, v) in out.iter_mut().zip(shard.nodes()) {
-        neighbor_buf.clear();
-        neighbor_buf.extend(topo.neighbors_of(v).iter().map(|&u| &states[u as usize]));
-        *slot = program.step(&contexts[v], &states[v], &neighbor_buf);
-    }
-}
-
-/// Halo-mode twin of [`compute_shard`]: computes the next interior
-/// registers of one shard into `out`, reading **only the arena** `prev`
-/// through the shard's arena-coordinate CSR (`out[i]` ↔ interior node
-/// `shard.start + i` ↔ arena slot `arena_offset + i`).
-fn compute_shard_halo<P: NodeProgram>(
-    program: &P,
-    plan: &HaloPlan,
-    part: usize,
-    contexts: &[NodeContext],
-    prev: &[P::State],
-    out: &mut [P::State],
-) {
-    let shard = plan.shard(part);
-    let base = plan.arena_offset(part);
-    let (offsets, neighbors) = plan.local_csr(part);
-    debug_assert_eq!(out.len(), shard.len());
-    let mut neighbor_buf: Vec<&P::State> = Vec::with_capacity(16);
-    for (i, slot) in out.iter_mut().enumerate() {
-        neighbor_buf.clear();
-        neighbor_buf.extend(
-            neighbors[offsets[i]..offsets[i + 1]]
-                .iter()
-                .map(|&a| &prev[a as usize]),
-        );
-        *slot = program.step(&contexts[shard.start + i], &prev[base + i], &neighbor_buf);
+        self.arena.into_network()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InjectionSpec;
+    use crate::layout::LayoutPolicy;
+    use crate::pool::PinPolicy;
     use smst_graph::generators::{expander_graph, path_graph, random_connected_graph};
-    use smst_sim::{RecordingObserver, SyncRunner};
+    use smst_sim::{RecordingObserver, SyncRunner, Verdict};
     use std::time::Duration;
 
     /// Propagates the minimum identity (same toy program as the sim tests).
@@ -950,19 +375,16 @@ mod tests {
 
     static MIN_ID: MinId = MinId;
 
-    /// The envelope-built runner the migrated equivalence tests drive
-    /// (threads + layout through one validated `EngineConfig`).
+    fn runner(g: &WeightedGraph, config: &EngineConfig) -> ParallelSyncRunner<'static, MinId> {
+        ParallelSyncRunner::from_config(&MIN_ID, g.clone(), config).expect("a valid test envelope")
+    }
+
     fn with_layout(
         g: &WeightedGraph,
         threads: usize,
         policy: LayoutPolicy,
     ) -> ParallelSyncRunner<'static, MinId> {
-        ParallelSyncRunner::from_config(
-            &MIN_ID,
-            g.clone(),
-            &EngineConfig::new().threads(threads).layout(policy),
-        )
-        .expect("a valid test envelope")
+        runner(g, &EngineConfig::new().threads(threads).layout(policy))
     }
 
     #[test]
@@ -978,7 +400,7 @@ mod tests {
                         seq.network().states(),
                         "round {round}, {threads} threads, {policy:?}"
                     );
-                    par.step_round();
+                    par.step();
                     seq.step_round();
                 }
             }
@@ -991,12 +413,12 @@ mod tests {
         for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
             let mut chunked = with_layout(&g, 4, policy);
             let mut stepped = with_layout(&g, 4, policy);
-            chunked.run_rounds(7);
+            assert_eq!(chunked.run_until(StopCondition::Steps, 7), Some(7));
             for _ in 0..7 {
-                stepped.step_round();
+                stepped.step();
             }
-            assert_eq!(chunked.states(), stepped.states(), "{policy:?}");
-            assert_eq!(chunked.rounds(), 7);
+            assert_eq!(chunked.arena.states(), stepped.arena.states(), "{policy:?}");
+            assert_eq!(chunked.steps(), 7);
         }
     }
 
@@ -1004,68 +426,33 @@ mod tests {
     fn converges_like_the_sequential_runner() {
         let g = path_graph(10, 0);
         let d = g.diameter().unwrap();
-        let mut runner = ParallelSyncRunner::new(&MinId, g, 3);
-        let t = runner.run_until_all_accept(100).unwrap();
+        let mut runner = with_layout(&g, 3, LayoutPolicy::Identity);
+        let t = runner.run_until(StopCondition::AllAccept, 100).unwrap();
         assert_eq!(t, d);
-        assert_eq!(runner.rounds(), d);
-    }
-
-    #[test]
-    fn fixpoint_detection() {
-        let g = random_connected_graph(12, 20, 1);
-        let mut runner = ParallelSyncRunner::new(&MinId, g, 4);
-        let t = runner.run_to_fixpoint(100).unwrap();
-        assert!(t <= 13);
-        assert!(runner.all_accept());
+        assert_eq!(runner.steps(), d);
     }
 
     #[test]
     fn fault_injection_and_healing_with_layout() {
         let g = random_connected_graph(30, 80, 2);
         let mut runner = with_layout(&g, 4, LayoutPolicy::Rcm);
-        runner.run_to_fixpoint(100).unwrap();
+        runner.run_until(StopCondition::AllAccept, 100).unwrap();
         let plan = FaultPlan::random(30, 5, 9);
-        runner.apply_faults(&plan, |_v, s| *s = u64::MAX);
+        runner.apply_faults(&plan, &mut |_v, s| *s = u64::MAX);
         assert!(!runner.all_accept());
-        runner.run_until_all_accept(100).unwrap();
-        assert!(runner.states().iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn from_network_adopts_registers() {
-        let g = path_graph(5, 0);
-        let mut net = Network::new(&MinId, g);
-        net.set_state(NodeId(4), 99);
-        let runner = ParallelSyncRunner::from_network(&MinId, &net, 2);
-        assert_eq!(runner.state(NodeId(4)), &99);
-        let back = runner.into_network();
-        assert_eq!(back.state(NodeId(4)), &99);
-    }
-
-    #[test]
-    fn layout_round_trips_through_network_interop() {
-        let g = random_connected_graph(25, 60, 8);
-        let mut net = Network::new(&MinId, g);
-        net.set_state(NodeId(17), 1234);
-        let runner = ParallelSyncRunner::from_config_with_states(
-            &MinId,
-            net.graph().clone(),
-            net.states().to_vec(),
-            &EngineConfig::new().threads(3).layout(LayoutPolicy::Rcm),
-        )
-        .expect("a valid test envelope");
-        assert_eq!(runner.state(NodeId(17)), &1234);
-        let back = runner.into_network();
-        assert_eq!(back.states(), net.states());
+        runner.run_until(StopCondition::AllAccept, 100).unwrap();
+        assert!(runner.arena.states().iter().all(|&s| s == 0));
     }
 
     #[test]
     fn run_until_counts_and_times_out() {
         let g = path_graph(6, 0);
-        let mut runner = ParallelSyncRunner::new(&MinId, g, 2);
-        assert_eq!(runner.run_until(2, |_| false), None);
-        assert_eq!(runner.rounds(), 2);
-        assert_eq!(runner.run_until(10, |_| true), Some(0));
+        let mut runner = with_layout(&g, 2, LayoutPolicy::Identity);
+        // the flood never alarms: a timeout after exactly the budget
+        assert_eq!(runner.run_until(StopCondition::FirstAlarm, 2), None);
+        assert_eq!(runner.steps(), 2);
+        runner.run_until(StopCondition::AllAccept, 100).unwrap();
+        assert_eq!(runner.run_until(StopCondition::AllAccept, 10), Some(0));
     }
 
     #[test]
@@ -1073,67 +460,76 @@ mod tests {
         let g = random_connected_graph(80, 220, 19);
         for threads in [1, 2, 4, 7] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
-                let mut halo = with_layout(&g, threads, policy).halo_exchange(true);
-                let mut direct = with_layout(&g, threads, policy);
+                let config = EngineConfig::new().threads(threads).layout(policy);
+                let mut halo = runner(&g, &config.clone().halo(true));
+                let mut direct = runner(&g, &config);
                 for round in 0..10 {
                     assert_eq!(
                         halo.states_snapshot(),
                         direct.states_snapshot(),
                         "round {round}, {threads} threads, {policy:?}"
                     );
-                    halo.step_round();
-                    direct.step_round();
+                    halo.step();
+                    direct.step();
                 }
-                assert_eq!(halo.rounds(), 10);
+                assert_eq!(halo.steps(), 10);
             }
         }
     }
 
     #[test]
     fn halo_mode_survives_faults_and_fixpoints() {
-        // fixpoint detection relies on the scratch refresh of the halo
-        // path; faults mutate `states` between chunked halo runs
+        // faults mutate the registers between chunked halo runs: the
+        // arenas are re-gathered per chunk, so both modes see them
         let g = random_connected_graph(40, 100, 3);
-        let mut halo = with_layout(&g, 4, LayoutPolicy::Rcm).halo_exchange(true);
-        let mut direct = with_layout(&g, 4, LayoutPolicy::Rcm);
+        let config = EngineConfig::new().threads(4).layout(LayoutPolicy::Rcm);
+        let mut halo = runner(&g, &config.clone().halo(true));
+        let mut direct = runner(&g, &config);
         assert_eq!(
-            halo.run_to_fixpoint(100).unwrap(),
-            direct.run_to_fixpoint(100).unwrap()
+            halo.run_until(StopCondition::AllAccept, 100).unwrap(),
+            direct.run_until(StopCondition::AllAccept, 100).unwrap()
         );
         let plan = FaultPlan::random(40, 6, 21);
-        halo.apply_faults(&plan, |_v, s| *s = u64::MAX);
-        direct.apply_faults(&plan, |_v, s| *s = u64::MAX);
-        halo.run_rounds(5);
-        direct.run_rounds(5);
+        halo.apply_faults(&plan, &mut |_v, s| *s = u64::MAX);
+        direct.apply_faults(&plan, &mut |_v, s| *s = u64::MAX);
+        halo.run_until(StopCondition::Steps, 5);
+        direct.run_until(StopCondition::Steps, 5);
         assert_eq!(halo.states_snapshot(), direct.states_snapshot());
+        // the converged flood is a fixpoint: a further round changes nothing
+        halo.run_until(StopCondition::AllAccept, 100).unwrap();
+        let converged = halo.states_snapshot();
+        halo.step();
+        assert_eq!(halo.states_snapshot(), converged);
     }
 
     #[test]
     fn halo_plan_is_exposed_and_sized_sanely() {
         let g = expander_graph(200, 6, 4);
-        let runner = ParallelSyncRunner::new(&MinId, g.clone(), 4).halo_exchange(true);
-        let plan = runner.halo_plan().expect("halo mode on");
-        assert_eq!(plan.shard_count(), runner.shards().len());
+        let halo4 = runner(&g, &EngineConfig::new().threads(4).halo(true));
+        let plan = halo4.halo_plan().expect("halo mode on");
+        assert_eq!(plan.shard_count(), 4);
         assert!(plan.total_halo() > 0, "an expander has cross-shard edges");
-        // toggling off drops the plan
-        let runner = runner.halo_exchange(false);
-        assert!(runner.halo_plan().is_none());
+        assert_eq!(halo4.report().engine, "parallel-sync(threads=4,halo)");
+        // direct mode runs on the zero-halo plan and exposes none
+        let direct = runner(&g, &EngineConfig::new().threads(4));
+        assert!(direct.halo_plan().is_none());
+        assert_eq!(direct.plan.total_halo(), 0);
         // single-threaded halo mode degenerates gracefully (no external
         // neighbours at all)
-        let one = ParallelSyncRunner::new(&MinId, g, 1).halo_exchange(true);
+        let one = runner(&g, &EngineConfig::new().halo(true));
         assert_eq!(one.halo_plan().unwrap().total_halo(), 0);
     }
 
     #[test]
     fn empty_graph_runs_without_panicking() {
-        // regression: partition_balanced now returns no shards for n == 0,
-        // and the dispatch path must tolerate that
+        // partition_balanced returns no shards for n == 0, and the round
+        // primitive must tolerate a plan without parts
         let g = smst_graph::WeightedGraph::new();
         for halo in [false, true] {
-            let mut runner = ParallelSyncRunner::new(&MinId, g.clone(), 4).halo_exchange(halo);
-            runner.run_rounds(3);
-            assert_eq!(runner.rounds(), 3);
-            assert!(runner.states().is_empty());
+            let mut runner = runner(&g, &EngineConfig::new().threads(4).halo(halo));
+            runner.run_until(StopCondition::Steps, 3);
+            assert_eq!(runner.steps(), 3);
+            assert!(runner.arena.states().is_empty());
             assert!(runner.all_accept(), "vacuously true on no nodes");
             assert!(runner.alarming_nodes().is_empty());
         }
@@ -1142,14 +538,18 @@ mod tests {
     #[test]
     fn pinned_runner_matches_unpinned() {
         let g = random_connected_graph(50, 130, 9);
-        let mut pinned = ParallelSyncRunner::new(&MinId, g.clone(), 4)
-            .pinning(crate::pool::PinPolicy::Cores)
-            .halo_exchange(true);
-        let mut plain = ParallelSyncRunner::new(&MinId, g, 4);
-        assert_eq!(pinned.pin_policy(), crate::pool::PinPolicy::Cores);
-        assert!(!pinned.pool().shares_pool_with(plain.pool()));
-        pinned.run_rounds(8);
-        plain.run_rounds(8);
+        let mut pinned = runner(
+            &g,
+            &EngineConfig::new()
+                .threads(4)
+                .pin(PinPolicy::Cores)
+                .halo(true),
+        );
+        let mut plain = with_layout(&g, 4, LayoutPolicy::Identity);
+        assert_eq!(pinned.pool.pool().pin_policy(), PinPolicy::Cores);
+        assert!(!pinned.pool.shares_pool_with(&plain.pool));
+        pinned.run_until(StopCondition::Steps, 8);
+        plain.run_until(StopCondition::Steps, 8);
         assert_eq!(pinned.states_snapshot(), plain.states_snapshot());
     }
 
@@ -1160,13 +560,13 @@ mod tests {
         // (a smaller request may legitimately land in a concurrently
         // registered pool, which would make the assertion racy)
         let g = path_graph(8, 0);
-        let a = ParallelSyncRunner::new(&MinId, g.clone(), 33);
-        let b = ParallelSyncRunner::new(&MinId, g, 33);
+        let a = with_layout(&g, 33, LayoutPolicy::Identity);
+        let b = with_layout(&g, 33, LayoutPolicy::Identity);
         assert!(
-            a.pool().shares_pool_with(b.pool()),
+            a.pool.shares_pool_with(&b.pool),
             "equal-sized runners must reuse the registered pool"
         );
-        assert!(a.pool().pool().threads() >= 33);
+        assert!(a.pool.pool().threads() >= 33);
     }
 
     #[test]
@@ -1174,18 +574,24 @@ mod tests {
         let g = random_connected_graph(60, 150, 31);
         for threads in [1, 2, 8] {
             for halo in [false, true] {
-                let mut clean = with_layout(&g, threads, LayoutPolicy::Rcm).halo_exchange(halo);
-                let mut chaos = with_layout(&g, threads, LayoutPolicy::Rcm)
-                    .halo_exchange(halo)
-                    .recovery(RecoveryPolicy::retries(2))
-                    .inject(InjectionSpec::panic_at(3, 0));
+                let config = EngineConfig::new()
+                    .threads(threads)
+                    .layout(LayoutPolicy::Rcm)
+                    .halo(halo);
+                let mut clean = runner(&g, &config);
+                let mut chaos = runner(
+                    &g,
+                    &config
+                        .recovery(RecoveryPolicy::retries(2))
+                        .inject(InjectionSpec::panic_at(3, 0)),
+                );
                 let clean_trace = RecordingObserver::new();
                 let chaos_trace = RecordingObserver::new();
                 clean.set_observer(Box::new(clean_trace.clone()));
                 chaos.set_observer(Box::new(chaos_trace.clone()));
-                clean.run_rounds(8);
+                clean.run_until(StopCondition::Steps, 8);
                 chaos
-                    .try_run_rounds(8)
+                    .try_run_until(StopCondition::Steps, 8)
                     .expect("the injected panic is retried away");
                 assert_eq!(
                     chaos_trace.deterministic_trace(),
@@ -1193,7 +599,7 @@ mod tests {
                     "recovery must be invisible ({threads} threads, halo={halo})"
                 );
                 assert_eq!(chaos.states_snapshot(), clean.states_snapshot());
-                assert_eq!(chaos.rounds(), 8);
+                assert_eq!(chaos.steps(), 8);
             }
         }
     }
@@ -1202,31 +608,35 @@ mod tests {
     fn exhausted_retries_surface_a_typed_worker_panic() {
         let g = random_connected_graph(40, 100, 5);
         // default policy: no retries, the first panic is the error
-        let mut runner =
-            with_layout(&g, 4, LayoutPolicy::Identity).inject(InjectionSpec::panic_at(0, 0));
-        match runner.try_step_round() {
-            Err(PoolError::WorkerPanic { attempts, message }) => {
+        let config = EngineConfig::new().threads(4);
+        let mut chaos = runner(&g, &config.clone().inject(InjectionSpec::panic_at(0, 0)));
+        match chaos.try_step() {
+            Err(EngineError::Pool(PoolError::WorkerPanic { attempts, message })) => {
                 assert_eq!(attempts, 1);
                 assert!(message.contains("injected chaos panic"), "{message}");
             }
             other => panic!("expected a typed worker panic, got {other:?}"),
         }
         // the pool healed: a fresh runner on the same registry pool works
-        let mut fresh = with_layout(&g, 4, LayoutPolicy::Identity);
-        fresh.run_rounds(3);
-        assert_eq!(fresh.rounds(), 3);
+        let mut fresh = runner(&g, &config);
+        fresh.run_until(StopCondition::Steps, 3);
+        assert_eq!(fresh.steps(), 3);
     }
 
     #[test]
     fn stall_injection_trips_the_watchdog_as_a_typed_timeout() {
         let g = random_connected_graph(40, 100, 7);
-        let mut runner = with_layout(&g, 2, LayoutPolicy::Identity)
-            .recovery(RecoveryPolicy::retries(3).watchdog(Duration::from_millis(40)))
-            .inject(InjectionSpec::stall_at(0, 1, 400));
+        let mut runner = runner(
+            &g,
+            &EngineConfig::new()
+                .threads(2)
+                .recovery(RecoveryPolicy::retries(3).watchdog(Duration::from_millis(40)))
+                .inject(InjectionSpec::stall_at(0, 1, 400)),
+        );
         // smst-lint: allow(clock, reason = "test asserts the watchdog's wall-time bound, not round state")
         let started = std::time::Instant::now();
-        match runner.try_run_rounds(5) {
-            Err(PoolError::BarrierTimeout { timeout }) => {
+        match runner.try_run_until(StopCondition::Steps, 5) {
+            Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {
                 assert_eq!(timeout, Duration::from_millis(40));
             }
             other => panic!("expected a barrier timeout, got {other:?}"),

@@ -1,15 +1,12 @@
 //! A persistent worker pool: parked threads, epoch dispatch, round barrier.
 //!
-//! PR 1's runners paid `std::thread::scope` spawn/join cost (tens of µs) on
-//! **every** round or batch; at the sub-millisecond rounds the paper's
-//! O(1)-round verification lives in, that overhead dominated and the engine
-//! lost to the sequential runner. [`WorkerPool`] replaces the per-round
-//! spawn with long-lived workers parked on a condvar: a dispatch is one
-//! epoch bump plus a wake-up (single-digit µs), and
-//! [`run_rounds_double_buffered`](WorkerPool::run_rounds_double_buffered)
-//! amortizes even that over a whole chunk of rounds, synchronizing the
-//! workers between rounds with a lightweight generation barrier instead of
-//! returning to the dispatcher.
+//! [`WorkerPool`] keeps long-lived workers parked on a condvar: a
+//! [`dispatch`](WorkerPool::dispatch) is one epoch bump plus a wake-up
+//! (single-digit µs, against tens of µs for a `std::thread::scope`
+//! spawn/join), and [`run_rounds`](WorkerPool::run_rounds) — the **one**
+//! round primitive — amortizes even that over a whole chunk of
+//! double-buffered rounds, synchronizing the workers between rounds with a
+//! lightweight generation barrier instead of returning to the dispatcher.
 //!
 //! Pools are **shared and long-lived**: [`PoolHandle::for_threads`] hands
 //! out the smallest registered pool with enough threads (creating one only
@@ -32,13 +29,11 @@
 //!    never dereference the pointer (they only skip the epoch), so no
 //!    worker can call through it after `dispatch` returns.
 //! 2. **Disjoint double-buffer slices.** In
-//!    [`run_rounds_halo`](WorkerPool::run_rounds_halo) (which also backs
-//!    [`run_rounds_double_buffered`](WorkerPool::run_rounds_double_buffered)
-//!    as its exchange-free special case) each part writes only its disjoint
-//!    region of `next` while all parts read only the other buffer; the
-//!    optional exchange phase copies within `next` from single-owner
-//!    interior slots to single-writer halo slots, barrier-separated from
-//!    both the compute writes before it and the reads after it. A poisoning
+//!    [`run_rounds`](WorkerPool::run_rounds) each part writes only its
+//!    disjoint region of `next` while all parts read only the other buffer;
+//!    the optional exchange phase copies within `next` from single-owner
+//!    region slots to single-writer halo slots, barrier-separated from both
+//!    the compute writes before it and the reads after it. A poisoning
 //!    round barrier separates consecutive rounds, so no read of round `r`'s
 //!    input can race a write of round `r + 1`.
 //!
@@ -54,15 +49,15 @@
 //! borrower. [`WorkerPool::stats`] counts caught panics, respawns and
 //! barrier timeouts for telemetry bridges.
 //!
-//! The round primitives additionally accept a **watchdog**: when a part
-//! fails to reach the round barrier within the timeout, the waiting
-//! siblings poison the barrier and unwind with a typed timeout sentinel, so
-//! a hung worker surfaces as [`PoolError::BarrierTimeout`] at the runner
-//! instead of deadlocking the dispatch. The dispatcher itself still waits
-//! for every participant to acknowledge (the lifetime-erasure contract
-//! requires it), so the dispatch returns once the hung part eventually
-//! finishes or dies — the watchdog bounds *detection*, not the stall
-//! itself.
+//! [`run_rounds`](WorkerPool::run_rounds) additionally accepts a
+//! **watchdog**: when a part fails to reach the round barrier within the
+//! timeout, the waiting siblings poison the barrier and unwind with a typed
+//! timeout sentinel, so a hung worker surfaces as
+//! [`PoolError::BarrierTimeout`] at the runner instead of deadlocking the
+//! dispatch. The dispatcher itself still waits for every participant to
+//! acknowledge (the lifetime-erasure contract requires it), so the dispatch
+//! returns once the hung part eventually finishes or dies — the watchdog
+//! bounds *detection*, not the stall itself.
 
 #![allow(unsafe_code)]
 
@@ -169,14 +164,11 @@ impl PoolStats {
 /// primitives: how many nanoseconds the instrumented part spent computing,
 /// waiting on the round barrier, and pulling halo copies.
 ///
-/// The `*_phased` round primitives
-/// ([`run_rounds_halo_phased`](WorkerPool::run_rounds_halo_phased),
-/// [`run_rounds_double_buffered_phased`](WorkerPool::run_rounds_double_buffered_phased))
-/// accumulate into one of these when handed `Some`; timing is sampled on
-/// **part 0 only** (the dispatching side), so barrier waits naturally
-/// absorb any imbalance against the slower parts and the accumulators
-/// never contend. Passing `None` compiles the clock reads out of the round
-/// loop entirely — the untimed primitives are the `None` special case.
+/// [`WorkerPool::run_rounds`] accumulates into one of these when handed
+/// `Some`; timing is sampled on **part 0 only** (the dispatching side), so
+/// barrier waits naturally absorb any imbalance against the slower parts
+/// and the accumulators never contend. Passing `None` keeps the round loop
+/// clock-free.
 ///
 /// Purely wall-clock: results are bit-for-bit identical with or without an
 /// accumulator attached (the engine's determinism contract never covers
@@ -207,12 +199,6 @@ impl PhaseTimes {
     /// Nanoseconds accumulated pulling halo copies.
     pub fn exchange_ns(&self) -> u64 {
         self.exchange_ns.load(Ordering::Relaxed)
-    }
-
-    /// Adds to the compute phase (for callers that run compute inline,
-    /// outside the pool's round primitives — e.g. a single-shard runner).
-    pub fn add_compute_ns(&self, ns: u64) {
-        self.compute_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Snapshots and resets all three accumulators, returning
@@ -656,138 +642,53 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Chunked multi-round double-buffered execution: runs `rounds` rounds
-    /// in **one** dispatch, each round computing
-    /// `step(part, round, prev, next_slice)` for every part, where `prev` is
-    /// the full previous-round buffer and `next_slice` is the part's
-    /// disjoint slice `bounds[part]..bounds[part + 1]` of the next-round
-    /// buffer. Buffer roles alternate internally; a round barrier separates
-    /// consecutive rounds, so workers never return to the dispatcher
-    /// mid-chunk.
+    /// The round primitive: runs `rounds` double-buffered rounds in **one**
+    /// dispatch, workers synchronizing on a round barrier instead of
+    /// returning to the dispatcher.
     ///
-    /// On return `front` holds the final round's registers and `back` the
-    /// previous round's (the same postcondition as `rounds` sequential
-    /// compute-and-swap steps).
+    /// The buffers are split into per-part regions: `regions[part]` is the
+    /// range of slots the part **writes**; everything outside every region
+    /// is a halo slot, refreshed by the exchange. Every round has two
+    /// phases:
     ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is not a monotone cover `0..front.len()` with at
-    /// most [`threads`](Self::threads) parts, or if the buffers differ in
-    /// length; propagates `step` panics.
-    pub fn run_rounds_double_buffered<T, F>(
-        &self,
-        bounds: &[usize],
-        rounds: usize,
-        front: &mut Vec<T>,
-        back: &mut Vec<T>,
-        step: F,
-    ) where
-        T: Send + Sync + Clone,
-        F: Fn(usize, usize, &[T], &mut [T]) + Sync,
-    {
-        self.run_rounds_double_buffered_phased(bounds, rounds, front, back, step, None, None);
-    }
-
-    /// [`run_rounds_double_buffered`](Self::run_rounds_double_buffered)
-    /// with optional per-phase timing and an optional barrier watchdog:
-    /// when `phases` is `Some`, part 0's compute and barrier nanoseconds
-    /// accumulate into the given [`PhaseTimes`] (see its docs for the
-    /// sampling contract); when `watchdog` is `Some`, a part that fails to
-    /// reach a round barrier within the timeout makes the whole run unwind
-    /// with the typed timeout sentinel the runners surface as
-    /// [`PoolError::BarrierTimeout`]. `(None, None)` is exactly the untimed
-    /// primitive.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_rounds_double_buffered_phased<T, F>(
-        &self,
-        bounds: &[usize],
-        rounds: usize,
-        front: &mut Vec<T>,
-        back: &mut Vec<T>,
-        step: F,
-        phases: Option<&PhaseTimes>,
-        watchdog: Option<Duration>,
-    ) where
-        T: Send + Sync + Clone,
-        F: Fn(usize, usize, &[T], &mut [T]) + Sync,
-    {
-        // the gap-free, exchange-free special case of the halo primitive —
-        // one shared implementation of the unsafe round machinery (with no
-        // exchange pairs anywhere, the exchange phase and its barrier
-        // vanish, leaving exactly one barrier between rounds)
-        let parts = bounds.len().checked_sub(1).expect("at least one part");
-        assert!(parts >= 1, "at least one part");
-        assert_eq!(bounds[0], 0, "bounds must start at 0");
-        assert_eq!(bounds[parts], front.len(), "bounds must cover the buffer");
-        let regions: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-        let exchange = vec![Vec::new(); parts];
-        self.run_rounds_halo_phased(
-            &regions, &exchange, rounds, front, back, step, phases, watchdog,
-        );
-    }
-
-    /// Halo-exchange variant of
-    /// [`run_rounds_double_buffered`](Self::run_rounds_double_buffered):
-    /// the buffers are **shard-local arenas** (disjoint per-part regions of
-    /// interior slots followed by halo-copy slots), and every round splits
-    /// into two barrier-separated phases:
-    ///
-    /// 1. **compute** — each part runs
-    ///    `step(part, round, prev, next_interior)`, where `prev` is the full
-    ///    previous arena and `next_interior` is the part's interior range
-    ///    `regions[part]` of the next arena (parts read only `prev`, so the
-    ///    halo copies gathered at round `r − 1` are what round `r` observes —
-    ///    exactly double-buffer semantics);
+    /// 1. **compute** — each part runs `step(part, round, prev, next)`,
+    ///    where `prev` is the full previous-round buffer and `next` the
+    ///    part's region of the next-round buffer (parts read only `prev`, so
+    ///    what round `r` observes is exactly what round `r − 1` left —
+    ///    double-buffer semantics);
     /// 2. **exchange** — after a round barrier, each part refreshes its halo
     ///    slots by pulling `next[dst] = next[src]` for its `exchange[part]`
     ///    pairs; a second barrier orders the pulls before the next round's
-    ///    reads.
+    ///    reads. With no pairs anywhere (regions covering the buffer, the
+    ///    direct mode) the phase and its barrier vanish: one barrier per
+    ///    round.
     ///
-    /// On return `front` holds the final round's arena and `back` the
-    /// previous round's, like the non-halo primitive.
+    /// On return `front` holds the final round's buffer and `back` the
+    /// previous round's (the postcondition of `rounds` sequential
+    /// compute-and-swap steps). With one part, or on a 1-thread pool, the
+    /// rounds run inline on the caller with no synchronization at all.
+    ///
+    /// When `phases` is `Some`, part 0's compute, barrier-wait and exchange
+    /// nanoseconds accumulate into the given [`PhaseTimes`] (see its docs
+    /// for the sampling contract); `None` never reads the clock. When
+    /// `watchdog` is `Some`, a part that fails to reach a round barrier — or
+    /// the final chunk-completion barrier the armed watchdog adds, so even
+    /// single-round chunks are guarded — within the timeout poisons the
+    /// barrier and the run unwinds with the typed timeout sentinel the
+    /// runners surface as [`PoolError::BarrierTimeout`].
     ///
     /// # Panics
     ///
-    /// Panics unless `regions` are in-bounds, ascending and pairwise
-    /// disjoint, with at most [`threads`](Self::threads) parts; and unless
-    /// the exchange plan honours its contract — every destination outside
-    /// all interior regions and written by exactly one part, every source
-    /// inside an interior region (what
+    /// Panics unless the buffers have equal length and `regions` are
+    /// in-bounds, ascending and pairwise disjoint, with at most
+    /// [`threads`](Self::threads) parts; and unless the exchange plan
+    /// honours its contract — every destination outside all regions and
+    /// written by exactly one part, every source inside a region (what
     /// [`HaloPlan::build`](crate::shard::HaloPlan::build) guarantees by
     /// construction; verified here in all build modes because the pairs
     /// feed raw-pointer copies). Propagates `step` panics.
-    pub fn run_rounds_halo<T, F>(
-        &self,
-        regions: &[(usize, usize)],
-        exchange: &[Vec<(u32, u32)>],
-        rounds: usize,
-        front: &mut Vec<T>,
-        back: &mut Vec<T>,
-        step: F,
-    ) where
-        T: Send + Sync + Clone,
-        F: Fn(usize, usize, &[T], &mut [T]) + Sync,
-    {
-        self.run_rounds_halo_phased(regions, exchange, rounds, front, back, step, None, None);
-    }
-
-    /// [`run_rounds_halo`](Self::run_rounds_halo) with optional per-phase
-    /// timing and an optional barrier watchdog: when `phases` is `Some`,
-    /// part 0's compute, barrier-wait and halo-exchange nanoseconds
-    /// accumulate into the given [`PhaseTimes`] (see its docs for the
-    /// sampling contract); when `watchdog` is `Some`, a part that fails to
-    /// reach a round barrier — or the final chunk-completion barrier the
-    /// armed watchdog adds, so even single-round chunks are guarded —
-    /// within the timeout poisons the barrier and the run unwinds with the
-    /// typed timeout sentinel instead of deadlocking. `(None, None)` is
-    /// exactly the untimed primitive — the round loop then never reads the
-    /// clock.
-    ///
-    /// # Panics
-    ///
-    /// As [`run_rounds_halo`](Self::run_rounds_halo).
     #[allow(clippy::too_many_arguments)]
-    pub fn run_rounds_halo_phased<T, F>(
+    pub fn run_rounds<T, F>(
         &self,
         regions: &[(usize, usize)],
         exchange: &[Vec<(u32, u32)>],
@@ -804,7 +705,6 @@ impl WorkerPool {
         let n = front.len();
         assert_eq!(back.len(), n, "double buffers must have equal length");
         let parts = regions.len();
-        assert!(parts >= 1, "at least one part");
         assert_eq!(exchange.len(), parts, "one exchange list per part");
         assert!(
             regions.iter().all(|&(lo, hi)| lo <= hi && hi <= n),
@@ -815,9 +715,7 @@ impl WorkerPool {
             "regions must be ascending and disjoint"
         );
         // with no exchange pairs anywhere the exchange phase (and its
-        // barrier) vanishes — this is how the non-halo wrapper keeps its
-        // original one-barrier-per-round protocol and skips the plan
-        // validation it has nothing to validate with
+        // barrier) vanishes: one barrier per round, nothing to validate
         let has_exchange = exchange.iter().any(|pairs| !pairs.is_empty());
         if has_exchange {
             // O(arena + pairs) plan validation, release mode included: the
@@ -852,7 +750,8 @@ impl WorkerPool {
                 }
             }
         }
-        if rounds == 0 {
+        // no parts: the empty graph, every round is a no-op
+        if rounds == 0 || parts == 0 {
             return;
         }
         if parts == 1 || self.threads == 1 {
@@ -880,7 +779,7 @@ impl WorkerPool {
         } else {
             assert!(
                 parts <= self.threads,
-                "halo run of {parts} parts on a {}-thread pool",
+                "run of {parts} parts on a {}-thread pool",
                 self.threads
             );
             let barrier = RoundBarrier::new(parts, watchdog);
@@ -1002,7 +901,7 @@ impl<T> BufPtr<T> {
 }
 
 // SAFETY: the pointer is only used under the disjointness + barrier
-// protocol documented on `run_rounds_double_buffered`.
+// protocol documented on `WorkerPool::run_rounds`.
 unsafe impl<T: Send + Sync> Send for BufPtr<T> {}
 unsafe impl<T: Send + Sync> Sync for BufPtr<T> {}
 
@@ -1330,6 +1229,14 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 1500);
     }
 
+    /// `parts` gap-free regions covering `0..n` (the direct, exchange-free
+    /// shape of [`WorkerPool::run_rounds`]).
+    fn even_regions(n: usize, parts: usize) -> Vec<(usize, usize)> {
+        (0..parts)
+            .map(|k| (n * k / parts, n * (k + 1) / parts))
+            .collect()
+    }
+
     #[test]
     fn multi_round_double_buffer_matches_sequential_reference() {
         // each round: x[i] <- x[i] + max of the full previous buffer
@@ -1345,18 +1252,25 @@ mod tests {
         };
         for parts in [1usize, 2, 3, 4] {
             let pool = WorkerPool::new(4);
-            let bounds: Vec<usize> = (0..=parts).map(|k| n * k / parts).collect();
+            let regions = even_regions(n, parts);
             let mut front: Vec<u64> = (0..n as u64).collect();
             let mut back = front.clone();
-            pool.run_rounds_double_buffered(&bounds, rounds, &mut front, &mut back, {
+            pool.run_rounds(
+                &regions,
+                &vec![Vec::new(); parts],
+                rounds,
+                &mut front,
+                &mut back,
                 |part: usize, _round: usize, prev: &[u64], next: &mut [u64]| {
                     let m = *prev.iter().max().unwrap();
-                    let lo = bounds[part];
+                    let lo = regions[part].0;
                     for (i, slot) in next.iter_mut().enumerate() {
                         *slot = prev[lo + i] + m;
                     }
-                }
-            });
+                },
+                None,
+                None,
+            );
             assert_eq!(front, reference, "{parts} parts diverged");
         }
     }
@@ -1384,17 +1298,23 @@ mod tests {
     fn multi_round_panic_does_not_deadlock() {
         let pool = WorkerPool::new(3);
         let n = 30;
-        let bounds = vec![0, 10, 20, 30];
         let mut front = vec![0u64; n];
         let mut back = vec![0u64; n];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_rounds_double_buffered(&bounds, 5, &mut front, &mut back, {
+            pool.run_rounds(
+                &even_regions(n, 3),
+                &vec![Vec::new(); 3],
+                5,
+                &mut front,
+                &mut back,
                 |part: usize, round: usize, _prev: &[u64], _next: &mut [u64]| {
                     if part == 1 && round == 2 {
                         panic!("mid-chunk boom");
                     }
-                }
-            });
+                },
+                None,
+                None,
+            );
         }));
         // the ORIGINAL payload must surface, not the secondary
         // barrier-poison panics it released in the sibling workers
@@ -1471,16 +1391,22 @@ mod tests {
                 let pool = WorkerPool::new(threads);
                 let mut front = init.clone();
                 let mut back = init.clone();
-                pool.run_rounds_halo(&regions, &exchange, rounds, &mut front, &mut back, {
-                    let regions = &regions;
-                    move |part, _round, prev: &[u64], next: &mut [u64]| {
+                pool.run_rounds(
+                    &regions,
+                    &exchange,
+                    rounds,
+                    &mut front,
+                    &mut back,
+                    |part, _round, prev: &[u64], next: &mut [u64]| {
                         let (lo, _hi) = regions[part];
                         let halo = if part == 0 { prev[4] } else { prev[9] };
                         for (i, slot) in next.iter_mut().enumerate() {
                             *slot = prev[lo + i] + halo;
                         }
-                    }
-                });
+                    },
+                    None,
+                    None,
+                );
                 assert_eq!(front, expected, "rounds {rounds}, threads {threads}");
             }
         }
@@ -1494,13 +1420,15 @@ mod tests {
         let mut front = vec![0u64; 10];
         let mut back = vec![0u64; 10];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_rounds_halo(
+            pool.run_rounds(
                 &regions,
                 &exchange,
                 1,
                 &mut front,
                 &mut back,
                 |_, _, _, _| {},
+                None,
+                None,
             );
         }));
         assert!(result.is_err(), "duplicate halo destinations must panic");
@@ -1513,7 +1441,7 @@ mod tests {
         let mut front = vec![0u64; 10];
         let mut back = vec![0u64; 10];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_rounds_halo(
+            pool.run_rounds(
                 &regions,
                 &exchange,
                 4,
@@ -1524,6 +1452,8 @@ mod tests {
                         panic!("halo boom");
                     }
                 },
+                None,
+                None,
             );
         }));
         let payload = result.expect_err("the worker panic must propagate");
@@ -1639,13 +1569,13 @@ mod tests {
     #[test]
     fn hung_part_trips_the_watchdog_instead_of_deadlocking() {
         let pool = WorkerPool::new(2);
-        let bounds = vec![0usize, 5, 10];
         let mut front = vec![0u64; 10];
         let mut back = vec![0u64; 10];
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_rounds_double_buffered_phased(
-                &bounds,
+            pool.run_rounds(
+                &even_regions(10, 2),
+                &[Vec::new(), Vec::new()],
                 3,
                 &mut front,
                 &mut back,

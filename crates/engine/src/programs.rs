@@ -232,8 +232,21 @@ impl NodeProgram for AlarmedFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_sync::ParallelSyncRunner;
+    use crate::{EngineConfig, Runner, StopCondition};
     use smst_graph::generators::random_connected_graph;
+    use smst_graph::WeightedGraph;
+    use smst_sim::NodeProgram;
+
+    /// The two-thread sharded runner every program test drives.
+    fn runner<P>(program: &P, g: WeightedGraph) -> Box<dyn Runner<P> + '_>
+    where
+        P: NodeProgram<State = u64> + Sync + 'static,
+    {
+        EngineConfig::new()
+            .threads(2)
+            .instantiate(program, g)
+            .expect("a valid envelope")
+    }
 
     #[test]
     fn flood_heals_even_from_below_leader_garbage() {
@@ -241,23 +254,23 @@ mod tests {
         // below it (0) is representable
         let g = smst_graph::generators::random_graph_scrambled_ids(30, 70, 2);
         let program = MinIdFlood::new(3);
-        let mut runner = ParallelSyncRunner::new(&program, g, 2);
-        runner.run_until_all_accept(50).unwrap();
+        let mut runner = runner(&program, g);
+        runner.run_until(StopCondition::AllAccept, 50).unwrap();
         // corrupt with a value *smaller* than every identity: a naive min
         // flood would adopt it forever; the guard heals it
         *runner.state_mut(smst_graph::NodeId(7)) = 0;
-        runner.run_rounds(40);
+        runner.run_until(StopCondition::Steps, 40);
         assert!(runner.all_accept());
-        assert!(runner.states().iter().all(|&s| s == 3));
+        assert!(runner.states_snapshot().iter().all(|&s| s == 3));
     }
 
     #[test]
     fn flood_converges_on_plain_identities() {
         let g = random_connected_graph(30, 70, 2);
         let program = MinIdFlood::new(0);
-        let mut runner = ParallelSyncRunner::new(&program, g, 2);
-        runner.run_until_all_accept(50).unwrap();
-        assert!(runner.states().iter().all(|&s| s == 0));
+        let mut runner = runner(&program, g);
+        runner.run_until(StopCondition::AllAccept, 50).unwrap();
+        assert!(runner.states_snapshot().iter().all(|&s| s == 0));
     }
 
     #[test]
@@ -265,18 +278,20 @@ mod tests {
         let n = 24usize;
         let g = random_connected_graph(n, 60, 9);
         let program = AlarmedFlood::new(0, n as u64 - 1);
-        let mut runner = ParallelSyncRunner::new(&program, g, 2);
-        runner.run_until_all_accept(50).unwrap();
+        let mut runner = runner(&program, g);
+        runner.run_until(StopCondition::AllAccept, 50).unwrap();
         *runner.state_mut(smst_graph::NodeId(5)) = AlarmedFlood::BOGUS;
         // the garbage floods to the monitor (node 0), which alarms...
-        let t = runner.run_until_alarm(50).expect("the monitor must detect");
+        let t = runner
+            .run_until(StopCondition::FirstAlarm, 50)
+            .expect("the monitor must detect");
         assert!(t >= 1, "detection takes at least one propagation step");
         // ...and the geometric decay then clears it and the flood
         // re-converges to the true maximum
-        runner.run_rounds(40);
+        runner.run_until(StopCondition::Steps, 40);
         assert!(!runner.any_alarm());
         assert!(runner.all_accept());
-        assert!(runner.states().iter().all(|&s| s == n as u64 - 1));
+        assert!(runner.states_snapshot().iter().all(|&s| s == n as u64 - 1));
     }
 
     #[test]
@@ -284,12 +299,14 @@ mod tests {
         let n = 16usize;
         let g = smst_graph::generators::path_graph(n, 1);
         let program = MonitorFlood::new(n as u64 - 1, n as u64 - 1);
-        let mut runner = ParallelSyncRunner::new(&program, g, 2);
-        runner.run_until_all_accept(50).unwrap();
+        let mut runner = runner(&program, g);
+        runner.run_until(StopCondition::AllAccept, 50).unwrap();
         // corrupt the far end: the bogus value must travel the whole path
         // before the monitor (node n − 1) rejects
         *runner.state_mut(smst_graph::NodeId(0)) = MonitorFlood::BOGUS;
-        let t = runner.run_until_alarm(50).expect("monitor must detect");
+        let t = runner
+            .run_until(StopCondition::FirstAlarm, 50)
+            .expect("monitor must detect");
         assert_eq!(t, n - 1, "synchronous detection = hop distance");
         assert_eq!(
             runner.alarming_nodes(),

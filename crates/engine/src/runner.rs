@@ -1,28 +1,27 @@
-//! The one runner API: an object-safe [`Runner`] trait implemented by all
-//! four execution paths.
+//! The one runner API: an object-safe [`Runner`] trait implemented by
+//! every execution path.
 //!
-//! The workspace grew four runner entry points — the sequential references
-//! [`SyncRunner`] / [`AsyncRunner`] in `smst-sim` and the sharded
-//! [`ParallelSyncRunner`](crate::ParallelSyncRunner) /
-//! [`ShardedAsyncRunner`](crate::ShardedAsyncRunner) in this crate — each
-//! with its own constructors and its own copy of the alarm / accept /
-//! stop-condition driving loops. [`Runner`] unifies them: callers hold a
+//! The sequential references [`SyncRunner`] / [`AsyncRunner`] of `smst-sim`,
+//! the sharded [`ParallelSyncRunner`](crate::ParallelSyncRunner) /
+//! [`ShardedAsyncRunner`](crate::ShardedAsyncRunner) of this crate and the
+//! `smst-net` coordinator all implement [`Runner`]: callers hold a
 //! `Box<dyn Runner<P>>` built by
 //! [`EngineConfig::instantiate`](crate::EngineConfig::instantiate) and
 //! drive it through `step` / [`run_until`](Runner::run_until) /
 //! [`state`](Runner::state) / [`report`](Runner::report) without knowing
-//! which execution path is underneath. The shared [`StopCondition`] is
-//! consumed by the trait's single `run_until` loop — the per-runner
-//! alarm/accept loops are gone.
+//! which path is underneath.
 //!
-//! Every runner also accepts a [`RoundObserver`]
-//! ([`set_observer`](Runner::set_observer)): a per-round measurement hook
-//! (round index, alarm count, halo bytes exchanged, and the
-//! dispatch/compute/barrier/exchange phase split) shared by benches,
-//! figures, the telemetry sinks and KMW-style per-round accounting.
-//! Attaching an observer never changes results — only the wall-clock
-//! `*_ns` fields vary between runs — and an unobserved runner never
-//! reads the clock at all.
+//! # Invariants
+//!
+//! * An implementation provides one fallible step
+//!   ([`try_step`](Runner::try_step)); the panicking surface and both
+//!   `run_until` flavours are derived from it through the single
+//!   [`drive_until`] loop.
+//! * Every node-addressed method speaks **original node ids**.
+//! * Attaching a [`RoundObserver`] ([`set_observer`](Runner::set_observer))
+//!   never changes results — only the wall-clock `*_ns` fields of its
+//!   stats vary between runs — and an unobserved runner never reads the
+//!   clock.
 
 use crate::config::EngineError;
 use smst_graph::{NodeId, WeightedGraph};
@@ -67,37 +66,35 @@ pub struct RunReport {
 /// One execution path of the engine, driven step by step.
 ///
 /// Object safe: [`EngineConfig::instantiate`](crate::EngineConfig::instantiate)
-/// hands callers a `Box<dyn Runner<P>>` over any of the four execution
-/// paths. A *step* is one synchronous round or one normalized
-/// asynchronous time unit, whichever the path executes.
+/// hands callers a `Box<dyn Runner<P>>` over any execution path. A *step*
+/// is one synchronous round or one normalized asynchronous time unit,
+/// whichever the path executes.
 ///
 /// All node-addressed methods speak **original node ids** regardless of
 /// the layout policy underneath.
 pub trait Runner<P: NodeProgram> {
     /// Executes exactly one step.
     ///
-    /// The panicking convenience surface: a sharded runner whose pooled
+    /// The panicking convenience surface: a runner whose pooled or remote
     /// execution fails (worker panic past its
-    /// [`RecoveryPolicy`](crate::RecoveryPolicy), barrier watchdog
-    /// timeout) panics with the [`EngineError`] message. Callers that need
-    /// graceful degradation use [`try_step`](Runner::try_step).
-    fn step(&mut self);
+    /// [`RecoveryPolicy`](crate::RecoveryPolicy), watchdog timeout) panics
+    /// with the [`EngineError`] message. Callers that need graceful
+    /// degradation use [`try_step`](Runner::try_step).
+    fn step(&mut self) {
+        self.try_step().unwrap_or_else(|err| panic!("{err}"));
+    }
 
-    /// Executes exactly one step, surfacing pooled-execution failures as a
-    /// typed [`EngineError`] instead of unwinding.
+    /// Executes exactly one step, surfacing execution failures as a typed
+    /// [`EngineError`] instead of unwinding.
     ///
-    /// The sequential reference runners never fail (their default body
-    /// wraps [`step`](Runner::step)); the sharded runners override this
-    /// with supervised recovery — a worker panic is retried under the
-    /// configured [`RecoveryPolicy`](crate::RecoveryPolicy) and only
-    /// surfaces as `Err` once retries are exhausted (or immediately for a
-    /// [`PoolError::BarrierTimeout`](crate::PoolError::BarrierTimeout)).
+    /// The sequential reference runners never fail; the sharded and remote
+    /// runners step under supervised recovery — a worker panic is retried
+    /// under the configured [`RecoveryPolicy`](crate::RecoveryPolicy) and
+    /// only surfaces as `Err` once retries are exhausted (or immediately
+    /// for a [`PoolError::BarrierTimeout`](crate::PoolError::BarrierTimeout)).
     /// After an `Err` the runner's registers are unspecified; the run is
     /// over.
-    fn try_step(&mut self) -> Result<(), EngineError> {
-        self.step();
-        Ok(())
-    }
+    fn try_step(&mut self) -> Result<(), EngineError>;
 
     /// Steps executed so far.
     fn steps(&self) -> usize;
@@ -149,62 +146,35 @@ pub trait Runner<P: NodeProgram> {
     /// the first) or until `max_steps` additional steps have elapsed.
     /// Returns the number of steps executed by this call if the condition
     /// was met (`Some(max_steps)` for [`StopCondition::Steps`]), `None` on
-    /// timeout.
-    ///
-    /// The default body ([`drive_until`]) is the **single** implementation
-    /// of the alarm/accept driving loops that used to be duplicated per
-    /// runner; implementations may override only to substitute a faster
-    /// equivalent execution (e.g. chunked dispatch for
-    /// [`StopCondition::Steps`]), never to change results.
+    /// timeout. Panics where [`try_run_until`](Runner::try_run_until)
+    /// returns `Err`.
     fn run_until(&mut self, until: StopCondition, max_steps: usize) -> Option<usize> {
-        drive_until(self, until, max_steps)
+        self.try_run_until(until, max_steps)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// [`run_until`](Runner::run_until) over the fallible
     /// [`try_step`](Runner::try_step) surface: `Ok(Some(steps))` when the
-    /// condition was met, `Ok(None)` on timeout, `Err` when pooled
-    /// execution failed mid-run.
+    /// condition was met, `Ok(None)` on timeout, `Err` when execution
+    /// failed mid-run.
+    ///
+    /// The default body is [`drive_until`], the single driving loop;
+    /// implementations may override only to substitute a faster equivalent
+    /// execution (chunked dispatch for [`StopCondition::Steps`]), never to
+    /// change results.
     fn try_run_until(
         &mut self,
         until: StopCondition,
         max_steps: usize,
     ) -> Result<Option<usize>, EngineError> {
-        try_drive_until(self, until, max_steps)
+        drive_until(self, until, max_steps)
     }
 }
 
-/// The shared driving loop behind [`Runner::run_until`], callable from
-/// impls that override the trait method for one condition and fall back to
-/// the common loop for the rest.
-pub fn drive_until<P, R>(runner: &mut R, until: StopCondition, max_steps: usize) -> Option<usize>
-where
-    P: NodeProgram,
-    R: Runner<P> + ?Sized,
-{
-    let met = |runner: &R| match until {
-        StopCondition::Steps => false,
-        StopCondition::FirstAlarm => runner.any_alarm(),
-        StopCondition::AllAccept => runner.all_accept(),
-    };
-    if !matches!(until, StopCondition::Steps) && met(runner) {
-        return Some(0);
-    }
-    for executed in 1..=max_steps {
-        runner.step();
-        if met(runner) {
-            return Some(executed);
-        }
-    }
-    match until {
-        StopCondition::Steps => Some(max_steps),
-        _ => None,
-    }
-}
-
-/// The shared fallible driving loop behind [`Runner::try_run_until`]:
-/// [`drive_until`] over [`Runner::try_step`], stopping at the first
-/// [`EngineError`].
-pub fn try_drive_until<P, R>(
+/// The one driving loop behind [`Runner::run_until`] and
+/// [`Runner::try_run_until`], callable from impls that override the trait
+/// method for one condition and fall back to the common loop for the rest.
+pub fn drive_until<P, R>(
     runner: &mut R,
     until: StopCondition,
     max_steps: usize,
@@ -218,7 +188,7 @@ where
         StopCondition::FirstAlarm => runner.any_alarm(),
         StopCondition::AllAccept => runner.all_accept(),
     };
-    if !matches!(until, StopCondition::Steps) && met(runner) {
+    if met(runner) {
         return Ok(Some(0));
     }
     for executed in 1..=max_steps {
@@ -238,8 +208,9 @@ where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
-    fn step(&mut self) {
+    fn try_step(&mut self) -> Result<(), EngineError> {
         self.step_round();
+        Ok(())
     }
 
     fn steps(&self) -> usize {
@@ -312,8 +283,9 @@ where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
-    fn step(&mut self) {
+    fn try_step(&mut self) -> Result<(), EngineError> {
         self.step_time_unit();
+        Ok(())
     }
 
     fn steps(&self) -> usize {

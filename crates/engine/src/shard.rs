@@ -74,37 +74,62 @@ pub fn partition_balanced(topo: &CsrTopology, count: usize) -> Vec<Shard> {
     shards
 }
 
-/// The halo analysis of a shard partition: which neighbour indices of each
-/// shard fall **outside** its slice, and everything needed to execute
-/// rounds on shard-local arenas of `interior registers + halo copies`.
+/// The plan of a chunk of synchronous rounds over a shard partition: which
+/// slots of the double buffers each part writes, which it must re-pull
+/// after every round, and through which CSR it reads.
 ///
-/// The arena is one flat buffer, the per-shard regions concatenated:
-/// region `s` is `arena_offsets[s] .. arena_offsets[s + 1]`, its first
-/// `shards[s].len()` slots holding the shard's interior registers (in node
-/// order) and the remaining slots holding copies of the shard's halo — the
-/// external neighbours, ascending. A per-shard CSR remapped into **arena
-/// coordinates** lets a round read nothing but the arena; after each round
-/// every shard refreshes its halo slots by *pulling* the just-written
-/// interior values from the owning shards' regions ([`HaloPlan::exchange`]),
-/// which is the engine's only cross-shard traffic.
+/// **Halo plans** ([`HaloPlan::build`]) run rounds on shard-local arenas of
+/// `interior registers + halo copies`. The arena is one flat buffer, the
+/// per-shard regions concatenated: region `s` is
+/// [`region(s)`](HaloPlan::region), its first `shards[s].len()` slots
+/// holding the shard's interior registers (in node order) and the remaining
+/// slots holding copies of the shard's halo — the external neighbours,
+/// ascending. A per-shard CSR in **region coordinates**
+/// ([`local_csr`](HaloPlan::local_csr)) lets a shard read nothing but its
+/// own region; after each round every shard refreshes its halo slots by
+/// *pulling* the just-written interior values from the owning shards'
+/// regions ([`HaloPlan::exchange`]), which is the engine's only cross-shard
+/// traffic. A remote worker holds exactly one region of the same plan.
+///
+/// The **direct plan** ([`HaloPlan::direct`]) is the same thing with zero
+/// halo slots: the arena *is* the register vector, region `s` is shard `s`,
+/// nothing is exchanged, and parts read the whole buffer through the global
+/// CSR (there is no local one).
 #[derive(Debug, Clone)]
 pub struct HaloPlan {
     shards: Vec<Shard>,
     /// `arena_offsets[s]..arena_offsets[s + 1]` is shard `s`'s region.
     arena_offsets: Vec<usize>,
+    /// Per shard: the interior write range, in arena coordinates.
+    regions: Vec<(usize, usize)>,
     /// Per shard: the external (internal-order) node indices it reads,
     /// ascending — halo slot `h` of shard `s` mirrors node `halos[s][h]`.
     halos: Vec<Vec<u32>>,
-    /// Per shard: CSR offsets over the interior (`len == interior + 1`).
-    csr_offsets: Vec<Vec<usize>>,
-    /// Per shard: neighbour indices in arena coordinates, port order.
-    csr_neighbors: Vec<Vec<u32>>,
+    /// Per shard: the CSR over the interior in region coordinates, port
+    /// order (empty for the direct plan).
+    local_csr: Vec<CsrTopology>,
     /// Per shard: `(src, dst)` arena-coordinate copies that refresh the
     /// shard's halo slots from the owners' interiors (the pull exchange).
     exchange: Vec<Vec<(u32, u32)>>,
 }
 
 impl HaloPlan {
+    /// The plan with zero halo slots over `shards` (a contiguous cover of
+    /// the node range): regions are the shards themselves, no exchange, no
+    /// local CSRs.
+    pub fn direct(shards: &[Shard]) -> Self {
+        let mut arena_offsets: Vec<usize> = shards.iter().map(|s| s.start).collect();
+        arena_offsets.push(shards.last().map_or(0, |s| s.end));
+        HaloPlan {
+            shards: shards.to_vec(),
+            arena_offsets,
+            regions: shards.iter().map(|s| (s.start, s.end)).collect(),
+            halos: vec![Vec::new(); shards.len()],
+            local_csr: Vec::new(),
+            exchange: vec![Vec::new(); shards.len()],
+        }
+    }
+
     /// Builds the halo plan of a partition over `topo`.
     ///
     /// # Panics
@@ -155,12 +180,10 @@ impl HaloPlan {
             u32::try_from(*arena_offsets.last().unwrap()).is_ok(),
             "halo arena exceeds 2^32 - 1 slots"
         );
-        let mut csr_offsets = Vec::with_capacity(shards.len());
-        let mut csr_neighbors = Vec::with_capacity(shards.len());
+        let mut local_csr = Vec::with_capacity(shards.len());
         let mut exchange = Vec::with_capacity(shards.len());
         for (s, sh) in shards.iter().enumerate() {
-            let base = arena_offsets[s];
-            let halo_base = base + sh.len();
+            let halo_base = arena_offsets[s] + sh.len();
             let mut offsets = Vec::with_capacity(sh.len() + 1);
             let mut neighbors = Vec::new();
             offsets.push(0usize);
@@ -168,16 +191,15 @@ impl HaloPlan {
                 neighbors.extend(topo.neighbors_of(v).iter().map(|&u| {
                     let ui = u as usize;
                     if ui >= sh.start && ui < sh.end {
-                        (base + (ui - sh.start)) as u32
+                        (ui - sh.start) as u32
                     } else {
                         let slot = halos[s].binary_search(&u).expect("halo holds u");
-                        (halo_base + slot) as u32
+                        (sh.len() + slot) as u32
                     }
                 }));
                 offsets.push(neighbors.len());
             }
-            csr_offsets.push(offsets);
-            csr_neighbors.push(neighbors);
+            local_csr.push(CsrTopology::from_raw(offsets, neighbors));
             exchange.push(
                 halos[s]
                     .iter()
@@ -192,10 +214,14 @@ impl HaloPlan {
         }
         HaloPlan {
             shards: shards.to_vec(),
+            regions: shards
+                .iter()
+                .zip(&arena_offsets)
+                .map(|(sh, &base)| (base, base + sh.len()))
+                .collect(),
             arena_offsets,
             halos,
-            csr_offsets,
-            csr_neighbors,
+            local_csr,
             exchange,
         }
     }
@@ -205,9 +231,9 @@ impl HaloPlan {
         self.shards.len()
     }
 
-    /// The shard behind region `s`.
-    pub fn shard(&self, s: usize) -> Shard {
-        self.shards[s]
+    /// The shards, ascending: shard `s` is the interior of region `s`.
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
     }
 
     /// Total arena slots (interiors + halo copies).
@@ -215,9 +241,9 @@ impl HaloPlan {
         *self.arena_offsets.last().unwrap_or(&0)
     }
 
-    /// Where shard `s`'s region starts in the arena.
-    pub fn arena_offset(&self, s: usize) -> usize {
-        self.arena_offsets[s]
+    /// Shard `s`'s region of the arena: interior slots, then halo slots.
+    pub fn region(&self, s: usize) -> std::ops::Range<usize> {
+        self.arena_offsets[s]..self.arena_offsets[s + 1]
     }
 
     /// Number of halo slots of shard `s` — how many external registers the
@@ -242,22 +268,19 @@ impl HaloPlan {
         self.total_halo() * state_size
     }
 
-    /// Shard `s`'s CSR in arena coordinates: `(offsets, neighbors)` with
-    /// `neighbors[offsets[i]..offsets[i + 1]]` the arena indices of interior
-    /// node `i`'s neighbours, in port order.
-    pub fn local_csr(&self, s: usize) -> (&[usize], &[u32]) {
-        (&self.csr_offsets[s], &self.csr_neighbors[s])
+    /// Shard `s`'s CSR in **region coordinates**: row `i` lists the slots of
+    /// [`region(s)`](Self::region) holding interior node `i`'s neighbours,
+    /// in port order. `None` for the [direct](Self::direct) plan, whose
+    /// parts read the whole buffer through the global CSR.
+    pub fn local_csr(&self, s: usize) -> Option<&CsrTopology> {
+        self.local_csr.get(s)
     }
 
     /// The interior write range of every shard, in arena coordinates (the
     /// `regions` argument of
-    /// [`WorkerPool::run_rounds_halo`](crate::pool::WorkerPool::run_rounds_halo)).
-    pub fn regions(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, sh)| (self.arena_offsets[s], self.arena_offsets[s] + sh.len()))
-            .collect()
+    /// [`WorkerPool::run_rounds`](crate::pool::WorkerPool::run_rounds)).
+    pub fn regions(&self) -> &[(usize, usize)] {
+        &self.regions
     }
 
     /// The per-shard pull-exchange copies, in arena coordinates.
@@ -281,9 +304,8 @@ impl HaloPlan {
     /// register vector (halo copies are discarded — they duplicate another
     /// region's interior).
     pub fn scatter_interiors<T: Clone>(&self, arena: &[T], states: &mut [T]) {
-        for (s, sh) in self.shards.iter().enumerate() {
-            let base = self.arena_offsets[s];
-            states[sh.start..sh.end].clone_from_slice(&arena[base..base + sh.len()]);
+        for (sh, &(lo, hi)) in self.shards.iter().zip(&self.regions) {
+            states[sh.start..sh.end].clone_from_slice(&arena[lo..hi]);
         }
     }
 }
@@ -391,10 +413,10 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     src as usize,
-                    plan.arena_offset(o) + (u as usize - shards[o].start)
+                    plan.region(o).start + (u as usize - shards[o].start)
                 );
-                assert!(dst as usize >= plan.arena_offset(s) + sh.len());
-                assert!((dst as usize) < plan.arena_offset(s) + sh.len() + plan.halo_size(s));
+                assert!(dst as usize >= plan.region(s).start + sh.len());
+                assert!(plan.region(s).contains(&(dst as usize)));
             }
         }
         assert_eq!(plan.exchanged_bytes_per_round(8), 8 * plan.total_halo());
@@ -413,13 +435,16 @@ mod tests {
         plan.gather_into(&states, &mut arena);
         assert_eq!(arena.len(), plan.arena_len());
         for (s, sh) in shards.iter().enumerate() {
-            let (offsets, neighbors) = plan.local_csr(s);
-            assert_eq!(offsets.len(), sh.len() + 1);
+            let csr = plan.local_csr(s).expect("a halo plan has local CSRs");
+            let region = &arena[plan.region(s)];
+            assert_eq!(region.len(), sh.len() + plan.halo_size(s));
+            assert_eq!(csr.node_count(), sh.len());
             for (i, v) in sh.nodes().enumerate() {
-                assert_eq!(arena[plan.arena_offset(s) + i], states[v], "interior");
-                let via_arena: Vec<u64> = neighbors[offsets[i]..offsets[i + 1]]
+                assert_eq!(region[i], states[v], "interior");
+                let via_arena: Vec<u64> = csr
+                    .neighbors_of(i)
                     .iter()
-                    .map(|&a| arena[a as usize])
+                    .map(|&a| region[a as usize])
                     .collect();
                 let via_states: Vec<u64> = topo
                     .neighbors_of(v)
@@ -433,5 +458,23 @@ mod tests {
         let mut restored = vec![0u64; 120];
         plan.scatter_interiors(&arena, &mut restored);
         assert_eq!(restored, states);
+    }
+
+    #[test]
+    fn direct_plan_is_the_halo_plan_with_zero_halo_slots() {
+        let g = random_connected_graph(90, 250, 4);
+        let topo = CsrTopology::build(&g);
+        let shards = partition_balanced(&topo, 4);
+        let plan = HaloPlan::direct(&shards);
+        assert_eq!(plan.shard_count(), shards.len());
+        assert_eq!(plan.arena_len(), 90, "the arena is the register vector");
+        assert_eq!(plan.total_halo(), 0);
+        assert!(plan.exchange().iter().all(Vec::is_empty));
+        for (s, sh) in shards.iter().enumerate() {
+            assert_eq!(plan.regions()[s], (sh.start, sh.end));
+            assert_eq!(plan.region(s), sh.nodes());
+            assert!(plan.local_csr(s).is_none(), "parts read the global CSR");
+        }
+        assert_eq!(HaloPlan::direct(&[]).arena_len(), 0, "the empty graph");
     }
 }

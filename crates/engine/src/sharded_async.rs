@@ -1,89 +1,74 @@
-//! The sharded asynchronous executor: daemon-driven batches of activations.
+//! The sharded asynchronous executor: a daemon's batches swept on the pool.
 //!
 //! The sequential [`AsyncRunner`](smst_sim::AsyncRunner) activates one node
 //! at a time. [`ShardedAsyncRunner`] executes the standard **distributed
 //! daemon**: any [`BatchDaemon`] — each time unit is a sequence of batches
-//! of simultaneous activations. All activations of a batch read the
-//! registers as they were at the start of the batch, and a batch is
-//! computed in parallel on the persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) (an epoch bump on parked
-//! threads, not a per-batch thread spawn). [`EngineConfig::asynchronous`]
-//! wraps a central [`Daemon`](smst_sim::Daemon) into a
+//! of simultaneous activations. A batch is one [`sweep`] of the daemon's
+//! node list over the [`Arena`]'s registers into a reused output buffer,
+//! split across the persistent [`WorkerPool`](crate::pool::WorkerPool) when
+//! it is wide enough, and written back only once the whole batch is
+//! computed. [`EngineConfig::asynchronous`] wraps a central
+//! [`Daemon`](smst_sim::Daemon) into a
 //! [`ChunkedDaemon`](smst_sim::ChunkedDaemon) (uniform chunks of `batch`
-//! activations), which was the engine's only schedule shape before the
-//! trait; adversarial batch daemons live in `smst-adversary`.
+//! activations); adversarial batch daemons live in `smst-adversary`.
 //!
-//! # Determinism
+//! # Invariants
 //!
-//! The schedule is a pure function of `(daemon, n, unit_index)` — any RNG
-//! is re-seeded per unit from the daemon's seed, never from wall-clock or
-//! thread identity — and batch results are pure functions of the pre-batch
-//! registers. Runs are therefore **bit-for-bit reproducible at any thread
-//! count** and under any [`LayoutPolicy`]; only the daemon's batching (part
-//! of the schedule's semantics, not of its execution) changes outcomes.
-//! With batch width 1 the runner reproduces the sequential
-//! [`AsyncRunner`](smst_sim::AsyncRunner) activation-for-activation, which
-//! `tests/` pins differentially.
-//!
-//! # Recovery
-//!
-//! Under a [`RecoveryPolicy`] with retries, every time unit is guarded:
-//! the runner snapshots its registers before the unit, catches a worker
-//! panic, restores the snapshot, backs off and replays the unit. The
-//! schedule is a pure function of `(daemon, n, unit_index)` and the unit
-//! counter only advances on success, so the replay re-executes the exact
-//! same schedule — recovery is invisible in the deterministic trace.
-//! Exhausted retries surface as typed [`PoolError`]s through
-//! [`try_step_time_unit`](ShardedAsyncRunner::try_step_time_unit) /
-//! [`Runner::try_step`]. (There is no round barrier on this path, so the
-//! watchdog knob is inert here.)
+//! * **Pre-batch reads.** Every activation of a batch reads the registers
+//!   as they were when the batch started, so outcomes cannot depend on how
+//!   the batch is split across workers.
+//! * **Determinism.** The schedule is a pure function of `(daemon, n,
+//!   unit_index)` — any RNG is re-seeded per unit from the daemon's seed,
+//!   never from wall-clock or thread identity. Runs are bit-for-bit
+//!   reproducible at any thread count and under any layout; only the
+//!   daemon's batching (part of the schedule's semantics) changes
+//!   outcomes, and at batch width 1 the runner replays the sequential
+//!   [`AsyncRunner`](smst_sim::AsyncRunner) activation for activation.
+//! * **Recovery is invisible.** Every time unit runs under
+//!   [`RecoveryPolicy::supervise`]: the unit counter only advances on
+//!   success and the daemon is never consumed, so after a worker panic the
+//!   restored registers replay the identical schedule. Exhausted retries
+//!   surface as typed [`PoolError`]s through [`Runner::try_step`]. (There
+//!   is no round barrier on this path, so the watchdog knob is rejected by
+//!   [`EngineConfig::validate`].)
 
+use crate::arena::Arena;
 use crate::config::{
-    ArmedInjection, Backend, ConfigError, EngineConfig, EngineError, InjectionSpec, Mode,
-    RecoveryPolicy,
+    ArmedInjection, Backend, ConfigError, EngineConfig, EngineError, Mode, RecoveryPolicy,
 };
-use crate::layout::{Layout, LayoutPolicy};
-use crate::pool::{panic_message, PinPolicy, PoolError, PoolHandle};
-use crate::runner::{RunReport, Runner, StopCondition};
-use crate::topology::CsrTopology;
+use crate::kernel::sweep;
+use crate::pool::{PoolError, PoolHandle};
+use crate::runner::{RunReport, Runner};
 use smst_graph::{NodeId, WeightedGraph};
 use smst_sim::{
-    BatchDaemon, FaultPlan, Network, NodeContext, NodeProgram, RoundObserver, RoundStats, Verdict,
+    BatchDaemon, FaultPlan, Network, NodeContext, NodeProgram, RoundObserver, RoundStats,
 };
+use std::sync::Mutex;
 
 /// Runs a [`NodeProgram`] under an asynchronous daemon, executing each time
 /// unit's schedule in parallel batches.
 #[derive(Debug)]
 pub struct ShardedAsyncRunner<'p, P: NodeProgram> {
-    program: &'p P,
-    graph: WeightedGraph,
-    /// CSR in internal (layout) order.
-    topo: CsrTopology,
-    layout: Layout,
-    /// Contexts and registers in internal (layout) order.
-    contexts: Vec<NodeContext>,
-    states: Vec<P::State>,
-    /// `None` only transiently inside `unit_attempt` (the daemon is taken
-    /// out so its borrowed batches can drive `&mut self`, and put back
-    /// unconditionally — even across a mid-unit panic, so a retried unit
-    /// replays the identical schedule).
-    daemon: Option<Box<dyn BatchDaemon>>,
+    arena: Arena<'p, P>,
+    daemon: Box<dyn BatchDaemon>,
+    /// Reused per batch: the internal indices of the batch's nodes …
+    nodes: Vec<u32>,
+    /// … and their freshly swept registers (grown to the widest batch).
+    out: Vec<P::State>,
     pool: PoolHandle,
-    pin: PinPolicy,
     threads: usize,
     time_units: usize,
     activations: usize,
-    /// Supervised recovery for panicked time units (the watchdog knob is
-    /// inert here — there is no round barrier on this path).
+    /// Supervised recovery for panicked time units.
     recovery: RecoveryPolicy,
     /// A one-shot chaos injection, armed until it fires.
     injection: Option<ArmedInjection>,
     /// Per-time-unit measurement hook; stats are computed only while
     /// attached.
     observer: Option<Box<dyn RoundObserver>>,
-    /// Nanoseconds the current observed time unit spent in
-    /// [`activate_batch`](Self::activate_batch) (batch compute, including
-    /// the pool fan-out); accumulated only while an observer is attached.
+    /// Nanoseconds the current observed time unit spent executing batches
+    /// (the pool fan-out included); accumulated only while an observer is
+    /// attached.
     unit_compute_ns: u64,
 }
 
@@ -93,435 +78,139 @@ where
     P::State: Send + Sync,
 {
     /// Builds the runner an [`EngineConfig`] describes (an asynchronous
-    /// sharded envelope): daemon, threads, layout and pinning all come
-    /// from the one validated config — the typed-constructor twin of
-    /// [`EngineConfig::instantiate`] for callers that need the concrete
-    /// runner (e.g. to read [`activations`](Self::activations)).
+    /// sharded envelope): daemon, threads, layout, pinning, recovery and
+    /// injection all come from the one validated config — the
+    /// typed-constructor twin of [`EngineConfig::instantiate`] for callers
+    /// that need the concrete runner (e.g. to inspect the
+    /// [`arena`](Self::arena)).
     pub fn from_config(
         program: &'p P,
         graph: WeightedGraph,
         config: &EngineConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let Mode::Async(daemon) = &config.mode else {
-            return Err(ConfigError::WrongMode {
-                expected: "sharded asynchronous",
-                got: config.describe(),
-            });
+        let (Backend::Sharded, Mode::Async(daemon)) = (config.backend, &config.mode) else {
+            return Err(config.wrong_mode("sharded asynchronous"));
         };
-        if config.backend != Backend::Sharded {
-            return Err(ConfigError::WrongMode {
-                expected: "sharded asynchronous",
-                got: config.describe(),
-            });
-        }
-        let mut runner = Self::with_batch_daemon(
-            program,
-            graph,
-            daemon.build(),
-            config.threads,
-            config.layout,
-        )
-        .pinning(config.pin);
-        runner.recovery = config.recovery;
-        runner.injection = config.injection.map(ArmedInjection::new);
-        Ok(runner)
-    }
-
-    /// Creates a runner under **any** [`BatchDaemon`] — the fully general
-    /// distributed daemon: every time unit executes the daemon's batches in
-    /// order, each batch's activations simultaneous (pre-batch register
-    /// reads), in parallel on the worker pool.
-    pub fn with_batch_daemon(
-        program: &'p P,
-        graph: WeightedGraph,
-        daemon: Box<dyn BatchDaemon>,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> Self {
-        let base_topo = CsrTopology::build(&graph);
-        let layout = policy.build(&base_topo);
-        let topo = layout.apply(&base_topo);
-        let contexts: Vec<NodeContext> = (0..graph.node_count())
-            .map(|internal| NodeContext::for_node(&graph, NodeId(layout.original(internal))))
-            .collect();
-        let states: Vec<P::State> = contexts.iter().map(|ctx| program.init(ctx)).collect();
-        let threads = threads.max(1);
-        let pool = PoolHandle::for_threads(threads);
-        ShardedAsyncRunner {
-            program,
-            graph,
-            topo,
-            layout,
-            contexts,
-            states,
-            daemon: Some(daemon),
-            pool,
-            pin: PinPolicy::None,
-            threads,
+        Ok(ShardedAsyncRunner {
+            arena: Arena::new(program, graph, config.layout),
+            daemon: daemon.build(),
+            nodes: Vec::new(),
+            out: Vec::new(),
+            pool: PoolHandle::for_threads_with(config.threads, config.pin),
+            threads: config.threads,
             time_units: 0,
             activations: 0,
-            recovery: RecoveryPolicy::default(),
-            injection: None,
+            recovery: config.recovery,
+            injection: config.injection.map(ArmedInjection::new),
             observer: None,
             unit_compute_ns: 0,
-        }
+        })
     }
 
-    /// Sets the [`RecoveryPolicy`] guarding every time unit (retries +
-    /// backoff; the watchdog knob is inert on this path). Results are
-    /// recovery-invariant: a replay re-executes the exact same schedule
-    /// from the pre-unit registers.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
+    /// The arena the batches run on: program, graph, layout, renumbered
+    /// topology and the registers in internal order.
+    pub fn arena(&self) -> &Arena<'p, P> {
+        &self.arena
     }
 
-    /// Arms a one-shot chaos [`InjectionSpec`] (tests and campaigns): the
-    /// matching `(time unit, batch piece)` compute misbehaves exactly once.
-    pub fn inject(mut self, spec: InjectionSpec) -> Self {
-        self.injection = Some(ArmedInjection::new(spec));
-        self
-    }
-
-    /// Attaches a [`RoundObserver`] invoked after every time unit
-    /// (replacing any previous one). Purely observational — batch
-    /// outcomes never change.
-    pub fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn RoundObserver>> {
-        self.observer.take()
-    }
-
-    /// Sets the worker [`PinPolicy`], re-acquiring a pool whose workers
-    /// were spawned under it. Purely a wall-clock knob — batch outcomes are
-    /// thread- and placement-invariant by the determinism contract.
-    pub fn pinning(mut self, pin: PinPolicy) -> Self {
-        if pin != self.pin {
-            self.pin = pin;
-            self.pool = PoolHandle::for_threads_with(self.threads, pin);
-        }
-        self
-    }
-
-    /// The worker pin policy the runner dispatches under.
-    pub fn pin_policy(&self) -> PinPolicy {
-        self.pin
-    }
-
-    /// Normalized asynchronous time units elapsed so far.
-    pub fn time_units(&self) -> usize {
-        self.time_units
-    }
-
-    /// Raw single-node activations executed so far.
-    pub fn activations(&self) -> usize {
-        self.activations
-    }
-
-    /// The daemon driving the schedule.
-    pub fn daemon(&self) -> &dyn BatchDaemon {
+    /// One attempt at a time unit's full schedule: every batch swept from
+    /// the pre-batch registers into `out`, then written back. Unwinds on a
+    /// worker panic, leaving the unit counter untouched.
+    fn run_unit(&mut self) {
+        let (program, topo) = (self.arena.program, &self.arena.topo);
+        let (layout, contexts) = (&self.arena.layout, &self.arena.contexts[..]);
+        let states = &mut self.arena.states;
+        let (nodes, out) = (&mut self.nodes, &mut self.out);
+        let (pool, threads) = (self.pool.pool(), self.threads);
+        let (injection, unit) = (self.injection.as_ref(), self.time_units);
+        let (activations, compute_ns) = (&mut self.activations, &mut self.unit_compute_ns);
+        let timed = self.observer.is_some();
         self.daemon
-            .as_deref()
-            .expect("runner daemon missing: a prior time unit panicked mid-schedule")
-    }
-
-    /// The node layout (identity unless built with
-    /// [`LayoutPolicy::Rcm`]).
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// The pool handle the runner dispatches batches on.
-    pub fn pool(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// The graph being executed.
-    pub fn graph(&self) -> &WeightedGraph {
-        &self.graph
-    }
-
-    /// All registers in the engine's **internal storage order** — original
-    /// node-id order exactly when [`layout`](Self::layout)
-    /// `.is_identity()`. Use [`states_snapshot`](Self::states_snapshot) for
-    /// an order-independent view.
-    pub fn states(&self) -> &[P::State] {
-        &self.states
-    }
-
-    /// The registers in original node-id order (clones; layout-independent).
-    pub fn states_snapshot(&self) -> Vec<P::State> {
-        (0..self.states.len())
-            .map(|v| self.states[self.layout.internal(v)].clone())
-            .collect()
-    }
-
-    /// The register of one node (original id).
-    pub fn state(&self, v: NodeId) -> &P::State {
-        &self.states[self.layout.internal(v.index())]
-    }
-
-    /// Mutable access to one register (fault injection; original id).
-    pub fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        &mut self.states[self.layout.internal(v.index())]
-    }
-
-    /// The static context of a node (original id).
-    pub fn context(&self, v: NodeId) -> &NodeContext {
-        &self.contexts[self.layout.internal(v.index())]
-    }
-
-    /// The nodes currently raising an alarm (original ids, ascending).
-    pub fn alarming_nodes(&self) -> Vec<NodeId> {
-        (0..self.states.len())
-            .map(NodeId)
-            .filter(|v| {
-                let i = self.layout.internal(v.index());
-                self.program.verdict(&self.contexts[i], &self.states[i]) == Verdict::Reject
-            })
-            .collect()
-    }
-
-    /// Applies a [`FaultPlan`] through a caller-supplied mutator.
-    pub fn apply_faults<F>(&mut self, plan: &FaultPlan, mut mutate: F)
-    where
-        F: FnMut(NodeId, &mut P::State),
-    {
-        for &v in plan.nodes() {
-            mutate(v, &mut self.states[self.layout.internal(v.index())]);
-        }
-    }
-
-    /// Consumes the runner, returning a sequential [`Network`] holding the
-    /// final registers in original node-id order.
-    pub fn into_network(self) -> Network<P> {
-        let states = self.layout.unpermute(self.states);
-        Network::with_states(self.graph, states)
-    }
-
-    /// Executes one batch of simultaneous activations (`chunk` holds
-    /// original node ids).
-    fn activate_batch(&mut self, chunk: &[u32]) {
-        // all reads are pre-batch: the next states are fully computed before
-        // any register is written, so results do not depend on the worker
-        // split (the spawn threshold and the layout cannot change outcomes,
-        // only wall-clock)
-        // smst-lint: allow(clock, reason = "observer-gated batch timing; wall time never feeds round state")
-        let batch_start = self.observer.is_some().then(std::time::Instant::now);
-        let layout = &self.layout;
-        // under the identity layout the daemon's chunk already holds
-        // internal indices: borrow it instead of allocating per batch
-        let translated: Vec<u32>;
-        let internal: &[u32] = if layout.is_identity() {
-            chunk
-        } else {
-            translated = chunk
-                .iter()
-                .map(|&v| layout.internal(v as usize) as u32)
-                .collect();
-            &translated
-        };
-        // one worker piece per MIN_BATCH_SPAWN activations, capped by the
-        // thread count; pieces == 1 stays inline on the caller
-        let pieces = self.threads.min(internal.len() / MIN_BATCH_SPAWN).max(1);
-        let injection = self.injection.as_ref();
-        let unit = self.time_units;
-        let computed: Vec<P::State> = if pieces == 1 {
-            if let Some(inj) = injection {
-                inj.maybe_fire(unit, 0);
-            }
-            compute_nodes(
-                self.program,
-                &self.topo,
-                &self.contexts,
-                &self.states,
-                internal,
-            )
-        } else {
-            let (program, topo) = (self.program, &self.topo);
-            let (contexts, states) = (&self.contexts, &self.states);
-            let nodes = internal;
-            let parts = self.pool.pool().dispatch_map(pieces, |k| {
-                if let Some(inj) = injection {
-                    inj.maybe_fire(unit, k);
-                }
-                let lo = nodes.len() * k / pieces;
-                let hi = nodes.len() * (k + 1) / pieces;
-                compute_nodes(program, topo, contexts, states, &nodes[lo..hi])
-            });
-            let mut all = Vec::with_capacity(nodes.len());
-            for part in parts {
-                all.extend(part);
-            }
-            all
-        };
-        for (&v, value) in internal.iter().zip(computed) {
-            self.states[v as usize] = value;
-        }
-        self.activations += chunk.len();
-        if let Some(t) = batch_start {
-            self.unit_compute_ns += t.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// One attempt at a time unit's full schedule. The daemon is put back
-    /// in its slot **unconditionally** — a panic leaves the runner ready to
-    /// replay the exact same unit (the schedule is a pure function of
-    /// `(daemon, n, unit_index)` and the unit counter has not advanced).
-    fn unit_attempt(&mut self) -> Result<(), Box<dyn std::any::Any + Send>> {
-        // take the daemon out so its borrowed batches can drive &mut self;
-        // for_each_batch lends slices (no per-batch Vec materialization —
-        // ChunkedDaemon chunks one flat schedule, the adversarial daemons
-        // lend their precomputed node sets)
-        let daemon = self
-            .daemon
-            .take()
-            .expect("runner daemon missing (stolen mid-unit?)");
-        let n = self.topo.node_count();
-        let unit = self.time_units;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut chunk: Vec<u32> = Vec::new();
-            daemon.for_each_batch(n, unit, &mut |batch| {
+            .for_each_batch(states.len(), unit, &mut |batch| {
                 if batch.is_empty() {
                     return;
                 }
-                chunk.clear();
-                chunk.extend(batch.iter().map(|v| v.index() as u32));
-                self.activate_batch(&chunk);
+                // smst-lint: allow(clock, reason = "observer-gated batch timing; wall time never feeds round state")
+                let start = timed.then(std::time::Instant::now);
+                nodes.clear();
+                nodes.extend(batch.iter().map(|v| layout.internal(v.index()) as u32));
+                let len = nodes.len();
+                if out.len() < len {
+                    // any register serves as filler: the sweep overwrites it
+                    out.resize(len, states[0].clone());
+                }
+                // one worker piece per MIN_BATCH_SPAWN activations, capped
+                // by the thread count; a single piece runs inline on the
+                // caller. Each piece owns a disjoint window of `out`.
+                let pieces = threads.min(len / MIN_BATCH_SPAWN).max(1);
+                let bound = |k: usize| len * k / pieces;
+                let mut rest = &mut out[..len];
+                let windows: Vec<Mutex<&mut [P::State]>> = (0..pieces)
+                    .map(|k| {
+                        let (window, tail) =
+                            std::mem::take(&mut rest).split_at_mut(bound(k + 1) - bound(k));
+                        rest = tail;
+                        Mutex::new(window)
+                    })
+                    .collect();
+                let registers = &states[..];
+                pool.dispatch(pieces, &|k| {
+                    if let Some(injection) = injection {
+                        injection.maybe_fire(unit, k);
+                    }
+                    let piece = nodes[bound(k)..bound(k + 1)].iter().map(|&v| v as usize);
+                    let mut window = windows[k].lock().expect("one piece per window");
+                    sweep(program, topo, contexts, registers, piece, &mut window);
+                });
+                drop(windows);
+                for (&v, value) in nodes.iter().zip(out.iter_mut()) {
+                    std::mem::swap(&mut states[v as usize], value);
+                }
+                *activations += len;
+                if let Some(start) = start {
+                    *compute_ns += start.elapsed().as_nanos() as u64;
+                }
             });
-        }));
-        self.daemon = Some(daemon);
-        outcome
     }
 
     /// Executes one normalized time unit (every node activated at least
-    /// once, in daemon-chosen batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`PoolError`] message when the unit fails past its
-    /// [`RecoveryPolicy`] — the panicking twin of
-    /// [`try_step_time_unit`](Self::try_step_time_unit).
-    pub fn step_time_unit(&mut self) {
-        self.try_step_time_unit()
-            .unwrap_or_else(|err| panic!("{err}"));
-    }
-
-    /// [`step_time_unit`](Self::step_time_unit) surfacing failures as a
-    /// typed [`PoolError`]: a panicked unit is replayed under the
-    /// configured [`RecoveryPolicy`] (restore the pre-unit registers, back
-    /// off, re-run the identical schedule) and only surfaces as `Err` once
-    /// retries are exhausted.
-    pub fn try_step_time_unit(&mut self) -> Result<(), PoolError> {
+    /// once, in daemon-chosen batches) under the [`RecoveryPolicy`]: a
+    /// panicked unit restores the pre-unit registers and replays the
+    /// identical schedule.
+    fn try_unit(&mut self) -> Result<(), PoolError> {
         // smst-lint: allow(clock, reason = "observer-gated unit timing; wall time never feeds round state")
         let start = self.observer.is_some().then(std::time::Instant::now);
         self.unit_compute_ns = 0;
         let activations_before = self.activations;
-        let snapshot = (self.recovery.max_retries > 0).then(|| self.states.clone());
-        let mut attempts = 0u32;
-        loop {
-            match self.unit_attempt() {
-                Ok(()) => break,
-                Err(payload) => {
-                    self.unit_compute_ns = 0;
-                    attempts += 1;
-                    let exhausted = attempts > self.recovery.max_retries;
-                    let Some(states) = snapshot.as_ref().filter(|_| !exhausted) else {
-                        return Err(PoolError::WorkerPanic {
-                            attempts,
-                            message: panic_message(&payload),
-                        });
-                    };
-                    self.states.clone_from(states);
-                    self.activations = activations_before;
-                    let backoff = self.recovery.backoff_before(attempts);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            }
-        }
+        let snapshot = (self.recovery.max_retries > 0).then(|| self.arena.states.clone());
+        let policy = self.recovery;
+        policy.supervise_unwinding(self, Self::run_unit, |this| {
+            let states = snapshot.as_ref().expect("retries imply a snapshot");
+            this.arena.states.clone_from(states);
+            this.activations = activations_before;
+            this.unit_compute_ns = 0;
+        })?;
         self.time_units += 1;
         // measured before the observer's verdict sweep, so the phase sum
         // reflects the unit itself, not the cost of observing it
         let total_ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        if let Some(mut observer) = self.observer.take() {
-            let compute_ns = self.unit_compute_ns;
+        let compute_ns = self.unit_compute_ns;
+        if let Some(observer) = self.observer.as_mut() {
             observer.on_round(&RoundStats {
                 round: self.time_units - 1,
-                alarms: self.alarming_nodes().len(),
+                alarms: self.arena.alarm_count(),
                 activations: self.activations - activations_before,
                 halo_bytes: 0,
-                // residual: daemon scheduling, chunk translation, batch
-                // bookkeeping — everything outside activate_batch
+                // residual: daemon scheduling and everything else outside
+                // the batches
                 dispatch_ns: total_ns.saturating_sub(compute_ns),
                 compute_ns,
                 barrier_ns: 0,
                 exchange_ns: 0,
             });
-            self.observer = Some(observer);
         }
         Ok(())
-    }
-
-    /// Executes `count` time units.
-    pub fn run_time_units(&mut self, count: usize) {
-        for _ in 0..count {
-            self.step_time_unit();
-        }
-    }
-
-    /// Runs until `stop` holds (checked after every time unit) or until
-    /// `max_units` additional units have elapsed.
-    ///
-    /// `stop` observes the registers in internal storage order (original
-    /// order under the identity layout).
-    pub fn run_until<F>(&mut self, max_units: usize, mut stop: F) -> Option<usize>
-    where
-        F: FnMut(&[P::State]) -> bool,
-    {
-        if stop(&self.states) {
-            return Some(0);
-        }
-        for executed in 1..=max_units {
-            self.step_time_unit();
-            if stop(&self.states) {
-                return Some(executed);
-            }
-        }
-        None
-    }
-
-    /// `true` if at least one node raises an alarm.
-    pub fn any_alarm(&self) -> bool {
-        self.contexts
-            .iter()
-            .zip(&self.states)
-            .any(|(ctx, s)| self.program.verdict(ctx, s) == Verdict::Reject)
-    }
-
-    /// `true` if every node accepts.
-    pub fn all_accept(&self) -> bool {
-        self.contexts
-            .iter()
-            .zip(&self.states)
-            .all(|(ctx, s)| self.program.verdict(ctx, s) == Verdict::Accept)
-    }
-
-    /// Runs until some node raises an alarm; returns the detection time in
-    /// time units. (Delegates to the shared [`Runner::run_until`] loop.)
-    pub fn run_until_alarm(&mut self, max_units: usize) -> Option<usize> {
-        Runner::run_until(self, StopCondition::FirstAlarm, max_units)
-    }
-
-    /// Runs until every node accepts. (Delegates to the shared
-    /// [`Runner::run_until`] loop.)
-    pub fn run_until_all_accept(&mut self, max_units: usize) -> Option<usize> {
-        Runner::run_until(self, StopCondition::AllAccept, max_units)
     }
 }
 
@@ -530,12 +219,8 @@ where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
-    fn step(&mut self) {
-        self.step_time_unit();
-    }
-
     fn try_step(&mut self) -> Result<(), EngineError> {
-        self.try_step_time_unit().map_err(EngineError::from)
+        Ok(self.try_unit()?)
     }
 
     fn steps(&self) -> usize {
@@ -547,131 +232,100 @@ where
     }
 
     fn graph(&self) -> &WeightedGraph {
-        &self.graph
+        self.arena.graph()
     }
 
     fn state(&self, v: NodeId) -> &P::State {
-        ShardedAsyncRunner::state(self, v)
+        self.arena.state(v)
     }
 
     fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        ShardedAsyncRunner::state_mut(self, v)
+        self.arena.state_mut(v)
     }
 
     fn states_snapshot(&self) -> Vec<P::State> {
-        ShardedAsyncRunner::states_snapshot(self)
+        self.arena.states_snapshot()
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        ShardedAsyncRunner::context(self, v).clone()
+        self.arena.context(v).clone()
     }
 
     fn any_alarm(&self) -> bool {
-        ShardedAsyncRunner::any_alarm(self)
+        self.arena.any_alarm()
     }
 
     fn all_accept(&self) -> bool {
-        ShardedAsyncRunner::all_accept(self)
+        self.arena.all_accept()
     }
 
     fn alarming_nodes(&self) -> Vec<NodeId> {
-        ShardedAsyncRunner::alarming_nodes(self)
+        self.arena.alarming_nodes()
     }
 
     fn apply_faults(&mut self, plan: &FaultPlan, mutate: &mut dyn FnMut(NodeId, &mut P::State)) {
-        ShardedAsyncRunner::apply_faults(self, plan, mutate);
+        self.arena.apply_faults(plan, mutate);
     }
 
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        ShardedAsyncRunner::set_observer(self, observer);
+        self.observer = Some(observer);
     }
 
     fn report(&self) -> RunReport {
-        let daemon = self
-            .daemon
-            .as_deref()
-            .map_or_else(|| "poisoned".to_string(), BatchDaemon::describe);
         RunReport {
-            node_count: self.states.len(),
+            node_count: self.arena.node_count(),
             steps: self.time_units,
             activations: self.activations,
             threads: self.threads,
-            engine: format!("sharded-async(threads={},daemon={daemon})", self.threads),
+            engine: format!(
+                "sharded-async(threads={},daemon={})",
+                self.threads,
+                self.daemon.describe()
+            ),
         }
     }
 
     fn into_network(self: Box<Self>) -> Network<P> {
-        ShardedAsyncRunner::into_network(*self)
+        self.arena.into_network()
     }
 }
 
 /// Smallest number of batch activations **per worker piece** worth a pool
-/// dispatch. PR 1 spawned scoped threads per batch, so its threshold had to
-/// cover tens of µs of spawn cost (1024 activations) and everything below
-/// it silently ran sequential with different thread accounting; a pool
-/// dispatch is an epoch bump on parked workers (single-digit µs), so small
-/// batches now reuse the pool as soon as each piece has this much work.
-/// Thread splits never affect results — this is purely a wall-clock knob.
-pub(crate) const MIN_BATCH_SPAWN: usize = 16;
-
-/// Computes the next registers of the given nodes (internal indices) from
-/// the current (pre-batch) registers.
-fn compute_nodes<P: NodeProgram>(
-    program: &P,
-    topo: &CsrTopology,
-    contexts: &[NodeContext],
-    states: &[P::State],
-    nodes: &[u32],
-) -> Vec<P::State> {
-    let mut buf: Vec<&P::State> = Vec::with_capacity(16);
-    nodes
-        .iter()
-        .map(|&v| {
-            let v = v as usize;
-            buf.clear();
-            buf.extend(topo.neighbors_of(v).iter().map(|&u| &states[u as usize]));
-            program.step(&contexts[v], &states[v], &buf)
-        })
-        .collect()
-}
+/// dispatch: an epoch bump on parked workers costs single-digit µs, so a
+/// batch is split as soon as each piece has this much work. Thread splits
+/// never affect results — this is purely a wall-clock knob.
+const MIN_BATCH_SPAWN: usize = 16;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InjectionSpec;
+    use crate::layout::LayoutPolicy;
+    use crate::runner::StopCondition;
     use smst_graph::generators::{path_graph, random_connected_graph};
-    use smst_sim::{AsyncRunner, Daemon, RecordingObserver};
+    use smst_sim::{AsyncRunner, Daemon, RecordingObserver, Verdict};
 
     struct MinId;
 
     static MIN_ID: MinId = MinId;
 
-    /// A runner built through the one config envelope (the deprecated
-    /// positional constructors are gone).
+    fn from_config(g: &WeightedGraph, config: &EngineConfig) -> ShardedAsyncRunner<'static, MinId> {
+        ShardedAsyncRunner::from_config(&MIN_ID, g.clone(), config).expect("a valid test envelope")
+    }
+
+    fn envelope(daemon: Daemon, batch: usize, threads: usize) -> EngineConfig {
+        EngineConfig::new()
+            .asynchronous(daemon, batch)
+            .threads(threads)
+    }
+
     fn runner(
         g: &WeightedGraph,
         daemon: Daemon,
         batch: usize,
         threads: usize,
     ) -> ShardedAsyncRunner<'static, MinId> {
-        runner_with_layout(g, daemon, batch, threads, LayoutPolicy::Identity)
-    }
-
-    fn runner_with_layout(
-        g: &WeightedGraph,
-        daemon: Daemon,
-        batch: usize,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> ShardedAsyncRunner<'static, MinId> {
-        ShardedAsyncRunner::from_config(
-            &MIN_ID,
-            g.clone(),
-            &EngineConfig::new()
-                .asynchronous(daemon, batch)
-                .threads(threads)
-                .layout(policy),
-        )
-        .expect("a valid test envelope")
+        from_config(g, &envelope(daemon, batch, threads))
     }
 
     impl NodeProgram for MinId {
@@ -708,7 +362,7 @@ mod tests {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let mut seq =
                     AsyncRunner::new(&MinId, Network::new(&MinId, g.clone()), daemon.clone());
-                let mut par = runner_with_layout(&g, daemon.clone(), 1, 4, policy);
+                let mut par = from_config(&g, &envelope(daemon.clone(), 1, 4).layout(policy));
                 for unit in 0..6 {
                     assert_eq!(
                         par.states_snapshot(),
@@ -716,7 +370,7 @@ mod tests {
                         "{daemon:?}, unit {unit}, {policy:?}"
                     );
                     seq.step_time_unit();
-                    par.step_time_unit();
+                    par.step();
                 }
                 assert_eq!(par.activations(), seq.activations(), "{daemon:?}");
             }
@@ -737,15 +391,15 @@ mod tests {
         let mut multi = runner(&g, Daemon::RoundRobin, batch, 4);
         for unit in 0..4 {
             sync.step_round();
-            single.step_time_unit();
-            multi.step_time_unit();
+            single.step();
+            multi.step();
             assert_eq!(
-                multi.states(),
-                single.states(),
+                multi.arena.states(),
+                single.arena.states(),
                 "thread split changed results at unit {unit}"
             );
             assert_eq!(
-                multi.states(),
+                multi.arena.states(),
                 sync.network().states(),
                 "full-batch round-robin diverged from a synchronous round at unit {unit}"
             );
@@ -768,13 +422,13 @@ mod tests {
             4 * super::MIN_BATCH_SPAWN,
         ] {
             let mut reference = runner(&g, daemon.clone(), batch, 1);
-            reference.run_time_units(4);
+            reference.run_until(StopCondition::Steps, 4);
             for threads in [2, 3, 8] {
                 let mut runner = runner(&g, daemon.clone(), batch, threads);
-                runner.run_time_units(4);
+                runner.run_until(StopCondition::Steps, 4);
                 assert_eq!(
-                    runner.states(),
-                    reference.states(),
+                    runner.arena.states(),
+                    reference.arena.states(),
                     "batch {batch}, threads {threads} changed the outcome"
                 );
                 assert_eq!(runner.activations(), reference.activations());
@@ -790,13 +444,13 @@ mod tests {
             extra_factor: 1,
         };
         let mut reference = runner(&g, daemon.clone(), 8, 1);
-        reference.run_time_units(5);
+        reference.run_until(StopCondition::Steps, 5);
         for threads in [2, 3, 4, 9] {
             let mut runner = runner(&g, daemon.clone(), 8, threads);
-            runner.run_time_units(5);
+            runner.run_until(StopCondition::Steps, 5);
             assert_eq!(
-                runner.states(),
-                reference.states(),
+                runner.arena.states(),
+                reference.arena.states(),
                 "thread count {threads} changed the outcome"
             );
             assert_eq!(runner.activations(), reference.activations());
@@ -813,20 +467,19 @@ mod tests {
             extra_factor: 1,
         };
         let mut chunked = runner(&g, daemon.clone(), 1, 2);
-        let mut boxed = ShardedAsyncRunner::with_batch_daemon(
-            &MinId,
-            g,
-            Box::new(daemon),
-            2,
-            LayoutPolicy::Identity,
+        let mut boxed = from_config(
+            &g,
+            &EngineConfig::new()
+                .batch_daemon(Box::new(daemon))
+                .threads(2),
         );
         for _ in 0..5 {
-            chunked.step_time_unit();
-            boxed.step_time_unit();
-            assert_eq!(chunked.states(), boxed.states());
+            chunked.step();
+            boxed.step();
+            assert_eq!(chunked.arena.states(), boxed.arena.states());
         }
         assert_eq!(chunked.activations(), boxed.activations());
-        assert!(boxed.daemon().describe().starts_with("random"));
+        assert!(boxed.report().engine.contains("daemon=random"));
     }
 
     #[test]
@@ -844,7 +497,7 @@ mod tests {
             },
         ] {
             let mut runner = runner(&g, daemon, 4, 3);
-            let t = runner.run_until_all_accept(50).unwrap();
+            let t = runner.run_until(StopCondition::AllAccept, 50).unwrap();
             assert!(t <= 12);
         }
     }
@@ -853,11 +506,11 @@ mod tests {
     fn fault_injection_heals() {
         let g = random_connected_graph(20, 50, 4);
         let mut runner = runner(&g, Daemon::RoundRobin, 5, 2);
-        runner.run_until_all_accept(30).unwrap();
+        runner.run_until(StopCondition::AllAccept, 30).unwrap();
         let plan = FaultPlan::random(20, 4, 1);
-        runner.apply_faults(&plan, |_v, s| *s = 77);
+        runner.apply_faults(&plan, &mut |_v, s| *s = 77);
         assert!(!runner.all_accept());
-        assert!(runner.run_until_all_accept(30).is_some());
+        assert!(runner.run_until(StopCondition::AllAccept, 30).is_some());
     }
 
     #[test]
@@ -868,18 +521,22 @@ mod tests {
             extra_factor: 1,
         };
         for threads in [1, 2, 8] {
-            let mut clean = runner(&g, daemon.clone(), 8, threads);
-            let mut chaos = runner(&g, daemon.clone(), 8, threads)
-                .recovery(RecoveryPolicy::retries(2))
-                .inject(InjectionSpec::panic_at(2, 0));
+            let config = envelope(daemon.clone(), 8, threads);
+            let mut clean = from_config(&g, &config);
+            let mut chaos = from_config(
+                &g,
+                &config
+                    .recovery(RecoveryPolicy::retries(2))
+                    .inject(InjectionSpec::panic_at(2, 0)),
+            );
             let clean_trace = RecordingObserver::new();
             let chaos_trace = RecordingObserver::new();
             clean.set_observer(Box::new(clean_trace.clone()));
             chaos.set_observer(Box::new(chaos_trace.clone()));
             for _ in 0..6 {
-                clean.step_time_unit();
+                clean.step();
                 chaos
-                    .try_step_time_unit()
+                    .try_step()
                     .expect("the injected panic is retried away");
             }
             assert_eq!(
@@ -887,7 +544,7 @@ mod tests {
                 clean_trace.deterministic_trace(),
                 "recovery must be invisible ({threads} threads)"
             );
-            assert_eq!(chaos.states(), clean.states());
+            assert_eq!(chaos.arena.states(), clean.arena.states());
             assert_eq!(chaos.activations(), clean.activations());
         }
     }
@@ -896,9 +553,12 @@ mod tests {
     fn exhausted_retries_surface_a_typed_worker_panic() {
         let g = random_connected_graph(30, 70, 3);
         // default policy: no retries, the first panic is the error
-        let mut chaos = runner(&g, Daemon::RoundRobin, 6, 2).inject(InjectionSpec::panic_at(0, 0));
-        match chaos.try_step_time_unit() {
-            Err(PoolError::WorkerPanic { attempts, message }) => {
+        let mut chaos = from_config(
+            &g,
+            &envelope(Daemon::RoundRobin, 6, 2).inject(InjectionSpec::panic_at(0, 0)),
+        );
+        match chaos.try_step() {
+            Err(EngineError::Pool(PoolError::WorkerPanic { attempts, message })) => {
                 assert_eq!(attempts, 1);
                 assert!(message.contains("injected chaos panic"), "{message}");
             }
@@ -908,7 +568,11 @@ mod tests {
         // the unwind, and the one-shot injection is spent: the same runner
         // keeps stepping
         assert_eq!(chaos.steps(), 0);
-        chaos.step_time_unit();
+        chaos.step();
         assert_eq!(chaos.steps(), 1);
+        assert!(chaos
+            .report()
+            .engine
+            .ends_with("daemon=round-robin@batch=6)"));
     }
 }

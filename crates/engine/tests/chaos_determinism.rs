@@ -11,8 +11,8 @@
 
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    run_chaos, ChaosReport, EngineConfig, InjectionSpec, LayoutPolicy, ParallelSyncRunner,
-    PoolError, RecoveryPolicy,
+    run_chaos, ChaosReport, EngineConfig, EngineError, InjectionSpec, LayoutPolicy,
+    ParallelSyncRunner, PoolError, RecoveryPolicy, Runner, StopCondition,
 };
 use smst_graph::generators::expander_graph;
 use smst_sim::{Daemon, FaultSchedule, RecordingObserver};
@@ -194,8 +194,8 @@ fn a_hung_worker_is_a_typed_timeout_not_a_deadlock() {
         .inject(InjectionSpec::stall_at(2, 1, 400));
     let mut runner =
         ParallelSyncRunner::from_config(&program, graph, &config).expect("a valid stall envelope");
-    match runner.try_run_rounds(6) {
-        Err(PoolError::BarrierTimeout { timeout }) => {
+    match runner.try_run_until(StopCondition::Steps, 6) {
+        Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {
             assert_eq!(timeout, watchdog, "the configured watchdog surfaced")
         }
         other => panic!("a hung worker must trip the watchdog, got {other:?}"),

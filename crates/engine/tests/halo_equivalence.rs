@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
     partition_balanced, CsrTopology, EngineConfig, HaloPlan, LayoutPolicy, ParallelSyncRunner,
-    PinPolicy, ShardedAsyncRunner,
+    PinPolicy, Runner, ShardedAsyncRunner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
@@ -48,7 +48,7 @@ proptest! {
                         .pin(pin);
                     let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
                         .expect("a valid halo envelope");
-                    par.run_rounds(rounds);
+                    par.run_until(StopCondition::Steps, rounds);
                     let snapshot = par.states_snapshot();
                     prop_assert_eq!(
                         snapshot.as_slice(),
@@ -80,14 +80,14 @@ proptest! {
                 .expect("a valid halo envelope");
         let mut direct = ParallelSyncRunner::from_config(&program, g.clone(), &rcm4)
             .expect("a valid sharded sync envelope");
-        halo.step_round();
-        direct.step_round();
-        halo.run_rounds(3);
-        direct.run_rounds(3);
-        halo.step_round();
-        direct.step_round();
+        halo.step();
+        direct.step();
+        halo.run_until(StopCondition::Steps, 3);
+        direct.run_until(StopCondition::Steps, 3);
+        halo.step();
+        direct.step();
         prop_assert_eq!(halo.states_snapshot(), direct.states_snapshot());
-        prop_assert_eq!(halo.rounds(), 5);
+        prop_assert_eq!(halo.steps(), 5);
     }
 }
 
@@ -115,7 +115,7 @@ proptest! {
                     .pin(PinPolicy::Cores);
                 let mut par = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded async envelope");
-                par.run_time_units(units);
+                par.run_until(StopCondition::Steps, units);
                 let snapshot = par.states_snapshot();
                 prop_assert_eq!(
                     snapshot.as_slice(),

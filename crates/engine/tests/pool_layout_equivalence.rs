@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use smst_engine::layout::mean_bandwidth;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
-    CsrTopology, EngineConfig, Layout, LayoutPolicy, ParallelSyncRunner, ShardedAsyncRunner,
+    CsrTopology, EngineConfig, Layout, LayoutPolicy, ParallelSyncRunner, Runner,
+    ShardedAsyncRunner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
@@ -42,7 +43,7 @@ proptest! {
                 let config = EngineConfig::new().threads(threads).layout(policy);
                 let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded sync envelope");
-                par.run_rounds(rounds);
+                par.run_until(StopCondition::Steps, rounds);
                 let snapshot = par.states_snapshot();
                 prop_assert_eq!(
                     snapshot.as_slice(),
@@ -77,7 +78,7 @@ proptest! {
                     .layout(policy);
                 let mut par = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded async envelope");
-                par.run_time_units(units);
+                par.run_until(StopCondition::Steps, units);
                 let snapshot = par.states_snapshot();
                 prop_assert_eq!(
                     snapshot.as_slice(),
@@ -107,7 +108,7 @@ proptest! {
         let mut reference =
             ShardedAsyncRunner::from_config(&program, g.clone(), &reference_config)
                 .expect("a valid sharded async envelope");
-        reference.run_time_units(units);
+        reference.run_until(StopCondition::Steps, units);
         for threads in [2usize, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let config = EngineConfig::new()
@@ -116,7 +117,7 @@ proptest! {
                     .layout(policy);
                 let mut runner = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded async envelope");
-                runner.run_time_units(units);
+                runner.run_until(StopCondition::Steps, units);
                 prop_assert_eq!(
                     runner.states_snapshot(),
                     reference.states_snapshot(),

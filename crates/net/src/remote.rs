@@ -31,12 +31,12 @@ use crate::wire::{
 };
 use crate::worker::layout_to_wire;
 use smst_engine::{
-    partition_balanced, Backend, ConfigError, CsrTopology, EngineConfig, EngineError, HaloPlan,
-    InjectionKind, InjectionSpec, Layout, LayoutPolicy, PoolError, RecoveryPolicy, RunReport,
-    Runner, Shard,
+    partition_balanced, Arena, AttemptFailure, Backend, ConfigError, EngineConfig, EngineError,
+    HaloPlan, InjectionKind, InjectionSpec, LayoutPolicy, PoolError, RecoveryPolicy, RunReport,
+    Runner,
 };
 use smst_graph::{NodeId, WeightedGraph};
-use smst_sim::{FaultPlan, Network, NodeContext, RoundObserver, RoundStats, Verdict};
+use smst_sim::{FaultPlan, Network, NodeContext, RoundObserver, RoundStats};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -64,36 +64,23 @@ struct PendingInjection {
     armed: bool,
 }
 
-/// Why one round dispatch failed.
-enum RoundFailure {
-    /// A peer missed the reply deadline (the watchdog). Never retried.
-    Timeout(Duration),
-    /// Peers died or spoke out of protocol; retried under the
-    /// `RecoveryPolicy` by respawn + resync + replay.
-    Peers { parts: Vec<usize>, message: String },
-}
-
 /// The `Backend::Remote` execution path: shards as worker processes over
 /// sockets, driven round by round by this coordinator. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct RemoteRunner<'p, P: WireProgram> {
-    program: &'p P,
-    graph: WeightedGraph,
-    layout: Layout,
+    /// The canonical register mirror (and everything else about the nodes).
+    arena: Arena<'p, P>,
     layout_policy: LayoutPolicy,
-    /// Static per-node contexts, internal order.
-    contexts: Vec<NodeContext>,
-    /// The canonical register mirror, internal order.
-    states: Vec<P::State>,
-    shards: Vec<Shard>,
+    /// The shard geometry every worker re-derives: worker `part` holds
+    /// region `part` of this plan.
     plan: HaloPlan,
     peers: usize,
     seed: u64,
     listener: Listener,
     endpoint: Endpoint,
     worker_bin: std::path::PathBuf,
-    workers: Vec<Worker>,
+    workers: WorkerSet,
     rounds: usize,
     /// Monotone dispatch counter (staleness filter for recovery replays).
     dispatches: u64,
@@ -103,6 +90,9 @@ pub struct RemoteRunner<'p, P: WireProgram> {
     /// Internal indices mutated since the last dispatch (fault injection /
     /// `state_mut`), patched to their owning worker next round.
     dirty: Vec<usize>,
+    /// The parts whose peers failed the last dispatch attempt, respawned
+    /// before the replay.
+    failed: Vec<usize>,
     /// Force a full interior resync of **every** worker next dispatch
     /// (set on recovery — survivors replay from pre-round registers).
     resync: bool,
@@ -131,43 +121,27 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let Backend::Remote { peers } = config.backend else {
-            return Err(ConfigError::WrongMode {
-                expected: "remote synchronous",
-                got: config.describe(),
-            });
+            return Err(config.wrong_mode("remote synchronous"));
         };
-        let base_topo = CsrTopology::build(&graph);
-        let layout = config.layout.build(&base_topo);
-        let topo = layout.apply(&base_topo);
-        let n = graph.node_count();
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|internal| NodeContext::for_node(&graph, NodeId(layout.original(internal))))
-            .collect();
-        let states_original: Vec<P::State> = (0..n)
-            .map(|v| program.init(&contexts[layout.internal(v)]))
-            .collect();
-        let states = layout.permute(states_original);
-        let shards = partition_balanced(&topo, peers);
-        let plan = HaloPlan::build(&topo, &shards);
+        let arena = Arena::new(program, graph, config.layout);
+        let plan = HaloPlan::build(
+            arena.topology(),
+            &partition_balanced(arena.topology(), peers),
+        );
         let worker_bin = worker_binary().map_err(ConfigError::RemoteSetup)?;
         let (listener, endpoint) = Listener::bind(&endpoint)
             .map_err(|e| ConfigError::RemoteSetup(format!("bind {}: {e}", endpoint.to_arg())))?;
 
         let mut runner = RemoteRunner {
-            program,
-            graph,
-            layout,
+            arena,
             layout_policy: config.layout,
-            contexts,
-            states,
-            shards,
             plan,
             peers,
             seed: config.seed,
             listener,
             endpoint,
             worker_bin,
-            workers: Vec::new(),
+            workers: WorkerSet::default(),
             rounds: 0,
             dispatches: 0,
             recovery: config.recovery,
@@ -176,19 +150,18 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                 .map(|spec| PendingInjection { spec, armed: true }),
             observer: None,
             dirty: Vec::new(),
+            failed: Vec::new(),
             resync: false,
         };
         // sequential spawn → accept → handshake → setup pairs each child
         // handle with its connection (the only pending dialer is the one
         // just spawned)
-        for part in 0..runner.shards.len() {
-            match runner.bring_up_worker(part) {
-                Ok(worker) => runner.workers.push(worker),
-                Err(message) => {
-                    runner.shutdown_workers();
-                    return Err(ConfigError::RemoteSetup(message));
-                }
-            }
+        for part in 0..runner.plan.shard_count() {
+            // on failure the dropped runner shuts the workers down
+            let worker = runner
+                .bring_up_worker(part)
+                .map_err(ConfigError::RemoteSetup)?;
+            runner.workers.0.push(worker);
         }
         Ok(runner)
     }
@@ -229,8 +202,7 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
     /// `init`).
     fn setup_frame(&self, part: usize) -> SetupFrame {
         let mut spec = Vec::new();
-        self.program.encode_spec(&mut spec);
-        let n = self.states.len();
+        self.arena.program().encode_spec(&mut spec);
         SetupFrame {
             seed: self.seed,
             peers: self.peers as u32,
@@ -238,29 +210,31 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
             layout: layout_to_wire(self.layout_policy),
             program: P::WIRE_NAME.to_string(),
             spec,
-            graph: WireGraph::from_graph(&self.graph),
-            states: encode_states::<P, _>((0..n).map(|v| &self.states[self.layout.internal(v)])),
+            graph: WireGraph::from_graph(self.arena.graph()),
+            states: encode_states::<P, _>(self.arena.graph().nodes().map(|v| self.arena.state(v))),
         }
     }
 
-    /// Kills and replaces the named workers, re-shipping each a setup
-    /// frame built from the current mirror. The caller sets
-    /// [`resync`](Self::resync) so the next dispatch restores survivors'
-    /// interiors too.
-    fn respawn(&mut self, parts: &[usize]) -> Result<(), String> {
-        for &part in parts {
+    /// Kills and replaces the workers of the parts that failed the last
+    /// attempt, re-shipping each a setup frame built from the current
+    /// mirror, and forces a full interior resync so the survivors replay
+    /// from the pre-round registers too.
+    fn respawn_failed(&mut self) -> Result<(), String> {
+        self.resync = true;
+        for part in std::mem::take(&mut self.failed) {
             let idx = self
                 .workers
+                .0
                 .iter()
                 .position(|w| w.part == part)
                 .ok_or_else(|| format!("no worker holds part {part}"))?;
             {
-                let worker = &mut self.workers[idx];
+                let worker = &mut self.workers.0[idx];
                 let _ = worker.child.kill();
                 let _ = worker.child.wait();
             }
             let replacement = self.bring_up_worker(part)?;
-            self.workers[idx] = replacement;
+            self.workers.0[idx] = replacement;
         }
         Ok(())
     }
@@ -270,36 +244,36 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
     /// reply (skipping stale ones by dispatch counter) and commit the
     /// interiors to the mirror only when all are in. Returns
     /// `(max worker compute_ns, wire wall time)`; wall time is read only
-    /// when `observed`.
-    fn dispatch_round(&mut self, observed: bool) -> Result<(u64, u64), RoundFailure> {
-        if self.workers.is_empty() {
+    /// when `observed`. On a peer failure the dead parts are left in
+    /// [`failed`](Self::failed) for [`respawn_failed`](Self::respawn_failed).
+    fn dispatch_round(&mut self, observed: bool) -> Result<(u64, u64), AttemptFailure> {
+        if self.workers.0.is_empty() {
             return Ok((0, 0));
         }
         self.dispatches += 1;
         let dispatch = self.dispatches;
         let round = self.rounds as u64;
+        let shards = self.plan.shards();
 
         // per-part patch lists: full interiors on resync, dirty nodes else
-        let mut patch_nodes: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        let mut patch_nodes: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
         if self.resync {
-            for (part, shard) in self.shards.iter().enumerate() {
+            for (part, shard) in shards.iter().enumerate() {
                 patch_nodes[part] = (0..shard.len() as u32).collect();
             }
         } else if !self.dirty.is_empty() {
             self.dirty.sort_unstable();
             self.dirty.dedup();
             for &internal in &self.dirty {
-                let part = self.shards.partition_point(|sh| sh.end <= internal);
-                patch_nodes[part].push((internal - self.shards[part].start) as u32);
+                let part = shards.partition_point(|sh| sh.end <= internal);
+                patch_nodes[part].push((internal - shards[part].start) as u32);
             }
         }
 
         // one-shot injection: disarmed the moment it goes on the wire
         let mut inject_at: Option<(usize, WireInjection)> = None;
         if let Some(pending) = &mut self.injection {
-            if pending.armed
-                && pending.spec.step == self.rounds
-                && pending.spec.part < self.shards.len()
+            if pending.armed && pending.spec.step == self.rounds && pending.spec.part < shards.len()
             {
                 pending.armed = false;
                 let kind = match pending.spec.kind {
@@ -312,24 +286,22 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
 
         // observer-gated: never read unobserved, never steers results
         let wire_start = observed.then(Instant::now);
+        let states = self.arena.states();
         let mut failed: Vec<usize> = Vec::new();
         let mut failure = String::new();
 
-        for worker in self.workers.iter_mut() {
+        for worker in self.workers.0.iter_mut() {
             let part = worker.part;
-            let shard = self.shards[part];
+            let shard = shards[part];
             let mut patch_states = Vec::new();
             for &local in &patch_nodes[part] {
-                P::encode_state(
-                    &self.states[shard.start + local as usize],
-                    &mut patch_states,
-                );
+                P::encode_state(&states[shard.start + local as usize], &mut patch_states);
             }
             let halo_states = encode_states::<P, _>(
                 self.plan
                     .halo_nodes(part)
                     .iter()
-                    .map(|&u| &self.states[u as usize]),
+                    .map(|&u| &states[u as usize]),
             );
             let frame = Frame::Round(RoundFrame {
                 round,
@@ -349,9 +321,9 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
 
         // the barrier: every reply must be in before anything commits
         let watchdog = self.recovery.watchdog_timeout;
-        let mut replies: Vec<(usize, Vec<P::State>)> = Vec::with_capacity(self.workers.len());
+        let mut replies: Vec<(usize, Vec<P::State>)> = Vec::with_capacity(self.workers.0.len());
         let mut max_compute = 0u64;
-        for worker in self.workers.iter_mut() {
+        for worker in self.workers.0.iter_mut() {
             let part = worker.part;
             if failed.contains(&part) {
                 continue;
@@ -372,7 +344,7 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                             failure = format!("worker {part} replied out of protocol");
                             break;
                         }
-                        match decode_states::<P>(&reply.states, self.shards[part].len()) {
+                        match decode_states::<P>(&reply.states, shards[part].len()) {
                             Ok(states) => {
                                 max_compute = max_compute.max(reply.compute_ns);
                                 replies.push((part, states));
@@ -395,7 +367,7 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                         break;
                     }
                     Err(WireError::Timeout) => {
-                        return Err(RoundFailure::Timeout(watchdog.unwrap_or_default()));
+                        return Err(AttemptFailure::Timeout(watchdog.unwrap_or_default()));
                     }
                     Err(e) => {
                         failed.push(part);
@@ -406,16 +378,17 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
             }
         }
         if !failed.is_empty() {
-            return Err(RoundFailure::Peers {
-                parts: failed,
-                message: failure,
-            });
+            self.failed = failed;
+            return Err(AttemptFailure::Died(failure));
         }
 
         for (part, interiors) in replies {
-            let shard = self.shards[part];
-            for (i, state) in interiors.into_iter().enumerate() {
-                self.states[shard.start + i] = state;
+            let shard = shards[part];
+            for (slot, state) in self.arena.states_mut()[shard.nodes()]
+                .iter_mut()
+                .zip(interiors)
+            {
+                *slot = state;
             }
         }
         self.dirty.clear();
@@ -424,68 +397,42 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         Ok((max_compute, wire_ns))
     }
 
-    /// The supervised round loop behind [`Runner::try_step`]: dispatch,
-    /// and on peer failure retry under the [`RecoveryPolicy`] —
+    /// The supervised round behind [`Runner::try_step`]: dispatch, and on
+    /// peer failure retry under [`RecoveryPolicy::supervise`] —
     /// kill + respawn the dead peers, force a full resync, replay the
     /// round from the exact pre-round mirror (recovery is invisible in
     /// the register stream). Timeouts are never retried.
-    fn try_step_impl(&mut self) -> Result<(), PoolError> {
+    fn try_round(&mut self) -> Result<(), PoolError> {
         let observed = self.observer.is_some();
         // observer-gated: never read unobserved, never steers results
         let step_start = observed.then(Instant::now);
-        let mut attempts = 0u32;
-        let (compute_ns, wire_ns) = loop {
-            match self.dispatch_round(observed) {
-                Ok(timings) => break timings,
-                Err(RoundFailure::Timeout(timeout)) => {
-                    return Err(PoolError::BarrierTimeout { timeout });
-                }
-                Err(RoundFailure::Peers { parts, message }) => {
-                    attempts += 1;
-                    if attempts > self.recovery.max_retries {
-                        return Err(PoolError::WorkerPanic { attempts, message });
-                    }
-                    std::thread::sleep(backoff_before(&self.recovery, attempts));
-                    self.resync = true;
-                    if let Err(message) = self.respawn(&parts) {
-                        return Err(PoolError::WorkerPanic { attempts, message });
-                    }
-                }
-            }
-        };
-        let round = self.rounds;
+        let policy = self.recovery;
+        let (compute_ns, wire_ns) = policy.supervise(
+            self,
+            |this| this.dispatch_round(observed),
+            Self::respawn_failed,
+        )?;
         self.rounds += 1;
         if let Some(start) = step_start {
-            let total_ns = start.elapsed().as_nanos() as u64;
-            self.observe_round(round, total_ns, compute_ns, wire_ns);
+            self.observe_round(start.elapsed().as_nanos() as u64, compute_ns, wire_ns);
         }
         Ok(())
     }
 
-    /// Emits one observed round: `compute_ns` is the slowest worker's
-    /// measured compute, `exchange_ns` the wire wall time net of that
-    /// overlapped compute, `dispatch_ns` the residual — the four phases
-    /// sum to the measured step total, as everywhere else.
-    fn observe_round(&mut self, round: usize, total_ns: u64, compute_ns: u64, wire_ns: u64) {
-        let alarms = (0..self.states.len())
-            .filter(|&i| {
-                matches!(
-                    self.program.verdict(&self.contexts[i], &self.states[i]),
-                    Verdict::Reject
-                )
-            })
-            .count();
-        let halo_bytes = if self.shards.len() > 1 {
-            (self.plan.total_halo() * std::mem::size_of::<P::State>()) as u64
-        } else {
-            0
-        };
+    /// Emits the just-completed round: `compute_ns` is the slowest
+    /// worker's measured compute, `exchange_ns` the wire wall time net of
+    /// that overlapped compute, `dispatch_ns` the residual — the four
+    /// phases sum to the measured step total, as everywhere else.
+    fn observe_round(&mut self, total_ns: u64, compute_ns: u64, wire_ns: u64) {
         let exchange_ns = wire_ns.saturating_sub(compute_ns);
         let stats = RoundStats {
-            round,
-            alarms,
-            activations: self.states.len(),
-            halo_bytes,
+            round: self.rounds - 1,
+            alarms: self.arena.alarm_count(),
+            activations: self.arena.node_count(),
+            halo_bytes: self
+                .plan
+                .exchanged_bytes_per_round(std::mem::size_of::<P::State>())
+                as u64,
             dispatch_ns: total_ns
                 .saturating_sub(compute_ns)
                 .saturating_sub(exchange_ns),
@@ -498,14 +445,32 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         }
     }
 
-    /// Sends every worker an orderly shutdown, then reaps the processes
-    /// (killing any that outlive the grace period). Idempotent.
-    fn shutdown_workers(&mut self) {
-        for worker in self.workers.iter_mut() {
+    /// The actual endpoint the coordinator listens on (TCP port 0
+    /// resolved) — what the worker processes dialed.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// Live worker processes (== shard count, which a small graph may
+    /// cap below the configured peer count).
+    pub fn worker_count(&self) -> usize {
+        self.workers.0.len()
+    }
+}
+
+/// The live worker processes. Dropping the set sends every worker an
+/// orderly shutdown, then reaps the processes (killing any that outlive
+/// the grace period).
+#[derive(Debug, Default)]
+struct WorkerSet(Vec<Worker>);
+
+impl Drop for WorkerSet {
+    fn drop(&mut self) {
+        for worker in self.0.iter_mut() {
             let _ = write_frame(&mut worker.conn, &Frame::Shutdown);
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
-        for mut worker in self.workers.drain(..) {
+        for mut worker in self.0.drain(..) {
             loop {
                 match worker.child.try_wait() {
                     Ok(Some(_)) => break,
@@ -521,34 +486,11 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
             }
         }
     }
-
-    /// The actual endpoint the coordinator listens on (TCP port 0
-    /// resolved) — what the worker processes dialed.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
-    /// Live worker processes (== shard count, which a small graph may
-    /// cap below the configured peer count).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl<'p, P: WireProgram> Drop for RemoteRunner<'p, P> {
-    fn drop(&mut self) {
-        self.shutdown_workers();
-    }
 }
 
 impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
-    fn step(&mut self) {
-        self.try_step_impl()
-            .unwrap_or_else(|e| panic!("remote execution failed: {e}"));
-    }
-
     fn try_step(&mut self) -> Result<(), EngineError> {
-        self.try_step_impl().map_err(EngineError::Pool)
+        Ok(self.try_round()?)
     }
 
     fn steps(&self) -> usize {
@@ -556,70 +498,47 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
     }
 
     fn activations(&self) -> usize {
-        self.rounds * self.states.len()
+        self.rounds * self.arena.node_count()
     }
 
     fn graph(&self) -> &WeightedGraph {
-        &self.graph
+        self.arena.graph()
     }
 
     fn state(&self, v: NodeId) -> &P::State {
-        &self.states[self.layout.internal(v.0)]
+        self.arena.state(v)
     }
 
     fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        let internal = self.layout.internal(v.0);
-        self.dirty.push(internal);
-        &mut self.states[internal]
+        self.dirty.push(self.arena.layout().internal(v.index()));
+        self.arena.state_mut(v)
     }
 
     fn states_snapshot(&self) -> Vec<P::State> {
-        (0..self.states.len())
-            .map(|v| self.states[self.layout.internal(v)].clone())
-            .collect()
+        self.arena.states_snapshot()
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.contexts[self.layout.internal(v.0)].clone()
+        self.arena.context(v).clone()
     }
 
     fn any_alarm(&self) -> bool {
-        (0..self.states.len()).any(|i| {
-            matches!(
-                self.program.verdict(&self.contexts[i], &self.states[i]),
-                Verdict::Reject
-            )
-        })
+        self.arena.any_alarm()
     }
 
     fn all_accept(&self) -> bool {
-        (0..self.states.len()).all(|i| {
-            matches!(
-                self.program.verdict(&self.contexts[i], &self.states[i]),
-                Verdict::Accept
-            )
-        })
+        self.arena.all_accept()
     }
 
     fn alarming_nodes(&self) -> Vec<NodeId> {
-        (0..self.states.len())
-            .filter(|&v| {
-                let i = self.layout.internal(v);
-                matches!(
-                    self.program.verdict(&self.contexts[i], &self.states[i]),
-                    Verdict::Reject
-                )
-            })
-            .map(NodeId)
-            .collect()
+        self.arena.alarming_nodes()
     }
 
     fn apply_faults(&mut self, plan: &FaultPlan, mutate: &mut dyn FnMut(NodeId, &mut P::State)) {
-        for &v in plan.nodes() {
-            let internal = self.layout.internal(v.0);
-            self.dirty.push(internal);
-            mutate(v, &mut self.states[internal]);
-        }
+        let layout = self.arena.layout();
+        self.dirty
+            .extend(plan.nodes().iter().map(|v| layout.internal(v.index())));
+        self.arena.apply_faults(plan, mutate);
     }
 
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
@@ -628,7 +547,7 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
 
     fn report(&self) -> RunReport {
         RunReport {
-            node_count: self.states.len(),
+            node_count: self.arena.node_count(),
             steps: self.rounds,
             activations: Runner::activations(self),
             threads: self.peers,
@@ -636,12 +555,9 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
         }
     }
 
-    fn into_network(mut self: Box<Self>) -> Network<P> {
-        self.shutdown_workers();
-        let states = std::mem::take(&mut self.states);
-        let graph = std::mem::replace(&mut self.graph, WeightedGraph::new());
-        let states = self.layout.unpermute(states);
-        Network::with_states(graph, states)
+    fn into_network(self: Box<Self>) -> Network<P> {
+        // dropping the rest of the runner shuts the workers down
+        self.arena.into_network()
     }
 }
 
@@ -713,11 +629,4 @@ fn spawn_worker(bin: &std::path::Path, endpoint: &Endpoint, part: usize) -> Resu
         .stdin(Stdio::null())
         .spawn()
         .map_err(|e| format!("spawn worker {part} ({}): {e}", bin.display()))
-}
-
-/// The retry backoff: base backoff doubled per prior retry, saturating —
-/// the same curve as the in-process pool's `RecoveryPolicy`.
-fn backoff_before(policy: &RecoveryPolicy, attempt: u32) -> Duration {
-    let factor = 1u32 << attempt.saturating_sub(1).min(16);
-    policy.backoff.saturating_mul(factor)
 }

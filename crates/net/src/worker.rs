@@ -1,16 +1,17 @@
 //! The shard worker: the process behind `smst-net worker`. It dials the
 //! coordinator, handshakes, rebuilds its shard **deterministically** from
-//! the [`SetupFrame`] (same `CsrTopology` → layout → `partition_balanced`
-//! → `HaloPlan` pipeline as the coordinator, so both sides agree on the
-//! geometry without shipping it), then serves round dispatches until
+//! the [`SetupFrame`] (same [`Arena`] → `partition_balanced` → `HaloPlan`
+//! pipeline as the coordinator, so both sides agree on the geometry
+//! without shipping it), then serves round dispatches until
 //! [`Frame::Shutdown`].
 //!
 //! Per round the worker applies the coordinator's register patches,
 //! refreshes its halo slots from the dispatch payload, optionally executes
-//! a one-shot chaos injection (panic / stall — the process-level analogs
-//! of the in-process pool's `ArmedInjection`), computes one synchronous
-//! round over its interior on the shard-local CSR, and replies with the
-//! recomputed interiors plus the measured compute time.
+//! a one-shot chaos injection (exit / stall — the process-level analogs
+//! of the in-process pool's `ArmedInjection`), [`sweep`]s its interior
+//! through the region-local CSR — the same kernel every in-process runner
+//! calls — and replies with the recomputed interiors plus the measured
+//! compute time.
 
 use crate::program::{decode_states, encode_states, WireProgram};
 use crate::transport::{Conn, Endpoint};
@@ -19,9 +20,7 @@ use crate::wire::{
     ERR_PROTOCOL, ERR_UNKNOWN_PROGRAM, WIRE_VERSION,
 };
 use smst_engine::programs::{AlarmedFlood, MinIdFlood, MonitorFlood};
-use smst_engine::{partition_balanced, CsrTopology, HaloPlan, LayoutPolicy};
-use smst_graph::NodeId;
-use smst_sim::NodeContext;
+use smst_engine::{partition_balanced, sweep, Arena, HaloPlan, LayoutPolicy};
 use std::time::Duration;
 
 /// How long the worker keeps dialing the coordinator before giving up.
@@ -97,23 +96,19 @@ fn dispatch_program(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> 
 }
 
 /// The typed round loop: deterministic shard rebuild, then
-/// patch → halo-refresh → (inject) → compute → reply until shutdown.
+/// patch → halo-refresh → (inject) → sweep → reply until shutdown.
 fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> {
     let mut spec = Dec::new(&setup.spec);
     let program = P::decode_spec(&mut spec)?;
     spec.finish()?;
     let graph = setup.graph.to_graph()?;
-    let n = graph.node_count();
-    let states_original = decode_states::<P>(&setup.states, n)?;
+    let states = decode_states::<P>(&setup.states, graph.node_count())?;
 
     // the same build pipeline as the coordinator: both sides derive the
     // identical geometry from (graph, layout, peers) instead of wiring it
-    let base_topo = CsrTopology::build(&graph);
-    let layout = layout_from_wire(setup.layout)?.build(&base_topo);
-    let topo = layout.apply(&base_topo);
-    let states_internal = layout.permute(states_original);
-    let shards = partition_balanced(&topo, setup.peers as usize);
-    let plan = HaloPlan::build(&topo, &shards);
+    let arena = Arena::with_states(&program, graph, layout_from_wire(setup.layout)?, states);
+    let shards = partition_balanced(arena.topology(), setup.peers as usize);
+    let plan = HaloPlan::build(arena.topology(), &shards);
     let part = setup.part as usize;
     if part >= shards.len() {
         let _ = write_frame(
@@ -125,27 +120,20 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
         );
         return Err(WireError::BadValue("part out of range"));
     }
-    let shard = plan.shard(part);
+    let shard = shards[part];
     let interior_len = shard.len();
-    let halo_len = plan.halo_size(part);
-    let offset = plan.arena_offset(part);
-    // rebase the shard-local CSR from absolute arena coordinates to this
-    // region (every coordinate of shard `part` falls inside region `part`)
-    let (csr_offsets, csr_neighbors) = plan.local_csr(part);
-    let offsets: Vec<usize> = csr_offsets.to_vec();
-    let neighbors: Vec<u32> = csr_neighbors.iter().map(|&a| a - offset as u32).collect();
-    let contexts: Vec<NodeContext> = shard
-        .nodes()
-        .map(|internal| NodeContext::for_node(&graph, NodeId(layout.original(internal))))
-        .collect();
+    let csr = plan.local_csr(part).expect("a halo plan has local CSRs");
+    let contexts = &arena.contexts()[shard.nodes()];
 
-    // region arena: interiors then halo slots, double-buffered against
-    // `next` so a round reads only previous-round registers
-    let mut prev: Vec<P::State> = Vec::with_capacity(interior_len + halo_len);
-    prev.extend(states_internal[shard.start..shard.end].iter().cloned());
-    for &u in plan.halo_nodes(part) {
-        prev.push(states_internal[u as usize].clone());
-    }
+    // this worker's region of the plan's arena: interiors then halo slots,
+    // double-buffered against `next` so a round reads only previous-round
+    // registers
+    let mut prev: Vec<P::State> = arena.states()[shard.nodes()].to_vec();
+    prev.extend(
+        plan.halo_nodes(part)
+            .iter()
+            .map(|&u| arena.states()[u as usize].clone()),
+    );
     let mut next: Vec<P::State> = prev[..interior_len].to_vec();
 
     loop {
@@ -172,12 +160,18 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
             prev[local as usize] = state;
         }
         patches.finish()?;
-        let halo = decode_states::<P>(&round.halo_states, halo_len)?;
+        let halo = decode_states::<P>(&round.halo_states, plan.halo_size(part))?;
         prev[interior_len..].clone_from_slice(&halo);
         match round.inject {
             None => {}
             Some(WireInjection::Panic) => {
-                panic!("injected chaos panic (round {}, part {part})", round.round)
+                // the process analog of a worker panic: the coordinator
+                // sees the closed socket, nothing matches on the message
+                eprintln!(
+                    "smst-net worker: injected chaos fault (round {}, part {part}), exiting",
+                    round.round
+                );
+                std::process::exit(101);
             }
             Some(WireInjection::Stall { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis))
@@ -185,18 +179,7 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
         }
         // smst-lint: allow(clock, reason = "compute_ns measurement reported to the coordinator's observer; never steers results")
         let compute_start = std::time::Instant::now();
-        {
-            let mut neighbor_refs: Vec<&P::State> = Vec::new();
-            for i in 0..interior_len {
-                neighbor_refs.clear();
-                neighbor_refs.extend(
-                    neighbors[offsets[i]..offsets[i + 1]]
-                        .iter()
-                        .map(|&a| &prev[a as usize]),
-                );
-                next[i] = program.step(&contexts[i], &prev[i], &neighbor_refs);
-            }
-        }
+        sweep(&program, csr, contexts, &prev, 0..interior_len, &mut next);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
         prev[..interior_len].clone_from_slice(&next);
         write_frame(

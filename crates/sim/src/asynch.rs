@@ -317,7 +317,7 @@ impl<'p, P: NodeProgram> AsyncRunner<'p, P> {
         if let Some(mut observer) = self.observer.take() {
             observer.on_round(&RoundStats {
                 round: self.time_units - 1,
-                alarms: self.network.alarming_nodes(self.program).len(),
+                alarms: self.network.alarm_count(self.program),
                 activations: unit_activations,
                 halo_bytes: 0,
                 // sequential activations: the whole unit is compute

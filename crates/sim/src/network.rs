@@ -150,33 +150,47 @@ impl<P: NodeProgram> Network<P> {
         }
     }
 
+    /// The verdict of every node under the current configuration, in node
+    /// order (lazy: the stop checks below short-circuit on it).
+    fn verdict_iter<'a>(&'a self, program: &'a P) -> impl Iterator<Item = Verdict> + 'a {
+        self.contexts
+            .iter()
+            .zip(&self.states)
+            .map(move |(ctx, state)| program.verdict(ctx, state))
+    }
+
     /// The verdicts of all nodes under the current configuration.
     pub fn verdicts(&self, program: &P) -> Vec<Verdict> {
-        self.graph
-            .nodes()
-            .map(|v| program.verdict(&self.contexts[v.index()], &self.states[v.index()]))
-            .collect()
+        self.verdict_iter(program).collect()
     }
 
     /// The nodes currently raising an alarm ([`Verdict::Reject`]).
     pub fn alarming_nodes(&self, program: &P) -> Vec<NodeId> {
         self.graph
             .nodes()
-            .filter(|&v| {
-                program.verdict(&self.contexts[v.index()], &self.states[v.index()])
-                    == Verdict::Reject
-            })
+            .zip(self.verdict_iter(program))
+            .filter_map(|(v, verdict)| (verdict == Verdict::Reject).then_some(v))
             .collect()
     }
 
-    /// `true` if at least one node raises an alarm.
-    pub fn any_alarm(&self, program: &P) -> bool {
-        !self.alarming_nodes(program).is_empty()
+    /// How many nodes currently raise an alarm (no allocation).
+    pub fn alarm_count(&self, program: &P) -> usize {
+        self.verdict_iter(program)
+            .filter(|&verdict| verdict == Verdict::Reject)
+            .count()
     }
 
-    /// `true` if every node outputs [`Verdict::Accept`].
+    /// `true` if at least one node raises an alarm (stops at the first).
+    pub fn any_alarm(&self, program: &P) -> bool {
+        self.verdict_iter(program)
+            .any(|verdict| verdict == Verdict::Reject)
+    }
+
+    /// `true` if every node outputs [`Verdict::Accept`] (stops at the first
+    /// that does not).
     pub fn all_accept(&self, program: &P) -> bool {
-        self.verdicts(program).iter().all(|&v| v == Verdict::Accept)
+        self.verdict_iter(program)
+            .all(|verdict| verdict == Verdict::Accept)
     }
 
     /// Per-node register sizes in bits, as reported by the program.
@@ -241,6 +255,49 @@ mod tests {
         assert_eq!(verdicts[2], Verdict::Working);
         assert!(!net.any_alarm(&MinId));
         assert!(!net.all_accept(&MinId));
+    }
+
+    /// Rejects on odd registers and counts its verdict evaluations.
+    struct RejectOdd(std::cell::Cell<usize>);
+
+    impl NodeProgram for RejectOdd {
+        type State = u64;
+
+        fn init(&self, ctx: &NodeContext) -> u64 {
+            ctx.id
+        }
+
+        fn step(&self, _ctx: &NodeContext, own: &u64, _neighbors: &[&u64]) -> u64 {
+            *own
+        }
+
+        fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
+            self.0.set(self.0.get() + 1);
+            if state % 2 == 1 {
+                Verdict::Reject
+            } else {
+                Verdict::Accept
+            }
+        }
+    }
+
+    #[test]
+    fn alarm_queries_agree_and_short_circuit() {
+        let program = RejectOdd(std::cell::Cell::new(0));
+        let net = Network::new(&program, path_graph(10, 0));
+        assert_eq!(
+            net.alarming_nodes(&program),
+            [1, 3, 5, 7, 9].map(NodeId),
+            "identities 0..10: the odd ones reject"
+        );
+        assert_eq!(net.alarm_count(&program), 5);
+        // the stop checks end at the first deciding node (node 1)
+        program.0.set(0);
+        assert!(net.any_alarm(&program));
+        assert_eq!(program.0.get(), 2);
+        program.0.set(0);
+        assert!(!net.all_accept(&program));
+        assert_eq!(program.0.get(), 2);
     }
 
     #[test]

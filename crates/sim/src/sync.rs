@@ -85,7 +85,7 @@ impl<'p, P: NodeProgram> SyncRunner<'p, P> {
         if let Some(mut observer) = self.observer.take() {
             observer.on_round(&RoundStats {
                 round: self.rounds - 1,
-                alarms: self.network.alarming_nodes(self.program).len(),
+                alarms: self.network.alarm_count(self.program),
                 activations: n,
                 halo_bytes: 0,
                 // the sequential runner's whole step is compute: no

@@ -19,7 +19,8 @@
 use smst_engine::layout::mean_bandwidth;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
-    default_threads, CsrTopology, EngineConfig, LayoutPolicy, ParallelSyncRunner, StopCondition,
+    default_threads, CsrTopology, EngineConfig, LayoutPolicy, ParallelSyncRunner, Runner,
+    StopCondition,
 };
 use smst_graph::generators::random_connected_graph;
 use smst_sim::{FaultPlan, RecordingObserver};
@@ -66,7 +67,7 @@ fn main() {
         engine.describe(),
         t0.elapsed()
     );
-    let after = mean_bandwidth(runner.topology());
+    let after = mean_bandwidth(runner.arena().topology());
     println!(
         "  RCM layout: mean neighbour index distance {before:.0} -> {after:.0} ({:.1}x)",
         before / after.max(1.0),
@@ -75,7 +76,7 @@ fn main() {
     // phase 1: flood to global acceptance
     let t0 = Instant::now();
     let rounds = runner
-        .run_until_all_accept(10_000)
+        .run_until(StopCondition::AllAccept, 10_000)
         .expect("the flood converges within the graph's diameter");
     let elapsed = t0.elapsed();
     println!(
@@ -87,13 +88,13 @@ fn main() {
     // phase 2: transient-fault burst, then watch the healing wave — with a
     // RoundObserver recording per-round alarm counts and phase timings
     let plan = FaultPlan::random(n, faults, 7);
-    runner.apply_faults(&plan, |_v, state| *state = u64::MAX);
+    runner.apply_faults(&plan, &mut |_v, state| *state = u64::MAX);
     println!("injected {faults} corrupted registers");
     let recording = RecordingObserver::new();
     runner.set_observer(Box::new(recording.clone()));
     let t0 = Instant::now();
     let heal = runner
-        .run_until_all_accept(10_000)
+        .run_until(StopCondition::AllAccept, 10_000)
         .expect("the flood re-stabilizes after transient faults");
     println!(
         "healed in {heal} rounds, {:.2?} — self-stabilization at n = {n}",
