@@ -233,7 +233,7 @@ pub fn lower_bound_sweep(tau: usize, seed: u64) -> Vec<LowerBoundPoint> {
     // second weight assignment: raise one tree edge above every other weight,
     // so the *same* candidate tree is no longer minimal
     let heavy_edge = tree.edges()[0];
-    let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
+    let max_w = g.max_weight().unwrap_or(1);
     let mut g_bad = WeightedGraph::new();
     for v in g.nodes() {
         g_bad.add_node_with_id(g.id(v));

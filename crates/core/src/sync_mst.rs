@@ -258,7 +258,7 @@ impl SyncMst {
         let rounds: u64 = 22u64 << phase;
         // memory: level + root-ID estimate + parent ID + candidate port +
         // stage flags + echo variable (Observation 4.3)
-        let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
+        let max_id = g.max_id().unwrap_or(1);
         let memory_bits_per_node = 3 * u64::from(bits_for(max_id))
             + u64::from(bits_for(n as u64)) * 2
             + u64::from(bits_for(g.max_degree() as u64))

@@ -856,15 +856,14 @@ impl NodeProgram for CoreVerifier {
         state.verdict
     }
 
-    fn state_bits(&self, ctx: &NodeContext, state: &CoreState) -> u64 {
+    fn state_bits(&self, _ctx: &NodeContext, state: &CoreState) -> u64 {
         let g = &self.graph;
-        let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
-        let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
+        let max_id = g.max_id().unwrap_or(1);
+        let max_w = g.max_weight().unwrap_or(1);
         let n = g.node_count();
         let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
         let train_bits = 2 * (8 + 9 + 8 + 8 + (8 + piece_bits) + (9 + piece_bits) + 48);
         let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 16;
-        let _ = ctx;
         state.label.bits(max_id, max_w, n)
             + train_bits
             + compare_bits
@@ -874,6 +873,29 @@ impl NodeProgram for CoreVerifier {
 
     fn name(&self) -> &str {
         "core-mst-verifier"
+    }
+}
+
+/// [`CoreVerifier::state_bits`] as it was while it found the graph maxima
+/// by scanning — `O(n + m)` per call — kept as the oracle the accessor-based
+/// body is held against.
+#[cfg(test)]
+mod reference {
+    use super::{CoreState, CoreVerifier, PieceInfo};
+
+    pub fn state_bits(verifier: &CoreVerifier, state: &CoreState) -> u64 {
+        let g = &verifier.graph;
+        let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
+        let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
+        let n = g.node_count();
+        let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
+        let train_bits = 2 * (8 + 9 + 8 + 8 + (8 + piece_bits) + (9 + piece_bits) + 48);
+        let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 16;
+        state.label.bits(max_id, max_w, n)
+            + train_bits
+            + compare_bits
+            + state.label.strings.len() as u64
+            + 2
     }
 }
 
@@ -924,6 +946,47 @@ mod tests {
         runner.run_rounds(budget(n));
         // the completeness check never fired, so the verdict is Accept
         assert!(runner.network().all_accept(&verifier));
+    }
+
+    /// `state_bits` reads the graph's maxima instead of scanning for them:
+    /// same width as the scanning reference at every node, on fresh
+    /// registers and on registers 64 rounds into every kind of fault.
+    #[test]
+    fn state_bits_agree_with_the_scanning_reference() {
+        use crate::faults::{corrupt, FaultKind};
+        use smst_graph::generators::random_graph_scrambled_ids;
+
+        let assert_agree = |verifier: &CoreVerifier, net: &smst_sim::Network<CoreVerifier>| {
+            let reported = net.memory_bits(verifier);
+            for v in net.graph().nodes() {
+                assert_eq!(
+                    reported[v.index()],
+                    reference::state_bits(verifier, net.state(v)),
+                    "node {v}"
+                );
+            }
+        };
+        for seed in 0..20u64 {
+            let n = 12 + seed as usize % 9;
+            // sparse unsorted identities on the odd seeds
+            let g = if seed % 2 == 0 {
+                random_connected_graph(n, 2 * n, seed)
+            } else {
+                random_graph_scrambled_ids(n, 2 * n, seed)
+            };
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let (labels, _) = Marker.label(&inst).unwrap();
+            let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+            assert_agree(&verifier, &verifier.network());
+            for (i, kind) in FaultKind::all().into_iter().enumerate() {
+                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                let victim = NodeId((seed as usize + i) % n);
+                corrupt(runner.network_mut().state_mut(victim), kind, seed);
+                runner.run_rounds(64);
+                assert_agree(&verifier, runner.network());
+            }
+        }
     }
 
     #[test]

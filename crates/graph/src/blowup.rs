@@ -76,7 +76,7 @@ pub fn blowup(g: &WeightedGraph, tree: &RootedTree, tau: usize) -> BlowupResult 
         out.add_node_with_id(g.id(v));
         original.push(Some(v));
     }
-    let mut next_id: u64 = g.nodes().map(|v| g.id(v)).max().unwrap_or(0) + 1;
+    let mut next_id: u64 = g.max_id().unwrap_or(0) + 1;
 
     let mut pointers: Vec<Option<NodeId>> = vec![None; n];
     for v in g.nodes() {

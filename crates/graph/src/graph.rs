@@ -137,6 +137,10 @@ pub struct WeightedGraph {
     edges: Vec<Edge>,
     /// incidence[v][p] = edge id reachable from v through port p.
     incidence: Vec<Vec<EdgeId>>,
+    /// The largest entry of `ids` / largest weight in `edges`: the graph is
+    /// append-only, so both are kept current by the two mutators below.
+    max_id: Option<u64>,
+    max_weight: Option<Weight>,
 }
 
 impl WeightedGraph {
@@ -163,6 +167,7 @@ impl WeightedGraph {
 
     /// Adds a node with an explicit identity, returning its [`NodeId`].
     pub fn add_node_with_id(&mut self, id: u64) -> NodeId {
+        self.max_id = self.max_id.max(Some(id));
         self.ids.push(id);
         self.incidence.push(Vec::new());
         NodeId(self.ids.len() - 1)
@@ -185,6 +190,7 @@ impl WeightedGraph {
             return Err(GraphError::DuplicateEdge(u.0, v.0));
         }
         let id = EdgeId(self.edges.len());
+        self.max_weight = self.max_weight.max(Some(weight));
         self.edges.push(Edge { u, v, weight });
         self.incidence[u.0].push(id);
         self.incidence[v.0].push(id);
@@ -231,6 +237,21 @@ impl WeightedGraph {
     /// Panics if `v` is out of range.
     pub fn id(&self, v: NodeId) -> u64 {
         self.ids[v.0]
+    }
+
+    /// The largest node identity (`None` for the empty graph), in `O(1)`.
+    ///
+    /// Together with [`WeightedGraph::max_weight`] this is what every
+    /// register-width formula reads (`bits_for(max_id)`,
+    /// `bits_for(max_weight)`), once per node, instead of scanning for it.
+    pub fn max_id(&self) -> Option<u64> {
+        self.max_id
+    }
+
+    /// The largest raw edge weight (`None` for a graph without edges), in
+    /// `O(1)`.
+    pub fn max_weight(&self) -> Option<Weight> {
+        self.max_weight
     }
 
     /// Looks up a node by identity, if present.
@@ -558,6 +579,78 @@ mod tests {
         g.add_node_with_id(66);
         assert_eq!(g.node_by_id(66), Some(NodeId(1)));
         assert_eq!(g.node_by_id(1), None);
+    }
+
+    /// The scans the accessors replace.
+    fn assert_maxima_match_scans(g: &WeightedGraph, what: &str) {
+        let scanned_id = g.nodes().map(|v| g.id(v)).max();
+        let scanned_w = g.edges().iter().map(|e| e.weight).max();
+        assert_eq!(g.max_id(), scanned_id, "max_id of {what}");
+        assert_eq!(g.max_weight(), scanned_w, "max_weight of {what}");
+        let copy = g.clone();
+        assert_eq!(copy.max_id(), scanned_id, "max_id of a clone of {what}");
+        assert_eq!(
+            copy.max_weight(),
+            scanned_w,
+            "max_weight of a clone of {what}"
+        );
+    }
+
+    #[test]
+    fn maxima_match_the_scans_however_the_graph_was_built() {
+        use crate::generators::*;
+        use smst_rng::{Rng, SeedableRng, StdRng};
+
+        let empty = WeightedGraph::new();
+        assert_eq!((empty.max_id(), empty.max_weight()), (None, None));
+        assert_maxima_match_scans(&empty, "the empty graph");
+        let mut single = WeightedGraph::new();
+        single.add_node_with_id(17);
+        assert_eq!((single.max_id(), single.max_weight()), (Some(17), None));
+        assert_maxima_match_scans(&WeightedGraph::with_nodes(1), "with_nodes(1)");
+
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // hand-built: default and sparse unsorted identities mixed,
+            // random weights (ties allowed), checked after every insertion
+            let n = rng.gen_range(2usize..40);
+            let mut g = WeightedGraph::with_nodes(rng.gen_range(0usize..4));
+            while g.node_count() < n {
+                if rng.gen_range(0u32..3) == 0 {
+                    g.add_node();
+                } else {
+                    g.add_node_with_id(rng.gen_range(0u64..1 << 40));
+                }
+                assert_maxima_match_scans(&g, "a graph under construction");
+            }
+            for _ in 0..3 * n {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                // rejected insertions (loops, duplicates) must not count
+                let _ = g.add_edge(NodeId(u), NodeId(v), rng.gen_range(0u64..50));
+                assert_maxima_match_scans(&g, "a graph under construction");
+            }
+
+            let n = 8 + seed as usize;
+            for (name, g) in [
+                ("path", path_graph(n, seed)),
+                ("ring", ring_graph(n, seed)),
+                ("complete", complete_graph(n.min(12), seed)),
+                ("star", star_graph(n, seed)),
+                ("grid", grid_graph(3, n / 2, seed)),
+                ("caterpillar", caterpillar_graph(n / 2, 2, seed)),
+                ("random_connected", random_connected_graph(n, 3 * n, seed)),
+                ("scrambled_ids", random_graph_scrambled_ids(n, 2 * n, seed)),
+                ("expander", expander_graph(2 * n, 4, seed)),
+                ("kmw_cluster_tree", kmw_cluster_tree(2, 3, seed)),
+                ("kmw_hybrid", kmw_hybrid_graph(2, 3, seed)),
+            ] {
+                assert_maxima_match_scans(&g, name);
+            }
+            let g = random_graph_scrambled_ids(n, 2 * n, seed);
+            let tree = crate::mst::kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let blown = crate::blowup::blowup(&g, &tree, 2);
+            assert_maxima_match_scans(&blown.graph, "blowup");
+        }
     }
 
     #[test]

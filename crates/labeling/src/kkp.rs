@@ -421,13 +421,33 @@ impl OneRoundScheme for KkpMstScheme {
 
     fn label_bits(&self, instance: &Instance, node: NodeId, label: &KkpLabel) -> u64 {
         let g = &instance.graph;
-        let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
-        let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
+        let max_id = g.max_id().unwrap_or(1);
+        let max_w = g.max_weight().unwrap_or(1);
         let id_bits = u64::from(bits_for(max_id));
         let n_bits = u64::from(bits_for(instance.node_count() as u64));
         let w_bits = u64::from(bits_for(max_w)) + 2 * id_bits + 1; // composite weight
         let per_level = id_bits + w_bits + 2 + id_bits + n_bits;
         SpanningTreeScheme.label_bits(instance, node, &label.sp)
+            + label.levels.len() as u64 * per_level
+    }
+}
+
+/// [`KkpMstScheme::label_bits`] as it was while it scanned the graph for
+/// the largest identity and weight on every call — the oracle for the
+/// accessor-based body.
+#[cfg(test)]
+mod reference {
+    use super::{bits_for, Instance, KkpLabel};
+
+    pub fn label_bits(instance: &Instance, label: &KkpLabel) -> u64 {
+        let g = &instance.graph;
+        let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
+        let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
+        let id_bits = u64::from(bits_for(max_id));
+        let n_bits = u64::from(bits_for(instance.node_count() as u64));
+        let w_bits = u64::from(bits_for(max_w)) + 2 * id_bits + 1;
+        let per_level = id_bits + w_bits + 2 + id_bits + n_bits;
+        crate::sp::reference::label_bits(instance, &label.sp)
             + label.levels.len() as u64 * per_level
     }
 }
@@ -458,6 +478,26 @@ mod tests {
                 "seed {seed}: rejecting nodes {:?}",
                 outcome.rejecting
             );
+        }
+    }
+
+    #[test]
+    fn label_bits_agree_with_the_scanning_reference() {
+        use smst_graph::generators::random_graph_scrambled_ids;
+        for seed in 0..20u64 {
+            let n = 10 + seed as usize;
+            let g = random_graph_scrambled_ids(n, 2 * n, seed);
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let labels = KkpMstScheme.mark(&inst).unwrap();
+            for v in inst.graph.nodes() {
+                let label = &labels[v.index()];
+                assert_eq!(
+                    KkpMstScheme.label_bits(&inst, v, label),
+                    reference::label_bits(&inst, label),
+                    "seed {seed}, node {v}"
+                );
+            }
         }
     }
 

@@ -105,6 +105,19 @@ impl OneRoundScheme for SpanningTreeScheme {
     }
 
     fn label_bits(&self, instance: &Instance, _node: NodeId, label: &SpLabel) -> u64 {
+        let max_id = instance.graph.max_id().unwrap_or(1);
+        label.bits(max_id, instance.node_count())
+    }
+}
+
+/// [`SpanningTreeScheme::label_bits`] as it was while it scanned the node
+/// identities for their maximum on every call — the oracle for the
+/// accessor-based body.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Instance, SpLabel};
+
+    pub fn label_bits(instance: &Instance, label: &SpLabel) -> u64 {
         let max_id = instance
             .graph
             .nodes()
@@ -143,6 +156,26 @@ mod tests {
         let labels = SpanningTreeScheme.mark(&inst).unwrap();
         let bits = max_label_bits(&SpanningTreeScheme, &inst, &labels);
         assert!(bits <= 4 * 64f64.log2() as u64 + 16, "bits = {bits}");
+    }
+
+    #[test]
+    fn label_bits_agree_with_the_scanning_reference() {
+        use smst_graph::generators::random_graph_scrambled_ids;
+        for seed in 0..20u64 {
+            let n = 10 + seed as usize;
+            let g = random_graph_scrambled_ids(n, 2 * n, seed);
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let labels = SpanningTreeScheme.mark(&inst).unwrap();
+            for v in inst.graph.nodes() {
+                let label = &labels[v.index()];
+                assert_eq!(
+                    SpanningTreeScheme.label_bits(&inst, v, label),
+                    reference::label_bits(&inst, label),
+                    "seed {seed}, node {v}"
+                );
+            }
+        }
     }
 
     #[test]

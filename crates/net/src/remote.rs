@@ -459,8 +459,8 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
 }
 
 /// The live worker processes. Dropping the set sends every worker an
-/// orderly shutdown, then reaps the processes (killing any that outlive
-/// the grace period).
+/// orderly shutdown, waits for each socket to close, then reaps the
+/// processes (killing any that outlive the grace period).
 #[derive(Debug, Default)]
 struct WorkerSet(Vec<Worker>);
 
@@ -471,19 +471,23 @@ impl Drop for WorkerSet {
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
         for mut worker in self.0.drain(..) {
-            loop {
-                match worker.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(2))
+            // an exiting worker closes its socket: block on that EOF (or
+            // reset) with what is left of the grace period as the read
+            // deadline, skipping any reply still in flight
+            let left = deadline.saturating_duration_since(Instant::now());
+            let gone = !left.is_zero()
+                && worker.conn.set_read_timeout(Some(left)).is_ok()
+                && loop {
+                    match read_frame(&mut worker.conn) {
+                        Ok(_) => {}
+                        Err(WireError::Timeout) => break false,
+                        Err(_) => break true,
                     }
-                    _ => {
-                        let _ = worker.child.kill();
-                        let _ = worker.child.wait();
-                        break;
-                    }
-                }
+                };
+            if !gone {
+                let _ = worker.child.kill();
             }
+            let _ = worker.child.wait();
         }
     }
 }

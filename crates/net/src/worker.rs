@@ -50,7 +50,9 @@ fn layout_from_wire(byte: u8) -> Result<LayoutPolicy, WireError> {
 
 /// The worker entry point: dial, handshake (announcing `wire_version` —
 /// tests inject a skewed version to exercise the typed rejection), serve
-/// rounds until shutdown.
+/// rounds until shutdown. Returns only with an error: an orderly
+/// [`Frame::Shutdown`] ends the **process** (`exit(0)`), since a worker
+/// owns nothing worth destructing.
 pub fn run_worker(endpoint: &Endpoint, part: u32, wire_version: u16) -> Result<(), WireError> {
     let mut conn = endpoint.connect(CONNECT_TIMEOUT)?;
     write_frame(
@@ -138,7 +140,8 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
 
     loop {
         let round = match read_frame(&mut conn)? {
-            Frame::Shutdown => return Ok(()),
+            // nothing here is durable: skip the arena's destructors
+            Frame::Shutdown => std::process::exit(0),
             Frame::Round(round) => round,
             _ => {
                 let _ = write_frame(

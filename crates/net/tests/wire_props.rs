@@ -3,7 +3,10 @@
 //! included), every torn-frame prefix decodes to a **typed** error (never
 //! a panic, never a misparse), trailing bytes and unknown tags/schemas
 //! are rejected, and a hostile length prefix is refused before
-//! allocation.
+//! allocation. The per-round frames are additionally pinned to **golden
+//! byte strings** (recorded at b00a375): whoever rewrites the codec — the
+//! copy-free one of ROADMAP's ledger item, say — must emit exactly these
+//! or bump `WIRE_VERSION`.
 
 use proptest::prelude::*;
 use smst_net::wire::{
@@ -26,11 +29,11 @@ fn assert_round_trip(frame: &Frame) {
     assert_eq!(written, bytes, "write_frame puts frame_bytes on the wire");
 }
 
-/// Every truncation of the wire bytes is a typed error: the empty prefix
-/// is a clean [`WireError::PeerClosed`], every other cut is a torn frame.
-fn assert_truncations_are_typed(frame: &Frame) {
-    let bytes = frame_bytes(frame);
-    for cut in 0..bytes.len() {
+/// Every `stride`-th truncation of the wire bytes is a typed error: the
+/// empty prefix is a clean [`WireError::PeerClosed`], every other cut is a
+/// torn frame.
+fn assert_cuts_are_typed(bytes: &[u8], stride: usize) {
+    for cut in (0..bytes.len()).step_by(stride) {
         let mut stream: &[u8] = &bytes[..cut];
         match read_frame(&mut stream) {
             Err(WireError::PeerClosed) => assert_eq!(cut, 0, "PeerClosed only between frames"),
@@ -38,6 +41,10 @@ fn assert_truncations_are_typed(frame: &Frame) {
             other => panic!("cut at {cut}/{} must be typed, got {other:?}", bytes.len()),
         }
     }
+}
+
+fn assert_truncations_are_typed(frame: &Frame) {
+    assert_cuts_are_typed(&frame_bytes(frame), 1);
 }
 
 fn sample_frames() -> Vec<Frame> {
@@ -111,6 +118,152 @@ fn large_halo_payloads_round_trip() {
         inject: None,
     });
     assert_round_trip(&frame);
+}
+
+// ----- golden bytes ---------------------------------------------------------
+
+/// `count` flood registers (`i · φ64`, little-endian) as a worker or the
+/// coordinator encodes them.
+fn registers(count: u64) -> Vec<u8> {
+    (0..count)
+        .flat_map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes())
+        .collect()
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What `write_frame` puts on the wire for one frame: the bytes in hex,
+/// or — for the 512 KiB frames — their length and FNV-1a fold.
+enum Golden {
+    Hex(&'static str),
+    Fold { len: usize, fnv1a: u64 },
+}
+
+/// The writer emits exactly the recorded bytes, they read back as the
+/// frame, and cutting them anywhere is `PeerClosed` at 0 and `Truncated`
+/// after (the large frames are cut on a stride).
+fn assert_golden(frame: &Frame, golden: Golden) {
+    assert_round_trip(frame);
+    let bytes = frame_bytes(frame);
+    match golden {
+        Golden::Hex(expected) => {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, expected);
+            assert_cuts_are_typed(&bytes, 1);
+        }
+        Golden::Fold { len, fnv1a: fold } => {
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, fold));
+            assert_cuts_are_typed(&bytes, 4099);
+        }
+    }
+}
+
+#[test]
+fn round_frames_match_the_golden_bytes() {
+    let empty = RoundFrame {
+        round: 0,
+        dispatch: 0,
+        patch_nodes: Vec::new(),
+        patch_states: Vec::new(),
+        halo_states: Vec::new(),
+        inject: None,
+    };
+    assert_golden(
+        &Frame::Round(empty.clone()),
+        Golden::Hex("1e000000040000000000000000000000000000000000000000000000000000000000"),
+    );
+    let busy = RoundFrame {
+        round: 42,
+        dispatch: 99,
+        patch_nodes: vec![0, 7],
+        patch_states: registers(2),
+        halo_states: registers(3),
+        inject: Some(WireInjection::Stall { millis: 250 }),
+    };
+    assert_golden(
+        &Frame::Round(busy),
+        Golden::Hex(
+            "56000000042a0000000000000063000000000000000200000000000000070000001000000000000000\
+             00000000157c4a7fb979379e180000000000000000000000157c4a7fb979379e2af894fe72f36e3c02\
+             fa00000000000000",
+        ),
+    );
+    let large = RoundFrame {
+        round: 7,
+        dispatch: 8,
+        halo_states: registers(1 << 16),
+        ..empty
+    };
+    assert_golden(
+        &Frame::Round(large),
+        Golden::Fold {
+            len: 524_322,
+            fnv1a: 0x0847_c422_ca87_a534,
+        },
+    );
+}
+
+#[test]
+fn interiors_frames_match_the_golden_bytes() {
+    let empty = InteriorsFrame {
+        round: 0,
+        dispatch: 0,
+        compute_ns: 0,
+        states: Vec::new(),
+    };
+    assert_golden(
+        &Frame::Interiors(empty),
+        Golden::Hex("1d0000000500000000000000000000000000000000000000000000000000000000"),
+    );
+    let small = InteriorsFrame {
+        round: 42,
+        dispatch: 99,
+        compute_ns: 123_456,
+        states: registers(3),
+    };
+    assert_golden(
+        &Frame::Interiors(small),
+        Golden::Hex(
+            "35000000052a00000000000000630000000000000040e2010000000000180000000000000000000000\
+             157c4a7fb979379e2af894fe72f36e3c",
+        ),
+    );
+    let large = InteriorsFrame {
+        round: 7,
+        dispatch: 8,
+        compute_ns: u64::MAX,
+        states: registers(1 << 16),
+    };
+    assert_golden(
+        &Frame::Interiors(large),
+        Golden::Fold {
+            len: 524_321,
+            fnv1a: 0x2f7c_2592_1cd2_c0da,
+        },
+    );
+}
+
+#[test]
+fn a_graph_rebuilt_from_the_wire_carries_the_same_maxima() {
+    // a worker's register-width accounting reads `max_id` / `max_weight`
+    // off the graph `to_graph` rebuilds, never off the wire
+    use smst_graph::generators::random_graph_scrambled_ids;
+    for seed in 0..8 {
+        let graph = random_graph_scrambled_ids(20 + seed as usize, 60, seed);
+        let rebuilt = WireGraph::from_graph(&graph).to_graph().expect("honorable");
+        assert_eq!(rebuilt.max_id(), graph.nodes().map(|v| graph.id(v)).max());
+        assert_eq!(
+            rebuilt.max_weight(),
+            graph.edges().iter().map(|e| e.weight).max()
+        );
+    }
+    let empty = WireGraph::from_graph(&smst_graph::WeightedGraph::new());
+    let rebuilt = empty.to_graph().expect("honorable");
+    assert_eq!((rebuilt.max_id(), rebuilt.max_weight()), (None, None));
 }
 
 #[test]
