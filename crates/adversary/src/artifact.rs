@@ -1,109 +1,101 @@
 //! `CAMPAIGN_<name>.json` artifacts — the campaign analogue of the bench
 //! harness's `BENCH_<group>.json`.
 //!
-//! Serialized with the same hand-rolled writer discipline (and the same
-//! [`json_string`] escaping) as [`smst_bench::harness`], written into the
-//! same [`bench_dir`] (`$SMST_BENCH_DIR`, default the working directory),
-//! so CI uploads campaign finds alongside the bench trajectory with one
-//! artifact rule.
+//! Written with the workspace codec ([`smst_telemetry::json`]: ordered
+//! [`Obj`] writer, one escaping rule, `None` as `null`) into an explicit
+//! directory — the smoke binaries pass
+//! [`artifact_dir`](smst_telemetry::artifact_dir) (`$SMST_BENCH_DIR`,
+//! default the working directory), so CI uploads campaign finds alongside
+//! the bench trajectory with one artifact rule. `smst-analyze` cannot
+//! link this crate, so its `ingest` keeps a summary reader for the two
+//! `smst-campaign-v1` shapes (this one and
+//! [`chaos_campaign_json`](crate::chaos::chaos_campaign_json)); a golden
+//! file and a round-trip test in `smst-analyze` pin the pair.
 
 use crate::campaign::{CampaignReport, TrialRecord};
 use crate::shrink::ShrinkResult;
-use smst_bench::harness::{bench_dir, json_string};
-use std::io::Write as _;
+use smst_telemetry::json::{self, Obj, ToJson};
 use std::path::{Path, PathBuf};
 
-fn option_json(value: Option<usize>) -> String {
-    match value {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+/// The schema tag both campaign document shapes carry.
+pub const SCHEMA: &str = "smst-campaign-v1";
+
+/// A trial record as the artifact spells it: scores are scalars, which
+/// needs the campaign's step budget (a miss is `2 × budget`).
+struct Record<'a>(&'a TrialRecord, usize);
+
+impl ToJson for Record<'_> {
+    fn write_json(&self, out: &mut String) {
+        let Record(record, budget) = *self;
+        Obj::new(out)
+            .field("id", &record.id)
+            .field("daemon", &record.daemon)
+            .field("nodes", &record.outcome.node_count)
+            .field("score", &record.outcome.score.value(budget))
+            .field("missed", &record.outcome.score.is_missed())
+            .field("baseline_score", &record.baseline.score.value(budget))
+            .field("baseline_missed", &record.baseline.score.is_missed())
+            .field("regret", &record.regret)
+            .field("detection", &record.outcome.detection)
+            .field("recovered", &record.outcome.recovered)
+            .field("injected", &record.outcome.injected_faults)
+            .end();
     }
 }
 
-fn record_json(record: &TrialRecord, budget: usize) -> String {
-    format!(
-        "{{\"id\":{},\"daemon\":{},\"nodes\":{},\"score\":{},\"missed\":{},\
-         \"baseline_score\":{},\"baseline_missed\":{},\"regret\":{},\
-         \"detection\":{},\"recovered\":{},\"injected\":{}}}",
-        json_string(&record.id),
-        json_string(&record.daemon),
-        record.outcome.node_count,
-        record.outcome.score.value(budget),
-        record.outcome.score.is_missed(),
-        record.baseline.score.value(budget),
-        record.baseline.score.is_missed(),
-        record.regret,
-        option_json(record.outcome.detection),
-        option_json(record.outcome.recovered),
-        record.outcome.injected_faults,
-    )
+/// The shrunk best find as the artifact spells it.
+struct Shrunk<'a>(&'a ShrinkResult, usize);
+
+impl ToJson for Shrunk<'_> {
+    fn write_json(&self, out: &mut String) {
+        let Shrunk(result, budget) = *self;
+        Obj::new(out)
+            .field("id", &result.spec.id())
+            .field("accepted", &result.accepted)
+            .field("evaluated", &result.evaluated)
+            .field("nodes", &result.outcome.node_count)
+            .field("score", &result.outcome.score.value(budget))
+            .field("missed", &result.outcome.score.is_missed())
+            .end();
+    }
 }
 
 /// Serializes a campaign report (and, optionally, the shrunk best find) as
-/// one JSON object.
+/// one JSON document.
 pub fn campaign_json(
     report: &CampaignReport,
     budget: usize,
     shrunk: Option<&ShrinkResult>,
 ) -> String {
-    let records: Vec<String> = report
-        .records
-        .iter()
-        .map(|r| record_json(r, budget))
-        .collect();
-    let best = report
-        .best()
-        .map(|r| record_json(r, budget))
-        .unwrap_or_else(|| "null".to_string());
-    let shrunk_json = match shrunk {
-        Some(result) => format!(
-            "{{\"id\":{},\"accepted\":{},\"evaluated\":{},\"nodes\":{},\
-             \"score\":{},\"missed\":{}}}",
-            json_string(&result.spec.id()),
-            result.accepted,
-            result.evaluated,
-            result.outcome.node_count,
-            result.outcome.score.value(budget),
-            result.outcome.score.is_missed(),
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"schema\":\"smst-campaign-v1\",\"campaign\":{},\
-         \"random_trials\":{},\"guided_trials\":{},\
-         \"best\":{best},\"shrunk\":{shrunk_json},\"records\":[{}]}}\n",
-        json_string(&report.name),
-        report.random_trials,
-        report.guided_trials,
-        records.join(",")
-    )
+    let records: Vec<Record<'_>> = report.records.iter().map(|r| Record(r, budget)).collect();
+    json::document(SCHEMA, |doc| {
+        doc.field("campaign", &report.name)
+            .field("random_trials", &report.random_trials)
+            .field("guided_trials", &report.guided_trials)
+            .field("best", &records.first())
+            .field("shrunk", &shrunk.map(|result| Shrunk(result, budget)))
+            .field("records", &records)
+    })
 }
 
-/// Writes `CAMPAIGN_<name>.json` into [`bench_dir`] and returns its path.
+/// Writes `CAMPAIGN_<name>.json` into `dir` and returns its path.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors — a campaign that silently loses its finds is
 /// worse than one that fails.
-pub fn write_campaign_artifact(
-    report: &CampaignReport,
-    budget: usize,
-    shrunk: Option<&ShrinkResult>,
-) -> PathBuf {
-    write_campaign_artifact_in(&bench_dir(), report, budget, shrunk)
-}
-
-/// [`write_campaign_artifact`] into an explicit directory.
 pub fn write_campaign_artifact_in(
     dir: &Path,
     report: &CampaignReport,
     budget: usize,
     shrunk: Option<&ShrinkResult>,
 ) -> PathBuf {
-    let path = dir.join(format!("CAMPAIGN_{}.json", report.name));
-    let mut file = std::fs::File::create(&path).expect("creating the campaign JSON artifact");
-    file.write_all(campaign_json(report, budget, shrunk).as_bytes())
-        .expect("writing the campaign JSON artifact");
+    let path = json::write_artifact(
+        dir,
+        &format!("CAMPAIGN_{}.json", report.name),
+        &campaign_json(report, budget, shrunk),
+    )
+    .expect("writing the campaign JSON artifact");
     println!("  campaign results -> {}", path.display());
     path
 }

@@ -9,11 +9,11 @@
 
 use smst_adversary::{
     beats_round_robin_memo, run_campaign, run_trial, run_trial_observed, shrink_trial,
-    write_campaign_artifact, CampaignSpec, TrialSpec, Workload,
+    write_campaign_artifact_in, CampaignSpec, TrialSpec, Workload,
 };
 use smst_bench::harness::smoke_mode;
 use smst_sim::{RecordingObserver, TeeObserver};
-use smst_telemetry::{RoundsArtifact, Telemetry};
+use smst_telemetry::{artifact_dir, RoundsArtifact, Telemetry};
 
 fn main() {
     let mut spec = CampaignSpec::new("smoke", Workload::Monitor);
@@ -66,7 +66,7 @@ fn main() {
         println!("no adversarial daemon beat round-robin in this tiny space");
         None
     };
-    write_campaign_artifact(&report, spec.budget, shrunk.as_ref());
+    write_campaign_artifact_in(&artifact_dir(), &report, spec.budget, shrunk.as_ref());
 
     // observed replay of the best find (shrunk if available): the
     // deterministic trial, re-run with per-round accounting attached, its

@@ -11,7 +11,7 @@
 //! `SMST_BENCH_SMOKE=1` shrinks the graph.
 
 use smst_adversary::chaos::{
-    record_chaos_metrics, record_pool_metrics, write_chaos_campaign_artifact, ChaosCase,
+    record_chaos_metrics, record_pool_metrics, write_chaos_campaign_artifact_in, ChaosCase,
     ChaosCaseRecord,
 };
 use smst_bench::harness::smoke_mode;
@@ -21,7 +21,7 @@ use smst_engine::{
     PoolHandle, RecoveryPolicy, Runner, ScenarioSpec, StopCondition,
 };
 use smst_sim::FaultSchedule;
-use smst_telemetry::{names, ChaosArtifact, FlightRecorder, Metrics};
+use smst_telemetry::{artifact_dir, names, ChaosArtifact, FlightRecorder, Metrics};
 use std::time::Duration;
 
 fn main() {
@@ -129,7 +129,8 @@ fn main() {
             );
             let reason = format!("barrier timeout after {timeout:?}");
             let path = flight
-                .write_json("chaos_stall", &reason)
+                .dump("chaos_stall", &reason)
+                .write_json_to(&artifact_dir())
                 .expect("writing the flight-recorder artifact");
             println!(
                 "  flight -> {} ({} of {} rounds retained)",
@@ -161,5 +162,5 @@ fn main() {
     );
 
     artifact.finish();
-    write_chaos_campaign_artifact("chaos", &records, pool.pool().stats());
+    write_chaos_campaign_artifact_in(&artifact_dir(), "chaos", &records, pool.pool().stats());
 }

@@ -21,17 +21,16 @@
 //!
 //! [`chaos_campaign_json`] serializes a whole campaign (cases plus pool
 //! counters) as `CAMPAIGN_chaos.json`, next to the search campaigns'
-//! artifacts and with the same writer discipline.
+//! artifacts and on the same codec (see [`artifact`](crate::artifact)).
 
-use smst_bench::harness::{bench_dir, json_string};
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
     run_chaos_scenario, ChaosReport, EngineError, GraphFamily, InjectionSpec, PoolStats,
     RecoveryPolicy, ScenarioSpec,
 };
 use smst_sim::FaultSchedule;
+use smst_telemetry::json::{self, Obj, ToJson};
 use smst_telemetry::{names, ChaosRun, Metrics};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One replayable chaos campaign case: a graph family under a recurring
@@ -232,78 +231,67 @@ impl ChaosCaseRecord {
     }
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x}"))
+impl ToJson for ChaosCaseRecord {
+    fn write_json(&self, out: &mut String) {
+        let report = &self.report;
+        Obj::new(out)
+            .field("case", &self.case)
+            .field("schedule", &self.schedule)
+            .field("threads", &self.threads)
+            .field("steps_run", &report.steps_run)
+            .field("waves", &report.waves.len())
+            .field("injected_faults", &report.injected_faults)
+            .field("detected_waves", &report.detected_waves())
+            .field("quiesced_waves", &report.quiesced_waves())
+            .field("mean_detection_latency", &report.mean_detection_latency())
+            .field("mean_quiescence", &report.mean_quiescence())
+            .field("recovery_invisible", &self.recovery_invisible)
+            .end();
+    }
 }
 
-fn json_opt_bool(v: Option<bool>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
+/// The pool's self-healing counters as the `"pool"` object.
+struct PoolCounters<'a>(&'a PoolStats);
+
+impl ToJson for PoolCounters<'_> {
+    fn write_json(&self, out: &mut String) {
+        Obj::new(out)
+            .field("worker_panics", &self.0.panics())
+            .field("worker_respawns", &self.0.respawns())
+            .field("barrier_timeouts", &self.0.barrier_timeouts())
+            .end();
+    }
 }
 
 /// Serializes a chaos campaign — case records plus the pool's
-/// self-healing counters — as one JSON object (the `CAMPAIGN_chaos.json`
-/// body).
+/// self-healing counters — as one JSON document (the
+/// `CAMPAIGN_chaos.json` body).
 pub fn chaos_campaign_json(name: &str, records: &[ChaosCaseRecord], pool: &PoolStats) -> String {
-    let cases: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"case\":{},\"schedule\":{},\"threads\":{},\
-                 \"steps_run\":{},\"waves\":{},\"injected_faults\":{},\
-                 \"detected_waves\":{},\"quiesced_waves\":{},\
-                 \"mean_detection_latency\":{},\"mean_quiescence\":{},\
-                 \"recovery_invisible\":{}}}",
-                json_string(&r.case),
-                json_string(&r.schedule),
-                r.threads,
-                r.report.steps_run,
-                r.report.waves.len(),
-                r.report.injected_faults,
-                r.report.detected_waves(),
-                r.report.quiesced_waves(),
-                json_opt_f64(r.report.mean_detection_latency()),
-                json_opt_f64(r.report.mean_quiescence()),
-                json_opt_bool(r.recovery_invisible),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"smst-campaign-v1\",\"campaign\":{},\"cases\":[{}],\
-         \"pool\":{{\"worker_panics\":{},\"worker_respawns\":{},\
-         \"barrier_timeouts\":{}}}}}\n",
-        json_string(name),
-        cases.join(","),
-        pool.panics(),
-        pool.respawns(),
-        pool.barrier_timeouts(),
-    )
+    json::document(crate::artifact::SCHEMA, |doc| {
+        doc.field("campaign", name)
+            .field("cases", records)
+            .field("pool", &PoolCounters(pool))
+    })
 }
 
-/// Writes `CAMPAIGN_<name>.json` into [`bench_dir`] and returns its path.
+/// Writes `CAMPAIGN_<name>.json` into `dir` and returns its path.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors — a campaign that silently loses its results is
 /// worse than one that fails.
-pub fn write_chaos_campaign_artifact(
-    name: &str,
-    records: &[ChaosCaseRecord],
-    pool: &PoolStats,
-) -> PathBuf {
-    write_chaos_campaign_artifact_in(&bench_dir(), name, records, pool)
-}
-
-/// [`write_chaos_campaign_artifact`] into an explicit directory.
 pub fn write_chaos_campaign_artifact_in(
     dir: &Path,
     name: &str,
     records: &[ChaosCaseRecord],
     pool: &PoolStats,
 ) -> PathBuf {
-    let path = dir.join(format!("CAMPAIGN_{name}.json"));
-    let mut file = std::fs::File::create(&path).expect("creating the chaos campaign artifact");
-    file.write_all(chaos_campaign_json(name, records, pool).as_bytes())
-        .expect("writing the chaos campaign artifact");
+    let path = json::write_artifact(
+        dir,
+        &format!("CAMPAIGN_{name}.json"),
+        &chaos_campaign_json(name, records, pool),
+    )
+    .expect("writing the chaos campaign artifact");
     println!("  chaos campaign -> {}", path.display());
     path
 }

@@ -28,7 +28,7 @@
 //!   faults, smaller graph, shorter schedule prefix, tamer daemon — down
 //!   to a 1-minimal counterexample;
 //! * [`artifact`] — `CAMPAIGN_<name>.json` written next to the bench
-//!   JSONs (same escaping, same `$SMST_BENCH_DIR`), uploaded by CI's
+//!   JSONs (same codec, same `$SMST_BENCH_DIR`), uploaded by CI's
 //!   `campaign-smoke` job;
 //! * [`chaos`] — verify-forever chaos campaigns: recurring
 //!   [`FaultSchedule`](smst_sim::FaultSchedule) waves endured on the
@@ -49,11 +49,11 @@ pub mod daemons;
 pub mod shrink;
 pub mod trial;
 
-pub use artifact::{campaign_json, write_campaign_artifact};
+pub use artifact::{campaign_json, write_campaign_artifact_in};
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, TrialRecord};
 pub use chaos::{
-    chaos_campaign_json, record_chaos_metrics, record_pool_metrics, write_chaos_campaign_artifact,
-    ChaosCase, ChaosCaseOutcome, ChaosCaseRecord,
+    chaos_campaign_json, record_chaos_metrics, record_pool_metrics,
+    write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseOutcome, ChaosCaseRecord,
 };
 pub use daemons::{CutFocusDaemon, StallDaemon, StarveDaemon};
 pub use shrink::{shrink as shrink_trial, ShrinkResult};

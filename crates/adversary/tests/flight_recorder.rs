@@ -43,11 +43,8 @@ fn forced_barrier_timeout_dumps_a_flight_artifact() {
     let dir = std::env::temp_dir().join("smst_adversary_flight_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = flight
-        .write_json_to(
-            &dir,
-            "stall_test",
-            &format!("barrier timeout after {timeout:?}"),
-        )
+        .dump("stall_test", &format!("barrier timeout after {timeout:?}"))
+        .write_json_to(&dir)
         .expect("writing the flight artifact");
     assert_eq!(
         path.file_name().unwrap().to_string_lossy(),

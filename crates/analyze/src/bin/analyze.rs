@@ -5,7 +5,8 @@
 
 use smst_analyze::check::{check_dirs, Thresholds};
 use smst_analyze::ingest::{ingest_dir, ARTIFACT_PREFIXES};
-use smst_analyze::kmw::{run_kmw_accounting, validate_analysis_json, KmwConfig};
+use smst_analyze::kmw::{run_kmw_accounting, KmwConfig};
+use smst_telemetry::artifact_dir;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -65,14 +66,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Where current artifacts live when no directory is given: the same
-/// `$SMST_BENCH_DIR`-else-`.` rule every producer writes with.
-fn default_artifact_dir() -> PathBuf {
-    std::env::var_os("SMST_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
 /// Pulls the value of `--flag value` out of `args`, erroring on a
 /// trailing flag with no value.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -117,7 +110,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let baseline = flag_value(args, "--baseline")?.ok_or("check needs --baseline <dir>")?;
     let current = flag_value(args, "--current")?
         .map(PathBuf::from)
-        .unwrap_or_else(default_artifact_dir);
+        .unwrap_or_else(artifact_dir);
     let mut thresholds = Thresholds::default();
     if let Some(t) = flag_value(args, "--tolerance")? {
         thresholds.tolerance = t
@@ -151,7 +144,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_kmw(args: &[String]) -> Result<ExitCode, String> {
     let out = flag_value(args, "--out")?
         .map(PathBuf::from)
-        .unwrap_or_else(default_artifact_dir);
+        .unwrap_or_else(artifact_dir);
     let mut config = KmwConfig::default();
     if let Some(s) = flag_value(args, "--seed")? {
         config.seed = s
@@ -170,13 +163,17 @@ fn cmd_kmw(args: &[String]) -> Result<ExitCode, String> {
     let analysis = run_kmw_accounting(&config);
     print!("{}", analysis.render());
     let undetected = analysis
-        .points
-        .iter()
-        .filter(|p| p.measured_rounds.is_none())
+        .points()
+        .filter(|(_, p)| p.measured_rounds.is_none())
         .count();
-    let json = analysis.to_json();
-    validate_analysis_json(&json, config.levels.len())
-        .map_err(|e| format!("sweep produced an invalid analysis: {e}"))?;
+    // a broken sweep must not quietly publish a thin analysis
+    let tree_sizes = analysis.family_points("kmw_cluster_tree");
+    if tree_sizes < config.levels.len() {
+        return Err(format!(
+            "sweep produced {tree_sizes} kmw_cluster_tree points, need {}",
+            config.levels.len()
+        ));
+    }
     let path = analysis
         .write_json_to(&out)
         .map_err(|e| format!("writing ANALYSIS_kmw.json into {}: {e}", out.display()))?;

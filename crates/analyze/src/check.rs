@@ -27,7 +27,9 @@
 //! side are hard errors: a gate that skips what it cannot read is not a
 //! gate.
 
-use crate::ingest::{ingest_dir, Artifact, BenchCase, ChaosRunRecord, IngestError, LintDoc};
+use crate::ingest::{ingest_dir, Artifact, IngestError, LintDoc};
+use smst_bench::harness::BenchResult;
+use smst_telemetry::ChaosRun;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -186,9 +188,9 @@ impl std::error::Error for CheckError {}
 #[derive(Debug, Default)]
 struct Side {
     /// `name` → case (names already carry the `group/` prefix).
-    bench: Vec<BenchCase>,
+    bench: Vec<BenchResult>,
     /// `group/label` → run.
-    chaos: Vec<(String, ChaosRunRecord)>,
+    chaos: Vec<(String, ChaosRun)>,
     /// `root` → lint document.
     lint: Vec<(String, LintDoc)>,
 }
@@ -197,11 +199,11 @@ fn load_side(dir: &Path, warnings: &mut Vec<String>, tag: &str) -> Result<Side, 
     let mut side = Side::default();
     for (path, result) in ingest_dir(dir).map_err(|e| CheckError::Scan(dir.to_path_buf(), e))? {
         match result.map_err(CheckError::Ingest)? {
-            Artifact::Bench(doc) => side.bench.extend(doc.results),
+            Artifact::Bench(doc) => side.bench.extend_from_slice(doc.results()),
             Artifact::Chaos(doc) => {
-                for run in doc.runs {
+                for run in doc.runs() {
                     side.chaos
-                        .push((format!("{}/{}", doc.group, run.label), run));
+                        .push((format!("{}/{}", doc.group(), run.label), run.clone()));
                 }
             }
             Artifact::Lint(doc) => side.lint.push((doc.root.clone(), doc)),
@@ -304,7 +306,7 @@ fn compare_lint(key: &str, base: &LintDoc, cur: &LintDoc, out: &mut Vec<LintCree
     }
 }
 
-fn compare_case(base: &BenchCase, cur: &BenchCase, t: Thresholds) -> BenchComparison {
+fn compare_case(base: &BenchResult, cur: &BenchResult, t: Thresholds) -> BenchComparison {
     let ratio = if base.median_ns == 0 {
         // a 0ns baseline median can only come from a degenerate case;
         // any nonzero current value is "infinitely" slower, so let the
@@ -324,12 +326,7 @@ fn compare_case(base: &BenchCase, cur: &BenchCase, t: Thresholds) -> BenchCompar
     }
 }
 
-fn compare_chaos(
-    key: &str,
-    base: &ChaosRunRecord,
-    cur: &ChaosRunRecord,
-    out: &mut Vec<ChaosMismatch>,
-) {
+fn compare_chaos(key: &str, base: &ChaosRun, cur: &ChaosRun, out: &mut Vec<ChaosMismatch>) {
     let mut push = |field: &'static str, b: String, c: String| {
         if b != c {
             out.push(ChaosMismatch {
@@ -353,13 +350,13 @@ fn compare_chaos(
     );
     push(
         "detected_waves",
-        base.detected_waves.to_string(),
-        cur.detected_waves.to_string(),
+        base.detected_waves().to_string(),
+        cur.detected_waves().to_string(),
     );
     push(
         "quiesced_waves",
-        base.quiesced_waves.to_string(),
-        cur.quiesced_waves.to_string(),
+        base.quiesced_waves().to_string(),
+        cur.quiesced_waves().to_string(),
     );
 }
 
@@ -443,14 +440,26 @@ mod tests {
     #[test]
     fn chaos_determinism_is_compared_exactly() {
         let (base, cur) = dirs("chaos_exact");
+        // `detected` of three waves raise an alarm; the rest are censored
         let chaos = |detected: usize| {
-            format!(
-                "{{\"schema\":\"smst-chaos-v1\",\"group\":\"chaos\",\"runs\":[\
-                 {{\"label\":\"l\",\"run\":\"seed=7\",\"schedule\":\"s\",\
-                 \"steps_run\":24,\"injected_faults\":12,\"detected_waves\":{detected},\
-                 \"quiesced_waves\":0,\"mean_detection_latency\":null,\
-                 \"mean_quiescence\":null,\"waves\":[]}}]}}\n"
-            )
+            let mut artifact = smst_telemetry::ChaosArtifact::new("chaos");
+            artifact.push(ChaosRun {
+                label: "l".to_string(),
+                run: "seed=7".to_string(),
+                schedule: "s".to_string(),
+                steps_run: 24,
+                injected_faults: 12,
+                waves: (0..3)
+                    .map(|wave| smst_sim::WaveStats {
+                        wave,
+                        step: 8 * wave,
+                        faults: 4,
+                        detection_latency: (wave < detected).then_some(1),
+                        quiescence: None,
+                    })
+                    .collect(),
+            });
+            artifact.to_json()
         };
         std::fs::write(base.join("BENCH_chaos.json"), chaos(3)).unwrap();
         std::fs::write(cur.join("BENCH_chaos.json"), chaos(2)).unwrap();

@@ -1,20 +1,31 @@
 //! Typed ingestion of every artifact the workspace emits.
 //!
-//! Each producer hand-writes its JSON with a top-level `schema` tag; this
-//! module is the consumer side of that contract. [`ingest_file`] dispatches
-//! on the tag (or on the `.jsonl` extension for trace streams, whose lines
-//! carry no tag), verifies the schema **version**, and lifts the document
-//! into a typed [`Artifact`] — so everything downstream (the regression
-//! gate, the KMW accounting, the CLI summaries) works on Rust structs, not
-//! raw JSON trees.
+//! Every producer describes its document **once**: one Rust type next to
+//! the code that fills it, with `to_json` and a [`FromJson`] impl side by
+//! side on the [`smst_telemetry::json`] codec. This module owns only what
+//! is the analyzer's: the `SCHEMA_*` tags (which the `schema-parity` lint
+//! holds against the tags the producers emit) and the tag → reader table,
+//! the typed [`IngestError`], the [`Artifact`] sum over the producers'
+//! types, and the file / directory scan. [`ingest_file`] dispatches on the
+//! `schema` tag (or on the `.jsonl` extension for trace streams, whose
+//! lines carry no tag), verifies the schema **version** — a known family
+//! at an unknown version (`smst-bench-v2`) is a version error, never
+//! half-parsed — and hands the document to the producer's own reader, so
+//! the gate and the CLI work on the very structs the writers fill in.
 //!
-//! A `schema` value with a known family prefix but an unknown version
-//! (`smst-bench-v2`, say) is rejected with a version error rather than
-//! half-parsed: the gate must fail loudly when a future PR bumps a schema
-//! without teaching the analyzer about it.
+//! Two producers cannot be linked from here — `smst-adversary` (it sits
+//! above this crate) and the dependency-free `smst-lint` — so their
+//! documents keep a reader in this module: [`CampaignDoc`] (a summary of
+//! either `smst-campaign-v1` shape) and [`LintDoc`].
+//!
+//! **Adding a schema:** give the producer a type with `to_json` +
+//! `FromJson` and a `SCHEMA` constant; here, add its tag, an [`Artifact`]
+//! variant, a `describe` arm and an [`ingest_document`] arm.
 
-use crate::json::{Json, ParseError};
-use smst_sim::RoundStats;
+use crate::kmw::KmwAnalysis;
+use smst_bench::harness::BenchGroup;
+use smst_telemetry::json::{FromJson, Json, ParseError, ShapeError};
+use smst_telemetry::{ChaosArtifact, FlightDump, RoundsArtifact, TraceLine};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -39,6 +50,19 @@ pub const SCHEMA_LINT: &str = "smst-lint-v1";
 /// protocol, not a JSON document, so [`ingest_document`] rejects files
 /// claiming it.
 pub const SCHEMA_WIRE: &str = "smst-wire-v1";
+
+/// Every tag above: a document of one of these families at another
+/// version is a version error, not an unknown document.
+const SCHEMAS: [&str; 8] = [
+    SCHEMA_BENCH,
+    SCHEMA_ROUNDS,
+    SCHEMA_CHAOS,
+    SCHEMA_CAMPAIGN,
+    SCHEMA_FLIGHT,
+    SCHEMA_ANALYSIS,
+    SCHEMA_LINT,
+    SCHEMA_WIRE,
+];
 
 /// Why ingesting an artifact failed.
 #[derive(Debug)]
@@ -100,103 +124,6 @@ impl fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// One timing case from a `smst-bench-v1` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCase {
-    /// Case name (`group/case`).
-    pub name: String,
-    /// Timed iterations.
-    pub iters: u64,
-    /// Fastest iteration, nanoseconds.
-    pub min_ns: u64,
-    /// Median iteration, nanoseconds.
-    pub median_ns: u64,
-    /// Mean iteration, nanoseconds.
-    pub mean_ns: f64,
-    /// Slowest iteration, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// A parsed `smst-bench-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDoc {
-    /// The bench group name.
-    pub group: String,
-    /// Non-timing metrics recorded alongside the timings.
-    pub meta: Vec<(String, f64)>,
-    /// The timing cases, in artifact order.
-    pub results: Vec<BenchCase>,
-}
-
-/// One labelled run from a `smst-rounds-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundsRun {
-    /// Case label.
-    pub label: String,
-    /// Replay correlation (seed, trial id, …).
-    pub run: String,
-    /// The per-round records, in round order.
-    pub rounds: Vec<RoundStats>,
-}
-
-/// A parsed `smst-rounds-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundsDoc {
-    /// The artifact group name.
-    pub group: String,
-    /// The labelled runs.
-    pub runs: Vec<RoundsRun>,
-}
-
-/// One fault wave from a `smst-chaos-v1` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveRecord {
-    /// Wave index.
-    pub wave: usize,
-    /// Step the wave fired at.
-    pub step: usize,
-    /// Registers corrupted by the wave.
-    pub faults: usize,
-    /// Steps from wave to first alarm (`None` = censored).
-    pub detection_latency: Option<usize>,
-    /// Steps from wave to full re-acceptance (`None` = censored).
-    pub quiescence: Option<usize>,
-}
-
-/// One labelled campaign from a `smst-chaos-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosRunRecord {
-    /// Case label.
-    pub label: String,
-    /// Replay correlation.
-    pub run: String,
-    /// The schedule grammar that was executed.
-    pub schedule: String,
-    /// Steps the campaign executed.
-    pub steps_run: usize,
-    /// Total registers corrupted.
-    pub injected_faults: usize,
-    /// Waves with a recorded detection latency.
-    pub detected_waves: usize,
-    /// Waves with a recorded quiescence.
-    pub quiesced_waves: usize,
-    /// Mean detection latency over the detected waves.
-    pub mean_detection_latency: Option<f64>,
-    /// Mean quiescence over the quiesced waves.
-    pub mean_quiescence: Option<f64>,
-    /// Per-wave accounting.
-    pub waves: Vec<WaveRecord>,
-}
-
-/// A parsed `smst-chaos-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosDoc {
-    /// The artifact group name.
-    pub group: String,
-    /// The labelled campaigns.
-    pub runs: Vec<ChaosRunRecord>,
-}
-
 /// The two document shapes sharing the `smst-campaign-v1` tag.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignDoc {
@@ -224,50 +151,6 @@ pub enum CampaignDoc {
     },
 }
 
-impl CampaignDoc {
-    /// The campaign's name, whichever shape it is.
-    pub fn campaign(&self) -> &str {
-        match self {
-            CampaignDoc::Search { campaign, .. } | CampaignDoc::Chaos { campaign, .. } => campaign,
-        }
-    }
-}
-
-/// A parsed `smst-flight-v1` flight-recorder dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightDoc {
-    /// The recorder name (`FLIGHT_<name>.json`).
-    pub name: String,
-    /// Why the dump was taken.
-    pub reason: String,
-    /// Ring-buffer capacity.
-    pub capacity: usize,
-    /// Rounds observed over the recorder's lifetime.
-    pub rounds_seen: usize,
-    /// The retained window, oldest first.
-    pub rounds: Vec<RoundStats>,
-}
-
-/// One family of points from a `smst-analysis-v1` accounting document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalysisFamily {
-    /// Family label (e.g. the hard-instance family name).
-    pub family: String,
-    /// What the family plots (`measured`, `bound`, …).
-    pub kind: String,
-    /// Points recorded for the family.
-    pub points: usize,
-}
-
-/// A parsed `smst-analysis-v1` document (the KMW accounting shape).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalysisDoc {
-    /// Which analysis produced the document (`kmw`).
-    pub analysis: String,
-    /// The point families, in artifact order.
-    pub families: Vec<AnalysisFamily>,
-}
-
 /// One diagnostic from a `smst-lint-v1` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintRecord {
@@ -285,6 +168,15 @@ pub struct LintRecord {
     pub reason: Option<String>,
 }
 
+smst_telemetry::json_record!(LintRecord {
+    rule,
+    file,
+    line,
+    message,
+    suppressed,
+    reason,
+});
+
 /// A parsed `smst-lint-v1` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintDoc {
@@ -300,41 +192,26 @@ pub struct LintDoc {
     pub diagnostics: Vec<LintRecord>,
 }
 
-/// One line of a `TRACE_*.jsonl` stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceLine {
-    /// Replay correlation label.
-    pub run: String,
-    /// The round record.
-    pub stats: RoundStats,
-}
-
-/// A parsed `TRACE_*.jsonl` stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceDoc {
-    /// The records, in stream order.
-    pub lines: Vec<TraceLine>,
-}
-
-/// Any artifact the workspace emits, lifted to typed records.
+/// Any artifact the workspace emits, as the type its producer writes
+/// (or, for campaigns and lint, this module's reader type).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
     /// A `smst-bench-v1` timing artifact.
-    Bench(BenchDoc),
+    Bench(BenchGroup),
     /// A `smst-rounds-v1` per-round artifact.
-    Rounds(RoundsDoc),
+    Rounds(RoundsArtifact),
     /// A `smst-chaos-v1` wave-accounting artifact.
-    Chaos(ChaosDoc),
+    Chaos(ChaosArtifact),
     /// A `smst-campaign-v1` campaign artifact (either shape).
     Campaign(CampaignDoc),
     /// A `smst-flight-v1` flight-recorder dump.
-    Flight(FlightDoc),
+    Flight(FlightDump),
     /// A `smst-analysis-v1` accounting document.
-    Analysis(AnalysisDoc),
+    Analysis(KmwAnalysis),
     /// A `smst-lint-v1` invariant-lint artifact.
     Lint(LintDoc),
-    /// A `TRACE_*.jsonl` stream.
-    Trace(TraceDoc),
+    /// A `TRACE_*.jsonl` stream, in stream order.
+    Trace(Vec<TraceLine>),
 }
 
 impl Artifact {
@@ -343,21 +220,21 @@ impl Artifact {
         match self {
             Artifact::Bench(d) => format!(
                 "bench group {:?}: {} cases, {} meta entries",
-                d.group,
-                d.results.len(),
-                d.meta.len()
+                d.group(),
+                d.results().len(),
+                d.meta().len()
             ),
             Artifact::Rounds(d) => format!(
                 "rounds group {:?}: {} runs, {} rounds total",
-                d.group,
-                d.runs.len(),
-                d.runs.iter().map(|r| r.rounds.len()).sum::<usize>()
+                d.group(),
+                d.len(),
+                d.runs().iter().map(|r| r.rounds.len()).sum::<usize>()
             ),
             Artifact::Chaos(d) => format!(
                 "chaos group {:?}: {} runs, {} waves total",
-                d.group,
-                d.runs.len(),
-                d.runs.iter().map(|r| r.waves.len()).sum::<usize>()
+                d.group(),
+                d.len(),
+                d.runs().iter().map(|r| r.waves.len()).sum::<usize>()
             ),
             Artifact::Campaign(CampaignDoc::Search {
                 campaign,
@@ -386,10 +263,9 @@ impl Artifact {
                 d.reason
             ),
             Artifact::Analysis(d) => format!(
-                "analysis {:?}: {} families, {} points total",
-                d.analysis,
+                "analysis \"kmw\": {} families, {} points total",
                 d.families.len(),
-                d.families.iter().map(|f| f.points).sum::<usize>()
+                d.points().count()
             ),
             Artifact::Lint(d) => format!(
                 "lint {:?}: {} files, {} diagnostics ({} suppressed, {} unsuppressed)",
@@ -399,7 +275,7 @@ impl Artifact {
                 d.suppressed,
                 d.unsuppressed
             ),
-            Artifact::Trace(d) => format!("trace: {} records", d.lines.len()),
+            Artifact::Trace(lines) => format!("trace: {} records", lines.len()),
         }
     }
 }
@@ -409,390 +285,123 @@ impl Artifact {
 /// else).
 pub fn ingest_file(path: &Path) -> Result<Artifact, IngestError> {
     let text = std::fs::read_to_string(path).map_err(|e| IngestError::Io(path.to_path_buf(), e))?;
+    let parse =
+        |text: &str| Json::parse(text).map_err(|e| IngestError::Parse(path.to_path_buf(), e));
     if path.extension().is_some_and(|e| e == "jsonl") {
-        return ingest_trace(path, &text);
+        let mut lines = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if !line.trim().is_empty() {
+                let at = |e: ShapeError| shape(path, e.under(&format!("line {}", i + 1)));
+                lines.push(TraceLine::from_json(&parse(line)?).map_err(at)?);
+            }
+        }
+        return Ok(Artifact::Trace(lines));
     }
-    let doc = Json::parse(&text).map_err(|e| IngestError::Parse(path.to_path_buf(), e))?;
-    ingest_document(path, &doc)
+    ingest_document(path, &parse(&text)?)
 }
 
-/// Ingests an already-parsed schema-tagged document.
+fn shape(path: &Path, error: ShapeError) -> IngestError {
+    IngestError::Shape {
+        path: path.to_path_buf(),
+        field: error.field,
+    }
+}
+
+/// Ingests an already-parsed schema-tagged document: the tag → reader
+/// table.
 pub fn ingest_document(path: &Path, doc: &Json) -> Result<Artifact, IngestError> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| IngestError::MissingSchema(path.to_path_buf()))?;
-    let cx = Cx { path };
+    let unknown = |what: String| Err(IngestError::UnknownSchema(path.to_path_buf(), what));
     match schema {
-        SCHEMA_BENCH => ingest_bench(&cx, doc).map(Artifact::Bench),
-        SCHEMA_ROUNDS => ingest_rounds(&cx, doc).map(Artifact::Rounds),
-        SCHEMA_CHAOS => ingest_chaos(&cx, doc).map(Artifact::Chaos),
-        SCHEMA_CAMPAIGN => ingest_campaign(&cx, doc).map(Artifact::Campaign),
-        SCHEMA_FLIGHT => ingest_flight(&cx, doc).map(Artifact::Flight),
-        SCHEMA_ANALYSIS => ingest_analysis(&cx, doc).map(Artifact::Analysis),
-        SCHEMA_LINT => ingest_lint(&cx, doc).map(Artifact::Lint),
+        SCHEMA_BENCH => BenchGroup::from_json(doc).map(Artifact::Bench),
+        SCHEMA_ROUNDS => RoundsArtifact::from_json(doc).map(Artifact::Rounds),
+        SCHEMA_CHAOS => ChaosArtifact::from_json(doc).map(Artifact::Chaos),
+        SCHEMA_CAMPAIGN => CampaignDoc::from_json(doc).map(Artifact::Campaign),
+        SCHEMA_FLIGHT => FlightDump::from_json(doc).map(Artifact::Flight),
+        SCHEMA_ANALYSIS => KmwAnalysis::from_json(doc).map(Artifact::Analysis),
+        SCHEMA_LINT => LintDoc::from_json(doc).map(Artifact::Lint),
         // the wire tag names a socket protocol, not a document shape —
         // nothing to lift into an Artifact
-        SCHEMA_WIRE => Err(IngestError::UnknownSchema(
-            path.to_path_buf(),
-            format!("{SCHEMA_WIRE} tags the smst-net socket protocol, not a JSON artifact"),
-        )),
+        SCHEMA_WIRE => {
+            return unknown(format!(
+                "{SCHEMA_WIRE} tags the smst-net socket protocol, not a JSON artifact"
+            ))
+        }
         other => {
-            let known = [
-                SCHEMA_BENCH,
-                SCHEMA_ROUNDS,
-                SCHEMA_CHAOS,
-                SCHEMA_CAMPAIGN,
-                SCHEMA_FLIGHT,
-                SCHEMA_ANALYSIS,
-                SCHEMA_LINT,
-                SCHEMA_WIRE,
-            ];
-            let family = |tag: &str| tag.rsplit_once("-v").map(|(f, _)| f.to_string());
-            match family(other) {
-                Some(f) => {
-                    if let Some(sup) = known.iter().find(|k| family(k).as_deref() == Some(&f)) {
-                        return Err(IngestError::UnsupportedVersion {
-                            path: path.to_path_buf(),
-                            found: other.to_string(),
-                            supported: sup,
-                        });
-                    }
-                    Err(IngestError::UnknownSchema(
-                        path.to_path_buf(),
-                        other.to_string(),
-                    ))
-                }
-                None => Err(IngestError::UnknownSchema(
-                    path.to_path_buf(),
-                    other.to_string(),
-                )),
+            fn family(tag: &str) -> Option<&str> {
+                tag.rsplit_once("-v").map(|(family, _)| family)
             }
+            let same_family = |tag: &&str| family(other).is_some() && family(tag) == family(other);
+            return match SCHEMAS.into_iter().find(same_family) {
+                Some(supported) => Err(IngestError::UnsupportedVersion {
+                    path: path.to_path_buf(),
+                    found: other.to_string(),
+                    supported,
+                }),
+                None => unknown(other.to_string()),
+            };
+        }
+    }
+    .map_err(|e| shape(path, e))
+}
+
+impl FromJson for CampaignDoc {
+    fn from_json(doc: &Json) -> Result<Self, ShapeError> {
+        let campaign = doc.field("campaign")?;
+        // one tag, two producers: the chaos campaign carries `cases` + `pool`,
+        // the adversarial search carries `records` + trial counts; the
+        // records themselves are counted, not lifted
+        let count = |key: &str| match doc.get(key).and_then(Json::as_array) {
+            Some(items) => Ok(items.len()),
+            None => Err(ShapeError::here().under(key)),
+        };
+        if doc.get("cases").is_some() {
+            let pool = doc
+                .get("pool")
+                .ok_or_else(|| ShapeError::here().under("pool"))?;
+            let counter = |key: &str| pool.field(key).map_err(|e| e.under("pool"));
+            Ok(CampaignDoc::Chaos {
+                campaign,
+                cases: count("cases")?,
+                pool: (
+                    counter("worker_panics")?,
+                    counter("worker_respawns")?,
+                    counter("barrier_timeouts")?,
+                ),
+            })
+        } else {
+            Ok(CampaignDoc::Search {
+                campaign,
+                random_trials: doc.field("random_trials")?,
+                guided_trials: doc.field("guided_trials")?,
+                records: count("records")?,
+            })
         }
     }
 }
 
-/// Shape-error context: the file being ingested.
-struct Cx<'a> {
-    path: &'a Path,
-}
-
-impl Cx<'_> {
-    fn shape(&self, field: impl Into<String>) -> IngestError {
-        IngestError::Shape {
-            path: self.path.to_path_buf(),
-            field: field.into(),
+impl FromJson for LintDoc {
+    fn from_json(doc: &Json) -> Result<Self, ShapeError> {
+        let summary = doc
+            .get("summary")
+            .ok_or_else(|| ShapeError::here().under("summary"))?;
+        let count = |key: &str| summary.field::<usize>(key).map_err(|e| e.under("summary"));
+        let diagnostics: Vec<LintRecord> = doc.field("diagnostics")?;
+        // the stored total must be the one the diagnostics imply
+        if count("total")? != diagnostics.len() {
+            return Err(ShapeError::here().under("total").under("summary"));
         }
-    }
-
-    fn str_field(&self, obj: &Json, at: &str, key: &str) -> Result<String, IngestError> {
-        obj.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    fn usize_field(&self, obj: &Json, at: &str, key: &str) -> Result<usize, IngestError> {
-        obj.get(key)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    fn u64_field(&self, obj: &Json, at: &str, key: &str) -> Result<u64, IngestError> {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    fn f64_field(&self, obj: &Json, at: &str, key: &str) -> Result<f64, IngestError> {
-        obj.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    /// `null` → `None`; missing or mistyped → error (censored values are
-    /// explicit in every writer).
-    fn opt_usize_field(
-        &self,
-        obj: &Json,
-        at: &str,
-        key: &str,
-    ) -> Result<Option<usize>, IngestError> {
-        match obj.get(key) {
-            Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_usize()
-                .map(Some)
-                .ok_or_else(|| self.shape(format!("{at}{key}"))),
-            None => Err(self.shape(format!("{at}{key}"))),
-        }
-    }
-
-    fn opt_f64_field(&self, obj: &Json, at: &str, key: &str) -> Result<Option<f64>, IngestError> {
-        match obj.get(key) {
-            Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| self.shape(format!("{at}{key}"))),
-            None => Err(self.shape(format!("{at}{key}"))),
-        }
-    }
-
-    fn bool_field(&self, obj: &Json, at: &str, key: &str) -> Result<bool, IngestError> {
-        obj.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    /// `null` → `None`; missing or mistyped → error.
-    fn opt_str_field(
-        &self,
-        obj: &Json,
-        at: &str,
-        key: &str,
-    ) -> Result<Option<String>, IngestError> {
-        match obj.get(key) {
-            Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| self.shape(format!("{at}{key}"))),
-            None => Err(self.shape(format!("{at}{key}"))),
-        }
-    }
-
-    fn arr_field<'j>(&self, obj: &'j Json, at: &str, key: &str) -> Result<&'j [Json], IngestError> {
-        obj.get(key)
-            .and_then(Json::as_array)
-            .ok_or_else(|| self.shape(format!("{at}{key}")))
-    }
-
-    fn round_stats(&self, obj: &Json, at: &str) -> Result<RoundStats, IngestError> {
-        Ok(RoundStats {
-            round: self.usize_field(obj, at, "round")?,
-            alarms: self.usize_field(obj, at, "alarms")?,
-            activations: self.usize_field(obj, at, "activations")?,
-            halo_bytes: self.u64_field(obj, at, "halo_bytes")?,
-            dispatch_ns: self.u64_field(obj, at, "dispatch_ns")?,
-            compute_ns: self.u64_field(obj, at, "compute_ns")?,
-            barrier_ns: self.u64_field(obj, at, "barrier_ns")?,
-            exchange_ns: self.u64_field(obj, at, "exchange_ns")?,
+        Ok(LintDoc {
+            root: doc.field("root")?,
+            files: doc.field("files")?,
+            suppressed: count("suppressed")?,
+            unsuppressed: count("unsuppressed")?,
+            diagnostics,
         })
     }
-}
-
-fn ingest_bench(cx: &Cx, doc: &Json) -> Result<BenchDoc, IngestError> {
-    let meta = match doc.get("meta") {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .map(|(k, v)| {
-                v.as_f64()
-                    .map(|x| (k.clone(), x))
-                    .ok_or_else(|| cx.shape(format!("meta.{k}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(cx.shape("meta")),
-    };
-    let results = cx
-        .arr_field(doc, "", "results")?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let at = format!("results[{i}].");
-            Ok(BenchCase {
-                name: cx.str_field(r, &at, "name")?,
-                iters: cx.u64_field(r, &at, "iters")?,
-                min_ns: cx.u64_field(r, &at, "min_ns")?,
-                median_ns: cx.u64_field(r, &at, "median_ns")?,
-                mean_ns: cx.f64_field(r, &at, "mean_ns")?,
-                max_ns: cx.u64_field(r, &at, "max_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    Ok(BenchDoc {
-        group: cx.str_field(doc, "", "group")?,
-        meta,
-        results,
-    })
-}
-
-fn ingest_rounds(cx: &Cx, doc: &Json) -> Result<RoundsDoc, IngestError> {
-    let runs = cx
-        .arr_field(doc, "", "runs")?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let at = format!("runs[{i}].");
-            let rounds = cx
-                .arr_field(r, &at, "rounds")?
-                .iter()
-                .enumerate()
-                .map(|(j, s)| cx.round_stats(s, &format!("{at}rounds[{j}].")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(RoundsRun {
-                label: cx.str_field(r, &at, "label")?,
-                run: cx.str_field(r, &at, "run")?,
-                rounds,
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    Ok(RoundsDoc {
-        group: cx.str_field(doc, "", "group")?,
-        runs,
-    })
-}
-
-fn ingest_chaos(cx: &Cx, doc: &Json) -> Result<ChaosDoc, IngestError> {
-    let runs = cx
-        .arr_field(doc, "", "runs")?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let at = format!("runs[{i}].");
-            let waves = cx
-                .arr_field(r, &at, "waves")?
-                .iter()
-                .enumerate()
-                .map(|(j, w)| {
-                    let wat = format!("{at}waves[{j}].");
-                    Ok(WaveRecord {
-                        wave: cx.usize_field(w, &wat, "wave")?,
-                        step: cx.usize_field(w, &wat, "step")?,
-                        faults: cx.usize_field(w, &wat, "faults")?,
-                        detection_latency: cx.opt_usize_field(w, &wat, "detection_latency")?,
-                        quiescence: cx.opt_usize_field(w, &wat, "quiescence")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, IngestError>>()?;
-            Ok(ChaosRunRecord {
-                label: cx.str_field(r, &at, "label")?,
-                run: cx.str_field(r, &at, "run")?,
-                schedule: cx.str_field(r, &at, "schedule")?,
-                steps_run: cx.usize_field(r, &at, "steps_run")?,
-                injected_faults: cx.usize_field(r, &at, "injected_faults")?,
-                detected_waves: cx.usize_field(r, &at, "detected_waves")?,
-                quiesced_waves: cx.usize_field(r, &at, "quiesced_waves")?,
-                mean_detection_latency: cx.opt_f64_field(r, &at, "mean_detection_latency")?,
-                mean_quiescence: cx.opt_f64_field(r, &at, "mean_quiescence")?,
-                waves,
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    Ok(ChaosDoc {
-        group: cx.str_field(doc, "", "group")?,
-        runs,
-    })
-}
-
-fn ingest_campaign(cx: &Cx, doc: &Json) -> Result<CampaignDoc, IngestError> {
-    let campaign = cx.str_field(doc, "", "campaign")?;
-    // one tag, two producers: the chaos campaign carries `cases` + `pool`,
-    // the adversarial search carries `records` + trial counts
-    if doc.get("cases").is_some() {
-        let pool = doc.get("pool").ok_or_else(|| cx.shape("pool"))?;
-        Ok(CampaignDoc::Chaos {
-            campaign,
-            cases: cx.arr_field(doc, "", "cases")?.len(),
-            pool: (
-                cx.usize_field(pool, "pool.", "worker_panics")?,
-                cx.usize_field(pool, "pool.", "worker_respawns")?,
-                cx.usize_field(pool, "pool.", "barrier_timeouts")?,
-            ),
-        })
-    } else {
-        Ok(CampaignDoc::Search {
-            campaign,
-            random_trials: cx.usize_field(doc, "", "random_trials")?,
-            guided_trials: cx.usize_field(doc, "", "guided_trials")?,
-            records: cx.arr_field(doc, "", "records")?.len(),
-        })
-    }
-}
-
-fn ingest_flight(cx: &Cx, doc: &Json) -> Result<FlightDoc, IngestError> {
-    let rounds = cx
-        .arr_field(doc, "", "rounds")?
-        .iter()
-        .enumerate()
-        .map(|(i, s)| cx.round_stats(s, &format!("rounds[{i}].")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FlightDoc {
-        name: cx.str_field(doc, "", "name")?,
-        reason: cx.str_field(doc, "", "reason")?,
-        capacity: cx.usize_field(doc, "", "capacity")?,
-        rounds_seen: cx.usize_field(doc, "", "rounds_seen")?,
-        rounds,
-    })
-}
-
-fn ingest_analysis(cx: &Cx, doc: &Json) -> Result<AnalysisDoc, IngestError> {
-    let families = cx
-        .arr_field(doc, "", "families")?
-        .iter()
-        .enumerate()
-        .map(|(i, fam)| {
-            let at = format!("families[{i}].");
-            Ok(AnalysisFamily {
-                family: cx.str_field(fam, &at, "family")?,
-                kind: cx.str_field(fam, &at, "kind")?,
-                points: cx.arr_field(fam, &at, "points")?.len(),
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    Ok(AnalysisDoc {
-        analysis: cx.str_field(doc, "", "analysis")?,
-        families,
-    })
-}
-
-fn ingest_lint(cx: &Cx, doc: &Json) -> Result<LintDoc, IngestError> {
-    let summary = doc.get("summary").ok_or_else(|| cx.shape("summary"))?;
-    let diagnostics = cx
-        .arr_field(doc, "", "diagnostics")?
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let at = format!("diagnostics[{i}].");
-            Ok(LintRecord {
-                rule: cx.str_field(d, &at, "rule")?,
-                file: cx.str_field(d, &at, "file")?,
-                line: cx.usize_field(d, &at, "line")?,
-                message: cx.str_field(d, &at, "message")?,
-                suppressed: cx.bool_field(d, &at, "suppressed")?,
-                reason: cx.opt_str_field(d, &at, "reason")?,
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    let total = cx.usize_field(summary, "summary.", "total")?;
-    if total != diagnostics.len() {
-        return Err(cx.shape("summary.total"));
-    }
-    Ok(LintDoc {
-        root: cx.str_field(doc, "", "root")?,
-        files: cx.usize_field(doc, "", "files")?,
-        suppressed: cx.usize_field(summary, "summary.", "suppressed")?,
-        unsuppressed: cx.usize_field(summary, "summary.", "unsuppressed")?,
-        diagnostics,
-    })
-}
-
-fn ingest_trace(path: &Path, text: &str) -> Result<Artifact, IngestError> {
-    let cx = Cx { path };
-    let lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            let doc = Json::parse(line).map_err(|e| IngestError::Parse(path.to_path_buf(), e))?;
-            let at = format!("line {}: ", i + 1);
-            Ok(TraceLine {
-                run: cx.str_field(&doc, &at, "run")?,
-                stats: cx.round_stats(&doc, &at)?,
-            })
-        })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    Ok(Artifact::Trace(TraceDoc { lines }))
 }
 
 /// Artifact files recognized inside a directory: the upload-glob
@@ -848,11 +457,11 @@ mod tests {
         let Artifact::Bench(doc) = ingest_file(&path).unwrap() else {
             panic!("expected a bench artifact");
         };
-        assert_eq!(doc.group, "g");
-        assert_eq!(doc.meta, vec![("halo_entries".to_string(), 42.0)]);
-        assert_eq!(doc.results.len(), 1);
-        assert_eq!(doc.results[0].median_ns, 20);
-        assert_eq!(doc.results[0].mean_ns, 21.5);
+        assert_eq!(doc.group(), "g");
+        assert_eq!(doc.meta(), vec![("halo_entries".to_string(), 42.0)]);
+        assert_eq!(doc.results().len(), 1);
+        assert_eq!(doc.results()[0].median_ns, 20);
+        assert_eq!(doc.results()[0].mean_ns, 21.5);
     }
 
     #[test]
@@ -870,9 +479,25 @@ mod tests {
         let Artifact::Chaos(doc) = ingest_file(&path).unwrap() else {
             panic!("expected a chaos artifact");
         };
-        assert_eq!(doc.runs[0].waves[0].detection_latency, Some(1));
-        assert_eq!(doc.runs[0].waves[0].quiescence, None);
-        assert_eq!(doc.runs[0].mean_quiescence, None);
+        assert_eq!(doc.runs()[0].waves[0].detection_latency, Some(1));
+        assert_eq!(doc.runs()[0].waves[0].quiescence, None);
+        assert_eq!(doc.runs()[0].mean_quiescence(), None);
+    }
+
+    #[test]
+    fn a_chaos_summary_that_disagrees_with_its_waves_is_a_shape_error() {
+        let path = tmp(
+            "BENCH_chaos_lying.json",
+            "{\"schema\":\"smst-chaos-v1\",\"group\":\"chaos\",\"runs\":[\
+             {\"label\":\"l\",\"run\":\"seed=7\",\"schedule\":\"s\",\
+             \"steps_run\":24,\"injected_faults\":12,\"detected_waves\":3,\
+             \"quiesced_waves\":0,\"mean_detection_latency\":null,\
+             \"mean_quiescence\":null,\"waves\":[]}]}\n",
+        );
+        match ingest_file(&path).unwrap_err() {
+            IngestError::Shape { field, .. } => assert_eq!(field, "runs[0].detected_waves"),
+            other => panic!("expected Shape, got {other:?}"),
+        }
     }
 
     #[test]
@@ -910,12 +535,12 @@ mod tests {
              \"halo_bytes\":0,\"dispatch_ns\":1,\"compute_ns\":2,\
              \"barrier_ns\":3,\"exchange_ns\":4}\n",
         );
-        let Artifact::Trace(doc) = ingest_file(&path).unwrap() else {
+        let Artifact::Trace(lines) = ingest_file(&path).unwrap() else {
             panic!("expected a trace artifact");
         };
-        assert_eq!(doc.lines.len(), 1);
-        assert_eq!(doc.lines[0].run, "t");
-        assert_eq!(doc.lines[0].stats.exchange_ns, 4);
+        assert_eq!(lines.len(), 1);
+        assert_eq!(lines[0].run, "t");
+        assert_eq!(lines[0].stats.exchange_ns, 4);
     }
 
     #[test]
@@ -1038,14 +663,19 @@ mod tests {
         let path = tmp(
             "ANALYSIS_kmw_unit.json",
             "{\"schema\":\"smst-analysis-v1\",\"analysis\":\"kmw\",\
-             \"families\":[{\"family\":\"hard\",\"kind\":\"measured\",\
-             \"points\":[{\"x\":1},{\"x\":2}]}]}\n",
+             \"seed\":7,\"warmup\":64,\
+             \"families\":[{\"family\":\"kmw_cluster_tree\",\"kind\":\"hard\",\
+             \"points\":[\
+             {\"levels\":2,\"delta\":3,\"n\":17,\"trials\":5,\"detected\":5,\
+              \"measured_rounds\":1,\"upper_bound\":16.707,\"lower_bound\":1.419},\
+             {\"levels\":3,\"delta\":3,\"n\":78,\"trials\":5,\"detected\":0,\
+              \"measured_rounds\":null,\"upper_bound\":39.506,\"lower_bound\":1.539}]}]}\n",
         );
         let Artifact::Analysis(doc) = ingest_file(&path).unwrap() else {
             panic!("expected an analysis artifact");
         };
-        assert_eq!(doc.analysis, "kmw");
         assert_eq!(doc.families.len(), 1);
-        assert_eq!(doc.families[0].points, 2);
+        assert_eq!(doc.families[0].points.len(), 2);
+        assert_eq!(doc.families[0].points[1].measured_rounds, None);
     }
 }

@@ -29,13 +29,15 @@
 //! configuration, so it is already converged at round 0 and the warm-up
 //! only demonstrates steady-state silence before the fault lands.
 
-use crate::json::Json;
 use smst_bench::engine_metrics::mst_verifier_for;
-use smst_bench::harness::json_string;
 use smst_core::faults::{corrupt, FaultKind};
 use smst_engine::{EngineConfig, GraphFamily, ScenarioSpec, StopCondition};
-use std::io::{self, Write as _};
+use smst_telemetry::json::{self, Fixed, FromJson, Json, ShapeError};
+use std::io;
 use std::path::{Path, PathBuf};
+
+/// The schema tag of the analyzer's own `ANALYSIS_*.json` documents.
+pub const SCHEMA: &str = "smst-analysis-v1";
 
 /// Configuration of one accounting sweep.
 #[derive(Debug, Clone)]
@@ -76,12 +78,8 @@ impl Default for KmwConfig {
 }
 
 /// One measured point of the accounting sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KmwPoint {
-    /// Family slug (`kmw_cluster_tree`, `kmw_hybrid`, `expander`).
-    pub family: &'static str,
-    /// `hard` (KMW constructions) or `easy` (expander).
-    pub kind: &'static str,
     /// Cluster-hierarchy depth (0 for the expander points).
     pub levels: usize,
     /// Branching factor δ (0 for the expander points).
@@ -96,22 +94,35 @@ pub struct KmwPoint {
     /// alarm, over the detected trials (`None`: no trial detected — a
     /// finding, not an error).
     pub measured_rounds: Option<usize>,
-    /// The paper's upper-bound curve at this size: `log₂² n`.
+    /// The paper's upper-bound curve at this size: `log₂² n` (three
+    /// decimals in the artifact).
     pub upper_bound: f64,
     /// The KMW lower-bound curve at this size:
-    /// `√(log₂ n / log₂ log₂ n)`.
+    /// `√(log₂ n / log₂ log₂ n)` (three decimals in the artifact).
     pub lower_bound: f64,
 }
 
-/// A completed sweep, ready to serialize as `ANALYSIS_kmw.json`.
-#[derive(Debug, Clone)]
+/// The points of one graph family, in sweep order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KmwFamily {
+    /// Family slug (`kmw_cluster_tree`, `kmw_hybrid`, `expander`).
+    pub family: String,
+    /// `hard` (KMW constructions) or `easy` (expander).
+    pub kind: String,
+    /// The measured points.
+    pub points: Vec<KmwPoint>,
+}
+
+/// A completed sweep — the `ANALYSIS_kmw.json` document, writer and
+/// reader side by side.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KmwAnalysis {
     /// The seed the sweep ran with.
     pub seed: u64,
     /// The warm-up the sweep ran with.
     pub warmup: usize,
-    /// All measured points, grouped by family in sweep order.
-    pub points: Vec<KmwPoint>,
+    /// The measured families, in sweep order.
+    pub families: Vec<KmwFamily>,
 }
 
 /// The paper's upper-bound curve: `log₂² n`.
@@ -174,18 +185,11 @@ fn measure(family: &GraphFamily, config: &KmwConfig) -> (usize, Option<usize>) {
 
 /// Runs the full accounting sweep described by `config`.
 pub fn run_kmw_accounting(config: &KmwConfig) -> KmwAnalysis {
-    let mut points = Vec::new();
-    let point = |family: &'static str,
-                 kind: &'static str,
-                 levels: usize,
-                 delta: usize,
-                 g: GraphFamily,
-                 config: &KmwConfig| {
+    let delta = config.delta;
+    let point = |levels: usize, delta: usize, g: GraphFamily| {
         let n = g.node_count();
         let (detected, measured_rounds) = measure(&g, config);
         KmwPoint {
-            family,
-            kind,
             levels,
             delta,
             n,
@@ -196,59 +200,72 @@ pub fn run_kmw_accounting(config: &KmwConfig) -> KmwAnalysis {
             lower_bound: lower_bound(n),
         }
     };
-    for &levels in &config.levels {
-        let g = GraphFamily::KmwClusterTree {
-            levels,
-            delta: config.delta,
-        };
-        points.push(point(
-            "kmw_cluster_tree",
-            "hard",
-            levels,
-            config.delta,
-            g,
-            config,
-        ));
-    }
-    for &levels in config.levels.iter().filter(|&&l| l >= 2) {
-        let g = GraphFamily::KmwHybrid {
-            levels,
-            delta: config.delta,
-        };
-        points.push(point("kmw_hybrid", "hard", levels, config.delta, g, config));
-    }
-    for &levels in &config.levels {
-        // the easy side of the gap: an expander matched to the cluster
-        // tree's node count, so each hard point has an easy twin
-        let n = GraphFamily::KmwClusterTree {
-            levels,
-            delta: config.delta,
+    let tree = |levels| GraphFamily::KmwClusterTree { levels, delta };
+    let hybrid = |levels| GraphFamily::KmwHybrid { levels, delta };
+    // the easy side of the gap: an expander matched to the cluster tree's
+    // node count, so each hard point has an easy twin
+    let expander = |levels| GraphFamily::Expander {
+        n: tree(levels).node_count(),
+        degree: 4,
+    };
+    let levels = || config.levels.iter().copied();
+    let mut families = Vec::new();
+    let mut family = |family: &str, kind: &str, points: Vec<KmwPoint>| {
+        if !points.is_empty() {
+            families.push(KmwFamily {
+                family: family.to_string(),
+                kind: kind.to_string(),
+                points,
+            });
         }
-        .node_count();
-        let g = GraphFamily::Expander { n, degree: 4 };
-        points.push(point("expander", "easy", 0, 0, g, config));
-    }
+    };
+    let trees = levels().map(|l| point(l, delta, tree(l)));
+    family("kmw_cluster_tree", "hard", trees.collect());
+    let hybrids = levels().filter(|&l| l >= 2);
+    let hybrids = hybrids.map(|l| point(l, delta, hybrid(l)));
+    family("kmw_hybrid", "hard", hybrids.collect());
+    let expanders = levels().map(|l| point(0, 0, expander(l)));
+    family("expander", "easy", expanders.collect());
     KmwAnalysis {
         seed: config.seed,
         warmup: config.warmup,
-        points,
+        families,
     }
 }
 
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
-}
+smst_telemetry::json_record!(KmwPoint {
+    levels,
+    delta,
+    n,
+    trials,
+    detected,
+    measured_rounds,
+    upper_bound: Fixed(3),
+    lower_bound: Fixed(3),
+});
+
+smst_telemetry::json_record!(KmwFamily {
+    family,
+    kind,
+    points,
+});
 
 impl KmwAnalysis {
-    /// The family slugs present, in first-appearance order.
-    pub fn families(&self) -> Vec<&'static str> {
-        let mut out: Vec<&'static str> = Vec::new();
-        for p in &self.points {
-            if !out.contains(&p.family) {
-                out.push(p.family);
-            }
-        }
-        out
+    /// Every point with the family it belongs to, in sweep order.
+    pub fn points(&self) -> impl Iterator<Item = (&KmwFamily, &KmwPoint)> {
+        self.families
+            .iter()
+            .flat_map(|f| f.points.iter().map(move |p| (f, p)))
+    }
+
+    /// How many points `family` holds (0 when it is absent) — the CLI
+    /// refuses to publish a sweep with fewer cluster-tree sizes than it
+    /// was asked for.
+    pub fn family_points(&self, family: &str) -> usize {
+        self.families
+            .iter()
+            .find(|f| f.family == family)
+            .map_or(0, |f| f.points.len())
     }
 
     /// The analysis as a JSON document:
@@ -257,60 +274,21 @@ impl KmwAnalysis {
     /// {"schema":"smst-analysis-v1","analysis":"kmw","seed":7,"warmup":64,
     ///  "families":[{"family":"kmw_cluster_tree","kind":"hard",
     ///   "points":[{"levels":2,"delta":3,"n":17,"trials":5,"detected":5,
-    ///              "measured_rounds":1,"upper_bound":16.7,
-    ///              "lower_bound":1.4}]}]}
+    ///              "measured_rounds":1,"upper_bound":16.707,
+    ///              "lower_bound":1.419}]}]}
     /// ```
     pub fn to_json(&self) -> String {
-        let families: Vec<String> = self
-            .families()
-            .into_iter()
-            .map(|family| {
-                let members: Vec<&KmwPoint> =
-                    self.points.iter().filter(|p| p.family == family).collect();
-                let kind = members[0].kind;
-                let points: Vec<String> = members
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{{\"levels\":{},\"delta\":{},\"n\":{},\
-                             \"trials\":{},\"detected\":{},\
-                             \"measured_rounds\":{},\"upper_bound\":{:.3},\
-                             \"lower_bound\":{:.3}}}",
-                            p.levels,
-                            p.delta,
-                            p.n,
-                            p.trials,
-                            p.detected,
-                            json_opt_usize(p.measured_rounds),
-                            p.upper_bound,
-                            p.lower_bound
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"family\":{},\"kind\":{},\"points\":[{}]}}",
-                    json_string(family),
-                    json_string(kind),
-                    points.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-analysis-v1\",\"analysis\":\"kmw\",\
-             \"seed\":{},\"warmup\":{},\"families\":[{}]}}\n",
-            self.seed,
-            self.warmup,
-            families.join(",")
-        )
+        json::document(SCHEMA, |doc| {
+            doc.field("analysis", "kmw")
+                .field("seed", &self.seed)
+                .field("warmup", &self.warmup)
+                .field("families", &self.families)
+        })
     }
 
-    /// Writes `ANALYSIS_kmw.json` into `dir` and returns its path (the
-    /// same injectable-directory discipline as every artifact writer).
+    /// Writes `ANALYSIS_kmw.json` into `dir` and returns its path.
     pub fn write_json_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        let path = dir.join("ANALYSIS_kmw.json");
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
-        Ok(path)
+        json::write_artifact(dir, "ANALYSIS_kmw.json", &self.to_json())
     }
 
     /// A console rendering of the measured-vs-bound table.
@@ -322,12 +300,12 @@ impl KmwAnalysis {
             "  {:<18} {:>4} {:>4} {:>6} {:>9} {:>9} {:>11} {:>11}",
             "family", "kind", "lvl", "n", "detected", "measured", "upper", "lower"
         );
-        for p in &self.points {
+        for (f, p) in self.points() {
             let _ = writeln!(
                 out,
                 "  {:<18} {:>4} {:>4} {:>6} {:>9} {:>9} {:>11.2} {:>11.2}",
-                p.family,
-                p.kind,
+                f.family,
+                f.kind,
                 p.levels,
                 p.n,
                 format!("{}/{}", p.detected, p.trials),
@@ -341,34 +319,18 @@ impl KmwAnalysis {
     }
 }
 
-/// Sanity gate on a written `ANALYSIS_kmw.json` body: parses it back and
-/// confirms the acceptance shape — per-family curves with at least
-/// `min_tree_sizes` cluster-tree points (the CLI asserts this after every
-/// sweep, so a broken sweep cannot quietly publish an empty analysis).
-pub fn validate_analysis_json(body: &str, min_tree_sizes: usize) -> Result<(), String> {
-    let doc = Json::parse(body).map_err(|e| e.to_string())?;
-    if doc.get("schema").and_then(Json::as_str) != Some(crate::ingest::SCHEMA_ANALYSIS) {
-        return Err("missing or wrong \"schema\" tag".to_string());
+impl FromJson for KmwAnalysis {
+    fn from_json(doc: &Json) -> Result<Self, ShapeError> {
+        // `kmw` is the one analysis under this tag so far
+        if doc.field::<String>("analysis")? != "kmw" {
+            return Err(ShapeError::here().under("analysis"));
+        }
+        Ok(KmwAnalysis {
+            seed: doc.field("seed")?,
+            warmup: doc.field("warmup")?,
+            families: doc.field("families")?,
+        })
     }
-    let families = doc
-        .get("families")
-        .and_then(Json::as_array)
-        .ok_or("missing \"families\" array")?;
-    let tree = families
-        .iter()
-        .find(|f| f.get("family").and_then(Json::as_str) == Some("kmw_cluster_tree"))
-        .ok_or("no kmw_cluster_tree family")?;
-    let points = tree
-        .get("points")
-        .and_then(Json::as_array)
-        .ok_or("kmw_cluster_tree has no points array")?;
-    if points.len() < min_tree_sizes {
-        return Err(format!(
-            "kmw_cluster_tree has {} points, need at least {min_tree_sizes}",
-            points.len()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -396,12 +358,12 @@ mod tests {
             ..KmwConfig::default()
         };
         let analysis = run_kmw_accounting(&config);
-        assert_eq!(analysis.points.len(), 3, "tree + hybrid + expander");
-        for p in &analysis.points {
+        assert_eq!(analysis.points().count(), 3, "tree + hybrid + expander");
+        for (f, p) in analysis.points() {
             assert!(
                 p.detected >= 1,
                 "{} n={}: no trial of {} detected",
-                p.family,
+                f.family,
                 p.n,
                 p.trials
             );
@@ -409,13 +371,15 @@ mod tests {
             assert!(
                 (measured as f64) <= 4.0 * p.upper_bound + 8.0,
                 "{} n={}: {measured} rounds vs upper bound {}",
-                p.family,
+                f.family,
                 p.n,
                 p.upper_bound
             );
         }
         let json = analysis.to_json();
-        validate_analysis_json(&json, 1).unwrap();
+        let back = KmwAnalysis::from_json(&Json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back.family_points("kmw_cluster_tree"), 1);
+        assert_eq!(back.to_json(), json, "what was read writes the same bytes");
         assert!(json.starts_with("{\"schema\":\"smst-analysis-v1\",\"analysis\":\"kmw\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -428,8 +392,15 @@ mod tests {
                      \"points\":[{\"levels\":2,\"delta\":3,\"n\":17,\
                      \"trials\":5,\"detected\":5,\"measured_rounds\":1,\
                      \"upper_bound\":16.7,\"lower_bound\":1.4}]}]}\n";
-        validate_analysis_json(body, 1).unwrap();
-        assert!(validate_analysis_json(body, 3).is_err());
-        assert!(validate_analysis_json("{}", 1).is_err());
+        let analysis = KmwAnalysis::from_json(&Json::parse(body).unwrap()).unwrap();
+        assert_eq!(analysis.family_points("kmw_cluster_tree"), 1);
+        assert_eq!(analysis.family_points("kmw_hybrid"), 0, "absent family");
+        let empty = Json::parse("{}").unwrap();
+        assert_eq!(
+            KmwAnalysis::from_json(&empty).unwrap_err().field,
+            "analysis"
+        );
+        let other = body.replace("\"analysis\":\"kmw\"", "\"analysis\":\"detection\"");
+        assert!(KmwAnalysis::from_json(&Json::parse(&other).unwrap()).is_err());
     }
 }

@@ -3,11 +3,14 @@
 //! Every other crate in the workspace *produces* observability artifacts —
 //! `BENCH_*.json` timing and accounting files, `CAMPAIGN_*.json` search
 //! and chaos summaries, `TRACE_*.jsonl` round streams, `FLIGHT_*.json`
-//! crash dumps. This crate is the *consumer*: it parses them back
-//! ([`json`]), lifts them into typed records with schema-version checks
-//! ([`ingest`]), gates CI on perf baselines ([`check`]), and runs the KMW
-//! bound accounting that turns detection experiments into
-//! measured-vs-bound curves ([`kmw`], the `ANALYSIS_kmw.json` producer).
+//! crash dumps. This crate is the *consumer*: it dispatches each file on
+//! its schema tag and version and reads it back **into the type its
+//! producer writes** ([`ingest`] — every schema is one Rust type with
+//! `to_json` and `FromJson` side by side on the workspace codec,
+//! [`smst_telemetry::json`], whose [`Json`] value is re-exported here),
+//! gates CI on perf baselines ([`check`]), and runs the KMW bound
+//! accounting that turns detection experiments into measured-vs-bound
+//! curves ([`kmw`], the `ANALYSIS_kmw.json` producer).
 //!
 //! The `smst-analyze` binary fronts all of it:
 //!
@@ -26,10 +29,9 @@
 
 pub mod check;
 pub mod ingest;
-pub mod json;
 pub mod kmw;
 
 pub use check::{check_dirs, CheckError, CheckReport, Thresholds};
 pub use ingest::{ingest_dir, ingest_file, Artifact, IngestError};
-pub use json::Json;
 pub use kmw::{run_kmw_accounting, KmwAnalysis, KmwConfig};
+pub use smst_telemetry::json::Json;

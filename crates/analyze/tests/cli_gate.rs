@@ -90,13 +90,27 @@ fn custom_thresholds_are_honoured() {
 #[test]
 fn a_chaos_determinism_change_exits_nonzero() {
     let (base, cur) = fresh_dirs("chaos");
+    // `detected` of three waves raise an alarm (the summary fields must be
+    // the ones the waves imply, or the document is a shape error)
     let chaos = |detected: usize| {
+        let waves: Vec<String> = (0..3)
+            .map(|wave| {
+                format!(
+                    "{{\"wave\":{wave},\"step\":{},\"faults\":4,\
+                     \"detection_latency\":{},\"quiescence\":null}}",
+                    8 * wave,
+                    if wave < detected { "1" } else { "null" }
+                )
+            })
+            .collect();
         format!(
             "{{\"schema\":\"smst-chaos-v1\",\"group\":\"chaos\",\"runs\":[\
              {{\"label\":\"l\",\"run\":\"seed=7\",\"schedule\":\"s\",\
              \"steps_run\":24,\"injected_faults\":12,\"detected_waves\":{detected},\
-             \"quiesced_waves\":0,\"mean_detection_latency\":null,\
-             \"mean_quiescence\":null,\"waves\":[]}}]}}\n"
+             \"quiesced_waves\":0,\"mean_detection_latency\":{},\
+             \"mean_quiescence\":null,\"waves\":[{}]}}]}}\n",
+            if detected > 0 { "1" } else { "null" },
+            waves.join(",")
         )
     };
     std::fs::write(base.join("BENCH_chaos.json"), chaos(3)).unwrap();
@@ -119,6 +133,23 @@ fn corrupt_artifacts_and_bad_usage_exit_two() {
 
     let (code, _, stderr) = run(analyze().arg("check"));
     assert_eq!(code, 2, "{stderr}");
+}
+
+#[test]
+fn a_hostile_artifact_is_exit_two_not_a_crash() {
+    // 1 MiB of `[`: an unbounded recursive-descent parser overflows the
+    // stack and the process dies on a signal (no exit code at all)
+    let (base, cur) = fresh_dirs("hostile");
+    std::fs::write(base.join("BENCH_g.json"), bench_doc(5)).unwrap();
+    std::fs::write(cur.join("BENCH_g.json"), bench_doc(5)).unwrap();
+    std::fs::write(cur.join("BENCH_deep.json"), "[".repeat(1 << 20)).unwrap();
+    let (code, stdout, _) = run(analyze().arg("ingest").arg(&cur));
+    assert_eq!(code, 2, "{stdout}");
+    assert!(stdout.contains("nesting deeper than"), "{stdout}");
+    assert!(stdout.contains("2 artifacts, 1 failures"), "{stdout}");
+    let (code, _, stderr) = check(&base, &cur);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
 }
 
 #[test]

@@ -83,7 +83,7 @@ fn telemetry_overhead_case(
     g: &WeightedGraph,
     iters: u32,
     plain: &mut dyn Runner<MinIdFlood>,
-    plain_min_ns: u128,
+    plain_min_ns: u64,
 ) {
     let telemetry = Telemetry::disabled();
     assert!(

@@ -67,6 +67,5 @@ fn main() {
     group.record_meta("rounds_checked", rounds as f64);
     let report = remote.report();
     println!("  engine: {} ({} steps)", report.engine, report.steps);
-    let path = group.finish();
-    println!("  wrote {}", path.display());
+    group.finish();
 }

@@ -4,8 +4,10 @@
 //! this crate re-implements the (small) part of proptest's API the workspace
 //! tests use: the [`proptest!`] macro with `name in strategy` bindings, the
 //! `prop_assert*` / [`prop_assume!`] macros, [`ProptestConfig::with_cases`],
-//! integer-range and boolean strategies, tuple strategies, and
-//! [`collection::vec`].
+//! integer-range and boolean strategies, tuple strategies,
+//! [`collection::vec`], [`Strategy::prop_map`], and the edge-biased
+//! [`char::any`], [`num::f64::ANY`] and [`option::of`] the codec
+//! round-trip tests draw their strings, floats and `Option`s from.
 //!
 //! Differences from the real crate, by design:
 //!
@@ -13,8 +15,8 @@
 //!   minimized;
 //! * **deterministic runs** — the RNG is seeded from the test name, so a
 //!   failure always reproduces (there is no `PROPTEST_` env handling);
-//! * strategies are plain value generators (no `prop_map`/`prop_filter`
-//!   combinators beyond what the workspace uses).
+//! * strategies are plain value generators (`prop_map` is the only
+//!   combinator, because it is the only one the workspace uses).
 //!
 //! If the repository ever gains registry access, deleting this crate and the
 //! corresponding `[dependencies]` path entries restores the real proptest
@@ -79,6 +81,28 @@ pub trait Strategy {
 
     /// Draws one value.
     fn sample(&self, rng: &mut TestRng) -> Self::Value;
+
+    /// A strategy producing `f(value)` for every value of this one.
+    fn prop_map<T: fmt::Debug, F: Fn(Self::Value) -> T>(self, f: F) -> Map<Self, F>
+    where
+        Self: Sized,
+    {
+        Map { source: self, f }
+    }
+}
+
+/// See [`Strategy::prop_map`].
+#[derive(Debug, Clone)]
+pub struct Map<S, F> {
+    source: S,
+    f: F,
+}
+
+impl<S: Strategy, T: fmt::Debug, F: Fn(S::Value) -> T> Strategy for Map<S, F> {
+    type Value = T;
+    fn sample(&self, rng: &mut TestRng) -> T {
+        (self.f)(self.source.sample(rng))
+    }
 }
 
 macro_rules! impl_range_strategy {
@@ -125,6 +149,98 @@ pub mod bool {
         type Value = bool;
         fn sample(&self, rng: &mut TestRng) -> bool {
             smst_rng::Rng::gen(rng)
+        }
+    }
+}
+
+/// Character strategies.
+pub mod char {
+    use super::{Strategy, TestRng};
+    use smst_rng::Rng as _;
+
+    /// See [`any()`].
+    #[derive(Debug, Clone, Copy)]
+    pub struct CharStrategy;
+
+    /// Any `char`, biased (like the real crate's) toward the ones text
+    /// handling gets wrong: a quarter control bytes, a quarter quote /
+    /// backslash / slash / DEL, a quarter printable ASCII, the rest any
+    /// scalar value up to the non-BMP planes.
+    pub fn any() -> CharStrategy {
+        CharStrategy
+    }
+
+    impl Strategy for CharStrategy {
+        type Value = char;
+        fn sample(&self, rng: &mut TestRng) -> char {
+            match rng.gen_range(0..4u32) {
+                0 => char::from(rng.gen_range(0..0x20u8)),
+                1 => ['"', '\\', '/', '\u{7f}'][rng.gen_range(0..4usize)],
+                2 => char::from(rng.gen_range(0x20..0x7fu8)),
+                // surrogates are not scalar values; fall back to a
+                // non-BMP character instead of redrawing
+                _ => char::from_u32(rng.gen_range(0x80..0x11_0000u32)).unwrap_or('\u{1f600}'),
+            }
+        }
+    }
+}
+
+/// `Option` strategies.
+pub mod option {
+    use super::{Strategy, TestRng};
+
+    /// See [`of()`].
+    #[derive(Debug, Clone)]
+    pub struct OptionStrategy<S>(S);
+
+    /// `None` a quarter of the time, otherwise `Some` of `inner`.
+    pub fn of<S: Strategy>(inner: S) -> OptionStrategy<S> {
+        OptionStrategy(inner)
+    }
+
+    impl<S: Strategy> Strategy for OptionStrategy<S> {
+        type Value = Option<S::Value>;
+        fn sample(&self, rng: &mut TestRng) -> Option<S::Value> {
+            (smst_rng::Rng::gen_range(rng, 0..4u32) > 0).then(|| self.0.sample(rng))
+        }
+    }
+}
+
+/// Numeric strategies beyond the integer ranges.
+pub mod num {
+    /// `f64` strategies.
+    pub mod f64 {
+        use crate::{Strategy, TestRng};
+        use smst_rng::Rng as _;
+
+        /// See [`ANY`].
+        #[derive(Debug, Clone, Copy)]
+        pub struct Any;
+
+        /// Any `f64` bit pattern class: mostly finite values of every
+        /// magnitude and sign (zeros and subnormals included), one draw in
+        /// eight NaN or an infinity.
+        pub const ANY: Any = Any;
+
+        impl Strategy for Any {
+            type Value = f64;
+            fn sample(&self, rng: &mut TestRng) -> f64 {
+                const EDGES: [f64; 8] = [
+                    0.0,
+                    -0.0,
+                    1e-7,
+                    f64::MIN_POSITIVE,
+                    f64::MAX,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ];
+                match rng.gen_range(0..4u32) {
+                    0 => EDGES[rng.gen_range(0..EDGES.len())],
+                    1 => rng.gen_range(0..2_000_000u64) as f64 / 1000.0 - 1000.0,
+                    _ => f64::from_bits(rng.gen()),
+                }
+            }
         }
     }
 }
@@ -350,6 +466,18 @@ mod tests {
             for (a, b) in v {
                 prop_assert!(a < 4 && b < 4);
             }
+        }
+
+        #[test]
+        fn mapped_chars_options_and_floats(
+            text in crate::collection::vec(crate::char::any(), 0..8)
+                .prop_map(|cs| cs.into_iter().collect::<String>()),
+            opt in crate::option::of(0usize..3),
+            x in crate::num::f64::ANY,
+        ) {
+            prop_assert!(text.chars().count() < 8);
+            prop_assert!(opt.is_none_or(|v| v < 3));
+            prop_assert!(x.is_nan() || x == x);
         }
 
         #[test]

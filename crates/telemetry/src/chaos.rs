@@ -8,8 +8,14 @@
 //! (steps from wave until every node accepts again, the MTTR-style
 //! figure). Censored waves — cut off by the next wave or the end of the
 //! run — serialize their latencies as `null` rather than a fabricated
-//! number. Writing follows the same group-named, injectable-directory
-//! discipline as [`RoundsArtifact`](crate::rounds::RoundsArtifact).
+//! number. Writing follows the same discipline as
+//! [`RoundsArtifact`](crate::rounds::RoundsArtifact).
+//!
+//! [`ChaosRun`] stores only the data: the four summary fields of the
+//! document (`detected_waves`, `quiesced_waves` and the two means) are
+//! derived from `waves` when writing, and a document whose stored
+//! summary counts disagree with its own `waves` is rejected when
+//! reading — one source of truth.
 //!
 //! Artifact schema (the `smst-rounds-v1` family):
 //!
@@ -24,13 +30,24 @@
 //!                     "detection_latency":1,"quiescence":6}]}]}
 //! ```
 
-use crate::json::json_string;
+use crate::json::{self, Fields as _, FromJson, Json, Obj, ShapeError, ToJson};
 use smst_sim::WaveStats;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
+/// The schema tag of a [`ChaosArtifact`] document.
+pub const SCHEMA: &str = "smst-chaos-v1";
+
+crate::json_record!(WaveStats {
+    wave,
+    step,
+    faults,
+    detection_latency,
+    quiescence,
+});
+
 /// One labelled chaos campaign inside a [`ChaosArtifact`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosRun {
     /// Case label (what was run — mirrors bench case naming).
     pub label: String,
@@ -80,20 +97,57 @@ impl ChaosRun {
     }
 }
 
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
+impl ToJson for ChaosRun {
+    fn write_json(&self, out: &mut String) {
+        Obj::new(out)
+            .field("label", &self.label)
+            .field("run", &self.run)
+            .field("schedule", &self.schedule)
+            .field("steps_run", &self.steps_run)
+            .field("injected_faults", &self.injected_faults)
+            .field("detected_waves", &self.detected_waves())
+            .field("quiesced_waves", &self.quiesced_waves())
+            .field("mean_detection_latency", &self.mean_detection_latency())
+            .field("mean_quiescence", &self.mean_quiescence())
+            .field("waves", &self.waves)
+            .end();
+    }
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x}"))
+impl FromJson for ChaosRun {
+    fn from_json(value: &Json) -> Result<Self, ShapeError> {
+        let run = ChaosRun {
+            label: value.field("label")?,
+            run: value.field("run")?,
+            schedule: value.field("schedule")?,
+            steps_run: value.field("steps_run")?,
+            injected_faults: value.field("injected_faults")?,
+            waves: value.field("waves")?,
+        };
+        // the stored summaries must be there and must be the ones `waves`
+        // implies (the means are only type-checked: they are floats)
+        for (key, derived) in [
+            ("detected_waves", run.detected_waves()),
+            ("quiesced_waves", run.quiesced_waves()),
+        ] {
+            if value.field::<usize>(key)? != derived {
+                return Err(ShapeError::here().under(key));
+            }
+        }
+        value.field::<Option<f64>>("mean_detection_latency")?;
+        value.field::<Option<f64>>("mean_quiescence")?;
+        Ok(run)
+    }
 }
 
 /// Collects chaos campaigns and writes `BENCH_<group>.json`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosArtifact {
     group: String,
     runs: Vec<ChaosRun>,
 }
+
+crate::json_record!(ChaosArtifact { group, runs });
 
 impl ChaosArtifact {
     /// An empty artifact for `group` (written as `BENCH_<group>.json`;
@@ -109,6 +163,11 @@ impl ChaosArtifact {
     /// The artifact's group name.
     pub fn group(&self) -> &str {
         &self.group
+    }
+
+    /// The campaigns, in push order.
+    pub fn runs(&self) -> &[ChaosRun] {
+        &self.runs
     }
 
     /// Appends one campaign.
@@ -129,72 +188,21 @@ impl ChaosArtifact {
     /// The artifact as a JSON document (see the module docs for the
     /// schema).
     pub fn to_json(&self) -> String {
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|run| {
-                let waves: Vec<String> = run
-                    .waves
-                    .iter()
-                    .map(|w| {
-                        format!(
-                            "{{\"wave\":{},\"step\":{},\"faults\":{},\
-                             \"detection_latency\":{},\"quiescence\":{}}}",
-                            w.wave,
-                            w.step,
-                            w.faults,
-                            json_opt_usize(w.detection_latency),
-                            json_opt_usize(w.quiescence)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"label\":{},\"run\":{},\"schedule\":{},\
-                     \"steps_run\":{},\"injected_faults\":{},\
-                     \"detected_waves\":{},\"quiesced_waves\":{},\
-                     \"mean_detection_latency\":{},\"mean_quiescence\":{},\
-                     \"waves\":[{}]}}",
-                    json_string(&run.label),
-                    json_string(&run.run),
-                    json_string(&run.schedule),
-                    run.steps_run,
-                    run.injected_faults,
-                    run.detected_waves(),
-                    run.quiesced_waves(),
-                    json_opt_f64(run.mean_detection_latency()),
-                    json_opt_f64(run.mean_quiescence()),
-                    waves.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-chaos-v1\",\"group\":{},\"runs\":[{}]}}\n",
-            json_string(&self.group),
-            runs.join(",")
-        )
+        json::document(SCHEMA, |doc| self.write_fields(doc))
     }
 
-    /// Writes `BENCH_<group>.json` into `dir` and returns its path (the
-    /// injectable core — tests pass a directory instead of mutating the
-    /// process-global `SMST_BENCH_DIR`).
+    /// Writes `BENCH_<group>.json` into `dir` and returns its path.
     pub fn write_json_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.group));
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
-        Ok(path)
+        json::write_artifact(dir, &format!("BENCH_{}.json", self.group), &self.to_json())
     }
 
-    /// Writes `BENCH_<group>.json` into
-    /// [`artifact_dir`](crate::artifact_dir) and returns its path.
-    pub fn write_json(&self) -> io::Result<PathBuf> {
-        self.write_json_to(&crate::artifact_dir())
-    }
-
-    /// Writes the artifact, printing where it went (panics on I/O errors
-    /// — an artifact run that silently loses its results is worse than
-    /// one that fails).
+    /// Writes the artifact into [`artifact_dir`](crate::artifact_dir),
+    /// printing where it went (panics on I/O errors — an artifact run
+    /// that silently loses its results is worse than one that fails).
     pub fn finish(self) -> PathBuf {
-        let path = self.write_json().expect("writing the chaos JSON artifact");
+        let path = self
+            .write_json_to(&json::artifact_dir())
+            .expect("writing the chaos JSON artifact");
         println!("  chaos -> {}", path.display());
         path
     }
@@ -267,5 +275,11 @@ mod tests {
             "{\"wave\":2,\"step\":16,\"faults\":4,\
                                \"detection_latency\":null,\"quiescence\":null}"
         ));
+        let back = ChaosArtifact::from_json(&Json::parse(&body).unwrap()).unwrap();
+        assert_eq!(back, artifact);
+        // a summary count that disagrees with the waves is a shape error
+        let lying = body.replace("\"detected_waves\":2", "\"detected_waves\":3");
+        let err = ChaosArtifact::from_json(&Json::parse(&lying).unwrap()).unwrap_err();
+        assert_eq!(err.field, "runs[0].detected_waves");
     }
 }

@@ -7,8 +7,10 @@
 //! [`FlightRecorder`] is a [`RoundObserver`] that keeps only the last
 //! `capacity` rounds in a ring buffer (O(capacity) memory no matter how
 //! long the run), so the driver can attach it to any runner and, on a
-//! `BarrierTimeout` or caught panic, dump the final window to a
-//! `FLIGHT_<name>.json` artifact carrying the failure reason.
+//! `BarrierTimeout` or caught panic, [`dump`](FlightRecorder::dump) the
+//! final window as a [`FlightDump`] — the one description of the
+//! `smst-flight-v1` schema, writer and reader side by side — and write it
+//! to a `FLIGHT_<name>.json` artifact carrying the failure reason.
 //!
 //! Cloning is shallow, mirroring
 //! [`RecordingObserver`](smst_sim::RecordingObserver): keep one clone,
@@ -30,12 +32,15 @@
 //!
 //! [`PoolError`]: https://docs.rs/ (see `smst_engine::PoolError`)
 
-use crate::json::{json_string, round_fields};
+use crate::json::{self, Fields as _};
 use smst_sim::{RoundObserver, RoundStats};
 use std::collections::VecDeque;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+
+/// The schema tag of a [`FlightDump`] document.
+pub const SCHEMA: &str = "smst-flight-v1";
 
 #[derive(Debug, Default)]
 struct FlightInner {
@@ -90,41 +95,53 @@ impl FlightRecorder {
         self.lock().rounds.iter().cloned().collect()
     }
 
-    /// The `FLIGHT_<name>.json` document for this recorder's current
-    /// window, stamped with the failure `reason` (see the module docs for
-    /// the schema).
-    pub fn to_json(&self, name: &str, reason: &str) -> String {
+    /// A snapshot of the current window, stamped with the dump's `name`
+    /// and the failure `reason`.
+    pub fn dump(&self, name: &str, reason: &str) -> FlightDump {
         let inner = self.lock();
-        let rounds: Vec<String> = inner
-            .rounds
-            .iter()
-            .map(|s| format!("{{{}}}", round_fields(s)))
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-flight-v1\",\"name\":{},\"reason\":{},\
-             \"capacity\":{},\"rounds_seen\":{},\"rounds\":[{}]}}\n",
-            json_string(name),
-            json_string(reason),
-            self.capacity,
-            inner.seen,
-            rounds.join(",")
-        )
+        FlightDump {
+            name: name.to_string(),
+            reason: reason.to_string(),
+            capacity: self.capacity,
+            rounds_seen: inner.seen,
+            rounds: inner.rounds.iter().cloned().collect(),
+        }
+    }
+}
+
+/// A `FLIGHT_<name>.json` document: the window a [`FlightRecorder`] held
+/// when it was dumped (see the module docs for the schema).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightDump {
+    /// The dump's name (`FLIGHT_<name>.json`).
+    pub name: String,
+    /// Why the dump was taken.
+    pub reason: String,
+    /// Ring-buffer capacity.
+    pub capacity: usize,
+    /// Rounds observed over the recorder's lifetime.
+    pub rounds_seen: usize,
+    /// The retained window, oldest first.
+    pub rounds: Vec<RoundStats>,
+}
+
+crate::json_record!(FlightDump {
+    name,
+    reason,
+    capacity,
+    rounds_seen,
+    rounds,
+});
+
+impl FlightDump {
+    /// The dump as a JSON document.
+    pub fn to_json(&self) -> String {
+        json::document(SCHEMA, |doc| self.write_fields(doc))
     }
 
-    /// Writes `FLIGHT_<name>.json` into `dir` and returns its path (the
-    /// injectable core — tests pass a directory instead of mutating the
-    /// process-global `SMST_BENCH_DIR`).
-    pub fn write_json_to(&self, dir: &Path, name: &str, reason: &str) -> io::Result<PathBuf> {
-        let path = dir.join(format!("FLIGHT_{name}.json"));
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json(name, reason).as_bytes())?;
-        Ok(path)
-    }
-
-    /// Writes `FLIGHT_<name>.json` into
-    /// [`artifact_dir`](crate::artifact_dir) and returns its path.
-    pub fn write_json(&self, name: &str, reason: &str) -> io::Result<PathBuf> {
-        self.write_json_to(&crate::artifact_dir(), name, reason)
+    /// Writes `FLIGHT_<name>.json` into `dir` and returns its path.
+    pub fn write_json_to(&self, dir: &Path) -> io::Result<PathBuf> {
+        json::write_artifact(dir, &format!("FLIGHT_{}.json", self.name), &self.to_json())
     }
 }
 
@@ -143,6 +160,7 @@ impl RoundObserver for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson as _, Json};
 
     fn stat(round: usize) -> RoundStats {
         RoundStats {
@@ -190,9 +208,8 @@ mod tests {
         for round in 0..3 {
             handle.on_round(&stat(round));
         }
-        let path = recorder
-            .write_json_to(&dir, "unit", "barrier timeout after 100ms")
-            .unwrap();
+        let dump = recorder.dump("unit", "barrier timeout after 100ms");
+        let path = dump.write_json_to(&dir).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_string_lossy(),
             "FLIGHT_unit.json"
@@ -210,12 +227,16 @@ mod tests {
             "round 0 fell out of the ring"
         );
         assert!(body.ends_with("}\n"));
+        assert_eq!(
+            FlightDump::from_json(&Json::parse(&body).unwrap()).unwrap(),
+            dump
+        );
     }
 
     #[test]
     fn empty_recorder_dumps_an_empty_window() {
         let recorder = FlightRecorder::new(8);
-        let json = recorder.to_json("idle", "caught panic");
+        let json = recorder.dump("idle", "caught panic").to_json();
         assert!(json.contains("\"rounds_seen\":0,\"rounds\":[]"));
     }
 }

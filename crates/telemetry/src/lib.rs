@@ -65,31 +65,35 @@
 //!   ring-buffer window of rounds dumped when a run dies (barrier
 //!   timeout, caught panic).
 //!
-//! All use the bench-harness conventions (`$SMST_BENCH_DIR`, injectable
-//! directories for tests, hand-rolled JSON — the offline workspace has no
-//! serde).
+//! Each artifact is one Rust type carrying its writer (`to_json`) and
+//! its reader ([`FromJson`](json::FromJson)) side by side, built on
+//! [`json`] — the workspace's one JSON module (value, parser, escaping,
+//! ordered writer, typed field reader; the offline workspace has no
+//! serde). Files go through [`json::write_artifact`] into an explicit
+//! directory (tests) or [`artifact_dir`] (`$SMST_BENCH_DIR`, else `.`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod flight;
-mod json;
+pub mod json;
 pub mod metrics;
 pub mod rounds;
 pub mod trace;
 
 pub use chaos::{ChaosArtifact, ChaosRun};
-pub use flight::FlightRecorder;
+pub use flight::{FlightDump, FlightRecorder};
+pub use json::artifact_dir;
 pub use metrics::{
     bucket_upper_bound, Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
     HISTOGRAM_BUCKETS,
 };
 pub use rounds::{RoundsArtifact, RoundsRun};
-pub use trace::{trace_sample_from_env, TraceWriter, TRACE_SAMPLE_ENV};
+pub use trace::{trace_sample_from_env, TraceLine, TraceWriter, TRACE_SAMPLE_ENV};
 
 use smst_sim::{RoundObserver, RoundStats};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The fixed registry names every [`Telemetry::observer`] feeds.
@@ -130,16 +134,6 @@ pub mod names {
     pub const POOL_WORKER_RESPAWNS: &str = "pool.worker_respawns";
     /// Counter: dispatches ended by the barrier watchdog.
     pub const POOL_BARRIER_TIMEOUTS: &str = "pool.barrier_timeouts";
-}
-
-/// Where telemetry artifacts are written: `$SMST_BENCH_DIR` when set,
-/// otherwise the current directory — the same convention as the bench
-/// harness's `bench_dir`, so `TRACE_*.jsonl` lands next to
-/// `BENCH_*.json`.
-pub fn artifact_dir() -> PathBuf {
-    std::env::var_os("SMST_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(".").to_path_buf())
 }
 
 /// The shared state behind an enabled [`Telemetry`].

@@ -4,13 +4,14 @@
 //!
 //! A [`RoundsArtifact`] collects one or more labelled runs (each a
 //! recorded `Vec<RoundStats>` plus a replay-correlation label such as a
-//! `TrialId` or seed) and writes them with the same group-named,
-//! injectable-directory discipline as the bench harness's `BenchGroup`:
-//! `write_json_to(dir)` for tests, `write_json()` for `$SMST_BENCH_DIR`,
-//! `finish()` to write-and-announce. The `round_latency` bench uses group
-//! `"rounds"` (→ literally `BENCH_rounds.json`); other producers suffix
-//! the group (`rounds_halo`, `rounds_campaign`) so one CI `BENCH_*.json`
-//! glob uploads them all.
+//! `TrialId` or seed). It is the one description of the `smst-rounds-v1`
+//! schema: [`to_json`](RoundsArtifact::to_json) and its
+//! [`FromJson`](crate::json::FromJson) impl come from one field list,
+//! `write_json_to(dir)` writes into an explicit directory (tests) and
+//! `finish()` into [`artifact_dir`](crate::artifact_dir). The
+//! `round_latency` bench uses group `"rounds"` (→ literally
+//! `BENCH_rounds.json`); other producers suffix the group (`rounds_halo`,
+//! `rounds_campaign`) so one CI `BENCH_*.json` glob uploads them all.
 //!
 //! Artifact schema:
 //!
@@ -22,13 +23,16 @@
 //!                      "barrier_ns":3,"exchange_ns":4}]}]}
 //! ```
 
-use crate::json::{json_string, round_fields};
+use crate::json::{self, Fields as _};
 use smst_sim::RoundStats;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
+/// The schema tag of a [`RoundsArtifact`] document.
+pub const SCHEMA: &str = "smst-rounds-v1";
+
 /// One labelled run inside a [`RoundsArtifact`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundsRun {
     /// Case label (what was run — mirrors bench case naming).
     pub label: String,
@@ -36,15 +40,19 @@ pub struct RoundsRun {
     /// whatever lets a reader reproduce the run the rounds came from.
     pub run: String,
     /// The observed per-round stats, in round order.
-    pub stats: Vec<RoundStats>,
+    pub rounds: Vec<RoundStats>,
 }
 
+crate::json_record!(RoundsRun { label, run, rounds });
+
 /// Collects observed round streams and writes `BENCH_<group>.json`.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundsArtifact {
     group: String,
     runs: Vec<RoundsRun>,
 }
+
+crate::json_record!(RoundsArtifact { group, runs });
 
 impl RoundsArtifact {
     /// An empty artifact for `group` (written as `BENCH_<group>.json`).
@@ -60,12 +68,17 @@ impl RoundsArtifact {
         &self.group
     }
 
+    /// The labelled runs, in push order.
+    pub fn runs(&self) -> &[RoundsRun] {
+        &self.runs
+    }
+
     /// Appends one labelled run.
-    pub fn push(&mut self, label: &str, run: &str, stats: Vec<RoundStats>) {
+    pub fn push(&mut self, label: &str, run: &str, rounds: Vec<RoundStats>) {
         self.runs.push(RoundsRun {
             label: label.to_string(),
             run: run.to_string(),
-            stats,
+            rounds,
         });
     }
 
@@ -82,51 +95,21 @@ impl RoundsArtifact {
     /// The artifact as a JSON document (see the module docs for the
     /// schema).
     pub fn to_json(&self) -> String {
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|run| {
-                let rounds: Vec<String> = run
-                    .stats
-                    .iter()
-                    .map(|s| format!("{{{}}}", round_fields(s)))
-                    .collect();
-                format!(
-                    "{{\"label\":{},\"run\":{},\"rounds\":[{}]}}",
-                    json_string(&run.label),
-                    json_string(&run.run),
-                    rounds.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-rounds-v1\",\"group\":{},\"runs\":[{}]}}\n",
-            json_string(&self.group),
-            runs.join(",")
-        )
+        json::document(SCHEMA, |doc| self.write_fields(doc))
     }
 
-    /// Writes `BENCH_<group>.json` into `dir` and returns its path (the
-    /// injectable core — tests pass a directory instead of mutating the
-    /// process-global `SMST_BENCH_DIR`).
+    /// Writes `BENCH_<group>.json` into `dir` and returns its path.
     pub fn write_json_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.group));
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
-        Ok(path)
+        json::write_artifact(dir, &format!("BENCH_{}.json", self.group), &self.to_json())
     }
 
-    /// Writes `BENCH_<group>.json` into
-    /// [`artifact_dir`](crate::artifact_dir) and returns its path.
-    pub fn write_json(&self) -> io::Result<PathBuf> {
-        self.write_json_to(&crate::artifact_dir())
-    }
-
-    /// Writes the artifact, printing where it went (panics on I/O errors
-    /// — an artifact run that silently loses its results is worse than
-    /// one that fails).
+    /// Writes the artifact into [`artifact_dir`](crate::artifact_dir),
+    /// printing where it went (panics on I/O errors — an artifact run
+    /// that silently loses its results is worse than one that fails).
     pub fn finish(self) -> PathBuf {
-        let path = self.write_json().expect("writing the rounds JSON artifact");
+        let path = self
+            .write_json_to(&json::artifact_dir())
+            .expect("writing the rounds JSON artifact");
         println!("  rounds -> {}", path.display());
         path
     }
@@ -135,6 +118,7 @@ impl RoundsArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson as _, Json};
 
     fn stat(round: usize) -> RoundStats {
         RoundStats {
@@ -170,5 +154,7 @@ mod tests {
             "{\"round\":1,\"alarms\":1,\"activations\":3,\"halo_bytes\":16,\
              \"dispatch_ns\":1,\"compute_ns\":2,\"barrier_ns\":3,\"exchange_ns\":4}"
         ));
+        let back = RoundsArtifact::from_json(&Json::parse(&body).unwrap()).unwrap();
+        assert_eq!(back, artifact);
     }
 }

@@ -9,14 +9,16 @@
 //! [`Telemetry::from_env`](crate::Telemetry::from_env) creates a writer
 //! only when sampling is on.
 //!
-//! Record schema (one JSON object per line):
+//! Record schema (one JSON object per line, described once by
+//! [`TraceLine`] — the lines carry no `schema` tag, readers dispatch on
+//! the `.jsonl` extension):
 //!
 //! ```json
 //! {"run":"<label>","round":0,"alarms":0,"activations":500,"halo_bytes":0,
 //!  "dispatch_ns":1,"compute_ns":2,"barrier_ns":3,"exchange_ns":4}
 //! ```
 
-use crate::json::{json_string, round_fields};
+use crate::json::{Fields as _, FromJson, Json, Obj, ShapeError};
 use smst_sim::RoundStats;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -53,6 +55,42 @@ pub fn trace_sample_from_env() -> u64 {
 /// warns), `Some(0)` means explicitly disabled.
 pub(crate) fn parse_trace_sample(raw: &str) -> Option<u64> {
     raw.trim().parse().ok()
+}
+
+/// One record of a `TRACE_*.jsonl` stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceLine {
+    /// Replay correlation label.
+    pub run: String,
+    /// The round record (its eight fields sit next to `run`, not nested).
+    pub stats: RoundStats,
+}
+
+/// The line both [`TraceLine::to_json`] and the streaming
+/// [`TraceWriter::write_round`] emit (the writer borrows its label, so it
+/// does not build a [`TraceLine`] per round).
+fn line_json(run: &str, stats: &RoundStats) -> String {
+    let mut out = String::new();
+    stats
+        .write_fields(Obj::new(&mut out).field("run", run))
+        .end();
+    out
+}
+
+impl TraceLine {
+    /// The record as one JSON object, without the line terminator.
+    pub fn to_json(&self) -> String {
+        line_json(&self.run, &self.stats)
+    }
+}
+
+impl FromJson for TraceLine {
+    fn from_json(line: &Json) -> Result<Self, ShapeError> {
+        Ok(TraceLine {
+            run: line.field("run")?,
+            stats: RoundStats::from_json(line)?,
+        })
+    }
 }
 
 /// A buffered, thread-safe `TRACE_<name>.jsonl` writer. Flushed on drop;
@@ -98,7 +136,8 @@ impl TraceWriter {
     /// Panics on I/O errors — a trace that silently loses records is
     /// worse than a run that fails (the bench-artifact philosophy).
     pub fn write_round(&self, run: &str, stats: &RoundStats) {
-        let line = format!("{{\"run\":{},{}}}\n", json_string(run), round_fields(stats));
+        let mut line = line_json(run, stats);
+        line.push('\n');
         self.file
             .lock()
             .expect("trace writer poisoned")
@@ -153,6 +192,9 @@ mod tests {
         assert!(lines[1].contains("\"round\":1"));
         assert!(lines[1].contains("\"compute_ns\":90"));
         assert!(lines[1].ends_with('}'));
+        let back = TraceLine::from_json(&Json::parse(lines[1]).unwrap()).unwrap();
+        assert_eq!((back.run.as_str(), &back.stats), ("trial-a", &stat(1)));
+        assert_eq!(back.to_json(), lines[1]);
     }
 
     #[test]
