@@ -18,7 +18,7 @@ use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
     EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
-    PoolHandle, RecoveryPolicy, Runner, ScenarioSpec, StopCondition,
+    PoolHandle, RecoveryPolicy, Runner, StopCondition,
 };
 use smst_sim::FaultSchedule;
 use smst_telemetry::{artifact_dir, names, ChaosArtifact, FlightRecorder, Metrics};
@@ -53,9 +53,10 @@ fn main() {
     let mut artifact = ChaosArtifact::new("chaos");
     let mut records = Vec::new();
     for (name, schedule) in schedules {
+        let envelope = EngineConfig::new().threads(threads);
         let case = ChaosCase::new(name, family.clone(), schedule, steps)
             .seed(11)
-            .threads(threads);
+            .engine(envelope.clone());
         let clean = case.run().expect("a valid chaos case");
         // the injected twin: a pool-worker panic mid-campaign (part 1, a
         // real pooled thread, so the retirement/respawn machinery runs),
@@ -63,8 +64,11 @@ fn main() {
         // clean run bit-for-bit
         let chaotic = case
             .clone()
-            .recovery(RecoveryPolicy::retries(2).backoff(Duration::from_millis(1)))
-            .inject(InjectionSpec::panic_at(7, 1))
+            .engine(
+                envelope
+                    .recovery(RecoveryPolicy::retries(2).backoff(Duration::from_millis(1)))
+                    .inject(InjectionSpec::panic_at(7, 1)),
+            )
             .run()
             .expect("the injected panic is retried away");
         let invisible = chaotic == clean;
@@ -106,7 +110,7 @@ fn main() {
     // a deadlock — the watchdog guards the round barrier inside
     // multi-round chunks, so drive a chunked run directly
     let watchdog = Duration::from_millis(100);
-    let graph = ScenarioSpec::new(family).seed(11).build_graph();
+    let graph = family.build(11);
     let program = AlarmedFlood::new(0, n as u64 - 1);
     let stalled_config = EngineConfig::new()
         .threads(threads)

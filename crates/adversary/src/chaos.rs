@@ -4,9 +4,9 @@
 //! The campaign engine in [`campaign`](crate::campaign) *searches* for bad
 //! schedules; this module *endures* them. A [`ChaosCase`] is one fully
 //! replayable verify-forever run — graph family × schedule × execution
-//! envelope (threads, [`RecoveryPolicy`], optional one-shot
-//! [`InjectionSpec`]) — executed by the engine's
-//! [`run_chaos_scenario`] on the [`AlarmedFlood`] workload (the one demo
+//! envelope (an [`EngineConfig`]: threads, `RecoveryPolicy`, optional
+//! one-shot `InjectionSpec`) — executed by the engine's
+//! [`run_chaos`] loop on the [`AlarmedFlood`] workload (the one demo
 //! program where every wave is both *detected* — the garbage floods to a
 //! monitor node — and *digested* — out-of-range values decay
 //! geometrically and the flood re-converges). Results bridge two ways:
@@ -24,10 +24,7 @@
 //! artifacts and on the same codec (see [`artifact`](crate::artifact)).
 
 use smst_engine::programs::AlarmedFlood;
-use smst_engine::{
-    run_chaos_scenario, ChaosReport, EngineError, GraphFamily, InjectionSpec, PoolStats,
-    RecoveryPolicy, ScenarioSpec,
-};
+use smst_engine::{run_chaos, ChaosReport, EngineConfig, EngineError, GraphFamily, PoolStats};
 use smst_sim::FaultSchedule;
 use smst_telemetry::json::{self, Obj, ToJson};
 use smst_telemetry::{names, ChaosRun, Metrics};
@@ -43,31 +40,27 @@ pub struct ChaosCase {
     pub family: GraphFamily,
     /// Graph seed.
     pub seed: u64,
-    /// Worker threads.
-    pub threads: usize,
+    /// The execution envelope: worker threads, the retry/backoff/watchdog
+    /// policy for panicked or hung workers, an optional one-shot
+    /// worker-level injection.
+    pub engine: EngineConfig,
     /// The recurring fault schedule.
     pub schedule: FaultSchedule,
     /// Step budget of the campaign.
     pub steps: usize,
-    /// Retry/backoff/watchdog policy for panicked or hung workers.
-    pub recovery: RecoveryPolicy,
-    /// Optional one-shot worker-level chaos (panic or stall injection).
-    pub injection: Option<InjectionSpec>,
 }
 
 impl ChaosCase {
-    /// A case with defaults: seed 1, one thread, no recovery, no
-    /// injection.
+    /// A case with defaults: seed 1 and [`EngineConfig::new`] (one thread,
+    /// no recovery, no injection).
     pub fn new(name: &str, family: GraphFamily, schedule: FaultSchedule, steps: usize) -> Self {
         ChaosCase {
             name: name.to_string(),
             family,
             seed: 1,
-            threads: 1,
+            engine: EngineConfig::new(),
             schedule,
             steps,
-            recovery: RecoveryPolicy::none(),
-            injection: None,
         }
     }
 
@@ -77,21 +70,9 @@ impl ChaosCase {
         self
     }
 
-    /// Sets the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the recovery policy.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
-    /// Arms a one-shot worker-level injection.
-    pub fn inject(mut self, injection: InjectionSpec) -> Self {
-        self.injection = Some(injection);
+    /// Sets the execution envelope.
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -103,30 +84,17 @@ impl ChaosCase {
         AlarmedFlood::new(0, self.family.node_count() as u64 - 1)
     }
 
-    fn scenario(&self) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new(self.family.clone())
-            .seed(self.seed)
-            .threads(self.threads)
-            .recovery(self.recovery);
-        if let Some(injection) = self.injection {
-            spec = spec.inject(injection);
-        }
-        spec
-    }
-
-    /// Runs the campaign: every wave corrupts its registers with
-    /// [`AlarmedFlood::BOGUS`].
+    /// Runs the campaign on whatever runner the envelope describes: every
+    /// wave corrupts its registers with [`AlarmedFlood::BOGUS`].
     pub fn run(&self) -> Result<ChaosCaseOutcome, EngineError> {
-        let outcome = run_chaos_scenario(
-            &self.scenario(),
-            &self.workload(),
-            &self.schedule,
-            self.steps,
-            |_v, s| *s = AlarmedFlood::BOGUS,
-        )?;
+        let program = self.workload();
+        let graph = self.family.build(self.seed);
+        let mut runner = self.engine.instantiate(&program, graph)?;
+        let mut bogus = |_v, s: &mut u64| *s = AlarmedFlood::BOGUS;
+        let report = run_chaos(runner.as_mut(), &self.schedule, self.steps, &mut bogus)?;
         Ok(ChaosCaseOutcome {
-            states: outcome.network.states().to_vec(),
-            report: outcome.report,
+            report,
+            states: runner.states_snapshot(),
         })
     }
 
@@ -137,7 +105,7 @@ impl ChaosCase {
             label: self.name.clone(),
             run: format!(
                 "{:?} seed={} threads={} recovery={:?}",
-                self.family, self.seed, self.threads, self.recovery
+                self.family, self.seed, self.engine.threads, self.engine.recovery
             ),
             schedule: self.schedule.describe(),
             steps_run: report.steps_run,
@@ -218,7 +186,7 @@ impl ChaosCaseRecord {
         ChaosCaseRecord {
             case: case.name.clone(),
             schedule: case.schedule.describe(),
-            threads: case.threads,
+            threads: case.engine.threads,
             report,
             recovery_invisible: None,
         }
@@ -299,7 +267,7 @@ pub fn write_chaos_campaign_artifact_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smst_engine::PoolHandle;
+    use smst_engine::{InjectionSpec, PoolHandle, RecoveryPolicy};
 
     fn small_case(name: &str, threads: usize) -> ChaosCase {
         // period 24 leaves each wave room for the ~15-step garbage decay
@@ -311,7 +279,7 @@ mod tests {
             75,
         )
         .seed(6)
-        .threads(threads)
+        .engine(EngineConfig::new().threads(threads))
     }
 
     #[test]
@@ -338,8 +306,12 @@ mod tests {
     fn injected_panic_with_recovery_is_invisible() {
         let clean = small_case("clean", 2).run().expect("valid case");
         let chaotic = small_case("chaotic", 2)
-            .recovery(RecoveryPolicy::retries(2))
-            .inject(InjectionSpec::panic_at(4, 0))
+            .engine(
+                EngineConfig::new()
+                    .threads(2)
+                    .recovery(RecoveryPolicy::retries(2))
+                    .inject(InjectionSpec::panic_at(4, 0)),
+            )
             .run()
             .expect("the injected panic is retried away");
         assert_eq!(chaotic, clean);

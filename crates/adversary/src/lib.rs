@@ -19,8 +19,10 @@
 //!   unit;
 //! * [`trial`] — [`TrialSpec`]: one execution fully described by a
 //!   one-line replayable id ([`TrialSpec::id`] / [`TrialSpec::from_id`]),
-//!   run through [`ScenarioSpec`](smst_engine::ScenarioSpec) on one of
-//!   three workloads (monitor flood, healing flood, the paper's verifier);
+//!   run through the engine's one fault-experiment driver
+//!   ([`ScenarioSpec::run_on`](smst_engine::ScenarioSpec::run_on)) on one
+//!   of three workloads (monitor flood, healing flood, the paper's
+//!   verifier);
 //! * [`campaign`] — [`run_campaign`]: seeded random + guided search,
 //!   trials fanned out on the engine's persistent worker pool, every trial
 //!   scored against its round-robin baseline (**regret**);

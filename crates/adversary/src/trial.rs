@@ -7,14 +7,22 @@
 //! the same [`TrialOutcome`] bit for bit (the engine's determinism
 //! contract), so any worst case a campaign finds is a one-line
 //! reproduction.
+//!
+//! A trial *is* one single-burst fault experiment: [`run_trial`] builds
+//! the trial's graph once (the daemon, the verifier and the runner are
+//! all built from it), describes the run as a
+//! [`ScenarioSpec`] whose envelope is one `EngineConfig`, and hands the
+//! instantiated runner to [`ScenarioSpec::run_on`] — the three workloads
+//! differ only in program, corruption and the report field they score.
+//! `tests/golden/trials.txt` pins the numbers.
 
 use crate::daemons::{CutFocusDaemon, StallDaemon, StarveDaemon};
 use smst_bench::engine_metrics::mst_verifier_for;
 use smst_core::faults::{corrupt, FaultKind};
 use smst_engine::programs::{MinIdFlood, MonitorFlood};
-use smst_engine::{EngineConfig, GraphFamily, ScenarioSpec, StopCondition};
-use smst_graph::WeightedGraph;
-use smst_sim::{BatchDaemon, ChunkedDaemon, Daemon, RoundObserver};
+use smst_engine::{EngineConfig, GraphFamily, ScenarioReport, ScenarioSpec, StopCondition};
+use smst_graph::{NodeId, WeightedGraph};
+use smst_sim::{BatchDaemon, ChunkedDaemon, Daemon, NodeProgram, RoundObserver};
 
 /// A replayable daemon descriptor: every daemon a campaign can schedule,
 /// with its parameters, in a form that encodes into a `TrialId`.
@@ -475,99 +483,97 @@ pub fn run_trial_observed(spec: &TrialSpec, observer: Box<dyn RoundObserver>) ->
 }
 
 fn run_trial_inner(spec: &TrialSpec, observer: Option<Box<dyn RoundObserver>>) -> TrialOutcome {
+    // built once: the daemon, the verifier and the runner all take it
     let graph = spec.family.build(spec.graph_seed);
     let n = graph.node_count();
-    let daemon = spec.daemon.build(&graph);
-    // a burst at or beyond the budget can never fire (ScenarioSpec panics);
+    // a burst at or beyond the budget can never fire (the driver panics);
     // clamp so every spec the search or the shrinker produces is runnable
     let budget = spec.budget.max(spec.inject_at + 1);
     let fault_count = spec.fault_count.clamp(1, n.max(1));
     // trials are single-threaded by design (the campaign fans the *trial
     // list* out across the pool); the whole execution envelope is one
     // validated EngineConfig
-    let engine = EngineConfig::new().threads(1).batch_daemon(daemon);
+    let engine = EngineConfig::new()
+        .threads(1)
+        .batch_daemon(spec.daemon.build(&graph));
     let scenario = ScenarioSpec::new(spec.family.clone())
         .engine(engine)
         .seed(spec.graph_seed)
-        .fault_burst(spec.inject_at, fault_count, spec.fault_seed);
-    match spec.workload {
+        .fault_burst(spec.inject_at, fault_count, spec.fault_seed)
+        .until(match spec.workload {
+            Workload::Heal => StopCondition::AllAccept,
+            Workload::Monitor | Workload::Verifier => StopCondition::FirstAlarm,
+        });
+    let report = match spec.workload {
         Workload::Monitor => {
             let ceiling = n.max(1) as u64 - 1;
             let program = MonitorFlood::new(ceiling, ceiling);
-            let scenario = scenario.until(StopCondition::FirstAlarm);
-            let corrupt_state = |_v, s: &mut u64| *s = MonitorFlood::BOGUS;
-            let outcome = match observer {
-                Some(obs) => scenario
-                    .run_observed(&program, corrupt_state, budget, obs)
-                    .unwrap_or_else(|e| panic!("invalid scenario engine config: {e}")),
-                None => scenario.run(&program, corrupt_state, budget),
-            };
-            TrialOutcome {
-                node_count: outcome.report.node_count,
-                steps_run: outcome.report.steps_run,
-                injected_faults: outcome.report.injected_faults,
-                detection: outcome.report.first_alarm,
-                recovered: outcome.report.recovered,
-                score: match outcome.report.first_alarm {
-                    Some(t) => Score::Measured(t),
-                    None => Score::Missed,
-                },
-            }
+            let bogus = |_v, s: &mut u64| *s = MonitorFlood::BOGUS;
+            drive(&scenario, graph, &program, bogus, budget, observer)
         }
         Workload::Heal => {
             let program = MinIdFlood::new(0);
-            let scenario = scenario.until(StopCondition::AllAccept);
-            let corrupt_state = |_v, s: &mut u64| *s = u64::MAX;
-            let outcome = match observer {
-                Some(obs) => scenario
-                    .run_observed(&program, corrupt_state, budget, obs)
-                    .unwrap_or_else(|e| panic!("invalid scenario engine config: {e}")),
-                None => scenario.run(&program, corrupt_state, budget),
-            };
-            TrialOutcome {
-                node_count: outcome.report.node_count,
-                steps_run: outcome.report.steps_run,
-                injected_faults: outcome.report.injected_faults,
-                detection: outcome.report.first_alarm,
-                recovered: outcome.report.recovered,
-                score: match outcome.report.recovered {
-                    Some(t) => Score::Measured(t),
-                    None => Score::Missed,
-                },
-            }
+            let garbage = |_v, s: &mut u64| *s = u64::MAX;
+            drive(&scenario, graph, &program, garbage, budget, observer)
         }
         Workload::Verifier => {
-            let kind = spec.fault_kind;
-            let seed = spec.fault_seed;
+            let (kind, seed) = (spec.fault_kind, spec.fault_seed);
             let mut i = 0u64;
-            let corrupt_state = move |_v, state: &mut _| {
+            let corrupt_next = |_v, state: &mut _| {
                 corrupt(state, kind, seed.wrapping_add(i));
                 i += 1;
             };
-            // the verifier is built from the trial's own graph — the same
-            // `(family, seed)` product the scenario rebuilds internally, so
-            // this equals the unobserved `run_with` construction
             let program = mst_verifier_for(&graph);
-            let scenario = scenario.until(StopCondition::FirstAlarm);
-            let outcome = match observer {
-                Some(obs) => scenario
-                    .run_observed(&program, corrupt_state, budget, obs)
-                    .unwrap_or_else(|e| panic!("invalid scenario engine config: {e}")),
-                None => scenario.run(&program, corrupt_state, budget),
-            };
-            TrialOutcome {
-                node_count: outcome.report.node_count,
-                steps_run: outcome.report.steps_run,
-                injected_faults: outcome.report.injected_faults,
-                detection: outcome.report.first_alarm,
-                recovered: outcome.report.recovered,
-                score: match outcome.report.first_alarm {
-                    Some(t) => Score::Measured(t),
-                    None => Score::Missed,
-                },
-            }
+            let report = drive(&scenario, graph, &program, corrupt_next, budget, observer);
+            // the floods start un-converged by design; the verifier starts
+            // from a correct, marker-labelled MST and must never reject it
+            assert!(
+                !report.warmup_alarm,
+                "a correct instance must not raise alarms during warm-up"
+            );
+            report
         }
+    };
+    let scored = match scenario.until {
+        StopCondition::AllAccept => report.recovered,
+        _ => report.first_alarm,
+    };
+    TrialOutcome {
+        node_count: report.node_count,
+        steps_run: report.steps_run,
+        injected_faults: report.injected_faults,
+        detection: report.first_alarm,
+        recovered: report.recovered,
+        score: scored.map_or(Score::Missed, Score::Measured),
     }
+}
+
+/// The part of a trial every workload shares: instantiate the scenario's
+/// runner over the trial's graph, attach the observer, drive the burst
+/// experiment.
+fn drive<P, F>(
+    scenario: &ScenarioSpec,
+    graph: WeightedGraph,
+    program: &P,
+    mut corrupt: F,
+    budget: usize,
+    observer: Option<Box<dyn RoundObserver>>,
+) -> ScenarioReport
+where
+    P: NodeProgram + Sync + 'static,
+    P::State: Send + Sync,
+    F: FnMut(NodeId, &mut P::State),
+{
+    let mut runner = scenario
+        .engine
+        .instantiate(program, graph)
+        .unwrap_or_else(|e| panic!("invalid scenario engine config: {e}"));
+    if let Some(observer) = observer {
+        runner.set_observer(observer);
+    }
+    scenario
+        .run_on(runner.as_mut(), &mut corrupt, budget)
+        .unwrap_or_else(|e| panic!("scenario failed: {e}"))
 }
 
 /// The canonical campaign interestingness predicate: the trial's scored

@@ -7,7 +7,7 @@
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
     EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
-    RecoveryPolicy, Runner, ScenarioSpec, StopCondition,
+    RecoveryPolicy, Runner, StopCondition,
 };
 use smst_telemetry::FlightRecorder;
 use std::time::Duration;
@@ -16,9 +16,7 @@ use std::time::Duration;
 fn forced_barrier_timeout_dumps_a_flight_artifact() {
     let n = 48;
     let watchdog = Duration::from_millis(50);
-    let graph = ScenarioSpec::new(GraphFamily::Expander { n, degree: 4 })
-        .seed(7)
-        .build_graph();
+    let graph = GraphFamily::Expander { n, degree: 4 }.build(7);
     let program = AlarmedFlood::new(0, n as u64 - 1);
     let config = EngineConfig::new()
         .threads(2)

@@ -29,9 +29,9 @@
 //! configuration, so it is already converged at round 0 and the warm-up
 //! only demonstrates steady-state silence before the fault lands.
 
-use smst_bench::engine_metrics::mst_verifier_for;
-use smst_core::faults::{corrupt, FaultKind};
-use smst_engine::{EngineConfig, GraphFamily, ScenarioSpec, StopCondition};
+use smst_bench::engine_metrics::verifier_point;
+use smst_core::faults::FaultKind;
+use smst_engine::{EngineConfig, GraphFamily, ScenarioSpec};
 use smst_telemetry::json::{self, Fixed, FromJson, Json, ShapeError};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -147,26 +147,16 @@ fn detection_budget(n: usize) -> usize {
 }
 
 /// Runs one detection trial: warm up, corrupt one stored piece weight,
-/// count rounds to the first alarm.
+/// count rounds to the first alarm (one [`verifier_point`]).
 fn measure_trial(family: &GraphFamily, config: &KmwConfig, trial: u64) -> Option<usize> {
-    let n = family.node_count();
     let seed = config.seed + trial;
-    let budget = config.warmup + detection_budget(n);
+    let budget = config.warmup + detection_budget(family.node_count());
     let spec = ScenarioSpec::new(family.clone())
         .engine(config.engine.clone())
         .seed(seed)
-        .fault_burst(config.warmup, 1, seed)
-        .until(StopCondition::FirstAlarm);
-    let mut i = 0u64;
-    let (outcome, _verifier) = spec.run_with(
-        mst_verifier_for,
-        |_v, state| {
-            corrupt(state, FaultKind::StoredPieceWeight, seed.wrapping_add(i));
-            i += 1;
-        },
-        budget,
-    );
-    outcome.report.first_alarm
+        .fault_burst(config.warmup, 1, seed);
+    let point = verifier_point(spec, FaultKind::StoredPieceWeight, seed, budget, None);
+    point.detection.detection_time
 }
 
 /// Runs the point's campaign: `trials` independent trials, keeping the

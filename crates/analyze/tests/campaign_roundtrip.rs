@@ -11,7 +11,7 @@ use smst_adversary::{
     run_campaign, shrink_trial, write_campaign_artifact_in, CampaignSpec, Workload,
 };
 use smst_analyze::ingest::{ingest_file, Artifact, CampaignDoc};
-use smst_engine::{GraphFamily, PoolStats};
+use smst_engine::{EngineConfig, GraphFamily, PoolStats};
 use smst_sim::FaultSchedule;
 use std::path::PathBuf;
 
@@ -54,7 +54,7 @@ fn chaos_campaign_artifacts_round_trip_through_ingest() {
         75,
     )
     .seed(6)
-    .threads(2);
+    .engine(EngineConfig::new().threads(2));
     let report = case.run().expect("a valid case").report;
     let records = [
         ChaosCaseRecord::new(&case, report.clone()).recovery_invisible(true),

@@ -3,13 +3,15 @@
 //! `BENCH_detection.json`.
 use smst_bench::harness::BenchGroup;
 use smst_core::faults::FaultKind;
-use smst_core::scheme::run_sync_fault_experiment;
 use smst_core::MstVerificationScheme;
+use smst_engine::adapters::run_engine_fault_experiment;
+use smst_engine::EngineConfig;
 use smst_graph::NodeId;
 use smst_sim::{FaultPlan, SyncRunner};
 
 fn main() {
     let mut group = BenchGroup::new("detection");
+    let reference = EngineConfig::reference();
     for n in [16usize, 32] {
         let inst = smst_bench::mst_instance(n, 3 * n, 2);
         let scheme = MstVerificationScheme::new();
@@ -19,12 +21,14 @@ fn main() {
         let mut runner = SyncRunner::new(&verifier, net);
         group.bench(&format!("verifier_round/{n}"), 10, || runner.step_round());
         group.bench(&format!("single_fault_episode/{n}"), 10, || {
-            run_sync_fault_experiment(
+            run_engine_fault_experiment(
                 &inst,
                 &FaultPlan::single(NodeId(n / 2)),
                 FaultKind::SpDistance,
                 3,
+                &reference,
             )
+            .expect("the reference envelope is valid")
             .report
             .detection_time
         });

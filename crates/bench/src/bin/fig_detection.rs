@@ -11,10 +11,11 @@
 //! Sizes are small by default; set `SMST_FIG_N=<n>` to extend the sweep
 //! (doubling sizes up to `n`) on a multi-core host.
 
-use smst_bench::engine_metrics::{engine_detection_sweep, fig_sizes, mst_verifier_for};
-use smst_core::faults::{corrupt, FaultKind};
-use smst_core::MstVerificationScheme;
-use smst_engine::{EngineConfig, GraphFamily, LayoutPolicy, ScenarioSpec, StopCondition};
+use smst_bench::engine_metrics::{
+    detection_scenario, engine_detection_sweep, fig_sizes, verifier_point,
+};
+use smst_core::faults::FaultKind;
+use smst_engine::{EngineConfig, LayoutPolicy};
 use smst_sim::{RecordingObserver, TeeObserver};
 use smst_telemetry::{RoundsArtifact, Telemetry};
 
@@ -58,14 +59,8 @@ fn main() {
 /// the stream to `BENCH_rounds_detection.json` (plus sampled trace lines
 /// when `SMST_TRACE_SAMPLE` is set).
 fn observed_replay(n: usize, seed: u64, engine: &EngineConfig) {
-    let warmup = MstVerificationScheme::sync_budget(n);
-    let budget = warmup + 4 * MstVerificationScheme::sync_budget(n) + 1;
-    let spec = ScenarioSpec::new(GraphFamily::RandomConnected { n, m: 3 * n })
-        .engine(engine.clone())
-        .seed(seed)
-        .fault_burst(warmup, 1, seed)
-        .until(StopCondition::FirstAlarm);
-    let verifier = mst_verifier_for(&spec.build_graph());
+    let (spec, budget) = detection_scenario(n, seed, engine);
+    let warmup = spec.fault.expect("the detection scenario has a burst").at;
     let telemetry = Telemetry::from_env("fig_detection");
     let run = format!("fam=rand:{n}x{m};gs={seed};at={warmup}", m = 3 * n);
     let recording = RecordingObserver::new();
@@ -73,24 +68,10 @@ fn observed_replay(n: usize, seed: u64, engine: &EngineConfig) {
     if let Some(observer) = telemetry.observer(&run) {
         tee.push(observer);
     }
-    let mut i = 0u64;
-    let outcome = spec
-        .run_observed(
-            &verifier,
-            |_v, state| {
-                corrupt(state, FaultKind::StoredPieceWeight, seed.wrapping_add(i));
-                i += 1;
-            },
-            budget,
-            Box::new(tee),
-        )
-        .expect("the sweep envelope is valid");
+    let observer = Some(Box::new(tee) as _);
+    let point = verifier_point(spec, FaultKind::StoredPieceWeight, seed, budget, observer);
     let stats = recording.stats();
-    assert_eq!(
-        stats.len(),
-        outcome.report.steps_run,
-        "one record per executed step"
-    );
+    assert_eq!(stats.len(), point.steps_run, "one record per executed step");
     // the warm-up dominates the step count (the polylog budget is ~10^5
     // steps even at small n); the artifact keeps the window around the
     // fault — a short converged prefix plus everything from injection to

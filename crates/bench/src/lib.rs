@@ -1,18 +1,31 @@
 //! Shared experiment drivers for the benchmark harness.
 //!
-//! Each public function regenerates one of the paper's evaluation artifacts
-//! (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded results). The `bin` targets print the tables; the `benches/`
-//! targets time the underlying primitives with the in-repo [`harness`]
-//! (Criterion is unavailable in the offline build environment).
+//! Each public function regenerates one of the paper's evaluation
+//! artifacts, and each artifact has **one** sweep — the one its `bin`
+//! target prints (`ci/figures/*.txt` pins the tables):
+//!
+//! | artifact | sweep | bin |
+//! |---|---|---|
+//! | Table 1 | [`table1`] | `table1` |
+//! | detection time | [`engine_metrics::engine_detection_sweep`] | `fig_detection` |
+//! | detection locality | [`engine_metrics::engine_locality_sweep`] | `fig_locality` |
+//! | memory | [`memory_sweep`] | `fig_memory` |
+//! | construction time | [`construction_sweep`] | `fig_construction` |
+//! | lower bound | [`lower_bound_sweep`] | `fig_lowerbound` |
+//!
+//! The two fault-experiment figures run on whatever execution path an
+//! `EngineConfig` describes (`EngineConfig::reference()` *is* the
+//! sequential simulator); memory and construction measure the centralized
+//! marker and need no runner at all. The `benches/` targets time the
+//! underlying primitives with the in-repo [`harness`] (Criterion is
+//! unavailable in the offline build environment).
 
 #![forbid(unsafe_code)]
 
 pub mod engine_metrics;
 pub mod harness;
 
-use smst_core::faults::FaultKind;
-use smst_core::scheme::{run_sync_fault_experiment, MstVerificationScheme};
+use smst_core::scheme::MstVerificationScheme;
 use smst_core::Marker;
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
@@ -21,7 +34,6 @@ use smst_labeling::kkp::KkpMstScheme;
 use smst_labeling::scheme::max_label_bits;
 use smst_labeling::{Instance, OneRoundScheme};
 use smst_selfstab::{SelfStabilizingMst, Variant};
-use smst_sim::FaultPlan;
 
 /// Builds a correct MST instance on a random connected graph.
 pub fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
@@ -65,68 +77,6 @@ pub fn table1(sizes: &[usize], seed: u64) -> Vec<Table1Row> {
         }
     }
     rows
-}
-
-/// One point of the detection-time figure.
-#[derive(Debug, Clone)]
-pub struct DetectionPoint {
-    /// Number of nodes.
-    pub n: usize,
-    /// Maximum degree of the graph.
-    pub max_degree: usize,
-    /// Rounds from fault injection to the first alarm (synchronous).
-    pub detection_rounds: usize,
-    /// Hop distance from the fault to the closest alarming node.
-    pub detection_distance: usize,
-}
-
-/// Regenerates the detection-time figure: inject a single stored-piece fault
-/// into a correct, marker-labelled instance and measure the synchronous
-/// detection time (Theorem 8.5's `O(log² n)`-flavoured quantity; see
-/// `DESIGN.md` on the extra logarithmic factor of the stop-and-wait train).
-pub fn detection_sweep(sizes: &[usize], seed: u64) -> Vec<DetectionPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let inst = mst_instance(n, 3 * n, seed);
-        let plan = FaultPlan::single(NodeId(n / 2));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, seed);
-        points.push(DetectionPoint {
-            n,
-            max_degree: inst.graph.max_degree(),
-            detection_rounds: outcome.report.detection_time.unwrap_or(usize::MAX),
-            detection_distance: outcome.report.max_detection_distance,
-        });
-    }
-    points
-}
-
-/// One point of the detection-locality figure (`O(f log n)` detection
-/// distance).
-#[derive(Debug, Clone)]
-pub struct LocalityPoint {
-    /// Number of injected faults `f`.
-    pub faults: usize,
-    /// Number of nodes.
-    pub n: usize,
-    /// Maximum hop distance from a fault to the closest alarming node.
-    pub max_detection_distance: usize,
-}
-
-/// Regenerates the detection-locality figure: inject `f` faults and measure
-/// the maximum distance from a fault to the closest alarming node.
-pub fn locality_sweep(n: usize, fault_counts: &[usize], seed: u64) -> Vec<LocalityPoint> {
-    let mut points = Vec::new();
-    for &f in fault_counts {
-        let inst = mst_instance(n, 3 * n, seed);
-        let plan = FaultPlan::random(n, f, seed + f as u64);
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, seed);
-        points.push(LocalityPoint {
-            faults: f,
-            n,
-            max_detection_distance: outcome.report.max_detection_distance,
-        });
-    }
-    points
 }
 
 /// One point of the memory figure.
@@ -308,12 +258,11 @@ mod tests {
 
     #[test]
     fn detection_is_polylogarithmic_in_practice() {
-        let points = detection_sweep(&[16, 32], 2);
+        let reference = smst_engine::EngineConfig::reference();
+        let points = engine_metrics::engine_detection_sweep(&[16, 32], 2, &reference);
         for p in &points {
-            assert!(
-                p.detection_rounds < p.n * p.n,
-                "detection should beat Θ(n²)"
-            );
+            let detected = p.detection_steps.expect("a stored-piece fault is detected");
+            assert!(detected < p.n * p.n, "detection should beat Θ(n²)");
         }
     }
 

@@ -1,12 +1,25 @@
-//! A facade tying the marker and the verifier together, plus the experiment
-//! drivers used by the examples, the integration tests and the benches.
+//! A facade tying the marker and the verifier together, plus the
+//! **sequential oracle** of the paper's fault experiment.
+//!
+//! The experiment every figure measures — warm a correct, marker-labelled
+//! configuration up, corrupt `f` registers, count rounds to the first
+//! alarm — is written once for every execution path in `smst-engine`
+//! (`run_fault_experiment`, reached for the verifier through
+//! `adapters::run_engine_fault_experiment`). [`run_sync_fault_experiment`]
+//! is the same protocol spelled out on `smst-sim`'s closure-driven
+//! [`SyncRunner`] and nothing else: the reference the engine function is
+//! pinned equal to (`adapters::tests::engine_fault_experiment_equals_sequential_on_every_path`)
+//! and the driver this crate's own tests, the examples and the integration
+//! tests use. It lives *below* the engine on purpose — `smst-engine`
+//! depends on this crate, so a unit test here that linked the engine
+//! would see a second copy of every `smst_core` type.
 
 use crate::faults::{corrupt, FaultKind};
 use crate::labels::CoreLabel;
 use crate::marker::{ConstructionReport, Marker};
 use crate::verifier::CoreVerifier;
 use smst_labeling::scheme::{Instance, MarkError};
-use smst_sim::{AsyncRunner, Daemon, DetectionReport, FaultPlan, MemoryUsage, Network, SyncRunner};
+use smst_sim::{DetectionReport, FaultPlan, MemoryUsage, Network, SyncRunner};
 
 /// The paper's MST proof labeling scheme: `O(log n)` bits per node,
 /// polylogarithmic detection time, `O(n)`-time marker.
@@ -62,15 +75,22 @@ pub struct FaultExperimentOutcome {
     pub memory: MemoryUsage,
 }
 
-/// Runs the synchronous verifier on a correct, marker-labelled instance,
-/// injects faults of the given kind at the planned nodes, and measures the
+/// The sequential oracle of the fault experiment: runs the synchronous
+/// verifier on a correct, marker-labelled instance for the scheme's
+/// warm-up budget, injects faults of the given kind at the planned nodes
+/// (`corrupt(state, kind, seed + i)` in plan order), and measures the
 /// detection time and detection distance.
+///
+/// The closure loop consults the alarm before its first post-injection
+/// round where the engine's driver always steps once first; [`corrupt`]
+/// never writes a verdict, so no fault it injects can tell the two apart.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not a correct MST instance (the experiment
 /// measures detection of *injected* faults, so it starts from a correct
-/// configuration).
+/// configuration), or if the verifier raises an alarm on it during the
+/// warm-up.
 pub fn run_sync_fault_experiment(
     instance: &Instance,
     plan: &FaultPlan,
@@ -105,56 +125,7 @@ pub fn run_sync_fault_experiment(
 
     let report = match runner.run_until_alarm(4 * budget) {
         Some(t) => DetectionReport::from_alarms(
-            instance.graph(),
-            t,
-            runner.network().alarming_nodes(&verifier),
-            plan.nodes(),
-        ),
-        None => DetectionReport::not_detected(),
-    };
-    FaultExperimentOutcome {
-        warmup_rounds,
-        report,
-        memory,
-    }
-}
-
-/// Asynchronous variant of [`run_sync_fault_experiment`] under the given
-/// daemon.
-pub fn run_async_fault_experiment(
-    instance: &Instance,
-    plan: &FaultPlan,
-    kind: FaultKind,
-    daemon: Daemon,
-    seed: u64,
-) -> FaultExperimentOutcome {
-    let scheme = MstVerificationScheme::new();
-    let (labels, _) = scheme
-        .mark(instance)
-        .expect("fault experiments start from a correct instance");
-    let verifier = scheme.verifier(instance, labels);
-    let n = instance.node_count();
-    let budget = MstVerificationScheme::async_budget(n, instance.graph().max_degree());
-
-    let net = verifier.network();
-    let mut runner = AsyncRunner::new(&verifier, net, daemon);
-    runner.run_time_units(budget);
-    let warmup_rounds = runner.time_units();
-    assert!(
-        runner.network().alarming_nodes(&verifier).is_empty(),
-        "a correct instance must not raise alarms during warm-up"
-    );
-    let memory = MemoryUsage::from_bits(runner.network().memory_bits(&verifier));
-
-    let mut i = 0u64;
-    plan.apply(runner.network_mut(), |_v, state| {
-        corrupt(state, kind, seed.wrapping_add(i));
-        i += 1;
-    });
-
-    let report = match runner.run_until_alarm(4 * budget) {
-        Some(t) => DetectionReport::from_alarms(
-            instance.graph(),
+            &instance.graph,
             t,
             runner.network().alarming_nodes(&verifier),
             plan.nodes(),
@@ -180,17 +151,6 @@ pub fn rounds_until_rejection(
     let net: Network<CoreVerifier> = verifier.network();
     let mut runner = SyncRunner::new(&verifier, net);
     runner.run_until_alarm(max_rounds)
-}
-
-/// Convenience extension used by the drivers above.
-trait InstanceExt {
-    fn graph(&self) -> &smst_graph::WeightedGraph;
-}
-
-impl InstanceExt for Instance {
-    fn graph(&self) -> &smst_graph::WeightedGraph {
-        &self.graph
-    }
 }
 
 #[cfg(test)]

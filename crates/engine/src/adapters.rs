@@ -3,24 +3,24 @@
 //!
 //! [`smst_core::CoreVerifier`] already implements
 //! [`NodeProgram`], so the engine runs it *unchanged*
-//! — these drivers only mirror the sequential experiment harnesses of
-//! [`smst_core::scheme`] and [`smst_selfstab`] on top of whatever execution
-//! path an [`EngineConfig`] describes, producing the same outcome types so
-//! downstream tables and figures accept either engine.
+//! — these drivers only bind the paper's objects (instance, marker labels,
+//! fault kinds, the scheme's polylog budgets) to the engine's generic
+//! pieces, producing the outcome types of [`smst_core::scheme`] and
+//! [`smst_selfstab`] so downstream tables and figures accept either.
 //!
-//! Since the one-engine-API refactor there is a **single** fault-experiment
-//! driver, [`run_engine_fault_experiment`]: the synchronous and
-//! asynchronous variants differ only in the envelope's [`Mode`](crate::config::Mode) (and hence
-//! in the warm-up budget), not in code path. The old per-runner entry
-//! points shipped as `#[deprecated]` shims for one release and are gone.
-//!
-//! Because the engine's rounds are bit-for-bit identical to the sequential
-//! ones, every number these functions return (warm-up rounds, detection
-//! times, alarming nodes, memory) **equals** the sequential harness's
-//! output; the adapter tests pin that equality.
+//! [`run_engine_fault_experiment`] is mark → instantiate →
+//! [`run_fault_experiment`]: the synchronous and asynchronous variants
+//! differ only in the envelope's [`Mode`](crate::config::Mode) (and hence
+//! in the warm-up budget), not in code path. Its sequential oracle is
+//! [`smst_core::scheme::run_sync_fault_experiment`], which lives below the
+//! engine on `smst-sim`'s `SyncRunner`; because the engine's rounds are
+//! bit-for-bit the sequential ones, every number the two return (warm-up
+//! rounds, detection time, alarming nodes, memory) is **equal**, pinned on
+//! every execution path by the adapter tests.
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::runner::{Runner, StopCondition};
+use crate::scenario::run_fault_experiment;
 use smst_core::faults::{corrupt, FaultKind};
 use smst_core::scheme::FaultExperimentOutcome;
 use smst_core::{CoreLabel, CoreVerifier, Marker, MstVerificationScheme};
@@ -38,17 +38,21 @@ fn memory_bits(runner: &dyn Runner<CoreVerifier>, verifier: &CoreVerifier, n: us
         .collect()
 }
 
-/// **The** engine fault experiment: warm the paper's verifier up on a
+/// The paper's fault experiment on the engine: warm the verifier up on a
 /// correct, marker-labelled instance, inject the planned faults, and
-/// measure detection — on whatever execution path `engine` describes
-/// (sequential reference, sharded synchronous with any layout/halo/pinning,
-/// or any batch daemon). The warm-up budget is the scheme's synchronous
-/// budget for synchronous envelopes and its asynchronous budget otherwise.
+/// measure detection — [`run_fault_experiment`] on whatever execution path
+/// `engine` describes (sequential reference, sharded synchronous with any
+/// layout/halo/pinning, or any batch daemon). The warm-up budget is the
+/// scheme's synchronous budget for synchronous envelopes and its
+/// asynchronous budget otherwise; the reported memory is the registers'
+/// width, a function of the labels, which no fault-free step rewrites.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not a correct MST instance (the experiment's
-/// precondition); invalid envelopes return [`ConfigError`] instead.
+/// precondition), if the verifier raises an alarm on it before any fault
+/// is injected, or if execution fails past the envelope's recovery
+/// policy; invalid envelopes return [`ConfigError`] instead.
 pub fn run_engine_fault_experiment(
     instance: &Instance,
     plan: &FaultPlan,
@@ -70,28 +74,29 @@ pub fn run_engine_fault_experiment(
     };
 
     let mut runner = engine.instantiate(&verifier, instance.graph.clone())?;
-    runner.run_until(StopCondition::Steps, budget);
-    let warmup_rounds = runner.steps();
+    let memory = MemoryUsage::from_bits(memory_bits(runner.as_ref(), &verifier, n));
+    let mut i = 0u64;
+    let run = run_fault_experiment(
+        runner.as_mut(),
+        Some((budget, plan)),
+        &mut |_v, state| {
+            corrupt(state, kind, seed.wrapping_add(i));
+            i += 1;
+        },
+        StopCondition::FirstAlarm,
+        5 * budget,
+    )
+    .unwrap_or_else(|err| panic!("{err}"));
     assert!(
-        !runner.any_alarm(),
+        !run.warmup_alarm,
         "a correct instance must not raise alarms during warm-up"
     );
-    let memory = MemoryUsage::from_bits(memory_bits(runner.as_ref(), &verifier, n));
-
-    let mut i = 0u64;
-    runner.apply_faults(plan, &mut |_v, state| {
-        corrupt(state, kind, seed.wrapping_add(i));
-        i += 1;
-    });
-
-    let report = match runner.run_until(StopCondition::FirstAlarm, 4 * budget) {
-        Some(t) => {
-            DetectionReport::from_alarms(&instance.graph, t, runner.alarming_nodes(), plan.nodes())
-        }
+    let report = match run.first_alarm {
+        Some(t) => DetectionReport::from_alarms(&instance.graph, t, run.alarm_nodes, plan.nodes()),
         None => DetectionReport::not_detected(),
     };
     Ok(FaultExperimentOutcome {
-        warmup_rounds,
+        warmup_rounds: budget,
         report,
         memory,
     })

@@ -1,11 +1,10 @@
-//! The chaos plane: recurring fault schedules driven through the one
-//! [`Runner`] loop.
+//! The chaos plane: recurring fault schedules on a [`Runner`].
 //!
-//! A single-burst fault experiment measures one detection; the paper's
-//! verifier is *perpetual*, so the interesting workload is an unbounded
-//! stream of fault waves. This module drives a
-//! [`FaultSchedule`] through the same
-//! object-safe [`Runner`] loop every other workload uses: between steps it
+//! A single-burst fault experiment
+//! ([`run_fault_experiment`](crate::run_fault_experiment)) measures one
+//! detection; the paper's verifier is *perpetual*, so the interesting
+//! workload is an unbounded stream of fault waves. [`run_chaos`] drives a
+//! [`FaultSchedule`] through any object-safe [`Runner`]: between steps it
 //! asks the schedule whether a wave fires, applies the wave's
 //! [`FaultPlan`](smst_sim::FaultPlan) through the caller's mutator, and
 //! keeps per-wave books — steps to first alarm (detection latency) and
@@ -13,6 +12,13 @@
 //! MTTR-style figure). A wave still open when the next one fires, or when
 //! the step budget runs out, keeps `None` in the censored fields rather
 //! than a fabricated number.
+//!
+//! This is the second of the two loops that step a `Runner` (the other is
+//! [`drive_until`](crate::drive_until), which the burst experiment is
+//! built from): per-wave books over an unbounded schedule need a look at
+//! the registers after *every* step, which no stop condition expresses.
+//! The two share the latency rule — a wave's latencies count executed
+//! steps and are ≥ 1 — pinned by `tests/chaos_determinism.rs`.
 //!
 //! Worker failures surface through [`Runner::try_step`]: under a
 //! [`RecoveryPolicy`](crate::config::RecoveryPolicy) the runner retries
@@ -23,9 +29,8 @@
 
 use crate::config::EngineError;
 use crate::runner::Runner;
-use crate::scenario::ScenarioSpec;
 use smst_graph::NodeId;
-use smst_sim::{FaultSchedule, Network, NodeProgram, WaveStats};
+use smst_sim::{FaultSchedule, NodeProgram, WaveStats};
 
 /// What a chaos campaign observed: every wave with its latencies, plus
 /// run-level totals.
@@ -43,51 +48,30 @@ impl ChaosReport {
     /// Waves whose corruption was detected (an alarm rose before the next
     /// wave or the end of the run).
     pub fn detected_waves(&self) -> usize {
-        self.waves
-            .iter()
-            .filter(|w| w.detection_latency.is_some())
-            .count()
+        WaveStats::detected_waves(&self.waves)
     }
 
     /// Waves the system fully digested (every node accepting again before
     /// the next wave or the end of the run).
     pub fn quiesced_waves(&self) -> usize {
-        self.waves.iter().filter(|w| w.quiescence.is_some()).count()
+        WaveStats::quiesced_waves(&self.waves)
     }
 
     /// Mean detection latency over the detected waves, in steps.
     pub fn mean_detection_latency(&self) -> Option<f64> {
-        mean(self.waves.iter().filter_map(|w| w.detection_latency))
+        WaveStats::mean_detection_latency(&self.waves)
     }
 
     /// Mean rounds-to-quiescence over the quiesced waves, in steps.
     pub fn mean_quiescence(&self) -> Option<f64> {
-        mean(self.waves.iter().filter_map(|w| w.quiescence))
+        WaveStats::mean_quiescence(&self.waves)
     }
-}
-
-fn mean(values: impl Iterator<Item = usize>) -> Option<f64> {
-    let (mut sum, mut count) = (0usize, 0usize);
-    for v in values {
-        sum += v;
-        count += 1;
-    }
-    (count > 0).then(|| sum as f64 / count as f64)
-}
-
-/// Final registers plus the campaign report.
-#[derive(Debug)]
-pub struct ChaosOutcome<P: NodeProgram> {
-    /// The campaign report.
-    pub report: ChaosReport,
-    /// The final configuration.
-    pub network: Network<P>,
 }
 
 /// Drives `schedule` through `runner` for `max_steps` steps — **the**
 /// chaos loop, shared by tests, benches and the smoke bins. Waves fire at
 /// the *start* of their step (the corrupted registers are what that step's
-/// reads observe), mirroring [`ScenarioSpec`]'s burst semantics.
+/// reads observe), as a [`FaultBurst`](crate::FaultBurst) does.
 pub fn run_chaos<P, F>(
     runner: &mut dyn Runner<P>,
     schedule: &FaultSchedule,
@@ -104,11 +88,14 @@ where
     let mut injected = 0usize;
     let mut steps_run = 0usize;
     for step in 0..max_steps {
-        if let Some((wave, plan)) = schedule.wave_at(step, n) {
+        if schedule.fires_at(step) {
+            // the loop starts at step 0, so the waves fired so far *are*
+            // this wave's index — no recount of the earlier arrivals
+            let plan = schedule.wave_plan(waves.len(), n);
             runner.apply_faults(&plan, corrupt);
             injected += plan.len();
             waves.push(WaveStats {
-                wave,
+                wave: waves.len(),
                 step,
                 faults: plan.len(),
                 detection_latency: None,
@@ -134,31 +121,6 @@ where
     })
 }
 
-/// [`run_chaos`] over a [`ScenarioSpec`]'s graph and execution envelope:
-/// instantiates whatever runner the spec's [`EngineConfig`](crate::config::EngineConfig)
-/// describes (including its recovery and injection knobs) and runs the
-/// campaign on it.
-pub fn run_chaos_scenario<P, F>(
-    spec: &ScenarioSpec,
-    program: &P,
-    schedule: &FaultSchedule,
-    max_steps: usize,
-    mut corrupt: F,
-) -> Result<ChaosOutcome<P>, EngineError>
-where
-    P: NodeProgram + Sync + 'static,
-    P::State: Send + Sync,
-    F: FnMut(NodeId, &mut P::State),
-{
-    let graph = spec.build_graph();
-    let mut runner = spec.engine.instantiate(program, graph)?;
-    let report = run_chaos(runner.as_mut(), schedule, max_steps, &mut corrupt)?;
-    Ok(ChaosOutcome {
-        report,
-        network: runner.into_network(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,21 +128,43 @@ mod tests {
     use crate::pool::PoolError;
     use crate::programs::MinIdFlood;
     use crate::scenario::GraphFamily;
+    use smst_sim::Network;
 
-    fn spec(threads: usize) -> ScenarioSpec {
-        ScenarioSpec::new(GraphFamily::Expander { n: 60, degree: 4 })
-            .seed(5)
-            .threads(threads)
+    fn threads(threads: usize) -> EngineConfig {
+        EngineConfig::new().threads(threads)
+    }
+
+    /// Final registers plus the campaign report.
+    #[derive(Debug)]
+    struct ChaosOutcome {
+        report: ChaosReport,
+        network: Network<MinIdFlood>,
+    }
+
+    /// [`run_chaos`] of the min-id flood on the 60-node expander, on
+    /// whatever runner `engine` describes.
+    fn run_chaos_scenario(
+        engine: &EngineConfig,
+        schedule: &FaultSchedule,
+        max_steps: usize,
+        mut corrupt: impl FnMut(NodeId, &mut u64),
+    ) -> Result<ChaosOutcome, EngineError> {
+        let program = MinIdFlood::new(0);
+        let graph = GraphFamily::Expander { n: 60, degree: 4 }.build(5);
+        let mut runner = engine.instantiate(&program, graph)?;
+        let report = run_chaos(runner.as_mut(), schedule, max_steps, &mut corrupt)?;
+        Ok(ChaosOutcome {
+            report,
+            network: runner.into_network(),
+        })
     }
 
     #[test]
     fn periodic_waves_are_detected_and_digested() {
         // period 12 leaves the 60-node flood plenty of room to re-converge
         let schedule = FaultSchedule::periodic(12, 6, 42).offset(4);
-        let outcome = run_chaos_scenario(&spec(3), &MinIdFlood::new(0), &schedule, 40, |_v, s| {
-            *s = u64::MAX
-        })
-        .expect("valid envelope");
+        let outcome = run_chaos_scenario(&threads(3), &schedule, 40, |_v, s| *s = u64::MAX)
+            .expect("valid envelope");
         assert_eq!(outcome.report.waves.len(), 3, "waves at 4, 16, 28");
         assert_eq!(outcome.report.injected_faults, 18);
         for w in &outcome.report.waves {
@@ -195,10 +179,8 @@ mod tests {
         // every step a full-corruption wave: nothing can quiesce before
         // the next wave fires, so every wave but the last stays censored
         let schedule = FaultSchedule::periodic(1, 60, 3);
-        let outcome = run_chaos_scenario(&spec(2), &MinIdFlood::new(0), &schedule, 10, |_v, s| {
-            *s = u64::MAX
-        })
-        .expect("valid envelope");
+        let outcome = run_chaos_scenario(&threads(2), &schedule, 10, |_v, s| *s = u64::MAX)
+            .expect("valid envelope");
         assert_eq!(outcome.report.waves.len(), 10);
         let censored = outcome
             .report
@@ -213,15 +195,9 @@ mod tests {
     #[test]
     fn chaos_campaigns_replay_bit_for_bit() {
         let schedule = FaultSchedule::poisson(0.2, 4, 17);
-        let run = |threads| {
-            run_chaos_scenario(
-                &spec(threads),
-                &MinIdFlood::new(0),
-                &schedule,
-                60,
-                |v, s| *s = v.0 as u64 + 100,
-            )
-            .expect("valid envelope")
+        let run = |n| {
+            run_chaos_scenario(&threads(n), &schedule, 60, |v, s| *s = v.0 as u64 + 100)
+                .expect("valid envelope")
         };
         let a = run(1);
         let b = run(4);
@@ -230,13 +206,31 @@ mod tests {
     }
 
     #[test]
+    fn the_loop_numbers_waves_as_random_access_does() {
+        // the loop counts the waves it fired instead of recounting the
+        // earlier arrivals: same indices, same plans as `wave_at`
+        let schedule = FaultSchedule::poisson(0.2, 4, 17);
+        let report = run_chaos_scenario(&threads(2), &schedule, 80, |_v, s| *s = u64::MAX)
+            .expect("valid envelope")
+            .report;
+        assert_eq!(report.waves.len(), schedule.arrivals(80).len());
+        assert!(
+            report.waves.len() > 5,
+            "the rate leaves real waves to check"
+        );
+        for (i, w) in report.waves.iter().enumerate() {
+            let (wave, plan) = schedule.wave_at(w.step, 60).expect("fired here");
+            assert_eq!((w.wave, w.faults), (i, plan.len()));
+            assert_eq!(wave, i);
+        }
+    }
+
+    #[test]
     fn worker_failure_stops_the_campaign_with_a_typed_error() {
-        let base = spec(2).inject(InjectionSpec::panic_at(5, 0));
+        let base = threads(2).inject(InjectionSpec::panic_at(5, 0));
         let schedule = FaultSchedule::periodic(4, 3, 8);
-        let err = run_chaos_scenario(&base, &MinIdFlood::new(0), &schedule, 30, |_v, s| {
-            *s = u64::MAX
-        })
-        .expect_err("no recovery policy, the panic must surface");
+        let err = run_chaos_scenario(&base, &schedule, 30, |_v, s| *s = u64::MAX)
+            .expect_err("no recovery policy, the panic must surface");
         assert!(matches!(
             err,
             EngineError::Pool(PoolError::WorkerPanic { .. })
@@ -246,15 +240,12 @@ mod tests {
     #[test]
     fn recovery_makes_the_same_campaign_succeed_identically() {
         let schedule = FaultSchedule::periodic(6, 5, 21);
-        let clean = run_chaos_scenario(&spec(2), &MinIdFlood::new(0), &schedule, 30, |_v, s| {
-            *s = u64::MAX
-        })
-        .expect("valid envelope");
+        let clean = run_chaos_scenario(&threads(2), &schedule, 30, |_v, s| *s = u64::MAX)
+            .expect("valid envelope");
         let chaotic = run_chaos_scenario(
-            &spec(2)
+            &threads(2)
                 .recovery(RecoveryPolicy::retries(2))
                 .inject(InjectionSpec::panic_at(5, 0)),
-            &MinIdFlood::new(0),
             &schedule,
             30,
             |_v, s| *s = u64::MAX,
@@ -267,17 +258,11 @@ mod tests {
     #[test]
     fn reference_backend_agrees_with_the_engine() {
         let schedule = FaultSchedule::periodic(9, 4, 13);
-        let sharded = run_chaos_scenario(&spec(4), &MinIdFlood::new(0), &schedule, 40, |_v, s| {
+        let sharded = run_chaos_scenario(&threads(4), &schedule, 40, |_v, s| *s = u64::MAX)
+            .expect("valid envelope");
+        let reference = run_chaos_scenario(&EngineConfig::reference(), &schedule, 40, |_v, s| {
             *s = u64::MAX
         })
-        .expect("valid envelope");
-        let reference = run_chaos_scenario(
-            &spec(1).engine(EngineConfig::reference()),
-            &MinIdFlood::new(0),
-            &schedule,
-            40,
-            |_v, s| *s = u64::MAX,
-        )
         .expect("valid envelope");
         assert_eq!(sharded.report, reference.report);
         assert_eq!(sharded.network.states(), reference.network.states());

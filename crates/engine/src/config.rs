@@ -12,11 +12,11 @@
 //! [`EngineConfig::instantiate`] builds the matching execution path as a
 //! `Box<dyn Runner<P>>` — every runner behind one call.
 //!
-//! Before this module, every knob (threads, layout, pinning, halo, batch
-//! daemons) was re-threaded by hand through `ScenarioSpec`, the adapters,
-//! the bench sweeps and the adversary campaign; a new knob meant five call
-//! sites. Now those layers hold an `EngineConfig` and new knobs are added
-//! here once.
+//! The layers above — `ScenarioSpec`, the adapters, the bench sweeps, the
+//! adversary's trials and chaos cases — *hold* an `EngineConfig` and never
+//! restate its fields (no forwarding setters: callers write
+//! `.engine(EngineConfig::new().threads(3))`), so a new knob is added here
+//! once.
 //!
 //! Observability is deliberately **not** part of the envelope: every knob
 //! here selects semantics or placement, while measurement is attached
@@ -236,8 +236,9 @@ impl std::error::Error for ConfigError {}
 
 /// Any failure of the engine's fallible driving surface
 /// ([`Runner::try_step`] /
-/// [`Runner::try_run_until`] and the
-/// [`ScenarioSpec`](crate::ScenarioSpec) façade): either the envelope was
+/// [`Runner::try_run_until`],
+/// [`run_fault_experiment`](crate::run_fault_experiment) and
+/// [`ScenarioSpec::run`](crate::ScenarioSpec::run)): either the envelope was
 /// inconsistent ([`ConfigError`]) or the pooled execution failed at run
 /// time ([`PoolError`] — a worker panic that exhausted its
 /// [`RecoveryPolicy`], or a barrier watchdog timeout).
@@ -607,8 +608,8 @@ pub struct EngineConfig {
     pub halo: bool,
     /// The workload seed the envelope carries for reproducibility
     /// bookkeeping: it names the run in [`describe`](Self::describe) /
-    /// artifact labels, and the [`ScenarioSpec`](crate::ScenarioSpec)
-    /// façade keeps its graph seed in sync with it. The runners themselves
+    /// artifact labels, and a [`ScenarioSpec`](crate::ScenarioSpec)
+    /// keeps its graph seed in sync with it. The runners themselves
     /// never read it — execution randomness lives in the daemon seeds.
     pub seed: u64,
     /// Supervised recovery: retry-with-backoff for panicked step chunks

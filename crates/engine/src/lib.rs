@@ -23,7 +23,12 @@
 //! * **one supervised-attempt loop** — [`RecoveryPolicy::supervise`]:
 //!   retry, back off, restore; watchdog timeouts are never retried;
 //! * **one driving loop** — [`drive_until`] behind
-//!   [`Runner::run_until`] / [`Runner::try_run_until`].
+//!   [`Runner::run_until`] / [`Runner::try_run_until`];
+//! * **one fault experiment** — [`run_fault_experiment`]: the paper's
+//!   measurement protocol (warm-up → inject → detect / recover) over
+//!   `&mut dyn Runner`, built from `try_run_until` and `apply_faults`, so
+//!   every backend, figure, trial and adapter shares one latency rule and
+//!   one definition of a false alarm.
 //!
 //! The runners are schedulers over those pieces — they decide *who is
 //! activated when*, which is all that separates the paper's synchronous and
@@ -48,15 +53,19 @@
 //!   [`instantiate`](EngineConfig::instantiate) returns any execution path
 //!   behind one object-safe `Box<dyn Runner<P>>`, with a
 //!   [`smst_sim::RoundObserver`] hook for per-round accounting;
-//! * [`ScenarioSpec`] — one declarative API over graph family × fault
-//!   bursts × [`EngineConfig`];
-//! * [`chaos`] — recurring [`smst_sim::FaultSchedule`] waves driven through
-//!   the one `Runner` loop with per-wave detection-latency and
-//!   rounds-to-quiescence accounting, on the self-healing pool (one-shot
-//!   [`InjectionSpec`] chaos injections, typed [`EngineError`]s from the
-//!   `try_*` surface);
+//! * [`ScenarioSpec`] — the declarative input of one fault experiment:
+//!   graph family × at most one [`FaultBurst`] × [`StopCondition`] ×
+//!   [`EngineConfig`] ([`run`](ScenarioSpec::run) builds graph and runner,
+//!   [`run_on`](ScenarioSpec::run_on) drives a runner the caller holds);
+//! * [`chaos`] — recurring [`smst_sim::FaultSchedule`] waves:
+//!   [`run_chaos`], the one other loop that steps a `Runner`, keeps
+//!   per-wave detection-latency and rounds-to-quiescence books on the
+//!   self-healing pool (one-shot [`InjectionSpec`] chaos injections, typed
+//!   [`EngineError`]s from the `try_*` surface);
 //! * [`adapters`] — the paper's verifier and the self-stabilizing
-//!   transformer running unchanged on the engine;
+//!   transformer running unchanged on the engine
+//!   ([`run_engine_fault_experiment`](adapters::run_engine_fault_experiment)
+//!   is mark → instantiate → [`run_fault_experiment`]);
 //! * [`programs`] — compact demo workloads for million-node smoke tests
 //!   and throughput benches.
 //!
@@ -95,7 +104,7 @@ pub mod sharded_async;
 pub mod topology;
 
 pub use arena::Arena;
-pub use chaos::{run_chaos, run_chaos_scenario, ChaosOutcome, ChaosReport};
+pub use chaos::{run_chaos, ChaosReport};
 pub use config::{
     register_remote_factory, AttemptFailure, Backend, ConfigError, DaemonConfig, EngineConfig,
     EngineError, InjectionKind, InjectionSpec, Mode, RecoveryPolicy, RemoteFactory,
@@ -105,7 +114,9 @@ pub use layout::{Layout, LayoutPolicy};
 pub use parallel_sync::ParallelSyncRunner;
 pub use pool::{PhaseTimes, PinPolicy, PoolError, PoolHandle, PoolStats, WorkerPool};
 pub use runner::{drive_until, RunReport, Runner, StopCondition};
-pub use scenario::{FaultBurst, GraphFamily, ScenarioOutcome, ScenarioReport, ScenarioSpec};
+pub use scenario::{
+    run_fault_experiment, FaultBurst, GraphFamily, ScenarioOutcome, ScenarioReport, ScenarioSpec,
+};
 pub use shard::{partition_balanced, HaloPlan, Shard};
 pub use sharded_async::ShardedAsyncRunner;
 pub use topology::CsrTopology;

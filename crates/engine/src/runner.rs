@@ -17,6 +17,13 @@
 //!   ([`try_step`](Runner::try_step)); the panicking surface and both
 //!   `run_until` flavours are derived from it through the single
 //!   [`drive_until`] loop.
+//! * Two loops step a runner, no more: [`drive_until`] and the chaos
+//!   plane's [`run_chaos`](crate::run_chaos). Everything else composes
+//!   `try_run_until` calls — the fault experiment
+//!   ([`run_fault_experiment`](crate::run_fault_experiment)) is a `Steps`
+//!   warm-up, [`apply_faults`](Runner::apply_faults), one `try_step` (its
+//!   latencies are ≥ 1, where `drive_until` answers `Some(0)` for a
+//!   condition that already holds) and a `try_run_until(until, …)`.
 //! * Every node-addressed method speaks **original node ids**.
 //! * Attaching a [`RoundObserver`] ([`set_observer`](Runner::set_observer))
 //!   never changes results — only the wall-clock `*_ns` fields of its
@@ -31,9 +38,10 @@ use smst_sim::{
 
 /// When a driven run ends (always bounded by the caller's step budget).
 ///
-/// Shared by the [`Runner`] trait's [`run_until`](Runner::run_until) and
-/// the [`ScenarioSpec`](crate::ScenarioSpec) façade — one stop-condition
-/// vocabulary for every execution path.
+/// Shared by the [`Runner`] trait's [`run_until`](Runner::run_until),
+/// [`run_fault_experiment`](crate::run_fault_experiment) and
+/// [`ScenarioSpec`](crate::ScenarioSpec) — one stop-condition vocabulary
+/// for every execution path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCondition {
     /// Run the full step budget.

@@ -1,29 +1,33 @@
-//! Scenario specification: one API over graph family × fault plan ×
-//! execution envelope.
+//! Scenario specification and **the** fault-experiment driver.
 //!
-//! A [`ScenarioSpec`] bundles everything that defines an execution-engine
-//! workload — the topology family and its size, a list of [`FaultBurst`]s
-//! to inject mid-run, a [`StopCondition`], and the full execution envelope
-//! as an [`EngineConfig`] — so examples, benches and tests can describe
-//! diverse runs declaratively and reproducibly (the whole scenario derives
-//! from explicit seeds).
+//! Every quantitative claim of the paper is measured by one protocol:
+//! start from a configuration, let it run (the warm-up), corrupt `f`
+//! registers, count the steps until the stop condition — first alarm, or
+//! every node accepting again. [`run_fault_experiment`] is that protocol,
+//! written once over `&mut dyn` [`Runner`]: a chunked
+//! [`try_run_until`](Runner::try_run_until)`(Steps, at)` warm-up,
+//! [`apply_faults`](Runner::apply_faults), then
+//! [`try_run_until`](Runner::try_run_until)`(until, …)`. The figures, the
+//! adversary's trials, the KMW accounting and the verifier adapter
+//! ([`run_engine_fault_experiment`](crate::adapters::run_engine_fault_experiment))
+//! are callers of it; the decisions that make numbers comparable — what
+//! counts as latency 1, what an alarm during the warm-up means — are made
+//! here and nowhere else. (Recurring waves over an unbounded schedule are
+//! a different protocol with per-wave books: [`run_chaos`](crate::run_chaos).)
 //!
-//! The spec is a **thin façade over [`EngineConfig`]**: every knob setter
-//! (`threads`, `layout`, `pin`, `halo_exchange`, `asynchronous`,
-//! `batch_daemon`) writes into the embedded config, and
-//! [`ScenarioSpec::run`] drives whatever
-//! [`EngineConfig::instantiate`] returns through the object-safe
-//! [`Runner`](crate::runner::Runner) trait — the spec itself knows nothing about individual
-//! runner types. Invalid envelopes and unrecovered worker failures surface
-//! as typed [`EngineError`]s from the `try_*` variants instead of panicking
-//! deep in dispatch. The chaos knobs ride along: [`ScenarioSpec::recovery`]
-//! arms supervised retry of panicked steps and [`ScenarioSpec::inject`]
-//! plants a one-shot worker panic or stall, so robustness scenarios are as
-//! declarative as fault scenarios.
+//! A [`ScenarioSpec`] is the declarative input of one such run: the
+//! topology [`GraphFamily`] and its seed, at most one [`FaultBurst`], a
+//! [`StopCondition`], and the execution envelope as an [`EngineConfig`]
+//! (threads, layout, daemon, recovery, … are set *there*:
+//! `.engine(EngineConfig::new().threads(3))`). [`ScenarioSpec::run`]
+//! builds graph and runner; [`ScenarioSpec::run_on`] drives a runner the
+//! caller already holds — the entry point for programs built from the
+//! scenario's graph (the paper's verifier carries its proof labels) and
+//! for observed runs ([`Runner::set_observer`]). Invalid envelopes and
+//! unrecovered worker failures surface as typed [`EngineError`]s.
 
-use crate::config::{EngineConfig, EngineError, InjectionSpec, RecoveryPolicy};
-use crate::layout::LayoutPolicy;
-use crate::pool::PinPolicy;
+use crate::config::{EngineConfig, EngineError};
+use crate::runner::Runner;
 pub use crate::runner::StopCondition;
 use smst_graph::generators::{
     caterpillar_graph, complete_graph, expander_graph, grid_graph, kmw_cluster_tree,
@@ -31,7 +35,7 @@ use smst_graph::generators::{
     random_connected_graph, ring_graph, star_graph,
 };
 use smst_graph::{NodeId, WeightedGraph};
-use smst_sim::{BatchDaemon, Daemon, FaultPlan, Network, NodeProgram, RoundObserver};
+use smst_sim::{FaultPlan, Network, NodeProgram};
 
 /// The topology families a scenario can run on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,9 +146,10 @@ impl GraphFamily {
 /// random registers (chosen with `seed`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultBurst {
-    /// The step (round / time unit) before which the burst fires.
+    /// The step (round / time unit) before which the burst fires; the
+    /// `at` steps before it are the warm-up.
     pub at: usize,
-    /// How many distinct nodes are hit.
+    /// How many distinct nodes are hit (clamped to the node count).
     pub count: usize,
     /// Node-selection seed.
     pub seed: u64,
@@ -158,11 +163,13 @@ pub struct ScenarioSpec {
     /// Graph seed.
     pub seed: u64,
     /// The full execution envelope (backend, mode/daemon, threads, layout,
-    /// pinning, halo) — the spec is a façade over it.
+    /// pinning, halo, recovery, injection).
     pub engine: EngineConfig,
-    /// Fault bursts, in firing order.
-    pub faults: Vec<FaultBurst>,
-    /// Termination condition (checked after every step).
+    /// The fault burst, if any (recurring faults are a
+    /// [`FaultSchedule`](smst_sim::FaultSchedule) under
+    /// [`run_chaos`](crate::run_chaos)).
+    pub fault: Option<FaultBurst>,
+    /// Termination condition.
     pub until: StopCondition,
 }
 
@@ -173,7 +180,7 @@ impl ScenarioSpec {
             family,
             seed: 0,
             engine: EngineConfig::new(),
-            faults: Vec::new(),
+            fault: None,
             until: StopCondition::Steps,
         }
     }
@@ -185,75 +192,16 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replaces the whole execution envelope (the graph seed stays the
-    /// scenario's).
+    /// Sets the execution envelope (the graph seed stays the scenario's).
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self.engine.seed = self.seed;
         self
     }
 
-    /// Sets the worker-thread count. `0` is **not** clamped — it surfaces
-    /// as [`ConfigError::ZeroThreads`](crate::config::ConfigError::ZeroThreads)
-    /// when the scenario runs.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.threads(threads);
-        self
-    }
-
-    /// Sets the layout policy (RCM renumbering before sharding).
-    pub fn layout(mut self, layout: LayoutPolicy) -> Self {
-        self.engine = self.engine.layout(layout);
-        self
-    }
-
-    /// Sets the worker pin policy (best-effort core affinity).
-    pub fn pin(mut self, pin: PinPolicy) -> Self {
-        self.engine = self.engine.pin(pin);
-        self
-    }
-
-    /// Switches the halo-exchange execution mode on or off. Halo exchange
-    /// is defined only for synchronous schedules — an asynchronous
-    /// scenario with halo set fails with
-    /// [`ConfigError::HaloRequiresSync`](crate::config::ConfigError::HaloRequiresSync)
-    /// when run.
-    pub fn halo_exchange(mut self, halo: bool) -> Self {
-        self.engine = self.engine.halo(halo);
-        self
-    }
-
-    /// Sets the supervised-recovery policy for worker panics (retry count,
-    /// exponential backoff, barrier watchdog).
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.engine = self.engine.recovery(policy);
-        self
-    }
-
-    /// Arms a one-shot chaos injection (worker panic or stall) inside the
-    /// instantiated runner — the scenario-level hook for robustness tests.
-    pub fn inject(mut self, injection: InjectionSpec) -> Self {
-        self.engine = self.engine.inject(injection);
-        self
-    }
-
-    /// Switches to an asynchronous schedule: a central [`Daemon`] executed
-    /// in uniform chunks of `batch` simultaneous activations.
-    pub fn asynchronous(mut self, daemon: Daemon, batch: usize) -> Self {
-        self.engine = self.engine.asynchronous(daemon, batch);
-        self
-    }
-
-    /// Switches to an asynchronous schedule under **any** [`BatchDaemon`]
-    /// (e.g. the adversarial batch daemons of `smst-adversary`).
-    pub fn batch_daemon(mut self, daemon: Box<dyn BatchDaemon>) -> Self {
-        self.engine = self.engine.batch_daemon(daemon);
-        self
-    }
-
-    /// Adds a fault burst.
+    /// Schedules the fault burst (replacing any earlier one).
     pub fn fault_burst(mut self, at: usize, count: usize, seed: u64) -> Self {
-        self.faults.push(FaultBurst { at, count, seed });
+        self.fault = Some(FaultBurst { at, count, seed });
         self
     }
 
@@ -268,226 +216,147 @@ impl ScenarioSpec {
         self.family.build(self.seed)
     }
 
-    /// Runs the scenario: `program` over the built graph for at most
-    /// `max_steps` steps, corrupting burst-selected registers with
-    /// `corrupt`.
+    /// Runs the scenario: builds the graph, instantiates the envelope's
+    /// runner over it and drives it with [`ScenarioSpec::run_on`].
     ///
     /// Returns the final registers (as a sequential [`Network`] for
-    /// interop) plus a [`ScenarioReport`].
+    /// interop) plus the [`ScenarioReport`], or the typed [`EngineError`]
+    /// of an invalid envelope or of a worker failure that exhausted the
+    /// [`RecoveryPolicy`](crate::RecoveryPolicy).
     ///
     /// # Panics
     ///
-    /// Panics if the execution envelope is invalid or a worker failure
-    /// exhausts the [`RecoveryPolicy`] (see [`ScenarioSpec::try_run`] for
-    /// the non-panicking variant), or if a [`FaultBurst`] is scheduled at
-    /// or after `max_steps` — such a burst could never fire, and silently
-    /// dropping it would make a misconfigured fault scenario look like a
-    /// passing fault-free one.
-    pub fn run<P, F>(&self, program: &P, corrupt: F, max_steps: usize) -> ScenarioOutcome<P>
-    where
-        P: NodeProgram + Sync + 'static,
-        P::State: Send + Sync,
-        F: FnMut(NodeId, &mut P::State),
-    {
-        self.try_run(program, corrupt, max_steps)
-            .unwrap_or_else(|e| panic!("scenario failed: {e}"))
-    }
-
-    /// [`ScenarioSpec::run`], returning a typed [`EngineError`] instead of
-    /// panicking on an invalid execution envelope or an unrecovered worker
-    /// failure.
-    pub fn try_run<P, F>(
+    /// As [`run_fault_experiment`].
+    pub fn run<P, F>(
         &self,
         program: &P,
-        corrupt: F,
-        max_steps: usize,
-    ) -> Result<ScenarioOutcome<P>, EngineError>
-    where
-        P: NodeProgram + Sync + 'static,
-        P::State: Send + Sync,
-        F: FnMut(NodeId, &mut P::State),
-    {
-        self.try_run_on(program, self.build_graph(), corrupt, max_steps, None)
-    }
-
-    /// Like [`ScenarioSpec::run`], but the program is **built from the
-    /// scenario's graph** (needed whenever the program embeds per-instance
-    /// data, e.g. the paper's verifier carrying proof labels). Returns the
-    /// outcome together with the built program, so callers can evaluate
-    /// per-node quantities (verdicts, memory bits) on the final network.
-    ///
-    /// # Panics
-    ///
-    /// As [`ScenarioSpec::run`]; see [`ScenarioSpec::try_run_with`].
-    pub fn run_with<P, B, F>(
-        &self,
-        build: B,
-        corrupt: F,
-        max_steps: usize,
-    ) -> (ScenarioOutcome<P>, P)
-    where
-        P: NodeProgram + Sync + 'static,
-        P::State: Send + Sync,
-        B: FnOnce(&WeightedGraph) -> P,
-        F: FnMut(NodeId, &mut P::State),
-    {
-        self.try_run_with(build, corrupt, max_steps)
-            .unwrap_or_else(|e| panic!("scenario failed: {e}"))
-    }
-
-    /// [`ScenarioSpec::run_with`], returning a typed [`EngineError`]
-    /// instead of panicking on an invalid execution envelope or an
-    /// unrecovered worker failure.
-    pub fn try_run_with<P, B, F>(
-        &self,
-        build: B,
-        corrupt: F,
-        max_steps: usize,
-    ) -> Result<(ScenarioOutcome<P>, P), EngineError>
-    where
-        P: NodeProgram + Sync + 'static,
-        P::State: Send + Sync,
-        B: FnOnce(&WeightedGraph) -> P,
-        F: FnMut(NodeId, &mut P::State),
-    {
-        let graph = self.build_graph();
-        let program = build(&graph);
-        let outcome = self.try_run_on(&program, graph, corrupt, max_steps, None)?;
-        Ok((outcome, program))
-    }
-
-    /// [`ScenarioSpec::run`] with a [`RoundObserver`] attached to the
-    /// instantiated runner for the duration of the run — per-step
-    /// accounting (alarm counts, halo bytes, the
-    /// dispatch/compute/barrier/exchange phase split) without changing
-    /// the scenario's results. For programs built from the scenario's
-    /// graph (the verifier workloads), build once from
-    /// [`ScenarioSpec::build_graph`] and pass the program here — the
-    /// scenario rebuilds the identical graph internally.
-    pub fn run_observed<P, F>(
-        &self,
-        program: &P,
-        corrupt: F,
-        max_steps: usize,
-        observer: Box<dyn RoundObserver>,
-    ) -> Result<ScenarioOutcome<P>, EngineError>
-    where
-        P: NodeProgram + Sync + 'static,
-        P::State: Send + Sync,
-        F: FnMut(NodeId, &mut P::State),
-    {
-        self.try_run_on(
-            program,
-            self.build_graph(),
-            corrupt,
-            max_steps,
-            Some(observer),
-        )
-    }
-
-    /// The driving loop, shared by every entry point: one code path over
-    /// whatever [`Runner`] the envelope instantiates.
-    fn try_run_on<P, F>(
-        &self,
-        program: &P,
-        graph: WeightedGraph,
         mut corrupt: F,
         max_steps: usize,
-        observer: Option<Box<dyn RoundObserver>>,
     ) -> Result<ScenarioOutcome<P>, EngineError>
     where
         P: NodeProgram + Sync + 'static,
         P::State: Send + Sync,
         F: FnMut(NodeId, &mut P::State),
     {
-        if let Some(burst) = self.faults.iter().find(|b| b.at >= max_steps) {
-            panic!(
-                "fault burst at step {} can never fire within the {max_steps}-step budget",
-                burst.at
-            );
-        }
-        let n = graph.node_count();
-        let mut runner = self.engine.instantiate(program, graph)?;
-        if let Some(observer) = observer {
-            runner.set_observer(observer);
-        }
-        // alarms and recovery are measured from the first burst; in a
-        // fault-free scenario they are measured from the start of the run
-        let measure_from = self.faults.iter().map(|b| b.at).min().unwrap_or(0);
-        let mut injected = 0usize;
-        let mut injected_nodes: Vec<NodeId> = Vec::new();
-        let mut first_alarm = None;
-        let mut recovered = None;
-        let mut steps_run = 0usize;
-
-        for step in 0..max_steps {
-            for burst in self.faults.iter().filter(|b| b.at == step) {
-                let plan = FaultPlan::random(n, burst.count.min(n), burst.seed);
-                runner.apply_faults(&plan, &mut corrupt);
-                injected += plan.len();
-                injected_nodes.extend_from_slice(plan.nodes());
-            }
-            runner.try_step()?;
-            steps_run = step + 1;
-            let measuring = step >= measure_from;
-            if first_alarm.is_none() && measuring && runner.any_alarm() {
-                first_alarm = Some(step + 1 - measure_from);
-            }
-            match self.until {
-                StopCondition::Steps => {}
-                StopCondition::FirstAlarm => {
-                    if first_alarm.is_some() {
-                        break;
-                    }
-                }
-                StopCondition::AllAccept => {
-                    // never stop while bursts are still scheduled:
-                    // converging before the burst would otherwise
-                    // silently skip the configured faults
-                    let bursts_pending = self.faults.iter().any(|b| b.at > step);
-                    if runner.all_accept() && !bursts_pending {
-                        if measuring {
-                            recovered = Some(step + 1 - measure_from);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        let all_accept = runner.all_accept();
-        let alarm_nodes = runner.alarming_nodes();
-        let network = runner.into_network();
-
+        let mut runner = self.engine.instantiate(program, self.build_graph())?;
+        let report = self.run_on(runner.as_mut(), &mut corrupt, max_steps)?;
         Ok(ScenarioOutcome {
-            report: ScenarioReport {
-                node_count: n,
-                steps_run,
-                injected_faults: injected,
-                first_alarm,
-                recovered,
-                all_accept,
-                alarm_nodes,
-                injected_nodes,
-            },
-            network,
+            report,
+            network: runner.into_network(),
         })
     }
+
+    /// Drives a runner the caller already holds through this scenario's
+    /// burst and stop condition for at most `max_steps` steps — for
+    /// programs built from [`ScenarioSpec::build_graph`] and for runners
+    /// with an observer attached. The burst's plan is
+    /// `FaultPlan::random(n, count.min(n), seed)` on the runner's graph.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_fault_experiment`].
+    pub fn run_on<P: NodeProgram>(
+        &self,
+        runner: &mut dyn Runner<P>,
+        corrupt: &mut dyn FnMut(NodeId, &mut P::State),
+        max_steps: usize,
+    ) -> Result<ScenarioReport, EngineError> {
+        let n = runner.graph().node_count();
+        let burst = self
+            .fault
+            .map(|b| (b.at, FaultPlan::random(n, b.count.min(n), b.seed)));
+        let burst = burst.as_ref().map(|(at, plan)| (*at, plan));
+        run_fault_experiment(runner, burst, corrupt, self.until, max_steps)
+    }
+}
+
+/// **The** single-burst fault experiment: `at` warm-up steps, corrupt the
+/// planned registers with `corrupt` (in plan order), then run until
+/// `until` holds — at most `max_steps` steps in total, on whatever
+/// execution path `runner` is. With `burst == None` the run is measured
+/// from its first step.
+///
+/// Two rules every caller inherits:
+///
+/// * **Latency counts executed steps after the injection and is ≥ 1** —
+///   the step that reads the corrupted registers is the first that can
+///   raise the alarm, so one step runs before `until` is consulted (a
+///   burst that hits a monitor node directly is latency 1, not 0; the rule
+///   [`run_chaos`](crate::run_chaos) applies per wave).
+/// * **A false alarm is not a detection** — an alarm standing at the end
+///   of a non-empty warm-up is reported as
+///   [`warmup_alarm`](ScenarioReport::warmup_alarm) and never credited to
+///   the burst as a [`first_alarm`](ScenarioReport::first_alarm). Callers
+///   whose warm-up starts from a correct configuration (the paper's
+///   verifier) treat the flag as fatal; floods that start un-converged
+///   ignore it.
+///
+/// # Panics
+///
+/// Panics if the burst is scheduled at or after `max_steps` — it could
+/// never fire, and silently dropping it would make a misconfigured fault
+/// scenario look like a passing fault-free one.
+pub fn run_fault_experiment<P: NodeProgram>(
+    runner: &mut dyn Runner<P>,
+    burst: Option<(usize, &FaultPlan)>,
+    corrupt: &mut dyn FnMut(NodeId, &mut P::State),
+    until: StopCondition,
+    max_steps: usize,
+) -> Result<ScenarioReport, EngineError> {
+    let start = runner.steps();
+    let mut warmup_alarm = false;
+    let mut injected_nodes = Vec::new();
+    if let Some((at, plan)) = burst {
+        assert!(
+            at < max_steps,
+            "fault burst at step {at} can never fire within the {max_steps}-step budget"
+        );
+        if at > 0 {
+            runner.try_run_until(StopCondition::Steps, at)?;
+            warmup_alarm = runner.any_alarm();
+        }
+        runner.apply_faults(plan, corrupt);
+        injected_nodes = plan.nodes().to_vec();
+    }
+    let mut latency = None;
+    let remaining = max_steps - (runner.steps() - start);
+    if remaining > 0 {
+        runner.try_step()?;
+        latency = runner
+            .try_run_until(until, remaining - 1)?
+            .map(|further| further + 1);
+    }
+    Ok(ScenarioReport {
+        node_count: runner.graph().node_count(),
+        steps_run: runner.steps() - start,
+        injected_faults: injected_nodes.len(),
+        warmup_alarm,
+        first_alarm: latency.filter(|_| until == StopCondition::FirstAlarm && !warmup_alarm),
+        recovered: latency.filter(|_| until == StopCondition::AllAccept),
+        all_accept: runner.all_accept(),
+        alarm_nodes: runner.alarming_nodes(),
+        injected_nodes,
+    })
 }
 
 /// What happened during a scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
-    /// Node count of the built graph.
+    /// Node count of the executed graph.
     pub node_count: usize,
     /// Steps actually executed.
     pub steps_run: usize,
-    /// Total registers corrupted by bursts.
+    /// Registers the burst corrupted.
     pub injected_faults: usize,
-    /// Steps from the first burst (or from the start of a fault-free run)
-    /// to the first alarm, if any.
+    /// Whether an alarm was standing when a non-empty warm-up ended, i.e.
+    /// *before* any register was corrupted. Never set without a burst.
+    pub warmup_alarm: bool,
+    /// Steps from the burst (or from the start of a fault-free run) to the
+    /// first alarm (only recorded under [`StopCondition::FirstAlarm`], and
+    /// never after a [`warmup_alarm`](Self::warmup_alarm)).
     pub first_alarm: Option<usize>,
-    /// Steps from the first burst (or from the start of a fault-free run)
-    /// until every node accepted (only recorded under
+    /// Steps from the burst (or from the start of a fault-free run) until
+    /// every node accepted (only recorded under
     /// [`StopCondition::AllAccept`]).
     pub recovered: Option<usize>,
     /// Whether every node accepted at the end of the run.
@@ -495,9 +364,8 @@ pub struct ScenarioReport {
     /// The nodes raising an alarm at the end of the run (original ids,
     /// ascending) — the raw material for detection-distance metrics.
     pub alarm_nodes: Vec<NodeId>,
-    /// Every register the bursts actually corrupted, in injection order —
-    /// the authoritative fault set for distance metrics (no caller-side
-    /// replay of the burst plans needed).
+    /// Every register the burst corrupted, in injection order — the
+    /// authoritative fault set for distance metrics.
     pub injected_nodes: Vec<NodeId>,
 }
 
@@ -513,9 +381,15 @@ pub struct ScenarioOutcome<P: NodeProgram> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Backend, ConfigError};
+    use crate::config::{Backend, ConfigError, InjectionSpec, RecoveryPolicy};
+    use crate::layout::LayoutPolicy;
+    use crate::pool::PinPolicy;
     use crate::programs::MinIdFlood;
-    use smst_sim::{RecordingObserver, Verdict};
+    use smst_sim::{Daemon, RecordingObserver, Verdict};
+
+    fn threads(threads: usize) -> EngineConfig {
+        EngineConfig::new().threads(threads)
+    }
 
     #[test]
     fn family_node_counts_match_built_graphs() {
@@ -548,10 +422,12 @@ mod tests {
     fn sync_scenario_recovers_from_burst() {
         let spec = ScenarioSpec::new(GraphFamily::Expander { n: 60, degree: 4 })
             .seed(5)
-            .threads(3)
+            .engine(threads(3))
             .fault_burst(4, 10, 99)
             .until(StopCondition::AllAccept);
-        let outcome = spec.run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500);
+        let outcome = spec
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500)
+            .unwrap();
         assert_eq!(outcome.report.injected_faults, 10);
         assert!(outcome.report.all_accept, "flood must heal after the burst");
         assert!(outcome.report.recovered.is_some());
@@ -567,7 +443,9 @@ mod tests {
             .seed(2)
             .fault_burst(40, 3, 8)
             .until(StopCondition::AllAccept);
-        let outcome = spec.run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 200);
+        let outcome = spec
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 200)
+            .unwrap();
         assert_eq!(outcome.report.injected_faults, 3);
         assert!(outcome.report.all_accept);
         assert!(outcome.report.recovered.is_some());
@@ -585,24 +463,22 @@ mod tests {
 
     #[test]
     fn zero_threads_is_a_config_error_not_a_panic() {
-        let spec = ScenarioSpec::new(GraphFamily::Path { n: 4 }).threads(0);
+        let spec = ScenarioSpec::new(GraphFamily::Path { n: 4 }).engine(threads(0));
         let err = spec
-            .try_run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
+            .run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
             .expect_err("zero threads must be rejected");
-        assert_eq!(err, EngineError::Config(ConfigError::ZeroThreads));
-        let err = spec
-            .try_run_with(|_g| MinIdFlood::new(0), |_v, s| *s = 1, 10)
-            .expect_err("try_run_with routes through validate too");
         assert_eq!(err, EngineError::Config(ConfigError::ZeroThreads));
     }
 
     #[test]
     fn async_halo_is_a_config_error() {
-        let spec = ScenarioSpec::new(GraphFamily::Path { n: 6 })
-            .asynchronous(Daemon::RoundRobin, 2)
-            .halo_exchange(true);
+        let spec = ScenarioSpec::new(GraphFamily::Path { n: 6 }).engine(
+            EngineConfig::new()
+                .asynchronous(Daemon::RoundRobin, 2)
+                .halo(true),
+        );
         assert_eq!(
-            spec.try_run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
+            spec.run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
                 .expect_err("halo requires sync"),
             EngineError::Config(ConfigError::HaloRequiresSync)
         );
@@ -612,15 +488,21 @@ mod tests {
     fn injected_panic_is_retried_away_inside_a_scenario() {
         let base = ScenarioSpec::new(GraphFamily::Expander { n: 60, degree: 4 })
             .seed(5)
-            .threads(3)
+            .engine(threads(3))
             .fault_burst(4, 10, 99)
             .until(StopCondition::AllAccept);
-        let clean = base.run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500);
+        let clean = base
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500)
+            .unwrap();
         let chaos = base
             .clone()
-            .recovery(RecoveryPolicy::retries(2))
-            .inject(InjectionSpec::panic_at(2, 0))
-            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500);
+            .engine(
+                threads(3)
+                    .recovery(RecoveryPolicy::retries(2))
+                    .inject(InjectionSpec::panic_at(2, 0)),
+            )
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 500)
+            .unwrap();
         assert_eq!(chaos.network.states(), clean.network.states());
         assert_eq!(chaos.report.steps_run, clean.report.steps_run);
         assert_eq!(chaos.report.recovered, clean.report.recovered);
@@ -629,10 +511,9 @@ mod tests {
     #[test]
     fn unrecovered_panic_is_a_typed_pool_error() {
         let spec = ScenarioSpec::new(GraphFamily::Path { n: 8 })
-            .threads(2)
-            .inject(InjectionSpec::panic_at(0, 0));
+            .engine(threads(2).inject(InjectionSpec::panic_at(0, 0)));
         let err = spec
-            .try_run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
+            .run(&MinIdFlood::new(0), |_v, s| *s = 1, 10)
             .expect_err("no recovery policy: the injected panic must surface");
         match err {
             EngineError::Pool(crate::pool::PoolError::WorkerPanic { attempts, message }) => {
@@ -647,16 +528,15 @@ mod tests {
     fn async_scenario_runs_and_reports() {
         let spec = ScenarioSpec::new(GraphFamily::RandomConnected { n: 30, m: 70 })
             .seed(2)
-            .threads(2)
-            .asynchronous(
+            .engine(threads(2).asynchronous(
                 Daemon::Random {
                     seed: 4,
                     extra_factor: 1,
                 },
                 4,
-            )
+            ))
             .until(StopCondition::AllAccept);
-        let outcome = spec.run(&MinIdFlood::new(0), |_v, s| *s = 1, 200);
+        let outcome = spec.run(&MinIdFlood::new(0), |_v, s| *s = 1, 200).unwrap();
         assert!(outcome.report.all_accept);
         assert_eq!(outcome.report.injected_faults, 0);
         assert!(outcome.report.steps_run <= 200);
@@ -666,15 +546,17 @@ mod tests {
     fn layout_does_not_change_outcomes() {
         let base = ScenarioSpec::new(GraphFamily::Expander { n: 80, degree: 4 })
             .seed(9)
-            .threads(3)
+            .engine(threads(3))
             .fault_burst(2, 8, 5)
             .until(StopCondition::AllAccept);
         let plain = base
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
+        let laid_out = base
             .clone()
-            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300);
-        let laid_out =
-            base.layout(LayoutPolicy::Rcm)
-                .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300);
+            .engine(threads(3).layout(LayoutPolicy::Rcm))
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
         assert_eq!(plain.network.states(), laid_out.network.states());
         assert_eq!(plain.report.steps_run, laid_out.report.steps_run);
         assert_eq!(
@@ -688,17 +570,22 @@ mod tests {
     fn halo_and_pinning_do_not_change_outcomes() {
         let base = ScenarioSpec::new(GraphFamily::Expander { n: 70, degree: 4 })
             .seed(11)
-            .threads(3)
+            .engine(threads(3))
             .fault_burst(3, 6, 2)
             .until(StopCondition::AllAccept);
         let plain = base
-            .clone()
-            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300);
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
         let tuned = base
-            .layout(LayoutPolicy::Rcm)
-            .halo_exchange(true)
-            .pin(PinPolicy::Cores)
-            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300);
+            .clone()
+            .engine(
+                threads(3)
+                    .layout(LayoutPolicy::Rcm)
+                    .halo(true)
+                    .pin(PinPolicy::Cores),
+            )
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
         assert_eq!(plain.network.states(), tuned.network.states());
         assert_eq!(plain.report.steps_run, tuned.report.steps_run);
         assert_eq!(plain.report.recovered, tuned.report.recovered);
@@ -715,13 +602,13 @@ mod tests {
             .until(StopCondition::AllAccept);
         let sharded = base
             .clone()
-            .threads(4)
-            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300);
-        let reference = base.engine(EngineConfig::reference()).run(
-            &MinIdFlood::new(0),
-            |_v, s| *s = u64::MAX,
-            300,
-        );
+            .engine(threads(4))
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
+        let reference = base
+            .engine(EngineConfig::reference())
+            .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
+            .unwrap();
         assert_eq!(sharded.network.states(), reference.network.states());
         assert_eq!(sharded.report.steps_run, reference.report.steps_run);
         assert_eq!(sharded.report.recovered, reference.report.recovered);
@@ -739,28 +626,33 @@ mod tests {
 
     #[test]
     fn run_with_builds_the_program_from_the_scenario_graph() {
+        // an instance-bound program: build the graph once, the program
+        // from it, and drive the runner that holds both
         let spec = ScenarioSpec::new(GraphFamily::Ring { n: 10 }).until(StopCondition::AllAccept);
-        let (outcome, program) = spec.run_with(
-            |g| {
-                assert_eq!(g.node_count(), 10);
-                MinIdFlood::new(0)
-            },
-            |_v, s| *s = 1,
-            100,
-        );
+        let graph = spec.build_graph();
+        assert_eq!(graph.node_count(), 10);
+        let program = MinIdFlood::new(graph.id(NodeId(0)));
+        let mut runner = spec.engine.instantiate(&program, graph).unwrap();
+        let report = spec
+            .run_on(runner.as_mut(), &mut |_v, s| *s = 1, 100)
+            .unwrap();
         assert_eq!(program.leader(), 0);
-        assert!(outcome.report.all_accept);
-        assert!(outcome.report.alarm_nodes.is_empty());
+        assert!(report.all_accept);
+        assert!(report.alarm_nodes.is_empty());
+        assert_eq!(report.steps_run, runner.steps());
     }
 
     #[test]
     fn scenarios_are_reproducible() {
         let spec = ScenarioSpec::new(GraphFamily::RandomConnected { n: 40, m: 90 })
             .seed(8)
-            .threads(4)
+            .engine(threads(4))
             .fault_burst(2, 6, 3);
-        let a = spec.run(&MinIdFlood::new(0), |_v, s| *s ^= 0xFFFF, 20);
-        let b = spec.run(&MinIdFlood::new(0), |_v, s| *s ^= 0xFFFF, 20);
+        let run = || {
+            spec.run(&MinIdFlood::new(0), |_v, s| *s ^= 0xFFFF, 20)
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.network.states(), b.network.states());
         assert_eq!(a.report.injected_faults, b.report.injected_faults);
     }
@@ -769,18 +661,19 @@ mod tests {
     fn observed_runs_report_per_step_stats() {
         let spec = ScenarioSpec::new(GraphFamily::Ring { n: 16 })
             .seed(3)
-            .threads(2)
+            .engine(threads(2))
             .until(StopCondition::Steps);
         let recording = RecordingObserver::new();
-        let outcome = spec
-            .run_observed(
-                &MinIdFlood::new(0),
-                |_v, s| *s = 1,
-                5,
-                Box::new(recording.clone()),
-            )
+        let program = MinIdFlood::new(0);
+        let mut runner = spec
+            .engine
+            .instantiate(&program, spec.build_graph())
             .expect("valid config");
-        assert_eq!(outcome.report.steps_run, 5);
+        runner.set_observer(Box::new(recording.clone()));
+        let report = spec
+            .run_on(runner.as_mut(), &mut |_v, s| *s = 1, 5)
+            .unwrap();
+        assert_eq!(report.steps_run, 5);
         assert_eq!(recording.rounds_observed(), 5);
         assert!(recording
             .deterministic_trace()
@@ -789,64 +682,107 @@ mod tests {
             .all(|(i, t)| t.0 == i && t.2 == 16));
     }
 
-    #[test]
-    fn alarm_stop_condition_reports_detection() {
-        // a one-node "program" that rejects as soon as its register is
-        // nonzero: detection must be exactly 1 step after the burst
-        struct RejectNonZero;
-        impl NodeProgram for RejectNonZero {
-            type State = u64;
-            fn init(&self, _ctx: &smst_sim::NodeContext) -> u64 {
+    /// Rejects while its register is nonzero; registers start at zero, or
+    /// at the node's identity (nonzero everywhere except the leader).
+    struct RejectNonZero {
+        init_from_id: bool,
+    }
+
+    impl NodeProgram for RejectNonZero {
+        type State = u64;
+        fn init(&self, ctx: &smst_sim::NodeContext) -> u64 {
+            if self.init_from_id {
+                ctx.id
+            } else {
                 0
             }
-            fn step(&self, _ctx: &smst_sim::NodeContext, own: &u64, _n: &[&u64]) -> u64 {
-                *own
-            }
-            fn verdict(&self, _ctx: &smst_sim::NodeContext, state: &u64) -> Verdict {
-                if *state == 0 {
-                    Verdict::Accept
-                } else {
-                    Verdict::Reject
-                }
+        }
+        fn step(&self, _ctx: &smst_sim::NodeContext, own: &u64, _n: &[&u64]) -> u64 {
+            *own
+        }
+        fn verdict(&self, _ctx: &smst_sim::NodeContext, state: &u64) -> Verdict {
+            if *state == 0 {
+                Verdict::Accept
+            } else {
+                Verdict::Reject
             }
         }
+    }
+
+    #[test]
+    fn alarm_stop_condition_reports_detection() {
+        // a program that rejects as soon as its register is nonzero:
+        // detection must be exactly 1 step after the burst
         let spec = ScenarioSpec::new(GraphFamily::Ring { n: 12 })
             .fault_burst(3, 2, 7)
             .until(StopCondition::FirstAlarm);
-        let outcome = spec.run(&RejectNonZero, |_v, s| *s = 9, 50);
+        let program = RejectNonZero {
+            init_from_id: false,
+        };
+        let outcome = spec.run(&program, |_v, s| *s = 9, 50).unwrap();
         assert_eq!(outcome.report.first_alarm, Some(1));
         assert_eq!(outcome.report.steps_run, 4);
+        assert!(!outcome.report.warmup_alarm);
 
         // fault-free scenario: an initial configuration that already rejects
         // must still be reported and must still stop the run
-        struct RejectFromInit;
-        impl NodeProgram for RejectFromInit {
-            type State = u64;
-            fn init(&self, ctx: &smst_sim::NodeContext) -> u64 {
-                ctx.id // nonzero everywhere except the leader
-            }
-            fn step(&self, _ctx: &smst_sim::NodeContext, own: &u64, _n: &[&u64]) -> u64 {
-                *own
-            }
-            fn verdict(&self, _ctx: &smst_sim::NodeContext, state: &u64) -> Verdict {
-                if *state == 0 {
-                    Verdict::Accept
-                } else {
-                    Verdict::Reject
-                }
-            }
-        }
         let spec = ScenarioSpec::new(GraphFamily::Ring { n: 12 }).until(StopCondition::FirstAlarm);
+        let program = RejectNonZero { init_from_id: true };
         let mut poisoned = false;
-        let outcome = spec.run(
-            &RejectFromInit,
-            |_v, _s| {
-                poisoned = true;
-            },
-            50,
-        );
+        let outcome = spec.run(&program, |_v, _s| poisoned = true, 50).unwrap();
         assert!(!poisoned, "no bursts configured, no corruption expected");
         assert_eq!(outcome.report.first_alarm, Some(1));
         assert_eq!(outcome.report.steps_run, 1);
+        assert!(!outcome.report.warmup_alarm, "no burst, no warm-up");
+    }
+
+    #[test]
+    fn a_false_alarm_is_not_a_detection() {
+        // the configuration rejects from its first step: the alarm still
+        // standing after the burst must not be credited to the burst as
+        // "detected in 1 step" — on any backend
+        let program = RejectNonZero { init_from_id: true };
+        for engine in [EngineConfig::reference(), threads(2)] {
+            let spec = ScenarioSpec::new(GraphFamily::Ring { n: 12 })
+                .engine(engine)
+                .fault_burst(3, 2, 7)
+                .until(StopCondition::FirstAlarm);
+            let report = spec.run(&program, |_v, s| *s = 9, 50).unwrap().report;
+            assert!(report.warmup_alarm);
+            assert_eq!(report.first_alarm, None);
+            assert_eq!(report.injected_faults, 2, "the run itself is unchanged");
+            assert_eq!(report.steps_run, 4);
+            // a burst at step 0 has no warm-up to raise a false alarm in
+            let report = spec
+                .clone()
+                .fault_burst(0, 2, 7)
+                .run(&program, |_v, s| *s = 9, 50)
+                .unwrap()
+                .report;
+            assert!(!report.warmup_alarm);
+            assert_eq!(report.first_alarm, Some(1));
+        }
+    }
+
+    #[test]
+    fn the_driver_measures_from_where_the_runner_stands() {
+        // a runner the caller already stepped: budgets, the burst step and
+        // the report are relative to the call, not to the runner's age
+        let program = MinIdFlood::new(0);
+        let spec = ScenarioSpec::new(GraphFamily::Path { n: 9 })
+            .fault_burst(12, 3, 1) // past the diameter: converged either way
+            .until(StopCondition::AllAccept);
+        let fresh = spec.run(&program, |_v, s| *s = u64::MAX, 40).unwrap();
+        let mut runner = spec
+            .engine
+            .instantiate(&program, spec.build_graph())
+            .unwrap();
+        runner.run_until(StopCondition::Steps, 20);
+        let report = spec
+            .run_on(runner.as_mut(), &mut |_v, s| *s = u64::MAX, 40)
+            .unwrap();
+        assert_eq!(report.steps_run, runner.steps() - 20);
+        assert_eq!(report.recovered, fresh.report.recovered);
+        assert_eq!(report.injected_nodes, fresh.report.injected_nodes);
     }
 }

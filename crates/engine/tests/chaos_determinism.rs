@@ -8,11 +8,17 @@
 //! **nothing** (recovery is invisible in the deterministic trace), and a
 //! hung worker must surface as a typed
 //! [`PoolError::BarrierTimeout`] instead of a deadlock.
+//!
+//! Last, the two loops that step a runner are held to one latency rule:
+//! a single-wave schedule under [`run_chaos`] and the same wave under the
+//! burst driver [`run_fault_experiment`] must measure the same detection
+//! latency and the same rounds to quiescence.
 
+use proptest::prelude::*;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    run_chaos, ChaosReport, EngineConfig, EngineError, InjectionSpec, LayoutPolicy,
-    ParallelSyncRunner, PoolError, RecoveryPolicy, Runner, StopCondition,
+    run_chaos, run_fault_experiment, ChaosReport, EngineConfig, EngineError, InjectionSpec,
+    LayoutPolicy, ParallelSyncRunner, PoolError, RecoveryPolicy, Runner, StopCondition,
 };
 use smst_graph::generators::expander_graph;
 use smst_sim::{Daemon, FaultSchedule, RecordingObserver};
@@ -199,5 +205,58 @@ fn a_hung_worker_is_a_typed_timeout_not_a_deadlock() {
             assert_eq!(timeout, watchdog, "the configured watchdog surfaced")
         }
         other => panic!("a hung worker must trip the watchdog, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn the_burst_driver_and_the_chaos_loop_share_the_latency_rule(
+        n in 8usize..40,
+        graph_seed in 0u64..1000,
+        at in 0usize..24,
+        faults in 1usize..6,
+        fault_seed in 0u64..1000,
+        envelope in 0usize..4,
+    ) {
+        // small graphs, so the wave regularly hits the monitor (node 0)
+        // itself — the corner where the alarm condition holds before the
+        // first post-injection step and the latency is still 1 — and small
+        // `at`, so it regularly lands on a flood that has not converged yet
+        let config = match envelope {
+            0 => EngineConfig::reference(),
+            1 => EngineConfig::new().threads(3).layout(LayoutPolicy::Rcm).halo(true),
+            2 => EngineConfig::reference().asynchronous(Daemon::RoundRobin, 1),
+            _ => EngineConfig::new().threads(2).asynchronous(
+                Daemon::Random { seed: graph_seed, extra_factor: 1 },
+                4,
+            ),
+        };
+        let program = AlarmedFlood::new(0, n as u64 - 1);
+        let graph = expander_graph(n, 4, graph_seed);
+        let schedule = FaultSchedule::bursts([at], faults, fault_seed);
+        let steps = at + 64;
+        let mut bogus = |_v, s: &mut u64| *s = AlarmedFlood::BOGUS;
+
+        let mut runner = config.instantiate(&program, graph.clone()).expect("valid");
+        let chaos = run_chaos(runner.as_mut(), &schedule, steps, &mut bogus).expect("runs");
+        prop_assert_eq!(chaos.waves.len(), 1);
+        let wave = &chaos.waves[0];
+        prop_assert!(wave.quiescence.is_some(), "the budget leaves room to digest the wave");
+
+        let plan = schedule.wave_plan(0, n);
+        for until in [StopCondition::FirstAlarm, StopCondition::AllAccept] {
+            let mut runner = config.instantiate(&program, graph.clone()).expect("valid");
+            let burst = Some((at, &plan));
+            let report = run_fault_experiment(runner.as_mut(), burst, &mut bogus, until, steps)
+                .expect("runs");
+            prop_assert_eq!(report.injected_faults, wave.faults);
+            prop_assert!(!report.warmup_alarm, "the flood only alarms on garbage");
+            if until == StopCondition::FirstAlarm {
+                prop_assert_eq!(report.first_alarm, wave.detection_latency, "{}", config.describe());
+            } else {
+                prop_assert_eq!(report.recovered, wave.quiescence, "{}", config.describe());
+            }
+        }
     }
 }

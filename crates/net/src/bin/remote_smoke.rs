@@ -7,7 +7,7 @@
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::AlarmedFlood;
-use smst_engine::{Backend, EngineConfig, GraphFamily, ScenarioSpec};
+use smst_engine::{Backend, EngineConfig, GraphFamily};
 
 fn main() {
     smst_net::install_stock();
@@ -16,7 +16,7 @@ fn main() {
     let rounds = 24usize;
     let iters = if smoke_mode() { 8 } else { 24 };
     let family = GraphFamily::Expander { n, degree: 4 };
-    let graph = ScenarioSpec::new(family).seed(11).build_graph();
+    let graph = family.build(11);
     let program = AlarmedFlood::new(0, n as u64 - 1);
     println!("remote smoke: {n}-node expander, {peers} worker processes, {rounds} rounds");
 

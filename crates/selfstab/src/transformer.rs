@@ -21,7 +21,7 @@
 use crate::baselines::{detection_cost, verification_memory_bits, DetectionCost};
 use smst_core::{Marker, SyncMst};
 use smst_graph::mst::kruskal;
-use smst_graph::{ComponentMap, NodeId, WeightedGraph};
+use smst_graph::{ComponentMap, WeightedGraph};
 use smst_labeling::Instance;
 
 /// Which verification scheme the transformer is instantiated with
@@ -211,34 +211,6 @@ impl SelfStabilizingMst {
         let components = garbage_components(graph, seed);
         self.stabilize(graph, &components)
     }
-
-    /// The detection time and detection distance the stabilized system
-    /// inherits from its verification scheme (property (1)/(2) of the paper's
-    /// abstract): measured by injecting `f` faults into a stabilized
-    /// configuration. Only meaningful for the [`Variant::Paper`] and
-    /// [`Variant::OneRoundLabels`] variants.
-    pub fn post_stabilization_detection(
-        &self,
-        graph: &WeightedGraph,
-        faults: usize,
-        seed: u64,
-    ) -> smst_sim::DetectionReport {
-        let outcome = self.stabilize_from_garbage(graph, seed);
-        let instance = Instance::new(graph.clone(), outcome.components.clone());
-        let plan = smst_sim::FaultPlan::random(graph.node_count(), faults, seed ^ 0xABCD);
-        match self.variant {
-            Variant::Paper => {
-                let result = smst_core::scheme::run_sync_fault_experiment(
-                    &instance,
-                    &plan,
-                    smst_core::faults::FaultKind::StoredPieceWeight,
-                    seed,
-                );
-                result.report
-            }
-            _ => crate::baselines::one_round_detection_report(&instance, &plan, seed),
-        }
-    }
 }
 
 /// An adversarial component configuration: every node points at a pseudo-
@@ -253,7 +225,6 @@ pub fn garbage_components(graph: &WeightedGraph, seed: u64) -> ComponentMap {
             components.set_pointer(v, Some(smst_graph::Port(rng.gen_range(0..d))));
         }
     }
-    let _ = NodeId(0);
     components
 }
 

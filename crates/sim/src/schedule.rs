@@ -10,10 +10,14 @@
 //! exactly as reproducible as a single-burst experiment, at any thread
 //! count and on any backend.
 //!
-//! The schedule deliberately knows nothing about execution: drivers (the
-//! engine's chaos loop, benches, examples) ask [`FaultSchedule::wave_at`]
-//! between steps and apply the returned plan through the usual
-//! caller-supplied mutator.
+//! The schedule deliberately knows nothing about execution: a driver that
+//! walks the steps in order (the engine's chaos loop) asks
+//! [`FaultSchedule::fires_at`] between steps and draws
+//! [`FaultSchedule::wave_plan`] with its own count of the waves fired so
+//! far; [`FaultSchedule::wave_at`] answers the same question for one step
+//! in isolation (it recounts the earlier arrivals, `O(step)` per call).
+//! Either way the plan is applied through the usual caller-supplied
+//! mutator.
 
 use crate::faults::FaultPlan;
 use smst_rng::{Rng, RngCore, SeedableRng, SplitMix64, StdRng};
@@ -162,7 +166,8 @@ impl FaultSchedule {
 
     /// The wave firing at the start of `step`, if any: `(wave_index, plan)`.
     /// `wave_index` counts firings from step 0, so the plan is stable no
-    /// matter how far the driver has already run.
+    /// matter how far the driver has already run — random access, paid
+    /// for with a recount of every earlier arrival.
     pub fn wave_at(&self, step: usize, n: usize) -> Option<(usize, FaultPlan)> {
         if !self.fires_at(step) {
             return None;
@@ -205,6 +210,45 @@ pub struct WaveStats {
     /// Steps from the wave until every node accepted again (rounds to
     /// quiescence); `None` if the run (or the next wave) arrived first.
     pub quiescence: Option<usize>,
+}
+
+/// The run-level summaries of a campaign's per-wave books — one copy,
+/// shared by the engine's `ChaosReport` and the telemetry `ChaosRun`.
+/// Censored waves (`None`) are skipped, never counted as zero.
+impl WaveStats {
+    /// Waves whose corruption was detected (an alarm rose before the next
+    /// wave or the end of the run).
+    pub fn detected_waves(waves: &[WaveStats]) -> usize {
+        waves
+            .iter()
+            .filter(|w| w.detection_latency.is_some())
+            .count()
+    }
+
+    /// Waves the system fully digested (every node accepting again before
+    /// the next wave or the end of the run).
+    pub fn quiesced_waves(waves: &[WaveStats]) -> usize {
+        waves.iter().filter(|w| w.quiescence.is_some()).count()
+    }
+
+    /// Mean detection latency over the detected waves, in steps.
+    pub fn mean_detection_latency(waves: &[WaveStats]) -> Option<f64> {
+        mean(waves.iter().filter_map(|w| w.detection_latency))
+    }
+
+    /// Mean rounds-to-quiescence over the quiesced waves, in steps.
+    pub fn mean_quiescence(waves: &[WaveStats]) -> Option<f64> {
+        mean(waves.iter().filter_map(|w| w.quiescence))
+    }
+}
+
+fn mean(values: impl Iterator<Item = usize>) -> Option<f64> {
+    let (mut sum, mut count) = (0usize, 0usize);
+    for v in values {
+        sum += v;
+        count += 1;
+    }
+    (count > 0).then(|| sum as f64 / count as f64)
 }
 
 #[cfg(test)]
@@ -267,6 +311,28 @@ mod tests {
         assert_eq!((w0, w1), (0, 1));
         assert_eq!(p0, s.wave_plan(0, 10));
         assert_eq!(p1, s.wave_plan(1, 10));
+    }
+
+    #[test]
+    fn wave_summaries_skip_censored_waves() {
+        let wave = |det, qui| WaveStats {
+            wave: 0,
+            step: 0,
+            faults: 1,
+            detection_latency: det,
+            quiescence: qui,
+        };
+        let waves = [
+            wave(Some(1), Some(6)),
+            wave(Some(2), None),
+            wave(None, None),
+        ];
+        assert_eq!(WaveStats::detected_waves(&waves), 2);
+        assert_eq!(WaveStats::quiesced_waves(&waves), 1);
+        assert_eq!(WaveStats::mean_detection_latency(&waves), Some(1.5));
+        assert_eq!(WaveStats::mean_quiescence(&waves), Some(6.0));
+        assert_eq!(WaveStats::mean_quiescence(&waves[1..]), None);
+        assert_eq!(WaveStats::mean_detection_latency(&[]), None);
     }
 
     #[test]

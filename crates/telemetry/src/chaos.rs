@@ -13,9 +13,9 @@
 //!
 //! [`ChaosRun`] stores only the data: the four summary fields of the
 //! document (`detected_waves`, `quiesced_waves` and the two means) are
-//! derived from `waves` when writing, and a document whose stored
-//! summary counts disagree with its own `waves` is rejected when
-//! reading — one source of truth.
+//! derived from `waves` when writing (by the one implementation on
+//! [`WaveStats`]), and a document whose stored summary counts disagree
+//! with its own `waves` is rejected when reading — one source of truth.
 //!
 //! Artifact schema (the `smst-rounds-v1` family):
 //!
@@ -66,34 +66,22 @@ pub struct ChaosRun {
 impl ChaosRun {
     /// Waves with a recorded detection latency.
     pub fn detected_waves(&self) -> usize {
-        self.waves
-            .iter()
-            .filter(|w| w.detection_latency.is_some())
-            .count()
+        WaveStats::detected_waves(&self.waves)
     }
 
     /// Waves with a recorded quiescence.
     pub fn quiesced_waves(&self) -> usize {
-        self.waves.iter().filter(|w| w.quiescence.is_some()).count()
-    }
-
-    fn mean(values: impl Iterator<Item = usize>) -> Option<f64> {
-        let (mut sum, mut count) = (0usize, 0usize);
-        for v in values {
-            sum += v;
-            count += 1;
-        }
-        (count > 0).then(|| sum as f64 / count as f64)
+        WaveStats::quiesced_waves(&self.waves)
     }
 
     /// Mean detection latency over the detected waves, in steps.
     pub fn mean_detection_latency(&self) -> Option<f64> {
-        Self::mean(self.waves.iter().filter_map(|w| w.detection_latency))
+        WaveStats::mean_detection_latency(&self.waves)
     }
 
     /// Mean rounds-to-quiescence over the quiesced waves, in steps.
     pub fn mean_quiescence(&self) -> Option<f64> {
-        Self::mean(self.waves.iter().filter_map(|w| w.quiescence))
+        WaveStats::mean_quiescence(&self.waves)
     }
 }
 
