@@ -1,13 +1,16 @@
 //! CI smoke for the distributed backend: a coordinator plus local worker
 //! processes over the default localhost transport, checked **bit-for-bit**
 //! against the in-process sharded backend and the sequential reference,
-//! then timed. Writes the round benchmarks and wire accounting to
-//! `BENCH_remote.json` (the `smst-analyze check` gate consumes it).
+//! then timed. Writes the round benchmarks and what the checked rounds
+//! put on the sockets ([`RemoteRunner::wire_totals`] — a pure function of
+//! graph and seed, so the `wire_*` meta entries never move by themselves)
+//! to `BENCH_remote.json` (the `smst-analyze check` gate consumes it).
 //! `SMST_BENCH_SMOKE=1` shrinks the graph and iteration counts.
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::AlarmedFlood;
-use smst_engine::{Backend, EngineConfig, GraphFamily};
+use smst_engine::{Backend, EngineConfig, GraphFamily, Runner};
+use smst_net::RemoteRunner;
 
 fn main() {
     smst_net::install_stock();
@@ -24,13 +27,17 @@ fn main() {
     // in-process sharded backend's, round by round
     let remote_config = EngineConfig::remote(peers);
     let sharded_config = EngineConfig::new().threads(peers).halo(true);
-    let mut remote = remote_config
-        .instantiate(&program, graph.clone())
+    let mut remote = RemoteRunner::launch(&program, graph.clone(), &remote_config)
         .expect("a valid remote envelope");
     let mut sharded = sharded_config
         .instantiate(&program, graph.clone())
         .expect("a valid sharded envelope");
+    let tail = 8usize;
+    let mut before_tail = remote.wire_totals();
     for round in 0..rounds {
+        if round + tail == rounds {
+            before_tail = remote.wire_totals();
+        }
         remote.step();
         sharded.step();
         assert_eq!(
@@ -42,6 +49,26 @@ fn main() {
     assert!(
         remote.all_accept(),
         "the flood must quiesce in {rounds} rounds"
+    );
+    // only what changed crosses the wire: the quiescent tail ships frames
+    // and no register
+    let wire = remote.wire_totals();
+    assert_eq!(
+        (wire.registers_out, wire.registers_in),
+        (before_tail.registers_out, before_tail.registers_in),
+        "the last {tail} of {rounds} rounds shipped registers"
+    );
+    println!(
+        "  wire: {} frames, {} B out / {} B in, {} registers out / {} in ({} + {} B per \
+         quiescent round), the dense protocol shipped {}",
+        wire.frames,
+        wire.bytes_out,
+        wire.bytes_in,
+        wire.registers_out,
+        wire.registers_in,
+        (wire.bytes_out - before_tail.bytes_out) / tail as u64,
+        (wire.bytes_in - before_tail.bytes_in) / tail as u64,
+        wire.registers_dense,
     );
     let reference = EngineConfig::new()
         .backend(Backend::Reference)
@@ -65,6 +92,12 @@ fn main() {
     group.record_meta("nodes", n as f64);
     group.record_meta("peers", peers as f64);
     group.record_meta("rounds_checked", rounds as f64);
+    group.record_meta("wire_frames", wire.frames as f64);
+    group.record_meta("wire_bytes_out", wire.bytes_out as f64);
+    group.record_meta("wire_bytes_in", wire.bytes_in as f64);
+    group.record_meta("wire_registers_out", wire.registers_out as f64);
+    group.record_meta("wire_registers_in", wire.registers_in as f64);
+    group.record_meta("wire_registers_dense", wire.registers_dense as f64);
     let report = remote.report();
     println!("  engine: {} ({} steps)", report.engine, report.steps);
     group.finish();

@@ -12,14 +12,24 @@
 //! so the register stream is **bit-for-bit** identical to the in-process
 //! sharded backend for the same envelope.
 //!
+//! A round ships **what changed**: every per-round payload is a
+//! [`RegisterDelta`] — the coordinator's own writes and the halo slots
+//! whose owner register changed on the way out, the interiors the sweep
+//! changed on the way back — so a stabilised run costs two ≈ 40-byte
+//! frames per worker per round, and [`RemoteRunner::wire_totals`] says
+//! what a run really put on the sockets.
+//!
 //! Layering:
 //!
-//! - [`wire`] — frames, the versioned handshake, typed [`WireError`]s;
-//! - [`transport`] — Unix-domain / TCP sockets with explicit deadlines;
-//! - [`program`] — the [`WireProgram`] codec trait + stock impls;
+//! - [`wire`] — frames, [`RegisterDelta`], the versioned handshake, typed
+//!   [`WireError`]s, buffer-bounded stream I/O;
+//! - [`transport`] — Unix-domain / TCP sockets with explicit deadlines,
+//!   one reused frame buffer per direction per connection end;
+//! - [`program`] — the [`WireProgram`] codec trait + stock impls, delta
+//!   encoding and validation ([`encode_delta`], [`stage_delta`]);
 //! - [`worker`] — the shard process loop behind `smst-net worker`;
 //! - [`remote`] — the coordinator ([`RemoteRunner`]) implementing the
-//!   engine's `Runner` trait, recovery included.
+//!   engine's `Runner` trait, change tracking and recovery included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,10 +40,14 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use program::{decode_states, encode_states, WireProgram};
-pub use remote::{handshake_accept, RemoteRunner};
+pub use program::{
+    decode_states, encode_delta, encode_states, stage_delta, StagedDelta, WireProgram,
+};
+pub use remote::{handshake_accept, RemoteRunner, WireTotals};
 pub use transport::{unique_endpoint, unique_tcp_endpoint, Conn, Endpoint, Listener};
-pub use wire::{read_frame, write_frame, Frame, WireError, WIRE_SCHEMA, WIRE_VERSION};
+pub use wire::{
+    read_frame, write_frame, DeltaIndex, Frame, RegisterDelta, WireError, WIRE_SCHEMA, WIRE_VERSION,
+};
 
 use smst_engine::programs::{AlarmedFlood, MinIdFlood, MonitorFlood};
 use smst_engine::{register_remote_factory, ConfigError, EngineConfig, Runner};

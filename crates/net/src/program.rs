@@ -1,7 +1,9 @@
 //! Programs that can cross the wire: a spec codec (so the worker can
 //! rebuild the program from [`SetupFrame::spec`](crate::wire::SetupFrame))
 //! plus a register codec (so halo/patch/interior payloads stay opaque to
-//! the frame layer).
+//! the frame layer), and the two halves of a [`RegisterDelta`]'s life that
+//! need that codec: [`encode_delta`] lists registers of a region,
+//! [`stage_delta`] checks a received list against the region it is for.
 //!
 //! The stock engine workloads ([`MinIdFlood`], [`MonitorFlood`],
 //! [`AlarmedFlood`]) all implement it; `crate::install_stock()` registers
@@ -10,15 +12,17 @@
 //! worker (`crate::worker`), and calling `crate::install::<P>()` in the
 //! coordinator process.
 
-use crate::wire::{Dec, WireError};
+use crate::wire::{Dec, DeltaIndex, RegisterDelta, WireError};
 use smst_engine::programs::{AlarmedFlood, MinIdFlood, MonitorFlood};
 use smst_sim::NodeProgram;
 
 /// A [`NodeProgram`] with a wire codec: the spec (program parameters) and
 /// the per-node register both encode to the workspace's hand-rolled
-/// little-endian format. `'static` because the coordinator-side registry
-/// is keyed by `TypeId`.
-pub trait WireProgram: NodeProgram + Sync + Sized + 'static {
+/// little-endian format. Registers are comparable (`State: PartialEq`):
+/// each round ships the registers that **changed**, and "changed" is
+/// `next != prev` on the values. `'static` because the coordinator-side
+/// registry is keyed by `TypeId`.
+pub trait WireProgram: NodeProgram<State: PartialEq> + Sync + Sized + 'static {
     /// The stable program name carried in
     /// [`SetupFrame::program`](crate::wire::SetupFrame::program) — the
     /// worker's dispatch key. Matches [`NodeProgram::name`].
@@ -38,8 +42,7 @@ pub trait WireProgram: NodeProgram + Sync + Sized + 'static {
 }
 
 /// Encodes a register sequence back-to-back (the count travels out of
-/// band — patch lists carry it explicitly, halo/interior payloads derive
-/// it from the shard geometry).
+/// band — the setup frame derives it from the graph).
 pub fn encode_states<'a, P, I>(states: I) -> Vec<u8>
 where
     P: WireProgram,
@@ -67,6 +70,102 @@ pub fn decode_states<P: WireProgram>(
     }
     dec.finish()?;
     Ok(states)
+}
+
+/// The delta listing `listed` — `(region index, register)` pairs,
+/// strictly ascending — of a region of `region_len` registers. Listing
+/// every register yields [`DeltaIndex::All`]: the index form is a property
+/// of the set, not a choice of the caller.
+pub fn encode_delta<'a, P, I>(region_len: usize, listed: I) -> RegisterDelta
+where
+    P: WireProgram,
+    P::State: 'a,
+    I: IntoIterator<Item = (u32, &'a P::State)>,
+{
+    let mut indices = Vec::new();
+    let mut states = Vec::new();
+    for (index, state) in listed {
+        indices.push(index);
+        P::encode_state(state, &mut states);
+    }
+    let index = if indices.len() == region_len {
+        DeltaIndex::All
+    } else {
+        DeltaIndex::Listed(indices)
+    };
+    RegisterDelta { index, states }
+}
+
+/// A [`RegisterDelta`] checked against the region it is for and decoded:
+/// every index in range and strictly ascending, exactly one register per
+/// index. Only [`stage_delta`] makes one, so applying it cannot fail
+/// half-way.
+#[derive(Debug)]
+pub struct StagedDelta<S> {
+    index: DeltaIndex,
+    states: Vec<S>,
+}
+
+impl<S> StagedDelta<S> {
+    /// How many registers the delta lists.
+    pub fn count(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Hands every listed `(region index, register)` pair to `f`,
+    /// ascending.
+    pub fn for_each(self, mut f: impl FnMut(usize, S)) {
+        match self.index {
+            DeltaIndex::All => self
+                .states
+                .into_iter()
+                .enumerate()
+                .for_each(|(index, state)| f(index, state)),
+            DeltaIndex::Listed(indices) => indices
+                .into_iter()
+                .zip(self.states)
+                .for_each(|(index, state)| f(index as usize, state)),
+        }
+    }
+
+    /// Writes the listed registers into `region` (the one the delta was
+    /// staged against).
+    pub fn apply(self, region: &mut [S]) {
+        self.for_each(|index, state| region[index] = state);
+    }
+}
+
+/// Validates `delta` against a region of `region_len` registers and
+/// decodes its registers. An index `>= region_len`, a non-ascending or
+/// duplicate index is [`WireError::BadValue`]; a payload that does not
+/// hold exactly one register per listed index is
+/// [`WireError::Truncated`] / [`WireError::Trailing`].
+pub fn stage_delta<P: WireProgram>(
+    delta: RegisterDelta,
+    region_len: usize,
+) -> Result<StagedDelta<P::State>, WireError> {
+    let count = match &delta.index {
+        DeltaIndex::All => region_len,
+        DeltaIndex::Listed(indices) => {
+            let mut floor = 0u64;
+            for &index in indices {
+                if u64::from(index) < floor {
+                    return Err(WireError::BadValue(
+                        "delta indices must be strictly ascending",
+                    ));
+                }
+                floor = u64::from(index) + 1;
+            }
+            if floor > region_len as u64 {
+                return Err(WireError::BadValue("delta index out of range"));
+            }
+            indices.len()
+        }
+    };
+    Ok(StagedDelta {
+        states: decode_states::<P>(&delta.states, count)?,
+        index: delta.index,
+    })
 }
 
 impl WireProgram for MinIdFlood {

@@ -10,24 +10,41 @@
 //! deterministically from the one-time setup frame, so killing and
 //! respawning a worker loses no state the coordinator cannot restore.
 //!
+//! # What a round ships
+//!
+//! Only what changed. Every worker keeps its halo slots between rounds, so
+//! a dispatch lists, per worker, the interior registers the coordinator
+//! wrote since the last commit (`dirty`: injected faults, `state_mut`) and
+//! the halo slots whose owner register is **stale** there — changed by the
+//! last committed round, or dirty. The reply lists the interiors the sweep
+//! changed; committing them to the mirror yields the next round's stale
+//! set. When nothing changed, a round is one empty [`RoundFrame`] and one
+//! empty reply per worker, and the coordinator does no per-register work
+//! at all. `RoundStats::halo_bytes` keeps meaning *the registers the
+//! round's halo schedule covers* (`HaloPlan::exchanged_bytes_per_round`,
+//! equal on every halo backend); what really crossed the sockets is
+//! [`RemoteRunner::wire_totals`].
+//!
 //! # Failure surface
 //!
 //! The typed `PoolError` machinery carries over from the in-process pool:
 //! a dead peer (socket close, worker panic) is retried under the
-//! envelope's `RecoveryPolicy` — kill + respawn + full interior resync +
-//! replay from the exact pre-round registers, so a successful recovery is
+//! envelope's `RecoveryPolicy` — kill + respawn + full resync + replay
+//! from the exact pre-round registers, so a successful recovery is
 //! **bit-for-bit invisible** in the register stream — and surfaces as
 //! `PoolError::WorkerPanic` once retries are exhausted. A peer that hangs
 //! past the policy's watchdog surfaces as `PoolError::BarrierTimeout`
 //! (never retried), both through `Runner::try_step`. Stale replies from a
 //! failed attempt are recognized by the dispatch counter echoed in every
-//! reply and skipped.
+//! reply and skipped. A failed attempt retires nothing: the dirty and
+//! stale sets stand until a commit, and the dispatch after it re-ships
+//! every region whole ([`DeltaIndex::All`](crate::wire::DeltaIndex)), so
+//! whatever a survivor did with the failed dispatch is overwritten.
 
-use crate::program::{decode_states, encode_states, WireProgram};
+use crate::program::{encode_delta, encode_states, stage_delta, StagedDelta, WireProgram};
 use crate::transport::{unique_endpoint, Conn, Endpoint, Listener};
 use crate::wire::{
-    read_frame, write_frame, Frame, RoundFrame, SetupFrame, WireError, WireGraph, WireInjection,
-    ERR_VERSION, WIRE_VERSION,
+    Frame, RoundFrame, SetupFrame, WireError, WireGraph, WireInjection, ERR_VERSION, WIRE_VERSION,
 };
 use crate::worker::layout_to_wire;
 use smst_engine::{
@@ -64,6 +81,41 @@ struct PendingInjection {
     armed: bool,
 }
 
+/// What the round protocol put on the sockets, summed over **committed**
+/// rounds: the `Round` / `Interiors` frames of each round's delta
+/// schedule. Recovery traffic — failed attempts, and the surplus of the
+/// whole-region resync that follows one — is a function of the fault, not
+/// of the run, and is left out, so the totals are a pure function of
+/// graph, seed and schedule (a recovered run reads exactly what the clean
+/// run reads).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireTotals {
+    /// Frames, both directions (two per worker per round).
+    pub frames: u64,
+    /// Payload bytes coordinator → workers.
+    pub bytes_out: u64,
+    /// Payload bytes workers → coordinator.
+    pub bytes_in: u64,
+    /// Registers shipped coordinator → workers (patches + halo slots).
+    pub registers_out: u64,
+    /// Registers shipped workers → coordinator (changed interiors).
+    pub registers_in: u64,
+    /// Registers the dense v1 protocol shipped for the same rounds: every
+    /// halo slot out and every interior back, every round, plus patches.
+    pub registers_dense: u64,
+}
+
+impl std::ops::AddAssign for WireTotals {
+    fn add_assign(&mut self, other: WireTotals) {
+        self.frames += other.frames;
+        self.bytes_out += other.bytes_out;
+        self.bytes_in += other.bytes_in;
+        self.registers_out += other.registers_out;
+        self.registers_in += other.registers_in;
+        self.registers_dense += other.registers_dense;
+    }
+}
+
 /// The `Backend::Remote` execution path: shards as worker processes over
 /// sockets, driven round by round by this coordinator. See the
 /// [module docs](self).
@@ -87,15 +139,20 @@ pub struct RemoteRunner<'p, P: WireProgram> {
     recovery: RecoveryPolicy,
     injection: Option<PendingInjection>,
     observer: Option<Box<dyn RoundObserver>>,
-    /// Internal indices mutated since the last dispatch (fault injection /
+    /// Internal indices written since the last commit (fault injection /
     /// `state_mut`), patched to their owning worker next round.
-    dirty: Vec<usize>,
+    dirty: Vec<u32>,
+    /// Internal indices whose mirror register some worker's halo copy may
+    /// lag, ascending: the last committed round's change set, plus `dirty`
+    /// once a dispatch has folded it in. Replaced only at a commit.
+    stale: Vec<u32>,
     /// The parts whose peers failed the last dispatch attempt, respawned
     /// before the replay.
     failed: Vec<usize>,
-    /// Force a full interior resync of **every** worker next dispatch
-    /// (set on recovery — survivors replay from pre-round registers).
+    /// The last dispatch did not commit, so no worker's region can be
+    /// trusted: the next one ships every region whole.
     resync: bool,
+    totals: WireTotals,
 }
 
 impl<'p, P: WireProgram> RemoteRunner<'p, P> {
@@ -150,8 +207,10 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                 .map(|spec| PendingInjection { spec, armed: true }),
             observer: None,
             dirty: Vec::new(),
+            stale: Vec::new(),
             failed: Vec::new(),
             resync: false,
+            totals: WireTotals::default(),
         };
         // sequential spawn → accept → handshake → setup pairs each child
         // handle with its connection (the only pending dialer is the one
@@ -185,9 +244,9 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                     Err(WireError::BadValue("worker announced the wrong part"))
                 }
             })
-            .and_then(|()| write_frame(&mut conn, &Frame::Setup(self.setup_frame(part))));
+            .and_then(|()| conn.send(&Frame::Setup(self.setup_frame(part))));
         match up {
-            Ok(()) => Ok(Worker { part, child, conn }),
+            Ok(_) => Ok(Worker { part, child, conn }),
             Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
@@ -217,10 +276,9 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
 
     /// Kills and replaces the workers of the parts that failed the last
     /// attempt, re-shipping each a setup frame built from the current
-    /// mirror, and forces a full interior resync so the survivors replay
-    /// from the pre-round registers too.
+    /// mirror (the replay's resync puts the survivors on the same pre-round
+    /// registers).
     fn respawn_failed(&mut self) -> Result<(), String> {
-        self.resync = true;
         for part in std::mem::take(&mut self.failed) {
             let idx = self
                 .workers
@@ -239,13 +297,15 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         Ok(())
     }
 
-    /// One round dispatch attempt: patches + halo snapshot + optional
-    /// injection out to every worker, then the barrier — wait for every
-    /// reply (skipping stale ones by dispatch counter) and commit the
-    /// interiors to the mirror only when all are in. Returns
+    /// One round dispatch attempt: per worker the two deltas of the module
+    /// docs (+ the optional injection) out, then the barrier — wait for
+    /// every reply (skipping stale ones by dispatch counter), validate it,
+    /// and commit the changed interiors to the mirror only when all are
+    /// in; they become the next round's stale set. Returns
     /// `(max worker compute_ns, wire wall time)`; wall time is read only
     /// when `observed`. On a peer failure the dead parts are left in
-    /// [`failed`](Self::failed) for [`respawn_failed`](Self::respawn_failed).
+    /// [`failed`](Self::failed) for [`respawn_failed`](Self::respawn_failed)
+    /// and neither the dirty nor the stale set has been retired.
     fn dispatch_round(&mut self, observed: bool) -> Result<(u64, u64), AttemptFailure> {
         if self.workers.0.is_empty() {
             return Ok((0, 0));
@@ -254,20 +314,15 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         let dispatch = self.dispatches;
         let round = self.rounds as u64;
         let shards = self.plan.shards();
+        // cleared at the commit below
+        let resync = std::mem::replace(&mut self.resync, true);
 
-        // per-part patch lists: full interiors on resync, dirty nodes else
-        let mut patch_nodes: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
-        if self.resync {
-            for (part, shard) in shards.iter().enumerate() {
-                patch_nodes[part] = (0..shard.len() as u32).collect();
-            }
-        } else if !self.dirty.is_empty() {
+        // the coordinator's own writes are stale everywhere; a replay folds
+        // the same set in again
+        if !self.dirty.is_empty() {
             self.dirty.sort_unstable();
             self.dirty.dedup();
-            for &internal in &self.dirty {
-                let part = shards.partition_point(|sh| sh.end <= internal);
-                patch_nodes[part].push((internal - shards[part].start) as u32);
-            }
+            self.stale = union_ascending(&self.stale, &self.dirty);
         }
 
         // one-shot injection: disarmed the moment it goes on the wire
@@ -289,39 +344,71 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         let states = self.arena.states();
         let mut failed: Vec<usize> = Vec::new();
         let mut failure = String::new();
+        let mut shipped = WireTotals {
+            frames: 2 * self.workers.0.len() as u64,
+            registers_dense: (self.plan.total_halo() + states.len() + self.dirty.len()) as u64,
+            ..WireTotals::default()
+        };
 
         for worker in self.workers.0.iter_mut() {
             let part = worker.part;
             let shard = shards[part];
-            let mut patch_states = Vec::new();
-            for &local in &patch_nodes[part] {
-                P::encode_state(&states[shard.start + local as usize], &mut patch_states);
-            }
-            let halo_states = encode_states::<P, _>(
-                self.plan
-                    .halo_nodes(part)
+            let halo_nodes = self.plan.halo_nodes(part);
+            let round_frame = |patch, halo| {
+                Frame::Round(RoundFrame {
+                    round,
+                    dispatch,
+                    patch,
+                    halo,
+                    inject: inject_at
+                        .filter(|&(target, _)| target == part)
+                        .map(|(_, kind)| kind),
+                })
+            };
+            let lo = self.dirty.partition_point(|&u| (u as usize) < shard.start);
+            let hi = self.dirty.partition_point(|&u| (u as usize) < shard.end);
+            let patch = encode_delta::<P, _>(
+                shard.len(),
+                self.dirty[lo..hi]
                     .iter()
-                    .map(|&u| &states[u as usize]),
+                    .map(|&u| (u - shard.start as u32, &states[u as usize])),
             );
-            let frame = Frame::Round(RoundFrame {
-                round,
-                dispatch,
-                patch_nodes: std::mem::take(&mut patch_nodes[part]),
-                patch_states,
-                halo_states,
-                inject: inject_at
-                    .filter(|&(target, _)| target == part)
-                    .map(|(_, kind)| kind),
-            });
-            if let Err(e) = write_frame(&mut worker.conn, &frame) {
-                failed.push(part);
-                failure = format!("worker {part} send: {e}");
+            let halo = encode_delta::<P, _>(
+                halo_nodes.len(),
+                common_positions(&self.stale, halo_nodes)
+                    .map(|slot| (slot, &states[halo_nodes[slot as usize] as usize])),
+            );
+            shipped.registers_out +=
+                (patch.count(shard.len()) + halo.count(halo_nodes.len())) as u64;
+            let scheduled = round_frame(patch, halo);
+            let sent = if resync {
+                // the schedule's frame is what the totals count; what
+                // goes out lists both regions whole
+                let scheduled_len = scheduled.encode().len();
+                let interiors = (0u32..).zip(&states[shard.nodes()]);
+                let slots = (0u32..).zip(halo_nodes.iter().map(|&u| &states[u as usize]));
+                let whole = round_frame(
+                    encode_delta::<P, _>(shard.len(), interiors),
+                    encode_delta::<P, _>(halo_nodes.len(), slots),
+                );
+                worker.conn.send(&whole).map(|_| scheduled_len)
+            } else {
+                worker.conn.send(&scheduled)
+            };
+            match sent {
+                Ok(len) => shipped.bytes_out += len as u64,
+                Err(e) => {
+                    failed.push(part);
+                    failure = format!("worker {part} send: {e}");
+                }
             }
         }
 
-        // the barrier: every reply must be in before anything commits
+        // the barrier: every reply must be in, and valid, before anything
+        // commits
         let watchdog = self.recovery.watchdog_timeout;
-        let mut replies: Vec<(usize, Vec<P::State>)> = Vec::with_capacity(self.workers.0.len());
+        let mut replies: Vec<(usize, StagedDelta<P::State>)> =
+            Vec::with_capacity(self.workers.0.len());
         let mut max_compute = 0u64;
         for worker in self.workers.0.iter_mut() {
             let part = worker.part;
@@ -334,7 +421,7 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                 continue;
             }
             loop {
-                match read_frame(&mut worker.conn) {
+                match worker.conn.recv() {
                     Ok(Frame::Interiors(reply)) => {
                         if reply.dispatch < dispatch {
                             continue; // stale reply from a failed attempt
@@ -344,10 +431,12 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                             failure = format!("worker {part} replied out of protocol");
                             break;
                         }
-                        match decode_states::<P>(&reply.states, shards[part].len()) {
-                            Ok(states) => {
+                        match stage_delta::<P>(reply.interiors, shards[part].len()) {
+                            Ok(interiors) => {
                                 max_compute = max_compute.max(reply.compute_ns);
-                                replies.push((part, states));
+                                shipped.bytes_in += worker.conn.received_len() as u64;
+                                shipped.registers_in += interiors.count() as u64;
+                                replies.push((part, interiors));
                             }
                             Err(e) => {
                                 failed.push(part);
@@ -382,17 +471,20 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
             return Err(AttemptFailure::Died(failure));
         }
 
+        // the commit; workers sit in part order, so the change set comes
+        // out ascending
+        self.stale.clear();
         for (part, interiors) in replies {
             let shard = shards[part];
-            for (slot, state) in self.arena.states_mut()[shard.nodes()]
-                .iter_mut()
-                .zip(interiors)
-            {
-                *slot = state;
-            }
+            let mirror = &mut self.arena.states_mut()[shard.nodes()];
+            interiors.for_each(|local, state| {
+                mirror[local] = state;
+                self.stale.push((shard.start + local) as u32);
+            });
         }
         self.dirty.clear();
         self.resync = false;
+        self.totals += shipped;
         let wire_ns = wire_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
         Ok((max_compute, wire_ns))
     }
@@ -423,6 +515,9 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
     /// worker's measured compute, `exchange_ns` the wire wall time net of
     /// that overlapped compute, `dispatch_ns` the residual — the four
     /// phases sum to the measured step total, as everywhere else.
+    /// `halo_bytes` is the halo schedule's coverage, part of the
+    /// deterministic projection every halo backend agrees on; the bytes a
+    /// round really shipped are in [`wire_totals`](Self::wire_totals).
     fn observe_round(&mut self, total_ns: u64, compute_ns: u64, wire_ns: u64) {
         let exchange_ns = wire_ns.saturating_sub(compute_ns);
         let stats = RoundStats {
@@ -456,6 +551,47 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
     pub fn worker_count(&self) -> usize {
         self.workers.0.len()
     }
+
+    /// What the committed rounds so far put on the sockets.
+    pub fn wire_totals(&self) -> WireTotals {
+        self.totals
+    }
+}
+
+/// The union of two ascending, duplicate-free lists, ascending.
+fn union_ascending(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += usize::from(a[i] == next);
+        j += usize::from(b[j] == next);
+        out.push(next);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The positions in `list` of the values it shares with `set` (both
+/// ascending and duplicate-free), ascending. One merge pass that ends with
+/// the shorter side: an empty `set` costs nothing.
+fn common_positions<'a>(set: &'a [u32], list: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (mut s, mut l) = (0, 0);
+    std::iter::from_fn(move || {
+        while s < set.len() && l < list.len() {
+            match set[s].cmp(&list[l]) {
+                std::cmp::Ordering::Less => s += 1,
+                std::cmp::Ordering::Greater => l += 1,
+                std::cmp::Ordering::Equal => {
+                    s += 1;
+                    l += 1;
+                    return Some(l as u32 - 1);
+                }
+            }
+        }
+        None
+    })
 }
 
 /// The live worker processes. Dropping the set sends every worker an
@@ -467,7 +603,7 @@ struct WorkerSet(Vec<Worker>);
 impl Drop for WorkerSet {
     fn drop(&mut self) {
         for worker in self.0.iter_mut() {
-            let _ = write_frame(&mut worker.conn, &Frame::Shutdown);
+            let _ = worker.conn.send(&Frame::Shutdown);
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
         for mut worker in self.0.drain(..) {
@@ -478,7 +614,7 @@ impl Drop for WorkerSet {
             let gone = !left.is_zero()
                 && worker.conn.set_read_timeout(Some(left)).is_ok()
                 && loop {
-                    match read_frame(&mut worker.conn) {
+                    match worker.conn.recv() {
                         Ok(_) => {}
                         Err(WireError::Timeout) => break false,
                         Err(_) => break true,
@@ -514,7 +650,8 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
     }
 
     fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        self.dirty.push(self.arena.layout().internal(v.index()));
+        self.dirty
+            .push(self.arena.layout().internal(v.index()) as u32);
         self.arena.state_mut(v)
     }
 
@@ -540,8 +677,11 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
 
     fn apply_faults(&mut self, plan: &FaultPlan, mutate: &mut dyn FnMut(NodeId, &mut P::State)) {
         let layout = self.arena.layout();
-        self.dirty
-            .extend(plan.nodes().iter().map(|v| layout.internal(v.index())));
+        self.dirty.extend(
+            plan.nodes()
+                .iter()
+                .map(|v| layout.internal(v.index()) as u32),
+        );
         self.arena.apply_faults(plan, mutate);
     }
 
@@ -570,29 +710,23 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
 /// [`Frame::Error`] + [`WireError::VersionMismatch`], acknowledges
 /// otherwise. Returns the worker's announced part index.
 pub fn handshake_accept(conn: &mut Conn) -> Result<u32, WireError> {
-    match read_frame(conn)? {
+    match conn.recv()? {
         Frame::Hello { version, part } => {
             if version != WIRE_VERSION {
-                let _ = write_frame(
-                    conn,
-                    &Frame::Error {
-                        code: ERR_VERSION,
-                        message: format!(
-                            "coordinator speaks wire v{WIRE_VERSION}, worker announced v{version}"
-                        ),
-                    },
-                );
+                let _ = conn.send(&Frame::Error {
+                    code: ERR_VERSION,
+                    message: format!(
+                        "coordinator speaks wire v{WIRE_VERSION}, worker announced v{version}"
+                    ),
+                });
                 return Err(WireError::VersionMismatch {
                     ours: WIRE_VERSION,
                     theirs: version,
                 });
             }
-            write_frame(
-                conn,
-                &Frame::HelloAck {
-                    version: WIRE_VERSION,
-                },
-            )?;
+            conn.send(&Frame::HelloAck {
+                version: WIRE_VERSION,
+            })?;
             Ok(part)
         }
         _ => Err(WireError::BadValue("expected Hello")),
@@ -633,4 +767,32 @@ fn spawn_worker(bin: &std::path::Path, endpoint: &Endpoint, part: usize) -> Resu
         .stdin(Stdio::null())
         .spawn()
         .map_err(|e| format!("spawn worker {part} ({}): {e}", bin.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unions_stay_ascending_and_duplicate_free() {
+        assert_eq!(union_ascending(&[], &[]), Vec::<u32>::new());
+        assert_eq!(union_ascending(&[1, 4], &[]), [1, 4]);
+        assert_eq!(
+            union_ascending(&[1, 4, 9], &[0, 4, 5, 12]),
+            [0, 1, 4, 5, 9, 12]
+        );
+        // folding the same set in twice (a replay does) changes nothing
+        let once = union_ascending(&[2, 7], &[3, 7]);
+        assert_eq!(union_ascending(&once, &[3, 7]), once);
+    }
+
+    #[test]
+    fn common_positions_index_the_list_not_the_set() {
+        let slots = |set: &[u32], list: &[u32]| common_positions(set, list).collect::<Vec<_>>();
+        assert_eq!(slots(&[], &[3, 5, 8]), Vec::<u32>::new());
+        assert_eq!(slots(&[5], &[]), Vec::<u32>::new());
+        assert_eq!(slots(&[0, 5, 6, 8, 9], &[3, 5, 8]), [1, 2]);
+        assert_eq!(slots(&[3, 5, 8], &[3, 5, 8]), [0, 1, 2]);
+        assert_eq!(slots(&[4, 6], &[3, 5, 8]), Vec::<u32>::new());
+    }
 }

@@ -2,9 +2,11 @@
 //! default) or TCP, behind one [`Endpoint`] / [`Listener`] / [`Conn`]
 //! surface. Deadlines are explicit everywhere — a connect, accept or read
 //! that cannot complete in time surfaces as a typed
-//! [`WireError::Timeout`], never a hang.
+//! [`WireError::Timeout`], never a hang. A [`Conn`] speaks frames
+//! ([`Conn::send`] / [`Conn::recv`]) through one reused buffer per
+//! direction.
 
-use crate::wire::{io_error, WireError};
+use crate::wire::{io_error, read_frame, write_frame, Frame, WireError};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -63,14 +65,11 @@ impl Endpoint {
         loop {
             let attempt = match self {
                 #[cfg(unix)]
-                Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-                Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+                Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
+                Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
             };
             match attempt {
-                Ok(conn) => {
-                    conn.configure()?;
-                    return Ok(conn);
-                }
+                Ok(stream) => return Conn::new(stream),
                 Err(_) if Instant::now() < give_up => std::thread::sleep(POLL_INTERVAL),
                 Err(e) => return Err(io_error(e)),
             }
@@ -143,14 +142,14 @@ impl Listener {
     pub fn accept_deadline(&self, deadline: Duration) -> Result<Conn, WireError> {
         let give_up = Instant::now() + deadline;
         self.set_nonblocking(true)?;
-        let conn = loop {
+        let stream = loop {
             let attempt = match self {
                 #[cfg(unix)]
-                Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Conn::Unix(s)),
-                Listener::Tcp(listener) => listener.accept().map(|(s, _)| Conn::Tcp(s)),
+                Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Stream::Unix(s)),
+                Listener::Tcp(listener) => listener.accept().map(|(s, _)| Stream::Tcp(s)),
             };
             match attempt {
-                Ok(conn) => break conn,
+                Ok(stream) => break stream,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() >= give_up {
                         self.set_nonblocking(false)?;
@@ -166,8 +165,7 @@ impl Listener {
             }
         };
         self.set_nonblocking(false)?;
-        conn.configure()?;
-        Ok(conn)
+        Conn::new(stream)
     }
 
     fn set_nonblocking(&self, nonblocking: bool) -> Result<(), WireError> {
@@ -188,15 +186,27 @@ impl Drop for Listener {
     }
 }
 
-/// One established connection (either transport), blocking, with an
-/// adjustable read deadline.
+/// The socket under a [`Conn`].
 #[derive(Debug)]
-pub enum Conn {
-    /// A Unix-domain stream.
+enum Stream {
     #[cfg(unix)]
     Unix(UnixStream),
-    /// A TCP stream.
     Tcp(TcpStream),
+}
+
+/// One established connection end (either transport): blocking, with an
+/// adjustable read deadline, speaking [`Frame`]s. It owns the two frame
+/// buffers of its end — one filled by [`recv`](Conn::recv), one by
+/// [`send`](Conn::send) — which grow to the largest round frame that
+/// really passed and are reused for every frame after it. The one-time
+/// [`Frame::Setup`] is sized by the graph, not by a round, and its buffer
+/// is let go again.
+#[derive(Debug)]
+pub struct Conn {
+    stream: Stream,
+    inbound: Vec<u8>,
+    outbound: Vec<u8>,
+    received_len: usize,
 }
 
 impl Conn {
@@ -204,52 +214,83 @@ impl Conn {
     /// inherit the listener's non-blocking flag on some platforms) and
     /// `TCP_NODELAY` for TCP — round frames are latency-bound, not
     /// throughput-bound.
-    fn configure(&self) -> Result<(), WireError> {
-        match self {
+    fn new(stream: Stream) -> Result<Conn, WireError> {
+        match &stream {
             #[cfg(unix)]
-            Conn::Unix(stream) => stream.set_nonblocking(false).map_err(io_error),
-            Conn::Tcp(stream) => {
+            Stream::Unix(stream) => stream.set_nonblocking(false).map_err(io_error)?,
+            Stream::Tcp(stream) => {
                 stream.set_nonblocking(false).map_err(io_error)?;
-                stream.set_nodelay(true).map_err(io_error)
+                stream.set_nodelay(true).map_err(io_error)?;
             }
         }
+        Ok(Conn {
+            stream,
+            inbound: Vec::new(),
+            outbound: Vec::new(),
+            received_len: 0,
+        })
     }
 
     /// Sets (or clears) the read deadline — the transport form of the
     /// engine's barrier watchdog. `None` waits forever.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), WireError> {
-        match self {
+        match &self.stream {
             #[cfg(unix)]
-            Conn::Unix(stream) => stream.set_read_timeout(timeout).map_err(io_error),
-            Conn::Tcp(stream) => stream.set_read_timeout(timeout).map_err(io_error),
+            Stream::Unix(stream) => stream.set_read_timeout(timeout).map_err(io_error),
+            Stream::Tcp(stream) => stream.set_read_timeout(timeout).map_err(io_error),
         }
+    }
+
+    /// Writes one frame ([`write_frame`]); returns its payload length.
+    pub fn send(&mut self, frame: &Frame) -> Result<usize, WireError> {
+        write_frame(&mut self.stream, frame, &mut self.outbound)?;
+        let len = self.outbound.len() - 4;
+        if matches!(frame, Frame::Setup(_)) {
+            self.outbound = Vec::new();
+        }
+        Ok(len)
+    }
+
+    /// Reads one frame ([`read_frame`]).
+    pub fn recv(&mut self) -> Result<Frame, WireError> {
+        let frame = read_frame(&mut self.stream, &mut self.inbound)?;
+        self.received_len = self.inbound.len();
+        if matches!(frame, Frame::Setup(_)) {
+            self.inbound = Vec::new();
+        }
+        Ok(frame)
+    }
+
+    /// Payload length of the frame the last [`recv`](Conn::recv) returned.
+    pub fn received_len(&self) -> usize {
+        self.received_len
     }
 }
 
-impl Read for Conn {
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             #[cfg(unix)]
-            Conn::Unix(stream) => stream.read(buf),
-            Conn::Tcp(stream) => stream.read(buf),
+            Stream::Unix(stream) => stream.read(buf),
+            Stream::Tcp(stream) => stream.read(buf),
         }
     }
 }
 
-impl Write for Conn {
+impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             #[cfg(unix)]
-            Conn::Unix(stream) => stream.write(buf),
-            Conn::Tcp(stream) => stream.write(buf),
+            Stream::Unix(stream) => stream.write(buf),
+            Stream::Tcp(stream) => stream.write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
-            Conn::Unix(stream) => stream.flush(),
-            Conn::Tcp(stream) => stream.flush(),
+            Stream::Unix(stream) => stream.flush(),
+            Stream::Tcp(stream) => stream.flush(),
         }
     }
 }

@@ -13,7 +13,18 @@
 //! Node registers travel as **opaque program-encoded byte payloads**
 //! ([`crate::program::WireProgram`] owns the state codec); the frame layer
 //! only length-delimits them, so the codec here is monomorphic and the
-//! framing property tests need no program type.
+//! framing property tests need no program type. Every per-round payload —
+//! patch, halo, reply — is one [`RegisterDelta`]: the registers of a region
+//! that **changed**, listed by ascending region index, so a round in which
+//! nothing changed is two ≈ 40-byte frames per worker. Whoever applies a
+//! delta knows the region and the register codec and validates it there
+//! ([`crate::program::stage_delta`]), before the first write.
+//!
+//! Both stream functions work through a caller-owned buffer (one per
+//! direction per connection end, see [`crate::transport::Conn`]):
+//! [`write_frame`] encodes into it and issues one `write_all`,
+//! [`read_frame`] fills it through `Read::take`, so memory grows with the
+//! bytes that actually arrive, never with the length a peer announces.
 
 use std::io::{Read, Write};
 
@@ -24,11 +35,13 @@ pub const WIRE_SCHEMA: &str = "smst-wire-v1";
 
 /// The protocol version spoken by this build. Bumped on any frame-layout
 /// change; a worker and coordinator disagreeing on it refuse to pair.
-pub const WIRE_VERSION: u16 = 1;
+/// (v1 shipped every halo and interior register every round; v2 ships
+/// [`RegisterDelta`]s.)
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard ceiling on a single frame's payload (1 GiB). A length prefix
-/// beyond this is rejected before allocation — a torn or hostile prefix
-/// must not look like a request for unbounded memory.
+/// beyond this is rejected outright, and one below it reserves nothing:
+/// [`read_frame`] grows its buffer only as payload bytes arrive.
 pub const MAX_FRAME: u32 = 1 << 30;
 
 /// [`Frame::Error`] code: handshake version mismatch.
@@ -360,9 +373,87 @@ pub enum WireInjection {
     },
 }
 
-/// One round dispatch, coordinator → worker: register patches (external
-/// mutations / recovery resync), the fresh halo snapshot in
-/// `HaloPlan::halo_nodes` order, and an optional one-shot injection.
+/// Which registers of a region a [`RegisterDelta`] lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaIndex {
+    /// Every register of the region, in region order. Written exactly when
+    /// every register is listed, so the bytes are a function of the set.
+    All,
+    /// The registers at these region indices, strictly ascending.
+    Listed(Vec<u32>),
+}
+
+/// A sparse register list: the one per-round payload of the protocol
+/// (patch, halo and reply alike). The frame layer carries it opaquely;
+/// [`crate::program::stage_delta`] checks it against the region it is
+/// for — index range and order, register count — before anything is
+/// written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegisterDelta {
+    /// The listed region indices.
+    pub index: DeltaIndex,
+    /// The listed registers, program-encoded, one per listed index (one
+    /// per register of the region for [`DeltaIndex::All`]).
+    pub states: Vec<u8>,
+}
+
+impl RegisterDelta {
+    /// The delta that lists nothing.
+    pub fn empty() -> Self {
+        RegisterDelta {
+            index: DeltaIndex::Listed(Vec::new()),
+            states: Vec::new(),
+        }
+    }
+
+    /// How many registers the delta lists of a region of `region_len`.
+    pub fn count(&self, region_len: usize) -> usize {
+        match &self.index {
+            DeltaIndex::All => region_len,
+            DeltaIndex::Listed(indices) => indices.len(),
+        }
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match &self.index {
+            DeltaIndex::All => put_u8(out, 0),
+            DeltaIndex::Listed(indices) => {
+                put_u8(out, 1);
+                put_u32(out, indices.len() as u32);
+                for &index in indices {
+                    put_u32(out, index);
+                }
+            }
+        }
+        put_bytes(out, &self.states);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, WireError> {
+        let index = match dec.u8()? {
+            0 => DeltaIndex::All,
+            1 => {
+                let count = dec.u32()? as usize;
+                // the indices must be there before anything is reserved
+                if count > dec.remaining() / 4 {
+                    return Err(WireError::Truncated);
+                }
+                let mut indices = Vec::with_capacity(count);
+                for _ in 0..count {
+                    indices.push(dec.u32()?);
+                }
+                DeltaIndex::Listed(indices)
+            }
+            _ => return Err(WireError::BadValue("unknown delta index kind")),
+        };
+        Ok(RegisterDelta {
+            index,
+            states: dec.bytes()?.to_vec(),
+        })
+    }
+}
+
+/// One round dispatch, coordinator → worker: what changed in the worker's
+/// region since its last dispatch, and an optional one-shot injection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundFrame {
     /// The round this dispatch computes (the coordinator's step counter).
@@ -371,21 +462,20 @@ pub struct RoundFrame {
     /// of the same `round` gets a fresh `dispatch`, so stale replies from
     /// the failed attempt are recognized and skipped.
     pub dispatch: u64,
-    /// Region-local interior indices whose registers are patched.
-    pub patch_nodes: Vec<u32>,
-    /// The patch registers, program-encoded, one per
-    /// [`patch_nodes`](Self::patch_nodes) entry.
-    pub patch_states: Vec<u8>,
-    /// The halo registers, program-encoded, `HaloPlan::halo_nodes(part)`
-    /// order (empty for a single-shard run — the zero-length payload is a
-    /// first-class frame, not a special case).
-    pub halo_states: Vec<u8>,
+    /// Interior registers the coordinator wrote (external mutations), by
+    /// region-local interior index; [`DeltaIndex::All`] on a recovery
+    /// resync.
+    pub patch: RegisterDelta,
+    /// Halo registers whose owner changed them, by halo **slot**
+    /// (`HaloPlan::halo_nodes` order); the worker keeps every other slot
+    /// from the round before.
+    pub halo: RegisterDelta,
     /// A one-shot chaos injection to execute before computing.
     pub inject: Option<WireInjection>,
 }
 
-/// One round reply, worker → coordinator: the recomputed interior
-/// registers plus the measured compute time.
+/// One round reply, worker → coordinator: the interior registers the
+/// sweep changed plus the measured compute time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InteriorsFrame {
     /// Echo of [`RoundFrame::round`].
@@ -394,8 +484,9 @@ pub struct InteriorsFrame {
     pub dispatch: u64,
     /// The worker's measured compute time for this round.
     pub compute_ns: u64,
-    /// The interior registers, program-encoded, shard order.
-    pub states: Vec<u8>,
+    /// The interior registers whose new value differs from the previous
+    /// round's, by region-local interior index.
+    pub interiors: RegisterDelta,
 }
 
 /// Every message of the `smst-wire-v1` protocol.
@@ -436,62 +527,63 @@ impl Frame {
     /// prefix [`write_frame`] adds).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame payload ([`Frame::encode`]) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello { version, part } => {
-                put_u8(&mut out, TAG_HELLO);
-                put_str(&mut out, WIRE_SCHEMA);
-                put_u16(&mut out, *version);
-                put_u32(&mut out, *part);
+                put_u8(out, TAG_HELLO);
+                put_str(out, WIRE_SCHEMA);
+                put_u16(out, *version);
+                put_u32(out, *part);
             }
             Frame::HelloAck { version } => {
-                put_u8(&mut out, TAG_HELLO_ACK);
-                put_u16(&mut out, *version);
+                put_u8(out, TAG_HELLO_ACK);
+                put_u16(out, *version);
             }
             Frame::Setup(setup) => {
-                put_u8(&mut out, TAG_SETUP);
-                put_u64(&mut out, setup.seed);
-                put_u32(&mut out, setup.peers);
-                put_u32(&mut out, setup.part);
-                put_u8(&mut out, setup.layout);
-                put_str(&mut out, &setup.program);
-                put_bytes(&mut out, &setup.spec);
-                setup.graph.encode(&mut out);
-                put_bytes(&mut out, &setup.states);
+                put_u8(out, TAG_SETUP);
+                put_u64(out, setup.seed);
+                put_u32(out, setup.peers);
+                put_u32(out, setup.part);
+                put_u8(out, setup.layout);
+                put_str(out, &setup.program);
+                put_bytes(out, &setup.spec);
+                setup.graph.encode(out);
+                put_bytes(out, &setup.states);
             }
             Frame::Round(round) => {
-                put_u8(&mut out, TAG_ROUND);
-                put_u64(&mut out, round.round);
-                put_u64(&mut out, round.dispatch);
-                put_u32(&mut out, round.patch_nodes.len() as u32);
-                for &node in &round.patch_nodes {
-                    put_u32(&mut out, node);
-                }
-                put_bytes(&mut out, &round.patch_states);
-                put_bytes(&mut out, &round.halo_states);
+                put_u8(out, TAG_ROUND);
+                put_u64(out, round.round);
+                put_u64(out, round.dispatch);
+                round.patch.encode(out);
+                round.halo.encode(out);
                 match round.inject {
-                    None => put_u8(&mut out, 0),
-                    Some(WireInjection::Panic) => put_u8(&mut out, 1),
+                    None => put_u8(out, 0),
+                    Some(WireInjection::Panic) => put_u8(out, 1),
                     Some(WireInjection::Stall { millis }) => {
-                        put_u8(&mut out, 2);
-                        put_u64(&mut out, millis);
+                        put_u8(out, 2);
+                        put_u64(out, millis);
                     }
                 }
             }
             Frame::Interiors(interiors) => {
-                put_u8(&mut out, TAG_INTERIORS);
-                put_u64(&mut out, interiors.round);
-                put_u64(&mut out, interiors.dispatch);
-                put_u64(&mut out, interiors.compute_ns);
-                put_bytes(&mut out, &interiors.states);
+                put_u8(out, TAG_INTERIORS);
+                put_u64(out, interiors.round);
+                put_u64(out, interiors.dispatch);
+                put_u64(out, interiors.compute_ns);
+                interiors.interiors.encode(out);
             }
-            Frame::Shutdown => put_u8(&mut out, TAG_SHUTDOWN),
+            Frame::Shutdown => put_u8(out, TAG_SHUTDOWN),
             Frame::Error { code, message } => {
-                put_u8(&mut out, TAG_ERROR);
-                put_u32(&mut out, *code);
-                put_str(&mut out, message);
+                put_u8(out, TAG_ERROR);
+                put_u32(out, *code);
+                put_str(out, message);
             }
         }
-        out
     }
 
     /// Decodes one frame payload (as produced by [`Frame::encode`]).
@@ -535,13 +627,8 @@ impl Frame {
             TAG_ROUND => {
                 let round = dec.u64()?;
                 let dispatch = dec.u64()?;
-                let patches = dec.u32()? as usize;
-                let mut patch_nodes = Vec::with_capacity(patches.min(1 << 20));
-                for _ in 0..patches {
-                    patch_nodes.push(dec.u32()?);
-                }
-                let patch_states = dec.bytes()?.to_vec();
-                let halo_states = dec.bytes()?.to_vec();
+                let patch = RegisterDelta::decode(&mut dec)?;
+                let halo = RegisterDelta::decode(&mut dec)?;
                 let inject = match dec.u8()? {
                     0 => None,
                     1 => Some(WireInjection::Panic),
@@ -551,9 +638,8 @@ impl Frame {
                 Frame::Round(RoundFrame {
                     round,
                     dispatch,
-                    patch_nodes,
-                    patch_states,
-                    halo_states,
+                    patch,
+                    halo,
                     inject,
                 })
             }
@@ -561,7 +647,7 @@ impl Frame {
                 round: dec.u64()?,
                 dispatch: dec.u64()?,
                 compute_ns: dec.u64()?,
-                states: dec.bytes()?.to_vec(),
+                interiors: RegisterDelta::decode(&mut dec)?,
             }),
             TAG_SHUTDOWN => Frame::Shutdown,
             TAG_ERROR => Frame::Error {
@@ -577,26 +663,31 @@ impl Frame {
 
 // --- stream I/O ---------------------------------------------------------
 
-/// Writes one length-prefixed frame and flushes.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
-    let payload = frame.encode();
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-        });
+/// Writes one length-prefixed frame with a single `write_all` and flushes.
+/// The frame is encoded into `buf` (cleared first — a connection end
+/// reuses one across frames), which afterwards holds the exact wire bytes
+/// `u32-LE length ‖ payload`.
+pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    buf.clear();
+    put_u32(buf, 0);
+    frame.encode_into(buf);
+    let len = buf.len() - 4;
+    if len as u64 > MAX_FRAME as u64 {
+        return Err(WireError::FrameTooLarge { len: len as u64 });
     }
-    let mut message = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut message, payload.len() as u32);
-    message.extend_from_slice(&payload);
-    w.write_all(&message).map_err(io_error)?;
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(buf).map_err(io_error)?;
     w.flush().map_err(io_error)
 }
 
-/// Reads one length-prefixed frame. A clean close **between** frames is
-/// [`WireError::PeerClosed`]; a close mid-frame is
-/// [`WireError::Truncated`]; an expired socket read deadline is
-/// [`WireError::Timeout`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
+/// Reads one length-prefixed frame through `buf` (cleared first), which
+/// afterwards holds the payload. `buf` grows with the bytes **received**,
+/// never with the announced length, so a peer that announces
+/// [`MAX_FRAME`] and stalls or closes costs what it actually sent. A clean
+/// close **between** frames is [`WireError::PeerClosed`]; a close
+/// mid-frame is [`WireError::Truncated`]; an expired socket read deadline
+/// is [`WireError::Timeout`].
+pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Frame, WireError> {
     // the first byte distinguishes a clean close from a torn frame
     let mut first = [0u8; 1];
     loop {
@@ -613,17 +704,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge { len: len as u64 });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(io_error)?;
-    Frame::decode(&payload)
+    buf.clear();
+    let got = r.take(u64::from(len)).read_to_end(buf).map_err(io_error)?;
+    if got < len as usize {
+        return Err(WireError::Truncated);
+    }
+    Frame::decode(buf)
 }
 
 /// [`Frame::encode`] plus the length prefix — the exact byte string
 /// [`write_frame`] puts on the wire (torn-frame tests truncate this).
 pub fn frame_bytes(frame: &Frame) -> Vec<u8> {
-    let payload = frame.encode();
-    let mut message = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut message, payload.len() as u32);
-    message.extend_from_slice(&payload);
-    message
+    let mut bytes = Vec::new();
+    write_frame(&mut std::io::sink(), frame, &mut bytes).expect("the sink accepts every write");
+    bytes
 }

@@ -5,19 +5,23 @@
 //! without shipping it), then serves round dispatches until
 //! [`Frame::Shutdown`].
 //!
-//! Per round the worker applies the coordinator's register patches,
-//! refreshes its halo slots from the dispatch payload, optionally executes
-//! a one-shot chaos injection (exit / stall — the process-level analogs
-//! of the in-process pool's `ArmedInjection`), [`sweep`]s its interior
-//! through the region-local CSR — the same kernel every in-process runner
-//! calls — and replies with the recomputed interiors plus the measured
-//! compute time.
+//! Per round the worker applies the two deltas of the dispatch — the
+//! interior registers the coordinator wrote, the halo slots whose owner
+//! changed them; every other register it keeps from the round before —
+//! optionally executes a one-shot chaos injection (exit / stall — the
+//! process-level analogs of the in-process pool's `ArmedInjection`),
+//! [`sweep`]s its **whole** interior through the region-local CSR — the
+//! same kernel every in-process runner calls — and replies with the
+//! interiors whose value the sweep changed plus the measured compute time.
+//! Both deltas are validated before the first register is written, so a
+//! malformed dispatch ends the worker with a typed error and its region
+//! untouched.
 
-use crate::program::{decode_states, encode_states, WireProgram};
+use crate::program::{decode_states, encode_delta, stage_delta, WireProgram};
 use crate::transport::{Conn, Endpoint};
 use crate::wire::{
-    read_frame, write_frame, Dec, Frame, InteriorsFrame, SetupFrame, WireError, WireInjection,
-    ERR_PROTOCOL, ERR_UNKNOWN_PROGRAM, WIRE_VERSION,
+    Dec, Frame, InteriorsFrame, SetupFrame, WireError, WireInjection, ERR_PROTOCOL,
+    ERR_UNKNOWN_PROGRAM, WIRE_VERSION,
 };
 use smst_engine::programs::{AlarmedFlood, MinIdFlood, MonitorFlood};
 use smst_engine::{partition_balanced, sweep, Arena, HaloPlan, LayoutPolicy};
@@ -55,19 +59,22 @@ fn layout_from_wire(byte: u8) -> Result<LayoutPolicy, WireError> {
 /// owns nothing worth destructing.
 pub fn run_worker(endpoint: &Endpoint, part: u32, wire_version: u16) -> Result<(), WireError> {
     let mut conn = endpoint.connect(CONNECT_TIMEOUT)?;
-    write_frame(
-        &mut conn,
-        &Frame::Hello {
-            version: wire_version,
-            part,
-        },
-    )?;
-    match read_frame(&mut conn)? {
-        Frame::HelloAck { .. } => {}
+    conn.send(&Frame::Hello {
+        version: wire_version,
+        part,
+    })?;
+    match conn.recv()? {
+        Frame::HelloAck { version } if version == wire_version => {}
+        Frame::HelloAck { version } => {
+            return Err(WireError::VersionMismatch {
+                ours: wire_version,
+                theirs: version,
+            })
+        }
         Frame::Error { code, message } => return Err(WireError::Rejected { code, message }),
         _ => return Err(WireError::BadValue("expected HelloAck")),
     }
-    let setup = match read_frame(&mut conn)? {
+    let setup = match conn.recv()? {
         Frame::Setup(setup) => setup,
         Frame::Error { code, message } => return Err(WireError::Rejected { code, message }),
         _ => return Err(WireError::BadValue("expected Setup")),
@@ -86,25 +93,25 @@ fn dispatch_program(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> 
     } else if name == AlarmedFlood::WIRE_NAME {
         serve_rounds::<AlarmedFlood>(setup, conn)
     } else {
-        let _ = write_frame(
-            &mut conn,
-            &Frame::Error {
-                code: ERR_UNKNOWN_PROGRAM,
-                message: format!("this worker has no codec for program {name:?}"),
-            },
-        );
+        let _ = conn.send(&Frame::Error {
+            code: ERR_UNKNOWN_PROGRAM,
+            message: format!("this worker has no codec for program {name:?}"),
+        });
         Err(WireError::BadValue("unknown program"))
     }
 }
 
 /// The typed round loop: deterministic shard rebuild, then
-/// patch → halo-refresh → (inject) → sweep → reply until shutdown.
+/// apply deltas → (inject) → sweep → reply what changed, until shutdown.
 fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> {
     let mut spec = Dec::new(&setup.spec);
     let program = P::decode_spec(&mut spec)?;
     spec.finish()?;
     let graph = setup.graph.to_graph()?;
     let states = decode_states::<P>(&setup.states, graph.node_count())?;
+    // the wire forms are as large as what was built from them, and this
+    // function returns when the run ends
+    drop((setup.graph, setup.states));
 
     // the same build pipeline as the coordinator: both sides derive the
     // identical geometry from (graph, layout, peers) instead of wiring it
@@ -113,13 +120,10 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
     let plan = HaloPlan::build(arena.topology(), &shards);
     let part = setup.part as usize;
     if part >= shards.len() {
-        let _ = write_frame(
-            &mut conn,
-            &Frame::Error {
-                code: ERR_PROTOCOL,
-                message: format!("part {part} out of range ({} shards)", shards.len()),
-            },
-        );
+        let _ = conn.send(&Frame::Error {
+            code: ERR_PROTOCOL,
+            message: format!("part {part} out of range ({} shards)", shards.len()),
+        });
         return Err(WireError::BadValue("part out of range"));
     }
     let shard = shards[part];
@@ -129,7 +133,8 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
 
     // this worker's region of the plan's arena: interiors then halo slots,
     // double-buffered against `next` so a round reads only previous-round
-    // registers
+    // registers; the halo slots hold what the setup frame and every delta
+    // since put there
     let mut prev: Vec<P::State> = arena.states()[shard.nodes()].to_vec();
     prev.extend(
         plan.halo_nodes(part)
@@ -139,32 +144,24 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
     let mut next: Vec<P::State> = prev[..interior_len].to_vec();
 
     loop {
-        let round = match read_frame(&mut conn)? {
+        let round = match conn.recv()? {
             // nothing here is durable: skip the arena's destructors
             Frame::Shutdown => std::process::exit(0),
             Frame::Round(round) => round,
             _ => {
-                let _ = write_frame(
-                    &mut conn,
-                    &Frame::Error {
-                        code: ERR_PROTOCOL,
-                        message: "expected Round or Shutdown".to_string(),
-                    },
-                );
+                let _ = conn.send(&Frame::Error {
+                    code: ERR_PROTOCOL,
+                    message: "expected Round or Shutdown".to_string(),
+                });
                 return Err(WireError::BadValue("expected Round or Shutdown"));
             }
         };
-        let mut patches = Dec::new(&round.patch_states);
-        for &local in &round.patch_nodes {
-            let state = P::decode_state(&mut patches)?;
-            if local as usize >= interior_len {
-                return Err(WireError::BadValue("patch index out of range"));
-            }
-            prev[local as usize] = state;
-        }
-        patches.finish()?;
-        let halo = decode_states::<P>(&round.halo_states, plan.halo_size(part))?;
-        prev[interior_len..].clone_from_slice(&halo);
+        // both deltas are checked before either writes
+        let patch = stage_delta::<P>(round.patch, interior_len)?;
+        let halo = stage_delta::<P>(round.halo, prev.len() - interior_len)?;
+        let (interiors, halo_slots) = prev.split_at_mut(interior_len);
+        patch.apply(interiors);
+        halo.apply(halo_slots);
         match round.inject {
             None => {}
             Some(WireInjection::Panic) => {
@@ -184,16 +181,17 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
         let compute_start = std::time::Instant::now();
         sweep(&program, csr, contexts, &prev, 0..interior_len, &mut next);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
+        let changed = (0u32..)
+            .zip(&next)
+            .filter(|&(i, state)| *state != prev[i as usize]);
+        let interiors = encode_delta::<P, _>(interior_len, changed);
         prev[..interior_len].clone_from_slice(&next);
-        write_frame(
-            &mut conn,
-            &Frame::Interiors(InteriorsFrame {
-                round: round.round,
-                dispatch: round.dispatch,
-                compute_ns,
-                states: encode_states::<P, _>(next.iter()),
-            }),
-        )?;
+        conn.send(&Frame::Interiors(InteriorsFrame {
+            round: round.round,
+            dispatch: round.dispatch,
+            compute_ns,
+            interiors,
+        }))?;
     }
 }
 

@@ -8,15 +8,22 @@
 //! peer must surface the barrier watchdog as a typed
 //! [`PoolError::BarrierTimeout`] through `Runner::try_step`; a wire
 //! version skew must be a typed [`WireError::VersionMismatch`], never a
-//! misparse.
+//! misparse. The wire ships only registers that changed, so the suite also
+//! pins what that must never cost: a coordinator write reaches the other
+//! part's halo the next round, a round in which nothing changed ships no
+//! register, and a replay leaves no residue in the shipped totals.
 
 use smst_engine::programs::{AlarmedFlood, MinIdFlood};
 use smst_engine::{
     run_chaos, ChaosReport, EngineConfig, EngineError, InjectionSpec, LayoutPolicy, PoolError,
-    RecoveryPolicy, Runner,
+    RecoveryPolicy, Runner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, path_graph};
-use smst_net::{handshake_accept, unique_tcp_endpoint, Listener, RemoteRunner, WireError};
+use smst_graph::NodeId;
+use smst_net::{
+    handshake_accept, unique_endpoint, unique_tcp_endpoint, Listener, RemoteRunner, WireError,
+    WireTotals,
+};
 use smst_sim::{FaultSchedule, RecordingObserver};
 use std::sync::Once;
 use std::time::Duration;
@@ -50,25 +57,48 @@ struct CampaignTrace {
     trace: Vec<(usize, usize, usize, u64)>,
 }
 
-/// One seeded chaos campaign on whatever path `config` describes.
-fn run_campaign(config: &EngineConfig, steps: usize) -> CampaignTrace {
-    let program = AlarmedFlood::new(0, N as u64 - 1);
-    let graph = expander_graph(N, 4, 7);
+/// One seeded chaos campaign on `runner`: the books and the deterministic
+/// observer trace.
+fn drive_campaign(
+    runner: &mut dyn Runner<AlarmedFlood>,
+    steps: usize,
+) -> (ChaosReport, Vec<(usize, usize, usize, u64)>) {
     let recording = RecordingObserver::new();
-    let mut runner = config
-        .instantiate(&program, graph)
-        .expect("a valid chaos envelope");
     runner.set_observer(Box::new(recording.clone()));
-    let report = run_chaos(runner.as_mut(), &schedule(), steps, &mut |_v, s| {
+    let report = run_chaos(runner, &schedule(), steps, &mut |_v, s| {
         *s = AlarmedFlood::BOGUS
     })
     .expect("the campaign survives the schedule");
-    let states = runner.into_network().states().to_vec();
+    (report, recording.deterministic_trace())
+}
+
+/// The campaign on whatever path `config` describes.
+fn run_campaign(config: &EngineConfig, steps: usize) -> CampaignTrace {
+    let program = AlarmedFlood::new(0, N as u64 - 1);
+    let mut runner = config
+        .instantiate(&program, expander_graph(N, 4, 7))
+        .expect("a valid chaos envelope");
+    let (report, trace) = drive_campaign(runner.as_mut(), steps);
     CampaignTrace {
         report,
-        states,
-        trace: recording.deterministic_trace(),
+        states: runner.into_network().states().to_vec(),
+        trace,
     }
+}
+
+/// The campaign on the remote backend, with what it put on the sockets.
+fn run_remote_campaign(config: &EngineConfig, steps: usize) -> (CampaignTrace, WireTotals) {
+    let program = AlarmedFlood::new(0, N as u64 - 1);
+    let mut runner = RemoteRunner::launch(&program, expander_graph(N, 4, 7), config)
+        .expect("a valid remote chaos envelope");
+    let (report, trace) = drive_campaign(&mut runner, steps);
+    let totals = runner.wire_totals();
+    let campaign = CampaignTrace {
+        report,
+        states: Box::new(runner).into_network().states().to_vec(),
+        trace,
+    };
+    (campaign, totals)
 }
 
 #[test]
@@ -179,19 +209,121 @@ fn a_killed_worker_recovers_invisibly() {
     // worker 1's process dies (an injected panic aborts it) mid-campaign;
     // the coordinator respawns it under the recovery policy and replays
     // the round from the pre-round mirror — the clean run's books,
-    // registers and trace must reproduce bit-for-bit
-    let config = EngineConfig::remote(2);
-    let clean = run_campaign(&config, 40);
-    let chaotic = run_campaign(
-        &config
-            .recovery(RecoveryPolicy::retries(2).backoff(Duration::from_millis(1)))
-            .inject(InjectionSpec::panic_at(7, 1)),
-        40,
-    );
-    assert_eq!(
-        chaotic, clean,
-        "worker recovery leaked into the deterministic trace"
-    );
+    // registers and trace must reproduce bit-for-bit, and so must what the
+    // rounds shipped: a failed attempt retires neither the coordinator's
+    // writes nor the change set it was sending. The wave lands at step 3:
+    // the kill hits the dispatch that carries the corrupted registers
+    // (3), the wave while it spreads (4) and while it decays (7).
+    for peers in [2usize, 4] {
+        let config = EngineConfig::remote(peers);
+        let (clean, clean_totals) = run_remote_campaign(&config, 40);
+        assert!(clean_totals.registers_out > 0 && clean_totals.registers_in > 0);
+        for kill_at in [3usize, 4, 7] {
+            let (chaotic, totals) = run_remote_campaign(
+                &config
+                    .clone()
+                    .recovery(RecoveryPolicy::retries(2).backoff(Duration::from_millis(1)))
+                    .inject(InjectionSpec::panic_at(kill_at, 1)),
+                40,
+            );
+            assert_eq!(
+                chaotic, clean,
+                "recovery at round {kill_at}, {peers} peers, leaked into the deterministic trace"
+            );
+            assert_eq!(
+                totals, clean_totals,
+                "recovery at round {kill_at}, {peers} peers, left residue on the wire"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_coordinator_write_reaches_the_neighbouring_part_the_next_round() {
+    setup();
+    // a `state_mut` write is the one register change no worker computed:
+    // it must reach the owner (patch) and every part that mirrors the node
+    // (halo). On a path every cut edge is covered by writing each node in
+    // turn; the garbage must show, halved, in both neighbours one round
+    // later, and the run must stay on the reference for good.
+    let n = 12usize;
+    let garbage = n as u64; // the smallest value above the ceiling
+    let program = AlarmedFlood::new(0, n as u64 - 1);
+    let graph = path_graph(n, 5);
+    let mut remote = RemoteRunner::launch(&program, graph.clone(), &EngineConfig::remote(2))
+        .expect("a valid remote envelope");
+    assert_eq!(remote.worker_count(), 2);
+    let mut reference = EngineConfig::reference()
+        .instantiate(&program, graph)
+        .expect("a valid reference envelope");
+    remote.run_until(StopCondition::AllAccept, 64);
+    reference.run_until(StopCondition::AllAccept, 64);
+    for v in 0..n {
+        *remote.state_mut(NodeId(v)) = garbage;
+        *reference.state_mut(NodeId(v)) = garbage;
+        remote.step();
+        reference.step();
+        for u in [v.wrapping_sub(1), v + 1] {
+            if u < n {
+                assert_eq!(
+                    *remote.state(NodeId(u)),
+                    garbage >> 1,
+                    "write at {v}, read at {u}"
+                );
+            }
+        }
+        for round in 0..6 {
+            assert_eq!(
+                remote.states_snapshot(),
+                reference.states_snapshot(),
+                "write at {v} diverged {round} rounds later"
+            );
+            remote.step();
+            reference.step();
+        }
+        assert!(remote.all_accept(), "the garbage decays within six rounds");
+    }
+}
+
+#[test]
+fn a_quiescent_round_ships_no_register() {
+    setup();
+    // after `AllAccept` nothing changes any more: every further round is
+    // one empty dispatch and one empty reply per worker — at both widths,
+    // over both transports
+    for peers in [2usize, 4] {
+        for endpoint in [unique_endpoint(), unique_tcp_endpoint()] {
+            let program = AlarmedFlood::new(0, N as u64 - 1);
+            let config = EngineConfig::remote(peers);
+            let mut remote =
+                RemoteRunner::launch_on(&program, expander_graph(N, 4, 7), &config, endpoint)
+                    .expect("a valid remote envelope");
+            remote
+                .run_until(StopCondition::AllAccept, 64)
+                .expect("the flood converges");
+            // the round that reached AllAccept still changed registers:
+            // one more round ships them, the tail after it is quiet
+            remote.step();
+            let before = remote.wire_totals();
+            assert!(before.registers_in >= N as u64, "every node changed once");
+            assert!(before.registers_out < before.registers_dense);
+            let rounds = 5u64;
+            for _ in 0..rounds {
+                remote.step();
+            }
+            let after = remote.wire_totals();
+            let frames = 2 * peers as u64 * rounds;
+            assert_eq!(after.frames - before.frames, frames);
+            assert_eq!(after.registers_out, before.registers_out);
+            assert_eq!(after.registers_in, before.registers_in);
+            assert!(after.bytes_out - before.bytes_out <= 64 * frames / 2);
+            assert!(after.bytes_in - before.bytes_in <= 64 * frames / 2);
+            assert!(
+                after.registers_dense - before.registers_dense >= rounds * N as u64,
+                "the dense protocol re-shipped every interior every round"
+            );
+        }
+    }
 }
 
 #[test]
@@ -239,32 +371,32 @@ fn worker_exhausting_retries_is_a_typed_panic_error() {
 #[test]
 fn version_skew_is_a_typed_rejection() {
     setup();
-    // a worker announcing a future protocol version is refused with a
-    // typed mismatch on both sides of the wire
-    let (listener, endpoint) = Listener::bind(&smst_net::unique_endpoint()).expect("bind");
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_smst-net"))
-        .arg("worker")
-        .arg("--connect")
-        .arg(endpoint.to_arg())
-        .arg("--part")
-        .arg("0")
-        .arg("--wire-version")
-        .arg("99")
-        .spawn()
-        .expect("spawning the skewed worker");
-    let mut conn = listener
-        .accept_deadline(Duration::from_secs(10))
-        .expect("the worker dials in");
-    assert_eq!(
-        handshake_accept(&mut conn),
-        Err(WireError::VersionMismatch {
-            ours: 1,
-            theirs: 99
-        })
-    );
-    // the worker sees the typed Error frame and exits nonzero
-    let status = child.wait().expect("the worker exits");
-    assert!(!status.success(), "a rejected worker exits nonzero");
+    // a worker announcing another protocol version — a future one, or the
+    // dense v1 this build replaced — is refused with a typed mismatch on
+    // both sides of the wire
+    for theirs in [99u16, 1] {
+        let (listener, endpoint) = Listener::bind(&unique_endpoint()).expect("bind");
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_smst-net"))
+            .arg("worker")
+            .arg("--connect")
+            .arg(endpoint.to_arg())
+            .arg("--part")
+            .arg("0")
+            .arg("--wire-version")
+            .arg(theirs.to_string())
+            .spawn()
+            .expect("spawning the skewed worker");
+        let mut conn = listener
+            .accept_deadline(Duration::from_secs(10))
+            .expect("the worker dials in");
+        assert_eq!(
+            handshake_accept(&mut conn),
+            Err(WireError::VersionMismatch { ours: 2, theirs })
+        );
+        // the worker sees the typed Error frame and exits nonzero
+        let status = child.wait().expect("the worker exits");
+        assert!(!status.success(), "a rejected worker exits nonzero");
+    }
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Property tests for the `smst-wire-v1` frame codec: every frame type
-//! round-trips bit-for-bit (zero-length and large halo payloads
-//! included), every torn-frame prefix decodes to a **typed** error (never
-//! a panic, never a misparse), trailing bytes and unknown tags/schemas
-//! are rejected, and a hostile length prefix is refused before
-//! allocation. The per-round frames are additionally pinned to **golden
-//! byte strings** (recorded at b00a375): whoever rewrites the codec — the
-//! copy-free one of ROADMAP's ledger item, say — must emit exactly these
-//! or bump `WIRE_VERSION`.
+//! round-trips bit-for-bit (empty, sparse and whole-region register
+//! deltas included), every torn-frame prefix decodes to a **typed** error
+//! (never a panic, never a misparse), trailing bytes and unknown
+//! tags/schemas are rejected, a hostile length prefix reserves nothing,
+//! and a delta that does not fit the region it is for is refused before
+//! anything is written. The per-round frames are additionally pinned to
+//! **golden byte strings** (recorded once under `WIRE_VERSION = 2`, when
+//! the dense v1 payloads became `RegisterDelta`s): whoever rewrites the
+//! codec must emit exactly these or bump `WIRE_VERSION`.
 
 use proptest::prelude::*;
+use smst_engine::programs::MinIdFlood;
 use smst_net::wire::{
-    frame_bytes, read_frame, write_frame, Frame, InteriorsFrame, RoundFrame, SetupFrame, WireError,
-    WireGraph, WireInjection, MAX_FRAME,
+    frame_bytes, read_frame, write_frame, DeltaIndex, Frame, InteriorsFrame, RegisterDelta,
+    RoundFrame, SetupFrame, WireError, WireGraph, WireInjection, MAX_FRAME,
 };
+use smst_net::{encode_delta, stage_delta};
 
 /// Round-trips one frame through the payload codec and through the
 /// length-prefixed stream layer.
@@ -21,11 +24,14 @@ fn assert_round_trip(frame: &Frame) {
     assert_eq!(&decoded, frame, "payload codec round-trip");
     let bytes = frame_bytes(frame);
     let mut stream: &[u8] = &bytes;
-    let streamed = read_frame(&mut stream).expect("a written frame reads back");
+    // a buffer that held another frame before, as a connection's does
+    let mut buf = vec![0xEE; 7];
+    let streamed = read_frame(&mut stream, &mut buf).expect("a written frame reads back");
     assert_eq!(&streamed, frame, "stream round-trip");
     assert!(stream.is_empty(), "read_frame consumed the exact frame");
+    assert_eq!(buf, bytes[4..], "the buffer holds the payload");
     let mut written = Vec::new();
-    write_frame(&mut written, frame).expect("writing to a buffer");
+    write_frame(&mut written, frame, &mut buf).expect("writing to a buffer");
     assert_eq!(written, bytes, "write_frame puts frame_bytes on the wire");
 }
 
@@ -35,7 +41,7 @@ fn assert_round_trip(frame: &Frame) {
 fn assert_cuts_are_typed(bytes: &[u8], stride: usize) {
     for cut in (0..bytes.len()).step_by(stride) {
         let mut stream: &[u8] = &bytes[..cut];
-        match read_frame(&mut stream) {
+        match read_frame(&mut stream, &mut Vec::new()) {
             Err(WireError::PeerClosed) => assert_eq!(cut, 0, "PeerClosed only between frames"),
             Err(WireError::Truncated) => assert!(cut > 0, "a torn frame needs at least one byte"),
             other => panic!("cut at {cut}/{} must be typed, got {other:?}", bytes.len()),
@@ -45,6 +51,20 @@ fn assert_cuts_are_typed(bytes: &[u8], stride: usize) {
 
 fn assert_truncations_are_typed(frame: &Frame) {
     assert_cuts_are_typed(&frame_bytes(frame), 1);
+}
+
+fn listed(indices: &[u32], states: Vec<u8>) -> RegisterDelta {
+    RegisterDelta {
+        index: DeltaIndex::Listed(indices.to_vec()),
+        states,
+    }
+}
+
+fn all(states: Vec<u8>) -> RegisterDelta {
+    RegisterDelta {
+        index: DeltaIndex::All,
+        states,
+    }
 }
 
 fn sample_frames() -> Vec<Frame> {
@@ -70,24 +90,22 @@ fn sample_frames() -> Vec<Frame> {
         Frame::Round(RoundFrame {
             round: 42,
             dispatch: 99,
-            patch_nodes: vec![0, 7],
-            patch_states: vec![8; 16],
-            halo_states: Vec::new(), // zero-length halo is a first-class frame
+            patch: listed(&[0, 7], vec![8; 16]),
+            halo: RegisterDelta::empty(), // nothing changed: a first-class frame
             inject: Some(WireInjection::Stall { millis: 250 }),
         }),
         Frame::Round(RoundFrame {
             round: 0,
             dispatch: 1,
-            patch_nodes: Vec::new(),
-            patch_states: Vec::new(),
-            halo_states: vec![0xAB; 9],
+            patch: RegisterDelta::empty(),
+            halo: all(vec![0xAB; 9]),
             inject: Some(WireInjection::Panic),
         }),
         Frame::Interiors(InteriorsFrame {
             round: 42,
             dispatch: 99,
             compute_ns: 123_456,
-            states: vec![0xCD; 24],
+            interiors: listed(&[1, 2, 40], vec![0xCD; 24]),
         }),
         Frame::Shutdown,
         Frame::Error {
@@ -112,9 +130,8 @@ fn large_halo_payloads_round_trip() {
     let frame = Frame::Round(RoundFrame {
         round: 7,
         dispatch: 8,
-        patch_nodes: Vec::new(),
-        patch_states: Vec::new(),
-        halo_states: (0..(1 << 20)).map(|i| (i % 251) as u8).collect(),
+        patch: RegisterDelta::empty(),
+        halo: all((0..(1 << 20)).map(|i| (i % 251) as u8).collect()),
         inject: None,
     });
     assert_round_trip(&frame);
@@ -167,42 +184,43 @@ fn round_frames_match_the_golden_bytes() {
     let empty = RoundFrame {
         round: 0,
         dispatch: 0,
-        patch_nodes: Vec::new(),
-        patch_states: Vec::new(),
-        halo_states: Vec::new(),
+        patch: RegisterDelta::empty(),
+        halo: RegisterDelta::empty(),
         inject: None,
     };
+    // the quiescent dispatch: 36 payload bytes
     assert_golden(
         &Frame::Round(empty.clone()),
-        Golden::Hex("1e000000040000000000000000000000000000000000000000000000000000000000"),
+        Golden::Hex(
+            "24000000040000000000000000000000000000000001000000000000000001000000000000000000",
+        ),
     );
     let busy = RoundFrame {
         round: 42,
         dispatch: 99,
-        patch_nodes: vec![0, 7],
-        patch_states: registers(2),
-        halo_states: registers(3),
+        patch: listed(&[0, 7], registers(2)),
+        halo: listed(&[1, 4, 5], registers(3)),
         inject: Some(WireInjection::Stall { millis: 250 }),
     };
     assert_golden(
         &Frame::Round(busy),
         Golden::Hex(
-            "56000000042a0000000000000063000000000000000200000000000000070000001000000000000000\
-             00000000157c4a7fb979379e180000000000000000000000157c4a7fb979379e2af894fe72f36e3c02\
-             fa00000000000000",
+            "68000000042a0000000000000063000000000000000102000000000000000700000010000000000000\
+             0000000000157c4a7fb979379e01030000000100000004000000050000001800000000000000000000\
+             00157c4a7fb979379e2af894fe72f36e3c02fa00000000000000",
         ),
     );
     let large = RoundFrame {
         round: 7,
         dispatch: 8,
-        halo_states: registers(1 << 16),
+        halo: all(registers(1 << 16)),
         ..empty
     };
     assert_golden(
         &Frame::Round(large),
         Golden::Fold {
-            len: 524_322,
-            fnv1a: 0x0847_c422_ca87_a534,
+            len: 524_324,
+            fnv1a: 0x806f_5b79_24b6_8621,
         },
     );
 }
@@ -213,38 +231,148 @@ fn interiors_frames_match_the_golden_bytes() {
         round: 0,
         dispatch: 0,
         compute_ns: 0,
-        states: Vec::new(),
+        interiors: RegisterDelta::empty(),
     };
+    // the quiescent reply: 34 payload bytes
     assert_golden(
         &Frame::Interiors(empty),
-        Golden::Hex("1d0000000500000000000000000000000000000000000000000000000000000000"),
+        Golden::Hex("2200000005000000000000000000000000000000000000000000000000010000000000000000"),
     );
     let small = InteriorsFrame {
         round: 42,
         dispatch: 99,
         compute_ns: 123_456,
-        states: registers(3),
+        interiors: listed(&[2, 3, 9], registers(3)),
     };
     assert_golden(
         &Frame::Interiors(small),
         Golden::Hex(
-            "35000000052a00000000000000630000000000000040e2010000000000180000000000000000000000\
-             157c4a7fb979379e2af894fe72f36e3c",
+            "46000000052a00000000000000630000000000000040e2010000000000010300000002000000030000\
+             0009000000180000000000000000000000157c4a7fb979379e2af894fe72f36e3c",
         ),
     );
     let large = InteriorsFrame {
         round: 7,
         dispatch: 8,
         compute_ns: u64::MAX,
-        states: registers(1 << 16),
+        interiors: all(registers(1 << 16)),
     };
     assert_golden(
         &Frame::Interiors(large),
         Golden::Fold {
-            len: 524_321,
-            fnv1a: 0x2f7c_2592_1cd2_c0da,
+            len: 524_322,
+            fnv1a: 0x2858_64f2_96d5_2665,
         },
     );
+}
+
+#[test]
+fn register_deltas_match_the_golden_bytes() {
+    // the three index forms, each as the only payload of a reply
+    let reply = |interiors| {
+        Frame::Interiors(InteriorsFrame {
+            round: 1,
+            dispatch: 2,
+            compute_ns: 3,
+            interiors,
+        })
+    };
+    assert_golden(
+        &reply(all(registers(2))),
+        Golden::Hex(
+            "2e00000005010000000000000002000000000000000300000000000000001000000000000000000000\
+             00157c4a7fb979379e",
+        ),
+    );
+    assert_golden(
+        &reply(listed(&[], Vec::new())),
+        Golden::Hex("2200000005010000000000000002000000000000000300000000000000010000000000000000"),
+    );
+    assert_golden(
+        &reply(listed(&[0, 5, u32::MAX], registers(3))),
+        Golden::Hex(
+            "4600000005010000000000000002000000000000000300000000000000010300000000000000050000\
+             00ffffffff180000000000000000000000157c4a7fb979379e2af894fe72f36e3c",
+        ),
+    );
+}
+
+// ----- deltas against their region ------------------------------------------
+
+#[test]
+fn a_delta_lists_every_register_exactly_as_all() {
+    let region = [3u64, 1, 4, 1, 5];
+    let pick = |indices: &[u32]| {
+        encode_delta::<MinIdFlood, _>(
+            region.len(),
+            indices.iter().map(|&i| (i, &region[i as usize])),
+        )
+    };
+    assert_eq!(pick(&[]), RegisterDelta::empty());
+    assert_eq!(pick(&[1, 4]).index, DeltaIndex::Listed(vec![1, 4]));
+    let whole = pick(&[0, 1, 2, 3, 4]);
+    assert_eq!(whole.index, DeltaIndex::All);
+    let mut copy = [0u64; 5];
+    stage_delta::<MinIdFlood>(whole, 5)
+        .expect("the delta fits the region")
+        .apply(&mut copy);
+    assert_eq!(copy, region);
+}
+
+#[test]
+fn a_delta_that_does_not_fit_its_region_is_typed_and_writes_nothing() {
+    let stage = |delta| stage_delta::<MinIdFlood>(delta, 8).map(|staged| staged.count());
+    assert_eq!(stage(listed(&[1, 7], registers(2))), Ok(2));
+    assert_eq!(stage(all(registers(8))), Ok(8));
+    // an index at or past the end of the region
+    assert_eq!(
+        stage(listed(&[1, 8], registers(2))),
+        Err(WireError::BadValue("delta index out of range"))
+    );
+    assert_eq!(
+        stage(listed(&[u32::MAX], registers(1))),
+        Err(WireError::BadValue("delta index out of range"))
+    );
+    // a descending pair, a duplicate
+    for indices in [[5, 2], [3, 3]] {
+        assert_eq!(
+            stage(listed(&indices, registers(2))),
+            Err(WireError::BadValue(
+                "delta indices must be strictly ascending"
+            ))
+        );
+    }
+    // a payload that is not exactly one register per listed index
+    assert_eq!(
+        stage(listed(&[1, 2], registers(1))),
+        Err(WireError::Truncated)
+    );
+    assert_eq!(
+        stage(listed(&[1], registers(2))),
+        Err(WireError::Trailing { extra: 8 })
+    );
+    assert_eq!(stage(all(registers(7))), Err(WireError::Truncated));
+    assert_eq!(
+        stage(all(registers(9))),
+        Err(WireError::Trailing { extra: 8 })
+    );
+    // an unknown index kind is refused by the frame decoder itself
+    let mut payload = Frame::Interiors(InteriorsFrame {
+        round: 0,
+        dispatch: 0,
+        compute_ns: 0,
+        interiors: RegisterDelta::empty(),
+    })
+    .encode();
+    payload[25] = 2;
+    assert_eq!(
+        Frame::decode(&payload),
+        Err(WireError::BadValue("unknown delta index kind"))
+    );
+    // and an index count the frame cannot hold reserves nothing
+    payload[25] = 1;
+    payload[26..30].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(Frame::decode(&payload), Err(WireError::Truncated));
 }
 
 #[test]
@@ -272,11 +400,31 @@ fn hostile_length_prefixes_are_refused_before_allocation() {
     // allocate the announced payload
     let huge = (MAX_FRAME + 1).to_le_bytes();
     let mut stream: &[u8] = &huge;
+    let mut buf = Vec::new();
     assert_eq!(
-        read_frame(&mut stream),
+        read_frame(&mut stream, &mut buf),
         Err(WireError::FrameTooLarge {
             len: MAX_FRAME as u64 + 1
         })
+    );
+    assert_eq!(buf.capacity(), 0);
+}
+
+#[test]
+fn an_announced_length_reserves_nothing_until_the_bytes_arrive() {
+    // a peer announces the largest legal frame, sends 16 bytes and closes:
+    // a torn frame, and the buffer has grown by what arrived, not by the
+    // gigabyte that was promised
+    let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[0x5A; 16]);
+    let mut stream: &[u8] = &bytes;
+    let mut buf = Vec::new();
+    assert_eq!(read_frame(&mut stream, &mut buf), Err(WireError::Truncated));
+    assert_eq!(buf, [0x5A; 16]);
+    assert!(
+        buf.capacity() < 1 << 20,
+        "{} bytes reserved for 16 received",
+        buf.capacity()
     );
 }
 
@@ -324,9 +472,11 @@ proptest! {
         let frame = Frame::Round(RoundFrame {
             round,
             dispatch,
-            patch_states: patches.iter().flat_map(|p| u64::from(*p).to_le_bytes()).collect(),
-            patch_nodes: patches,
-            halo_states: (0..halo_len * 8).map(|i| (i % 256) as u8).collect(),
+            patch: RegisterDelta {
+                states: patches.iter().flat_map(|p| u64::from(*p).to_le_bytes()).collect(),
+                index: DeltaIndex::Listed(patches),
+            },
+            halo: all((0..halo_len * 8).map(|i| (i % 256) as u8).collect()),
             inject: match inject_kind {
                 0 => None,
                 1 => Some(WireInjection::Panic),
@@ -373,10 +523,48 @@ proptest! {
             round,
             dispatch,
             compute_ns,
-            states: (0..states_len * 8).map(|i| (i % 256) as u8).collect(),
+            interiors: all((0..states_len * 8).map(|i| (i % 256) as u8).collect()),
         });
         assert_round_trip(&frame);
         assert_truncations_are_typed(&frame);
+    }
+
+    #[test]
+    fn ascending_index_sets_round_trip_and_apply(
+        picks in proptest::collection::vec(0u32..200, 0..48),
+        region_len in 200usize..260,
+        salt in 0u64..u64::MAX,
+    ) {
+        // a random ascending index set over a region, through the frame
+        // codec and back into a copy of the region
+        let mut indices = picks;
+        indices.sort_unstable();
+        indices.dedup();
+        let region: Vec<u64> = (0..region_len as u64).map(|i| i ^ salt).collect();
+        let delta = encode_delta::<MinIdFlood, _>(
+            region_len,
+            indices.iter().map(|&i| (i, &region[i as usize])),
+        );
+        assert_eq!(delta.count(region_len), indices.len());
+        let frame = Frame::Interiors(InteriorsFrame {
+            round: salt,
+            dispatch: 1,
+            compute_ns: 2,
+            interiors: delta,
+        });
+        assert_round_trip(&frame);
+        assert_truncations_are_typed(&frame);
+        let Ok(Frame::Interiors(reply)) = Frame::decode(&frame.encode()) else {
+            panic!("an Interiors frame decodes as one");
+        };
+        let mut copy = vec![0u64; region_len];
+        stage_delta::<MinIdFlood>(reply.interiors, region_len)
+            .expect("a delta encoded for the region fits it")
+            .apply(&mut copy);
+        for (i, &value) in copy.iter().enumerate() {
+            let listed = indices.binary_search(&(i as u32)).is_ok();
+            assert_eq!(value, if listed { region[i] } else { 0 });
+        }
     }
 
     #[test]
