@@ -187,8 +187,8 @@ pub fn detection_scenario(n: usize, seed: u64, engine: &EngineConfig) -> (Scenar
 }
 
 /// The detection-time figure (Theorem 8.5's `O(log² n)`-flavoured
-/// quantity; see `DESIGN.md` on the extra logarithmic factor of the
-/// stop-and-wait train): warm the verifier up on a correct,
+/// quantity; see the README paragraph "The trains (ack-paced)" on the
+/// extra logarithmic factor of the stop-and-wait train): warm the verifier up on a correct,
 /// marker-labelled instance, hit one random register with a stored-piece
 /// fault, and measure synchronous detection time and distance — one
 /// [`verifier_point`] per size.

@@ -9,9 +9,9 @@
 //!    current slot climbs from its permanent holder to the part root, is
 //!    flooded back down with the *membership flag* of §7.1, and the part root
 //!    advances the slot once its whole part acknowledges (an ack-paced
-//!    variant of the paper's pipelined train — see `DESIGN.md`); the part
-//!    root also checks that pieces arrive in the prescribed cyclic order
-//!    (§8);
+//!    variant of the paper's pipelined train — see the README paragraph
+//!    "The trains (ack-paced)"); the part root also checks that pieces
+//!    arrive in the prescribed cyclic order (§8);
 //! 3. runs the **comparison machinery** (§7.2): it copies its own member
 //!    piece of the current level into its `Ask` buffer, walks its neighbours
 //!    round-robin, uses the `Want` register to make a neighbour's train hold

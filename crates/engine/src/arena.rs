@@ -5,8 +5,9 @@
 //! registers)` tuple and its id translation live. It is built by one
 //! pipeline — `CsrTopology::build → LayoutPolicy::build → Layout::apply →
 //! contexts → registers` — and every execution path (the two sharded
-//! runners here, the `smst-net` coordinator and its worker processes) holds
-//! one and adds only its schedule.
+//! runners here, the `smst-net` coordinator) holds one and adds only its
+//! schedule; a remote worker process holds one halo region cut out of the
+//! coordinator's.
 //!
 //! # Invariants
 //!
@@ -44,8 +45,8 @@ impl<'p, P: NodeProgram> Arena<'p, P> {
     }
 
     /// [`Arena::new`] with explicitly provided initial registers, indexed
-    /// by original node id (a remote worker starts from the coordinator's
-    /// mirror, not from `init`).
+    /// by original node id (a run that continues another's registers
+    /// instead of starting from `init`).
     ///
     /// # Panics
     ///

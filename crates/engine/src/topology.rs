@@ -52,18 +52,32 @@ impl CsrTopology {
     ///
     /// Panics if `offsets` is not a monotone cover of `neighbors`.
     pub(crate) fn from_raw(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must contain a leading 0");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            neighbors.len(),
-            "offsets must cover the neighbour array"
-        );
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be monotone"
-        );
+        if let Err(what) = check_cover(&offsets, neighbors.len()) {
+            panic!("{what}");
+        }
         CsrTopology { offsets, neighbors }
+    }
+
+    /// Assembles a topology from CSR arrays that arrived from outside the
+    /// process (a remote worker's region frame), checking where
+    /// `from_raw` panics: `offsets` must start at 0, ascend and end at
+    /// `neighbors.len()`, and every row and every neighbour index must lie
+    /// below `columns` — the length of the register window the rows will
+    /// be swept against (a halo region has more columns than rows). The
+    /// error names the violated condition.
+    pub fn from_parts(
+        offsets: Vec<usize>,
+        neighbors: Vec<u32>,
+        columns: usize,
+    ) -> Result<Self, &'static str> {
+        check_cover(&offsets, neighbors.len())?;
+        if offsets.len() - 1 > columns {
+            return Err("more rows than columns");
+        }
+        if neighbors.iter().any(|&u| u as usize >= columns) {
+            return Err("neighbour index out of range");
+        }
+        Ok(CsrTopology { offsets, neighbors })
     }
 
     /// Number of nodes.
@@ -102,6 +116,21 @@ impl CsrTopology {
     pub fn total_work(&self) -> usize {
         self.entry_count() + self.node_count()
     }
+}
+
+/// `offsets` delimits one row per node over an array of `entries`
+/// neighbour indices: a leading 0, ascending, ending at `entries`.
+fn check_cover(offsets: &[usize], entries: usize) -> Result<(), &'static str> {
+    if offsets.first() != Some(&0) {
+        return Err("offsets must start at 0");
+    }
+    if offsets.last() != Some(&entries) {
+        return Err("offsets must cover the neighbour array");
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets must be monotone");
+    }
+    Ok(())
 }
 
 /// Convenience: the [`NodeId`]s of a topology.
@@ -152,5 +181,51 @@ mod tests {
         assert_eq!(topo.work(1), 3);
         assert_eq!(topo.work_prefix(0), 0);
         assert_eq!(topo.work_prefix(2), 5);
+    }
+
+    #[test]
+    fn from_parts_accepts_what_build_produces_and_names_what_it_refuses() {
+        let g = random_connected_graph(12, 30, 3);
+        let topo = CsrTopology::build(&g);
+        let parts = || (topo.offsets.clone(), topo.neighbors.clone());
+        let (offsets, neighbors) = parts();
+        assert_eq!(
+            CsrTopology::from_parts(offsets, neighbors, 12),
+            Ok(topo.clone())
+        );
+        // a neighbour the window has no register for
+        let (offsets, mut neighbors) = parts();
+        neighbors[5] = 12;
+        assert_eq!(
+            CsrTopology::from_parts(offsets, neighbors, 12),
+            Err("neighbour index out of range")
+        );
+        let (mut offsets, neighbors) = parts();
+        offsets.swap(3, 4);
+        assert_eq!(
+            CsrTopology::from_parts(offsets, neighbors, 12),
+            Err("offsets must be monotone")
+        );
+        let (offsets, mut neighbors) = parts();
+        neighbors.pop();
+        assert_eq!(
+            CsrTopology::from_parts(offsets, neighbors, 12),
+            Err("offsets must cover the neighbour array")
+        );
+        let (mut offsets, neighbors) = parts();
+        offsets[0] = 1;
+        assert_eq!(
+            CsrTopology::from_parts(offsets, neighbors, 12),
+            Err("offsets must start at 0")
+        );
+        assert_eq!(
+            CsrTopology::from_parts(Vec::new(), Vec::new(), 0),
+            Err("offsets must start at 0")
+        );
+        // rows the window has no register for
+        assert_eq!(
+            CsrTopology::from_parts(vec![0, 0, 0], Vec::new(), 1),
+            Err("more rows than columns")
+        );
     }
 }

@@ -5,12 +5,25 @@
 //! put on the sockets ([`RemoteRunner::wire_totals`] — a pure function of
 //! graph and seed, so the `wire_*` meta entries never move by themselves)
 //! to `BENCH_remote.json` (the `smst-analyze check` gate consumes it).
+//! Set-up is printed, not gated on time: bytes per worker (asserted below
+//! the whole-graph frame wire v2 shipped to every worker) and the first
+//! round, which is where a worker's set-up work would show.
 //! `SMST_BENCH_SMOKE=1` shrinks the graph and iteration counts.
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{Backend, EngineConfig, GraphFamily, Runner};
-use smst_net::RemoteRunner;
+use smst_net::{RemoteRunner, WireProgram};
+use smst_sim::RecordingObserver;
+
+/// Payload bytes of the wire-v2 set-up frame for this graph, which every
+/// worker received whatever its part: tag, seed, peers, part, layout,
+/// program name, spec, then 8 B per node id, 16 B per edge and one 8-byte
+/// flood register per node (each array behind a `u32` count).
+fn whole_graph_setup_bytes(nodes: usize, edges: usize, spec_len: usize) -> usize {
+    let header = 1 + 8 + 4 + 4 + 1 + (4 + AlarmedFlood::WIRE_NAME.len()) + (4 + spec_len);
+    header + (4 + 8 * nodes) + (4 + 16 * edges) + (4 + 8 * nodes)
+}
 
 fn main() {
     smst_net::install_stock();
@@ -32,6 +45,20 @@ fn main() {
     let mut sharded = sharded_config
         .instantiate(&program, graph.clone())
         .expect("a valid sharded envelope");
+    // a worker holds its region, not the world: each set-up frame must be
+    // smaller than the whole-graph frame it replaced (a pure function of
+    // graph and plan — no timing in this check)
+    let mut spec = Vec::new();
+    program.encode_spec(&mut spec);
+    let whole = whole_graph_setup_bytes(n, graph.edge_count(), spec.len());
+    let setup_bytes = remote.setup_bytes();
+    assert_eq!(setup_bytes.len(), peers);
+    for (part, &bytes) in setup_bytes.iter().enumerate() {
+        assert!(
+            bytes < whole,
+            "worker {part} was shipped {bytes} B; the whole graph took {whole} B"
+        );
+    }
     let tail = 8usize;
     let mut before_tail = remote.wire_totals();
     for round in 0..rounds {
@@ -57,6 +84,28 @@ fn main() {
         (wire.registers_out, wire.registers_in),
         (before_tail.registers_out, before_tail.registers_in),
         "the last {tail} of {rounds} rounds shipped registers"
+    );
+    // the first round is where a worker's set-up work would show; read it
+    // off an observed throwaway runner, so the timed runner stays unobserved
+    let observed = RecordingObserver::new();
+    let mut probe = RemoteRunner::launch(&program, graph.clone(), &remote_config)
+        .expect("a valid remote envelope");
+    probe.set_observer(Box::new(observed.clone()));
+    for _ in 0..rounds {
+        probe.step();
+    }
+    drop(probe);
+    let round_us: Vec<f64> = observed
+        .stats()
+        .iter()
+        .map(|stats| stats.total_phase_ns() as f64 / 1e3)
+        .collect();
+    println!(
+        "  set-up: {setup_bytes:?} B per worker (the whole-graph frame was {whole} B each); \
+         first round {:.0} us, second {:.0} us, last (quiescent) {:.0} us",
+        round_us[0],
+        round_us[1],
+        round_us[rounds - 1],
     );
     println!(
         "  wire: {} frames, {} B out / {} B in, {} registers out / {} in ({} + {} B per \

@@ -6,11 +6,14 @@
 //! [`install_stock`]), and an envelope with `Backend::Remote { peers }`
 //! then resolves to a [`RemoteRunner`] — a coordinator that spawns one
 //! `smst-net worker` process per shard, ships each a one-time setup frame
-//! (graph + layout + registers), and drives synchronous rounds over the
-//! length-prefixed `smst-wire-v1` protocol ([`wire`]). Worker processes
-//! rebuild their shard geometry deterministically from the setup frame,
-//! so the register stream is **bit-for-bit** identical to the in-process
-//! sharded backend for the same envelope.
+//! holding its **region** (region-local CSR, interior contexts, the
+//! region's registers), and drives synchronous rounds over the
+//! length-prefixed `smst-wire-v1` protocol ([`wire`]). The coordinator
+//! builds arena, partition and halo plan once; a worker holds only the
+//! region it sweeps — never the graph, the layout or another part — and
+//! sweeps it with the kernel every in-process runner calls, so the
+//! register stream is **bit-for-bit** identical to the in-process sharded
+//! backend for the same envelope.
 //!
 //! A round ships **what changed**: every per-round payload is a
 //! [`RegisterDelta`] — the coordinator's own writes and the halo slots
@@ -21,15 +24,18 @@
 //!
 //! Layering:
 //!
-//! - [`wire`] — frames, [`RegisterDelta`], the versioned handshake, typed
+//! - [`wire`] — frames, [`RegisterDelta`], the region of a setup frame
+//!   ([`wire::WireRegion`]), the versioned handshake, typed
 //!   [`WireError`]s, buffer-bounded stream I/O;
 //! - [`transport`] — Unix-domain / TCP sockets with explicit deadlines,
 //!   one reused frame buffer per direction per connection end;
 //! - [`program`] — the [`WireProgram`] codec trait + stock impls, delta
 //!   encoding and validation ([`encode_delta`], [`stage_delta`]);
-//! - [`worker`] — the shard process loop behind `smst-net worker`;
+//! - [`worker`] — the shard process loop behind `smst-net worker`:
+//!   validate the region, then serve rounds;
 //! - [`remote`] — the coordinator ([`RemoteRunner`]) implementing the
-//!   engine's `Runner` trait, change tracking and recovery included.
+//!   engine's `Runner` trait, region set-up, change tracking and recovery
+//!   included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Programs that can cross the wire: a spec codec (so the worker can
 //! rebuild the program from [`SetupFrame::spec`](crate::wire::SetupFrame))
-//! plus a register codec (so halo/patch/interior payloads stay opaque to
-//! the frame layer), and the two halves of a [`RegisterDelta`]'s life that
+//! plus a register codec (so region/halo/patch/interior payloads stay opaque
+//! to the frame layer), and the two halves of a [`RegisterDelta`]'s life that
 //! need that codec: [`encode_delta`] lists registers of a region,
 //! [`stage_delta`] checks a received list against the region it is for.
 //!
@@ -42,7 +42,7 @@ pub trait WireProgram: NodeProgram<State: PartialEq> + Sync + Sized + 'static {
 }
 
 /// Encodes a register sequence back-to-back (the count travels out of
-/// band — the setup frame derives it from the graph).
+/// band — the setup frame's is its region length).
 pub fn encode_states<'a, P, I>(states: I) -> Vec<u8>
 where
     P: WireProgram,
@@ -58,13 +58,14 @@ where
 
 /// Decodes exactly `count` registers; the payload must be an exact fit
 /// (trailing bytes are a framing bug, surfaced as
-/// [`WireError::Trailing`]).
+/// [`WireError::Trailing`]). `count` may be a number a peer announced:
+/// nothing is reserved beyond what `bytes` can hold.
 pub fn decode_states<P: WireProgram>(
     bytes: &[u8],
     count: usize,
 ) -> Result<Vec<P::State>, WireError> {
     let mut dec = Dec::new(bytes);
-    let mut states = Vec::with_capacity(count);
+    let mut states = Vec::with_capacity(count.min(bytes.len()));
     for _ in 0..count {
         states.push(P::decode_state(&mut dec)?);
     }

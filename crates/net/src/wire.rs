@@ -20,12 +20,25 @@
 //! delta knows the region and the register codec and validates it there
 //! ([`crate::program::stage_delta`]), before the first write.
 //!
+//! The one-time [`SetupFrame`] carries a worker's **region** and nothing
+//! else of the graph ([`WireRegion`]): the region-local CSR, the interior
+//! node contexts and one register per region slot. Payload layout (v3),
+//! after the tag byte: `seed u64 ‖ part u32 ‖ program str ‖ spec bytes ‖
+//! halo_len u32 ‖ offsets [u32] ‖ targets [u32] ‖ nodes [u32] ‖ ids [u64] ‖
+//! weights [u64] ‖ registers bytes`, every array a `u32` count followed by
+//! its little-endian elements. The decoder only checks that each announced
+//! count fits the bytes that are there; [`WireRegion::into_parts`] checks
+//! that the arrays describe one consistent region.
+//!
 //! Both stream functions work through a caller-owned buffer (one per
 //! direction per connection end, see [`crate::transport::Conn`]):
 //! [`write_frame`] encodes into it and issues one `write_all`,
 //! [`read_frame`] fills it through `Read::take`, so memory grows with the
 //! bytes that actually arrive, never with the length a peer announces.
 
+use smst_engine::CsrTopology;
+use smst_graph::NodeId;
+use smst_sim::NodeContext;
 use std::io::{Read, Write};
 
 /// The wire schema tag carried by every [`Frame::Hello`]: the writer side
@@ -36,8 +49,9 @@ pub const WIRE_SCHEMA: &str = "smst-wire-v1";
 /// The protocol version spoken by this build. Bumped on any frame-layout
 /// change; a worker and coordinator disagreeing on it refuse to pair.
 /// (v1 shipped every halo and interior register every round; v2 ships
-/// [`RegisterDelta`]s.)
-pub const WIRE_VERSION: u16 = 2;
+/// [`RegisterDelta`]s; v3 boots a worker from its region instead of the
+/// whole graph.)
+pub const WIRE_VERSION: u16 = 3;
 
 /// Hard ceiling on a single frame's payload (1 GiB). A length prefix
 /// beyond this is rejected outright, and one below it reserves nothing:
@@ -88,7 +102,7 @@ pub enum WireError {
         len: u64,
     },
     /// A field value that cannot be honored (out-of-range index, bad
-    /// UTF-8, an unhonorable graph edge, …).
+    /// UTF-8, a region whose arrays disagree, …).
     BadValue(&'static str),
     /// The peer rejected us with a typed [`Frame::Error`].
     Rejected {
@@ -185,6 +199,24 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
+/// Appends a `u32`-count-prefixed `u32` array.
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_u32(out, values.len() as u32);
+    out.reserve(4 * values.len());
+    for &v in values {
+        put_u32(out, v);
+    }
+}
+
+/// Appends a `u32`-count-prefixed `u64` array.
+pub fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    put_u32(out, values.len() as u32);
+    out.reserve(8 * values.len());
+    for &v in values {
+        put_u64(out, v);
+    }
+}
+
 // --- primitive little-endian reader ------------------------------------
 
 /// A bounds-checked cursor over one frame body. Every read is typed; a
@@ -243,6 +275,29 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadValue("non-UTF-8 string"))
     }
 
+    /// Reads a `u32`-count-prefixed array of `W`-byte elements. The
+    /// elements must be there before anything is reserved: a count beyond
+    /// the bytes left is [`WireError::Truncated`].
+    fn array<const W: usize, T>(&mut self, element: fn([u8; W]) -> T) -> Result<Vec<T>, WireError> {
+        let count = self.u32()? as usize;
+        let bytes = self.take(count.checked_mul(W).ok_or(WireError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(W)
+            .map(|chunk| element(chunk.try_into().expect("chunks_exact yields W bytes")))
+            .collect())
+    }
+
+    /// Reads a `u32`-count-prefixed `u32` array; a count beyond the bytes
+    /// left is [`WireError::Truncated`], with nothing reserved for it.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
+        self.array(u32::from_le_bytes)
+    }
+
+    /// Reads a `u32`-count-prefixed `u64` array (see [`Dec::u32s`]).
+    pub fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        self.array(u64::from_le_bytes)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -259,105 +314,130 @@ impl<'a> Dec<'a> {
 
 // --- frame bodies -------------------------------------------------------
 
-/// The graph on the wire: node identities in dense-index order plus the
-/// edge list in insertion order. Rebuilding with `add_node_with_id` /
-/// `add_edge` in this exact order reproduces the coordinator's port
-/// numbering bit-for-bit — port order is edge-insertion order.
+/// One worker's region on the wire — everything a `sweep` over the
+/// interior reads except the registers: the region-local CSR (row `i`
+/// lists the region slots holding interior `i`'s neighbours, port order;
+/// slots `>= interior count` are halo slots) and what each interior node
+/// knows for free (`NodeContext`: original node index, identity, the
+/// weight behind each port). Flat arrays, one entry per interior or per
+/// CSR entry, so the whole region decodes in five bounded reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireGraph {
-    /// Node identities, dense `NodeId` order.
+pub struct WireRegion {
+    /// Halo slots after the interiors: the region holds
+    /// `nodes.len() + halo_len` registers.
+    pub halo_len: u32,
+    /// CSR row offsets into `targets`: one per interior plus the closing
+    /// one, starting at 0, ascending.
+    pub offsets: Vec<u32>,
+    /// Region slot of the neighbour behind each port, row-major.
+    pub targets: Vec<u32>,
+    /// `NodeContext::node` of each interior (original node index).
+    pub nodes: Vec<u32>,
+    /// `NodeContext::id` of each interior.
     pub ids: Vec<u64>,
-    /// Edges `(u, v, weight)` in insertion order.
-    pub edges: Vec<(u32, u32, u64)>,
+    /// The weight behind each port, parallel to `targets`.
+    pub weights: Vec<u64>,
 }
 
-impl WireGraph {
-    /// Snapshots a graph for the wire.
-    pub fn from_graph(graph: &smst_graph::WeightedGraph) -> Self {
-        WireGraph {
-            ids: (0..graph.node_count())
-                .map(|v| graph.id(smst_graph::NodeId(v)))
-                .collect(),
-            edges: graph
-                .edges()
-                .iter()
-                .map(|e| (e.u.0 as u32, e.v.0 as u32, e.weight))
-                .collect(),
+impl WireRegion {
+    /// Snapshots a region: its local CSR, its interiors' contexts and how
+    /// many halo slots follow them.
+    pub fn from_parts(csr: &CsrTopology, contexts: &[NodeContext], halo_len: usize) -> Self {
+        let rows = csr.node_count();
+        let mut region = WireRegion {
+            halo_len: halo_len as u32,
+            offsets: Vec::with_capacity(rows + 1),
+            targets: Vec::with_capacity(csr.entry_count()),
+            nodes: contexts.iter().map(|ctx| ctx.node.index() as u32).collect(),
+            ids: contexts.iter().map(|ctx| ctx.id).collect(),
+            weights: Vec::with_capacity(csr.entry_count()),
+        };
+        region.offsets.push(0);
+        for (row, ctx) in contexts.iter().enumerate() {
+            region.targets.extend_from_slice(csr.neighbors_of(row));
+            region.weights.extend_from_slice(&ctx.edge_weights);
+            region.offsets.push(region.targets.len() as u32);
         }
+        region
     }
 
-    /// Rebuilds the graph, reproducing node numbering and port order.
-    pub fn to_graph(&self) -> Result<smst_graph::WeightedGraph, WireError> {
-        let mut graph = smst_graph::WeightedGraph::new();
-        for &id in &self.ids {
-            graph.add_node_with_id(id);
+    /// Registers the region holds: interiors, then halo slots.
+    /// (`halo_len` is whatever a peer announced, hence no plain `+`.)
+    pub fn region_len(&self) -> usize {
+        self.nodes.len().saturating_add(self.halo_len as usize)
+    }
+
+    /// Validates the arrays against each other and builds what the round
+    /// loop sweeps: offsets start at 0, ascend and end at `targets.len()`;
+    /// every target is a slot of the region; one `node` and one `id` per
+    /// row; one weight per target. Each violation is a typed
+    /// [`WireError::BadValue`] naming it.
+    pub fn into_parts(self) -> Result<(CsrTopology, Vec<NodeContext>), WireError> {
+        let interiors = self.nodes.len();
+        if self.ids.len() != interiors || self.offsets.len() != interiors + 1 {
+            return Err(WireError::BadValue(
+                "a region needs one context and one CSR row per interior",
+            ));
         }
-        let n = self.ids.len();
-        for &(u, v, weight) in &self.edges {
-            if u as usize >= n || v as usize >= n {
-                return Err(WireError::BadValue("edge endpoint out of range"));
-            }
-            graph
-                .add_edge(
-                    smst_graph::NodeId(u as usize),
-                    smst_graph::NodeId(v as usize),
-                    weight,
-                )
-                .map_err(|_| WireError::BadValue("unhonorable edge"))?;
+        if self.weights.len() != self.targets.len() {
+            return Err(WireError::BadValue("a region needs one weight per port"));
         }
-        Ok(graph)
+        let region_len = self.region_len();
+        let offsets = self.offsets.iter().map(|&o| o as usize).collect();
+        let csr = CsrTopology::from_parts(offsets, self.targets, region_len)
+            .map_err(WireError::BadValue)?;
+        let contexts = (0..interiors)
+            .map(|row| {
+                let ports = self.offsets[row] as usize..self.offsets[row + 1] as usize;
+                NodeContext {
+                    node: NodeId(self.nodes[row] as usize),
+                    id: self.ids[row],
+                    degree: ports.len(),
+                    edge_weights: self.weights[ports].to_vec(),
+                }
+            })
+            .collect();
+        Ok((csr, contexts))
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.ids.len() as u32);
-        for &id in &self.ids {
-            put_u64(out, id);
-        }
-        put_u32(out, self.edges.len() as u32);
-        for &(u, v, w) in &self.edges {
-            put_u32(out, u);
-            put_u32(out, v);
-            put_u64(out, w);
-        }
+        put_u32(out, self.halo_len);
+        put_u32s(out, &self.offsets);
+        put_u32s(out, &self.targets);
+        put_u32s(out, &self.nodes);
+        put_u64s(out, &self.ids);
+        put_u64s(out, &self.weights);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, WireError> {
-        let n = dec.u32()? as usize;
-        let mut ids = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            ids.push(dec.u64()?);
-        }
-        let m = dec.u32()? as usize;
-        let mut edges = Vec::with_capacity(m.min(1 << 20));
-        for _ in 0..m {
-            edges.push((dec.u32()?, dec.u32()?, dec.u64()?));
-        }
-        Ok(WireGraph { ids, edges })
+        Ok(WireRegion {
+            halo_len: dec.u32()?,
+            offsets: dec.u32s()?,
+            targets: dec.u32s()?,
+            nodes: dec.u32s()?,
+            ids: dec.u64s()?,
+            weights: dec.u64s()?,
+        })
     }
 }
 
-/// The one-time worker bootstrap: everything a peer needs to rebuild its
-/// shard deterministically — the graph, the layout policy, the peer-set
-/// size (the partition input), its part index, the program spec and the
-/// full initial registers in original node order.
+/// The one-time worker bootstrap: the program, the worker's part index
+/// and its **region** — what it sweeps, and nothing else of the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetupFrame {
     /// The envelope seed (bookkeeping; carried for artifact labels).
     pub seed: u64,
-    /// Worker processes the graph is partitioned across.
-    pub peers: u32,
-    /// This worker's part index (`< peers`).
+    /// This worker's part index.
     pub part: u32,
-    /// The layout policy: 0 = identity, 1 = RCM.
-    pub layout: u8,
     /// The program's wire name ([`crate::program::WireProgram::WIRE_NAME`]).
     pub program: String,
     /// Program-specific spec bytes (decoded by `WireProgram::decode_spec`).
     pub spec: Vec<u8>,
-    /// The graph.
-    pub graph: WireGraph,
-    /// Initial registers, original node order, program-encoded.
-    pub states: Vec<u8>,
+    /// The region's geometry and contexts.
+    pub region: WireRegion,
+    /// The region's current registers, program-encoded: interiors in node
+    /// order, then halo slots.
+    pub registers: Vec<u8>,
 }
 
 /// A chaos injection riding on a [`RoundFrame`] — the wire form of the
@@ -414,15 +494,21 @@ impl RegisterDelta {
         }
     }
 
+    /// The length of the delta's encoding, from its sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        let index = match &self.index {
+            DeltaIndex::All => 1,
+            DeltaIndex::Listed(indices) => 1 + 4 + 4 * indices.len(),
+        };
+        index + 4 + self.states.len()
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         match &self.index {
             DeltaIndex::All => put_u8(out, 0),
             DeltaIndex::Listed(indices) => {
                 put_u8(out, 1);
-                put_u32(out, indices.len() as u32);
-                for &index in indices {
-                    put_u32(out, index);
-                }
+                put_u32s(out, indices);
             }
         }
         put_bytes(out, &self.states);
@@ -431,18 +517,7 @@ impl RegisterDelta {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, WireError> {
         let index = match dec.u8()? {
             0 => DeltaIndex::All,
-            1 => {
-                let count = dec.u32()? as usize;
-                // the indices must be there before anything is reserved
-                if count > dec.remaining() / 4 {
-                    return Err(WireError::Truncated);
-                }
-                let mut indices = Vec::with_capacity(count);
-                for _ in 0..count {
-                    indices.push(dec.u32()?);
-                }
-                DeltaIndex::Listed(indices)
-            }
+            1 => DeltaIndex::Listed(dec.u32s()?),
             _ => return Err(WireError::BadValue("unknown delta index kind")),
         };
         Ok(RegisterDelta {
@@ -472,6 +547,18 @@ pub struct RoundFrame {
     pub halo: RegisterDelta,
     /// A one-shot chaos injection to execute before computing.
     pub inject: Option<WireInjection>,
+}
+
+impl RoundFrame {
+    /// The payload length of [`Frame::Round`] carrying this dispatch
+    /// (what [`Frame::encode`] would produce), from its sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        let inject = match self.inject {
+            None | Some(WireInjection::Panic) => 1,
+            Some(WireInjection::Stall { .. }) => 1 + 8,
+        };
+        1 + 8 + 8 + self.patch.encoded_len() + self.halo.encoded_len() + inject
+    }
 }
 
 /// One round reply, worker → coordinator: the interior registers the
@@ -547,13 +634,11 @@ impl Frame {
             Frame::Setup(setup) => {
                 put_u8(out, TAG_SETUP);
                 put_u64(out, setup.seed);
-                put_u32(out, setup.peers);
                 put_u32(out, setup.part);
-                put_u8(out, setup.layout);
                 put_str(out, &setup.program);
                 put_bytes(out, &setup.spec);
-                setup.graph.encode(out);
-                put_bytes(out, &setup.states);
+                setup.region.encode(out);
+                put_bytes(out, &setup.registers);
             }
             Frame::Round(round) => {
                 put_u8(out, TAG_ROUND);
@@ -604,26 +689,14 @@ impl Frame {
             TAG_HELLO_ACK => Frame::HelloAck {
                 version: dec.u16()?,
             },
-            TAG_SETUP => {
-                let seed = dec.u64()?;
-                let peers = dec.u32()?;
-                let part = dec.u32()?;
-                let layout = dec.u8()?;
-                let program = dec.str()?.to_string();
-                let spec = dec.bytes()?.to_vec();
-                let graph = WireGraph::decode(&mut dec)?;
-                let states = dec.bytes()?.to_vec();
-                Frame::Setup(SetupFrame {
-                    seed,
-                    peers,
-                    part,
-                    layout,
-                    program,
-                    spec,
-                    graph,
-                    states,
-                })
-            }
+            TAG_SETUP => Frame::Setup(SetupFrame {
+                seed: dec.u64()?,
+                part: dec.u32()?,
+                program: dec.str()?.to_string(),
+                spec: dec.bytes()?.to_vec(),
+                region: WireRegion::decode(&mut dec)?,
+                registers: dec.bytes()?.to_vec(),
+            }),
             TAG_ROUND => {
                 let round = dec.u64()?;
                 let dispatch = dec.u64()?;

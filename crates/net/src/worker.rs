@@ -1,9 +1,15 @@
 //! The shard worker: the process behind `smst-net worker`. It dials the
-//! coordinator, handshakes, rebuilds its shard **deterministically** from
-//! the [`SetupFrame`] (same [`Arena`] → `partition_balanced` → `HaloPlan`
-//! pipeline as the coordinator, so both sides agree on the geometry
-//! without shipping it), then serves round dispatches until
-//! [`Frame::Shutdown`].
+//! coordinator, handshakes, receives its **region** in the one-time
+//! [`SetupFrame`] and serves round dispatches until [`Frame::Shutdown`].
+//!
+//! A worker holds what it sweeps and nothing else: the region-local CSR,
+//! the contexts of its interior nodes, and one register per region slot
+//! (interiors, then halo copies). It never sees the graph, the layout or
+//! the other parts — the coordinator, which built all of that once, ships
+//! each region ready-made — so a worker's memory and set-up time follow its
+//! shard, not the world. [`stage_region`] checks the frame before anything
+//! is built from it; a region that does not hold together ends the worker
+//! with a typed error (also sent to the coordinator as a [`Frame::Error`]).
 //!
 //! Per round the worker applies the two deltas of the dispatch — the
 //! interior registers the coordinator wrote, the halo slots whose owner
@@ -14,8 +20,8 @@
 //! same kernel every in-process runner calls — and replies with the
 //! interiors whose value the sweep changed plus the measured compute time.
 //! Both deltas are validated before the first register is written, so a
-//! malformed dispatch ends the worker with a typed error and its region
-//! untouched.
+//! malformed dispatch ends the worker with its region untouched and the
+//! coordinator told why.
 
 use crate::program::{decode_states, encode_delta, stage_delta, WireProgram};
 use crate::transport::{Conn, Endpoint};
@@ -24,33 +30,12 @@ use crate::wire::{
     ERR_UNKNOWN_PROGRAM, WIRE_VERSION,
 };
 use smst_engine::programs::{AlarmedFlood, MinIdFlood, MonitorFlood};
-use smst_engine::{partition_balanced, sweep, Arena, HaloPlan, LayoutPolicy};
+use smst_engine::{sweep, CsrTopology};
+use smst_sim::NodeContext;
 use std::time::Duration;
 
 /// How long the worker keeps dialing the coordinator before giving up.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Wire form of [`LayoutPolicy::Identity`] in
-/// [`SetupFrame::layout`].
-pub const LAYOUT_IDENTITY: u8 = 0;
-/// Wire form of [`LayoutPolicy::Rcm`].
-pub const LAYOUT_RCM: u8 = 1;
-
-/// Encodes a layout policy for [`SetupFrame::layout`].
-pub fn layout_to_wire(layout: LayoutPolicy) -> u8 {
-    match layout {
-        LayoutPolicy::Identity => LAYOUT_IDENTITY,
-        LayoutPolicy::Rcm => LAYOUT_RCM,
-    }
-}
-
-fn layout_from_wire(byte: u8) -> Result<LayoutPolicy, WireError> {
-    match byte {
-        LAYOUT_IDENTITY => Ok(LayoutPolicy::Identity),
-        LAYOUT_RCM => Ok(LayoutPolicy::Rcm),
-        _ => Err(WireError::BadValue("unknown layout policy")),
-    }
-}
 
 /// The worker entry point: dial, handshake (announcing `wire_version` —
 /// tests inject a skewed version to exercise the typed rejection), serve
@@ -101,64 +86,92 @@ fn dispatch_program(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> 
     }
 }
 
-/// The typed round loop: deterministic shard rebuild, then
-/// apply deltas → (inject) → sweep → reply what changed, until shutdown.
-fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> {
+/// A [`SetupFrame`] checked and decoded: the program, and a region whose
+/// CSR rows, contexts and registers fit each other. Only [`stage_region`]
+/// makes one, so the round loop indexes without further checks.
+#[derive(Debug)]
+pub struct StagedRegion<P: WireProgram> {
+    program: P,
+    csr: CsrTopology,
+    contexts: Vec<NodeContext>,
+    /// Interiors, then halo slots.
+    registers: Vec<P::State>,
+}
+
+impl<P: WireProgram> StagedRegion<P> {
+    /// Interior nodes: the rows the worker sweeps.
+    pub fn interior_len(&self) -> usize {
+        self.contexts.len()
+    }
+
+    /// Registers held: interiors plus halo slots.
+    pub fn region_len(&self) -> usize {
+        self.registers.len()
+    }
+}
+
+/// Validates a set-up frame and builds the region from it: the spec
+/// decodes exactly, the payload holds exactly one register per region
+/// slot ([`WireError::Truncated`] / [`WireError::Trailing`] otherwise) and
+/// the region's arrays agree ([`WireRegion::into_parts`] — each violation
+/// a [`WireError::BadValue`]).
+///
+/// [`WireRegion::into_parts`]: crate::wire::WireRegion::into_parts
+pub fn stage_region<P: WireProgram>(setup: SetupFrame) -> Result<StagedRegion<P>, WireError> {
     let mut spec = Dec::new(&setup.spec);
     let program = P::decode_spec(&mut spec)?;
     spec.finish()?;
-    let graph = setup.graph.to_graph()?;
-    let states = decode_states::<P>(&setup.states, graph.node_count())?;
-    // the wire forms are as large as what was built from them, and this
-    // function returns when the run ends
-    drop((setup.graph, setup.states));
+    let registers = decode_states::<P>(&setup.registers, setup.region.region_len())?;
+    let (csr, contexts) = setup.region.into_parts()?;
+    Ok(StagedRegion {
+        program,
+        csr,
+        contexts,
+        registers,
+    })
+}
 
-    // the same build pipeline as the coordinator: both sides derive the
-    // identical geometry from (graph, layout, peers) instead of wiring it
-    let arena = Arena::with_states(&program, graph, layout_from_wire(setup.layout)?, states);
-    let shards = partition_balanced(arena.topology(), setup.peers as usize);
-    let plan = HaloPlan::build(arena.topology(), &shards);
-    let part = setup.part as usize;
-    if part >= shards.len() {
-        let _ = conn.send(&Frame::Error {
-            code: ERR_PROTOCOL,
-            message: format!("part {part} out of range ({} shards)", shards.len()),
-        });
-        return Err(WireError::BadValue("part out of range"));
-    }
-    let shard = shards[part];
-    let interior_len = shard.len();
-    let csr = plan.local_csr(part).expect("a halo plan has local CSRs");
-    let contexts = &arena.contexts()[shard.nodes()];
+/// Tells the coordinator why this worker gives up (so its failure names
+/// the cause instead of "socket closed"), then hands the error back.
+fn reject(conn: &mut Conn, error: WireError) -> WireError {
+    let _ = conn.send(&Frame::Error {
+        code: ERR_PROTOCOL,
+        message: error.to_string(),
+    });
+    error
+}
 
-    // this worker's region of the plan's arena: interiors then halo slots,
-    // double-buffered against `next` so a round reads only previous-round
-    // registers; the halo slots hold what the setup frame and every delta
-    // since put there
-    let mut prev: Vec<P::State> = arena.states()[shard.nodes()].to_vec();
-    prev.extend(
-        plan.halo_nodes(part)
-            .iter()
-            .map(|&u| arena.states()[u as usize].clone()),
-    );
+/// The typed round loop: stage the region, then
+/// apply deltas → (inject) → sweep → reply what changed, until shutdown.
+fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(), WireError> {
+    let part = setup.part;
+    let StagedRegion {
+        program,
+        csr,
+        contexts,
+        registers: mut prev,
+    } = stage_region::<P>(setup).map_err(|e| reject(&mut conn, e))?;
+    let interior_len = contexts.len();
+    // interiors are double-buffered against `next` so a round reads only
+    // previous-round registers; the halo slots hold what the setup frame
+    // and every delta since put there
     let mut next: Vec<P::State> = prev[..interior_len].to_vec();
 
     loop {
         let round = match conn.recv()? {
-            // nothing here is durable: skip the arena's destructors
+            // nothing here is durable: skip the region's destructors
             Frame::Shutdown => std::process::exit(0),
             Frame::Round(round) => round,
             _ => {
-                let _ = conn.send(&Frame::Error {
-                    code: ERR_PROTOCOL,
-                    message: "expected Round or Shutdown".to_string(),
-                });
-                return Err(WireError::BadValue("expected Round or Shutdown"));
+                let unexpected = WireError::BadValue("expected Round or Shutdown");
+                return Err(reject(&mut conn, unexpected));
             }
         };
         // both deltas are checked before either writes
-        let patch = stage_delta::<P>(round.patch, interior_len)?;
-        let halo = stage_delta::<P>(round.halo, prev.len() - interior_len)?;
+        let halo_len = prev.len() - interior_len;
+        let patch =
+            stage_delta::<P>(round.patch, interior_len).map_err(|e| reject(&mut conn, e))?;
+        let halo = stage_delta::<P>(round.halo, halo_len).map_err(|e| reject(&mut conn, e))?;
         let (interiors, halo_slots) = prev.split_at_mut(interior_len);
         patch.apply(interiors);
         halo.apply(halo_slots);
@@ -179,7 +192,7 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
         }
         // smst-lint: allow(clock, reason = "compute_ns measurement reported to the coordinator's observer; never steers results")
         let compute_start = std::time::Instant::now();
-        sweep(&program, csr, contexts, &prev, 0..interior_len, &mut next);
+        sweep(&program, &csr, &contexts, &prev, 0..interior_len, &mut next);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
         let changed = (0u32..)
             .zip(&next)

@@ -1,8 +1,10 @@
 //! The distributed backend's acceptance suite: `Backend::Remote` over
 //! real localhost worker processes must be **bit-for-bit** equal to the
 //! in-process sharded backend and the sequential reference — register
-//! streams, chaos books and deterministic observer traces alike — at 2
-//! and 4 workers, through the unmodified `EngineConfig::instantiate`
+//! streams, chaos books and deterministic observer traces alike — at 1
+//! to 5 workers under both layouts (a worker is shipped its region and
+//! never learns the layout, so the RCM rows prove the region carries
+//! everything), through the unmodified `EngineConfig::instantiate`
 //! entry point. A worker killed mid-campaign and respawned under the
 //! `RecoveryPolicy` must be invisible in the trace; a permanently hung
 //! peer must surface the barrier watchdog as a typed
@@ -11,20 +13,25 @@
 //! misparse. The wire ships only registers that changed, so the suite also
 //! pins what that must never cost: a coordinator write reaches the other
 //! part's halo the next round, a round in which nothing changed ships no
-//! register, and a replay leaves no residue in the shipped totals.
+//! register, and a replay leaves no residue in the shipped totals. Set-up
+//! is per region: a worker's frame shrinks with its share of the graph,
+//! and a dispatch it cannot honor comes back as a typed error frame.
 
 use smst_engine::programs::{AlarmedFlood, MinIdFlood};
 use smst_engine::{
-    run_chaos, ChaosReport, EngineConfig, EngineError, InjectionSpec, LayoutPolicy, PoolError,
-    RecoveryPolicy, Runner, StopCondition,
+    partition_balanced, run_chaos, Arena, ChaosReport, EngineConfig, EngineError, HaloPlan,
+    InjectionSpec, LayoutPolicy, PoolError, RecoveryPolicy, Runner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, path_graph};
 use smst_graph::NodeId;
+use smst_net::remote::setup_frame;
+use smst_net::wire::{DeltaIndex, Frame, RegisterDelta, RoundFrame, ERR_PROTOCOL, WIRE_VERSION};
 use smst_net::{
-    handshake_accept, unique_endpoint, unique_tcp_endpoint, Listener, RemoteRunner, WireError,
-    WireTotals,
+    handshake_accept, unique_endpoint, unique_tcp_endpoint, Conn, Listener, RemoteRunner,
+    WireError, WireTotals,
 };
 use smst_sim::{FaultSchedule, RecordingObserver};
+use std::process::{Child, Command, Stdio};
 use std::sync::Once;
 use std::time::Duration;
 
@@ -104,45 +111,177 @@ fn run_remote_campaign(config: &EngineConfig, steps: usize) -> (CampaignTrace, W
 #[test]
 fn remote_matches_sharded_and_reference_round_by_round() {
     setup();
+    // every row twice: a clean run, and one whose last worker is killed
+    // mid-run and respawned from a region frame of the mirror as it stands
+    // then — both must be the sharded twin's register stream
     let rounds = 30usize;
-    for peers in [2usize, 4] {
-        let program = AlarmedFlood::new(0, N as u64 - 1);
-        let graph = expander_graph(N, 4, 7);
-        let mut remote = EngineConfig::remote(peers)
-            .instantiate(&program, graph.clone())
-            .expect("a valid remote envelope");
-        // the in-process twin: same shard count, halo-structured exchange
-        let mut sharded = EngineConfig::new()
-            .threads(peers)
-            .halo(true)
-            .instantiate(&program, graph.clone())
-            .expect("a valid sharded envelope");
-        for round in 0..rounds {
-            remote.step();
-            sharded.step();
-            assert_eq!(
-                remote.states_snapshot(),
-                sharded.states_snapshot(),
-                "remote({peers}) diverged from sharded at round {round}"
-            );
-            assert_eq!(remote.alarming_nodes(), sharded.alarming_nodes());
+    let kill_at = 4usize;
+    for peers in [1usize, 2, 3, 4, 5] {
+        for layout in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
+            let program = AlarmedFlood::new(0, N as u64 - 1);
+            let graph = expander_graph(N, 4, 7);
+            let clean = EngineConfig::remote(peers).layout(layout);
+            let killed = clean
+                .clone()
+                .recovery(RecoveryPolicy::retries(1).backoff(Duration::from_millis(1)))
+                .inject(InjectionSpec::panic_at(kill_at, peers - 1));
+            let mut reference = EngineConfig::reference()
+                .instantiate(&program, graph.clone())
+                .expect("a valid reference envelope");
+            for _ in 0..rounds {
+                reference.step();
+            }
+            for (config, what) in [(clean, "clean"), (killed, "killed")] {
+                let row = format!("remote({peers}, {layout:?}, {what})");
+                let mut remote = config
+                    .instantiate(&program, graph.clone())
+                    .expect("a valid remote envelope");
+                // the in-process twin: same shard count, same layout,
+                // halo-structured exchange
+                let mut sharded = EngineConfig::new()
+                    .threads(peers)
+                    .layout(layout)
+                    .halo(true)
+                    .instantiate(&program, graph.clone())
+                    .expect("a valid sharded envelope");
+                for round in 0..rounds {
+                    remote.step();
+                    sharded.step();
+                    assert_eq!(
+                        remote.states_snapshot(),
+                        sharded.states_snapshot(),
+                        "{row} diverged from sharded at round {round}"
+                    );
+                    assert_eq!(remote.alarming_nodes(), sharded.alarming_nodes());
+                }
+                assert_eq!(
+                    remote.report().engine,
+                    format!("remote-sync(peers={peers})")
+                );
+                assert_eq!(
+                    remote.states_snapshot(),
+                    reference.states_snapshot(),
+                    "{row} diverged from the sequential reference"
+                );
+            }
         }
-        assert_eq!(
-            remote.report().engine,
-            format!("remote-sync(peers={peers})")
+    }
+}
+
+#[test]
+fn a_set_up_frame_carries_a_region_not_the_world() {
+    // no process needed: the frame is a pure function of arena and plan.
+    // An eighth of the graph costs about a quarter of what a half does
+    // (plus its halo registers), and the regions together hold every node
+    // once plus every halo slot — nothing of the graph is shipped twice
+    // except what is mirrored
+    let n = 4096usize;
+    let program = AlarmedFlood::new(0, n as u64 - 1);
+    let frames_at = |peers: usize, layout: LayoutPolicy| {
+        let arena = Arena::new(&program, expander_graph(n, 8, 2026), layout);
+        let plan = HaloPlan::build(
+            arena.topology(),
+            &partition_balanced(arena.topology(), peers),
         );
-        let mut reference = EngineConfig::reference()
-            .instantiate(&program, graph)
-            .expect("a valid reference envelope");
-        for _ in 0..rounds {
-            reference.step();
-        }
-        assert_eq!(
-            remote.states_snapshot(),
-            reference.states_snapshot(),
-            "remote({peers}) diverged from the sequential reference"
+        assert_eq!(plan.shard_count(), peers);
+        let frames: Vec<_> = (0..peers)
+            .map(|part| setup_frame(&arena, &plan, part, 7))
+            .collect();
+        let slots: usize = frames.iter().map(|f| f.region.region_len()).sum();
+        assert_eq!(slots, n + plan.total_halo(), "{peers} peers, {layout:?}");
+        let interiors: usize = frames.iter().map(|f| f.region.nodes.len()).sum();
+        assert_eq!(interiors, n);
+        frames
+            .into_iter()
+            .map(|f| Frame::Setup(f).encode().len())
+            .collect::<Vec<_>>()
+    };
+    for layout in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
+        let halves = frames_at(2, layout);
+        let eighths = frames_at(8, layout);
+        let (small, large) = (eighths.iter().max().unwrap(), halves.iter().min().unwrap());
+        assert!(
+            *small as f64 <= 0.35 * *large as f64,
+            "{layout:?}: one of 8 parts ships {small} B, one of 2 ships {large} B"
         );
     }
+}
+
+/// A worker process of the build under test, dialed in to a listener the
+/// test owns (the test plays the coordinator by hand).
+fn lone_worker(wire_version: u16) -> (Child, Conn) {
+    let (listener, endpoint) = Listener::bind(&unique_endpoint()).expect("bind");
+    let child = Command::new(env!("CARGO_BIN_EXE_smst-net"))
+        .arg("worker")
+        .arg("--connect")
+        .arg(endpoint.to_arg())
+        .arg("--part")
+        .arg("0")
+        .arg("--wire-version")
+        .arg(wire_version.to_string())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the worker");
+    let conn = listener
+        .accept_deadline(Duration::from_secs(10))
+        .expect("the worker dials in");
+    (child, conn)
+}
+
+/// Waits for a worker that must have given up: a nonzero exit, and what
+/// it said on the way out.
+fn last_words(child: Child) -> String {
+    let output = child.wait_with_output().expect("the worker exits");
+    assert!(
+        !output.status.success(),
+        "a worker that gave up exits nonzero"
+    );
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+#[test]
+fn a_dispatch_the_worker_cannot_honor_comes_back_as_a_typed_error() {
+    setup();
+    // a worker used to drop the connection on a delta that does not fit
+    // its region, and the coordinator saw only "socket closed"; now the
+    // cause travels back first
+    let program = MinIdFlood::new(0);
+    let arena = Arena::new(&program, path_graph(6, 5), LayoutPolicy::Identity);
+    let plan = HaloPlan::build(arena.topology(), &partition_balanced(arena.topology(), 2));
+    let interiors = plan.shards()[0].len() as u32;
+    let (child, mut conn) = lone_worker(WIRE_VERSION);
+    assert_eq!(handshake_accept(&mut conn), Ok(0));
+    conn.send(&Frame::Setup(setup_frame(&arena, &plan, 0, 7)))
+        .expect("the region ships");
+    let dispatch = |patch| {
+        Frame::Round(RoundFrame {
+            round: 0,
+            dispatch: 1,
+            patch,
+            halo: RegisterDelta::empty(),
+            inject: None,
+        })
+    };
+    // a well-formed dispatch is served
+    conn.send(&dispatch(RegisterDelta::empty())).expect("send");
+    assert!(matches!(conn.recv(), Ok(Frame::Interiors(_))));
+    // one that patches a register the region does not have is refused,
+    // by name, before the connection goes down
+    let beyond = RegisterDelta {
+        index: DeltaIndex::Listed(vec![interiors]),
+        states: 9u64.to_le_bytes().to_vec(),
+    };
+    conn.send(&dispatch(beyond)).expect("send");
+    let refused = WireError::BadValue("delta index out of range");
+    assert_eq!(
+        conn.recv(),
+        Ok(Frame::Error {
+            code: ERR_PROTOCOL,
+            message: refused.to_string(),
+        })
+    );
+    assert_eq!(conn.recv(), Err(WireError::PeerClosed));
+    assert!(last_words(child).contains(&refused.to_string()));
 }
 
 #[test]
@@ -372,31 +511,30 @@ fn worker_exhausting_retries_is_a_typed_panic_error() {
 fn version_skew_is_a_typed_rejection() {
     setup();
     // a worker announcing another protocol version — a future one, or the
-    // dense v1 this build replaced — is refused with a typed mismatch on
-    // both sides of the wire
-    for theirs in [99u16, 1] {
-        let (listener, endpoint) = Listener::bind(&unique_endpoint()).expect("bind");
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_smst-net"))
-            .arg("worker")
-            .arg("--connect")
-            .arg(endpoint.to_arg())
-            .arg("--part")
-            .arg("0")
-            .arg("--wire-version")
-            .arg(theirs.to_string())
-            .spawn()
-            .expect("spawning the skewed worker");
-        let mut conn = listener
-            .accept_deadline(Duration::from_secs(10))
-            .expect("the worker dials in");
+    // whole-graph v2 this build replaced — is refused with a typed
+    // mismatch on both sides of the wire
+    for theirs in [99u16, 2] {
+        let (child, mut conn) = lone_worker(theirs);
         assert_eq!(
             handshake_accept(&mut conn),
-            Err(WireError::VersionMismatch { ours: 2, theirs })
+            Err(WireError::VersionMismatch { ours: 3, theirs })
         );
         // the worker sees the typed Error frame and exits nonzero
-        let status = child.wait().expect("the worker exits");
-        assert!(!status.success(), "a rejected worker exits nonzero");
+        assert!(last_words(child).contains("peer rejected us"));
     }
+    // and the other way round: a coordinator still on v2 acknowledges a
+    // v3 worker with its own version, and the worker refuses to go on
+    let (child, mut conn) = lone_worker(WIRE_VERSION);
+    assert_eq!(
+        conn.recv(),
+        Ok(Frame::Hello {
+            version: 3,
+            part: 0
+        })
+    );
+    conn.send(&Frame::HelloAck { version: 2 }).expect("send");
+    let mismatch = WireError::VersionMismatch { ours: 3, theirs: 2 };
+    assert!(last_words(child).contains(&mismatch.to_string()));
 }
 
 #[test]

@@ -3,19 +3,22 @@
 //! deltas included), every torn-frame prefix decodes to a **typed** error
 //! (never a panic, never a misparse), trailing bytes and unknown
 //! tags/schemas are rejected, a hostile length prefix reserves nothing,
-//! and a delta that does not fit the region it is for is refused before
-//! anything is written. The per-round frames are additionally pinned to
-//! **golden byte strings** (recorded once under `WIRE_VERSION = 2`, when
-//! the dense v1 payloads became `RegisterDelta`s): whoever rewrites the
-//! codec must emit exactly these or bump `WIRE_VERSION`.
+//! a delta that does not fit the region it is for is refused before
+//! anything is written, and a set-up frame whose region does not hold
+//! together is refused before anything is built from it. The per-round
+//! frames are additionally pinned to **golden byte strings** (recorded
+//! once under `WIRE_VERSION = 2`, when the dense v1 payloads became
+//! `RegisterDelta`s; v3 changed only the set-up frame): whoever rewrites
+//! their codec must emit exactly these or bump `WIRE_VERSION`.
 
 use proptest::prelude::*;
 use smst_engine::programs::MinIdFlood;
 use smst_net::wire::{
     frame_bytes, read_frame, write_frame, DeltaIndex, Frame, InteriorsFrame, RegisterDelta,
-    RoundFrame, SetupFrame, WireError, WireGraph, WireInjection, MAX_FRAME,
+    RoundFrame, SetupFrame, WireError, WireInjection, WireRegion, MAX_FRAME,
 };
-use smst_net::{encode_delta, stage_delta};
+use smst_net::worker::stage_region;
+use smst_net::{encode_delta, stage_delta, WIRE_SCHEMA, WIRE_VERSION};
 
 /// Round-trips one frame through the payload codec and through the
 /// length-prefixed stream layer.
@@ -67,6 +70,26 @@ fn all(states: Vec<u8>) -> RegisterDelta {
     }
 }
 
+/// The middle of the path `a - b - c - d` as one region: interiors `b`
+/// and `c` (original nodes 1 and 2), halo slots 2 (`a`) and 3 (`d`).
+fn sample_setup() -> SetupFrame {
+    SetupFrame {
+        seed: 11,
+        part: 2,
+        program: "min-id-flood".to_string(),
+        spec: vec![7, 0, 0, 0, 0, 0, 0, 0],
+        region: WireRegion {
+            halo_len: 2,
+            offsets: vec![0, 2, 4],
+            targets: vec![2, 1, 0, 3],
+            nodes: vec![1, 2],
+            ids: vec![5, 9],
+            weights: vec![10, 20, 20, 30],
+        },
+        registers: registers(4),
+    }
+}
+
 fn sample_frames() -> Vec<Frame> {
     vec![
         Frame::Hello {
@@ -74,19 +97,7 @@ fn sample_frames() -> Vec<Frame> {
             part: 3,
         },
         Frame::HelloAck { version: 1 },
-        Frame::Setup(SetupFrame {
-            seed: 11,
-            peers: 4,
-            part: 2,
-            layout: 1,
-            program: "min-id-flood".to_string(),
-            spec: vec![7, 0, 0, 0, 0, 0, 0, 0],
-            graph: WireGraph {
-                ids: vec![5, 1, 9],
-                edges: vec![(0, 1, 10), (1, 2, 20)],
-            },
-            states: vec![1, 2, 3, 4],
-        }),
+        Frame::Setup(sample_setup()),
         Frame::Round(RoundFrame {
             round: 42,
             dispatch: 99,
@@ -120,6 +131,29 @@ fn every_frame_type_round_trips_and_truncates_typed() {
     for frame in sample_frames() {
         assert_round_trip(&frame);
         assert_truncations_are_typed(&frame);
+    }
+}
+
+#[test]
+fn encoded_lengths_are_computed_not_serialised() {
+    // the coordinator counts a frame it never writes (the schedule's
+    // frame on a resync): the length must come out of the sizes alone
+    let quiet = RoundFrame {
+        round: 1,
+        dispatch: 2,
+        patch: all(Vec::new()),
+        halo: all(registers(3)),
+        inject: None,
+    };
+    for frame in sample_frames().into_iter().chain([Frame::Round(quiet)]) {
+        match &frame {
+            Frame::Round(round) => assert_eq!(round.encoded_len(), frame.encode().len()),
+            // tag, round, dispatch, compute_ns, then the delta
+            Frame::Interiors(reply) => {
+                assert_eq!(25 + reply.interiors.encoded_len(), frame.encode().len())
+            }
+            _ => {}
+        }
     }
 }
 
@@ -375,23 +409,80 @@ fn a_delta_that_does_not_fit_its_region_is_typed_and_writes_nothing() {
     assert_eq!(Frame::decode(&payload), Err(WireError::Truncated));
 }
 
+// ----- set-up frames against their region -----------------------------------
+
 #[test]
-fn a_graph_rebuilt_from_the_wire_carries_the_same_maxima() {
-    // a worker's register-width accounting reads `max_id` / `max_weight`
-    // off the graph `to_graph` rebuilds, never off the wire
-    use smst_graph::generators::random_graph_scrambled_ids;
-    for seed in 0..8 {
-        let graph = random_graph_scrambled_ids(20 + seed as usize, 60, seed);
-        let rebuilt = WireGraph::from_graph(&graph).to_graph().expect("honorable");
-        assert_eq!(rebuilt.max_id(), graph.nodes().map(|v| graph.id(v)).max());
-        assert_eq!(
-            rebuilt.max_weight(),
-            graph.edges().iter().map(|e| e.weight).max()
-        );
-    }
-    let empty = WireGraph::from_graph(&smst_graph::WeightedGraph::new());
-    let rebuilt = empty.to_graph().expect("honorable");
-    assert_eq!((rebuilt.max_id(), rebuilt.max_weight()), (None, None));
+fn a_region_that_does_not_hold_together_is_typed_before_anything_is_built() {
+    let stage = |edit: &dyn Fn(&mut SetupFrame)| {
+        let mut setup = sample_setup();
+        edit(&mut setup);
+        stage_region::<MinIdFlood>(setup).map(|staged| (staged.interior_len(), staged.region_len()))
+    };
+    assert_eq!(stage(&|_| {}), Ok((2, 4)));
+    let bad = |what| Err(WireError::BadValue(what));
+    // non-monotone offsets, a first offset off 0, a last offset that is
+    // not the number of targets
+    assert_eq!(
+        stage(&|s| s.region.offsets = vec![0, 5, 4]),
+        bad("offsets must be monotone")
+    );
+    assert_eq!(
+        stage(&|s| s.region.offsets[0] = 1),
+        bad("offsets must start at 0")
+    );
+    assert_eq!(
+        stage(&|s| s.region.offsets[2] = 3),
+        bad("offsets must cover the neighbour array")
+    );
+    // a target past the region's last halo slot
+    assert_eq!(
+        stage(&|s| s.region.targets[3] = 4),
+        bad("neighbour index out of range")
+    );
+    assert_eq!(
+        stage(&|s| s.region.targets[0] = u32::MAX),
+        bad("neighbour index out of range")
+    );
+    // contexts that are not one per interior row
+    let rows = bad("a region needs one context and one CSR row per interior");
+    assert_eq!(stage(&|s| s.region.ids.push(1)), rows);
+    assert_eq!(stage(&|s| s.region.offsets.push(4)), rows);
+    assert_eq!(
+        stage(&|s| {
+            s.region.nodes.pop();
+            s.region.halo_len = 3; // still four registers
+        }),
+        rows
+    );
+    // port weights that are not one per target
+    assert_eq!(
+        stage(&|s| s.region.weights.truncate(3)),
+        bad("a region needs one weight per port")
+    );
+    // registers that are not one per region slot
+    assert_eq!(
+        stage(&|s| s.registers = registers(3)),
+        Err(WireError::Truncated)
+    );
+    assert_eq!(
+        stage(&|s| s.registers = registers(5)),
+        Err(WireError::Trailing { extra: 8 })
+    );
+    assert_eq!(
+        stage(&|s| s.region.halo_len = 1),
+        Err(WireError::Trailing { extra: 8 })
+    );
+    // a halo the frame cannot hold: refused, with nothing reserved for it
+    assert_eq!(
+        stage(&|s| s.region.halo_len = u32::MAX),
+        Err(WireError::Truncated)
+    );
+    // a spec the program does not read exactly
+    assert_eq!(
+        stage(&|s| s.spec.push(0)),
+        Err(WireError::Trailing { extra: 1 })
+    );
+    assert_eq!(stage(&|s| s.spec.truncate(7)), Err(WireError::Truncated));
 }
 
 #[test]
@@ -408,6 +499,29 @@ fn hostile_length_prefixes_are_refused_before_allocation() {
         })
     );
     assert_eq!(buf.capacity(), 0);
+
+    // inside a frame the same holds for every array of a set-up region: a
+    // count far beyond the bytes present is a typed torn frame, decoded
+    // without reserving the count. Count fields of `sample_setup()`'s
+    // payload, by offset: tag 1, seed 8, part 4, program 4 + 12,
+    // spec 4 + 8, halo_len 4 = 45
+    let payload = Frame::Setup(sample_setup()).encode();
+    let mut at = 45;
+    // offsets, targets, nodes (u32s), ids, weights (u64s), register bytes
+    for (count, width) in [(3u32, 4), (4, 4), (2, 4), (2, 8), (4, 8), (32, 1)] {
+        assert_eq!(payload[at..at + 4], count.to_le_bytes(), "offset {at}");
+        for announced in [u32::MAX, 1 << 28, count + 1000] {
+            let mut hostile = payload.clone();
+            hostile[at..at + 4].copy_from_slice(&announced.to_le_bytes());
+            assert_eq!(
+                Frame::decode(&hostile),
+                Err(WireError::Truncated),
+                "count at {at} announced as {announced}"
+            );
+        }
+        at += 4 + (count * width) as usize;
+    }
+    assert_eq!(at, payload.len());
 }
 
 #[test]
@@ -426,6 +540,14 @@ fn an_announced_length_reserves_nothing_until_the_bytes_arrive() {
         "{} bytes reserved for 16 received",
         buf.capacity()
     );
+}
+
+#[test]
+fn the_schema_tag_does_not_move_with_the_protocol_version() {
+    // `smst-lint`'s schema-parity rule pairs this tag with
+    // `analyze::ingest::SCHEMA_WIRE`; it names the frame grammar's family
+    // and stays put when a frame layout bumps the handshake version
+    assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 3));
 }
 
 #[test]
@@ -490,26 +612,52 @@ proptest! {
     #[test]
     fn setup_frames_round_trip(
         seed in 0u64..u64::MAX,
-        peers in 1u32..64,
         part in 0u32..64,
-        layout in 0u8..2,
-        ids in proptest::collection::vec(0u64..u64::MAX, 0..24),
-        edges in proptest::collection::vec((0u32..24, 0u32..24, 0u64..1000), 0..32),
+        degrees in proptest::collection::vec(0usize..6, 0..24),
+        halo_len in 0u32..12,
+        salt in 0u64..u64::MAX,
     ) {
-        let frame = Frame::Setup(SetupFrame {
+        // a random small region: `degrees.len()` interiors, each port
+        // pointing at some slot of the region
+        let interiors = degrees.len();
+        let region_len = interiors + halo_len as usize;
+        let mut mix = salt;
+        let mut next = move || {
+            mix = mix.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+            mix >> 17
+        };
+        let mut region = WireRegion {
+            halo_len,
+            offsets: vec![0],
+            targets: Vec::new(),
+            nodes: (0..interiors).map(|_| next() as u32).collect(),
+            ids: (0..interiors).map(|_| next()).collect(),
+            weights: Vec::new(),
+        };
+        for degree in degrees {
+            for _ in 0..degree {
+                region.targets.push((next() % region_len as u64) as u32);
+                region.weights.push(next());
+            }
+            region.offsets.push(region.targets.len() as u32);
+        }
+        let setup = SetupFrame {
             seed,
-            peers,
             part,
-            layout,
-            program: "alarmed-flood".to_string(),
+            program: "min-id-flood".to_string(),
             spec: seed.to_le_bytes().to_vec(),
-            graph: WireGraph {
-                ids: ids.clone(),
-                edges,
-            },
-            states: ids.iter().flat_map(|i| i.to_le_bytes()).collect(),
-        });
+            region,
+            registers: registers(region_len as u64),
+        };
+        let frame = Frame::Setup(setup.clone());
         assert_round_trip(&frame);
+        assert_truncations_are_typed(&frame);
+        // what the codec carries is what the worker stages, and staging
+        // then snapshotting it again is the identity
+        let staged = stage_region::<MinIdFlood>(setup.clone()).expect("a consistent region");
+        assert_eq!((staged.interior_len(), staged.region_len()), (interiors, region_len));
+        let (csr, contexts) = setup.region.clone().into_parts().expect("a consistent region");
+        assert_eq!(WireRegion::from_parts(&csr, &contexts, halo_len as usize), setup.region);
     }
 
     #[test]
