@@ -13,7 +13,7 @@
 
 use crate::trial::{run_trial, DaemonSpec, TrialOutcome, TrialSpec, Workload};
 use smst_core::faults::FaultKind;
-use smst_engine::{GraphFamily, PinPolicy, PoolHandle};
+use smst_engine::{GraphFamily, PoolHandle};
 use smst_rng::{Rng, SeedableRng, StdRng};
 
 /// The search space and budgets of one campaign.
@@ -48,9 +48,6 @@ pub struct CampaignSpec {
     pub seed: u64,
     /// Worker threads the trial fan-out uses.
     pub threads: usize,
-    /// Core pinning of the fan-out workers (wall-clock only; campaign
-    /// records are placement-invariant).
-    pub pin: PinPolicy,
 }
 
 impl CampaignSpec {
@@ -101,7 +98,6 @@ impl CampaignSpec {
             keep_top: 4,
             seed: 0,
             threads: 1,
-            pin: PinPolicy::None,
         }
     }
 
@@ -181,8 +177,8 @@ impl CampaignReport {
 
 /// Runs `specs` in parallel on the worker pool (each trial runs
 /// single-threaded; the pool fans the list out), preserving order.
-fn run_all(specs: &[TrialSpec], threads: usize, pin: PinPolicy) -> Vec<TrialOutcome> {
-    PoolHandle::for_threads_with(threads.max(1), pin).map_indexed(specs, |_i, spec| run_trial(spec))
+fn run_all(specs: &[TrialSpec], threads: usize) -> Vec<TrialOutcome> {
+    PoolHandle::for_threads(threads.max(1)).map_indexed(specs, |_i, spec| run_trial(spec))
 }
 
 /// Evaluates `specs` against their round-robin baselines, memoizing the
@@ -190,12 +186,7 @@ fn run_all(specs: &[TrialSpec], threads: usize, pin: PinPolicy) -> Vec<TrialOutc
 /// many daemons, so each baseline runs once per campaign phase instead of
 /// once per trial (and a trial that *is* its own baseline is not run
 /// twice).
-fn evaluate_all(
-    specs: Vec<TrialSpec>,
-    budget: usize,
-    threads: usize,
-    pin: PinPolicy,
-) -> Vec<TrialRecord> {
+fn evaluate_all(specs: Vec<TrialSpec>, budget: usize, threads: usize) -> Vec<TrialRecord> {
     let mut baseline_specs: Vec<TrialSpec> = Vec::new();
     let mut baseline_index: std::collections::BTreeMap<String, usize> =
         std::collections::BTreeMap::new();
@@ -208,14 +199,14 @@ fn evaluate_all(
             baseline_specs.push(baseline);
         }
     }
-    let baseline_outcomes = run_all(&baseline_specs, threads, pin);
+    let baseline_outcomes = run_all(&baseline_specs, threads);
     // a spec equal to its own baseline reuses the memoized outcome
     let to_run: Vec<TrialSpec> = specs
         .iter()
         .filter(|s| s.daemon != DaemonSpec::RoundRobin { batch: 1 })
         .cloned()
         .collect();
-    let mut run_outcomes = run_all(&to_run, threads, pin).into_iter();
+    let mut run_outcomes = run_all(&to_run, threads).into_iter();
     specs
         .into_iter()
         .map(|spec| {
@@ -328,7 +319,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let random: Vec<TrialSpec> = (0..spec.random_trials)
         .map(|_| spec.sample(&mut rng))
         .collect();
-    let mut records = evaluate_all(random, spec.budget, spec.threads, spec.pin);
+    let mut records = evaluate_all(random, spec.budget, spec.threads);
     let random_count = records.len();
 
     let mut guided_count = 0usize;
@@ -347,7 +338,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
             }
         }
         guided_count += next.len();
-        records.extend(evaluate_all(next, spec.budget, spec.threads, spec.pin));
+        records.extend(evaluate_all(next, spec.budget, spec.threads));
     }
 
     records.sort_by(|a, b| b.regret.cmp(&a.regret).then_with(|| a.id.cmp(&b.id)));
@@ -392,7 +383,6 @@ mod tests {
         let spec = tiny_campaign();
         let mut parallel = tiny_campaign();
         parallel.threads = 4;
-        parallel.pin = PinPolicy::Cores;
         let a = run_campaign(&spec);
         let b = run_campaign(&parallel);
         assert_eq!(

@@ -4,8 +4,8 @@
 //! neighbour read crosses a shard boundary, so this is where halo mode has
 //! the most traffic to make explicit. The bench compares chunked rounds of
 //! the direct path against the halo path (with and without the RCM
-//! layout, with and without pinned workers) — every runner is built from
-//! an [`EngineConfig`] envelope — and records the **halo geometry** in the
+//! layout) — every runner is built from an [`EngineConfig`] envelope —
+//! and records the **halo geometry** in the
 //! artifact's `meta` object:
 //!
 //! * `halo/<layout>/entries` — total halo slots over all shards (the
@@ -29,9 +29,7 @@
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::MinIdFlood;
-use smst_engine::{
-    EngineConfig, LayoutPolicy, ParallelSyncRunner, PinPolicy, Runner, StopCondition,
-};
+use smst_engine::{EngineConfig, LayoutPolicy, ParallelSyncRunner, Runner, StopCondition};
 use smst_graph::generators::expander_graph;
 use smst_graph::WeightedGraph;
 use smst_sim::{RecordingObserver, TeeObserver};
@@ -58,16 +56,6 @@ fn halo_case(
     group.bench(&format!("{tag}/halo"), iters, || {
         halo.run_until(StopCondition::Steps, ROUNDS_PER_ITER);
         halo.steps()
-    });
-    let mut pinned = ParallelSyncRunner::from_config(
-        &program,
-        g.clone(),
-        &engine.clone().halo(true).pin(PinPolicy::Cores),
-    )
-    .expect("a pinned halo envelope is valid");
-    group.bench(&format!("{tag}/halo+pin"), iters, || {
-        pinned.run_until(StopCondition::Steps, ROUNDS_PER_ITER);
-        pinned.steps()
     });
 }
 

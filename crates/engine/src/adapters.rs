@@ -42,7 +42,7 @@ fn memory_bits(runner: &dyn Runner<CoreVerifier>, verifier: &CoreVerifier, n: us
 /// correct, marker-labelled instance, inject the planned faults, and
 /// measure detection — [`run_fault_experiment`] on whatever execution path
 /// `engine` describes (sequential reference, sharded synchronous with any
-/// layout/halo/pinning, or any batch daemon). The warm-up budget is the
+/// layout/halo, or any batch daemon). The warm-up budget is the
 /// scheme's synchronous budget for synchronous envelopes and its
 /// asynchronous budget otherwise; the reported memory is the registers'
 /// width, a function of the labels, which no fault-free step rewrites.

@@ -4,13 +4,14 @@
 //! [`EngineConfig`] captures everything that selects *how* a program is
 //! executed — [`Backend`] (sharded engine or sequential reference),
 //! [`Mode`] (synchronous rounds or daemon-driven asynchrony), worker
-//! threads, [`LayoutPolicy`], [`PinPolicy`], the halo-exchange flag and a
-//! seed — in one builder. [`EngineConfig::validate`] rejects inconsistent
-//! envelopes with a typed [`ConfigError`] (zero threads, halo outside the
-//! synchronous sharded mode, sharded-only knobs on the reference backend)
-//! **before** anything reaches the worker pool, and
-//! [`EngineConfig::instantiate`] builds the matching execution path as a
-//! `Box<dyn Runner<P>>` — every runner behind one call.
+//! threads, [`LayoutPolicy`], the halo-exchange flag, a [`RecoveryPolicy`]
+//! and an optional [`InjectionSpec`] — in one builder.
+//! [`EngineConfig::validate`] rejects inconsistent envelopes with a typed
+//! [`ConfigError`] (zero threads, halo outside the synchronous sharded
+//! mode, sharded-only knobs on the reference backend) **before** anything
+//! reaches the worker pool, and [`EngineConfig::instantiate`] builds the
+//! matching execution path as a `Box<dyn Runner<P>>` — every runner behind
+//! one call.
 //!
 //! The layers above — `ScenarioSpec`, the adapters, the bench sweeps, the
 //! adversary's trials and chaos cases — *hold* an `EngineConfig` and never
@@ -40,7 +41,7 @@
 
 use crate::layout::LayoutPolicy;
 use crate::parallel_sync::ParallelSyncRunner;
-use crate::pool::{panic_message, BarrierTimeoutPanic, PinPolicy, PoolError};
+use crate::pool::{panic_message, BarrierTimeoutPanic, PoolError};
 use crate::runner::Runner;
 use crate::sharded_async::ShardedAsyncRunner;
 use smst_graph::WeightedGraph;
@@ -53,7 +54,7 @@ pub enum Backend {
     /// The sequential reference runners of `smst-sim`
     /// ([`SyncRunner`] / [`AsyncRunner`]): the semantic ground truth the
     /// sharded engine is pinned against. Single-threaded by definition —
-    /// sharded-only knobs (threads > 1, layout, pinning, halo) are
+    /// sharded-only knobs (threads > 1, layout, halo) are
     /// rejected by [`EngineConfig::validate`].
     Reference,
     /// The sharded parallel engine
@@ -63,16 +64,13 @@ pub enum Backend {
     /// The distributed engine: each shard runs in a worker **process**
     /// connected over a socket, the coordinator drives rounds through the
     /// same [`Runner`] trait (bit-for-bit equal to [`Backend::Sharded`]).
-    /// Synchronous only; `threads` must equal `peers`, pinning is a worker
-    /// concern the wire cannot honor. The execution path lives in the
+    /// Synchronous only; `threads` is the number of worker processes the
+    /// graph is partitioned across. The execution path lives in the
     /// `smst-net` crate and is registered per program type via
     /// [`register_remote_factory`] (e.g. `smst_net::install_stock()`) —
     /// instantiating an unregistered program fails with
     /// [`ConfigError::RemoteUnavailable`].
-    Remote {
-        /// Worker processes the graph is partitioned across.
-        peers: usize,
-    },
+    Remote,
 }
 
 /// The schedule a configuration runs under.
@@ -163,17 +161,8 @@ pub enum ConfigError {
         got: String,
     },
     /// A knob (named in the payload) the wire protocol cannot honor was
-    /// set on [`Backend::Remote`] (asynchronous schedules, worker
-    /// pinning, an empty peer set).
+    /// set on [`Backend::Remote`] (asynchronous schedules).
     RemoteKnob(&'static str),
-    /// [`Backend::Remote`] requires `threads == peers`: every peer is a
-    /// worker process, there is no second level of parallelism to size.
-    RemotePeerMismatch {
-        /// The configured peer set size.
-        peers: usize,
-        /// The configured thread count.
-        threads: usize,
-    },
     /// No remote execution path is registered for this program type —
     /// [`Backend::Remote`] needs a [`register_remote_factory`] call first
     /// (the `smst-net` crate's `install_stock()` registers the stock
@@ -212,10 +201,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::RemoteKnob(knob) => {
                 write!(f, "the remote backend does not support {knob}")
             }
-            ConfigError::RemotePeerMismatch { peers, threads } => write!(
-                f,
-                "the remote backend requires threads == peers (got {threads} threads for {peers} peers)"
-            ),
             ConfigError::RemoteUnavailable { program } => write!(
                 f,
                 "no remote execution path is registered for program {program:?} \
@@ -595,23 +580,15 @@ pub struct EngineConfig {
     pub backend: Backend,
     /// Synchronous rounds or daemon-driven asynchrony.
     pub mode: Mode,
-    /// Worker threads (validated ≥ 1; purely wall-clock).
+    /// Worker threads — worker **processes** on [`Backend::Remote`]
+    /// (validated ≥ 1; purely wall-clock).
     pub threads: usize,
     /// Node renumbering applied before sharding (wall-clock only; results
     /// are layout-invariant).
     pub layout: LayoutPolicy,
-    /// Worker core pinning (wall-clock only; results are
-    /// placement-invariant).
-    pub pin: PinPolicy,
     /// Halo-exchange execution mode (synchronous sharded schedules only;
     /// wall-clock only).
     pub halo: bool,
-    /// The workload seed the envelope carries for reproducibility
-    /// bookkeeping: it names the run in [`describe`](Self::describe) /
-    /// artifact labels, and a [`ScenarioSpec`](crate::ScenarioSpec)
-    /// keeps its graph seed in sync with it. The runners themselves
-    /// never read it — execution randomness lives in the daemon seeds.
-    pub seed: u64,
     /// Supervised recovery: retry-with-backoff for panicked step chunks
     /// and the round-barrier watchdog. The default policy is the exact
     /// pre-recovery behaviour (fail on first panic, wait forever).
@@ -632,16 +609,14 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A synchronous, single-threaded sharded configuration with no layout
-    /// pass, no pinning and no halo exchange.
+    /// pass and no halo exchange.
     pub fn new() -> Self {
         EngineConfig {
             backend: Backend::Sharded,
             mode: Mode::Sync,
             threads: 1,
             layout: LayoutPolicy::Identity,
-            pin: PinPolicy::None,
             halo: false,
-            seed: 0,
             recovery: RecoveryPolicy::default(),
             injection: None,
         }
@@ -658,10 +633,10 @@ impl EngineConfig {
     }
 
     /// [`EngineConfig::new`] on [`Backend::Remote`] with `peers` worker
-    /// processes (`threads` set to match, as validation requires).
+    /// processes (`threads = peers`).
     pub fn remote(peers: usize) -> Self {
         EngineConfig {
-            backend: Backend::Remote { peers },
+            backend: Backend::Remote,
             threads: peers,
             ..Self::new()
         }
@@ -706,23 +681,11 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker pin policy (best-effort core affinity).
-    pub fn pin(mut self, pin: PinPolicy) -> Self {
-        self.pin = pin;
-        self
-    }
-
     /// Switches the halo-exchange execution mode on or off (synchronous
     /// sharded schedules only — anything else fails
     /// [`validate`](Self::validate)).
     pub fn halo(mut self, halo: bool) -> Self {
         self.halo = halo;
-        self
-    }
-
-    /// Sets the envelope seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -759,26 +722,12 @@ impl EngineConfig {
                         "the asynchronous sharded backend",
                     ));
                 }
-                (Backend::Remote { .. }, _) | (Backend::Sharded, Mode::Sync) => {}
+                (Backend::Remote, _) | (Backend::Sharded, Mode::Sync) => {}
                 (Backend::Reference, _) => {} // rejected below with every recovery knob
             }
         }
-        if let Backend::Remote { peers } = self.backend {
-            if peers == 0 {
-                return Err(ConfigError::RemoteKnob("an empty peer set"));
-            }
-            if self.mode.is_async() {
-                return Err(ConfigError::RemoteKnob("asynchronous schedules"));
-            }
-            if self.pin != PinPolicy::None {
-                return Err(ConfigError::RemoteKnob("worker pinning"));
-            }
-            if self.threads != peers {
-                return Err(ConfigError::RemotePeerMismatch {
-                    peers,
-                    threads: self.threads,
-                });
-            }
+        if self.backend == Backend::Remote && self.mode.is_async() {
+            return Err(ConfigError::RemoteKnob("asynchronous schedules"));
         }
         if self.backend == Backend::Reference {
             if self.threads > 1 {
@@ -786,9 +735,6 @@ impl EngineConfig {
             }
             if self.layout != LayoutPolicy::Identity {
                 return Err(ConfigError::ReferenceKnob("a layout policy"));
-            }
-            if self.pin != PinPolicy::None {
-                return Err(ConfigError::ReferenceKnob("worker pinning"));
             }
             if self.halo {
                 return Err(ConfigError::ReferenceKnob("halo exchange"));
@@ -824,20 +770,14 @@ impl EngineConfig {
         let backend = match self.backend {
             Backend::Reference => "reference",
             Backend::Sharded => "sharded",
-            Backend::Remote { .. } => "remote",
+            Backend::Remote => "remote",
         };
         let mut knobs = format!("threads={}", self.threads);
         if self.layout != LayoutPolicy::Identity {
             knobs.push_str(&format!(",layout={:?}", self.layout));
         }
-        if self.pin != PinPolicy::None {
-            knobs.push_str(",pin");
-        }
         if self.halo {
             knobs.push_str(",halo");
-        }
-        if self.seed != 0 {
-            knobs.push_str(&format!(",seed={}", self.seed));
         }
         format!("{backend}-{}({knobs})", self.mode.describe())
     }
@@ -865,14 +805,14 @@ impl EngineConfig {
             (Backend::Sharded, Mode::Async(_)) => {
                 Box::new(ShardedAsyncRunner::from_config(program, graph, self)?)
             }
-            (Backend::Remote { .. }, Mode::Sync) => {
+            (Backend::Remote, Mode::Sync) => {
                 let factory =
                     remote_factory::<P>().ok_or_else(|| ConfigError::RemoteUnavailable {
                         program: program.name().to_string(),
                     })?;
                 factory(program, graph, self)?
             }
-            (Backend::Remote { .. }, Mode::Async(_)) => {
+            (Backend::Remote, Mode::Async(_)) => {
                 unreachable!("validate rejects asynchronous remote envelopes")
             }
             (Backend::Reference, Mode::Sync) => {
@@ -968,7 +908,6 @@ mod tests {
             EngineConfig::new()
                 .threads(8)
                 .layout(LayoutPolicy::Rcm)
-                .pin(PinPolicy::Cores)
                 .halo(true)
                 .validate(),
             Ok(())
@@ -996,34 +935,11 @@ mod tests {
 
     #[test]
     fn remote_envelopes_validate_the_wire_contract() {
-        assert_eq!(EngineConfig::remote(4).validate(), Ok(()));
-        assert_eq!(
-            EngineConfig::remote(0).validate(),
-            Err(ConfigError::ZeroThreads),
-            "remote(0) sets threads = peers = 0"
-        );
-        assert_eq!(
-            EngineConfig::new()
-                .backend(Backend::Remote { peers: 0 })
-                .validate(),
-            Err(ConfigError::RemoteKnob("an empty peer set"))
-        );
         assert_eq!(
             EngineConfig::remote(2)
                 .asynchronous(Daemon::RoundRobin, 4)
                 .validate(),
             Err(ConfigError::RemoteKnob("asynchronous schedules"))
-        );
-        assert_eq!(
-            EngineConfig::remote(2).pin(PinPolicy::Cores).validate(),
-            Err(ConfigError::RemoteKnob("worker pinning"))
-        );
-        assert_eq!(
-            EngineConfig::remote(2).threads(3).validate(),
-            Err(ConfigError::RemotePeerMismatch {
-                peers: 2,
-                threads: 3
-            })
         );
         // halo, layout, recovery (watchdog included) and injection are all
         // wire-honorable knobs
@@ -1040,7 +956,6 @@ mod tests {
                 .validate(),
             Ok(())
         );
-        assert_eq!(EngineConfig::remote(3).describe(), "remote-sync(threads=3)");
         // without a registered factory, instantiate is a typed error
         let program = MinIdFlood::new(0);
         let err = EngineConfig::remote(2)
@@ -1054,6 +969,137 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("min-id-flood"));
+    }
+
+    #[test]
+    fn the_validity_table_is_exhaustive() {
+        // (a) every envelope the seven fields can spell: `validate` and
+        // `instantiate` give the same verdict, so neither `unreachable!`
+        // of `instantiate` can be reached
+        let program = MinIdFlood::new(0);
+        let modes: [fn(EngineConfig) -> EngineConfig; 4] = [
+            |c| c.sync(),
+            |c| c.asynchronous(Daemon::RoundRobin, 1),
+            |c| c.asynchronous(Daemon::RoundRobin, 4),
+            |c| c.batch_daemon(Box::new(ChunkedDaemon::new(Daemon::RoundRobin, 1))),
+        ];
+        let recoveries = [
+            RecoveryPolicy::none(),
+            RecoveryPolicy::retries(2),
+            RecoveryPolicy::none().watchdog(Duration::from_secs(5)),
+        ];
+        let (mut envelopes, mut valid) = (0, 0);
+        for backend in [Backend::Reference, Backend::Sharded, Backend::Remote] {
+            for mode in modes {
+                for threads in [0usize, 1, 3] {
+                    for layout in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
+                        for halo in [false, true] {
+                            for recovery in recoveries {
+                                for injection in [None, Some(InjectionSpec::panic_at(1, 0))] {
+                                    let config = EngineConfig {
+                                        injection,
+                                        ..mode(EngineConfig::new())
+                                            .backend(backend)
+                                            .threads(threads)
+                                            .layout(layout)
+                                            .halo(halo)
+                                            .recovery(recovery)
+                                    };
+                                    let verdict = config.validate();
+                                    valid += usize::from(verdict.is_ok());
+                                    let expected = match verdict {
+                                        Err(err) => Some(err),
+                                        // no factory is registered inside
+                                        // this crate: the typed answer of a
+                                        // valid remote envelope
+                                        Ok(()) if backend == Backend::Remote => {
+                                            Some(ConfigError::RemoteUnavailable {
+                                                program: "min-id-flood".to_string(),
+                                            })
+                                        }
+                                        Ok(()) => None,
+                                    };
+                                    let built = config.instantiate(&program, path_graph(4, 0));
+                                    assert_eq!(built.err(), expected, "{config:?}");
+                                    envelopes += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // reference: sync or central batch 1, threads 1, every knob off;
+        // sharded: threads ∈ {1, 3} × layout × injection × (sync: halo ×
+        // recovery, async: 3 daemons × the two watchdog-free recoveries);
+        // remote: sync, threads ∈ {1, 3}, every other field free
+        assert_eq!((envelopes, valid), (864, 2 + (48 + 48) + 48));
+
+        // (b) the labels runs carry in BENCH_* / CAMPAIGN_* artifacts
+        let random = Daemon::Random {
+            seed: 7,
+            extra_factor: 1,
+        };
+        let labels = [
+            (EngineConfig::reference(), "reference-sync(threads=1)"),
+            (EngineConfig::new(), "sharded-sync(threads=1)"),
+            (EngineConfig::new().threads(4), "sharded-sync(threads=4)"),
+            (
+                EngineConfig::new().threads(2).halo(true),
+                "sharded-sync(threads=2,halo)",
+            ),
+            (
+                EngineConfig::new().threads(2).layout(LayoutPolicy::Rcm),
+                "sharded-sync(threads=2,layout=Rcm)",
+            ),
+            (
+                EngineConfig::new()
+                    .threads(4)
+                    .layout(LayoutPolicy::Rcm)
+                    .halo(true),
+                "sharded-sync(threads=4,layout=Rcm,halo)",
+            ),
+            (
+                EngineConfig::new()
+                    .threads(4)
+                    .recovery(RecoveryPolicy::retries(3))
+                    .inject(InjectionSpec::stall_at(2, 1, 10)),
+                "sharded-sync(threads=4)",
+            ),
+            (EngineConfig::remote(2), "remote-sync(threads=2)"),
+            (
+                EngineConfig::remote(3).layout(LayoutPolicy::Rcm).halo(true),
+                "remote-sync(threads=3,layout=Rcm,halo)",
+            ),
+            (
+                EngineConfig::reference().asynchronous(Daemon::RoundRobin, 1),
+                "reference-async[round-robin@batch=1](threads=1)",
+            ),
+            (
+                EngineConfig::new().threads(3).asynchronous(random, 64),
+                "sharded-async[random(seed=7,extra=1)@batch=64](threads=3)",
+            ),
+            (
+                EngineConfig::new()
+                    .threads(2)
+                    .layout(LayoutPolicy::Rcm)
+                    .batch_daemon(Box::new(ChunkedDaemon::new(Daemon::RoundRobin, 4))),
+                "sharded-async[round-robin@batch=4](threads=2,layout=Rcm)",
+            ),
+        ];
+        for (config, label) in labels {
+            assert_eq!(config.describe(), label);
+        }
+
+        // (c) on the remote backend `threads` is the worker-process count
+        for k in [1usize, 2, 5] {
+            let config = EngineConfig::remote(k);
+            assert_eq!((config.validate(), config.threads), (Ok(()), k));
+        }
+        assert_eq!(
+            EngineConfig::remote(0).validate(),
+            Err(ConfigError::ZeroThreads)
+        );
     }
 
     #[test]

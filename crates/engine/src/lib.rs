@@ -18,8 +18,8 @@
 //! * **one round primitive** — [`WorkerPool::run_rounds`]: a chunk of
 //!   double-buffered rounds over per-part write regions with an optional
 //!   pull exchange, on a persistent pool of parked workers
-//!   ([`PoolHandle`]; [`PinPolicy`] optionally pins them, [`PhaseTimes`]
-//!   optionally splits observed rounds into compute / barrier / exchange);
+//!   ([`PoolHandle`]; [`PhaseTimes`] optionally splits observed rounds
+//!   into compute / barrier / exchange);
 //! * **one supervised-attempt loop** — [`RecoveryPolicy::supervise`]:
 //!   retry, back off, restore; watchdog timeouts are never retried;
 //! * **one driving loop** — [`drive_until`] behind
@@ -49,7 +49,7 @@
 //!
 //! * [`EngineConfig`] + [`Runner`] — **the one engine API**: a validated
 //!   configuration of the full execution envelope (backend, mode/daemon,
-//!   threads, layout, pinning, halo, recovery, injection) whose
+//!   threads, layout, halo, recovery, injection) whose
 //!   [`instantiate`](EngineConfig::instantiate) returns any execution path
 //!   behind one object-safe `Box<dyn Runner<P>>`, with a
 //!   [`smst_sim::RoundObserver`] hook for per-round accounting;
@@ -72,8 +72,8 @@
 //! # Determinism contract
 //!
 //! Every run is a pure function of `(program, scenario/graph seed, daemon
-//! seed, batch width)`. Thread count, layout, halo mode, pinning and
-//! recovery **never** change results — they are purely wall-clock knobs —
+//! seed, batch width)`. Thread count, layout, halo mode and recovery
+//! **never** change results — they are purely wall-clock knobs —
 //! because the kernel reads only pre-step registers (double buffering),
 //! every CSR the kernel walks preserves each node's port order exactly,
 //! and all scheduling randomness comes from counter-seeded [`smst_rng`]
@@ -112,7 +112,7 @@ pub use config::{
 pub use kernel::sweep;
 pub use layout::{Layout, LayoutPolicy};
 pub use parallel_sync::ParallelSyncRunner;
-pub use pool::{PhaseTimes, PinPolicy, PoolError, PoolHandle, PoolStats, WorkerPool};
+pub use pool::{PhaseTimes, PoolError, PoolHandle, PoolStats, WorkerPool};
 pub use runner::{drive_until, RunReport, Runner, StopCondition};
 pub use scenario::{
     run_fault_experiment, FaultBurst, GraphFamily, ScenarioOutcome, ScenarioReport, ScenarioSpec,

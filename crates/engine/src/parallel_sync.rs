@@ -87,7 +87,7 @@ where
     P::State: Send + Sync,
 {
     /// Builds the runner an [`EngineConfig`] describes (a synchronous
-    /// sharded envelope): threads, layout, halo mode, pinning, recovery and
+    /// sharded envelope): threads, layout, halo mode, recovery and
     /// injection all come from the one validated config — the
     /// typed-constructor twin of [`EngineConfig::instantiate`] for callers
     /// that need the concrete runner (e.g. to inspect
@@ -113,7 +113,7 @@ where
             plan,
             halo_front: config.halo.then(Vec::new),
             back: Vec::new(),
-            pool: PoolHandle::for_threads_with(config.threads, config.pin),
+            pool: PoolHandle::for_threads(config.threads),
             threads: config.threads,
             rounds: 0,
             recovery: config.recovery,
@@ -348,7 +348,6 @@ mod tests {
     use super::*;
     use crate::config::InjectionSpec;
     use crate::layout::LayoutPolicy;
-    use crate::pool::PinPolicy;
     use smst_graph::generators::{expander_graph, path_graph, random_connected_graph};
     use smst_sim::{RecordingObserver, SyncRunner, Verdict};
     use std::time::Duration;
@@ -533,24 +532,6 @@ mod tests {
             assert!(runner.all_accept(), "vacuously true on no nodes");
             assert!(runner.alarming_nodes().is_empty());
         }
-    }
-
-    #[test]
-    fn pinned_runner_matches_unpinned() {
-        let g = random_connected_graph(50, 130, 9);
-        let mut pinned = runner(
-            &g,
-            &EngineConfig::new()
-                .threads(4)
-                .pin(PinPolicy::Cores)
-                .halo(true),
-        );
-        let mut plain = with_layout(&g, 4, LayoutPolicy::Identity);
-        assert_eq!(pinned.pool.pool().pin_policy(), PinPolicy::Cores);
-        assert!(!pinned.pool.shares_pool_with(&plain.pool));
-        pinned.run_until(StopCondition::Steps, 8);
-        plain.run_until(StopCondition::Steps, 8);
-        assert_eq!(pinned.states_snapshot(), plain.states_snapshot());
     }
 
     #[test]

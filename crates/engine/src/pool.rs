@@ -238,142 +238,6 @@ fn lap(phases: Option<&PhaseTimes>, mark: &mut Option<Instant>, slot: PhaseSlot)
     *prev = now;
 }
 
-/// Whether (and how) the pool pins its worker threads to cores.
-///
-/// Pinning is **best-effort and purely a wall-clock knob** — results are
-/// bit-for-bit identical either way (the engine's determinism contract
-/// never depends on which core runs a part). On Linux (x86_64 / aarch64)
-/// it issues a raw `sched_setaffinity` syscall per worker; on every other
-/// platform it is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PinPolicy {
-    /// Leave thread placement to the OS scheduler (the default).
-    #[default]
-    None,
-    /// Pin worker `w` to core `(w + 1) % cores` for the pool's lifetime
-    /// and, for the duration of each dispatch, the dispatching thread
-    /// (part 0) to core 0 — so every shard's worker (and its shard-local
-    /// arena) stays put instead of migrating across sockets between
-    /// rounds. The caller's own affinity mask is saved and restored around
-    /// the dispatch.
-    Cores,
-}
-
-/// A 1024-bit CPU affinity mask, like glibc's `cpu_set_t`.
-type CpuMask = [u64; 16];
-
-/// `sched_setaffinity(2)` / `sched_getaffinity(2)` on the calling thread
-/// (pid 0), as a raw syscall so the offline workspace needs no libc crate.
-/// Returns the raw kernel result: 0 (set) or a positive byte count (get)
-/// on success, a negative errno otherwise.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn affinity_syscall(nr: i64, mask: *mut u64) -> i64 {
-    let ret: i64;
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: sched_set/getaffinity touch only the `CpuMask` behind `mask`
-    // (read for set, write for get); rcx/r11 are clobbered by `syscall` as
-    // declared.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") nr => ret,
-            in("rdi") 0i64,
-            in("rsi") std::mem::size_of::<CpuMask>(),
-            in("rdx") mask,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: as above; aarch64 `svc 0` clobbers nothing beyond x0.
-    unsafe {
-        std::arch::asm!(
-            "svc 0",
-            in("x8") nr,
-            inlateout("x0") 0i64 => ret,
-            in("x1") std::mem::size_of::<CpuMask>(),
-            in("x2") mask,
-            options(nostack),
-        );
-    }
-    ret
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-const NR_SCHED_SETAFFINITY: i64 = if cfg!(target_arch = "x86_64") {
-    203
-} else {
-    122
-};
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-const NR_SCHED_GETAFFINITY: i64 = if cfg!(target_arch = "x86_64") {
-    204
-} else {
-    123
-};
-
-/// The calling thread's current affinity mask, if the platform can report
-/// one — saved by [`WorkerPool::dispatch`] so a pinned dispatch can restore
-/// the caller's placement on the way out.
-fn current_thread_affinity() -> Option<CpuMask> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        let mut mask: CpuMask = [0; 16];
-        (affinity_syscall(NR_SCHED_GETAFFINITY, mask.as_mut_ptr()) > 0).then_some(mask)
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    None
-}
-
-/// Best-effort: applies a saved affinity mask to the calling thread.
-fn set_thread_affinity(mask: &CpuMask) -> bool {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        affinity_syscall(NR_SCHED_SETAFFINITY, mask.as_ptr().cast_mut()) == 0
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = mask;
-        false
-    }
-}
-
-/// Best-effort: pins the calling thread to one core. Returns `true` when
-/// the affinity call succeeded, `false` where unsupported or refused —
-/// callers must not rely on placement either way.
-fn pin_current_thread_to_core(core: usize) -> bool {
-    // cores beyond the mask are an honest failure, not a silent wrap onto
-    // an unrelated core
-    let mut mask: CpuMask = [0; 16];
-    let Some(word) = mask.get_mut(core / 64) else {
-        return false;
-    };
-    *word = 1u64 << (core % 64);
-    set_thread_affinity(&mask)
-}
-
 /// Lifetime-erased pointer to the job of the current epoch.
 ///
 /// Only ever dereferenced between the epoch bump and the completion
@@ -422,7 +286,6 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: usize,
-    pin: PinPolicy,
     /// Serializes dispatches from different runner threads onto the same
     /// pool (the job slot is single-occupancy by design).
     dispatch_lock: Mutex<()>,
@@ -436,7 +299,6 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.threads)
-            .field("pin", &self.pin)
             .finish()
     }
 }
@@ -444,16 +306,8 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Creates a pool with `threads` total parallelism (`threads - 1`
     /// parked workers; a 1-thread pool spawns nothing and runs every
-    /// dispatch inline), with no core pinning.
+    /// dispatch inline).
     pub fn new(threads: usize) -> Self {
-        Self::with_policy(threads, PinPolicy::None)
-    }
-
-    /// [`WorkerPool::new`] with an explicit [`PinPolicy`]: under
-    /// [`PinPolicy::Cores`] every spawned worker pins itself (best-effort)
-    /// before parking, so each shard's worker keeps its cache and NUMA
-    /// placement for the pool's whole lifetime.
-    pub fn with_policy(threads: usize, pin: PinPolicy) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -469,12 +323,11 @@ impl WorkerPool {
             done: Condvar::new(),
         });
         let handles = (0..threads.saturating_sub(1))
-            .map(|w| spawn_worker(&shared, w, pin))
+            .map(|w| spawn_worker(&shared, w))
             .collect();
         WorkerPool {
             shared,
             threads,
-            pin,
             dispatch_lock: Mutex::new(()),
             handles: Mutex::new(handles),
             stats: PoolStats::default(),
@@ -484,11 +337,6 @@ impl WorkerPool {
     /// Total parallelism of a dispatch (workers + the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The pin policy the pool's workers were spawned under.
-    pub fn pin_policy(&self) -> PinPolicy {
-        self.pin
     }
 
     /// The pool's self-healing counters (caught panics, worker respawns,
@@ -512,7 +360,7 @@ impl WorkerPool {
         }
         let mut handles = self.handles.lock().unwrap();
         for w in retired {
-            let replacement = spawn_worker(&self.shared, w, self.pin);
+            let replacement = spawn_worker(&self.shared, w);
             let dead = std::mem::replace(&mut handles[w], replacement);
             // the retired worker pushed its index in the same critical
             // section as its final acknowledgement, so this join is
@@ -546,19 +394,6 @@ impl WorkerPool {
             }
             return;
         }
-        // part 0 runs on this thread: give it the same placement stability
-        // the workers get for the duration of the dispatch, or shard 0's
-        // arena would be the one shard still migrating across sockets. The
-        // caller's own mask is restored on the way out — a pinned dispatch
-        // must not permanently narrow the affinity of whatever thread
-        // (test harness, benchmark driver) happened to call it.
-        let saved_affinity = if self.pin == PinPolicy::Cores {
-            let saved = current_thread_affinity();
-            pin_current_thread_to_core(0);
-            saved
-        } else {
-            None
-        };
         let serial = self.dispatch_lock.lock().unwrap();
         // heal first: join + respawn any worker that retired after a panic
         // in a previous epoch, so `outstanding` below only counts threads
@@ -597,10 +432,6 @@ impl WorkerPool {
             st.panic.take()
         };
         drop(serial);
-        // restore the caller's placement before any unwinding below
-        if let Some(mask) = saved_affinity {
-            set_thread_affinity(&mask);
-        }
         // prefer the originating panic over the secondary barrier-poison
         // panics it released in the siblings — losing the real payload
         // would make pool-path failures undiagnosable
@@ -871,20 +702,13 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Spawns worker `w` of a pool (pinned to core `(w + 1) % cores` under
-/// [`PinPolicy::Cores`]) — shared between pool construction and the
+/// Spawns worker `w` of a pool — shared between pool construction and the
 /// post-panic respawn in [`WorkerPool::ensure_workers`].
-fn spawn_worker(shared: &Arc<Shared>, w: usize, pin: PinPolicy) -> JoinHandle<()> {
+fn spawn_worker(shared: &Arc<Shared>, w: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     std::thread::Builder::new()
         .name(format!("smst-engine-worker-{w}"))
-        .spawn(move || {
-            if pin == PinPolicy::Cores {
-                pin_current_thread_to_core((w + 1) % cores);
-            }
-            worker_loop(&shared, w)
-        })
+        .spawn(move || worker_loop(&shared, w))
         .expect("spawning an engine worker thread")
 }
 
@@ -1081,19 +905,11 @@ impl RoundBarrier {
 pub struct PoolHandle(Arc<WorkerPool>);
 
 impl PoolHandle {
-    /// The smallest registered unpinned pool with at least `threads` total
+    /// The smallest registered pool with at least `threads` total
     /// threads, or a freshly created (and registered) one when none fits.
     /// The pool outlives the handle only while other handles (or runners)
     /// keep it alive.
     pub fn for_threads(threads: usize) -> PoolHandle {
-        Self::for_threads_with(threads, PinPolicy::None)
-    }
-
-    /// [`PoolHandle::for_threads`] with an explicit [`PinPolicy`]. Pools
-    /// are shared only between requests with the **same** policy — a pinned
-    /// and an unpinned runner never trade workers, because pinning is a
-    /// property of the already-spawned threads.
-    pub fn for_threads_with(threads: usize, pin: PinPolicy) -> PoolHandle {
         let threads = threads.max(1);
         let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
         let mut pools = registry.lock().unwrap();
@@ -1101,12 +917,12 @@ impl PoolHandle {
         if let Some(pool) = pools
             .iter()
             .filter_map(Weak::upgrade)
-            .filter(|pool| pool.threads() >= threads && pool.pin_policy() == pin)
+            .filter(|pool| pool.threads() >= threads)
             .min_by_key(|pool| pool.threads())
         {
             return PoolHandle(pool);
         }
-        let pool = Arc::new(WorkerPool::with_policy(threads, pin));
+        let pool = Arc::new(WorkerPool::new(threads));
         pools.push(Arc::downgrade(&pool));
         PoolHandle(pool)
     }
@@ -1115,11 +931,6 @@ impl PoolHandle {
     /// share workers).
     pub fn dedicated(threads: usize) -> PoolHandle {
         PoolHandle(Arc::new(WorkerPool::new(threads)))
-    }
-
-    /// [`PoolHandle::dedicated`] with an explicit [`PinPolicy`].
-    pub fn dedicated_with(threads: usize, pin: PinPolicy) -> PoolHandle {
-        PoolHandle(Arc::new(WorkerPool::with_policy(threads, pin)))
     }
 
     /// The underlying pool.
@@ -1468,41 +1279,6 @@ mod tests {
             "poison sentinel masked the original panic: {message:?}"
         );
         pool.dispatch(2, &|_| {});
-    }
-
-    #[test]
-    fn pinned_pools_do_not_share_with_unpinned_ones() {
-        // 29 threads: unique to this test, so registry matches are exact
-        let plain = PoolHandle::for_threads(29);
-        let pinned = PoolHandle::for_threads_with(29, PinPolicy::Cores);
-        let pinned_again = PoolHandle::for_threads_with(29, PinPolicy::Cores);
-        assert!(!plain.shares_pool_with(&pinned));
-        assert!(pinned.shares_pool_with(&pinned_again));
-        assert_eq!(pinned.pool().pin_policy(), PinPolicy::Cores);
-        assert_eq!(plain.pool().pin_policy(), PinPolicy::None);
-    }
-
-    #[test]
-    fn pinned_pool_dispatches_like_an_unpinned_one() {
-        // pinning is best-effort and purely wall-clock: every part still
-        // runs exactly once
-        let pool = WorkerPool::with_policy(4, PinPolicy::Cores);
-        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        for _ in 0..50 {
-            pool.dispatch(4, &|p| {
-                hits[p].fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for h in &hits {
-            assert_eq!(h.load(Ordering::SeqCst), 50);
-        }
-    }
-
-    #[test]
-    fn affinity_call_is_best_effort() {
-        // must never panic, whatever the platform answers
-        let _ = pin_current_thread_to_core(0);
-        let _ = pin_current_thread_to_core(10_000);
     }
 
     #[test]

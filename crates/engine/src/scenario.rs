@@ -163,7 +163,7 @@ pub struct ScenarioSpec {
     /// Graph seed.
     pub seed: u64,
     /// The full execution envelope (backend, mode/daemon, threads, layout,
-    /// pinning, halo, recovery, injection).
+    /// halo, recovery, injection).
     pub engine: EngineConfig,
     /// The fault burst, if any (recurring faults are a
     /// [`FaultSchedule`](smst_sim::FaultSchedule) under
@@ -185,17 +185,15 @@ impl ScenarioSpec {
         }
     }
 
-    /// Sets the graph seed (kept in sync with the envelope seed).
+    /// Sets the graph seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.engine.seed = seed;
         self
     }
 
     /// Sets the execution envelope (the graph seed stays the scenario's).
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self.engine.seed = self.seed;
         self
     }
 
@@ -383,7 +381,6 @@ mod tests {
     use super::*;
     use crate::config::{Backend, ConfigError, InjectionSpec, RecoveryPolicy};
     use crate::layout::LayoutPolicy;
-    use crate::pool::PinPolicy;
     use crate::programs::MinIdFlood;
     use smst_sim::{Daemon, RecordingObserver, Verdict};
 
@@ -567,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn halo_and_pinning_do_not_change_outcomes() {
+    fn halo_does_not_change_outcomes() {
         let base = ScenarioSpec::new(GraphFamily::Expander { n: 70, degree: 4 })
             .seed(11)
             .engine(threads(3))
@@ -578,12 +575,7 @@ mod tests {
             .unwrap();
         let tuned = base
             .clone()
-            .engine(
-                threads(3)
-                    .layout(LayoutPolicy::Rcm)
-                    .halo(true)
-                    .pin(PinPolicy::Cores),
-            )
+            .engine(threads(3).layout(LayoutPolicy::Rcm).halo(true))
             .run(&MinIdFlood::new(0), |_v, s| *s = u64::MAX, 300)
             .unwrap();
         assert_eq!(plain.network.states(), tuned.network.states());
@@ -620,7 +612,6 @@ mod tests {
             .seed(42)
             .engine(EngineConfig::new().threads(2).backend(Backend::Sharded));
         assert_eq!(spec.seed, 42);
-        assert_eq!(spec.engine.seed, 42, "envelope seed follows the scenario");
         assert_eq!(spec.engine.threads, 2);
     }
 

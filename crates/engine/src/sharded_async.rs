@@ -78,7 +78,7 @@ where
     P::State: Send + Sync,
 {
     /// Builds the runner an [`EngineConfig`] describes (an asynchronous
-    /// sharded envelope): daemon, threads, layout, pinning, recovery and
+    /// sharded envelope): daemon, threads, layout, recovery and
     /// injection all come from the one validated config — the
     /// typed-constructor twin of [`EngineConfig::instantiate`] for callers
     /// that need the concrete runner (e.g. to inspect the
@@ -97,7 +97,7 @@ where
             daemon: daemon.build(),
             nodes: Vec::new(),
             out: Vec::new(),
-            pool: PoolHandle::for_threads_with(config.threads, config.pin),
+            pool: PoolHandle::for_threads(config.threads),
             threads: config.threads,
             time_units: 0,
             activations: 0,

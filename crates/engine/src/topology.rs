@@ -9,7 +9,7 @@
 //! entry `offsets[v] + p`), matching the `neighbors` slice order that
 //! [`smst_sim::NodeProgram::step`] expects.
 
-use smst_graph::{NodeId, WeightedGraph};
+use smst_graph::WeightedGraph;
 
 /// Flattened, port-ordered adjacency of a graph, indexed by dense node id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,11 +131,6 @@ fn check_cover(offsets: &[usize], entries: usize) -> Result<(), &'static str> {
         return Err("offsets must be monotone");
     }
     Ok(())
-}
-
-/// Convenience: the [`NodeId`]s of a topology.
-pub fn node_ids(topo: &CsrTopology) -> impl Iterator<Item = NodeId> + '_ {
-    (0..topo.node_count()).map(NodeId)
 }
 
 #[cfg(test)]

@@ -4,12 +4,11 @@
 //! sequential reference runner — itself instantiated through the *same*
 //! `EngineConfig` API ([`EngineConfig::reference`]) — and `RoundObserver`
 //! callbacks must be deterministic across thread counts, layouts, halo
-//! modes, pinning and telemetry modes (disabled / enabled / sampled
-//! tracing).
+//! modes and telemetry modes (disabled / enabled / sampled tracing).
 
 use proptest::prelude::*;
 use smst_engine::programs::{MinIdFlood, MonitorFlood};
-use smst_engine::{ConfigError, EngineConfig, LayoutPolicy, PinPolicy, Runner, StopCondition};
+use smst_engine::{ConfigError, EngineConfig, LayoutPolicy, Runner, StopCondition};
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::{NodeId, WeightedGraph};
 use smst_sim::{Daemon, FaultPlan, RecordingObserver, TeeObserver};
@@ -177,7 +176,6 @@ proptest! {
         let mut traces = Vec::new();
         let mut configs = sync_envelopes();
         configs.push(EngineConfig::reference());
-        configs.push(EngineConfig::new().threads(8).pin(PinPolicy::Cores));
         for config in configs {
             let recording = RecordingObserver::new();
             let mut runner = config.instantiate(&program, g.clone()).expect("valid");

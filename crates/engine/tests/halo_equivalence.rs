@@ -1,20 +1,19 @@
-//! Property tests for the halo-exchange execution mode and worker pinning:
-//! halo-mode runs must be **bit-for-bit identical** to the sequential
-//! [`SyncRunner`] across threads ∈ {1, 2, 8} × layout ∈ {Identity, Rcm} ×
-//! pinning on/off (the sequential runner stays the oracle, as in the PR 2
-//! equivalence suite), the async runner must be placement-invariant, and
-//! on the expander scenario the RCM layout must leave strictly smaller
-//! halos than the identity layout.
+//! Property tests for the halo-exchange execution mode: halo-mode runs must
+//! be **bit-for-bit identical** to the sequential [`SyncRunner`] across
+//! threads ∈ {1, 2, 8} × layout ∈ {Identity, Rcm} (the sequential runner
+//! stays the oracle, as in the PR 2 equivalence suite), and on the expander
+//! scenario the RCM layout must leave strictly smaller halos than the
+//! identity layout.
 
 use proptest::prelude::*;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
     partition_balanced, CsrTopology, EngineConfig, HaloPlan, LayoutPolicy, ParallelSyncRunner,
-    PinPolicy, Runner, ShardedAsyncRunner, StopCondition,
+    Runner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
-use smst_sim::{AsyncRunner, Daemon, Network, SyncRunner};
+use smst_sim::{Network, SyncRunner};
 
 fn graph_for(kind: bool, n: usize, seed: u64) -> WeightedGraph {
     if kind {
@@ -40,22 +39,19 @@ proptest! {
         seq.run_rounds(rounds);
         for threads in [1usize, 2, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
-                for pin in [PinPolicy::None, PinPolicy::Cores] {
-                    let config = EngineConfig::new()
-                        .threads(threads)
-                        .layout(policy)
-                        .halo(true)
-                        .pin(pin);
-                    let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
-                        .expect("a valid halo envelope");
-                    par.run_until(StopCondition::Steps, rounds);
-                    let snapshot = par.states_snapshot();
-                    prop_assert_eq!(
-                        snapshot.as_slice(),
-                        seq.network().states(),
-                        "threads {}, {:?}, {:?}", threads, policy, pin
-                    );
-                }
+                let config = EngineConfig::new()
+                    .threads(threads)
+                    .layout(policy)
+                    .halo(true);
+                let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
+                    .expect("a valid halo envelope");
+                par.run_until(StopCondition::Steps, rounds);
+                let snapshot = par.states_snapshot();
+                prop_assert_eq!(
+                    snapshot.as_slice(),
+                    seq.network().states(),
+                    "threads {}, {:?}", threads, policy
+                );
             }
         }
     }
@@ -88,43 +84,6 @@ proptest! {
         direct.step();
         prop_assert_eq!(halo.states_snapshot(), direct.states_snapshot());
         prop_assert_eq!(halo.steps(), 5);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    #[test]
-    fn pinned_async_runs_replay_the_central_daemon(
-        expander in proptest::bool::ANY,
-        n in 8usize..30,
-        seed in 0u64..1000,
-        daemon_seed in 0u64..100,
-        units in 1usize..5,
-    ) {
-        let g = graph_for(expander, n, seed);
-        let program = MinIdFlood::new(0);
-        let daemon = Daemon::Random { seed: daemon_seed, extra_factor: 1 };
-        let mut seq = AsyncRunner::new(&program, Network::new(&program, g.clone()), daemon.clone());
-        seq.run_time_units(units);
-        for threads in [2usize, 8] {
-            for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
-                let config = EngineConfig::new()
-                    .asynchronous(daemon.clone(), 1)
-                    .threads(threads)
-                    .layout(policy)
-                    .pin(PinPolicy::Cores);
-                let mut par = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
-                    .expect("a valid sharded async envelope");
-                par.run_until(StopCondition::Steps, units);
-                let snapshot = par.states_snapshot();
-                prop_assert_eq!(
-                    snapshot.as_slice(),
-                    seq.network().states(),
-                    "threads {}, {:?}", threads, policy
-                );
-                prop_assert_eq!(par.activations(), seq.activations());
-            }
-        }
     }
 }
 

@@ -24,7 +24,6 @@
 
 use crate::graph::{EdgeId, NodeId, WeightedGraph};
 use crate::tree::RootedTree;
-use crate::weight::CompositeWeight;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -125,23 +124,6 @@ impl Fragment {
         self.outgoing_edges(g)
             .into_iter()
             .min_by_key(|&e| g.composite_weight(e, in_tree(e)))
-    }
-
-    /// The minimum outgoing edge's composite weight (see
-    /// [`Self::minimum_outgoing_edge`]).
-    pub fn minimum_outgoing_weight<F>(
-        &self,
-        g: &WeightedGraph,
-        in_tree: F,
-    ) -> Option<CompositeWeight>
-    where
-        F: Fn(EdgeId) -> bool,
-    {
-        let in_tree_ref = &in_tree;
-        self.outgoing_edges(g)
-            .into_iter()
-            .map(|e| g.composite_weight(e, in_tree_ref(e)))
-            .min()
     }
 }
 

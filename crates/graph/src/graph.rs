@@ -347,10 +347,17 @@ impl WeightedGraph {
         if u == v || u.0 >= self.ids.len() || v.0 >= self.ids.len() {
             return None;
         }
-        self.incidence[u.0]
+        // an edge is unique, so scanning the shorter incidence list finds
+        // the same one — and growing a hub stays linear from either side
+        let (from, to) = if self.incidence[v.0].len() < self.incidence[u.0].len() {
+            (v, u)
+        } else {
+            (u, v)
+        };
+        self.incidence[from.0]
             .iter()
             .copied()
-            .find(|&e| self.edges[e.0].has_endpoint(v))
+            .find(|&e| self.edges[e.0].has_endpoint(to))
     }
 
     /// Breadth-first hop distances from `source` (`usize::MAX` for unreachable
@@ -519,6 +526,25 @@ mod tests {
             g.edge_between(NodeId(1), NodeId(0))
         );
         assert!(g.edge_between(NodeId(0), NodeId(0)).is_none());
+        let g = crate::generators::random_connected_graph(60, 240, 17);
+        for u in g.nodes() {
+            for v in g.nodes() {
+                let edge = g.edge_between(u, v);
+                assert_eq!(edge, g.edge_between(v, u), "{u:?} {v:?}");
+                assert_eq!(edge.is_some(), u != v && g.neighbors(u).any(|w| w == v));
+            }
+        }
+    }
+
+    #[test]
+    fn a_hub_grows_in_linear_time() {
+        // `add_edge` checks for a duplicate by scanning an endpoint's
+        // incidence list; from the hub's side that scan made this star
+        // quadratic (seconds at this size)
+        let n = 100_000;
+        let g = crate::generators::star_graph(n, 1);
+        assert_eq!(g.edge_count(), n - 1);
+        assert_eq!(g.degree(NodeId(0)), n - 1);
     }
 
     #[test]

@@ -220,11 +220,6 @@ impl RootedTree {
         self.subtree_size[v.0]
     }
 
-    /// All nodes of the subtree rooted at `v`.
-    pub fn subtree_nodes(&self, v: NodeId) -> Vec<NodeId> {
-        self.dfs_preorder_from(v)
-    }
-
     /// Hop distance between two nodes *in the tree*.
     pub fn tree_distance(&self, u: NodeId, v: NodeId) -> usize {
         // walk both nodes up to their lowest common ancestor

@@ -66,13 +66,6 @@ impl CompositeWeight {
         }
     }
 
-    /// Builds a composite weight for an edge ignoring the candidate-tree
-    /// indicator (useful for pure construction, where the standard ID
-    /// tie-break suffices).
-    pub fn without_indicator(weight: Weight, id_a: u64, id_b: u64) -> Self {
-        Self::new(weight, false, id_a, id_b)
-    }
-
     /// Returns `true` if this weight marks an edge of the candidate tree.
     pub fn in_candidate_tree(&self) -> bool {
         !self.non_tree

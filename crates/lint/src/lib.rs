@@ -1,7 +1,7 @@
 //! # smst-lint — the in-tree invariant lint engine
 //!
 //! The equivalence suites (`config_runner_equivalence`,
-//! `chaos_determinism`, the halo/pool pinning tests) all assume
+//! `chaos_determinism`, the halo/pool tests) all assume
 //! bit-for-bit replay. The invariants that make replay true are
 //! conventions, not types: wall-clock reads stay on observed paths,
 //! entropy flows only through seeded `smst-rng` streams, deterministic

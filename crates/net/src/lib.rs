@@ -3,7 +3,7 @@
 //!
 //! The engine's `EngineConfig::instantiate` stays the single entry point:
 //! this crate registers a remote factory per program (see [`install`] /
-//! [`install_stock`]), and an envelope with `Backend::Remote { peers }`
+//! [`install_stock`]), and an envelope with `Backend::Remote`
 //! then resolves to a [`RemoteRunner`] — a coordinator that spawns one
 //! `smst-net worker` process per shard, ships each a one-time setup frame
 //! holding its **region** (region-local CSR, interior contexts, the

@@ -137,7 +137,6 @@ pub struct RemoteRunner<'p, P: WireProgram> {
     /// `part` of this plan.
     plan: HaloPlan,
     peers: usize,
-    seed: u64,
     listener: Listener,
     endpoint: Endpoint,
     worker_bin: std::path::PathBuf,
@@ -186,9 +185,10 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         endpoint: Endpoint,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let Backend::Remote { peers } = config.backend else {
+        if config.backend != Backend::Remote {
             return Err(config.wrong_mode("remote synchronous"));
-        };
+        }
+        let peers = config.threads;
         let arena = Arena::new(program, graph, config.layout);
         let plan = HaloPlan::build(
             arena.topology(),
@@ -202,7 +202,6 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
             arena,
             plan,
             peers,
-            seed: config.seed,
             listener,
             endpoint,
             worker_bin,
@@ -272,7 +271,7 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
                 .ok_or_else(|| format!("a worker announced part {announced}, which awaits none"))?;
             // from the mirror as it stands: a respawned worker starts where
             // the coordinator is, not from `init`
-            let setup = setup_frame(&self.arena, &self.plan, pending[slot].0, self.seed);
+            let setup = setup_frame(&self.arena, &self.plan, pending[slot].0);
             let setup_bytes = conn
                 .send(&Frame::Setup(setup))
                 .map_err(|e| format!("worker {announced} setup failed: {e}"))?;
@@ -593,7 +592,6 @@ pub fn setup_frame<P: WireProgram>(
     arena: &Arena<'_, P>,
     plan: &HaloPlan,
     part: usize,
-    seed: u64,
 ) -> SetupFrame {
     let shard = plan.shards()[part];
     let halo_nodes = plan.halo_nodes(part);
@@ -602,7 +600,6 @@ pub fn setup_frame<P: WireProgram>(
     let mut spec = Vec::new();
     arena.program().encode_spec(&mut spec);
     SetupFrame {
-        seed,
         part: part as u32,
         program: P::WIRE_NAME.to_string(),
         spec,

@@ -22,8 +22,8 @@
 //!
 //! The one-time [`SetupFrame`] carries a worker's **region** and nothing
 //! else of the graph ([`WireRegion`]): the region-local CSR, the interior
-//! node contexts and one register per region slot. Payload layout (v3),
-//! after the tag byte: `seed u64 ‖ part u32 ‖ program str ‖ spec bytes ‖
+//! node contexts and one register per region slot. Payload layout (v4),
+//! after the tag byte: `part u32 ‖ program str ‖ spec bytes ‖
 //! halo_len u32 ‖ offsets [u32] ‖ targets [u32] ‖ nodes [u32] ‖ ids [u64] ‖
 //! weights [u64] ‖ registers bytes`, every array a `u32` count followed by
 //! its little-endian elements. The decoder only checks that each announced
@@ -50,8 +50,8 @@ pub const WIRE_SCHEMA: &str = "smst-wire-v1";
 /// change; a worker and coordinator disagreeing on it refuse to pair.
 /// (v1 shipped every halo and interior register every round; v2 ships
 /// [`RegisterDelta`]s; v3 boots a worker from its region instead of the
-/// whole graph.)
-pub const WIRE_VERSION: u16 = 3;
+/// whole graph; v4 drops the set-up frame's unread envelope seed.)
+pub const WIRE_VERSION: u16 = 4;
 
 /// Hard ceiling on a single frame's payload (1 GiB). A length prefix
 /// beyond this is rejected outright, and one below it reserves nothing:
@@ -425,8 +425,6 @@ impl WireRegion {
 /// and its **region** — what it sweeps, and nothing else of the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetupFrame {
-    /// The envelope seed (bookkeeping; carried for artifact labels).
-    pub seed: u64,
     /// This worker's part index.
     pub part: u32,
     /// The program's wire name ([`crate::program::WireProgram::WIRE_NAME`]).
@@ -633,7 +631,6 @@ impl Frame {
             }
             Frame::Setup(setup) => {
                 put_u8(out, TAG_SETUP);
-                put_u64(out, setup.seed);
                 put_u32(out, setup.part);
                 put_str(out, &setup.program);
                 put_bytes(out, &setup.spec);
@@ -690,7 +687,6 @@ impl Frame {
                 version: dec.u16()?,
             },
             TAG_SETUP => Frame::Setup(SetupFrame {
-                seed: dec.u64()?,
                 part: dec.u32()?,
                 program: dec.str()?.to_string(),
                 spec: dec.bytes()?.to_vec(),

@@ -185,7 +185,7 @@ fn a_set_up_frame_carries_a_region_not_the_world() {
         );
         assert_eq!(plan.shard_count(), peers);
         let frames: Vec<_> = (0..peers)
-            .map(|part| setup_frame(&arena, &plan, part, 7))
+            .map(|part| setup_frame(&arena, &plan, part))
             .collect();
         let slots: usize = frames.iter().map(|f| f.region.region_len()).sum();
         assert_eq!(slots, n + plan.total_halo(), "{peers} peers, {layout:?}");
@@ -251,7 +251,7 @@ fn a_dispatch_the_worker_cannot_honor_comes_back_as_a_typed_error() {
     let interiors = plan.shards()[0].len() as u32;
     let (child, mut conn) = lone_worker(WIRE_VERSION);
     assert_eq!(handshake_accept(&mut conn), Ok(0));
-    conn.send(&Frame::Setup(setup_frame(&arena, &plan, 0, 7)))
+    conn.send(&Frame::Setup(setup_frame(&arena, &plan, 0)))
         .expect("the region ships");
     let dispatch = |patch| {
         Frame::Round(RoundFrame {
@@ -511,29 +511,29 @@ fn worker_exhausting_retries_is_a_typed_panic_error() {
 fn version_skew_is_a_typed_rejection() {
     setup();
     // a worker announcing another protocol version — a future one, or the
-    // whole-graph v2 this build replaced — is refused with a typed
-    // mismatch on both sides of the wire
-    for theirs in [99u16, 2] {
+    // seeded set-up frame's v3 this build replaced — is refused with a
+    // typed mismatch on both sides of the wire
+    for theirs in [99u16, 3] {
         let (child, mut conn) = lone_worker(theirs);
         assert_eq!(
             handshake_accept(&mut conn),
-            Err(WireError::VersionMismatch { ours: 3, theirs })
+            Err(WireError::VersionMismatch { ours: 4, theirs })
         );
         // the worker sees the typed Error frame and exits nonzero
         assert!(last_words(child).contains("peer rejected us"));
     }
-    // and the other way round: a coordinator still on v2 acknowledges a
-    // v3 worker with its own version, and the worker refuses to go on
+    // and the other way round: a coordinator still on v3 acknowledges a
+    // v4 worker with its own version, and the worker refuses to go on
     let (child, mut conn) = lone_worker(WIRE_VERSION);
     assert_eq!(
         conn.recv(),
         Ok(Frame::Hello {
-            version: 3,
+            version: 4,
             part: 0
         })
     );
-    conn.send(&Frame::HelloAck { version: 2 }).expect("send");
-    let mismatch = WireError::VersionMismatch { ours: 3, theirs: 2 };
+    conn.send(&Frame::HelloAck { version: 3 }).expect("send");
+    let mismatch = WireError::VersionMismatch { ours: 4, theirs: 3 };
     assert!(last_words(child).contains(&mismatch.to_string()));
 }
 

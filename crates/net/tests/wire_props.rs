@@ -8,7 +8,7 @@
 //! together is refused before anything is built from it. The per-round
 //! frames are additionally pinned to **golden byte strings** (recorded
 //! once under `WIRE_VERSION = 2`, when the dense v1 payloads became
-//! `RegisterDelta`s; v3 changed only the set-up frame): whoever rewrites
+//! `RegisterDelta`s; v3 and v4 changed only the set-up frame): whoever rewrites
 //! their codec must emit exactly these or bump `WIRE_VERSION`.
 
 use proptest::prelude::*;
@@ -74,7 +74,6 @@ fn all(states: Vec<u8>) -> RegisterDelta {
 /// and `c` (original nodes 1 and 2), halo slots 2 (`a`) and 3 (`d`).
 fn sample_setup() -> SetupFrame {
     SetupFrame {
-        seed: 11,
         part: 2,
         program: "min-id-flood".to_string(),
         spec: vec![7, 0, 0, 0, 0, 0, 0, 0],
@@ -256,6 +255,23 @@ fn round_frames_match_the_golden_bytes() {
             len: 524_324,
             fnv1a: 0x806f_5b79_24b6_8621,
         },
+    );
+}
+
+#[test]
+fn setup_frames_match_the_golden_bytes() {
+    // recorded under `WIRE_VERSION = 4`: `sample_setup()` with the region
+    // right behind the program and its spec (v3 carried an 8-byte envelope
+    // seed between the tag and the part index)
+    assert_golden(
+        &Frame::Setup(sample_setup()),
+        Golden::Hex(
+            "b100000003020000000c0000006d696e2d69642d666c6f6f640800000007000000000000000200\
+             000003000000000000000200000004000000040000000200000001000000000000000300000002\
+             00000001000000020000000200000005000000000000000900000000000000040000000a000000\
+             00000000140000000000000014000000000000001e000000000000002000000000000000000000\
+             00157c4a7fb979379e2af894fe72f36e3c3f74df7d2c6da6da",
+        ),
     );
 }
 
@@ -503,10 +519,10 @@ fn hostile_length_prefixes_are_refused_before_allocation() {
     // inside a frame the same holds for every array of a set-up region: a
     // count far beyond the bytes present is a typed torn frame, decoded
     // without reserving the count. Count fields of `sample_setup()`'s
-    // payload, by offset: tag 1, seed 8, part 4, program 4 + 12,
-    // spec 4 + 8, halo_len 4 = 45
+    // payload, by offset: tag 1, part 4, program 4 + 12, spec 4 + 8,
+    // halo_len 4 = 37
     let payload = Frame::Setup(sample_setup()).encode();
-    let mut at = 45;
+    let mut at = 37;
     // offsets, targets, nodes (u32s), ids, weights (u64s), register bytes
     for (count, width) in [(3u32, 4), (4, 4), (2, 4), (2, 8), (4, 8), (32, 1)] {
         assert_eq!(payload[at..at + 4], count.to_le_bytes(), "offset {at}");
@@ -547,7 +563,7 @@ fn the_schema_tag_does_not_move_with_the_protocol_version() {
     // `smst-lint`'s schema-parity rule pairs this tag with
     // `analyze::ingest::SCHEMA_WIRE`; it names the frame grammar's family
     // and stays put when a frame layout bumps the handshake version
-    assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 3));
+    assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 4));
 }
 
 #[test]
@@ -611,7 +627,7 @@ proptest! {
 
     #[test]
     fn setup_frames_round_trip(
-        seed in 0u64..u64::MAX,
+        root in 0u64..u64::MAX,
         part in 0u32..64,
         degrees in proptest::collection::vec(0usize..6, 0..24),
         halo_len in 0u32..12,
@@ -642,10 +658,9 @@ proptest! {
             region.offsets.push(region.targets.len() as u32);
         }
         let setup = SetupFrame {
-            seed,
             part,
             program: "min-id-flood".to_string(),
-            spec: seed.to_le_bytes().to_vec(),
+            spec: root.to_le_bytes().to_vec(),
             region,
             registers: registers(region_len as u64),
         };

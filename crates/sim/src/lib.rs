@@ -37,7 +37,6 @@
 //!   every runner in the workspace invokes, with a [`RecordingObserver`]
 //!   for benches and tests and a [`TeeObserver`] to fan one stream out to
 //!   several sinks (e.g. recording plus telemetry);
-//! * [`trace`] — a bounded execution trace for debugging and examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +50,6 @@ pub mod observer;
 pub mod program;
 pub mod schedule;
 pub mod sync;
-pub mod trace;
 
 pub use asynch::{ActivationBatch, AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon};
 pub use faults::FaultPlan;

@@ -142,31 +142,11 @@ impl<'p, P: NodeProgram> SyncRunner<'p, P> {
     }
 }
 
-impl<'p, P> SyncRunner<'p, P>
-where
-    P: NodeProgram,
-    P::State: PartialEq,
-{
-    /// Runs until a fixpoint (no register changes in a round) is reached, for
-    /// at most `max_rounds` rounds. Returns the number of rounds until the
-    /// first unchanged round.
-    pub fn run_to_fixpoint(&mut self, max_rounds: usize) -> Option<usize> {
-        for executed in 1..=max_rounds {
-            self.step_round();
-            // after the buffer swap, `scratch` holds the previous round
-            if self.scratch.as_slice() == self.network.states() {
-                return Some(executed);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{NodeContext, Verdict};
-    use smst_graph::generators::{path_graph, random_connected_graph};
+    use smst_graph::generators::path_graph;
 
     /// Propagates the minimum identity; accepts once it holds the global
     /// minimum (which, with identities `0..n`, is 0).
@@ -198,16 +178,6 @@ mod tests {
         let t = runner.run_until_all_accept(100).unwrap();
         assert_eq!(t, diameter);
         assert_eq!(runner.rounds(), diameter);
-    }
-
-    #[test]
-    fn fixpoint_detection() {
-        let g = random_connected_graph(12, 20, 1);
-        let net = Network::new(&MinId, g);
-        let mut runner = SyncRunner::new(&MinId, net);
-        let t = runner.run_to_fixpoint(100).unwrap();
-        assert!(t <= 13);
-        assert!(runner.network().all_accept(&MinId));
     }
 
     #[test]
