@@ -4,9 +4,10 @@
 //! sweep (plus its dispatch and, asynchronously, the daemon's schedule),
 //! whatever the program, so the verifier is held to *exactly* the count of an
 //! 8-byte flood — whose `step` is a fold over `u64`s — on the same graph and
-//! envelope, synchronous and asynchronous. This file holds exactly one
-//! test: the counter is process-wide, and a concurrently running test would
-//! be counted too.
+//! envelope, synchronous and asynchronous. Instantiating a runner costs a
+//! bounded number of allocations, not one per node: a node's context is a
+//! `Copy` value in one table. This file holds exactly one test: the counter
+//! is process-wide, and a concurrently running test would be counted too.
 
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::programs::MinIdFlood;
@@ -68,6 +69,21 @@ where
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// Allocations made by instantiating `program` on `inst`, counted from
+/// after the graph clone the runner takes ownership of.
+fn allocations_to_instantiate<P>(program: &P, config: &EngineConfig, inst: &Instance) -> u64
+where
+    P: NodeProgram + Sync + 'static,
+    P::State: Send + Sync,
+{
+    let graph = inst.graph.clone();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let runner = config.instantiate(program, graph).expect("a valid config");
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(runner);
+    count
+}
+
 #[test]
 fn verifier_rounds_allocate_no_more_than_a_flood() {
     let n = 512;
@@ -76,6 +92,17 @@ fn verifier_rounds_allocate_no_more_than_a_flood() {
     let inst = Instance::from_tree(g, &tree);
     let (labels, _) = Marker.label(&inst).unwrap();
     let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+    // 512 nodes: a per-node heap anywhere in the context or register
+    // tables shows
+    for config in [EngineConfig::new().threads(1), EngineConfig::reference()] {
+        let flood = allocations_to_instantiate(&MinIdFlood::new(0), &config, &inst);
+        let verify = allocations_to_instantiate(&verifier, &config, &inst);
+        assert!(
+            flood.max(verify) < 64,
+            "{}: instantiating allocated {flood} (flood) / {verify} (verifier) times",
+            config.describe()
+        );
+    }
     for threads in [1, 2] {
         let config = EngineConfig::new().threads(threads);
         let flood = allocations_in_eight_steps(&MinIdFlood::new(0), &config, &inst);

@@ -73,8 +73,9 @@ mod tests {
     /// A step that is sensitive to everything the kernel hands it: the
     /// node's own context, its register, and each neighbour register
     /// paired with the weight of the port it sits behind (so a neighbour
-    /// delivered in the wrong port order changes the result).
-    struct PortMix;
+    /// delivered in the wrong port order changes the result). Like the
+    /// core verifier, it reads port weights from the graph it carries.
+    struct PortMix(WeightedGraph);
 
     impl NodeProgram for PortMix {
         type State = u64;
@@ -83,43 +84,45 @@ mod tests {
         }
         fn step(&self, ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
             assert_eq!(neighbors.len(), ctx.degree);
+            let ports = self.0.incident_edges(ctx.node);
             neighbors
                 .iter()
-                .zip(&ctx.edge_weights)
-                .fold(own.rotate_left(7) ^ ctx.id, |acc, (&&x, &w)| {
-                    acc.wrapping_mul(31).wrapping_add(x ^ w)
+                .zip(ports)
+                .fold(own.rotate_left(7) ^ ctx.id, |acc, (&&x, &e)| {
+                    acc.wrapping_mul(31).wrapping_add(x ^ self.0.weight(e))
                 })
         }
     }
 
-    /// The arena of `g` under `policy`, and one round of the sequential
-    /// reference on the same registers (original node order).
+    /// The arena of the program's graph under `policy`, and one round of
+    /// the sequential reference on the same registers (original node order).
     fn arena_and_reference(
-        g: &WeightedGraph,
+        program: &PortMix,
         policy: LayoutPolicy,
-    ) -> (Arena<'static, PortMix>, Vec<u64>) {
-        let arena = Arena::new(&PortMix, g.clone(), policy);
-        let net: Network<PortMix> = Network::with_states(g.clone(), arena.states_snapshot());
+    ) -> (Arena<'_, PortMix>, Vec<u64>) {
+        let arena = Arena::new(program, program.0.clone(), policy);
+        let net: Network<PortMix> =
+            Network::with_states(program.0.clone(), arena.states_snapshot());
         let mut reference = net.states().to_vec();
-        net.next_states_into(&PortMix, &mut reference);
+        net.next_states_into(program, &mut reference);
         (arena, reference)
     }
 
-    fn cases() -> impl Iterator<Item = (WeightedGraph, LayoutPolicy)> {
+    fn cases() -> impl Iterator<Item = (PortMix, LayoutPolicy)> {
         (0..4u64).flat_map(|seed| {
             let g = random_connected_graph(40 + 7 * seed as usize, 130, seed);
-            [LayoutPolicy::Identity, LayoutPolicy::Rcm].map(|policy| (g.clone(), policy))
+            [LayoutPolicy::Identity, LayoutPolicy::Rcm].map(|policy| (PortMix(g.clone()), policy))
         })
     }
 
     #[test]
     fn contiguous_ranges_equal_the_reference_round() {
-        for (g, policy) in cases() {
-            let (arena, reference) = arena_and_reference(&g, policy);
+        for (program, policy) in cases() {
+            let (arena, reference) = arena_and_reference(&program, policy);
             let mut out = vec![0u64; arena.node_count()];
             for shard in partition_balanced(arena.topology(), 3) {
                 sweep(
-                    &PortMix,
+                    &program,
                     arena.topology(),
                     arena.contexts(),
                     arena.states(),
@@ -136,14 +139,14 @@ mod tests {
 
     #[test]
     fn explicit_node_lists_equal_the_reference_round() {
-        for (g, policy) in cases() {
-            let (arena, reference) = arena_and_reference(&g, policy);
+        for (program, policy) in cases() {
+            let (arena, reference) = arena_and_reference(&program, policy);
             let n = arena.node_count();
             // out of order, with repeats: what a daemon's batch looks like
             let list: Vec<u32> = (0..2 * n).map(|k| ((k * 17 + 5) % n) as u32).collect();
             let mut out = vec![0u64; list.len()];
             sweep(
-                &PortMix,
+                &program,
                 arena.topology(),
                 arena.contexts(),
                 arena.states(),
@@ -159,8 +162,8 @@ mod tests {
 
     #[test]
     fn region_local_csrs_equal_the_reference_round() {
-        for (g, policy) in cases() {
-            let (arena, reference) = arena_and_reference(&g, policy);
+        for (program, policy) in cases() {
+            let (arena, reference) = arena_and_reference(&program, policy);
             let shards = partition_balanced(arena.topology(), 4);
             let plan = HaloPlan::build(arena.topology(), &shards);
             let mut regions = Vec::new();
@@ -168,7 +171,7 @@ mod tests {
             for (part, shard) in shards.iter().enumerate() {
                 let mut out = vec![0u64; shard.len()];
                 sweep(
-                    &PortMix,
+                    &program,
                     plan.local_csr(part).expect("a halo plan has local CSRs"),
                     &arena.contexts()[shard.nodes()],
                     &regions[plan.region(part)],
@@ -186,11 +189,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "one output slot per swept node")]
     fn mismatched_output_length_is_rejected() {
-        let g = random_connected_graph(10, 20, 1);
-        let arena = Arena::new(&PortMix, g, LayoutPolicy::Identity);
+        let program = PortMix(random_connected_graph(10, 20, 1));
+        let arena = Arena::new(&program, program.0.clone(), LayoutPolicy::Identity);
         let mut out = vec![0u64; 3];
         sweep(
-            &PortMix,
+            &program,
             arena.topology(),
             arena.contexts(),
             arena.states(),

@@ -282,7 +282,7 @@ where
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.arena.context(v).clone()
+        *self.arena.context(v)
     }
 
     fn any_alarm(&self) -> bool {

@@ -246,7 +246,7 @@ where
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.network().context(v).clone()
+        *self.network().context(v)
     }
 
     fn any_alarm(&self) -> bool {
@@ -321,7 +321,7 @@ where
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.network().context(v).clone()
+        *self.network().context(v)
     }
 
     fn any_alarm(&self) -> bool {

@@ -248,7 +248,7 @@ where
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.arena.context(v).clone()
+        *self.arena.context(v)
     }
 
     fn any_alarm(&self) -> bool {

@@ -5,24 +5,29 @@
 //! put on the sockets ([`RemoteRunner::wire_totals`] — a pure function of
 //! graph and seed, so the `wire_*` meta entries never move by themselves)
 //! to `BENCH_remote.json` (the `smst-analyze check` gate consumes it).
-//! Set-up is printed, not gated on time: bytes per worker (asserted below
-//! the whole-graph frame wire v2 shipped to every worker) and the first
-//! round, which is where a worker's set-up work would show.
+//! Set-up is printed, not gated on time: bytes per worker (asserted equal
+//! to what its region of the plan accounts for) and the first round,
+//! which is where a worker's set-up work would show.
 //! `SMST_BENCH_SMOKE=1` shrinks the graph and iteration counts.
 
 use smst_bench::harness::{smoke_mode, BenchGroup};
 use smst_engine::programs::AlarmedFlood;
-use smst_engine::{Backend, EngineConfig, GraphFamily, Runner};
+use smst_engine::{
+    partition_balanced, Arena, Backend, EngineConfig, GraphFamily, HaloPlan, Runner,
+};
 use smst_net::{RemoteRunner, WireProgram};
 use smst_sim::RecordingObserver;
 
-/// Payload bytes of the wire-v2 set-up frame for this graph, which every
-/// worker received whatever its part: tag, seed, peers, part, layout,
-/// program name, spec, then 8 B per node id, 16 B per edge and one 8-byte
-/// flood register per node (each array behind a `u32` count).
-fn whole_graph_setup_bytes(nodes: usize, edges: usize, spec_len: usize) -> usize {
-    let header = 1 + 8 + 4 + 4 + 1 + (4 + AlarmedFlood::WIRE_NAME.len()) + (4 + spec_len);
-    header + (4 + 8 * nodes) + (4 + 16 * edges) + (4 + 8 * nodes)
+/// Payload bytes of the set-up frame of region `part` (wire v5): tag, part,
+/// program name, spec, `halo_len`, five `u32` counts, then per interior a
+/// CSR offset (plus the closing one), a node and an id, per port a target,
+/// and one 8-byte flood register per region slot. A pure function of graph
+/// and plan: a field added to the region re-inflates the frame here.
+fn region_setup_bytes(plan: &HaloPlan, part: usize, spec_len: usize) -> usize {
+    let header = 1 + 4 + (4 + AlarmedFlood::WIRE_NAME.len()) + (4 + spec_len) + 4 + 5 * 4;
+    let (rows, halo) = (plan.shards()[part].len(), plan.halo_nodes(part).len());
+    let ports = plan.local_csr(part).expect("a halo plan").entry_count();
+    header + 4 + rows * (4 + 4 + 8 + 8) + 4 * ports + 8 * halo
 }
 
 fn main() {
@@ -45,20 +50,20 @@ fn main() {
     let mut sharded = sharded_config
         .instantiate(&program, graph.clone())
         .expect("a valid sharded envelope");
-    // a worker holds its region, not the world: each set-up frame must be
-    // smaller than the whole-graph frame it replaced (a pure function of
-    // graph and plan — no timing in this check)
+    // a worker holds its region, not the world: each set-up frame is
+    // exactly what its region of the coordinator's plan accounts for
     let mut spec = Vec::new();
     program.encode_spec(&mut spec);
-    let whole = whole_graph_setup_bytes(n, graph.edge_count(), spec.len());
+    let arena = Arena::new(&program, graph.clone(), remote_config.layout);
+    let plan = HaloPlan::build(
+        arena.topology(),
+        &partition_balanced(arena.topology(), peers),
+    );
+    let expected: Vec<_> = (0..peers)
+        .map(|part| region_setup_bytes(&plan, part, spec.len()))
+        .collect();
     let setup_bytes = remote.setup_bytes();
-    assert_eq!(setup_bytes.len(), peers);
-    for (part, &bytes) in setup_bytes.iter().enumerate() {
-        assert!(
-            bytes < whole,
-            "worker {part} was shipped {bytes} B; the whole graph took {whole} B"
-        );
-    }
+    assert_eq!(setup_bytes, expected, "set-up bytes per worker");
     let tail = 8usize;
     let mut before_tail = remote.wire_totals();
     for round in 0..rounds {
@@ -101,8 +106,8 @@ fn main() {
         .map(|stats| stats.total_phase_ns() as f64 / 1e3)
         .collect();
     println!(
-        "  set-up: {setup_bytes:?} B per worker (the whole-graph frame was {whole} B each); \
-         first round {:.0} us, second {:.0} us, last (quiescent) {:.0} us",
+        "  set-up: {setup_bytes:?} B per worker; first round {:.0} us, second {:.0} us, \
+         last (quiescent) {:.0} us",
         round_us[0],
         round_us[1],
         round_us[rounds - 1],

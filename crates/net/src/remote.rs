@@ -14,7 +14,7 @@
 //! — so killing and respawning a worker loses no state the coordinator
 //! cannot restore, and a worker's memory and set-up time are its shard's,
 //! not the world's. Measured on a 10⁵-node degree-8 expander: a set-up
-//! frame is 6.4 MB at 2 workers and 1.9 MB at 8 where the whole-graph
+//! frame is 3.2 MB at 2 workers and 1.1 MB at 8 where the whole-graph
 //! frame was 8.0 MB for every worker; at 2 workers a worker's `VmHWM`
 //! falls from 50.8 MB to 15.7 MB and the first round from 109–119 ms to
 //! 10–15 ms (dense rounds after it: 3.5–5 ms), because no worker rebuilds
@@ -714,7 +714,7 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
     }
 
     fn context(&self, v: NodeId) -> NodeContext {
-        self.arena.context(v).clone()
+        *self.arena.context(v)
     }
 
     fn any_alarm(&self) -> bool {

@@ -22,11 +22,11 @@
 //!
 //! The one-time [`SetupFrame`] carries a worker's **region** and nothing
 //! else of the graph ([`WireRegion`]): the region-local CSR, the interior
-//! node contexts and one register per region slot. Payload layout (v4),
+//! node contexts and one register per region slot. Payload layout (v5),
 //! after the tag byte: `part u32 ‖ program str ‖ spec bytes ‖
 //! halo_len u32 ‖ offsets [u32] ‖ targets [u32] ‖ nodes [u32] ‖ ids [u64] ‖
-//! weights [u64] ‖ registers bytes`, every array a `u32` count followed by
-//! its little-endian elements. The decoder only checks that each announced
+//! registers bytes`, every array a `u32` count followed by its
+//! little-endian elements. The decoder only checks that each announced
 //! count fits the bytes that are there; [`WireRegion::into_parts`] checks
 //! that the arrays describe one consistent region.
 //!
@@ -50,8 +50,9 @@ pub const WIRE_SCHEMA: &str = "smst-wire-v1";
 /// change; a worker and coordinator disagreeing on it refuse to pair.
 /// (v1 shipped every halo and interior register every round; v2 ships
 /// [`RegisterDelta`]s; v3 boots a worker from its region instead of the
-/// whole graph; v4 drops the set-up frame's unread envelope seed.)
-pub const WIRE_VERSION: u16 = 4;
+/// whole graph; v4 drops the set-up frame's unread envelope seed; v5 drops
+/// the region's unread port weights.)
+pub const WIRE_VERSION: u16 = 5;
 
 /// Hard ceiling on a single frame's payload (1 GiB). A length prefix
 /// beyond this is rejected outright, and one below it reserves nothing:
@@ -318,9 +319,9 @@ impl<'a> Dec<'a> {
 /// interior reads except the registers: the region-local CSR (row `i`
 /// lists the region slots holding interior `i`'s neighbours, port order;
 /// slots `>= interior count` are halo slots) and what each interior node
-/// knows for free (`NodeContext`: original node index, identity, the
-/// weight behind each port). Flat arrays, one entry per interior or per
-/// CSR entry, so the whole region decodes in five bounded reads.
+/// knows for free (`NodeContext`: original node index and identity; the
+/// degree is the row's length). Flat arrays, one entry per interior or
+/// per CSR entry, so the whole region decodes in four bounded reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRegion {
     /// Halo slots after the interiors: the region holds
@@ -335,8 +336,6 @@ pub struct WireRegion {
     pub nodes: Vec<u32>,
     /// `NodeContext::id` of each interior.
     pub ids: Vec<u64>,
-    /// The weight behind each port, parallel to `targets`.
-    pub weights: Vec<u64>,
 }
 
 impl WireRegion {
@@ -350,12 +349,10 @@ impl WireRegion {
             targets: Vec::with_capacity(csr.entry_count()),
             nodes: contexts.iter().map(|ctx| ctx.node.index() as u32).collect(),
             ids: contexts.iter().map(|ctx| ctx.id).collect(),
-            weights: Vec::with_capacity(csr.entry_count()),
         };
         region.offsets.push(0);
-        for (row, ctx) in contexts.iter().enumerate() {
+        for row in 0..rows {
             region.targets.extend_from_slice(csr.neighbors_of(row));
-            region.weights.extend_from_slice(&ctx.edge_weights);
             region.offsets.push(region.targets.len() as u32);
         }
         region
@@ -370,8 +367,7 @@ impl WireRegion {
     /// Validates the arrays against each other and builds what the round
     /// loop sweeps: offsets start at 0, ascend and end at `targets.len()`;
     /// every target is a slot of the region; one `node` and one `id` per
-    /// row; one weight per target. Each violation is a typed
-    /// [`WireError::BadValue`] naming it.
+    /// row. Each violation is a typed [`WireError::BadValue`] naming it.
     pub fn into_parts(self) -> Result<(CsrTopology, Vec<NodeContext>), WireError> {
         let interiors = self.nodes.len();
         if self.ids.len() != interiors || self.offsets.len() != interiors + 1 {
@@ -379,22 +375,15 @@ impl WireRegion {
                 "a region needs one context and one CSR row per interior",
             ));
         }
-        if self.weights.len() != self.targets.len() {
-            return Err(WireError::BadValue("a region needs one weight per port"));
-        }
         let region_len = self.region_len();
         let offsets = self.offsets.iter().map(|&o| o as usize).collect();
         let csr = CsrTopology::from_parts(offsets, self.targets, region_len)
             .map_err(WireError::BadValue)?;
         let contexts = (0..interiors)
-            .map(|row| {
-                let ports = self.offsets[row] as usize..self.offsets[row + 1] as usize;
-                NodeContext {
-                    node: NodeId(self.nodes[row] as usize),
-                    id: self.ids[row],
-                    degree: ports.len(),
-                    edge_weights: self.weights[ports].to_vec(),
-                }
+            .map(|row| NodeContext {
+                node: NodeId(self.nodes[row] as usize),
+                id: self.ids[row],
+                degree: csr.degree(row),
             })
             .collect();
         Ok((csr, contexts))
@@ -406,7 +395,6 @@ impl WireRegion {
         put_u32s(out, &self.targets);
         put_u32s(out, &self.nodes);
         put_u64s(out, &self.ids);
-        put_u64s(out, &self.weights);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, WireError> {
@@ -416,7 +404,6 @@ impl WireRegion {
             targets: dec.u32s()?,
             nodes: dec.u32s()?,
             ids: dec.u64s()?,
-            weights: dec.u64s()?,
         })
     }
 }

@@ -172,9 +172,10 @@ fn remote_matches_sharded_and_reference_round_by_round() {
 fn a_set_up_frame_carries_a_region_not_the_world() {
     // no process needed: the frame is a pure function of arena and plan.
     // An eighth of the graph costs about a quarter of what a half does
-    // (plus its halo registers), and the regions together hold every node
-    // once plus every halo slot — nothing of the graph is shipped twice
-    // except what is mirrored
+    // (plus its halo registers, which weigh more since v5 stopped shipping
+    // 8 B per port: 0.37 under Identity on this 4096-node expander), and
+    // the regions together hold every node once plus every halo slot —
+    // nothing of the graph is shipped twice except what is mirrored
     let n = 4096usize;
     let program = AlarmedFlood::new(0, n as u64 - 1);
     let frames_at = |peers: usize, layout: LayoutPolicy| {
@@ -201,7 +202,7 @@ fn a_set_up_frame_carries_a_region_not_the_world() {
         let eighths = frames_at(8, layout);
         let (small, large) = (eighths.iter().max().unwrap(), halves.iter().min().unwrap());
         assert!(
-            *small as f64 <= 0.35 * *large as f64,
+            *small as f64 <= 0.4 * *large as f64,
             "{layout:?}: one of 8 parts ships {small} B, one of 2 ships {large} B"
         );
     }
@@ -511,29 +512,29 @@ fn worker_exhausting_retries_is_a_typed_panic_error() {
 fn version_skew_is_a_typed_rejection() {
     setup();
     // a worker announcing another protocol version — a future one, or the
-    // seeded set-up frame's v3 this build replaced — is refused with a
-    // typed mismatch on both sides of the wire
-    for theirs in [99u16, 3] {
+    // weighted region's v4 this build replaced — is refused with a typed
+    // mismatch on both sides of the wire
+    for theirs in [99u16, 4] {
         let (child, mut conn) = lone_worker(theirs);
         assert_eq!(
             handshake_accept(&mut conn),
-            Err(WireError::VersionMismatch { ours: 4, theirs })
+            Err(WireError::VersionMismatch { ours: 5, theirs })
         );
         // the worker sees the typed Error frame and exits nonzero
         assert!(last_words(child).contains("peer rejected us"));
     }
-    // and the other way round: a coordinator still on v3 acknowledges a
-    // v4 worker with its own version, and the worker refuses to go on
+    // and the other way round: a coordinator still on v4 acknowledges a
+    // v5 worker with its own version, and the worker refuses to go on
     let (child, mut conn) = lone_worker(WIRE_VERSION);
     assert_eq!(
         conn.recv(),
         Ok(Frame::Hello {
-            version: 4,
+            version: 5,
             part: 0
         })
     );
-    conn.send(&Frame::HelloAck { version: 3 }).expect("send");
-    let mismatch = WireError::VersionMismatch { ours: 4, theirs: 3 };
+    conn.send(&Frame::HelloAck { version: 4 }).expect("send");
+    let mismatch = WireError::VersionMismatch { ours: 5, theirs: 4 };
     assert!(last_words(child).contains(&mismatch.to_string()));
 }
 

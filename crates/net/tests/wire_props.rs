@@ -8,8 +8,8 @@
 //! together is refused before anything is built from it. The per-round
 //! frames are additionally pinned to **golden byte strings** (recorded
 //! once under `WIRE_VERSION = 2`, when the dense v1 payloads became
-//! `RegisterDelta`s; v3 and v4 changed only the set-up frame): whoever rewrites
-//! their codec must emit exactly these or bump `WIRE_VERSION`.
+//! `RegisterDelta`s; v3, v4 and v5 changed only the set-up frame): whoever
+//! rewrites their codec must emit exactly these or bump `WIRE_VERSION`.
 
 use proptest::prelude::*;
 use smst_engine::programs::MinIdFlood;
@@ -83,7 +83,6 @@ fn sample_setup() -> SetupFrame {
             targets: vec![2, 1, 0, 3],
             nodes: vec![1, 2],
             ids: vec![5, 9],
-            weights: vec![10, 20, 20, 30],
         },
         registers: registers(4),
     }
@@ -260,17 +259,17 @@ fn round_frames_match_the_golden_bytes() {
 
 #[test]
 fn setup_frames_match_the_golden_bytes() {
-    // recorded under `WIRE_VERSION = 4`: `sample_setup()` with the region
-    // right behind the program and its spec (v3 carried an 8-byte envelope
-    // seed between the tag and the part index)
+    // recorded under `WIRE_VERSION = 5`: `sample_setup()` with the region
+    // right behind the program and its spec, its `ids` followed directly by
+    // the registers (v4 carried a `u64` weight per port in between, v3 an
+    // 8-byte envelope seed between the tag and the part index)
     assert_golden(
         &Frame::Setup(sample_setup()),
         Golden::Hex(
-            "b100000003020000000c0000006d696e2d69642d666c6f6f640800000007000000000000000200\
+            "8d00000003020000000c0000006d696e2d69642d666c6f6f640800000007000000000000000200\
              000003000000000000000200000004000000040000000200000001000000000000000300000002\
-             00000001000000020000000200000005000000000000000900000000000000040000000a000000\
-             00000000140000000000000014000000000000001e000000000000002000000000000000000000\
-             00157c4a7fb979379e2af894fe72f36e3c3f74df7d2c6da6da",
+             000000010000000200000002000000050000000000000009000000000000002000000000000000\
+             00000000157c4a7fb979379e2af894fe72f36e3c3f74df7d2c6da6da",
         ),
     );
 }
@@ -470,11 +469,6 @@ fn a_region_that_does_not_hold_together_is_typed_before_anything_is_built() {
         }),
         rows
     );
-    // port weights that are not one per target
-    assert_eq!(
-        stage(&|s| s.region.weights.truncate(3)),
-        bad("a region needs one weight per port")
-    );
     // registers that are not one per region slot
     assert_eq!(
         stage(&|s| s.registers = registers(3)),
@@ -523,8 +517,8 @@ fn hostile_length_prefixes_are_refused_before_allocation() {
     // halo_len 4 = 37
     let payload = Frame::Setup(sample_setup()).encode();
     let mut at = 37;
-    // offsets, targets, nodes (u32s), ids, weights (u64s), register bytes
-    for (count, width) in [(3u32, 4), (4, 4), (2, 4), (2, 8), (4, 8), (32, 1)] {
+    // offsets, targets, nodes (u32s), ids (u64s), register bytes
+    for (count, width) in [(3u32, 4), (4, 4), (2, 4), (2, 8), (32, 1)] {
         assert_eq!(payload[at..at + 4], count.to_le_bytes(), "offset {at}");
         for announced in [u32::MAX, 1 << 28, count + 1000] {
             let mut hostile = payload.clone();
@@ -563,7 +557,7 @@ fn the_schema_tag_does_not_move_with_the_protocol_version() {
     // `smst-lint`'s schema-parity rule pairs this tag with
     // `analyze::ingest::SCHEMA_WIRE`; it names the frame grammar's family
     // and stays put when a frame layout bumps the handshake version
-    assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 4));
+    assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 5));
 }
 
 #[test]
@@ -648,12 +642,10 @@ proptest! {
             targets: Vec::new(),
             nodes: (0..interiors).map(|_| next() as u32).collect(),
             ids: (0..interiors).map(|_| next()).collect(),
-            weights: Vec::new(),
         };
         for degree in degrees {
             for _ in 0..degree {
                 region.targets.push((next() % region_len as u64) as u32);
-                region.weights.push(next());
             }
             region.offsets.push(region.targets.len() as u32);
         }

@@ -9,7 +9,6 @@
 //! adversary exactly, and the memory size of the algorithm is the size of the
 //! register.
 
-use smst_graph::weight::Weight;
 use smst_graph::{NodeId, Port, WeightedGraph};
 
 /// The verdict a node exposes after an activation.
@@ -28,11 +27,15 @@ pub enum Verdict {
 
 /// Static, per-node information available to a program at every activation.
 ///
-/// This mirrors exactly what the paper allows a node to know for free: its
-/// own identity, its degree, and for every port the weight of the incident
-/// edge. Neighbour identities are *not* listed here — a node learns them only
-/// by reading its neighbours' registers.
-#[derive(Debug, Clone)]
+/// A node's index, identity and degree: three words, `Copy`, no heap.
+/// Neighbour identities are *not* listed here — a node learns them only by
+/// reading its neighbours' registers.
+///
+/// The paper also lets a node know the weight behind each port (§2.1). This
+/// context does not carry it: a program that needs port weights carries them
+/// itself, as part of its own input. The core verifier reads them from its
+/// graph and the 1-round adapter from its instance.
+#[derive(Debug, Clone, Copy)]
 pub struct NodeContext {
     /// The dense simulator index of the node.
     pub node: NodeId,
@@ -40,33 +43,24 @@ pub struct NodeContext {
     pub id: u64,
     /// The node's degree (number of ports).
     pub degree: usize,
-    /// `edge_weight[p]` is the weight of the edge behind port `p`.
-    pub edge_weights: Vec<Weight>,
 }
+
+// Layout tripwire: a context table is one allocation of three words per
+// node; a field that brings heap or padding back fails here.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<NodeContext>();
+    assert!(std::mem::size_of::<NodeContext>() <= 24);
+};
 
 impl NodeContext {
     /// Builds the context of node `v` in graph `g`.
     pub fn for_node(g: &WeightedGraph, v: NodeId) -> Self {
-        let edge_weights = g
-            .incident_edges(v)
-            .iter()
-            .map(|&e| g.weight(e))
-            .collect::<Vec<_>>();
         NodeContext {
             node: v,
             id: g.id(v),
             degree: g.degree(v),
-            edge_weights,
         }
-    }
-
-    /// The weight of the edge behind a port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is out of range.
-    pub fn weight_at(&self, port: Port) -> Weight {
-        self.edge_weights[port.index()]
     }
 
     /// Iterator over all ports of the node.
@@ -119,18 +113,15 @@ mod tests {
     use smst_graph::generators::star_graph;
 
     #[test]
-    fn context_exposes_degree_and_weights() {
+    fn context_exposes_degree_and_identity() {
         let g = star_graph(4, 1);
         let centre = NodeContext::for_node(&g, NodeId(0));
+        assert_eq!((centre.node, centre.id), (NodeId(0), g.id(NodeId(0))));
         assert_eq!(centre.degree, 3);
-        assert_eq!(centre.edge_weights.len(), 3);
-        assert_eq!(centre.ports().count(), 3);
+        assert_eq!(centre.ports().collect::<Vec<_>>(), [0, 1, 2].map(Port));
         let leaf = NodeContext::for_node(&g, NodeId(2));
+        assert_eq!((leaf.node, leaf.id), (NodeId(2), g.id(NodeId(2))));
         assert_eq!(leaf.degree, 1);
-        assert_eq!(
-            leaf.weight_at(Port(0)),
-            g.weight(g.incident_edges(NodeId(2))[0])
-        );
     }
 
     #[test]
