@@ -19,11 +19,17 @@
 //! Those `O(n)` are the paper's ideal rounds. The centralized computation of
 //! the same labels here takes `O((n + m) log n)` wall time: SYNC_MST's
 //! `⌈log n⌉ + 1` phases, then `O(log n)` work per node — its hierarchy chain
-//! ([`smst_graph::Hierarchy::fragments_containing`]), its `ℓ + 1` string
-//! symbols and a binary search in each of its two parts. Every stage visits
-//! fragments in SYNC_MST's canonical order (ascending smallest node) and
-//! nodes in index order, so [`Marker::label`] is a pure function of the
-//! instance: two calls, in one process or two, return identical labels.
+//! ([`smst_graph::Hierarchy::fragments_containing`], a slice of one flat
+//! array), its `ℓ + 1` string symbols and a binary search in each of its two
+//! parts. The candidate tree is rooted once, and the SP labels are read off
+//! it. Allocation is per stage, per fragment and per part, never per node
+//! and level: the tree, the hierarchy's indexes and SYNC_MST's state are
+//! flat arrays, and what a fragment or a part allocates is what it keeps
+//! (2 520 allocations at n = 512, where `Vec`s per node and `BTreeSet`s per
+//! fragment made 10 792). Every stage visits fragments in SYNC_MST's
+//! canonical order (ascending smallest node) and nodes in index order, so
+//! [`Marker::label`] is a pure function of the instance: two calls, in one
+//! process or two, return identical labels.
 
 use crate::labels::{CoreLabel, PartLabel};
 use crate::partition::{build_partitions, Partitions};
@@ -31,7 +37,6 @@ use crate::strings::build_strings;
 use crate::sync_mst::{SyncMst, SyncMstOutcome};
 use smst_labeling::scheme::{Instance, MarkError};
 use smst_labeling::sp::SpanningTreeScheme;
-use smst_labeling::OneRoundScheme;
 
 /// The marker's full output: the labels, the time/memory accounting, and
 /// the internal structures (SYNC_MST outcome and partitions) tests and
@@ -98,14 +103,16 @@ impl Marker {
         let g = &instance.graph;
         let tree = instance.candidate_tree().map_err(|_| not_an_mst())?;
         let outcome = SyncMst.run_for_candidate(g, &tree);
-        let rebuilt = outcome.tree.edges();
-        if !rebuilt.into_iter().all(|e| tree.contains_edge(e)) {
+        let mut rebuilt = g.nodes().filter_map(|v| outcome.tree.parent_edge(v));
+        if !rebuilt.all(|e| tree.contains_edge(e)) {
             return Err(not_an_mst());
         }
 
         let strings = build_strings(g, &outcome.tree, &outcome.hierarchy);
         let partitions = build_partitions(g, &outcome.tree, &outcome.hierarchy);
-        let sp_labels = SpanningTreeScheme.mark(instance)?;
+        // what `SpanningTreeScheme::mark` returns, without rooting the
+        // components a second time
+        let sp_labels = SpanningTreeScheme::labels_of(g, &tree);
         let n = g.node_count();
 
         let labels: Vec<CoreLabel> = (g.nodes().zip(sp_labels).zip(strings))
@@ -113,21 +120,16 @@ impl Marker {
                 let tp = &partitions.top_parts[partitions.top_part_of[v.index()]];
                 let bp = &partitions.bottom_parts[partitions.bottom_part_of[v.index()]];
                 let part_label = |part: &crate::partition::Part| {
-                    let stored = part.stored_at(v);
-                    assert!(stored.len() <= 2, "§6.2 places at most two pieces per node");
                     let narrow = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
                     PartLabel {
                         part_root_id: g.id(part.root),
                         depth_in_part: narrow(part.depth_of(v)),
                         diameter_bound: narrow(part.diameter),
                         piece_count: part.pieces.len() as u8,
-                        stored: [stored.first().copied(), stored.get(1).copied()],
+                        stored: part.stored_at(v),
                     }
                 };
-                let top_min_level = outcome
-                    .hierarchy
-                    .fragments_containing(v)
-                    .into_iter()
+                let top_min_level = (outcome.hierarchy.fragments_containing(v).iter().copied())
                     .filter(|&i| outcome.hierarchy.fragment(i).len() >= partitions.threshold)
                     .map(|i| outcome.hierarchy.fragment(i).level)
                     .min()
@@ -284,8 +286,8 @@ mod tests {
             let needed: Vec<(u64, u32)> = outcome
                 .hierarchy
                 .fragments_containing(v)
-                .into_iter()
-                .map(|i| {
+                .iter()
+                .map(|&i| {
                     let f = outcome.hierarchy.fragment(i);
                     (g.id(f.root), f.level)
                 })

@@ -20,7 +20,7 @@
 //! `v` has a fragment.
 
 use crate::labels::{PieceInfo, StoredPiece};
-use smst_graph::{Hierarchy, NodeId, RootedTree, WeightedGraph};
+use smst_graph::{Csr, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use std::collections::VecDeque;
 
 /// One part of one of the two partitions.
@@ -42,15 +42,24 @@ pub struct Part {
 }
 
 impl Part {
-    /// The permanently stored pieces of a given member node (a scan over the
-    /// part's `O(log n)` slots).
-    pub fn stored_at(&self, v: NodeId) -> Vec<StoredPiece> {
-        self.holders
-            .iter()
-            .enumerate()
+    /// The permanently stored pieces of a given member node, filled from the
+    /// front as the label holds them (a scan over the part's `O(log n)`
+    /// slots).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node holds more than two pieces, which §6.2's placement
+    /// never does.
+    pub fn stored_at(&self, v: NodeId) -> [Option<StoredPiece>; 2] {
+        let mut held = (self.holders.iter().enumerate())
             .filter(|&(_, &h)| h == v)
-            .map(|(slot, _)| StoredPiece::new(slot as u8, self.pieces[slot]))
-            .collect()
+            .map(|(slot, _)| StoredPiece::new(slot as u8, self.pieces[slot]));
+        let stored = [held.next(), held.next()];
+        assert!(
+            held.next().is_none(),
+            "§6.2 places at most two pieces per node"
+        );
+        stored
     }
 
     /// The depth of a member node inside the part (a binary search).
@@ -78,7 +87,8 @@ pub struct Partitions {
 /// Builds both partitions and the piece placement from a hierarchy with
 /// candidates (as produced by SYNC_MST), in `O(n log n)` time: every step
 /// walks fragments, hierarchy subtrees or tree neighbourhoods, never the
-/// whole fragment list.
+/// whole fragment list. Per-node state is a handful of flat arrays reused
+/// across parts; what is allocated per part is what the part keeps.
 ///
 /// # Panics
 ///
@@ -139,7 +149,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
         while let Some(u) = queue.pop_front() {
             for w in tree_neighbours(u) {
                 if pp_of[w.index()].is_none() && large.contains(w) {
-                    let blue = (hierarchy.fragments_containing(w).into_iter())
+                    let blue = (hierarchy.fragments_containing(w).iter().copied())
                         .find(|&b| hierarchy.parent_of(b) == Some(flarge))
                         .expect("an unassigned node of a large fragment is in a blue child");
                     for &x in &hierarchy.fragment(blue).nodes {
@@ -161,21 +171,23 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
     let top_idx = (0..hierarchy.len())
         .find(|&i| hierarchy.fragment(i).len() == n)
         .expect("the hierarchy contains the whole tree");
-    let mut pp_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); pp_red.len()];
-    for (v, slot) in pp_of.into_iter().enumerate() {
-        match slot {
-            Some(part) => pp_nodes[part].push(NodeId(v)),
-            None => {
-                pp_nodes.push(vec![NodeId(v)]);
+    let pp_of: Vec<usize> = (pp_of.into_iter())
+        .map(|part| {
+            part.unwrap_or_else(|| {
                 pp_red.push(top_idx);
-            }
-        }
-    }
+                pp_red.len() - 1
+            })
+        })
+        .collect();
+    let pp_nodes = Csr::from_pairs(
+        pp_red.len(),
+        (pp_of.iter().enumerate()).map(|(v, &part)| (part, NodeId(v))),
+    );
 
     // ---- partition Top: split each P'' part into small-diameter subtrees --
     let mut top_parts: Vec<Part> = Vec::new();
     let mut top_part_of: Vec<usize> = vec![usize::MAX; n];
-    let mut pending: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut scratch: Vec<usize> = vec![0; n];
     for (nodes, &red) in pp_nodes.iter().zip(&pp_red) {
         // pieces shared by all sub-parts: the top ancestors (and self) of the
         // red fragment
@@ -189,7 +201,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
         }
         let pieces = pieces_for(g, tree, hierarchy, &anc);
         let min_size = threshold.max(pieces.len().div_ceil(2)).max(1);
-        for cluster in split_subtree(tree, nodes, min_size, &mut pending) {
+        for cluster in split_subtree(tree, nodes, min_size, &mut scratch).iter() {
             add_part(
                 &mut top_parts,
                 &mut top_part_of,
@@ -203,18 +215,20 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
     // ---- partition Bottom: blue and green fragments -----------------------
     let mut bottom_parts: Vec<Part> = Vec::new();
     let mut bottom_part_of: Vec<usize> = vec![usize::MAX; n];
+    let mut inner: Vec<usize> = Vec::new();
     for i in 0..hierarchy.len() {
         if is_blue[i] || is_green[i] {
             // all bottom fragments contained in this fragment: its subtree of
             // the hierarchy-tree
-            let mut inner = vec![i];
+            inner.clear();
+            inner.push(i);
             let mut visited = 0;
             while let Some(&j) = inner.get(visited) {
                 visited += 1;
                 inner.extend_from_slice(hierarchy.children_of(j));
             }
             let pieces = pieces_for(g, tree, hierarchy, &inner);
-            let nodes = hierarchy.fragment(i).nodes.iter().copied().collect();
+            let nodes = &hierarchy.fragment(i).nodes;
             add_part(&mut bottom_parts, &mut bottom_part_of, tree, nodes, pieces);
         }
     }
@@ -226,13 +240,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
                 .fragment_at_level(v, 0)
                 .expect("every node has a level-0 fragment");
             let pieces = pieces_for(g, tree, hierarchy, &[singleton]);
-            add_part(
-                &mut bottom_parts,
-                &mut bottom_part_of,
-                tree,
-                vec![v],
-                pieces,
-            );
+            add_part(&mut bottom_parts, &mut bottom_part_of, tree, &[v], pieces);
         }
     }
 
@@ -274,49 +282,74 @@ fn pieces_for(
 
 /// Splits the subtree induced by `nodes` into connected clusters of size at
 /// least `min_size` (except that the final cluster absorbs the remainder),
-/// each of diameter `O(min_size)`.
+/// each of diameter `O(min_size)`, returned one row per cluster.
 ///
-/// `pending` is per-node scratch space (the cluster accumulated at each
-/// node); it is all-empty on entry and again on return.
+/// Bottom-up, a node closes a cluster — itself and everything pending below
+/// it — once that reaches `min_size`; what reaches the root unclosed is the
+/// remainder. Clusters are numbered in closing order. `scratch` is one
+/// counter per node, all zero on entry and again on return.
 fn split_subtree(
     tree: &RootedTree,
     nodes: &[NodeId],
     min_size: usize,
-    pending: &mut [Vec<NodeId>],
-) -> Vec<Vec<NodeId>> {
+    scratch: &mut [usize],
+) -> Csr<NodeId> {
     // Ascending depth is a top-down order of the induced subtree, so its
     // reverse visits children before parents. Children outside `nodes` have
     // nothing pending.
     let mut order = nodes.to_vec();
     order.sort_by_key(|&v| tree.depth(v));
     let root = *order.first().expect("parts are non-empty");
-    let mut closed: Vec<Vec<NodeId>> = Vec::new();
+    // bottom-up: scratch[v] = the number of nodes pending at `v`
+    let mut heads: Vec<NodeId> = Vec::new();
     for &v in order.iter().rev() {
-        let mut cluster = vec![v];
+        let mut size = 1;
         for &c in tree.children(v) {
-            cluster.append(&mut pending[c.index()]);
+            size += std::mem::take(&mut scratch[c.index()]);
         }
-        if cluster.len() >= min_size && v != root {
-            closed.push(cluster);
+        if size >= min_size && v != root {
+            heads.push(v);
         } else {
-            pending[v.index()] = cluster;
+            scratch[v.index()] = size;
         }
     }
-    // the remainder containing the root
-    let remainder = std::mem::take(&mut pending[root.index()]);
-    if remainder.len() >= min_size || closed.is_empty() {
-        closed.push(remainder);
-    } else {
-        // merge the remainder (fewer than `min_size` nodes) into a closed
-        // cluster hanging off it, preserving connectivity; a cluster's first
-        // node is its topmost one
-        let target = closed
-            .iter()
-            .position(|cluster| (tree.parent(cluster[0])).is_some_and(|p| remainder.contains(&p)))
-            .expect("some closed cluster hangs off the remainder");
-        closed[target].extend(remainder);
+    let remainder_size = std::mem::take(&mut scratch[root.index()]);
+    // top-down: scratch[v] = 1 + the cluster of `v`, a head's own or else
+    // its parent's, the root's being the remainder's (numbered last)
+    let remainder = heads.len();
+    for (k, &h) in heads.iter().enumerate() {
+        scratch[h.index()] = k + 1;
     }
-    closed
+    scratch[root.index()] = remainder + 1;
+    for &v in &order[1..] {
+        if scratch[v.index()] == 0 {
+            let up = tree.parent(v).map_or(0, |p| scratch[p.index()]);
+            assert_ne!(up, 0, "a P'' part must induce a connected subtree");
+            scratch[v.index()] = up;
+        }
+    }
+    let cluster_of = |v: NodeId| scratch[v.index()] - 1;
+    // a remainder below `min_size` joins the first cluster (in closing
+    // order) hanging off it, which keeps it connected
+    let (count, remainder_joins) = if remainder_size >= min_size || heads.is_empty() {
+        (remainder + 1, remainder)
+    } else {
+        let target = (heads.iter())
+            .position(|&h| tree.parent(h).is_some_and(|p| cluster_of(p) == remainder))
+            .expect("some closed cluster hangs off the remainder");
+        (remainder, target)
+    };
+    let clusters = Csr::from_pairs(
+        count,
+        (order.iter()).map(|&v| match cluster_of(v) {
+            k if k == remainder => (remainder_joins, v),
+            k => (k, v),
+        }),
+    );
+    for &v in &order {
+        scratch[v.index()] = 0;
+    }
+    clusters
 }
 
 /// Assembles a [`Part`] from its node set and pieces and appends it to
@@ -326,45 +359,55 @@ fn add_part(
     parts: &mut Vec<Part>,
     part_of: &mut [usize],
     tree: &RootedTree,
-    nodes: Vec<NodeId>,
+    nodes: &[NodeId],
     pieces: Vec<PieceInfo>,
 ) {
     let idx = parts.len();
-    for &v in &nodes {
+    for &v in nodes {
         part_of[v.index()] = idx;
     }
     let root = *(nodes.iter())
         .min_by_key(|&&v| tree.depth(v))
         .expect("parts are non-empty");
-    // DFS preorder of the induced subtree, used both for depths and holders
-    let mut order: Vec<(NodeId, usize)> = Vec::with_capacity(nodes.len());
-    let mut stack = vec![(root, 0usize)];
-    while let Some((v, d)) = stack.pop() {
-        order.push((v, d));
-        for &c in tree.children(v) {
-            if part_of[c.index()] == idx {
-                stack.push((c, d + 1));
-            }
-        }
-    }
-    assert_eq!(
-        order.len(),
-        nodes.len(),
+    // connected iff every node but the root has its parent inside; the hop
+    // depth inside the part is then the depth below the part's root
+    assert!(
+        (nodes.iter())
+            .all(|&v| v == root || tree.parent(v).is_some_and(|p| part_of[p.index()] == idx)),
         "a part must induce a connected subtree"
     );
     assert!(
-        pieces.len() <= 2 * order.len(),
+        pieces.len() <= 2 * nodes.len(),
         "a part must have room for its pieces (two per node)"
     );
-    let holders: Vec<NodeId> = (0..pieces.len()).map(|slot| order[slot / 2].0).collect();
-    let max_depth = order.iter().map(|&(_, d)| d).max().unwrap_or(0);
-    order.sort_unstable();
-    let (nodes, depth) = order.into_iter().unzip();
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    let depth: Vec<usize> = (sorted.iter())
+        .map(|&v| tree.depth(v) - tree.depth(root))
+        .collect();
+    // slots 2i and 2i + 1 go to the i-th node of a DFS preorder from the
+    // root, children pushed in discovery order (so popped in reverse)
+    let mut holders: Vec<NodeId> = Vec::with_capacity(pieces.len());
+    let mut stack: Vec<NodeId> = Vec::new();
+    if !pieces.is_empty() {
+        stack.push(root);
+    }
+    while holders.len() < pieces.len() {
+        let v = stack
+            .pop()
+            .expect("the part has a node for every two pieces");
+        holders.push(v);
+        if holders.len() < pieces.len() {
+            holders.push(v);
+        }
+        let inside = |c: &&NodeId| part_of[c.index()] == idx;
+        stack.extend(tree.children(v).iter().filter(inside));
+    }
     parts.push(Part {
         root,
-        nodes,
+        nodes: sorted,
+        diameter: 2 * depth.iter().copied().max().unwrap_or(0),
         depth,
-        diameter: 2 * max_depth,
         pieces,
         holders,
     });
@@ -414,9 +457,10 @@ mod tests {
             for (slot, &h) in p.holders.iter().enumerate() {
                 assert!(p.nodes.contains(&h), "slot {slot} holder is in the part");
             }
-            // per node at most two stored pieces
+            // at most two stored pieces per node, filled from the front
             for &v in &p.nodes {
-                assert!(p.stored_at(v).len() <= 2);
+                let stored = p.stored_at(v);
+                assert!(stored[0].is_some() || stored[1].is_none());
             }
         }
 
@@ -424,7 +468,7 @@ mod tests {
         // fragment, the piece of that fragment is carried by one of its two
         // parts
         for v in g.nodes() {
-            for idx in h.fragments_containing(v) {
+            for &idx in h.fragments_containing(v) {
                 let frag = h.fragment(idx);
                 let id = (g.id(frag.root), frag.level);
                 let tp = &parts.top_parts[parts.top_part_of[v.index()]];

@@ -290,9 +290,9 @@ pub fn build_strings(
         }
     }
 
-    // Or-EndP aggregation, bottom-up, restricted to same-fragment children —
-    // all levels of a node at once
-    for &v in tree.dfs_preorder().iter().rev() {
+    // Or-EndP aggregation, bottom-up (reverse BFS order puts children first),
+    // restricted to same-fragment children — all levels of a node at once
+    for &v in tree.bfs_order().iter().rev() {
         let mut word = out[v.index()].endp_hi;
         for &c in tree.children(v) {
             word |= out[c.index()].nonroot() & out[c.index()].or_endp;

@@ -19,20 +19,26 @@
 //!
 //! **Cost and order of the simulation.** The `O(n)` above counts the paper's
 //! ideal rounds ([`SyncMstOutcome::rounds`]); the centralized execution takes
-//! `O((n + m) log n)` wall time on `Vec`-indexed state: sorting every node's
-//! edges by weight once, `⌈log n⌉ + 1` phases of one pass over the nodes each
-//! (the searches for minimum outgoing edges advance one cursor per node and
-//! so cost `O(m)` more in total), and recording the active fragments, whose
-//! sizes sum to at most `n` per level.
+//! `O((n + m) log n)` wall time on flat arrays: one sort of the edges by
+//! weight (an edge is compared by its rank from then on), `⌈log n⌉ + 1`
+//! phases of one pass over the nodes each (the searches for minimum outgoing
+//! edges advance one cursor per node and so cost `O(m)` more in total), and
+//! recording the active fragments, whose sizes sum to at most `n` per level.
+//! Every list — a node's edges by weight, a phase's fragment members, the
+//! recorded fragments — is a row of one [`Csr`] or a run of one `Vec`, so a
+//! phase allocates a bounded number of times and the run once more per
+//! recorded [`Fragment`]. A disconnected graph shows in the phase loop: with
+//! more than one fragment left, an active fragment finds no outgoing edge.
+//!
 //! Fragments are kept in a **canonical order**, by ascending smallest node
 //! index, in which every phase scans them, merges them and records the
 //! active ones. The outcome (tree edge order, fragment indices of the
 //! hierarchy, and everything the marker derives from them) is therefore a
 //! pure function of the graph.
 
-use smst_graph::mst::UnionFind;
+use smst_graph::mst::{by_composite_weight, UnionFind};
 use smst_graph::weight::bits_for;
-use smst_graph::{CompositeWeight, EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
+use smst_graph::{Csr, EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
 
 /// The outcome of running SYNC_MST.
 #[derive(Debug, Clone)]
@@ -68,7 +74,7 @@ impl SyncMst {
     /// Panics if the graph is empty or disconnected (the paper assumes a
     /// connected network).
     pub fn run(&self, g: &WeightedGraph) -> SyncMstOutcome {
-        self.run_with(g, |e| g.composite_weight(e, false), None)
+        self.run_with(g, |_| false, None)
     }
 
     /// Runs the construction using the composite weights ω′ with the
@@ -84,65 +90,71 @@ impl SyncMst {
     ///
     /// Panics if the graph is empty or disconnected.
     pub fn run_for_candidate(&self, g: &WeightedGraph, tree: &RootedTree) -> SyncMstOutcome {
-        self.run_with(
-            g,
-            |e| g.composite_weight(e, tree.contains_edge(e)),
-            Some(tree.root()),
-        )
+        self.run_with(g, |e| tree.contains_edge(e), Some(tree.root()))
     }
 
-    fn run_with<W>(
+    /// The construction under ω′ with the candidate-tree indicator
+    /// `in_tree`, rooted at `root_override` if given.
+    fn run_with<F>(
         &self,
         g: &WeightedGraph,
-        weight: W,
+        in_tree: F,
         root_override: Option<NodeId>,
     ) -> SyncMstOutcome
     where
-        W: Fn(EdgeId) -> CompositeWeight,
+        F: Fn(EdgeId) -> bool,
     {
         let n = g.node_count();
         assert!(n > 0, "SYNC_MST requires a non-empty graph");
-        assert!(g.is_connected(), "SYNC_MST requires a connected graph");
 
         // Fragment state, dense and in canonical order: at every phase the
         // fragments are numbered 0..k by ascending smallest node, `comp` maps
-        // a node to its fragment and `members` lists each fragment's nodes in
-        // ascending order.
+        // a node to its fragment and row `f` of `members` lists fragment
+        // `f`'s nodes in ascending order.
         let mut comp: Vec<usize> = (0..n).collect();
-        let mut members: Vec<Vec<NodeId>> = (0..n).map(|v| vec![NodeId(v)]).collect();
+        let mut members = Csr::from_pairs(n, (0..n).map(|v| (v, NodeId(v))));
         let mut root_of: Vec<NodeId> = (0..n).map(NodeId).collect();
-        // Every node's incident edges by ascending weight, with a cursor at
-        // the lightest one still leaving the node's fragment: an edge inside
-        // a fragment stays inside, so the cursors only advance, and all the
+        // The edges by ascending ω′, ties by edge id, sorted once: an
+        // edge is compared by its rank from here on. Row `v` of `by_weight`
+        // lists `v`'s edges (rank, other end) in that order, with a cursor at
+        // the lightest one still leaving `v`'s fragment: an edge inside a
+        // fragment stays inside, so the cursors only advance, and all the
         // Find_Min_Out_Edge searches together cost O(m) plus O(n) per phase.
-        let weights: Vec<CompositeWeight> =
-            (0..g.edge_count()).map(|e| weight(EdgeId(e))).collect();
-        let by_weight: Vec<Vec<EdgeId>> = (g.nodes())
-            .map(|v| {
-                let mut edges = g.incident_edges(v).to_vec();
-                edges.sort_unstable_by_key(|&e| weights[e.index()]);
-                edges
-            })
-            .collect();
+        let sorted = by_composite_weight(g, in_tree);
+        let by_weight = Csr::from_pairs(
+            n,
+            (sorted.iter().enumerate()).flat_map(|(rank, &(_, e))| {
+                let edge = g.edge(e);
+                [
+                    (edge.u.index(), (rank, edge.v)),
+                    (edge.v.index(), (rank, edge.u)),
+                ]
+            }),
+        );
+        let edge_of: Vec<EdgeId> = sorted.into_iter().map(|(_, e)| e).collect();
         let mut cursor: Vec<usize> = vec![0; n];
 
-        // the active fragments: node list, level and selected candidate edge
-        let mut active_fragments: Vec<(Vec<NodeId>, u32, Option<EdgeId>)> = Vec::new();
+        // the active fragments: their nodes back to back in `recorded`, and
+        // per fragment the end of its run, its level and its selected
+        // candidate edge
+        let mut recorded: Vec<NodeId> = Vec::new();
+        let mut active: Vec<(usize, u32, Option<EdgeId>)> = Vec::new();
         let mut tree_edges: Vec<EdgeId> = Vec::with_capacity(n - 1);
         let mut phase: u32 = 0;
 
         let final_root = loop {
             // Count_Size: a fragment is active in this phase iff its size
             // fits the budget, and its level is then the phase.
-            let k = members.len();
+            let k = members.rows();
             let budget = 1usize << (phase + 1);
 
             // termination: a single fragment spanning the graph whose count
             // succeeded ends the algorithm at the end of Count_Size
             if k == 1 {
-                if members[0].len() < budget {
+                if members.row(0).len() < budget {
                     // record the spanning fragment as the top of the hierarchy
-                    active_fragments.push((std::mem::take(&mut members[0]), phase, None));
+                    recorded.extend_from_slice(members.row(0));
+                    active.push((recorded.len(), phase, None));
                     break root_of[0];
                 }
                 // otherwise keep doubling the budget (still O(n) total)
@@ -151,33 +163,34 @@ impl SyncMst {
             }
 
             // Find_Min_Out_Edge for every active fragment: the lightest of
-            // its nodes' lightest outgoing edges
-            let mut selected: Vec<Option<EdgeId>> = vec![None; k];
-            for f in 0..k {
-                if members[f].len() >= budget {
+            // its nodes' lightest outgoing edges. With more than one fragment
+            // left, an active fragment without one is cut off from the rest.
+            let mut selected: Vec<Option<usize>> = vec![None; k];
+            for (f, chosen) in selected.iter_mut().enumerate() {
+                let nodes = members.row(f);
+                if nodes.len() >= budget {
                     continue;
                 }
-                let lightest = members[f].iter().filter_map(|&v| {
-                    let (edges, at) = (&by_weight[v.index()], &mut cursor[v.index()]);
+                let lightest = nodes.iter().filter_map(|&v| {
+                    let (edges, at) = (by_weight.row(v.index()), &mut cursor[v.index()]);
                     *at += (edges[*at..].iter())
-                        .take_while(|&&e| comp[g.edge(e).other(v).index()] == f)
+                        .take_while(|&&(_, u)| comp[u.index()] == f)
                         .count();
-                    edges.get(*at).copied()
+                    edges.get(*at).map(|&(rank, _)| rank)
                 });
-                selected[f] = lightest.min_by_key(|&e| weights[e.index()]);
-                if selected[f].is_some() {
-                    // `members` is rebuilt from `comp` after the merge
-                    let nodes = std::mem::take(&mut members[f]);
-                    active_fragments.push((nodes, phase, selected[f]));
-                }
+                let rank = lightest.min().expect("SYNC_MST requires a connected graph");
+                *chosen = Some(rank);
+                recorded.extend_from_slice(nodes);
+                active.push((recorded.len(), phase, Some(edge_of[rank])));
             }
 
             // Merging: every active fragment hooks onto the other endpoint of
             // its selected edge. The connected components of the "selected
             // edge" relation merge into one fragment each.
             let mut groups = UnionFind::new(k);
-            for (f, e) in selected.iter().enumerate() {
-                if let Some(e) = *e {
+            for (f, rank) in selected.iter().enumerate() {
+                if let Some(rank) = *rank {
+                    let e = edge_of[rank];
                     let edge = g.edge(e);
                     let (cu, cv) = (comp[edge.u.index()], comp[edge.v.index()]);
                     if groups.union(f, if cu == f { cv } else { cu }) {
@@ -195,7 +208,7 @@ impl SyncMst {
             // handshake/pivot rule).
             let mut id_of_group: Vec<Option<usize>> = vec![None; k];
             let mut passive_root: Vec<Option<NodeId>> = Vec::new();
-            let mut min_selected: Vec<Option<EdgeId>> = Vec::new();
+            let mut min_selected: Vec<Option<usize>> = Vec::new();
             let new_id: Vec<usize> = (0..k)
                 .map(|f| {
                     let id = *id_of_group[groups.find(f)].get_or_insert_with(|| {
@@ -205,28 +218,28 @@ impl SyncMst {
                     });
                     match selected[f] {
                         None => passive_root[id] = Some(root_of[f]),
-                        Some(e) => {
-                            let lightest = min_selected[id].get_or_insert(e);
-                            if weights[e.index()] < weights[lightest.index()] {
-                                *lightest = e;
-                            }
+                        Some(rank) => {
+                            let lightest = min_selected[id].get_or_insert(rank);
+                            *lightest = rank.min(*lightest);
                         }
                     }
                     id
                 })
                 .collect();
-            members = vec![Vec::new(); passive_root.len()];
-            for (v, c) in comp.iter_mut().enumerate() {
+            for c in &mut comp {
                 *c = new_id[*c];
-                members[*c].push(NodeId(v));
             }
+            members = Csr::from_pairs(
+                passive_root.len(),
+                (comp.iter().enumerate()).map(|(v, &c)| (c, NodeId(v))),
+            );
             root_of = (passive_root.iter().zip(&min_selected))
-                .map(|(&passive, &min_edge)| {
+                .map(|(&passive, &min_rank)| {
                     passive.unwrap_or_else(|| {
                         // all fragments in the group were active; the group's
                         // minimum selected edge is shared by a mutual pair
-                        let edge =
-                            g.edge(min_edge.expect("active group selects at least one edge"));
+                        let min_rank = min_rank.expect("active group selects at least one edge");
+                        let edge = g.edge(edge_of[min_rank]);
                         if g.id(edge.u) > g.id(edge.v) {
                             edge.u
                         } else {
@@ -243,13 +256,18 @@ impl SyncMst {
 
         // build the hierarchy (the singletons are already the level-0 active
         // fragments), in recording order: by level, then canonical order
-        let (fragments, candidates): (Vec<Fragment>, Vec<Option<EdgeId>>) = active_fragments
-            .into_iter()
-            .map(|(nodes, level, candidate)| (Fragment::new(&tree, nodes, level), candidate))
-            .unzip();
+        let mut start = 0;
+        let fragments: Vec<Fragment> = (active.iter())
+            .map(|&(end, level, _)| {
+                let nodes = recorded[start..end].iter().copied();
+                start = end;
+                Fragment::new(&tree, nodes, level)
+            })
+            .collect();
+        drop(recorded);
         let mut hierarchy = Hierarchy::from_fragments(fragments);
-        for (i, cand) in candidates.into_iter().enumerate() {
-            if let Some(e) = cand {
+        for (i, &(_, _, candidate)) in active.iter().enumerate() {
+            if let Some(e) = candidate {
                 hierarchy.set_candidate(i, e);
             }
         }
@@ -370,6 +388,35 @@ mod tests {
     fn rejects_disconnected_graph() {
         let mut g = WeightedGraph::with_nodes(4);
         g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let _ = SyncMst.run(&g);
+    }
+
+    /// A connected graph plus one isolated node: the singleton is active in
+    /// phase 0 and has no outgoing edge.
+    #[test]
+    #[should_panic(expected = "SYNC_MST requires a connected graph")]
+    fn rejects_an_isolated_node() {
+        let mut g = random_connected_graph(40, 100, 3);
+        g.add_node();
+        let _ = SyncMst.run(&g);
+    }
+
+    /// Two components of many nodes: the clique becomes one fragment while
+    /// the path is still merging, and the first phase that counts it finds
+    /// no outgoing edge (without the check, the budget would double until
+    /// the shift overflows).
+    #[test]
+    #[should_panic(expected = "SYNC_MST requires a connected graph")]
+    fn rejects_two_large_components() {
+        let (a, b) = (path_graph(300, 1), complete_graph(20, 2));
+        let mut g = WeightedGraph::with_nodes(a.node_count() + b.node_count());
+        let shift = a.node_count();
+        for (e, offset) in
+            (a.edges().iter().map(|e| (e, 0))).chain(b.edges().iter().map(|e| (e, shift)))
+        {
+            g.add_edge(NodeId(e.u.0 + offset), NodeId(e.v.0 + offset), e.weight)
+                .unwrap();
+        }
         let _ = SyncMst.run(&g);
     }
 

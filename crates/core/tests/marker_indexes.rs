@@ -6,8 +6,11 @@
 //! and `build_partitions` reads a bottom part's pieces off its hierarchy
 //! subtree. The reference functions below are the containment scans those
 //! indexes replaced — quadratic, and obviously right — and every query must
-//! agree with them. The tripwire labels a 16 384-node graph: with any of the
-//! scans back on the marker's path it takes minutes in a debug build.
+//! agree with them. The flat layouts (a tree's children as runs of its BFS
+//! order, the hierarchy's children and chains as CSR rows) are held to the
+//! `Vec`-per-entry structures they replaced, rebuilt naively. The tripwire
+//! labels a 16 384-node graph: with any of the scans back on the marker's
+//! path it takes minutes in a debug build.
 
 use proptest::prelude::*;
 use smst_core::labels::PieceInfo;
@@ -15,17 +18,18 @@ use smst_core::partition::build_partitions;
 use smst_core::{Marker, MstVerificationScheme, SyncMst};
 use smst_graph::generators::{complete_graph, path_graph, random_connected_graph, star_graph};
 use smst_graph::mst::kruskal;
-use smst_graph::{EdgeId, Hierarchy, NodeId, RootedTree, WeightedGraph};
+use smst_graph::mst::UnionFind;
+use smst_graph::{EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use smst_labeling::Instance;
+use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 use smst_sim::SyncRunner;
+use std::collections::VecDeque;
 
 /// The smallest fragment strictly containing fragment `i`.
 fn reference_parent(h: &Hierarchy, i: usize) -> Option<usize> {
-    let nodes = &h.fragment(i).nodes;
+    let f = h.fragment(i);
     (0..h.len())
-        .filter(|&j| {
-            j != i && h.fragment(j).len() > nodes.len() && h.fragment(j).nodes.is_superset(nodes)
-        })
+        .filter(|&j| j != i && h.fragment(j).len() > f.len() && h.fragment(j).contains_all(f))
         .min_by_key(|&j| h.fragment(j).len())
 }
 
@@ -102,7 +106,7 @@ fn check_against_references(g: &WeightedGraph) {
         for &v in &part.nodes {
             assert_eq!(tree.depth(v) - tree.depth(part.root), part.depth_of(v));
             let held = part.holders.iter().filter(|&&holder| holder == v).count();
-            assert_eq!(part.stored_at(v).len(), held);
+            assert_eq!(part.stored_at(v).iter().flatten().count(), held);
         }
     }
 }
@@ -125,6 +129,143 @@ proptest! {
         seed in 0u64..1000,
     ) {
         check_against_references(&random_connected_graph(n, density * n, seed));
+    }
+}
+
+/// `RootedTree::from_edges` as it was: a `Vec` of `(neighbour, edge)` per
+/// node, a queue, and a `Vec` of children per node. Returns the BFS order
+/// and the children.
+fn naive_tree(
+    g: &WeightedGraph,
+    edges: &[EdgeId],
+    root: NodeId,
+) -> (Vec<NodeId>, Vec<Vec<NodeId>>) {
+    let n = g.node_count();
+    let mut adj: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
+    for &e in edges {
+        let edge = g.edge(e);
+        adj[edge.u.index()].push((edge.v, e));
+        adj[edge.v.index()].push((edge.u, e));
+    }
+    let mut seen = vec![false; n];
+    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut order = Vec::new();
+    let mut queue = VecDeque::from([root]);
+    seen[root.index()] = true;
+    while let Some(v) = queue.pop_front() {
+        order.push(v);
+        for &(u, _) in &adj[v.index()] {
+            if !seen[u.index()] {
+                seen[u.index()] = true;
+                children[v.index()].push(u);
+                queue.push_back(u);
+            }
+        }
+    }
+    (order, children)
+}
+
+/// The DFS preorder the piece placement walks, over the naive children.
+fn naive_preorder(children: &[Vec<NodeId>], root: NodeId) -> Vec<NodeId> {
+    let mut order = Vec::new();
+    let mut stack = vec![root];
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        stack.extend(children[v.index()].iter().rev());
+    }
+    order
+}
+
+/// The hierarchy's indexes as they were: a `Vec` of children per fragment
+/// and a `Vec` of containing fragments per node, stably sorted by level.
+fn naive_hierarchy(h: &Hierarchy, n: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); h.len()];
+    for i in 0..h.len() {
+        if let Some(p) = h.parent_of(i) {
+            children[p].push(i);
+        }
+    }
+    let mut chain: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in 0..h.len() {
+        for v in &h.fragment(i).nodes {
+            chain[v.index()].push(i);
+        }
+    }
+    for c in &mut chain {
+        c.sort_by_key(|&i| h.fragment(i).level);
+    }
+    (children, chain)
+}
+
+/// A random spanning tree of a random graph, its edges in a random order
+/// (which decides the order children are discovered in), and a random root.
+fn random_tree(n: usize, seed: u64) -> (WeightedGraph, Vec<EdgeId>, NodeId) {
+    let g = random_connected_graph(n, 3 * n, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut candidates: Vec<EdgeId> = (0..g.edge_count()).map(EdgeId).collect();
+    candidates.shuffle(&mut rng);
+    let mut components = UnionFind::new(n);
+    let mut edges: Vec<EdgeId> = (candidates.into_iter())
+        .filter(|&e| components.union(g.edge(e).u.index(), g.edge(e).v.index()))
+        .collect();
+    edges.shuffle(&mut rng);
+    let mut nodes: Vec<NodeId> = g.nodes().collect();
+    nodes.shuffle(&mut rng);
+    (g, edges, nodes[0])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn flat_tree_children_match_the_naive_rebuild(n in 1usize..300, seed in 0u64..1000) {
+        let (g, edges, root) = random_tree(n, seed);
+        let tree = RootedTree::from_edges(&g, &edges, root).unwrap();
+        let (order, children) = naive_tree(&g, &edges, root);
+        prop_assert_eq!(tree.bfs_order(), &order[..]);
+        for v in g.nodes() {
+            // discovery order included: the piece placement walks it
+            prop_assert_eq!(tree.children(v), &children[v.index()][..], "children of {}", v);
+            for &c in tree.children(v) {
+                prop_assert_eq!(tree.parent(c), Some(v));
+            }
+        }
+        prop_assert_eq!(tree.dfs_preorder(), naive_preorder(&children, root));
+        prop_assert_eq!(tree.height(), g.nodes().map(|v| tree.depth(v)).max().unwrap());
+    }
+
+    #[test]
+    fn csr_hierarchy_indexes_match_the_naive_rebuild(
+        n in 1usize..150,
+        density in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let g = random_connected_graph(n, density * n, seed);
+        let outcome = SyncMst.run(&g);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // SYNC_MST's own indices, the same fragments in a random order, and
+        // a random family that is not laminar, so that a node lies in two
+        // fragments of one level and the chain's ties show
+        let mut shuffled: Vec<Fragment> = outcome.hierarchy.fragments().to_vec();
+        shuffled.shuffle(&mut rng);
+        let overlapping: Vec<Fragment> = (0..2 * n)
+            .map(|_| {
+                let mut nodes: Vec<NodeId> = g.nodes().collect();
+                nodes.shuffle(&mut rng);
+                let size = rng.gen_range(1..n + 1);
+                Fragment::new(&outcome.tree, nodes.into_iter().take(size), rng.gen_range(0u32..3))
+            })
+            .collect();
+        let families = [shuffled, overlapping].map(Hierarchy::from_fragments);
+        for h in [&outcome.hierarchy, &families[0], &families[1]] {
+            let (children, chain) = naive_hierarchy(h, n);
+            for (i, expected) in children.iter().enumerate() {
+                prop_assert_eq!(h.children_of(i), &expected[..], "children of {}", i);
+            }
+            for v in g.nodes() {
+                prop_assert_eq!(h.fragments_containing(v), &chain[v.index()][..], "chain of {}", v);
+            }
+            prop_assert!(h.fragments_containing(NodeId(n)).is_empty());
+        }
     }
 }
 

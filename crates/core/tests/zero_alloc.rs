@@ -6,8 +6,12 @@
 //! 8-byte flood — whose `step` is a fold over `u64`s — on the same graph and
 //! envelope, synchronous and asynchronous. Instantiating a runner costs a
 //! bounded number of allocations, not one per node: a node's context is a
-//! `Copy` value in one table. This file holds exactly one test: the counter
-//! is process-wide, and a concurrently running test would be counted too.
+//! `Copy` value in one table. Construction is held to the same standard:
+//! rooting the MST allocates a constant number of times (its tables are
+//! flat arrays), and the marker allocates per fragment and per part, well
+//! below one allocation per node and level. This file holds exactly one
+//! test: the counter is process-wide, and a concurrently running test would
+//! be counted too.
 
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::programs::MinIdFlood;
@@ -84,13 +88,30 @@ where
     count
 }
 
+/// Allocations made by `f`, and what it returned.
+fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+}
+
 #[test]
 fn verifier_rounds_allocate_no_more_than_a_flood() {
     let n = 512;
     let g = random_connected_graph(n, 3 * n, 21);
-    let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+    // a `Vec` per node in the tree showed as 862 allocations here
+    let (rooting, tree) = counting(|| kruskal(&g).rooted_at(&g, NodeId(0)).unwrap());
+    assert!(
+        rooting <= 16,
+        "kruskal + rooted_at allocated {rooting} times"
+    );
     let inst = Instance::from_tree(g, &tree);
-    let (labels, _) = Marker.label(&inst).unwrap();
+    // each of ≈ 1.3 n fragments owns one `Vec`, each of ≈ n / 2 parts about
+    // five (2 520 in all); per-node scratch, per-fragment `BTreeSet`s and
+    // per-node child lists showed as 10 792 here
+    let (marking, labelled) = counting(|| Marker.label(&inst).unwrap());
+    assert!(marking < 3_600, "Marker::label allocated {marking} times");
+    let (labels, _) = labelled;
     let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
     // 512 nodes: a per-node heap anywhere in the context or register
     // tables shows

@@ -21,9 +21,15 @@
 //! cost `O(log n)` and [`Hierarchy::validate`] costs `O(S log n)`. Fragment
 //! indices are the caller's: SYNC_MST supplies them by level, then by
 //! ascending smallest node.
+//!
+//! A fragment's nodes are one sorted `Vec` (membership is a binary search),
+//! and the hierarchy-tree's children and the per-node chains are two
+//! [`Csr`]s: building a hierarchy allocates once per fragment, not once per
+//! node or per tree entry.
 
 use crate::graph::{EdgeId, NodeId, WeightedGraph};
 use crate::tree::RootedTree;
+use crate::Csr;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -46,8 +52,8 @@ impl fmt::Display for FragmentId {
 /// A fragment: a connected subtree of the candidate tree, at a given level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fragment {
-    /// The nodes of the fragment.
-    pub nodes: BTreeSet<NodeId>,
+    /// The nodes of the fragment, ascending and without repeats.
+    pub nodes: Vec<NodeId>,
     /// The fragment's level (SYNC_MST phase at which it was *active*).
     pub level: u32,
     /// The fragment's root: its node closest to the root of `T`.
@@ -58,7 +64,9 @@ impl Fragment {
     /// Creates a fragment from its node set and level, computing the root as
     /// the node of minimum depth in `tree`.
     pub fn new<I: IntoIterator<Item = NodeId>>(tree: &RootedTree, nodes: I, level: u32) -> Self {
-        let nodes: BTreeSet<NodeId> = nodes.into_iter().collect();
+        let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
         let root = *nodes
             .iter()
             .min_by_key(|&&v| tree.depth(v))
@@ -82,9 +90,14 @@ impl Fragment {
         self.nodes.is_empty()
     }
 
-    /// `true` if `v` belongs to the fragment.
+    /// `true` if `v` belongs to the fragment (a binary search).
     pub fn contains(&self, v: NodeId) -> bool {
-        self.nodes.contains(&v)
+        self.nodes.binary_search(&v).is_ok()
+    }
+
+    /// `true` if every node of `other` belongs to this fragment.
+    pub fn contains_all(&self, other: &Fragment) -> bool {
+        other.nodes.iter().all(|&v| self.contains(v))
     }
 
     /// The fragment's identity `ID(F) = ID(root) ∘ level`.
@@ -137,11 +150,12 @@ impl Fragment {
 pub struct Hierarchy {
     fragments: Vec<Fragment>,
     parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
-    /// chain[v] = the fragments containing node `v`, sorted by level (ties by
+    /// Row `i` = the children of fragment `i`, ascending.
+    children: Csr<usize>,
+    /// Row `v` = the fragments containing node `v`, sorted by level (ties by
     /// index); in a legal hierarchy this is a leaf-to-root path of the
     /// hierarchy-tree, of length at most `height + 1`.
-    chain: Vec<Vec<usize>>,
+    chain: Csr<usize>,
     /// Candidate edge χ(F) for each non-top fragment.
     candidate: Vec<Option<EdgeId>>,
 }
@@ -176,21 +190,17 @@ impl Hierarchy {
                 }
             }
         }
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); count];
-        for (i, &p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                children[p].push(i);
-            }
-        }
-        let mut chain: Vec<Vec<usize>> = vec![Vec::new(); node_bound];
-        for (i, f) in fragments.iter().enumerate() {
-            for v in &f.nodes {
-                chain[v.0].push(i);
-            }
-        }
-        for c in &mut chain {
-            c.sort_by_key(|&i| fragments[i].level);
-        }
+        let children = Csr::from_pairs(
+            count,
+            (parent.iter().enumerate()).filter_map(|(i, &p)| Some((p?, i))),
+        );
+        // fragments by level, ties by index, so every chain fills in order
+        let mut by_level: Vec<usize> = (0..count).collect();
+        by_level.sort_by_key(|&i| fragments[i].level);
+        let chain = Csr::from_pairs(
+            node_bound,
+            (by_level.iter()).flat_map(|&i| fragments[i].nodes.iter().map(move |v| (v.0, i))),
+        );
         Hierarchy {
             candidate: vec![None; count],
             fragments,
@@ -227,7 +237,7 @@ impl Hierarchy {
 
     /// The indices of the child fragments in the hierarchy-tree.
     pub fn children_of(&self, idx: usize) -> &[usize] {
-        &self.children[idx]
+        self.children.row(idx)
     }
 
     /// Sets the candidate edge χ(F) of a fragment.
@@ -245,14 +255,19 @@ impl Hierarchy {
         self.fragments.iter().map(|f| f.level).max().unwrap_or(0)
     }
 
-    /// Indices of the fragments containing a node, sorted by level.
-    pub fn fragments_containing(&self, v: NodeId) -> Vec<usize> {
-        self.chain.get(v.0).cloned().unwrap_or_default()
+    /// Indices of the fragments containing a node, sorted by level (ties by
+    /// index); empty for a node no fragment contains.
+    pub fn fragments_containing(&self, v: NodeId) -> &[usize] {
+        if v.0 < self.chain.rows() {
+            self.chain.row(v.0)
+        } else {
+            &[]
+        }
     }
 
     /// The index of the level-`lev` fragment containing `v`, if one exists.
     pub fn fragment_at_level(&self, v: NodeId, lev: u32) -> Option<usize> {
-        let chain = self.chain.get(v.0)?;
+        let chain = self.fragments_containing(v);
         let at = chain.partition_point(|&i| self.fragments[i].level < lev);
         chain
             .get(at)
@@ -274,12 +289,11 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        let all: BTreeSet<NodeId> = g.nodes().collect();
-        if !self.fragments.iter().any(|f| f.nodes == all) {
+        if !self.fragments.iter().any(|f| spans(g, f)) {
             return Err("the whole tree is not a fragment of the hierarchy".into());
         }
         for v in g.nodes() {
-            let chain = self.chain.get(v.0).map_or(&[][..], Vec::as_slice);
+            let chain = self.fragments_containing(v);
             if !chain.iter().any(|&i| self.fragments[i].is_singleton()) {
                 return Err(format!("missing singleton fragment for node {v}"));
             }
@@ -302,7 +316,7 @@ impl Hierarchy {
         // the hierarchy-tree: if `F` and `F'` share `v`, one is then an
         // ancestor of the other, and the path of every other node of the
         // descendant climbs through the same ancestors.
-        for chain in &self.chain {
+        for chain in self.chain.iter() {
             for (k, &i) in chain.iter().enumerate() {
                 let next = chain.get(k + 1).copied();
                 if let Some(j) =
@@ -333,9 +347,8 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        let all: BTreeSet<NodeId> = g.nodes().collect();
         for (i, f) in self.fragments.iter().enumerate() {
-            let is_top = f.nodes == all;
+            let is_top = spans(g, f);
             match (is_top, self.candidate[i]) {
                 (true, Some(_)) => {
                     return Err("the whole-tree fragment must not have a candidate".into())
@@ -360,7 +373,7 @@ impl Hierarchy {
         for (i, f) in self.fragments.iter().enumerate() {
             let mut expected: BTreeSet<EdgeId> = BTreeSet::new();
             for (j, f2) in self.fragments.iter().enumerate() {
-                if i != j && f2.nodes.is_subset(&f.nodes) && f2.nodes.len() < f.nodes.len() {
+                if i != j && f2.len() < f.len() && f.contains_all(f2) {
                     if let Some(e) = self.candidate[j] {
                         expected.insert(e);
                     }
@@ -413,6 +426,11 @@ impl Hierarchy {
         }
         map
     }
+}
+
+/// `true` if the fragment holds every node of `g`.
+fn spans(g: &WeightedGraph, f: &Fragment) -> bool {
+    f.nodes.iter().map(|v| v.0).eq(0..g.node_count())
 }
 
 /// `true` if the fragment's node set induces a connected subtree of `tree`.

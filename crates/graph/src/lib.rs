@@ -25,6 +25,8 @@
 //!   parent pointers ("components" in the paper's terminology, §2.1).
 //! * [`fragment`] — fragments, laminar families and fragment hierarchies
 //!   (Definition 5.1), shared by the marker and the verifier.
+//! * [`csr`] — many short lists in two flat arrays, the layout of every
+//!   per-node and per-fragment table on the construction path.
 //!
 //! # Quick example
 //!
@@ -42,6 +44,7 @@
 
 pub mod blowup;
 pub mod component;
+pub mod csr;
 pub mod error;
 pub mod fragment;
 pub mod generators;
@@ -51,6 +54,7 @@ pub mod tree;
 pub mod weight;
 
 pub use component::ComponentMap;
+pub use csr::Csr;
 pub use error::GraphError;
 pub use fragment::{Fragment, FragmentId, Hierarchy};
 pub use graph::{EdgeId, NodeId, Port, WeightedGraph};

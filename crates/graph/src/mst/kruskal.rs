@@ -1,8 +1,8 @@
 //! Kruskal's algorithm over the composite (unique) edge weights.
 
 use super::union_find::UnionFind;
-use super::MstResult;
-use crate::graph::{EdgeId, WeightedGraph};
+use super::{by_composite_weight, MstResult};
+use crate::graph::WeightedGraph;
 
 /// Computes the minimum spanning forest of `g` by Kruskal's algorithm.
 ///
@@ -22,11 +22,9 @@ use crate::graph::{EdgeId, WeightedGraph};
 /// assert_eq!(mst.edges().len(), 4);
 /// ```
 pub fn kruskal(g: &WeightedGraph) -> MstResult {
-    let mut order: Vec<EdgeId> = g.edge_entries().map(|(e, _)| e).collect();
-    order.sort_by_key(|&e| g.composite_weight(e, false));
     let mut uf = UnionFind::new(g.node_count());
     let mut chosen = Vec::with_capacity(g.node_count().saturating_sub(1));
-    for e in order {
+    for (_, e) in by_composite_weight(g, |_| false) {
         let edge = g.edge(e);
         if uf.union(edge.u.0, edge.v.0) {
             chosen.push(e);
@@ -39,7 +37,7 @@ pub fn kruskal(g: &WeightedGraph) -> MstResult {
 mod tests {
     use super::*;
     use crate::generators::{path_graph, random_connected_graph};
-    use crate::NodeId;
+    use crate::{EdgeId, NodeId};
 
     #[test]
     fn path_graph_mst_is_the_path() {

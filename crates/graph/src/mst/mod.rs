@@ -19,7 +19,7 @@ pub use union_find::UnionFind;
 
 use crate::graph::{EdgeId, WeightedGraph};
 use crate::tree::RootedTree;
-use crate::NodeId;
+use crate::{CompositeWeight, NodeId};
 
 /// The result of an MST computation: the tree edge set plus its total weight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +72,10 @@ impl MstResult {
 /// the `u`–`v` path in `T`. This matches the verification semantics of the
 /// paper exactly (it is agnostic to how ties outside `T` are broken).
 ///
-/// It is evaluated by one Kruskal pass in ω′ order (`O(m log m)`): a non-tree
-/// edge joins two components of the lighter edges exactly when some tree edge
-/// on its cycle is heavier.
+/// A union–find pass checks that the `n − 1` candidate edges close no cycle,
+/// i.e. span `g`; then one Kruskal pass in ω′ order (`O(m log m)`) decides
+/// minimality: a non-tree edge joins two components of the lighter edges
+/// exactly when some tree edge on its cycle is heavier.
 pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
     let n = g.node_count();
     if n == 0 {
@@ -83,17 +84,35 @@ pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
     if candidate.len() != n - 1 {
         return false;
     }
-    let tree = match RootedTree::from_edges(g, candidate, NodeId(0)) {
-        Ok(t) => t,
-        Err(_) => return false,
-    };
-    let mut order: Vec<EdgeId> = g.edge_entries().map(|(e, _)| e).collect();
-    order.sort_by_key(|&e| g.composite_weight(e, tree.contains_edge(e)));
+    let mut in_tree = vec![false; g.edge_count()];
     let mut components = UnionFind::new(n);
-    order.into_iter().all(|e| {
-        let edge = g.edge(e);
-        !components.union(edge.u.0, edge.v.0) || tree.contains_edge(e)
-    })
+    for &e in candidate {
+        if e.0 >= g.edge_count() || !components.union(g.edge(e).u.0, g.edge(e).v.0) {
+            return false;
+        }
+        in_tree[e.0] = true;
+    }
+    let mut components = UnionFind::new(n);
+    by_composite_weight(g, |e| in_tree[e.0])
+        .into_iter()
+        .all(|(_, e)| {
+            let edge = g.edge(e);
+            !components.union(edge.u.0, edge.v.0) || in_tree[e.0]
+        })
+}
+
+/// The edges of `g` by ascending ω′ under the candidate-tree indicator
+/// `in_tree`, with their weights, ties by edge id (what a stable sort of the
+/// ids gives): every key is computed once instead of on every comparison.
+pub fn by_composite_weight<F>(g: &WeightedGraph, in_tree: F) -> Vec<(CompositeWeight, EdgeId)>
+where
+    F: Fn(EdgeId) -> bool,
+{
+    let mut order: Vec<(CompositeWeight, EdgeId)> = (0..g.edge_count())
+        .map(|e| (g.composite_weight(EdgeId(e), in_tree(EdgeId(e))), EdgeId(e)))
+        .collect();
+    order.sort_unstable();
+    order
 }
 
 #[cfg(test)]

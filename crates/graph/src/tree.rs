@@ -3,15 +3,19 @@
 //! A [`RootedTree`] is a rooted spanning tree of a [`WeightedGraph`],
 //! represented by a parent-pointer array (exactly the "component" encoding of
 //! §2.1 once rooted). It offers the traversals and bookkeeping the marker and
-//! the verifier need: children lists, DFS orders, subtree sizes, depths and
-//! tree distances.
+//! the verifier need: children lists, BFS and DFS orders, subtree sizes,
+//! depths and tree distances.
 
 use crate::error::GraphError;
 use crate::graph::{EdgeId, NodeId, WeightedGraph};
+use crate::Csr;
 use crate::Result;
-use std::collections::VecDeque;
 
 /// A rooted spanning tree over the nodes of a [`WeightedGraph`].
+///
+/// Every per-node table is one flat array: the nodes in BFS order from the
+/// root, and the children of each node as one contiguous run of that order,
+/// in the order the BFS discovered them.
 ///
 /// # Examples
 ///
@@ -35,7 +39,10 @@ pub struct RootedTree {
     parent: Vec<Option<NodeId>>,
     /// parent_edge[v] = the graph edge to the parent (None for the root).
     parent_edge: Vec<Option<EdgeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// The nodes in BFS order from the root.
+    order: Vec<NodeId>,
+    /// children[v] = the run of `order` holding v's children.
+    children: Vec<(usize, usize)>,
     depth: Vec<usize>,
     /// subtree_size[v] = number of nodes in the subtree rooted at v.
     subtree_size: Vec<usize>,
@@ -44,7 +51,10 @@ pub struct RootedTree {
 }
 
 impl RootedTree {
-    /// Builds a rooted tree from a set of `n − 1` tree edges of `g`.
+    /// Builds a rooted tree from a set of `n − 1` tree edges of `g`, in a
+    /// constant number of allocations: the BFS runs over a CSR adjacency
+    /// that lists each node's tree edges in the order `tree_edges` gives
+    /// them, which fixes the order children are discovered in.
     ///
     /// # Errors
     ///
@@ -65,37 +75,40 @@ impl RootedTree {
                 tree_edges.len()
             )));
         }
-        // adjacency restricted to tree edges
-        let mut adj: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
-        for &e in tree_edges {
-            if e.0 >= g.edge_count() {
-                return Err(GraphError::UnknownEdge(e.0));
-            }
-            let edge = g.edge(e);
-            adj[edge.u.0].push((edge.v, e));
-            adj[edge.v.0].push((edge.u, e));
+        if let Some(e) = tree_edges.iter().find(|e| e.0 >= g.edge_count()) {
+            return Err(GraphError::UnknownEdge(e.0));
         }
+        let adj = Csr::from_pairs(
+            n,
+            tree_edges.iter().flat_map(|&e| {
+                let edge = g.edge(e);
+                [(edge.u.0, (edge.v, e)), (edge.v.0, (edge.u, e))]
+            }),
+        );
         let mut parent = vec![None; n];
         let mut parent_edge = vec![None; n];
         let mut depth = vec![usize::MAX; n];
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut children = vec![(0, 0); n];
         let mut is_tree_edge = vec![false; g.edge_count()];
-        // BFS; `order` doubles as the queue
-        let mut order = vec![root];
+        // BFS; `order` doubles as the queue, and the children of `v` are
+        // what it appends while `v` is at its head
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
         depth[root.0] = 0;
         let mut head = 0;
         while let Some(&v) = order.get(head) {
             head += 1;
-            for &(u, e) in &adj[v.0] {
+            let first = order.len();
+            for &(u, e) in adj.row(v.0) {
                 if depth[u.0] == usize::MAX {
                     depth[u.0] = depth[v.0] + 1;
                     parent[u.0] = Some(v);
                     parent_edge[u.0] = Some(e);
                     is_tree_edge[e.0] = true;
-                    children[v.0].push(u);
                     order.push(u);
                 }
             }
+            children[v.0] = (first, order.len());
         }
         let visited = order.len();
         if visited != n {
@@ -112,6 +125,7 @@ impl RootedTree {
             root,
             parent,
             parent_edge,
+            order,
             children,
             depth,
             subtree_size,
@@ -141,7 +155,8 @@ impl RootedTree {
 
     /// The children of `v`, in the order they were discovered.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.0]
+        let (first, end) = self.children[v.0];
+        &self.order[first..end]
     }
 
     /// The depth (hop distance from the root) of `v`.
@@ -151,12 +166,13 @@ impl RootedTree {
 
     /// The height of the tree (maximum depth).
     pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        // BFS order is by depth, so its last node is a deepest one
+        self.order.last().map_or(0, |v| self.depth[v.0])
     }
 
     /// `true` if `v` is a leaf (has no children).
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v.0].is_empty()
+        self.children(v).is_empty()
     }
 
     /// The tree edges, one per non-root node.
@@ -194,25 +210,17 @@ impl RootedTree {
         while let Some(v) = stack.pop() {
             order.push(v);
             // push children in reverse so that the first child is visited first
-            for &c in self.children[v.0].iter().rev() {
+            for &c in self.children(v).iter().rev() {
                 stack.push(c);
             }
         }
         order
     }
 
-    /// Nodes in BFS order from the root.
-    pub fn bfs_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.node_count());
-        let mut queue = VecDeque::new();
-        queue.push_back(self.root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &c in &self.children[v.0] {
-                queue.push_back(c);
-            }
-        }
-        order
+    /// Nodes in BFS order from the root: every node comes after its parent,
+    /// and siblings come in discovery order.
+    pub fn bfs_order(&self) -> &[NodeId] {
+        &self.order
     }
 
     /// Size of the subtree rooted at `v` (including `v`).

@@ -56,7 +56,9 @@ impl Instance {
         self.graph.node_count()
     }
 
-    /// `true` if the candidate subgraph is an MST of the graph.
+    /// `true` if the candidate subgraph is an MST of the graph: the
+    /// components root one tree, and [`smst_graph::mst::is_mst`] checks its
+    /// edges without building a second one.
     pub fn satisfies_mst(&self) -> bool {
         match self.candidate_tree() {
             Ok(tree) => smst_graph::mst::is_mst(&self.graph, &tree.edges()),

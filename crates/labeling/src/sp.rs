@@ -15,7 +15,7 @@
 
 use crate::scheme::{Instance, LabelView, MarkError, OneRoundScheme};
 use smst_graph::weight::bits_for;
-use smst_graph::NodeId;
+use smst_graph::{NodeId, RootedTree, WeightedGraph};
 
 /// The Example SP label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,21 @@ impl SpanningTreeScheme {
         SpanningTreeScheme
     }
 
+    /// The labels of the rooted spanning tree `tree` of `g`: what
+    /// [`OneRoundScheme::mark`] assigns once it has rooted the instance's
+    /// components, for a caller that already holds that tree.
+    pub fn labels_of(g: &WeightedGraph, tree: &RootedTree) -> Vec<SpLabel> {
+        let root_id = g.id(tree.root());
+        g.nodes()
+            .map(|v| SpLabel {
+                root_id,
+                dist: tree.depth(v) as u64,
+                own_id: g.id(v),
+                parent_id: tree.parent(v).map(|p| g.id(p)),
+            })
+            .collect()
+    }
+
     /// Convenience: `true` if, according to the labels, the neighbour behind
     /// `port` is a child of `view.node` (it claims `view.node` as parent).
     pub fn is_child(view: &LabelView<'_, SpLabel>, port: smst_graph::Port) -> bool {
@@ -64,16 +79,7 @@ impl OneRoundScheme for SpanningTreeScheme {
 
     fn mark(&self, instance: &Instance) -> Result<Vec<SpLabel>, MarkError> {
         let tree = instance.candidate_tree()?;
-        let g = &instance.graph;
-        let root_id = g.id(tree.root());
-        Ok(g.nodes()
-            .map(|v| SpLabel {
-                root_id,
-                dist: tree.depth(v) as u64,
-                own_id: g.id(v),
-                parent_id: tree.parent(v).map(|p| g.id(p)),
-            })
-            .collect())
+        Ok(Self::labels_of(&instance.graph, &tree))
     }
 
     fn verify_at(&self, instance: &Instance, view: &LabelView<'_, SpLabel>) -> bool {
