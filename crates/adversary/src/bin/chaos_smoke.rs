@@ -122,7 +122,10 @@ fn main() {
     // trips, its final ring-buffer window becomes the postmortem artifact
     let flight = FlightRecorder::new(32);
     stalled.set_observer(Box::new(flight.clone()));
-    // smst-lint: allow(clock, reason = "smoke binary prints watchdog wall time for the operator readout")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "smoke binary prints watchdog wall time for the operator readout"
+    )]
     let started = std::time::Instant::now();
     match stalled.try_run_until(StopCondition::Steps, 8) {
         Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {

@@ -25,9 +25,7 @@ commands:
       against the checked-in baselines. Bench medians regress only when
       they exceed baseline x tolerance (default 2.0) AND grow by more
       than floor-ns (default 250000); chaos accounting is compared
-      exactly; lint artifacts fail on any unsuppressed diagnostic or a
-      suppression count above the baseline (suppression creep). Exit 1
-      on any regression, mismatch, or creep.
+      exactly. Exit 1 on any regression or mismatch.
 
   kmw [--out <dir>] [--seed <s>] [--warmup <w>]
       Run the KMW bound-accounting sweep (cluster trees, hybrids, and
@@ -37,8 +35,8 @@ commands:
   baseline --from <dir> --to <dir>
       Seed or refresh a baseline directory: validate every recognized
       artifact in --from, then copy the gate-relevant ones (bench
-      timings, chaos accounting, and lint artifacts) into --to. Traces,
-      campaigns, and flight dumps are validated but not copied -- the
+      timings and chaos accounting) into --to. Traces, campaigns,
+      analyses, and flight dumps are validated but not copied -- the
       gate has no comparison semantics for them.
 ";
 
@@ -206,9 +204,7 @@ fn cmd_baseline(args: &[String]) -> Result<ExitCode, String> {
     for (path, result) in &results {
         let gate_relevant = matches!(
             result,
-            Ok(smst_analyze::Artifact::Bench(_)
-                | smst_analyze::Artifact::Chaos(_)
-                | smst_analyze::Artifact::Lint(_))
+            Ok(smst_analyze::Artifact::Bench(_) | smst_analyze::Artifact::Chaos(_))
         );
         if !gate_relevant {
             println!("  skipped {} (not gated)", path.display());

@@ -15,11 +15,6 @@
 //!   fault counts under the barrier-synchronized engine — so the
 //!   deterministic summary fields are compared **exactly**. A changed
 //!   `detected_waves` is a behavioral change, not noise.
-//! * **Lint artifacts** (`smst-lint-v1`) gate on *creep*: the current
-//!   run fails if its `unsuppressed` count is nonzero or its
-//!   `suppressed` count grew past the baseline — each new suppression
-//!   is a reviewed decision, re-seeded into `ci/baselines/`, never an
-//!   accident. Shrinking counts pass (and warrant a re-seed).
 //!
 //! Cases present on one side only are *warnings*, not failures — PRs add
 //! and retire benches routinely, and a gate that fails on every rename
@@ -27,7 +22,7 @@
 //! side are hard errors: a gate that skips what it cannot read is not a
 //! gate.
 
-use crate::ingest::{ingest_dir, Artifact, IngestError, LintDoc};
+use crate::ingest::{ingest_dir, Artifact, IngestError};
 use smst_bench::harness::BenchResult;
 use smst_telemetry::ChaosRun;
 use std::fmt::Write as _;
@@ -84,19 +79,6 @@ pub struct ChaosMismatch {
     pub current: String,
 }
 
-/// One lint count that crept past its baseline.
-#[derive(Debug, Clone)]
-pub struct LintCreep {
-    /// The lint root (`workspace`).
-    pub root: String,
-    /// The count that grew (`unsuppressed` or `suppressed`).
-    pub field: &'static str,
-    /// The baseline count.
-    pub baseline: usize,
-    /// The current count.
-    pub current: usize,
-}
-
 /// Everything the gate found.
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
@@ -104,8 +86,6 @@ pub struct CheckReport {
     pub bench: Vec<BenchComparison>,
     /// Exact-compare failures in chaos accounting.
     pub chaos_mismatches: Vec<ChaosMismatch>,
-    /// Lint counts that grew past their baseline.
-    pub lint_creep: Vec<LintCreep>,
     /// Non-fatal observations: unmatched cases, ignored artifact kinds.
     pub warnings: Vec<String>,
 }
@@ -116,10 +96,9 @@ impl CheckReport {
         self.bench.iter().filter(|c| c.regressed).count()
     }
 
-    /// `true` when nothing regressed, no chaos field changed, and no lint
-    /// count crept.
+    /// `true` when nothing regressed and no chaos field changed.
     pub fn passed(&self) -> bool {
-        self.regressions() == 0 && self.chaos_mismatches.is_empty() && self.lint_creep.is_empty()
+        self.regressions() == 0 && self.chaos_mismatches.is_empty()
     }
 
     /// Human-readable gate output.
@@ -140,24 +119,15 @@ impl CheckReport {
                 m.run, m.field, m.baseline, m.current
             );
         }
-        for l in &self.lint_creep {
-            let _ = writeln!(
-                out,
-                "  LINT-CREEP {}: {} was {}, now {}",
-                l.root, l.field, l.baseline, l.current
-            );
-        }
         for w in &self.warnings {
             let _ = writeln!(out, "  warning: {w}");
         }
         let _ = writeln!(
             out,
-            "{} bench cases compared, {} regressions, {} chaos mismatches, \
-             {} lint creeps, {} warnings",
+            "{} bench cases compared, {} regressions, {} chaos mismatches, {} warnings",
             self.bench.len(),
             self.regressions(),
             self.chaos_mismatches.len(),
-            self.lint_creep.len(),
             self.warnings.len()
         );
         out
@@ -191,8 +161,6 @@ struct Side {
     bench: Vec<BenchResult>,
     /// `group/label` → run.
     chaos: Vec<(String, ChaosRun)>,
-    /// `root` → lint document.
-    lint: Vec<(String, LintDoc)>,
 }
 
 fn load_side(dir: &Path, warnings: &mut Vec<String>, tag: &str) -> Result<Side, CheckError> {
@@ -206,7 +174,6 @@ fn load_side(dir: &Path, warnings: &mut Vec<String>, tag: &str) -> Result<Side, 
                         .push((format!("{}/{}", doc.group(), run.label), run.clone()));
                 }
             }
-            Artifact::Lint(doc) => side.lint.push((doc.root.clone(), doc)),
             // campaigns, traces, flight dumps, and accounting analyses
             // have no stable comparison semantics — campaigns search,
             // traces sample, flights only exist after a failure
@@ -265,45 +232,7 @@ pub fn check_dirs(
         }
     }
 
-    for (key, c) in &cur.lint {
-        match base.lint.iter().find(|(k, _)| k == key) {
-            Some((_, b)) => compare_lint(key, b, c, &mut report.lint_creep),
-            None => report.warnings.push(format!(
-                "lint root {key:?} is new (no baseline); re-seed ci/baselines/ to gate it"
-            )),
-        }
-    }
-    for (key, _) in &base.lint {
-        if !cur.lint.iter().any(|(k, _)| k == key) {
-            report.warnings.push(format!(
-                "lint root {key:?} is in the baseline but not the current run"
-            ));
-        }
-    }
-
     Ok(report)
-}
-
-/// The suppression-creep gate: unsuppressed diagnostics always fail;
-/// suppressed diagnostics may not outgrow the baseline (every new
-/// suppression is re-seeded deliberately, never accumulated silently).
-fn compare_lint(key: &str, base: &LintDoc, cur: &LintDoc, out: &mut Vec<LintCreep>) {
-    if cur.unsuppressed > 0 {
-        out.push(LintCreep {
-            root: key.to_string(),
-            field: "unsuppressed",
-            baseline: base.unsuppressed,
-            current: cur.unsuppressed,
-        });
-    }
-    if cur.suppressed > base.suppressed {
-        out.push(LintCreep {
-            root: key.to_string(),
-            field: "suppressed",
-            baseline: base.suppressed,
-            current: cur.suppressed,
-        });
-    }
 }
 
 fn compare_case(base: &BenchResult, cur: &BenchResult, t: Thresholds) -> BenchComparison {
@@ -467,68 +396,6 @@ mod tests {
         assert!(!report.passed());
         assert_eq!(report.chaos_mismatches.len(), 1);
         assert_eq!(report.chaos_mismatches[0].field, "detected_waves");
-    }
-
-    fn lint_doc(suppressed: usize, unsuppressed: usize) -> String {
-        let diag = |i: usize, sup: bool| {
-            format!(
-                "{{\"rule\":\"clock\",\"file\":\"f{i}.rs\",\"line\":{},\
-                 \"message\":\"m\",\"suppressed\":{sup},\"reason\":{}}}",
-                i + 1,
-                if sup { "\"why\"" } else { "null" }
-            )
-        };
-        let diags: Vec<String> = (0..suppressed)
-            .map(|i| diag(i, true))
-            .chain((0..unsuppressed).map(|i| diag(suppressed + i, false)))
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-lint-v1\",\"root\":\"workspace\",\"files\":9,\
-             \"summary\":{{\"total\":{},\"suppressed\":{suppressed},\
-             \"unsuppressed\":{unsuppressed}}},\"diagnostics\":[{}]}}\n",
-            suppressed + unsuppressed,
-            diags.join(",")
-        )
-    }
-
-    #[test]
-    fn lint_suppression_creep_fails_the_gate() {
-        let (base, cur) = dirs("lint_creep");
-        std::fs::write(base.join("ANALYSIS_lint.json"), lint_doc(8, 0)).unwrap();
-        std::fs::write(cur.join("ANALYSIS_lint.json"), lint_doc(9, 0)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert!(!report.passed());
-        assert_eq!(report.lint_creep.len(), 1);
-        assert_eq!(report.lint_creep[0].field, "suppressed");
-        assert!(report.render().contains("LINT-CREEP"));
-    }
-
-    #[test]
-    fn lint_unsuppressed_diagnostics_always_fail() {
-        let (base, cur) = dirs("lint_unsup");
-        // even a baseline that (wrongly) recorded unsuppressed findings
-        // does not excuse the current run having any
-        std::fs::write(base.join("ANALYSIS_lint.json"), lint_doc(8, 2)).unwrap();
-        std::fs::write(cur.join("ANALYSIS_lint.json"), lint_doc(8, 1)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert!(!report.passed());
-        assert_eq!(report.lint_creep[0].field, "unsuppressed");
-    }
-
-    #[test]
-    fn lint_shrinkage_and_parity_pass() {
-        let (base, cur) = dirs("lint_ok");
-        std::fs::write(base.join("ANALYSIS_lint.json"), lint_doc(8, 0)).unwrap();
-        std::fs::write(cur.join("ANALYSIS_lint.json"), lint_doc(7, 0)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert!(report.passed(), "{}", report.render());
-        // a lint artifact with no baseline warns instead of failing
-        let (base2, cur2) = dirs("lint_new");
-        std::fs::write(cur2.join("ANALYSIS_lint.json"), lint_doc(0, 0)).unwrap();
-        std::fs::create_dir_all(&base2).unwrap();
-        let report = check_dirs(&base2, &cur2, Thresholds::default()).unwrap();
-        assert!(report.passed());
-        assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
     }
 
     #[test]

@@ -2,25 +2,27 @@
 //!
 //! Every producer describes its document **once**: one Rust type next to
 //! the code that fills it, with `to_json` and a [`FromJson`] impl side by
-//! side on the [`smst_telemetry::json`] codec. This module owns only what
-//! is the analyzer's: the `SCHEMA_*` tags (which the `schema-parity` lint
-//! holds against the tags the producers emit) and the tag → reader table,
-//! the typed [`IngestError`], the [`Artifact`] sum over the producers'
-//! types, and the file / directory scan. [`ingest_file`] dispatches on the
-//! `schema` tag (or on the `.jsonl` extension for trace streams, whose
-//! lines carry no tag), verifies the schema **version** — a known family
-//! at an unknown version (`smst-bench-v2`) is a version error, never
+//! side on the [`smst_telemetry::json`] codec, and a `SCHEMA` constant
+//! holding its tag. This module owns only what is the analyzer's: the
+//! `SCHEMA_*` names of those tags and the tag → reader table, the typed
+//! [`IngestError`], the [`Artifact`] sum over the producers' types, and
+//! the file / directory scan. [`ingest_file`] dispatches on the `schema`
+//! tag (or on the `.jsonl` extension for trace streams, whose lines carry
+//! no tag), verifies the schema **version** — a known family at an
+//! unknown version (`smst-bench-v2`) is a version error, never
 //! half-parsed — and hands the document to the producer's own reader, so
 //! the gate and the CLI work on the very structs the writers fill in.
 //!
-//! Two producers cannot be linked from here — `smst-adversary` (it sits
-//! above this crate) and the dependency-free `smst-lint` — so their
-//! documents keep a reader in this module: [`CampaignDoc`] (a summary of
-//! either `smst-campaign-v1` shape) and [`LintDoc`].
+//! Two writers are not linked from here — `smst-adversary` and `smst-net`:
+//! a library edge to either would rewrite the benchmark crate's lock file
+//! — so [`SCHEMA_CAMPAIGN`] and [`SCHEMA_WIRE`] are literals, pinned to
+//! their writers' constants by `tests/schema_tags.rs`, and campaigns keep
+//! a reader in this module: [`CampaignDoc`] (a summary of either
+//! `smst-campaign-v1` shape).
 //!
 //! **Adding a schema:** give the producer a type with `to_json` +
-//! `FromJson` and a `SCHEMA` constant; here, add its tag, an [`Artifact`]
-//! variant, a `describe` arm and an [`ingest_document`] arm.
+//! `FromJson` and a `SCHEMA` constant; here, name its tag, add an
+//! [`Artifact`] variant, a `describe` arm and an [`ingest_document`] arm.
 
 use crate::kmw::KmwAnalysis;
 use smst_bench::harness::BenchGroup;
@@ -30,37 +32,32 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of `BenchGroup` timing artifacts.
-pub const SCHEMA_BENCH: &str = "smst-bench-v1";
+pub const SCHEMA_BENCH: &str = smst_bench::harness::SCHEMA;
 /// Schema tag of per-round accounting artifacts.
-pub const SCHEMA_ROUNDS: &str = "smst-rounds-v1";
+pub const SCHEMA_ROUNDS: &str = smst_telemetry::rounds::SCHEMA;
 /// Schema tag of chaos wave-accounting artifacts.
-pub const SCHEMA_CHAOS: &str = "smst-chaos-v1";
+pub const SCHEMA_CHAOS: &str = smst_telemetry::chaos::SCHEMA;
 /// Schema tag of campaign artifacts (both the adversarial-search and
 /// chaos-campaign shapes).
 pub const SCHEMA_CAMPAIGN: &str = "smst-campaign-v1";
 /// Schema tag of flight-recorder dumps.
-pub const SCHEMA_FLIGHT: &str = "smst-flight-v1";
+pub const SCHEMA_FLIGHT: &str = smst_telemetry::flight::SCHEMA;
 /// Schema tag of the analyzer's own `ANALYSIS_*.json` output.
-pub const SCHEMA_ANALYSIS: &str = "smst-analysis-v1";
-/// Schema tag of `smst-lint` invariant-lint artifacts.
-pub const SCHEMA_LINT: &str = "smst-lint-v1";
+pub const SCHEMA_ANALYSIS: &str = crate::kmw::SCHEMA;
 /// Schema tag of the `smst-net` socket protocol (announced by the
-/// distributed backend's `Frame::Hello` handshake). Declared here so the
-/// schema-parity lint pairs the wire's writer with an acceptor; it tags a
-/// protocol, not a JSON document, so [`ingest_document`] rejects files
-/// claiming it.
+/// distributed backend's `Frame::Hello` handshake). It tags a protocol,
+/// not a JSON document, so [`ingest_document`] rejects files claiming it.
 pub const SCHEMA_WIRE: &str = "smst-wire-v1";
 
 /// Every tag above: a document of one of these families at another
 /// version is a version error, not an unknown document.
-const SCHEMAS: [&str; 8] = [
+const SCHEMAS: [&str; 7] = [
     SCHEMA_BENCH,
     SCHEMA_ROUNDS,
     SCHEMA_CHAOS,
     SCHEMA_CAMPAIGN,
     SCHEMA_FLIGHT,
     SCHEMA_ANALYSIS,
-    SCHEMA_LINT,
     SCHEMA_WIRE,
 ];
 
@@ -151,49 +148,8 @@ pub enum CampaignDoc {
     },
 }
 
-/// One diagnostic from a `smst-lint-v1` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LintRecord {
-    /// The rule that fired (`clock`, `unsafe-file`, …).
-    pub rule: String,
-    /// Workspace-relative path of the offending file.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// What is wrong.
-    pub message: String,
-    /// Whether a suppression covers it.
-    pub suppressed: bool,
-    /// The suppression's reason, when suppressed.
-    pub reason: Option<String>,
-}
-
-smst_telemetry::json_record!(LintRecord {
-    rule,
-    file,
-    line,
-    message,
-    suppressed,
-    reason,
-});
-
-/// A parsed `smst-lint-v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LintDoc {
-    /// What was scanned (`workspace`, or a fixture label in tests).
-    pub root: String,
-    /// Source files visited.
-    pub files: usize,
-    /// Diagnostics a suppression covers.
-    pub suppressed: usize,
-    /// Diagnostics nothing covers (nonzero fails the lint gate).
-    pub unsuppressed: usize,
-    /// Every diagnostic, in artifact order.
-    pub diagnostics: Vec<LintRecord>,
-}
-
 /// Any artifact the workspace emits, as the type its producer writes
-/// (or, for campaigns and lint, this module's reader type).
+/// (or, for campaigns, this module's reader type).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
     /// A `smst-bench-v1` timing artifact.
@@ -208,8 +164,6 @@ pub enum Artifact {
     Flight(FlightDump),
     /// A `smst-analysis-v1` accounting document.
     Analysis(KmwAnalysis),
-    /// A `smst-lint-v1` invariant-lint artifact.
-    Lint(LintDoc),
     /// A `TRACE_*.jsonl` stream, in stream order.
     Trace(Vec<TraceLine>),
 }
@@ -267,14 +221,6 @@ impl Artifact {
                 d.families.len(),
                 d.points().count()
             ),
-            Artifact::Lint(d) => format!(
-                "lint {:?}: {} files, {} diagnostics ({} suppressed, {} unsuppressed)",
-                d.root,
-                d.files,
-                d.diagnostics.len(),
-                d.suppressed,
-                d.unsuppressed
-            ),
             Artifact::Trace(lines) => format!("trace: {} records", lines.len()),
         }
     }
@@ -322,7 +268,6 @@ pub fn ingest_document(path: &Path, doc: &Json) -> Result<Artifact, IngestError>
         SCHEMA_CAMPAIGN => CampaignDoc::from_json(doc).map(Artifact::Campaign),
         SCHEMA_FLIGHT => FlightDump::from_json(doc).map(Artifact::Flight),
         SCHEMA_ANALYSIS => KmwAnalysis::from_json(doc).map(Artifact::Analysis),
-        SCHEMA_LINT => LintDoc::from_json(doc).map(Artifact::Lint),
         // the wire tag names a socket protocol, not a document shape —
         // nothing to lift into an Artifact
         SCHEMA_WIRE => {
@@ -383,31 +328,9 @@ impl FromJson for CampaignDoc {
     }
 }
 
-impl FromJson for LintDoc {
-    fn from_json(doc: &Json) -> Result<Self, ShapeError> {
-        let summary = doc
-            .get("summary")
-            .ok_or_else(|| ShapeError::here().under("summary"))?;
-        let count = |key: &str| summary.field::<usize>(key).map_err(|e| e.under("summary"));
-        let diagnostics: Vec<LintRecord> = doc.field("diagnostics")?;
-        // the stored total must be the one the diagnostics imply
-        if count("total")? != diagnostics.len() {
-            return Err(ShapeError::here().under("total").under("summary"));
-        }
-        Ok(LintDoc {
-            root: doc.field("root")?,
-            files: doc.field("files")?,
-            suppressed: count("suppressed")?,
-            unsuppressed: count("unsuppressed")?,
-            diagnostics,
-        })
-    }
-}
-
 /// Artifact files recognized inside a directory: the upload-glob
-/// prefixes, in scan order. `ANALYSIS_*` covers both the analyzer's own
-/// accounting output (`smst-analysis-v1`) and the lint gate's
-/// `ANALYSIS_lint.json` (`smst-lint-v1`).
+/// prefixes, in scan order. `ANALYSIS_*` is the analyzer's own
+/// accounting output (`smst-analysis-v1`).
 pub const ARTIFACT_PREFIXES: [&str; 5] = ["ANALYSIS_", "BENCH_", "CAMPAIGN_", "TRACE_", "FLIGHT_"];
 
 /// Ingests every recognized artifact directly inside `dir`, sorted by
@@ -599,10 +522,9 @@ mod tests {
         )
         .unwrap();
         std::fs::write(
-            dir.join("ANALYSIS_lint.json"),
-            "{\"schema\":\"smst-lint-v1\",\"root\":\"workspace\",\"files\":3,\
-             \"summary\":{\"total\":0,\"suppressed\":0,\"unsuppressed\":0},\
-             \"diagnostics\":[]}\n",
+            dir.join("ANALYSIS_kmw.json"),
+            "{\"schema\":\"smst-analysis-v1\",\"analysis\":\"kmw\",\
+             \"seed\":7,\"warmup\":64,\"families\":[]}\n",
         )
         .unwrap();
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
@@ -614,48 +536,17 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec!["ANALYSIS_lint.json", "BENCH_a.json", "BENCH_b.json"]
+            vec!["ANALYSIS_kmw.json", "BENCH_a.json", "BENCH_b.json"]
         );
         assert!(matches!(
             results[0].1.as_ref().unwrap(),
-            Artifact::Lint(doc) if doc.files == 3 && doc.diagnostics.is_empty()
+            Artifact::Analysis(doc) if doc.seed == 7 && doc.families.is_empty()
         ));
         assert!(
             results[1].1.is_err(),
             "corrupt artifact reported, not hidden"
         );
         assert!(results[2].1.is_ok());
-    }
-
-    #[test]
-    fn lint_documents_round_trip_reasons_and_counts() {
-        let path = tmp(
-            "ANALYSIS_lint_unit.json",
-            "{\"schema\":\"smst-lint-v1\",\"root\":\"fixture\",\"files\":2,\
-             \"summary\":{\"total\":2,\"suppressed\":1,\"unsuppressed\":1},\
-             \"diagnostics\":[\
-             {\"rule\":\"clock\",\"file\":\"a.rs\",\"line\":3,\
-              \"message\":\"m\",\"suppressed\":true,\"reason\":\"observed path\"},\
-             {\"rule\":\"rng\",\"file\":\"b.rs\",\"line\":9,\
-              \"message\":\"m\",\"suppressed\":false,\"reason\":null}]}\n",
-        );
-        let Artifact::Lint(doc) = ingest_file(&path).unwrap() else {
-            panic!("expected a lint artifact");
-        };
-        assert_eq!((doc.suppressed, doc.unsuppressed), (1, 1));
-        assert_eq!(doc.diagnostics[0].reason.as_deref(), Some("observed path"));
-        assert_eq!(doc.diagnostics[1].reason, None);
-        // a summary that disagrees with the diagnostics array is a shape error
-        let lying = tmp(
-            "ANALYSIS_lint_lying.json",
-            "{\"schema\":\"smst-lint-v1\",\"root\":\"fixture\",\"files\":1,\
-             \"summary\":{\"total\":5,\"suppressed\":0,\"unsuppressed\":5},\
-             \"diagnostics\":[]}\n",
-        );
-        match ingest_file(&lying).unwrap_err() {
-            IngestError::Shape { field, .. } => assert_eq!(field, "summary.total"),
-            other => panic!("expected Shape, got {other:?}"),
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `smst-analyze` cannot link `smst-adversary` (it sits above this crate;
 //! here it is a dev-dependency only), so `ingest` keeps its own summary
 //! reader for these documents and this test is what holds the pair
-//! together — the campaign sibling of `lint_roundtrip.rs`.
+//! together.
 
 use smst_adversary::chaos::{write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseRecord};
 use smst_adversary::{

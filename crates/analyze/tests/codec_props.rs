@@ -14,7 +14,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use smst_analyze::ingest::{ingest_document, CampaignDoc, LintDoc};
+use smst_analyze::ingest::{ingest_document, CampaignDoc};
 use smst_analyze::kmw::{KmwAnalysis, KmwFamily, KmwPoint};
 use smst_analyze::Json;
 use smst_bench::harness::BenchGroup;
@@ -153,8 +153,8 @@ proptest! {
     }
 }
 
-/// Every checked-in golden document, the lint crate's included.
-const GOLDENS: [&str; 9] = [
+/// Every checked-in golden document.
+const GOLDENS: [&str; 8] = [
     include_str!("golden/ANALYSIS_kmw_golden.json"),
     include_str!("golden/BENCH_bench_golden.json"),
     include_str!("golden/BENCH_chaos_golden.json"),
@@ -163,7 +163,6 @@ const GOLDENS: [&str; 9] = [
     include_str!("golden/CAMPAIGN_search_golden.json"),
     include_str!("golden/FLIGHT_golden.json"),
     include_str!("golden/TRACE_golden.jsonl"),
-    include_str!("../../lint/tests/golden/ANALYSIS_lint.json"),
 ];
 
 /// Feeds `bytes` to the parser and, if it parses, to the tag dispatch and
@@ -189,7 +188,6 @@ fn read_every_way(bytes: &[u8]) -> bool {
         let _ = TraceLine::from_json(&doc);
         let _ = KmwAnalysis::from_json(&doc);
         let _ = CampaignDoc::from_json(&doc);
-        let _ = LintDoc::from_json(&doc);
     }
     parsed
 }

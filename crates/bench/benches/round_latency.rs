@@ -164,6 +164,10 @@ fn rounds_artifact_pass(group: &mut BenchGroup, n: usize, rounds: usize) {
             &EngineConfig::new().threads(threads).halo(halo),
         );
         runner.set_observer(Box::new(tee));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the bench measures wall time around the run; it never feeds round state"
+        )]
         let wall = std::time::Instant::now();
         runner.run_until(StopCondition::Steps, rounds);
         let wall_ns = wall.elapsed().as_nanos() as u64;

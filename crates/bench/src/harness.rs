@@ -76,6 +76,10 @@ pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> BenchResult
     black_box(f());
     let mut samples: Vec<u64> = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the harness exists to time closures; the samples never feed round state"
+        )]
         let start = Instant::now();
         black_box(f());
         samples.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));

@@ -410,7 +410,10 @@ impl CoreVerifier {
     /// First half of a train step: decides the slot the train circulates
     /// this activation (`None` if the part has no pieces) and updates the
     /// registers that pace it.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a train half-step reads a part's view of the node and its tree neighbours"
+    )]
     fn step_train_slot(
         &self,
         which: usize,
@@ -478,7 +481,10 @@ impl CoreVerifier {
     /// Second half of a train step: the climbing and flooding buffers, the
     /// acknowledgement and the checks on the shown piece, for the slot
     /// `want` decided by [`Self::step_train_slot`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a train half-step reads a part's view of the node and its tree neighbours"
+    )]
     fn step_train_buffers(
         &self,
         which: usize,
@@ -674,7 +680,10 @@ impl CoreVerifier {
 
     /// Checks C1/C2 for an edge known to be outgoing (the neighbour has no
     /// level-`j` fragment).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "C1/C2 read both endpoints, the port, the asked piece and the level"
+    )]
     fn check_outgoing(
         &self,
         ctx: &NodeContext,
@@ -701,7 +710,10 @@ impl CoreVerifier {
     }
 
     /// Checks performed when the event `E(v, u, j)` occurs.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the event checks read both endpoints, the port, both pieces and the level"
+    )]
     fn check_event(
         &self,
         ctx: &NodeContext,

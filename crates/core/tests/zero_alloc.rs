@@ -13,6 +13,11 @@
 //! test: the counter is process-wide, and a concurrently running test would
 //! be counted too.
 
+#![expect(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait; the counting impl only forwards to `System`"
+)]
+
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{EngineConfig, StopCondition};

@@ -1157,7 +1157,10 @@ mod tests {
     fn supervise_retries_backs_off_and_restores() {
         let policy = RecoveryPolicy::retries(2).backoff(Duration::from_millis(5));
         let mut ctx = Supervised::default();
-        // smst-lint: allow(clock, reason = "test asserts the backoff's wall-time floor, not round state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test asserts the backoff's wall-time floor, not round state"
+        )]
         let started = std::time::Instant::now();
         let outcome = policy.supervise(
             &mut ctx,

@@ -144,7 +144,10 @@ where
             return self.supervised_chunk(count, false);
         }
         for _ in 0..count {
-            // smst-lint: allow(clock, reason = "observed-path round timing; only reached when an observer is attached")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "observed-path round timing; only reached when an observer is attached"
+            )]
             let start = std::time::Instant::now();
             self.supervised_chunk(1, true)?;
             self.observe_round(start.elapsed().as_nanos() as u64);
@@ -614,7 +617,10 @@ mod tests {
                 .recovery(RecoveryPolicy::retries(3).watchdog(Duration::from_millis(40)))
                 .inject(InjectionSpec::stall_at(0, 1, 400)),
         );
-        // smst-lint: allow(clock, reason = "test asserts the watchdog's wall-time bound, not round state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test asserts the watchdog's wall-time bound, not round state"
+        )]
         let started = std::time::Instant::now();
         match runner.try_run_until(StopCondition::Steps, 5) {
             Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {

@@ -59,7 +59,14 @@
 //! returns once the hung part eventually finishes or dies — the watchdog
 //! bounds *detection*, not the stall itself.
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "lifetime erasure of the dispatched job and disjoint buffer slices (see # Safety)"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "observed-round phase timing and the watchdog deadline; never feeds round state"
+)]
 
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -518,7 +525,10 @@ impl WorkerPool {
     /// [`HaloPlan::build`](crate::shard::HaloPlan::build) guarantees by
     /// construction; verified here in all build modes because the pairs
     /// feed raw-pointer copies). Propagates `step` panics.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the round primitive: regions, exchange plan, buffers, step, timing, watchdog"
+    )]
     pub fn run_rounds<T, F>(
         &self,
         regions: &[(usize, usize)],
@@ -647,13 +657,14 @@ impl WorkerPool {
                         if has_exchange {
                             barrier.wait();
                             lap(timing, &mut mark, PhaseSlot::Barrier);
-                            // SAFETY: exchange phase — sources are interior
-                            // slots (all compute writes are barrier-ordered
-                            // before this, and nothing writes interiors
-                            // now), destinations are this part's own halo
-                            // slots, in-bounds and disjoint across parts
-                            // (validated above in every build mode).
                             for &(src, dst) in &exchange[part] {
+                                // SAFETY: exchange phase — `src` is an interior
+                                // slot (every compute write is barrier-ordered
+                                // before this read, and nothing writes
+                                // interiors now); `dst` is one of this part's
+                                // own halo slots, in bounds and written by no
+                                // other part (validated above in every build
+                                // mode).
                                 unsafe {
                                     let value = (*(next_ptr.add(src as usize) as *const T)).clone();
                                     *next_ptr.add(dst as usize) = value;
@@ -724,9 +735,16 @@ impl<T> BufPtr<T> {
     }
 }
 
-// SAFETY: the pointer is only used under the disjointness + barrier
-// protocol documented on `WorkerPool::run_rounds`.
+// SAFETY: sending the pointer hands over no ownership — the buffer stays
+// owned and borrowed by the `WorkerPool::run_rounds` call that dispatched
+// it, which outlives every worker's use — and `T: Send` lets the receiving
+// worker write elements it did not create.
 unsafe impl<T: Send + Sync> Send for BufPtr<T> {}
+// SAFETY: sharing `&BufPtr` shares only the address; every dereference is
+// in `WorkerPool::run_rounds`, where a part writes only its own interior
+// region and halo slots, and reads only `prev` or barrier-ordered interior
+// slots, so no access through a shared copy races a write (`T: Sync`
+// covers the concurrent reads).
 unsafe impl<T: Send + Sync> Sync for BufPtr<T> {}
 
 fn worker_loop(shared: &Shared, worker: usize) {
@@ -1166,7 +1184,10 @@ mod tests {
     /// Reference arena shape for the halo tests: two parts, each with a
     /// 4-slot interior and a 1-slot halo mirroring the other part's first
     /// interior slot.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the test returns exactly the `(regions, exchange)` pair `run_rounds` takes"
+    )]
     fn tiny_halo_setup() -> (Vec<(usize, usize)>, Vec<Vec<(u32, u32)>>) {
         let regions = vec![(0usize, 4usize), (5, 9)];
         let exchange = vec![vec![(5u32, 4u32)], vec![(0, 9)]];

@@ -131,7 +131,10 @@ where
                 if batch.is_empty() {
                     return;
                 }
-                // smst-lint: allow(clock, reason = "observer-gated batch timing; wall time never feeds round state")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "observer-gated batch timing; wall time never feeds round state"
+                )]
                 let start = timed.then(std::time::Instant::now);
                 nodes.clear();
                 nodes.extend(batch.iter().map(|v| layout.internal(v.index()) as u32));
@@ -179,7 +182,10 @@ where
     /// panicked unit restores the pre-unit registers and replays the
     /// identical schedule.
     fn try_unit(&mut self) -> Result<(), PoolError> {
-        // smst-lint: allow(clock, reason = "observer-gated unit timing; wall time never feeds round state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observer-gated unit timing; wall time never feeds round state"
+        )]
         let start = self.observer.is_some().then(std::time::Instant::now);
         self.unit_compute_ns = 0;
         let activations_before = self.activations;

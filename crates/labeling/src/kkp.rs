@@ -21,7 +21,6 @@ use crate::scheme::{Instance, LabelView, MarkError, OneRoundScheme};
 use crate::sp::{SpLabel, SpanningTreeScheme};
 use smst_graph::weight::{bits_for, CompositeWeight};
 use smst_graph::{EdgeId, NodeId, RootedTree, WeightedGraph};
-use std::collections::HashSet;
 
 /// Whether a node is the endpoint of its level-`j` fragment's candidate edge,
 /// and if so through which tree edge.
@@ -84,8 +83,7 @@ struct FragmentHistory {
 /// indicator), recording the per-level partitions and minimum outgoing edges.
 fn fragment_history(g: &WeightedGraph, tree: &RootedTree) -> FragmentHistory {
     let n = g.node_count();
-    let tree_edges: HashSet<EdgeId> = tree.edges().into_iter().collect();
-    let weight = |e: EdgeId| g.composite_weight(e, tree_edges.contains(&e));
+    let weight = |e: EdgeId| g.composite_weight(e, tree.contains_edge(e));
 
     let mut comp: Vec<usize> = (0..n).collect();
     let mut partition = vec![comp.clone()];
@@ -185,12 +183,11 @@ impl OneRoundScheme for KkpMstScheme {
         // endpoint marks per level per node
         let mut endpoint: Vec<Vec<EndpointMark>> = vec![vec![EndpointMark::NotEndpoint; n]; levels];
         let mut min_out_w: Vec<Vec<Option<CompositeWeight>>> = vec![vec![None; n]; levels];
-        let tree_edges: HashSet<EdgeId> = tree.edges().into_iter().collect();
         for (j, part) in history.partition.iter().enumerate() {
             for v in g.nodes() {
                 let rep = part[v.index()];
                 if let Some(e) = history.min_out[j][rep] {
-                    min_out_w[j][v.index()] = Some(g.composite_weight(e, tree_edges.contains(&e)));
+                    min_out_w[j][v.index()] = Some(g.composite_weight(e, tree.contains_edge(e)));
                     let edge = g.edge(e);
                     // the endpoint inside the fragment
                     let inside = if part[edge.u.index()] == rep {

@@ -51,6 +51,11 @@
 //! every region whole ([`DeltaIndex::All`](crate::wire::DeltaIndex)), so
 //! whatever a survivor did with the failed dispatch is overwritten.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "observed-round timing and the teardown grace deadline; never feeds round state"
+)]
+
 use crate::program::{encode_delta, encode_states, stage_delta, StagedDelta, WireProgram};
 use crate::transport::{unique_endpoint, Conn, Endpoint, Listener};
 use crate::wire::{

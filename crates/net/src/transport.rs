@@ -6,6 +6,11 @@
 //! ([`Conn::send`] / [`Conn::recv`]) through one reused buffer per
 //! direction.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "connect and accept poll their deadlines; wall time never feeds round state"
+)]
+
 use crate::wire::{io_error, read_frame, write_frame, Frame, WireError};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

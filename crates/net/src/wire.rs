@@ -41,9 +41,8 @@ use smst_graph::NodeId;
 use smst_sim::NodeContext;
 use std::io::{Read, Write};
 
-/// The wire schema tag carried by every [`Frame::Hello`]: the writer side
-/// of the `smst-analyze` schema-parity pairing (`analyze::ingest` declares
-/// the matching acceptor const).
+/// The wire schema tag carried by every [`Frame::Hello`]. `smst-analyze`
+/// names it `SCHEMA_WIRE`; a test there pins the two equal.
 pub const WIRE_SCHEMA: &str = "smst-wire-v1";
 
 /// The protocol version spoken by this build. Bumped on any frame-layout

@@ -190,7 +190,10 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
                 std::thread::sleep(Duration::from_millis(millis))
             }
         }
-        // smst-lint: allow(clock, reason = "compute_ns measurement reported to the coordinator's observer; never steers results")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "compute_ns measurement reported to the coordinator's observer; never steers results"
+        )]
         let compute_start = std::time::Instant::now();
         sweep(&program, &csr, &contexts, &prev, 0..interior_len, &mut next);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;

@@ -554,9 +554,9 @@ fn an_announced_length_reserves_nothing_until_the_bytes_arrive() {
 
 #[test]
 fn the_schema_tag_does_not_move_with_the_protocol_version() {
-    // `smst-lint`'s schema-parity rule pairs this tag with
-    // `analyze::ingest::SCHEMA_WIRE`; it names the frame grammar's family
-    // and stays put when a frame layout bumps the handshake version
+    // `analyze::ingest::SCHEMA_WIRE` is pinned equal to this tag; it names
+    // the frame grammar's family and stays put when a frame layout bumps
+    // the handshake version
     assert_eq!((WIRE_SCHEMA, WIRE_VERSION), ("smst-wire-v1", 5));
 }
 

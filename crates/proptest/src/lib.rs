@@ -121,7 +121,10 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(
+                non_snake_case,
+                reason = "every expansion binds the uppercase type-parameter names"
+            )]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)

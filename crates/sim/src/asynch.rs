@@ -303,7 +303,10 @@ impl<'p, P: NodeProgram> AsyncRunner<'p, P> {
 
     /// Executes one normalized time unit (every node activated at least once).
     pub fn step_time_unit(&mut self) {
-        // smst-lint: allow(clock, reason = "observer-gated unit timing; wall time never feeds round state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observer-gated unit timing; wall time never feeds round state"
+        )]
         let start = self.observer.is_some().then(std::time::Instant::now);
         let schedule = self
             .daemon

@@ -75,7 +75,10 @@ impl<'p, P: NodeProgram> SyncRunner<'p, P> {
 
     /// Executes exactly one synchronous round.
     pub fn step_round(&mut self) {
-        // smst-lint: allow(clock, reason = "observer-gated round timing; wall time never feeds round state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observer-gated round timing; wall time never feeds round state"
+        )]
         let start = self.observer.is_some().then(std::time::Instant::now);
         let n = self.network.node_count();
         self.network

@@ -16,6 +16,11 @@
 //! (release mode matters: this is a throughput demonstration).
 //! `SMST_BENCH_SMOKE=1` shrinks the run to CI smoke sizes.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the demo prints how long each stage took"
+)]
+
 use smst_engine::layout::mean_bandwidth;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
