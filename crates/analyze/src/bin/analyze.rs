@@ -1,9 +1,9 @@
-//! The `smst-analyze` CLI: ingest listings, the CI regression gate, the
+//! The `smst-analyze` CLI: ingest listings, the CI chaos-accounting gate, the
 //! KMW bound-accounting sweep, and baseline seeding.
 //!
 //! Exit codes: `0` clean, `1` gate failure, `2` usage or ingest error.
 
-use smst_analyze::check::{check_dirs, Thresholds};
+use smst_analyze::check::check_dirs;
 use smst_analyze::ingest::{ingest_dir, ARTIFACT_PREFIXES};
 use smst_analyze::kmw::{run_kmw_accounting, KmwConfig};
 use smst_telemetry::artifact_dir;
@@ -20,12 +20,11 @@ commands:
       per file, and fail (exit 2) if any artifact is corrupt or carries
       an unknown schema version.
 
-  check --baseline <dir> [--current <dir>] [--tolerance <x>] [--floor-ns <n>]
-      Compare the current artifacts (default: $SMST_BENCH_DIR, else .)
-      against the checked-in baselines. Bench medians regress only when
-      they exceed baseline x tolerance (default 2.0) AND grow by more
-      than floor-ns (default 250000); chaos accounting is compared
-      exactly. Exit 1 on any regression or mismatch.
+  check --baseline <dir> [--current <dir>]
+      Compare the chaos accounting of the current artifacts (default:
+      $SMST_BENCH_DIR, else .) exactly against the checked-in baselines.
+      Exit 1 on any changed field, on a baseline run the current side
+      lacks, or when no run was compared at all.
 
   kmw [--out <dir>] [--seed <s>] [--warmup <w>]
       Run the KMW bound-accounting sweep (cluster trees, hybrids, and
@@ -34,10 +33,10 @@ commands:
 
   baseline --from <dir> --to <dir>
       Seed or refresh a baseline directory: validate every recognized
-      artifact in --from, then copy the gate-relevant ones (bench
-      timings and chaos accounting) into --to. Traces, campaigns,
-      analyses, and flight dumps are validated but not copied -- the
-      gate has no comparison semantics for them.
+      artifact in --from, then copy the gate-relevant ones (chaos
+      accounting) into --to. Rounds, traces, campaigns, analyses, and
+      flight dumps are validated but not copied -- the gate has no
+      comparison semantics for them.
 ";
 
 fn main() -> ExitCode {
@@ -109,25 +108,8 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let current = flag_value(args, "--current")?
         .map(PathBuf::from)
         .unwrap_or_else(artifact_dir);
-    let mut thresholds = Thresholds::default();
-    if let Some(t) = flag_value(args, "--tolerance")? {
-        thresholds.tolerance = t
-            .parse()
-            .map_err(|_| format!("--tolerance {t:?} is not a number"))?;
-    }
-    if let Some(f) = flag_value(args, "--floor-ns")? {
-        thresholds.floor_ns = f
-            .parse()
-            .map_err(|_| format!("--floor-ns {f:?} is not an integer"))?;
-    }
-    println!(
-        "checking {} against baseline {} (tolerance {}x, floor {} ns)",
-        current.display(),
-        baseline,
-        thresholds.tolerance,
-        thresholds.floor_ns
-    );
-    let report = check_dirs(Path::new(&baseline), &current, thresholds)
+    println!("checking {} against baseline {baseline}", current.display());
+    let report = check_dirs(Path::new(&baseline), &current)
         .map_err(|e| format!("gate could not run: {e}"))?;
     print!("{}", report.render());
     if report.passed() {
@@ -202,11 +184,7 @@ fn cmd_baseline(args: &[String]) -> Result<ExitCode, String> {
     std::fs::create_dir_all(&to).map_err(|e| format!("creating {to}: {e}"))?;
     let mut copied = 0usize;
     for (path, result) in &results {
-        let gate_relevant = matches!(
-            result,
-            Ok(smst_analyze::Artifact::Bench(_) | smst_analyze::Artifact::Chaos(_))
-        );
-        if !gate_relevant {
+        if !matches!(result, Ok(smst_analyze::Artifact::Chaos(_))) {
             println!("  skipped {} (not gated)", path.display());
             continue;
         }

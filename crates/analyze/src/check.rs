@@ -1,70 +1,23 @@
-//! The perf regression gate: current artifacts vs checked-in baselines.
+//! The CI gate: current chaos accounting vs checked-in baselines.
 //!
 //! `smst-analyze check --baseline ci/baselines/ --current <dir>` ingests
-//! both directories and compares what can be compared:
+//! both directories and compares chaos accounting (`smst-chaos-v1`). It is
+//! logical — steps, waves, fault counts under the barrier-synchronized
+//! engine — so the deterministic summary fields are compared **exactly**:
+//! a changed `detected_waves` is a behavioral change, not noise. Timing is
+//! not gated here; the repository benchmark (`BENCHMARK.json`) holds it.
 //!
-//! * **Bench timings** (`smst-bench-v1`) are wall-clock and noisy, so a
-//!   case only regresses when it fails **both** tests of
-//!   [`Thresholds`]: the current median exceeds baseline ×
-//!   [`tolerance`](Thresholds::tolerance) *and* the absolute growth
-//!   exceeds [`floor_ns`](Thresholds::floor_ns). The ratio test alone
-//!   flags µs-scale cases that double on scheduler jitter; the floor
-//!   alone flags slow cases that creep. Together they only fire on
-//!   regressions a human would act on.
-//! * **Chaos accounting** (`smst-chaos-v1`) is logical — steps, waves,
-//!   fault counts under the barrier-synchronized engine — so the
-//!   deterministic summary fields are compared **exactly**. A changed
-//!   `detected_waves` is a behavioral change, not noise.
-//!
-//! Cases present on one side only are *warnings*, not failures — PRs add
-//! and retire benches routinely, and a gate that fails on every rename
-//! gets deleted, not fixed. Corrupt or unreadable artifacts on either
-//! side are hard errors: a gate that skips what it cannot read is not a
-//! gate.
+//! A baseline run missing from the current side is a failure, and so is a
+//! gate that compared no run at all: a gate that compares nothing must
+//! not pass. A run present only on the current side is a *warning* — PRs
+//! add runs routinely; re-seed the baselines to gate it. Corrupt or
+//! unreadable artifacts on either side are hard errors: a gate that skips
+//! what it cannot read is not a gate.
 
 use crate::ingest::{ingest_dir, Artifact, IngestError};
-use smst_bench::harness::BenchResult;
 use smst_telemetry::ChaosRun;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Noise tolerance for the bench-timing comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Multiplicative slack: current median must exceed baseline × this.
-    pub tolerance: f64,
-    /// Additive slack in nanoseconds: current median must also exceed
-    /// baseline + this. Keeps µs-scale cases from tripping the ratio test
-    /// on scheduler jitter.
-    pub floor_ns: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        // 2× + 250µs: the harness's own docs promise spotting
-        // "regressions of 2× and up", and single-core CI runners double
-        // sub-100µs cases on a whim
-        Thresholds {
-            tolerance: 2.0,
-            floor_ns: 250_000,
-        }
-    }
-}
-
-/// One bench case compared against its baseline.
-#[derive(Debug, Clone)]
-pub struct BenchComparison {
-    /// Case name (`group/case`).
-    pub name: String,
-    /// Baseline median, nanoseconds.
-    pub baseline_median_ns: u64,
-    /// Current median, nanoseconds.
-    pub current_median_ns: u64,
-    /// `current / baseline`.
-    pub ratio: f64,
-    /// Whether the case fails both threshold tests.
-    pub regressed: bool,
-}
 
 /// One deterministic chaos field that changed.
 #[derive(Debug, Clone)]
@@ -82,36 +35,26 @@ pub struct ChaosMismatch {
 /// Everything the gate found.
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
-    /// Per-case bench comparisons (matched cases only).
-    pub bench: Vec<BenchComparison>,
+    /// Baseline runs found on the current side and compared.
+    pub compared: usize,
     /// Exact-compare failures in chaos accounting.
     pub chaos_mismatches: Vec<ChaosMismatch>,
-    /// Non-fatal observations: unmatched cases, ignored artifact kinds.
+    /// `group/label` of each baseline run the current side lacks.
+    pub missing: Vec<String>,
+    /// Non-fatal observations: new runs, ignored artifact kinds.
     pub warnings: Vec<String>,
 }
 
 impl CheckReport {
-    /// Bench cases that regressed.
-    pub fn regressions(&self) -> usize {
-        self.bench.iter().filter(|c| c.regressed).count()
-    }
-
-    /// `true` when nothing regressed and no chaos field changed.
+    /// `true` when some run was compared, none is missing and no chaos
+    /// field changed.
     pub fn passed(&self) -> bool {
-        self.regressions() == 0 && self.chaos_mismatches.is_empty()
+        self.compared > 0 && self.missing.is_empty() && self.chaos_mismatches.is_empty()
     }
 
     /// Human-readable gate output.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for c in &self.bench {
-            let status = if c.regressed { "REGRESSED" } else { "ok" };
-            let _ = writeln!(
-                out,
-                "  {status:>9}  {:<44} {:>12} -> {:>12}  ({:.2}x)",
-                c.name, c.baseline_median_ns, c.current_median_ns, c.ratio
-            );
-        }
         for m in &self.chaos_mismatches {
             let _ = writeln!(
                 out,
@@ -119,15 +62,21 @@ impl CheckReport {
                 m.run, m.field, m.baseline, m.current
             );
         }
+        for run in &self.missing {
+            let _ = writeln!(
+                out,
+                "  MISSING    chaos run {run:?} is in the baseline but not the current run"
+            );
+        }
         for w in &self.warnings {
             let _ = writeln!(out, "  warning: {w}");
         }
         let _ = writeln!(
             out,
-            "{} bench cases compared, {} regressions, {} chaos mismatches, {} warnings",
-            self.bench.len(),
-            self.regressions(),
+            "{} chaos runs compared, {} mismatches, {} missing, {} warnings",
+            self.compared,
             self.chaos_mismatches.len(),
+            self.missing.len(),
             self.warnings.len()
         );
         out
@@ -154,29 +103,24 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// All comparable records from one directory, keyed for matching.
-#[derive(Debug, Default)]
-struct Side {
-    /// `name` → case (names already carry the `group/` prefix).
-    bench: Vec<BenchResult>,
-    /// `group/label` → run.
-    chaos: Vec<(String, ChaosRun)>,
-}
-
-fn load_side(dir: &Path, warnings: &mut Vec<String>, tag: &str) -> Result<Side, CheckError> {
-    let mut side = Side::default();
+/// Every chaos run in one directory, keyed `group/label` for matching.
+fn load_side(
+    dir: &Path,
+    warnings: &mut Vec<String>,
+    tag: &str,
+) -> Result<Vec<(String, ChaosRun)>, CheckError> {
+    let mut runs = Vec::new();
     for (path, result) in ingest_dir(dir).map_err(|e| CheckError::Scan(dir.to_path_buf(), e))? {
         match result.map_err(CheckError::Ingest)? {
-            Artifact::Bench(doc) => side.bench.extend_from_slice(doc.results()),
             Artifact::Chaos(doc) => {
                 for run in doc.runs() {
-                    side.chaos
-                        .push((format!("{}/{}", doc.group(), run.label), run.clone()));
+                    runs.push((format!("{}/{}", doc.group(), run.label), run.clone()));
                 }
             }
-            // campaigns, traces, flight dumps, and accounting analyses
-            // have no stable comparison semantics — campaigns search,
-            // traces sample, flights only exist after a failure
+            // rounds, campaigns, traces, flight dumps, and accounting
+            // analyses have no stable comparison semantics — rounds carry
+            // wall time, campaigns search, traces sample, flights only
+            // exist after a failure
             other => warnings.push(format!(
                 "{tag} {}: {} — not gated, ignored",
                 path.display(),
@@ -184,48 +128,27 @@ fn load_side(dir: &Path, warnings: &mut Vec<String>, tag: &str) -> Result<Side, 
             )),
         }
     }
-    Ok(side)
+    Ok(runs)
 }
 
-/// Runs the gate: every baseline case is looked up in `current` and
-/// compared under `thresholds`.
-pub fn check_dirs(
-    baseline_dir: &Path,
-    current_dir: &Path,
-    thresholds: Thresholds,
-) -> Result<CheckReport, CheckError> {
+/// Runs the gate: every baseline run is looked up in `current` and its
+/// deterministic fields compared exactly.
+pub fn check_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<CheckReport, CheckError> {
     let mut report = CheckReport::default();
     let base = load_side(baseline_dir, &mut report.warnings, "baseline")?;
     let cur = load_side(current_dir, &mut report.warnings, "current")?;
 
-    for b in &base.bench {
-        match cur.bench.iter().find(|c| c.name == b.name) {
-            Some(c) => report.bench.push(compare_case(b, c, thresholds)),
-            None => report.warnings.push(format!(
-                "bench case {:?} is in the baseline but not the current run",
-                b.name
-            )),
+    for (key, b) in &base {
+        match cur.iter().find(|(k, _)| k == key) {
+            Some((_, c)) => {
+                report.compared += 1;
+                compare_chaos(key, b, c, &mut report.chaos_mismatches);
+            }
+            None => report.missing.push(key.clone()),
         }
     }
-    for c in &cur.bench {
-        if !base.bench.iter().any(|b| b.name == c.name) {
-            report.warnings.push(format!(
-                "bench case {:?} is new (no baseline); re-seed ci/baselines/ to gate it",
-                c.name
-            ));
-        }
-    }
-
-    for (key, b) in &base.chaos {
-        match cur.chaos.iter().find(|(k, _)| k == key) {
-            Some((_, c)) => compare_chaos(key, b, c, &mut report.chaos_mismatches),
-            None => report.warnings.push(format!(
-                "chaos run {key:?} is in the baseline but not the current run"
-            )),
-        }
-    }
-    for (key, _) in &cur.chaos {
-        if !base.chaos.iter().any(|(k, _)| k == key) {
+    for (key, _) in &cur {
+        if !base.iter().any(|(k, _)| k == key) {
             report.warnings.push(format!(
                 "chaos run {key:?} is new (no baseline); re-seed ci/baselines/ to gate it"
             ));
@@ -233,26 +156,6 @@ pub fn check_dirs(
     }
 
     Ok(report)
-}
-
-fn compare_case(base: &BenchResult, cur: &BenchResult, t: Thresholds) -> BenchComparison {
-    let ratio = if base.median_ns == 0 {
-        // a 0ns baseline median can only come from a degenerate case;
-        // any nonzero current value is "infinitely" slower, so let the
-        // floor test alone decide
-        f64::INFINITY
-    } else {
-        cur.median_ns as f64 / base.median_ns as f64
-    };
-    let over_ratio = cur.median_ns as f64 > base.median_ns as f64 * t.tolerance;
-    let over_floor = cur.median_ns > base.median_ns.saturating_add(t.floor_ns);
-    BenchComparison {
-        name: base.name.clone(),
-        baseline_median_ns: base.median_ns,
-        current_median_ns: cur.median_ns,
-        ratio,
-        regressed: over_ratio && over_floor,
-    }
 }
 
 fn compare_chaos(key: &str, base: &ChaosRun, cur: &ChaosRun, out: &mut Vec<ChaosMismatch>) {
@@ -298,82 +201,20 @@ mod tests {
         let root = std::env::temp_dir().join(format!("smst_analyze_check_{name}"));
         let base = root.join("base");
         let cur = root.join("cur");
+        // stale files from a previous run must not leak into this one
+        std::fs::remove_dir_all(&root).ok();
         std::fs::create_dir_all(&base).unwrap();
         std::fs::create_dir_all(&cur).unwrap();
         (base, cur)
     }
 
-    fn bench_doc(median_a: u64, median_b: u64) -> String {
-        format!(
-            "{{\"schema\":\"smst-bench-v1\",\"group\":\"g\",\"meta\":{{}},\
-             \"results\":[\
-             {{\"name\":\"g/a\",\"iters\":5,\"min_ns\":1,\"median_ns\":{median_a},\
-              \"mean_ns\":1.0,\"max_ns\":9}},\
-             {{\"name\":\"g/b\",\"iters\":5,\"min_ns\":1,\"median_ns\":{median_b},\
-              \"mean_ns\":1.0,\"max_ns\":9}}]}}\n"
-        )
-    }
-
-    #[test]
-    fn regression_needs_both_ratio_and_floor() {
-        let (base, cur) = dirs("both_tests");
-        // case a: 3x but tiny (under the floor) — noise, not a regression;
-        // case b: 3x and megaseconds over — a real regression
-        std::fs::write(base.join("BENCH_g.json"), bench_doc(10_000, 1_000_000)).unwrap();
-        std::fs::write(cur.join("BENCH_g.json"), bench_doc(30_000, 3_000_000)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert_eq!(report.bench.len(), 2);
-        assert!(
-            !report.bench[0].regressed,
-            "under the floor: {:?}",
-            report.bench[0]
-        );
-        assert!(report.bench[1].regressed);
-        assert_eq!(report.regressions(), 1);
-        assert!(!report.passed());
-        assert!(report.render().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn within_tolerance_passes() {
-        let (base, cur) = dirs("tolerant");
-        std::fs::write(base.join("BENCH_g.json"), bench_doc(1_000_000, 2_000_000)).unwrap();
-        // 1.8x and 1.0x: both under the 2x tolerance
-        std::fs::write(cur.join("BENCH_g.json"), bench_doc(1_800_000, 2_000_000)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert!(report.passed(), "{}", report.render());
-    }
-
-    #[test]
-    fn unmatched_cases_warn_but_do_not_fail() {
-        let (base, cur) = dirs("unmatched");
-        std::fs::write(
-            base.join("BENCH_old.json"),
-            "{\"schema\":\"smst-bench-v1\",\"group\":\"old\",\"meta\":{},\
-             \"results\":[{\"name\":\"old/gone\",\"iters\":1,\"min_ns\":1,\
-             \"median_ns\":5,\"mean_ns\":1.0,\"max_ns\":9}]}\n",
-        )
-        .unwrap();
-        std::fs::write(
-            cur.join("BENCH_new.json"),
-            "{\"schema\":\"smst-bench-v1\",\"group\":\"new\",\"meta\":{},\
-             \"results\":[{\"name\":\"new/added\",\"iters\":1,\"min_ns\":1,\
-             \"median_ns\":5,\"mean_ns\":1.0,\"max_ns\":9}]}\n",
-        )
-        .unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
-        assert!(report.passed());
-        assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
-    }
-
-    #[test]
-    fn chaos_determinism_is_compared_exactly() {
-        let (base, cur) = dirs("chaos_exact");
-        // `detected` of three waves raise an alarm; the rest are censored
-        let chaos = |detected: usize| {
-            let mut artifact = smst_telemetry::ChaosArtifact::new("chaos");
+    /// A one-group chaos document with one run per `(label, detected)`:
+    /// `detected` of its three waves raise an alarm, the rest are censored.
+    fn chaos(runs: &[(&str, usize)]) -> String {
+        let mut artifact = smst_telemetry::ChaosArtifact::new("chaos");
+        for &(label, detected) in runs {
             artifact.push(ChaosRun {
-                label: "l".to_string(),
+                label: label.to_string(),
                 run: "seed=7".to_string(),
                 schedule: "s".to_string(),
                 steps_run: 24,
@@ -388,11 +229,47 @@ mod tests {
                     })
                     .collect(),
             });
-            artifact.to_json()
-        };
-        std::fs::write(base.join("BENCH_chaos.json"), chaos(3)).unwrap();
-        std::fs::write(cur.join("BENCH_chaos.json"), chaos(2)).unwrap();
-        let report = check_dirs(&base, &cur, Thresholds::default()).unwrap();
+        }
+        artifact.to_json()
+    }
+
+    #[test]
+    fn unmatched_cases_warn_but_do_not_fail() {
+        let (base, cur) = dirs("unmatched");
+        std::fs::write(base.join("BENCH_chaos.json"), chaos(&[("kept", 3)])).unwrap();
+        std::fs::write(
+            cur.join("BENCH_chaos.json"),
+            chaos(&[("kept", 3), ("added", 1)]),
+        )
+        .unwrap();
+        let report = check_dirs(&base, &cur).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.compared, 1);
+        assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
+        assert!(report.warnings[0].contains("chaos/added"));
+    }
+
+    #[test]
+    fn missing_runs_and_empty_comparisons_fail() {
+        let (base, cur) = dirs("missing");
+        std::fs::write(base.join("BENCH_chaos.json"), chaos(&[("gone", 3)])).unwrap();
+        std::fs::write(cur.join("BENCH_chaos.json"), chaos(&[("renamed", 3)])).unwrap();
+        let report = check_dirs(&base, &cur).unwrap();
+        assert!(!report.passed());
+        assert_eq!(report.missing, vec!["chaos/gone".to_string()]);
+        assert!(report.render().contains("MISSING"), "{}", report.render());
+        // no baseline at all: nothing compared is not a pass either
+        let (empty, _) = dirs("missing_empty");
+        let report = check_dirs(&empty, &cur).unwrap();
+        assert!(report.missing.is_empty() && !report.passed());
+    }
+
+    #[test]
+    fn chaos_determinism_is_compared_exactly() {
+        let (base, cur) = dirs("chaos_exact");
+        std::fs::write(base.join("BENCH_chaos.json"), chaos(&[("l", 3)])).unwrap();
+        std::fs::write(cur.join("BENCH_chaos.json"), chaos(&[("l", 2)])).unwrap();
+        let report = check_dirs(&base, &cur).unwrap();
         assert!(!report.passed());
         assert_eq!(report.chaos_mismatches.len(), 1);
         assert_eq!(report.chaos_mismatches[0].field, "detected_waves");
@@ -402,7 +279,7 @@ mod tests {
     fn corrupt_artifacts_are_hard_errors() {
         let (base, cur) = dirs("corrupt");
         std::fs::write(base.join("BENCH_g.json"), "not json").unwrap();
-        let err = check_dirs(&base, &cur, Thresholds::default()).unwrap_err();
+        let err = check_dirs(&base, &cur).unwrap_err();
         assert!(matches!(err, CheckError::Ingest(_)), "{err}");
     }
 }

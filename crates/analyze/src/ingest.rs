@@ -9,7 +9,7 @@
 //! the file / directory scan. [`ingest_file`] dispatches on the `schema`
 //! tag (or on the `.jsonl` extension for trace streams, whose lines carry
 //! no tag), verifies the schema **version** — a known family at an
-//! unknown version (`smst-bench-v2`) is a version error, never
+//! unknown version (`smst-chaos-v2`) is a version error, never
 //! half-parsed — and hands the document to the producer's own reader, so
 //! the gate and the CLI work on the very structs the writers fill in.
 //!
@@ -25,14 +25,11 @@
 //! [`Artifact`] variant, a `describe` arm and an [`ingest_document`] arm.
 
 use crate::kmw::KmwAnalysis;
-use smst_bench::harness::BenchGroup;
 use smst_telemetry::json::{FromJson, Json, ParseError, ShapeError};
 use smst_telemetry::{ChaosArtifact, FlightDump, RoundsArtifact, TraceLine};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Schema tag of `BenchGroup` timing artifacts.
-pub const SCHEMA_BENCH: &str = smst_bench::harness::SCHEMA;
 /// Schema tag of per-round accounting artifacts.
 pub const SCHEMA_ROUNDS: &str = smst_telemetry::rounds::SCHEMA;
 /// Schema tag of chaos wave-accounting artifacts.
@@ -51,8 +48,7 @@ pub const SCHEMA_WIRE: &str = "smst-wire-v1";
 
 /// Every tag above: a document of one of these families at another
 /// version is a version error, not an unknown document.
-const SCHEMAS: [&str; 7] = [
-    SCHEMA_BENCH,
+const SCHEMAS: [&str; 6] = [
     SCHEMA_ROUNDS,
     SCHEMA_CHAOS,
     SCHEMA_CAMPAIGN,
@@ -152,8 +148,6 @@ pub enum CampaignDoc {
 /// (or, for campaigns, this module's reader type).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
-    /// A `smst-bench-v1` timing artifact.
-    Bench(BenchGroup),
     /// A `smst-rounds-v1` per-round artifact.
     Rounds(RoundsArtifact),
     /// A `smst-chaos-v1` wave-accounting artifact.
@@ -172,12 +166,6 @@ impl Artifact {
     /// A one-line human summary (the CLI `ingest` listing).
     pub fn describe(&self) -> String {
         match self {
-            Artifact::Bench(d) => format!(
-                "bench group {:?}: {} cases, {} meta entries",
-                d.group(),
-                d.results().len(),
-                d.meta().len()
-            ),
             Artifact::Rounds(d) => format!(
                 "rounds group {:?}: {} runs, {} rounds total",
                 d.group(),
@@ -262,7 +250,6 @@ pub fn ingest_document(path: &Path, doc: &Json) -> Result<Artifact, IngestError>
         .ok_or_else(|| IngestError::MissingSchema(path.to_path_buf()))?;
     let unknown = |what: String| Err(IngestError::UnknownSchema(path.to_path_buf(), what));
     match schema {
-        SCHEMA_BENCH => BenchGroup::from_json(doc).map(Artifact::Bench),
         SCHEMA_ROUNDS => RoundsArtifact::from_json(doc).map(Artifact::Rounds),
         SCHEMA_CHAOS => ChaosArtifact::from_json(doc).map(Artifact::Chaos),
         SCHEMA_CAMPAIGN => CampaignDoc::from_json(doc).map(Artifact::Campaign),
@@ -369,25 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_documents_lift_to_typed_cases() {
-        let path = tmp(
-            "BENCH_unit.json",
-            "{\"schema\":\"smst-bench-v1\",\"group\":\"g\",\
-             \"meta\":{\"halo_entries\":42},\
-             \"results\":[{\"name\":\"g/a\",\"iters\":5,\"min_ns\":10,\
-             \"median_ns\":20,\"mean_ns\":21.5,\"max_ns\":40}]}\n",
-        );
-        let Artifact::Bench(doc) = ingest_file(&path).unwrap() else {
-            panic!("expected a bench artifact");
-        };
-        assert_eq!(doc.group(), "g");
-        assert_eq!(doc.meta(), vec![("halo_entries".to_string(), 42.0)]);
-        assert_eq!(doc.results().len(), 1);
-        assert_eq!(doc.results()[0].median_ns, 20);
-        assert_eq!(doc.results()[0].mean_ns, 21.5);
-    }
-
-    #[test]
     fn chaos_documents_keep_censored_waves_as_none() {
         let path = tmp(
             "BENCH_chaos_unit.json",
@@ -470,14 +438,14 @@ mod tests {
     fn future_schema_versions_are_rejected_loudly() {
         let path = tmp(
             "BENCH_future.json",
-            "{\"schema\":\"smst-bench-v2\",\"group\":\"g\"}\n",
+            "{\"schema\":\"smst-chaos-v2\",\"group\":\"g\"}\n",
         );
         match ingest_file(&path).unwrap_err() {
             IngestError::UnsupportedVersion {
                 found, supported, ..
             } => {
-                assert_eq!(found, "smst-bench-v2");
-                assert_eq!(supported, SCHEMA_BENCH);
+                assert_eq!(found, "smst-chaos-v2");
+                assert_eq!(supported, SCHEMA_CHAOS);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
@@ -501,12 +469,15 @@ mod tests {
     fn shape_errors_name_the_offending_field() {
         let path = tmp(
             "BENCH_shape.json",
-            "{\"schema\":\"smst-bench-v1\",\"group\":\"g\",\"meta\":{},\
-             \"results\":[{\"name\":\"a\",\"iters\":1,\"min_ns\":1,\
-             \"mean_ns\":1.0,\"max_ns\":1}]}\n",
+            "{\"schema\":\"smst-rounds-v1\",\"group\":\"g\",\"runs\":[\
+             {\"label\":\"l\",\"run\":\"r\",\"rounds\":[{\"round\":0,\
+             \"alarms\":0,\"activations\":4,\"halo_bytes\":0,\"dispatch_ns\":1,\
+             \"barrier_ns\":3,\"exchange_ns\":4}]}]}\n",
         );
         match ingest_file(&path).unwrap_err() {
-            IngestError::Shape { field, .. } => assert_eq!(field, "results[0].median_ns"),
+            IngestError::Shape { field, .. } => {
+                assert_eq!(field, "runs[0].rounds[0].compute_ns")
+            }
             other => panic!("expected Shape, got {other:?}"),
         }
     }
@@ -518,7 +489,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join("BENCH_b.json"),
-            "{\"schema\":\"smst-bench-v1\",\"group\":\"b\",\"meta\":{},\"results\":[]}\n",
+            "{\"schema\":\"smst-rounds-v1\",\"group\":\"b\",\"runs\":[]}\n",
         )
         .unwrap();
         std::fs::write(

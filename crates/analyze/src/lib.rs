@@ -1,14 +1,14 @@
 //! `smst-analyze`: the artifact analysis plane.
 //!
 //! Every other crate in the workspace *produces* observability artifacts —
-//! `BENCH_*.json` timing and accounting files, `CAMPAIGN_*.json` search
+//! `BENCH_*.json` per-round and chaos accounting files, `CAMPAIGN_*.json` search
 //! and chaos summaries, `TRACE_*.jsonl` round streams, `FLIGHT_*.json`
 //! crash dumps. This crate is the *consumer*: it dispatches each file on
 //! its schema tag and version and reads it back **into the type its
 //! producer writes** ([`ingest`] — every schema is one Rust type with
 //! `to_json` and `FromJson` side by side on the workspace codec,
 //! [`smst_telemetry::json`], whose [`Json`] value is re-exported here),
-//! gates CI on perf baselines ([`check`]), and runs the KMW bound
+//! gates CI on chaos-accounting baselines ([`check`]), and runs the KMW bound
 //! accounting that turns detection experiments into measured-vs-bound
 //! curves ([`kmw`], the `ANALYSIS_kmw.json` producer).
 //!
@@ -21,8 +21,9 @@
 //! smst-analyze baseline --from <dir> --to <dir> # seed ci/baselines/
 //! ```
 //!
-//! Exit codes: `0` clean, `1` gate failure (a regression or chaos
-//! mismatch), `2` usage or ingest error.
+//! Exit codes: `0` clean, `1` gate failure (a chaos mismatch, a baseline
+//! run missing from the current side, or nothing compared), `2` usage or
+//! ingest error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ pub mod check;
 pub mod ingest;
 pub mod kmw;
 
-pub use check::{check_dirs, CheckError, CheckReport, Thresholds};
+pub use check::{check_dirs, CheckError, CheckReport};
 pub use ingest::{ingest_dir, ingest_file, Artifact, IngestError};
 pub use kmw::{run_kmw_accounting, KmwAnalysis, KmwConfig};
 pub use smst_telemetry::json::Json;

@@ -1,5 +1,5 @@
 //! Exit-code contract of the `smst-analyze` binary: `0` clean, `1` gate
-//! failure, `2` usage/ingest error — what the CI `analyze-gate` job keys
+//! failure, `2` usage/ingest error — what the CI `chaos-smoke` job keys
 //! off.
 
 use std::path::{Path, PathBuf};
@@ -20,11 +20,28 @@ fn fresh_dirs(name: &str) -> (PathBuf, PathBuf) {
     (base, cur)
 }
 
-fn bench_doc(median_ns: u64) -> String {
+/// A one-run chaos document where `detected` of three waves raise an
+/// alarm (the summary fields must be the ones the waves imply, or the
+/// document is a shape error).
+fn chaos_doc(detected: usize) -> String {
+    let waves: Vec<String> = (0..3)
+        .map(|wave| {
+            format!(
+                "{{\"wave\":{wave},\"step\":{},\"faults\":4,\
+                 \"detection_latency\":{},\"quiescence\":null}}",
+                8 * wave,
+                if wave < detected { "1" } else { "null" }
+            )
+        })
+        .collect();
     format!(
-        "{{\"schema\":\"smst-bench-v1\",\"group\":\"g\",\"meta\":{{}},\
-         \"results\":[{{\"name\":\"g/case\",\"iters\":5,\"min_ns\":1,\
-         \"median_ns\":{median_ns},\"mean_ns\":1.0,\"max_ns\":9}}]}}\n"
+        "{{\"schema\":\"smst-chaos-v1\",\"group\":\"chaos\",\"runs\":[\
+         {{\"label\":\"l\",\"run\":\"seed=7\",\"schedule\":\"s\",\
+         \"steps_run\":24,\"injected_faults\":12,\"detected_waves\":{detected},\
+         \"quiesced_waves\":0,\"mean_detection_latency\":{},\
+         \"mean_quiescence\":null,\"waves\":[{}]}}]}}\n",
+        if detected > 0 { "1" } else { "null" },
+        waves.join(",")
     )
 }
 
@@ -49,72 +66,33 @@ fn check(base: &Path, cur: &Path) -> (i32, String, String) {
 #[test]
 fn identical_artifacts_pass_with_exit_zero() {
     let (base, cur) = fresh_dirs("pass");
-    std::fs::write(base.join("BENCH_g.json"), bench_doc(1_000_000)).unwrap();
-    std::fs::write(cur.join("BENCH_g.json"), bench_doc(1_000_000)).unwrap();
+    std::fs::write(base.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
+    std::fs::write(cur.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
     let (code, stdout, _) = check(&base, &cur);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("gate: PASS"), "{stdout}");
 }
 
 #[test]
-fn a_synthetic_regression_exits_nonzero() {
-    let (base, cur) = fresh_dirs("regress");
-    std::fs::write(base.join("BENCH_g.json"), bench_doc(1_000_000)).unwrap();
-    // 3x the baseline and 2ms over: fails both threshold tests
-    std::fs::write(cur.join("BENCH_g.json"), bench_doc(3_000_000)).unwrap();
-    let (code, stdout, _) = check(&base, &cur);
+fn an_empty_current_directory_fails_the_gate() {
+    // every checked-in baseline run is missing from an empty directory: a
+    // gate that compared nothing must not pass
+    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baselines");
+    let (_, empty) = fresh_dirs("empty");
+    let (code, stdout, _) = check(&baselines, &empty);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
+    assert!(stdout.contains("MISSING"), "{stdout}");
     assert!(stdout.contains("gate: FAIL"), "{stdout}");
-}
-
-#[test]
-fn custom_thresholds_are_honoured() {
-    let (base, cur) = fresh_dirs("thresholds");
-    std::fs::write(base.join("BENCH_g.json"), bench_doc(1_000_000)).unwrap();
-    std::fs::write(cur.join("BENCH_g.json"), bench_doc(1_500_000)).unwrap();
-    // 1.5x passes the default 2x gate...
-    let (code, _, _) = check(&base, &cur);
-    assert_eq!(code, 0);
-    // ...and fails a 1.2x one
-    let (code, stdout, _) = run(analyze()
-        .arg("check")
-        .arg("--baseline")
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur)
-        .args(["--tolerance", "1.2"]));
-    assert_eq!(code, 1, "{stdout}");
+    // the baselines themselves gate clean
+    let (code, stdout, _) = check(&baselines, &baselines);
+    assert_eq!(code, 0, "{stdout}");
 }
 
 #[test]
 fn a_chaos_determinism_change_exits_nonzero() {
     let (base, cur) = fresh_dirs("chaos");
-    // `detected` of three waves raise an alarm (the summary fields must be
-    // the ones the waves imply, or the document is a shape error)
-    let chaos = |detected: usize| {
-        let waves: Vec<String> = (0..3)
-            .map(|wave| {
-                format!(
-                    "{{\"wave\":{wave},\"step\":{},\"faults\":4,\
-                     \"detection_latency\":{},\"quiescence\":null}}",
-                    8 * wave,
-                    if wave < detected { "1" } else { "null" }
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"smst-chaos-v1\",\"group\":\"chaos\",\"runs\":[\
-             {{\"label\":\"l\",\"run\":\"seed=7\",\"schedule\":\"s\",\
-             \"steps_run\":24,\"injected_faults\":12,\"detected_waves\":{detected},\
-             \"quiesced_waves\":0,\"mean_detection_latency\":{},\
-             \"mean_quiescence\":null,\"waves\":[{}]}}]}}\n",
-            if detected > 0 { "1" } else { "null" },
-            waves.join(",")
-        )
-    };
-    std::fs::write(base.join("BENCH_chaos.json"), chaos(3)).unwrap();
-    std::fs::write(cur.join("BENCH_chaos.json"), chaos(2)).unwrap();
+    std::fs::write(base.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
+    std::fs::write(cur.join("BENCH_chaos.json"), chaos_doc(2)).unwrap();
     let (code, stdout, _) = check(&base, &cur);
     assert_eq!(code, 1, "{stdout}");
     assert!(stdout.contains("detected_waves"), "{stdout}");
@@ -140,8 +118,8 @@ fn a_hostile_artifact_is_exit_two_not_a_crash() {
     // 1 MiB of `[`: an unbounded recursive-descent parser overflows the
     // stack and the process dies on a signal (no exit code at all)
     let (base, cur) = fresh_dirs("hostile");
-    std::fs::write(base.join("BENCH_g.json"), bench_doc(5)).unwrap();
-    std::fs::write(cur.join("BENCH_g.json"), bench_doc(5)).unwrap();
+    std::fs::write(base.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
+    std::fs::write(cur.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
     std::fs::write(cur.join("BENCH_deep.json"), "[".repeat(1 << 20)).unwrap();
     let (code, stdout, _) = run(analyze().arg("ingest").arg(&cur));
     assert_eq!(code, 2, "{stdout}");
@@ -155,7 +133,7 @@ fn a_hostile_artifact_is_exit_two_not_a_crash() {
 #[test]
 fn ingest_lists_artifacts_and_flags_corruption() {
     let (base, _) = fresh_dirs("ingest");
-    std::fs::write(base.join("BENCH_g.json"), bench_doc(5)).unwrap();
+    std::fs::write(base.join("BENCH_chaos.json"), chaos_doc(3)).unwrap();
     std::fs::write(
         base.join("TRACE_t.jsonl"),
         "{\"run\":\"t\",\"round\":0,\"alarms\":0,\"activations\":4,\
@@ -165,12 +143,12 @@ fn ingest_lists_artifacts_and_flags_corruption() {
     .unwrap();
     let (code, stdout, _) = run(analyze().arg("ingest").arg(&base));
     assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("bench group"), "{stdout}");
+    assert!(stdout.contains("chaos group"), "{stdout}");
     assert!(stdout.contains("trace: 1 records"), "{stdout}");
 
     std::fs::write(
         base.join("BENCH_broken.json"),
-        "{\"schema\":\"smst-bench-v9\"}",
+        "{\"schema\":\"smst-chaos-v9\"}",
     )
     .unwrap();
     let (code, stdout, _) = run(analyze().arg("ingest").arg(&base));
@@ -182,7 +160,7 @@ fn ingest_lists_artifacts_and_flags_corruption() {
 fn baseline_seeding_validates_then_copies() {
     let (from, to_parent) = fresh_dirs("seed");
     let to = to_parent.join("baselines");
-    std::fs::write(from.join("BENCH_g.json"), bench_doc(42)).unwrap();
+    std::fs::write(from.join("BENCH_chaos.json"), chaos_doc(1)).unwrap();
     let (code, stdout, _) = run(analyze()
         .arg("baseline")
         .arg("--from")
@@ -190,7 +168,7 @@ fn baseline_seeding_validates_then_copies() {
         .arg("--to")
         .arg(&to));
     assert_eq!(code, 0, "{stdout}");
-    assert!(to.join("BENCH_g.json").exists());
+    assert!(to.join("BENCH_chaos.json").exists());
     // the seeded baseline gates clean against its own source
     let (code, _, _) = check(&to, &from);
     assert_eq!(code, 0);

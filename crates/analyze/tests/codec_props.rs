@@ -4,9 +4,7 @@
 //! * **Round trips** — `from_json(parse(to_json(x))) == x` per producer
 //!   type, over strings full of quotes, backslashes, control bytes and
 //!   non-BMP characters, `None` / `Some`, integers up to `u64::MAX`,
-//!   finite and non-finite floats, empty and long arrays. (`BenchGroup`
-//!   has the same test in `smst_bench::harness`, the only module that can
-//!   build one from arbitrary numbers.)
+//!   finite and non-finite floats, empty and long arrays.
 //! * **Mutation** — every golden document, flipped / shortened /
 //!   lengthened at every offset and truncated at every offset (≈ 10⁴
 //!   seeded cases): `Json::parse`, `ingest_document` and every
@@ -17,7 +15,6 @@ use proptest::prelude::*;
 use smst_analyze::ingest::{ingest_document, CampaignDoc};
 use smst_analyze::kmw::{KmwAnalysis, KmwFamily, KmwPoint};
 use smst_analyze::Json;
-use smst_bench::harness::BenchGroup;
 use smst_rng::Rng as _;
 use smst_sim::{RoundStats, WaveStats};
 use smst_telemetry::json::FromJson;
@@ -154,9 +151,8 @@ proptest! {
 }
 
 /// Every checked-in golden document.
-const GOLDENS: [&str; 8] = [
+const GOLDENS: [&str; 7] = [
     include_str!("golden/ANALYSIS_kmw_golden.json"),
-    include_str!("golden/BENCH_bench_golden.json"),
     include_str!("golden/BENCH_chaos_golden.json"),
     include_str!("golden/BENCH_rounds_golden.json"),
     include_str!("golden/CAMPAIGN_chaos_golden.json"),
@@ -181,7 +177,6 @@ fn read_every_way(bytes: &[u8]) -> bool {
         };
         parsed = true;
         let _ = ingest_document(Path::new("mutant.json"), &doc);
-        let _ = BenchGroup::from_json(&doc);
         let _ = RoundsArtifact::from_json(&doc);
         let _ = ChaosArtifact::from_json(&doc);
         let _ = FlightDump::from_json(&doc);

@@ -16,9 +16,10 @@
 //! The two fault-experiment figures run on whatever execution path an
 //! `EngineConfig` describes (`EngineConfig::reference()` *is* the
 //! sequential simulator); memory and construction measure the centralized
-//! marker and need no runner at all. The `benches/` targets time the
-//! underlying primitives with the in-repo [`harness`] (Criterion is
-//! unavailable in the offline build environment).
+//! marker and need no runner at all. Timing is the repository benchmark's
+//! job (`e2e/`, declared by `BENCHMARK.json`): it times the same pipeline
+//! end to end and per layer; [`harness`] holds what the smoke binaries and
+//! that benchmark share.
 
 #![forbid(unsafe_code)]
 

@@ -290,6 +290,16 @@ fn halo_bytes_are_reported_and_layout_sensitive() {
             stats.windows(2).all(|w| w[0].halo_bytes == w[1].halo_bytes),
             "halo geometry is static across rounds"
         );
+        // observed sharded rounds split into phases: every round times its
+        // compute, and the halo rounds show an exchange or a barrier
+        assert!(
+            stats.iter().all(|s| s.compute_ns > 0),
+            "observed rounds time their compute"
+        );
+        assert!(
+            stats.iter().any(|s| s.exchange_ns > 0 || s.barrier_ns > 0),
+            "halo rounds time their exchange and barrier phases"
+        );
         per_layout.push(stats[0].halo_bytes);
     }
     assert!(

@@ -1,16 +1,16 @@
 //! CI smoke for the distributed backend: a coordinator plus local worker
 //! processes over the default localhost transport, checked **bit-for-bit**
-//! against the in-process sharded backend and the sequential reference,
-//! then timed. Writes the round benchmarks and what the checked rounds
-//! put on the sockets ([`RemoteRunner::wire_totals`] — a pure function of
-//! graph and seed, so the `wire_*` meta entries never move by themselves)
-//! to `BENCH_remote.json` (the `smst-analyze check` gate consumes it).
-//! Set-up is printed, not gated on time: bytes per worker (asserted equal
-//! to what its region of the plan accounts for) and the first round,
-//! which is where a worker's set-up work would show.
-//! `SMST_BENCH_SMOKE=1` shrinks the graph and iteration counts.
+//! against the in-process sharded backend and the sequential reference.
+//! Prints what the checked rounds put on the sockets
+//! ([`RemoteRunner::wire_totals`] — a pure function of graph and seed) and
+//! asserts the quiescent tail ships no register. Set-up is printed, not
+//! gated on time: bytes per worker (asserted equal to what its region of
+//! the plan accounts for) and the first round, which is where a worker's
+//! set-up work would show. Round timing is the repository benchmark's
+//! (`net.round_us_p50`, `net.remote_over_sharded_halo` on
+//! `flood_remote_x100k`). `SMST_BENCH_SMOKE=1` shrinks the graph.
 
-use smst_bench::harness::{smoke_mode, BenchGroup};
+use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
     partition_balanced, Arena, Backend, EngineConfig, GraphFamily, HaloPlan, Runner,
@@ -35,7 +35,6 @@ fn main() {
     let peers = 2usize;
     let n = if smoke_mode() { 96 } else { 384 };
     let rounds = 24usize;
-    let iters = if smoke_mode() { 8 } else { 24 };
     let family = GraphFamily::Expander { n, degree: 4 };
     let graph = family.build(11);
     let program = AlarmedFlood::new(0, n as u64 - 1);
@@ -138,21 +137,6 @@ fn main() {
         "remote diverged from the sequential reference"
     );
     println!("  bit-for-bit vs sharded ({rounds} rounds) and reference: ok");
-
-    // the timed leg: per-round wall time over the wire vs in-process
-    let mut group = BenchGroup::new("remote");
-    group.bench("round_remote_p2", iters as u32, || remote.step());
-    group.bench("round_sharded_t2", iters as u32, || sharded.step());
-    group.record_meta("nodes", n as f64);
-    group.record_meta("peers", peers as f64);
-    group.record_meta("rounds_checked", rounds as f64);
-    group.record_meta("wire_frames", wire.frames as f64);
-    group.record_meta("wire_bytes_out", wire.bytes_out as f64);
-    group.record_meta("wire_bytes_in", wire.bytes_in as f64);
-    group.record_meta("wire_registers_out", wire.registers_out as f64);
-    group.record_meta("wire_registers_in", wire.registers_in as f64);
-    group.record_meta("wire_registers_dense", wire.registers_dense as f64);
     let report = remote.report();
     println!("  engine: {} ({} steps)", report.engine, report.steps);
-    group.finish();
 }

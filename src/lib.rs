@@ -18,7 +18,7 @@
 //! * [`selfstab`] — the enhanced Awerbuch–Varghese transformer;
 //! * [`telemetry`] — metrics registry, phase-level round tracing and the
 //!   per-round accounting artifacts;
-//! * [`mod@bench`] — experiment drivers and the timing harness.
+//! * [`mod@bench`] — experiment drivers and the table / figure regenerators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
