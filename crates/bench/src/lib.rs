@@ -177,7 +177,7 @@ pub struct LowerBoundPoint {
 /// Regenerates the lower-bound figure.
 pub fn lower_bound_sweep(tau: usize, seed: u64) -> Vec<LowerBoundPoint> {
     use smst_graph::blowup::blowup;
-    use smst_graph::WeightedGraph;
+    use smst_graph::GraphBuilder;
     let g = random_connected_graph(8, 16, seed);
     let mst = kruskal(&g);
     let tree = mst.rooted_at(&g, NodeId(0)).expect("connected");
@@ -185,7 +185,7 @@ pub fn lower_bound_sweep(tau: usize, seed: u64) -> Vec<LowerBoundPoint> {
     // so the *same* candidate tree is no longer minimal
     let heavy_edge = tree.edges()[0];
     let max_w = g.max_weight().unwrap_or(1);
-    let mut g_bad = WeightedGraph::new();
+    let mut g_bad = GraphBuilder::new();
     for v in g.nodes() {
         g_bad.add_node_with_id(g.id(v));
     }
@@ -197,6 +197,7 @@ pub fn lower_bound_sweep(tau: usize, seed: u64) -> Vec<LowerBoundPoint> {
         };
         g_bad.add_edge(e.u, e.v, w).expect("copying edges");
     }
+    let g_bad = g_bad.finish();
     let tree_bad = smst_graph::RootedTree::from_edges(&g_bad, &tree.edges(), tree.root())
         .expect("same edge set");
     assert!(!smst_graph::mst::is_mst(&g_bad, &tree_bad.edges()));

@@ -298,6 +298,7 @@ mod tests {
     use proptest::prelude::*;
     use smst_graph::generators::{complete_graph, path_graph, random_connected_graph};
     use smst_graph::mst::{is_mst, kruskal};
+    use smst_graph::GraphBuilder;
 
     #[test]
     fn builds_the_unique_mst() {
@@ -377,7 +378,7 @@ mod tests {
 
     #[test]
     fn single_node_graph() {
-        let g = WeightedGraph::with_nodes(1);
+        let g = GraphBuilder::with_nodes(1).finish();
         let outcome = SyncMst.run(&g);
         assert_eq!(outcome.tree.node_count(), 1);
         assert_eq!(outcome.hierarchy.height(), 0);
@@ -386,9 +387,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "connected")]
     fn rejects_disconnected_graph() {
-        let mut g = WeightedGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        let _ = SyncMst.run(&g);
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let _ = SyncMst.run(&b.finish());
     }
 
     /// A connected graph plus one isolated node: the singleton is active in
@@ -396,9 +397,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "SYNC_MST requires a connected graph")]
     fn rejects_an_isolated_node() {
-        let mut g = random_connected_graph(40, 100, 3);
-        g.add_node();
-        let _ = SyncMst.run(&g);
+        let g = random_connected_graph(40, 100, 3);
+        let mut b = GraphBuilder::with_nodes(g.node_count() + 1);
+        for e in g.edges() {
+            b.add_edge(e.u, e.v, e.weight).unwrap();
+        }
+        let _ = SyncMst.run(&b.finish());
     }
 
     /// Two components of many nodes: the clique becomes one fragment while
@@ -409,7 +413,7 @@ mod tests {
     #[should_panic(expected = "SYNC_MST requires a connected graph")]
     fn rejects_two_large_components() {
         let (a, b) = (path_graph(300, 1), complete_graph(20, 2));
-        let mut g = WeightedGraph::with_nodes(a.node_count() + b.node_count());
+        let mut g = GraphBuilder::with_nodes(a.node_count() + b.node_count());
         let shift = a.node_count();
         for (e, offset) in
             (a.edges().iter().map(|e| (e, 0))).chain(b.edges().iter().map(|e| (e, shift)))
@@ -417,7 +421,7 @@ mod tests {
             g.add_edge(NodeId(e.u.0 + offset), NodeId(e.v.0 + offset), e.weight)
                 .unwrap();
         }
-        let _ = SyncMst.run(&g);
+        let _ = SyncMst.run(&g.finish());
     }
 
     proptest! {

@@ -66,8 +66,7 @@
 //!   transformer running unchanged on the engine
 //!   ([`run_engine_fault_experiment`](adapters::run_engine_fault_experiment)
 //!   is mark → instantiate → [`run_fault_experiment`]);
-//! * [`programs`] — compact demo workloads for million-node smoke tests
-//!   and throughput benches.
+//! * [`programs`] — compact demo workloads for million-node smoke tests.
 //!
 //! # Determinism contract
 //!

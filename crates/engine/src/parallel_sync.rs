@@ -526,7 +526,7 @@ mod tests {
     fn empty_graph_runs_without_panicking() {
         // partition_balanced returns no shards for n == 0, and the round
         // primitive must tolerate a plan without parts
-        let g = smst_graph::WeightedGraph::new();
+        let g = smst_graph::WeightedGraph::default();
         for halo in [false, true] {
             let mut runner = runner(&g, &EngineConfig::new().threads(4).halo(halo));
             runner.run_until(StopCondition::Steps, 3);

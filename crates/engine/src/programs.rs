@@ -1,11 +1,12 @@
-//! Lightweight demo / benchmark workloads for the engine.
+//! Lightweight demo workloads for the engine.
 //!
 //! The paper's full verifier ([`smst_core::CoreVerifier`]) carries a
 //! realistic register (labels, trains, comparison machinery) and is the
 //! right workload for *verification* runs, but its polylogarithmic warm-up
 //! budget makes it impractical as a million-node smoke-test. The programs
 //! here are compact, self-stabilizing state machines with the same trait
-//! surface, used by `examples/million_nodes.rs` and the throughput bench.
+//! surface, used by `examples/million_nodes.rs` and the repository
+//! benchmark's flood workload.
 
 use smst_sim::{NodeContext, NodeProgram, Verdict};
 

@@ -376,7 +376,7 @@ mod tests {
     fn empty_graph_yields_no_shards() {
         // regression: this used to return `vec![Shard { 0, 0 }]`, violating
         // the all-shards-non-empty invariant the other tests pin
-        let topo = CsrTopology::build(&smst_graph::WeightedGraph::new());
+        let topo = CsrTopology::build(&smst_graph::WeightedGraph::default());
         for count in [1, 4, 100] {
             assert!(partition_balanced(&topo, count).is_empty(), "{count}");
         }

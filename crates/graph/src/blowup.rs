@@ -25,7 +25,7 @@
 //! `τ` hops from either endpoint.
 
 use crate::component::ComponentMap;
-use crate::graph::{NodeId, WeightedGraph};
+use crate::graph::{GraphBuilder, NodeId, WeightedGraph};
 use crate::tree::RootedTree;
 
 /// The result of blowing up a graph: the new graph, its distributed candidate
@@ -69,7 +69,8 @@ pub struct BlowupResult {
 pub fn blowup(g: &WeightedGraph, tree: &RootedTree, tau: usize) -> BlowupResult {
     assert!(tau > 0, "blowup requires τ ≥ 1");
     let n = g.node_count();
-    let mut out = WeightedGraph::new();
+    let mut out = GraphBuilder::new();
+    out.reserve_edges(g.edge_count() * (2 * tau + 1));
     let mut original = Vec::new();
     // copy original nodes with their identities
     for v in g.nodes() {
@@ -148,6 +149,7 @@ pub fn blowup(g: &WeightedGraph, tree: &RootedTree, tau: usize) -> BlowupResult 
         }
     }
 
+    let out = out.finish();
     let mut components = ComponentMap::empty(out.node_count());
     for v in g.nodes() {
         if let Some(target) = comp_targets[v.0] {
@@ -209,12 +211,12 @@ mod tests {
     fn blowup_of_non_mst_instance_is_not_mst() {
         // build a spanning tree that is NOT minimal: swap a tree edge for a
         // heavier non-tree edge closing the same cycle.
-        let mut g = WeightedGraph::with_nodes(4);
-        let e01 = g.add_edge(NodeId(0), NodeId(1), 2).unwrap();
-        let e12 = g.add_edge(NodeId(1), NodeId(2), 4).unwrap();
-        let e23 = g.add_edge(NodeId(2), NodeId(3), 6).unwrap();
-        let e30 = g.add_edge(NodeId(3), NodeId(0), 100).unwrap();
-        let _ = e23;
+        let mut b = GraphBuilder::with_nodes(4);
+        let e01 = b.add_edge(NodeId(0), NodeId(1), 2).unwrap();
+        let e12 = b.add_edge(NodeId(1), NodeId(2), 4).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 6).unwrap();
+        let e30 = b.add_edge(NodeId(3), NodeId(0), 100).unwrap();
+        let g = b.finish();
         // tree {e01, e12, e30} is spanning but not minimal
         let bad_tree = RootedTree::from_edges(&g, &[e01, e12, e30], NodeId(0)).unwrap();
         assert!(!is_mst(&g, &[e01, e12, e30]));

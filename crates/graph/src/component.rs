@@ -19,11 +19,12 @@ use crate::Result;
 /// # Examples
 ///
 /// ```
-/// use smst_graph::{WeightedGraph, NodeId, ComponentMap};
+/// use smst_graph::{GraphBuilder, NodeId, ComponentMap};
 ///
-/// let mut g = WeightedGraph::with_nodes(3);
-/// g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-/// g.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+/// let mut b = GraphBuilder::with_nodes(3);
+/// b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+/// b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+/// let g = b.finish();
 /// // 1 and 2 point towards 0-side parents; 0 has no pointer (it is the root).
 /// let mut c = ComponentMap::empty(3);
 /// c.point_at(&g, NodeId(1), NodeId(0)).unwrap();
@@ -182,14 +183,15 @@ impl ComponentMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
     fn path_graph(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::with_nodes(n);
+        let mut b = GraphBuilder::with_nodes(n);
         for i in 0..n - 1 {
-            g.add_edge(NodeId(i), NodeId(i + 1), (i + 1) as u64)
+            b.add_edge(NodeId(i), NodeId(i + 1), (i + 1) as u64)
                 .unwrap();
         }
-        g
+        b.finish()
     }
 
     #[test]
@@ -214,10 +216,11 @@ mod tests {
 
     #[test]
     fn mutual_pair_roots_at_higher_id() {
-        let mut g = WeightedGraph::new();
-        let a = g.add_node_with_id(10);
-        let b = g.add_node_with_id(20);
-        g.add_edge(a, b, 1).unwrap();
+        let mut builder = GraphBuilder::new();
+        let a = builder.add_node_with_id(10);
+        let b = builder.add_node_with_id(20);
+        builder.add_edge(a, b, 1).unwrap();
+        let g = builder.finish();
         let mut c = ComponentMap::empty(2);
         c.point_at(&g, a, b).unwrap();
         c.point_at(&g, b, a).unwrap();

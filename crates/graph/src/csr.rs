@@ -1,8 +1,9 @@
 //! Compressed sparse rows: many short lists in two flat arrays.
 //!
-//! The construction path (SYNC_MST's fragments, the hierarchy's children and
-//! per-node chains, the tree's adjacency, the partitions' parts) keeps one
-//! list per node or per fragment. A [`Csr`] holds them all in one `values`
+//! The graph's incidence lists and the construction path (SYNC_MST's
+//! fragments, the hierarchy's children and per-node chains, the tree's
+//! adjacency, the partitions' parts) keep one list per node or per
+//! fragment. A [`Csr`] holds them all in one `values`
 //! array cut by one `offsets` array, so `k` lists cost two allocations
 //! instead of `k`. It is built by one counting sort that keeps the order in
 //! which the items arrive within each row.

@@ -450,17 +450,18 @@ fn fragment_is_connected(tree: &RootedTree, f: &Fragment) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeId;
+    use crate::graph::{GraphBuilder, NodeId};
     use crate::mst::kruskal;
 
     /// Path 0-1-2-3 (weights 1, 10, 3) with a hierarchy: singletons (lvl 0),
     /// {0,1} and {2,3} (lvl 1), whole tree (lvl 2). The middle edge is the
     /// heaviest, so the level-1 merges along the outer edges are minimal.
     fn sample() -> (WeightedGraph, RootedTree, Hierarchy) {
-        let mut g = WeightedGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 10).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 3).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 10).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 3).unwrap();
+        let g = b.finish();
         let mst = kruskal(&g);
         let tree = mst.rooted_at(&g, NodeId(0)).unwrap();
         let mut frags = Vec::new();

@@ -7,7 +7,7 @@
 //! for the low-degree extremes, stars and complete graphs for the Δ sweeps,
 //! grids and caterpillars as structured topologies.
 
-use crate::graph::{NodeId, WeightedGraph};
+use crate::graph::{GraphBuilder, NodeId, WeightedGraph};
 use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 
 /// A path `0 − 1 − ⋯ − (n−1)` with pseudo-random distinct weights.
@@ -18,13 +18,14 @@ use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 pub fn path_graph(n: usize, seed: u64) -> WeightedGraph {
     assert!(n > 0, "path_graph requires at least one node");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let mut weights = distinct_weights(n.saturating_sub(1), &mut rng);
+    g.reserve_edges(weights.len());
     for i in 0..n - 1 {
         g.add_edge(NodeId(i), NodeId(i + 1), weights.pop().unwrap())
             .expect("path edges are unique");
     }
-    g
+    g.finish()
 }
 
 /// A cycle on `n ≥ 3` nodes with distinct weights.
@@ -35,13 +36,14 @@ pub fn path_graph(n: usize, seed: u64) -> WeightedGraph {
 pub fn ring_graph(n: usize, seed: u64) -> WeightedGraph {
     assert!(n >= 3, "ring_graph requires at least three nodes");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let mut weights = distinct_weights(n, &mut rng);
+    g.reserve_edges(n);
     for i in 0..n {
         g.add_edge(NodeId(i), NodeId((i + 1) % n), weights.pop().unwrap())
             .expect("ring edges are unique");
     }
-    g
+    g.finish()
 }
 
 /// The complete graph on `n` nodes with distinct weights.
@@ -52,15 +54,16 @@ pub fn ring_graph(n: usize, seed: u64) -> WeightedGraph {
 pub fn complete_graph(n: usize, seed: u64) -> WeightedGraph {
     assert!(n > 0, "complete_graph requires at least one node");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let mut weights = distinct_weights(n * (n - 1) / 2, &mut rng);
+    g.reserve_edges(weights.len());
     for i in 0..n {
         for j in (i + 1)..n {
             g.add_edge(NodeId(i), NodeId(j), weights.pop().unwrap())
                 .expect("complete graph edges are unique");
         }
     }
-    g
+    g.finish()
 }
 
 /// A star: node 0 is the centre, connected to every other node.
@@ -74,13 +77,14 @@ pub fn complete_graph(n: usize, seed: u64) -> WeightedGraph {
 pub fn star_graph(n: usize, seed: u64) -> WeightedGraph {
     assert!(n > 0, "star_graph requires at least one node");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let mut weights = distinct_weights(n.saturating_sub(1), &mut rng);
+    g.reserve_edges(weights.len());
     for i in 1..n {
         g.add_edge(NodeId(0), NodeId(i), weights.pop().unwrap())
             .expect("star edges are unique");
     }
-    g
+    g.finish()
 }
 
 /// An `rows × cols` grid with distinct weights.
@@ -95,9 +99,10 @@ pub fn grid_graph(rows: usize, cols: usize, seed: u64) -> WeightedGraph {
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rows * cols;
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let m = rows * (cols - 1) + cols * (rows - 1);
     let mut weights = distinct_weights(m, &mut rng);
+    g.reserve_edges(m);
     let at = |r: usize, c: usize| NodeId(r * cols + c);
     for r in 0..rows {
         for c in 0..cols {
@@ -111,7 +116,7 @@ pub fn grid_graph(rows: usize, cols: usize, seed: u64) -> WeightedGraph {
             }
         }
     }
-    g
+    g.finish()
 }
 
 /// A caterpillar: a spine path of `spine` nodes, each with `legs` leaf
@@ -124,9 +129,10 @@ pub fn caterpillar_graph(spine: usize, legs: usize, seed: u64) -> WeightedGraph 
     assert!(spine > 0, "caterpillar_graph requires a non-empty spine");
     let mut rng = StdRng::seed_from_u64(seed);
     let n = spine * (1 + legs);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let m = (spine - 1) + spine * legs;
     let mut weights = distinct_weights(m, &mut rng);
+    g.reserve_edges(m);
     for i in 0..spine - 1 {
         g.add_edge(NodeId(i), NodeId(i + 1), weights.pop().unwrap())
             .expect("spine edges are unique");
@@ -138,7 +144,7 @@ pub fn caterpillar_graph(spine: usize, legs: usize, seed: u64) -> WeightedGraph 
                 .expect("leg edges are unique");
         }
     }
-    g
+    g.finish()
 }
 
 /// A random connected graph with `n` nodes and (approximately) `m` edges:
@@ -156,8 +162,9 @@ pub fn random_connected_graph(n: usize, m: usize, seed: u64) -> WeightedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let max_m = n * n.saturating_sub(1) / 2;
     let m = m.clamp(n.saturating_sub(1), max_m.max(n.saturating_sub(1)));
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let mut weights = distinct_weights(m, &mut rng);
+    g.reserve_edges(m);
 
     // random spanning tree backbone: random permutation, attach each node to a
     // random earlier node (a random recursive tree).
@@ -186,7 +193,7 @@ pub fn random_connected_graph(n: usize, m: usize, seed: u64) -> WeightedGraph {
         g.add_edge(NodeId(u), NodeId(v), w)
             .expect("checked for duplicates");
     }
-    g
+    g.finish()
 }
 
 /// A random connected graph with scrambled (non-consecutive) node identities.
@@ -198,15 +205,16 @@ pub fn random_graph_scrambled_ids(n: usize, m: usize, seed: u64) -> WeightedGrap
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
     let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
     ids.shuffle(&mut rng);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     for &id in ids.iter().take(n) {
         g.add_node_with_id(id);
     }
+    g.reserve_edges(base.edge_count());
     for e in base.edges() {
         g.add_edge(e.u, e.v, e.weight)
             .expect("copying unique edges");
     }
-    g
+    g.finish()
 }
 
 /// A circulant "expander": every node `v` is joined to `v ± o (mod n)` for
@@ -238,7 +246,8 @@ pub fn expander_graph(n: usize, degree: usize, seed: u64) -> WeightedGraph {
         .map(|&o| if 2 * o == n { n / 2 } else { n })
         .sum();
     let mut weights = distinct_weights(edge_count, &mut rng);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
+    g.reserve_edges(edge_count);
     for &o in &offsets {
         // the antipodal offset on even n yields each chord twice
         let span = if 2 * o == n { n / 2 } else { n };
@@ -247,7 +256,7 @@ pub fn expander_graph(n: usize, degree: usize, seed: u64) -> WeightedGraph {
                 .expect("circulant chords are unique");
         }
     }
-    g
+    g.finish()
 }
 
 /// One cluster of the KMW skeleton: a contiguous node range at a depth,
@@ -340,7 +349,8 @@ fn build_kmw(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut weights = distinct_weights(m, &mut rng);
-    let mut g = WeightedGraph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
+    g.reserve_edges(m);
     for c in &clusters {
         if hybrid && c.size >= 4 {
             for i in 0..c.size {
@@ -385,7 +395,7 @@ fn build_kmw(
             }
         }
     }
-    g
+    g.finish()
 }
 
 /// A KMW cluster tree: the hard-instance family of the KMW lower bound

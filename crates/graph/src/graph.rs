@@ -7,12 +7,20 @@
 //! dense indices [`NodeId`], identities are arbitrary `u64`s, and each node's
 //! incidence list defines its port numbering (port `p` of node `v` is the
 //! `p`-th entry of `v`'s incidence list).
+//!
+//! A [`WeightedGraph`] is built once by a [`GraphBuilder`] and never changes
+//! afterwards. Its tables — identities, edges and the incidence lists as
+//! one [`Csr`] — sit behind one `Arc`, so every layer that takes the graph
+//! by value (the instance, the verifier, each runner) shares one copy:
+//! cloning a graph is a reference-count increment.
 
+use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::weight::{CompositeWeight, Weight};
 use crate::Result;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense node index (`0..n`).
 ///
@@ -110,53 +118,89 @@ impl Edge {
     }
 }
 
-/// An undirected, edge-weighted, port-numbered graph.
+/// Marks the end of a node's chain of edge ends in a [`GraphBuilder`].
+const NO_END: usize = usize::MAX;
+
+/// One end of an edge while the graph is built: end `2e + s` is edge `e`
+/// seen from its endpoint `s` (0 for `u`, 1 for `v`).
+#[derive(Debug, Clone, Copy)]
+struct EdgeEnd {
+    /// The endpoint on the other side.
+    across: NodeId,
+    /// The end added at the same node just before this one, or [`NO_END`].
+    previous: usize,
+}
+
+/// A node while the graph is built: its degree so far and its newest edge
+/// end, or [`NO_END`].
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    degree: usize,
+    last: usize,
+}
+
+const EMPTY_CHAIN: Chain = Chain {
+    degree: 0,
+    last: NO_END,
+};
+
+/// Builds a [`WeightedGraph`]: nodes first (with explicit identities or
+/// defaults), then edges, then [`GraphBuilder::finish`].
 ///
-/// Nodes are added first (with explicit identities or defaults), then edges.
-/// The incidence list of each node defines its port numbering: the `p`-th
-/// incident edge of `v` is reachable through `Port(p)`.
+/// The order in which edges are added is the port numbering: the `p`-th
+/// edge added at `v` becomes `Port(p)` of `v`. Building allocates per
+/// table, never per node — the duplicate check walks each node's edge
+/// ends, chained through one flat array.
 ///
 /// # Examples
 ///
 /// ```
-/// use smst_graph::{WeightedGraph, NodeId};
+/// use smst_graph::GraphBuilder;
 ///
-/// let mut g = WeightedGraph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
-/// let c = g.add_node();
-/// g.add_edge(a, b, 5).unwrap();
-/// g.add_edge(b, c, 3).unwrap();
+/// let mut b = GraphBuilder::new();
+/// let x = b.add_node();
+/// let y = b.add_node();
+/// let z = b.add_node();
+/// b.add_edge(x, y, 5).unwrap();
+/// b.add_edge(y, z, 3).unwrap();
+/// assert!(b.add_edge(z, y, 9).is_err(), "the edge exists");
+/// let g = b.finish();
 /// assert_eq!(g.node_count(), 3);
-/// assert_eq!(g.degree(b), 2);
+/// assert_eq!(g.degree(y), 2);
 /// assert!(g.is_connected());
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct WeightedGraph {
+pub struct GraphBuilder {
     ids: Vec<u64>,
     edges: Vec<Edge>,
-    /// incidence[v][p] = edge id reachable from v through port p.
-    incidence: Vec<Vec<EdgeId>>,
-    /// The largest entry of `ids` / largest weight in `edges`: the graph is
-    /// append-only, so both are kept current by the two mutators below.
     max_id: Option<u64>,
     max_weight: Option<Weight>,
+    chains: Vec<Chain>,
+    ends: Vec<EdgeEnd>,
 }
 
-impl WeightedGraph {
-    /// Creates an empty graph.
+impl GraphBuilder {
+    /// Starts an empty graph.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a graph with `n` isolated nodes whose identities equal their
+    /// Starts a graph with `n` isolated nodes whose identities equal their
     /// indices.
     pub fn with_nodes(n: usize) -> Self {
-        let mut g = Self::new();
-        for _ in 0..n {
-            g.add_node();
+        GraphBuilder {
+            ids: (0..n as u64).collect(),
+            max_id: n.checked_sub(1).map(|top| top as u64),
+            chains: vec![EMPTY_CHAIN; n],
+            ..Self::default()
         }
-        g
+    }
+
+    /// Makes room for `m` more edges, so adding them does not grow the
+    /// edge tables step by step.
+    pub fn reserve_edges(&mut self, m: usize) {
+        self.edges.reserve_exact(m);
+        self.ends.reserve_exact(2 * m);
     }
 
     /// Adds a node whose identity is its index, returning its [`NodeId`].
@@ -169,7 +213,7 @@ impl WeightedGraph {
     pub fn add_node_with_id(&mut self, id: u64) -> NodeId {
         self.max_id = self.max_id.max(Some(id));
         self.ids.push(id);
-        self.incidence.push(Vec::new());
+        self.chains.push(EMPTY_CHAIN);
         NodeId(self.ids.len() - 1)
     }
 
@@ -184,50 +228,161 @@ impl WeightedGraph {
         if u == v {
             return Err(GraphError::SelfLoop(u.0));
         }
-        self.check_node(u)?;
-        self.check_node(v)?;
+        for x in [u, v] {
+            if x.0 >= self.ids.len() {
+                return Err(GraphError::UnknownNode(x.0));
+            }
+        }
         if self.edge_between(u, v).is_some() {
             return Err(GraphError::DuplicateEdge(u.0, v.0));
         }
-        let id = EdgeId(self.edges.len());
+        let id = self.edges.len();
         self.max_weight = self.max_weight.max(Some(weight));
         self.edges.push(Edge { u, v, weight });
-        self.incidence[u.0].push(id);
-        self.incidence[v.0].push(id);
-        Ok(id)
-    }
-
-    fn check_node(&self, v: NodeId) -> Result<()> {
-        if v.0 < self.ids.len() {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownNode(v.0))
+        for (side, (x, across)) in [(u, v), (v, u)].into_iter().enumerate() {
+            let chain = &mut self.chains[x.0];
+            self.ends.push(EdgeEnd {
+                across,
+                previous: chain.last,
+            });
+            chain.last = 2 * id + side;
+            chain.degree += 1;
         }
+        Ok(EdgeId(id))
     }
 
-    /// Number of nodes.
+    /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
         self.ids.len()
     }
 
-    /// Number of edges.
+    /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
+    /// The edge between `u` and `v` added so far, if any (`None` when
+    /// `u == v` or either node does not exist).
+    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        if u == v || u.0 >= self.ids.len() || v.0 >= self.ids.len() {
+            return None;
+        }
+        // an edge is unique, so walking the shorter chain finds the same
+        // one — and growing a hub stays linear from either side
+        let (from, to) = if self.chains[v.0].degree < self.chains[u.0].degree {
+            (v, u)
+        } else {
+            (u, v)
+        };
+        let mut end = self.chains[from.0].last;
+        while end != NO_END {
+            let EdgeEnd { across, previous } = self.ends[end];
+            if across == to {
+                return Some(EdgeId(end / 2));
+            }
+            end = previous;
+        }
+        None
+    }
+
+    /// The graph: one counting pass over the edges in the order they were
+    /// added lays out every node's incidence list.
+    pub fn finish(self) -> WeightedGraph {
+        let GraphBuilder {
+            ids,
+            edges,
+            max_id,
+            max_weight,
+            chains,
+            ends,
+        } = self;
+        // the chains served only the duplicate check: freed before the rows
+        let max_degree = chains.iter().map(|c| c.degree).max().unwrap_or(0);
+        drop((chains, ends));
+        // end 2e is edge e at u, end 2e + 1 at v
+        let ports = (0..2 * edges.len()).map(|end| {
+            let edge = &edges[end / 2];
+            let at = if end % 2 == 0 { edge.u } else { edge.v };
+            (at.0, EdgeId(end / 2))
+        });
+        let incidence = Csr::from_pairs(ids.len(), ports);
+        WeightedGraph(Arc::new(Tables {
+            ids: ids.into_boxed_slice(),
+            edges: edges.into_boxed_slice(),
+            incidence,
+            max_id,
+            max_weight,
+            max_degree,
+        }))
+    }
+}
+
+/// What a [`WeightedGraph`] shares among its clones.
+#[derive(Debug)]
+struct Tables {
+    ids: Box<[u64]>,
+    edges: Box<[Edge]>,
+    /// Row `v` holds the edge ids reachable from `v`, in port order.
+    incidence: Csr<EdgeId>,
+    /// The largest entry of `ids` / weight in `edges` / row of `incidence`.
+    max_id: Option<u64>,
+    max_weight: Option<Weight>,
+    max_degree: usize,
+}
+
+/// An undirected, edge-weighted, port-numbered graph.
+///
+/// Built by a [`GraphBuilder`] and immutable from then on. The incidence
+/// list of each node defines its port numbering: the `p`-th incident edge
+/// of `v` is reachable through `Port(p)`. `clone()` shares the tables
+/// instead of copying them.
+///
+/// # Examples
+///
+/// ```
+/// use smst_graph::{GraphBuilder, NodeId, Port};
+///
+/// let mut b = GraphBuilder::with_nodes(3);
+/// b.add_edge(NodeId(0), NodeId(1), 5).unwrap();
+/// let e = b.add_edge(NodeId(1), NodeId(2), 3).unwrap();
+/// let g = b.finish();
+/// assert_eq!(g.edge_at_port(NodeId(1), Port(1)), Ok(e));
+/// assert_eq!(g.max_degree(), 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct WeightedGraph(Arc<Tables>);
+
+impl Default for WeightedGraph {
+    /// The empty graph.
+    fn default() -> Self {
+        GraphBuilder::new().finish()
+    }
+}
+
+impl WeightedGraph {
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.0.ids.len()
+    }
+
+    /// Number of edges.
+    pub fn edge_count(&self) -> usize {
+        self.0.edges.len()
+    }
+
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.ids.len()).map(NodeId)
+        (0..self.node_count()).map(NodeId)
     }
 
     /// The edges of the graph.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.0.edges
     }
 
     /// Iterator over `(EdgeId, &Edge)` pairs.
     pub fn edge_entries(&self) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.edges.iter().enumerate().map(|(i, e)| (EdgeId(i), e))
+        self.edges().iter().enumerate().map(|(i, e)| (EdgeId(i), e))
     }
 
     /// The identity `ID(v)` of a node.
@@ -236,7 +391,7 @@ impl WeightedGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn id(&self, v: NodeId) -> u64 {
-        self.ids[v.0]
+        self.0.ids[v.0]
     }
 
     /// The largest node identity (`None` for the empty graph), in `O(1)`.
@@ -245,18 +400,18 @@ impl WeightedGraph {
     /// register-width formula reads (`bits_for(max_id)`,
     /// `bits_for(max_weight)`), once per node, instead of scanning for it.
     pub fn max_id(&self) -> Option<u64> {
-        self.max_id
+        self.0.max_id
     }
 
     /// The largest raw edge weight (`None` for a graph without edges), in
     /// `O(1)`.
     pub fn max_weight(&self) -> Option<Weight> {
-        self.max_weight
+        self.0.max_weight
     }
 
     /// Looks up a node by identity, if present.
     pub fn node_by_id(&self, id: u64) -> Option<NodeId> {
-        self.ids.iter().position(|&x| x == id).map(NodeId)
+        self.0.ids.iter().position(|&x| x == id).map(NodeId)
     }
 
     /// The edge record for an edge id.
@@ -265,12 +420,12 @@ impl WeightedGraph {
     ///
     /// Panics if `e` is out of range.
     pub fn edge(&self, e: EdgeId) -> &Edge {
-        &self.edges[e.0]
+        &self.0.edges[e.0]
     }
 
     /// The raw weight ω(e) of an edge.
     pub fn weight(&self, e: EdgeId) -> Weight {
-        self.edges[e.0].weight
+        self.edge(e).weight
     }
 
     /// The composite (perturbed, guaranteed-distinct) weight ω′(e) of §2.1.
@@ -278,7 +433,7 @@ impl WeightedGraph {
     /// `in_candidate_tree` is the indicator `Y(e)`: whether `e` belongs to the
     /// candidate tree being verified.
     pub fn composite_weight(&self, e: EdgeId, in_candidate_tree: bool) -> CompositeWeight {
-        let edge = &self.edges[e.0];
+        let edge = self.edge(e);
         CompositeWeight::new(
             edge.weight,
             in_candidate_tree,
@@ -289,24 +444,24 @@ impl WeightedGraph {
 
     /// The degree of a node.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.incidence[v.0].len()
+        self.incident_edges(v).len()
     }
 
-    /// The maximum degree Δ of the graph (0 for an empty graph).
+    /// The maximum degree Δ of the graph (0 for an empty graph), in `O(1)`.
     pub fn max_degree(&self) -> usize {
-        self.incidence.iter().map(Vec::len).max().unwrap_or(0)
+        self.0.max_degree
     }
 
     /// The edges incident to a node, in port order.
     pub fn incident_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.incidence[v.0]
+        self.0.incidence.row(v.0)
     }
 
     /// The neighbours of a node, in port order.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.incidence[v.0]
+        self.incident_edges(v)
             .iter()
-            .map(move |&e| self.edges[e.0].other(v))
+            .map(move |&e| self.edge(e).other(v))
     }
 
     /// The edge reachable from `v` through `port`.
@@ -315,7 +470,7 @@ impl WeightedGraph {
     ///
     /// Returns [`GraphError::UnknownPort`] if the port does not exist at `v`.
     pub fn edge_at_port(&self, v: NodeId, port: Port) -> Result<EdgeId> {
-        self.incidence[v.0]
+        self.incident_edges(v)
             .get(port.0)
             .copied()
             .ok_or(GraphError::UnknownPort {
@@ -330,34 +485,31 @@ impl WeightedGraph {
     ///
     /// Returns [`GraphError::UnknownPort`] if the port does not exist at `v`.
     pub fn neighbor_at_port(&self, v: NodeId, port: Port) -> Result<NodeId> {
-        Ok(self.edges[self.edge_at_port(v, port)?.0].other(v))
+        Ok(self.edge(self.edge_at_port(v, port)?).other(v))
     }
 
     /// The port through which `v` reaches neighbour `u`, if the edge exists.
     pub fn port_to(&self, v: NodeId, u: NodeId) -> Option<Port> {
-        self.incidence[v.0]
-            .iter()
-            .position(|&e| self.edges[e.0].other(v) == u)
-            .map(Port)
+        self.neighbors(v).position(|w| w == u).map(Port)
     }
 
     /// The edge between `u` and `v`, if present (`None` when `u == v`, since
     /// self-loops are not allowed).
     pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        if u == v || u.0 >= self.ids.len() || v.0 >= self.ids.len() {
+        if u == v || u.0 >= self.node_count() || v.0 >= self.node_count() {
             return None;
         }
         // an edge is unique, so scanning the shorter incidence list finds
-        // the same one — and growing a hub stays linear from either side
-        let (from, to) = if self.incidence[v.0].len() < self.incidence[u.0].len() {
+        // the same one
+        let (from, to) = if self.degree(v) < self.degree(u) {
             (v, u)
         } else {
             (u, v)
         };
-        self.incidence[from.0]
+        self.incident_edges(from)
             .iter()
             .copied()
-            .find(|&e| self.edges[e.0].has_endpoint(to))
+            .find(|&e| self.edge(e).has_endpoint(to))
     }
 
     /// Breadth-first hop distances from `source` (`usize::MAX` for unreachable
@@ -422,15 +574,12 @@ impl WeightedGraph {
 
     /// Total weight of a set of edges.
     pub fn total_weight<I: IntoIterator<Item = EdgeId>>(&self, edges: I) -> u128 {
-        edges
-            .into_iter()
-            .map(|e| u128::from(self.edges[e.0].weight))
-            .sum()
+        edges.into_iter().map(|e| u128::from(self.weight(e))).sum()
     }
 
     /// Returns `true` if all raw edge weights are pairwise distinct.
     pub fn has_distinct_weights(&self) -> bool {
-        let mut ws: Vec<Weight> = self.edges.iter().map(|e| e.weight).collect();
+        let mut ws: Vec<Weight> = self.edges().iter().map(|e| e.weight).collect();
         ws.sort_unstable();
         ws.windows(2).all(|w| w[0] != w[1])
     }
@@ -453,11 +602,11 @@ mod tests {
     use super::*;
 
     fn triangle() -> WeightedGraph {
-        let mut g = WeightedGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 2).unwrap();
-        g.add_edge(NodeId(2), NodeId(0), 3).unwrap();
-        g
+        let mut b = GraphBuilder::with_nodes(3);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+        b.add_edge(NodeId(2), NodeId(0), 3).unwrap();
+        b.finish()
     }
 
     #[test]
@@ -471,29 +620,34 @@ mod tests {
 
     #[test]
     fn rejects_self_loop() {
-        let mut g = WeightedGraph::with_nodes(2);
+        let mut b = GraphBuilder::with_nodes(2);
         assert_eq!(
-            g.add_edge(NodeId(0), NodeId(0), 1),
+            b.add_edge(NodeId(0), NodeId(0), 1),
             Err(GraphError::SelfLoop(0))
         );
     }
 
     #[test]
     fn rejects_duplicate_edge() {
-        let mut g = WeightedGraph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let mut b = GraphBuilder::with_nodes(2);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
         assert_eq!(
-            g.add_edge(NodeId(1), NodeId(0), 9),
+            b.add_edge(NodeId(1), NodeId(0), 9),
             Err(GraphError::DuplicateEdge(1, 0))
         );
+        assert_eq!(b.finish().edge_count(), 1);
     }
 
     #[test]
     fn rejects_unknown_node() {
-        let mut g = WeightedGraph::with_nodes(2);
+        let mut b = GraphBuilder::with_nodes(2);
         assert_eq!(
-            g.add_edge(NodeId(0), NodeId(7), 1),
+            b.add_edge(NodeId(0), NodeId(7), 1),
             Err(GraphError::UnknownNode(7))
+        );
+        assert_eq!(
+            b.add_edge(NodeId(9), NodeId(1), 1),
+            Err(GraphError::UnknownNode(9))
         );
     }
 
@@ -538,9 +692,9 @@ mod tests {
 
     #[test]
     fn a_hub_grows_in_linear_time() {
-        // `add_edge` checks for a duplicate by scanning an endpoint's
-        // incidence list; from the hub's side that scan made this star
-        // quadratic (seconds at this size)
+        // `add_edge` checks for a duplicate by walking an endpoint's chain
+        // of edges; from the hub's side that walk made this star quadratic
+        // (seconds at this size)
         let n = 100_000;
         let g = crate::generators::star_graph(n, 1);
         assert_eq!(g.edge_count(), n - 1);
@@ -549,10 +703,11 @@ mod tests {
 
     #[test]
     fn bfs_and_diameter() {
-        let mut g = WeightedGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 1).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let g = b.finish();
         assert_eq!(g.bfs_distances(NodeId(0)), vec![0, 1, 2, 3]);
         assert_eq!(g.diameter().unwrap(), 3);
         assert_eq!(g.hop_distance(NodeId(0), NodeId(3)), Some(3));
@@ -560,9 +715,10 @@ mod tests {
 
     #[test]
     fn disconnected_graph_detected() {
-        let mut g = WeightedGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let g = b.finish();
         assert!(!g.is_connected());
         assert_eq!(g.diameter(), Err(GraphError::Disconnected));
         assert_eq!(g.hop_distance(NodeId(0), NodeId(3)), None);
@@ -570,11 +726,11 @@ mod tests {
 
     #[test]
     fn composite_weight_uses_node_identities() {
-        let mut g = WeightedGraph::new();
-        let a = g.add_node_with_id(100);
-        let b = g.add_node_with_id(7);
-        let e = g.add_edge(a, b, 42).unwrap();
-        let w = g.composite_weight(e, true);
+        let mut b = GraphBuilder::new();
+        let x = b.add_node_with_id(100);
+        let y = b.add_node_with_id(7);
+        let e = b.add_edge(x, y, 42).unwrap();
+        let w = b.finish().composite_weight(e, true);
         assert_eq!(w.weight, 42);
         assert_eq!(w.id_min, 7);
         assert_eq!(w.id_max, 100);
@@ -583,12 +739,11 @@ mod tests {
 
     #[test]
     fn distinct_weight_detection() {
-        let mut g = WeightedGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 1).unwrap();
-        assert!(!g.has_distinct_weights());
-        let g2 = triangle();
-        assert!(g2.has_distinct_weights());
+        let mut b = GraphBuilder::with_nodes(3);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1).unwrap();
+        assert!(!b.finish().has_distinct_weights());
+        assert!(triangle().has_distinct_weights());
     }
 
     #[test]
@@ -600,26 +755,40 @@ mod tests {
 
     #[test]
     fn node_by_id_lookup() {
-        let mut g = WeightedGraph::new();
-        g.add_node_with_id(55);
-        g.add_node_with_id(66);
+        let mut b = GraphBuilder::new();
+        b.add_node_with_id(55);
+        b.add_node_with_id(66);
+        let g = b.finish();
         assert_eq!(g.node_by_id(66), Some(NodeId(1)));
         assert_eq!(g.node_by_id(1), None);
     }
 
-    /// The scans the accessors replace.
-    fn assert_maxima_match_scans(g: &WeightedGraph, what: &str) {
+    /// The incidence lists as a naive `Vec<Vec<_>>`: every edge, in id
+    /// order, appended at `u` and then at `v`.
+    fn naive_incidence(g: &WeightedGraph) -> Vec<Vec<EdgeId>> {
+        let mut lists = vec![Vec::new(); g.node_count()];
+        for (e, edge) in g.edge_entries() {
+            lists[edge.u.0].push(e);
+            lists[edge.v.0].push(e);
+        }
+        lists
+    }
+
+    /// The scans the `O(1)` accessors replace, the port order against the
+    /// naive lists, and a clone that shares rather than copies.
+    fn assert_tables_match_scans(g: &WeightedGraph, what: &str) {
         let scanned_id = g.nodes().map(|v| g.id(v)).max();
         let scanned_w = g.edges().iter().map(|e| e.weight).max();
+        let naive = naive_incidence(g);
+        let scanned_degree = naive.iter().map(Vec::len).max().unwrap_or(0);
         assert_eq!(g.max_id(), scanned_id, "max_id of {what}");
         assert_eq!(g.max_weight(), scanned_w, "max_weight of {what}");
+        assert_eq!(g.max_degree(), scanned_degree, "max_degree of {what}");
+        for v in g.nodes() {
+            assert_eq!(g.incident_edges(v), naive[v.0], "ports of {v} in {what}");
+        }
         let copy = g.clone();
-        assert_eq!(copy.max_id(), scanned_id, "max_id of a clone of {what}");
-        assert_eq!(
-            copy.max_weight(),
-            scanned_w,
-            "max_weight of a clone of {what}"
-        );
+        assert!(Arc::ptr_eq(&g.0, &copy.0), "a clone of {what} copied it");
     }
 
     #[test]
@@ -627,33 +796,42 @@ mod tests {
         use crate::generators::*;
         use smst_rng::{Rng, SeedableRng, StdRng};
 
-        let empty = WeightedGraph::new();
+        let empty = GraphBuilder::new().finish();
         assert_eq!((empty.max_id(), empty.max_weight()), (None, None));
-        assert_maxima_match_scans(&empty, "the empty graph");
-        let mut single = WeightedGraph::new();
+        assert_tables_match_scans(&empty, "the empty graph");
+        assert_tables_match_scans(&WeightedGraph::default(), "the default graph");
+        let mut single = GraphBuilder::new();
         single.add_node_with_id(17);
+        let single = single.finish();
         assert_eq!((single.max_id(), single.max_weight()), (Some(17), None));
-        assert_maxima_match_scans(&WeightedGraph::with_nodes(1), "with_nodes(1)");
+        assert_tables_match_scans(&GraphBuilder::with_nodes(1).finish(), "with_nodes(1)");
 
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             // hand-built: default and sparse unsorted identities mixed,
             // random weights (ties allowed), checked after every insertion
             let n = rng.gen_range(2usize..40);
-            let mut g = WeightedGraph::with_nodes(rng.gen_range(0usize..4));
-            while g.node_count() < n {
+            let mut b = GraphBuilder::with_nodes(rng.gen_range(0usize..4));
+            while b.node_count() < n {
                 if rng.gen_range(0u32..3) == 0 {
-                    g.add_node();
+                    b.add_node();
                 } else {
-                    g.add_node_with_id(rng.gen_range(0u64..1 << 40));
+                    b.add_node_with_id(rng.gen_range(0u64..1 << 40));
                 }
-                assert_maxima_match_scans(&g, "a graph under construction");
+                assert_tables_match_scans(&b.clone().finish(), "a graph under construction");
             }
             for _ in 0..3 * n {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 // rejected insertions (loops, duplicates) must not count
-                let _ = g.add_edge(NodeId(u), NodeId(v), rng.gen_range(0u64..50));
-                assert_maxima_match_scans(&g, "a graph under construction");
+                let _ = b.add_edge(NodeId(u), NodeId(v), rng.gen_range(0u64..50));
+                assert_tables_match_scans(&b.clone().finish(), "a graph under construction");
+            }
+            // the builder's chains and the built rows agree on every pair
+            let g = b.clone().finish();
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(b.edge_between(u, v), g.edge_between(u, v), "{u} {v}");
+                }
             }
 
             let n = 8 + seed as usize;
@@ -670,12 +848,12 @@ mod tests {
                 ("kmw_cluster_tree", kmw_cluster_tree(2, 3, seed)),
                 ("kmw_hybrid", kmw_hybrid_graph(2, 3, seed)),
             ] {
-                assert_maxima_match_scans(&g, name);
+                assert_tables_match_scans(&g, name);
             }
             let g = random_graph_scrambled_ids(n, 2 * n, seed);
             let tree = crate::mst::kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
             let blown = crate::blowup::blowup(&g, &tree, 2);
-            assert_maxima_match_scans(&blown.graph, "blowup");
+            assert_tables_match_scans(&blown.graph, "blowup");
         }
     }
 

@@ -9,7 +9,8 @@
 //!
 //! * [`WeightedGraph`] — an undirected, edge-weighted graph with per-node
 //!   *port numbers*, matching the paper's network model (§2.1): each node knows
-//!   its incident edges only through locally-unique port labels.
+//!   its incident edges only through locally-unique port labels. Built once
+//!   by a [`GraphBuilder`], immutable, and shared (not copied) by `clone()`.
 //! * [`weight`] — edge weights and the lexicographic *unique-weight*
 //!   perturbation ω′ of §2.1 (footnote 1), which makes the MST unique while
 //!   preserving "is `T` an MST?" for a *given* candidate tree `T`.
@@ -57,7 +58,7 @@ pub use component::ComponentMap;
 pub use csr::Csr;
 pub use error::GraphError;
 pub use fragment::{Fragment, FragmentId, Hierarchy};
-pub use graph::{EdgeId, NodeId, Port, WeightedGraph};
+pub use graph::{EdgeId, GraphBuilder, NodeId, Port, WeightedGraph};
 pub use tree::RootedTree;
 pub use weight::{CompositeWeight, Weight};
 

@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_graph_zero_phases() {
-        let g = WeightedGraph::new();
+        let g = WeightedGraph::default();
         assert_eq!(boruvka_phase_count(&g), 0);
         assert!(boruvka(&g).edges().is_empty());
     }

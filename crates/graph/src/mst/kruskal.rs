@@ -37,7 +37,7 @@ pub fn kruskal(g: &WeightedGraph) -> MstResult {
 mod tests {
     use super::*;
     use crate::generators::{path_graph, random_connected_graph};
-    use crate::{EdgeId, NodeId};
+    use crate::{EdgeId, GraphBuilder, NodeId};
 
     #[test]
     fn path_graph_mst_is_the_path() {
@@ -52,10 +52,11 @@ mod tests {
 
     #[test]
     fn picks_light_edges() {
-        let mut g = WeightedGraph::with_nodes(3);
-        let cheap1 = g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        let cheap2 = g.add_edge(NodeId(1), NodeId(2), 2).unwrap();
-        let heavy = g.add_edge(NodeId(0), NodeId(2), 10).unwrap();
+        let mut b = GraphBuilder::with_nodes(3);
+        let cheap1 = b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let cheap2 = b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+        let heavy = b.add_edge(NodeId(0), NodeId(2), 10).unwrap();
+        let g = b.finish();
         let mst = kruskal(&g);
         assert!(mst.contains(cheap1) && mst.contains(cheap2));
         assert!(!mst.contains(heavy));
@@ -63,11 +64,12 @@ mod tests {
 
     #[test]
     fn handles_equal_weights_deterministically() {
-        let mut g = WeightedGraph::with_nodes(4);
+        let mut builder = GraphBuilder::with_nodes(4);
         for i in 0..3 {
-            g.add_edge(NodeId(i), NodeId(i + 1), 5).unwrap();
+            builder.add_edge(NodeId(i), NodeId(i + 1), 5).unwrap();
         }
-        g.add_edge(NodeId(0), NodeId(3), 5).unwrap();
+        builder.add_edge(NodeId(0), NodeId(3), 5).unwrap();
+        let g = builder.finish();
         let a = kruskal(&g);
         let b = kruskal(&g);
         assert_eq!(a.edges(), b.edges());
@@ -76,9 +78,10 @@ mod tests {
 
     #[test]
     fn disconnected_graph_gives_forest() {
-        let mut g = WeightedGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let g = b.finish();
         let mst = kruskal(&g);
         assert_eq!(mst.edges().len(), 2);
     }

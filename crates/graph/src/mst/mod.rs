@@ -119,6 +119,7 @@ where
 mod tests {
     use super::*;
     use crate::generators::{complete_graph, random_connected_graph};
+    use crate::graph::GraphBuilder;
     use proptest::prelude::*;
 
     #[test]
@@ -151,11 +152,12 @@ mod tests {
     #[test]
     fn is_mst_rejects_heavier_spanning_tree() {
         // square with a heavy diagonal swap
-        let mut g = WeightedGraph::with_nodes(4);
-        let e01 = g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        let e12 = g.add_edge(NodeId(1), NodeId(2), 2).unwrap();
-        let e23 = g.add_edge(NodeId(2), NodeId(3), 3).unwrap();
-        let e30 = g.add_edge(NodeId(3), NodeId(0), 100).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        let e01 = b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let e12 = b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+        let e23 = b.add_edge(NodeId(2), NodeId(3), 3).unwrap();
+        let e30 = b.add_edge(NodeId(3), NodeId(0), 100).unwrap();
+        let g = b.finish();
         assert!(is_mst(&g, &[e01, e12, e23]));
         assert!(!is_mst(&g, &[e01, e12, e30]));
     }

@@ -50,6 +50,7 @@ fn push_edges(
 mod tests {
     use super::*;
     use crate::generators::{grid_graph, random_connected_graph};
+    use crate::graph::GraphBuilder;
     use crate::mst::kruskal;
 
     #[test]
@@ -68,16 +69,17 @@ mod tests {
 
     #[test]
     fn single_node_graph() {
-        let g = WeightedGraph::with_nodes(1);
+        let g = GraphBuilder::with_nodes(1).finish();
         assert!(prim(&g).edges().is_empty());
     }
 
     #[test]
     fn disconnected_graph_gives_forest() {
-        let mut g = WeightedGraph::with_nodes(5);
-        g.add_edge(NodeId(0), NodeId(1), 3).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
-        g.add_edge(NodeId(3), NodeId(4), 2).unwrap();
+        let mut b = GraphBuilder::with_nodes(5);
+        b.add_edge(NodeId(0), NodeId(1), 3).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        b.add_edge(NodeId(3), NodeId(4), 2).unwrap();
+        let g = b.finish();
         let mst = prim(&g);
         assert_eq!(mst.edges().len(), 3);
     }

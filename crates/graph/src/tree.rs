@@ -20,12 +20,13 @@ use crate::Result;
 /// # Examples
 ///
 /// ```
-/// use smst_graph::{WeightedGraph, NodeId, RootedTree};
+/// use smst_graph::{GraphBuilder, NodeId, RootedTree};
 ///
-/// let mut g = WeightedGraph::with_nodes(4);
-/// g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-/// g.add_edge(NodeId(1), NodeId(2), 2).unwrap();
-/// g.add_edge(NodeId(1), NodeId(3), 3).unwrap();
+/// let mut b = GraphBuilder::with_nodes(4);
+/// b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+/// b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
+/// b.add_edge(NodeId(1), NodeId(3), 3).unwrap();
+/// let g = b.finish();
 /// let tree_edges: Vec<_> = (0..3).map(smst_graph::EdgeId).collect();
 /// let t = RootedTree::from_edges(&g, &tree_edges, NodeId(0)).unwrap();
 /// assert_eq!(t.parent(NodeId(2)), Some(NodeId(1)));
@@ -270,6 +271,7 @@ impl RootedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
     /// A small fixed tree:
     /// ```text
@@ -280,14 +282,15 @@ mod tests {
     ///    3   4    5
     /// ```
     fn sample() -> (WeightedGraph, RootedTree) {
-        let mut g = WeightedGraph::with_nodes(6);
-        let e01 = g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        let e02 = g.add_edge(NodeId(0), NodeId(2), 2).unwrap();
-        let e13 = g.add_edge(NodeId(1), NodeId(3), 3).unwrap();
-        let e14 = g.add_edge(NodeId(1), NodeId(4), 4).unwrap();
-        let e25 = g.add_edge(NodeId(2), NodeId(5), 5).unwrap();
+        let mut b = GraphBuilder::with_nodes(6);
+        let e01 = b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let e02 = b.add_edge(NodeId(0), NodeId(2), 2).unwrap();
+        let e13 = b.add_edge(NodeId(1), NodeId(3), 3).unwrap();
+        let e14 = b.add_edge(NodeId(1), NodeId(4), 4).unwrap();
+        let e25 = b.add_edge(NodeId(2), NodeId(5), 5).unwrap();
         // one extra non-tree edge
-        g.add_edge(NodeId(3), NodeId(5), 10).unwrap();
+        b.add_edge(NodeId(3), NodeId(5), 10).unwrap();
+        let g = b.finish();
         let t = RootedTree::from_edges(&g, &[e01, e02, e13, e14, e25], NodeId(0)).unwrap();
         (g, t)
     }
@@ -378,11 +381,12 @@ mod tests {
 
     #[test]
     fn rejects_cycle_as_spanning_tree() {
-        let mut g = WeightedGraph::with_nodes(4);
-        let e0 = g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        let e1 = g.add_edge(NodeId(1), NodeId(2), 1).unwrap();
-        let e2 = g.add_edge(NodeId(2), NodeId(0), 1).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let mut b = GraphBuilder::with_nodes(4);
+        let e0 = b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+        let e1 = b.add_edge(NodeId(1), NodeId(2), 1).unwrap();
+        let e2 = b.add_edge(NodeId(2), NodeId(0), 1).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+        let g = b.finish();
         // three edges but they form a triangle, leaving node 3 unreached
         let err = RootedTree::from_edges(&g, &[e0, e1, e2], NodeId(0)).unwrap_err();
         assert!(matches!(err, GraphError::NotASpanningTree(_)));

@@ -161,8 +161,8 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// The no-op telemetry: nothing is registered, recorded or written.
-    /// Its overhead is pinned by the `round_latency` bench — runners see
-    /// no observer at all, i.e. the pre-telemetry fast path.
+    /// Runners see no observer at all, i.e. the pre-telemetry fast path
+    /// (pinned by `disabled_telemetry_hands_out_nothing`).
     pub fn disabled() -> Self {
         Self { inner: None }
     }

@@ -1,6 +1,5 @@
 //! The per-round accounting artifact: `BENCH_<group>.json` with one
-//! record per observed round — the ROADMAP's "promote the `RoundObserver`
-//! stream to a first-class `BENCH_rounds.json` artifact".
+//! record per observed round of the `RoundObserver` stream.
 //!
 //! A [`RoundsArtifact`] collects one or more labelled runs (each a
 //! recorded `Vec<RoundStats>` plus a replay-correlation label such as a
@@ -8,10 +7,10 @@
 //! schema: [`to_json`](RoundsArtifact::to_json) and its
 //! [`FromJson`](crate::json::FromJson) impl come from one field list,
 //! `write_json_to(dir)` writes into an explicit directory (tests) and
-//! `finish()` into [`artifact_dir`](crate::artifact_dir). The
-//! `round_latency` bench uses group `"rounds"` (→ literally
-//! `BENCH_rounds.json`); other producers suffix the group (`rounds_halo`,
-//! `rounds_campaign`) so one CI `BENCH_*.json` glob uploads them all.
+//! `finish()` into [`artifact_dir`](crate::artifact_dir). Its producers
+//! are `fig_detection` (group `rounds_detection`, so
+//! `BENCH_rounds_detection.json`) and `campaign_smoke`
+//! (`BENCH_rounds_campaign.json`).
 //!
 //! Artifact schema:
 //!
