@@ -17,8 +17,8 @@ use smst_adversary::chaos::{
 use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
-    PoolHandle, RecoveryPolicy, Runner, StopCondition,
+    EngineConfig, EngineError, GraphFamily, InjectionSpec, PoolError, PoolHandle, RecoveryPolicy,
+    Runner, ShardedRunner, StopCondition,
 };
 use smst_sim::FaultSchedule;
 use smst_telemetry::{artifact_dir, names, ChaosArtifact, FlightRecorder, Metrics};
@@ -116,7 +116,7 @@ fn main() {
         .threads(threads)
         .recovery(RecoveryPolicy::retries(2).watchdog(watchdog))
         .inject(InjectionSpec::stall_at(3, 1, 800));
-    let mut stalled = ParallelSyncRunner::from_config(&program, graph, &stalled_config)
+    let mut stalled = ShardedRunner::from_config(&program, graph, &stalled_config)
         .expect("a valid stall envelope");
     // the flight recorder rides along as an observer: when the watchdog
     // trips, its final ring-buffer window becomes the postmortem artifact

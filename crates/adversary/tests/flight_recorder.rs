@@ -6,8 +6,8 @@
 
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
-    EngineConfig, EngineError, GraphFamily, InjectionSpec, ParallelSyncRunner, PoolError,
-    RecoveryPolicy, Runner, StopCondition,
+    EngineConfig, EngineError, GraphFamily, InjectionSpec, PoolError, RecoveryPolicy, Runner,
+    ShardedRunner, StopCondition,
 };
 use smst_telemetry::FlightRecorder;
 use std::time::Duration;
@@ -23,7 +23,7 @@ fn forced_barrier_timeout_dumps_a_flight_artifact() {
         .recovery(RecoveryPolicy::retries(1).watchdog(watchdog))
         .inject(InjectionSpec::stall_at(2, 1, 400));
     let mut runner =
-        ParallelSyncRunner::from_config(&program, graph, &config).expect("a valid stall envelope");
+        ShardedRunner::from_config(&program, graph, &config).expect("a valid stall envelope");
     let flight = FlightRecorder::new(16);
     runner.set_observer(Box::new(flight.clone()));
 

@@ -7,8 +7,8 @@
 //! threads, [`LayoutPolicy`], the halo-exchange flag, a [`RecoveryPolicy`]
 //! and an optional [`InjectionSpec`] — in one builder.
 //! [`EngineConfig::validate`] rejects inconsistent envelopes with a typed
-//! [`ConfigError`] (zero threads, halo outside the synchronous sharded
-//! mode, sharded-only knobs on the reference backend) **before** anything
+//! [`ConfigError`] (zero threads or batch width, halo outside the
+//! synchronous sharded mode, knobs a backend would ignore) **before** anything
 //! reaches the worker pool, and [`EngineConfig::instantiate`] builds the
 //! matching execution path as a `Box<dyn Runner<P>>` — every runner behind
 //! one call.
@@ -40,10 +40,9 @@
 //! ```
 
 use crate::layout::LayoutPolicy;
-use crate::parallel_sync::ParallelSyncRunner;
 use crate::pool::{panic_message, BarrierTimeoutPanic, PoolError};
 use crate::runner::Runner;
-use crate::sharded_async::ShardedAsyncRunner;
+use crate::sharded::ShardedRunner;
 use smst_graph::WeightedGraph;
 use smst_sim::{AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon, Network, NodeProgram, SyncRunner};
 use std::time::Duration;
@@ -57,9 +56,9 @@ pub enum Backend {
     /// sharded-only knobs (threads > 1, layout, halo) are
     /// rejected by [`EngineConfig::validate`].
     Reference,
-    /// The sharded parallel engine
-    /// ([`ParallelSyncRunner`] / [`ShardedAsyncRunner`]): bit-for-bit
-    /// equal to the reference at any thread count.
+    /// The sharded parallel engine ([`ShardedRunner`], rounds or a
+    /// daemon's batches): bit-for-bit equal to the reference at any thread
+    /// count.
     Sharded,
     /// The distributed engine: each shard runs in a worker **process**
     /// connected over a socket, the coordinator drives rounds through the
@@ -142,6 +141,11 @@ pub enum ConfigError {
     /// `threads == 0`: there is no zero-worker execution. (Previously a
     /// silent clamp to 1 deep in the runner constructors.)
     ZeroThreads,
+    /// A central daemon chunked into batches of width 0: there is no
+    /// zero-activation batch, and clamping it to 1 (as
+    /// [`ChunkedDaemon::new`] does) would run another daemon than the one
+    /// [`EngineConfig::describe`] names.
+    ZeroBatch,
     /// The halo-exchange mode is defined only for synchronous schedules —
     /// asynchronous batches are not shard-aligned.
     HaloRequiresSync,
@@ -152,16 +156,17 @@ pub enum ConfigError {
     /// width 1 (the [`AsyncRunner`] semantics).
     ReferenceNeedsCentralDaemon,
     /// A typed constructor was handed a config for a different execution
-    /// path (e.g. [`ParallelSyncRunner::from_config`] with an
-    /// asynchronous config).
+    /// path (e.g. [`ShardedRunner::from_config`] with a remote config).
     WrongMode {
         /// What the constructor executes.
         expected: &'static str,
         /// What the config describes.
         got: String,
     },
-    /// A knob (named in the payload) the wire protocol cannot honor was
-    /// set on [`Backend::Remote`] (asynchronous schedules).
+    /// A knob (named in the payload) the remote backend cannot honor was
+    /// set on [`Backend::Remote`]: asynchronous schedules, or the halo flag
+    /// (every remote round is a halo exchange, so the flag would select
+    /// nothing).
     RemoteKnob(&'static str),
     /// No remote execution path is registered for this program type —
     /// [`Backend::Remote`] needs a [`register_remote_factory`] call first
@@ -184,6 +189,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroThreads => write!(f, "threads must be >= 1 (got 0)"),
+            ConfigError::ZeroBatch => write!(f, "the batch width must be >= 1 (got 0)"),
             ConfigError::HaloRequiresSync => {
                 write!(f, "halo exchange requires the synchronous sharded mode")
             }
@@ -265,7 +271,7 @@ impl From<PoolError> for EngineError {
     }
 }
 
-/// Supervised recovery for the sharded runners: how a run responds when a
+/// Supervised recovery for the sharded and remote runners: how a run responds when a
 /// worker panics or hangs mid-epoch.
 ///
 /// The default policy (`max_retries == 0`, no backoff, no watchdog) is
@@ -709,25 +715,28 @@ impl EngineConfig {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
+        if let Mode::Async(DaemonConfig::Central { batch: 0, .. }) = self.mode {
+            return Err(ConfigError::ZeroBatch);
+        }
         if self.halo && self.mode.is_async() {
             return Err(ConfigError::HaloRequiresSync);
         }
-        // a watchdog lives in the synchronous sharded round barrier and the
-        // remote coordinator's reply deadline; every other schedule would
-        // silently ignore it — reject instead (see ROADMAP PR 7 follow-up)
-        if self.recovery.watchdog_timeout.is_some() {
-            match (self.backend, &self.mode) {
-                (Backend::Sharded, Mode::Async(_)) => {
-                    return Err(ConfigError::InertWatchdog(
-                        "the asynchronous sharded backend",
-                    ));
-                }
-                (Backend::Remote, _) | (Backend::Sharded, Mode::Sync) => {}
-                (Backend::Reference, _) => {} // rejected below with every recovery knob
-            }
+        // a watchdog lives in the round barrier and the remote coordinator's
+        // reply deadline; batches have neither and would silently ignore it
+        // (the reference backend rejects every recovery knob below)
+        let batches = self.backend == Backend::Sharded && self.mode.is_async();
+        if batches && self.recovery.watchdog_timeout.is_some() {
+            return Err(ConfigError::InertWatchdog(
+                "the asynchronous sharded backend",
+            ));
         }
-        if self.backend == Backend::Remote && self.mode.is_async() {
-            return Err(ConfigError::RemoteKnob("asynchronous schedules"));
+        if self.backend == Backend::Remote {
+            if self.mode.is_async() {
+                return Err(ConfigError::RemoteKnob("asynchronous schedules"));
+            }
+            if self.halo {
+                return Err(ConfigError::RemoteKnob("the halo flag"));
+            }
         }
         if self.backend == Backend::Reference {
             if self.threads > 1 {
@@ -799,12 +808,7 @@ impl EngineConfig {
     {
         self.validate()?;
         Ok(match (self.backend, &self.mode) {
-            (Backend::Sharded, Mode::Sync) => {
-                Box::new(ParallelSyncRunner::from_config(program, graph, self)?)
-            }
-            (Backend::Sharded, Mode::Async(_)) => {
-                Box::new(ShardedAsyncRunner::from_config(program, graph, self)?)
-            }
+            (Backend::Sharded, _) => Box::new(ShardedRunner::from_config(program, graph, self)?),
             (Backend::Remote, Mode::Sync) => {
                 let factory =
                     remote_factory::<P>().ok_or_else(|| ConfigError::RemoteUnavailable {
@@ -852,6 +856,16 @@ mod tests {
                 .validate(),
             Err(ConfigError::HaloRequiresSync)
         );
+        // batch width 0 is an error, not a silent run at width 1
+        for backend in [Backend::Sharded, Backend::Reference] {
+            assert_eq!(
+                EngineConfig::new()
+                    .backend(backend)
+                    .asynchronous(Daemon::RoundRobin, 0)
+                    .validate(),
+                Err(ConfigError::ZeroBatch)
+            );
+        }
         assert_eq!(
             EngineConfig::reference().threads(2).validate(),
             Err(ConfigError::ReferenceKnob("threads > 1"))
@@ -941,11 +955,16 @@ mod tests {
                 .validate(),
             Err(ConfigError::RemoteKnob("asynchronous schedules"))
         );
-        // halo, layout, recovery (watchdog included) and injection are all
+        // every remote round is a halo exchange: a halo flag would give one
+        // execution two labels, so it is rejected rather than ignored
+        assert_eq!(
+            EngineConfig::remote(3).halo(true).validate(),
+            Err(ConfigError::RemoteKnob("the halo flag"))
+        );
+        // layout, recovery (watchdog included) and injection are all
         // wire-honorable knobs
         assert_eq!(
             EngineConfig::remote(2)
-                .halo(true)
                 .layout(LayoutPolicy::Rcm)
                 .recovery(
                     RecoveryPolicy::retries(1)
@@ -1032,8 +1051,8 @@ mod tests {
         // reference: sync or central batch 1, threads 1, every knob off;
         // sharded: threads ∈ {1, 3} × layout × injection × (sync: halo ×
         // recovery, async: 3 daemons × the two watchdog-free recoveries);
-        // remote: sync, threads ∈ {1, 3}, every other field free
-        assert_eq!((envelopes, valid), (864, 2 + (48 + 48) + 48));
+        // remote: sync, threads ∈ {1, 3}, halo off, every other field free
+        assert_eq!((envelopes, valid), (864, 2 + (48 + 48) + 24));
 
         // (b) the labels runs carry in BENCH_* / CAMPAIGN_* artifacts
         let random = Daemon::Random {
@@ -1068,8 +1087,8 @@ mod tests {
             ),
             (EngineConfig::remote(2), "remote-sync(threads=2)"),
             (
-                EngineConfig::remote(3).layout(LayoutPolicy::Rcm).halo(true),
-                "remote-sync(threads=3,layout=Rcm,halo)",
+                EngineConfig::remote(3).layout(LayoutPolicy::Rcm),
+                "remote-sync(threads=3,layout=Rcm)",
             ),
             (
                 EngineConfig::reference().asynchronous(Daemon::RoundRobin, 1),
@@ -1281,25 +1300,18 @@ mod tests {
         let program = MinIdFlood::new(0);
         let g = expander_graph(40, 4, 3);
         let configs = [
-            ("reference-sync", EngineConfig::reference()),
-            (
-                "reference-async",
-                EngineConfig::reference().asynchronous(Daemon::RoundRobin, 1),
-            ),
-            ("parallel-sync", EngineConfig::new().threads(3).halo(true)),
-            (
-                "sharded-async",
-                EngineConfig::new()
-                    .threads(3)
-                    .asynchronous(Daemon::RoundRobin, 8),
-            ),
+            EngineConfig::reference(),
+            EngineConfig::reference().asynchronous(Daemon::RoundRobin, 1),
+            EngineConfig::new().threads(3).halo(true),
+            EngineConfig::new()
+                .threads(3)
+                .asynchronous(Daemon::RoundRobin, 8),
         ];
         let mut finals = Vec::new();
-        for (expected, config) in configs {
+        for config in configs {
             let mut runner = config
                 .instantiate(&program, g.clone())
                 .expect("valid config");
-            assert!(runner.report().engine.starts_with(expected), "{expected}");
             runner
                 .run_until(StopCondition::AllAccept, 500)
                 .expect("the flood converges on every path");

@@ -30,18 +30,19 @@
 //!   every backend, figure, trial and adapter shares one latency rule and
 //!   one definition of a false alarm.
 //!
-//! The runners are schedulers over those pieces — they decide *who is
+//! A runner is a scheduler over those pieces — it decides *who is
 //! activated when*, which is all that separates the paper's synchronous and
 //! asynchronous bounds:
 //!
-//! * [`ParallelSyncRunner`] — rounds over a [`HaloPlan`]: every part
-//!   sweeps its [`Shard`] ([`partition_balanced`] equalizes adjacency
-//!   work, not node counts). The direct plan reads the whole previous
-//!   buffer; the halo plan runs on shard-local arenas with an explicit,
-//!   measurable exchange;
-//! * [`ShardedAsyncRunner`] — any [`smst_sim::BatchDaemon`]'s batches of
-//!   simultaneous activations swept into a reused buffer, equal to the
-//!   central daemon at batch width 1;
+//! * [`ShardedRunner`] — one runner with two schedules. **Rounds** run
+//!   over a [`HaloPlan`]: every part sweeps its [`Shard`]
+//!   ([`partition_balanced`] equalizes adjacency work, not node counts);
+//!   the direct plan reads the whole previous buffer, the halo plan runs
+//!   on shard-local arenas with an explicit, measurable exchange.
+//!   **Batches** are any [`smst_sim::BatchDaemon`]'s simultaneous
+//!   activations swept into a reused buffer, equal to the central daemon
+//!   at batch width 1. Construction, recovery, injection and the observer
+//!   hook are shared;
 //! * the `smst-net` crate's coordinator and worker processes — one halo
 //!   region per process, the exchange on a socket.
 //!
@@ -93,13 +94,12 @@ pub mod chaos;
 pub mod config;
 pub mod kernel;
 pub mod layout;
-pub mod parallel_sync;
 pub mod pool;
 pub mod programs;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
-pub mod sharded_async;
+pub mod sharded;
 pub mod topology;
 
 pub use arena::Arena;
@@ -110,14 +110,13 @@ pub use config::{
 };
 pub use kernel::sweep;
 pub use layout::{Layout, LayoutPolicy};
-pub use parallel_sync::ParallelSyncRunner;
 pub use pool::{PhaseTimes, PoolError, PoolHandle, PoolStats, WorkerPool};
-pub use runner::{drive_until, RunReport, Runner, StopCondition};
+pub use runner::{drive_until, Runner, StopCondition};
 pub use scenario::{
     run_fault_experiment, FaultBurst, GraphFamily, ScenarioOutcome, ScenarioReport, ScenarioSpec,
 };
 pub use shard::{partition_balanced, HaloPlan, Shard};
-pub use sharded_async::ShardedAsyncRunner;
+pub use sharded::ShardedRunner;
 pub use topology::CsrTopology;
 
 /// The number of worker threads to use by default: the machine's available

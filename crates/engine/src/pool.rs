@@ -208,6 +208,12 @@ impl PhaseTimes {
         self.exchange_ns.load(Ordering::Relaxed)
     }
 
+    /// Adds `ns` to the compute accumulator (phases timed outside
+    /// [`WorkerPool::run_rounds`], such as a daemon's batches).
+    pub(crate) fn add_compute(&self, ns: u64) {
+        self.compute_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
     /// Snapshots and resets all three accumulators, returning
     /// `(compute_ns, barrier_ns, exchange_ns)`.
     pub fn take(&self) -> (u64, u64, u64) {

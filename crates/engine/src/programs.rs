@@ -25,7 +25,7 @@ pub struct MinIdFlood {
 impl MinIdFlood {
     /// A flood whose accept condition is holding `leader` (the global
     /// minimum identity of the graph).
-    pub fn new(leader: u64) -> Self {
+    pub const fn new(leader: u64) -> Self {
         MinIdFlood { leader }
     }
 

@@ -2,14 +2,14 @@
 //! every execution path.
 //!
 //! The sequential references [`SyncRunner`] / [`AsyncRunner`] of `smst-sim`,
-//! the sharded [`ParallelSyncRunner`](crate::ParallelSyncRunner) /
-//! [`ShardedAsyncRunner`](crate::ShardedAsyncRunner) of this crate and the
+//! the [`ShardedRunner`](crate::ShardedRunner) of this crate and the
 //! `smst-net` coordinator all implement [`Runner`]: callers hold a
 //! `Box<dyn Runner<P>>` built by
 //! [`EngineConfig::instantiate`](crate::EngineConfig::instantiate) and
 //! drive it through `step` / [`run_until`](Runner::run_until) /
-//! [`state`](Runner::state) / [`report`](Runner::report) without knowing
-//! which path is underneath.
+//! [`state`](Runner::state) without knowing which path is underneath; the
+//! envelope's [`describe`](crate::EngineConfig::describe) is the one label
+//! of a run.
 //!
 //! # Invariants
 //!
@@ -50,25 +50,6 @@ pub enum StopCondition {
     FirstAlarm,
     /// Stop once every node accepts.
     AllAccept,
-}
-
-/// A summary of what a [`Runner`] has executed so far.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    /// Nodes in the executed graph.
-    pub node_count: usize,
-    /// Steps (synchronous rounds or asynchronous time units) executed.
-    pub steps: usize,
-    /// Raw single-node activations executed (`node_count × steps` for
-    /// synchronous runners; the daemon's schedule lengths for
-    /// asynchronous ones).
-    pub activations: usize,
-    /// Worker threads the runner dispatches on (1 for the sequential
-    /// reference runners).
-    pub threads: usize,
-    /// A short, stable descriptor of the execution path (for labels and
-    /// artifact meta), e.g. `parallel-sync(threads=4,halo)`.
-    pub engine: String,
 }
 
 /// One execution path of the engine, driven step by step.
@@ -142,9 +123,6 @@ pub trait Runner<P: NodeProgram> {
     /// Attaches a [`RoundObserver`] invoked after every step (replacing
     /// any previous one). Purely observational — results never change.
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>);
-
-    /// A summary of the execution so far.
-    fn report(&self) -> RunReport;
 
     /// Consumes the runner, returning a sequential [`Network`] holding the
     /// final registers in original node-id order.
@@ -271,16 +249,6 @@ where
         SyncRunner::set_observer(self, observer);
     }
 
-    fn report(&self) -> RunReport {
-        RunReport {
-            node_count: self.network().node_count(),
-            steps: self.rounds(),
-            activations: Runner::activations(self),
-            threads: 1,
-            engine: "reference-sync".to_string(),
-        }
-    }
-
     fn into_network(self: Box<Self>) -> Network<P> {
         SyncRunner::into_network(*self)
     }
@@ -346,16 +314,6 @@ where
         AsyncRunner::set_observer(self, observer);
     }
 
-    fn report(&self) -> RunReport {
-        RunReport {
-            node_count: self.network().node_count(),
-            steps: self.time_units(),
-            activations: AsyncRunner::activations(self),
-            threads: 1,
-            engine: "reference-async".to_string(),
-        }
-    }
-
     fn into_network(self: Box<Self>) -> Network<P> {
         AsyncRunner::into_network(*self)
     }
@@ -383,7 +341,6 @@ mod tests {
         assert!(sync.all_accept());
         assert!(!sync.any_alarm());
         assert!(sync.alarming_nodes().is_empty());
-        assert_eq!(sync.report().engine, "reference-sync");
         assert_eq!(sync.context(NodeId(3)).degree, 2);
         let network = sync.into_network();
         assert!(network.states().iter().all(|&s| s == 0));
@@ -394,8 +351,7 @@ mod tests {
             Daemon::RoundRobin,
         ));
         asynch.step();
-        assert_eq!(asynch.steps(), 1);
-        assert_eq!(asynch.report().engine, "reference-async");
+        assert_eq!((asynch.steps(), asynch.activations()), (1, 6));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
     run_chaos, run_fault_experiment, ChaosReport, EngineConfig, EngineError, InjectionSpec,
-    LayoutPolicy, ParallelSyncRunner, PoolError, RecoveryPolicy, Runner, StopCondition,
+    LayoutPolicy, PoolError, RecoveryPolicy, Runner, ShardedRunner, StopCondition,
 };
 use smst_graph::generators::expander_graph;
 use smst_sim::{Daemon, FaultSchedule, RecordingObserver};
@@ -156,7 +156,7 @@ fn wide_async_batches_replay_across_thread_counts() {
 fn a_recovered_panic_is_invisible_at_every_thread_count() {
     // the same campaign with a worker panic injected mid-run and retried
     // away must reproduce the clean run bit-for-bit — books, registers
-    // and observer trace — on both sharded backends at 1/2/8 threads
+    // and observer trace — under both sharded schedules at 1/2/8 threads
     let envelopes: Vec<EngineConfig> = [1usize, 2, 8]
         .into_iter()
         .flat_map(|threads| {
@@ -199,7 +199,7 @@ fn a_hung_worker_is_a_typed_timeout_not_a_deadlock() {
         .recovery(RecoveryPolicy::retries(1).watchdog(watchdog))
         .inject(InjectionSpec::stall_at(2, 1, 400));
     let mut runner =
-        ParallelSyncRunner::from_config(&program, graph, &config).expect("a valid stall envelope");
+        ShardedRunner::from_config(&program, graph, &config).expect("a valid stall envelope");
     match runner.try_run_until(StopCondition::Steps, 6) {
         Err(EngineError::Pool(PoolError::BarrierTimeout { timeout })) => {
             assert_eq!(timeout, watchdog, "the configured watchdog surfaced")

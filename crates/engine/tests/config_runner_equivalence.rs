@@ -362,9 +362,8 @@ fn dyn_runners_expose_the_full_driving_surface() {
         runner
             .run_until(StopCondition::AllAccept, 200)
             .expect("the flood heals");
-        let report = runner.report();
-        assert_eq!(report.node_count, 30);
-        assert!(report.steps > 0 && report.activations >= report.steps);
+        assert_eq!(runner.graph().node_count(), 30);
+        assert!(runner.steps() > 0 && runner.activations() >= runner.steps());
         assert_eq!(*runner.state(NodeId(7)), 0);
         let network = runner.into_network();
         assert!(network.states().iter().all(|&s| s == 0));

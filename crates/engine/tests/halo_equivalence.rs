@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
-    partition_balanced, CsrTopology, EngineConfig, HaloPlan, LayoutPolicy, ParallelSyncRunner,
-    Runner, StopCondition,
+    partition_balanced, CsrTopology, EngineConfig, HaloPlan, LayoutPolicy, Runner, ShardedRunner,
+    StopCondition,
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
@@ -43,7 +43,7 @@ proptest! {
                     .threads(threads)
                     .layout(policy)
                     .halo(true);
-                let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
+                let mut par = ShardedRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid halo envelope");
                 par.run_until(StopCondition::Steps, rounds);
                 let snapshot = par.states_snapshot();
@@ -72,9 +72,9 @@ proptest! {
         let program = MinIdFlood::new(0);
         let rcm4 = EngineConfig::new().threads(4).layout(LayoutPolicy::Rcm);
         let mut halo =
-            ParallelSyncRunner::from_config(&program, g.clone(), &rcm4.clone().halo(true))
+            ShardedRunner::from_config(&program, g.clone(), &rcm4.clone().halo(true))
                 .expect("a valid halo envelope");
-        let mut direct = ParallelSyncRunner::from_config(&program, g.clone(), &rcm4)
+        let mut direct = ShardedRunner::from_config(&program, g.clone(), &rcm4)
             .expect("a valid sharded sync envelope");
         halo.step();
         direct.step();

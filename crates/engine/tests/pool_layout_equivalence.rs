@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use smst_engine::layout::mean_bandwidth;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
-    CsrTopology, EngineConfig, Layout, LayoutPolicy, ParallelSyncRunner, Runner,
-    ShardedAsyncRunner, StopCondition,
+    CsrTopology, EngineConfig, Layout, LayoutPolicy, Runner, ShardedRunner, StopCondition,
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
@@ -41,7 +40,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let config = EngineConfig::new().threads(threads).layout(policy);
-                let mut par = ParallelSyncRunner::from_config(&program, g.clone(), &config)
+                let mut par = ShardedRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded sync envelope");
                 par.run_until(StopCondition::Steps, rounds);
                 let snapshot = par.states_snapshot();
@@ -76,7 +75,7 @@ proptest! {
                     .asynchronous(daemon.clone(), 1)
                     .threads(threads)
                     .layout(policy);
-                let mut par = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
+                let mut par = ShardedRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded async envelope");
                 par.run_until(StopCondition::Steps, units);
                 let snapshot = par.states_snapshot();
@@ -106,7 +105,7 @@ proptest! {
         let daemon = Daemon::Random { seed: seed ^ 0x5a, extra_factor: 1 };
         let reference_config = EngineConfig::new().asynchronous(daemon.clone(), batch);
         let mut reference =
-            ShardedAsyncRunner::from_config(&program, g.clone(), &reference_config)
+            ShardedRunner::from_config(&program, g.clone(), &reference_config)
                 .expect("a valid sharded async envelope");
         reference.run_until(StopCondition::Steps, units);
         for threads in [2usize, 8] {
@@ -115,7 +114,7 @@ proptest! {
                     .asynchronous(daemon.clone(), batch)
                     .threads(threads)
                     .layout(policy);
-                let mut runner = ShardedAsyncRunner::from_config(&program, g.clone(), &config)
+                let mut runner = ShardedRunner::from_config(&program, g.clone(), &config)
                     .expect("a valid sharded async envelope");
                 runner.run_until(StopCondition::Steps, units);
                 prop_assert_eq!(

@@ -137,6 +137,9 @@ fn main() {
         "remote diverged from the sequential reference"
     );
     println!("  bit-for-bit vs sharded ({rounds} rounds) and reference: ok");
-    let report = remote.report();
-    println!("  engine: {} ({} steps)", report.engine, report.steps);
+    println!(
+        "  engine: {} ({} steps)",
+        remote_config.describe(),
+        remote.steps()
+    );
 }

@@ -63,7 +63,7 @@ use crate::wire::{
 };
 use smst_engine::{
     partition_balanced, Arena, AttemptFailure, Backend, ConfigError, EngineConfig, EngineError,
-    HaloPlan, InjectionKind, InjectionSpec, PoolError, RecoveryPolicy, RunReport, Runner,
+    HaloPlan, InjectionKind, InjectionSpec, PoolError, RecoveryPolicy, Runner,
 };
 use smst_graph::{NodeId, WeightedGraph};
 use smst_sim::{FaultPlan, Network, NodeContext, RoundObserver, RoundStats};
@@ -141,7 +141,6 @@ pub struct RemoteRunner<'p, P: WireProgram> {
     /// The shard geometry: worker `part` is shipped, and holds, region
     /// `part` of this plan.
     plan: HaloPlan,
-    peers: usize,
     listener: Listener,
     endpoint: Endpoint,
     worker_bin: std::path::PathBuf,
@@ -193,11 +192,10 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         if config.backend != Backend::Remote {
             return Err(config.wrong_mode("remote synchronous"));
         }
-        let peers = config.threads;
         let arena = Arena::new(program, graph, config.layout);
         let plan = HaloPlan::build(
             arena.topology(),
-            &partition_balanced(arena.topology(), peers),
+            &partition_balanced(arena.topology(), config.threads),
         );
         let worker_bin = worker_binary().map_err(ConfigError::RemoteSetup)?;
         let (listener, endpoint) = Listener::bind(&endpoint)
@@ -206,7 +204,6 @@ impl<'p, P: WireProgram> RemoteRunner<'p, P> {
         let mut runner = RemoteRunner {
             arena,
             plan,
-            peers,
             listener,
             endpoint,
             worker_bin,
@@ -746,16 +743,6 @@ impl<'p, P: WireProgram> Runner<P> for RemoteRunner<'p, P> {
 
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
         self.observer = Some(observer);
-    }
-
-    fn report(&self) -> RunReport {
-        RunReport {
-            node_count: self.arena.node_count(),
-            steps: self.rounds,
-            activations: Runner::activations(self),
-            threads: self.peers,
-            engine: format!("remote-sync(peers={})", self.peers),
-        }
     }
 
     fn into_network(self: Box<Self>) -> Network<P> {

@@ -154,10 +154,7 @@ fn remote_matches_sharded_and_reference_round_by_round() {
                     );
                     assert_eq!(remote.alarming_nodes(), sharded.alarming_nodes());
                 }
-                assert_eq!(
-                    remote.report().engine,
-                    format!("remote-sync(peers={peers})")
-                );
+                assert_eq!(remote.steps(), rounds);
                 assert_eq!(
                     remote.states_snapshot(),
                     reference.states_snapshot(),

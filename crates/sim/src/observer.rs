@@ -37,7 +37,7 @@
 //!
 //! Runners compute [`RoundStats`] only while an observer is attached; an
 //! attached observer costs one verdict sweep (`O(n)`) per step. The
-//! sharded runners also drop from chunked multi-round dispatch to
+//! sharded runner's rounds also drop from chunked multi-round dispatch to
 //! round-granular dispatch while observed, so every round boundary is
 //! visible — results never change, only wall-clock.
 

@@ -1,6 +1,6 @@
 //! Million-node run on the sharded execution engine, driven through the
 //! **one engine API**: an [`EngineConfig`] envelope builds the runner
-//! (the typed [`ParallelSyncRunner::from_config`] here, so the renumbered
+//! (the typed [`ShardedRunner::from_config`] here, so the renumbered
 //! topology stays inspectable; the type-erased
 //! [`EngineConfig::instantiate`] in the determinism check), a
 //! [`RecordingObserver`] reports per-round alarm counts and phase
@@ -24,8 +24,7 @@
 use smst_engine::layout::mean_bandwidth;
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{
-    default_threads, CsrTopology, EngineConfig, LayoutPolicy, ParallelSyncRunner, Runner,
-    StopCondition,
+    default_threads, CsrTopology, EngineConfig, LayoutPolicy, Runner, ShardedRunner, StopCondition,
 };
 use smst_graph::generators::random_connected_graph;
 use smst_sim::{FaultPlan, RecordingObserver};
@@ -65,7 +64,7 @@ fn main() {
         .threads(threads)
         .layout(LayoutPolicy::Rcm);
     let t0 = Instant::now();
-    let mut runner = ParallelSyncRunner::from_config(&program, graph, &engine)
+    let mut runner = ShardedRunner::from_config(&program, graph, &engine)
         .expect("a sync sharded envelope is valid");
     println!(
         "  {} runner ready in {:.1?}",

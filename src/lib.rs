@@ -32,3 +32,9 @@ pub use smst_rng as rng;
 pub use smst_selfstab as selfstab;
 pub use smst_sim as sim;
 pub use smst_telemetry as telemetry;
+
+/// The README's Rust blocks, compiled (and run, unless marked `no_run`) by
+/// `cargo test` so they cannot drift from the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
