@@ -20,8 +20,9 @@
 //! the same labels here takes `O((n + m) log n)` wall time: SYNC_MST's
 //! `⌈log n⌉ + 1` phases, then `O(log n)` work per node — its hierarchy chain
 //! ([`smst_graph::Hierarchy::fragments_containing`], a slice of one flat
-//! array), its `ℓ + 1` string symbols and a binary search in each of its two
-//! parts. The candidate tree is rooted once, and the SP labels are read off
+//! array) and its `ℓ + 1` string symbols; each part then writes its fields
+//! into its nodes' labels in one pass over its nodes and one over its piece
+//! holders. The candidate tree is rooted once, and the SP labels are read off
 //! it. Allocation is per stage, per fragment and per part, never per node
 //! and level: the tree, the hierarchy's indexes and SYNC_MST's state are
 //! flat arrays, and what a fragment or a part allocates is what it keeps
@@ -31,10 +32,11 @@
 //! [`Marker::label`] is a pure function of the instance: two calls, in one
 //! process or two, return identical labels.
 
-use crate::labels::{CoreLabel, PartLabel};
-use crate::partition::{build_partitions, Partitions};
+use crate::labels::{CoreLabel, PartLabel, StoredPiece};
+use crate::partition::{build_partitions, Part, Partitions};
 use crate::strings::build_strings;
 use crate::sync_mst::{SyncMst, SyncMstOutcome};
+use smst_graph::{RootedTree, WeightedGraph};
 use smst_labeling::scheme::{Instance, MarkError};
 use smst_labeling::sp::SpanningTreeScheme;
 
@@ -107,64 +109,113 @@ impl Marker {
         if !rebuilt.all(|e| tree.contains_edge(e)) {
             return Err(not_an_mst());
         }
+        Ok(assemble(g, &tree, outcome))
+    }
+}
 
-        let strings = build_strings(g, &outcome.tree, &outcome.hierarchy);
-        let partitions = build_partitions(g, &outcome.tree, &outcome.hierarchy);
-        // what `SpanningTreeScheme::mark` returns, without rooting the
-        // components a second time
-        let sp_labels = SpanningTreeScheme::labels_of(g, &tree);
-        let n = g.node_count();
+/// The labels of the candidate tree `tree`, which SYNC_MST rebuilt as
+/// `outcome`, with the report and the internals they were read from.
+///
+/// A label starts from its node's own fields; then each part writes its
+/// fields into the labels of its nodes, so no node searches its parts.
+fn assemble(g: &WeightedGraph, tree: &RootedTree, outcome: SyncMstOutcome) -> LabeledInternals {
+    let strings = build_strings(g, &outcome.tree, &outcome.hierarchy);
+    let partitions = build_partitions(g, &outcome.tree, &outcome.hierarchy);
+    // what `SpanningTreeScheme::mark` returns, without rooting the
+    // components a second time
+    let sp_labels = SpanningTreeScheme::labels_of(g, tree);
+    let n = g.node_count();
 
-        let labels: Vec<CoreLabel> = (g.nodes().zip(sp_labels).zip(strings))
-            .map(|((v, sp), strings)| {
-                let tp = &partitions.top_parts[partitions.top_part_of[v.index()]];
-                let bp = &partitions.bottom_parts[partitions.bottom_part_of[v.index()]];
-                let part_label = |part: &crate::partition::Part| {
-                    let narrow = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
-                    PartLabel {
-                        part_root_id: g.id(part.root),
-                        depth_in_part: narrow(part.depth_of(v)),
-                        diameter_bound: narrow(part.diameter),
-                        piece_count: part.pieces.len() as u8,
-                        stored: part.stored_at(v),
-                    }
-                };
-                let top_min_level = (outcome.hierarchy.fragments_containing(v).iter().copied())
-                    .filter(|&i| outcome.hierarchy.fragment(i).len() >= partitions.threshold)
-                    .map(|i| outcome.hierarchy.fragment(i).level)
-                    .min()
-                    .unwrap_or(0) as u8;
-                CoreLabel {
-                    sp,
-                    n_claim: n as u64,
-                    subtree_count: outcome.tree.subtree_size(v) as u64,
-                    strings,
-                    top_min_level,
-                    top_part: part_label(tp),
-                    bottom_part: part_label(bp),
-                }
-            })
-            .collect();
+    let unwritten = PartLabel {
+        part_root_id: 0,
+        depth_in_part: 0,
+        diameter_bound: 0,
+        piece_count: 0,
+        stored: [None; 2],
+    };
+    let hierarchy = &outcome.hierarchy;
+    let mut labels: Vec<CoreLabel> = (g.nodes().zip(sp_labels).zip(strings))
+        .map(|((v, sp), strings)| {
+            // the chain is level-sorted, so its first top fragment has the
+            // smallest level
+            let top_min_level = (hierarchy.fragments_containing(v).iter())
+                .find(|&&i| partitions.is_top[i])
+                .map_or(0, |&i| hierarchy.fragment(i).level) as u8;
+            CoreLabel {
+                sp,
+                n_claim: n as u64,
+                subtree_count: outcome.tree.subtree_size(v) as u64,
+                strings,
+                top_min_level,
+                top_part: unwritten,
+                bottom_part: unwritten,
+            }
+        })
+        .collect();
+    write_parts(g, &mut labels, &partitions.top_parts, |l| &mut l.top_part);
+    write_parts(g, &mut labels, &partitions.bottom_parts, |l| {
+        &mut l.bottom_part
+    });
 
-        let report = ConstructionReport {
-            construction_rounds: outcome.rounds,
-            // partition construction + multi-wave piece distribution +
-            // string assignment are all piggybacked waves over the tree
-            // (§6.3.7–§6.3.8): a constant number of linear-time passes.
-            marker_rounds: 6 * n as u64 + 4 * (outcome.phases as u64 + 1),
-            hierarchy_height: outcome.hierarchy.height(),
-            memory_bits_per_node: outcome.memory_bits_per_node,
+    let report = ConstructionReport {
+        construction_rounds: outcome.rounds,
+        // partition construction + multi-wave piece distribution +
+        // string assignment are all piggybacked waves over the tree
+        // (§6.3.7–§6.3.8): a constant number of linear-time passes.
+        marker_rounds: 6 * n as u64 + 4 * (outcome.phases as u64 + 1),
+        hierarchy_height: outcome.hierarchy.height(),
+        memory_bits_per_node: outcome.memory_bits_per_node,
+    };
+    (labels, report, (outcome, partitions))
+}
+
+/// Writes every part of one partition into the `side` of its nodes' labels:
+/// one pass over the part's nodes and depths, then one over its holders in
+/// slot order, which fills each node's stored pieces from the front.
+///
+/// # Panics
+///
+/// Panics if a node holds more than two pieces, which §6.2's placement
+/// never does.
+fn write_parts(
+    g: &WeightedGraph,
+    labels: &mut [CoreLabel],
+    parts: &[Part],
+    side: fn(&mut CoreLabel) -> &mut PartLabel,
+) {
+    let narrow = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
+    for part in parts {
+        let fields = PartLabel {
+            part_root_id: g.id(part.root),
+            depth_in_part: 0,
+            diameter_bound: narrow(part.diameter),
+            piece_count: part.pieces.len() as u8,
+            stored: [None; 2],
         };
-        Ok((labels, report, (outcome, partitions)))
+        for (&v, &depth) in part.nodes.iter().zip(&part.depth) {
+            *side(&mut labels[v.index()]) = PartLabel {
+                depth_in_part: narrow(depth),
+                ..fields
+            };
+        }
+        for (slot, (&holder, &piece)) in part.holders.iter().zip(&part.pieces).enumerate() {
+            let stored = &mut side(&mut labels[holder.index()]).stored;
+            let free = (stored.iter_mut().find(|cell| cell.is_none()))
+                .expect("§6.2 places at most two pieces per node");
+            *free = Some(StoredPiece::new(slot as u8, piece));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smst_graph::generators::{path_graph, random_connected_graph, star_graph};
+    use crate::sync_mst::reference_order;
+    use proptest::prelude::*;
+    use smst_graph::generators::{path_graph, random_connected_graph, reweighted, star_graph};
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
+    use smst_rng::{Rng, SeedableRng, StdRng};
 
     fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
         let g = random_connected_graph(n, m, seed);
@@ -274,6 +325,74 @@ mod tests {
             let inst = Instance::from_tree(g, &tree);
             let (labels, _) = Marker.label(&inst).unwrap();
             assert_eq!(labels.len(), 20);
+        }
+    }
+
+    /// Each node's part fields and `top_min_level` as the node would find
+    /// them by searching its two parts and its hierarchy chain: the
+    /// reference the part-by-part assembly must equal.
+    fn assert_assembled_per_node(
+        inst: &Instance,
+        labels: &[CoreLabel],
+        internals: &(SyncMstOutcome, Partitions),
+    ) {
+        let (g, (outcome, partitions)) = (&inst.graph, internals);
+        for v in g.nodes() {
+            let part_label = |part: &Part| PartLabel {
+                part_root_id: g.id(part.root),
+                depth_in_part: part.depth_of(v) as u32,
+                diameter_bound: part.diameter as u32,
+                piece_count: part.pieces.len() as u8,
+                stored: part.stored_at(v),
+            };
+            let top = &partitions.top_parts[partitions.top_part_of[v.index()]];
+            let bottom = &partitions.bottom_parts[partitions.bottom_part_of[v.index()]];
+            let top_min_level = (outcome.hierarchy.fragments_containing(v).iter())
+                .map(|&i| outcome.hierarchy.fragment(i))
+                .filter(|f| f.len() >= partitions.threshold)
+                .map(|f| f.level)
+                .min()
+                .unwrap_or(0) as u8;
+            let label = &labels[v.index()];
+            assert_eq!(label.top_part, part_label(top), "top part of {v}");
+            assert_eq!(label.bottom_part, part_label(bottom), "bottom part of {v}");
+            assert_eq!(label.top_min_level, top_min_level, "top_min_level of {v}");
+        }
+    }
+
+    #[test]
+    fn parts_write_what_each_node_would_search_for() {
+        for (n, seed) in [(1usize, 0u64), (2, 1), (7, 2), (64, 3), (500, 4)] {
+            let inst = mst_instance(n, 3 * n, seed);
+            let (labels, _, internals) = Marker.label_with_internals(&inst).unwrap();
+            assert_assembled_per_node(&inst, &labels, &internals);
+        }
+    }
+
+    proptest! {
+        /// Weights mod 3–7 and an MST whose ties are broken at random: the
+        /// labels and internals equal those assembled from SYNC_MST over the
+        /// full-sort order.
+        #[test]
+        fn tied_weights_label_as_the_reference_order_does(
+            n in 1usize..48, k in 3u64..8, seed in 0u64..1000
+        ) {
+            let (g, _) = crate::sync_mst::tied_instance(n, k, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let broken_ties = reweighted(&g, |_, w| (w << 20) | rng.gen_range(0..1u64 << 20));
+            let mst = kruskal(&broken_ties).rooted_at(&g, NodeId(rng.gen_range(0..n))).unwrap();
+            let inst = Instance::from_tree(g, &mst);
+            prop_assert!(inst.satisfies_mst());
+            let (labels, report, internals) = Marker.label_with_internals(&inst).unwrap();
+            assert_assembled_per_node(&inst, &labels, &internals);
+
+            let (g, tree) = (&inst.graph, inst.candidate_tree().unwrap());
+            let order = reference_order(g, |e| tree.contains_edge(e));
+            let outcome = SyncMst.run_in_order(g, order, Some(tree.root()));
+            let reference = assemble(g, &tree, outcome);
+            prop_assert_eq!(&labels, &reference.0);
+            prop_assert_eq!(report, reference.1);
+            prop_assert_eq!(format!("{internals:?}"), format!("{:?}", reference.2));
         }
     }
 

@@ -74,6 +74,8 @@ impl Part {
 pub struct Partitions {
     /// The size threshold separating top from bottom fragments (`⌈log n⌉`).
     pub threshold: usize,
+    /// For each fragment of the hierarchy, whether it is a top fragment.
+    pub is_top: Vec<bool>,
     /// The parts of partition `Top`.
     pub top_parts: Vec<Part>,
     /// The parts of partition `Bottom`.
@@ -246,6 +248,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
 
     Partitions {
         threshold,
+        is_top,
         top_parts,
         bottom_parts,
         top_part_of,

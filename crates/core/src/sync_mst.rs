@@ -19,11 +19,13 @@
 //!
 //! **Cost and order of the simulation.** The `O(n)` above counts the paper's
 //! ideal rounds ([`SyncMstOutcome::rounds`]); the centralized execution takes
-//! `O((n + m) log n)` wall time on flat arrays: one sort of the edges by
-//! weight (an edge is compared by its rank from then on), `⌈log n⌉ + 1`
-//! phases of one pass over the nodes each (the searches for minimum outgoing
-//! edges advance one cursor per node and so cost `O(m)` more in total), and
-//! recording the active fragments, whose sizes sum to at most `n` per level.
+//! `O((n + m) log n)` wall time on flat arrays: the edges in ω′ order, derived
+//! in `O(m)` from the graph's ω order, which is sorted once per graph and
+//! shared with Kruskal and `is_mst` (an edge is compared by its rank from
+//! then on), `⌈log n⌉ + 1` phases of one pass over the nodes each (the
+//! searches for minimum outgoing edges advance one cursor per node and so
+//! cost `O(m)` more in total), and recording the active fragments, whose
+//! sizes sum to at most `n` per level.
 //! Every list — a node's edges by weight, a phase's fragment members, the
 //! recorded fragments — is a row of one [`Csr`] or a run of one `Vec`, so a
 //! phase allocates a bounded number of times and the run once more per
@@ -74,7 +76,7 @@ impl SyncMst {
     /// Panics if the graph is empty or disconnected (the paper assumes a
     /// connected network).
     pub fn run(&self, g: &WeightedGraph) -> SyncMstOutcome {
-        self.run_with(g, |_| false, None)
+        self.run_in_order(g, by_composite_weight(g, |_| false), None)
     }
 
     /// Runs the construction using the composite weights ω′ with the
@@ -90,20 +92,18 @@ impl SyncMst {
     ///
     /// Panics if the graph is empty or disconnected.
     pub fn run_for_candidate(&self, g: &WeightedGraph, tree: &RootedTree) -> SyncMstOutcome {
-        self.run_with(g, |e| tree.contains_edge(e), Some(tree.root()))
+        let order = by_composite_weight(g, |e| tree.contains_edge(e));
+        self.run_in_order(g, order, Some(tree.root()))
     }
 
-    /// The construction under ω′ with the candidate-tree indicator
-    /// `in_tree`, rooted at `root_override` if given.
-    fn run_with<F>(
+    /// The construction with the edges ranked by `edge_of` (every edge of
+    /// `g` once, by ascending ω′), rooted at `root_override` if given.
+    pub(crate) fn run_in_order(
         &self,
         g: &WeightedGraph,
-        in_tree: F,
+        edge_of: Vec<EdgeId>,
         root_override: Option<NodeId>,
-    ) -> SyncMstOutcome
-    where
-        F: Fn(EdgeId) -> bool,
-    {
+    ) -> SyncMstOutcome {
         let n = g.node_count();
         assert!(n > 0, "SYNC_MST requires a non-empty graph");
 
@@ -114,16 +114,15 @@ impl SyncMst {
         let mut comp: Vec<usize> = (0..n).collect();
         let mut members = Csr::from_pairs(n, (0..n).map(|v| (v, NodeId(v))));
         let mut root_of: Vec<NodeId> = (0..n).map(NodeId).collect();
-        // The edges by ascending ω′, ties by edge id, sorted once: an
-        // edge is compared by its rank from here on. Row `v` of `by_weight`
-        // lists `v`'s edges (rank, other end) in that order, with a cursor at
-        // the lightest one still leaving `v`'s fragment: an edge inside a
-        // fragment stays inside, so the cursors only advance, and all the
-        // Find_Min_Out_Edge searches together cost O(m) plus O(n) per phase.
-        let sorted = by_composite_weight(g, in_tree);
+        // An edge is compared by its rank in `edge_of` from here on. Row `v`
+        // of `by_weight` lists `v`'s edges (rank, other end) in that order,
+        // with a cursor at the lightest one still leaving `v`'s fragment: an
+        // edge inside a fragment stays inside, so the cursors only advance,
+        // and all the Find_Min_Out_Edge searches together cost O(m) plus O(n)
+        // per phase.
         let by_weight = Csr::from_pairs(
             n,
-            (sorted.iter().enumerate()).flat_map(|(rank, &(_, e))| {
+            (edge_of.iter().enumerate()).flat_map(|(rank, &e)| {
                 let edge = g.edge(e);
                 [
                     (edge.u.index(), (rank, edge.v)),
@@ -131,7 +130,6 @@ impl SyncMst {
                 ]
             }),
         );
-        let edge_of: Vec<EdgeId> = sorted.into_iter().map(|(_, e)| e).collect();
         let mut cursor: Vec<usize> = vec![0; n];
 
         // the active fragments: their nodes back to back in `recorded`, and
@@ -292,6 +290,35 @@ impl SyncMst {
     }
 }
 
+/// The edges of `g` by ascending ω′ under `in_tree`, by one full sort of
+/// the composite weights: the reference [`by_composite_weight`] must equal.
+#[cfg(test)]
+pub(crate) fn reference_order<F>(g: &WeightedGraph, in_tree: F) -> Vec<EdgeId>
+where
+    F: Fn(EdgeId) -> bool,
+{
+    let mut keyed: Vec<_> = (g.edge_entries())
+        .map(|(e, _)| (g.composite_weight(e, in_tree(e)), e))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, e)| e).collect()
+}
+
+/// A random graph with scrambled identities whose weights are taken mod
+/// `k`, and a random spanning tree of it.
+#[cfg(test)]
+pub(crate) fn tied_instance(n: usize, k: u64, seed: u64) -> (WeightedGraph, RootedTree) {
+    use smst_graph::generators::{random_graph_scrambled_ids, reweighted};
+    use smst_rng::{Rng, SeedableRng, StdRng};
+    let g = reweighted(&random_graph_scrambled_ids(n, 3 * n, seed), |_, w| w % k);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shuffled = reweighted(&g, |_, _| rng.gen_range(0..1u64 << 20));
+    let tree = smst_graph::mst::kruskal(&shuffled)
+        .rooted_at(&g, NodeId(rng.gen_range(0..n)))
+        .expect("a connected graph");
+    (g, tree)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,6 +449,27 @@ mod tests {
                 .unwrap();
         }
         let _ = SyncMst.run(&g.finish());
+    }
+
+    proptest! {
+        /// Weights mod 3–7 and a random candidate tree: SYNC_MST builds the
+        /// same tree and hierarchy from the shared order as from the full
+        /// sort, and its plain run builds Kruskal's tree.
+        #[test]
+        fn tied_weights_build_what_the_reference_order_builds(
+            n in 1usize..48, k in 3u64..8, seed in 0u64..1000
+        ) {
+            let (g, candidate) = tied_instance(n, k, seed);
+            let outcome = SyncMst.run_for_candidate(&g, &candidate);
+            let order = reference_order(&g, |e| candidate.contains_edge(e));
+            let reference = SyncMst.run_in_order(&g, order, Some(candidate.root()));
+            prop_assert_eq!(&outcome.tree, &reference.tree);
+            prop_assert_eq!(format!("{:?}", outcome.hierarchy), format!("{:?}", reference.hierarchy));
+            let mut edges = SyncMst.run(&g).tree.edges();
+            edges.sort_unstable();
+            let mst = kruskal(&g);
+            prop_assert_eq!(&edges[..], mst.edges());
+        }
     }
 
     proptest! {

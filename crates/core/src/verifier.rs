@@ -150,8 +150,9 @@ const _: () = {
 /// (the neighbours whose parent pointer names this node): everything the
 /// structural checks and the two trains need from them.
 struct Children {
-    /// Sum of the children's NumK subtree counts.
-    subtree_sum: u64,
+    /// Sum of the children's NumK subtree counts, `None` if it overflows
+    /// (no legal register does).
+    subtree_sum: Option<u64>,
     /// The children's strings, summarised for the RS/EPS checks.
     strings: ChildSummary,
     /// Per train: the climbing piece of the first child in the same part
@@ -172,7 +173,7 @@ impl Children {
         wanted: [Option<u8>; 2],
     ) -> Self {
         let mut kids = Children {
-            subtree_sum: 0,
+            subtree_sum: Some(0),
             strings: ChildSummary::new(&own.label.strings),
             up: [None, None],
             done: [true, true],
@@ -181,7 +182,9 @@ impl Children {
             if s.label.sp.parent_id != Some(ctx.id) {
                 continue;
             }
-            kids.subtree_sum += s.label.subtree_count;
+            kids.subtree_sum = kids
+                .subtree_sum
+                .and_then(|sum| sum.checked_add(s.label.subtree_count));
             kids.strings.add(&s.label.strings);
             for (which, want) in wanted.into_iter().enumerate() {
                 let Some(want) = want else { continue };
@@ -299,15 +302,15 @@ impl CoreVerifier {
                 }
             }
             Some(p) => {
-                if label.sp.dist != p.label.sp.dist + 1
+                if p.label.sp.dist.checked_add(1) != Some(label.sp.dist)
                     || label.sp.parent_id != Some(p.label.sp.own_id)
                 {
                     return false;
                 }
             }
         }
-        // NumK: subtree aggregation
-        if label.subtree_count != 1 + children.subtree_sum {
+        // NumK: subtree aggregation (a sum that overflows alarms)
+        if children.subtree_sum.and_then(|sum| sum.checked_add(1)) != Some(label.subtree_count) {
             return false;
         }
         if parent.is_none() && label.subtree_count != label.n_claim {
@@ -998,6 +1001,32 @@ mod tests {
                 runner.run_rounds(64);
                 assert_agree(&verifier, runner.network());
             }
+        }
+    }
+
+    /// Registers no marker writes, whose sums overflow: a neighbour's NumK
+    /// count or the parent's SP distance at `u64::MAX`. A round runs, in a
+    /// debug build (where unchecked sums panic) and in a release build
+    /// (where they wrap), and alarms.
+    #[test]
+    fn overflowing_registers_alarm_instead_of_panicking() {
+        let (inst, verifier) = setup(40, 100, 4);
+        for (count, dist) in [(true, false), (false, true), (true, true)] {
+            let mut runner = SyncRunner::new(&verifier, verifier.network());
+            for v in inst.graph.nodes() {
+                let label = &mut runner.network_mut().state_mut(v).label;
+                if count {
+                    label.subtree_count = u64::MAX;
+                }
+                if dist {
+                    label.sp.dist = u64::MAX;
+                }
+            }
+            runner.run_rounds(1);
+            assert!(
+                !runner.network().alarming_nodes(&verifier).is_empty(),
+                "subtree_count at u64::MAX: {count}, sp.dist at u64::MAX: {dist}"
+            );
         }
     }
 

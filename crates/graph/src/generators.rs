@@ -7,7 +7,8 @@
 //! for the low-degree extremes, stars and complete graphs for the Δ sweeps,
 //! grids and caterpillars as structured topologies.
 
-use crate::graph::{GraphBuilder, NodeId, WeightedGraph};
+use crate::graph::{EdgeId, GraphBuilder, NodeId, WeightedGraph};
+use crate::weight::Weight;
 use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 
 /// A path `0 − 1 − ⋯ − (n−1)` with pseudo-random distinct weights.
@@ -215,6 +216,26 @@ pub fn random_graph_scrambled_ids(n: usize, m: usize, seed: u64) -> WeightedGrap
             .expect("copying unique edges");
     }
     g.finish()
+}
+
+/// `g` with the weight of every edge `e` replaced by `weight(e, ω(e))`:
+/// the same identities, edges and ports. Taking the weights mod a small
+/// number gives the runs of equal weights that the other generators never
+/// draw.
+pub fn reweighted<F>(g: &WeightedGraph, mut weight: F) -> WeightedGraph
+where
+    F: FnMut(EdgeId, Weight) -> Weight,
+{
+    let mut b = GraphBuilder::new();
+    for v in g.nodes() {
+        b.add_node_with_id(g.id(v));
+    }
+    b.reserve_edges(g.edge_count());
+    for (e, edge) in g.edge_entries() {
+        b.add_edge(edge.u, edge.v, weight(e, edge.weight))
+            .expect("copying unique edges");
+    }
+    b.finish()
 }
 
 /// A circulant "expander": every node `v` is joined to `v ± o (mod n)` for

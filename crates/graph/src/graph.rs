@@ -12,7 +12,9 @@
 //! afterwards. Its tables — identities, edges and the incidence lists as
 //! one [`Csr`] — sit behind one `Arc`, so every layer that takes the graph
 //! by value (the instance, the verifier, each runner) shares one copy:
-//! cloning a graph is a reference-count increment.
+//! cloning a graph is a reference-count increment. The edges in ω order,
+//! which Kruskal, `is_mst` and SYNC_MST all start from, are sorted the
+//! first time one of them asks and shared the same way.
 
 use crate::csr::Csr;
 use crate::error::GraphError;
@@ -20,7 +22,7 @@ use crate::weight::{CompositeWeight, Weight};
 use crate::Result;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dense node index (`0..n`).
 ///
@@ -313,12 +315,12 @@ impl GraphBuilder {
             max_id,
             max_weight,
             max_degree,
+            by_weight: OnceLock::new(),
         }))
     }
 }
 
 /// What a [`WeightedGraph`] shares among its clones.
-#[derive(Debug)]
 struct Tables {
     ids: Box<[u64]>,
     edges: Box<[Edge]>,
@@ -328,6 +330,24 @@ struct Tables {
     max_id: Option<u64>,
     max_weight: Option<Weight>,
     max_degree: usize,
+    /// The edge ids in ω order, filled on first use (see
+    /// [`WeightedGraph::edges_by_weight`]).
+    by_weight: OnceLock<Box<[u32]>>,
+}
+
+impl fmt::Debug for Tables {
+    /// Everything but the lazily filled order, so that a graph prints the
+    /// same whether or not an MST was computed on it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tables")
+            .field("ids", &self.ids)
+            .field("edges", &self.edges)
+            .field("incidence", &self.incidence)
+            .field("max_id", &self.max_id)
+            .field("max_weight", &self.max_weight)
+            .field("max_degree", &self.max_degree)
+            .finish()
+    }
 }
 
 /// An undirected, edge-weighted, port-numbered graph.
@@ -440,6 +460,34 @@ impl WeightedGraph {
             self.id(edge.u),
             self.id(edge.v),
         )
+    }
+
+    /// The edge ids by ascending ω: raw weight, then smaller endpoint
+    /// identity, then larger, then edge id — ω′ of §2.1 with no candidate
+    /// tree. Sorted on the first call (`O(m log m)`, 16 bytes per edge while
+    /// it lasts) and kept at 4 bytes per edge, shared by every clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` edges.
+    pub(crate) fn edges_by_weight(&self) -> &[u32] {
+        self.0.by_weight.get_or_init(|| {
+            let (ids, edges) = (&self.0.ids, &self.0.edges);
+            let mut keyed: Vec<(Weight, u32)> = (edges.iter().enumerate())
+                .map(|(e, edge)| {
+                    let e = u32::try_from(e).expect("an edge id below 2³²");
+                    (edge.weight, e)
+                })
+                .collect();
+            // distinct weights never reach the identities
+            let tail = |e: u32| {
+                let edge = &edges[e as usize];
+                let (a, b) = (ids[edge.u.0], ids[edge.v.0]);
+                (a.min(b), a.max(b), e)
+            };
+            keyed.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| tail(x.1).cmp(&tail(y.1))));
+            keyed.into_iter().map(|(_, e)| e).collect()
+        })
     }
 
     /// The degree of a node.
@@ -855,6 +903,27 @@ mod tests {
             let blown = crate::blowup::blowup(&g, &tree, 2);
             assert_tables_match_scans(&blown.graph, "blowup");
         }
+    }
+
+    #[test]
+    fn the_weight_order_is_sorted_once_per_graph() {
+        let tied = || {
+            let g = crate::generators::random_graph_scrambled_ids(40, 120, 1);
+            crate::generators::reweighted(&g, |_, w| w % 5)
+        };
+        let g = tied();
+        assert!(tied().0.by_weight.get().is_none(), "filled before use");
+        let first = g.edges_by_weight();
+        assert!(std::ptr::eq(first, g.edges_by_weight()), "a second call");
+        assert!(std::ptr::eq(first, g.clone().edges_by_weight()), "a clone");
+        assert_eq!(format!("{g:?}"), format!("{:?}", tied()), "in Debug");
+        let key = |&e: &u32| {
+            let edge = g.edge(EdgeId(e as usize));
+            let (a, b) = (g.id(edge.u), g.id(edge.v));
+            (edge.weight, a.min(b), a.max(b), e)
+        };
+        assert!(first.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        assert_eq!(first.len(), g.edge_count());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Kruskal's algorithm over the composite (unique) edge weights.
 
 use super::union_find::UnionFind;
-use super::{by_composite_weight, MstResult};
-use crate::graph::WeightedGraph;
+use super::MstResult;
+use crate::graph::{EdgeId, WeightedGraph};
 
 /// Computes the minimum spanning forest of `g` by Kruskal's algorithm.
 ///
 /// Edges are ordered by the composite weight ω′ (raw weight, then endpoint
 /// identities), so the result is the unique MST the paper's algorithms
-/// construct. On a disconnected graph the result is the minimum spanning
-/// forest.
+/// construct. With no candidate tree ω′ is ω, so the pass reads the
+/// graph's shared ω order as is. On a disconnected graph the result is the
+/// minimum spanning forest.
 ///
 /// # Examples
 ///
@@ -24,7 +25,8 @@ use crate::graph::WeightedGraph;
 pub fn kruskal(g: &WeightedGraph) -> MstResult {
     let mut uf = UnionFind::new(g.node_count());
     let mut chosen = Vec::with_capacity(g.node_count().saturating_sub(1));
-    for (_, e) in by_composite_weight(g, |_| false) {
+    for &e in g.edges_by_weight() {
+        let e = EdgeId(e as usize);
         let edge = g.edge(e);
         if uf.union(edge.u.0, edge.v.0) {
             chosen.push(e);

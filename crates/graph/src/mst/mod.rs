@@ -19,7 +19,7 @@ pub use union_find::UnionFind;
 
 use crate::graph::{EdgeId, WeightedGraph};
 use crate::tree::RootedTree;
-use crate::{CompositeWeight, NodeId};
+use crate::NodeId;
 
 /// The result of an MST computation: the tree edge set plus its total weight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,9 +73,10 @@ impl MstResult {
 /// paper exactly (it is agnostic to how ties outside `T` are broken).
 ///
 /// A union–find pass checks that the `n − 1` candidate edges close no cycle,
-/// i.e. span `g`; then one Kruskal pass in ω′ order (`O(m log m)`) decides
-/// minimality: a non-tree edge joins two components of the lighter edges
-/// exactly when some tree edge on its cycle is heavier.
+/// i.e. span `g`; then one Kruskal pass in ω′ order decides minimality: a
+/// non-tree edge joins two components of the lighter edges exactly when
+/// some tree edge on its cycle is heavier. The order comes from the graph's
+/// shared ω order in `O(m)` ([`by_composite_weight`]).
 pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
     let n = g.node_count();
     if n == 0 {
@@ -95,32 +96,76 @@ pub fn is_mst(g: &WeightedGraph, candidate: &[EdgeId]) -> bool {
     let mut components = UnionFind::new(n);
     by_composite_weight(g, |e| in_tree[e.0])
         .into_iter()
-        .all(|(_, e)| {
+        .all(|e| {
             let edge = g.edge(e);
             !components.union(edge.u.0, edge.v.0) || in_tree[e.0]
         })
 }
 
 /// The edges of `g` by ascending ω′ under the candidate-tree indicator
-/// `in_tree`, with their weights, ties by edge id (what a stable sort of the
-/// ids gives): every key is computed once instead of on every comparison.
-pub fn by_composite_weight<F>(g: &WeightedGraph, in_tree: F) -> Vec<(CompositeWeight, EdgeId)>
+/// `in_tree`, ties by edge id (what a stable sort of the ids gives).
+///
+/// ω′ differs from ω only inside a run of equal raw weights, where the
+/// candidate's edges come first: so the graph's shared ω order
+/// (`WeightedGraph::edges_by_weight`, sorted once per graph) becomes the
+/// ω′ order in `O(m)`, by moving each run's tree edges to its front and
+/// keeping both groups in their order.
+pub fn by_composite_weight<F>(g: &WeightedGraph, in_tree: F) -> Vec<EdgeId>
 where
     F: Fn(EdgeId) -> bool,
 {
-    let mut order: Vec<(CompositeWeight, EdgeId)> = (0..g.edge_count())
+    let by_weight = g.edges_by_weight();
+    let weight = |e: &u32| g.weight(EdgeId(*e as usize));
+    let mut order = Vec::with_capacity(by_weight.len());
+    for run in by_weight.chunk_by(|a, b| weight(a) == weight(b)) {
+        let run = run.iter().map(|&e| EdgeId(e as usize));
+        order.extend(run.clone().filter(|&e| in_tree(e)));
+        order.extend(run.filter(|&e| !in_tree(e)));
+    }
+    order
+}
+
+/// What [`by_composite_weight`] returns, by one full sort of the ω′ keys.
+#[cfg(test)]
+fn by_composite_weight_reference<F>(g: &WeightedGraph, in_tree: F) -> Vec<EdgeId>
+where
+    F: Fn(EdgeId) -> bool,
+{
+    let mut order: Vec<(crate::CompositeWeight, EdgeId)> = (0..g.edge_count())
         .map(|e| (g.composite_weight(EdgeId(e), in_tree(EdgeId(e))), EdgeId(e)))
         .collect();
     order.sort_unstable();
-    order
+    order.into_iter().map(|(_, e)| e).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{complete_graph, random_connected_graph};
+    use crate::generators::{
+        complete_graph, random_connected_graph, random_graph_scrambled_ids, reweighted,
+    };
     use crate::graph::GraphBuilder;
     use proptest::prelude::*;
+    use smst_rng::{Rng, SeedableRng, StdRng};
+
+    /// A random graph with scrambled identities whose weights are taken
+    /// mod `k`: long runs of equal weights, ordered inside by identities
+    /// that are not the node indices.
+    fn tied_graph(n: usize, k: u64, seed: u64) -> WeightedGraph {
+        let g = random_graph_scrambled_ids(n, 3 * n, seed);
+        reweighted(&g, |_, w| w % k)
+    }
+
+    /// Kruskal's algorithm over the reference order.
+    fn kruskal_reference(g: &WeightedGraph) -> Vec<EdgeId> {
+        let mut uf = UnionFind::new(g.node_count());
+        let mut chosen: Vec<EdgeId> = by_composite_weight_reference(g, |_| false)
+            .into_iter()
+            .filter(|&e| uf.union(g.edge(e).u.0, g.edge(e).v.0))
+            .collect();
+        chosen.sort_unstable();
+        chosen
+    }
 
     #[test]
     fn three_algorithms_agree_on_small_graph() {
@@ -185,6 +230,31 @@ mod tests {
             prop_assert_eq!(k.edges(), p.edges());
             prop_assert_eq!(k.edges(), b.edges());
             prop_assert!(is_mst(&g, k.edges()));
+        }
+
+        /// Weights mod 3–7 with random candidate-tree indicators: the order
+        /// derived from the shared one equals the full sort, and Kruskal and
+        /// `is_mst` decide as they do over the reference order (an MST is a
+        /// spanning tree of the minimum total weight, whatever its ties).
+        #[test]
+        fn tied_weights_keep_the_reference_order(
+            n in 1usize..40, k in 3u64..8, density in 0u32..4, seed in 0u64..1000
+        ) {
+            let g = tied_graph(n, k, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = f64::from(density) / 3.0;
+            let in_tree: Vec<bool> = (0..g.edge_count()).map(|_| rng.gen_bool(p)).collect();
+            prop_assert_eq!(
+                by_composite_weight(&g, |e| in_tree[e.0]),
+                by_composite_weight_reference(&g, |e| in_tree[e.0])
+            );
+            let mst = kruskal(&g);
+            prop_assert_eq!(mst.edges(), &kruskal_reference(&g)[..]);
+            prop_assert!(is_mst(&g, mst.edges()));
+            // another spanning tree: an MST iff it weighs what Kruskal's does
+            let other = kruskal(&reweighted(&g, |_, _| rng.gen_range(0u64..1 << 20)));
+            let minimal = g.total_weight(other.edges().iter().copied()) == mst.total_weight();
+            prop_assert_eq!(is_mst(&g, other.edges()), minimal);
         }
 
         #[test]

@@ -57,13 +57,15 @@ impl Instance {
     }
 
     /// `true` if the candidate subgraph is an MST of the graph: the
-    /// components root one tree, and [`smst_graph::mst::is_mst`] checks its
-    /// edges without building a second one.
+    /// components designate a root, as [`Self::candidate_tree`] requires,
+    /// and [`smst_graph::mst::is_mst`] checks the edges they induce, which
+    /// span the graph iff they are `n − 1` and close no cycle. No tree is
+    /// rooted.
     pub fn satisfies_mst(&self) -> bool {
-        match self.candidate_tree() {
-            Ok(tree) => smst_graph::mst::is_mst(&self.graph, &tree.edges()),
-            Err(_) => false,
-        }
+        let (g, components) = (&self.graph, &self.components);
+        components.node_count() == g.node_count()
+            && components.designated_root(g).is_ok()
+            && smst_graph::mst::is_mst(g, &components.induced_edges(g))
     }
 }
 
@@ -258,6 +260,54 @@ mod tests {
         inst.components.set_pointer(NodeId(3), None);
         // two pointer-less nodes (the root and node 3) -> not a spanning tree
         assert!(!inst.satisfies_mst());
+    }
+
+    /// The MST check by rooting the candidate tree first: the reference
+    /// `satisfies_mst` must agree with.
+    fn satisfies_mst_by_rooting(inst: &Instance) -> bool {
+        match inst.candidate_tree() {
+            Ok(tree) => smst_graph::mst::is_mst(&inst.graph, &tree.edges()),
+            Err(_) => false,
+        }
+    }
+
+    #[test]
+    fn mst_check_agrees_with_rooting_the_tree() {
+        use smst_graph::generators::{random_graph_scrambled_ids, reweighted};
+        use smst_rng::{Rng, SeedableRng, StdRng};
+
+        let empty = Instance::new(WeightedGraph::default(), ComponentMap::empty(0));
+        assert!(!empty.satisfies_mst() && !satisfies_mst_by_rooting(&empty));
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut held, mut seen) = (0, 0);
+        for seed in 0..300u64 {
+            let n = rng.gen_range(1usize..30);
+            let g = random_graph_scrambled_ids(n, 3 * n, seed);
+            // ties on every third seed, so that another MST may be the candidate
+            let g = reweighted(&g, |_, w| if seed % 3 == 0 { w % 4 } else { w });
+            let shuffled = reweighted(&g, |_, w| (w << 20) | rng.gen_range(0..1u64 << 20));
+            let tree = kruskal(&shuffled).rooted_at(&g, NodeId(rng.gen_range(0..n)));
+            let mut inst = Instance::from_tree(g, &tree.unwrap());
+            // malformed maps: cleared pointers, pointers at any port
+            // (invalid ones too), mutual pairs, a map of the wrong size
+            for _ in 0..rng.gen_range(0u32..4) {
+                let v = NodeId(rng.gen_range(0..n));
+                let degree = inst.graph.degree(v);
+                let port = match rng.gen_range(0u32..3) {
+                    0 => None,
+                    _ => Some(Port(rng.gen_range(0..degree + 2))),
+                };
+                inst.components.set_pointer(v, port);
+            }
+            if rng.gen_range(0u32..20) == 0 {
+                inst.components = ComponentMap::empty(n + 1);
+            }
+            let answer = satisfies_mst_by_rooting(&inst);
+            assert_eq!(inst.satisfies_mst(), answer, "seed {seed}");
+            held += usize::from(answer);
+            seen += 1;
+        }
+        assert!(held > 30 && seen - held > 30, "{held} of {seen} hold");
     }
 
     #[test]

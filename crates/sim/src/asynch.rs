@@ -208,12 +208,7 @@ impl Daemon {
                 } else {
                     rng.gen_range(0..=extra_factor * n)
                 };
-                for _ in 0..extras {
-                    let v = NodeId(rng.gen_range(0..n));
-                    let pos = rng.gen_range(0..=order.len());
-                    order.insert(pos, v);
-                }
-                order
+                insert_extras(order, extras, &mut rng)
             }
             Daemon::Adversarial {
                 pivot,
@@ -230,6 +225,42 @@ impl Daemon {
             }
         }
     }
+}
+
+/// `order` (a permutation of the `n` nodes) with `extras` extra activations,
+/// each drawn as a random node and then a random position in the sequence
+/// so far. The sequence is held as runs of about `√N` nodes (`N` its final
+/// length), split when one doubles, so an insertion walks the runs and
+/// shifts one of them: `O(N √N)` for the unit instead of the `O(N²)` of
+/// inserting into one `Vec`, with the same draws in the same order.
+fn insert_extras(order: Vec<NodeId>, extras: usize, rng: &mut StdRng) -> Vec<NodeId> {
+    if extras == 0 {
+        return order;
+    }
+    let n = order.len();
+    let narrow = |v: usize| u32::try_from(v).expect("a schedule of fewer than 2³² nodes");
+    let width = (n + extras).isqrt().max(1);
+    let mut runs: Vec<Vec<u32>> = (order.chunks(width))
+        .map(|run| run.iter().map(|v| narrow(v.0)).collect())
+        .collect();
+    for len in n..n + extras {
+        let v = narrow(rng.gen_range(0..n));
+        let mut pos = rng.gen_range(0..=len);
+        let mut r = 0;
+        while pos > runs[r].len() {
+            pos -= runs[r].len();
+            r += 1;
+        }
+        runs[r].insert(pos, v);
+        if runs[r].len() >= 2 * width {
+            let tail = runs[r].split_off(width);
+            runs.insert(r + 1, tail);
+        }
+    }
+    runs.into_iter()
+        .flatten()
+        .map(|v| NodeId(v as usize))
+        .collect()
 }
 
 /// Runs a [`Network`] under an asynchronous daemon, counting normalized time
@@ -378,6 +409,47 @@ mod tests {
     use super::*;
     use crate::program::{NodeContext, Verdict};
     use smst_graph::generators::path_graph;
+
+    /// `Daemon::Random`'s schedule with every extra activation inserted
+    /// into one `Vec`: the reference for the runs.
+    fn random_schedule_by_insertion(
+        seed: u64,
+        extra_factor: usize,
+        n: usize,
+        unit_index: usize,
+    ) -> Vec<NodeId> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(unit_index as u64));
+        let mut order: Vec<NodeId> = (0..n).map(NodeId).collect();
+        order.shuffle(&mut rng);
+        let extras = if extra_factor == 0 || n == 0 {
+            0
+        } else {
+            rng.gen_range(0..=extra_factor * n)
+        };
+        for _ in 0..extras {
+            let v = NodeId(rng.gen_range(0..n));
+            let pos = rng.gen_range(0..=order.len());
+            order.insert(pos, v);
+        }
+        order
+    }
+
+    #[test]
+    fn random_schedule_equals_inserting_into_one_vec() {
+        for n in [0usize, 1, 2, 3, 5, 17, 100, 1_000, 2_000] {
+            for extra_factor in 0..=3 {
+                for unit in 0..20 {
+                    let seed = 0x5eed ^ n as u64;
+                    let daemon = Daemon::Random { seed, extra_factor };
+                    assert_eq!(
+                        daemon.schedule(n, unit),
+                        random_schedule_by_insertion(seed, extra_factor, n, unit),
+                        "n={n} extra_factor={extra_factor} unit={unit}"
+                    );
+                }
+            }
+        }
+    }
 
     struct MinId;
 
