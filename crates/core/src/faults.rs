@@ -7,6 +7,7 @@
 //! The experiment harnesses pick nodes with a
 //! [`smst_sim::FaultPlan`] and apply one of these mutators.
 
+use crate::labels::MAX_FIELD;
 use crate::strings::{EndpSym, RootSym};
 use crate::verifier::CoreState;
 use smst_rng::{Rng, SeedableRng, StdRng};
@@ -79,10 +80,12 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
                 &mut state.label.bottom_part
             };
             if let Some(stored) = part.stored[0].as_mut() {
+                // the fields wrap at their 32 bits, as a register of that
+                // width would
                 let mut piece = stored.piece();
                 match piece.min_out.as_mut() {
-                    Some(w) => w.weight = w.weight.wrapping_add(rng.gen_range(1..1000)),
-                    None => piece.root_id = piece.root_id.wrapping_add(1),
+                    Some(w) => w.weight = (w.weight + rng.gen_range(1..1000u64)) & MAX_FIELD,
+                    None => piece.root_id = (piece.root_id + 1) & MAX_FIELD,
                 }
                 stored.set_piece(piece);
             } else {
@@ -136,6 +139,49 @@ mod tests {
             // memory accounting still works on the corrupted register
             let ctx = net.context(NodeId(3));
             assert!(verifier.state_bits(ctx, &state) > 0);
+        }
+    }
+
+    /// Registers at the 32-bit fields' extremes: the weight, root and
+    /// part-root corruptions wrap, as registers of that width would, instead
+    /// of panicking.
+    #[test]
+    fn corruptions_wrap_at_the_field_width() {
+        use crate::labels::{PartLabel, PieceInfo, StoredPiece};
+        use smst_graph::CompositeWeight;
+
+        let g = random_connected_graph(20, 50, 1);
+        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+        let inst = Instance::from_tree(g, &tree);
+        let (labels, _) = Marker.label(&inst).unwrap();
+        let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+        let fresh = *verifier.network().state(NodeId(3));
+        let with_edge = Some(CompositeWeight::new(MAX_FIELD, true, 0, 1));
+        for (min_out, wrapped) in [(with_edge, 0..1000), (None, 0..1)] {
+            let mut state = fresh;
+            for part in [&mut state.label.top_part, &mut state.label.bottom_part] {
+                part.part_root_id = u32::MAX;
+                let piece = PieceInfo {
+                    root_id: MAX_FIELD,
+                    level: 0,
+                    min_out,
+                };
+                part.stored[0] = Some(StoredPiece::new(0, piece));
+            }
+            let mut moved = state;
+            corrupt(&mut moved, FaultKind::PartRoot, 1);
+            assert_eq!(moved.label.top_part.part_root_id, 6);
+            for seed in 0..8 {
+                let mut moved = state;
+                corrupt(&mut moved, FaultKind::StoredPieceWeight, seed);
+                let field = |p: PartLabel| {
+                    let piece = p.stored[0].unwrap().piece();
+                    piece.min_out.map_or(piece.root_id, |w| w.weight)
+                };
+                let fields = [moved.label.top_part, moved.label.bottom_part].map(field);
+                assert!(fields.contains(&MAX_FIELD), "{fields:?}");
+                assert!(fields.iter().any(|f| wrapped.contains(f)), "{fields:?}");
+            }
         }
     }
 }

@@ -20,15 +20,34 @@
 //! strings are six words ([`NodeStrings`]) and each partition holds its at
 //! most two stored pieces inline. A piece sitting in a register cell — stored
 //! permanently, or climbing/flooding in a train buffer — is a [`PieceCell`]:
-//! the piece's four words (`root_id`, and the `weight`, `id_min`, `id_max` of
-//! its minimum outgoing edge) followed by one tail word holding the level
-//! (`u32`), the cell's slot (`u8`) and three flags (has a minimum outgoing
-//! edge, that edge is a non-tree edge, §7.1's membership flag) — 40 bytes,
-//! and `Option<PieceCell>` is no larger (the flags leave it a niche).
+//! the piece's four 32-bit fields (`root_id`, and the `weight`, `id_min`,
+//! `id_max` of its minimum outgoing edge), its level (`u32`), the cell's slot
+//! (`u8`) and three flags (has a minimum outgoing edge, that edge is a
+//! non-tree edge, §7.1's membership flag) — 24 bytes, and
+//! `Option<PieceCell>` is no larger (the flags leave it a niche).
+//!
+//! Identities and weights are `O(log n)`-bit values, and every instance the
+//! marker accepts has them below 2³² ([`MAX_FIELD`]), so a cell and a part
+//! root hold them as `u32`. The public value types ([`PieceInfo`],
+//! [`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows when it
+//! is built and widens when it is read.
 
 use crate::strings::NodeStrings;
 use smst_graph::weight::{bits_for, CompositeWeight};
 use smst_labeling::SpLabel;
+
+/// The largest identity or weight a register field holds.
+pub const MAX_FIELD: u64 = u32::MAX as u64;
+
+/// `x` in a 32-bit register field.
+///
+/// # Panics
+///
+/// Panics if `x` exceeds [`MAX_FIELD`], which the marker rules out for every
+/// instance it labels.
+pub(crate) fn narrow(x: u64) -> u32 {
+    u32::try_from(x).expect("identities and weights fit in 32 bits")
+}
 
 /// The piece of information `I(F) = ID(F) ∘ ω(F)` of a fragment (§3.4/§6):
 /// the identity of the fragment's root, its level, and the (composite) weight
@@ -54,17 +73,17 @@ impl PieceInfo {
 }
 
 /// A piece in a register cell: `I(F)` together with the cell's slot in the
-/// part's cycle and §7.1's membership flag, flattened into five words (see
-/// the module docs). The flag is `false` wherever the paper has none (stored
-/// pieces and the climbing buffer).
+/// part's cycle and §7.1's membership flag, flattened into six 32-bit words
+/// (see the module docs). The flag is `false` wherever the paper has none
+/// (stored pieces and the climbing buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PieceCell {
-    root_id: u64,
+    root_id: u32,
     // the minimum outgoing edge's fields; all zero without one, so that
     // equal cells are equal words
-    weight: u64,
-    id_min: u64,
-    id_max: u64,
+    weight: u32,
+    id_min: u32,
+    id_max: u32,
     level: u32,
     slot: u8,
     has_min_out: bool,
@@ -74,13 +93,17 @@ pub struct PieceCell {
 
 impl PieceCell {
     /// The cell holding `piece` at `slot`, membership flag clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`].
     pub fn new(slot: u8, piece: PieceInfo) -> Self {
         let w = piece.min_out;
         PieceCell {
-            root_id: piece.root_id,
-            weight: w.map_or(0, |w| w.weight),
-            id_min: w.map_or(0, |w| w.id_min),
-            id_max: w.map_or(0, |w| w.id_max),
+            root_id: narrow(piece.root_id),
+            weight: w.map_or(0, |w| narrow(w.weight)),
+            id_min: w.map_or(0, |w| narrow(w.id_min)),
+            id_max: w.map_or(0, |w| narrow(w.id_max)),
             level: piece.level,
             slot,
             has_min_out: w.is_some(),
@@ -97,13 +120,13 @@ impl PieceCell {
     /// The piece itself.
     pub fn piece(&self) -> PieceInfo {
         PieceInfo {
-            root_id: self.root_id,
+            root_id: self.root_id(),
             level: self.level,
             min_out: self.has_min_out.then_some(CompositeWeight {
-                weight: self.weight,
+                weight: u64::from(self.weight),
                 non_tree: self.non_tree,
-                id_min: self.id_min,
-                id_max: self.id_max,
+                id_min: u64::from(self.id_min),
+                id_max: u64::from(self.id_max),
             }),
         }
     }
@@ -115,7 +138,13 @@ impl PieceCell {
 
     /// The identity of the root of the piece's fragment.
     pub fn root_id(&self) -> u64 {
-        self.root_id
+        u64::from(self.root_id)
+    }
+
+    /// `(level, root identity)`: the key whose strict increase within a
+    /// cycle is §8's cyclic-order check.
+    pub fn order_key(&self) -> (u32, u32) {
+        (self.level, self.root_id)
     }
 
     /// Whether the piece's fragment has a minimum outgoing edge (all but the
@@ -136,10 +165,17 @@ impl PieceCell {
     }
 
     /// Replaces the piece, keeping slot and flag (fault injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`].
     pub fn set_piece(&mut self, piece: PieceInfo) {
         *self = PieceCell::new(self.slot, piece).with_member(self.member);
     }
 }
+
+// A cell is six 32-bit words and an empty cell costs nothing extra.
+const _: () = assert!(std::mem::size_of::<Option<PieceCell>>() == 24);
 
 /// A permanently stored piece together with its slot in the part's cycle.
 pub type StoredPiece = PieceCell;
@@ -147,8 +183,9 @@ pub type StoredPiece = PieceCell;
 /// The per-partition portion of the label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartLabel {
-    /// Identity of the root of the node's part.
-    pub part_root_id: u64,
+    /// Identity of the root of the node's part (32 bits, see the module
+    /// docs).
+    pub part_root_id: u32,
     /// The node's hop depth inside the part's subtree.
     pub depth_in_part: u32,
     /// Claimed upper bound on the part's diameter (must be `O(log n)`).
@@ -275,11 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn piece_cells_round_trip_in_five_words() {
+    fn piece_cells_round_trip_in_24_bytes() {
         let with_edge = PieceInfo {
-            root_id: u64::MAX,
-            level: 63,
-            min_out: Some(CompositeWeight::new(u64::MAX, false, 9, 4)),
+            root_id: MAX_FIELD,
+            level: u32::MAX,
+            min_out: Some(CompositeWeight::new(MAX_FIELD, false, MAX_FIELD, MAX_FIELD)),
         };
         let top = PieceInfo {
             root_id: 5,
@@ -302,7 +339,19 @@ mod tests {
             replaced.set_piece(top);
             assert_eq!(replaced, PieceCell::new(200, top).with_member(true));
         }
-        assert_eq!(std::mem::size_of::<PieceCell>(), 40);
-        assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 40);
+        assert_eq!(std::mem::size_of::<PieceCell>(), 24);
+        assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 24);
+        assert_eq!(std::mem::size_of::<PartLabel>(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn a_piece_beyond_32_bits_does_not_fit_a_cell() {
+        let piece = PieceInfo {
+            root_id: MAX_FIELD + 1,
+            level: 0,
+            min_out: None,
+        };
+        PieceCell::new(0, piece);
     }
 }

@@ -32,7 +32,7 @@
 //! [`Marker::label`] is a pure function of the instance: two calls, in one
 //! process or two, return identical labels.
 
-use crate::labels::{CoreLabel, PartLabel, StoredPiece};
+use crate::labels::{narrow, CoreLabel, PartLabel, StoredPiece, MAX_FIELD};
 use crate::partition::{build_partitions, Part, Partitions};
 use crate::strings::build_strings;
 use crate::sync_mst::{SyncMst, SyncMstOutcome};
@@ -85,7 +85,9 @@ impl Marker {
     /// # Errors
     ///
     /// Returns [`MarkError::PredicateViolated`] if the candidate subgraph is
-    /// not an MST (in particular if it is not even a spanning tree).
+    /// not an MST (in particular if it is not even a spanning tree), and
+    /// [`MarkError::MalformedInstance`] if an identity or a weight exceeds
+    /// the registers' 32-bit fields ([`MAX_FIELD`]).
     pub fn label(
         &self,
         instance: &Instance,
@@ -97,12 +99,23 @@ impl Marker {
     /// Like [`Self::label`] but also returns the internal structures
     /// (hierarchy outcome and partitions), used by tests and by the fault
     /// injectors.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::label`].
     pub fn label_with_internals(&self, instance: &Instance) -> Result<LabeledInternals, MarkError> {
+        let g = &instance.graph;
+        if g.max_id() > Some(MAX_FIELD) || g.max_weight() > Some(MAX_FIELD) {
+            return Err(MarkError::MalformedInstance(format!(
+                "identities and weights must fit in 32 bits (largest identity {:?}, largest weight {:?})",
+                g.max_id(),
+                g.max_weight()
+            )));
+        }
         // The candidate tree `T` is an MST iff it is the unique MST under ω′
         // with `T`'s indicator, which is the tree SYNC_MST builds: the
         // construction doubles as the predicate check.
         let not_an_mst = || MarkError::PredicateViolated("candidate subgraph is not an MST".into());
-        let g = &instance.graph;
         let tree = instance.candidate_tree().map_err(|_| not_an_mst())?;
         let outcome = SyncMst.run_for_candidate(g, &tree);
         let mut rebuilt = g.nodes().filter_map(|v| outcome.tree.parent_edge(v));
@@ -183,18 +196,18 @@ fn write_parts(
     parts: &[Part],
     side: fn(&mut CoreLabel) -> &mut PartLabel,
 ) {
-    let narrow = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
+    let hops = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
     for part in parts {
         let fields = PartLabel {
-            part_root_id: g.id(part.root),
+            part_root_id: narrow(g.id(part.root)),
             depth_in_part: 0,
-            diameter_bound: narrow(part.diameter),
+            diameter_bound: hops(part.diameter),
             piece_count: part.pieces.len() as u8,
             stored: [None; 2],
         };
         for (&v, &depth) in part.nodes.iter().zip(&part.depth) {
             *side(&mut labels[v.index()]) = PartLabel {
-                depth_in_part: narrow(depth),
+                depth_in_part: hops(depth),
                 ..fields
             };
         }
@@ -328,6 +341,38 @@ mod tests {
         }
     }
 
+    /// A three-node path whose identities and weights are given.
+    fn path_with(ids: [u64; 3], weights: [u64; 2]) -> Instance {
+        let mut b = smst_graph::GraphBuilder::new();
+        let v = ids.map(|id| b.add_node_with_id(id));
+        b.add_edge(v[0], v[1], weights[0]).unwrap();
+        b.add_edge(v[1], v[2], weights[1]).unwrap();
+        let g = b.finish();
+        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+        Instance::from_tree(g, &tree)
+    }
+
+    /// The registers hold identities and weights in 32 bits: the widest
+    /// values label, one bit more is a typed error, not a panic.
+    #[test]
+    fn identities_and_weights_beyond_32_bits_are_a_typed_error() {
+        let widest = path_with([0, MAX_FIELD, 2], [1, MAX_FIELD]);
+        let (labels, _) = Marker.label(&widest).unwrap();
+        let mut stored = (labels.iter())
+            .flat_map(|l| [l.top_part, l.bottom_part])
+            .flat_map(|p| p.stored.into_iter().flatten());
+        assert!(stored.any(|s| s.piece().min_out.is_some_and(|w| w.weight == MAX_FIELD)));
+        for inst in [
+            path_with([0, 1 << 40, 2], [1, 2]),
+            path_with([0, 1, 2], [1, 1 << 33]),
+        ] {
+            assert!(matches!(
+                Marker.label(&inst),
+                Err(MarkError::MalformedInstance(_))
+            ));
+        }
+    }
+
     /// Each node's part fields and `top_min_level` as the node would find
     /// them by searching its two parts and its hierarchy chain: the
     /// reference the part-by-part assembly must equal.
@@ -339,7 +384,7 @@ mod tests {
         let (g, (outcome, partitions)) = (&inst.graph, internals);
         for v in g.nodes() {
             let part_label = |part: &Part| PartLabel {
-                part_root_id: g.id(part.root),
+                part_root_id: narrow(g.id(part.root)),
                 depth_in_part: part.depth_of(v) as u32,
                 diameter_bound: part.diameter as u32,
                 piece_count: part.pieces.len() as u8,

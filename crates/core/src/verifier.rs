@@ -24,7 +24,7 @@
 //! Any violation makes the node output [`Verdict::Reject`] — "raising an
 //! alarm" in the paper's terminology.
 
-use crate::labels::{CoreLabel, PartLabel, PieceCell, PieceInfo};
+use crate::labels::{CoreLabel, PartLabel, PieceCell, PieceInfo, MAX_FIELD};
 use crate::strings::{
     ceil_log2, check_strings, ChildSummary, EndpSym, RootSym, StringNeighborhood,
 };
@@ -63,8 +63,9 @@ pub struct TrainState {
     /// Cycle boundaries (slot counter wrap-arounds) observed since the last
     /// completeness check.
     pub wraps: u8,
-    /// The key of the last piece completed at the root (cyclic-order check).
-    pub last_key: Option<(u32, u64)>,
+    /// The key of the last piece completed at the root (cyclic-order check,
+    /// [`PieceCell::order_key`]).
+    pub last_key: Option<(u32, u32)>,
 }
 
 impl TrainState {
@@ -91,10 +92,12 @@ impl TrainState {
 pub struct CompareState {
     /// Index into the node's level list `J(v)` of the level being compared.
     pub level_idx: u8,
-    /// The held piece `I(F_j(v))` (the `Ask` buffer).
-    pub ask: Option<PieceInfo>,
-    /// The port of the neighbour currently being compared.
-    pub neighbor_ptr: u16,
+    /// The held piece `I(F_j(v))` (the `Ask` buffer), in the cell of the
+    /// train buffer it was copied from.
+    pub ask: Option<PieceCell>,
+    /// The port of the neighbour currently being compared (a node's degree
+    /// can exceed `u16::MAX`).
+    pub neighbor_ptr: u32,
     /// The `Want` register: `(neighbour identity, level)` this node is
     /// waiting to see.
     pub want_cmp: Option<(u64, u32)>,
@@ -137,13 +140,14 @@ pub struct CoreState {
     pub verdict: Verdict,
 }
 
-// Layout tripwires: the register stays `Copy` and no larger than the inline
-// part of the `Vec`-based layout it replaced (696 bytes, which excluded
-// 130–250 bytes of heap per node) — `peak_rss_mb` follows this number.
+// Layout tripwires: the register stays `Copy`, and identities and weights
+// sit in 32-bit fields (see `crate::labels`), so the label is 248 bytes and
+// the register 464 — `peak_rss_mb` follows these numbers.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<CoreState>();
-    assert!(std::mem::size_of::<CoreState>() <= 696);
+    assert!(std::mem::size_of::<CoreState>() <= 464);
+    assert!(std::mem::size_of::<CoreLabel>() <= 248);
 };
 
 /// What one pass over the neighbour registers gathers from the tree children
@@ -215,7 +219,17 @@ pub struct CoreVerifier {
 
 impl CoreVerifier {
     /// Bundles the verifier's inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an identity or a weight of `graph` exceeds the registers'
+    /// 32-bit fields ([`MAX_FIELD`]); [`crate::Marker::label`] refuses such
+    /// an instance with a typed error.
     pub fn new(graph: WeightedGraph, components: ComponentMap, labels: Vec<CoreLabel>) -> Self {
+        assert!(
+            graph.max_id() <= Some(MAX_FIELD) && graph.max_weight() <= Some(MAX_FIELD),
+            "identities and weights must fit in 32 bits"
+        );
         CoreVerifier {
             graph,
             components,
@@ -333,7 +347,7 @@ impl CoreVerifier {
         // piece counts are bounded and agreed upon inside the part
         for which in [TRAIN_TOP, TRAIN_BOTTOM] {
             let mine = part_of(own, which);
-            let i_am_part_root = mine.part_root_id == ctx.id;
+            let i_am_part_root = u64::from(mine.part_root_id) == ctx.id;
             if i_am_part_root {
                 if mine.depth_in_part != 0 {
                     return false;
@@ -435,7 +449,7 @@ impl CoreVerifier {
             *out = TrainState::fresh();
             return None;
         }
-        let i_am_root = part.part_root_id == ctx.id;
+        let i_am_root = u64::from(part.part_root_id) == ctx.id;
         let mut wraps = train.wraps;
         let want = if i_am_root {
             let mut w = if train.want >= k { 0 } else { train.want };
@@ -446,7 +460,7 @@ impl CoreVerifier {
                 // cyclic-order check of §8: the completed piece's key must
                 // strictly increase within a cycle
                 if let Some(d) = &train.down {
-                    let key = (d.level(), d.root_id());
+                    let key = d.order_key();
                     if let Some(last) = train.last_key {
                         if w != 0 && key <= last {
                             *alarm = true;
@@ -503,7 +517,7 @@ impl CoreVerifier {
         let part = part_of(own, which);
         let train = &own.trains[which];
         let out = &mut next.trains[which];
-        let i_am_root = part.part_root_id == ctx.id;
+        let i_am_root = u64::from(part.part_root_id) == ctx.id;
 
         // 2. the upward (convergecast) buffer
         let stored = part.stored_pieces().find(|s| s.slot() == want).copied();
@@ -614,25 +628,25 @@ impl CoreVerifier {
             .trailing_zeros();
 
         // obtain the Ask piece for the current level from one of our trains
-        if cmp.ask.is_some_and(|p| p.level != level) {
+        if cmp.ask.is_some_and(|p| p.level() != level) {
             cmp.ask = None;
         }
         if cmp.ask.is_none() {
-            cmp.ask = shown_member_piece(next, level);
+            cmp.ask = shown_member_cell(next, level);
             cmp.neighbor_ptr = 0;
             cmp.want_cmp = None;
             cmp.watched_wraps = [0, 0];
         }
-        let Some(ask) = cmp.ask else {
+        let Some(ask) = cmp.ask.map(|a| a.piece()) else {
             next.compare = cmp;
             return;
         };
 
         // walk the neighbours round-robin
         let mut advanced = true;
-        while advanced && usize::from(cmp.neighbor_ptr) < ctx.degree {
+        while advanced && (cmp.neighbor_ptr as usize) < ctx.degree {
             advanced = false;
-            let port = Port(usize::from(cmp.neighbor_ptr));
+            let port = Port(cmp.neighbor_ptr as usize);
             let u = neighbors[port.index()];
             if u.label.strings.root(level as usize) == RootSym::Absent {
                 // the neighbour has no level-j fragment: the edge is outgoing
@@ -644,8 +658,8 @@ impl CoreVerifier {
                 continue;
             }
             // does the neighbour currently show its member level-j piece?
-            if let Some(their) = shown_member_piece(u, level) {
-                self.check_event(ctx, own, port, u, ask, their, level, alarm);
+            if let Some(their) = shown_member_cell(u, level) {
+                self.check_event(ctx, own, port, u, ask, their.piece(), level, alarm);
                 cmp.neighbor_ptr += 1;
                 cmp.want_cmp = None;
                 cmp.watched_wraps = [0, 0];
@@ -670,7 +684,7 @@ impl CoreVerifier {
                 cmp.watched_wraps = [0, 0];
             }
         }
-        if usize::from(cmp.neighbor_ptr) >= ctx.degree {
+        if cmp.neighbor_ptr as usize >= ctx.degree {
             // done with this level: move on
             cmp.level_idx = ((usize::from(cmp.level_idx) + 1) % level_count) as u8;
             cmp.ask = None;
@@ -796,14 +810,13 @@ fn part_of(s: &CoreState, which: usize) -> &PartLabel {
     }
 }
 
-/// The member piece of the given level that one of the node's trains
-/// currently shows, if any.
-fn shown_member_piece(s: &CoreState, level: u32) -> Option<PieceInfo> {
+/// The cell of the member piece of the given level that one of the node's
+/// trains currently shows, if any.
+fn shown_member_cell(s: &CoreState, level: u32) -> Option<PieceCell> {
     s.trains
         .iter()
         .filter_map(|t| t.down)
         .find(|d| d.member() && d.level() == level)
-        .map(|d| d.piece())
 }
 
 impl NodeProgram for CoreVerifier {
@@ -1028,6 +1041,29 @@ mod tests {
                 "subtree_count at u64::MAX: {count}, sp.dist at u64::MAX: {dist}"
             );
         }
+    }
+
+    /// A node of degree above `u16::MAX` walks all its neighbours: the
+    /// comparison pointer neither overflows (a debug build panicked) nor
+    /// wraps back to port 0 (a release build never finished the round).
+    #[test]
+    fn a_centre_of_degree_beyond_u16_walks_every_neighbour() {
+        let g = smst_graph::generators::star_graph(66_000, 1);
+        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+        let inst = Instance::from_tree(g, &tree);
+        let (labels, _) = Marker.label(&inst).unwrap();
+        let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+        let mut runner = SyncRunner::new(&verifier, verifier.network());
+        // the centre's first full walk ends in round 2, which moves it to
+        // its next level
+        let level_idx = (0..3)
+            .map(|_| {
+                runner.run_rounds(1);
+                runner.network().state(NodeId(0)).compare.level_idx
+            })
+            .collect::<Vec<_>>();
+        assert!(runner.network().alarming_nodes(&verifier).is_empty());
+        assert!(level_idx.windows(2).any(|w| w[0] != w[1]), "{level_idx:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use smst_core::faults::{corrupt, FaultKind};
 use smst_core::labels::{PartLabel, PieceInfo};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
-use smst_core::verifier::{CoreState, TrainState};
+use smst_core::verifier::{CompareState, CoreState, TrainState};
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
@@ -188,7 +188,7 @@ fn fold_strings(f: &mut Fold, s: &NodeStrings) {
 }
 
 fn fold_part(f: &mut Fold, p: &PartLabel) {
-    f.u(p.part_root_id);
+    f.u(part_root_id(p));
     f.u(depth_in_part(p));
     f.u(diameter_bound(p));
     f.u(u64::from(p.piece_count));
@@ -207,7 +207,7 @@ fn fold_train(f: &mut Fold, t: &TrainState) {
     f.opt(t.done.map(u64::from));
     f.u(u64::from(t.delay));
     f.u(u64::from(t.wraps));
-    match t.last_key {
+    match last_key(t) {
         None => f.u(0),
         Some((level, root_id)) => {
             f.u(1);
@@ -234,15 +234,15 @@ fn fold_state(f: &mut Fold, s: &CoreState) {
     }
     let c = &s.compare;
     f.u(u64::from(c.level_idx));
-    match &c.ask {
+    match ask(c) {
         None => f.u(0),
         Some(p) => {
             f.u(1);
-            fold_piece(f, p);
+            fold_piece(f, &p);
         }
     }
     f.u(u64::from(c.neighbor_ptr));
-    match c.want_cmp {
+    match want_cmp(c) {
         None => f.u(0),
         Some((id, level)) => {
             f.u(1);
@@ -280,6 +280,10 @@ fn or_endp_bit(s: &NodeStrings, j: usize) -> bool {
     s.or_endp_bit(j)
 }
 
+fn part_root_id(p: &PartLabel) -> u64 {
+    u64::from(p.part_root_id)
+}
+
 fn depth_in_part(p: &PartLabel) -> u64 {
     u64::from(p.depth_in_part)
 }
@@ -298,4 +302,17 @@ fn up(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
 
 fn down(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
     t.down.map(|d| (d.slot(), d.piece(), d.member()))
+}
+
+fn last_key(t: &TrainState) -> Option<(u32, u64)> {
+    t.last_key
+        .map(|(level, root_id)| (level, u64::from(root_id)))
+}
+
+fn ask(c: &CompareState) -> Option<PieceInfo> {
+    c.ask.map(|a| a.piece())
+}
+
+fn want_cmp(c: &CompareState) -> Option<(u64, u32)> {
+    c.want_cmp
 }

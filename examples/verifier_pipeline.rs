@@ -1,0 +1,104 @@
+//! The paper's whole pipeline at n = 10⁶, stage by stage: generate a graph,
+//! build its MST, label it with the marker, run the `O(log n)`-bit verifier
+//! on the engine, corrupt one register and wait for the first alarm.
+//!
+//! After each stage it prints the stage's wall time and the process's peak
+//! resident set so far (`VmHWM` from `/proc/self/status`; `n/a` where that
+//! file does not exist), so the memory each layer adds can be read off the
+//! output: the graph, the tree, the labels, the verifier and the engine's
+//! two register buffers.
+//!
+//! Run with: `cargo run --release --example verifier_pipeline`
+//! (release mode matters: a debug verifier round is ~50x slower).
+//! `SMST_BENCH_SMOKE=1` shrinks the run to 20 000 nodes.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the demo prints how long each stage took"
+)]
+
+use smst_core::faults::{corrupt, FaultKind};
+use smst_core::{Marker, MstVerificationScheme};
+use smst_engine::{EngineConfig, StopCondition};
+use smst_graph::generators::random_connected_graph;
+use smst_graph::mst::kruskal;
+use smst_graph::NodeId;
+use smst_labeling::Instance;
+use smst_sim::FaultPlan;
+use std::time::Instant;
+
+const SEED: u64 = 7;
+const ROUNDS: usize = 16;
+
+fn smoke_mode() -> bool {
+    std::env::var_os("SMST_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// The process's peak resident set in MiB, if the platform reports it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Runs one stage and prints its time and the peak resident set after it.
+fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    let took = t0.elapsed().as_secs_f64();
+    let peak = peak_rss_mib().map_or_else(|| "n/a".into(), |mib| format!("{mib:.0} MiB"));
+    println!("  {name:<48} {took:>7.2} s  {peak:>9}");
+    out
+}
+
+fn main() {
+    let n = if smoke_mode() { 20_000 } else { 1_000_000 };
+    let m = 3 * n;
+    println!("verifier pipeline: n = {n}, m = {m}, seed {SEED}, one engine thread");
+    println!("  {:<48} {:>9}  {:>9}", "stage", "time", "VmHWM");
+
+    let graph = stage("random_connected_graph", || {
+        random_connected_graph(n, m, SEED)
+    });
+    let tree = stage("kruskal + rooted_at", || {
+        kruskal(&graph)
+            .rooted_at(&graph, NodeId(0))
+            .expect("a connected graph has a spanning tree")
+    });
+    let inst = stage("Instance::from_tree", || Instance::from_tree(graph, &tree));
+    drop(tree);
+    let (labels, _) = stage("Marker::label", || {
+        Marker.label(&inst).expect("the MST is a correct instance")
+    });
+    let verifier = stage("MstVerificationScheme::verifier", || {
+        MstVerificationScheme.verifier(&inst, labels)
+    });
+    let engine = EngineConfig::new().threads(1);
+    let mut runner = stage("EngineConfig::instantiate", || {
+        engine
+            .instantiate(&verifier, inst.graph.clone())
+            .expect("a one-thread sync envelope is valid")
+    });
+    stage(&format!("{ROUNDS} rounds"), || {
+        runner.run_until(StopCondition::Steps, ROUNDS)
+    });
+    assert!(
+        !runner.any_alarm(),
+        "a correct instance must not raise alarms"
+    );
+
+    let victim = NodeId(n / 2);
+    let budget = MstVerificationScheme::sync_budget(n);
+    let rounds = stage("SpDistance fault at one node -> first alarm", || {
+        runner.apply_faults(&FaultPlan::single(victim), &mut |_, state| {
+            corrupt(state, FaultKind::SpDistance, SEED)
+        });
+        runner.run_until(StopCondition::FirstAlarm, budget)
+    });
+    let rounds = rounds.expect("a corrupted SP distance is detected");
+    println!(
+        "first alarm {rounds} round(s) after the fault, at {:?}",
+        runner.alarming_nodes()
+    );
+}
