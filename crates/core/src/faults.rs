@@ -142,9 +142,9 @@ mod tests {
         }
     }
 
-    /// Registers at the 32-bit fields' extremes: the weight, root and
-    /// part-root corruptions wrap, as registers of that width would, instead
-    /// of panicking.
+    /// Registers at the 32-bit fields' extremes: the weight, root,
+    /// part-root and SP-distance corruptions wrap, as registers of that
+    /// width would, instead of panicking.
     #[test]
     fn corruptions_wrap_at_the_field_width() {
         use crate::labels::{PartLabel, PieceInfo, StoredPiece};
@@ -171,6 +171,12 @@ mod tests {
             let mut moved = state;
             corrupt(&mut moved, FaultKind::PartRoot, 1);
             assert_eq!(moved.label.top_part.part_root_id, 6);
+            for seed in 0..8 {
+                let mut moved = state;
+                moved.label.sp.dist = u32::MAX;
+                corrupt(&mut moved, FaultKind::SpDistance, seed);
+                assert!(moved.label.sp.dist < 6, "{}", moved.label.sp.dist);
+            }
             for seed in 0..8 {
                 let mut moved = state;
                 corrupt(&mut moved, FaultKind::StoredPieceWeight, seed);

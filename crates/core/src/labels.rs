@@ -16,27 +16,37 @@
 //!
 //! # In-memory layout
 //!
-//! The label is a fixed-width `Copy` value with no heap behind it: the
-//! strings are six words ([`NodeStrings`]) and each partition holds its at
-//! most two stored pieces inline. A piece sitting in a register cell — stored
-//! permanently, or climbing/flooding in a train buffer — is a [`PieceCell`]:
-//! the piece's four 32-bit fields (`root_id`, and the `weight`, `id_min`,
-//! `id_max` of its minimum outgoing edge), its level (`u32`), the cell's slot
-//! (`u8`) and three flags (has a minimum outgoing edge, that edge is a
-//! non-tree edge, §7.1's membership flag) — 24 bytes, and
-//! `Option<PieceCell>` is no larger (the flags leave it a niche).
+//! The label is a fixed-width `Copy` value with no heap behind it, and every
+//! field is as wide as the paper needs. Identities, weights and node counts
+//! are `O(log n)`-bit values, and every instance the marker accepts has them
+//! below 2³² ([`MAX_FIELD`]), so:
 //!
-//! Identities and weights are `O(log n)`-bit values, and every instance the
-//! marker accepts has them below 2³² ([`MAX_FIELD`]), so a cell and a part
-//! root hold them as `u32`. The public value types ([`PieceInfo`],
-//! [`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows when it
-//! is built and widens when it is read.
+//! * the SP fields ([`SpCell`]) are the root, own and parent identities and
+//!   the distance in `u32`s (20 bytes); `n_claim` and `subtree_count` are
+//!   `u32`s;
+//! * the strings are six words, one bit per level ([`NodeStrings`]);
+//! * each partition ([`PartLabel`]) holds the part root's identity, then the
+//!   depth in the part and the diameter bound in one byte each (the verifier
+//!   rejects either above `6·log n + 6 ≤ 198`), the piece count, and its at
+//!   most two stored pieces inline (48 bytes);
+//! * a piece sitting in a register cell — stored permanently, or
+//!   climbing/flooding in a train buffer — is a [`PieceCell`]: the piece's
+//!   four 32-bit fields (`root_id`, and the `weight`, `id_min`, `id_max` of
+//!   its minimum outgoing edge), then its level, the cell's slot and a flag
+//!   byte (has a minimum outgoing edge, that edge is a non-tree edge, §7.1's
+//!   membership flag) in three bytes — 20 bytes, and `Option<PieceCell>` is
+//!   no larger (the flag byte is never zero, which leaves it a niche).
+//!
+//! The whole label is 184 bytes. The public value types ([`PieceInfo`],
+//! [`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows when
+//! it is built and widens when it is read.
 
 use crate::strings::NodeStrings;
 use smst_graph::weight::{bits_for, CompositeWeight};
 use smst_labeling::SpLabel;
+use std::num::NonZeroU8;
 
-/// The largest identity or weight a register field holds.
+/// The largest identity, weight or node count a register field holds.
 pub const MAX_FIELD: u64 = u32::MAX as u64;
 
 /// `x` in a 32-bit register field.
@@ -47,6 +57,51 @@ pub const MAX_FIELD: u64 = u32::MAX as u64;
 /// instance it labels.
 pub(crate) fn narrow(x: u64) -> u32 {
     u32::try_from(x).expect("identities and weights fit in 32 bits")
+}
+
+/// The SP fields of Example SP (§2.6) in a register: [`SpLabel`] with its
+/// identities and distance in 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpCell {
+    /// Identity of the claimed tree root.
+    pub root_id: u32,
+    /// Claimed hop distance to the root.
+    pub dist: u32,
+    /// The node's own identity.
+    pub own_id: u32,
+    /// Identity of the node's tree parent (`None` at the root).
+    pub parent_id: Option<u32>,
+}
+
+impl SpCell {
+    /// The cell holding `sp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an identity or the distance of `sp` exceeds [`MAX_FIELD`].
+    pub fn new(sp: SpLabel) -> Self {
+        SpCell {
+            root_id: narrow(sp.root_id),
+            dist: narrow(sp.dist),
+            own_id: narrow(sp.own_id),
+            parent_id: sp.parent_id.map(narrow),
+        }
+    }
+
+    /// The SP label the cell holds.
+    pub fn label(&self) -> SpLabel {
+        SpLabel {
+            root_id: u64::from(self.root_id),
+            dist: u64::from(self.dist),
+            own_id: u64::from(self.own_id),
+            parent_id: self.parent_id.map(u64::from),
+        }
+    }
+
+    /// Whether the cell names the node of identity `id` as its parent.
+    pub fn has_parent(&self, id: u64) -> bool {
+        self.parent_id.is_some_and(|p| u64::from(p) == id)
+    }
 }
 
 /// The piece of information `I(F) = ID(F) ∘ ω(F)` of a fragment (§3.4/§6):
@@ -73,9 +128,9 @@ impl PieceInfo {
 }
 
 /// A piece in a register cell: `I(F)` together with the cell's slot in the
-/// part's cycle and §7.1's membership flag, flattened into six 32-bit words
-/// (see the module docs). The flag is `false` wherever the paper has none
-/// (stored pieces and the climbing buffer).
+/// part's cycle and §7.1's membership flag, flattened into four 32-bit words
+/// and three bytes (see the module docs). The flag is `false` wherever the
+/// paper has none (stored pieces and the climbing buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PieceCell {
     root_id: u32,
@@ -84,32 +139,45 @@ pub struct PieceCell {
     weight: u32,
     id_min: u32,
     id_max: u32,
-    level: u32,
+    level: u8,
     slot: u8,
-    has_min_out: bool,
-    non_tree: bool,
-    member: bool,
+    // bit 0 always set (so `Option<PieceCell>` keeps its `None` in this
+    // byte), then the flags below
+    flags: NonZeroU8,
 }
+
+/// The piece's fragment has a minimum outgoing edge.
+const HAS_MIN_OUT: u8 = 1 << 1;
+/// That edge is a non-tree edge.
+const NON_TREE: u8 = 1 << 2;
+/// §7.1's membership flag.
+const MEMBER: u8 = 1 << 3;
 
 impl PieceCell {
     /// The cell holding `piece` at `slot`, membership flag clear.
     ///
     /// # Panics
     ///
-    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`].
+    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`], or
+    /// its level exceeds 255.
     pub fn new(slot: u8, piece: PieceInfo) -> Self {
         let w = piece.min_out;
+        let bit_if = |set: bool, bit: u8| if set { bit } else { 0 };
         PieceCell {
             root_id: narrow(piece.root_id),
             weight: w.map_or(0, |w| narrow(w.weight)),
             id_min: w.map_or(0, |w| narrow(w.id_min)),
             id_max: w.map_or(0, |w| narrow(w.id_max)),
-            level: piece.level,
+            level: u8::try_from(piece.level).expect("levels fit in 8 bits"),
             slot,
-            has_min_out: w.is_some(),
-            non_tree: w.is_some_and(|w| w.non_tree),
-            member: false,
+            flags: NonZeroU8::MIN
+                | bit_if(w.is_some(), HAS_MIN_OUT)
+                | bit_if(w.is_some_and(|w| w.non_tree), NON_TREE),
         }
+    }
+
+    fn flag(&self, bit: u8) -> bool {
+        self.flags.get() & bit != 0
     }
 
     /// The slot (DFS index) of the piece in the part's cycle.
@@ -121,10 +189,10 @@ impl PieceCell {
     pub fn piece(&self) -> PieceInfo {
         PieceInfo {
             root_id: self.root_id(),
-            level: self.level,
-            min_out: self.has_min_out.then_some(CompositeWeight {
+            level: self.level(),
+            min_out: self.has_min_out().then_some(CompositeWeight {
                 weight: u64::from(self.weight),
-                non_tree: self.non_tree,
+                non_tree: self.flag(NON_TREE),
                 id_min: u64::from(self.id_min),
                 id_max: u64::from(self.id_max),
             }),
@@ -133,7 +201,7 @@ impl PieceCell {
 
     /// The level of the piece's fragment.
     pub fn level(&self) -> u32 {
-        self.level
+        u32::from(self.level)
     }
 
     /// The identity of the root of the piece's fragment.
@@ -143,39 +211,43 @@ impl PieceCell {
 
     /// `(level, root identity)`: the key whose strict increase within a
     /// cycle is §8's cyclic-order check.
-    pub fn order_key(&self) -> (u32, u32) {
+    pub fn order_key(&self) -> (u8, u32) {
         (self.level, self.root_id)
     }
 
     /// Whether the piece's fragment has a minimum outgoing edge (all but the
     /// top fragment do).
     pub fn has_min_out(&self) -> bool {
-        self.has_min_out
+        self.flag(HAS_MIN_OUT)
     }
 
     /// Whether the node holding this cell belongs to the piece's fragment
     /// (§7.1's flag; meaningful in the flooding buffer only).
     pub fn member(&self) -> bool {
-        self.member
+        self.flag(MEMBER)
     }
 
     /// The same cell with the membership flag set to `member`.
     pub fn with_member(self, member: bool) -> Self {
-        PieceCell { member, ..self }
+        let kept = self.flags.get() & !MEMBER;
+        let flags = NonZeroU8::MIN | kept | if member { MEMBER } else { 0 };
+        PieceCell { flags, ..self }
     }
 
     /// Replaces the piece, keeping slot and flag (fault injection).
     ///
     /// # Panics
     ///
-    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`].
+    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`], or
+    /// its level exceeds 255.
     pub fn set_piece(&mut self, piece: PieceInfo) {
-        *self = PieceCell::new(self.slot, piece).with_member(self.member);
+        *self = PieceCell::new(self.slot, piece).with_member(self.member());
     }
 }
 
-// A cell is six 32-bit words and an empty cell costs nothing extra.
-const _: () = assert!(std::mem::size_of::<Option<PieceCell>>() == 24);
+// A cell is four 32-bit words and three bytes, and an empty cell costs
+// nothing extra.
+const _: () = assert!(std::mem::size_of::<Option<PieceCell>>() == 20);
 
 /// A permanently stored piece together with its slot in the part's cycle.
 pub type StoredPiece = PieceCell;
@@ -187,9 +259,10 @@ pub struct PartLabel {
     /// docs).
     pub part_root_id: u32,
     /// The node's hop depth inside the part's subtree.
-    pub depth_in_part: u32,
-    /// Claimed upper bound on the part's diameter (must be `O(log n)`).
-    pub diameter_bound: u32,
+    pub depth_in_part: u8,
+    /// Claimed upper bound on the part's diameter (must be `O(log n)`: the
+    /// verifier rejects a bound above `6·log n + 6`).
+    pub diameter_bound: u8,
     /// The number of piece slots circulating in the part.
     pub piece_count: u8,
     /// The pieces stored permanently at this node (§6.2 places at most two),
@@ -218,11 +291,11 @@ impl PartLabel {
 pub struct CoreLabel {
     /// Example SP fields (root identity, distance, own identity, parent
     /// identity).
-    pub sp: SpLabel,
+    pub sp: SpCell,
     /// The claimed number of nodes (Example NumK).
-    pub n_claim: u64,
+    pub n_claim: u32,
     /// The number of nodes in this node's subtree (Example NumK aggregation).
-    pub subtree_count: u64,
+    pub subtree_count: u32,
     /// The hierarchy strings of §5.
     pub strings: NodeStrings,
     /// The delimiter of §8 splitting `J(v)` into bottom and top levels: the
@@ -269,12 +342,12 @@ mod tests {
             stored: [0, 1].map(|i| (i < stored).then(|| StoredPiece::new(i as u8, piece))),
         };
         CoreLabel {
-            sp: SpLabel {
+            sp: SpCell::new(SpLabel {
                 root_id: 0,
                 dist: 3,
                 own_id: 7,
                 parent_id: Some(2),
-            },
+            }),
             n_claim: 64,
             subtree_count: 5,
             strings: NodeStrings::blank(levels),
@@ -312,10 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn piece_cells_round_trip_in_24_bytes() {
+    fn piece_cells_round_trip_in_20_bytes() {
         let with_edge = PieceInfo {
             root_id: MAX_FIELD,
-            level: u32::MAX,
+            level: u8::MAX.into(),
             min_out: Some(CompositeWeight::new(MAX_FIELD, false, MAX_FIELD, MAX_FIELD)),
         };
         let top = PieceInfo {
@@ -339,9 +412,43 @@ mod tests {
             replaced.set_piece(top);
             assert_eq!(replaced, PieceCell::new(200, top).with_member(true));
         }
-        assert_eq!(std::mem::size_of::<PieceCell>(), 24);
-        assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 24);
-        assert_eq!(std::mem::size_of::<PartLabel>(), 64);
+        assert_eq!(std::mem::size_of::<PieceCell>(), 20);
+        assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 20);
+        assert_eq!(std::mem::size_of::<PartLabel>(), 48);
+    }
+
+    #[test]
+    fn sp_cells_round_trip_in_20_bytes() {
+        for sp in [
+            SpLabel {
+                root_id: MAX_FIELD,
+                dist: MAX_FIELD,
+                own_id: 0,
+                parent_id: Some(MAX_FIELD),
+            },
+            SpLabel {
+                root_id: 4,
+                dist: 0,
+                own_id: 4,
+                parent_id: None,
+            },
+        ] {
+            let cell = SpCell::new(sp);
+            assert_eq!(cell.label(), sp);
+            assert_eq!(cell.has_parent(MAX_FIELD), sp.parent_id.is_some());
+        }
+        assert_eq!(std::mem::size_of::<SpCell>(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 8 bits")]
+    fn a_level_beyond_8_bits_does_not_fit_a_cell() {
+        let piece = PieceInfo {
+            root_id: 0,
+            level: 256,
+            min_out: None,
+        };
+        PieceCell::new(0, piece);
     }
 
     #[test]

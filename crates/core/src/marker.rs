@@ -32,7 +32,7 @@
 //! [`Marker::label`] is a pure function of the instance: two calls, in one
 //! process or two, return identical labels.
 
-use crate::labels::{narrow, CoreLabel, PartLabel, StoredPiece, MAX_FIELD};
+use crate::labels::{narrow, CoreLabel, PartLabel, SpCell, StoredPiece, MAX_FIELD};
 use crate::partition::{build_partitions, Part, Partitions};
 use crate::strings::build_strings;
 use crate::sync_mst::{SyncMst, SyncMstOutcome};
@@ -86,8 +86,8 @@ impl Marker {
     ///
     /// Returns [`MarkError::PredicateViolated`] if the candidate subgraph is
     /// not an MST (in particular if it is not even a spanning tree), and
-    /// [`MarkError::MalformedInstance`] if an identity or a weight exceeds
-    /// the registers' 32-bit fields ([`MAX_FIELD`]).
+    /// [`MarkError::MalformedInstance`] if an identity, a weight or the node
+    /// count exceeds the registers' 32-bit fields ([`MAX_FIELD`]).
     pub fn label(
         &self,
         instance: &Instance,
@@ -105,13 +105,7 @@ impl Marker {
     /// As [`Self::label`].
     pub fn label_with_internals(&self, instance: &Instance) -> Result<LabeledInternals, MarkError> {
         let g = &instance.graph;
-        if g.max_id() > Some(MAX_FIELD) || g.max_weight() > Some(MAX_FIELD) {
-            return Err(MarkError::MalformedInstance(format!(
-                "identities and weights must fit in 32 bits (largest identity {:?}, largest weight {:?})",
-                g.max_id(),
-                g.max_weight()
-            )));
-        }
+        fits_the_registers(g.node_count(), g.max_id(), g.max_weight())?;
         // The candidate tree `T` is an MST iff it is the unique MST under ω′
         // with `T`'s indicator, which is the tree SYNC_MST builds: the
         // construction doubles as the predicate check.
@@ -124,6 +118,21 @@ impl Marker {
         }
         Ok(assemble(g, &tree, outcome))
     }
+}
+
+/// Refuses an instance whose node count, identities or weights exceed the
+/// registers' 32-bit fields ([`MAX_FIELD`]).
+fn fits_the_registers(
+    node_count: usize,
+    max_id: Option<u64>,
+    max_weight: Option<u64>,
+) -> Result<(), MarkError> {
+    if node_count as u64 > MAX_FIELD || max_id > Some(MAX_FIELD) || max_weight > Some(MAX_FIELD) {
+        return Err(MarkError::MalformedInstance(format!(
+            "the node count, identities and weights must fit in 32 bits ({node_count} nodes, largest identity {max_id:?}, largest weight {max_weight:?})"
+        )));
+    }
+    Ok(())
 }
 
 /// The labels of the candidate tree `tree`, which SYNC_MST rebuilt as
@@ -155,9 +164,9 @@ fn assemble(g: &WeightedGraph, tree: &RootedTree, outcome: SyncMstOutcome) -> La
                 .find(|&&i| partitions.is_top[i])
                 .map_or(0, |&i| hierarchy.fragment(i).level) as u8;
             CoreLabel {
-                sp,
-                n_claim: n as u64,
-                subtree_count: outcome.tree.subtree_size(v) as u64,
+                sp: SpCell::new(sp),
+                n_claim: n as u32,
+                subtree_count: outcome.tree.subtree_size(v) as u32,
                 strings,
                 top_min_level,
                 top_part: unwritten,
@@ -189,14 +198,16 @@ fn assemble(g: &WeightedGraph, tree: &RootedTree, outcome: SyncMstOutcome) -> La
 /// # Panics
 ///
 /// Panics if a node holds more than two pieces, which §6.2's placement
-/// never does.
+/// never does, or if a part's diameter exceeds 255 hops, which a partition
+/// of fewer than 2³² nodes never does (its diameters are at most
+/// `6·log n + 4 ≤ 196`).
 fn write_parts(
     g: &WeightedGraph,
     labels: &mut [CoreLabel],
     parts: &[Part],
     side: fn(&mut CoreLabel) -> &mut PartLabel,
 ) {
-    let hops = |x: usize| u32::try_from(x).expect("a hop count below 2³²");
+    let hops = |x: usize| u8::try_from(x).expect("a part's diameter is below 2⁸ hops");
     for part in parts {
         let fields = PartLabel {
             part_root_id: narrow(g.id(part.root)),
@@ -352,8 +363,8 @@ mod tests {
         Instance::from_tree(g, &tree)
     }
 
-    /// The registers hold identities and weights in 32 bits: the widest
-    /// values label, one bit more is a typed error, not a panic.
+    /// The registers hold identities, weights and node counts in 32 bits:
+    /// the widest values label, one bit more is a typed error, not a panic.
     #[test]
     fn identities_and_weights_beyond_32_bits_are_a_typed_error() {
         let widest = path_with([0, MAX_FIELD, 2], [1, MAX_FIELD]);
@@ -371,6 +382,13 @@ mod tests {
                 Err(MarkError::MalformedInstance(_))
             ));
         }
+        // no instance of 2³² nodes fits in memory, so the node-count bound
+        // (n_claim and subtree_count are 32-bit fields) is checked on its own
+        assert!(fits_the_registers(MAX_FIELD as usize, None, None).is_ok());
+        assert!(matches!(
+            fits_the_registers(MAX_FIELD as usize + 1, None, None),
+            Err(MarkError::MalformedInstance(_))
+        ));
     }
 
     /// Each node's part fields and `top_min_level` as the node would find
@@ -385,8 +403,8 @@ mod tests {
         for v in g.nodes() {
             let part_label = |part: &Part| PartLabel {
                 part_root_id: narrow(g.id(part.root)),
-                depth_in_part: part.depth_of(v) as u32,
-                diameter_bound: part.diameter as u32,
+                depth_in_part: part.depth_of(v) as u8,
+                diameter_bound: part.diameter as u8,
                 piece_count: part.pieces.len() as u8,
                 stored: part.stored_at(v),
             };
@@ -467,7 +485,7 @@ mod tests {
                 assert!(part.stored_pieces().all(|s| s.slot() < part.piece_count));
             }
             assert!(!needed.is_empty());
-            assert_eq!(label.n_claim, g.node_count() as u64);
+            assert_eq!(label.n_claim, g.node_count() as u32);
         }
     }
 }

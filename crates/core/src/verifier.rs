@@ -65,7 +65,7 @@ pub struct TrainState {
     pub wraps: u8,
     /// The key of the last piece completed at the root (cyclic-order check,
     /// [`PieceCell::order_key`]).
-    pub last_key: Option<(u32, u32)>,
+    pub last_key: Option<(u8, u32)>,
 }
 
 impl TrainState {
@@ -100,7 +100,7 @@ pub struct CompareState {
     pub neighbor_ptr: u32,
     /// The `Want` register: `(neighbour identity, level)` this node is
     /// waiting to see.
-    pub want_cmp: Option<(u64, u32)>,
+    pub want_cmp: Option<(u32, u8)>,
     /// The last observed slot counters of the watched neighbour's two trains
     /// (used to count that neighbour's cycle boundaries).
     pub watched_prev: [u8; 2],
@@ -140,14 +140,15 @@ pub struct CoreState {
     pub verdict: Verdict,
 }
 
-// Layout tripwires: the register stays `Copy`, and identities and weights
-// sit in 32-bit fields (see `crate::labels`), so the label is 248 bytes and
-// the register 464 — `peak_rss_mb` follows these numbers.
+// Layout tripwires: the register stays `Copy`; identities, weights, the SP
+// distance and the node counts sit in 32-bit fields, and levels, depths and
+// diameters in bytes (see `crate::labels`), so the label is 184 bytes and
+// the register 360 — `peak_rss_mb` follows these numbers.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<CoreState>();
-    assert!(std::mem::size_of::<CoreState>() <= 464);
-    assert!(std::mem::size_of::<CoreLabel>() <= 248);
+    assert!(std::mem::size_of::<CoreState>() <= 360);
+    assert!(std::mem::size_of::<CoreLabel>() <= 184);
 };
 
 /// What one pass over the neighbour registers gathers from the tree children
@@ -183,12 +184,12 @@ impl Children {
             done: [true, true],
         };
         for s in neighbors {
-            if s.label.sp.parent_id != Some(ctx.id) {
+            if !s.label.sp.has_parent(ctx.id) {
                 continue;
             }
             kids.subtree_sum = kids
                 .subtree_sum
-                .and_then(|sum| sum.checked_add(s.label.subtree_count));
+                .and_then(|sum| sum.checked_add(u64::from(s.label.subtree_count)));
             kids.strings.add(&s.label.strings);
             for (which, want) in wanted.into_iter().enumerate() {
                 let Some(want) = want else { continue };
@@ -273,14 +274,14 @@ impl CoreVerifier {
             self.graph.weight(e),
             is_tree,
             self.graph.id(v),
-            neighbor.label.sp.own_id,
+            u64::from(neighbor.label.sp.own_id),
         )
     }
 
     /// Whether the edge behind `port` is a tree edge (the neighbour is this
     /// node's component parent, or claims this node as its parent).
     fn is_tree_edge(&self, ctx: &NodeContext, port: Port, neighbor: &CoreState) -> bool {
-        self.parent_port(ctx.node) == Some(port) || neighbor.label.sp.parent_id == Some(ctx.id)
+        self.parent_port(ctx.node) == Some(port) || neighbor.label.sp.has_parent(ctx.id)
     }
 
     // ----- structural 1-round checks (§5, SP, NumK, partitions) ------------
@@ -296,7 +297,7 @@ impl CoreVerifier {
         let label = &own.label;
         // SP: truthful identity, agreement on the root, distance rules;
         // NumK: agreement on n
-        if label.sp.own_id != ctx.id {
+        if u64::from(label.sp.own_id) != ctx.id {
             return false;
         }
         if neighbors
@@ -310,7 +311,9 @@ impl CoreVerifier {
                 if self.components.pointer(ctx.node).is_some() {
                     return false; // pointer names a non-existent port
                 }
-                if label.sp.dist != 0 || label.sp.root_id != ctx.id || label.sp.parent_id.is_some()
+                if label.sp.dist != 0
+                    || u64::from(label.sp.root_id) != ctx.id
+                    || label.sp.parent_id.is_some()
                 {
                     return false;
                 }
@@ -324,14 +327,16 @@ impl CoreVerifier {
             }
         }
         // NumK: subtree aggregation (a sum that overflows alarms)
-        if children.subtree_sum.and_then(|sum| sum.checked_add(1)) != Some(label.subtree_count) {
+        if children.subtree_sum.and_then(|sum| sum.checked_add(1))
+            != Some(u64::from(label.subtree_count))
+        {
             return false;
         }
         if parent.is_none() && label.subtree_count != label.n_claim {
             return false;
         }
         // strings legality (RS / EPS conditions)
-        let log_n = ceil_log2(label.n_claim);
+        let log_n = ceil_log2(u64::from(label.n_claim));
         let view = StringNeighborhood {
             own: &label.strings,
             parent: parent.map(|p| &p.label.strings),
@@ -371,7 +376,7 @@ impl CoreVerifier {
                     }
                 }
             }
-            if mine.diameter_bound > 6 * log_n + 6 {
+            if u32::from(mine.diameter_bound) > 6 * log_n + 6 {
                 return false;
             }
             if u32::from(mine.piece_count) > 2 * (log_n + 2) {
@@ -409,9 +414,9 @@ impl CoreVerifier {
             return false;
         }
         neighbors.iter().any(|s| {
-            s.compare
-                .want_cmp
-                .is_some_and(|(id, lev)| id == ctx.id && shown.contains(&Some(lev)))
+            s.compare.want_cmp.is_some_and(|(id, lev)| {
+                u64::from(id) == ctx.id && shown.contains(&Some(u32::from(lev)))
+            })
         })
     }
 
@@ -590,7 +595,7 @@ impl CoreVerifier {
                 // is the piece's fragment
                 piece.level() >= u32::from(label.top_min_level)
             }
-            _ => piece.root_id() == label.sp.own_id,
+            _ => piece.root_id() == u64::from(label.sp.own_id),
         }
     }
 
@@ -666,8 +671,10 @@ impl CoreVerifier {
                 advanced = true;
                 continue;
             }
-            // not shown: file a Want and count the neighbour's cycles
-            cmp.want_cmp = Some((u.label.sp.own_id, level));
+            // not shown: file a Want and count the neighbour's cycles (a
+            // level is a bit of the 64-bit `present` mask, so it fits the
+            // byte)
+            cmp.want_cmp = Some((u.label.sp.own_id, level as u8));
             let cur = [u.trains[0].want, u.trains[1].want];
             for (t, &c) in cur.iter().enumerate() {
                 if c < cmp.watched_prev[t] {
@@ -787,7 +794,7 @@ impl CoreVerifier {
         let j = level as usize;
         match own.label.strings.endp(j) {
             EndpSym::Up => self.parent_port(ctx.node) == Some(port),
-            EndpSym::Down => u.label.sp.parent_id == Some(ctx.id) && u.label.strings.parent_bit(j),
+            EndpSym::Down => u.label.sp.has_parent(ctx.id) && u.label.strings.parent_bit(j),
             _ => false,
         }
     }
@@ -1017,29 +1024,82 @@ mod tests {
         }
     }
 
-    /// Registers no marker writes, whose sums overflow: a neighbour's NumK
-    /// count or the parent's SP distance at `u64::MAX`. A round runs, in a
-    /// debug build (where unchecked sums panic) and in a release build
-    /// (where they wrap), and alarms.
+    /// Every narrowed register field at 0 and at its width's maximum, written
+    /// into every register. Rounds run in a debug build (where an unchecked
+    /// sum panics) and in a release build (where it wraps) without
+    /// panicking, and a label that no longer holds what the marker wrote
+    /// alarms: a structural field in the first round, a piece level within
+    /// 64 (the rounds its train takes to show it, a part's diameter, with
+    /// room to spare). `want_cmp` and `last_key` are
+    /// train state, which the trains recover from at any value: they only
+    /// must not panic.
     #[test]
     fn overflowing_registers_alarm_instead_of_panicking() {
+        // `x` is 0 or `u64::MAX`; `as` keeps a field's width of it, so the
+        // latter writes the field's maximum
+        type Write = fn(&mut CoreState, u64);
+        fn each_part(s: &mut CoreState, f: impl Fn(&mut PartLabel)) {
+            f(&mut s.label.top_part);
+            f(&mut s.label.bottom_part);
+        }
         let (inst, verifier) = setup(40, 100, 4);
-        for (count, dist) in [(true, false), (false, true), (true, true)] {
-            let mut runner = SyncRunner::new(&verifier, verifier.network());
-            for v in inst.graph.nodes() {
-                let label = &mut runner.network_mut().state_mut(v).label;
-                if count {
-                    label.subtree_count = u64::MAX;
+        let fields: [(&str, Option<usize>, Write); 11] = [
+            ("sp.root_id", Some(1), |s, x| s.label.sp.root_id = x as u32),
+            ("sp.dist", Some(1), |s, x| s.label.sp.dist = x as u32),
+            ("sp.own_id", Some(1), |s, x| s.label.sp.own_id = x as u32),
+            ("sp.parent_id", Some(1), |s, x| {
+                s.label.sp.parent_id = Some(x as u32)
+            }),
+            ("n_claim", Some(1), |s, x| s.label.n_claim = x as u32),
+            ("subtree_count", Some(1), |s, x| {
+                s.label.subtree_count = x as u32
+            }),
+            ("depth_in_part", Some(1), |s, x| {
+                each_part(s, |p| p.depth_in_part = x as u8)
+            }),
+            ("diameter_bound", Some(1), |s, x| {
+                each_part(s, |p| p.diameter_bound = x as u8)
+            }),
+            ("piece level", Some(64), |s, x| {
+                each_part(s, |p| {
+                    for cell in p.stored.iter_mut().flatten() {
+                        let level = u32::from(x as u8);
+                        cell.set_piece(PieceInfo {
+                            level,
+                            ..cell.piece()
+                        });
+                    }
+                })
+            }),
+            ("want_cmp", None, |s, x| {
+                s.compare.want_cmp = Some((x as u32, x as u8))
+            }),
+            ("last_key", None, |s, x| {
+                for t in &mut s.trains {
+                    t.last_key = Some((x as u8, x as u32));
                 }
-                if dist {
-                    label.sp.dist = u64::MAX;
+            }),
+        ];
+        for (field, alarm_within, write) in fields {
+            for x in [0, u64::MAX] {
+                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                let mut illegal = false;
+                for v in inst.graph.nodes() {
+                    let state = runner.network_mut().state_mut(v);
+                    let label = state.label;
+                    write(state, x);
+                    illegal |= state.label != label;
                 }
+                let rounds = alarm_within.filter(|_| illegal).unwrap_or(1);
+                let alarmed = (0..rounds).any(|_| {
+                    runner.run_rounds(1);
+                    !runner.network().alarming_nodes(&verifier).is_empty()
+                });
+                assert!(
+                    alarmed || !illegal || alarm_within.is_none(),
+                    "{field} at {x:#x} raised no alarm in {rounds} round(s)"
+                );
             }
-            runner.run_rounds(1);
-            assert!(
-                !runner.network().alarming_nodes(&verifier).is_empty(),
-                "subtree_count at u64::MAX: {count}, sp.dist at u64::MAX: {dist}"
-            );
         }
     }
 

@@ -280,7 +280,7 @@ fn labels_sixteen_thousand_nodes_and_the_verifier_accepts() {
     let (labels, report, (outcome, parts)) = Marker.label_with_internals(&instance).unwrap();
 
     let log_n = (n as f64).log2();
-    assert!(labels.iter().all(|l| l.n_claim == n as u64));
+    assert!(labels.iter().all(|l| u64::from(l.n_claim) == n as u64));
     assert!(report.hierarchy_height <= log_n.ceil() as u32 + 1);
     assert_eq!(report.hierarchy_height, outcome.hierarchy.height());
     for part in parts.top_parts.iter().chain(&parts.bottom_parts) {

@@ -11,7 +11,7 @@
 //! at one and two threads; all three must produce the same constants.
 
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::labels::{PartLabel, PieceInfo};
+use smst_core::labels::{CoreLabel, PartLabel, PieceInfo};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
 use smst_core::verifier::{CompareState, CoreState, TrainState};
 use smst_core::{CoreVerifier, Marker};
@@ -19,7 +19,7 @@ use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
-use smst_labeling::Instance;
+use smst_labeling::{Instance, SpLabel};
 use smst_rng::{Rng, SeedableRng, StdRng};
 use smst_sim::Verdict;
 
@@ -219,12 +219,13 @@ fn fold_train(f: &mut Fold, t: &TrainState) {
 
 fn fold_state(f: &mut Fold, s: &CoreState) {
     let l = &s.label;
-    f.u(l.sp.root_id);
-    f.u(l.sp.dist);
-    f.u(l.sp.own_id);
-    f.opt(l.sp.parent_id);
-    f.u(l.n_claim);
-    f.u(l.subtree_count);
+    let sp = sp(l);
+    f.u(sp.root_id);
+    f.u(sp.dist);
+    f.u(sp.own_id);
+    f.opt(sp.parent_id);
+    f.u(n_claim(l));
+    f.u(subtree_count(l));
     fold_strings(f, &l.strings);
     f.u(u64::from(l.top_min_level));
     fold_part(f, &l.top_part);
@@ -263,6 +264,18 @@ fn fold_state(f: &mut Fold, s: &CoreState) {
 }
 
 // ----- layout-specific accessors (the only part a layout change edits) ------
+
+fn sp(l: &CoreLabel) -> SpLabel {
+    l.sp.label()
+}
+
+fn n_claim(l: &CoreLabel) -> u64 {
+    u64::from(l.n_claim)
+}
+
+fn subtree_count(l: &CoreLabel) -> u64 {
+    u64::from(l.subtree_count)
+}
 
 fn root(s: &NodeStrings, j: usize) -> RootSym {
     s.root(j)
@@ -306,7 +319,7 @@ fn down(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
 
 fn last_key(t: &TrainState) -> Option<(u32, u64)> {
     t.last_key
-        .map(|(level, root_id)| (level, u64::from(root_id)))
+        .map(|(level, root_id)| (u32::from(level), u64::from(root_id)))
 }
 
 fn ask(c: &CompareState) -> Option<PieceInfo> {
@@ -315,4 +328,5 @@ fn ask(c: &CompareState) -> Option<PieceInfo> {
 
 fn want_cmp(c: &CompareState) -> Option<(u64, u32)> {
     c.want_cmp
+        .map(|(id, level)| (u64::from(id), u32::from(level)))
 }

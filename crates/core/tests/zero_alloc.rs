@@ -10,7 +10,10 @@
 //! building the graph allocates per table, not per node; cloning it only
 //! bumps a reference count; rooting the MST allocates a constant number of
 //! times (its tables are flat arrays); and the marker allocates per fragment
-//! and per part, well below one allocation per node and level. This file
+//! and per part, well below one allocation per node and level. The
+//! sequential asynchronous oracle (`sim::AsyncRunner`, one
+//! `Network::activate` per activation) allocates its daemon's schedule per
+//! time unit and nothing per activation. This file
 //! holds exactly one test: the counter is process-wide, and a concurrently
 //! running test would be counted too.
 
@@ -24,9 +27,9 @@ use smst_engine::programs::MinIdFlood;
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
-use smst_graph::NodeId;
+use smst_graph::{NodeId, WeightedGraph};
 use smst_labeling::Instance;
-use smst_sim::{Daemon, NodeProgram};
+use smst_sim::{AsyncRunner, Daemon, Network, NodeProgram};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,6 +98,21 @@ where
     count
 }
 
+/// Allocations made by 8 warmed-up time units of the sequential
+/// asynchronous oracle running `program` under `daemon`.
+fn allocations_in_eight_units<P: NodeProgram>(
+    program: &P,
+    graph: &WeightedGraph,
+    daemon: Daemon,
+) -> u64 {
+    let mut oracle = AsyncRunner::new(program, Network::new(program, graph.clone()), daemon);
+    // warm-up: the neighbour buffer grown to the largest degree
+    oracle.run_time_units(2);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    oracle.run_time_units(8);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 /// Allocations made by `f`, and what it returned.
 fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -161,6 +179,29 @@ fn verifier_rounds_allocate_no_more_than_a_flood() {
         assert_eq!(
             verify, flood,
             "{threads} thread(s), async: the engine alone allocates {flood} times in 8 units"
+        );
+    }
+    // 8 units × 512 activations: a `Vec` per activation adds 4 096 here; the
+    // schedules cost 8 (round robin) and ≈ 400 (random)
+    for (daemon, schedules) in [
+        (Daemon::RoundRobin, 8),
+        (
+            Daemon::Random {
+                seed: 9,
+                extra_factor: 1,
+            },
+            8 * 64,
+        ),
+    ] {
+        let flood = allocations_in_eight_units(&MinIdFlood::new(0), &inst.graph, daemon.clone());
+        let verify = allocations_in_eight_units(&verifier, &inst.graph, daemon.clone());
+        assert_eq!(
+            verify, flood,
+            "{daemon:?}: the oracle alone allocates {flood} times"
+        );
+        assert!(
+            flood <= schedules,
+            "{daemon:?}: {flood} allocations in 8 units"
         );
     }
 }

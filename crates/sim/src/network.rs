@@ -14,6 +14,20 @@ pub struct Network<P: NodeProgram> {
     graph: WeightedGraph,
     contexts: Vec<NodeContext>,
     states: Vec<P::State>,
+    /// The allocation [`Self::activate`] gathers neighbour registers in,
+    /// kept empty between activations.
+    spare: Vec<usize>,
+}
+
+/// `v` emptied and retyped on its own allocation: `collect` of a
+/// `vec::IntoIter` into elements of the same size and alignment reuses the
+/// buffer. That lets one allocation carry references of a new lifetime on
+/// every call (`crates/core/tests/zero_alloc.rs` counts that it does).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 impl<P: NodeProgram> Network<P> {
@@ -29,6 +43,7 @@ impl<P: NodeProgram> Network<P> {
             graph,
             contexts,
             states,
+            spare: Vec::new(),
         }
     }
 
@@ -52,6 +67,7 @@ impl<P: NodeProgram> Network<P> {
             graph,
             contexts,
             states,
+            spare: Vec::new(),
         }
     }
 
@@ -107,18 +123,18 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Performs one atomic activation of node `v`: reads the neighbours'
-    /// registers and rewrites `v`'s register. Returns `true` if the register
-    /// changed (assuming `PartialEq` is not required, change detection is by
-    /// the caller; this method always writes).
+    /// registers, in port order, and rewrites `v`'s register (always; change
+    /// detection is the caller's). Once the network has activated a node of
+    /// the largest degree, an activation allocates nothing.
     pub fn activate(&mut self, program: &P, v: NodeId) {
-        let ctx = &self.contexts[v.index()];
-        let neighbor_states: Vec<&P::State> = self
-            .graph
-            .incident_edges(v)
-            .iter()
-            .map(|&e| &self.states[self.graph.edge(e).other(v).index()])
-            .collect();
-        let next = program.step(ctx, &self.states[v.index()], &neighbor_states);
+        let mut neighbor_states: Vec<&P::State> = recycle(std::mem::take(&mut self.spare));
+        neighbor_states.extend(self.graph.neighbors(v).map(|u| &self.states[u.index()]));
+        let next = program.step(
+            &self.contexts[v.index()],
+            &self.states[v.index()],
+            &neighbor_states,
+        );
+        self.spare = recycle(neighbor_states);
         self.states[v.index()] = next;
     }
 

@@ -6,7 +6,9 @@
 //! resident set so far (`VmHWM` from `/proc/self/status`; `n/a` where that
 //! file does not exist), so the memory each layer adds can be read off the
 //! output: the graph, the tree, the labels, the verifier and the engine's
-//! two register buffers.
+//! two register buffers. Then it sets the bytes a node holds — its register
+//! and the verifier's copy of its label — beside the bits the paper charges
+//! the register (`bits_per_node_max`, the widest node's `state_bits`).
 //!
 //! Run with: `cargo run --release --example verifier_pipeline`
 //! (release mode matters: a debug verifier round is ~50x slower).
@@ -18,13 +20,14 @@
 )]
 
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::{Marker, MstVerificationScheme};
+use smst_core::{CoreLabel, CoreState, Marker, MstVerificationScheme};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
 use smst_labeling::Instance;
-use smst_sim::FaultPlan;
+use smst_sim::{FaultPlan, NodeProgram};
+use std::mem::size_of;
 use std::time::Instant;
 
 const SEED: u64 = 7;
@@ -87,6 +90,12 @@ fn main() {
         !runner.any_alarm(),
         "a correct instance must not raise alarms"
     );
+    let bits_max = (0..n)
+        .map(|v| verifier.state_bits(&runner.context(NodeId(v)), runner.state(NodeId(v))))
+        .max()
+        .unwrap_or(0);
+    let (register, label) = (size_of::<CoreState>(), size_of::<CoreLabel>());
+    let charged = bits_max as f64 / 8.0;
 
     let victim = NodeId(n / 2);
     let budget = MstVerificationScheme::sync_budget(n);
@@ -100,5 +109,12 @@ fn main() {
     println!(
         "first alarm {rounds} round(s) after the fault, at {:?}",
         runner.alarming_nodes()
+    );
+    println!(
+        "held per node: {register} B register + {label} B label copy = {} B; charged: \
+         bits_per_node_max {bits_max} / 8 = {charged:.1} B; register {:.1}x, held {:.1}x the charge",
+        register + label,
+        register as f64 / charged,
+        (register + label) as f64 / charged,
     );
 }

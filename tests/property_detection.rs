@@ -78,7 +78,7 @@ proptest! {
         // structurally checkable field, so detection is near-immediate and
         // the property exercises the fast path of the verifier)
         let victim = victim % n;
-        labels[victim].sp.dist = labels[victim].sp.dist.wrapping_add(delta);
+        labels[victim].sp.dist = labels[victim].sp.dist.wrapping_add(delta as u32);
 
         let budget = budget(n);
         let seq = rounds_until_rejection(&bad, labels.clone(), budget);
