@@ -4,7 +4,10 @@
 //! `golden/trials.txt` was recorded at the commit *before* the four
 //! copies of that protocol became one driver
 //! (`smst_engine::run_fault_experiment`) and is never edited to make a
-//! test pass. 60 trial rows, `TrialSpec::id() -> steps_run,
+//! test pass. It was recorded again once, when §6.2's pieces moved to one
+//! placement across both partitions: the eight stored-piece rows changed
+//! their latencies (which node holds the corrupted piece moved), every
+//! detection stayed a detection. 60 trial rows, `TrialSpec::id() -> steps_run,
 //! injected_faults, detection, recovered`: {Monitor far from the monitor
 //! node, Monitor *on* the monitor node, Heal, Verifier with a slow
 //! stored-piece fault, Verifier with a one-round fault kind} ×

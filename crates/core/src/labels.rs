@@ -265,8 +265,10 @@ pub struct PartLabel {
     pub diameter_bound: u8,
     /// The number of piece slots circulating in the part.
     pub piece_count: u8,
-    /// The pieces stored permanently at this node (§6.2 places at most two),
-    /// filled from the front.
+    /// The pieces stored permanently at this node for this part, filled from
+    /// the front. §6.2 places at most two per part, and the placement spreads
+    /// them across the node's two parts so that it stores at most two in
+    /// total wherever such a placement exists (`partition::place_pieces`).
     pub stored: [Option<StoredPiece>; 2],
 }
 

@@ -15,8 +15,8 @@
 //!   that represent the hierarchy and candidate function distributively, and
 //!   their local legality conditions RS0–RS5 and EPS0–EPS5.
 //! * [`partition`] — §6: top/bottom fragments, the red/blue/large colouring,
-//!   the `Top` and `Bottom` partitions, and the DFS placement of the pieces
-//!   of information `I(F)` on the nodes of each part.
+//!   the `Top` and `Bottom` partitions, and the placement of the pieces of
+//!   information `I(F)` on the nodes of each part, both partitions at once.
 //! * [`labels`] — the complete `O(log n)`-bit node label and its bit
 //!   accounting.
 //! * [`marker`] — §5.4 / §6.3: the marker algorithm assigning the labels,

@@ -8,7 +8,8 @@
 //!    active fragments and the candidate function `χ_M` (§5.1);
 //! 2. derives the `Roots`/`EndP`/`Parents`/`Or-EndP` strings (§5.2–§5.3);
 //! 3. builds the `Top`/`Bottom` partitions and places the pieces `I(F)` on
-//!    the parts' nodes in DFS order (§6);
+//!    the parts' nodes (§6), at most two per node and part, and two in total
+//!    wherever such a placement exists;
 //! 4. emits one [`CoreLabel`] per node.
 //!
 //! In the paper the label assignment is piggybacked on the construction's
@@ -61,6 +62,11 @@ pub struct ConstructionReport {
     pub hierarchy_height: u32,
     /// Memory bits per node used during construction and marking.
     pub memory_bits_per_node: u64,
+    /// The most pieces `I(F)` one node stores, over both of its parts: at
+    /// most two per part, so never above 4, and 2 wherever a placement of two
+    /// per node exists (the benchmark's instances; 3 at one node of the
+    /// 10⁶-node pipeline).
+    pub max_stored_pieces: u32,
 }
 
 impl ConstructionReport {
@@ -187,7 +193,17 @@ fn assemble(g: &WeightedGraph, tree: &RootedTree, outcome: SyncMstOutcome) -> La
         marker_rounds: 6 * n as u64 + 4 * (outcome.phases as u64 + 1),
         hierarchy_height: outcome.hierarchy.height(),
         memory_bits_per_node: outcome.memory_bits_per_node,
+        max_stored_pieces: (labels.iter())
+            .map(|l| {
+                (l.top_part.stored_pieces().count() + l.bottom_part.stored_pieces().count()) as u32
+            })
+            .max()
+            .unwrap_or(0),
     };
+    assert!(
+        report.max_stored_pieces <= 4,
+        "§6.2 stores at most two pieces per node and part"
+    );
     (labels, report, (outcome, partitions))
 }
 
@@ -197,9 +213,9 @@ fn assemble(g: &WeightedGraph, tree: &RootedTree, outcome: SyncMstOutcome) -> La
 ///
 /// # Panics
 ///
-/// Panics if a node holds more than two pieces, which §6.2's placement
-/// never does, or if a part's diameter exceeds 255 hops, which a partition
-/// of fewer than 2³² nodes never does (its diameters are at most
+/// Panics if a node holds more than two pieces of one part, which §6.2's
+/// placement never does, or if a part's diameter exceeds 255 hops, which a
+/// partition of fewer than 2³² nodes never does (its diameters are at most
 /// `6·log n + 4 ≤ 196`).
 fn write_parts(
     g: &WeightedGraph,
@@ -254,6 +270,22 @@ mod tests {
         assert_eq!(labels.len(), 30);
         assert!(report.total_rounds() > 0);
         assert!(report.hierarchy_height <= 6);
+    }
+
+    #[test]
+    fn the_report_counts_the_widest_nodes_pieces() {
+        for (n, seed) in [(1usize, 0u64), (40, 1), (300, 2), (1000, 3)] {
+            let inst = mst_instance(n, 3 * n, seed);
+            let (_, report, (_, parts)) = Marker.label_with_internals(&inst).unwrap();
+            let mut held = vec![0; n];
+            for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
+                for &v in &part.holders {
+                    held[v.index()] += 1;
+                }
+            }
+            assert_eq!(Some(&report.max_stored_pieces), held.iter().max(), "n={n}");
+            assert!(report.max_stored_pieces <= 2, "n={n}");
+        }
     }
 
     /// Regression: SYNC_MST used to keep its fragments in `HashMap`s and

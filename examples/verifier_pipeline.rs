@@ -6,9 +6,12 @@
 //! resident set so far (`VmHWM` from `/proc/self/status`; `n/a` where that
 //! file does not exist), so the memory each layer adds can be read off the
 //! output: the graph, the tree, the labels, the verifier and the engine's
-//! two register buffers. Then it sets the bytes a node holds — its register
-//! and the verifier's copy of its label — beside the bits the paper charges
-//! the register (`bits_per_node_max`, the widest node's `state_bits`).
+//! two register buffers. Then it prints the bits the paper charges the
+//! widest register (`bits_per_node_max`, the widest node's `state_bits`)
+//! beside the most pieces one node stores
+//! (`ConstructionReport::max_stored_pieces`), and sets the bytes a node
+//! holds — its register and the verifier's copy of its label — beside those
+//! bits.
 //!
 //! Run with: `cargo run --release --example verifier_pipeline`
 //! (release mode matters: a debug verifier round is ~50x slower).
@@ -71,7 +74,7 @@ fn main() {
     });
     let inst = stage("Instance::from_tree", || Instance::from_tree(graph, &tree));
     drop(tree);
-    let (labels, _) = stage("Marker::label", || {
+    let (labels, report) = stage("Marker::label", || {
         Marker.label(&inst).expect("the MST is a correct instance")
     });
     let verifier = stage("MstVerificationScheme::verifier", || {
@@ -109,6 +112,10 @@ fn main() {
     println!(
         "first alarm {rounds} round(s) after the fault, at {:?}",
         runner.alarming_nodes()
+    );
+    println!(
+        "widest register: bits_per_node_max {bits_max}; most pieces I(F) one node stores: {}",
+        report.max_stored_pieces
     );
     println!(
         "held per node: {register} B register + {label} B label copy = {} B; charged: \
