@@ -99,7 +99,7 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
         FaultKind::TrainBuffers => {
             for t in &mut state.trains {
                 t.want = rng.gen();
-                t.done = None;
+                t.done = false;
                 t.up = None;
                 t.down = None;
             }

@@ -53,19 +53,20 @@ pub struct TrainState {
     /// The piece climbing up (§7.1 convergecast direction).
     pub up: Option<UpItem>,
     /// The piece flooding down (§7.1 broadcast direction), a.k.a. `Show`.
+    /// At the part root it also serves §8's cyclic-order check: it still
+    /// holds the previous slot's piece when the next one replaces it.
     pub down: Option<DownItem>,
-    /// `Some(slot)` once this node's whole part-subtree holds the slot's
-    /// piece — the acknowledgement that paces the root.
-    pub done: Option<u8>,
+    /// Set once this node's whole part-subtree holds the piece of slot
+    /// `want` — the acknowledgement that paces the root. It acknowledges
+    /// no other slot, so the slot is not stored with it.
+    pub done: bool,
     /// How long the node has delayed replacing its `down` buffer because a
     /// neighbour `Want`s the currently shown piece.
     pub delay: u8,
     /// Cycle boundaries (slot counter wrap-arounds) observed since the last
-    /// completeness check.
+    /// completeness check, saturating at `COMPLETENESS_WRAPS` (2), the only
+    /// value it is tested against.
     pub wraps: u8,
-    /// The key of the last piece completed at the root (cyclic-order check,
-    /// [`PieceCell::order_key`]).
-    pub last_key: Option<(u8, u32)>,
 }
 
 impl TrainState {
@@ -74,10 +75,9 @@ impl TrainState {
             want: 0,
             up: None,
             down: None,
-            done: None,
+            done: false,
             delay: 0,
             wraps: 0,
-            last_key: None,
         }
     }
 
@@ -104,7 +104,9 @@ pub struct CompareState {
     /// The last observed slot counters of the watched neighbour's two trains
     /// (used to count that neighbour's cycle boundaries).
     pub watched_prev: [u8; 2],
-    /// Cycle boundaries observed on the watched neighbour's trains.
+    /// Cycle boundaries observed on the watched neighbour's trains,
+    /// saturating at `MAX_WATCH_WRAPS` (3), the only value they are tested
+    /// against.
     pub watched_wraps: [u8; 2],
 }
 
@@ -143,11 +145,11 @@ pub struct CoreState {
 // Layout tripwires: the register stays `Copy`; identities, weights, the SP
 // distance and the node counts sit in 32-bit fields, and levels, depths and
 // diameters in bytes (see `crate::labels`), so the label is 184 bytes and
-// the register 360 — `peak_rss_mb` follows these numbers.
+// the register 328 — `peak_rss_mb` follows these numbers.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<CoreState>();
-    assert!(std::mem::size_of::<CoreState>() <= 360);
+    assert!(std::mem::size_of::<CoreState>() <= 328);
     assert!(std::mem::size_of::<CoreLabel>() <= 184);
 };
 
@@ -200,7 +202,7 @@ impl Children {
                 if kids.up[which].is_none() {
                     kids.up[which] = train.up.filter(|u| u.slot() == want);
                 }
-                kids.done[which] &= train.done == Some(want);
+                kids.done[which] &= train.done && train.want == want;
             }
         }
         kids
@@ -432,10 +434,6 @@ impl CoreVerifier {
     /// First half of a train step: decides the slot the train circulates
     /// this activation (`None` if the part has no pieces) and updates the
     /// registers that pace it.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a train half-step reads a part's view of the node and its tree neighbours"
-    )]
     fn step_train_slot(
         &self,
         which: usize,
@@ -444,7 +442,6 @@ impl CoreVerifier {
         parent: Option<&CoreState>,
         next: &mut CoreState,
         wants_hold: bool,
-        alarm: &mut bool,
     ) -> Option<u8> {
         let part = part_of(own, which);
         let k = part.piece_count;
@@ -459,23 +456,12 @@ impl CoreVerifier {
         let want = if i_am_root {
             let mut w = if train.want >= k { 0 } else { train.want };
             // advance once the whole part acknowledged and no neighbour holds us
-            let done_here = train.done == Some(w);
+            let done_here = train.done && train.want == w;
             let held = wants_hold && train.delay < DELAY_MAX;
             if done_here && !held {
-                // cyclic-order check of §8: the completed piece's key must
-                // strictly increase within a cycle
-                if let Some(d) = &train.down {
-                    let key = d.order_key();
-                    if let Some(last) = train.last_key {
-                        if w != 0 && key <= last {
-                            *alarm = true;
-                        }
-                    }
-                    out.last_key = Some(key);
-                }
                 w = (w + 1) % k;
                 if w == 0 {
-                    wraps = wraps.saturating_add(1);
+                    wraps = count_wrap(wraps);
                 }
             }
             out.delay = if done_here && held {
@@ -488,15 +474,12 @@ impl CoreVerifier {
             let w = Self::part_parent(own, parent, which).map_or(0, |p| p.trains[which].want);
             let w = if w >= k { 0 } else { w };
             if w < train.want {
-                wraps = wraps.saturating_add(1);
+                wraps = count_wrap(wraps);
             }
             w
         };
         out.want = want;
         out.wraps = wraps;
-        if i_am_root && want == 0 && want != train.want {
-            out.last_key = None;
-        }
         Some(want)
     }
 
@@ -552,6 +535,15 @@ impl CoreVerifier {
                 } else {
                     if !i_am_root {
                         out.delay = 0;
+                    } else if let Some(old) =
+                        train.down.filter(|d| want != 0 && d.slot() == want - 1)
+                    {
+                        // cyclic-order check of §8: within a cycle each
+                        // slot's piece has a strictly larger key than the
+                        // previous slot's, which the root still shows
+                        if new.order_key() <= old.order_key() {
+                            *alarm = true;
+                        }
                     }
                     Some(new)
                 }
@@ -561,7 +553,7 @@ impl CoreVerifier {
 
         // 4. the acknowledgement
         let have = out.down.is_some_and(|d| d.slot() == want);
-        out.done = (have && children.done[which]).then_some(want);
+        out.done = have && children.done[which];
 
         // 5. checks on the member piece currently shown (§8, Claim 8.3)
         if let Some(d) = out.down.filter(|d| d.member()) {
@@ -678,7 +670,8 @@ impl CoreVerifier {
             let cur = [u.trains[0].want, u.trains[1].want];
             for (t, &c) in cur.iter().enumerate() {
                 if c < cmp.watched_prev[t] {
-                    cmp.watched_wraps[t] = cmp.watched_wraps[t].saturating_add(1);
+                    cmp.watched_wraps[t] =
+                        cmp.watched_wraps[t].saturating_add(1).min(MAX_WATCH_WRAPS);
                 }
             }
             cmp.watched_prev = cur;
@@ -809,6 +802,12 @@ const MAX_WATCH_WRAPS: u8 = 3;
 /// Cycles of both own trains after which the completeness check fires.
 const COMPLETENESS_WRAPS: u8 = 2;
 
+/// A train's cycle counter after one more wrap-around: it saturates at the
+/// threshold it is tested against, whatever value a fault left in it.
+fn count_wrap(wraps: u8) -> u8 {
+    wraps.saturating_add(1).min(COMPLETENESS_WRAPS)
+}
+
 fn part_of(s: &CoreState, which: usize) -> &PartLabel {
     if which == TRAIN_TOP {
         &s.label.top_part
@@ -848,9 +847,8 @@ impl NodeProgram for CoreVerifier {
         // the slot each train circulates, then the one pass over the tree
         // children that everything below shares
         let wants_hold = self.neighbor_wants_shown(ctx, own, neighbors);
-        let wanted = [TRAIN_TOP, TRAIN_BOTTOM].map(|which| {
-            self.step_train_slot(which, ctx, own, parent, &mut next, wants_hold, &mut alarm)
-        });
+        let wanted = [TRAIN_TOP, TRAIN_BOTTOM]
+            .map(|which| self.step_train_slot(which, ctx, own, parent, &mut next, wants_hold));
         let children = Children::gather(ctx, own, neighbors, wanted);
 
         // 1. structural 1-round checks
@@ -897,11 +895,10 @@ impl NodeProgram for CoreVerifier {
         let max_w = g.max_weight().unwrap_or(1);
         let n = g.node_count();
         let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
-        let train_bits = 2 * (8 + 9 + 8 + 8 + (8 + piece_bits) + (9 + piece_bits) + 48);
-        let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 16;
+        let train_bits: u64 = state.trains.iter().map(|t| train_bits(t, piece_bits)).sum();
         state.label.bits(max_id, max_w, n)
             + train_bits
-            + compare_bits
+            + compare_bits(&state.compare, piece_bits)
             + state.label.strings.len() as u64 // seen_levels bitmask
             + 2
     }
@@ -909,6 +906,47 @@ impl NodeProgram for CoreVerifier {
     fn name(&self) -> &str {
         "core-mst-verifier"
     }
+}
+
+/// The bits charged for one train, one term per field. The pattern names
+/// every field, so a field added to or removed from [`TrainState`] does not
+/// compile until its charge moves with it.
+fn train_bits(train: &TrainState, piece_bits: u64) -> u64 {
+    let TrainState {
+        want: _,
+        up: _,
+        down: _,
+        done: _,
+        delay: _,
+        wraps: _,
+    } = train;
+    let want = 8; // a slot
+    let up = 8 + piece_bits; // slot + piece
+    let down = 9 + piece_bits; // slot + piece + §7.1's membership flag
+    let done = 1; // the ack of slot `want`
+    let delay = 8; // 0..=DELAY_MAX
+    let wraps = 2; // 0..=COMPLETENESS_WRAPS
+    want + up + down + done + delay + wraps
+}
+
+/// The bits charged for the comparison machinery, one term per field, under
+/// the same exhaustive pattern as [`train_bits`].
+fn compare_bits(compare: &CompareState, piece_bits: u64) -> u64 {
+    let CompareState {
+        level_idx: _,
+        ask: _,
+        neighbor_ptr: _,
+        want_cmp: _,
+        watched_prev: _,
+        watched_wraps: _,
+    } = compare;
+    let level_idx = 8; // an index into the node's levels
+    let ask = piece_bits; // the piece of the level being compared
+    let neighbor_ptr = 16; // a port
+    let want_cmp = 64 + 32; // neighbour identity + level
+    let watched_prev = 2 * 8; // a slot per train
+    let watched_wraps = 2 * 2; // 0..=MAX_WATCH_WRAPS per train
+    level_idx + ask + neighbor_ptr + want_cmp + watched_prev + watched_wraps
 }
 
 /// [`CoreVerifier::state_bits`] as it was while it found the graph maxima
@@ -924,8 +962,8 @@ mod reference {
         let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
         let n = g.node_count();
         let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
-        let train_bits = 2 * (8 + 9 + 8 + 8 + (8 + piece_bits) + (9 + piece_bits) + 48);
-        let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 16;
+        let train_bits = 2 * (8 + 1 + 8 + 2 + (8 + piece_bits) + (9 + piece_bits));
+        let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 4;
         state.label.bits(max_id, max_w, n)
             + train_bits
             + compare_bits
@@ -1030,9 +1068,9 @@ mod tests {
     /// panicking, and a label that no longer holds what the marker wrote
     /// alarms: a structural field in the first round, a piece level within
     /// 64 (the rounds its train takes to show it, a part's diameter, with
-    /// room to spare). `want_cmp` and `last_key` are
-    /// train state, which the trains recover from at any value: they only
-    /// must not panic.
+    /// room to spare). `want_cmp`, the `down` buffers, the ack and the cycle
+    /// counters are train and comparison state, which the verifier recovers
+    /// from at any value: they only must not panic.
     #[test]
     fn overflowing_registers_alarm_instead_of_panicking() {
         // `x` is 0 or `u64::MAX`; `as` keeps a field's width of it, so the
@@ -1043,7 +1081,7 @@ mod tests {
             f(&mut s.label.bottom_part);
         }
         let (inst, verifier) = setup(40, 100, 4);
-        let fields: [(&str, Option<usize>, Write); 11] = [
+        let fields: [(&str, Option<usize>, Write); 14] = [
             ("sp.root_id", Some(1), |s, x| s.label.sp.root_id = x as u32),
             ("sp.dist", Some(1), |s, x| s.label.sp.dist = x as u32),
             ("sp.own_id", Some(1), |s, x| s.label.sp.own_id = x as u32),
@@ -1074,10 +1112,28 @@ mod tests {
             ("want_cmp", None, |s, x| {
                 s.compare.want_cmp = Some((x as u32, x as u8))
             }),
-            ("last_key", None, |s, x| {
+            ("down", None, |s, x| {
+                let piece = PieceInfo {
+                    root_id: x & MAX_FIELD,
+                    level: u32::from(x as u8),
+                    min_out: None,
+                };
                 for t in &mut s.trains {
-                    t.last_key = Some((x as u8, x as u32));
+                    t.down = Some(PieceCell::new(x as u8, piece));
                 }
+            }),
+            ("done", None, |s, x| {
+                for t in &mut s.trains {
+                    t.done = x != 0;
+                }
+            }),
+            ("wraps", None, |s, x| {
+                for t in &mut s.trains {
+                    t.wraps = x as u8;
+                }
+            }),
+            ("watched_wraps", None, |s, x| {
+                s.compare.watched_wraps = [x as u8; 2]
             }),
         ];
         for (field, alarm_within, write) in fields {
@@ -1100,6 +1156,72 @@ mod tests {
                     "{field} at {x:#x} raised no alarm in {rounds} round(s)"
                 );
             }
+        }
+    }
+
+    /// §8's cyclic-order check: swapping the pieces of slots 1 and 2 of the
+    /// largest Top part breaks the order of its cycle, and the part root
+    /// alarms when slot 2's piece replaces slot 1's in its `down` buffer —
+    /// within 64 rounds (the piece climbs and the part acknowledges slots 0
+    /// and 1 first).
+    #[test]
+    fn pieces_out_of_cyclic_order_alarm_at_the_part_root() {
+        for seed in 0..5 {
+            let g = random_connected_graph(400, 1000, seed);
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let (mut labels, _) = Marker.label(&inst).unwrap();
+            let part = labels
+                .iter()
+                .map(|l| l.top_part)
+                .max_by_key(|p| p.piece_count)
+                .unwrap();
+            assert!(
+                part.piece_count >= 3,
+                "seed {seed}: the largest part has 3 pieces"
+            );
+            let cell = |labels: &[CoreLabel], slot: u8| {
+                labels
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.top_part.part_root_id == part.part_root_id)
+                    .find_map(|(v, l)| {
+                        let i = l
+                            .top_part
+                            .stored
+                            .iter()
+                            .position(|c| c.is_some_and(|c| c.slot() == slot))?;
+                        Some((v, i))
+                    })
+                    .expect("every slot of a part is stored in it")
+            };
+            let ((v1, i1), (v2, i2)) = (cell(&labels, 1), cell(&labels, 2));
+            let first = labels[v1].top_part.stored[i1].unwrap().piece();
+            let second = labels[v2].top_part.stored[i2].unwrap().piece();
+            labels[v1].top_part.stored[i1]
+                .as_mut()
+                .unwrap()
+                .set_piece(second);
+            labels[v2].top_part.stored[i2]
+                .as_mut()
+                .unwrap()
+                .set_piece(first);
+
+            let root = inst
+                .graph
+                .nodes()
+                .find(|&v| inst.graph.id(v) == u64::from(part.part_root_id))
+                .unwrap();
+            let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+            let mut runner = SyncRunner::new(&verifier, verifier.network());
+            let alarmed = (0..64).any(|_| {
+                runner.run_rounds(1);
+                runner.network().state(root).verdict == Verdict::Reject
+            });
+            assert!(
+                alarmed,
+                "seed {seed}: the part root raised no alarm in 64 rounds"
+            );
         }
     }
 

@@ -334,8 +334,10 @@ where
                             sweep(program, topo, contexts, registers, piece, &mut window);
                         });
                         drop(windows);
-                        for (&v, value) in nodes.iter().zip(out.iter_mut()) {
-                            std::mem::swap(&mut states[v as usize], value);
+                        // one register copy each; the `out` slots are
+                        // overwritten before they are next read
+                        for (&v, value) in nodes.iter().zip(out.iter()) {
+                            states[v as usize].clone_from(value);
                         }
                         *activations += len;
                         if let (Some(phases), Some(start)) = (phases, start) {
