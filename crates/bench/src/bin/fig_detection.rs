@@ -20,7 +20,10 @@ use smst_sim::{RecordingObserver, TeeObserver};
 use smst_telemetry::{RoundsArtifact, Telemetry};
 
 fn main() {
-    let sizes = fig_sizes(&[16, 24, 32, 48, 64]);
+    let sizes = fig_sizes(&[16, 24, 32, 48, 64]).unwrap_or_else(|err| {
+        eprintln!("fig_detection: {err}");
+        std::process::exit(2)
+    });
     let engine = EngineConfig::new()
         .threads(smst_engine::default_threads())
         .layout(LayoutPolicy::Rcm);

@@ -9,7 +9,12 @@ use smst_bench::engine_metrics::{engine_locality_sweep, fig_size_override};
 use smst_engine::{EngineConfig, LayoutPolicy};
 
 fn main() {
-    let n = fig_size_override().unwrap_or(64);
+    let n = fig_size_override()
+        .unwrap_or_else(|err| {
+            eprintln!("fig_locality: {err}");
+            std::process::exit(2)
+        })
+        .unwrap_or(64);
     let faults = [1usize, 2, 4, 8, 16];
     let engine = EngineConfig::new()
         .threads(smst_engine::default_threads())

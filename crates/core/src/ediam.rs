@@ -1,0 +1,87 @@
+//! Example EDIAM (§2.6): every node knows a bound on the diameter of its
+//! part, once per partition (`Top` and `Bottom`).
+//!
+//! The example has no scheme of its own: the bound is each `PartLabel`'s
+//! `diameter_bound`, and `CoreVerifier::structural_ok` checks it in every
+//! round — a non-root of a part holds its tree parent's bound, the bound is
+//! at least the node's depth in the part, and it is at most `6·log n + 6`.
+//! The tests below pin those checks at the first round.
+
+mod tests {
+    use crate::labels::{CoreLabel, PartLabel};
+    use crate::strings::ceil_log2;
+    use crate::verifier::tests::{alarms_in_one_round, marked};
+    use std::collections::BTreeMap;
+
+    /// The node's two parts, keyed by (is `Top`, part root).
+    fn parts_mut(l: &mut CoreLabel) -> [(bool, &mut PartLabel); 2] {
+        [(true, &mut l.top_part), (false, &mut l.bottom_part)]
+    }
+
+    /// Every part's height: the depth of its deepest node.
+    fn heights(labels: &[CoreLabel]) -> BTreeMap<(bool, u32), u8> {
+        let mut heights = BTreeMap::new();
+        for l in labels {
+            for (top, p) in [(true, &l.top_part), (false, &l.bottom_part)] {
+                let h = heights.entry((top, p.part_root_id)).or_insert(0);
+                *h = p.depth_in_part.max(*h);
+            }
+        }
+        heights
+    }
+
+    #[test]
+    fn exact_bound_accepted() {
+        let (inst, mut labels) = marked(20, 45, 1);
+        // the marker writes each part's diameter: twice its height
+        let heights = heights(&labels);
+        for l in &mut labels {
+            for (top, p) in parts_mut(l) {
+                assert_eq!(p.diameter_bound, 2 * heights[&(top, p.part_root_id)]);
+            }
+        }
+        assert!(!alarms_in_one_round(&inst, labels));
+    }
+
+    #[test]
+    fn slack_bound_accepted() {
+        let (inst, mut labels) = marked(20, 45, 2);
+        // the most slack the scheme allows: every part claims the cap
+        let cap = u8::try_from(6 * ceil_log2(inst.node_count() as u64) + 6).unwrap();
+        for l in &mut labels {
+            for (_, p) in parts_mut(l) {
+                assert!(p.diameter_bound < cap);
+                p.diameter_bound = cap;
+            }
+        }
+        assert!(!alarms_in_one_round(&inst, labels));
+    }
+
+    #[test]
+    fn too_small_bound_rejected() {
+        let (inst, mut labels) = marked(40, 100, 3);
+        let heights = heights(&labels);
+        assert!(
+            heights.values().any(|&h| h >= 1),
+            "some part has height ≥ 1"
+        );
+        for l in &mut labels {
+            for (top, p) in parts_mut(l) {
+                // consistent inside the part, but below its deepest node
+                p.diameter_bound = heights[&(top, p.part_root_id)].saturating_sub(1);
+            }
+        }
+        assert!(alarms_in_one_round(&inst, labels));
+    }
+
+    #[test]
+    fn inconsistent_bounds_rejected() {
+        let (inst, mut labels) = marked(14, 30, 4);
+        let v = labels
+            .iter()
+            .position(|l| l.top_part.depth_in_part >= 1)
+            .expect("some Top part is deeper than its root");
+        labels[v].top_part.diameter_bound += 1;
+        assert!(alarms_in_one_round(&inst, labels));
+    }
+}

@@ -41,6 +41,13 @@ pub mod strings;
 pub mod sync_mst;
 pub mod verifier;
 
+// Examples NumK and EDIAM (§2.6) are checked inline by the verifier; these
+// modules hold their tests.
+#[cfg(test)]
+mod ediam;
+#[cfg(test)]
+mod size;
+
 pub use labels::{CoreLabel, PieceInfo};
 pub use marker::{ConstructionReport, Marker};
 pub use scheme::MstVerificationScheme;

@@ -5,14 +5,13 @@
 //! configuration up, corrupt `f` registers, count rounds to the first
 //! alarm — is written once for every execution path in `smst-engine`
 //! (`run_fault_experiment`, reached for the verifier through
-//! `adapters::run_engine_fault_experiment`). [`run_sync_fault_experiment`]
+//! `smst_bench::engine_metrics::verifier_point`). [`run_sync_fault_experiment`]
 //! is the same protocol spelled out on `smst-sim`'s closure-driven
-//! [`SyncRunner`] and nothing else: the reference the engine function is
-//! pinned equal to (`adapters::tests::engine_fault_experiment_equals_sequential_on_every_path`)
-//! and the driver this crate's own tests, the examples and the integration
-//! tests use. It lives *below* the engine on purpose — `smst-engine`
-//! depends on this crate, so a unit test here that linked the engine
-//! would see a second copy of every `smst_core` type.
+//! [`SyncRunner`] and nothing else: the reference the engine path is pinned
+//! equal to (`smst_bench`'s
+//! `engine_metrics::tests::engine_detection_sweep_equals_the_sequential_experiment`,
+//! on four envelopes) and the driver this crate's own tests, the examples
+//! and the integration tests use.
 
 use crate::faults::{corrupt, FaultKind};
 use crate::labels::CoreLabel;
@@ -56,11 +55,6 @@ impl MstVerificationScheme {
     pub fn sync_budget(n: usize) -> usize {
         let log_n = (n.max(2) as f64).log2().ceil() as usize;
         800 * log_n.pow(3) + 800
-    }
-
-    /// An asynchronous detection-time budget (time units).
-    pub fn async_budget(n: usize, max_degree: usize) -> usize {
-        Self::sync_budget(n) * (max_degree.max(1)) / 2 + 200
     }
 }
 

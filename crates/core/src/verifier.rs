@@ -973,7 +973,7 @@ mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::marker::Marker;
     use smst_graph::generators::random_connected_graph;
@@ -981,11 +981,26 @@ mod tests {
     use smst_labeling::Instance;
     use smst_sim::SyncRunner;
 
-    fn setup(n: usize, m: usize, seed: u64) -> (Instance, CoreVerifier) {
+    /// A random MST instance rooted at node 0 and its marker labels.
+    pub(crate) fn marked(n: usize, m: usize, seed: u64) -> (Instance, Vec<CoreLabel>) {
         let g = random_connected_graph(n, m, seed);
         let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
         let inst = Instance::from_tree(g, &tree);
         let (labels, _) = Marker.label(&inst).unwrap();
+        (inst, labels)
+    }
+
+    /// Whether some node alarms in the first synchronous round from `labels`
+    /// (the 1-round checks of `structural_ok`).
+    pub(crate) fn alarms_in_one_round(inst: &Instance, labels: Vec<CoreLabel>) -> bool {
+        let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+        let mut runner = SyncRunner::new(&verifier, verifier.network());
+        runner.run_rounds(1);
+        !runner.network().alarming_nodes(&verifier).is_empty()
+    }
+
+    fn setup(n: usize, m: usize, seed: u64) -> (Instance, CoreVerifier) {
+        let (inst, labels) = marked(n, m, seed);
         let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
         (inst, verifier)
     }

@@ -13,7 +13,7 @@
 //! matching execution path as a `Box<dyn Runner<P>>` — every runner behind
 //! one call.
 //!
-//! The layers above — `ScenarioSpec`, the adapters, the bench sweeps, the
+//! The layers above — `ScenarioSpec`, the bench sweeps, the
 //! adversary's trials and chaos cases — *hold* an `EngineConfig` and never
 //! restate its fields (no forwarding setters: callers write
 //! `.engine(EngineConfig::new().threads(3))`), so a new knob is added here

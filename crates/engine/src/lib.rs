@@ -27,7 +27,7 @@
 //! * **one fault experiment** — [`run_fault_experiment`]: the paper's
 //!   measurement protocol (warm-up → inject → detect / recover) over
 //!   `&mut dyn Runner`, built from `try_run_until` and `apply_faults`, so
-//!   every backend, figure, trial and adapter shares one latency rule and
+//!   every backend, figure and trial shares one latency rule and
 //!   one definition of a false alarm.
 //!
 //! A runner is a scheduler over those pieces — it decides *who is
@@ -63,10 +63,6 @@
 //!   per-wave detection-latency and rounds-to-quiescence books on the
 //!   self-healing pool (one-shot [`InjectionSpec`] chaos injections, typed
 //!   [`EngineError`]s from the `try_*` surface);
-//! * [`adapters`] — the paper's verifier and the self-stabilizing
-//!   transformer running unchanged on the engine
-//!   ([`run_engine_fault_experiment`](adapters::run_engine_fault_experiment)
-//!   is mark → instantiate → [`run_fault_experiment`]);
 //! * [`programs`] — compact demo workloads for million-node smoke tests.
 //!
 //! # Determinism contract
@@ -88,7 +84,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod arena;
 pub mod chaos;
 pub mod config;

@@ -1,6 +1,6 @@
 //! Lightweight demo workloads for the engine.
 //!
-//! The paper's full verifier ([`smst_core::CoreVerifier`]) carries a
+//! The paper's full verifier (`smst_core::CoreVerifier`) carries a
 //! realistic register (labels, trains, comparison machinery) and is the
 //! right workload for *verification* runs, but its polylogarithmic warm-up
 //! budget makes it impractical as a million-node smoke-test. The programs

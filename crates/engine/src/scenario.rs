@@ -8,12 +8,12 @@
 //! [`try_run_until`](Runner::try_run_until)`(Steps, at)` warm-up,
 //! [`apply_faults`](Runner::apply_faults), then
 //! [`try_run_until`](Runner::try_run_until)`(until, …)`. The figures, the
-//! adversary's trials, the KMW accounting and the verifier adapter
-//! ([`run_engine_fault_experiment`](crate::adapters::run_engine_fault_experiment))
-//! are callers of it; the decisions that make numbers comparable — what
-//! counts as latency 1, what an alarm during the warm-up means — are made
-//! here and nowhere else. (Recurring waves over an unbounded schedule are
-//! a different protocol with per-wave books: [`run_chaos`](crate::run_chaos).)
+//! adversary's trials and the KMW accounting are callers of it (the paper's
+//! verifier reaches it through `smst_bench::engine_metrics::verifier_point`);
+//! the decisions that make numbers comparable — what counts as latency 1,
+//! what an alarm during the warm-up means — are made here and nowhere else.
+//! (Recurring waves over an unbounded schedule are a different protocol
+//! with per-wave books: [`run_chaos`](crate::run_chaos).)
 //!
 //! A [`ScenarioSpec`] is the declarative input of one such run: the
 //! topology [`GraphFamily`] and its seed, at most one [`FaultBurst`], a

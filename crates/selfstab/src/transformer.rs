@@ -129,11 +129,7 @@ impl SelfStabilizingMst {
     /// Completes a stabilization episode **given the detection phase's
     /// outcome**: reset + reconstruction, memory and functional-correctness
     /// accounting (steps 2–4 of [`Self::stabilize`]).
-    ///
-    /// Split out so alternative detection drivers — in particular the
-    /// parallel execution engine, which measures detection on its sharded
-    /// runner — share one implementation of everything after detection.
-    pub fn complete_episode(
+    fn complete_episode(
         &self,
         graph: &WeightedGraph,
         initial_components: &ComponentMap,

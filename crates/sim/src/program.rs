@@ -34,7 +34,7 @@ pub enum Verdict {
 /// The paper also lets a node know the weight behind each port (§2.1). This
 /// context does not carry it: a program that needs port weights carries them
 /// itself, as part of its own input. The core verifier reads them from its
-/// graph and the 1-round adapter from its instance.
+/// graph.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeContext {
     /// The dense simulator index of the node.

@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use smst_core::scheme::{rounds_until_rejection, MstVerificationScheme};
 use smst_core::CoreLabel;
-use smst_engine::adapters::rounds_until_rejection_engine;
-use smst_engine::EngineConfig;
+use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::{EdgeId, NodeId, RootedTree};
@@ -60,6 +59,21 @@ fn budget(n: usize) -> usize {
     8 * MstVerificationScheme::sync_budget(n)
 }
 
+/// Rounds until the first alarm of the verifier over `instance` with
+/// `labels`, on the execution path `engine` describes.
+fn rounds_until_rejection_on(
+    instance: &Instance,
+    labels: Vec<CoreLabel>,
+    max_rounds: usize,
+    engine: &EngineConfig,
+) -> Option<usize> {
+    let verifier = MstVerificationScheme::new().verifier(instance, labels);
+    let mut runner = engine
+        .instantiate(&verifier, instance.graph.clone())
+        .expect("a plain sync envelope is valid");
+    runner.run_until(StopCondition::FirstAlarm, max_rounds)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
@@ -88,13 +102,7 @@ proptest! {
         );
         prop_assert!(seq.unwrap() <= budget);
 
-        let par = rounds_until_rejection_engine(
-            &bad,
-            labels,
-            budget,
-            &EngineConfig::new().threads(4),
-        )
-        .expect("a plain sync envelope is valid");
+        let par = rounds_until_rejection_on(&bad, labels, budget, &EngineConfig::new().threads(4));
         prop_assert_eq!(par, seq, "sharded detection time diverged from sequential");
     }
 }
@@ -121,13 +129,7 @@ proptest! {
             "sequential runner missed a spanning non-MST tree within the bound"
         );
 
-        let par = rounds_until_rejection_engine(
-            &bad,
-            labels,
-            budget,
-            &EngineConfig::new().threads(3),
-        )
-        .expect("a plain sync envelope is valid");
+        let par = rounds_until_rejection_on(&bad, labels, budget, &EngineConfig::new().threads(3));
         prop_assert_eq!(par, seq, "sharded detection time diverged from sequential");
     }
 }
