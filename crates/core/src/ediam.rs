@@ -8,7 +8,7 @@
 //! The tests below pin those checks at the first round.
 
 mod tests {
-    use crate::labels::{CoreLabel, PartLabel};
+    use crate::labels::{max_diameter, CoreLabel, PartLabel};
     use crate::strings::ceil_log2;
     use crate::verifier::tests::{alarms_in_one_round, marked};
     use std::collections::BTreeMap;
@@ -47,7 +47,7 @@ mod tests {
     fn slack_bound_accepted() {
         let (inst, mut labels) = marked(20, 45, 2);
         // the most slack the scheme allows: every part claims the cap
-        let cap = u8::try_from(6 * ceil_log2(inst.node_count() as u64) + 6).unwrap();
+        let cap = u8::try_from(max_diameter(ceil_log2(inst.node_count() as u64))).unwrap();
         for l in &mut labels {
             for (_, p) in parts_mut(l) {
                 assert!(p.diameter_bound < cap);

@@ -40,14 +40,127 @@
 //! The whole label is 184 bytes. The public value types ([`PieceInfo`],
 //! [`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows when
 //! it is built and widens when it is read.
+//!
+//! # Charged layout
+//!
+//! The bits the paper's register needs are not the bytes above but the
+//! widths of [`Widths`]. Every register struct has one `walk` that hands
+//! each field to a sink as `(name, value, width)`, and the charge is the sum
+//! of the widths: a fixed layout, where an `Option` costs its presence bit
+//! and its payload's full width, empty or not, and the stored pieces are
+//! charged for the ones the node holds.
 
-use crate::strings::NodeStrings;
+use crate::strings::{ceil_log2, NodeStrings};
 use smst_graph::weight::{bits_for, CompositeWeight};
+use smst_graph::WeightedGraph;
 use smst_labeling::SpLabel;
 use std::num::NonZeroU8;
 
 /// The largest identity, weight or node count a register field holds.
 pub const MAX_FIELD: u64 = u32::MAX as u64;
+
+/// Maximum activations a node delays its train for a wanting neighbour
+/// (guards against corrupted `Want` registers).
+pub(crate) const DELAY_MAX: u8 = 64;
+/// Full cycles of a watched neighbour's trains after which a missing piece is
+/// reported.
+pub(crate) const MAX_WATCH_WRAPS: u8 = 3;
+/// Cycles of both own trains after which the completeness check fires.
+pub(crate) const COMPLETENESS_WRAPS: u8 = 2;
+/// The verdicts a node outputs: accept, reject, still working.
+const VERDICTS: u64 = 3;
+
+/// The most levels a node's strings hold, `⌈log n⌉ + 1` (§5.2), where
+/// `log_n` is `⌈log n⌉`.
+pub(crate) fn max_levels(log_n: u32) -> u32 {
+    log_n + 1
+}
+
+/// The most pieces circulating in one part, `2(log n + 2)` (§6.2).
+pub(crate) fn max_pieces(log_n: u32) -> u32 {
+    2 * (log_n + 2)
+}
+
+/// The largest diameter bound a part may claim, and so the deepest node in
+/// it, `6 log n + 6` (§6.1).
+pub(crate) fn max_diameter(log_n: u32) -> u32 {
+    6 * log_n + 6
+}
+
+/// The width in bits of every field of the verifier's register on one graph
+/// (see the module docs): each is [`bits_for`] of the largest value the
+/// field holds in a legal register, and the strings and the seen-levels
+/// mask hold one bit per level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Widths {
+    /// An identity: the graph's largest.
+    pub id: u32,
+    /// A raw edge weight: the graph's largest.
+    pub weight: u32,
+    /// A node count or an SP distance: at most `n`.
+    pub count: u32,
+    /// A string, or a mask over levels: one bit for each of `⌈log n⌉ + 1`.
+    pub levels: u32,
+    /// A string length, or the top-level delimiter: at most `⌈log n⌉ + 1`.
+    pub len: u32,
+    /// A level, or an index into a node's levels: below `⌈log n⌉ + 1`.
+    pub level: u32,
+    /// A part's piece count: at most `2(log n + 2)`.
+    pub pieces: u32,
+    /// A slot in a part's cycle: below the piece count.
+    pub slot: u32,
+    /// A depth in a part, or a part's diameter bound: at most `6 log n + 6`.
+    pub depth: u32,
+    /// A port: below the graph's largest degree.
+    pub port: u32,
+    /// A train's delay: at most `DELAY_MAX` (64).
+    pub delay: u32,
+    /// A train's cycle counter: at most `COMPLETENESS_WRAPS` (2).
+    pub wraps: u32,
+    /// A watched neighbour's cycle counter: at most `MAX_WATCH_WRAPS` (3).
+    pub watch_wraps: u32,
+    /// A flag, or an `Option`'s presence bit.
+    pub flag: u32,
+    /// A verdict: one of three.
+    pub verdict: u32,
+}
+
+impl Widths {
+    /// The widths on a graph of `n` nodes with the given largest identity,
+    /// weight and degree.
+    pub fn new(max_id: u64, max_weight: u64, n: u64, max_degree: u64) -> Self {
+        let log_n = ceil_log2(n);
+        let levels = max_levels(log_n);
+        let pieces = max_pieces(log_n);
+        Widths {
+            id: bits_for(max_id),
+            weight: bits_for(max_weight),
+            count: bits_for(n),
+            levels,
+            len: bits_for(levels.into()),
+            level: bits_for((levels - 1).into()),
+            pieces: bits_for(pieces.into()),
+            slot: bits_for((pieces - 1).into()),
+            depth: bits_for(max_diameter(log_n).into()),
+            port: bits_for(max_degree.saturating_sub(1)),
+            delay: bits_for(DELAY_MAX.into()),
+            wraps: bits_for(COMPLETENESS_WRAPS.into()),
+            watch_wraps: bits_for(MAX_WATCH_WRAPS.into()),
+            flag: bits_for(true.into()),
+            verdict: bits_for(VERDICTS - 1),
+        }
+    }
+
+    /// The widths on `g`, from the maxima it keeps (`O(1)`).
+    pub fn of(g: &WeightedGraph) -> Self {
+        Widths::new(
+            g.max_id().unwrap_or(1),
+            g.max_weight().unwrap_or(1),
+            g.node_count() as u64,
+            g.max_degree() as u64,
+        )
+    }
+}
 
 /// `x` in a 32-bit register field.
 ///
@@ -102,6 +215,21 @@ impl SpCell {
     pub fn has_parent(&self, id: u64) -> bool {
         self.parent_id.is_some_and(|p| u64::from(p) == id)
     }
+
+    /// Hands each field to `sink` as `(name, value, width)`.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let SpCell {
+            root_id,
+            dist,
+            own_id,
+            parent_id,
+        } = *self;
+        sink("SpCell.root_id", root_id.into(), w.id);
+        sink("SpCell.dist", dist.into(), w.count);
+        sink("SpCell.own_id", own_id.into(), w.id);
+        sink("SpCell.parent_id?", parent_id.is_some().into(), w.flag);
+        sink("SpCell.parent_id", parent_id.unwrap_or(0).into(), w.id);
+    }
 }
 
 /// The piece of information `I(F) = ID(F) ∘ ω(F)` of a fragment (§3.4/§6):
@@ -115,16 +243,6 @@ pub struct PieceInfo {
     pub level: u32,
     /// The composite weight of the fragment's minimum outgoing edge.
     pub min_out: Option<CompositeWeight>,
-}
-
-impl PieceInfo {
-    /// Number of bits of a faithful encoding.
-    pub fn bits(max_id: u64, max_weight: u64, levels: usize) -> u64 {
-        u64::from(bits_for(max_id))
-            + u64::from(bits_for(levels as u64))
-            + (u64::from(bits_for(max_weight)) + 2 * u64::from(bits_for(max_id)) + 1)
-            + 1
-    }
 }
 
 /// A piece in a register cell: `I(F)` together with the cell's slot in the
@@ -243,6 +361,50 @@ impl PieceCell {
     pub fn set_piece(&mut self, piece: PieceInfo) {
         *self = PieceCell::new(self.slot, piece).with_member(self.member());
     }
+
+    /// Hands each field to `sink` as `(name, value, width)`: the slot, the
+    /// piece, and §7.1's membership flag where the register has one
+    /// (`flagged`: the flooding buffer).
+    pub fn walk(&self, w: &Widths, flagged: bool, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let PieceCell {
+            root_id,
+            weight,
+            id_min,
+            id_max,
+            level,
+            slot,
+            flags: _,
+        } = *self;
+        sink("PieceCell.slot", slot.into(), w.slot);
+        sink("PieceCell.root_id", root_id.into(), w.id);
+        sink("PieceCell.level", level.into(), w.level);
+        sink("PieceCell.min_out?", self.has_min_out().into(), w.flag);
+        sink("PieceCell.weight", weight.into(), w.weight);
+        sink("PieceCell.non_tree", self.flag(NON_TREE).into(), w.flag);
+        sink("PieceCell.id_min", id_min.into(), w.id);
+        sink("PieceCell.id_max", id_max.into(), w.id);
+        if flagged {
+            sink("PieceCell.member", self.member().into(), w.flag);
+        }
+    }
+
+    /// Hands an optional cell to `sink` at its full width, empty or not: its
+    /// presence bit, then the cell's fields (all zero when empty).
+    pub fn walk_option(
+        cell: Option<PieceCell>,
+        w: &Widths,
+        flagged: bool,
+        sink: &mut impl FnMut(&'static str, u64, u32),
+    ) {
+        let blank = PieceInfo {
+            root_id: 0,
+            level: 0,
+            min_out: None,
+        };
+        sink("Option<PieceCell>?", cell.is_some().into(), w.flag);
+        cell.unwrap_or(PieceCell::new(0, blank))
+            .walk(w, flagged, sink);
+    }
 }
 
 // A cell is four 32-bit words and three bytes, and an empty cell costs
@@ -278,13 +440,23 @@ impl PartLabel {
         self.stored.iter().flatten()
     }
 
-    /// Number of bits of a faithful encoding.
-    pub fn bits(&self, max_id: u64, max_weight: u64, levels: usize, n: usize) -> u64 {
-        u64::from(bits_for(max_id))
-            + 2 * u64::from(bits_for(n as u64))
-            + 8
-            + self.stored_pieces().count() as u64
-                * (8 + PieceInfo::bits(max_id, max_weight, levels))
+    /// Hands each field to `sink` as `(name, value, width)`; the stored
+    /// pieces are charged for the ones the node holds.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let PartLabel {
+            part_root_id,
+            depth_in_part,
+            diameter_bound,
+            piece_count,
+            stored,
+        } = *self;
+        sink("PartLabel.part_root_id", part_root_id.into(), w.id);
+        sink("PartLabel.depth_in_part", depth_in_part.into(), w.depth);
+        sink("PartLabel.diameter_bound", diameter_bound.into(), w.depth);
+        sink("PartLabel.piece_count", piece_count.into(), w.pieces);
+        for cell in stored.iter().flatten() {
+            cell.walk(w, false, sink);
+        }
     }
 }
 
@@ -312,16 +484,31 @@ pub struct CoreLabel {
 }
 
 impl CoreLabel {
-    /// Number of bits of a faithful encoding of the whole label.
-    pub fn bits(&self, max_id: u64, max_weight: u64, n: usize) -> u64 {
-        let levels = self.strings.len();
-        let sp_bits = u64::from(bits_for(max_id)) * 3 + u64::from(bits_for(n as u64)) + 2;
-        sp_bits
-            + 2 * u64::from(bits_for(n as u64))
-            + self.strings.bits()
-            + 8
-            + self.top_part.bits(max_id, max_weight, levels, n)
-            + self.bottom_part.bits(max_id, max_weight, levels, n)
+    /// Hands each field to `sink` as `(name, value, width)`.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let CoreLabel {
+            sp,
+            n_claim,
+            subtree_count,
+            strings,
+            top_min_level,
+            top_part,
+            bottom_part,
+        } = *self;
+        sp.walk(w, sink);
+        sink("CoreLabel.n_claim", n_claim.into(), w.count);
+        sink("CoreLabel.subtree_count", subtree_count.into(), w.count);
+        strings.walk(w, sink);
+        sink("CoreLabel.top_min_level", top_min_level.into(), w.len);
+        top_part.walk(w, sink);
+        bottom_part.walk(w, sink);
+    }
+
+    /// The bits the label is charged under `w`: the sum of its walk's widths.
+    pub fn bits(&self, w: &Widths) -> u64 {
+        let mut bits = 0;
+        self.walk(w, &mut |_, _, width| bits += u64::from(width));
+        bits
     }
 }
 
@@ -366,7 +553,7 @@ mod tests {
         let n = 1024usize;
         let levels = 11;
         let label = sample_label(levels, 2);
-        let bits = label.bits(n as u64, 1_000_000, n);
+        let bits = label.bits(&Widths::new(n as u64, 1_000_000, n as u64, 16));
         let log_n = (n as f64).log2();
         assert!(
             (bits as f64) < 60.0 * log_n + 100.0,
@@ -376,14 +563,20 @@ mod tests {
 
     #[test]
     fn more_stored_pieces_cost_more_bits() {
-        let a = sample_label(8, 0).bits(100, 100, 100);
-        let b = sample_label(8, 2).bits(100, 100, 100);
+        let w = Widths::new(100, 100, 100, 8);
+        let a = sample_label(8, 0).bits(&w);
+        let b = sample_label(8, 2).bits(&w);
         assert!(b > a);
     }
 
     #[test]
     fn piece_bits_positive() {
-        assert!(PieceInfo::bits(100, 100, 8) > 0);
+        let mut bits = 0;
+        let piece = sample_label(8, 1).top_part.stored[0].unwrap();
+        piece.walk(&Widths::new(100, 100, 100, 8), false, &mut |_, _, width| {
+            bits += width
+        });
+        assert!(bits > 0);
     }
 
     #[test]

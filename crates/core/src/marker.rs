@@ -250,6 +250,7 @@ fn write_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labels::Widths;
     use crate::sync_mst::reference_order;
     use proptest::prelude::*;
     use smst_graph::generators::{path_graph, random_connected_graph, reweighted, star_graph};
@@ -346,13 +347,8 @@ mod tests {
         for n in [16usize, 64, 256] {
             let inst = mst_instance(n, 3 * n, 3);
             let (labels, _) = Marker.label(&inst).unwrap();
-            let max_id = n as u64;
-            let max_w = inst.graph.edges().iter().map(|e| e.weight).max().unwrap();
-            let bits = labels
-                .iter()
-                .map(|l| l.bits(max_id, max_w, n))
-                .max()
-                .unwrap();
+            let widths = Widths::of(&inst.graph);
+            let bits = labels.iter().map(|l| l.bits(&widths)).max().unwrap();
             let log_n = (n as f64).log2();
             assert!(
                 (bits as f64) <= 60.0 * log_n + 80.0,

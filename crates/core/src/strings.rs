@@ -32,6 +32,7 @@
 //! one pass over the children ([`ChildSummary`]) plus about twenty word
 //! operations, independent of the number of levels.
 
+use crate::labels::Widths;
 use smst_graph::weight::bits_for;
 use smst_graph::{Hierarchy, RootedTree, WeightedGraph};
 
@@ -118,10 +119,26 @@ impl NodeStrings {
         }
     }
 
-    /// Number of bits of a faithful encoding: two bits per `Roots`/`EndP`
-    /// entry and one per `Parents`/`Or-EndP` entry.
-    pub fn bits(&self) -> u64 {
-        6 * u64::from(self.len)
+    /// Hands each word to `sink` as `(name, value, width)`: one bit per
+    /// level in each, so two per `Roots`/`EndP` entry and one per
+    /// `Parents`/`Or-EndP` entry. The length costs nothing more: a `Roots`
+    /// entry has a fourth code, free to mark the levels at and above it.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let NodeStrings {
+            roots_present,
+            roots_root,
+            endp_hi,
+            endp_lo,
+            parents,
+            or_endp,
+            len: _,
+        } = *self;
+        sink("NodeStrings.roots_present", roots_present, w.levels);
+        sink("NodeStrings.roots_root", roots_root, w.levels);
+        sink("NodeStrings.endp_hi", endp_hi, w.levels);
+        sink("NodeStrings.endp_lo", endp_lo, w.levels);
+        sink("NodeStrings.parents", parents, w.levels);
+        sink("NodeStrings.or_endp", or_endp, w.levels);
     }
 
     /// Entry `j` of the `Roots` string (`*` at and beyond the length).
@@ -650,6 +667,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labels::max_levels;
     use crate::sync_mst::SyncMst;
     use smst_graph::generators::random_connected_graph;
     use smst_graph::NodeId;
@@ -687,7 +705,7 @@ mod tests {
         tree: &RootedTree,
         strings: &[NodeStrings],
     ) -> Result<(), (NodeId, &'static str)> {
-        let max_len = ceil_log2(g.node_count() as u64) as usize + 1;
+        let max_len = max_levels(ceil_log2(g.node_count() as u64)) as usize;
         for v in g.nodes() {
             check_strings(&view(tree, strings, v, max_len)).map_err(|e| (v, e))?;
         }
@@ -706,10 +724,12 @@ mod tests {
 
     #[test]
     fn strings_are_logarithmically_sized() {
-        let (_, _, strings) = build(200, 1);
+        let (g, _, strings) = build(200, 1);
         for s in &strings {
             assert!(s.len() <= 9, "length {} exceeds ⌈log 200⌉ + 1", s.len());
-            assert!(s.bits() <= 6 * 9);
+            let mut bits = 0;
+            s.walk(&Widths::of(&g), &mut |_, _, width| bits += width);
+            assert!(bits <= 6 * 9);
         }
     }
 
@@ -891,7 +911,7 @@ mod tests {
                 for _ in 0..rng.gen_range(0..4u32) {
                     mutate(&mut strings[rng.gen_range(0..n)], &mut rng);
                 }
-                let mut max_len = ceil_log2(n as u64) as usize + 1;
+                let mut max_len = max_levels(ceil_log2(n as u64)) as usize;
                 if rng.gen_range(0..16u32) == 0 {
                     max_len -= 1;
                 }

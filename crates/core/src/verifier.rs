@@ -24,7 +24,10 @@
 //! Any violation makes the node output [`Verdict::Reject`] — "raising an
 //! alarm" in the paper's terminology.
 
-use crate::labels::{CoreLabel, PartLabel, PieceCell, PieceInfo, MAX_FIELD};
+use crate::labels::{
+    max_diameter, max_levels, max_pieces, CoreLabel, PartLabel, PieceCell, PieceInfo, Widths,
+    COMPLETENESS_WRAPS, DELAY_MAX, MAX_FIELD, MAX_WATCH_WRAPS,
+};
 use crate::strings::{
     ceil_log2, check_strings, ChildSummary, EndpSym, RootSym, StringNeighborhood,
 };
@@ -85,6 +88,24 @@ impl TrainState {
     fn shown_member_level(&self) -> Option<u32> {
         self.down.filter(|d| d.member()).map(|d| d.level())
     }
+
+    /// Hands each field to `sink` as `(name, value, width)`.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let TrainState {
+            want,
+            up,
+            down,
+            done,
+            delay,
+            wraps,
+        } = *self;
+        sink("TrainState.want", want.into(), w.slot);
+        PieceCell::walk_option(up, w, false, sink);
+        PieceCell::walk_option(down, w, true, sink);
+        sink("TrainState.done", done.into(), w.flag);
+        sink("TrainState.delay", delay.into(), w.delay);
+        sink("TrainState.wraps", wraps.into(), w.wraps);
+    }
 }
 
 /// The comparison (client) state of §7.2.
@@ -121,6 +142,38 @@ impl CompareState {
             watched_wraps: [0, 0],
         }
     }
+
+    /// Moves on to the next neighbour: its `Want` and cycle counts go.
+    fn next_neighbor(&mut self) {
+        self.neighbor_ptr += 1;
+        self.want_cmp = None;
+        self.watched_wraps = [0, 0];
+    }
+
+    /// Hands each field to `sink` as `(name, value, width)`.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let CompareState {
+            level_idx,
+            ask,
+            neighbor_ptr,
+            want_cmp,
+            watched_prev,
+            watched_wraps,
+        } = *self;
+        sink("CompareState.level_idx", level_idx.into(), w.level);
+        PieceCell::walk_option(ask, w, false, sink);
+        sink("CompareState.neighbor_ptr", neighbor_ptr.into(), w.port);
+        let (want_id, want_level) = want_cmp.unwrap_or_default();
+        sink("CompareState.want_cmp?", want_cmp.is_some().into(), w.flag);
+        sink("CompareState.want_cmp.id", want_id.into(), w.id);
+        sink("CompareState.want_cmp.level", want_level.into(), w.level);
+        for prev in watched_prev {
+            sink("CompareState.watched_prev", prev.into(), w.slot);
+        }
+        for wraps in watched_wraps {
+            sink("CompareState.watched_wraps", wraps.into(), w.watch_wraps);
+        }
+    }
 }
 
 /// The full register of a node running the verifier: a fixed-width `Copy`
@@ -140,6 +193,34 @@ pub struct CoreState {
     pub seen_levels: u64,
     /// The node's current verdict.
     pub verdict: Verdict,
+}
+
+impl CoreState {
+    /// Hands each field to `sink` as `(name, value, width)`.
+    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
+        let CoreState {
+            label,
+            trains,
+            compare,
+            seen_levels,
+            verdict,
+        } = self;
+        label.walk(w, sink);
+        for train in trains {
+            train.walk(w, sink);
+        }
+        compare.walk(w, sink);
+        sink("CoreState.seen_levels", *seen_levels, w.levels);
+        sink("CoreState.verdict", *verdict as u64, w.verdict);
+    }
+
+    /// The bits the register is charged under `w`: the sum of its walk's
+    /// widths.
+    pub fn bits(&self, w: &Widths) -> u64 {
+        let mut bits = 0;
+        self.walk(w, &mut |_, _, width| bits += u64::from(width));
+        bits
+    }
 }
 
 // Layout tripwires: the register stays `Copy`; identities, weights, the SP
@@ -344,7 +425,7 @@ impl CoreVerifier {
             parent: parent.map(|p| &p.label.strings),
             children: children.strings,
             is_tree_root: parent.is_none(),
-            max_len: log_n as usize + 1,
+            max_len: max_levels(log_n) as usize,
         };
         if check_strings(&view).is_err() {
             return false;
@@ -378,10 +459,10 @@ impl CoreVerifier {
                     }
                 }
             }
-            if u32::from(mine.diameter_bound) > 6 * log_n + 6 {
+            if u32::from(mine.diameter_bound) > max_diameter(log_n) {
                 return false;
             }
-            if u32::from(mine.piece_count) > 2 * (log_n + 2) {
+            if u32::from(mine.piece_count) > max_pieces(log_n) {
                 return false;
             }
             if mine.depth_in_part > mine.diameter_bound {
@@ -648,18 +729,14 @@ impl CoreVerifier {
             if u.label.strings.root(level as usize) == RootSym::Absent {
                 // the neighbour has no level-j fragment: the edge is outgoing
                 self.check_outgoing(ctx, own, port, u, ask, level, alarm);
-                cmp.neighbor_ptr += 1;
-                cmp.want_cmp = None;
-                cmp.watched_wraps = [0, 0];
+                cmp.next_neighbor();
                 advanced = true;
                 continue;
             }
             // does the neighbour currently show its member level-j piece?
             if let Some(their) = shown_member_cell(u, level) {
                 self.check_event(ctx, own, port, u, ask, their.piece(), level, alarm);
-                cmp.neighbor_ptr += 1;
-                cmp.want_cmp = None;
-                cmp.watched_wraps = [0, 0];
+                cmp.next_neighbor();
                 advanced = true;
                 continue;
             }
@@ -679,9 +756,7 @@ impl CoreVerifier {
                 // the neighbour's trains completed several full cycles and the
                 // needed piece never appeared
                 *alarm = true;
-                cmp.neighbor_ptr += 1;
-                cmp.want_cmp = None;
-                cmp.watched_wraps = [0, 0];
+                cmp.next_neighbor();
             }
         }
         if cmp.neighbor_ptr as usize >= ctx.degree {
@@ -743,7 +818,6 @@ impl CoreVerifier {
         alarm: &mut bool,
     ) {
         let j = level as usize;
-        let is_tree = self.is_tree_edge(ctx, port, u);
         let is_parent = self.parent_port(ctx.node) == Some(port);
         let same_fragment = ask.root_id == their.root_id;
         // Claim 8.3: tree neighbours in the same fragment must hold identical
@@ -756,18 +830,7 @@ impl CoreVerifier {
             *alarm = true;
         }
         if !same_fragment {
-            let w = self.edge_weight(ctx.node, port, u, is_tree);
-            match ask.min_out {
-                None => *alarm = true,
-                Some(mw) => {
-                    if w < mw {
-                        *alarm = true; // C2
-                    }
-                    if self.is_candidate_edge(ctx, own, port, u, level) && mw != w {
-                        *alarm = true; // C1
-                    }
-                }
-            }
+            self.check_outgoing(ctx, own, port, u, ask, level, alarm);
         } else if self.is_candidate_edge(ctx, own, port, u, level) {
             // the candidate edge must be outgoing
             *alarm = true;
@@ -792,15 +855,6 @@ impl CoreVerifier {
         }
     }
 }
-
-/// Maximum activations a node delays its train for a wanting neighbour
-/// (guards against corrupted `Want` registers).
-const DELAY_MAX: u8 = 64;
-/// Full cycles of a watched neighbour's trains after which a missing piece is
-/// reported.
-const MAX_WATCH_WRAPS: u8 = 3;
-/// Cycles of both own trains after which the completeness check fires.
-const COMPLETENESS_WRAPS: u8 = 2;
 
 /// A train's cycle counter after one more wrap-around: it saturates at the
 /// threshold it is tested against, whatever value a fault left in it.
@@ -890,17 +944,7 @@ impl NodeProgram for CoreVerifier {
     }
 
     fn state_bits(&self, _ctx: &NodeContext, state: &CoreState) -> u64 {
-        let g = &self.graph;
-        let max_id = g.max_id().unwrap_or(1);
-        let max_w = g.max_weight().unwrap_or(1);
-        let n = g.node_count();
-        let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
-        let train_bits: u64 = state.trains.iter().map(|t| train_bits(t, piece_bits)).sum();
-        state.label.bits(max_id, max_w, n)
-            + train_bits
-            + compare_bits(&state.compare, piece_bits)
-            + state.label.strings.len() as u64 // seen_levels bitmask
-            + 2
+        state.bits(&Widths::of(&self.graph))
     }
 
     fn name(&self) -> &str {
@@ -908,67 +952,17 @@ impl NodeProgram for CoreVerifier {
     }
 }
 
-/// The bits charged for one train, one term per field. The pattern names
-/// every field, so a field added to or removed from [`TrainState`] does not
-/// compile until its charge moves with it.
-fn train_bits(train: &TrainState, piece_bits: u64) -> u64 {
-    let TrainState {
-        want: _,
-        up: _,
-        down: _,
-        done: _,
-        delay: _,
-        wraps: _,
-    } = train;
-    let want = 8; // a slot
-    let up = 8 + piece_bits; // slot + piece
-    let down = 9 + piece_bits; // slot + piece + §7.1's membership flag
-    let done = 1; // the ack of slot `want`
-    let delay = 8; // 0..=DELAY_MAX
-    let wraps = 2; // 0..=COMPLETENESS_WRAPS
-    want + up + down + done + delay + wraps
-}
-
-/// The bits charged for the comparison machinery, one term per field, under
-/// the same exhaustive pattern as [`train_bits`].
-fn compare_bits(compare: &CompareState, piece_bits: u64) -> u64 {
-    let CompareState {
-        level_idx: _,
-        ask: _,
-        neighbor_ptr: _,
-        want_cmp: _,
-        watched_prev: _,
-        watched_wraps: _,
-    } = compare;
-    let level_idx = 8; // an index into the node's levels
-    let ask = piece_bits; // the piece of the level being compared
-    let neighbor_ptr = 16; // a port
-    let want_cmp = 64 + 32; // neighbour identity + level
-    let watched_prev = 2 * 8; // a slot per train
-    let watched_wraps = 2 * 2; // 0..=MAX_WATCH_WRAPS per train
-    level_idx + ask + neighbor_ptr + want_cmp + watched_prev + watched_wraps
-}
-
-/// [`CoreVerifier::state_bits`] as it was while it found the graph maxima
-/// by scanning — `O(n + m)` per call — kept as the oracle the accessor-based
-/// body is held against.
+/// The widths of [`Widths::of`] from maxima found by scanning the graph —
+/// `O(n + m)` — the oracle the accessors are held against.
 #[cfg(test)]
 mod reference {
-    use super::{CoreState, CoreVerifier, PieceInfo};
+    use super::{WeightedGraph, Widths};
 
-    pub fn state_bits(verifier: &CoreVerifier, state: &CoreState) -> u64 {
-        let g = &verifier.graph;
+    pub fn widths(g: &WeightedGraph) -> Widths {
         let max_id = g.nodes().map(|v| g.id(v)).max().unwrap_or(1);
         let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(1);
-        let n = g.node_count();
-        let piece_bits = PieceInfo::bits(max_id, max_w, state.label.strings.len().max(1));
-        let train_bits = 2 * (8 + 1 + 8 + 2 + (8 + piece_bits) + (9 + piece_bits));
-        let compare_bits = 8 + piece_bits + 16 + (64 + 32) + 16 + 4;
-        state.label.bits(max_id, max_w, n)
-            + train_bits
-            + compare_bits
-            + state.label.strings.len() as u64
-            + 2
+        let max_degree = g.nodes().map(|v| g.degree(v)).max().unwrap_or(0);
+        Widths::new(max_id, max_w, g.node_count() as u64, max_degree as u64)
     }
 }
 
@@ -1037,8 +1031,8 @@ pub(crate) mod tests {
     }
 
     /// `state_bits` reads the graph's maxima instead of scanning for them:
-    /// same width as the scanning reference at every node, on fresh
-    /// registers and on registers 64 rounds into every kind of fault.
+    /// the same charge as widths built from scanned maxima at every node, on
+    /// fresh registers and on registers 64 rounds into every kind of fault.
     #[test]
     fn state_bits_agree_with_the_scanning_reference() {
         use crate::faults::{corrupt, FaultKind};
@@ -1046,12 +1040,9 @@ pub(crate) mod tests {
 
         let assert_agree = |verifier: &CoreVerifier, net: &smst_sim::Network<CoreVerifier>| {
             let reported = net.memory_bits(verifier);
+            let widths = reference::widths(net.graph());
             for v in net.graph().nodes() {
-                assert_eq!(
-                    reported[v.index()],
-                    reference::state_bits(verifier, net.state(v)),
-                    "node {v}"
-                );
+                assert_eq!(reported[v.index()], net.state(v).bits(&widths), "node {v}");
             }
         };
         for seed in 0..20u64 {
@@ -1073,6 +1064,76 @@ pub(crate) mod tests {
                 corrupt(runner.network_mut().state_mut(victim), kind, seed);
                 runner.run_rounds(64);
                 assert_agree(&verifier, runner.network());
+            }
+        }
+    }
+
+    /// Every field of every register fits the width `state_bits` charges for
+    /// it, after every one of 64 fault-free rounds, on five kinds of graph
+    /// labelled by the marker and again with every part claiming the largest
+    /// diameter bound the verifier accepts; then with the counters at the
+    /// thresholds they saturate at (no fault-free run holds a train for
+    /// `DELAY_MAX` rounds). Each width is needed in full somewhere (the 64-node
+    /// graphs have `log n + 1` levels, the path's parts circulate 17 pieces),
+    /// so narrowing any one by a bit fails this test. (Faults stay out:
+    /// [`crate::faults::corrupt`] may write what no register of these widths
+    /// holds.)
+    #[test]
+    fn every_register_field_fits_its_width() {
+        use smst_graph::generators::{
+            grid_graph, path_graph, random_graph_scrambled_ids, star_graph,
+        };
+        let graphs = [
+            ("random", random_connected_graph(64, 160, 5)),
+            (
+                "scrambled identities",
+                random_graph_scrambled_ids(64, 160, 5),
+            ),
+            ("path", path_graph(2048, 5)),
+            ("grid", grid_graph(8, 8, 5)),
+            ("star", star_graph(301, 5)),
+        ];
+        for (name, g) in graphs {
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let (labels, _) = Marker.label(&inst).unwrap();
+            let cap = max_diameter(ceil_log2(inst.node_count() as u64));
+            let mut capped = labels.clone();
+            for part in capped
+                .iter_mut()
+                .flat_map(|l| [&mut l.top_part, &mut l.bottom_part])
+            {
+                part.diameter_bound = u8::try_from(cap).unwrap();
+            }
+            let widths = Widths::of(&inst.graph);
+            let fits = |state: &CoreState, round: usize, v: NodeId| {
+                state.walk(&widths, &mut |field, value, width| {
+                    assert!(
+                        value.checked_shr(width).unwrap_or(0) == 0,
+                        "{name}, round {round}, node {v}: {field} = {value} exceeds {width} bits"
+                    );
+                });
+            };
+            for labels in [labels, capped] {
+                let verifier =
+                    CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                for round in 0..=64 {
+                    for v in inst.graph.nodes() {
+                        fits(runner.network().state(v), round, v);
+                    }
+                    runner.run_rounds(1);
+                }
+                assert!(
+                    runner.network().alarming_nodes(&verifier).is_empty(),
+                    "{name}"
+                );
+                let mut saturated = *runner.network().state(NodeId(0));
+                for train in &mut saturated.trains {
+                    (train.delay, train.wraps) = (DELAY_MAX, COMPLETENESS_WRAPS);
+                }
+                saturated.compare.watched_wraps = [MAX_WATCH_WRAPS; 2];
+                fits(&saturated, 64, NodeId(0));
             }
         }
     }

@@ -13,7 +13,7 @@
 //! path it takes minutes in a debug build.
 
 use proptest::prelude::*;
-use smst_core::labels::PieceInfo;
+use smst_core::labels::{PieceInfo, Widths};
 use smst_core::partition::build_partitions;
 use smst_core::{Marker, MstVerificationScheme, SyncMst};
 use smst_graph::generators::{complete_graph, path_graph, random_connected_graph, star_graph};
@@ -286,10 +286,10 @@ fn labels_sixteen_thousand_nodes_and_the_verifier_accepts() {
     for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
         assert!(part.pieces.len() <= 2 * part.nodes.len());
     }
-    let max_weight = instance.graph.edges().iter().map(|e| e.weight).max();
+    let widths = Widths::of(&instance.graph);
     for label in &labels {
         assert!(label.top_part.stored.len() <= 2 && label.bottom_part.stored.len() <= 2);
-        let bits = label.bits(n as u64, max_weight.unwrap(), n);
+        let bits = label.bits(&widths);
         assert!(
             bits as f64 <= 60.0 * log_n + 80.0,
             "{bits} bits exceeds the O(log n) budget"
