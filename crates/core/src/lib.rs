@@ -21,10 +21,12 @@
 //!   accounting.
 //! * [`marker`] — §5.4 / §6.3: the marker algorithm assigning the labels,
 //!   with its `O(n)` construction-time accounting.
+//! * [`train`] — §7.1: the per-part *train* circulating a part's pieces past
+//!   its members, read through one node's view of one part.
 //! * [`verifier`] — §7–§8: the self-stabilizing verifier, implemented as a
-//!   [`smst_sim::NodeProgram`]: structural 1-round checks, the per-part
-//!   *trains* circulating the pieces, the Ask/Show/Want comparison mechanism
-//!   and the minimality checks C1/C2.
+//!   [`smst_sim::NodeProgram`]: structural 1-round checks, the wiring of the
+//!   two trains, the Ask/Show/Want comparison mechanism and the minimality
+//!   checks C1/C2.
 //! * [`faults`] — corruption helpers used by the fault-detection experiments.
 //! * [`scheme`] — a facade tying marker and verifier together and the
 //!   experiment drivers (detection time, detection distance, memory).
@@ -39,6 +41,7 @@ pub mod partition;
 pub mod scheme;
 pub mod strings;
 pub mod sync_mst;
+pub mod train;
 pub mod verifier;
 
 // Examples NumK and EDIAM (§2.6) are checked inline by the verifier; these

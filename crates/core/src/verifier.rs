@@ -5,13 +5,13 @@
 //! 1. runs the **structural 1-round checks**: the Example SP / NumK
 //!    conditions, the RS/EPS string legality conditions of §5, and the
 //!    representation of the two partitions;
-//! 2. advances its two **trains** (one per partition, §7.1): the piece of the
-//!    current slot climbs from its permanent holder to the part root, is
-//!    flooded back down with the *membership flag* of §7.1, and the part root
-//!    advances the slot once its whole part acknowledges (an ack-paced
-//!    variant of the paper's pipelined train — see the README paragraph
-//!    "The trains (ack-paced)"); the part root also checks that pieces
-//!    arrive in the prescribed cyclic order (§8);
+//! 2. advances its two **trains** (one per partition, §7.1, in
+//!    [`crate::train`]): the piece of the current slot climbs from its
+//!    permanent holder to the part root, is flooded back down with the
+//!    *membership flag* of §7.1, and the part root advances the slot once its
+//!    whole part acknowledges (an ack-paced variant of the paper's pipelined
+//!    train — see the README paragraph "The trains (ack-paced)"); the part
+//!    root also checks that pieces arrive in the prescribed cyclic order (§8);
 //! 3. runs the **comparison machinery** (§7.2): it copies its own member
 //!    piece of the current level into its `Ask` buffer, walks its neighbours
 //!    round-robin, uses the `Want` register to make a neighbour's train hold
@@ -26,11 +26,12 @@
 
 use crate::labels::{
     max_diameter, max_levels, max_pieces, CoreLabel, PartLabel, PieceCell, PieceInfo, Widths,
-    COMPLETENESS_WRAPS, DELAY_MAX, MAX_FIELD, MAX_WATCH_WRAPS,
+    MAX_FIELD, MAX_WATCH_WRAPS,
 };
 use crate::strings::{
     ceil_log2, check_strings, ChildSummary, EndpSym, RootSym, StringNeighborhood,
 };
+use crate::train::{self, ChildTrains, PartView, TrainState};
 use smst_graph::weight::CompositeWeight;
 use smst_graph::{ComponentMap, NodeId, Port, WeightedGraph};
 use smst_sim::{Network, NodeContext, NodeProgram, Verdict};
@@ -40,76 +41,8 @@ pub const TRAIN_TOP: usize = 0;
 /// Index of the Bottom-partition train.
 pub const TRAIN_BOTTOM: usize = 1;
 
-/// A piece climbing towards the part root, with the slot being collected.
-pub type UpItem = PieceCell;
-
-/// A piece flooding down from the part root: the slot being distributed, the
-/// piece, and whether this node belongs to the piece's fragment (§7.1's
-/// flag, [`PieceCell::member`]).
-pub type DownItem = PieceCell;
-
-/// The per-train dynamic registers of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainState {
-    /// The slot currently being circulated (driven by the part root).
-    pub want: u8,
-    /// The piece climbing up (§7.1 convergecast direction).
-    pub up: Option<UpItem>,
-    /// The piece flooding down (§7.1 broadcast direction), a.k.a. `Show`.
-    /// At the part root it also serves §8's cyclic-order check: it still
-    /// holds the previous slot's piece when the next one replaces it.
-    pub down: Option<DownItem>,
-    /// Set once this node's whole part-subtree holds the piece of slot
-    /// `want` — the acknowledgement that paces the root. It acknowledges
-    /// no other slot, so the slot is not stored with it.
-    pub done: bool,
-    /// How long the node has delayed replacing its `down` buffer because a
-    /// neighbour `Want`s the currently shown piece.
-    pub delay: u8,
-    /// Cycle boundaries (slot counter wrap-arounds) observed since the last
-    /// completeness check, saturating at `COMPLETENESS_WRAPS` (2), the only
-    /// value it is tested against.
-    pub wraps: u8,
-}
-
-impl TrainState {
-    fn fresh() -> Self {
-        TrainState {
-            want: 0,
-            up: None,
-            down: None,
-            done: false,
-            delay: 0,
-            wraps: 0,
-        }
-    }
-
-    /// The level of the member piece this train currently shows, if any.
-    fn shown_member_level(&self) -> Option<u32> {
-        self.down.filter(|d| d.member()).map(|d| d.level())
-    }
-
-    /// Hands each field to `sink` as `(name, value, width)`.
-    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
-        let TrainState {
-            want,
-            up,
-            down,
-            done,
-            delay,
-            wraps,
-        } = *self;
-        sink("TrainState.want", want.into(), w.slot);
-        PieceCell::walk_option(up, w, false, sink);
-        PieceCell::walk_option(down, w, true, sink);
-        sink("TrainState.done", done.into(), w.flag);
-        sink("TrainState.delay", delay.into(), w.delay);
-        sink("TrainState.wraps", wraps.into(), w.wraps);
-    }
-}
-
 /// The comparison (client) state of §7.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompareState {
     /// Index into the node's level list `J(v)` of the level being compared.
     pub level_idx: u8,
@@ -132,15 +65,12 @@ pub struct CompareState {
 }
 
 impl CompareState {
-    fn fresh() -> Self {
-        CompareState {
-            level_idx: 0,
-            ask: None,
-            neighbor_ptr: 0,
-            want_cmp: None,
-            watched_prev: [0, 0],
-            watched_wraps: [0, 0],
-        }
+    /// Starts the walk over the neighbours again from the first: no `Want`
+    /// and no cycle counts.
+    fn restart_walk(&mut self) {
+        self.neighbor_ptr = 0;
+        self.want_cmp = None;
+        self.watched_wraps = [0, 0];
     }
 
     /// Moves on to the next neighbour: its `Want` and cycle counts go.
@@ -243,12 +173,9 @@ struct Children {
     subtree_sum: Option<u64>,
     /// The children's strings, summarised for the RS/EPS checks.
     strings: ChildSummary,
-    /// Per train: the climbing piece of the first child in the same part
-    /// that carries the wanted slot.
-    up: [Option<UpItem>; 2],
-    /// Per train: whether every child in the same part acknowledged the
-    /// wanted slot.
-    done: [bool; 2],
+    /// Per train: what the children in the same part carry for the wanted
+    /// slot.
+    trains: [ChildTrains; 2],
 }
 
 impl Children {
@@ -263,8 +190,7 @@ impl Children {
         let mut kids = Children {
             subtree_sum: Some(0),
             strings: ChildSummary::new(&own.label.strings),
-            up: [None, None],
-            done: [true, true],
+            trains: [ChildTrains::default(); 2],
         };
         for s in neighbors {
             if !s.label.sp.has_parent(ctx.id) {
@@ -276,14 +202,9 @@ impl Children {
             kids.strings.add(&s.label.strings);
             for (which, want) in wanted.into_iter().enumerate() {
                 let Some(want) = want else { continue };
-                if part_of(s, which).part_root_id != part_of(own, which).part_root_id {
-                    continue;
+                if part_of(s, which).part_root_id == part_of(own, which).part_root_id {
+                    kids.trains[which].add(&s.trains[which], want);
                 }
-                let train = &s.trains[which];
-                if kids.up[which].is_none() {
-                    kids.up[which] = train.up.filter(|u| u.slot() == want);
-                }
-                kids.done[which] &= train.done && train.want == want;
             }
         }
         kids
@@ -479,7 +400,7 @@ impl CoreVerifier {
         true
     }
 
-    // ----- train step (§7.1, ack-paced variant) -----------------------------
+    // ----- the trains' `Want` hold (§7.2.2; the trains are `crate::train`) ---
 
     /// Whether some neighbour currently `Want`s a member piece shown by this
     /// node.
@@ -489,10 +410,7 @@ impl CoreVerifier {
         own: &CoreState,
         neighbors: &[&CoreState],
     ) -> bool {
-        let shown = [
-            own.trains[TRAIN_TOP].shown_member_level(),
-            own.trains[TRAIN_BOTTOM].shown_member_level(),
-        ];
+        let shown = own.trains.map(|t| t.shown_member().map(|d| d.level()));
         if shown == [None, None] {
             return false;
         }
@@ -501,181 +419,6 @@ impl CoreVerifier {
                 u64::from(id) == ctx.id && shown.contains(&Some(u32::from(lev)))
             })
         })
-    }
-
-    /// The part parent of a node: its tree parent, if in the same part.
-    fn part_parent<'a>(
-        own: &CoreState,
-        parent: Option<&'a CoreState>,
-        which: usize,
-    ) -> Option<&'a CoreState> {
-        parent.filter(|p| part_of(p, which).part_root_id == part_of(own, which).part_root_id)
-    }
-
-    /// First half of a train step: decides the slot the train circulates
-    /// this activation (`None` if the part has no pieces) and updates the
-    /// registers that pace it.
-    fn step_train_slot(
-        &self,
-        which: usize,
-        ctx: &NodeContext,
-        own: &CoreState,
-        parent: Option<&CoreState>,
-        next: &mut CoreState,
-        wants_hold: bool,
-    ) -> Option<u8> {
-        let part = part_of(own, which);
-        let k = part.piece_count;
-        let train = &own.trains[which];
-        let out = &mut next.trains[which];
-        if k == 0 {
-            *out = TrainState::fresh();
-            return None;
-        }
-        let i_am_root = u64::from(part.part_root_id) == ctx.id;
-        let mut wraps = train.wraps;
-        let want = if i_am_root {
-            let mut w = if train.want >= k { 0 } else { train.want };
-            // advance once the whole part acknowledged and no neighbour holds us
-            let done_here = train.done && train.want == w;
-            let held = wants_hold && train.delay < DELAY_MAX;
-            if done_here && !held {
-                w = (w + 1) % k;
-                if w == 0 {
-                    wraps = count_wrap(wraps);
-                }
-            }
-            out.delay = if done_here && held {
-                train.delay.saturating_add(1)
-            } else {
-                0
-            };
-            w
-        } else {
-            let w = Self::part_parent(own, parent, which).map_or(0, |p| p.trains[which].want);
-            let w = if w >= k { 0 } else { w };
-            if w < train.want {
-                wraps = count_wrap(wraps);
-            }
-            w
-        };
-        out.want = want;
-        out.wraps = wraps;
-        Some(want)
-    }
-
-    /// Second half of a train step: the climbing and flooding buffers, the
-    /// acknowledgement and the checks on the shown piece, for the slot
-    /// `want` decided by [`Self::step_train_slot`].
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a train half-step reads a part's view of the node and its tree neighbours"
-    )]
-    fn step_train_buffers(
-        &self,
-        which: usize,
-        want: u8,
-        ctx: &NodeContext,
-        own: &CoreState,
-        parent: Option<&CoreState>,
-        children: &Children,
-        next: &mut CoreState,
-        wants_hold: bool,
-        alarm: &mut bool,
-    ) {
-        let part = part_of(own, which);
-        let train = &own.trains[which];
-        let out = &mut next.trains[which];
-        let i_am_root = u64::from(part.part_root_id) == ctx.id;
-
-        // 2. the upward (convergecast) buffer
-        let stored = part.stored_pieces().find(|s| s.slot() == want).copied();
-        out.up = stored
-            .or(train.up.filter(|u| u.slot() == want))
-            .or(children.up[which]);
-
-        // 3. the downward (broadcast / Show) buffer, with the membership flag
-        let replace_with: Option<DownItem> = if i_am_root {
-            // `out.up` is the stored piece if there is one
-            out.up
-                .map(|u| u.with_member(self.root_membership(which, &own.label, u)))
-        } else {
-            Self::part_parent(own, parent, which)
-                .and_then(|p| p.trains[which].down)
-                .filter(|d| d.slot() == want)
-                .map(|d| d.with_member(self.child_membership(&own.label, ctx, d)))
-        };
-        let current_ok = train.down.is_some_and(|d| d.slot() == want);
-        out.down = match (current_ok, replace_with) {
-            (true, _) => train.down,
-            (false, Some(new)) => {
-                // §7.2.2: do not overwrite a piece a neighbour still wants
-                if wants_hold && train.delay < DELAY_MAX && train.down.is_some() {
-                    out.delay = train.delay.saturating_add(1);
-                    train.down
-                } else {
-                    if !i_am_root {
-                        out.delay = 0;
-                    } else if let Some(old) =
-                        train.down.filter(|d| want != 0 && d.slot() == want - 1)
-                    {
-                        // cyclic-order check of §8: within a cycle each
-                        // slot's piece has a strictly larger key than the
-                        // previous slot's, which the root still shows
-                        if new.order_key() <= old.order_key() {
-                            *alarm = true;
-                        }
-                    }
-                    Some(new)
-                }
-            }
-            (false, None) => train.down,
-        };
-
-        // 4. the acknowledgement
-        let have = out.down.is_some_and(|d| d.slot() == want);
-        out.done = have && children.done[which];
-
-        // 5. checks on the member piece currently shown (§8, Claim 8.3)
-        if let Some(d) = out.down.filter(|d| d.member()) {
-            let j = d.level() as usize;
-            let strings = &own.label.strings;
-            match strings.root(j) {
-                RootSym::Absent => *alarm = true,
-                sym => {
-                    next.seen_levels |= 1u64 << j;
-                    if sym == RootSym::Root && d.root_id() != ctx.id {
-                        *alarm = true;
-                    }
-                    // only the top fragment (the whole tree) has no outgoing edge
-                    if !d.has_min_out() && j + 1 != strings.len() {
-                        *alarm = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Membership rule at the part root (§7.1's flag, initial value).
-    fn root_membership(&self, which: usize, label: &CoreLabel, piece: UpItem) -> bool {
-        if label.strings.root(piece.level() as usize) == RootSym::Absent {
-            return false;
-        }
-        match which {
-            TRAIN_TOP => {
-                // the part intersects at most one top fragment per level
-                // (Claim 6.3), so having a top fragment at this level means it
-                // is the piece's fragment
-                piece.level() >= u32::from(label.top_min_level)
-            }
-            _ => piece.root_id() == u64::from(label.sp.own_id),
-        }
-    }
-
-    /// Membership rule when copying the piece from the part parent.
-    fn child_membership(&self, label: &CoreLabel, ctx: &NodeContext, d: DownItem) -> bool {
-        d.root_id() == ctx.id
-            || (d.member() && label.strings.root(d.level() as usize) == RootSym::NonRoot)
     }
 
     // ----- comparison machinery (§7.2, §8) ----------------------------------
@@ -693,12 +436,12 @@ impl CoreVerifier {
         let levels = own.label.strings.present();
         let level_count = levels.count_ones() as usize;
         if level_count == 0 {
-            next.compare = CompareState::fresh();
+            next.compare = CompareState::default();
             return;
         }
         let mut cmp = own.compare;
         if usize::from(cmp.level_idx) >= level_count {
-            cmp = CompareState::fresh();
+            cmp = CompareState::default();
         }
         // the `level_idx`-th set bit: drop the lower ones
         let level = (0..cmp.level_idx)
@@ -711,9 +454,7 @@ impl CoreVerifier {
         }
         if cmp.ask.is_none() {
             cmp.ask = shown_member_cell(next, level);
-            cmp.neighbor_ptr = 0;
-            cmp.want_cmp = None;
-            cmp.watched_wraps = [0, 0];
+            cmp.restart_walk();
         }
         let Some(ask) = cmp.ask.map(|a| a.piece()) else {
             next.compare = cmp;
@@ -746,10 +487,12 @@ impl CoreVerifier {
             cmp.want_cmp = Some((u.label.sp.own_id, level as u8));
             let cur = [u.trains[0].want, u.trains[1].want];
             for (t, &c) in cur.iter().enumerate() {
-                if c < cmp.watched_prev[t] {
-                    cmp.watched_wraps[t] =
-                        cmp.watched_wraps[t].saturating_add(1).min(MAX_WATCH_WRAPS);
-                }
+                cmp.watched_wraps[t] = train::count_wraps(
+                    cmp.watched_wraps[t],
+                    cmp.watched_prev[t],
+                    c,
+                    MAX_WATCH_WRAPS,
+                );
             }
             cmp.watched_prev = cur;
             if cmp.watched_wraps.iter().all(|&w| w >= MAX_WATCH_WRAPS) {
@@ -763,9 +506,7 @@ impl CoreVerifier {
             // done with this level: move on
             cmp.level_idx = ((usize::from(cmp.level_idx) + 1) % level_count) as u8;
             cmp.ask = None;
-            cmp.neighbor_ptr = 0;
-            cmp.want_cmp = None;
-            cmp.watched_wraps = [0, 0];
+            cmp.restart_walk();
         }
         next.compare = cmp;
     }
@@ -856,12 +597,6 @@ impl CoreVerifier {
     }
 }
 
-/// A train's cycle counter after one more wrap-around: it saturates at the
-/// threshold it is tested against, whatever value a fault left in it.
-fn count_wrap(wraps: u8) -> u8 {
-    wraps.saturating_add(1).min(COMPLETENESS_WRAPS)
-}
-
 fn part_of(s: &CoreState, which: usize) -> &PartLabel {
     if which == TRAIN_TOP {
         &s.label.top_part
@@ -870,13 +605,27 @@ fn part_of(s: &CoreState, which: usize) -> &PartLabel {
     }
 }
 
+/// §7.1's membership flag of a piece entering node `id`'s `down` buffer in
+/// partition `which`: from the strings at the part root (`at_root`), and
+/// from the part parent's flag elsewhere.
+fn membership(which: usize, label: &CoreLabel, id: u64, piece: PieceCell, at_root: bool) -> bool {
+    let root = label.strings.root(piece.level() as usize);
+    if !at_root {
+        piece.root_id() == id || (piece.member() && root == RootSym::NonRoot)
+    } else if which == TRAIN_TOP {
+        // the part intersects at most one top fragment per level (Claim
+        // 6.3), so having a top fragment at this level means it is the
+        // piece's fragment
+        root != RootSym::Absent && piece.level() >= u32::from(label.top_min_level)
+    } else {
+        root != RootSym::Absent && piece.root_id() == u64::from(label.sp.own_id)
+    }
+}
+
 /// The cell of the member piece of the given level that one of the node's
 /// trains currently shows, if any.
 fn shown_member_cell(s: &CoreState, level: u32) -> Option<PieceCell> {
-    s.trains
-        .iter()
-        .filter_map(|t| t.down)
-        .find(|d| d.member() && d.level() == level)
+    (s.trains.iter()).find_map(|t| t.shown_member().filter(|d| d.level() == level))
 }
 
 impl NodeProgram for CoreVerifier {
@@ -885,8 +634,8 @@ impl NodeProgram for CoreVerifier {
     fn init(&self, ctx: &NodeContext) -> CoreState {
         CoreState {
             label: self.labels[ctx.node.index()],
-            trains: [TrainState::fresh(), TrainState::fresh()],
-            compare: CompareState::fresh(),
+            trains: [TrainState::default(); 2],
+            compare: CompareState::default(),
             seen_levels: 0,
             verdict: Verdict::Working,
         }
@@ -900,9 +649,20 @@ impl NodeProgram for CoreVerifier {
 
         // the slot each train circulates, then the one pass over the tree
         // children that everything below shares
-        let wants_hold = self.neighbor_wants_shown(ctx, own, neighbors);
-        let wanted = [TRAIN_TOP, TRAIN_BOTTOM]
-            .map(|which| self.step_train_slot(which, ctx, own, parent, &mut next, wants_hold));
+        let hold = self.neighbor_wants_shown(ctx, own, neighbors);
+        let views = [TRAIN_TOP, TRAIN_BOTTOM].map(|which| {
+            let part = part_of(own, which);
+            let same_part = |p: &&CoreState| part_of(p, which).part_root_id == part.part_root_id;
+            PartView {
+                part,
+                is_root: u64::from(part.part_root_id) == ctx.id,
+                own: &own.trains[which],
+                parent: parent.filter(same_part).map(|p| &p.trains[which]),
+                hold,
+            }
+        });
+        let wanted =
+            [TRAIN_TOP, TRAIN_BOTTOM].map(|which| views[which].slot(&mut next.trains[which]));
         let children = Children::gather(ctx, own, neighbors, wanted);
 
         // 1. structural 1-round checks
@@ -910,12 +670,25 @@ impl NodeProgram for CoreVerifier {
             alarm = true;
         }
 
-        // 2. trains
+        // 2. trains, then Claim 8.3's checks on the member piece each shows
+        // (§8), whose level counts as seen for the completeness check
         for (which, want) in wanted.into_iter().enumerate() {
-            if let Some(want) = want {
-                self.step_train_buffers(
-                    which, want, ctx, own, parent, &children, &mut next, wants_hold, &mut alarm,
-                );
+            let Some(want) = want else { continue };
+            let member = |piece, at_root| membership(which, &own.label, ctx.id, piece, at_root);
+            let out = &mut next.trains[which];
+            alarm |= views[which].buffers(want, children.trains[which], out, member);
+            let Some(d) = out.shown_member() else {
+                continue;
+            };
+            let (j, strings) = (d.level() as usize, &own.label.strings);
+            match strings.root(j) {
+                RootSym::Absent => alarm = true,
+                sym => {
+                    next.seen_levels |= 1u64 << j;
+                    alarm |= sym == RootSym::Root && d.root_id() != ctx.id;
+                    // only the top fragment (the whole tree) has no outgoing edge
+                    alarm |= !d.has_min_out() && j + 1 != strings.len();
+                }
             }
         }
 
@@ -923,14 +696,9 @@ impl NodeProgram for CoreVerifier {
         self.step_compare(ctx, own, neighbors, &mut next, &mut alarm);
 
         // 4. completeness (cycle-set) check of §8
-        if next.trains.iter().all(|t| t.wraps >= COMPLETENESS_WRAPS) {
-            if own.label.strings.present() & !next.seen_levels != 0 {
-                alarm = true;
-            }
+        if train::take_cycles(&mut next.trains) {
+            alarm |= own.label.strings.present() & !next.seen_levels != 0;
             next.seen_levels = 0;
-            for t in &mut next.trains {
-                t.wraps = 0;
-            }
         }
 
         if alarm {
@@ -969,6 +737,7 @@ mod reference {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::labels::{COMPLETENESS_WRAPS, DELAY_MAX};
     use crate::marker::Marker;
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;

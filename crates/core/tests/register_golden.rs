@@ -23,7 +23,8 @@
 use smst_core::faults::{corrupt, FaultKind};
 use smst_core::labels::{CoreLabel, PartLabel, PieceInfo};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
-use smst_core::verifier::{CompareState, CoreState, TrainState};
+use smst_core::train::TrainState;
+use smst_core::verifier::{CompareState, CoreState};
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
