@@ -25,7 +25,8 @@ pub enum FaultKind {
     StoredPieceWeight,
     /// Corrupt the partition metadata (part root identity).
     PartRoot,
-    /// Scramble the dynamic train buffers (self-healing state).
+    /// Reset the trains: empty `up` and `down`, clear `done`, a random `want`
+    /// and `seen_levels`. ROADMAP item 1(c) makes it write garbage pieces.
     TrainBuffers,
 }
 

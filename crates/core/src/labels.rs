@@ -61,7 +61,7 @@ pub const MAX_FIELD: u64 = u32::MAX as u64;
 
 /// Maximum activations a node delays its train for a wanting neighbour
 /// (guards against corrupted `Want` registers).
-pub(crate) const DELAY_MAX: u8 = 64;
+pub const DELAY_MAX: u8 = 64;
 /// Full cycles of a watched neighbour's trains after which a missing piece is
 /// reported.
 pub(crate) const MAX_WATCH_WRAPS: u8 = 3;

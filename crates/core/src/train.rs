@@ -11,12 +11,14 @@ use crate::labels::{PartLabel, PieceCell, Widths, COMPLETENESS_WRAPS, DELAY_MAX}
 pub struct TrainState {
     /// The slot currently being circulated (driven by the part root).
     pub want: u8,
-    /// The piece climbing up (§7.1 convergecast direction).
+    /// The piece climbing up (§7.1 convergecast): the node's stored piece
+    /// of slot `want`, else the first same-part child's `up` of that slot.
     pub up: Option<PieceCell>,
-    /// The piece flooding down (§7.1 broadcast direction), a.k.a. `Show`,
-    /// with §7.1's membership flag. At the part root it also serves §8's
-    /// cyclic-order check: it still holds the previous slot's piece when
-    /// the next one replaces it.
+    /// The piece flooding down (§7.1 broadcast), a.k.a. `Show`, with §7.1's
+    /// membership flag: re-read from its source (the part root's `up`, the
+    /// part parent's `down`) whenever that carries slot `want`, kept while
+    /// it does not or while §7.2.2's hold delays a slot change. At the part
+    /// root it still holds the previous slot's piece for §8's order check.
     pub down: Option<PieceCell>,
     /// Set once this node's whole part-subtree holds the piece of slot
     /// `want` — the acknowledgement that paces the root. It acknowledges
@@ -156,11 +158,10 @@ impl PartView<'_> {
     }
 
     /// Second half of a step, for the slot `want` that [`Self::slot`]
-    /// decided: the climbing and flooding buffers and the acknowledgement.
-    /// `member(piece, at_root)` is §7.1's flag of a piece entering the
-    /// `down` buffer, from the node's own `up` at the part root and from
-    /// the part parent's `down` elsewhere. Returns whether §8's cyclic-order
-    /// check fired at the part root.
+    /// decided: the climbing and flooding buffers, each a function of its
+    /// source (see [`TrainState`]), and the acknowledgement.
+    /// `member(piece, at_root)` is §7.1's flag of a piece entering `down`.
+    /// Returns whether §8's cyclic-order check fired at the part root.
     pub(crate) fn buffers(
         &self,
         want: u8,
@@ -173,12 +174,10 @@ impl PartView<'_> {
 
         // the upward (convergecast) buffer
         let stored = self.part.stored_pieces().find(|s| s.slot() == want);
-        out.up = (stored.copied())
-            .or(train.up.filter(|u| u.slot() == want))
-            .or(children.up);
+        out.up = stored.copied().or(children.up);
 
         // the downward (broadcast / Show) buffer, with the membership flag
-        let replace_with = if self.is_root {
+        let source = if self.is_root {
             // `out.up` is the stored piece if there is one
             out.up.map(|u| u.with_member(member(u, true)))
         } else {
@@ -187,10 +186,10 @@ impl PartView<'_> {
                 .filter(|d| d.slot() == want)
                 .map(|d| d.with_member(member(d, false)))
         };
-        let current_ok = train.down.is_some_and(|d| d.slot() == want);
-        out.down = match (current_ok, replace_with) {
-            (true, _) => train.down,
-            (false, Some(new)) => {
+        out.down = match source {
+            None => train.down,
+            Some(new) if train.down.is_some_and(|d| d.slot() == want) => Some(new),
+            Some(new) => {
                 // §7.2.2: do not overwrite a piece a neighbour still wants
                 if self.hold && train.delay < DELAY_MAX && train.down.is_some() {
                     out.delay = train.delay.saturating_add(1);
@@ -209,7 +208,6 @@ impl PartView<'_> {
                     Some(new)
                 }
             }
-            (false, None) => train.down,
         };
 
         // the acknowledgement
@@ -233,6 +231,7 @@ mod tests {
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
     use smst_labeling::Instance;
+    use smst_rng::{Rng, SeedableRng, StdRng};
     use smst_sim::SyncRunner;
 
     /// A part's shape, rooted at node 0.
@@ -305,6 +304,28 @@ mod tests {
             min_out: None,
         };
         PieceCell::new(s, info)
+    }
+
+    /// A train with garbage in every field: any slot counter, buffers with
+    /// any slot below `2p` and any key, any ack, delay and cycle count.
+    fn garbage(rng: &mut StdRng, p: u8) -> TrainState {
+        let cell = |rng: &mut StdRng| {
+            let info = PieceInfo {
+                root_id: rng.gen_range(0..1000),
+                level: rng.gen_range(0..8),
+                min_out: None,
+            };
+            let slot = rng.gen_range(0..2 * p);
+            (rng.gen_bool(0.5)).then(|| PieceCell::new(slot, info).with_member(rng.gen_bool(0.5)))
+        };
+        TrainState {
+            want: rng.gen(),
+            up: cell(rng),
+            down: cell(rng),
+            done: rng.gen_bool(0.5),
+            delay: rng.gen(),
+            wraps: rng.gen(),
+        }
     }
 
     /// The cycle, in rounds, on a part of depth `d` whose slots' holders sit
@@ -408,16 +429,15 @@ mod tests {
             (next, out_of_order)
         }
 
-        /// Steps from fresh trains until the root's slot has wrapped
-        /// `cycles + 1` times and returns the cycles between the wraps. On
-        /// the way, the root's order check never fires, every node shows
-        /// every slot's piece once between two wraps, in slot order, and
-        /// the root wraps within the bound of [`cycle_bound`].
-        fn cycles(&self, held: bool, cycles: usize) -> Vec<usize> {
+        /// Steps from `trains` until the root's slot has wrapped `cycles + 1`
+        /// times and returns the cycles between the wraps. On the way, the
+        /// root's order check never fires, every node shows every slot's
+        /// piece once between two wraps, in slot order, and the root wraps
+        /// within the bound of [`cycle_bound`].
+        fn cycles(&self, mut trains: Vec<TrainState>, held: bool, cycles: usize) -> Vec<usize> {
             let p = self.pieces();
             let n = self.parent.len();
             let give_up = (cycles + 2) * cycle_bound(depths(&self.labels).0, p.into(), held);
-            let mut trains = vec![TrainState::default(); n];
             let mut wraps = Vec::new();
             let mut shown: Vec<Vec<u8>> = vec![Vec::new(); n];
             for round in 0.. {
@@ -484,11 +504,14 @@ mod tests {
 
     /// Every probed part settles into one cycle length from its first wrap
     /// on, equal to the pinned one and to [`stop_and_wait_cycle`]'s, and
-    /// within `p·(4d + 1)` rounds: `c·d·p` with `c` at most 5.
+    /// within `p·(4d + 1)` rounds: `c·d·p` with `c` at most 5. It does so
+    /// from fresh trains, and from garbage in every node's train once
+    /// three of those cycles have passed.
     #[test]
     fn train_cycles_match_the_pinned_table() {
         println!("shape            nodes  d  p  preorder  deepest  cycle/(d·p)");
         let mut c: f64 = 0.0;
+        let mut rng = StdRng::seed_from_u64(46);
         for (shape, p, preorder, deepest) in CYCLES {
             let mut row = Vec::new();
             for (placement, pinned) in [
@@ -498,14 +521,21 @@ mod tests {
                 let part = Part::new(shape, p, placement);
                 let (d, holders) = depths(&part.labels);
                 let expected = stop_and_wait_cycle(&holders, d, false);
-                let cycles = part.cycles(false, 2);
-                assert!(
-                    cycles
-                        .iter()
-                        .all(|&cycle| cycle == pinned && cycle == expected),
-                    "{shape:?}, {p} pieces, {placement:?}: {cycles:?}, pinned {pinned}, \
-                     expected {expected}"
-                );
+                let n = part.parent.len();
+                let mut settled: Vec<TrainState> = (0..n).map(|_| garbage(&mut rng, p)).collect();
+                for _ in 0..3 * cycle_bound(d, p.into(), false) {
+                    settled = part.step(&settled, false).0;
+                }
+                for start in [vec![TrainState::default(); n], settled] {
+                    let cycles = part.cycles(start, false, 2);
+                    assert!(
+                        cycles
+                            .iter()
+                            .all(|&cycle| cycle == pinned && cycle == expected),
+                        "{shape:?}, {p} pieces, {placement:?}: {cycles:?}, pinned {pinned}, \
+                         expected {expected}"
+                    );
+                }
                 assert!(pinned <= cycle_bound(d, p.into(), false));
                 let per = pinned as f64 / (d * usize::from(p)) as f64;
                 c = c.max(per);
@@ -535,7 +565,8 @@ mod tests {
                 let part = Part::new(shape, p, placement);
                 let (d, holders) = depths(&part.labels);
                 let expected = stop_and_wait_cycle(&holders, d, true);
-                let cycles = part.cycles(true, 2);
+                let fresh = vec![TrainState::default(); part.parent.len()];
+                let cycles = part.cycles(fresh, true, 2);
                 assert!(
                     cycles.iter().all(|&cycle| cycle == expected),
                     "{shape:?}, {p} pieces, {placement:?}: {cycles:?}, expected {expected}"
@@ -550,6 +581,47 @@ mod tests {
                 row[0].1,
                 row[1].1,
                 cycle_bound(d, p.into(), true)
+            );
+        }
+    }
+
+    /// A one-slot train never changes slot, so its buffers must follow their
+    /// sources, not their own past: once the piece stored deepest in the
+    /// part is corrupted, the root shows the new piece within one cycle
+    /// (`4d + 1` rounds), which needs `up` to stop falling back to itself on
+    /// the way up and `down` to be re-read at the root.
+    #[test]
+    fn a_one_slot_train_carries_a_corrupted_piece_to_the_root() {
+        for shape in [Shape::Path(4), Shape::Caterpillar(4), Shape::Binary(3)] {
+            let mut part = Part::new(shape, 1, Placement::DeepestFirst);
+            let (d, _) = depths(&part.labels);
+            let holder = (part.labels.iter())
+                .position(|l| l.stored[0].is_some())
+                .unwrap();
+            assert_ne!(holder, 0, "{shape:?}: the root holds the piece");
+            let cycle = cycle_bound(d, 1, false);
+            let mut trains = vec![TrainState::default(); part.parent.len()];
+            for _ in 0..cycle {
+                trains = part.step(&trains, false).0;
+            }
+            assert_eq!(trains[0].down, Some(piece(0)), "{shape:?}: warm-up");
+
+            let corrupted = PieceCell::new(
+                0,
+                PieceInfo {
+                    root_id: 99,
+                    ..piece(0).piece()
+                },
+            );
+            part.labels[holder].stored[0] = Some(corrupted);
+            let shown = (0..cycle).any(|_| {
+                trains = part.step(&trains, false).0;
+                trains[0].down == Some(corrupted)
+            });
+            assert!(
+                shown,
+                "{shape:?}: the root still shows {:?} after {cycle} rounds",
+                trains[0].down
             );
         }
     }

@@ -1070,6 +1070,81 @@ pub(crate) mod tests {
         }
     }
 
+    /// A 256-node instance after 64 fault-free rounds, and the nodes that
+    /// store the piece of a one-piece Bottom part (on these instances such
+    /// a part is a single node).
+    fn one_piece_bottom_parts(
+        verifier: &CoreVerifier,
+    ) -> (SyncRunner<'_, CoreVerifier>, Vec<NodeId>) {
+        let mut runner = SyncRunner::new(verifier, verifier.network());
+        runner.run_rounds(64);
+        assert!(!runner.network().any_alarm(verifier), "warm-up");
+        let holders = (verifier.graph.nodes())
+            .filter(|v| {
+                let part = verifier.labels[v.index()].bottom_part;
+                part.piece_count == 1 && part.stored[0].is_some()
+            })
+            .collect();
+        (runner, holders)
+    }
+
+    /// One wrong `down` cell (slot 0, member flag set, a wrong fragment
+    /// root) in a one-piece Bottom part. The slot never changes there, so
+    /// only re-reading `down` from its source, the node's stored piece,
+    /// replaces the cell: no alarm after the first round, for 400 rounds.
+    #[test]
+    fn a_wrong_down_cell_in_a_one_piece_part_heals() {
+        let (_, verifier) = setup(256, 768, 0);
+        let (mut runner, holders) = one_piece_bottom_parts(&verifier);
+        let v = holders[0];
+        let train = &mut runner.network_mut().state_mut(v).trains[TRAIN_BOTTOM];
+        let shown = train.down.expect("the part's piece is shown");
+        let wrong = PieceInfo {
+            root_id: shown.root_id() + 1,
+            ..shown.piece()
+        };
+        train.down = Some(PieceCell::new(0, wrong).with_member(true));
+        let last = (0..400).fold(None, |last, round| {
+            runner.run_rounds(1);
+            (runner.network().any_alarm(&verifier))
+                .then_some(round)
+                .or(last)
+        });
+        assert!(
+            last.is_none_or(|r| r == 0),
+            "{v}: alarms until round {last:?} of 400"
+        );
+    }
+
+    /// A corrupted stored piece of a one-piece Bottom part is caught: the
+    /// new piece reaches the `down` buffer, where a buffer that kept its
+    /// own past would keep showing the old one. Each of six such parts (one
+    /// corrupted at a time) alarms within 400 rounds.
+    #[test]
+    fn a_corrupted_piece_of_a_one_piece_part_alarms() {
+        let (_, verifier) = setup(256, 768, 0);
+        let (_, holders) = one_piece_bottom_parts(&verifier);
+        for &h in &holders[..6] {
+            let (mut runner, _) = one_piece_bottom_parts(&verifier);
+            let stored = &mut runner.network_mut().state_mut(h).label.bottom_part.stored[0];
+            let cell = stored.as_mut().unwrap();
+            let mut piece = cell.piece();
+            match piece.min_out.as_mut() {
+                Some(w) => w.weight += 1,
+                None => piece.root_id += 1,
+            }
+            cell.set_piece(piece);
+            let alarmed = (0..400).any(|_| {
+                runner.run_rounds(1);
+                runner.network().any_alarm(&verifier)
+            });
+            assert!(
+                alarmed,
+                "{h}: its corrupted piece raised no alarm in 400 rounds"
+            );
+        }
+    }
+
     /// A node of degree above `u16::MAX` walks all its neighbours: the
     /// comparison pointer neither overflows (a debug build panicked) nor
     /// wraps back to port 0 (a release build never finished the round).

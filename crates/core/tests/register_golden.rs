@@ -12,7 +12,13 @@
 //! the cycle counters fold clamped at the thresholds they are tested
 //! against, and the order key of the last completed piece is gone (the root
 //! reads it from its `down` buffer); the previous register, folded this way,
-//! gives the same constants. The fold reads every logical field of every
+//! gives the same constants. One digest moved on purpose since: once the
+//! trains' buffers became functions of their sources (`up` no longer falls
+//! back to its own past, `down` is re-read whenever its source carries the
+//! wanted slot), the `StoredPieceWeight` row's corrupted piece reaches the
+//! `down` buffers of its part instead of staying masked by the copies the
+//! buffers kept of the old piece. The same node alarms; the digest moved
+//! from `0x1fbb_57f8_90b5_aa02`. The fold reads every logical field of every
 //! register through the accessors at the bottom of this file — never `Debug`
 //! output, never `size_of` — so it is a function of the register's
 //! *contents* only, and a layout change that keeps the verifier's behaviour
@@ -58,7 +64,7 @@ const GOLDEN: [(Option<FaultKind>, u64, &[usize]); 7] = [
     ),
     (
         Some(FaultKind::StoredPieceWeight),
-        0x1fbb_57f8_90b5_aa02,
+        0x00e9_8e6b_6325_e1c1,
         &[288],
     ),
     (

@@ -1,0 +1,195 @@
+//! The verifier stabilises itself (§7–§8): over honest labels on an MST,
+//! the network falls silent from *any* contents of its dynamic registers —
+//! the trains, the comparison state, the seen-levels mask and the verdict —
+//! and stays silent.
+//!
+//! Each generator family's instance runs 50 fault-free rounds; then every
+//! dynamic field of every node is overwritten with a random value that fits
+//! its width in [`Widths`] (a test-only generator: nothing decodes a
+//! register from raw bits yet). The last alarm must come before a bound
+//! fixed from the instance alone, and a window of silence must follow it:
+//! - C, the longest fault-free cycle of any part, `p·(4d + 1)` rounds for p
+//!   pieces in a part of depth d (README, "The trains (ack-paced)");
+//! - C*, the same under a `Want` hold at every node in every round,
+//!   `p·(4d + 1) + p·(d + 2)·DELAY_MAX`;
+//! - the bound is three cycles for the trains and the completeness check to
+//!   find their orbit, plus one compare walk over the Δ neighbours, each of
+//!   which shows the piece asked for within one held cycle: `3·C + Δ·C*`;
+//! - the window is four cycles, `4·C`: two completeness checks.
+//!
+//! The tier-1 test runs one seed of every family at n ≤ 128; the ignored one
+//! runs eight seeds at n = 512 (`cargo test --release -p smst-core --test
+//! self_stabilization -- --ignored`).
+
+use smst_core::labels::{PieceCell, Widths, DELAY_MAX};
+use smst_core::train::TrainState;
+use smst_core::verifier::{CompareState, CoreState};
+use smst_core::{CoreLabel, CoreVerifier, Marker, PieceInfo};
+use smst_graph::generators::{
+    caterpillar_graph, complete_graph, expander_graph, grid_graph, kmw_cluster_tree,
+    kmw_hybrid_graph, path_graph, random_connected_graph, random_graph_scrambled_ids, ring_graph,
+    star_graph,
+};
+use smst_graph::mst::kruskal;
+use smst_graph::weight::CompositeWeight;
+use smst_graph::{NodeId, WeightedGraph};
+use smst_labeling::Instance;
+use smst_rng::{Rng, SeedableRng, StdRng};
+use smst_sim::{SyncRunner, Verdict};
+
+/// One graph of every generator family, at about `n` nodes (at most `n`).
+fn families(n: usize, seed: u64) -> [(&'static str, WeightedGraph); 11] {
+    let kmw_levels = if n <= 128 { 3 } else { 4 };
+    [
+        ("path", path_graph(n, seed)),
+        ("ring", ring_graph(n, seed)),
+        ("complete", complete_graph(n / 4, seed)),
+        ("star", star_graph(n, seed)),
+        ("grid", grid_graph(8, n / 8, seed)),
+        ("caterpillar", caterpillar_graph(n / 4, 3, seed)),
+        ("random_connected", random_connected_graph(n, 3 * n, seed)),
+        ("scrambled_ids", random_graph_scrambled_ids(n, 2 * n, seed)),
+        ("expander", expander_graph(n, 4, seed)),
+        ("kmw_cluster_tree", kmw_cluster_tree(kmw_levels, 3, seed)),
+        ("kmw_hybrid", kmw_hybrid_graph(kmw_levels, 3, seed)),
+    ]
+}
+
+/// A value of `width` bits.
+fn bits(rng: &mut StdRng, width: u32) -> u64 {
+    rng.gen::<u64>() & (u64::MAX >> (64 - width))
+}
+
+/// A cell, or none, of fields within their widths; the membership flag only
+/// where the register has one (`flagged`).
+fn garbage_cell(rng: &mut StdRng, w: &Widths, flagged: bool) -> Option<PieceCell> {
+    if rng.gen_bool(0.5) {
+        return None;
+    }
+    let min_out = rng.gen_bool(0.5).then(|| CompositeWeight {
+        weight: bits(rng, w.weight),
+        non_tree: rng.gen_bool(0.5),
+        id_min: bits(rng, w.id),
+        id_max: bits(rng, w.id),
+    });
+    let piece = PieceInfo {
+        root_id: bits(rng, w.id),
+        level: bits(rng, w.level) as u32,
+        min_out,
+    };
+    let member = flagged && rng.gen_bool(0.5);
+    Some(PieceCell::new(bits(rng, w.slot) as u8, piece).with_member(member))
+}
+
+/// Overwrites every dynamic field of `state` with a value within its width;
+/// the label stays. The struct literals list every field, so a new one
+/// fails to compile until it is randomised here.
+fn scramble(state: &mut CoreState, w: &Widths, rng: &mut StdRng) {
+    for train in &mut state.trains {
+        *train = TrainState {
+            want: bits(rng, w.slot) as u8,
+            up: garbage_cell(rng, w, false),
+            down: garbage_cell(rng, w, true),
+            done: rng.gen_bool(0.5),
+            delay: bits(rng, w.delay) as u8,
+            wraps: bits(rng, w.wraps) as u8,
+        };
+    }
+    state.compare = CompareState {
+        level_idx: bits(rng, w.level) as u8,
+        ask: garbage_cell(rng, w, false),
+        neighbor_ptr: bits(rng, w.port) as u32,
+        want_cmp: (rng.gen_bool(0.5)).then(|| (bits(rng, w.id) as u32, bits(rng, w.level) as u8)),
+        watched_prev: [bits(rng, w.slot) as u8, bits(rng, w.slot) as u8],
+        watched_wraps: [
+            bits(rng, w.watch_wraps) as u8,
+            bits(rng, w.watch_wraps) as u8,
+        ],
+    };
+    state.seen_levels = bits(rng, w.levels);
+    state.verdict = [Verdict::Accept, Verdict::Reject, Verdict::Working][rng.gen_range(0..3usize)];
+    state.walk(w, &mut |name, value, width| {
+        assert!(value < 1 << width, "{name} = {value} exceeds {width} bits");
+    });
+}
+
+/// `(C, C*)`: the longest cycle of any part of either partition, fault-free
+/// and under a `Want` hold everywhere.
+fn cycles(labels: &[CoreLabel]) -> (usize, usize) {
+    let parts = |which: usize| {
+        labels
+            .iter()
+            .map(move |l| [l.top_part, l.bottom_part][which])
+    };
+    let (mut free, mut held) = (0, 0);
+    for which in 0..2 {
+        for part in parts(which) {
+            let members = parts(which).filter(|m| m.part_root_id == part.part_root_id);
+            let d = members.map(|m| usize::from(m.depth_in_part)).max().unwrap();
+            let p = usize::from(part.piece_count);
+            free = free.max(p * (4 * d + 1));
+            held = held.max(p * (4 * d + 1) + p * (d + 2) * usize::from(DELAY_MAX));
+        }
+    }
+    (free, held)
+}
+
+/// Scrambles every register of `g`'s instance after a fault-free warm-up
+/// and asserts that the network is silent from a round within the bound on
+/// and for a window; prints that round.
+fn stabilise(name: &str, g: WeightedGraph, seed: u64) {
+    let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+    let inst = Instance::from_tree(g, &tree);
+    let (labels, _) = Marker.label(&inst).unwrap();
+    let (c, c_held) = cycles(&labels);
+    let bound = 3 * c + inst.graph.max_degree() * c_held;
+    let window = 4 * c;
+    let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+    let w = Widths::of(&inst.graph);
+    let mut runner = SyncRunner::new(&verifier, verifier.network());
+    runner.run_rounds(50);
+    assert!(!runner.network().any_alarm(&verifier), "{name}: warm-up");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1);
+    for v in inst.graph.nodes() {
+        scramble(runner.network_mut().state_mut(v), &w, &mut rng);
+    }
+    let (mut round, mut silent_from) = (0, 0);
+    while round < silent_from + window {
+        runner.run_rounds(1);
+        round += 1;
+        if runner.network().any_alarm(&verifier) {
+            silent_from = round;
+            assert!(
+                silent_from <= bound,
+                "{name}, seed {seed}: alarms in round {round}, past the bound {bound}"
+            );
+        }
+    }
+    println!(
+        "{name:<17} n {:>4} Δ {:>3}  C {c:>4}  silent from round {silent_from:>5} \
+         ({:.1} C; bound {bound})",
+        inst.node_count(),
+        inst.graph.max_degree(),
+        silent_from as f64 / c as f64
+    );
+}
+
+/// Every family at n ≤ 128, one seed: silent within the bound, and stays
+/// silent.
+#[test]
+fn the_verifier_stabilises_from_garbage_on_every_family() {
+    for (name, g) in families(128, 1) {
+        stabilise(name, g, 1);
+    }
+}
+
+/// The same at n = 512 with eight seeds.
+#[test]
+#[ignore = "release-mode sweep: cargo test --release -p smst-core --test self_stabilization -- --ignored"]
+fn the_verifier_stabilises_from_garbage_at_n_512() {
+    for seed in 0..8 {
+        for (name, g) in families(512, seed) {
+            stabilise(name, g, seed);
+        }
+    }
+}
