@@ -273,21 +273,38 @@ pub fn build_strings(
     tree: &RootedTree,
     hierarchy: &Hierarchy,
 ) -> Vec<NodeStrings> {
+    let mut out = vec![NodeStrings::blank(0); g.node_count()];
+    write_strings(g, tree, hierarchy, &mut out, |s| s);
+    out
+}
+
+/// [`build_strings`] into the `field` of each node's entry of `out` (one
+/// per node, in index order), so that the marker writes them straight into
+/// its labels.
+pub(crate) fn write_strings<T>(
+    g: &WeightedGraph,
+    tree: &RootedTree,
+    hierarchy: &Hierarchy,
+    out: &mut [T],
+    field: fn(&mut T) -> &mut NodeStrings,
+) {
     let len = hierarchy.height() as usize + 1;
-    let n = g.node_count();
-    let mut out: Vec<NodeStrings> = vec![NodeStrings::blank(len); n];
+    for entry in out.iter_mut() {
+        *field(entry) = NodeStrings::blank(len);
+    }
 
     for idx in 0..hierarchy.len() {
         let frag = hierarchy.fragment(idx);
         let j = frag.level as usize;
-        for &v in &frag.nodes {
+        for v in frag.nodes() {
             let sym = if frag.root == v {
                 RootSym::Root
             } else {
                 RootSym::NonRoot
             };
-            out[v.index()].set_root(j, sym);
-            out[v.index()].set_endp(j, EndpSym::NotEndpoint);
+            let strings = field(&mut out[v.index()]);
+            strings.set_root(j, sym);
+            strings.set_endp(j, EndpSym::NotEndpoint);
         }
         if let Some(cand) = hierarchy.candidate(idx) {
             let edge = g.edge(cand);
@@ -298,11 +315,11 @@ pub fn build_strings(
             };
             debug_assert!(!frag.contains(outside), "candidate must be outgoing");
             if tree.parent(inside) == Some(outside) {
-                out[inside.index()].set_endp(j, EndpSym::Up);
+                field(&mut out[inside.index()]).set_endp(j, EndpSym::Up);
             } else {
                 debug_assert_eq!(tree.parent(outside), Some(inside));
-                out[inside.index()].set_endp(j, EndpSym::Down);
-                out[outside.index()].set_parent_bit(j, true);
+                field(&mut out[inside.index()]).set_endp(j, EndpSym::Down);
+                field(&mut out[outside.index()]).set_parent_bit(j, true);
             }
         }
     }
@@ -310,13 +327,13 @@ pub fn build_strings(
     // Or-EndP aggregation, bottom-up (reverse BFS order puts children first),
     // restricted to same-fragment children — all levels of a node at once
     for &v in tree.bfs_order().iter().rev() {
-        let mut word = out[v.index()].endp_hi;
+        let mut word = field(&mut out[v.index()]).endp_hi;
         for &c in tree.children(v) {
-            word |= out[c.index()].nonroot() & out[c.index()].or_endp;
+            let child = field(&mut out[c.index()]);
+            word |= child.nonroot() & child.or_endp;
         }
-        out[v.index()].or_endp = word;
+        field(&mut out[v.index()]).or_endp = word;
     }
-    out
 }
 
 /// What a node needs from its tree children's strings, gathered in one pass

@@ -27,10 +27,13 @@
 //! cost `O(m)` more in total), and recording the active fragments, whose
 //! sizes sum to at most `n` per level.
 //! Every list — a node's edges by weight, a phase's fragment members, the
-//! recorded fragments — is a row of one [`Csr`] or a run of one `Vec`, so a
-//! phase allocates a bounded number of times and the run once more per
-//! recorded [`Fragment`]. A disconnected graph shows in the phase loop: with
-//! more than one fragment left, an active fragment finds no outgoing edge.
+//! recorded fragments — is a row of one [`Csr`] of 32-bit entries (a node's
+//! edge rows take 8 B per edge end: rank and other end), so a phase
+//! allocates a bounded number of times and the run never once per fragment;
+//! the recorded rows become the [`Hierarchy`]'s own, and the phases' tables
+//! are freed before the tree and the hierarchy's indexes are built. A
+//! disconnected graph shows in the phase loop: with more than one fragment
+//! left, an active fragment finds no outgoing edge.
 //!
 //! Fragments are kept in a **canonical order**, by ascending smallest node
 //! index, in which every phase scans them, merges them and records the
@@ -38,9 +41,10 @@
 //! hierarchy, and everything the marker derives from them) is therefore a
 //! pure function of the graph.
 
+use smst_graph::csr::narrow;
 use smst_graph::mst::{by_composite_weight, UnionFind};
 use smst_graph::weight::bits_for;
-use smst_graph::{Csr, EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
+use smst_graph::{Csr, EdgeId, Hierarchy, NodeId, RootedTree, WeightedGraph};
 
 /// The outcome of running SYNC_MST.
 #[derive(Debug, Clone)]
@@ -106,39 +110,40 @@ impl SyncMst {
     ) -> SyncMstOutcome {
         let n = g.node_count();
         assert!(n > 0, "SYNC_MST requires a non-empty graph");
+        narrow(n);
+        narrow(edge_of.len());
 
         // Fragment state, dense and in canonical order: at every phase the
         // fragments are numbered 0..k by ascending smallest node, `comp` maps
         // a node to its fragment and row `f` of `members` lists fragment
         // `f`'s nodes in ascending order.
-        let mut comp: Vec<usize> = (0..n).collect();
-        let mut members = Csr::from_pairs(n, (0..n).map(|v| (v, NodeId(v))));
-        let mut root_of: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let mut comp: Vec<u32> = (0..n as u32).collect();
+        let mut members = Csr::from_pairs(n, (0..n as u32).map(|v| (v as usize, v)));
+        let mut root_of: Vec<u32> = (0..n as u32).collect();
         // An edge is compared by its rank in `edge_of` from here on. Row `v`
         // of `by_weight` lists `v`'s edges (rank, other end) in that order,
         // with a cursor at the lightest one still leaving `v`'s fragment: an
         // edge inside a fragment stays inside, so the cursors only advance,
         // and all the Find_Min_Out_Edge searches together cost O(m) plus O(n)
         // per phase.
-        let by_weight = Csr::from_pairs(
+        let by_weight: Csr<(u32, u32)> = Csr::from_pairs(
             n,
-            (edge_of.iter().enumerate()).flat_map(|(rank, &e)| {
+            (edge_of.iter().zip(0..)).flat_map(|(&e, rank)| {
                 let edge = g.edge(e);
-                [
-                    (edge.u.index(), (rank, edge.v)),
-                    (edge.v.index(), (rank, edge.u)),
-                ]
+                let (u, v) = (edge.u.index(), edge.v.index());
+                [(u, (rank, v as u32)), (v, (rank, u as u32))]
             }),
         );
-        let mut cursor: Vec<usize> = vec![0; n];
+        let mut cursor: Vec<u32> = vec![0; n];
 
-        // the active fragments: their nodes back to back in `recorded`, and
-        // per fragment the end of its run, its level and its selected
-        // candidate edge
-        let mut recorded: Vec<NodeId> = Vec::new();
-        let mut active: Vec<(usize, u32, Option<EdgeId>)> = Vec::new();
+        // the active fragments: their nodes, one row each, and per fragment
+        // its level and its selected candidate edge
+        let mut fragments: Csr<u32> = Csr::with_capacity(2 * n, 2 * n);
+        let mut levels: Vec<u8> = Vec::with_capacity(2 * n);
+        let mut candidates: Vec<Option<EdgeId>> = Vec::with_capacity(2 * n);
         let mut tree_edges: Vec<EdgeId> = Vec::with_capacity(n - 1);
         let mut phase: u32 = 0;
+        let level = |phase: u32| u8::try_from(phase).expect("fewer than 2⁸ phases");
 
         let final_root = loop {
             // Count_Size: a fragment is active in this phase iff its size
@@ -151,8 +156,9 @@ impl SyncMst {
             if k == 1 {
                 if members.row(0).len() < budget {
                     // record the spanning fragment as the top of the hierarchy
-                    recorded.extend_from_slice(members.row(0));
-                    active.push((recorded.len(), phase, None));
+                    fragments.push_row(members.row(0).iter().copied());
+                    levels.push(level(phase));
+                    candidates.push(None);
                     break root_of[0];
                 }
                 // otherwise keep doubling the budget (still O(n) total)
@@ -163,23 +169,25 @@ impl SyncMst {
             // Find_Min_Out_Edge for every active fragment: the lightest of
             // its nodes' lightest outgoing edges. With more than one fragment
             // left, an active fragment without one is cut off from the rest.
-            let mut selected: Vec<Option<usize>> = vec![None; k];
-            for (f, chosen) in selected.iter_mut().enumerate() {
-                let nodes = members.row(f);
+            let mut selected: Vec<Option<u32>> = vec![None; k];
+            for (f, chosen) in (0..).zip(selected.iter_mut()) {
+                let nodes = members.row(f as usize);
                 if nodes.len() >= budget {
                     continue;
                 }
                 let lightest = nodes.iter().filter_map(|&v| {
-                    let (edges, at) = (by_weight.row(v.index()), &mut cursor[v.index()]);
-                    *at += (edges[*at..].iter())
-                        .take_while(|&&(_, u)| comp[u.index()] == f)
+                    let (edges, at) = (by_weight.row(v as usize), &mut cursor[v as usize]);
+                    let skipped = (edges[*at as usize..].iter())
+                        .take_while(|&&(_, u)| comp[u as usize] == f)
                         .count();
-                    edges.get(*at).map(|&(rank, _)| rank)
+                    *at += skipped as u32;
+                    edges.get(*at as usize).map(|&(rank, _)| rank)
                 });
                 let rank = lightest.min().expect("SYNC_MST requires a connected graph");
                 *chosen = Some(rank);
-                recorded.extend_from_slice(nodes);
-                active.push((recorded.len(), phase, Some(edge_of[rank])));
+                fragments.push_row(nodes.iter().copied());
+                levels.push(level(phase));
+                candidates.push(Some(edge_of[rank as usize]));
             }
 
             // Merging: every active fragment hooks onto the other endpoint of
@@ -188,10 +196,11 @@ impl SyncMst {
             let mut groups = UnionFind::new(k);
             for (f, rank) in selected.iter().enumerate() {
                 if let Some(rank) = *rank {
-                    let e = edge_of[rank];
+                    let e = edge_of[rank as usize];
                     let edge = g.edge(e);
                     let (cu, cv) = (comp[edge.u.index()], comp[edge.v.index()]);
-                    if groups.union(f, if cu == f { cv } else { cu }) {
+                    let other = if cu as usize == f { cv } else { cu };
+                    if groups.union(f, other as usize) {
                         tree_edges.push(e);
                     }
                 }
@@ -204,20 +213,20 @@ impl SyncMst {
             // pair of the minimum selected edge in the group decides — the
             // higher-identity endpoint of that edge becomes the new root (the
             // handshake/pivot rule).
-            let mut id_of_group: Vec<Option<usize>> = vec![None; k];
-            let mut passive_root: Vec<Option<NodeId>> = Vec::new();
-            let mut min_selected: Vec<Option<usize>> = Vec::new();
-            let new_id: Vec<usize> = (0..k)
+            let mut id_of_group: Vec<Option<u32>> = vec![None; k];
+            let mut passive_root: Vec<Option<u32>> = Vec::new();
+            let mut min_selected: Vec<Option<u32>> = Vec::new();
+            let new_id: Vec<u32> = (0..k)
                 .map(|f| {
                     let id = *id_of_group[groups.find(f)].get_or_insert_with(|| {
                         passive_root.push(None);
                         min_selected.push(None);
-                        passive_root.len() - 1
+                        narrow(passive_root.len() - 1)
                     });
                     match selected[f] {
-                        None => passive_root[id] = Some(root_of[f]),
+                        None => passive_root[id as usize] = Some(root_of[f]),
                         Some(rank) => {
-                            let lightest = min_selected[id].get_or_insert(rank);
+                            let lightest = min_selected[id as usize].get_or_insert(rank);
                             *lightest = rank.min(*lightest);
                         }
                     }
@@ -225,11 +234,11 @@ impl SyncMst {
                 })
                 .collect();
             for c in &mut comp {
-                *c = new_id[*c];
+                *c = new_id[*c as usize];
             }
-            members = Csr::from_pairs(
+            members.refill(
                 passive_root.len(),
-                (comp.iter().enumerate()).map(|(v, &c)| (c, NodeId(v))),
+                (comp.iter().zip(0..)).map(|(&c, v)| (c as usize, v)),
             );
             root_of = (passive_root.iter().zip(&min_selected))
                 .map(|(&passive, &min_rank)| {
@@ -237,34 +246,33 @@ impl SyncMst {
                         // all fragments in the group were active; the group's
                         // minimum selected edge is shared by a mutual pair
                         let min_rank = min_rank.expect("active group selects at least one edge");
-                        let edge = g.edge(edge_of[min_rank]);
-                        if g.id(edge.u) > g.id(edge.v) {
+                        let edge = g.edge(edge_of[min_rank as usize]);
+                        let higher = if g.id(edge.u) > g.id(edge.v) {
                             edge.u
                         } else {
                             edge.v
-                        }
+                        };
+                        higher.index() as u32
                     })
                 })
                 .collect();
             phase += 1;
         };
+        // the phases' tables go before the tree and the hierarchy's
+        // indexes are built
+        drop((comp, members, root_of, by_weight, cursor, edge_of));
 
-        let tree = RootedTree::from_edges(g, &tree_edges, root_override.unwrap_or(final_root))
+        let root = root_override.unwrap_or(NodeId(final_root as usize));
+        let tree = RootedTree::from_edges(g, &tree_edges, root)
             .expect("SYNC_MST produces a spanning tree of a connected graph");
+        drop(tree_edges);
 
-        // build the hierarchy (the singletons are already the level-0 active
-        // fragments), in recording order: by level, then canonical order
-        let mut start = 0;
-        let fragments: Vec<Fragment> = (active.iter())
-            .map(|&(end, level, _)| {
-                let nodes = recorded[start..end].iter().copied();
-                start = end;
-                Fragment::new(&tree, nodes, level)
-            })
-            .collect();
-        drop(recorded);
-        let mut hierarchy = Hierarchy::from_fragments(fragments);
-        for (i, &(_, _, candidate)) in active.iter().enumerate() {
+        // the singletons are already the level-0 active fragments; indices
+        // are the recording order: by level, then canonical order
+        fragments.shrink_to_fit();
+        levels.shrink_to_fit();
+        let mut hierarchy = Hierarchy::from_rows(&tree, fragments, levels);
+        for (i, &candidate) in candidates.iter().enumerate() {
             if let Some(e) = candidate {
                 hierarchy.set_candidate(i, e);
             }

@@ -19,7 +19,7 @@ use smst_core::{Marker, MstVerificationScheme, SyncMst};
 use smst_graph::generators::{complete_graph, path_graph, random_connected_graph, star_graph};
 use smst_graph::mst::kruskal;
 use smst_graph::mst::UnionFind;
-use smst_graph::{EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
+use smst_graph::{Csr, EdgeId, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use smst_labeling::Instance;
 use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 use smst_sim::SyncRunner;
@@ -51,7 +51,7 @@ fn reference_pieces(
 ) -> Vec<PieceInfo> {
     let tree_edges = tree.edges();
     let mut pieces: Vec<PieceInfo> = (0..h.len())
-        .filter(|&j| h.fragment(j).nodes.iter().all(|v| nodes.contains(v)))
+        .filter(|&j| h.fragment(j).nodes().all(|v| nodes.contains(&v)))
         .map(|j| PieceInfo {
             root_id: g.id(h.fragment(j).root),
             level: h.fragment(j).level,
@@ -74,11 +74,19 @@ fn check_against_references(g: &WeightedGraph) {
         let children: Vec<usize> = (0..h.len())
             .filter(|&j| reference_parent(h, j) == Some(i))
             .collect();
-        assert_eq!(h.children_of(i), children, "children of {i}");
+        assert_eq!(
+            h.children_of(i).collect::<Vec<_>>(),
+            children,
+            "children of {i}"
+        );
     }
     for v in g.nodes() {
         let containing = reference_containing(h, v);
-        assert_eq!(h.fragments_containing(v), containing, "chain of {v}");
+        assert_eq!(
+            h.fragments_containing(v).collect::<Vec<_>>(),
+            containing,
+            "chain of {v}"
+        );
         for lev in 0..=h.height() + 1 {
             let at_level = containing
                 .iter()
@@ -96,16 +104,16 @@ fn check_against_references(g: &WeightedGraph) {
     let parts = build_partitions(g, tree, h);
     for part in &parts.bottom_parts {
         assert_eq!(
-            part.pieces,
-            reference_pieces(g, tree, h, &part.nodes),
+            part.pieces(),
+            reference_pieces(g, tree, h, &part.nodes().collect::<Vec<_>>()),
             "pieces of the bottom part rooted at {}",
             part.root
         );
     }
     for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
-        for &v in &part.nodes {
+        for v in part.nodes() {
             assert_eq!(tree.depth(v) - tree.depth(part.root), part.depth_of(v));
-            let held = part.holders.iter().filter(|&&holder| holder == v).count();
+            let held = part.holders().filter(|&holder| holder == v).count();
             assert_eq!(part.stored_at(v).iter().flatten().count(), held);
         }
     }
@@ -187,7 +195,7 @@ fn naive_hierarchy(h: &Hierarchy, n: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>
     }
     let mut chain: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..h.len() {
-        for v in &h.fragment(i).nodes {
+        for v in h.fragment(i).nodes() {
             chain[v.index()].push(i);
         }
     }
@@ -245,26 +253,36 @@ proptest! {
         // SYNC_MST's own indices, the same fragments in a random order, and
         // a random family that is not laminar, so that a node lies in two
         // fragments of one level and the chain's ties show
-        let mut shuffled: Vec<Fragment> = outcome.hierarchy.fragments().to_vec();
+        let mut shuffled: Vec<(Vec<u32>, u8)> = (outcome.hierarchy.fragments())
+            .map(|f| (f.nodes().map(|v| v.index() as u32).collect(), f.level as u8))
+            .collect();
         shuffled.shuffle(&mut rng);
-        let overlapping: Vec<Fragment> = (0..2 * n)
+        let overlapping: Vec<(Vec<u32>, u8)> = (0..2 * n)
             .map(|_| {
-                let mut nodes: Vec<NodeId> = g.nodes().collect();
+                let mut nodes: Vec<u32> = (0..n as u32).collect();
                 nodes.shuffle(&mut rng);
-                let size = rng.gen_range(1..n + 1);
-                Fragment::new(&outcome.tree, nodes.into_iter().take(size), rng.gen_range(0u32..3))
+                nodes.truncate(rng.gen_range(1..n + 1));
+                nodes.sort_unstable();
+                (nodes, rng.gen_range(0u8..3))
             })
             .collect();
-        let families = [shuffled, overlapping].map(Hierarchy::from_fragments);
+        let families = [shuffled, overlapping].map(|family| {
+            let mut rows = Csr::default();
+            for (nodes, _) in &family {
+                rows.push_row(nodes.iter().copied());
+            }
+            let levels = family.iter().map(|&(_, level)| level).collect();
+            Hierarchy::from_rows(&outcome.tree, rows, levels)
+        });
         for h in [&outcome.hierarchy, &families[0], &families[1]] {
             let (children, chain) = naive_hierarchy(h, n);
             for (i, expected) in children.iter().enumerate() {
-                prop_assert_eq!(h.children_of(i), &expected[..], "children of {}", i);
+                prop_assert_eq!(h.children_of(i).collect::<Vec<_>>(), &expected[..], "children of {}", i);
             }
             for v in g.nodes() {
-                prop_assert_eq!(h.fragments_containing(v), &chain[v.index()][..], "chain of {}", v);
+                prop_assert_eq!(h.fragments_containing(v).collect::<Vec<_>>(), &chain[v.index()][..], "chain of {}", v);
             }
-            prop_assert!(h.fragments_containing(NodeId(n)).is_empty());
+            prop_assert_eq!(h.fragments_containing(NodeId(n)).len(), 0);
         }
     }
 }
@@ -284,7 +302,7 @@ fn labels_sixteen_thousand_nodes_and_the_verifier_accepts() {
     assert!(report.hierarchy_height <= log_n.ceil() as u32 + 1);
     assert_eq!(report.hierarchy_height, outcome.hierarchy.height());
     for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
-        assert!(part.pieces.len() <= 2 * part.nodes.len());
+        assert!(part.piece_count() <= 2 * part.node_count());
     }
     let widths = Widths::of(&instance.graph);
     for label in &labels {

@@ -9,8 +9,10 @@
 //! `Copy` value in one table. Construction is held to the same standard:
 //! building the graph allocates per table, not per node; cloning it only
 //! bumps a reference count; rooting the MST allocates a constant number of
-//! times (its tables are flat arrays); and the marker allocates per fragment
-//! and per part, well below one allocation per node and level. The
+//! times (its tables are flat arrays); and the marker allocates per stage,
+//! not per fragment or part, and its live heap peaks below three times the
+//! bytes of the labels it returns (the allocator also tracks the high-water
+//! of live bytes). The
 //! sequential asynchronous oracle (`sim::AsyncRunner`, one
 //! `Network::activate` per activation) allocates its daemon's schedule per
 //! time unit and nothing per activation. This file
@@ -22,7 +24,7 @@
     reason = "`GlobalAlloc` is an unsafe trait; the counting impl only forwards to `System`"
 )]
 
-use smst_core::{CoreVerifier, Marker};
+use smst_core::{CoreLabel, CoreVerifier, Marker};
 use smst_engine::programs::MinIdFlood;
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
@@ -31,24 +33,37 @@ use smst_graph::{NodeId, WeightedGraph};
 use smst_labeling::Instance;
 use smst_sim::{AsyncRunner, Daemon, Network, NodeProgram};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The high-water of [`LIVE`] since it was last reset.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Accounts for `grown` more live bytes.
+fn grow(grown: usize) {
+    let live = LIVE.fetch_add(grown as u64, Ordering::Relaxed) + grown as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the counter is a relaxed statistic.
+// contract is the one the caller upholds; the counters are relaxed statistics.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: see the impl.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: see the impl.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: see the impl.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: see the impl.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -56,6 +71,9 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: see the impl.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // counted as if the new block were taken before the old one is freed
+        grow(new_size);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: see the impl.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,9 +133,21 @@ fn allocations_in_eight_units<P: NodeProgram>(
 
 /// Allocations made by `f`, and what it returned.
 fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocations, _, value) = counting_bytes(f);
+    (allocations, value)
+}
+
+/// Allocations made by `f`, the most heap bytes it held at once beyond what
+/// was live when it started, and what it returned.
+fn counting_bytes<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (before, live) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        LIVE.load(Ordering::Relaxed),
+    );
+    PEAK.store(live, Ordering::Relaxed);
     let value = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (allocations, PEAK.load(Ordering::Relaxed) - live, value)
 }
 
 #[test]
@@ -139,12 +169,21 @@ fn verifier_rounds_allocate_no_more_than_a_flood() {
     // every layer takes the graph by value: a deep copy showed as 515 here
     let (cloning, _) = counting(|| inst.graph.clone());
     assert_eq!(cloning, 0, "cloning the graph allocated {cloning} times");
-    // each of ≈ 1.3 n fragments owns one `Vec`, each of ≈ n / 2 parts about
-    // five (2 520 in all); per-node scratch, per-fragment `BTreeSet`s and
-    // per-node child lists showed as 10 792 here
-    let (marking, labelled) = counting(|| Marker.label(&inst).unwrap());
-    assert!(marking < 3_600, "Marker::label allocated {marking} times");
+    // SYNC_MST's phases, the partitions and the labels allocate per stage
+    // (298 in all); a `Vec` per fragment and four per part showed as 2 231
+    // here, and per-node scratch, per-fragment `BTreeSet`s and per-node
+    // child lists as 10 792
+    let (marking, transient, labelled) = counting_bytes(|| Marker.label(&inst).unwrap());
+    assert!(marking < 375, "Marker::label allocated {marking} times");
     let (labels, _) = labelled;
+    // the marker at its widest, labels included: 2.97 times the labels'
+    // bytes (279 750 B), where a `Vec` per fragment and part held 4.8
+    // times
+    let label_bytes = (labels.len() * size_of::<CoreLabel>()) as u64;
+    assert!(
+        transient <= 3 * label_bytes,
+        "Marker::label held {transient} B at once for {label_bytes} B of labels"
+    );
     let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
     // 512 nodes: a per-node heap anywhere in the context or register
     // tables shows

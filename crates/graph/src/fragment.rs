@@ -22,11 +22,15 @@
 //! indices are the caller's: SYNC_MST supplies them by level, then by
 //! ascending smallest node.
 //!
-//! A fragment's nodes are one sorted `Vec` (membership is a binary search),
-//! and the hierarchy-tree's children and the per-node chains are two
-//! [`Csr`]s: building a hierarchy allocates once per fragment, not once per
-//! node or per tree entry.
+//! Every table is flat and 32-bit: the fragments' nodes are the rows of one
+//! [`Csr`] (sorted, so membership is a binary search), and so are the
+//! hierarchy-tree's children and the per-node chains; levels are bytes and
+//! roots, parents and candidate edges one 32-bit word per fragment. A
+//! hierarchy holds `8 S + O(F)` bytes in a constant number of allocations,
+//! and [`Hierarchy::fragment`] lends a fragment out as a [`Fragment`] view
+//! into those tables.
 
+use crate::csr::{narrow, NONE};
 use crate::graph::{EdgeId, NodeId, WeightedGraph};
 use crate::tree::RootedTree;
 use crate::Csr;
@@ -49,39 +53,22 @@ impl fmt::Display for FragmentId {
     }
 }
 
-/// A fragment: a connected subtree of the candidate tree, at a given level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fragment {
-    /// The nodes of the fragment, ascending and without repeats.
-    pub nodes: Vec<NodeId>,
+/// A fragment: a connected subtree of the candidate tree at a given level,
+/// read from its [`Hierarchy`]'s tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fragment<'a> {
+    /// The nodes, ascending.
+    nodes: &'a [u32],
     /// The fragment's level (SYNC_MST phase at which it was *active*).
     pub level: u32,
     /// The fragment's root: its node closest to the root of `T`.
     pub root: NodeId,
 }
 
-impl Fragment {
-    /// Creates a fragment from its node set and level, computing the root as
-    /// the node of minimum depth in `tree`.
-    pub fn new<I: IntoIterator<Item = NodeId>>(tree: &RootedTree, nodes: I, level: u32) -> Self {
-        let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let root = *nodes
-            .iter()
-            .min_by_key(|&&v| tree.depth(v))
-            .expect("fragment must be non-empty");
-        Fragment { nodes, level, root }
-    }
-
+impl<'a> Fragment<'a> {
     /// Number of nodes in the fragment.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// `true` if the fragment is a singleton.
-    pub fn is_singleton(&self) -> bool {
-        self.nodes.len() == 1
     }
 
     /// `true` (never): fragments are non-empty by construction. Provided to
@@ -90,14 +77,26 @@ impl Fragment {
         self.nodes.is_empty()
     }
 
+    /// `true` if the fragment is a singleton.
+    pub fn is_singleton(&self) -> bool {
+        self.nodes.len() == 1
+    }
+
+    /// The nodes, ascending.
+    pub fn nodes(
+        &self,
+    ) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + Clone + 'a {
+        self.nodes.iter().map(|&v| NodeId(v as usize))
+    }
+
     /// `true` if `v` belongs to the fragment (a binary search).
     pub fn contains(&self, v: NodeId) -> bool {
-        self.nodes.binary_search(&v).is_ok()
+        u32::try_from(v.0).is_ok_and(|v| self.nodes.binary_search(&v).is_ok())
     }
 
     /// `true` if every node of `other` belongs to this fragment.
-    pub fn contains_all(&self, other: &Fragment) -> bool {
-        other.nodes.iter().all(|&v| self.contains(v))
+    pub fn contains_all(&self, other: Fragment<'_>) -> bool {
+        other.nodes().all(|v| self.contains(v))
     }
 
     /// The fragment's identity `ID(F) = ID(root) ∘ level`.
@@ -112,7 +111,7 @@ impl Fragment {
     /// endpoint inside).
     pub fn outgoing_edges(&self, g: &WeightedGraph) -> Vec<EdgeId> {
         let mut out = Vec::new();
-        for &v in &self.nodes {
+        for v in self.nodes() {
             for &e in g.incident_edges(v) {
                 let other = g.edge(e).other(v);
                 if !self.contains(other) {
@@ -140,70 +139,103 @@ impl Fragment {
     }
 }
 
+/// A row of 32-bit fragment indices, widened.
+fn indices(row: &[u32]) -> impl ExactSizeIterator<Item = usize> + DoubleEndedIterator + Clone + '_ {
+    row.iter().map(|&i| i as usize)
+}
+
 /// A fragment hierarchy (Definition 5.1) together with an optional candidate
 /// function χ (Definition 5.2).
 ///
-/// Fragments are stored in a flat vector; `parent`/`children` encode the
+/// Fragments are the rows of flat tables; `parent`/`children` encode the
 /// hierarchy-tree induced by containment, and `chain` indexes it by node, so
 /// every per-node query costs `O(log n)` instead of a scan over all fragments.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
-    fragments: Vec<Fragment>,
-    parent: Vec<Option<usize>>,
+    /// Row `i` = the nodes of fragment `i`, ascending.
+    nodes: Csr<u32>,
+    level: Vec<u8>,
+    root: Vec<u32>,
+    /// The hierarchy-tree parent of each fragment, or [`NONE`].
+    parent: Vec<u32>,
     /// Row `i` = the children of fragment `i`, ascending.
-    children: Csr<usize>,
+    children: Csr<u32>,
     /// Row `v` = the fragments containing node `v`, sorted by level (ties by
     /// index); in a legal hierarchy this is a leaf-to-root path of the
     /// hierarchy-tree, of length at most `height + 1`.
-    chain: Csr<usize>,
-    /// Candidate edge χ(F) for each non-top fragment.
-    candidate: Vec<Option<EdgeId>>,
+    chain: Csr<u32>,
+    /// Candidate edge χ(F) of each non-top fragment, or [`NONE`].
+    candidate: Vec<u32>,
 }
 
 impl Hierarchy {
-    /// Builds a hierarchy from a flat list of fragments, in time linear in
-    /// the total size of the fragments (plus sorting them by size).
+    /// Builds the hierarchy whose fragment `i` holds the nodes of row `i` of
+    /// `nodes` (each row ascending and without repeats) at level `level[i]`,
+    /// its root the node of least depth in `tree`, in time linear in the
+    /// total size of the fragments (plus sorting them by size).
     ///
     /// The hierarchy-tree is derived from containment: the parent of `F` is
     /// the smallest fragment strictly containing `F`. The input is expected
     /// to be laminar; call [`Self::validate`] to verify all the properties of
     /// Definition 5.1.
-    pub fn from_fragments(fragments: Vec<Fragment>) -> Self {
-        let count = fragments.len();
-        let node_bound = fragments
-            .iter()
-            .filter_map(|f| f.nodes.last())
-            .map(|v| v.0 + 1)
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is empty, `level` has another length than `nodes`,
+    /// or a fragment index exceeds 2³² − 2.
+    pub fn from_rows(tree: &RootedTree, nodes: Csr<u32>, level: Vec<u8>) -> Self {
+        assert_eq!(level.len(), nodes.rows(), "one level per fragment");
+        let count = nodes.rows();
+        narrow(count);
+        let root = (nodes.iter())
+            .map(|row| {
+                debug_assert!(row.is_sorted_by(|a, b| a < b), "rows are ascending");
+                let depth = |&&v: &&u32| tree.depth(NodeId(v as usize));
+                *row.iter()
+                    .min_by_key(depth)
+                    .expect("fragments are non-empty")
+            })
+            .collect();
+        let node_bound = (nodes.iter())
+            .filter_map(|row| row.last())
+            .map(|&v| v as usize + 1)
             .max()
             .unwrap_or(0);
         // Ascending-size sweep: `largest[v]` is the largest fragment seen so
         // far that contains `v`. In a laminar family the first later fragment
         // touching it is its smallest strict superset.
-        let mut by_size: Vec<usize> = (0..count).collect();
-        by_size.sort_by_key(|&i| fragments[i].len());
-        let mut parent: Vec<Option<usize>> = vec![None; count];
-        let mut largest: Vec<Option<usize>> = vec![None; node_bound];
+        let mut by_size: Vec<u32> = (0..count as u32).collect();
+        by_size.sort_by_key(|&i| nodes.row(i as usize).len());
+        let mut parent = vec![NONE; count];
+        let mut largest = vec![NONE; node_bound];
         for &i in &by_size {
-            for v in &fragments[i].nodes {
-                if let Some(inner) = largest[v.0].replace(i) {
-                    parent[inner].get_or_insert(i);
+            for &v in nodes.row(i as usize) {
+                let inner = std::mem::replace(&mut largest[v as usize], i);
+                if inner != NONE && parent[inner as usize] == NONE {
+                    parent[inner as usize] = i;
                 }
             }
         }
+        drop(largest);
         let children = Csr::from_pairs(
             count,
-            (parent.iter().enumerate()).filter_map(|(i, &p)| Some((p?, i))),
+            (parent.iter().zip(0..))
+                .filter(|&(&p, _)| p != NONE)
+                .map(|(&p, i)| (p as usize, i)),
         );
         // fragments by level, ties by index, so every chain fills in order
-        let mut by_level: Vec<usize> = (0..count).collect();
-        by_level.sort_by_key(|&i| fragments[i].level);
+        let mut by_level = by_size;
+        by_level.sort_by_key(|&i| (level[i as usize], i));
         let chain = Csr::from_pairs(
             node_bound,
-            (by_level.iter()).flat_map(|&i| fragments[i].nodes.iter().map(move |v| (v.0, i))),
+            (by_level.iter())
+                .flat_map(|&i| nodes.row(i as usize).iter().map(move |&v| (v as usize, i))),
         );
         Hierarchy {
-            candidate: vec![None; count],
-            fragments,
+            candidate: vec![NONE; count],
+            nodes,
+            level,
+            root,
             parent,
             children,
             chain,
@@ -212,52 +244,75 @@ impl Hierarchy {
 
     /// Number of fragments.
     pub fn len(&self) -> usize {
-        self.fragments.len()
+        self.nodes.rows()
     }
 
     /// `true` if the hierarchy contains no fragments.
     pub fn is_empty(&self) -> bool {
-        self.fragments.is_empty()
+        self.len() == 0
     }
 
     /// The fragments, in storage order.
-    pub fn fragments(&self) -> &[Fragment] {
-        &self.fragments
+    pub fn fragments(&self) -> impl ExactSizeIterator<Item = Fragment<'_>> + '_ {
+        (0..self.len()).map(|i| self.fragment(i))
     }
 
     /// The fragment at a given index.
-    pub fn fragment(&self, idx: usize) -> &Fragment {
-        &self.fragments[idx]
+    pub fn fragment(&self, idx: usize) -> Fragment<'_> {
+        Fragment {
+            nodes: self.nodes.row(idx),
+            level: u32::from(self.level[idx]),
+            root: NodeId(self.root[idx] as usize),
+        }
     }
 
     /// The index of the parent fragment in the hierarchy-tree.
     pub fn parent_of(&self, idx: usize) -> Option<usize> {
-        self.parent[idx]
+        Some(self.parent[idx])
+            .filter(|&p| p != NONE)
+            .map(|p| p as usize)
     }
 
-    /// The indices of the child fragments in the hierarchy-tree.
-    pub fn children_of(&self, idx: usize) -> &[usize] {
-        self.children.row(idx)
+    /// The indices of the child fragments in the hierarchy-tree, ascending.
+    pub fn children_of(
+        &self,
+        idx: usize,
+    ) -> impl ExactSizeIterator<Item = usize> + DoubleEndedIterator + Clone + '_ {
+        indices(self.children.row(idx))
     }
 
     /// Sets the candidate edge χ(F) of a fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge index exceeds 2³² − 2.
     pub fn set_candidate(&mut self, idx: usize, edge: EdgeId) {
-        self.candidate[idx] = Some(edge);
+        self.candidate[idx] = narrow(edge.0);
     }
 
     /// The candidate edge χ(F) of a fragment, if assigned.
     pub fn candidate(&self, idx: usize) -> Option<EdgeId> {
-        self.candidate[idx]
+        Some(self.candidate[idx])
+            .filter(|&e| e != NONE)
+            .map(|e| EdgeId(e as usize))
     }
 
     /// The height of the hierarchy: the maximum fragment level.
     pub fn height(&self) -> u32 {
-        self.fragments.iter().map(|f| f.level).max().unwrap_or(0)
+        self.level.iter().copied().max().map_or(0, u32::from)
     }
 
     /// Indices of the fragments containing a node, sorted by level (ties by
     /// index); empty for a node no fragment contains.
-    pub fn fragments_containing(&self, v: NodeId) -> &[usize] {
+    pub fn fragments_containing(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = usize> + DoubleEndedIterator + Clone + '_ {
+        indices(self.chain_of(v))
+    }
+
+    /// Row `v` of the chains, empty beyond the last node.
+    fn chain_of(&self, v: NodeId) -> &[u32] {
         if v.0 < self.chain.rows() {
             self.chain.row(v.0)
         } else {
@@ -267,12 +322,12 @@ impl Hierarchy {
 
     /// The index of the level-`lev` fragment containing `v`, if one exists.
     pub fn fragment_at_level(&self, v: NodeId, lev: u32) -> Option<usize> {
-        let chain = self.fragments_containing(v);
-        let at = chain.partition_point(|&i| self.fragments[i].level < lev);
-        chain
-            .get(at)
-            .copied()
-            .filter(|&i| self.fragments[i].level == lev)
+        let chain = self.chain_of(v);
+        let level = |i: u32| u32::from(self.level[i as usize]);
+        let at = chain.partition_point(|&i| level(i) < lev);
+        (chain.get(at).copied())
+            .filter(|&i| level(i) == lev)
+            .map(|i| i as usize)
     }
 
     /// Checks the structural properties of Definition 5.1:
@@ -289,21 +344,21 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        if !self.fragments.iter().any(|f| spans(g, f)) {
+        if !self.fragments().any(|f| spans(g, f)) {
             return Err("the whole tree is not a fragment of the hierarchy".into());
         }
         for v in g.nodes() {
-            let chain = self.fragments_containing(v);
-            if !chain.iter().any(|&i| self.fragments[i].is_singleton()) {
+            if !(self.fragments_containing(v)).any(|i| self.fragment(i).is_singleton()) {
                 return Err(format!("missing singleton fragment for node {v}"));
             }
         }
-        for (i, f) in self.fragments.iter().enumerate() {
-            if let Some(p) = self.parent[i] {
-                if self.fragments[p].level <= f.level {
+        for (i, f) in self.fragments().enumerate() {
+            if let Some(p) = self.parent_of(i) {
+                if self.fragment(p).level <= f.level {
                     return Err(format!(
                         "fragment {i} (level {}) has parent {p} of level {}",
-                        f.level, self.fragments[p].level
+                        f.level,
+                        self.fragment(p).level
                     ));
                 }
             }
@@ -317,19 +372,18 @@ impl Hierarchy {
         // ancestor of the other, and the path of every other node of the
         // descendant climbs through the same ancestors.
         for chain in self.chain.iter() {
-            for (k, &i) in chain.iter().enumerate() {
-                let next = chain.get(k + 1).copied();
-                if let Some(j) =
-                    next.filter(|&j| self.fragments[j].level == self.fragments[i].level)
-                {
+            let mut chain = indices(chain).peekable();
+            while let Some(i) = chain.next() {
+                let next = chain.peek().copied();
+                if let Some(j) = next.filter(|&j| self.level[j] == self.level[i]) {
                     return Err(format!(
                         "fragments {i} and {j} share a node at the same level {}",
-                        self.fragments[i].level
+                        self.level[i]
                     ));
                 }
-                if self.parent[i] != next {
+                if self.parent_of(i) != next {
                     let j = next
-                        .or(self.parent[i])
+                        .or(self.parent_of(i))
                         .expect("one of the two differs from None");
                     return Err(format!("fragments {i} and {j} overlap without containment"));
                 }
@@ -347,9 +401,9 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        for (i, f) in self.fragments.iter().enumerate() {
+        for (i, f) in self.fragments().enumerate() {
             let is_top = spans(g, f);
-            match (is_top, self.candidate[i]) {
+            match (is_top, self.candidate(i)) {
                 (true, Some(_)) => {
                     return Err("the whole-tree fragment must not have a candidate".into())
                 }
@@ -370,11 +424,11 @@ impl Hierarchy {
             }
         }
         // E(F) = { χ(F') : F' strictly contained in F }
-        for (i, f) in self.fragments.iter().enumerate() {
+        for (i, f) in self.fragments().enumerate() {
             let mut expected: BTreeSet<EdgeId> = BTreeSet::new();
-            for (j, f2) in self.fragments.iter().enumerate() {
+            for (j, f2) in self.fragments().enumerate() {
                 if i != j && f2.len() < f.len() && f.contains_all(f2) {
-                    if let Some(e) = self.candidate[j] {
+                    if let Some(e) = self.candidate(j) {
                         expected.insert(e);
                     }
                 }
@@ -403,8 +457,8 @@ impl Hierarchy {
         g: &WeightedGraph,
         tree: &RootedTree,
     ) -> std::result::Result<(), String> {
-        for (i, f) in self.fragments.iter().enumerate() {
-            if let Some(chi) = self.candidate[i] {
+        for (i, f) in self.fragments().enumerate() {
+            if let Some(chi) = self.candidate(i) {
                 let min = f
                     .minimum_outgoing_edge(g, |e| tree.contains_edge(e))
                     .ok_or_else(|| format!("fragment {i} has no outgoing edge"))?;
@@ -421,7 +475,7 @@ impl Hierarchy {
     /// Groups fragment indices by level.
     pub fn levels(&self) -> BTreeMap<u32, Vec<usize>> {
         let mut map: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, f) in self.fragments.iter().enumerate() {
+        for (i, f) in self.fragments().enumerate() {
             map.entry(f.level).or_default().push(i);
         }
         map
@@ -429,16 +483,16 @@ impl Hierarchy {
 }
 
 /// `true` if the fragment holds every node of `g`.
-fn spans(g: &WeightedGraph, f: &Fragment) -> bool {
-    f.nodes.iter().map(|v| v.0).eq(0..g.node_count())
+fn spans(g: &WeightedGraph, f: Fragment<'_>) -> bool {
+    f.nodes().map(|v| v.0).eq(0..g.node_count())
 }
 
 /// `true` if the fragment's node set induces a connected subtree of `tree`.
-fn fragment_is_connected(tree: &RootedTree, f: &Fragment) -> bool {
+fn fragment_is_connected(tree: &RootedTree, f: Fragment<'_>) -> bool {
     // A set S of nodes induces a connected subtree iff every node except the
     // (unique) minimum-depth node has its parent in S.
     let mut roots = 0;
-    for &v in &f.nodes {
+    for v in f.nodes() {
         match tree.parent(v) {
             Some(p) if f.contains(p) => {}
             _ => roots += 1,
@@ -453,6 +507,19 @@ mod tests {
     use crate::graph::{GraphBuilder, NodeId};
     use crate::mst::kruskal;
 
+    /// The hierarchy of the given `(nodes, level)` fragments, in order.
+    fn hierarchy(tree: &RootedTree, fragments: &[(&[u32], u8)]) -> Hierarchy {
+        let mut nodes = Csr::default();
+        for (row, _) in fragments {
+            let mut row = row.to_vec();
+            row.sort_unstable();
+            row.dedup();
+            nodes.push_row(row);
+        }
+        let levels = fragments.iter().map(|&(_, level)| level).collect();
+        Hierarchy::from_rows(tree, nodes, levels)
+    }
+
     /// Path 0-1-2-3 (weights 1, 10, 3) with a hierarchy: singletons (lvl 0),
     /// {0,1} and {2,3} (lvl 1), whole tree (lvl 2). The middle edge is the
     /// heaviest, so the level-1 merges along the outer edges are minimal.
@@ -464,14 +531,18 @@ mod tests {
         let g = b.finish();
         let mst = kruskal(&g);
         let tree = mst.rooted_at(&g, NodeId(0)).unwrap();
-        let mut frags = Vec::new();
-        for v in 0..4 {
-            frags.push(Fragment::new(&tree, [NodeId(v)], 0));
-        }
-        frags.push(Fragment::new(&tree, [NodeId(0), NodeId(1)], 1));
-        frags.push(Fragment::new(&tree, [NodeId(2), NodeId(3)], 1));
-        frags.push(Fragment::new(&tree, (0..4).map(NodeId), 2));
-        let h = Hierarchy::from_fragments(frags);
+        let h = hierarchy(
+            &tree,
+            &[
+                (&[0], 0),
+                (&[1], 0),
+                (&[2], 0),
+                (&[3], 0),
+                (&[0, 1], 1),
+                (&[2, 3], 1),
+                (&[0, 1, 2, 3], 2),
+            ],
+        );
         (g, tree, h)
     }
 
@@ -495,32 +566,42 @@ mod tests {
     #[test]
     fn validate_rejects_missing_singleton() {
         let (g, t, _) = sample();
-        let frags = vec![
-            Fragment::new(&t, (0..4).map(NodeId), 1),
-            Fragment::new(&t, [NodeId(0)], 0),
-        ];
-        let h = Hierarchy::from_fragments(frags);
+        let h = hierarchy(&t, &[(&[0, 1, 2, 3], 1), (&[0], 0)]);
         assert!(h.validate(&g, &t).is_err());
     }
 
     #[test]
     fn validate_rejects_non_laminar() {
         let (g, t, _) = sample();
-        let mut frags: Vec<Fragment> = (0..4).map(|v| Fragment::new(&t, [NodeId(v)], 0)).collect();
-        frags.push(Fragment::new(&t, [NodeId(0), NodeId(1), NodeId(2)], 1));
-        frags.push(Fragment::new(&t, [NodeId(1), NodeId(2), NodeId(3)], 1));
-        frags.push(Fragment::new(&t, (0..4).map(NodeId), 2));
-        let h = Hierarchy::from_fragments(frags);
+        let h = hierarchy(
+            &t,
+            &[
+                (&[0], 0),
+                (&[1], 0),
+                (&[2], 0),
+                (&[3], 0),
+                (&[0, 1, 2], 1),
+                (&[1, 2, 3], 1),
+                (&[0, 1, 2, 3], 2),
+            ],
+        );
         assert!(h.validate(&g, &t).is_err());
     }
 
     #[test]
     fn validate_rejects_disconnected_fragment() {
         let (g, t, _) = sample();
-        let mut frags: Vec<Fragment> = (0..4).map(|v| Fragment::new(&t, [NodeId(v)], 0)).collect();
-        frags.push(Fragment::new(&t, [NodeId(0), NodeId(3)], 1));
-        frags.push(Fragment::new(&t, (0..4).map(NodeId), 2));
-        let h = Hierarchy::from_fragments(frags);
+        let h = hierarchy(
+            &t,
+            &[
+                (&[0], 0),
+                (&[1], 0),
+                (&[2], 0),
+                (&[3], 0),
+                (&[0, 3], 1),
+                (&[0, 1, 2, 3], 2),
+            ],
+        );
         assert!(h.validate(&g, &t).is_err());
     }
 
@@ -583,7 +664,10 @@ mod tests {
         assert_eq!(out.len(), 1);
         let min = f.minimum_outgoing_edge(&g, |_| false).unwrap();
         assert_eq!(min, g.edge_between(NodeId(1), NodeId(2)).unwrap());
-        assert_eq!(h.fragments_containing(NodeId(0)), vec![0, 4, 6]);
+        assert_eq!(
+            h.fragments_containing(NodeId(0)).collect::<Vec<_>>(),
+            [0, 4, 6]
+        );
         assert_eq!(h.fragment_at_level(NodeId(3), 1), Some(5));
         assert_eq!(h.fragment_at_level(NodeId(3), 3), None);
         assert_eq!(h.levels()[&1].len(), 2);

@@ -52,15 +52,18 @@ impl SpanningTreeScheme {
     /// [`OneRoundScheme::mark`] assigns once it has rooted the instance's
     /// components, for a caller that already holds that tree.
     pub fn labels_of(g: &WeightedGraph, tree: &RootedTree) -> Vec<SpLabel> {
-        let root_id = g.id(tree.root());
-        g.nodes()
-            .map(|v| SpLabel {
-                root_id,
-                dist: tree.depth(v) as u64,
-                own_id: g.id(v),
-                parent_id: tree.parent(v).map(|p| g.id(p)),
-            })
-            .collect()
+        g.nodes().map(|v| Self::label_of(g, tree, v)).collect()
+    }
+
+    /// Node `v`'s entry of [`Self::labels_of`], for a caller that writes it
+    /// into a label of its own.
+    pub fn label_of(g: &WeightedGraph, tree: &RootedTree, v: NodeId) -> SpLabel {
+        SpLabel {
+            root_id: g.id(tree.root()),
+            dist: tree.depth(v) as u64,
+            own_id: g.id(v),
+            parent_id: tree.parent(v).map(|p| g.id(p)),
+        }
     }
 
     /// Convenience: `true` if, according to the labels, the neighbour behind

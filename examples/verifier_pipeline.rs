@@ -2,11 +2,13 @@
 //! build its MST, label it with the marker, run the `O(log n)`-bit verifier
 //! on the engine, corrupt one register and wait for the first alarm.
 //!
-//! After each stage it prints the stage's wall time and the process's peak
-//! resident set so far (`VmHWM` from `/proc/self/status`; `n/a` where that
-//! file does not exist), so the memory each layer adds can be read off the
-//! output: the graph, the tree, the labels, the verifier and the engine's
-//! two register buffers. Then it prints the bits the paper charges the
+//! After each stage it prints the stage's wall time, the process's resident
+//! set and its peak so far (`VmRSS` and `VmHWM` from `/proc/self/status`;
+//! `n/a` where that file does not exist), so the memory each layer adds can
+//! be read off the output: the graph, the tree, the labels, the verifier and
+//! the engine's two register buffers. The resident set also shows what a
+//! stage freed but the allocator kept: memory the next stage reuses before
+//! it grows the peak. Then it prints the bits the paper charges the
 //! widest register (`bits_per_node_max`, the widest node's `state_bits`)
 //! beside the most pieces one node stores
 //! (`ConstructionReport::max_stored_pieces`), and sets the bytes a node
@@ -40,21 +42,24 @@ fn smoke_mode() -> bool {
     std::env::var_os("SMST_BENCH_SMOKE").is_some_and(|v| v != "0")
 }
 
-/// The process's peak resident set in MiB, if the platform reports it.
-fn peak_rss_mib() -> Option<f64> {
+/// A line of `/proc/self/status` (`VmRSS`, `VmHWM`) in MiB, if the
+/// platform reports it.
+fn status_mib(key: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(key))?;
     let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024.0)
 }
 
-/// Runs one stage and prints its time and the peak resident set after it.
+/// Runs one stage and prints its time and the resident set and its peak
+/// after it.
 fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
     let took = t0.elapsed().as_secs_f64();
-    let peak = peak_rss_mib().map_or_else(|| "n/a".into(), |mib| format!("{mib:.0} MiB"));
-    println!("  {name:<48} {took:>7.2} s  {peak:>9}");
+    let [rss, peak] = ["VmRSS:", "VmHWM:"]
+        .map(|key| status_mib(key).map_or_else(|| "n/a".into(), |mib| format!("{mib:.0} MiB")));
+    println!("  {name:<48} {took:>7.2} s  {rss:>9}  {peak:>9}");
     out
 }
 
@@ -62,7 +67,10 @@ fn main() {
     let n = if smoke_mode() { 20_000 } else { 1_000_000 };
     let m = 3 * n;
     println!("verifier pipeline: n = {n}, m = {m}, seed {SEED}, one engine thread");
-    println!("  {:<48} {:>9}  {:>9}", "stage", "time", "VmHWM");
+    println!(
+        "  {:<48} {:>9}  {:>9}  {:>9}",
+        "stage", "time", "VmRSS", "VmHWM"
+    );
 
     let graph = stage("random_connected_graph", || {
         random_connected_graph(n, m, SEED)
