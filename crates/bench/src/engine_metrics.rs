@@ -301,12 +301,12 @@ mod tests {
             let inst = crate::mst_instance(n, 3 * n, seed);
             let plan = FaultPlan::random(n, 1, seed);
             let seq = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, seed);
-            assert!(seq.report.detected || seed == 3, "seed {seed}: no alarm");
+            assert!(seq.detected || seed == 3, "seed {seed}: no alarm");
             for engine in &envelopes {
                 let label = format!("seed {seed}, {}", engine.describe());
                 let (spec, budget) = detection_scenario(n, seed, engine);
                 let point = verifier_point(spec, FaultKind::StoredPieceWeight, seed, budget, None);
-                assert_eq!(point.detection, seq.report, "{label}");
+                assert_eq!(point.detection, seq, "{label}");
                 assert_eq!(point.max_degree, inst.graph.max_degree(), "{label}");
             }
         }
@@ -345,11 +345,8 @@ mod tests {
             let point = engine_locality_sweep(n, &[f], seed, &engine).pop().unwrap();
             let plan = FaultPlan::random(n, f, seed + f as u64);
             let seq = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, seed);
-            assert_eq!(
-                point.max_detection_distance,
-                seq.report.max_detection_distance
-            );
-            assert_eq!(point.detection_steps, seq.report.detection_time);
+            assert_eq!(point.max_detection_distance, seq.max_detection_distance);
+            assert_eq!(point.detection_steps, seq.detection_time);
             assert_eq!(point.faults, f);
         }
     }

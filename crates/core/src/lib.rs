@@ -23,17 +23,21 @@
 //!   with its `O(n)` construction-time accounting.
 //! * [`train`] — §7.1: the per-part *train* circulating a part's pieces past
 //!   its members, read through one node's view of one part.
+//! * [`compare`] — §7.2: the comparison walking a node's levels and
+//!   neighbours with the Ask/Show/Want mechanism, and the checks of each
+//!   event `E(v, u, j)`: the minimality checks C1/C2 and Claim 8.3's
+//!   equality checks.
 //! * [`verifier`] — §7–§8: the self-stabilizing verifier, implemented as a
-//!   [`smst_sim::NodeProgram`]: structural 1-round checks, the wiring of the
-//!   two trains, the Ask/Show/Want comparison mechanism and the minimality
-//!   checks C1/C2.
+//!   [`smst_sim::NodeProgram`]: structural 1-round checks and the wiring of
+//!   the two trains and of the comparison.
 //! * [`faults`] — corruption helpers used by the fault-detection experiments.
 //! * [`scheme`] — a facade tying marker and verifier together and the
-//!   experiment drivers (detection time, detection distance, memory).
+//!   experiment drivers (detection time, detection distance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compare;
 pub mod faults;
 pub mod labels;
 pub mod marker;

@@ -18,7 +18,7 @@ use crate::labels::CoreLabel;
 use crate::marker::{ConstructionReport, Marker};
 use crate::verifier::CoreVerifier;
 use smst_labeling::scheme::{Instance, MarkError};
-use smst_sim::{DetectionReport, FaultPlan, MemoryUsage, Network, SyncRunner};
+use smst_sim::{DetectionReport, FaultPlan, Network, SyncRunner};
 
 /// The paper's MST proof labeling scheme: `O(log n)` bits per node,
 /// polylogarithmic detection time, `O(n)`-time marker.
@@ -58,17 +58,6 @@ impl MstVerificationScheme {
     }
 }
 
-/// The outcome of one fault-detection experiment.
-#[derive(Debug, Clone)]
-pub struct FaultExperimentOutcome {
-    /// Rounds the verifier ran before the faults were injected.
-    pub warmup_rounds: usize,
-    /// The detection report (time, alarming nodes, distances).
-    pub report: DetectionReport,
-    /// Memory usage of the verifier's registers at injection time.
-    pub memory: MemoryUsage,
-}
-
 /// The sequential oracle of the fault experiment: runs the synchronous
 /// verifier on a correct, marker-labelled instance for the scheme's
 /// warm-up budget, injects faults of the given kind at the planned nodes
@@ -90,7 +79,7 @@ pub fn run_sync_fault_experiment(
     plan: &FaultPlan,
     kind: FaultKind,
     seed: u64,
-) -> FaultExperimentOutcome {
+) -> DetectionReport {
     let scheme = MstVerificationScheme::new();
     let (labels, _) = scheme
         .mark(instance)
@@ -103,12 +92,10 @@ pub fn run_sync_fault_experiment(
     let mut runner = SyncRunner::new(&verifier, net);
     // let the trains reach steady state (no alarms may occur here)
     runner.run_rounds(budget);
-    let warmup_rounds = runner.rounds();
     assert!(
         runner.network().alarming_nodes(&verifier).is_empty(),
         "a correct instance must not raise alarms during warm-up"
     );
-    let memory = MemoryUsage::from_bits(runner.network().memory_bits(&verifier));
 
     // inject the faults
     let mut i = 0u64;
@@ -117,7 +104,7 @@ pub fn run_sync_fault_experiment(
         i += 1;
     });
 
-    let report = match runner.run_until_alarm(4 * budget) {
+    match runner.run_until_alarm(4 * budget) {
         Some(t) => DetectionReport::from_alarms(
             &instance.graph,
             t,
@@ -125,11 +112,6 @@ pub fn run_sync_fault_experiment(
             plan.nodes(),
         ),
         None => DetectionReport::not_detected(),
-    };
-    FaultExperimentOutcome {
-        warmup_rounds,
-        report,
-        memory,
     }
 }
 
@@ -164,23 +146,20 @@ mod tests {
     fn sp_distance_fault_is_detected_quickly_and_locally() {
         let inst = mst_instance(20, 50, 3);
         let plan = FaultPlan::single(NodeId(7));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, 1);
-        assert!(outcome.report.detected);
+        let report = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, 1);
+        assert!(report.detected);
         // a structural (1-round checkable) fault is caught within one round
         // at distance at most 1
-        assert!(outcome.report.detection_time.unwrap() <= 2);
-        assert!(outcome.report.max_detection_distance <= 1);
+        assert!(report.detection_time.unwrap() <= 2);
+        assert!(report.max_detection_distance <= 1);
     }
 
     #[test]
     fn stored_piece_fault_is_detected() {
         let inst = mst_instance(24, 60, 4);
         let plan = FaultPlan::single(NodeId(5));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, 2);
-        assert!(
-            outcome.report.detected,
-            "a corrupted piece weight must be detected"
-        );
+        let report = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, 2);
+        assert!(report.detected, "a corrupted piece weight must be detected");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!    whole part acknowledges (an ack-paced variant of the paper's pipelined
 //!    train — see the README paragraph "The trains (ack-paced)"); the part
 //!    root also checks that pieces arrive in the prescribed cyclic order (§8);
-//! 3. runs the **comparison machinery** (§7.2): it copies its own member
-//!    piece of the current level into its `Ask` buffer, walks its neighbours
-//!    round-robin, uses the `Want` register to make a neighbour's train hold
-//!    the piece it needs (§7.2.2), and on every event `E(v, u, j)` evaluates
-//!    the minimality checks C1/C2 and the equality checks of Claim 8.3;
+//! 3. runs the **comparison machinery** (§7.2, in [`crate::compare`]): it
+//!    copies its own member piece of the current level into its `Ask`
+//!    buffer, walks its neighbours round-robin, uses the `Want` register to
+//!    make a neighbour's train hold the piece it needs (§7.2.2), and on every
+//!    event `E(v, u, j)` evaluates the minimality checks C1/C2 and the
+//!    equality checks of Claim 8.3;
 //! 4. tracks, per cycle, which of its own levels it has seen (the cycle-set
 //!    completeness check of §8) and raises an alarm if a needed piece never
 //!    arrives.
@@ -24,87 +25,19 @@
 //! Any violation makes the node output [`Verdict::Reject`] — "raising an
 //! alarm" in the paper's terminology.
 
+use crate::compare::{CompareState, CompareView};
 use crate::labels::{
-    max_diameter, max_levels, max_pieces, CoreLabel, PartLabel, PieceCell, PieceInfo, Widths,
-    MAX_FIELD, MAX_WATCH_WRAPS,
+    max_diameter, max_levels, max_pieces, CoreLabel, PartLabel, PieceCell, Widths, MAX_FIELD,
 };
-use crate::strings::{
-    ceil_log2, check_strings, ChildSummary, EndpSym, RootSym, StringNeighborhood,
-};
+use crate::strings::{ceil_log2, check_strings, ChildSummary, RootSym, StringNeighborhood};
 use crate::train::{self, ChildTrains, PartView, TrainState};
-use smst_graph::weight::CompositeWeight;
-use smst_graph::{ComponentMap, NodeId, Port, WeightedGraph};
+use smst_graph::{ComponentMap, WeightedGraph};
 use smst_sim::{Network, NodeContext, NodeProgram, Verdict};
 
 /// Which of the two partitions a train belongs to.
 pub const TRAIN_TOP: usize = 0;
 /// Index of the Bottom-partition train.
 pub const TRAIN_BOTTOM: usize = 1;
-
-/// The comparison (client) state of §7.2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompareState {
-    /// Index into the node's level list `J(v)` of the level being compared.
-    pub level_idx: u8,
-    /// The held piece `I(F_j(v))` (the `Ask` buffer), in the cell of the
-    /// train buffer it was copied from.
-    pub ask: Option<PieceCell>,
-    /// The port of the neighbour currently being compared (a node's degree
-    /// can exceed `u16::MAX`).
-    pub neighbor_ptr: u32,
-    /// The `Want` register: `(neighbour identity, level)` this node is
-    /// waiting to see.
-    pub want_cmp: Option<(u32, u8)>,
-    /// The last observed slot counters of the watched neighbour's two trains
-    /// (used to count that neighbour's cycle boundaries).
-    pub watched_prev: [u8; 2],
-    /// Cycle boundaries observed on the watched neighbour's trains,
-    /// saturating at `MAX_WATCH_WRAPS` (3), the only value they are tested
-    /// against.
-    pub watched_wraps: [u8; 2],
-}
-
-impl CompareState {
-    /// Starts the walk over the neighbours again from the first: no `Want`
-    /// and no cycle counts.
-    fn restart_walk(&mut self) {
-        self.neighbor_ptr = 0;
-        self.want_cmp = None;
-        self.watched_wraps = [0, 0];
-    }
-
-    /// Moves on to the next neighbour: its `Want` and cycle counts go.
-    fn next_neighbor(&mut self) {
-        self.neighbor_ptr += 1;
-        self.want_cmp = None;
-        self.watched_wraps = [0, 0];
-    }
-
-    /// Hands each field to `sink` as `(name, value, width)`.
-    pub fn walk(&self, w: &Widths, sink: &mut impl FnMut(&'static str, u64, u32)) {
-        let CompareState {
-            level_idx,
-            ask,
-            neighbor_ptr,
-            want_cmp,
-            watched_prev,
-            watched_wraps,
-        } = *self;
-        sink("CompareState.level_idx", level_idx.into(), w.level);
-        PieceCell::walk_option(ask, w, false, sink);
-        sink("CompareState.neighbor_ptr", neighbor_ptr.into(), w.port);
-        let (want_id, want_level) = want_cmp.unwrap_or_default();
-        sink("CompareState.want_cmp?", want_cmp.is_some().into(), w.flag);
-        sink("CompareState.want_cmp.id", want_id.into(), w.id);
-        sink("CompareState.want_cmp.level", want_level.into(), w.level);
-        for prev in watched_prev {
-            sink("CompareState.watched_prev", prev.into(), w.slot);
-        }
-        for wraps in watched_wraps {
-            sink("CompareState.watched_wraps", wraps.into(), w.watch_wraps);
-        }
-    }
-}
 
 /// The full register of a node running the verifier: a fixed-width `Copy`
 /// value with no heap behind it (see [`crate::labels`] and
@@ -257,37 +190,6 @@ impl CoreVerifier {
         Network::new(self, self.graph.clone())
     }
 
-    // ----- helpers ---------------------------------------------------------
-
-    /// The parent port of a node according to its component pointer.
-    fn parent_port(&self, v: NodeId) -> Option<Port> {
-        self.components
-            .pointer(v)
-            .filter(|p| p.index() < self.graph.degree(v))
-    }
-
-    fn edge_weight(
-        &self,
-        v: NodeId,
-        port: Port,
-        neighbor: &CoreState,
-        is_tree: bool,
-    ) -> CompositeWeight {
-        let e = self.graph.incident_edges(v)[port.index()];
-        CompositeWeight::new(
-            self.graph.weight(e),
-            is_tree,
-            self.graph.id(v),
-            u64::from(neighbor.label.sp.own_id),
-        )
-    }
-
-    /// Whether the edge behind `port` is a tree edge (the neighbour is this
-    /// node's component parent, or claims this node as its parent).
-    fn is_tree_edge(&self, ctx: &NodeContext, port: Port, neighbor: &CoreState) -> bool {
-        self.parent_port(ctx.node) == Some(port) || neighbor.label.sp.has_parent(ctx.id)
-    }
-
     // ----- structural 1-round checks (§5, SP, NumK, partitions) ------------
 
     fn structural_ok(
@@ -399,202 +301,6 @@ impl CoreVerifier {
         }
         true
     }
-
-    // ----- the trains' `Want` hold (§7.2.2; the trains are `crate::train`) ---
-
-    /// Whether some neighbour currently `Want`s a member piece shown by this
-    /// node.
-    fn neighbor_wants_shown(
-        &self,
-        ctx: &NodeContext,
-        own: &CoreState,
-        neighbors: &[&CoreState],
-    ) -> bool {
-        let shown = own.trains.map(|t| t.shown_member().map(|d| d.level()));
-        if shown == [None, None] {
-            return false;
-        }
-        neighbors.iter().any(|s| {
-            s.compare.want_cmp.is_some_and(|(id, lev)| {
-                u64::from(id) == ctx.id && shown.contains(&Some(u32::from(lev)))
-            })
-        })
-    }
-
-    // ----- comparison machinery (§7.2, §8) ----------------------------------
-
-    fn step_compare(
-        &self,
-        ctx: &NodeContext,
-        own: &CoreState,
-        neighbors: &[&CoreState],
-        next: &mut CoreState,
-        alarm: &mut bool,
-    ) {
-        // J(v), the node's levels in ascending order, is the set bits of
-        // the present mask
-        let levels = own.label.strings.present();
-        let level_count = levels.count_ones() as usize;
-        if level_count == 0 {
-            next.compare = CompareState::default();
-            return;
-        }
-        let mut cmp = own.compare;
-        if usize::from(cmp.level_idx) >= level_count {
-            cmp = CompareState::default();
-        }
-        // the `level_idx`-th set bit: drop the lower ones
-        let level = (0..cmp.level_idx)
-            .fold(levels, |m, _| m & (m - 1))
-            .trailing_zeros();
-
-        // obtain the Ask piece for the current level from one of our trains
-        if cmp.ask.is_some_and(|p| p.level() != level) {
-            cmp.ask = None;
-        }
-        if cmp.ask.is_none() {
-            cmp.ask = shown_member_cell(next, level);
-            cmp.restart_walk();
-        }
-        let Some(ask) = cmp.ask.map(|a| a.piece()) else {
-            next.compare = cmp;
-            return;
-        };
-
-        // walk the neighbours round-robin
-        let mut advanced = true;
-        while advanced && (cmp.neighbor_ptr as usize) < ctx.degree {
-            advanced = false;
-            let port = Port(cmp.neighbor_ptr as usize);
-            let u = neighbors[port.index()];
-            if u.label.strings.root(level as usize) == RootSym::Absent {
-                // the neighbour has no level-j fragment: the edge is outgoing
-                self.check_outgoing(ctx, own, port, u, ask, level, alarm);
-                cmp.next_neighbor();
-                advanced = true;
-                continue;
-            }
-            // does the neighbour currently show its member level-j piece?
-            if let Some(their) = shown_member_cell(u, level) {
-                self.check_event(ctx, own, port, u, ask, their.piece(), level, alarm);
-                cmp.next_neighbor();
-                advanced = true;
-                continue;
-            }
-            // not shown: file a Want and count the neighbour's cycles (a
-            // level is a bit of the 64-bit `present` mask, so it fits the
-            // byte)
-            cmp.want_cmp = Some((u.label.sp.own_id, level as u8));
-            let cur = [u.trains[0].want, u.trains[1].want];
-            for (t, &c) in cur.iter().enumerate() {
-                cmp.watched_wraps[t] = train::count_wraps(
-                    cmp.watched_wraps[t],
-                    cmp.watched_prev[t],
-                    c,
-                    MAX_WATCH_WRAPS,
-                );
-            }
-            cmp.watched_prev = cur;
-            if cmp.watched_wraps.iter().all(|&w| w >= MAX_WATCH_WRAPS) {
-                // the neighbour's trains completed several full cycles and the
-                // needed piece never appeared
-                *alarm = true;
-                cmp.next_neighbor();
-            }
-        }
-        if cmp.neighbor_ptr as usize >= ctx.degree {
-            // done with this level: move on
-            cmp.level_idx = ((usize::from(cmp.level_idx) + 1) % level_count) as u8;
-            cmp.ask = None;
-            cmp.restart_walk();
-        }
-        next.compare = cmp;
-    }
-
-    /// Checks C1/C2 for an edge known to be outgoing (the neighbour has no
-    /// level-`j` fragment).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "C1/C2 read both endpoints, the port, the asked piece and the level"
-    )]
-    fn check_outgoing(
-        &self,
-        ctx: &NodeContext,
-        own: &CoreState,
-        port: Port,
-        u: &CoreState,
-        ask: PieceInfo,
-        level: u32,
-        alarm: &mut bool,
-    ) {
-        let is_tree = self.is_tree_edge(ctx, port, u);
-        let w = self.edge_weight(ctx.node, port, u, is_tree);
-        match ask.min_out {
-            None => *alarm = true, // the whole-tree fragment has no outgoing edge
-            Some(mw) => {
-                if w < mw {
-                    *alarm = true; // C2
-                }
-                if self.is_candidate_edge(ctx, own, port, u, level) && mw != w {
-                    *alarm = true; // C1
-                }
-            }
-        }
-    }
-
-    /// Checks performed when the event `E(v, u, j)` occurs.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the event checks read both endpoints, the port, both pieces and the level"
-    )]
-    fn check_event(
-        &self,
-        ctx: &NodeContext,
-        own: &CoreState,
-        port: Port,
-        u: &CoreState,
-        ask: PieceInfo,
-        their: PieceInfo,
-        level: u32,
-        alarm: &mut bool,
-    ) {
-        let j = level as usize;
-        let is_parent = self.parent_port(ctx.node) == Some(port);
-        let same_fragment = ask.root_id == their.root_id;
-        // Claim 8.3: tree neighbours in the same fragment must hold identical
-        // pieces; the strings already tell whether the parent shares the
-        // fragment
-        if is_parent && own.label.strings.root(j) == RootSym::NonRoot && ask != their {
-            *alarm = true;
-        }
-        if same_fragment && ask != their {
-            *alarm = true;
-        }
-        if !same_fragment {
-            self.check_outgoing(ctx, own, port, u, ask, level, alarm);
-        } else if self.is_candidate_edge(ctx, own, port, u, level) {
-            // the candidate edge must be outgoing
-            *alarm = true;
-        }
-    }
-
-    /// Whether the edge behind `port` is this node's candidate edge at the
-    /// given level, according to the EndP/Parents strings.
-    fn is_candidate_edge(
-        &self,
-        ctx: &NodeContext,
-        own: &CoreState,
-        port: Port,
-        u: &CoreState,
-        level: u32,
-    ) -> bool {
-        let j = level as usize;
-        match own.label.strings.endp(j) {
-            EndpSym::Up => self.parent_port(ctx.node) == Some(port),
-            EndpSym::Down => u.label.sp.has_parent(ctx.id) && u.label.strings.parent_bit(j),
-            _ => false,
-        }
-    }
 }
 
 fn part_of(s: &CoreState, which: usize) -> &PartLabel {
@@ -622,12 +328,6 @@ fn membership(which: usize, label: &CoreLabel, id: u64, piece: PieceCell, at_roo
     }
 }
 
-/// The cell of the member piece of the given level that one of the node's
-/// trains currently shows, if any.
-fn shown_member_cell(s: &CoreState, level: u32) -> Option<PieceCell> {
-    (s.trains.iter()).find_map(|t| t.shown_member().filter(|d| d.level() == level))
-}
-
 impl NodeProgram for CoreVerifier {
     type State = CoreState;
 
@@ -645,11 +345,20 @@ impl NodeProgram for CoreVerifier {
         let mut alarm = false;
         let mut next = *own;
         next.verdict = Verdict::Accept;
-        let parent = self.parent_port(ctx.node).map(|p| neighbors[p.index()]);
+        // the parent port, by the component pointer
+        let parent_port = (self.components.pointer(ctx.node)).filter(|p| p.index() < ctx.degree);
+        let parent = parent_port.map(|p| neighbors[p.index()]);
+        let compare = CompareView {
+            graph: &self.graph,
+            ctx,
+            own,
+            neighbors,
+            parent_port,
+        };
 
         // the slot each train circulates, then the one pass over the tree
         // children that everything below shares
-        let hold = self.neighbor_wants_shown(ctx, own, neighbors);
+        let hold = compare.hold();
         let views = [TRAIN_TOP, TRAIN_BOTTOM].map(|which| {
             let part = part_of(own, which);
             let same_part = |p: &&CoreState| part_of(p, which).part_root_id == part.part_root_id;
@@ -692,8 +401,8 @@ impl NodeProgram for CoreVerifier {
             }
         }
 
-        // 3. comparisons
-        self.step_compare(ctx, own, neighbors, &mut next, &mut alarm);
+        // 3. comparisons (§7.2), from the trains' new buffers
+        alarm |= compare.step(&next.trains, &mut next.compare);
 
         // 4. completeness (cycle-set) check of §8
         if train::take_cycles(&mut next.trains) {
@@ -737,10 +446,11 @@ mod reference {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::labels::{COMPLETENESS_WRAPS, DELAY_MAX};
+    use crate::labels::{PieceInfo, COMPLETENESS_WRAPS, DELAY_MAX, MAX_WATCH_WRAPS};
     use crate::marker::Marker;
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
+    use smst_graph::NodeId;
     use smst_labeling::Instance;
     use smst_sim::SyncRunner;
 

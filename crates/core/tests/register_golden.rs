@@ -26,11 +26,12 @@
 //! Each scenario runs on the sequential reference and on the sharded engine
 //! at one and two threads; all three must produce the same constants.
 
+use smst_core::compare::CompareState;
 use smst_core::faults::{corrupt, FaultKind};
 use smst_core::labels::{CoreLabel, PartLabel, PieceInfo};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
 use smst_core::train::TrainState;
-use smst_core::verifier::{CompareState, CoreState};
+use smst_core::verifier::CoreState;
 use smst_core::{CoreVerifier, Marker};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;

@@ -21,9 +21,10 @@
 //! runs eight seeds at n = 512 (`cargo test --release -p smst-core --test
 //! self_stabilization -- --ignored`).
 
+use smst_core::compare::CompareState;
 use smst_core::labels::{PieceCell, Widths, DELAY_MAX};
 use smst_core::train::TrainState;
-use smst_core::verifier::{CompareState, CoreState};
+use smst_core::verifier::CoreState;
 use smst_core::{CoreLabel, CoreVerifier, Marker, PieceInfo};
 use smst_graph::generators::{
     caterpillar_graph, complete_graph, expander_graph, grid_graph, kmw_cluster_tree,

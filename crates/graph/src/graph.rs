@@ -429,11 +429,6 @@ impl WeightedGraph {
         self.0.max_weight
     }
 
-    /// Looks up a node by identity, if present.
-    pub fn node_by_id(&self, id: u64) -> Option<NodeId> {
-        self.0.ids.iter().position(|&x| x == id).map(NodeId)
-    }
-
     /// The edge record for an edge id.
     ///
     /// # Panics
@@ -799,16 +794,6 @@ mod tests {
         let g = triangle();
         let all: Vec<EdgeId> = (0..3).map(EdgeId).collect();
         assert_eq!(g.total_weight(all), 6);
-    }
-
-    #[test]
-    fn node_by_id_lookup() {
-        let mut b = GraphBuilder::new();
-        b.add_node_with_id(55);
-        b.add_node_with_id(66);
-        let g = b.finish();
-        assert_eq!(g.node_by_id(66), Some(NodeId(1)));
-        assert_eq!(g.node_by_id(1), None);
     }
 
     /// The incidence lists as a naive `Vec<Vec<_>>`: every edge, in id

@@ -171,11 +171,6 @@ impl RootedTree {
         self.order.last().map_or(0, |v| self.depth[v.0])
     }
 
-    /// `true` if `v` is a leaf (has no children).
-    pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children(v).is_empty()
-    }
-
     /// The tree edges, one per non-root node.
     pub fn edges(&self) -> Vec<EdgeId> {
         self.parent_edge.iter().filter_map(|&e| e).collect()
@@ -184,19 +179,6 @@ impl RootedTree {
     /// Returns `true` if `e` is one of the tree's edges.
     pub fn contains_edge(&self, e: EdgeId) -> bool {
         self.is_tree_edge.get(e.0).copied().unwrap_or(false)
-    }
-
-    /// `true` if `ancestor` lies on the path from `v` to the root
-    /// (a node is its own ancestor).
-    pub fn is_ancestor(&self, ancestor: NodeId, v: NodeId) -> bool {
-        let mut cur = Some(v);
-        while let Some(x) = cur {
-            if x == ancestor {
-                return true;
-            }
-            cur = self.parent[x.0];
-        }
-        false
     }
 
     /// Nodes in preorder DFS, children visited in stored order.
@@ -227,44 +209,6 @@ impl RootedTree {
     /// Size of the subtree rooted at `v` (including `v`).
     pub fn subtree_size(&self, v: NodeId) -> usize {
         self.subtree_size[v.0]
-    }
-
-    /// Hop distance between two nodes *in the tree*.
-    pub fn tree_distance(&self, u: NodeId, v: NodeId) -> usize {
-        // walk both nodes up to their lowest common ancestor
-        let (mut a, mut b) = (u, v);
-        let mut da = self.depth[a.0];
-        let mut db = self.depth[b.0];
-        let mut dist = 0;
-        while da > db {
-            a = self.parent[a.0].expect("non-root node has a parent");
-            da -= 1;
-            dist += 1;
-        }
-        while db > da {
-            b = self.parent[b.0].expect("non-root node has a parent");
-            db -= 1;
-            dist += 1;
-        }
-        while a != b {
-            a = self.parent[a.0].expect("non-root node has a parent");
-            b = self.parent[b.0].expect("non-root node has a parent");
-            dist += 2;
-        }
-        dist
-    }
-
-    /// The path from `v` up to (and including) `ancestor`.
-    ///
-    /// Returns `None` if `ancestor` is not an ancestor of `v`.
-    pub fn path_to_ancestor(&self, v: NodeId, ancestor: NodeId) -> Option<Vec<NodeId>> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != ancestor {
-            cur = self.parent[cur.0]?;
-            path.push(cur);
-        }
-        Some(path)
     }
 }
 
@@ -302,8 +246,7 @@ mod tests {
         assert_eq!(t.parent(NodeId(0)), None);
         assert_eq!(t.parent(NodeId(3)), Some(NodeId(1)));
         assert_eq!(t.children(NodeId(1)), &[NodeId(3), NodeId(4)]);
-        assert!(t.is_leaf(NodeId(4)));
-        assert!(!t.is_leaf(NodeId(1)));
+        assert!(t.children(NodeId(4)).is_empty());
     }
 
     #[test]
@@ -342,34 +285,6 @@ mod tests {
         assert_eq!(t.subtree_size(NodeId(0)), 6);
         assert_eq!(t.subtree_size(NodeId(1)), 3);
         assert_eq!(t.subtree_size(NodeId(5)), 1);
-    }
-
-    #[test]
-    fn ancestor_queries() {
-        let (_, t) = sample();
-        assert!(t.is_ancestor(NodeId(0), NodeId(5)));
-        assert!(t.is_ancestor(NodeId(1), NodeId(4)));
-        assert!(!t.is_ancestor(NodeId(2), NodeId(3)));
-        assert!(t.is_ancestor(NodeId(3), NodeId(3)));
-    }
-
-    #[test]
-    fn tree_distances() {
-        let (_, t) = sample();
-        assert_eq!(t.tree_distance(NodeId(3), NodeId(4)), 2);
-        assert_eq!(t.tree_distance(NodeId(3), NodeId(5)), 4);
-        assert_eq!(t.tree_distance(NodeId(0), NodeId(0)), 0);
-        assert_eq!(t.tree_distance(NodeId(5), NodeId(0)), 2);
-    }
-
-    #[test]
-    fn path_to_ancestor_works() {
-        let (_, t) = sample();
-        assert_eq!(
-            t.path_to_ancestor(NodeId(3), NodeId(0)).unwrap(),
-            vec![NodeId(3), NodeId(1), NodeId(0)]
-        );
-        assert!(t.path_to_ancestor(NodeId(3), NodeId(2)).is_none());
     }
 
     #[test]

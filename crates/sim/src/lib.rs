@@ -30,7 +30,6 @@
 //! * [`schedule`] — recurring fault schedules (periodic / burst /
 //!   Poisson-like arrivals) for verify-forever chaos campaigns, with
 //!   per-wave detection/quiescence accounting types;
-//! * [`memory`] — per-node memory-size accounting in bits;
 //! * [`metrics`] — detection time / detection distance / stabilization
 //!   statistics;
 //! * [`observer`] — the per-round measurement hook ([`RoundObserver`])
@@ -43,7 +42,6 @@
 
 pub mod asynch;
 pub mod faults;
-pub mod memory;
 pub mod metrics;
 pub mod network;
 pub mod observer;
@@ -53,7 +51,6 @@ pub mod sync;
 
 pub use asynch::{ActivationBatch, AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon};
 pub use faults::FaultPlan;
-pub use memory::MemoryUsage;
 pub use metrics::{DetectionReport, ExecutionStats};
 pub use network::Network;
 pub use observer::{RecordingObserver, RoundObserver, RoundStats, TeeObserver};

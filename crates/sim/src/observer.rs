@@ -226,12 +226,6 @@ impl TeeObserver {
     pub fn is_empty(&self) -> bool {
         self.sinks.is_empty()
     }
-
-    /// Consumes the tee, returning the sinks (e.g. to recover an owned
-    /// telemetry sink after a run).
-    pub fn into_sinks(self) -> Vec<Box<dyn RoundObserver>> {
-        self.sinks
-    }
 }
 
 impl RoundObserver for TeeObserver {
@@ -322,7 +316,6 @@ mod tests {
         tee.on_round(&stat(1));
         assert_eq!(first.stats(), second.stats());
         assert_eq!(first.rounds_observed(), 2);
-        assert_eq!(tee.into_sinks().len(), 2);
     }
 
     #[test]

@@ -26,13 +26,11 @@ fn main() {
         (4, FaultKind::RootsString),
     ] {
         let plan = FaultPlan::random(n, f, 1000 + f as u64);
-        let outcome = run_sync_fault_experiment(&instance, &plan, kind, 5);
+        let report = run_sync_fault_experiment(&instance, &plan, kind, 5);
         println!(
             "{f} fault(s) of kind {kind:?}: detected = {}, detection time = {:?} rounds, \
              max distance fault→alarm = {} hops",
-            outcome.report.detected,
-            outcome.report.detection_time,
-            outcome.report.max_detection_distance
+            report.detected, report.detection_time, report.max_detection_distance
         );
     }
 }

@@ -52,11 +52,11 @@ fn injected_faults_are_detected_within_the_polylog_budget() {
         FaultKind::EndpString,
     ] {
         let plan = FaultPlan::random(24, 1, 77);
-        let outcome = run_sync_fault_experiment(&inst, &plan, kind, 8);
-        assert!(outcome.report.detected, "{kind:?} was not detected");
+        let report = run_sync_fault_experiment(&inst, &plan, kind, 8);
+        assert!(report.detected, "{kind:?} was not detected");
         let n = inst.node_count();
         assert!(
-            outcome.report.detection_time.unwrap() <= 4 * MstVerificationScheme::sync_budget(n),
+            report.detection_time.unwrap() <= 4 * MstVerificationScheme::sync_budget(n),
             "{kind:?} took too long"
         );
     }
