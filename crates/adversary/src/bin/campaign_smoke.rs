@@ -2,7 +2,7 @@
 //! baseline regret → shrink → replay) in seconds and writes
 //! `CAMPAIGN_smoke.json` for the artifact upload. The campaign's best find
 //! is additionally replayed **observed** — teeing a [`RecordingObserver`]
-//! with the env-gated telemetry sink — and its per-round stream is written
+//! with the env-gated trace sink — and its per-round stream is written
 //! to `BENCH_rounds_campaign.json`, keyed by the replayable `TrialId`.
 //! `SMST_BENCH_SMOKE=1` shrinks the trial count further (the default sizes
 //! are already small).
@@ -13,7 +13,7 @@ use smst_adversary::{
 };
 use smst_bench::harness::smoke_mode;
 use smst_sim::{RecordingObserver, TeeObserver};
-use smst_telemetry::{artifact_dir, RoundsArtifact, Telemetry};
+use smst_telemetry::{artifact_dir, RoundsArtifact, TraceWriter};
 
 fn main() {
     let mut spec = CampaignSpec::new("smoke", Workload::Monitor);
@@ -73,11 +73,11 @@ fn main() {
     // stream promoted to BENCH_rounds_campaign.json keyed by the TrialId
     let replay_spec = shrunk.map(|s| s.spec).unwrap_or(best.spec);
     let trial_id = replay_spec.id();
-    let telemetry = Telemetry::from_env("campaign_smoke");
+    let trace = TraceWriter::from_env("campaign_smoke");
     let recording = RecordingObserver::new();
     let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
-    if let Some(observer) = telemetry.observer(&trial_id) {
-        tee.push(observer);
+    if let Some(trace) = &trace {
+        tee.push(trace.observer(&trial_id));
     }
     let observed = run_trial_observed(&replay_spec, Box::new(tee));
     assert_eq!(
@@ -90,5 +90,7 @@ fn main() {
     let mut artifact = RoundsArtifact::new("rounds_campaign");
     artifact.push(&format!("campaign/{}/best", spec.name), &trial_id, stats);
     artifact.finish();
-    telemetry.flush().expect("flushing the campaign trace");
+    if let Some(trace) = trace {
+        trace.flush().expect("flushing the campaign trace");
+    }
 }

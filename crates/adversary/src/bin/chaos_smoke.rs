@@ -10,10 +10,7 @@
 //! pool self-healing counters) to `CAMPAIGN_chaos.json`.
 //! `SMST_BENCH_SMOKE=1` shrinks the graph.
 
-use smst_adversary::chaos::{
-    record_chaos_metrics, record_pool_metrics, write_chaos_campaign_artifact_in, ChaosCase,
-    ChaosCaseRecord,
-};
+use smst_adversary::chaos::{write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseRecord};
 use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
@@ -21,7 +18,7 @@ use smst_engine::{
     Runner, ShardedRunner, StopCondition,
 };
 use smst_sim::FaultSchedule;
-use smst_telemetry::{artifact_dir, names, ChaosArtifact, FlightRecorder, Metrics};
+use smst_telemetry::{artifact_dir, ChaosArtifact, FlightRecorder};
 use std::time::Duration;
 
 fn main() {
@@ -49,7 +46,6 @@ fn main() {
     // pool when its last handle drops, which would zero the self-healing
     // counters between cases
     let pool = PoolHandle::for_threads(threads);
-    let metrics = Metrics::new();
     let mut artifact = ChaosArtifact::new("chaos");
     let mut records = Vec::new();
     for (name, schedule) in schedules {
@@ -85,7 +81,6 @@ fn main() {
             clean.report.mean_detection_latency(),
             clean.report.mean_quiescence(),
         );
-        record_chaos_metrics(&metrics, &clean.report);
         artifact.push(case.chaos_run(&clean.report));
         records.push(ChaosCaseRecord::new(&case, clean.report).recovery_invisible(invisible));
     }
@@ -149,23 +144,25 @@ fn main() {
         other => panic!("a hung worker must trip the watchdog, got {other:?}"),
     }
 
-    record_pool_metrics(&metrics, pool.pool().stats());
-    let snapshot = metrics.snapshot();
+    let stats = pool.pool().stats();
     assert!(
-        snapshot.counters[names::POOL_WORKER_PANICS] >= records.len() as u64,
+        stats.panics() >= records.len() as u64,
         "every injected panic is accounted"
     );
     assert!(
-        snapshot.counters[names::POOL_BARRIER_TIMEOUTS] >= 1,
+        stats.barrier_timeouts() >= 1,
         "the tripped watchdog is accounted"
     );
     println!(
         "  pool: {} panics, {} respawns, {} barrier timeouts; chaos: {} waves, {} faults",
-        snapshot.counters[names::POOL_WORKER_PANICS],
-        snapshot.counters[names::POOL_WORKER_RESPAWNS],
-        snapshot.counters[names::POOL_BARRIER_TIMEOUTS],
-        snapshot.counters[names::CHAOS_WAVES],
-        snapshot.counters[names::CHAOS_FAULTS],
+        stats.panics(),
+        stats.respawns(),
+        stats.barrier_timeouts(),
+        records.iter().map(|r| r.report.waves.len()).sum::<usize>(),
+        records
+            .iter()
+            .map(|r| r.report.injected_faults)
+            .sum::<usize>(),
     );
 
     artifact.finish();

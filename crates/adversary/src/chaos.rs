@@ -1,5 +1,5 @@
 //! Chaos campaigns: recurring [`FaultSchedule`] waves driven through the
-//! engine's self-healing pool, bridged into `smst-telemetry`.
+//! engine's self-healing pool, recorded as `smst-telemetry` artifacts.
 //!
 //! The campaign engine in [`campaign`](crate::campaign) *searches* for bad
 //! schedules; this module *endures* them. A [`ChaosCase`] is one fully
@@ -9,25 +9,21 @@
 //! [`run_chaos`] loop on the [`AlarmedFlood`] workload (the one demo
 //! program where every wave is both *detected* — the garbage floods to a
 //! monitor node — and *digested* — out-of-range values decay
-//! geometrically and the flood re-converges). Results bridge two ways:
+//! geometrically and the flood re-converges). Results leave two ways:
 //!
 //! * [`ChaosCase::chaos_run`] converts an engine [`ChaosReport`] into a
 //!   telemetry [`ChaosRun`] for the `BENCH_chaos.json` artifact
 //!   ([`smst_telemetry::ChaosArtifact`]);
-//! * [`record_chaos_metrics`] / [`record_pool_metrics`] feed the
-//!   [`Metrics`] registry under the `names::CHAOS_*` / `names::POOL_*`
-//!   keys, including the worker pool's self-healing counters
-//!   ([`PoolStats`]).
-//!
-//! [`chaos_campaign_json`] serializes a whole campaign (cases plus pool
-//! counters) as `CAMPAIGN_chaos.json`, next to the search campaigns'
-//! artifacts and on the same codec (see [`artifact`](crate::artifact)).
+//! * [`chaos_campaign_json`] serializes a whole campaign (cases plus the
+//!   worker pool's self-healing counters, [`PoolStats`]) as
+//!   `CAMPAIGN_chaos.json`, next to the search campaigns' artifacts and
+//!   on the same codec (see [`artifact`](crate::artifact)).
 
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{run_chaos, ChaosReport, EngineConfig, EngineError, GraphFamily, PoolStats};
 use smst_sim::FaultSchedule;
 use smst_telemetry::json::{self, Obj, ToJson};
-use smst_telemetry::{names, ChaosRun, Metrics};
+use smst_telemetry::ChaosRun;
 use std::path::{Path, PathBuf};
 
 /// One replayable chaos campaign case: a graph family under a recurring
@@ -123,45 +119,6 @@ pub struct ChaosCaseOutcome {
     pub report: ChaosReport,
     /// Final registers, by original node id.
     pub states: Vec<u64>,
-}
-
-/// Records one campaign report into `metrics` under the `names::CHAOS_*`
-/// keys: wave/fault counters plus per-wave detection-latency and
-/// rounds-to-quiescence histograms (censored waves are skipped, never
-/// recorded as zero).
-pub fn record_chaos_metrics(metrics: &Metrics, report: &ChaosReport) {
-    metrics
-        .counter(names::CHAOS_WAVES)
-        .add(report.waves.len() as u64);
-    metrics
-        .counter(names::CHAOS_FAULTS)
-        .add(report.injected_faults as u64);
-    let detection = metrics.histogram(names::CHAOS_DETECTION_STEPS);
-    let quiescence = metrics.histogram(names::CHAOS_QUIESCENCE_STEPS);
-    for w in &report.waves {
-        if let Some(d) = w.detection_latency {
-            detection.record(d as u64);
-        }
-        if let Some(q) = w.quiescence {
-            quiescence.record(q as u64);
-        }
-    }
-}
-
-/// Copies the worker pool's self-healing totals ([`PoolStats`] is
-/// process-cumulative) into `metrics` under the `names::POOL_*` keys.
-/// Call once per registry, at the end of a campaign — counters
-/// accumulate, so repeated bridging would double-count.
-pub fn record_pool_metrics(metrics: &Metrics, stats: &PoolStats) {
-    metrics
-        .counter(names::POOL_WORKER_PANICS)
-        .add(stats.panics());
-    metrics
-        .counter(names::POOL_WORKER_RESPAWNS)
-        .add(stats.respawns());
-    metrics
-        .counter(names::POOL_BARRIER_TIMEOUTS)
-        .add(stats.barrier_timeouts());
 }
 
 /// One case line inside [`chaos_campaign_json`].
@@ -320,19 +277,24 @@ mod tests {
     #[test]
     fn metrics_bridge_counts_waves_and_latencies() {
         let outcome = small_case("metrics", 2).run().expect("valid case");
-        let metrics = Metrics::new();
-        record_chaos_metrics(&metrics, &outcome.report);
-        record_pool_metrics(&metrics, PoolHandle::for_threads(2).pool().stats());
-        let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.counters[names::CHAOS_WAVES], 3);
-        assert_eq!(snapshot.counters[names::CHAOS_FAULTS], 15);
-        assert_eq!(snapshot.histograms[names::CHAOS_DETECTION_STEPS].count, 3);
-        assert_eq!(snapshot.histograms[names::CHAOS_QUIESCENCE_STEPS].count, 3);
-        // the pool counters exist (their values are process-cumulative,
-        // shared with every other test in the binary)
-        assert!(snapshot.counters.contains_key(names::POOL_WORKER_PANICS));
-        assert!(snapshot.counters.contains_key(names::POOL_WORKER_RESPAWNS));
-        assert!(snapshot.counters.contains_key(names::POOL_BARRIER_TIMEOUTS));
+        let report = &outcome.report;
+        assert_eq!(report.waves.len(), 3);
+        assert_eq!(report.injected_faults, 15, "5 registers a wave");
+        let latencies = report.waves.iter().filter_map(|w| w.detection_latency);
+        assert_eq!(latencies.count(), 3);
+        let quiescences = report.waves.iter().filter_map(|w| w.quiescence);
+        assert_eq!(quiescences.count(), 3);
+        // the pool counters reach the campaign artifact (their values are
+        // process-cumulative, shared with every other test in the binary)
+        let pool = PoolHandle::for_threads(2);
+        let records = vec![ChaosCaseRecord::new(
+            &small_case("metrics", 2),
+            outcome.report,
+        )];
+        let json = chaos_campaign_json("metrics_unit", &records, pool.pool().stats());
+        assert!(json.contains("\"worker_panics\":"));
+        assert!(json.contains("\"worker_respawns\":"));
+        assert!(json.contains("\"barrier_timeouts\":"));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod trial;
 pub use artifact::{campaign_json, write_campaign_artifact_in};
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, TrialRecord};
 pub use chaos::{
-    chaos_campaign_json, record_chaos_metrics, record_pool_metrics,
-    write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseOutcome, ChaosCaseRecord,
+    chaos_campaign_json, write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseOutcome,
+    ChaosCaseRecord,
 };
 pub use daemons::{CutFocusDaemon, StallDaemon, StarveDaemon};
 pub use shrink::{shrink as shrink_trial, ShrinkResult};

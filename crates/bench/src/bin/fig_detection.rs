@@ -4,7 +4,7 @@
 //!
 //! The largest sweep point is additionally replayed **observed**: the same
 //! scenario re-run with per-round accounting attached (a
-//! [`RecordingObserver`] teed with the env-gated telemetry sink), its
+//! [`RecordingObserver`] teed with the env-gated trace sink), its
 //! stream promoted to `BENCH_rounds_detection.json` — so the figure's
 //! headline point ships with its full per-round phase split.
 //!
@@ -17,7 +17,7 @@ use smst_bench::engine_metrics::{
 use smst_core::faults::FaultKind;
 use smst_engine::{EngineConfig, LayoutPolicy};
 use smst_sim::{RecordingObserver, TeeObserver};
-use smst_telemetry::{RoundsArtifact, Telemetry};
+use smst_telemetry::{RoundsArtifact, TraceWriter};
 
 fn main() {
     let sizes = fig_sizes(&[16, 24, 32, 48, 64]).unwrap_or_else(|err| {
@@ -64,12 +64,12 @@ fn main() {
 fn observed_replay(n: usize, seed: u64, engine: &EngineConfig) {
     let (spec, budget) = detection_scenario(n, seed, engine);
     let warmup = spec.fault.expect("the detection scenario has a burst").at;
-    let telemetry = Telemetry::from_env("fig_detection");
+    let trace = TraceWriter::from_env("fig_detection");
     let run = format!("fam=rand:{n}x{m};gs={seed};at={warmup}", m = 3 * n);
     let recording = RecordingObserver::new();
     let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
-    if let Some(observer) = telemetry.observer(&run) {
-        tee.push(observer);
+    if let Some(trace) = &trace {
+        tee.push(trace.observer(&run));
     }
     let observer = Some(Box::new(tee) as _);
     let point = verifier_point(spec, FaultKind::StoredPieceWeight, seed, budget, observer);
@@ -83,5 +83,7 @@ fn observed_replay(n: usize, seed: u64, engine: &EngineConfig) {
     let mut artifact = RoundsArtifact::new("rounds_detection");
     artifact.push(&format!("detection/random/{n}"), &run, window);
     artifact.finish();
-    telemetry.flush().expect("flushing the fig_detection trace");
+    if let Some(trace) = trace {
+        trace.flush().expect("flushing the fig_detection trace");
+    }
 }

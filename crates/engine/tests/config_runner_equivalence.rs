@@ -4,7 +4,7 @@
 //! sequential reference runner — itself instantiated through the *same*
 //! `EngineConfig` API ([`EngineConfig::reference`]) — and `RoundObserver`
 //! callbacks must be deterministic across thread counts, layouts, halo
-//! modes and telemetry modes (disabled / enabled / sampled tracing).
+//! modes and telemetry modes (no trace / sampled trace).
 
 use proptest::prelude::*;
 use smst_engine::programs::{MinIdFlood, MonitorFlood};
@@ -12,7 +12,7 @@ use smst_engine::{ConfigError, EngineConfig, LayoutPolicy, Runner, StopCondition
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::{NodeId, WeightedGraph};
 use smst_sim::{Daemon, FaultPlan, RecordingObserver, TeeObserver};
-use smst_telemetry::{Telemetry, TraceWriter};
+use smst_telemetry::TraceWriter;
 
 fn graph_for(kind: bool, n: usize, seed: u64) -> WeightedGraph {
     if kind {
@@ -207,9 +207,9 @@ proptest! {
 #[test]
 fn telemetry_modes_never_change_the_deterministic_trace() {
     // telemetry is measurement, not computation: the deterministic
-    // (round, alarms, activations) trace is identical with telemetry
-    // disabled (no observer at all), enabled (counters + histograms), and
-    // enabled with sampled round tracing — at every thread count
+    // (round, alarms, activations) trace is identical with no trace (no
+    // observer at all) and with sampled round tracing — at every thread
+    // count
     let n = 40usize;
     let g = graph_for(true, n, 11);
     let program = MonitorFlood::new(n as u64 - 1, n as u64 - 1);
@@ -218,24 +218,18 @@ fn telemetry_modes_never_change_the_deterministic_trace() {
     std::fs::create_dir_all(&trace_dir).expect("temp trace dir");
     let mut traces = Vec::new();
     for threads in [1usize, 2, 8] {
-        for mode in ["disabled", "enabled", "sampled"] {
-            let telemetry = match mode {
-                "disabled" => Telemetry::disabled(),
-                "enabled" => Telemetry::enabled(),
-                // an explicit directory instead of the env gate: tests
-                // must not mutate process-global environment
-                _ => Telemetry::with_trace(
-                    TraceWriter::create_in(&trace_dir, &format!("equiv_t{threads}"))
-                        .expect("trace file"),
-                    2,
-                ),
-            };
-            assert_eq!(telemetry.is_enabled(), mode != "disabled");
+        for mode in ["off", "sampled"] {
+            // an explicit directory instead of the env gate: tests must
+            // not mutate process-global environment
+            let sink = (mode == "sampled").then(|| {
+                TraceWriter::create_in(&trace_dir, &format!("equiv_t{threads}"), 2)
+                    .expect("trace file")
+            });
             let label = format!("threads={threads};mode={mode}");
             let recording = RecordingObserver::new();
             let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
-            if let Some(observer) = telemetry.observer(&label) {
-                tee.push(observer);
+            if let Some(sink) = &sink {
+                tee.push(sink.observer(&label));
             }
             let mut runner = EngineConfig::new()
                 .threads(threads)
@@ -251,7 +245,11 @@ fn telemetry_modes_never_change_the_deterministic_trace() {
                 .map(|(round, alarms, activations, _halo_bytes)| (round, alarms, activations))
                 .collect();
             assert_eq!(trace.len(), 9, "{label}");
-            telemetry.flush().expect("flushing the test trace");
+            if let Some(sink) = &sink {
+                sink.flush().expect("flushing the test trace");
+                let body = std::fs::read_to_string(sink.path()).expect("trace file");
+                assert_eq!(body.lines().count(), 5, "{label}: rounds 0, 2, 4, 6, 8");
+            }
             traces.push((label, trace));
         }
     }

@@ -297,11 +297,6 @@ impl<'p, P: NodeProgram> AsyncRunner<'p, P> {
         self.observer = Some(observer);
     }
 
-    /// Detaches and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn RoundObserver>> {
-        self.observer.take()
-    }
-
     /// Normalized asynchronous time units elapsed so far.
     pub fn time_units(&self) -> usize {
         self.time_units

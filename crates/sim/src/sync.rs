@@ -43,11 +43,6 @@ impl<'p, P: NodeProgram> SyncRunner<'p, P> {
         self.observer = Some(observer);
     }
 
-    /// Detaches and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn RoundObserver>> {
-        self.observer.take()
-    }
-
     /// The number of rounds executed so far.
     pub fn rounds(&self) -> usize {
         self.rounds

@@ -5,9 +5,8 @@
 //! whatever identifies how to reproduce the run) plus the eight
 //! [`RoundStats`] fields. Sampling is env-gated: `SMST_TRACE_SAMPLE=k`
 //! keeps every `k`-th round (`k = 1` keeps all); unset or `0` disables
-//! tracing entirely, which is the default —
-//! [`Telemetry::from_env`](crate::Telemetry::from_env) creates a writer
-//! only when sampling is on.
+//! tracing entirely, which is the default — [`TraceWriter::from_env`]
+//! creates a writer (and so an observer) only when sampling is on.
 //!
 //! Record schema (one JSON object per line, described once by
 //! [`TraceLine`] — the lines carry no `schema` tag, readers dispatch on
@@ -19,11 +18,11 @@
 //! ```
 
 use crate::json::{Fields as _, FromJson, Json, Obj, ShapeError};
-use smst_sim::RoundStats;
+use smst_sim::{RoundObserver, RoundStats};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The sampling env var: `SMST_TRACE_SAMPLE=k` records every `k`-th
 /// round; unset or `0` disables the trace stream.
@@ -34,7 +33,7 @@ pub const TRACE_SAMPLE_ENV: &str = "SMST_TRACE_SAMPLE";
 /// value additionally warns once per process on stderr — a typo'd
 /// `SMST_TRACE_SAMPLE=ten` silently producing no trace cost a debugging
 /// session once; it never gets to again.
-pub fn trace_sample_from_env() -> u64 {
+fn trace_sample_from_env() -> u64 {
     match std::env::var(TRACE_SAMPLE_ENV) {
         Ok(raw) => parse_trace_sample(&raw).unwrap_or_else(|| {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
@@ -67,7 +66,7 @@ pub struct TraceLine {
 }
 
 /// The line both [`TraceLine::to_json`] and the streaming
-/// [`TraceWriter::write_round`] emit (the writer borrows its label, so it
+/// [`TraceWriter::observer`] emit (the observer borrows its label, so it
 /// does not build a [`TraceLine`] per round).
 fn line_json(run: &str, stats: &RoundStats) -> String {
     let mut out = String::new();
@@ -93,35 +92,58 @@ impl FromJson for TraceLine {
     }
 }
 
-/// A buffered, thread-safe `TRACE_<name>.jsonl` writer. Flushed on drop;
-/// the `Mutex` is per-line, never on any runner's compute path (observers
-/// run between rounds, on the dispatching thread).
+/// The sampled `TRACE_<name>.jsonl` stream: the crate's one round sink.
+///
+/// Each [`observer`](Self::observer) it hands out appends every
+/// `sample`-th round, attributed to its run label, to one shared buffered
+/// file. The `Mutex` is per line, never on any runner's compute path
+/// (observers run between rounds, on the dispatching thread). The buffer
+/// is flushed by [`flush`](Self::flush), and when the writer and its last
+/// observer are gone.
 #[derive(Debug)]
 pub struct TraceWriter {
     path: PathBuf,
-    file: Mutex<BufWriter<File>>,
+    sample: u64,
+    file: Arc<Mutex<BufWriter<File>>>,
 }
 
 impl TraceWriter {
-    /// Creates (truncating) `TRACE_<name>.jsonl` inside `dir`.
+    /// Creates (truncating) `TRACE_<name>.jsonl` inside `dir`, keeping
+    /// every `sample`-th round (`sample` is clamped to at least 1).
     ///
-    /// This is the injectable core of [`create`](Self::create): tests
-    /// pass a directory instead of mutating the process-global
-    /// `SMST_BENCH_DIR`.
-    pub fn create_in(dir: &Path, name: &str) -> io::Result<Self> {
+    /// Tests pass a directory here instead of mutating the process-global
+    /// `SMST_BENCH_DIR` / `SMST_TRACE_SAMPLE`.
+    pub fn create_in(dir: &Path, name: &str, sample: u64) -> io::Result<Self> {
         let path = dir.join(format!("TRACE_{name}.jsonl"));
         let file = BufWriter::new(File::create(&path)?);
         Ok(Self {
             path,
-            file: Mutex::new(file),
+            sample: sample.max(1),
+            file: Arc::new(Mutex::new(file)),
         })
     }
 
-    /// Creates (truncating) `TRACE_<name>.jsonl` in
-    /// [`artifact_dir`](crate::artifact_dir) — next to the `BENCH_*.json`
-    /// artifacts, so CI uploads them together.
-    pub fn create(name: &str) -> io::Result<Self> {
-        Self::create_in(&crate::artifact_dir(), name)
+    /// The env-gated constructor for benches and binaries: a
+    /// `TRACE_<name>.jsonl` stream in [`artifact_dir`](crate::artifact_dir)
+    /// (next to the `BENCH_*.json` artifacts, so CI uploads them together)
+    /// sampled at `$SMST_TRACE_SAMPLE`, or `None` when that is unset or
+    /// `0` — then no file is created and no observer is attached, so
+    /// runners keep their unobserved path. An unparsable value warns once
+    /// on stderr instead of silently disabling tracing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the requested trace file cannot be created.
+    pub fn from_env(name: &str) -> Option<Self> {
+        Self::sampled(name, trace_sample_from_env())
+    }
+
+    /// [`from_env`](Self::from_env) for an explicit sampling interval.
+    pub(crate) fn sampled(name: &str, sample: u64) -> Option<Self> {
+        (sample > 0).then(|| {
+            Self::create_in(&crate::artifact_dir(), name, sample)
+                .unwrap_or_else(|e| panic!("creating TRACE_{name}.jsonl: {e}"))
+        })
     }
 
     /// Where the stream is being written.
@@ -129,20 +151,15 @@ impl TraceWriter {
         &self.path
     }
 
-    /// Appends one round record attributed to `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors — a trace that silently loses records is
-    /// worse than a run that fails (the bench-artifact philosophy).
-    pub fn write_round(&self, run: &str, stats: &RoundStats) {
-        let mut line = line_json(run, stats);
-        line.push('\n');
-        self.file
-            .lock()
-            .expect("trace writer poisoned")
-            .write_all(line.as_bytes())
-            .expect("writing a TRACE_*.jsonl record");
+    /// A [`RoundObserver`] appending every sampled round to this stream,
+    /// attributed to `run` (a replayable identifier: `TrialId`, seed,
+    /// bench case).
+    pub fn observer(&self, run: &str) -> Box<dyn RoundObserver> {
+        Box::new(TraceObserver {
+            file: Arc::clone(&self.file),
+            sample: self.sample,
+            run: run.to_string(),
+        })
     }
 
     /// Flushes buffered records to disk.
@@ -151,11 +168,30 @@ impl TraceWriter {
     }
 }
 
-impl Drop for TraceWriter {
-    fn drop(&mut self) {
-        // best-effort: drop cannot propagate errors, and the explicit
-        // `flush` is there for callers that need the guarantee
-        let _ = self.flush();
+/// The [`RoundObserver`] a [`TraceWriter`] hands out.
+#[derive(Debug)]
+struct TraceObserver {
+    file: Arc<Mutex<BufWriter<File>>>,
+    sample: u64,
+    run: String,
+}
+
+impl RoundObserver for TraceObserver {
+    /// # Panics
+    ///
+    /// Panics on I/O errors — a trace that silently loses records is
+    /// worse than a run that fails (the bench-artifact philosophy).
+    fn on_round(&mut self, stats: &RoundStats) {
+        if !(stats.round as u64).is_multiple_of(self.sample) {
+            return;
+        }
+        let mut line = line_json(&self.run, stats);
+        line.push('\n');
+        self.file
+            .lock()
+            .expect("trace writer poisoned")
+            .write_all(line.as_bytes())
+            .expect("writing a TRACE_*.jsonl record");
     }
 }
 
@@ -180,10 +216,11 @@ mod tests {
     fn writes_one_json_object_per_round() {
         let dir = std::env::temp_dir().join("smst_telemetry_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let writer = TraceWriter::create_in(&dir, "unit").unwrap();
+        let writer = TraceWriter::create_in(&dir, "unit", 1).unwrap();
         assert_eq!(writer.path().file_name().unwrap(), "TRACE_unit.jsonl");
-        writer.write_round("trial-a", &stat(0));
-        writer.write_round("trial-a", &stat(1));
+        let mut observer = writer.observer("trial-a");
+        observer.on_round(&stat(0));
+        observer.on_round(&stat(1));
         writer.flush().unwrap();
         let body = std::fs::read_to_string(writer.path()).unwrap();
         let lines: Vec<&str> = body.lines().collect();
