@@ -9,7 +9,7 @@
 //! (`CompareView`) and the node's trains after their own step; the
 //! verifier wires it and passes the hold to the trains.
 
-use crate::labels::{PieceCell, PieceInfo, Widths, MAX_WATCH_WRAPS};
+use crate::labels::{PieceCell, Widths, MAX_WATCH_WRAPS};
 use crate::strings::{EndpSym, RootSym};
 use crate::train::{self, TrainState};
 use crate::verifier::CoreState;
@@ -135,7 +135,7 @@ impl CompareView<'_> {
             cmp.ask = shown_member(trains, level);
             cmp.visit(0);
         }
-        let Some(ask) = cmp.ask.map(|a| a.piece()) else {
+        let Some(ask) = cmp.ask else {
             *out = cmp;
             return false;
         };
@@ -148,7 +148,7 @@ impl CompareView<'_> {
             let their = if u.label.strings.root(level as usize) == RootSym::Absent {
                 None
             } else if let Some(their) = shown_member(&u.trains, level) {
-                Some(their.piece())
+                Some(their)
             } else {
                 // not shown: file a Want and count the neighbour's cycles (a
                 // level is a bit of the 64-bit `present` mask, so it fits
@@ -193,19 +193,19 @@ impl CompareView<'_> {
         &self,
         port: Port,
         u: &CoreState,
-        ask: PieceInfo,
-        their: Option<PieceInfo>,
+        ask: PieceCell,
+        their: Option<PieceCell>,
         level: u32,
     ) -> bool {
         let is_parent = self.parent_port == Some(port);
         if let Some(their) = their {
-            let same_fragment = ask.root_id == their.root_id;
+            let same_fragment = ask.root_id() == their.root_id();
             // Claim 8.3: tree neighbours in the same fragment hold identical
             // pieces; the strings already tell whether the parent shares
             // the fragment
             let parent_shares =
                 is_parent && self.own.label.strings.root(level as usize) == RootSym::NonRoot;
-            if ask != their && (same_fragment || parent_shares) {
+            if !ask.same_piece(&their) && (same_fragment || parent_shares) {
                 return true;
             }
             if same_fragment {
@@ -215,7 +215,7 @@ impl CompareView<'_> {
         }
         // the edge is outgoing: no lighter than the fragment's minimum
         // outgoing edge (C2), and that edge if it is the candidate (C1)
-        let Some(min_out) = ask.min_out else {
+        let Some(min_out) = ask.min_out() else {
             return true; // the whole-tree fragment has no outgoing edge
         };
         let e = self.graph.incident_edges(self.ctx.node)[port.index()];

@@ -7,7 +7,6 @@
 //! The experiment harnesses pick nodes with a
 //! [`smst_sim::FaultPlan`] and apply one of these mutators.
 
-use crate::labels::MAX_FIELD;
 use crate::strings::{EndpSym, RootSym};
 use crate::verifier::CoreState;
 use smst_rng::{Rng, SeedableRng, StdRng};
@@ -80,15 +79,14 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
             } else {
                 &mut state.label.bottom_part
             };
-            if let Some(stored) = part.stored[0].as_mut() {
+            if let Some(cell) = part.stored[0].as_mut() {
                 // the fields wrap at their 32 bits, as a register of that
                 // width would
-                let mut piece = stored.piece();
-                match piece.min_out.as_mut() {
-                    Some(w) => w.weight = (w.weight + rng.gen_range(1..1000u64)) & MAX_FIELD,
-                    None => piece.root_id = (piece.root_id + 1) & MAX_FIELD,
+                if cell.has_min_out() {
+                    cell.weight = cell.weight.wrapping_add(rng.gen_range(1..1000u32));
+                } else {
+                    cell.root_id = cell.root_id.wrapping_add(1);
                 }
-                stored.set_piece(piece);
             } else {
                 // nothing stored here: fall back to a string corruption
                 corrupt(state, FaultKind::RootsString, seed ^ 1);
@@ -148,7 +146,7 @@ mod tests {
     /// width would, instead of panicking.
     #[test]
     fn corruptions_wrap_at_the_field_width() {
-        use crate::labels::{PartLabel, PieceInfo, StoredPiece};
+        use crate::labels::{PartLabel, PieceCell, MAX_FIELD};
         use smst_graph::CompositeWeight;
 
         let g = random_connected_graph(20, 50, 1);
@@ -162,12 +160,7 @@ mod tests {
             let mut state = fresh;
             for part in [&mut state.label.top_part, &mut state.label.bottom_part] {
                 part.part_root_id = u32::MAX;
-                let piece = PieceInfo {
-                    root_id: MAX_FIELD,
-                    level: 0,
-                    min_out,
-                };
-                part.stored[0] = Some(StoredPiece::new(0, piece));
+                part.stored[0] = Some(PieceCell::new(0, MAX_FIELD, 0, min_out));
             }
             let mut moved = state;
             corrupt(&mut moved, FaultKind::PartRoot, 1);
@@ -182,8 +175,8 @@ mod tests {
                 let mut moved = state;
                 corrupt(&mut moved, FaultKind::StoredPieceWeight, seed);
                 let field = |p: PartLabel| {
-                    let piece = p.stored[0].unwrap().piece();
-                    piece.min_out.map_or(piece.root_id, |w| w.weight)
+                    let cell = p.stored[0].unwrap();
+                    cell.min_out().map_or(cell.root_id(), |w| w.weight)
                 };
                 let fields = [moved.label.top_part, moved.label.bottom_part].map(field);
                 assert!(fields.contains(&MAX_FIELD), "{fields:?}");

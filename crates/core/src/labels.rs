@@ -29,17 +29,19 @@
 //!   depth in the part and the diameter bound in one byte each (the verifier
 //!   rejects either above `6·log n + 6 ≤ 198`), the piece count, and its at
 //!   most two stored pieces inline (48 bytes);
-//! * a piece sitting in a register cell — stored permanently, or
-//!   climbing/flooding in a train buffer — is a [`PieceCell`]: the piece's
-//!   four 32-bit fields (`root_id`, and the `weight`, `id_min`, `id_max` of
-//!   its minimum outgoing edge), then its level, the cell's slot and a flag
-//!   byte (has a minimum outgoing edge, that edge is a non-tree edge, §7.1's
-//!   membership flag) in three bytes — 20 bytes, and `Option<PieceCell>` is
-//!   no larger (the flag byte is never zero, which leaves it a niche).
+//! * a fragment's piece `I(F)` is a [`PieceCell`] wherever it is: in its
+//!   part's piece list, stored permanently, climbing/flooding in a train
+//!   buffer, or asked for by the comparison. A cell is the piece's four
+//!   32-bit fields (`root_id`, and the `weight`, `id_min`, `id_max` of its
+//!   minimum outgoing edge), then its level, its slot in the part's cycle
+//!   and a flag byte (has a minimum outgoing edge, that edge is a non-tree
+//!   edge, §7.1's membership flag) in three bytes — 20 bytes, and
+//!   `Option<PieceCell>` is no larger (the flag byte is never zero, which
+//!   leaves it a niche).
 //!
-//! The whole label is 184 bytes. The public value types ([`PieceInfo`],
-//! [`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows when
-//! it is built and widens when it is read.
+//! The whole label is 184 bytes. The public value types
+//! ([`CompositeWeight`], [`SpLabel`]) keep their `u64`s: a cell narrows
+//! when it is built, here and nowhere else, and widens when it is read.
 //!
 //! # Charged layout
 //!
@@ -232,29 +234,20 @@ impl SpCell {
     }
 }
 
-/// The piece of information `I(F) = ID(F) ∘ ω(F)` of a fragment (§3.4/§6):
-/// the identity of the fragment's root, its level, and the (composite) weight
-/// of its minimum outgoing edge (`None` only for the top fragment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PieceInfo {
-    /// Identity of the fragment's root node.
-    pub root_id: u64,
-    /// The fragment's level.
-    pub level: u32,
-    /// The composite weight of the fragment's minimum outgoing edge.
-    pub min_out: Option<CompositeWeight>,
-}
-
-/// A piece in a register cell: `I(F)` together with the cell's slot in the
-/// part's cycle and §7.1's membership flag, flattened into four 32-bit words
-/// and three bytes (see the module docs). The flag is `false` wherever the
-/// paper has none (stored pieces and the climbing buffer).
+/// The piece of information `I(F) = ID(F) ∘ ω(F)` of a fragment (§3.4/§6)
+/// — the identity of the fragment's root, its level, and the (composite)
+/// weight of its minimum outgoing edge (`None` only for the top fragment) —
+/// together with its slot in the part's cycle and §7.1's membership flag,
+/// flattened into four 32-bit words and three bytes (see the module docs).
+/// The flag is `false` wherever the paper has none (piece lists, stored
+/// pieces and the climbing buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PieceCell {
-    root_id: u32,
+    // the fault injector edits these two in place, wrapping at 32 bits
+    pub(crate) root_id: u32,
     // the minimum outgoing edge's fields; all zero without one, so that
     // equal cells are equal words
-    weight: u32,
+    pub(crate) weight: u32,
     id_min: u32,
     id_max: u32,
     level: u8,
@@ -272,25 +265,26 @@ const NON_TREE: u8 = 1 << 2;
 const MEMBER: u8 = 1 << 3;
 
 impl PieceCell {
-    /// The cell holding `piece` at `slot`, membership flag clear.
+    /// The cell holding, at `slot`, the piece of the level-`level` fragment
+    /// rooted at identity `root_id` whose minimum outgoing edge weighs
+    /// `min_out`; membership flag clear.
     ///
     /// # Panics
     ///
-    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`], or
-    /// its level exceeds 255.
-    pub fn new(slot: u8, piece: PieceInfo) -> Self {
-        let w = piece.min_out;
+    /// Panics if `root_id` or a field of `min_out` exceeds [`MAX_FIELD`], or
+    /// `level` exceeds 255.
+    pub fn new(slot: u8, root_id: u64, level: u32, min_out: Option<CompositeWeight>) -> Self {
         let bit_if = |set: bool, bit: u8| if set { bit } else { 0 };
         PieceCell {
-            root_id: narrow(piece.root_id),
-            weight: w.map_or(0, |w| narrow(w.weight)),
-            id_min: w.map_or(0, |w| narrow(w.id_min)),
-            id_max: w.map_or(0, |w| narrow(w.id_max)),
-            level: u8::try_from(piece.level).expect("levels fit in 8 bits"),
+            root_id: narrow(root_id),
+            weight: min_out.map_or(0, |w| narrow(w.weight)),
+            id_min: min_out.map_or(0, |w| narrow(w.id_min)),
+            id_max: min_out.map_or(0, |w| narrow(w.id_max)),
+            level: u8::try_from(level).expect("levels fit in 8 bits"),
             slot,
             flags: NonZeroU8::MIN
-                | bit_if(w.is_some(), HAS_MIN_OUT)
-                | bit_if(w.is_some_and(|w| w.non_tree), NON_TREE),
+                | bit_if(min_out.is_some(), HAS_MIN_OUT)
+                | bit_if(min_out.is_some_and(|w| w.non_tree), NON_TREE),
         }
     }
 
@@ -301,20 +295,6 @@ impl PieceCell {
     /// The slot (DFS index) of the piece in the part's cycle.
     pub fn slot(&self) -> u8 {
         self.slot
-    }
-
-    /// The piece itself.
-    pub fn piece(&self) -> PieceInfo {
-        PieceInfo {
-            root_id: self.root_id(),
-            level: self.level(),
-            min_out: self.has_min_out().then_some(CompositeWeight {
-                weight: u64::from(self.weight),
-                non_tree: self.flag(NON_TREE),
-                id_min: u64::from(self.id_min),
-                id_max: u64::from(self.id_max),
-            }),
-        }
     }
 
     /// The level of the piece's fragment.
@@ -339,10 +319,30 @@ impl PieceCell {
         self.flag(HAS_MIN_OUT)
     }
 
+    /// The composite weight of the fragment's minimum outgoing edge.
+    pub fn min_out(&self) -> Option<CompositeWeight> {
+        self.has_min_out().then_some(CompositeWeight {
+            weight: u64::from(self.weight),
+            non_tree: self.flag(NON_TREE),
+            id_min: u64::from(self.id_min),
+            id_max: u64::from(self.id_max),
+        })
+    }
+
     /// Whether the node holding this cell belongs to the piece's fragment
     /// (§7.1's flag; meaningful in the flooding buffer only).
     pub fn member(&self) -> bool {
         self.flag(MEMBER)
+    }
+
+    /// Whether `other` holds the same piece `I(F)`, whatever its slot and
+    /// membership flag.
+    pub(crate) fn same_piece(&self, other: &PieceCell) -> bool {
+        let piece = |c: &PieceCell| PieceCell {
+            slot: 0,
+            ..c.with_member(false)
+        };
+        piece(self) == piece(other)
     }
 
     /// The same cell with the membership flag set to `member`.
@@ -350,16 +350,6 @@ impl PieceCell {
         let kept = self.flags.get() & !MEMBER;
         let flags = NonZeroU8::MIN | kept | if member { MEMBER } else { 0 };
         PieceCell { flags, ..self }
-    }
-
-    /// Replaces the piece, keeping slot and flag (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an identity or weight of `piece` exceeds [`MAX_FIELD`], or
-    /// its level exceeds 255.
-    pub fn set_piece(&mut self, piece: PieceInfo) {
-        *self = PieceCell::new(self.slot, piece).with_member(self.member());
     }
 
     /// Hands each field to `sink` as `(name, value, width)`: the slot, the
@@ -396,13 +386,8 @@ impl PieceCell {
         flagged: bool,
         sink: &mut impl FnMut(&'static str, u64, u32),
     ) {
-        let blank = PieceInfo {
-            root_id: 0,
-            level: 0,
-            min_out: None,
-        };
         sink("Option<PieceCell>?", cell.is_some().into(), w.flag);
-        cell.unwrap_or(PieceCell::new(0, blank))
+        cell.unwrap_or(PieceCell::new(0, 0, 0, None))
             .walk(w, flagged, sink);
     }
 }
@@ -410,9 +395,6 @@ impl PieceCell {
 // A cell is four 32-bit words and three bytes, and an empty cell costs
 // nothing extra.
 const _: () = assert!(std::mem::size_of::<Option<PieceCell>>() == 20);
-
-/// A permanently stored piece together with its slot in the part's cycle.
-pub type StoredPiece = PieceCell;
 
 /// The per-partition portion of the label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -431,12 +413,12 @@ pub struct PartLabel {
     /// the front. §6.2 places at most two per part, and the placement spreads
     /// them across the node's two parts so that it stores at most two in
     /// total wherever such a placement exists (`partition::place_pieces`).
-    pub stored: [Option<StoredPiece>; 2],
+    pub stored: [Option<PieceCell>; 2],
 }
 
 impl PartLabel {
     /// The pieces stored permanently at this node.
-    pub fn stored_pieces(&self) -> impl Iterator<Item = &StoredPiece> {
+    pub fn stored_pieces(&self) -> impl Iterator<Item = &PieceCell> {
         self.stored.iter().flatten()
     }
 
@@ -518,17 +500,13 @@ mod tests {
     use crate::strings::NodeStrings;
 
     fn sample_label(levels: usize, stored: usize) -> CoreLabel {
-        let piece = PieceInfo {
-            root_id: 3,
-            level: 1,
-            min_out: Some(CompositeWeight::new(10, true, 1, 2)),
-        };
+        let min_out = Some(CompositeWeight::new(10, true, 1, 2));
         let part = PartLabel {
             part_root_id: 1,
             depth_in_part: 2,
             diameter_bound: 8,
             piece_count: 4,
-            stored: [0, 1].map(|i| (i < stored).then(|| StoredPiece::new(i as u8, piece))),
+            stored: [0, 1].map(|i| (i < stored).then(|| PieceCell::new(i as u8, 3, 1, min_out))),
         };
         CoreLabel {
             sp: SpCell::new(SpLabel {
@@ -581,31 +559,21 @@ mod tests {
 
     #[test]
     fn piece_cells_round_trip_in_20_bytes() {
-        let with_edge = PieceInfo {
-            root_id: MAX_FIELD,
-            level: u8::MAX.into(),
-            min_out: Some(CompositeWeight::new(MAX_FIELD, false, MAX_FIELD, MAX_FIELD)),
-        };
-        let top = PieceInfo {
-            root_id: 5,
-            level: 12,
-            min_out: None,
-        };
-        for piece in [with_edge, top] {
-            let cell = PieceCell::new(200, piece);
-            assert_eq!(
-                (cell.slot(), cell.piece(), cell.member()),
-                (200, piece, false)
-            );
-            assert_eq!(cell.level(), piece.level);
-            assert_eq!(cell.root_id(), piece.root_id);
-            assert_eq!(cell.has_min_out(), piece.min_out.is_some());
+        let with_edge = Some(CompositeWeight::new(MAX_FIELD, false, MAX_FIELD, MAX_FIELD));
+        for (root_id, level, min_out) in [(MAX_FIELD, u8::MAX.into(), with_edge), (5, 12, None)] {
+            let cell = PieceCell::new(200, root_id, level, min_out);
+            let fields = |c: PieceCell| (c.slot(), c.root_id(), c.level(), c.min_out());
+            assert_eq!(fields(cell), (200, root_id, level, min_out));
+            assert!(!cell.member());
+            assert_eq!(cell.has_min_out(), min_out.is_some());
             let flagged = cell.with_member(true);
-            assert_eq!((flagged.slot(), flagged.piece()), (200, piece));
+            assert_eq!(fields(flagged), fields(cell));
             assert!(flagged.member() && flagged != cell);
-            let mut replaced = flagged;
-            replaced.set_piece(top);
-            assert_eq!(replaced, PieceCell::new(200, top).with_member(true));
+            assert_eq!(flagged.with_member(false), cell);
+            let elsewhere = PieceCell::new(3, root_id, level, min_out);
+            assert!(flagged.same_piece(&elsewhere) && elsewhere.same_piece(&cell));
+            let other = PieceCell::new(200, root_id ^ 1, level, min_out);
+            assert!(!other.same_piece(&cell));
         }
         assert_eq!(std::mem::size_of::<PieceCell>(), 20);
         assert_eq!(std::mem::size_of::<Option<PieceCell>>(), 20);
@@ -638,22 +606,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "fit in 8 bits")]
     fn a_level_beyond_8_bits_does_not_fit_a_cell() {
-        let piece = PieceInfo {
-            root_id: 0,
-            level: 256,
-            min_out: None,
-        };
-        PieceCell::new(0, piece);
+        PieceCell::new(0, 0, 256, None);
     }
 
     #[test]
     #[should_panic(expected = "fit in 32 bits")]
     fn a_piece_beyond_32_bits_does_not_fit_a_cell() {
-        let piece = PieceInfo {
-            root_id: MAX_FIELD + 1,
-            level: 0,
-            min_out: None,
-        };
-        PieceCell::new(0, piece);
+        PieceCell::new(0, MAX_FIELD + 1, 0, None);
     }
 }

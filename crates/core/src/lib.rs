@@ -16,9 +16,12 @@
 //!   their local legality conditions RS0–RS5 and EPS0–EPS5.
 //! * [`partition`] — §6: top/bottom fragments, the red/blue/large colouring,
 //!   the `Top` and `Bottom` partitions, and the placement of the pieces of
-//!   information `I(F)` on the nodes of each part, both partitions at once.
+//!   information `I(F)` on the nodes of each part, both partitions at once;
+//!   each part's piece list is made of the labels' cells.
 //! * [`labels`] — the complete `O(log n)`-bit node label and its bit
-//!   accounting.
+//!   accounting, and [`labels::PieceCell`], the one type of a piece `I(F)`
+//!   from the piece lists through the labels and the train buffers to the
+//!   comparison.
 //! * [`marker`] — §5.4 / §6.3: the marker algorithm assigning the labels,
 //!   with its `O(n)` construction-time accounting.
 //! * [`train`] — §7.1: the per-part *train* circulating a part's pieces past
@@ -55,7 +58,7 @@ mod ediam;
 #[cfg(test)]
 mod size;
 
-pub use labels::{CoreLabel, PieceInfo};
+pub use labels::CoreLabel;
 pub use marker::{ConstructionReport, Marker};
 pub use scheme::MstVerificationScheme;
 pub use sync_mst::{SyncMst, SyncMstOutcome};

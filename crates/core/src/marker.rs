@@ -43,7 +43,7 @@
 //! [`Marker::label`] is a pure function of the instance: two calls, in one
 //! process or two, return identical labels.
 
-use crate::labels::{narrow, CoreLabel, PartLabel, SpCell, StoredPiece, MAX_FIELD};
+use crate::labels::{narrow, CoreLabel, PartLabel, SpCell, MAX_FIELD};
 use crate::partition::{build_partitions, Partitions, Parts};
 use crate::strings::{write_strings, NodeStrings};
 use crate::sync_mst::{SyncMst, SyncMstOutcome};
@@ -269,11 +269,11 @@ fn write_parts(
                 ..fields
             };
         }
-        for (slot, (holder, &piece)) in part.holders().zip(part.pieces()).enumerate() {
+        for (holder, &cell) in part.holders().zip(part.pieces()) {
             let stored = &mut side(&mut labels[holder.index()]).stored;
             let free = (stored.iter_mut().find(|cell| cell.is_none()))
                 .expect("§6.2 places at most two pieces per node");
-            *free = Some(StoredPiece::new(slot as u8, piece));
+            *free = Some(cell);
         }
     }
 }
@@ -432,7 +432,7 @@ mod tests {
         let mut stored = (labels.iter())
             .flat_map(|l| [l.top_part, l.bottom_part])
             .flat_map(|p| p.stored.into_iter().flatten());
-        assert!(stored.any(|s| s.piece().min_out.is_some_and(|w| w.weight == MAX_FIELD)));
+        assert!(stored.any(|s| s.min_out().is_some_and(|w| w.weight == MAX_FIELD)));
         for inst in [
             path_with([0, 1 << 40, 2], [1, 2]),
             path_with([0, 1, 2], [1, 1 << 33]),

@@ -28,7 +28,7 @@
 //! part the holders follow its DFS preorder, which is the order of the
 //! slots.
 
-use crate::labels::{PieceInfo, StoredPiece};
+use crate::labels::PieceCell;
 use smst_graph::csr::{narrow, NONE};
 use smst_graph::{Csr, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use std::collections::VecDeque;
@@ -42,7 +42,7 @@ pub struct Part<'a> {
     /// The part's diameter (as a subtree of the candidate tree).
     pub diameter: usize,
     /// The pieces circulating in this part, in slot order.
-    pieces: &'a [PieceInfo],
+    pieces: &'a [PieceCell],
     /// The part's nodes, ascending.
     nodes: &'a [u32],
     /// The hop depth of each node inside the part, aligned with `nodes`.
@@ -53,7 +53,7 @@ pub struct Part<'a> {
 
 impl<'a> Part<'a> {
     /// The pieces circulating in this part, in slot order.
-    pub fn pieces(&self) -> &'a [PieceInfo] {
+    pub fn pieces(&self) -> &'a [PieceCell] {
         self.pieces
     }
 
@@ -102,10 +102,10 @@ impl<'a> Part<'a> {
     ///
     /// Panics if the node holds more than two pieces, which §6.2's placement
     /// never does.
-    pub fn stored_at(&self, v: NodeId) -> [Option<StoredPiece>; 2] {
-        let mut held = (self.holders().zip(self.pieces).enumerate())
-            .filter(|&(_, (h, _))| h == v)
-            .map(|(slot, (_, &piece))| StoredPiece::new(slot as u8, piece));
+    pub fn stored_at(&self, v: NodeId) -> [Option<PieceCell>; 2] {
+        let mut held = (self.holders().zip(self.pieces))
+            .filter(|&(h, _)| h == v)
+            .map(|(_, &cell)| cell);
         let stored = [held.next(), held.next()];
         assert!(
             held.next().is_none(),
@@ -133,7 +133,7 @@ pub struct Parts {
     depth: Vec<u8>,
     /// Part `p` circulates row `list[p]` of `pieces`.
     list: Vec<u32>,
-    pieces: Csr<PieceInfo>,
+    pieces: Csr<PieceCell>,
     /// Row `p` = part `p`'s holders in slot order; empty until
     /// [`place_pieces`] has placed them.
     holders: Csr<u32>,
@@ -189,31 +189,30 @@ impl Parts {
     }
 
     /// Appends a piece list: the `I(F)` of the given fragments, sorted by
-    /// (level, root identity) — the slot order of a part's cycle — and
-    /// returns its row. `scratch` is reused between calls.
+    /// (level, root identity) — the slot order of a part's cycle — each at
+    /// its index in the list as its slot, and returns its row. Sorts
+    /// `fragments` that way.
     fn push_pieces(
         &mut self,
         g: &WeightedGraph,
         tree: &RootedTree,
         hierarchy: &Hierarchy,
-        fragments: &[usize],
-        scratch: &mut Vec<PieceInfo>,
+        fragments: &mut Vec<usize>,
     ) -> u32 {
-        scratch.clear();
-        scratch.extend(fragments.iter().map(|&i| {
+        let key = |&i: &usize| {
             let frag = hierarchy.fragment(i);
-            let min_out = hierarchy
-                .candidate(i)
-                .map(|e| g.composite_weight(e, tree.contains_edge(e)));
-            PieceInfo {
-                root_id: g.id(frag.root),
-                level: frag.level,
-                min_out,
-            }
-        }));
-        scratch.sort_by_key(|p| (p.level, p.root_id));
-        scratch.dedup();
-        self.pieces.push_row(scratch.iter().copied());
+            (frag.level, g.id(frag.root))
+        };
+        fragments.sort_by_key(key);
+        fragments.dedup_by_key(|i| key(i));
+        self.pieces
+            .push_row(fragments.iter().enumerate().map(|(slot, &i)| {
+                let frag = hierarchy.fragment(i);
+                let min_out = hierarchy
+                    .candidate(i)
+                    .map(|e| g.composite_weight(e, tree.contains_edge(e)));
+                PieceCell::new(slot as u8, g.id(frag.root), frag.level, min_out)
+            }));
         narrow(self.pieces.rows() - 1)
     }
 
@@ -327,7 +326,10 @@ pub struct Partitions {
 /// # Panics
 ///
 /// Panics if the hierarchy is inconsistent with the tree (these structures
-/// come from the marker, which validated them).
+/// come from the marker, which validated them), or if an identity or weight
+/// exceeds [`MAX_FIELD`](crate::labels::MAX_FIELD): the piece lists hold
+/// register cells, narrowed here ([`crate::Marker::label`] refuses such an
+/// instance first, with a typed error).
 pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierarchy) -> Partitions {
     let n = g.node_count();
     narrow(n);
@@ -421,7 +423,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
     let mut top_parts = Parts::with_nodes(n);
     let mut top_part_of: Vec<u32> = vec![NONE; n];
     let mut splitter = Splitter::new(n);
-    let (mut fragments, mut pieces) = (Vec::new(), Vec::new());
+    let mut fragments = Vec::new();
     for (nodes, &red) in pp_nodes.iter().zip(&pp_red) {
         // pieces shared by all sub-parts: the top ancestors (and self) of the
         // red fragment
@@ -433,7 +435,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
             }
             cur = hierarchy.parent_of(i);
         }
-        let list = top_parts.push_pieces(g, tree, hierarchy, &fragments, &mut pieces);
+        let list = top_parts.push_pieces(g, tree, hierarchy, &mut fragments);
         let piece_count = top_parts.pieces.row(list as usize).len();
         let min_size = threshold.max(piece_count.div_ceil(2)).max(1);
         for cluster in splitter.split(tree, nodes, min_size).iter() {
@@ -457,7 +459,7 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
                 visited += 1;
                 fragments.extend(hierarchy.children_of(j));
             }
-            let list = bottom_parts.push_pieces(g, tree, hierarchy, &fragments, &mut pieces);
+            let list = bottom_parts.push_pieces(g, tree, hierarchy, &mut fragments);
             let nodes = hierarchy.fragment(i).nodes();
             bottom_parts.push(&mut bottom_part_of, tree, nodes, list);
         }
@@ -469,7 +471,9 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
             let singleton = hierarchy
                 .fragment_at_level(v, 0)
                 .expect("every node has a level-0 fragment");
-            let list = bottom_parts.push_pieces(g, tree, hierarchy, &[singleton], &mut pieces);
+            fragments.clear();
+            fragments.push(singleton);
+            let list = bottom_parts.push_pieces(g, tree, hierarchy, &mut fragments);
             bottom_parts.push(&mut bottom_part_of, tree, std::iter::once(v), list);
         }
     }
@@ -824,6 +828,20 @@ mod tests {
     use proptest::prelude::*;
     use smst_graph::generators::{path_graph, random_connected_graph};
 
+    /// The piece lists are register cells: an identity beyond 32 bits does
+    /// not fit one.
+    #[test]
+    #[should_panic(expected = "identities and weights fit in 32 bits")]
+    fn an_identity_beyond_32_bits_does_not_fit_a_piece_list() {
+        let mut b = smst_graph::GraphBuilder::new();
+        let v = [0, 1 << 32, 2].map(|id| b.add_node_with_id(id));
+        b.add_edge(v[0], v[1], 1).unwrap();
+        b.add_edge(v[1], v[2], 2).unwrap();
+        let g = b.finish();
+        let outcome = SyncMst.run(&g);
+        build_partitions(&g, &outcome.tree, &outcome.hierarchy);
+    }
+
     fn build(n: usize, seed: u64) -> (WeightedGraph, RootedTree, Hierarchy, Partitions) {
         let g = random_connected_graph(n, 3 * n, seed);
         let outcome = SyncMst.run(&g);
@@ -878,7 +896,7 @@ mod tests {
                 let tp = parts.top_parts.part(parts.top_part_of[v.index()] as usize);
                 let bp = (parts.bottom_parts).part(parts.bottom_part_of[v.index()] as usize);
                 let found =
-                    (tp.pieces().iter().chain(bp.pieces())).any(|p| (p.root_id, p.level) == id);
+                    (tp.pieces().iter().chain(bp.pieces())).any(|p| (p.root_id(), p.level()) == id);
                 assert!(
                     found,
                     "node {v} misses the piece of its level-{} fragment",
@@ -1123,8 +1141,8 @@ mod tests {
                     let members = side.nodes.row(idx);
                     for piece in side.pieces.row(side.list[idx] as usize) {
                         let belongs = |&v: &u32| {
-                            (h.fragment_at_level(NodeId(v as usize), piece.level))
-                                .is_some_and(|f| g.id(h.fragment(f).root) == piece.root_id)
+                            (h.fragment_at_level(NodeId(v as usize), piece.level()))
+                                .is_some_and(|f| g.id(h.fragment(f).root) == piece.root_id())
                         };
                         foreign += usize::from(!members.iter().any(belongs));
                         total += 1;

@@ -224,7 +224,7 @@ impl PartView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::{CoreLabel, PieceInfo};
+    use crate::labels::CoreLabel;
     use crate::marker::Marker;
     use crate::verifier::{CoreVerifier, TRAIN_BOTTOM, TRAIN_TOP};
     use smst_graph::generators::{caterpillar_graph, path_graph};
@@ -298,25 +298,17 @@ mod tests {
 
     /// The piece of slot `s`: its order key grows with the slot.
     fn piece(s: u8) -> PieceCell {
-        let info = PieceInfo {
-            root_id: u64::from(s) + 1,
-            level: u32::from(s),
-            min_out: None,
-        };
-        PieceCell::new(s, info)
+        PieceCell::new(s, u64::from(s) + 1, u32::from(s), None)
     }
 
     /// A train with garbage in every field: any slot counter, buffers with
     /// any slot below `2p` and any key, any ack, delay and cycle count.
     fn garbage(rng: &mut StdRng, p: u8) -> TrainState {
         let cell = |rng: &mut StdRng| {
-            let info = PieceInfo {
-                root_id: rng.gen_range(0..1000),
-                level: rng.gen_range(0..8),
-                min_out: None,
-            };
+            let (root_id, level) = (rng.gen_range(0..1000), rng.gen_range(0..8));
             let slot = rng.gen_range(0..2 * p);
-            (rng.gen_bool(0.5)).then(|| PieceCell::new(slot, info).with_member(rng.gen_bool(0.5)))
+            (rng.gen_bool(0.5))
+                .then(|| PieceCell::new(slot, root_id, level, None).with_member(rng.gen_bool(0.5)))
         };
         TrainState {
             want: rng.gen(),
@@ -606,13 +598,7 @@ mod tests {
             }
             assert_eq!(trains[0].down, Some(piece(0)), "{shape:?}: warm-up");
 
-            let corrupted = PieceCell::new(
-                0,
-                PieceInfo {
-                    root_id: 99,
-                    ..piece(0).piece()
-                },
-            );
+            let corrupted = PieceCell::new(0, 99, piece(0).level(), piece(0).min_out());
             part.labels[holder].stored[0] = Some(corrupted);
             let shown = (0..cycle).any(|_| {
                 trains = part.step(&trains, false).0;

@@ -446,7 +446,7 @@ mod reference {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::labels::{PieceInfo, COMPLETENESS_WRAPS, DELAY_MAX, MAX_WATCH_WRAPS};
+    use crate::labels::{COMPLETENESS_WRAPS, DELAY_MAX, MAX_WATCH_WRAPS};
     use crate::marker::Marker;
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
@@ -657,10 +657,7 @@ pub(crate) mod tests {
                 each_part(s, |p| {
                     for cell in p.stored.iter_mut().flatten() {
                         let level = u32::from(x as u8);
-                        cell.set_piece(PieceInfo {
-                            level,
-                            ..cell.piece()
-                        });
+                        *cell = PieceCell::new(cell.slot(), cell.root_id(), level, cell.min_out());
                     }
                 })
             }),
@@ -668,13 +665,13 @@ pub(crate) mod tests {
                 s.compare.want_cmp = Some((x as u32, x as u8))
             }),
             ("down", None, |s, x| {
-                let piece = PieceInfo {
-                    root_id: x & MAX_FIELD,
-                    level: u32::from(x as u8),
-                    min_out: None,
-                };
                 for t in &mut s.trains {
-                    t.down = Some(PieceCell::new(x as u8, piece));
+                    t.down = Some(PieceCell::new(
+                        x as u8,
+                        x & MAX_FIELD,
+                        u32::from(x as u8),
+                        None,
+                    ));
                 }
             }),
             ("done", None, |s, x| {
@@ -751,16 +748,18 @@ pub(crate) mod tests {
                     .expect("every slot of a part is stored in it")
             };
             let ((v1, i1), (v2, i2)) = (cell(&labels, 1), cell(&labels, 2));
-            let first = labels[v1].top_part.stored[i1].unwrap().piece();
-            let second = labels[v2].top_part.stored[i2].unwrap().piece();
-            labels[v1].top_part.stored[i1]
-                .as_mut()
-                .unwrap()
-                .set_piece(second);
-            labels[v2].top_part.stored[i2]
-                .as_mut()
-                .unwrap()
-                .set_piece(first);
+            let first = labels[v1].top_part.stored[i1].unwrap();
+            let second = labels[v2].top_part.stored[i2].unwrap();
+            let moved = |to: PieceCell, from: PieceCell| {
+                Some(PieceCell::new(
+                    to.slot(),
+                    from.root_id(),
+                    from.level(),
+                    from.min_out(),
+                ))
+            };
+            labels[v1].top_part.stored[i1] = moved(first, second);
+            labels[v2].top_part.stored[i2] = moved(second, first);
 
             let root = inst
                 .graph
@@ -809,11 +808,8 @@ pub(crate) mod tests {
         let v = holders[0];
         let train = &mut runner.network_mut().state_mut(v).trains[TRAIN_BOTTOM];
         let shown = train.down.expect("the part's piece is shown");
-        let wrong = PieceInfo {
-            root_id: shown.root_id() + 1,
-            ..shown.piece()
-        };
-        train.down = Some(PieceCell::new(0, wrong).with_member(true));
+        let wrong = PieceCell::new(0, shown.root_id() + 1, shown.level(), shown.min_out());
+        train.down = Some(wrong.with_member(true));
         let last = (0..400).fold(None, |last, round| {
             runner.run_rounds(1);
             (runner.network().any_alarm(&verifier))
@@ -838,12 +834,11 @@ pub(crate) mod tests {
             let (mut runner, _) = one_piece_bottom_parts(&verifier);
             let stored = &mut runner.network_mut().state_mut(h).label.bottom_part.stored[0];
             let cell = stored.as_mut().unwrap();
-            let mut piece = cell.piece();
-            match piece.min_out.as_mut() {
-                Some(w) => w.weight += 1,
-                None => piece.root_id += 1,
+            if cell.has_min_out() {
+                cell.weight += 1;
+            } else {
+                cell.root_id += 1;
             }
-            cell.set_piece(piece);
             let alarmed = (0..400).any(|_| {
                 runner.run_rounds(1);
                 runner.network().any_alarm(&verifier)

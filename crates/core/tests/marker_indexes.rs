@@ -13,7 +13,7 @@
 //! path it takes minutes in a debug build.
 
 use proptest::prelude::*;
-use smst_core::labels::{PieceInfo, Widths};
+use smst_core::labels::{PieceCell, Widths};
 use smst_core::partition::build_partitions;
 use smst_core::{Marker, MstVerificationScheme, SyncMst};
 use smst_graph::generators::{complete_graph, path_graph, random_connected_graph, star_graph};
@@ -42,26 +42,30 @@ fn reference_containing(h: &Hierarchy, v: NodeId) -> Vec<usize> {
     idxs
 }
 
-/// The pieces of all fragments inside `nodes`, in slot order.
+/// The pieces of all fragments inside `nodes`, in slot order, each at its
+/// slot.
 fn reference_pieces(
     g: &WeightedGraph,
     tree: &RootedTree,
     h: &Hierarchy,
     nodes: &[NodeId],
-) -> Vec<PieceInfo> {
+) -> Vec<PieceCell> {
     let tree_edges = tree.edges();
-    let mut pieces: Vec<PieceInfo> = (0..h.len())
+    let mut fragments: Vec<usize> = (0..h.len())
         .filter(|&j| h.fragment(j).nodes().all(|v| nodes.contains(&v)))
-        .map(|j| PieceInfo {
-            root_id: g.id(h.fragment(j).root),
-            level: h.fragment(j).level,
-            min_out: h
-                .candidate(j)
-                .map(|e| g.composite_weight(e, tree_edges.contains(&e))),
-        })
         .collect();
-    pieces.sort_by_key(|p| (p.level, p.root_id));
-    pieces
+    fragments.sort_by_key(|&j| (h.fragment(j).level, g.id(h.fragment(j).root)));
+    (fragments.iter().enumerate())
+        .map(|(slot, &j)| {
+            let min_out = (h.candidate(j)).map(|e| g.composite_weight(e, tree_edges.contains(&e)));
+            PieceCell::new(
+                slot as u8,
+                g.id(h.fragment(j).root),
+                h.fragment(j).level,
+                min_out,
+            )
+        })
+        .collect()
 }
 
 fn check_against_references(g: &WeightedGraph) {

@@ -28,7 +28,7 @@
 
 use smst_core::compare::CompareState;
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::labels::{CoreLabel, PartLabel, PieceInfo};
+use smst_core::labels::{CoreLabel, PartLabel, PieceCell};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
 use smst_core::train::TrainState;
 use smst_core::verifier::CoreState;
@@ -159,10 +159,10 @@ impl Fold {
     }
 }
 
-fn fold_piece(f: &mut Fold, p: &PieceInfo) {
-    f.u(p.root_id);
-    f.u(u64::from(p.level));
-    match p.min_out {
+fn fold_piece(f: &mut Fold, p: &PieceCell) {
+    f.u(p.root_id());
+    f.u(u64::from(p.level()));
+    match p.min_out() {
         None => f.u(0),
         Some(w) => {
             f.u(1);
@@ -174,7 +174,7 @@ fn fold_piece(f: &mut Fold, p: &PieceInfo) {
     }
 }
 
-fn fold_opt_piece(f: &mut Fold, slot_piece_member: Option<(u8, PieceInfo, bool)>) {
+fn fold_opt_piece(f: &mut Fold, slot_piece_member: Option<(u8, PieceCell, bool)>) {
     match slot_piece_member {
         None => f.u(0),
         Some((slot, piece, member)) => {
@@ -315,24 +315,24 @@ fn diameter_bound(p: &PartLabel) -> u64 {
     u64::from(p.diameter_bound)
 }
 
-fn stored(p: &PartLabel) -> Vec<(u8, PieceInfo)> {
-    p.stored_pieces().map(|s| (s.slot(), s.piece())).collect()
+fn stored(p: &PartLabel) -> Vec<(u8, PieceCell)> {
+    p.stored_pieces().map(|s| (s.slot(), *s)).collect()
 }
 
-fn up(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
-    t.up.map(|u| (u.slot(), u.piece(), u.member()))
+fn up(t: &TrainState) -> Option<(u8, PieceCell, bool)> {
+    t.up.map(|u| (u.slot(), u, u.member()))
 }
 
-fn down(t: &TrainState) -> Option<(u8, PieceInfo, bool)> {
-    t.down.map(|d| (d.slot(), d.piece(), d.member()))
+fn down(t: &TrainState) -> Option<(u8, PieceCell, bool)> {
+    t.down.map(|d| (d.slot(), d, d.member()))
 }
 
 fn done(t: &TrainState) -> Option<u8> {
     t.done.then_some(t.want)
 }
 
-fn ask(c: &CompareState) -> Option<PieceInfo> {
-    c.ask.map(|a| a.piece())
+fn ask(c: &CompareState) -> Option<PieceCell> {
+    c.ask
 }
 
 fn want_cmp(c: &CompareState) -> Option<(u64, u32)> {

@@ -25,7 +25,7 @@ use smst_core::compare::CompareState;
 use smst_core::labels::{PieceCell, Widths, DELAY_MAX};
 use smst_core::train::TrainState;
 use smst_core::verifier::CoreState;
-use smst_core::{CoreLabel, CoreVerifier, Marker, PieceInfo};
+use smst_core::{CoreLabel, CoreVerifier, Marker};
 use smst_graph::generators::{
     caterpillar_graph, complete_graph, expander_graph, grid_graph, kmw_cluster_tree,
     kmw_hybrid_graph, path_graph, random_connected_graph, random_graph_scrambled_ids, ring_graph,
@@ -73,13 +73,9 @@ fn garbage_cell(rng: &mut StdRng, w: &Widths, flagged: bool) -> Option<PieceCell
         id_min: bits(rng, w.id),
         id_max: bits(rng, w.id),
     });
-    let piece = PieceInfo {
-        root_id: bits(rng, w.id),
-        level: bits(rng, w.level) as u32,
-        min_out,
-    };
+    let (root_id, level) = (bits(rng, w.id), bits(rng, w.level) as u32);
     let member = flagged && rng.gen_bool(0.5);
-    Some(PieceCell::new(bits(rng, w.slot) as u8, piece).with_member(member))
+    Some(PieceCell::new(bits(rng, w.slot) as u8, root_id, level, min_out).with_member(member))
 }
 
 /// Overwrites every dynamic field of `state` with a value within its width;

@@ -15,40 +15,7 @@ use crate::weight::CompositeWeight;
 ///
 /// Relies on unique (composite) edge weights to avoid cycles when merging.
 pub fn boruvka(g: &WeightedGraph) -> MstResult {
-    let n = g.node_count();
-    let mut uf = UnionFind::new(n);
-    let mut chosen: Vec<EdgeId> = Vec::new();
-    if n == 0 {
-        return MstResult::new(g, chosen);
-    }
-    loop {
-        // cheapest outgoing edge per component
-        let mut best: Vec<Option<(CompositeWeight, EdgeId)>> = vec![None; n];
-        for (eid, edge) in g.edge_entries() {
-            let (cu, cv) = (uf.find(edge.u.0), uf.find(edge.v.0));
-            if cu == cv {
-                continue;
-            }
-            let w = g.composite_weight(eid, false);
-            for c in [cu, cv] {
-                if best[c].is_none_or(|(bw, _)| w < bw) {
-                    best[c] = Some((w, eid));
-                }
-            }
-        }
-        let mut merged_any = false;
-        for entry in best.iter().flatten() {
-            let edge = g.edge(entry.1);
-            if uf.union(edge.u.0, edge.v.0) {
-                chosen.push(entry.1);
-                merged_any = true;
-            }
-        }
-        if !merged_any {
-            break;
-        }
-    }
-    MstResult::new(g, chosen)
+    MstResult::new(g, boruvka_phases(g, |_| false, |_, _| {}))
 }
 
 /// The number of Borůvka phases needed until no further merge happens.
@@ -56,39 +23,62 @@ pub fn boruvka(g: &WeightedGraph) -> MstResult {
 /// For a connected graph this is `O(log n)`; the paper's hierarchy height
 /// bound (`ℓ ≤ ⌈log n⌉`) is the distributed analogue of this fact.
 pub fn boruvka_phase_count(g: &WeightedGraph) -> usize {
+    let mut phases = 0;
+    boruvka_phases(g, |_| false, |_, _| phases += 1);
+    // the last phase finds no edge to merge along
+    phases - 1
+}
+
+/// Runs Borůvka phases on `g` under ω′ with the candidate-tree indicator
+/// `in_tree`, and returns the edges merged along. Each phase every
+/// component picks its minimum outgoing edge, ties by edge id, and all
+/// picks merge at once; the phases stop at the first one that picks
+/// nothing. Before each merge — and once more at that last phase — `phase`
+/// sees `(component, picks)`: `component[v]` is the representative of node
+/// `v`'s component, and `picks[c]` the edge representative `c` picked.
+pub fn boruvka_phases<F, P>(g: &WeightedGraph, in_tree: F, mut phase: P) -> Vec<EdgeId>
+where
+    F: Fn(EdgeId) -> bool,
+    P: FnMut(&[usize], &[Option<EdgeId>]),
+{
     let n = g.node_count();
     let mut uf = UnionFind::new(n);
-    let mut phases = 0;
-    if n == 0 {
-        return 0;
-    }
+    let mut component = vec![0; n];
+    let mut best: Vec<Option<(CompositeWeight, EdgeId)>> = vec![None; n];
+    let mut picks = vec![None; n];
+    let mut merged = Vec::new();
     loop {
-        let mut best: Vec<Option<(CompositeWeight, EdgeId)>> = vec![None; n];
+        for (v, c) in component.iter_mut().enumerate() {
+            *c = uf.find(v);
+        }
+        best.fill(None);
         for (eid, edge) in g.edge_entries() {
-            let (cu, cv) = (uf.find(edge.u.0), uf.find(edge.v.0));
+            let (cu, cv) = (component[edge.u.0], component[edge.v.0]);
             if cu == cv {
                 continue;
             }
-            let w = g.composite_weight(eid, false);
+            let w = g.composite_weight(eid, in_tree(eid));
             for c in [cu, cv] {
                 if best[c].is_none_or(|(bw, _)| w < bw) {
                     best[c] = Some((w, eid));
                 }
             }
         }
-        let mut merged_any = false;
-        for entry in best.iter().flatten() {
-            let edge = g.edge(entry.1);
+        for (pick, b) in picks.iter_mut().zip(&best) {
+            *pick = b.map(|(_, e)| e);
+        }
+        phase(&component, &picks);
+        let before = merged.len();
+        for &e in picks.iter().flatten() {
+            let edge = g.edge(e);
             if uf.union(edge.u.0, edge.v.0) {
-                merged_any = true;
+                merged.push(e);
             }
         }
-        if !merged_any {
-            break;
+        if merged.len() == before {
+            return merged;
         }
-        phases += 1;
     }
-    phases
 }
 
 #[cfg(test)]

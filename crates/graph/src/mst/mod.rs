@@ -12,7 +12,7 @@ mod kruskal;
 mod prim;
 mod union_find;
 
-pub use boruvka::{boruvka, boruvka_phase_count};
+pub use boruvka::{boruvka, boruvka_phase_count, boruvka_phases};
 pub use kruskal::kruskal;
 pub use prim::prim;
 pub use union_find::UnionFind;

@@ -19,6 +19,7 @@
 
 use crate::scheme::{Instance, LabelView, MarkError, OneRoundScheme};
 use crate::sp::{SpLabel, SpanningTreeScheme};
+use smst_graph::mst::boruvka_phases;
 use smst_graph::weight::{bits_for, CompositeWeight};
 use smst_graph::{EdgeId, NodeId, RootedTree, WeightedGraph};
 
@@ -80,63 +81,22 @@ struct FragmentHistory {
 }
 
 /// Runs Borůvka phases under the composite weights (with the candidate-tree
-/// indicator), recording the per-level partitions and minimum outgoing edges.
+/// indicator), recording the per-level partitions and minimum outgoing edges;
+/// the last level is the whole tree, with no minimum outgoing edge.
 fn fragment_history(g: &WeightedGraph, tree: &RootedTree) -> FragmentHistory {
-    let n = g.node_count();
-    let weight = |e: EdgeId| g.composite_weight(e, tree.contains_edge(e));
-
-    let mut comp: Vec<usize> = (0..n).collect();
-    let mut partition = vec![comp.clone()];
-    let mut min_out_levels: Vec<Vec<Option<EdgeId>>> = Vec::new();
-
-    loop {
-        // minimum outgoing edge per component
-        let mut best: Vec<Option<EdgeId>> = vec![None; n];
-        for (eid, edge) in g.edge_entries() {
-            let (cu, cv) = (comp[edge.u.index()], comp[edge.v.index()]);
-            if cu == cv {
-                continue;
-            }
-            for c in [cu, cv] {
-                if best[c].is_none_or(|b| weight(eid) < weight(b)) {
-                    best[c] = Some(eid);
-                }
-            }
-        }
-        min_out_levels.push(best.clone());
-        if best.iter().all(Option::is_none) {
-            break;
-        }
-        // merge every component along its minimum outgoing edge
-        let mut new_comp = comp.clone();
-        // iterate until stable: union the two components of each selected edge
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for sel in best.iter().flatten() {
-                let edge = g.edge(*sel);
-                let (a, b) = (new_comp[edge.u.index()], new_comp[edge.v.index()]);
-                if a != b {
-                    let keep = a.min(b);
-                    let drop = a.max(b);
-                    for c in new_comp.iter_mut() {
-                        if *c == drop {
-                            *c = keep;
-                        }
-                    }
-                    changed = true;
-                }
-            }
-        }
-        comp = new_comp;
-        partition.push(comp.clone());
-    }
-    // the last min_out level is all-None (top); keep partitions aligned:
-    // partition has ℓ+1 entries, min_out has ℓ+1 entries (last all None).
-    FragmentHistory {
-        partition,
-        min_out: min_out_levels,
-    }
+    let mut history = FragmentHistory {
+        partition: Vec::new(),
+        min_out: Vec::new(),
+    };
+    boruvka_phases(
+        g,
+        |e| tree.contains_edge(e),
+        |component, picks| {
+            history.partition.push(component.to_vec());
+            history.min_out.push(picks.to_vec());
+        },
+    );
+    history
 }
 
 impl OneRoundScheme for KkpMstScheme {
@@ -556,6 +516,85 @@ mod tests {
         let levels = labels[4].levels.len();
         labels[4].levels[levels / 2].fragment_root_id = 12345;
         assert!(!verify_all(&KkpMstScheme, &inst, &labels).accepted());
+    }
+
+    /// FNV-1a over every field of every label.
+    fn digest(labels: &[KkpLabel]) -> u64 {
+        fn eat(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for l in labels {
+            let SpLabel {
+                root_id,
+                dist,
+                own_id,
+                parent_id,
+            } = l.sp;
+            for x in [root_id, dist, own_id, parent_id.map_or(u64::MAX, |p| p)] {
+                eat(&mut h, x);
+            }
+            eat(&mut h, l.levels.len() as u64);
+            for lev in &l.levels {
+                eat(&mut h, lev.fragment_root_id);
+                match lev.min_out {
+                    None => eat(&mut h, u64::MAX),
+                    Some(w) => {
+                        for x in [w.weight, w.non_tree.into(), w.id_min, w.id_max] {
+                            eat(&mut h, x);
+                        }
+                    }
+                }
+                match lev.endpoint {
+                    EndpointMark::NotEndpoint => eat(&mut h, 0),
+                    EndpointMark::Up => eat(&mut h, 1),
+                    EndpointMark::Down(id) => {
+                        eat(&mut h, 2);
+                        eat(&mut h, id);
+                    }
+                }
+                eat(&mut h, lev.subtree_endpoint_count);
+            }
+        }
+        h
+    }
+
+    /// The 1-round labels themselves, pinned on three generator families
+    /// (scrambled identities, a grid, and an expander whose weights tie in
+    /// runs of four): any change to the Borůvka history that reaches a
+    /// label moves a digest.
+    #[test]
+    fn labels_match_the_pinned_digests() {
+        use smst_graph::generators::{
+            expander_graph, grid_graph, random_graph_scrambled_ids, reweighted,
+        };
+        let cases = [
+            ("scrambled", random_graph_scrambled_ids(120, 300, 3)),
+            ("grid", grid_graph(9, 11, 5)),
+            (
+                "tied expander",
+                reweighted(&expander_graph(128, 6, 11), |_, w| w % 4),
+            ),
+        ];
+        let digests = cases.map(|(name, g)| {
+            let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+            let inst = Instance::from_tree(g, &tree);
+            let labels = KkpMstScheme.mark(&inst).unwrap();
+            let d = digest(&labels);
+            println!(
+                "{name}: {} levels, digest {d:#018x}",
+                labels[0].levels.len()
+            );
+            d
+        });
+        let pinned = [
+            0x70f7_bdba_ad76_674b,
+            0x6723_a52c_b25e_2587,
+            0x7f95_861d_5ea2_d8ff,
+        ];
+        assert_eq!(digests, pinned);
     }
 
     #[test]
