@@ -8,22 +8,18 @@
 //! The tests below pin those checks at the first round.
 
 mod tests {
-    use crate::labels::{max_diameter, CoreLabel, PartLabel};
+    use crate::labels::{max_diameter, CoreLabel, TOP};
     use crate::strings::ceil_log2;
     use crate::verifier::tests::{alarms_in_one_round, marked};
     use std::collections::BTreeMap;
 
-    /// The node's two parts, keyed by (is `Top`, part root).
-    fn parts_mut(l: &mut CoreLabel) -> [(bool, &mut PartLabel); 2] {
-        [(true, &mut l.top_part), (false, &mut l.bottom_part)]
-    }
-
-    /// Every part's height: the depth of its deepest node.
-    fn heights(labels: &[CoreLabel]) -> BTreeMap<(bool, u32), u8> {
+    /// Every part's height: the depth of its deepest node, keyed by
+    /// (partition, part root).
+    fn heights(labels: &[CoreLabel]) -> BTreeMap<(usize, u32), u8> {
         let mut heights = BTreeMap::new();
         for l in labels {
-            for (top, p) in [(true, &l.top_part), (false, &l.bottom_part)] {
-                let h = heights.entry((top, p.part_root_id)).or_insert(0);
+            for (which, p) in l.parts.iter().enumerate() {
+                let h = heights.entry((which, p.part_root_id)).or_insert(0);
                 *h = p.depth_in_part.max(*h);
             }
         }
@@ -32,12 +28,12 @@ mod tests {
 
     #[test]
     fn exact_bound_accepted() {
-        let (inst, mut labels) = marked(20, 45, 1);
+        let (inst, labels) = marked(20, 45, 1);
         // the marker writes each part's diameter: twice its height
         let heights = heights(&labels);
-        for l in &mut labels {
-            for (top, p) in parts_mut(l) {
-                assert_eq!(p.diameter_bound, 2 * heights[&(top, p.part_root_id)]);
+        for l in &labels {
+            for (which, p) in l.parts.iter().enumerate() {
+                assert_eq!(p.diameter_bound, 2 * heights[&(which, p.part_root_id)]);
             }
         }
         assert!(!alarms_in_one_round(&inst, labels));
@@ -49,7 +45,7 @@ mod tests {
         // the most slack the scheme allows: every part claims the cap
         let cap = u8::try_from(max_diameter(ceil_log2(inst.node_count() as u64))).unwrap();
         for l in &mut labels {
-            for (_, p) in parts_mut(l) {
+            for p in &mut l.parts {
                 assert!(p.diameter_bound < cap);
                 p.diameter_bound = cap;
             }
@@ -66,9 +62,9 @@ mod tests {
             "some part has height ≥ 1"
         );
         for l in &mut labels {
-            for (top, p) in parts_mut(l) {
+            for (which, p) in l.parts.iter_mut().enumerate() {
                 // consistent inside the part, but below its deepest node
-                p.diameter_bound = heights[&(top, p.part_root_id)].saturating_sub(1);
+                p.diameter_bound = heights[&(which, p.part_root_id)].saturating_sub(1);
             }
         }
         assert!(alarms_in_one_round(&inst, labels));
@@ -79,9 +75,9 @@ mod tests {
         let (inst, mut labels) = marked(14, 30, 4);
         let v = labels
             .iter()
-            .position(|l| l.top_part.depth_in_part >= 1)
+            .position(|l| l.parts[TOP].depth_in_part >= 1)
             .expect("some Top part is deeper than its root");
-        labels[v].top_part.diameter_bound += 1;
+        labels[v].parts[TOP].diameter_bound += 1;
         assert!(alarms_in_one_round(&inst, labels));
     }
 }

@@ -7,6 +7,7 @@
 //! The experiment harnesses pick nodes with a
 //! [`smst_sim::FaultPlan`] and apply one of these mutators.
 
+use crate::labels::{BOTTOM, TOP};
 use crate::strings::{EndpSym, RootSym};
 use crate::verifier::CoreState;
 use smst_rng::{Rng, SeedableRng, StdRng};
@@ -22,10 +23,12 @@ pub enum FaultKind {
     SpDistance,
     /// Corrupt the weight inside a permanently stored piece.
     StoredPieceWeight,
-    /// Corrupt the partition metadata (part root identity).
+    /// Corrupt the partition metadata: the root identity of the node's
+    /// `Top` part.
     PartRoot,
     /// Reset the trains: empty `up` and `down`, clear `done`, a random `want`
-    /// and `seen_levels`. ROADMAP item 1(c) makes it write garbage pieces.
+    /// and `seen_levels`. ROADMAP's carried-over small item (old item 1(c))
+    /// makes it write garbage pieces.
     TrainBuffers,
 }
 
@@ -74,11 +77,12 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
             state.label.sp.dist = state.label.sp.dist.wrapping_add(rng.gen_range(1..7));
         }
         FaultKind::StoredPieceWeight => {
-            let part = if rng.gen_bool(0.5) || state.label.bottom_part.stored[0].is_none() {
-                &mut state.label.top_part
+            let which = if rng.gen_bool(0.5) || state.label.parts[BOTTOM].stored[0].is_none() {
+                TOP
             } else {
-                &mut state.label.bottom_part
+                BOTTOM
             };
+            let part = &mut state.label.parts[which];
             if let Some(cell) = part.stored[0].as_mut() {
                 // the fields wrap at their 32 bits, as a register of that
                 // width would
@@ -93,7 +97,8 @@ pub fn corrupt(state: &mut CoreState, kind: FaultKind, seed: u64) {
             }
         }
         FaultKind::PartRoot => {
-            state.label.top_part.part_root_id = state.label.top_part.part_root_id.wrapping_add(7);
+            let root = &mut state.label.parts[TOP].part_root_id;
+            *root = root.wrapping_add(7);
         }
         FaultKind::TrainBuffers => {
             for t in &mut state.trains {
@@ -158,13 +163,13 @@ mod tests {
         let with_edge = Some(CompositeWeight::new(MAX_FIELD, true, 0, 1));
         for (min_out, wrapped) in [(with_edge, 0..1000), (None, 0..1)] {
             let mut state = fresh;
-            for part in [&mut state.label.top_part, &mut state.label.bottom_part] {
+            for part in &mut state.label.parts {
                 part.part_root_id = u32::MAX;
                 part.stored[0] = Some(PieceCell::new(0, MAX_FIELD, 0, min_out));
             }
             let mut moved = state;
             corrupt(&mut moved, FaultKind::PartRoot, 1);
-            assert_eq!(moved.label.top_part.part_root_id, 6);
+            assert_eq!(moved.label.parts[TOP].part_root_id, 6);
             for seed in 0..8 {
                 let mut moved = state;
                 moved.label.sp.dist = u32::MAX;
@@ -178,7 +183,7 @@ mod tests {
                     let cell = p.stored[0].unwrap();
                     cell.min_out().map_or(cell.root_id(), |w| w.weight)
                 };
-                let fields = [moved.label.top_part, moved.label.bottom_part].map(field);
+                let fields = moved.label.parts.map(field);
                 assert!(fields.contains(&MAX_FIELD), "{fields:?}");
                 assert!(fields.iter().any(|f| wrapped.contains(f)), "{fields:?}");
             }

@@ -4,11 +4,13 @@
 //!
 //! * the Example SP / NumK fields (spanning tree + knowledge of `n`, §2.6);
 //! * the `Roots`/`EndP`/`Parents`/`Or-EndP` strings (§5.2–§5.3);
-//! * for each of the two partitions (`Top` and `Bottom`, §6.1): the identity
-//!   of the node's part root, the node's depth inside the part, the claimed
-//!   bound on the part's diameter, the number of pieces circulating in the
-//!   part, and the (at most two) pieces of information `I(F)` the node stores
-//!   permanently together with their slots in the part's cycle (§6.2).
+//! * for each of the two partitions (`Top` and `Bottom`, §6.1), one
+//!   [`PartLabel`] of the pair [`CoreLabel::parts`], indexed by [`TOP`] and
+//!   [`BOTTOM`]: the identity of the node's part root, the node's depth
+//!   inside the part, the claimed bound on the part's diameter, the number of
+//!   pieces circulating in the part, and the (at most two) pieces of
+//!   information `I(F)` the node stores permanently together with their slots
+//!   in the part's cycle (§6.2).
 //!
 //! Every component is `O(log n)` bits, so the whole label is `O(log n)` bits —
 //! the memory-optimality claim of the paper, which the `fig_memory`
@@ -25,10 +27,10 @@
 //!   the distance in `u32`s (20 bytes); `n_claim` and `subtree_count` are
 //!   `u32`s;
 //! * the strings are six words, one bit per level ([`NodeStrings`]);
-//! * each partition ([`PartLabel`]) holds the part root's identity, then the
+//! * each partition's [`PartLabel`] holds the part root's identity, then the
 //!   depth in the part and the diameter bound in one byte each (the verifier
 //!   rejects either above `6·log n + 6 ≤ 198`), the piece count, and its at
-//!   most two stored pieces inline (48 bytes);
+//!   most two stored pieces inline (48 bytes; the pair is 96);
 //! * a fragment's piece `I(F)` is a [`PieceCell`] wherever it is: in its
 //!   part's piece list, stored permanently, climbing/flooding in a train
 //!   buffer, or asked for by the comparison. A cell is the piece's four
@@ -71,6 +73,12 @@ pub(crate) const MAX_WATCH_WRAPS: u8 = 3;
 pub(crate) const COMPLETENESS_WRAPS: u8 = 2;
 /// The verdicts a node outputs: accept, reject, still working.
 const VERDICTS: u64 = 3;
+
+/// The index of the `Top` partition in every per-partition pair: a label's
+/// [`CoreLabel::parts`], a register's trains, the partitions' parts.
+pub const TOP: usize = 0;
+/// The index of the `Bottom` partition in every per-partition pair.
+pub const BOTTOM: usize = 1;
 
 /// The most levels a node's strings hold, `⌈log n⌉ + 1` (§5.2), where
 /// `log_n` is `⌈log n⌉`.
@@ -459,10 +467,9 @@ pub struct CoreLabel {
     /// (fragment sizes grow along the containment chain, so a single
     /// threshold suffices).
     pub top_min_level: u8,
-    /// The `Top`-partition portion.
-    pub top_part: PartLabel,
-    /// The `Bottom`-partition portion.
-    pub bottom_part: PartLabel,
+    /// The node's part in each partition, indexed by [`TOP`] and [`BOTTOM`]
+    /// (§6.1: every node belongs to exactly one part of each).
+    pub parts: [PartLabel; 2],
 }
 
 impl CoreLabel {
@@ -474,16 +481,16 @@ impl CoreLabel {
             subtree_count,
             strings,
             top_min_level,
-            top_part,
-            bottom_part,
+            parts,
         } = *self;
         sp.walk(w, sink);
         sink("CoreLabel.n_claim", n_claim.into(), w.count);
         sink("CoreLabel.subtree_count", subtree_count.into(), w.count);
         strings.walk(w, sink);
         sink("CoreLabel.top_min_level", top_min_level.into(), w.len);
-        top_part.walk(w, sink);
-        bottom_part.walk(w, sink);
+        for part in parts {
+            part.walk(w, sink);
+        }
     }
 
     /// The bits the label is charged under `w`: the sum of its walk's widths.
@@ -519,8 +526,7 @@ mod tests {
             subtree_count: 5,
             strings: NodeStrings::blank(levels),
             top_min_level: 2,
-            top_part: part,
-            bottom_part: part,
+            parts: [part; 2],
         }
     }
 
@@ -550,7 +556,7 @@ mod tests {
     #[test]
     fn piece_bits_positive() {
         let mut bits = 0;
-        let piece = sample_label(8, 1).top_part.stored[0].unwrap();
+        let piece = sample_label(8, 1).parts[TOP].stored[0].unwrap();
         piece.walk(&Widths::new(100, 100, 100, 8), false, &mut |_, _, width| {
             bits += width
         });

@@ -15,9 +15,11 @@
 //!   that represent the hierarchy and candidate function distributively, and
 //!   their local legality conditions RS0–RS5 and EPS0–EPS5.
 //! * [`partition`] — §6: top/bottom fragments, the red/blue/large colouring,
-//!   the `Top` and `Bottom` partitions, and the placement of the pieces of
-//!   information `I(F)` on the nodes of each part, both partitions at once;
-//!   each part's piece list is made of the labels' cells.
+//!   the `Top` and `Bottom` partitions (one pair, `Partitions::parts`,
+//!   indexed by [`labels::TOP`] and [`labels::BOTTOM`] like a label's
+//!   parts), and the placement of the pieces of information `I(F)` on the
+//!   nodes of each part, both partitions at once; each part's piece list is
+//!   made of the labels' cells.
 //! * [`labels`] — the complete `O(log n)`-bit node label and its bit
 //!   accounting, and [`labels::PieceCell`], the one type of a piece `I(F)`
 //!   from the piece lists through the labels and the train buffers to the

@@ -206,15 +206,13 @@ fn assemble(
             subtree_count: tree.subtree_size(v) as u32,
             strings: NodeStrings::blank(0),
             top_min_level,
-            top_part: unwritten,
-            bottom_part: unwritten,
+            parts: [unwritten; 2],
         }
     }));
     write_strings(g, tree, hierarchy, &mut labels, |l| &mut l.strings);
-    write_parts(g, &mut labels, &partitions.top_parts, |l| &mut l.top_part);
-    write_parts(g, &mut labels, &partitions.bottom_parts, |l| {
-        &mut l.bottom_part
-    });
+    for (which, parts) in partitions.parts.iter().enumerate() {
+        write_parts(g, &mut labels, parts, which);
+    }
 
     let report = ConstructionReport {
         construction_rounds: outcome.rounds,
@@ -225,9 +223,7 @@ fn assemble(
         hierarchy_height: outcome.hierarchy.height(),
         memory_bits_per_node: outcome.memory_bits_per_node,
         max_stored_pieces: (labels.iter())
-            .map(|l| {
-                (l.top_part.stored_pieces().count() + l.bottom_part.stored_pieces().count()) as u32
-            })
+            .map(|l| l.parts.iter().flat_map(PartLabel::stored_pieces).count() as u32)
             .max()
             .unwrap_or(0),
     };
@@ -238,9 +234,11 @@ fn assemble(
     (labels, report, (outcome, partitions))
 }
 
-/// Writes every part of one partition into the `side` of its nodes' labels:
-/// one pass over the part's nodes and depths, then one over its holders in
-/// slot order, which fills each node's stored pieces from the front.
+/// Writes every part of partition `which` ([`TOP`](crate::labels::TOP) or
+/// [`BOTTOM`](crate::labels::BOTTOM)) into `parts[which]` of its nodes'
+/// labels: one pass over the part's nodes and depths, then one over its
+/// holders in slot order, which fills each node's stored pieces from the
+/// front.
 ///
 /// # Panics
 ///
@@ -248,12 +246,7 @@ fn assemble(
 /// placement never does, or if a part's diameter exceeds 255 hops, which a
 /// partition of fewer than 2³² nodes never does (its diameters are at most
 /// `6·log n + 4 ≤ 196`).
-fn write_parts(
-    g: &WeightedGraph,
-    labels: &mut [CoreLabel],
-    parts: &Parts,
-    side: fn(&mut CoreLabel) -> &mut PartLabel,
-) {
+fn write_parts(g: &WeightedGraph, labels: &mut [CoreLabel], parts: &Parts, which: usize) {
     let hops = |x: usize| u8::try_from(x).expect("a part's diameter is below 2⁸ hops");
     for part in parts.iter() {
         let fields = PartLabel {
@@ -264,13 +257,13 @@ fn write_parts(
             stored: [None; 2],
         };
         for (v, &depth_in_part) in part.nodes().zip(part.depths()) {
-            *side(&mut labels[v.index()]) = PartLabel {
+            labels[v.index()].parts[which] = PartLabel {
                 depth_in_part,
                 ..fields
             };
         }
         for (holder, &cell) in part.holders().zip(part.pieces()) {
-            let stored = &mut side(&mut labels[holder.index()]).stored;
+            let stored = &mut labels[holder.index()].parts[which].stored;
             let free = (stored.iter_mut().find(|cell| cell.is_none()))
                 .expect("§6.2 places at most two pieces per node");
             *free = Some(cell);
@@ -311,7 +304,7 @@ mod tests {
             let inst = mst_instance(n, 3 * n, seed);
             let (_, report, (_, parts)) = Marker.label_with_internals(&inst).unwrap();
             let mut held = vec![0; n];
-            for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
+            for part in parts.parts.iter().flat_map(Parts::iter) {
                 for v in part.holders() {
                     held[v.index()] += 1;
                 }
@@ -430,7 +423,7 @@ mod tests {
         let widest = path_with([0, MAX_FIELD, 2], [1, MAX_FIELD]);
         let (labels, _) = Marker.label(&widest).unwrap();
         let mut stored = (labels.iter())
-            .flat_map(|l| [l.top_part, l.bottom_part])
+            .flat_map(|l| l.parts)
             .flat_map(|p| p.stored.into_iter().flatten());
         assert!(stored.any(|s| s.min_out().is_some_and(|w| w.weight == MAX_FIELD)));
         for inst in [
@@ -468,11 +461,6 @@ mod tests {
                 piece_count: part.piece_count() as u8,
                 stored: part.stored_at(v),
             };
-            let top = partitions
-                .top_parts
-                .part(partitions.top_part_of[v.index()] as usize);
-            let bottom =
-                (partitions.bottom_parts).part(partitions.bottom_part_of[v.index()] as usize);
             let top_min_level = (outcome.hierarchy.fragments_containing(v))
                 .map(|i| outcome.hierarchy.fragment(i))
                 .filter(|f| f.len() >= partitions.threshold)
@@ -480,8 +468,11 @@ mod tests {
                 .min()
                 .unwrap_or(0) as u8;
             let label = &labels[v.index()];
-            assert_eq!(label.top_part, part_label(top), "top part of {v}");
-            assert_eq!(label.bottom_part, part_label(bottom), "bottom part of {v}");
+            let sides = partitions.parts.iter().zip(&partitions.part_of);
+            for (which, (parts, part_of)) in sides.enumerate() {
+                let part = parts.part(part_of[v.index()] as usize);
+                assert_eq!(label.parts[which], part_label(part), "part {which} of {v}");
+            }
             assert_eq!(label.top_min_level, top_min_level, "top_min_level of {v}");
         }
     }
@@ -541,7 +532,7 @@ mod tests {
             // constant number, the rest arrive by train — here we check that
             // the label's own part metadata is consistent.
             let label = &labels[v.index()];
-            for part in [&label.top_part, &label.bottom_part] {
+            for part in &label.parts {
                 // stored pieces fill the two inline cells from the front
                 assert!(part.stored[0].is_some() || part.stored[1].is_none());
                 assert!(part.stored_pieces().all(|s| s.slot() < part.piece_count));

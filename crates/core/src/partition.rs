@@ -28,7 +28,7 @@
 //! part the holders follow its DFS preorder, which is the order of the
 //! slots.
 
-use crate::labels::PieceCell;
+use crate::labels::{PieceCell, BOTTOM, TOP};
 use smst_graph::csr::{narrow, NONE};
 use smst_graph::{Csr, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use std::collections::VecDeque;
@@ -181,11 +181,8 @@ impl Parts {
     }
 
     /// The parts, in order.
-    pub fn iter(&self) -> PartIter<'_> {
-        PartIter {
-            parts: self,
-            next: 0..self.len(),
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Part<'_>> + '_ {
+        (0..self.len()).map(|idx| self.part(idx))
     }
 
     /// Appends a piece list: the `I(F)` of the given fragments, sorted by
@@ -269,51 +266,18 @@ impl Parts {
     }
 }
 
-impl<'a> IntoIterator for &'a Parts {
-    type Item = Part<'a>;
-    type IntoIter = PartIter<'a>;
-
-    fn into_iter(self) -> PartIter<'a> {
-        self.iter()
-    }
-}
-
-/// The parts of a [`Parts`], in order.
-#[derive(Debug, Clone)]
-pub struct PartIter<'a> {
-    parts: &'a Parts,
-    next: std::ops::Range<usize>,
-}
-
-impl<'a> Iterator for PartIter<'a> {
-    type Item = Part<'a>;
-
-    fn next(&mut self) -> Option<Part<'a>> {
-        self.next.next().map(|idx| self.parts.part(idx))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.next.size_hint()
-    }
-}
-
-impl ExactSizeIterator for PartIter<'_> {}
-
-/// The two partitions plus the per-node assignment.
+/// The two partitions plus the per-node assignment, each a pair indexed by
+/// [`TOP`] and [`BOTTOM`].
 #[derive(Debug, Clone)]
 pub struct Partitions {
     /// The size threshold separating top from bottom fragments (`⌈log n⌉`).
     pub threshold: usize,
     /// For each fragment of the hierarchy, whether it is a top fragment.
     pub is_top: Vec<bool>,
-    /// The parts of partition `Top`.
-    pub top_parts: Parts,
-    /// The parts of partition `Bottom`.
-    pub bottom_parts: Parts,
-    /// For each node, the index of its `Top` part.
-    pub top_part_of: Vec<u32>,
-    /// For each node, the index of its `Bottom` part.
-    pub bottom_part_of: Vec<u32>,
+    /// The parts of each partition.
+    pub parts: [Parts; 2],
+    /// For each partition and node, the index of the node's part in it.
+    pub part_of: [Vec<u32>; 2],
 }
 
 /// Builds both partitions and the piece placement from a hierarchy with
@@ -420,8 +384,8 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
     drop(pp_of);
 
     // ---- partition Top: split each P'' part into small-diameter subtrees --
-    let mut top_parts = Parts::with_nodes(n);
-    let mut top_part_of: Vec<u32> = vec![NONE; n];
+    let mut tops = Parts::with_nodes(n);
+    let mut top_of: Vec<u32> = vec![NONE; n];
     let mut splitter = Splitter::new(n);
     let mut fragments = Vec::new();
     for (nodes, &red) in pp_nodes.iter().zip(&pp_red) {
@@ -435,19 +399,19 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
             }
             cur = hierarchy.parent_of(i);
         }
-        let list = top_parts.push_pieces(g, tree, hierarchy, &mut fragments);
-        let piece_count = top_parts.pieces.row(list as usize).len();
+        let list = tops.push_pieces(g, tree, hierarchy, &mut fragments);
+        let piece_count = tops.pieces.row(list as usize).len();
         let min_size = threshold.max(piece_count.div_ceil(2)).max(1);
         for cluster in splitter.split(tree, nodes, min_size).iter() {
             let cluster = cluster.iter().map(|&v| NodeId(v as usize));
-            top_parts.push(&mut top_part_of, tree, cluster, list);
+            tops.push(&mut top_of, tree, cluster, list);
         }
     }
     drop((pp_nodes, splitter));
 
     // ---- partition Bottom: blue and green fragments -----------------------
-    let mut bottom_parts = Parts::with_nodes(n);
-    let mut bottom_part_of: Vec<u32> = vec![NONE; n];
+    let mut bottoms = Parts::with_nodes(n);
+    let mut bottom_of: Vec<u32> = vec![NONE; n];
     for i in 0..count {
         if is_blue[i] || is_green[i] {
             // all bottom fragments contained in this fragment: its subtree of
@@ -459,34 +423,32 @@ pub fn build_partitions(g: &WeightedGraph, tree: &RootedTree, hierarchy: &Hierar
                 visited += 1;
                 fragments.extend(hierarchy.children_of(j));
             }
-            let list = bottom_parts.push_pieces(g, tree, hierarchy, &mut fragments);
+            let list = bottoms.push_pieces(g, tree, hierarchy, &mut fragments);
             let nodes = hierarchy.fragment(i).nodes();
-            bottom_parts.push(&mut bottom_part_of, tree, nodes, list);
+            bottoms.push(&mut bottom_of, tree, nodes, list);
         }
     }
     // fallback for nodes not covered by any blue/green fragment (happens only
     // when their singleton fragment is itself top, i.e. for very small n)
     for v in g.nodes() {
-        if bottom_part_of[v.index()] == NONE {
+        if bottom_of[v.index()] == NONE {
             let singleton = hierarchy
                 .fragment_at_level(v, 0)
                 .expect("every node has a level-0 fragment");
             fragments.clear();
             fragments.push(singleton);
-            let list = bottom_parts.push_pieces(g, tree, hierarchy, &mut fragments);
-            bottom_parts.push(&mut bottom_part_of, tree, std::iter::once(v), list);
+            let list = bottoms.push_pieces(g, tree, hierarchy, &mut fragments);
+            bottoms.push(&mut bottom_of, tree, std::iter::once(v), list);
         }
     }
-    top_parts.shrink_to_fit();
-    bottom_parts.shrink_to_fit();
+    tops.shrink_to_fit();
+    bottoms.shrink_to_fit();
 
     let mut partitions = Partitions {
         threshold,
         is_top,
-        top_parts,
-        bottom_parts,
-        top_part_of,
-        bottom_part_of,
+        parts: [tops, bottoms],
+        part_of: [top_of, bottom_of],
     };
     place_pieces(tree, &mut partitions);
     partitions
@@ -522,57 +484,51 @@ const TOP_STEPS: [(usize, u8); 6] = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2,
 /// holders are listed in DFS preorder, a node with two pieces taking two
 /// consecutive slots.
 fn place_pieces(tree: &RootedTree, p: &mut Partitions) {
-    let n = p.top_part_of.len();
+    let [tops, bottoms] = &p.parts;
+    let [top_of, bottom_of] = &p.part_of;
+    let n = top_of.len();
     let mut stack: Vec<NodeId> = Vec::new();
     // the Bottom parts' nodes, each part's in DFS preorder, part after part
     let mut order: Vec<u32> = Vec::with_capacity(n);
-    for (idx, part) in p.bottom_parts.iter().enumerate() {
-        preorder(
-            tree,
-            part.root,
-            &p.bottom_part_of,
-            idx,
-            &mut stack,
-            &mut order,
-        );
+    for (idx, part) in bottoms.iter().enumerate() {
+        preorder(tree, part.root, bottom_of, idx, &mut stack, &mut order);
     }
     // bottom[v]: the pieces v stores for its Bottom part
     let mut bottom = vec![0u8; n];
     let mut start = 0;
-    for part in p.bottom_parts.iter() {
+    for part in bottoms.iter() {
         let nodes = &order[start..start + part.node_count()];
         start += nodes.len();
         for &v in nodes.iter().cycle().take(part.piece_count()) {
             bottom[v as usize] += 1;
         }
     }
-    let mut room: Vec<isize> = (p.top_parts.iter())
+    let mut room: Vec<isize> = (tops.iter())
         .map(|t| (2 * t.node_count()) as isize - t.piece_count() as isize)
         .collect();
-    for (&part, &load) in p.top_part_of.iter().zip(&bottom) {
+    for (&part, &load) in top_of.iter().zip(&bottom) {
         room[part as usize] -= isize::from(load);
     }
     let mut augmenter = Augmenter::new(p);
-    for t in 0..p.top_parts.len() {
+    for t in 0..tops.len() {
         while room[t] < 0 && augmenter.augment(p, &mut bottom, &mut room, t) {}
     }
     drop((room, augmenter));
     let total = |parts: &Parts| parts.iter().map(|part| part.piece_count()).sum();
-    let mut holders = Csr::with_capacity(p.bottom_parts.len(), total(&p.bottom_parts));
+    let mut bottom_holders = Csr::with_capacity(bottoms.len(), total(bottoms));
     let mut start = 0;
-    for part in p.bottom_parts.iter() {
+    for part in bottoms.iter() {
         let nodes = &order[start..start + part.node_count()];
         start += nodes.len();
-        push_holders(&mut holders, nodes, &bottom, part.piece_count());
+        push_holders(&mut bottom_holders, nodes, &bottom, part.piece_count());
     }
-    p.bottom_parts.holders = holders;
 
     let mut top = vec![0u8; n];
     let mut by_load: [Vec<u32>; 3] = Default::default();
-    let mut holders = Csr::with_capacity(p.top_parts.len(), total(&p.top_parts));
-    for (idx, part) in p.top_parts.iter().enumerate() {
+    let mut top_holders = Csr::with_capacity(tops.len(), total(tops));
+    for (idx, part) in tops.iter().enumerate() {
         order.clear();
-        preorder(tree, part.root, &p.top_part_of, idx, &mut stack, &mut order);
+        preorder(tree, part.root, top_of, idx, &mut stack, &mut order);
         by_load.iter_mut().for_each(Vec::clear);
         for &v in &order {
             by_load[usize::from(bottom[v as usize])].push(v);
@@ -584,9 +540,10 @@ fn place_pieces(tree: &RootedTree, p: &mut Partitions) {
                 left -= 1;
             }
         }
-        push_holders(&mut holders, &order, &top, part.piece_count());
+        push_holders(&mut top_holders, &order, &top, part.piece_count());
     }
-    p.top_parts.holders = holders;
+    p.parts[BOTTOM].holders = bottom_holders;
+    p.parts[TOP].holders = top_holders;
 }
 
 /// Breadth-first search for augmenting paths over the parts: from a Top
@@ -608,11 +565,12 @@ struct Augmenter {
 
 impl Augmenter {
     fn new(p: &Partitions) -> Self {
+        let [tops, bottoms] = &p.parts;
         Augmenter {
             stamp: 0,
-            top_seen: vec![0; p.top_parts.len()],
-            bottom_seen: vec![0; p.bottom_parts.len()],
-            came: vec![(NodeId(0), NodeId(0)); p.top_parts.len()],
+            top_seen: vec![0; tops.len()],
+            bottom_seen: vec![0; bottoms.len()],
+            came: vec![(NodeId(0), NodeId(0)); tops.len()],
             queue: Vec::new(),
         }
     }
@@ -620,6 +578,8 @@ impl Augmenter {
     /// Gives Top part `t` one unit of room along an augmenting path, and
     /// returns whether one exists.
     fn augment(&mut self, p: &Partitions, bottom: &mut [u8], room: &mut [isize], t: usize) -> bool {
+        let [tops, bottoms] = &p.parts;
+        let [top_of, bottom_of] = &p.part_of;
         self.stamp += 1;
         self.top_seen[t] = self.stamp;
         self.queue.clear();
@@ -627,14 +587,14 @@ impl Augmenter {
         let mut head = 0;
         while let Some(&u) = self.queue.get(head) {
             head += 1;
-            for v in p.top_parts.part(u).nodes() {
-                let b = p.bottom_part_of[v.index()] as usize;
+            for v in tops.part(u).nodes() {
+                let b = bottom_of[v.index()] as usize;
                 if bottom[v.index()] == 0 || self.bottom_seen[b] == self.stamp {
                     continue;
                 }
                 self.bottom_seen[b] = self.stamp;
-                for w in p.bottom_parts.part(b).nodes() {
-                    let reached = p.top_part_of[w.index()] as usize;
+                for w in bottoms.part(b).nodes() {
+                    let reached = top_of[w.index()] as usize;
                     if bottom[w.index()] == 2 || self.top_seen[reached] == self.stamp {
                         continue;
                     }
@@ -646,7 +606,7 @@ impl Augmenter {
                             let (v, w) = self.came[at];
                             bottom[v.index()] -= 1;
                             bottom[w.index()] += 1;
-                            at = p.top_part_of[v.index()] as usize;
+                            at = top_of[v.index()] as usize;
                         }
                         room[reached] -= 1;
                         room[t] += 1;
@@ -800,8 +760,9 @@ mod reference {
         hierarchy: &Hierarchy,
     ) -> Partitions {
         let mut p = build_partitions(g, tree, hierarchy);
-        two_per_node(tree, &mut p.top_parts, &p.top_part_of);
-        two_per_node(tree, &mut p.bottom_parts, &p.bottom_part_of);
+        for (parts, part_of) in p.parts.iter_mut().zip(&p.part_of) {
+            two_per_node(tree, parts, part_of);
+        }
         p
     }
 
@@ -852,23 +813,17 @@ mod tests {
     fn check_invariants(g: &WeightedGraph, tree: &RootedTree, h: &Hierarchy, parts: &Partitions) {
         let n = g.node_count();
         // every node in exactly one part of each partition
-        for v in 0..n {
-            let (top, bottom) = (
-                parts.top_part_of[v] as usize,
-                parts.bottom_part_of[v] as usize,
-            );
-            assert!(top < parts.top_parts.len());
-            assert!(bottom < parts.bottom_parts.len());
-            assert!(parts.top_parts.part(top).contains(NodeId(v)));
-            assert!(parts.bottom_parts.part(bottom).contains(NodeId(v)));
+        for (side, part_of) in parts.parts.iter().zip(&parts.part_of) {
+            for (v, &idx) in part_of.iter().enumerate() {
+                assert!((idx as usize) < side.len());
+                assert!(side.part(idx as usize).contains(NodeId(v)));
+            }
+            let covered: usize = side.iter().map(|p| p.node_count()).sum();
+            assert_eq!(covered, n, "each partition's parts partition the nodes");
         }
-        let covered: usize = parts.top_parts.iter().map(|p| p.node_count()).sum();
-        assert_eq!(covered, n, "Top parts partition the nodes");
-        let covered: usize = parts.bottom_parts.iter().map(|p| p.node_count()).sum();
-        assert_eq!(covered, n, "Bottom parts partition the nodes");
 
         let log_n = (n.max(2) as f64).log2().ceil() as usize;
-        for p in parts.top_parts.iter().chain(parts.bottom_parts.iter()) {
+        for p in parts.parts.iter().flat_map(Parts::iter) {
             assert!(
                 p.diameter <= 6 * log_n + 4,
                 "part diameter {} is not O(log n)",
@@ -893,10 +848,9 @@ mod tests {
             for idx in h.fragments_containing(v) {
                 let frag = h.fragment(idx);
                 let id = (g.id(frag.root), frag.level);
-                let tp = parts.top_parts.part(parts.top_part_of[v.index()] as usize);
-                let bp = (parts.bottom_parts).part(parts.bottom_part_of[v.index()] as usize);
-                let found =
-                    (tp.pieces().iter().chain(bp.pieces())).any(|p| (p.root_id(), p.level()) == id);
+                let found = (parts.parts.iter().zip(&parts.part_of))
+                    .flat_map(|(side, part_of)| side.part(part_of[v.index()] as usize).pieces())
+                    .any(|p| (p.root_id(), p.level()) == id);
                 assert!(
                     found,
                     "node {v} misses the piece of its level-{} fragment",
@@ -937,7 +891,7 @@ mod tests {
     fn top_parts_are_reasonably_large() {
         let (g, _, _, parts) = build(120, 3);
         let threshold = parts.threshold;
-        for p in &parts.top_parts {
+        for p in parts.parts[TOP].iter() {
             assert!(
                 p.node_count() >= threshold.min(g.node_count()),
                 "top part of {} nodes is below the threshold {threshold}",
@@ -950,7 +904,7 @@ mod tests {
     fn top_parts_intersect_one_top_fragment_per_level() {
         let (g, _, h, parts) = build(100, 4);
         let threshold = parts.threshold;
-        for p in &parts.top_parts {
+        for p in parts.parts[TOP].iter() {
             let mut seen_levels = std::collections::BTreeSet::new();
             for i in 0..h.len() {
                 let frag = h.fragment(i);
@@ -968,8 +922,8 @@ mod tests {
 
     /// The most pieces one node stores, over both of its parts.
     fn max_stored(parts: &Partitions) -> usize {
-        let mut held = vec![0; parts.top_part_of.len()];
-        for p in parts.top_parts.iter().chain(&parts.bottom_parts) {
+        let mut held = vec![0; parts.part_of[TOP].len()];
+        for p in parts.parts.iter().flat_map(Parts::iter) {
             for h in p.holders() {
                 held[h.index()] += 1;
             }
@@ -1008,18 +962,11 @@ mod tests {
             let parts = build_partitions(&g, tree, h);
             let old = reference::build_partitions_dfs(&g, tree, h);
             check_invariants(&g, tree, h, &parts);
-            let sides = [
-                (&parts.top_parts, &old.top_parts, &parts.top_part_of),
-                (
-                    &parts.bottom_parts,
-                    &old.bottom_parts,
-                    &parts.bottom_part_of,
-                ),
-            ];
+            let sides = (parts.parts.iter().zip(&old.parts)).zip(&parts.part_of);
             let mut order = Vec::new();
-            for (new, old, part_of) in sides {
+            for ((new, old), part_of) in sides {
                 assert_eq!(new.len(), old.len(), "{family}");
-                for (idx, (p, q)) in new.iter().zip(old).enumerate() {
+                for (idx, (p, q)) in new.iter().zip(old.iter()).enumerate() {
                     assert_eq!(p.pieces, q.pieces, "{family}");
                     assert_eq!((p.root, p.diameter), (q.root, q.diameter), "{family}");
                     assert_eq!((p.nodes, p.depth), (q.nodes, q.depth), "{family}");
@@ -1045,7 +992,8 @@ mod tests {
     /// nodes, two units each, into their Bottom parts, which absorb the
     /// cells their own pieces leave free.
     fn two_per_node_exists(p: &Partitions) -> bool {
-        let (tops, bottoms, n) = (p.top_parts.len(), p.bottom_parts.len(), p.top_part_of.len());
+        let ([top, bottom], [top_of, bottom_of]) = (&p.parts, &p.part_of);
+        let (tops, bottoms, n) = (top.len(), bottom.len(), top_of.len());
         let (source, sink) = (tops + bottoms + n, tops + bottoms + n + 1);
         let mut adj = vec![Vec::new(); sink + 1];
         let mut arcs: Vec<(usize, usize)> = Vec::new(); // (head, capacity)
@@ -1055,15 +1003,15 @@ mod tests {
             adj[b].push(arcs.len());
             arcs.push((a, 0));
         };
-        for (t, part) in p.top_parts.iter().enumerate() {
+        for (t, part) in top.iter().enumerate() {
             arc(source, t, part.piece_count());
         }
-        for (b, part) in p.bottom_parts.iter().enumerate() {
+        for (b, part) in bottom.iter().enumerate() {
             arc(tops + b, sink, 2 * part.node_count() - part.piece_count());
         }
         for v in 0..n {
-            arc(p.top_part_of[v] as usize, tops + bottoms + v, 2);
-            arc(tops + bottoms + v, tops + p.bottom_part_of[v] as usize, 2);
+            arc(top_of[v] as usize, tops + bottoms + v, 2);
+            arc(tops + bottoms + v, tops + bottom_of[v] as usize, 2);
         }
         let mut flow = 0;
         loop {
@@ -1090,7 +1038,7 @@ mod tests {
             }
             flow += 1;
         }
-        flow == p.top_parts.iter().map(|t| t.piece_count()).sum::<usize>()
+        flow == top.iter().map(|t| t.piece_count()).sum::<usize>()
     }
 
     /// The placement is exact: the widest node stores two pieces wherever a
@@ -1121,7 +1069,7 @@ mod tests {
     /// ancestors, and some of those fragments contain no member of the
     /// part: no member reads such a piece for its own levels. On these
     /// instances that is about one Top-part piece in eleven, and no
-    /// Bottom-part piece. Whether such labels are legal is ROADMAP item 2's
+    /// Bottom-part piece. Whether such labels are legal is ROADMAP item 1's
     /// question; until it is answered the counts are pinned, so that a
     /// change that moves them shows. Each part's row of nodes is read
     /// against its row of the shared piece lists.
@@ -1150,8 +1098,8 @@ mod tests {
                 }
                 (foreign, total)
             };
-            assert_eq!(count(&parts.top_parts), (foreign, total), "seed {seed}");
-            assert_eq!(count(&parts.bottom_parts).0, 0, "seed {seed}");
+            assert_eq!(count(&parts.parts[TOP]), (foreign, total), "seed {seed}");
+            assert_eq!(count(&parts.parts[BOTTOM]).0, 0, "seed {seed}");
         }
     }
 

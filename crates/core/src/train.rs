@@ -224,9 +224,9 @@ impl PartView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::CoreLabel;
+    use crate::labels::{BOTTOM, TOP};
     use crate::marker::Marker;
-    use crate::verifier::{CoreVerifier, TRAIN_BOTTOM, TRAIN_TOP};
+    use crate::verifier::CoreVerifier;
     use smst_graph::generators::{caterpillar_graph, path_graph};
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
@@ -628,18 +628,17 @@ mod tests {
             let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
             let inst = Instance::from_tree(g, &tree);
             let (labels, _) = Marker.label(&inst).unwrap();
-            let part_of = |l: &CoreLabel, which| [l.top_part, l.bottom_part][which];
             // (partition, root, d, p, predicted cycle) of each part
             let mut parts = Vec::new();
-            for which in [TRAIN_TOP, TRAIN_BOTTOM] {
+            for which in [TOP, BOTTOM] {
                 for (v, label) in labels.iter().enumerate() {
-                    let part = part_of(label, which);
+                    let part = label.parts[which];
                     let p = usize::from(part.piece_count);
                     if u64::from(part.part_root_id) != inst.graph.id(NodeId(v)) || p < 2 {
                         continue;
                     }
                     let members: Vec<PartLabel> = (labels.iter())
-                        .map(|l| part_of(l, which))
+                        .map(|l| l.parts[which])
                         .filter(|m| m.part_root_id == part.part_root_id)
                         .collect();
                     let (d, holders) = depths(&members);

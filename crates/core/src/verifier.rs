@@ -27,17 +27,12 @@
 
 use crate::compare::{CompareState, CompareView};
 use crate::labels::{
-    max_diameter, max_levels, max_pieces, CoreLabel, PartLabel, PieceCell, Widths, MAX_FIELD,
+    max_diameter, max_levels, max_pieces, CoreLabel, PieceCell, Widths, BOTTOM, MAX_FIELD, TOP,
 };
 use crate::strings::{ceil_log2, check_strings, ChildSummary, RootSym, StringNeighborhood};
 use crate::train::{self, ChildTrains, PartView, TrainState};
 use smst_graph::{ComponentMap, WeightedGraph};
 use smst_sim::{Network, NodeContext, NodeProgram, Verdict};
-
-/// Which of the two partitions a train belongs to.
-pub const TRAIN_TOP: usize = 0;
-/// Index of the Bottom-partition train.
-pub const TRAIN_BOTTOM: usize = 1;
 
 /// The full register of a node running the verifier: a fixed-width `Copy`
 /// value with no heap behind it (see [`crate::labels`] and
@@ -47,7 +42,8 @@ pub const TRAIN_BOTTOM: usize = 1;
 pub struct CoreState {
     /// The node's label (the corruptible proof).
     pub label: CoreLabel,
-    /// The two trains (Top, Bottom).
+    /// The two trains, one per partition, indexed like the label's parts
+    /// ([`TOP`], [`BOTTOM`]).
     pub trains: [TrainState; 2],
     /// The comparison machinery.
     pub compare: CompareState,
@@ -135,7 +131,7 @@ impl Children {
             kids.strings.add(&s.label.strings);
             for (which, want) in wanted.into_iter().enumerate() {
                 let Some(want) = want else { continue };
-                if part_of(s, which).part_root_id == part_of(own, which).part_root_id {
+                if s.label.parts[which].part_root_id == own.label.parts[which].part_root_id {
                     kids.trains[which].add(&s.trains[which], want);
                 }
             }
@@ -256,8 +252,7 @@ impl CoreVerifier {
         // partition representation: parts are subtrees, so a non-root of a
         // part must have its tree parent in the same part; diameters and
         // piece counts are bounded and agreed upon inside the part
-        for which in [TRAIN_TOP, TRAIN_BOTTOM] {
-            let mine = part_of(own, which);
+        for (which, mine) in label.parts.iter().enumerate() {
             let i_am_part_root = u64::from(mine.part_root_id) == ctx.id;
             if i_am_part_root {
                 if mine.depth_in_part != 0 {
@@ -267,7 +262,7 @@ impl CoreVerifier {
                 match parent {
                     None => return false,
                     Some(p) => {
-                        let pp = part_of(p, which);
+                        let pp = &p.label.parts[which];
                         if pp.part_root_id != mine.part_root_id {
                             return false;
                         }
@@ -303,14 +298,6 @@ impl CoreVerifier {
     }
 }
 
-fn part_of(s: &CoreState, which: usize) -> &PartLabel {
-    if which == TRAIN_TOP {
-        &s.label.top_part
-    } else {
-        &s.label.bottom_part
-    }
-}
-
 /// §7.1's membership flag of a piece entering node `id`'s `down` buffer in
 /// partition `which`: from the strings at the part root (`at_root`), and
 /// from the part parent's flag elsewhere.
@@ -318,7 +305,7 @@ fn membership(which: usize, label: &CoreLabel, id: u64, piece: PieceCell, at_roo
     let root = label.strings.root(piece.level() as usize);
     if !at_root {
         piece.root_id() == id || (piece.member() && root == RootSym::NonRoot)
-    } else if which == TRAIN_TOP {
+    } else if which == TOP {
         // the part intersects at most one top fragment per level (Claim
         // 6.3), so having a top fragment at this level means it is the
         // piece's fragment
@@ -359,9 +346,9 @@ impl NodeProgram for CoreVerifier {
         // the slot each train circulates, then the one pass over the tree
         // children that everything below shares
         let hold = compare.hold();
-        let views = [TRAIN_TOP, TRAIN_BOTTOM].map(|which| {
-            let part = part_of(own, which);
-            let same_part = |p: &&CoreState| part_of(p, which).part_root_id == part.part_root_id;
+        let views = [TOP, BOTTOM].map(|which| {
+            let part = &own.label.parts[which];
+            let same_part = |p: &&CoreState| p.label.parts[which].part_root_id == part.part_root_id;
             PartView {
                 part,
                 is_root: u64::from(part.part_root_id) == ctx.id,
@@ -370,8 +357,7 @@ impl NodeProgram for CoreVerifier {
                 hold,
             }
         });
-        let wanted =
-            [TRAIN_TOP, TRAIN_BOTTOM].map(|which| views[which].slot(&mut next.trains[which]));
+        let wanted = [TOP, BOTTOM].map(|which| views[which].slot(&mut next.trains[which]));
         let children = Children::gather(ctx, own, neighbors, wanted);
 
         // 1. structural 1-round checks
@@ -446,7 +432,7 @@ mod reference {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::labels::{COMPLETENESS_WRAPS, DELAY_MAX, MAX_WATCH_WRAPS};
+    use crate::labels::{PartLabel, COMPLETENESS_WRAPS, DELAY_MAX, MAX_WATCH_WRAPS};
     use crate::marker::Marker;
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
@@ -578,10 +564,7 @@ pub(crate) mod tests {
             let (labels, _) = Marker.label(&inst).unwrap();
             let cap = max_diameter(ceil_log2(inst.node_count() as u64));
             let mut capped = labels.clone();
-            for part in capped
-                .iter_mut()
-                .flat_map(|l| [&mut l.top_part, &mut l.bottom_part])
-            {
+            for part in capped.iter_mut().flat_map(|l| &mut l.parts) {
                 part.diameter_bound = u8::try_from(cap).unwrap();
             }
             let widths = Widths::of(&inst.graph);
@@ -632,8 +615,7 @@ pub(crate) mod tests {
         // latter writes the field's maximum
         type Write = fn(&mut CoreState, u64);
         fn each_part(s: &mut CoreState, f: impl Fn(&mut PartLabel)) {
-            f(&mut s.label.top_part);
-            f(&mut s.label.bottom_part);
+            s.label.parts.iter_mut().for_each(f);
         }
         let (inst, verifier) = setup(40, 100, 4);
         let fields: [(&str, Option<usize>, Write); 14] = [
@@ -725,7 +707,7 @@ pub(crate) mod tests {
             let (mut labels, _) = Marker.label(&inst).unwrap();
             let part = labels
                 .iter()
-                .map(|l| l.top_part)
+                .map(|l| l.parts[TOP])
                 .max_by_key(|p| p.piece_count)
                 .unwrap();
             assert!(
@@ -736,10 +718,9 @@ pub(crate) mod tests {
                 labels
                     .iter()
                     .enumerate()
-                    .filter(|(_, l)| l.top_part.part_root_id == part.part_root_id)
+                    .filter(|(_, l)| l.parts[TOP].part_root_id == part.part_root_id)
                     .find_map(|(v, l)| {
-                        let i = l
-                            .top_part
+                        let i = l.parts[TOP]
                             .stored
                             .iter()
                             .position(|c| c.is_some_and(|c| c.slot() == slot))?;
@@ -748,8 +729,8 @@ pub(crate) mod tests {
                     .expect("every slot of a part is stored in it")
             };
             let ((v1, i1), (v2, i2)) = (cell(&labels, 1), cell(&labels, 2));
-            let first = labels[v1].top_part.stored[i1].unwrap();
-            let second = labels[v2].top_part.stored[i2].unwrap();
+            let first = labels[v1].parts[TOP].stored[i1].unwrap();
+            let second = labels[v2].parts[TOP].stored[i2].unwrap();
             let moved = |to: PieceCell, from: PieceCell| {
                 Some(PieceCell::new(
                     to.slot(),
@@ -758,8 +739,8 @@ pub(crate) mod tests {
                     from.min_out(),
                 ))
             };
-            labels[v1].top_part.stored[i1] = moved(first, second);
-            labels[v2].top_part.stored[i2] = moved(second, first);
+            labels[v1].parts[TOP].stored[i1] = moved(first, second);
+            labels[v2].parts[TOP].stored[i2] = moved(second, first);
 
             let root = inst
                 .graph
@@ -790,7 +771,7 @@ pub(crate) mod tests {
         assert!(!runner.network().any_alarm(verifier), "warm-up");
         let holders = (verifier.graph.nodes())
             .filter(|v| {
-                let part = verifier.labels[v.index()].bottom_part;
+                let part = verifier.labels[v.index()].parts[BOTTOM];
                 part.piece_count == 1 && part.stored[0].is_some()
             })
             .collect();
@@ -806,7 +787,7 @@ pub(crate) mod tests {
         let (_, verifier) = setup(256, 768, 0);
         let (mut runner, holders) = one_piece_bottom_parts(&verifier);
         let v = holders[0];
-        let train = &mut runner.network_mut().state_mut(v).trains[TRAIN_BOTTOM];
+        let train = &mut runner.network_mut().state_mut(v).trains[BOTTOM];
         let shown = train.down.expect("the part's piece is shown");
         let wrong = PieceCell::new(0, shown.root_id() + 1, shown.level(), shown.min_out());
         train.down = Some(wrong.with_member(true));
@@ -832,7 +813,7 @@ pub(crate) mod tests {
         let (_, holders) = one_piece_bottom_parts(&verifier);
         for &h in &holders[..6] {
             let (mut runner, _) = one_piece_bottom_parts(&verifier);
-            let stored = &mut runner.network_mut().state_mut(h).label.bottom_part.stored[0];
+            let stored = &mut runner.network_mut().state_mut(h).label.parts[BOTTOM].stored[0];
             let cell = stored.as_mut().unwrap();
             if cell.has_min_out() {
                 cell.weight += 1;

@@ -13,8 +13,8 @@
 //! path it takes minutes in a debug build.
 
 use proptest::prelude::*;
-use smst_core::labels::{PieceCell, Widths};
-use smst_core::partition::build_partitions;
+use smst_core::labels::{PieceCell, Widths, BOTTOM};
+use smst_core::partition::{build_partitions, Parts};
 use smst_core::{Marker, MstVerificationScheme, SyncMst};
 use smst_graph::generators::{complete_graph, path_graph, random_connected_graph, star_graph};
 use smst_graph::mst::kruskal;
@@ -106,7 +106,7 @@ fn check_against_references(g: &WeightedGraph) {
     }
 
     let parts = build_partitions(g, tree, h);
-    for part in &parts.bottom_parts {
+    for part in parts.parts[BOTTOM].iter() {
         assert_eq!(
             part.pieces(),
             reference_pieces(g, tree, h, &part.nodes().collect::<Vec<_>>()),
@@ -114,7 +114,7 @@ fn check_against_references(g: &WeightedGraph) {
             part.root
         );
     }
-    for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
+    for part in parts.parts.iter().flat_map(Parts::iter) {
         for v in part.nodes() {
             assert_eq!(tree.depth(v) - tree.depth(part.root), part.depth_of(v));
             let held = part.holders().filter(|&holder| holder == v).count();
@@ -305,12 +305,12 @@ fn labels_sixteen_thousand_nodes_and_the_verifier_accepts() {
     assert!(labels.iter().all(|l| u64::from(l.n_claim) == n as u64));
     assert!(report.hierarchy_height <= log_n.ceil() as u32 + 1);
     assert_eq!(report.hierarchy_height, outcome.hierarchy.height());
-    for part in parts.top_parts.iter().chain(&parts.bottom_parts) {
+    for part in parts.parts.iter().flat_map(Parts::iter) {
         assert!(part.piece_count() <= 2 * part.node_count());
     }
     let widths = Widths::of(&instance.graph);
     for label in &labels {
-        assert!(label.top_part.stored.len() <= 2 && label.bottom_part.stored.len() <= 2);
+        assert!(label.parts.iter().all(|p| p.stored.len() <= 2));
         let bits = label.bits(&widths);
         assert!(
             bits as f64 <= 60.0 * log_n + 80.0,

@@ -28,7 +28,7 @@
 
 use smst_core::compare::CompareState;
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::labels::{CoreLabel, PartLabel, PieceCell};
+use smst_core::labels::{CoreLabel, PartLabel, PieceCell, Widths};
 use smst_core::strings::{EndpSym, NodeStrings, RootSym};
 use smst_core::train::TrainState;
 use smst_core::verifier::CoreState;
@@ -129,6 +129,37 @@ fn register_digests_match_the_recorded_layout_on_every_backend() {
             );
         }
     }
+}
+
+/// The FNV-1a digest of every `(name, width)` pair that `CoreState::walk`
+/// hands its sink, over the fault-free scenario's registers under
+/// `Widths::of`. `state_bits` only sums the widths and the digests above
+/// fold contents through accessors, so this is what pins the *order* of the
+/// charged layout.
+const LAYOUT: u64 = 0x9eba_c005_ff8e_e682;
+
+#[test]
+fn charged_layout_walks_in_the_recorded_order() {
+    let verifier = verifier();
+    let mut runner = EngineConfig::reference()
+        .instantiate(&verifier, verifier.graph().clone())
+        .expect("a valid config");
+    runner.run_until(StopCondition::Steps, ROUNDS);
+    let widths = Widths::of(verifier.graph());
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for state in &runner.states_snapshot() {
+        state.walk(&widths, &mut |name, _, width| {
+            fold(name.as_bytes());
+            fold(&[0]);
+            fold(&width.to_le_bytes());
+        });
+    }
+    assert_eq!(digest, LAYOUT, "got {digest:#018x}");
 }
 
 // ----- the fold -------------------------------------------------------------
@@ -238,8 +269,9 @@ fn fold_state(f: &mut Fold, s: &CoreState) {
     f.u(subtree_count(l));
     fold_strings(f, &l.strings);
     f.u(u64::from(l.top_min_level));
-    fold_part(f, &l.top_part);
-    fold_part(f, &l.bottom_part);
+    for part in &l.parts {
+        fold_part(f, part);
+    }
     for t in &s.trains {
         fold_train(f, t);
     }

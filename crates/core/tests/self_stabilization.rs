@@ -113,11 +113,7 @@ fn scramble(state: &mut CoreState, w: &Widths, rng: &mut StdRng) {
 /// `(C, C*)`: the longest cycle of any part of either partition, fault-free
 /// and under a `Want` hold everywhere.
 fn cycles(labels: &[CoreLabel]) -> (usize, usize) {
-    let parts = |which: usize| {
-        labels
-            .iter()
-            .map(move |l| [l.top_part, l.bottom_part][which])
-    };
+    let parts = |which: usize| labels.iter().map(move |l| l.parts[which]);
     let (mut free, mut held) = (0, 0);
     for which in 0..2 {
         for part in parts(which) {
