@@ -7,14 +7,14 @@
 //!    `(spec, n, unit_index)`: re-querying and rebuilding the daemon gives
 //!    identical batches;
 //! 3. **Replay** — at batch width 1 the chunked central daemons replay the
-//!    sequential `AsyncRunner` register-for-register on the engine.
+//!    sequential `ReferenceRunner::daemon` register-for-register on the engine.
 
 use smst_adversary::{CutFocusDaemon, DaemonSpec, StallDaemon, StarveDaemon};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::{caterpillar_graph, path_graph, random_connected_graph, ring_graph};
 use smst_graph::WeightedGraph;
 use smst_sim::{
-    AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon, Network, NodeContext, NodeProgram, Verdict,
+    BatchDaemon, ChunkedDaemon, Daemon, Network, NodeContext, NodeProgram, ReferenceRunner, Verdict,
 };
 
 fn graphs() -> Vec<WeightedGraph> {
@@ -198,7 +198,7 @@ fn chunked_daemons_at_batch_one_replay_the_central_daemon() {
         },
     ] {
         let mut sequential =
-            AsyncRunner::new(&MinId, Network::new(&MinId, g.clone()), central.clone());
+            ReferenceRunner::daemon(&MinId, Network::new(&MinId, g.clone()), central.clone());
         let mut engine = EngineConfig::new()
             .batch_daemon(Box::new(ChunkedDaemon::new(central.clone(), 1)))
             .threads(3)
@@ -210,7 +210,7 @@ fn chunked_daemons_at_batch_one_replay_the_central_daemon() {
                 sequential.network().states(),
                 "{central:?} diverged at unit {unit}"
             );
-            sequential.step_time_unit();
+            sequential.step();
             engine.step();
         }
         assert_eq!(

@@ -16,7 +16,7 @@
 //! Every point is a pure function of `(n, seed)`: thread count, layout,
 //! halo mode and backend never change the numbers
 //! (`EngineConfig::reference()` runs the same sweep on `smst-sim`'s
-//! sequential `SyncRunner`), so the figures regenerate at 100k+ nodes on a
+//! sequential `ReferenceRunner`), so the figures regenerate at 100k+ nodes on a
 //! multi-core host — pinned by the tests below against the sequential
 //! oracle [`run_sync_fault_experiment`](smst_core::scheme::run_sync_fault_experiment).
 

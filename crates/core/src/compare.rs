@@ -258,7 +258,7 @@ mod tests {
     use smst_graph::mst::kruskal;
     use smst_graph::{EdgeId, GraphBuilder, NodeId};
     use smst_labeling::Instance;
-    use smst_sim::SyncRunner;
+    use smst_sim::{ReferenceRunner, StopCondition};
 
     const HUB: NodeId = NodeId(0);
 
@@ -352,10 +352,10 @@ mod tests {
         /// number of its levels.
         fn longest_pass(&self, rounds: usize) -> (usize, u32) {
             let verifier = self.verifier(self.inst.graph.clone());
-            let mut runner = SyncRunner::new(&verifier, verifier.network());
+            let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
             let (mut last, mut returns) = (0, Vec::new());
             for round in 1..=rounds {
-                runner.run_rounds(1);
+                runner.run(1);
                 let now = runner.network().state(HUB).compare.level_idx;
                 if now == 0 && last != 0 {
                     returns.push(round);
@@ -372,8 +372,10 @@ mod tests {
         /// with the lie planted; the hub must be among the alarming nodes.
         fn first_alarm(&self, rounds: usize) -> Option<usize> {
             let verifier = self.verifier(self.lie.clone()?);
-            let mut runner = SyncRunner::new(&verifier, verifier.network());
-            let round = runner.run_until_alarm(rounds).expect("the lie alarms");
+            let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+            let round = runner
+                .run_until(StopCondition::FirstAlarm, rounds)
+                .expect("the lie alarms");
             let alarming = runner.network().alarming_nodes(&verifier);
             assert!(alarming.contains(&HUB), "round {round}: {alarming:?}");
             Some(round)

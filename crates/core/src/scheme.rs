@@ -6,8 +6,8 @@
 //! alarm — is written once for every execution path in `smst-engine`
 //! (`run_fault_experiment`, reached for the verifier through
 //! `smst_bench::engine_metrics::verifier_point`). [`run_sync_fault_experiment`]
-//! is the same protocol spelled out on `smst-sim`'s closure-driven
-//! [`SyncRunner`] and nothing else: the reference the engine path is pinned
+//! is the same protocol spelled out on `smst-sim`'s [`ReferenceRunner`]
+//! in rounds and nothing else: the reference the engine path is pinned
 //! equal to (`smst_bench`'s
 //! `engine_metrics::tests::engine_detection_sweep_equals_the_sequential_experiment`,
 //! on four envelopes) and the driver this crate's own tests, the examples
@@ -18,7 +18,7 @@ use crate::labels::CoreLabel;
 use crate::marker::{ConstructionReport, Marker};
 use crate::verifier::CoreVerifier;
 use smst_labeling::scheme::{Instance, MarkError};
-use smst_sim::{DetectionReport, FaultPlan, Network, SyncRunner};
+use smst_sim::{DetectionReport, FaultPlan, Network, ReferenceRunner, StopCondition};
 
 /// The paper's MST proof labeling scheme: `O(log n)` bits per node,
 /// polylogarithmic detection time, `O(n)`-time marker.
@@ -64,8 +64,8 @@ impl MstVerificationScheme {
 /// (`corrupt(state, kind, seed + i)` in plan order), and measures the
 /// detection time and detection distance.
 ///
-/// The closure loop consults the alarm before its first post-injection
-/// round where the engine's driver always steps once first; [`corrupt`]
+/// [`ReferenceRunner::run_until`] consults the alarm before its first
+/// post-injection round where the engine's driver always steps once first; [`corrupt`]
 /// never writes a verdict, so no fault it injects can tell the two apart.
 ///
 /// # Panics
@@ -89,9 +89,9 @@ pub fn run_sync_fault_experiment(
     let budget = MstVerificationScheme::sync_budget(n);
 
     let net = verifier.network();
-    let mut runner = SyncRunner::new(&verifier, net);
+    let mut runner = ReferenceRunner::rounds(&verifier, net);
     // let the trains reach steady state (no alarms may occur here)
-    runner.run_rounds(budget);
+    runner.run(budget);
     assert!(
         runner.network().alarming_nodes(&verifier).is_empty(),
         "a correct instance must not raise alarms during warm-up"
@@ -104,7 +104,7 @@ pub fn run_sync_fault_experiment(
         i += 1;
     });
 
-    match runner.run_until_alarm(4 * budget) {
+    match runner.run_until(StopCondition::FirstAlarm, 4 * budget) {
         Some(t) => DetectionReport::from_alarms(
             &instance.graph,
             t,
@@ -125,8 +125,8 @@ pub fn rounds_until_rejection(
 ) -> Option<usize> {
     let verifier = MstVerificationScheme::new().verifier(instance, labels);
     let net: Network<CoreVerifier> = verifier.network();
-    let mut runner = SyncRunner::new(&verifier, net);
-    runner.run_until_alarm(max_rounds)
+    let mut runner = ReferenceRunner::rounds(&verifier, net);
+    runner.run_until(StopCondition::FirstAlarm, max_rounds)
 }
 
 #[cfg(test)]
@@ -173,15 +173,15 @@ mod tests {
         let verifier = scheme.verifier(&inst, labels);
         let budget = MstVerificationScheme::sync_budget(16);
         let net = verifier.network();
-        let mut runner = SyncRunner::new(&verifier, net);
-        runner.run_rounds(budget);
+        let mut runner = ReferenceRunner::rounds(&verifier, net);
+        runner.run(budget);
         let plan = FaultPlan::random(16, 3, 9);
         let mut i = 0;
         plan.apply(runner.network_mut(), |_v, s| {
             corrupt(s, FaultKind::TrainBuffers, 100 + i);
             i += 1;
         });
-        runner.run_rounds(2 * budget);
+        runner.run(2 * budget);
         assert!(
             runner.network().alarming_nodes(&verifier).is_empty(),
             "scrambled train buffers must heal without a permanent alarm"

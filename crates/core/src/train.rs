@@ -232,7 +232,7 @@ mod tests {
     use smst_graph::NodeId;
     use smst_labeling::Instance;
     use smst_rng::{Rng, SeedableRng, StdRng};
-    use smst_sim::SyncRunner;
+    use smst_sim::ReferenceRunner;
 
     /// A part's shape, rooted at node 0.
     #[derive(Debug, Clone, Copy)]
@@ -654,8 +654,8 @@ mod tests {
             assert!(!parts.is_empty(), "{name}: no part has two pieces");
 
             let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
-            let mut runner = SyncRunner::new(&verifier, verifier.network());
-            let want = |runner: &SyncRunner<'_, CoreVerifier>, which: usize, root: NodeId| {
+            let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+            let want = |runner: &ReferenceRunner<'_, CoreVerifier>, which: usize, root: NodeId| {
                 runner.network().state(root).trains[which].want
             };
             let mut last: Vec<u8> = parts
@@ -673,7 +673,7 @@ mod tests {
                 if wraps.iter().all(|w| w.len() >= 4) {
                     break;
                 }
-                runner.run_rounds(1);
+                runner.run(1);
                 for (i, &(which, root, ..)) in parts.iter().enumerate() {
                     let now = want(&runner, which, root);
                     if now == 0 && last[i] != 0 {

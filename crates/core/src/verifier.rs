@@ -438,7 +438,7 @@ pub(crate) mod tests {
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
     use smst_labeling::Instance;
-    use smst_sim::SyncRunner;
+    use smst_sim::ReferenceRunner;
 
     /// A random MST instance rooted at node 0 and its marker labels.
     pub(crate) fn marked(n: usize, m: usize, seed: u64) -> (Instance, Vec<CoreLabel>) {
@@ -453,8 +453,8 @@ pub(crate) mod tests {
     /// (the 1-round checks of `structural_ok`).
     pub(crate) fn alarms_in_one_round(inst: &Instance, labels: Vec<CoreLabel>) -> bool {
         let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
-        let mut runner = SyncRunner::new(&verifier, verifier.network());
-        runner.run_rounds(1);
+        let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+        runner.run(1);
         !runner.network().alarming_nodes(&verifier).is_empty()
     }
 
@@ -475,8 +475,8 @@ pub(crate) mod tests {
         let (inst, verifier) = setup(24, 60, 1);
         let n = inst.node_count();
         let net = verifier.network();
-        let mut runner = SyncRunner::new(&verifier, net);
-        runner.run_rounds(budget(n));
+        let mut runner = ReferenceRunner::rounds(&verifier, net);
+        runner.run(budget(n));
         assert!(
             runner.network().alarming_nodes(&verifier).is_empty(),
             "no node may reject a correct, marker-labelled instance"
@@ -489,8 +489,8 @@ pub(crate) mod tests {
         let (inst, verifier) = setup(32, 80, 2);
         let n = inst.node_count();
         let net = verifier.network();
-        let mut runner = SyncRunner::new(&verifier, net);
-        runner.run_rounds(budget(n));
+        let mut runner = ReferenceRunner::rounds(&verifier, net);
+        runner.run(budget(n));
         // the completeness check never fired, so the verdict is Accept
         assert!(runner.network().all_accept(&verifier));
     }
@@ -524,10 +524,10 @@ pub(crate) mod tests {
             let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
             assert_agree(&verifier, &verifier.network());
             for (i, kind) in FaultKind::all().into_iter().enumerate() {
-                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
                 let victim = NodeId((seed as usize + i) % n);
                 corrupt(runner.network_mut().state_mut(victim), kind, seed);
-                runner.run_rounds(64);
+                runner.run(64);
                 assert_agree(&verifier, runner.network());
             }
         }
@@ -579,12 +579,12 @@ pub(crate) mod tests {
             for labels in [labels, capped] {
                 let verifier =
                     CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
-                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
                 for round in 0..=64 {
                     for v in inst.graph.nodes() {
                         fits(runner.network().state(v), round, v);
                     }
-                    runner.run_rounds(1);
+                    runner.run(1);
                 }
                 assert!(
                     runner.network().alarming_nodes(&verifier).is_empty(),
@@ -672,7 +672,7 @@ pub(crate) mod tests {
         ];
         for (field, alarm_within, write) in fields {
             for x in [0, u64::MAX] {
-                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
                 let mut illegal = false;
                 for v in inst.graph.nodes() {
                     let state = runner.network_mut().state_mut(v);
@@ -682,7 +682,7 @@ pub(crate) mod tests {
                 }
                 let rounds = alarm_within.filter(|_| illegal).unwrap_or(1);
                 let alarmed = (0..rounds).any(|_| {
-                    runner.run_rounds(1);
+                    runner.run(1);
                     !runner.network().alarming_nodes(&verifier).is_empty()
                 });
                 assert!(
@@ -748,9 +748,9 @@ pub(crate) mod tests {
                 .find(|&v| inst.graph.id(v) == u64::from(part.part_root_id))
                 .unwrap();
             let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
-            let mut runner = SyncRunner::new(&verifier, verifier.network());
+            let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
             let alarmed = (0..64).any(|_| {
-                runner.run_rounds(1);
+                runner.run(1);
                 runner.network().state(root).verdict == Verdict::Reject
             });
             assert!(
@@ -765,9 +765,9 @@ pub(crate) mod tests {
     /// a part is a single node).
     fn one_piece_bottom_parts(
         verifier: &CoreVerifier,
-    ) -> (SyncRunner<'_, CoreVerifier>, Vec<NodeId>) {
-        let mut runner = SyncRunner::new(verifier, verifier.network());
-        runner.run_rounds(64);
+    ) -> (ReferenceRunner<'_, CoreVerifier>, Vec<NodeId>) {
+        let mut runner = ReferenceRunner::rounds(verifier, verifier.network());
+        runner.run(64);
         assert!(!runner.network().any_alarm(verifier), "warm-up");
         let holders = (verifier.graph.nodes())
             .filter(|v| {
@@ -792,7 +792,7 @@ pub(crate) mod tests {
         let wrong = PieceCell::new(0, shown.root_id() + 1, shown.level(), shown.min_out());
         train.down = Some(wrong.with_member(true));
         let last = (0..400).fold(None, |last, round| {
-            runner.run_rounds(1);
+            runner.run(1);
             (runner.network().any_alarm(&verifier))
                 .then_some(round)
                 .or(last)
@@ -821,7 +821,7 @@ pub(crate) mod tests {
                 cell.root_id += 1;
             }
             let alarmed = (0..400).any(|_| {
-                runner.run_rounds(1);
+                runner.run(1);
                 runner.network().any_alarm(&verifier)
             });
             assert!(
@@ -841,12 +841,12 @@ pub(crate) mod tests {
         let inst = Instance::from_tree(g, &tree);
         let (labels, _) = Marker.label(&inst).unwrap();
         let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
-        let mut runner = SyncRunner::new(&verifier, verifier.network());
+        let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
         // the centre's first full walk ends in round 2, which moves it to
         // its next level
         let level_idx = (0..3)
             .map(|_| {
-                runner.run_rounds(1);
+                runner.run(1);
                 runner.network().state(NodeId(0)).compare.level_idx
             })
             .collect::<Vec<_>>();

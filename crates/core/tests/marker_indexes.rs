@@ -22,7 +22,7 @@ use smst_graph::mst::UnionFind;
 use smst_graph::{Csr, EdgeId, Hierarchy, NodeId, RootedTree, WeightedGraph};
 use smst_labeling::Instance;
 use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
-use smst_sim::SyncRunner;
+use smst_sim::ReferenceRunner;
 use std::collections::VecDeque;
 
 /// The smallest fragment strictly containing fragment `i`.
@@ -319,7 +319,7 @@ fn labels_sixteen_thousand_nodes_and_the_verifier_accepts() {
     }
 
     let verifier = MstVerificationScheme::new().verifier(&instance, labels);
-    let mut runner = SyncRunner::new(&verifier, verifier.network());
-    runner.run_rounds(4);
+    let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+    runner.run(4);
     assert!(runner.network().all_accept(&verifier));
 }

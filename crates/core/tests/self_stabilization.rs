@@ -36,7 +36,7 @@ use smst_graph::weight::CompositeWeight;
 use smst_graph::{NodeId, WeightedGraph};
 use smst_labeling::Instance;
 use smst_rng::{Rng, SeedableRng, StdRng};
-use smst_sim::{SyncRunner, Verdict};
+use smst_sim::{ReferenceRunner, Verdict};
 
 /// One graph of every generator family, at about `n` nodes (at most `n`).
 fn families(n: usize, seed: u64) -> [(&'static str, WeightedGraph); 11] {
@@ -139,8 +139,8 @@ fn stabilise(name: &str, g: WeightedGraph, seed: u64) {
     let window = 4 * c;
     let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
     let w = Widths::of(&inst.graph);
-    let mut runner = SyncRunner::new(&verifier, verifier.network());
-    runner.run_rounds(50);
+    let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+    runner.run(50);
     assert!(!runner.network().any_alarm(&verifier), "{name}: warm-up");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1);
     for v in inst.graph.nodes() {
@@ -148,7 +148,7 @@ fn stabilise(name: &str, g: WeightedGraph, seed: u64) {
     }
     let (mut round, mut silent_from) = (0, 0);
     while round < silent_from + window {
-        runner.run_rounds(1);
+        runner.run(1);
         round += 1;
         if runner.network().any_alarm(&verifier) {
             silent_from = round;

@@ -13,9 +13,9 @@
 //! not per fragment or part, and its live heap peaks below three times the
 //! bytes of the labels it returns (the allocator also tracks the high-water
 //! of live bytes). The
-//! sequential asynchronous oracle (`sim::AsyncRunner`, one
-//! `Network::activate` per activation) allocates its daemon's schedule per
-//! time unit and nothing per activation. This file
+//! sequential asynchronous oracle ([`ReferenceRunner::daemon`], one
+//! gather-and-step of the network per activation) allocates its daemon's
+//! schedule per time unit and nothing per activation. This file
 //! holds exactly one test: the counter is process-wide, and a concurrently
 //! running test would be counted too.
 
@@ -31,7 +31,7 @@ use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::{NodeId, WeightedGraph};
 use smst_labeling::Instance;
-use smst_sim::{AsyncRunner, Daemon, Network, NodeProgram};
+use smst_sim::{Daemon, Network, NodeProgram, ReferenceRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,11 +123,11 @@ fn allocations_in_eight_units<P: NodeProgram>(
     graph: &WeightedGraph,
     daemon: Daemon,
 ) -> u64 {
-    let mut oracle = AsyncRunner::new(program, Network::new(program, graph.clone()), daemon);
+    let mut oracle = ReferenceRunner::daemon(program, Network::new(program, graph.clone()), daemon);
     // warm-up: the neighbour buffer grown to the largest degree
-    oracle.run_time_units(2);
+    oracle.run(2);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    oracle.run_time_units(8);
+    oracle.run(8);
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 

@@ -44,16 +44,16 @@ use crate::pool::{panic_message, BarrierTimeoutPanic, PoolError};
 use crate::runner::Runner;
 use crate::sharded::ShardedRunner;
 use smst_graph::WeightedGraph;
-use smst_sim::{AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon, Network, NodeProgram, SyncRunner};
+use smst_sim::{BatchDaemon, ChunkedDaemon, Daemon, Network, NodeProgram, ReferenceRunner};
 use std::time::Duration;
 
 /// Which implementation family executes the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The sequential reference runners of `smst-sim`
-    /// ([`SyncRunner`] / [`AsyncRunner`]): the semantic ground truth the
-    /// sharded engine is pinned against. Single-threaded by definition —
-    /// sharded-only knobs (threads > 1, layout, halo) are
+    /// The sequential reference runner of `smst-sim`
+    /// ([`ReferenceRunner`], rounds or a central daemon): the semantic
+    /// ground truth the sharded engine is pinned against. Single-threaded
+    /// by definition — sharded-only knobs (threads > 1, layout, halo) are
     /// rejected by [`EngineConfig::validate`].
     Reference,
     /// The sharded parallel engine ([`ShardedRunner`], rounds or a
@@ -153,7 +153,7 @@ pub enum ConfigError {
     /// sequential [`Backend::Reference`].
     ReferenceKnob(&'static str),
     /// [`Backend::Reference`] executes only a central daemon at batch
-    /// width 1 (the [`AsyncRunner`] semantics).
+    /// width 1 (the [`ReferenceRunner::daemon`] semantics).
     ReferenceNeedsCentralDaemon,
     /// A typed constructor was handed a config for a different execution
     /// path (e.g. [`ShardedRunner::from_config`] with a remote config).
@@ -819,18 +819,17 @@ impl EngineConfig {
             (Backend::Remote, Mode::Async(_)) => {
                 unreachable!("validate rejects asynchronous remote envelopes")
             }
-            (Backend::Reference, Mode::Sync) => {
-                Box::new(SyncRunner::new(program, Network::new(program, graph)))
-            }
-            (Backend::Reference, Mode::Async(daemon)) => {
-                let DaemonConfig::Central { daemon, .. } = daemon else {
-                    unreachable!("validate rejects non-central reference daemons");
-                };
-                Box::new(AsyncRunner::new(
-                    program,
-                    Network::new(program, graph),
-                    daemon.clone(),
-                ))
+            (Backend::Reference, mode) => {
+                let network = Network::new(program, graph);
+                Box::new(match mode {
+                    Mode::Sync => ReferenceRunner::rounds(program, network),
+                    Mode::Async(DaemonConfig::Central { daemon, .. }) => {
+                        ReferenceRunner::daemon(program, network, daemon.clone())
+                    }
+                    Mode::Async(_) => {
+                        unreachable!("validate rejects non-central reference daemons")
+                    }
+                })
             }
         })
     }

@@ -68,7 +68,7 @@ mod tests {
     use crate::shard::{partition_balanced, HaloPlan};
     use smst_graph::generators::random_connected_graph;
     use smst_graph::WeightedGraph;
-    use smst_sim::Network;
+    use smst_sim::{Network, ReferenceRunner};
 
     /// A step that is sensitive to everything the kernel hands it: the
     /// node's own context, its register, and each neighbour register
@@ -101,11 +101,10 @@ mod tests {
         policy: LayoutPolicy,
     ) -> (Arena<'_, PortMix>, Vec<u64>) {
         let arena = Arena::new(program, program.0.clone(), policy);
-        let net: Network<PortMix> =
-            Network::with_states(program.0.clone(), arena.states_snapshot());
-        let mut reference = net.states().to_vec();
-        net.next_states_into(program, &mut reference);
-        (arena, reference)
+        let net = Network::with_states(program.0.clone(), arena.states_snapshot());
+        let mut reference = ReferenceRunner::rounds(program, net);
+        reference.step();
+        (arena, reference.into_network().states().to_vec())
     }
 
     fn cases() -> impl Iterator<Item = (PortMix, LayoutPolicy)> {

@@ -1,8 +1,8 @@
 //! The one runner API: an object-safe [`Runner`] trait implemented by
 //! every execution path.
 //!
-//! The sequential references [`SyncRunner`] / [`AsyncRunner`] of `smst-sim`,
-//! the [`ShardedRunner`](crate::ShardedRunner) of this crate and the
+//! The sequential [`ReferenceRunner`] of `smst-sim`, the
+//! [`ShardedRunner`](crate::ShardedRunner) of this crate and the
 //! `smst-net` coordinator all implement [`Runner`]: callers hold a
 //! `Box<dyn Runner<P>>` built by
 //! [`EngineConfig::instantiate`](crate::EngineConfig::instantiate) and
@@ -18,7 +18,9 @@
 //!   `run_until` flavours are derived from it through the single
 //!   [`drive_until`] loop.
 //! * Two loops step a runner, no more: [`drive_until`] and the chaos
-//!   plane's [`run_chaos`](crate::run_chaos). Everything else composes
+//!   plane's [`run_chaos`](crate::run_chaos) (the reference runner's own
+//!   [`ReferenceRunner::run_until`] is pinned to `drive_until` by this
+//!   module's tests). Everything else composes
 //!   `try_run_until` calls — the fault experiment
 //!   ([`run_fault_experiment`](crate::run_fault_experiment)) is a `Steps`
 //!   warm-up, [`apply_faults`](Runner::apply_faults), one `try_step` (its
@@ -32,25 +34,13 @@
 
 use crate::config::EngineError;
 use smst_graph::{NodeId, WeightedGraph};
-use smst_sim::{
-    AsyncRunner, FaultPlan, Network, NodeContext, NodeProgram, RoundObserver, SyncRunner,
-};
+use smst_sim::{FaultPlan, Network, NodeContext, NodeProgram, ReferenceRunner, RoundObserver};
 
-/// When a driven run ends (always bounded by the caller's step budget).
-///
-/// Shared by the [`Runner`] trait's [`run_until`](Runner::run_until),
+/// The stop-condition vocabulary shared by [`Runner::run_until`],
 /// [`run_fault_experiment`](crate::run_fault_experiment) and
-/// [`ScenarioSpec`](crate::ScenarioSpec) — one stop-condition vocabulary
-/// for every execution path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopCondition {
-    /// Run the full step budget.
-    Steps,
-    /// Stop at the first alarm ([`smst_sim::Verdict::Reject`]).
-    FirstAlarm,
-    /// Stop once every node accepts.
-    AllAccept,
-}
+/// [`ScenarioSpec`](crate::ScenarioSpec); defined next to the sequential
+/// reference in `smst-sim`.
+pub use smst_sim::StopCondition;
 
 /// One execution path of the engine, driven step by step.
 ///
@@ -76,7 +66,7 @@ pub trait Runner<P: NodeProgram> {
     /// Executes exactly one step, surfacing execution failures as a typed
     /// [`EngineError`] instead of unwinding.
     ///
-    /// The sequential reference runners never fail; the sharded and remote
+    /// The sequential reference runner never fails; the sharded and remote
     /// runners step under supervised recovery — a worker panic is retried
     /// under the configured [`RecoveryPolicy`](crate::RecoveryPolicy) and
     /// only surfaces as `Err` once retries are exhausted (or immediately
@@ -189,22 +179,22 @@ where
     })
 }
 
-impl<'p, P> Runner<P> for SyncRunner<'p, P>
+impl<'p, P> Runner<P> for ReferenceRunner<'p, P>
 where
     P: NodeProgram + Sync,
     P::State: Send + Sync,
 {
     fn try_step(&mut self) -> Result<(), EngineError> {
-        self.step_round();
+        ReferenceRunner::step(self);
         Ok(())
     }
 
     fn steps(&self) -> usize {
-        self.rounds()
+        ReferenceRunner::steps(self)
     }
 
     fn activations(&self) -> usize {
-        self.rounds() * self.network().node_count()
+        ReferenceRunner::activations(self)
     }
 
     fn graph(&self) -> &WeightedGraph {
@@ -246,76 +236,11 @@ where
     }
 
     fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        SyncRunner::set_observer(self, observer);
+        ReferenceRunner::set_observer(self, observer);
     }
 
     fn into_network(self: Box<Self>) -> Network<P> {
-        SyncRunner::into_network(*self)
-    }
-}
-
-impl<'p, P> Runner<P> for AsyncRunner<'p, P>
-where
-    P: NodeProgram + Sync,
-    P::State: Send + Sync,
-{
-    fn try_step(&mut self) -> Result<(), EngineError> {
-        self.step_time_unit();
-        Ok(())
-    }
-
-    fn steps(&self) -> usize {
-        self.time_units()
-    }
-
-    fn activations(&self) -> usize {
-        AsyncRunner::activations(self)
-    }
-
-    fn graph(&self) -> &WeightedGraph {
-        self.network().graph()
-    }
-
-    fn state(&self, v: NodeId) -> &P::State {
-        self.network().state(v)
-    }
-
-    fn state_mut(&mut self, v: NodeId) -> &mut P::State {
-        self.network_mut().state_mut(v)
-    }
-
-    fn states_snapshot(&self) -> Vec<P::State> {
-        self.network().states().to_vec()
-    }
-
-    fn context(&self, v: NodeId) -> NodeContext {
-        *self.network().context(v)
-    }
-
-    fn any_alarm(&self) -> bool {
-        self.network().any_alarm(self.program())
-    }
-
-    fn all_accept(&self) -> bool {
-        self.network().all_accept(self.program())
-    }
-
-    fn alarming_nodes(&self) -> Vec<NodeId> {
-        self.network().alarming_nodes(self.program())
-    }
-
-    fn apply_faults(&mut self, plan: &FaultPlan, mutate: &mut dyn FnMut(NodeId, &mut P::State)) {
-        for &v in plan.nodes() {
-            mutate(v, self.network_mut().state_mut(v));
-        }
-    }
-
-    fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        AsyncRunner::set_observer(self, observer);
-    }
-
-    fn into_network(self: Box<Self>) -> Network<P> {
-        AsyncRunner::into_network(*self)
+        ReferenceRunner::into_network(*self)
     }
 }
 
@@ -326,12 +251,33 @@ mod tests {
     use smst_graph::generators::path_graph;
     use smst_sim::{Daemon, RecordingObserver};
 
+    /// The two schedules of the sequential reference: rounds, and a
+    /// random daemon whose units hold extra activations.
+    const SCHEDULES: [Option<Daemon>; 2] = [
+        None,
+        Some(Daemon::Random {
+            seed: 7,
+            extra_factor: 1,
+        }),
+    ];
+
+    fn reference<'p>(
+        program: &'p MinIdFlood,
+        g: &WeightedGraph,
+        daemon: Option<Daemon>,
+    ) -> ReferenceRunner<'p, MinIdFlood> {
+        let network = Network::new(program, g.clone());
+        match daemon {
+            None => ReferenceRunner::rounds(program, network),
+            Some(daemon) => ReferenceRunner::daemon(program, network, daemon),
+        }
+    }
+
     #[test]
     fn reference_runners_drive_through_the_trait() {
         let g = path_graph(6, 0);
         let program = MinIdFlood::new(0);
-        let mut sync: Box<dyn Runner<MinIdFlood>> =
-            Box::new(SyncRunner::new(&program, Network::new(&program, g.clone())));
+        let mut sync: Box<dyn Runner<MinIdFlood>> = Box::new(reference(&program, &g, None));
         let steps = sync
             .run_until(StopCondition::AllAccept, 100)
             .expect("the flood converges");
@@ -345,11 +291,8 @@ mod tests {
         let network = sync.into_network();
         assert!(network.states().iter().all(|&s| s == 0));
 
-        let mut asynch: Box<dyn Runner<MinIdFlood>> = Box::new(AsyncRunner::new(
-            &program,
-            Network::new(&program, g),
-            Daemon::RoundRobin,
-        ));
+        let mut asynch: Box<dyn Runner<MinIdFlood>> =
+            Box::new(reference(&program, &g, Some(Daemon::RoundRobin)));
         asynch.step();
         assert_eq!((asynch.steps(), asynch.activations()), (1, 6));
     }
@@ -358,39 +301,61 @@ mod tests {
     fn reference_runners_invoke_observers() {
         let g = path_graph(5, 0);
         let program = MinIdFlood::new(0);
-        let recording = RecordingObserver::new();
-        let mut runner: Box<dyn Runner<MinIdFlood>> =
-            Box::new(SyncRunner::new(&program, Network::new(&program, g)));
-        runner.set_observer(Box::new(recording.clone()));
-        runner.run_until(StopCondition::Steps, 3);
-        assert_eq!(recording.rounds_observed(), 3);
-        let trace = recording.deterministic_trace();
-        assert_eq!(trace[0].0, 0, "step indices start at 0");
-        assert_eq!(trace[2].0, 2);
-        assert!(trace.iter().all(|t| t.2 == 5), "n activations per round");
+        for daemon in SCHEDULES {
+            let unit_activations = |u| daemon.as_ref().map_or(5, |d| d.schedule(5, u).len());
+            let recording = RecordingObserver::new();
+            let mut runner: Box<dyn Runner<MinIdFlood>> =
+                Box::new(reference(&program, &g, daemon.clone()));
+            runner.set_observer(Box::new(recording.clone()));
+            runner.run_until(StopCondition::Steps, 3);
+            assert_eq!(recording.rounds_observed(), 3);
+            for (u, t) in recording.deterministic_trace().into_iter().enumerate() {
+                assert_eq!(t.0, u, "step indices start at 0");
+                assert_eq!(
+                    t.2,
+                    unit_activations(u),
+                    "{daemon:?}: activations of step {u}"
+                );
+            }
+            assert_eq!(runner.activations(), (0..3).map(unit_activations).sum());
+        }
     }
 
     #[test]
     fn run_until_semantics() {
         let g = path_graph(4, 0);
         let program = MinIdFlood::new(0);
-        let mut runner: Box<dyn Runner<MinIdFlood>> =
-            Box::new(SyncRunner::new(&program, Network::new(&program, g)));
-        // Steps runs the full budget and reports it
-        assert_eq!(runner.run_until(StopCondition::Steps, 2), Some(2));
-        // AllAccept met immediately costs zero steps
-        runner.run_until(StopCondition::AllAccept, 100);
-        assert_eq!(runner.run_until(StopCondition::AllAccept, 5), Some(0));
-        // FirstAlarm never fires on this program: timeout
-        assert_eq!(runner.run_until(StopCondition::FirstAlarm, 2), None);
+        for daemon in SCHEDULES {
+            let mut direct = reference(&program, &g, daemon.clone());
+            let mut boxed: Box<dyn Runner<MinIdFlood>> =
+                Box::new(reference(&program, &g, daemon.clone()));
+            // the oracle's own loop answers what the trait's drive_until does
+            let mut run_until = |until, max_steps| {
+                let answer = ReferenceRunner::run_until(&mut direct, until, max_steps);
+                assert_eq!(
+                    boxed.run_until(until, max_steps),
+                    answer,
+                    "{daemon:?}: {until:?} within {max_steps}"
+                );
+                answer
+            };
+            // Steps runs the full budget and reports it
+            assert_eq!(run_until(StopCondition::Steps, 2), Some(2));
+            // AllAccept met immediately costs zero steps
+            run_until(StopCondition::AllAccept, 100).expect("the flood converges");
+            assert_eq!(run_until(StopCondition::AllAccept, 5), Some(0));
+            // FirstAlarm never fires on this program: timeout
+            assert_eq!(run_until(StopCondition::FirstAlarm, 2), None);
+            assert_eq!(boxed.steps(), direct.steps());
+            assert_eq!(boxed.states_snapshot(), direct.network().states());
+        }
     }
 
     #[test]
     fn try_surface_mirrors_the_panicking_surface_on_reference_runners() {
         let g = path_graph(5, 0);
         let program = MinIdFlood::new(0);
-        let mut runner: Box<dyn Runner<MinIdFlood>> =
-            Box::new(SyncRunner::new(&program, Network::new(&program, g)));
+        let mut runner: Box<dyn Runner<MinIdFlood>> = Box::new(reference(&program, &g, None));
         runner.try_step().expect("reference runners never fail");
         assert_eq!(runner.steps(), 1);
         assert_eq!(

@@ -5,7 +5,7 @@
 //! *who is activated when*, the one thing that separates the paper's
 //! synchronous and asynchronous bounds:
 //!
-//! * **rounds** — the rounds of [`SyncRunner`](smst_sim::SyncRunner). A
+//! * **rounds** — the rounds of [`ReferenceRunner::rounds`]. A
 //!   chunk of rounds is one [`run_rounds`](crate::WorkerPool::run_rounds)
 //!   over a [`HaloPlan`]: every part [`sweep`]s its shard out of the
 //!   previous-round buffer into its region of the next. The **direct** plan runs on the register
@@ -23,10 +23,10 @@
 //!
 //! * **Determinism.** A round reads only the previous round's registers, a
 //!   batch only the pre-batch ones, and every CSR hands `step` the
-//!   neighbours in port order: rounds equal `SyncRunner` at every thread
-//!   count, layout and plan; batches are a pure function of `(daemon, n,
-//!   unit)` at every thread count and layout, and at width 1 replay
-//!   [`AsyncRunner`](smst_sim::AsyncRunner) activation for activation.
+//!   neighbours in port order: rounds equal the reference's rounds at every
+//!   thread count, layout and plan; batches are a pure function of
+//!   `(daemon, n, unit)` at every thread count and layout, and at width 1
+//!   replay [`ReferenceRunner::daemon`] activation for activation.
 //! * **Between steps the arena's registers are current**, so faults
 //!   injected between steps are seen by the next one.
 //! * **Recovery is invisible.** Every attempt runs under
@@ -39,6 +39,9 @@
 //! * **Unobserved runs never read the clock.** Unobserved rounds run as one
 //!   multi-round chunk; while a [`RoundObserver`] is attached every step is
 //!   its own timed attempt. Batches are one time unit per attempt.
+//!
+//! [`ReferenceRunner::rounds`]: smst_sim::ReferenceRunner::rounds
+//! [`ReferenceRunner::daemon`]: smst_sim::ReferenceRunner::daemon
 
 use crate::arena::Arena;
 use crate::config::{
@@ -462,7 +465,7 @@ mod tests {
     use crate::layout::LayoutPolicy;
     use crate::programs::MinIdFlood;
     use smst_graph::generators::{expander_graph, path_graph, random_connected_graph};
-    use smst_sim::{AsyncRunner, Daemon, RecordingObserver, SyncRunner};
+    use smst_sim::{Daemon, RecordingObserver, ReferenceRunner};
     use std::time::Duration;
 
     static MIN_ID: MinIdFlood = MinIdFlood::new(0);
@@ -500,7 +503,7 @@ mod tests {
         for threads in [1, 2, 4, 7] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let mut par = with_layout(&g, threads, policy);
-                let mut seq = SyncRunner::new(&MIN_ID, Network::new(&MIN_ID, g.clone()));
+                let mut seq = ReferenceRunner::rounds(&MIN_ID, Network::new(&MIN_ID, g.clone()));
                 for round in 0..12 {
                     assert_eq!(
                         par.states_snapshot(),
@@ -508,7 +511,7 @@ mod tests {
                         "round {round}, {threads} threads, {policy:?}"
                     );
                     par.step();
-                    seq.step_round();
+                    seq.step();
                 }
             }
         }
@@ -755,8 +758,11 @@ mod tests {
             },
         ] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
-                let mut seq =
-                    AsyncRunner::new(&MIN_ID, Network::new(&MIN_ID, g.clone()), daemon.clone());
+                let mut seq = ReferenceRunner::daemon(
+                    &MIN_ID,
+                    Network::new(&MIN_ID, g.clone()),
+                    daemon.clone(),
+                );
                 let mut par = runner(&g, &envelope(daemon.clone(), 1, 4).layout(policy));
                 for unit in 0..6 {
                     assert_eq!(
@@ -764,7 +770,7 @@ mod tests {
                         seq.network().states(),
                         "{daemon:?}, unit {unit}, {policy:?}"
                     );
-                    seq.step_time_unit();
+                    seq.step();
                     par.step();
                 }
                 assert_eq!(par.activations(), seq.activations(), "{daemon:?}");
@@ -778,11 +784,11 @@ mod tests {
         // the RoundRobin daemon and batch = n, one time unit is one
         // synchronous round: registers, activations and the observer stream
         // equal the rounds schedule's at every step, and the sequential
-        // SyncRunner pins the registers
+        // reference rounds pin the registers
         let n = 3000;
         let g = random_connected_graph(n, 8000, 12);
         assert!(n >= 4 * MIN_BATCH_SPAWN);
-        let mut sync = SyncRunner::new(&MIN_ID, Network::new(&MIN_ID, g.clone()));
+        let mut sync = ReferenceRunner::rounds(&MIN_ID, Network::new(&MIN_ID, g.clone()));
         let mut rounds = runner(&g, &EngineConfig::new().threads(4));
         let mut single = batches(&g, Daemon::RoundRobin, n, 1);
         let mut multi = batches(&g, Daemon::RoundRobin, n, 4);
@@ -794,7 +800,7 @@ mod tests {
             runner.set_observer(Box::new(trace.clone()));
         }
         for unit in 0..4 {
-            sync.step_round();
+            sync.step();
             for runner in [&mut rounds, &mut single, &mut multi] {
                 runner.step();
             }

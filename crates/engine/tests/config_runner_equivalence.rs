@@ -110,7 +110,7 @@ proptest! {
         let program = MinIdFlood::new(0);
         let daemon = Daemon::Random { seed: daemon_seed, extra_factor: 1 };
         // batch width 1 is the sequential semantics: every sharded envelope
-        // must replay the reference AsyncRunner register for register
+        // must replay the reference daemon schedule register for register
         let mut reference = EngineConfig::reference()
             .asynchronous(daemon.clone(), 1)
             .instantiate(&program, g.clone())

@@ -1,6 +1,6 @@
 //! Property tests for the halo-exchange execution mode: halo-mode runs must
-//! be **bit-for-bit identical** to the sequential [`SyncRunner`] across
-//! threads ∈ {1, 2, 8} × layout ∈ {Identity, Rcm} (the sequential runner
+//! be **bit-for-bit identical** to the sequential [`ReferenceRunner`]'s
+//! rounds across threads ∈ {1, 2, 8} × layout ∈ {Identity, Rcm} (the sequential runner
 //! stays the oracle, as in the PR 2 equivalence suite), and on the expander
 //! scenario the RCM layout must leave strictly smaller halos than the
 //! identity layout.
@@ -13,7 +13,7 @@ use smst_engine::{
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
-use smst_sim::{Network, SyncRunner};
+use smst_sim::{Network, ReferenceRunner};
 
 fn graph_for(kind: bool, n: usize, seed: u64) -> WeightedGraph {
     if kind {
@@ -35,8 +35,8 @@ proptest! {
     ) {
         let g = graph_for(expander, n, seed);
         let program = MinIdFlood::new(0);
-        let mut seq = SyncRunner::new(&program, Network::new(&program, g.clone()));
-        seq.run_rounds(rounds);
+        let mut seq = ReferenceRunner::rounds(&program, Network::new(&program, g.clone()));
+        seq.run(rounds);
         for threads in [1usize, 2, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let config = EngineConfig::new()

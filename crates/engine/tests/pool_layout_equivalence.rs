@@ -13,7 +13,7 @@ use smst_engine::{
 };
 use smst_graph::generators::{expander_graph, random_connected_graph};
 use smst_graph::WeightedGraph;
-use smst_sim::{AsyncRunner, Daemon, Network, SyncRunner};
+use smst_sim::{Daemon, Network, ReferenceRunner};
 
 fn graph_for(kind: bool, n: usize, seed: u64) -> WeightedGraph {
     if kind {
@@ -35,8 +35,8 @@ proptest! {
     ) {
         let g = graph_for(expander, n, seed);
         let program = MinIdFlood::new(0);
-        let mut seq = SyncRunner::new(&program, Network::new(&program, g.clone()));
-        seq.run_rounds(rounds);
+        let mut seq = ReferenceRunner::rounds(&program, Network::new(&program, g.clone()));
+        seq.run(rounds);
         for threads in [1usize, 2, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let config = EngineConfig::new().threads(threads).layout(policy);
@@ -67,8 +67,8 @@ proptest! {
         let g = graph_for(expander, n, seed);
         let program = MinIdFlood::new(0);
         let daemon = Daemon::Random { seed: daemon_seed, extra_factor: 1 };
-        let mut seq = AsyncRunner::new(&program, Network::new(&program, g.clone()), daemon.clone());
-        seq.run_time_units(units);
+        let mut seq = ReferenceRunner::daemon(&program, Network::new(&program, g.clone()), daemon.clone());
+        seq.run(units);
         for threads in [1usize, 2, 8] {
             for policy in [LayoutPolicy::Identity, LayoutPolicy::Rcm] {
                 let config = EngineConfig::new()

@@ -65,12 +65,6 @@ impl SpanningTreeScheme {
             parent_id: tree.parent(v).map(|p| g.id(p)),
         }
     }
-
-    /// Convenience: `true` if, according to the labels, the neighbour behind
-    /// `port` is a child of `view.node` (it claims `view.node` as parent).
-    pub fn is_child(view: &LabelView<'_, SpLabel>, port: smst_graph::Port) -> bool {
-        view.at(port).parent_id == Some(view.own.own_id)
-    }
 }
 
 impl OneRoundScheme for SpanningTreeScheme {
@@ -142,9 +136,9 @@ mod tests {
     use super::*;
     use crate::scheme::{max_label_bits, verify_all};
     use proptest::prelude::*;
-    use smst_graph::generators::{random_connected_graph, star_graph};
+    use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
-    use smst_graph::{ComponentMap, Port};
+    use smst_graph::ComponentMap;
 
     fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
         let g = random_connected_graph(n, m, seed);
@@ -221,26 +215,6 @@ mod tests {
             .expect("child is a neighbour");
         let broken = Instance::new(g, components);
         assert!(!verify_all(&SpanningTreeScheme, &broken, &labels).accepted());
-    }
-
-    #[test]
-    fn child_identification_helper() {
-        let g = star_graph(4, 1);
-        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
-        let inst = Instance::from_tree(g.clone(), &tree);
-        let labels = SpanningTreeScheme.mark(&inst).unwrap();
-        let view = LabelView {
-            node: NodeId(0),
-            own: &labels[0],
-            neighbors: g
-                .incident_edges(NodeId(0))
-                .iter()
-                .map(|&e| &labels[g.edge(e).other(NodeId(0)).index()])
-                .collect(),
-        };
-        for p in 0..3 {
-            assert!(SpanningTreeScheme::is_child(&view, Port(p)));
-        }
     }
 
     proptest! {

@@ -9,7 +9,6 @@ use smst_labeling::kkp::KkpMstScheme;
 use smst_labeling::recompute::RecomputeChecker;
 use smst_labeling::scheme::{max_label_bits, verify_all};
 use smst_labeling::{Instance, OneRoundScheme};
-use smst_sim::{DetectionReport, FaultPlan};
 
 /// How long a verification scheme took to flag a non-MST configuration.
 #[derive(Debug, Clone, Copy)]
@@ -119,30 +118,6 @@ pub fn verification_memory_bits(variant: Variant, graph: &WeightedGraph) -> u64 
     }
 }
 
-/// Detection report of the 1-round baseline after `f` label corruptions:
-/// detection time is one round and the detection distance is at most 1 hop
-/// from each fault (the property inherited from [54, 55]).
-pub fn one_round_detection_report(
-    instance: &Instance,
-    plan: &FaultPlan,
-    seed: u64,
-) -> DetectionReport {
-    let mut labels = match KkpMstScheme.mark(instance) {
-        Ok(labels) => labels,
-        Err(_) => return DetectionReport::not_detected(),
-    };
-    for (i, &v) in plan.nodes().iter().enumerate() {
-        let l = &mut labels[v.index()];
-        l.sp.dist = l.sp.dist.wrapping_add(1 + (seed + i as u64) % 5);
-    }
-    let outcome = verify_all(&KkpMstScheme, instance, &labels);
-    if outcome.accepted() {
-        DetectionReport::not_detected()
-    } else {
-        DetectionReport::from_alarms(&instance.graph, 1, outcome.rejecting, plan.nodes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,16 +163,5 @@ mod tests {
         );
         let recompute = verification_memory_bits(Variant::Recompute, &large);
         assert!(recompute > 0);
-    }
-
-    #[test]
-    fn one_round_report_detects_at_distance_one() {
-        let g = random_connected_graph(20, 50, 4);
-        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
-        let instance = Instance::from_tree(g, &tree);
-        let plan = FaultPlan::random(20, 2, 7);
-        let report = one_round_detection_report(&instance, &plan, 5);
-        assert!(report.detected);
-        assert!(report.max_detection_distance <= 1);
     }
 }

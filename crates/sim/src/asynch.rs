@@ -1,4 +1,4 @@
-//! The asynchronous executor: single-node activations chosen by a daemon.
+//! The asynchronous schedules: single-node activations chosen by a daemon.
 //!
 //! The paper's asynchronous model assumes a distributed daemon with strong
 //! fairness and fine-grained atomicity (§2.1). We simulate it with a central
@@ -9,9 +9,6 @@
 //! time unit, which is how asynchrony (some nodes running much faster than
 //! others) is modelled.
 
-use crate::network::Network;
-use crate::observer::{RoundObserver, RoundStats};
-use crate::program::NodeProgram;
 use smst_graph::NodeId;
 use smst_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 
@@ -263,146 +260,12 @@ fn insert_extras(order: Vec<NodeId>, extras: usize, rng: &mut StdRng) -> Vec<Nod
         .collect()
 }
 
-/// Runs a [`Network`] under an asynchronous daemon, counting normalized time
-/// units and raw activations.
-#[derive(Debug)]
-pub struct AsyncRunner<'p, P: NodeProgram> {
-    program: &'p P,
-    network: Network<P>,
-    daemon: Daemon,
-    time_units: usize,
-    activations: usize,
-    /// Per-time-unit measurement hook; stats are computed only while
-    /// attached.
-    observer: Option<Box<dyn RoundObserver>>,
-}
-
-impl<'p, P: NodeProgram> AsyncRunner<'p, P> {
-    /// Creates a runner over an existing network with the given daemon.
-    pub fn new(program: &'p P, network: Network<P>, daemon: Daemon) -> Self {
-        AsyncRunner {
-            program,
-            network,
-            daemon,
-            time_units: 0,
-            activations: 0,
-            observer: None,
-        }
-    }
-
-    /// Attaches a [`RoundObserver`] invoked after every time unit
-    /// (replacing any previous one). Observation costs one verdict sweep
-    /// per unit; results never change.
-    pub fn set_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Normalized asynchronous time units elapsed so far.
-    pub fn time_units(&self) -> usize {
-        self.time_units
-    }
-
-    /// Raw single-node activations executed so far.
-    pub fn activations(&self) -> usize {
-        self.activations
-    }
-
-    /// The network being executed.
-    pub fn network(&self) -> &Network<P> {
-        &self.network
-    }
-
-    /// Mutable access to the network (used for mid-execution fault injection).
-    pub fn network_mut(&mut self) -> &mut Network<P> {
-        &mut self.network
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &P {
-        self.program
-    }
-
-    /// Consumes the runner, returning the network.
-    pub fn into_network(self) -> Network<P> {
-        self.network
-    }
-
-    /// Executes one normalized time unit (every node activated at least once).
-    pub fn step_time_unit(&mut self) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "observer-gated unit timing; wall time never feeds round state"
-        )]
-        let start = self.observer.is_some().then(std::time::Instant::now);
-        let schedule = self
-            .daemon
-            .schedule(self.network.node_count(), self.time_units);
-        let unit_activations = schedule.len();
-        for v in schedule {
-            self.network.activate(self.program, v);
-            self.activations += 1;
-        }
-        self.time_units += 1;
-        if let Some(mut observer) = self.observer.take() {
-            observer.on_round(&RoundStats {
-                round: self.time_units - 1,
-                alarms: self.network.alarm_count(self.program),
-                activations: unit_activations,
-                halo_bytes: 0,
-                // sequential activations: the whole unit is compute
-                dispatch_ns: 0,
-                compute_ns: start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                barrier_ns: 0,
-                exchange_ns: 0,
-            });
-            self.observer = Some(observer);
-        }
-    }
-
-    /// Executes `count` time units.
-    pub fn run_time_units(&mut self, count: usize) {
-        for _ in 0..count {
-            self.step_time_unit();
-        }
-    }
-
-    /// Runs until `stop` holds (checked after every time unit) or until
-    /// `max_units` additional units have elapsed; returns the number of units
-    /// executed by this call if the condition was met.
-    pub fn run_until<F>(&mut self, max_units: usize, mut stop: F) -> Option<usize>
-    where
-        F: FnMut(&Network<P>) -> bool,
-    {
-        if stop(&self.network) {
-            return Some(0);
-        }
-        for executed in 1..=max_units {
-            self.step_time_unit();
-            if stop(&self.network) {
-                return Some(executed);
-            }
-        }
-        None
-    }
-
-    /// Runs until some node raises an alarm; returns the detection time in
-    /// asynchronous time units.
-    pub fn run_until_alarm(&mut self, max_units: usize) -> Option<usize> {
-        let program = self.program;
-        self.run_until(max_units, |net| net.any_alarm(program))
-    }
-
-    /// Runs until every node accepts.
-    pub fn run_until_all_accept(&mut self, max_units: usize) -> Option<usize> {
-        let program = self.program;
-        self.run_until(max_units, |net| net.all_accept(program))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{NodeContext, Verdict};
+    use crate::network::Network;
+    use crate::program::{NodeContext, NodeProgram, Verdict};
+    use crate::runner::{ReferenceRunner, StopCondition};
     use smst_graph::generators::path_graph;
 
     /// `Daemon::Random`'s schedule with every extra activation inserted
@@ -470,8 +333,8 @@ mod tests {
         let g = path_graph(8, 0);
         let d = g.diameter().unwrap();
         let net = Network::new(&MinId, g);
-        let mut runner = AsyncRunner::new(&MinId, net, Daemon::RoundRobin);
-        let t = runner.run_until_all_accept(100).unwrap();
+        let mut runner = ReferenceRunner::daemon(&MinId, net, Daemon::RoundRobin);
+        let t = runner.run_until(StopCondition::AllAccept, 100).unwrap();
         // index-order round robin on a path rooted at node 0 converges in 1 unit
         assert!(t <= d);
         assert!(runner.activations() >= runner.network().node_count());
@@ -481,7 +344,7 @@ mod tests {
     fn random_daemon_is_fair_and_converges() {
         let g = path_graph(12, 0);
         let net = Network::new(&MinId, g);
-        let mut runner = AsyncRunner::new(
+        let mut runner = ReferenceRunner::daemon(
             &MinId,
             net,
             Daemon::Random {
@@ -489,7 +352,7 @@ mod tests {
                 extra_factor: 2,
             },
         );
-        let t = runner.run_until_all_accept(50).unwrap();
+        let t = runner.run_until(StopCondition::AllAccept, 50).unwrap();
         assert!(t <= 12, "random daemon should converge within n units");
     }
 
@@ -497,7 +360,7 @@ mod tests {
     fn adversarial_daemon_still_fair() {
         let g = path_graph(6, 0);
         let net = Network::new(&MinId, g);
-        let mut runner = AsyncRunner::new(
+        let mut runner = ReferenceRunner::daemon(
             &MinId,
             net,
             Daemon::Adversarial {
@@ -505,7 +368,7 @@ mod tests {
                 pivot_repeats: 4,
             },
         );
-        let t = runner.run_until_all_accept(50).unwrap();
+        let t = runner.run_until(StopCondition::AllAccept, 50).unwrap();
         assert!(t <= 6);
     }
 
@@ -589,7 +452,7 @@ mod tests {
     fn timeout_returns_none() {
         let g = path_graph(20, 0);
         let net = Network::new(&MinId, g);
-        let mut runner = AsyncRunner::new(
+        let mut runner = ReferenceRunner::daemon(
             &MinId,
             net,
             Daemon::Adversarial {
@@ -598,7 +461,7 @@ mod tests {
             },
         );
         // reverse order maximally delays the spread from node 0: needs ~n units
-        assert_eq!(runner.run_until_all_accept(1), None);
-        assert_eq!(runner.time_units(), 1);
+        assert_eq!(runner.run_until(StopCondition::AllAccept, 1), None);
+        assert_eq!(runner.steps(), 1);
     }
 }

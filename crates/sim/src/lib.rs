@@ -20,12 +20,15 @@
 //! * [`program::NodeProgram`] — the node-level state machine interface all
 //!   distributed algorithms in the workspace implement;
 //! * [`network::Network`] — a graph plus per-node execution contexts;
-//! * [`sync::SyncRunner`] — the synchronous round executor;
-//! * [`asynch::AsyncRunner`] and [`asynch::Daemon`] — asynchronous execution
-//!   under round-robin, random, or adversarial daemons;
+//! * [`runner::ReferenceRunner`] — the sequential executor, in lock-step
+//!   rounds or under a central daemon, stopped by a
+//!   [`runner::StopCondition`];
+//! * [`asynch::Daemon`] — round-robin, random, or adversarial central
+//!   daemons;
 //! * [`asynch::BatchDaemon`] — the distributed-daemon generalization
 //!   (batches of simultaneous activations; the central [`asynch::Daemon`]
-//!   is its batch-width-1 special case via [`asynch::ChunkedDaemon`]);
+//!   implements it directly as singleton batches, and
+//!   [`asynch::ChunkedDaemon`] cuts its schedule into wider ones);
 //! * [`faults`] — transient-fault injection;
 //! * [`schedule`] — recurring fault schedules (periodic / burst /
 //!   Poisson-like arrivals) for verify-forever chaos campaigns, with
@@ -46,14 +49,14 @@ pub mod metrics;
 pub mod network;
 pub mod observer;
 pub mod program;
+pub mod runner;
 pub mod schedule;
-pub mod sync;
 
-pub use asynch::{ActivationBatch, AsyncRunner, BatchDaemon, ChunkedDaemon, Daemon};
+pub use asynch::{ActivationBatch, BatchDaemon, ChunkedDaemon, Daemon};
 pub use faults::FaultPlan;
-pub use metrics::{DetectionReport, ExecutionStats};
+pub use metrics::DetectionReport;
 pub use network::Network;
 pub use observer::{RecordingObserver, RoundObserver, RoundStats, TeeObserver};
 pub use program::{NodeContext, NodeProgram, Verdict};
+pub use runner::{ReferenceRunner, StopCondition};
 pub use schedule::{Arrival, FaultSchedule, WaveStats};
-pub use sync::SyncRunner;

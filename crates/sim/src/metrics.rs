@@ -13,16 +13,6 @@
 
 use smst_graph::{NodeId, WeightedGraph};
 
-/// Summary of one execution (either scheduler).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecutionStats {
-    /// Synchronous rounds or normalized asynchronous time units executed.
-    pub time: usize,
-    /// Raw single-node activations (equals `time × n` for the synchronous
-    /// scheduler).
-    pub activations: usize,
-}
-
 /// The outcome of a fault-detection experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectionReport {
@@ -127,12 +117,5 @@ mod tests {
         assert!(!r.detected);
         assert_eq!(r.detection_time, None);
         assert_eq!(r.max_detection_distance, usize::MAX);
-    }
-
-    #[test]
-    fn stats_default() {
-        let s = ExecutionStats::default();
-        assert_eq!(s.time, 0);
-        assert_eq!(s.activations, 0);
     }
 }

@@ -7,8 +7,8 @@ use smst_graph::{NodeId, WeightedGraph};
 /// A network executing a [`NodeProgram`]: the topology, the per-node static
 /// contexts, and the current register of every node.
 ///
-/// The network itself is scheduler-agnostic; [`crate::sync::SyncRunner`] and
-/// [`crate::asynch::AsyncRunner`] drive it.
+/// The network itself is scheduler-agnostic; [`crate::ReferenceRunner`]
+/// drives it in rounds or under a daemon.
 #[derive(Debug, Clone)]
 pub struct Network<P: NodeProgram> {
     graph: WeightedGraph,
@@ -106,64 +106,54 @@ impl<P: NodeProgram> Network<P> {
         self.states[v.index()] = state;
     }
 
-    /// Swaps the whole register vector with `other` (the double-buffer hand-
-    /// over used by [`crate::sync::SyncRunner`]: the freshly computed round
-    /// becomes current and the previous round becomes the scratch buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` does not hold one state per node.
-    pub fn swap_states(&mut self, other: &mut Vec<P::State>) {
-        assert_eq!(
-            other.len(),
-            self.states.len(),
-            "one state per node is required"
-        );
-        std::mem::swap(&mut self.states, other);
+    /// The next register of `v` read off the current configuration, its
+    /// neighbours' registers gathered into `neighbors` in port order: the
+    /// one place the simulator calls [`NodeProgram::step`].
+    fn next_state<'a>(
+        &'a self,
+        program: &P,
+        v: NodeId,
+        neighbors: &mut Vec<&'a P::State>,
+    ) -> P::State {
+        neighbors.clear();
+        neighbors.extend(self.graph.neighbors(v).map(|u| &self.states[u.index()]));
+        program.step(
+            &self.contexts[v.index()],
+            &self.states[v.index()],
+            neighbors,
+        )
     }
 
     /// Performs one atomic activation of node `v`: reads the neighbours'
-    /// registers, in port order, and rewrites `v`'s register (always; change
-    /// detection is the caller's). Once the network has activated a node of
-    /// the largest degree, an activation allocates nothing.
-    pub fn activate(&mut self, program: &P, v: NodeId) {
-        let mut neighbor_states: Vec<&P::State> = recycle(std::mem::take(&mut self.spare));
-        neighbor_states.extend(self.graph.neighbors(v).map(|u| &self.states[u.index()]));
-        let next = program.step(
-            &self.contexts[v.index()],
-            &self.states[v.index()],
-            &neighbor_states,
-        );
-        self.spare = recycle(neighbor_states);
+    /// registers and rewrites `v`'s register (always; change detection is
+    /// the caller's). Once the network has activated a node of the largest
+    /// degree, an activation allocates nothing.
+    pub(crate) fn activate(&mut self, program: &P, v: NodeId) {
+        let mut neighbors = recycle(std::mem::take(&mut self.spare));
+        let next = self.next_state(program, v, &mut neighbors);
+        self.spare = recycle(neighbors);
         self.states[v.index()] = next;
     }
 
-    /// Computes (without applying) the next register of every node into
-    /// `out` — one synchronous round read off the current configuration.
-    /// The neighbour buffer is allocated once for the whole round.
+    /// One synchronous round: every node's next register is computed into
+    /// `scratch` off the current configuration, then `scratch` becomes
+    /// current and the previous round becomes the scratch buffer. The
+    /// neighbour buffer is allocated once for the whole round.
     ///
     /// # Panics
     ///
-    /// Panics if `out` does not hold one state per node.
-    pub fn next_states_into(&self, program: &P, out: &mut [P::State]) {
+    /// Panics if `scratch` does not hold one state per node.
+    pub(crate) fn round(&mut self, program: &P, scratch: &mut Vec<P::State>) {
         assert_eq!(
-            out.len(),
+            scratch.len(),
             self.states.len(),
             "one state per node is required"
         );
-        let mut neighbor_states: Vec<&P::State> = Vec::with_capacity(16);
-        for (v, slot) in self.graph.nodes().zip(out) {
-            neighbor_states.clear();
-            neighbor_states.extend(
-                (self.graph.incident_edges(v).iter())
-                    .map(|&e| &self.states[self.graph.edge(e).other(v).index()]),
-            );
-            *slot = program.step(
-                &self.contexts[v.index()],
-                &self.states[v.index()],
-                &neighbor_states,
-            );
+        let mut neighbors = Vec::with_capacity(16);
+        for (v, slot) in self.graph.nodes().zip(scratch.iter_mut()) {
+            *slot = self.next_state(program, v, &mut neighbors);
         }
+        std::mem::swap(&mut self.states, scratch);
     }
 
     /// The verdict of every node under the current configuration, in node
@@ -222,7 +212,7 @@ impl<P: NodeProgram> Network<P> {
 mod tests {
     use super::*;
     use crate::program::NodeContext;
-    use smst_graph::generators::path_graph;
+    use smst_graph::generators::{path_graph, random_connected_graph};
 
     /// Each node repeatedly adopts the minimum identity it has seen.
     struct MinId;
@@ -260,6 +250,42 @@ mod tests {
         net.activate(&MinId, NodeId(2));
         // after one activation it sees node 1's register (1)
         assert_eq!(*net.state(NodeId(2)), 1);
+    }
+
+    /// A step sensitive to the order its neighbours arrive in.
+    #[derive(Clone)]
+    struct PortMix;
+
+    impl NodeProgram for PortMix {
+        type State = u64;
+
+        fn init(&self, ctx: &NodeContext) -> u64 {
+            ctx.id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+
+        fn step(&self, _ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
+            (neighbors.iter().enumerate()).fold(own.rotate_left(7), |acc, (port, &&x)| {
+                acc.wrapping_mul(31).wrapping_add(x ^ port as u64)
+            })
+        }
+    }
+
+    #[test]
+    fn a_round_is_every_node_activated_on_the_previous_registers() {
+        let net = Network::new(&PortMix, random_connected_graph(30, 80, 5));
+        let mut stepped = net.clone();
+        let mut scratch = vec![0; net.node_count()];
+        stepped.round(&PortMix, &mut scratch);
+        assert_eq!(
+            scratch,
+            net.states(),
+            "the previous round becomes the scratch"
+        );
+        for v in net.graph().nodes() {
+            let mut single = net.clone();
+            single.activate(&PortMix, v);
+            assert_eq!(stepped.state(v), single.state(v), "{v:?}");
+        }
     }
 
     #[test]

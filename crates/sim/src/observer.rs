@@ -7,7 +7,7 @@
 //! the halo bytes the step exchanged (sharded halo mode only) and a
 //! wall-clock phase breakdown of where the step spent its time. This is
 //! the single instrumentation surface the `smst-engine` runners, the
-//! sequential reference runners and the bench harness share — per-round
+//! sequential reference runner and the bench harness share — per-round
 //! accounting of the kind KMW-style lower-bound experiments need plugs in
 //! here once, not per runner.
 //!
@@ -101,7 +101,7 @@ pub trait RoundObserver: std::fmt::Debug + Send {
 
 /// A [`RoundObserver`] that records every [`RoundStats`] into shared
 /// storage. Cloning is shallow: keep one clone, hand the other to
-/// [`set_observer`](crate::SyncRunner::set_observer), and read the
+/// [`set_observer`](crate::ReferenceRunner::set_observer), and read the
 /// recording back through the kept clone after the run.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingObserver {
@@ -124,16 +124,6 @@ impl RecordingObserver {
         self.rounds.lock().expect("observer lock poisoned").len()
     }
 
-    /// Total halo bytes exchanged across all observed steps.
-    pub fn total_halo_bytes(&self) -> u64 {
-        self.stats().iter().map(|s| s.halo_bytes).sum()
-    }
-
-    /// Total activations across all observed steps.
-    pub fn total_activations(&self) -> usize {
-        self.stats().iter().map(|s| s.activations).sum()
-    }
-
     /// Mean of one per-step projection over everything recorded, guarded
     /// to `0.0` when nothing was observed (never `NaN`). The shared guard
     /// behind every `mean_*` accessor.
@@ -143,12 +133,6 @@ impl RecordingObserver {
             return 0.0;
         }
         stats.iter().map(|s| f(s) as f64).sum::<f64>() / stats.len() as f64
-    }
-
-    /// Mean dispatch-residual latency in nanoseconds (0.0 when nothing
-    /// was observed). Wall-clock — indicative only.
-    pub fn mean_dispatch_ns(&self) -> f64 {
-        self.mean_of(|s| s.dispatch_ns)
     }
 
     /// Mean total step latency in nanoseconds — the mean of
@@ -261,9 +245,6 @@ mod tests {
         handle.on_round(&stat(1));
         assert_eq!(recording.rounds_observed(), 2);
         assert_eq!(recording.stats()[1], stat(1));
-        assert_eq!(recording.total_halo_bytes(), 16);
-        assert_eq!(recording.total_activations(), 20);
-        assert!((recording.mean_dispatch_ns() - 123.0).abs() < 1e-9);
         assert!((recording.mean_compute_ns() - 400.0).abs() < 1e-9);
         assert!((recording.mean_round_ns() - 600.0).abs() < 1e-9);
         assert_eq!(
@@ -297,7 +278,6 @@ mod tests {
         let recording = RecordingObserver::new();
         assert_eq!(recording.rounds_observed(), 0);
         // every mean accessor shares the emptiness guard: 0.0, never NaN
-        assert_eq!(recording.mean_dispatch_ns(), 0.0);
         assert_eq!(recording.mean_round_ns(), 0.0);
         assert_eq!(recording.mean_compute_ns(), 0.0);
         assert!(recording.deterministic_trace().is_empty());

@@ -9,7 +9,7 @@ use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
 use smst_labeling::Instance;
-use smst_sim::SyncRunner;
+use smst_sim::ReferenceRunner;
 
 fn main() {
     let n = 24;
@@ -33,12 +33,12 @@ fn main() {
     // the verifier runs forever; on a correct instance no node ever rejects
     let verifier = scheme.verifier(&instance, labels);
     let budget = MstVerificationScheme::sync_budget(n);
-    let mut runner = SyncRunner::new(&verifier, verifier.network());
-    runner.run_rounds(budget);
+    let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+    runner.run(budget);
     let alarms = runner.network().alarming_nodes(&verifier);
     println!(
         "after {} synchronous rounds: {} alarms (expected 0), all accept = {}",
-        runner.rounds(),
+        runner.steps(),
         alarms.len(),
         runner.network().all_accept(&verifier)
     );

@@ -9,7 +9,7 @@ use smst_graph::mst::{is_mst, kruskal};
 use smst_graph::{NodeId, RootedTree};
 use smst_labeling::Instance;
 use smst_selfstab::{SelfStabilizingMst, Variant};
-use smst_sim::{FaultPlan, SyncRunner};
+use smst_sim::{FaultPlan, ReferenceRunner};
 
 fn instance_from(graph: smst_graph::WeightedGraph) -> Instance {
     let tree = kruskal(&graph)
@@ -37,8 +37,8 @@ fn construction_marking_and_verification_agree_across_topologies() {
         let (labels, report) = scheme.mark(&inst).unwrap();
         assert!(report.total_rounds() <= 130 * inst.node_count() as u64);
         let verifier = scheme.verifier(&inst, labels);
-        let mut runner = SyncRunner::new(&verifier, verifier.network());
-        runner.run_rounds(MstVerificationScheme::sync_budget(inst.node_count()));
+        let mut runner = ReferenceRunner::rounds(&verifier, verifier.network());
+        runner.run(MstVerificationScheme::sync_budget(inst.node_count()));
         assert!(runner.network().all_accept(&verifier));
     }
 }
