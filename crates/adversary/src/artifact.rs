@@ -7,17 +7,16 @@
 //! [`artifact_dir`](smst_telemetry::artifact_dir) (`$SMST_BENCH_DIR`,
 //! default the working directory), so CI uploads campaign finds alongside
 //! the bench trajectory with one artifact rule. `smst-analyze` cannot
-//! link this crate, so its `ingest` keeps a summary reader for the two
-//! `smst-campaign-v1` shapes (this one and
-//! [`chaos_campaign_json`](crate::chaos::chaos_campaign_json)); a golden
-//! file and a round-trip test in `smst-analyze` pin the pair.
+//! link this crate, so its `ingest` keeps a summary reader for the
+//! `smst-campaign-v1` document; a golden file and a round-trip test in
+//! `smst-analyze` pin the pair.
 
 use crate::campaign::{CampaignReport, TrialRecord};
 use crate::shrink::ShrinkResult;
 use smst_telemetry::json::{self, Obj, ToJson};
 use std::path::{Path, PathBuf};
 
-/// The schema tag both campaign document shapes carry.
+/// The schema tag of a campaign document.
 pub const SCHEMA: &str = "smst-campaign-v1";
 
 /// A trial record as the artifact spells it: scores are scalars, which

@@ -2,8 +2,8 @@
 //! baseline regret → shrink → replay) in seconds and writes
 //! `CAMPAIGN_smoke.json` for the artifact upload. The campaign's best find
 //! is additionally replayed **observed** — teeing a [`RecordingObserver`]
-//! with the env-gated trace sink — and its per-round stream is written
-//! to `BENCH_rounds_campaign.json`, keyed by the replayable `TrialId`.
+//! with the trace sink — and its per-round stream is written to
+//! `TRACE_campaign_smoke.jsonl`, keyed by the replayable `TrialId`.
 //! `SMST_BENCH_SMOKE=1` shrinks the trial count further (the default sizes
 //! are already small).
 
@@ -13,7 +13,7 @@ use smst_adversary::{
 };
 use smst_bench::harness::smoke_mode;
 use smst_sim::{RecordingObserver, TeeObserver};
-use smst_telemetry::{artifact_dir, RoundsArtifact, TraceWriter};
+use smst_telemetry::{artifact_dir, TraceWriter};
 
 fn main() {
     let mut spec = CampaignSpec::new("smoke", Workload::Monitor);
@@ -70,27 +70,26 @@ fn main() {
 
     // observed replay of the best find (shrunk if available): the
     // deterministic trial, re-run with per-round accounting attached, its
-    // stream promoted to BENCH_rounds_campaign.json keyed by the TrialId
+    // stream written to TRACE_campaign_smoke.jsonl keyed by the TrialId
     let replay_spec = shrunk.map(|s| s.spec).unwrap_or(best.spec);
     let trial_id = replay_spec.id();
-    let trace = TraceWriter::from_env("campaign_smoke");
+    let trace = TraceWriter::create_in(&artifact_dir(), "campaign_smoke")
+        .expect("creating TRACE_campaign_smoke.jsonl");
     let recording = RecordingObserver::new();
-    let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
-    if let Some(trace) = &trace {
-        tee.push(trace.observer(&trial_id));
-    }
+    let tee = TeeObserver::new()
+        .with(Box::new(recording.clone()))
+        .with(trace.observer(&trial_id));
     let observed = run_trial_observed(&replay_spec, Box::new(tee));
     assert_eq!(
         observed,
         run_trial(&replay_spec),
         "attaching an observer changed the trial outcome"
     );
-    let stats = recording.stats();
-    assert_eq!(stats.len(), observed.steps_run, "one record per step run");
-    let mut artifact = RoundsArtifact::new("rounds_campaign");
-    artifact.push(&format!("campaign/{}/best", spec.name), &trial_id, stats);
-    artifact.finish();
-    if let Some(trace) = trace {
-        trace.flush().expect("flushing the campaign trace");
-    }
+    assert_eq!(
+        recording.stats().len(),
+        observed.steps_run,
+        "one record per step run"
+    );
+    trace.flush().expect("flushing the campaign trace");
+    println!("  trace -> {}", trace.path().display());
 }

@@ -6,11 +6,11 @@
 //! (recovery is invisible in the deterministic trace). A hung-worker
 //! injection must trip the barrier watchdog as a typed
 //! [`PoolError::BarrierTimeout`] instead of deadlocking. Writes the
-//! per-wave books to `BENCH_chaos.json` and the campaign summary (cases +
-//! pool self-healing counters) to `CAMPAIGN_chaos.json`.
-//! `SMST_BENCH_SMOKE=1` shrinks the graph.
+//! per-wave books to `BENCH_chaos.json`, the campaign's one artifact, and
+//! prints the pool's self-healing counters. `SMST_BENCH_SMOKE=1` shrinks
+//! the graph.
 
-use smst_adversary::chaos::{write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseRecord};
+use smst_adversary::chaos::ChaosCase;
 use smst_bench::harness::smoke_mode;
 use smst_engine::programs::AlarmedFlood;
 use smst_engine::{
@@ -47,7 +47,7 @@ fn main() {
     // counters between cases
     let pool = PoolHandle::for_threads(threads);
     let mut artifact = ChaosArtifact::new("chaos");
-    let mut records = Vec::new();
+    let mut reports = Vec::new();
     for (name, schedule) in schedules {
         let envelope = EngineConfig::new().threads(threads);
         let case = ChaosCase::new(name, family.clone(), schedule, steps)
@@ -67,9 +67,8 @@ fn main() {
             )
             .run()
             .expect("the injected panic is retried away");
-        let invisible = chaotic == clean;
         assert!(
-            invisible,
+            chaotic == clean,
             "case `{name}`: recovery leaked into the deterministic trace"
         );
         println!(
@@ -82,21 +81,19 @@ fn main() {
             clean.report.mean_quiescence(),
         );
         artifact.push(case.chaos_run(&clean.report));
-        records.push(ChaosCaseRecord::new(&case, clean.report).recovery_invisible(invisible));
+        reports.push((name, clean.report));
     }
 
     // the acceptance schedules must have measured both latencies
-    for record in &records {
-        if record.case == "periodic" || record.case == "burst" {
+    for (name, report) in &reports {
+        if *name == "periodic" || *name == "burst" {
             assert!(
-                record.report.mean_detection_latency().is_some(),
-                "case `{}` measured no detection latency",
-                record.case
+                report.mean_detection_latency().is_some(),
+                "case `{name}` measured no detection latency"
             );
             assert!(
-                record.report.mean_quiescence().is_some(),
-                "case `{}` measured no quiescence",
-                record.case
+                report.mean_quiescence().is_some(),
+                "case `{name}` measured no quiescence"
             );
         }
     }
@@ -146,7 +143,7 @@ fn main() {
 
     let stats = pool.pool().stats();
     assert!(
-        stats.panics() >= records.len() as u64,
+        stats.panics() >= reports.len() as u64,
         "every injected panic is accounted"
     );
     assert!(
@@ -158,13 +155,12 @@ fn main() {
         stats.panics(),
         stats.respawns(),
         stats.barrier_timeouts(),
-        records.iter().map(|r| r.report.waves.len()).sum::<usize>(),
-        records
+        reports.iter().map(|(_, r)| r.waves.len()).sum::<usize>(),
+        reports
             .iter()
-            .map(|r| r.report.injected_faults)
+            .map(|(_, r)| r.injected_faults)
             .sum::<usize>(),
     );
 
     artifact.finish();
-    write_chaos_campaign_artifact_in(&artifact_dir(), "chaos", &records, pool.pool().stats());
 }

@@ -9,22 +9,15 @@
 //! [`run_chaos`] loop on the [`AlarmedFlood`] workload (the one demo
 //! program where every wave is both *detected* — the garbage floods to a
 //! monitor node — and *digested* — out-of-range values decay
-//! geometrically and the flood re-converges). Results leave two ways:
-//!
-//! * [`ChaosCase::chaos_run`] converts an engine [`ChaosReport`] into a
-//!   telemetry [`ChaosRun`] for the `BENCH_chaos.json` artifact
-//!   ([`smst_telemetry::ChaosArtifact`]);
-//! * [`chaos_campaign_json`] serializes a whole campaign (cases plus the
-//!   worker pool's self-healing counters, [`PoolStats`]) as
-//!   `CAMPAIGN_chaos.json`, next to the search campaigns' artifacts and
-//!   on the same codec (see [`artifact`](crate::artifact)).
+//! geometrically and the flood re-converges). Results leave one way:
+//! [`ChaosCase::chaos_run`] converts an engine [`ChaosReport`] into a
+//! telemetry [`ChaosRun`] for the `BENCH_chaos.json` artifact
+//! ([`smst_telemetry::ChaosArtifact`]), the campaign's one artifact.
 
 use smst_engine::programs::AlarmedFlood;
-use smst_engine::{run_chaos, ChaosReport, EngineConfig, EngineError, GraphFamily, PoolStats};
+use smst_engine::{run_chaos, ChaosReport, EngineConfig, EngineError, GraphFamily};
 use smst_sim::FaultSchedule;
-use smst_telemetry::json::{self, Obj, ToJson};
 use smst_telemetry::ChaosRun;
-use std::path::{Path, PathBuf};
 
 /// One replayable chaos campaign case: a graph family under a recurring
 /// fault schedule, executed on a chosen engine envelope.
@@ -121,110 +114,10 @@ pub struct ChaosCaseOutcome {
     pub states: Vec<u64>,
 }
 
-/// One case line inside [`chaos_campaign_json`].
-#[derive(Debug, Clone)]
-pub struct ChaosCaseRecord {
-    /// Case label.
-    pub case: String,
-    /// Schedule grammar (`FaultSchedule::describe()`).
-    pub schedule: String,
-    /// Worker threads the case ran on.
-    pub threads: usize,
-    /// The case's campaign report.
-    pub report: ChaosReport,
-    /// `Some(true)` when an injected twin of this case reproduced the
-    /// clean run bit-for-bit (`None` when no twin was run).
-    pub recovery_invisible: Option<bool>,
-}
-
-impl ChaosCaseRecord {
-    /// A record from a case and what it reported.
-    pub fn new(case: &ChaosCase, report: ChaosReport) -> Self {
-        ChaosCaseRecord {
-            case: case.name.clone(),
-            schedule: case.schedule.describe(),
-            threads: case.engine.threads,
-            report,
-            recovery_invisible: None,
-        }
-    }
-
-    /// Marks whether the injected twin reproduced the clean run.
-    pub fn recovery_invisible(mut self, invisible: bool) -> Self {
-        self.recovery_invisible = Some(invisible);
-        self
-    }
-}
-
-impl ToJson for ChaosCaseRecord {
-    fn write_json(&self, out: &mut String) {
-        let report = &self.report;
-        Obj::new(out)
-            .field("case", &self.case)
-            .field("schedule", &self.schedule)
-            .field("threads", &self.threads)
-            .field("steps_run", &report.steps_run)
-            .field("waves", &report.waves.len())
-            .field("injected_faults", &report.injected_faults)
-            .field("detected_waves", &report.detected_waves())
-            .field("quiesced_waves", &report.quiesced_waves())
-            .field("mean_detection_latency", &report.mean_detection_latency())
-            .field("mean_quiescence", &report.mean_quiescence())
-            .field("recovery_invisible", &self.recovery_invisible)
-            .end();
-    }
-}
-
-/// The pool's self-healing counters as the `"pool"` object.
-struct PoolCounters<'a>(&'a PoolStats);
-
-impl ToJson for PoolCounters<'_> {
-    fn write_json(&self, out: &mut String) {
-        Obj::new(out)
-            .field("worker_panics", &self.0.panics())
-            .field("worker_respawns", &self.0.respawns())
-            .field("barrier_timeouts", &self.0.barrier_timeouts())
-            .end();
-    }
-}
-
-/// Serializes a chaos campaign — case records plus the pool's
-/// self-healing counters — as one JSON document (the
-/// `CAMPAIGN_chaos.json` body).
-pub fn chaos_campaign_json(name: &str, records: &[ChaosCaseRecord], pool: &PoolStats) -> String {
-    json::document(crate::artifact::SCHEMA, |doc| {
-        doc.field("campaign", name)
-            .field("cases", records)
-            .field("pool", &PoolCounters(pool))
-    })
-}
-
-/// Writes `CAMPAIGN_<name>.json` into `dir` and returns its path.
-///
-/// # Panics
-///
-/// Panics on I/O errors — a campaign that silently loses its results is
-/// worse than one that fails.
-pub fn write_chaos_campaign_artifact_in(
-    dir: &Path,
-    name: &str,
-    records: &[ChaosCaseRecord],
-    pool: &PoolStats,
-) -> PathBuf {
-    let path = json::write_artifact(
-        dir,
-        &format!("CAMPAIGN_{name}.json"),
-        &chaos_campaign_json(name, records, pool),
-    )
-    .expect("writing the chaos campaign artifact");
-    println!("  chaos campaign -> {}", path.display());
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smst_engine::{InjectionSpec, PoolHandle, RecoveryPolicy};
+    use smst_engine::{InjectionSpec, RecoveryPolicy};
 
     fn small_case(name: &str, threads: usize) -> ChaosCase {
         // period 24 leaves each wave room for the ~15-step garbage decay
@@ -284,53 +177,5 @@ mod tests {
         assert_eq!(latencies.count(), 3);
         let quiescences = report.waves.iter().filter_map(|w| w.quiescence);
         assert_eq!(quiescences.count(), 3);
-        // the pool counters reach the campaign artifact (their values are
-        // process-cumulative, shared with every other test in the binary)
-        let pool = PoolHandle::for_threads(2);
-        let records = vec![ChaosCaseRecord::new(
-            &small_case("metrics", 2),
-            outcome.report,
-        )];
-        let json = chaos_campaign_json("metrics_unit", &records, pool.pool().stats());
-        assert!(json.contains("\"worker_panics\":"));
-        assert!(json.contains("\"worker_respawns\":"));
-        assert!(json.contains("\"barrier_timeouts\":"));
-    }
-
-    #[test]
-    fn campaign_json_is_balanced_and_complete() {
-        let case = small_case("json_case", 2);
-        let outcome = case.run().expect("valid case");
-        let records = vec![ChaosCaseRecord::new(&case, outcome.report).recovery_invisible(true)];
-        let json = chaos_campaign_json("chaos_unit", &records, &PoolStats::default());
-        assert!(json.starts_with("{\"schema\":\"smst-campaign-v1\",\"campaign\":\"chaos_unit\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"case\":\"json_case\""));
-        assert!(json.contains("\"schedule\":\"periodic(period=24,offset=3,f=5,seed=23)\""));
-        assert!(json.contains("\"recovery_invisible\":true"));
-        assert!(json.contains("\"pool\":{\"worker_panics\":0"));
-    }
-
-    #[test]
-    fn campaign_artifact_round_trips_through_a_directory() {
-        let dir = std::env::temp_dir().join("smst_adversary_chaos_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let case = small_case("roundtrip", 1);
-        let outcome = case.run().expect("valid case");
-        let records = vec![ChaosCaseRecord::new(&case, outcome.report)];
-        let path = write_chaos_campaign_artifact_in(
-            &dir,
-            "chaos_roundtrip",
-            &records,
-            &PoolStats::default(),
-        );
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"campaign\":\"chaos_roundtrip\""));
-        assert_eq!(
-            path.file_name().unwrap().to_string_lossy(),
-            "CAMPAIGN_chaos_roundtrip.json"
-        );
-        std::fs::remove_file(path).ok();
     }
 }

@@ -34,9 +34,8 @@
 //!   `campaign-smoke` job;
 //! * [`chaos`] — verify-forever chaos campaigns: recurring
 //!   [`FaultSchedule`](smst_sim::FaultSchedule) waves endured on the
-//!   engine's self-healing pool, bridged into `smst-telemetry`
-//!   (`BENCH_chaos.json`, the `chaos.*`/`pool.*` metrics) and summarized
-//!   as `CAMPAIGN_chaos.json` by CI's `chaos-smoke` job.
+//!   engine's self-healing pool, bridged into `smst-telemetry` as
+//!   `BENCH_chaos.json`, the artifact of CI's `chaos-smoke` job.
 //!
 //! Everything is a pure function of explicit seeds: campaigns, trials and
 //! shrinks all replay bit-for-bit.
@@ -53,10 +52,7 @@ pub mod trial;
 
 pub use artifact::{campaign_json, write_campaign_artifact_in};
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, TrialRecord};
-pub use chaos::{
-    chaos_campaign_json, write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseOutcome,
-    ChaosCaseRecord,
-};
+pub use chaos::{ChaosCase, ChaosCaseOutcome};
 pub use daemons::{CutFocusDaemon, StallDaemon, StarveDaemon};
 pub use shrink::{shrink as shrink_trial, ShrinkResult};
 pub use trial::{

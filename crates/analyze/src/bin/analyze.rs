@@ -34,9 +34,9 @@ commands:
   baseline --from <dir> --to <dir>
       Seed or refresh a baseline directory: validate every recognized
       artifact in --from, then copy the gate-relevant ones (chaos
-      accounting) into --to. Rounds, traces, campaigns, analyses, and
-      flight dumps are validated but not copied -- the gate has no
-      comparison semantics for them.
+      accounting) into --to. Traces, campaigns, analyses, and flight
+      dumps are validated but not copied -- the gate has no comparison
+      semantics for them.
 ";
 
 fn main() -> ExitCode {

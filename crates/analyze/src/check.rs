@@ -117,10 +117,9 @@ fn load_side(
                     runs.push((format!("{}/{}", doc.group(), run.label), run.clone()));
                 }
             }
-            // rounds, campaigns, traces, flight dumps, and accounting
-            // analyses have no stable comparison semantics — rounds carry
-            // wall time, campaigns search, traces sample, flights only
-            // exist after a failure
+            // campaigns, traces, flight dumps, and accounting analyses
+            // have no stable comparison semantics — traces carry wall
+            // time, campaigns search, flights only exist after a failure
             other => warnings.push(format!(
                 "{tag} {}: {} — not gated, ignored",
                 path.display(),

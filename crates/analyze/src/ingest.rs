@@ -17,25 +17,25 @@
 //! a library edge to either would rewrite the benchmark crate's lock file
 //! — so [`SCHEMA_CAMPAIGN`] and [`SCHEMA_WIRE`] are literals, pinned to
 //! their writers' constants by `tests/schema_tags.rs`, and campaigns keep
-//! a reader in this module: [`CampaignDoc`] (a summary of either
-//! `smst-campaign-v1` shape).
+//! a reader in this module: [`CampaignDoc`] (a summary of a search
+//! campaign's `smst-campaign-v1` document).
 //!
 //! **Adding a schema:** give the producer a type with `to_json` +
-//! `FromJson` and a `SCHEMA` constant; here, name its tag, add an
-//! [`Artifact`] variant, a `describe` arm and an [`ingest_document`] arm.
+//! `FromJson` and a `SCHEMA` constant; here, name its tag, list it in
+//! `SCHEMAS`, add an [`Artifact`] variant, a `describe` arm and an
+//! [`ingest_document`] arm. Per-round records are not a new schema: they
+//! are `TRACE_*.jsonl` lines.
 
 use crate::kmw::KmwAnalysis;
 use smst_telemetry::json::{FromJson, Json, ParseError, ShapeError};
-use smst_telemetry::{ChaosArtifact, FlightDump, RoundsArtifact, TraceLine};
+use smst_telemetry::{ChaosArtifact, FlightDump, TraceLine};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Schema tag of per-round accounting artifacts.
-pub const SCHEMA_ROUNDS: &str = smst_telemetry::rounds::SCHEMA;
 /// Schema tag of chaos wave-accounting artifacts.
 pub const SCHEMA_CHAOS: &str = smst_telemetry::chaos::SCHEMA;
-/// Schema tag of campaign artifacts (both the adversarial-search and
-/// chaos-campaign shapes).
+/// Schema tag of adversarial-search campaign artifacts.
 pub const SCHEMA_CAMPAIGN: &str = "smst-campaign-v1";
 /// Schema tag of flight-recorder dumps.
 pub const SCHEMA_FLIGHT: &str = smst_telemetry::flight::SCHEMA;
@@ -48,8 +48,7 @@ pub const SCHEMA_WIRE: &str = "smst-wire-v1";
 
 /// Every tag above: a document of one of these families at another
 /// version is a version error, not an unknown document.
-const SCHEMAS: [&str; 6] = [
-    SCHEMA_ROUNDS,
+const SCHEMAS: [&str; 5] = [
     SCHEMA_CHAOS,
     SCHEMA_CAMPAIGN,
     SCHEMA_FLIGHT,
@@ -117,42 +116,27 @@ impl fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// The two document shapes sharing the `smst-campaign-v1` tag.
+/// A search campaign's `smst-campaign-v1` document, summarized: the
+/// records are counted, not lifted.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CampaignDoc {
-    /// The adversarial-search shape (`random_trials` / `guided_trials` /
-    /// `records`).
-    Search {
-        /// Campaign name.
-        campaign: String,
-        /// Random trials executed.
-        random_trials: usize,
-        /// Guided trials executed.
-        guided_trials: usize,
-        /// Trial records in the document.
-        records: usize,
-    },
-    /// The chaos-campaign shape (`cases` / `pool`).
-    Chaos {
-        /// Campaign name.
-        campaign: String,
-        /// Case records in the document.
-        cases: usize,
-        /// Pool self-healing counters: (panics, respawns, barrier
-        /// timeouts).
-        pool: (usize, usize, usize),
-    },
+pub struct CampaignDoc {
+    /// Campaign name.
+    pub campaign: String,
+    /// Random trials executed.
+    pub random_trials: usize,
+    /// Guided trials executed.
+    pub guided_trials: usize,
+    /// Trial records in the document.
+    pub records: usize,
 }
 
 /// Any artifact the workspace emits, as the type its producer writes
 /// (or, for campaigns, this module's reader type).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
-    /// A `smst-rounds-v1` per-round artifact.
-    Rounds(RoundsArtifact),
     /// A `smst-chaos-v1` wave-accounting artifact.
     Chaos(ChaosArtifact),
-    /// A `smst-campaign-v1` campaign artifact (either shape).
+    /// A `smst-campaign-v1` search-campaign artifact.
     Campaign(CampaignDoc),
     /// A `smst-flight-v1` flight-recorder dump.
     Flight(FlightDump),
@@ -166,19 +150,13 @@ impl Artifact {
     /// A one-line human summary (the CLI `ingest` listing).
     pub fn describe(&self) -> String {
         match self {
-            Artifact::Rounds(d) => format!(
-                "rounds group {:?}: {} runs, {} rounds total",
-                d.group(),
-                d.len(),
-                d.runs().iter().map(|r| r.rounds.len()).sum::<usize>()
-            ),
             Artifact::Chaos(d) => format!(
                 "chaos group {:?}: {} runs, {} waves total",
                 d.group(),
                 d.len(),
                 d.runs().iter().map(|r| r.waves.len()).sum::<usize>()
             ),
-            Artifact::Campaign(CampaignDoc::Search {
+            Artifact::Campaign(CampaignDoc {
                 campaign,
                 random_trials,
                 guided_trials,
@@ -186,15 +164,6 @@ impl Artifact {
             }) => format!(
                 "campaign {campaign:?} (search): {random_trials} random + \
                  {guided_trials} guided trials, {records} records"
-            ),
-            Artifact::Campaign(CampaignDoc::Chaos {
-                campaign,
-                cases,
-                pool,
-            }) => format!(
-                "campaign {campaign:?} (chaos): {cases} cases, pool \
-                 panics={} respawns={} barrier_timeouts={}",
-                pool.0, pool.1, pool.2
             ),
             Artifact::Flight(d) => format!(
                 "flight {:?}: {} of {} rounds retained (capacity {}) — {}",
@@ -209,7 +178,11 @@ impl Artifact {
                 d.families.len(),
                 d.points().count()
             ),
-            Artifact::Trace(lines) => format!("trace: {} records", lines.len()),
+            Artifact::Trace(lines) => format!(
+                "trace: {} records over {} runs",
+                lines.len(),
+                lines.iter().map(|l| &l.run).collect::<BTreeSet<_>>().len()
+            ),
         }
     }
 }
@@ -250,7 +223,6 @@ pub fn ingest_document(path: &Path, doc: &Json) -> Result<Artifact, IngestError>
         .ok_or_else(|| IngestError::MissingSchema(path.to_path_buf()))?;
     let unknown = |what: String| Err(IngestError::UnknownSchema(path.to_path_buf(), what));
     match schema {
-        SCHEMA_ROUNDS => RoundsArtifact::from_json(doc).map(Artifact::Rounds),
         SCHEMA_CHAOS => ChaosArtifact::from_json(doc).map(Artifact::Chaos),
         SCHEMA_CAMPAIGN => CampaignDoc::from_json(doc).map(Artifact::Campaign),
         SCHEMA_FLIGHT => FlightDump::from_json(doc).map(Artifact::Flight),
@@ -282,36 +254,14 @@ pub fn ingest_document(path: &Path, doc: &Json) -> Result<Artifact, IngestError>
 
 impl FromJson for CampaignDoc {
     fn from_json(doc: &Json) -> Result<Self, ShapeError> {
-        let campaign = doc.field("campaign")?;
-        // one tag, two producers: the chaos campaign carries `cases` + `pool`,
-        // the adversarial search carries `records` + trial counts; the
-        // records themselves are counted, not lifted
-        let count = |key: &str| match doc.get(key).and_then(Json::as_array) {
-            Some(items) => Ok(items.len()),
-            None => Err(ShapeError::here().under(key)),
-        };
-        if doc.get("cases").is_some() {
-            let pool = doc
-                .get("pool")
-                .ok_or_else(|| ShapeError::here().under("pool"))?;
-            let counter = |key: &str| pool.field(key).map_err(|e| e.under("pool"));
-            Ok(CampaignDoc::Chaos {
-                campaign,
-                cases: count("cases")?,
-                pool: (
-                    counter("worker_panics")?,
-                    counter("worker_respawns")?,
-                    counter("barrier_timeouts")?,
-                ),
-            })
-        } else {
-            Ok(CampaignDoc::Search {
-                campaign,
-                random_trials: doc.field("random_trials")?,
-                guided_trials: doc.field("guided_trials")?,
-                records: count("records")?,
-            })
-        }
+        Ok(CampaignDoc {
+            campaign: doc.field("campaign")?,
+            random_trials: doc.field("random_trials")?,
+            guided_trials: doc.field("guided_trials")?,
+            records: (doc.get("records").and_then(Json::as_array))
+                .map(|items| items.len())
+                .ok_or_else(|| ShapeError::here().under("records"))?,
+        })
     }
 }
 
@@ -392,30 +342,18 @@ mod tests {
     }
 
     #[test]
-    fn both_campaign_shapes_share_one_tag() {
+    fn search_campaigns_ingest_under_the_campaign_tag() {
         let search = tmp(
             "CAMPAIGN_search.json",
             "{\"schema\":\"smst-campaign-v1\",\"campaign\":\"s\",\
              \"random_trials\":4,\"guided_trials\":0,\"best\":null,\
              \"shrunk\":null,\"records\":[]}\n",
         );
-        let chaos = tmp(
-            "CAMPAIGN_chaos.json",
-            "{\"schema\":\"smst-campaign-v1\",\"campaign\":\"c\",\
-             \"cases\":[],\"pool\":{\"worker_panics\":1,\
-             \"worker_respawns\":2,\"barrier_timeouts\":3}}\n",
-        );
-        let Artifact::Campaign(CampaignDoc::Search { random_trials, .. }) =
-            ingest_file(&search).unwrap()
+        let Artifact::Campaign(CampaignDoc { random_trials, .. }) = ingest_file(&search).unwrap()
         else {
             panic!("expected the search shape");
         };
         assert_eq!(random_trials, 4);
-        let Artifact::Campaign(CampaignDoc::Chaos { pool, .. }) = ingest_file(&chaos).unwrap()
-        else {
-            panic!("expected the chaos shape");
-        };
-        assert_eq!(pool, (1, 2, 3));
     }
 
     #[test]
@@ -432,6 +370,23 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert_eq!(lines[0].run, "t");
         assert_eq!(lines[0].stats.exchange_ns, 4);
+    }
+
+    #[test]
+    fn trace_listing_counts_records_and_distinct_runs() {
+        let line = |run: &str, round: usize| {
+            format!(
+                "{{\"run\":\"{run}\",\"round\":{round},\"alarms\":0,\
+                 \"activations\":4,\"halo_bytes\":0,\"dispatch_ns\":1,\
+                 \"compute_ns\":2,\"barrier_ns\":3,\"exchange_ns\":4}}\n"
+            )
+        };
+        let body = [line("a", 0), line("a", 1), line("b", 0)].concat();
+        let path = tmp("TRACE_two_runs.jsonl", &body);
+        assert_eq!(
+            ingest_file(&path).unwrap().describe(),
+            "trace: 3 records over 2 runs"
+        );
     }
 
     #[test]
@@ -468,16 +423,14 @@ mod tests {
     #[test]
     fn shape_errors_name_the_offending_field() {
         let path = tmp(
-            "BENCH_shape.json",
-            "{\"schema\":\"smst-rounds-v1\",\"group\":\"g\",\"runs\":[\
-             {\"label\":\"l\",\"run\":\"r\",\"rounds\":[{\"round\":0,\
+            "FLIGHT_shape.json",
+            "{\"schema\":\"smst-flight-v1\",\"name\":\"n\",\"reason\":\"r\",\
+             \"capacity\":2,\"rounds_seen\":1,\"rounds\":[{\"round\":0,\
              \"alarms\":0,\"activations\":4,\"halo_bytes\":0,\"dispatch_ns\":1,\
-             \"barrier_ns\":3,\"exchange_ns\":4}]}]}\n",
+             \"barrier_ns\":3,\"exchange_ns\":4}]}\n",
         );
         match ingest_file(&path).unwrap_err() {
-            IngestError::Shape { field, .. } => {
-                assert_eq!(field, "runs[0].rounds[0].compute_ns")
-            }
+            IngestError::Shape { field, .. } => assert_eq!(field, "rounds[0].compute_ns"),
             other => panic!("expected Shape, got {other:?}"),
         }
     }
@@ -489,7 +442,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join("BENCH_b.json"),
-            "{\"schema\":\"smst-rounds-v1\",\"group\":\"b\",\"runs\":[]}\n",
+            "{\"schema\":\"smst-chaos-v1\",\"group\":\"b\",\"runs\":[]}\n",
         )
         .unwrap();
         std::fs::write(

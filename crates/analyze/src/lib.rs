@@ -1,9 +1,9 @@
 //! `smst-analyze`: the artifact analysis plane.
 //!
 //! Every other crate in the workspace *produces* observability artifacts —
-//! `BENCH_*.json` per-round and chaos accounting files, `CAMPAIGN_*.json` search
-//! and chaos summaries, `TRACE_*.jsonl` round streams, `FLIGHT_*.json`
-//! crash dumps. This crate is the *consumer*: it dispatches each file on
+//! `BENCH_*.json` chaos accounting files, `CAMPAIGN_*.json` search
+//! summaries, `TRACE_*.jsonl` per-round streams, `FLIGHT_*.json` crash
+//! dumps. This crate is the *consumer*: it dispatches each file on
 //! its schema tag and version and reads it back **into the type its
 //! producer writes** ([`ingest`] — every schema is one Rust type with
 //! `to_json` and `FromJson` side by side on the workspace codec,

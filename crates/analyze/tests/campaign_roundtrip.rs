@@ -1,18 +1,16 @@
-//! Writer ↔ reader round-trip for the two `smst-campaign-v1` shapes:
-//! what `smst-adversary` really writes — a search campaign and a chaos
-//! campaign, both run here — must ingest back with every count intact.
+//! Writer ↔ reader round-trip for the `smst-campaign-v1` document: what
+//! `smst-adversary` really writes — a search campaign, run here — must
+//! ingest back with every count intact.
 //! `smst-analyze` cannot link `smst-adversary` (it sits above this crate;
 //! here it is a dev-dependency only), so `ingest` keeps its own summary
-//! reader for these documents and this test is what holds the pair
+//! reader for this document and this test is what holds the pair
 //! together.
 
-use smst_adversary::chaos::{write_chaos_campaign_artifact_in, ChaosCase, ChaosCaseRecord};
 use smst_adversary::{
     run_campaign, shrink_trial, write_campaign_artifact_in, CampaignSpec, Workload,
 };
 use smst_analyze::ingest::{ingest_file, Artifact, CampaignDoc};
-use smst_engine::{EngineConfig, GraphFamily, PoolStats};
-use smst_sim::FaultSchedule;
+use smst_engine::GraphFamily;
 use std::path::PathBuf;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -36,39 +34,11 @@ fn search_campaign_artifacts_round_trip_through_ingest() {
     let path = write_campaign_artifact_in(&dir, &report, spec.budget, Some(&shrunk));
     assert_eq!(
         ingest_file(&path).unwrap(),
-        Artifact::Campaign(CampaignDoc::Search {
+        Artifact::Campaign(CampaignDoc {
             campaign: "roundtrip".to_string(),
             random_trials: report.random_trials,
             guided_trials: report.guided_trials,
             records: report.records.len(),
-        })
-    );
-}
-
-#[test]
-fn chaos_campaign_artifacts_round_trip_through_ingest() {
-    let case = ChaosCase::new(
-        "periodic",
-        GraphFamily::Expander { n: 48, degree: 4 },
-        FaultSchedule::periodic(24, 5, 23).offset(3),
-        75,
-    )
-    .seed(6)
-    .engine(EngineConfig::new().threads(2));
-    let report = case.run().expect("a valid case").report;
-    let records = [
-        ChaosCaseRecord::new(&case, report.clone()).recovery_invisible(true),
-        ChaosCaseRecord::new(&case, report),
-    ];
-    let dir = scratch_dir("chaos");
-    let path =
-        write_chaos_campaign_artifact_in(&dir, "chaos_roundtrip", &records, &PoolStats::default());
-    assert_eq!(
-        ingest_file(&path).unwrap(),
-        Artifact::Campaign(CampaignDoc::Chaos {
-            campaign: "chaos_roundtrip".to_string(),
-            cases: 2,
-            pool: (0, 0, 0),
         })
     );
 }

@@ -1,39 +1,33 @@
 //! Golden-file tests: one checked-in document per schema, pinned
-//! byte-for-byte (and, for the two oldest, field-for-field).
+//! byte-for-byte (and, for the oldest, field-for-field).
 //!
 //! The files under `tests/golden/` are checked in; each test regenerates
 //! the same document from fixed inputs through the real writer and
 //! demands byte equality, then ingests the golden file into the
-//! producer's own type. The rounds and chaos files are the oldest; the
-//! flight, trace, analysis and two campaign files were recorded from the
-//! hand-`format!`ed writers the codec replaced, so they prove the bytes
-//! did not move. A PR that touches a writer's field
-//! order, adds a field, or bumps a schema version fails here first — and
-//! the fix (regenerate the golden file, bump the analyzer's supported
-//! version) is the documentation of the schema change.
+//! producer's own type. The chaos file is the oldest; the flight, trace,
+//! analysis and campaign files were recorded from the hand-`format!`ed
+//! writers the codec replaced, so they prove the bytes did not move. A PR
+//! that touches a writer's field order, adds a field, or bumps a schema
+//! version fails here first — and the fix (regenerate the golden file,
+//! bump the analyzer's supported version) is the documentation of the
+//! schema change.
 
-use smst_adversary::chaos::ChaosCaseRecord;
 use smst_adversary::{
-    campaign_json, chaos_campaign_json, CampaignReport, Score, ShrinkResult, TrialOutcome,
-    TrialRecord, TrialSpec,
+    campaign_json, CampaignReport, Score, ShrinkResult, TrialOutcome, TrialRecord, TrialSpec,
 };
 use smst_analyze::ingest::{ingest_file, Artifact, CampaignDoc};
 use smst_analyze::kmw::{lower_bound, upper_bound, KmwAnalysis, KmwFamily, KmwPoint};
 use smst_analyze::Json;
-use smst_engine::{ChaosReport, PoolStats};
 use smst_sim::{RoundObserver as _, RoundStats, WaveStats};
 use smst_telemetry::chaos::{ChaosArtifact, ChaosRun};
-use smst_telemetry::rounds::RoundsArtifact;
 use smst_telemetry::{FlightDump, FlightRecorder, TraceLine};
 use std::path::PathBuf;
 
-const ROUNDS_GOLDEN: &str = include_str!("golden/BENCH_rounds_golden.json");
 const CHAOS_GOLDEN: &str = include_str!("golden/BENCH_chaos_golden.json");
 const FLIGHT_GOLDEN: &str = include_str!("golden/FLIGHT_golden.json");
 const TRACE_GOLDEN: &str = include_str!("golden/TRACE_golden.jsonl");
 const ANALYSIS_GOLDEN: &str = include_str!("golden/ANALYSIS_kmw_golden.json");
 const CAMPAIGN_SEARCH_GOLDEN: &str = include_str!("golden/CAMPAIGN_search_golden.json");
-const CAMPAIGN_CHAOS_GOLDEN: &str = include_str!("golden/CAMPAIGN_chaos_golden.json");
 
 /// The fixed round record every golden stream is made of.
 fn stat(round: usize) -> RoundStats {
@@ -47,14 +41,6 @@ fn stat(round: usize) -> RoundStats {
         barrier_ns: 2_500,
         exchange_ns: 700,
     }
-}
-
-/// The fixed run the rounds golden file captures.
-fn rounds_artifact() -> RoundsArtifact {
-    let mut artifact = RoundsArtifact::new("rounds_golden");
-    artifact.push("expander/n=48", "seed=7", vec![stat(0), stat(1), stat(2)]);
-    artifact.push("ring/n=12", "trial=r0-3", vec![stat(0)]);
-    artifact
 }
 
 /// The fixed campaign the chaos golden file captures.
@@ -183,59 +169,8 @@ fn search_campaign_json() -> String {
     campaign_json(&report, CAMPAIGN_BUDGET, Some(&shrunk))
 }
 
-/// The fixed chaos campaign (one digested case, one censored) the
-/// chaos-campaign golden file captures.
-fn chaos_campaign_golden_json() -> String {
-    let wave = |wave, step, detection_latency, quiescence| WaveStats {
-        wave,
-        step,
-        faults: 4,
-        detection_latency,
-        quiescence,
-    };
-    let records = [
-        ChaosCaseRecord {
-            case: "periodic/t=2".to_string(),
-            schedule: "periodic(period=8,offset=0,f=4,seed=7)".to_string(),
-            threads: 2,
-            report: ChaosReport {
-                steps_run: 24,
-                waves: vec![
-                    wave(0, 0, Some(1), Some(6)),
-                    wave(1, 8, Some(2), Some(5)),
-                    wave(2, 16, Some(2), None),
-                ],
-                injected_faults: 12,
-            },
-            recovery_invisible: Some(true),
-        },
-        ChaosCaseRecord {
-            case: "burst \"censored\"".to_string(),
-            schedule: "burst(at=3,f=4,seed=9)".to_string(),
-            threads: 1,
-            report: ChaosReport {
-                steps_run: 4,
-                waves: vec![wave(0, 3, None, None)],
-                injected_faults: 4,
-            },
-            recovery_invisible: None,
-        },
-    ];
-    chaos_campaign_json("chaos_golden", &records, &PoolStats::default())
-}
-
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-#[test]
-fn rounds_writer_reproduces_the_golden_file_byte_for_byte() {
-    assert_eq!(
-        rounds_artifact().to_json(),
-        ROUNDS_GOLDEN,
-        "the smst-rounds-v1 writer changed; if intentional, regenerate \
-         tests/golden/BENCH_rounds_golden.json and bump the schema version"
-    );
 }
 
 #[test]
@@ -245,29 +180,6 @@ fn chaos_writer_reproduces_the_golden_file_byte_for_byte() {
         CHAOS_GOLDEN,
         "the smst-chaos-v1 writer changed; if intentional, regenerate \
          tests/golden/BENCH_chaos_golden.json and bump the schema version"
-    );
-}
-
-#[test]
-fn rounds_golden_field_sets_are_pinned() {
-    let doc = Json::parse(ROUNDS_GOLDEN).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("smst-rounds-v1"));
-    assert_eq!(doc.keys(), vec!["schema", "group", "runs"]);
-    let run = &doc.get("runs").unwrap().as_array().unwrap()[0];
-    assert_eq!(run.keys(), vec!["label", "run", "rounds"]);
-    let round = &run.get("rounds").unwrap().as_array().unwrap()[0];
-    assert_eq!(
-        round.keys(),
-        vec![
-            "round",
-            "alarms",
-            "activations",
-            "halo_bytes",
-            "dispatch_ns",
-            "compute_ns",
-            "barrier_ns",
-            "exchange_ns"
-        ]
     );
 }
 
@@ -301,17 +213,6 @@ fn chaos_golden_field_sets_are_pinned() {
 
 #[test]
 fn golden_files_ingest_into_typed_records() {
-    let Artifact::Rounds(rounds) = ingest_file(&golden_dir().join("BENCH_rounds_golden.json"))
-        .expect("the checked-in rounds golden must ingest")
-    else {
-        panic!("expected a rounds artifact");
-    };
-    assert_eq!(rounds.group(), "rounds_golden");
-    assert_eq!(rounds.runs().len(), 2);
-    assert_eq!(rounds.runs()[0].rounds.len(), 3);
-    assert_eq!(rounds.runs()[0].rounds[2].dispatch_ns, 1_002);
-    assert_eq!(rounds, rounds_artifact(), "the reader inverts the writer");
-
     let Artifact::Chaos(chaos) = ingest_file(&golden_dir().join("BENCH_chaos_golden.json"))
         .expect("the checked-in chaos golden must ingest")
     else {
@@ -336,11 +237,6 @@ fn every_other_writer_reproduces_its_golden_file_byte_for_byte() {
     assert_eq!(trace, TRACE_GOLDEN, "{hint}");
     assert_eq!(kmw_analysis().to_json(), ANALYSIS_GOLDEN, "{hint}");
     assert_eq!(search_campaign_json(), CAMPAIGN_SEARCH_GOLDEN, "{hint}");
-    assert_eq!(
-        chaos_campaign_golden_json(),
-        CAMPAIGN_CHAOS_GOLDEN,
-        "{hint}"
-    );
 }
 
 #[test]
@@ -363,19 +259,11 @@ fn every_other_golden_file_ingests_into_its_producers_type() {
     assert_eq!(analysis.family_points("kmw_cluster_tree"), 2);
     assert_eq!(
         ingest("CAMPAIGN_search_golden.json"),
-        Artifact::Campaign(CampaignDoc::Search {
+        Artifact::Campaign(CampaignDoc {
             campaign: "search_golden".to_string(),
             random_trials: 2,
             guided_trials: 1,
             records: 2,
-        })
-    );
-    assert_eq!(
-        ingest("CAMPAIGN_chaos_golden.json"),
-        Artifact::Campaign(CampaignDoc::Chaos {
-            campaign: "chaos_golden".to_string(),
-            cases: 2,
-            pool: (0, 0, 0),
         })
     );
 }

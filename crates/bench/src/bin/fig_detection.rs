@@ -3,10 +3,9 @@
 //! parallelizes across the worker pool and scales to 100k+ nodes.
 //!
 //! The largest sweep point is additionally replayed **observed**: the same
-//! scenario re-run with per-round accounting attached (a
-//! [`RecordingObserver`] teed with the env-gated trace sink), its
-//! stream promoted to `BENCH_rounds_detection.json` — so the figure's
-//! headline point ships with its full per-round phase split.
+//! scenario re-run with a [`RecordingObserver`] attached, the window
+//! around its fault written to `TRACE_fig_detection.jsonl` — so the
+//! figure's headline point ships with its full per-round phase split.
 //!
 //! Sizes are small by default; set `SMST_FIG_N=<n>` to extend the sweep
 //! (doubling sizes up to `n`) on a multi-core host.
@@ -16,8 +15,8 @@ use smst_bench::engine_metrics::{
 };
 use smst_core::faults::FaultKind;
 use smst_engine::{EngineConfig, LayoutPolicy};
-use smst_sim::{RecordingObserver, TeeObserver};
-use smst_telemetry::{RoundsArtifact, TraceWriter};
+use smst_sim::RecordingObserver;
+use smst_telemetry::{artifact_dir, TraceWriter};
 
 fn main() {
     let sizes = fig_sizes(&[16, 24, 32, 48, 64]).unwrap_or_else(|err| {
@@ -59,31 +58,26 @@ fn main() {
 }
 
 /// Replays one sweep point with per-round accounting attached and writes
-/// the stream to `BENCH_rounds_detection.json` (plus sampled trace lines
-/// when `SMST_TRACE_SAMPLE` is set).
+/// the window around the fault to `TRACE_fig_detection.jsonl`.
 fn observed_replay(n: usize, seed: u64, engine: &EngineConfig) {
     let (spec, budget) = detection_scenario(n, seed, engine);
     let warmup = spec.fault.expect("the detection scenario has a burst").at;
-    let trace = TraceWriter::from_env("fig_detection");
     let run = format!("fam=rand:{n}x{m};gs={seed};at={warmup}", m = 3 * n);
     let recording = RecordingObserver::new();
-    let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
-    if let Some(trace) = &trace {
-        tee.push(trace.observer(&run));
-    }
-    let observer = Some(Box::new(tee) as _);
+    let observer = Some(Box::new(recording.clone()) as _);
     let point = verifier_point(spec, FaultKind::StoredPieceWeight, seed, budget, observer);
     let stats = recording.stats();
     assert_eq!(stats.len(), point.steps_run, "one record per executed step");
     // the warm-up dominates the step count (the polylog budget is ~10^5
-    // steps even at small n); the artifact keeps the window around the
+    // steps even at small n); the trace keeps the window around the
     // fault — a short converged prefix plus everything from injection to
     // the alarm — instead of megabytes of identical warm-up rounds
-    let window: Vec<_> = stats.into_iter().skip(warmup.saturating_sub(8)).collect();
-    let mut artifact = RoundsArtifact::new("rounds_detection");
-    artifact.push(&format!("detection/random/{n}"), &run, window);
-    artifact.finish();
-    if let Some(trace) = trace {
-        trace.flush().expect("flushing the fig_detection trace");
+    let trace = TraceWriter::create_in(&artifact_dir(), "fig_detection")
+        .expect("creating TRACE_fig_detection.jsonl");
+    let mut observer = trace.observer(&run);
+    for round in stats.iter().skip(warmup.saturating_sub(8)) {
+        observer.on_round(round);
     }
+    trace.flush().expect("flushing the fig_detection trace");
+    println!("  trace -> {}", trace.path().display());
 }

@@ -4,7 +4,7 @@
 //! sequential reference runner — itself instantiated through the *same*
 //! `EngineConfig` API ([`EngineConfig::reference`]) — and `RoundObserver`
 //! callbacks must be deterministic across thread counts, layouts, halo
-//! modes and telemetry modes (no trace / sampled trace).
+//! modes and telemetry modes (no trace / a trace).
 
 use proptest::prelude::*;
 use smst_engine::programs::{MinIdFlood, MonitorFlood};
@@ -208,8 +208,7 @@ proptest! {
 fn telemetry_modes_never_change_the_deterministic_trace() {
     // telemetry is measurement, not computation: the deterministic
     // (round, alarms, activations) trace is identical with no trace (no
-    // observer at all) and with sampled round tracing — at every thread
-    // count
+    // observer at all) and with round tracing — at every thread count
     let n = 40usize;
     let g = graph_for(true, n, 11);
     let program = MonitorFlood::new(n as u64 - 1, n as u64 - 1);
@@ -218,11 +217,11 @@ fn telemetry_modes_never_change_the_deterministic_trace() {
     std::fs::create_dir_all(&trace_dir).expect("temp trace dir");
     let mut traces = Vec::new();
     for threads in [1usize, 2, 8] {
-        for mode in ["off", "sampled"] {
-            // an explicit directory instead of the env gate: tests must
+        for mode in ["off", "traced"] {
+            // an explicit directory instead of SMST_BENCH_DIR: tests must
             // not mutate process-global environment
-            let sink = (mode == "sampled").then(|| {
-                TraceWriter::create_in(&trace_dir, &format!("equiv_t{threads}"), 2)
+            let sink = (mode == "traced").then(|| {
+                TraceWriter::create_in(&trace_dir, &format!("equiv_t{threads}"))
                     .expect("trace file")
             });
             let label = format!("threads={threads};mode={mode}");
@@ -248,7 +247,7 @@ fn telemetry_modes_never_change_the_deterministic_trace() {
             if let Some(sink) = &sink {
                 sink.flush().expect("flushing the test trace");
                 let body = std::fs::read_to_string(sink.path()).expect("trace file");
-                assert_eq!(body.lines().count(), 5, "{label}: rounds 0, 2, 4, 6, 8");
+                assert_eq!(body.lines().count(), 9, "{label}: rounds 0 to 8");
             }
             traces.push((label, trace));
         }

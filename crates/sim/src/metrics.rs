@@ -64,7 +64,7 @@ impl DetectionReport {
 
 /// For each fault node, the hop distance (in `g`) to the closest alarming
 /// node; `usize::MAX` if there are no alarming nodes.
-pub fn detection_distances(
+fn detection_distances(
     g: &WeightedGraph,
     fault_nodes: &[NodeId],
     alarm_nodes: &[NodeId],

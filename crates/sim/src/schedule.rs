@@ -152,7 +152,7 @@ impl FaultSchedule {
     }
 
     /// The node-selection seed of wave `wave` (0-based, in firing order).
-    pub fn wave_seed(&self, wave: usize) -> u64 {
+    fn wave_seed(&self, wave: usize) -> u64 {
         let mut mix = SplitMix64::new(self.seed);
         let base = mix.next_u64();
         base ^ (wave as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -1,5 +1,6 @@
 //! The chaos-campaign artifact: `BENCH_chaos*.json` with one record per
-//! fault wave — the verify-forever sibling of [`rounds`](crate::rounds).
+//! fault wave — the verify-forever sibling of the per-round
+//! [`trace`](crate::trace).
 //!
 //! A [`ChaosArtifact`] collects labelled campaign runs. Each run carries
 //! the schedule grammar it executed (`FaultSchedule::describe()`), the
@@ -8,8 +9,8 @@
 //! (steps from wave until every node accepts again, the MTTR-style
 //! figure). Censored waves — cut off by the next wave or the end of the
 //! run — serialize their latencies as `null` rather than a fabricated
-//! number. Writing follows the same discipline as
-//! [`RoundsArtifact`](crate::rounds::RoundsArtifact).
+//! number. `write_json_to(dir)` writes into an explicit directory (tests)
+//! and `finish()` into [`artifact_dir`](crate::artifact_dir).
 //!
 //! [`ChaosRun`] stores only the data: the four summary fields of the
 //! document (`detected_waves`, `quiesced_waves` and the two means) are
@@ -17,7 +18,7 @@
 //! [`WaveStats`]), and a document whose stored summary counts disagree
 //! with its own `waves` is rejected when reading — one source of truth.
 //!
-//! Artifact schema (the `smst-rounds-v1` family):
+//! Artifact schema:
 //!
 //! ```json
 //! {"schema":"smst-chaos-v1","group":"chaos",

@@ -90,11 +90,6 @@ impl FlightRecorder {
         self.lock().rounds.is_empty()
     }
 
-    /// The retained window, oldest first (a snapshot clone).
-    pub fn recent(&self) -> Vec<RoundStats> {
-        self.lock().rounds.iter().cloned().collect()
-    }
-
     /// A snapshot of the current window, stamped with the dump's `name`
     /// and the failure `reason`.
     pub fn dump(&self, name: &str, reason: &str) -> FlightDump {
@@ -185,7 +180,12 @@ mod tests {
         }
         assert_eq!(recorder.rounds_seen(), 10);
         assert_eq!(recorder.len(), 4);
-        let window: Vec<usize> = recorder.recent().iter().map(|s| s.round).collect();
+        let window: Vec<usize> = recorder
+            .dump("w", "r")
+            .rounds
+            .iter()
+            .map(|s| s.round)
+            .collect();
         assert_eq!(window, vec![6, 7, 8, 9], "oldest first, last four rounds");
     }
 
@@ -196,7 +196,7 @@ mod tests {
         recorder.on_round(&stat(0));
         recorder.on_round(&stat(1));
         assert_eq!(recorder.len(), 1);
-        assert_eq!(recorder.recent()[0].round, 1);
+        assert_eq!(recorder.dump("w", "r").rounds[0].round, 1);
     }
 
     #[test]

@@ -654,8 +654,8 @@ pub fn document(schema: &str, fields: impl FnOnce(Obj<'_>) -> Obj<'_>) -> String
     out
 }
 
-// The per-round record shared by `BENCH_rounds*.json` / `FLIGHT_*.json`
-// entries and (flattened next to `run`) `TRACE_*.jsonl` lines: `round`,
+// The per-round record shared by `FLIGHT_*.json` entries and (flattened
+// next to `run`) `TRACE_*.jsonl` lines: `round`,
 // `alarms`, `activations`, `halo_bytes` are the deterministic projection,
 // the four `*_ns` fields the wall-clock phase split.
 json_record!(RoundStats {
@@ -692,12 +692,12 @@ mod tests {
     #[test]
     fn parses_the_writers_grammar() {
         let doc = Json::parse(
-            "{\"schema\":\"smst-rounds-v1\",\"group\":\"g\",\
+            "{\"schema\":\"smst-flight-v1\",\"group\":\"g\",\
              \"runs\":[{\"label\":\"a\",\"x\":null,\"ok\":true,\
              \"mean\":1.5,\"rounds\":[{\"round\":0}]}]}",
         )
         .unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("smst-rounds-v1"));
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("smst-flight-v1"));
         let run = &doc.get("runs").unwrap().as_array().unwrap()[0];
         assert_eq!(run.get("x"), Some(&Json::Null));
         assert_eq!(run.get("ok").unwrap().as_bool(), Some(true));

@@ -1,6 +1,6 @@
 //! # smst-telemetry
 //!
-//! Observability for the engine: one round sink — the sampled
+//! Observability for the engine: one round sink — the
 //! `TRACE_<name>.jsonl` stream — and the artifacts that carry the
 //! paper's quantities and the engine's per-round accounting out of a run.
 //!
@@ -15,33 +15,31 @@
 //!
 //! ## The round sink: [`TraceWriter`]
 //!
-//! Tracing is off, or a sampled trace. [`TraceWriter::from_env`] returns
-//! `None` unless `SMST_TRACE_SAMPLE=k` asks for every `k`-th round, so an
-//! untraced run attaches no observer and keeps the runners' unobserved
-//! fast path. A writer hands out one observer per run; every record
-//! carries its run label.
+//! Per-round records have one format: `TRACE_<name>.jsonl`, one
+//! [`TraceLine`] per round. A writer hands out one observer per run and
+//! records every round it sees; every record carries its run label. A run
+//! that wants no trace attaches no observer and keeps the runners'
+//! unobserved fast path.
 //!
 //! ```
 //! use smst_sim::RoundStats;
 //! use smst_telemetry::TraceWriter;
 //!
 //! let dir = std::env::temp_dir();
-//! let trace = TraceWriter::create_in(&dir, "doc_example", 2).unwrap();
+//! let trace = TraceWriter::create_in(&dir, "doc_example").unwrap();
 //! let mut obs = trace.observer("expander/n=500/seed=7");
 //! for round in 0..3 {
 //!     obs.on_round(&RoundStats { round, activations: 500, ..RoundStats::default() });
 //! }
 //! trace.flush().unwrap();
 //! let body = std::fs::read_to_string(trace.path()).unwrap();
-//! assert_eq!(body.lines().count(), 2, "rounds 0 and 2 at k = 2");
+//! assert_eq!(body.lines().count(), 3, "one record per round");
 //! ```
 //!
 //! ## Artifacts
 //!
 //! * [`trace::TraceWriter`] — `TRACE_<name>.jsonl`, one record per
-//!   sampled round ([`TraceLine`]), env-gated by `SMST_TRACE_SAMPLE`;
-//! * [`rounds::RoundsArtifact`] — `BENCH_<group>.json` per-round
-//!   accounting, the artifact form of a recorded observer stream;
+//!   round ([`TraceLine`]);
 //! * [`chaos::ChaosArtifact`] — `BENCH_chaos*.json` per-wave accounting
 //!   of recurring-fault campaigns (detection latency and
 //!   rounds-to-quiescence per wave, schedule grammar per run);
@@ -62,56 +60,9 @@
 pub mod chaos;
 pub mod flight;
 pub mod json;
-pub mod rounds;
 pub mod trace;
 
 pub use chaos::{ChaosArtifact, ChaosRun};
 pub use flight::{FlightDump, FlightRecorder};
 pub use json::artifact_dir;
-pub use rounds::{RoundsArtifact, RoundsRun};
-pub use trace::{TraceLine, TraceWriter, TRACE_SAMPLE_ENV};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smst_sim::RoundStats;
-
-    fn stat(round: usize) -> RoundStats {
-        RoundStats {
-            round,
-            alarms: 1,
-            activations: 8,
-            halo_bytes: 64,
-            dispatch_ns: 10,
-            compute_ns: 70,
-            barrier_ns: 15,
-            exchange_ns: 5,
-        }
-    }
-
-    #[test]
-    fn no_sampling_attaches_no_observer() {
-        // k = 0 is tracing off: no writer, so no file and no observer
-        let name = "smst_telemetry_never_sampled";
-        assert!(TraceWriter::sampled(name, 0).is_none());
-        assert!(!artifact_dir().join(format!("TRACE_{name}.jsonl")).exists());
-    }
-
-    #[test]
-    fn trace_sampling_keeps_every_kth_round() {
-        let dir = std::env::temp_dir().join("smst_telemetry_lib_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = TraceWriter::create_in(&dir, "sampled", 2).unwrap();
-        let mut obs = trace.observer("seed=3");
-        for round in 0..5 {
-            obs.on_round(&stat(round));
-        }
-        trace.flush().unwrap();
-        let body = std::fs::read_to_string(trace.path()).unwrap();
-        let rounds: Vec<&str> = body.lines().collect();
-        // rounds 0, 2, 4 sampled at k = 2
-        assert_eq!(rounds.len(), 3);
-        assert!(rounds.iter().all(|l| l.contains("\"run\":\"seed=3\"")));
-        assert!(rounds[2].contains("\"round\":4"));
-    }
-}
+pub use trace::{TraceLine, TraceWriter};

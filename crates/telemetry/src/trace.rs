@@ -1,12 +1,11 @@
-//! Structured per-round JSONL event stream: `TRACE_<name>.jsonl`.
+//! Structured per-round JSONL event stream: `TRACE_<name>.jsonl`, the
+//! one format of per-round records.
 //!
 //! One line per observed round, correlatable to a replayable run: every
 //! record carries a `run` label (a `TrialId`, a bench case name, a seed —
 //! whatever identifies how to reproduce the run) plus the eight
-//! [`RoundStats`] fields. Sampling is env-gated: `SMST_TRACE_SAMPLE=k`
-//! keeps every `k`-th round (`k = 1` keeps all); unset or `0` disables
-//! tracing entirely, which is the default — [`TraceWriter::from_env`]
-//! creates a writer (and so an observer) only when sampling is on.
+//! [`RoundStats`] fields. A [`TraceWriter`] records every round its
+//! observers see; a run that wants no trace attaches no observer.
 //!
 //! Record schema (one JSON object per line, described once by
 //! [`TraceLine`] — the lines carry no `schema` tag, readers dispatch on
@@ -23,38 +22,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// The sampling env var: `SMST_TRACE_SAMPLE=k` records every `k`-th
-/// round; unset or `0` disables the trace stream.
-pub const TRACE_SAMPLE_ENV: &str = "SMST_TRACE_SAMPLE";
-
-/// The sampling interval `$SMST_TRACE_SAMPLE` requests (0 when unset,
-/// unparsable, or explicitly 0 — all meaning "no trace"). An unparsable
-/// value additionally warns once per process on stderr — a typo'd
-/// `SMST_TRACE_SAMPLE=ten` silently producing no trace cost a debugging
-/// session once; it never gets to again.
-fn trace_sample_from_env() -> u64 {
-    match std::env::var(TRACE_SAMPLE_ENV) {
-        Ok(raw) => parse_trace_sample(&raw).unwrap_or_else(|| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: {TRACE_SAMPLE_ENV}={raw:?} is not an unsigned \
-                     integer; tracing stays disabled"
-                );
-            });
-            0
-        }),
-        Err(_) => 0,
-    }
-}
-
-/// The parsing rule behind [`trace_sample_from_env`], testable without
-/// mutating the process environment: `None` means unparsable (the caller
-/// warns), `Some(0)` means explicitly disabled.
-pub(crate) fn parse_trace_sample(raw: &str) -> Option<u64> {
-    raw.trim().parse().ok()
-}
 
 /// One record of a `TRACE_*.jsonl` stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,57 +59,30 @@ impl FromJson for TraceLine {
     }
 }
 
-/// The sampled `TRACE_<name>.jsonl` stream: the crate's one round sink.
+/// The `TRACE_<name>.jsonl` stream: the crate's one round sink.
 ///
-/// Each [`observer`](Self::observer) it hands out appends every
-/// `sample`-th round, attributed to its run label, to one shared buffered
-/// file. The `Mutex` is per line, never on any runner's compute path
-/// (observers run between rounds, on the dispatching thread). The buffer
-/// is flushed by [`flush`](Self::flush), and when the writer and its last
-/// observer are gone.
+/// Each [`observer`](Self::observer) it hands out appends every round,
+/// attributed to its run label, to one shared buffered file. The `Mutex`
+/// is per line, never on any runner's compute path (observers run
+/// between rounds, on the dispatching thread). The buffer is flushed by
+/// [`flush`](Self::flush), and when the writer and its last observer are
+/// gone.
 #[derive(Debug)]
 pub struct TraceWriter {
     path: PathBuf,
-    sample: u64,
     file: Arc<Mutex<BufWriter<File>>>,
 }
 
 impl TraceWriter {
-    /// Creates (truncating) `TRACE_<name>.jsonl` inside `dir`, keeping
-    /// every `sample`-th round (`sample` is clamped to at least 1).
-    ///
-    /// Tests pass a directory here instead of mutating the process-global
-    /// `SMST_BENCH_DIR` / `SMST_TRACE_SAMPLE`.
-    pub fn create_in(dir: &Path, name: &str, sample: u64) -> io::Result<Self> {
+    /// Creates (truncating) `TRACE_<name>.jsonl` inside `dir` — binaries
+    /// pass [`artifact_dir`](crate::artifact_dir), tests a directory of
+    /// their own instead of mutating the process-global `SMST_BENCH_DIR`.
+    pub fn create_in(dir: &Path, name: &str) -> io::Result<Self> {
         let path = dir.join(format!("TRACE_{name}.jsonl"));
         let file = BufWriter::new(File::create(&path)?);
         Ok(Self {
             path,
-            sample: sample.max(1),
             file: Arc::new(Mutex::new(file)),
-        })
-    }
-
-    /// The env-gated constructor for benches and binaries: a
-    /// `TRACE_<name>.jsonl` stream in [`artifact_dir`](crate::artifact_dir)
-    /// (next to the `BENCH_*.json` artifacts, so CI uploads them together)
-    /// sampled at `$SMST_TRACE_SAMPLE`, or `None` when that is unset or
-    /// `0` — then no file is created and no observer is attached, so
-    /// runners keep their unobserved path. An unparsable value warns once
-    /// on stderr instead of silently disabling tracing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested trace file cannot be created.
-    pub fn from_env(name: &str) -> Option<Self> {
-        Self::sampled(name, trace_sample_from_env())
-    }
-
-    /// [`from_env`](Self::from_env) for an explicit sampling interval.
-    pub(crate) fn sampled(name: &str, sample: u64) -> Option<Self> {
-        (sample > 0).then(|| {
-            Self::create_in(&crate::artifact_dir(), name, sample)
-                .unwrap_or_else(|e| panic!("creating TRACE_{name}.jsonl: {e}"))
         })
     }
 
@@ -151,13 +91,12 @@ impl TraceWriter {
         &self.path
     }
 
-    /// A [`RoundObserver`] appending every sampled round to this stream,
+    /// A [`RoundObserver`] appending every round to this stream,
     /// attributed to `run` (a replayable identifier: `TrialId`, seed,
     /// bench case).
     pub fn observer(&self, run: &str) -> Box<dyn RoundObserver> {
         Box::new(TraceObserver {
             file: Arc::clone(&self.file),
-            sample: self.sample,
             run: run.to_string(),
         })
     }
@@ -172,7 +111,6 @@ impl TraceWriter {
 #[derive(Debug)]
 struct TraceObserver {
     file: Arc<Mutex<BufWriter<File>>>,
-    sample: u64,
     run: String,
 }
 
@@ -182,9 +120,6 @@ impl RoundObserver for TraceObserver {
     /// Panics on I/O errors — a trace that silently loses records is
     /// worse than a run that fails (the bench-artifact philosophy).
     fn on_round(&mut self, stats: &RoundStats) {
-        if !(stats.round as u64).is_multiple_of(self.sample) {
-            return;
-        }
         let mut line = line_json(&self.run, stats);
         line.push('\n');
         self.file
@@ -216,7 +151,7 @@ mod tests {
     fn writes_one_json_object_per_round() {
         let dir = std::env::temp_dir().join("smst_telemetry_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let writer = TraceWriter::create_in(&dir, "unit", 1).unwrap();
+        let writer = TraceWriter::create_in(&dir, "unit").unwrap();
         assert_eq!(writer.path().file_name().unwrap(), "TRACE_unit.jsonl");
         let mut observer = writer.observer("trial-a");
         observer.on_round(&stat(0));
@@ -232,15 +167,5 @@ mod tests {
         let back = TraceLine::from_json(&Json::parse(lines[1]).unwrap()).unwrap();
         assert_eq!((back.run.as_str(), &back.stats), ("trial-a", &stat(1)));
         assert_eq!(back.to_json(), lines[1]);
-    }
-
-    #[test]
-    fn sample_parsing_distinguishes_disabled_from_unparsable() {
-        assert_eq!(parse_trace_sample("4"), Some(4));
-        assert_eq!(parse_trace_sample(" 7 "), Some(7), "whitespace is noise");
-        assert_eq!(parse_trace_sample("0"), Some(0), "explicitly disabled");
-        assert_eq!(parse_trace_sample("ten"), None, "a typo is not silence");
-        assert_eq!(parse_trace_sample("-3"), None);
-        assert_eq!(parse_trace_sample(""), None);
     }
 }

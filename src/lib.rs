@@ -16,8 +16,8 @@
 //! * [`labeling`] — proof-labeling schemes and baselines;
 //! * [`core`] — the paper's marker and `O(log n)`-bit verifier;
 //! * [`selfstab`] — the enhanced Awerbuch–Varghese transformer;
-//! * [`telemetry`] — the sampled round trace and the per-round accounting
-//!   artifacts;
+//! * [`telemetry`] — the per-round trace, the chaos accounting artifact
+//!   and the flight recorder;
 //! * [`mod@bench`] — experiment drivers and the table / figure regenerators.
 
 #![forbid(unsafe_code)]
