@@ -228,7 +228,7 @@ fn telemetry_modes_never_change_the_deterministic_trace() {
             let recording = RecordingObserver::new();
             let mut tee = TeeObserver::new().with(Box::new(recording.clone()));
             if let Some(sink) = &sink {
-                tee.push(sink.observer(&label));
+                tee = tee.with(sink.observer(&label));
             }
             let mut runner = EngineConfig::new()
                 .threads(threads)

@@ -2,6 +2,7 @@
 //! program.
 
 use crate::program::{NodeContext, NodeProgram, Verdict};
+use smst_graph::csr::{narrow, Csr};
 use smst_graph::{NodeId, WeightedGraph};
 
 /// A network executing a [`NodeProgram`]: the topology, the per-node static
@@ -13,6 +14,9 @@ use smst_graph::{NodeId, WeightedGraph};
 pub struct Network<P: NodeProgram> {
     graph: WeightedGraph,
     contexts: Vec<NodeContext>,
+    /// Each node's neighbours' indices in port order: the row an activation
+    /// gathers registers by.
+    neighbors: Csr<u32>,
     states: Vec<P::State>,
     /// The allocation [`Self::activate`] gathers neighbour registers in,
     /// kept empty between activations.
@@ -30,6 +34,15 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
         .collect()
 }
 
+/// Row `v` holds the indices of `v`'s neighbours in port order.
+fn neighbor_rows(graph: &WeightedGraph) -> Csr<u32> {
+    let mut rows = Csr::with_capacity(graph.node_count(), 2 * graph.edge_count());
+    for v in graph.nodes() {
+        rows.push_row(graph.neighbors(v).map(|u| narrow(u.index())));
+    }
+    rows
+}
+
 impl<P: NodeProgram> Network<P> {
     /// Creates a network over `graph` with every node initialized by
     /// `program.init`.
@@ -40,6 +53,7 @@ impl<P: NodeProgram> Network<P> {
             .collect();
         let states: Vec<P::State> = contexts.iter().map(|ctx| program.init(ctx)).collect();
         Network {
+            neighbors: neighbor_rows(&graph),
             graph,
             contexts,
             states,
@@ -64,6 +78,7 @@ impl<P: NodeProgram> Network<P> {
             .map(|v| NodeContext::for_node(&graph, v))
             .collect();
         Network {
+            neighbors: neighbor_rows(&graph),
             graph,
             contexts,
             states,
@@ -116,7 +131,8 @@ impl<P: NodeProgram> Network<P> {
         neighbors: &mut Vec<&'a P::State>,
     ) -> P::State {
         neighbors.clear();
-        neighbors.extend(self.graph.neighbors(v).map(|u| &self.states[u.index()]));
+        let row = self.neighbors.row(v.index());
+        neighbors.extend(row.iter().map(|&u| &self.states[u as usize]));
         program.step(
             &self.contexts[v.index()],
             &self.states[v.index()],

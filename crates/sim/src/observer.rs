@@ -189,26 +189,11 @@ impl TeeObserver {
         Self::default()
     }
 
-    /// Builder-style [`push`](Self::push).
+    /// The tee with `sink` added: every subsequent step fans out to it
+    /// after the sinks already present.
     pub fn with(mut self, sink: Box<dyn RoundObserver>) -> Self {
-        self.push(sink);
-        self
-    }
-
-    /// Adds a sink; every subsequent step fans out to it after the sinks
-    /// already present.
-    pub fn push(&mut self, sink: Box<dyn RoundObserver>) {
         self.sinks.push(sink);
-    }
-
-    /// Number of sinks attached.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
+        self
     }
 }
 
@@ -290,8 +275,6 @@ mod tests {
         let mut tee = TeeObserver::new()
             .with(Box::new(first.clone()))
             .with(Box::new(second.clone()));
-        assert_eq!(tee.len(), 2);
-        assert!(!tee.is_empty());
         tee.on_round(&stat(0));
         tee.on_round(&stat(1));
         assert_eq!(first.stats(), second.stats());
@@ -301,7 +284,11 @@ mod tests {
     #[test]
     fn empty_tee_is_a_no_op() {
         let mut tee = TeeObserver::new();
-        assert!(tee.is_empty());
         tee.on_round(&stat(0));
+        // a sink added afterwards sees only the steps that follow
+        let late = RecordingObserver::new();
+        tee = tee.with(Box::new(late.clone()));
+        tee.on_round(&stat(1));
+        assert_eq!(late.stats(), [stat(1)]);
     }
 }

@@ -15,9 +15,12 @@
 //! holds — its register and the verifier's copy of its label — beside those
 //! bits.
 //!
-//! Run with: `cargo run --release --example verifier_pipeline`
+//! Run with: `cargo run --release --example verifier_pipeline [-- n [rounds]]`
 //! (release mode matters: a debug verifier round is ~50x slower).
-//! `SMST_BENCH_SMOKE=1` shrinks the run to 20 000 nodes.
+//! `SMST_BENCH_SMOKE=1` shrinks the default run to 20 000 nodes; `n` and
+//! `rounds` (default 16) override the size and the fault-free rounds, e.g.
+//! `4000 2000` for a run the verifier's rounds dominate, the one
+//! `ci/profile/profile.sh` samples.
 
 #![expect(
     clippy::disallowed_methods,
@@ -36,7 +39,6 @@ use std::mem::size_of;
 use std::time::Instant;
 
 const SEED: u64 = 7;
-const ROUNDS: usize = 16;
 
 fn smoke_mode() -> bool {
     std::env::var_os("SMST_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -64,7 +66,13 @@ fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
 }
 
 fn main() {
-    let n = if smoke_mode() { 20_000 } else { 1_000_000 };
+    let mut args = std::env::args().skip(1).map(|a| {
+        a.parse::<usize>()
+            .unwrap_or_else(|_| panic!("usage: verifier_pipeline [n [rounds]], got {a:?}"))
+    });
+    let default_n = if smoke_mode() { 20_000 } else { 1_000_000 };
+    let n = args.next().unwrap_or(default_n);
+    let rounds = args.next().unwrap_or(16);
     let m = 3 * n;
     println!("verifier pipeline: n = {n}, m = {m}, seed {SEED}, one engine thread");
     println!(
@@ -94,8 +102,8 @@ fn main() {
             .instantiate(&verifier, inst.graph.clone())
             .expect("a one-thread sync envelope is valid")
     });
-    stage(&format!("{ROUNDS} rounds"), || {
-        runner.run_until(StopCondition::Steps, ROUNDS)
+    stage(&format!("{rounds} rounds"), || {
+        runner.run_until(StopCondition::Steps, rounds)
     });
     assert!(
         !runner.any_alarm(),
