@@ -5,11 +5,10 @@
 #
 # Builds the SIGPROF sampler (sprof.c) with cc, builds the example in
 # release (the root release profile keeps debug info), runs it with the
-# sampler preloaded, and prints the most sampled source lines: each sample
+# sampler preloaded, and prints the 15 most sampled source lines: each sample
 # goes to the innermost inlined frame that lies in a workspace source file
 # (addr2line -i -f). The example's own output goes to standard error. Exits
 # 1 when fewer than half the samples resolve to a workspace source line.
-# TOP (default 15) sets how many lines are printed.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -28,10 +27,10 @@ cargo build --release --quiet --manifest-path "$root/Cargo.toml" --example "$exa
 bin=$(cd "$root" && realpath "${CARGO_TARGET_DIR:-target}/release/examples/$example")
 SPROF_OUT="$work/samples" LD_PRELOAD="$work/sprof.so" "$bin" "$@" >&2
 
-python3 - "$work/samples" "$bin" "$root" "${TOP:-15}" <<'PY'
+python3 - "$work/samples" "$bin" "$root" <<'PY'
 import collections, os, subprocess, sys
 
-samples, binary, root, top = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+samples, binary, root = sys.argv[1:]
 objects = [line.split() for line in open(samples)]
 total = len(objects)
 if total == 0:
@@ -74,7 +73,7 @@ for address in addresses:
 
 hit = sum(lines.values())
 print(f"{total} samples, {hit} ({hit / total:.1%}) on a workspace source line")
-for line, count in lines.most_common(top):
+for line, count in lines.most_common(15):
     print(f"{count / total:6.1%} {count:6}  {line}  {functions[line][:80]}")
 if hit * 2 < total:
     sys.exit("profile: fewer than half the samples resolve to a workspace source line")

@@ -1,8 +1,8 @@
 /* A SIGPROF sampler to LD_PRELOAD into a program: every millisecond of CPU
  * time (ITIMER_PROF, all threads; the kernel rounds the interval up to its
  * tick) it records the interrupted instruction pointer, and at exit it
- * writes one "object offset" line per sample to $SPROF_OUT (default
- * sprof.out), the offset relative to the object's load base so that
+ * writes one "object offset" line per sample to $SPROF_OUT (nothing when
+ * it is unset), the offset relative to the object's load base so that
  * addr2line can resolve it in a position-independent executable.
  * Build: cc -O2 -shared -fPIC sprof.c -o sprof.so -ldl */
 #define _GNU_SOURCE
@@ -37,7 +37,7 @@ __attribute__((destructor)) static void dump(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
     const char *path = getenv("SPROF_OUT");
-    FILE *out = fopen(path ? path : "sprof.out", "w");
+    FILE *out = path ? fopen(path, "w") : NULL;
     if (!out)
         return;
     unsigned long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;

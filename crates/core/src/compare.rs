@@ -100,7 +100,10 @@ impl CompareView<'_> {
     /// branch predictor cannot learn, and a short-circuit scan mispredicted
     /// on it for ≈ 15 % of a verifier round at n = 4 000. Each field of the
     /// `Want` has its own `map_or`, which compiles to a select; unwrapping
-    /// the pair at once compiled to a branch.
+    /// the pair at once compiled to a branch. There is no early exit for a
+    /// node whose trains show no member piece: at n = 4 000 that is ≈ 6 % of
+    /// activations, and the exit cost ≈ 2 % of the kernel (≈ 150 against
+    /// ≈ 147 ns per node-round) without moving the profile.
     pub(crate) fn hold(&self) -> bool {
         let id = self.ctx.id;
         let shown = self.own.trains.map(|t| t.shown_member().map(|d| d.level()));

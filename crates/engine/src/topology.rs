@@ -21,27 +21,15 @@ pub struct CsrTopology {
 }
 
 impl CsrTopology {
-    /// Builds the CSR index of a graph.
+    /// Builds the CSR index of a graph from its
+    /// [`WeightedGraph::neighbor_rows`].
     ///
     /// # Panics
     ///
-    /// Panics if the graph has more than `u32::MAX` nodes (the engine packs
+    /// Panics if the graph has 2³² − 1 nodes or more (the engine packs
     /// neighbour indices into 32 bits to halve the index's footprint).
     pub fn build(graph: &WeightedGraph) -> Self {
-        let n = graph.node_count();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "CsrTopology supports at most 2^32 - 1 nodes"
-        );
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0);
-        for v in graph.nodes() {
-            for &e in graph.incident_edges(v) {
-                neighbors.push(graph.edge(e).other(v).index() as u32);
-            }
-            offsets.push(neighbors.len());
-        }
+        let (offsets, neighbors) = graph.neighbor_rows().into_parts();
         CsrTopology { offsets, neighbors }
     }
 

@@ -181,6 +181,11 @@ impl<T> Csr<T> {
     pub fn iter(&self) -> impl Iterator<Item = &[T]> + '_ {
         (0..self.rows()).map(|r| self.row(r))
     }
+
+    /// The table's two arrays: row `r` is `values[offsets[r]..offsets[r + 1]]`.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<T>) {
+        (self.offsets, self.values)
+    }
 }
 
 #[cfg(test)]

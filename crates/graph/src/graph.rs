@@ -16,7 +16,7 @@
 //! which Kruskal, `is_mst` and SYNC_MST all start from, are sorted the
 //! first time one of them asks and shared the same way.
 
-use crate::csr::Csr;
+use crate::csr::{narrow, Csr};
 use crate::error::GraphError;
 use crate::weight::{CompositeWeight, Weight};
 use crate::Result;
@@ -507,6 +507,21 @@ impl WeightedGraph {
             .map(move |&e| self.edge(e).other(v))
     }
 
+    /// Every node's neighbours' indices in port order, one row per node:
+    /// entry `p` of row `v` is the node behind port `p` of `v`. The table a
+    /// round gathers neighbour registers by.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has 2³² − 1 nodes or more.
+    pub fn neighbor_rows(&self) -> Csr<u32> {
+        let mut rows = Csr::with_capacity(self.node_count(), 2 * self.edge_count());
+        for v in self.nodes() {
+            rows.push_row(self.neighbors(v).map(|u| narrow(u.0)));
+        }
+        rows
+    }
+
     /// The edge reachable from `v` through `port`.
     ///
     /// # Errors
@@ -817,8 +832,15 @@ mod tests {
         assert_eq!(g.max_id(), scanned_id, "max_id of {what}");
         assert_eq!(g.max_weight(), scanned_w, "max_weight of {what}");
         assert_eq!(g.max_degree(), scanned_degree, "max_degree of {what}");
+        let rows = g.neighbor_rows();
+        assert_eq!(rows.rows(), g.node_count(), "neighbour rows of {what}");
         for v in g.nodes() {
             assert_eq!(g.incident_edges(v), naive[v.0], "ports of {v} in {what}");
+            let behind: Vec<u32> = naive[v.0]
+                .iter()
+                .map(|&e| g.edge(e).other(v).0 as u32)
+                .collect();
+            assert_eq!(rows.row(v.0), behind, "neighbour row of {v} in {what}");
         }
         let copy = g.clone();
         assert!(Arc::ptr_eq(&g.0, &copy.0), "a clone of {what} copied it");

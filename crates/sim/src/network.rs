@@ -2,7 +2,7 @@
 //! program.
 
 use crate::program::{NodeContext, NodeProgram, Verdict};
-use smst_graph::csr::{narrow, Csr};
+use smst_graph::Csr;
 use smst_graph::{NodeId, WeightedGraph};
 
 /// A network executing a [`NodeProgram`]: the topology, the per-node static
@@ -14,9 +14,6 @@ use smst_graph::{NodeId, WeightedGraph};
 pub struct Network<P: NodeProgram> {
     graph: WeightedGraph,
     contexts: Vec<NodeContext>,
-    /// Each node's neighbours' indices in port order: the row an activation
-    /// gathers registers by.
-    neighbors: Csr<u32>,
     states: Vec<P::State>,
     /// The allocation [`Self::activate`] gathers neighbour registers in,
     /// kept empty between activations.
@@ -34,15 +31,6 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
         .collect()
 }
 
-/// Row `v` holds the indices of `v`'s neighbours in port order.
-fn neighbor_rows(graph: &WeightedGraph) -> Csr<u32> {
-    let mut rows = Csr::with_capacity(graph.node_count(), 2 * graph.edge_count());
-    for v in graph.nodes() {
-        rows.push_row(graph.neighbors(v).map(|u| narrow(u.index())));
-    }
-    rows
-}
-
 impl<P: NodeProgram> Network<P> {
     /// Creates a network over `graph` with every node initialized by
     /// `program.init`.
@@ -53,7 +41,6 @@ impl<P: NodeProgram> Network<P> {
             .collect();
         let states: Vec<P::State> = contexts.iter().map(|ctx| program.init(ctx)).collect();
         Network {
-            neighbors: neighbor_rows(&graph),
             graph,
             contexts,
             states,
@@ -78,7 +65,6 @@ impl<P: NodeProgram> Network<P> {
             .map(|v| NodeContext::for_node(&graph, v))
             .collect();
         Network {
-            neighbors: neighbor_rows(&graph),
             graph,
             contexts,
             states,
@@ -122,16 +108,18 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// The next register of `v` read off the current configuration, its
-    /// neighbours' registers gathered into `neighbors` in port order: the
-    /// one place the simulator calls [`NodeProgram::step`].
+    /// neighbours' registers gathered into `neighbors` in port order by
+    /// `rows`, the graph's [`WeightedGraph::neighbor_rows`]: the one place
+    /// the simulator calls [`NodeProgram::step`].
     fn next_state<'a>(
         &'a self,
         program: &P,
+        rows: &Csr<u32>,
         v: NodeId,
         neighbors: &mut Vec<&'a P::State>,
     ) -> P::State {
         neighbors.clear();
-        let row = self.neighbors.row(v.index());
+        let row = rows.row(v.index());
         neighbors.extend(row.iter().map(|&u| &self.states[u as usize]));
         program.step(
             &self.contexts[v.index()],
@@ -142,11 +130,12 @@ impl<P: NodeProgram> Network<P> {
 
     /// Performs one atomic activation of node `v`: reads the neighbours'
     /// registers and rewrites `v`'s register (always; change detection is
-    /// the caller's). Once the network has activated a node of the largest
-    /// degree, an activation allocates nothing.
-    pub(crate) fn activate(&mut self, program: &P, v: NodeId) {
+    /// the caller's). `rows` is the graph's
+    /// [`WeightedGraph::neighbor_rows`]. Once the network has activated a
+    /// node of the largest degree, an activation allocates nothing.
+    pub(crate) fn activate(&mut self, program: &P, rows: &Csr<u32>, v: NodeId) {
         let mut neighbors = recycle(std::mem::take(&mut self.spare));
-        let next = self.next_state(program, v, &mut neighbors);
+        let next = self.next_state(program, rows, v, &mut neighbors);
         self.spare = recycle(neighbors);
         self.states[v.index()] = next;
     }
@@ -154,12 +143,13 @@ impl<P: NodeProgram> Network<P> {
     /// One synchronous round: every node's next register is computed into
     /// `scratch` off the current configuration, then `scratch` becomes
     /// current and the previous round becomes the scratch buffer. The
-    /// neighbour buffer is allocated once for the whole round.
+    /// neighbour buffer is allocated once for the whole round; `rows` is
+    /// the graph's [`WeightedGraph::neighbor_rows`].
     ///
     /// # Panics
     ///
     /// Panics if `scratch` does not hold one state per node.
-    pub(crate) fn round(&mut self, program: &P, scratch: &mut Vec<P::State>) {
+    pub(crate) fn round(&mut self, program: &P, rows: &Csr<u32>, scratch: &mut Vec<P::State>) {
         assert_eq!(
             scratch.len(),
             self.states.len(),
@@ -167,7 +157,7 @@ impl<P: NodeProgram> Network<P> {
         );
         let mut neighbors = Vec::with_capacity(16);
         for (v, slot) in self.graph.nodes().zip(scratch.iter_mut()) {
-            *slot = self.next_state(program, v, &mut neighbors);
+            *slot = self.next_state(program, rows, v, &mut neighbors);
         }
         std::mem::swap(&mut self.states, scratch);
     }
@@ -263,7 +253,8 @@ mod tests {
         let mut net: Network<MinId> = Network::new(&MinId, g);
         // node 2 initially holds id 2
         assert_eq!(*net.state(NodeId(2)), 2);
-        net.activate(&MinId, NodeId(2));
+        let rows = net.graph().neighbor_rows();
+        net.activate(&MinId, &rows, NodeId(2));
         // after one activation it sees node 1's register (1)
         assert_eq!(*net.state(NodeId(2)), 1);
     }
@@ -291,7 +282,8 @@ mod tests {
         let net = Network::new(&PortMix, random_connected_graph(30, 80, 5));
         let mut stepped = net.clone();
         let mut scratch = vec![0; net.node_count()];
-        stepped.round(&PortMix, &mut scratch);
+        let rows = net.graph().neighbor_rows();
+        stepped.round(&PortMix, &rows, &mut scratch);
         assert_eq!(
             scratch,
             net.states(),
@@ -299,7 +291,7 @@ mod tests {
         );
         for v in net.graph().nodes() {
             let mut single = net.clone();
-            single.activate(&PortMix, v);
+            single.activate(&PortMix, &rows, v);
             assert_eq!(stepped.state(v), single.state(v), "{v:?}");
         }
     }

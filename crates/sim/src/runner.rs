@@ -15,6 +15,7 @@ use crate::asynch::Daemon;
 use crate::network::Network;
 use crate::observer::{RoundObserver, RoundStats};
 use crate::program::NodeProgram;
+use smst_graph::Csr;
 
 /// When a driven run ends (always bounded by the caller's step budget):
 /// one stop-condition vocabulary for every execution path, this runner's
@@ -47,6 +48,9 @@ enum Schedule<S> {
 pub struct ReferenceRunner<'p, P: NodeProgram> {
     program: &'p P,
     network: Network<P>,
+    /// The graph's [`smst_graph::WeightedGraph::neighbor_rows`]: whom an
+    /// activation reads, built once per runner.
+    rows: Csr<u32>,
     schedule: Schedule<P::State>,
     steps: usize,
     activations: usize,
@@ -69,6 +73,7 @@ impl<'p, P: NodeProgram> ReferenceRunner<'p, P> {
     fn new(program: &'p P, network: Network<P>, schedule: Schedule<P::State>) -> Self {
         ReferenceRunner {
             program,
+            rows: network.graph().neighbor_rows(),
             network,
             schedule,
             steps: 0,
@@ -124,13 +129,13 @@ impl<'p, P: NodeProgram> ReferenceRunner<'p, P> {
         let start = self.observer.is_some().then(std::time::Instant::now);
         let activations = match &mut self.schedule {
             Schedule::Rounds { scratch } => {
-                self.network.round(self.program, scratch);
+                self.network.round(self.program, &self.rows, scratch);
                 self.network.node_count()
             }
             Schedule::Daemon(daemon) => {
                 let order = daemon.schedule(self.network.node_count(), self.steps);
                 for &v in &order {
-                    self.network.activate(self.program, v);
+                    self.network.activate(self.program, &self.rows, v);
                 }
                 order.len()
             }

@@ -15,11 +15,12 @@
 //! holds — its register and the verifier's copy of its label — beside those
 //! bits.
 //!
-//! Run with: `cargo run --release --example verifier_pipeline [-- n [rounds]]`
+//! Run with: `cargo run --release --example verifier_pipeline [-- rounds]`
 //! (release mode matters: a debug verifier round is ~50x slower).
-//! `SMST_BENCH_SMOKE=1` shrinks the default run to 20 000 nodes; `n` and
-//! `rounds` (default 16) override the size and the fault-free rounds, e.g.
-//! `4000 2000` for a run the verifier's rounds dominate, the one
+//! `SMST_BENCH_SMOKE=1` shrinks the run to 20 000 nodes. A `rounds`
+//! argument makes it the kernel's profile run instead: n = 4 000 (the size
+//! of the benchmark's `verify_sync_rc4k`) and `rounds` fault-free rounds
+//! (16 otherwise), a run the verifier's rounds dominate, the one
 //! `ci/profile/profile.sh` samples.
 
 #![expect(
@@ -39,6 +40,8 @@ use std::mem::size_of;
 use std::time::Instant;
 
 const SEED: u64 = 7;
+/// The node count of the profile run.
+const PROFILE_N: usize = 4_000;
 
 fn smoke_mode() -> bool {
     std::env::var_os("SMST_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -66,13 +69,16 @@ fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1).map(|a| {
+    let profile_rounds = std::env::args().nth(1).map(|a| {
         a.parse::<usize>()
-            .unwrap_or_else(|_| panic!("usage: verifier_pipeline [n [rounds]], got {a:?}"))
+            .unwrap_or_else(|_| panic!("usage: verifier_pipeline [rounds], got {a:?}"))
     });
-    let default_n = if smoke_mode() { 20_000 } else { 1_000_000 };
-    let n = args.next().unwrap_or(default_n);
-    let rounds = args.next().unwrap_or(16);
+    let n = match profile_rounds {
+        Some(_) => PROFILE_N,
+        None if smoke_mode() => 20_000,
+        None => 1_000_000,
+    };
+    let rounds = profile_rounds.unwrap_or(16);
     let m = 3 * n;
     println!("verifier pipeline: n = {n}, m = {m}, seed {SEED}, one engine thread");
     println!(
