@@ -7,8 +7,11 @@
 # release (the root release profile keeps debug info), runs it with the
 # sampler preloaded, and prints the 15 most sampled source lines: each sample
 # goes to the innermost inlined frame that lies in a workspace source file
-# (addr2line -i -f). The example's own output goes to standard error. Exits
-# 1 when fewer than half the samples resolve to a workspace source line.
+# (addr2line -i -f). Then it prints the samples that fell outside the
+# example binary, by object (libc, the vdso, ...), so the share
+# the line table cannot show is stated. The example's own output goes to
+# standard error. Exits 1 when fewer than half the samples resolve to a
+# workspace source line.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -75,6 +78,13 @@ hit = sum(lines.values())
 print(f"{total} samples, {hit} ({hit / total:.1%}) on a workspace source line")
 for line, count in lines.most_common(15):
     print(f"{count / total:6.1%} {count:6}  {line}  {functions[line][:80]}")
+outside = collections.Counter(
+    os.path.basename(obj) for obj, _ in objects if os.path.realpath(obj) != binary
+)
+elsewhere = sum(outside.values())
+print(f"{elsewhere} ({elsewhere / total:.1%}) outside {os.path.basename(binary)}, by object")
+for obj, count in outside.most_common():
+    print(f"{count / total:6.1%} {count:6}  {obj}")
 if hit * 2 < total:
     sys.exit("profile: fewer than half the samples resolve to a workspace source line")
 PY

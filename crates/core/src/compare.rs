@@ -102,8 +102,9 @@ impl CompareView<'_> {
     /// `Want` has its own `map_or`, which compiles to a select; unwrapping
     /// the pair at once compiled to a branch. There is no early exit for a
     /// node whose trains show no member piece: at n = 4 000 that is ≈ 6 % of
-    /// activations, and the exit cost ≈ 2 % of the kernel (≈ 150 against
-    /// ≈ 147 ns per node-round) without moving the profile.
+    /// activations, and with the round sweep prefetching the neighbour
+    /// registers the kernel read ≈ 157 ns per node-round with the exit
+    /// against ≈ 153 without (medians of five alternating runs).
     pub(crate) fn hold(&self) -> bool {
         let id = self.ctx.id;
         let shown = self.own.trains.map(|t| t.shown_member().map(|d| d.level()));

@@ -77,9 +77,11 @@
 //!
 //! # Safety
 //!
-//! The crate is `#![deny(unsafe_code)]`; the only `unsafe` lives in
+//! The crate is `#![deny(unsafe_code)]`; `unsafe` lives in two places:
 //! [`pool`]'s lifetime-erasure core, whose dispatch protocol provides the
-//! same structural guarantee as `std::thread::scope` (see the module docs).
+//! same structural guarantee as `std::thread::scope` (see the module docs),
+//! and [`kernel`]'s cache-prefetch hint, which never faults and has no
+//! architectural read or write (x86-64 only, a no-op elsewhere).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -273,7 +273,7 @@ where
                         }
                         let shard = plan.shards()[part];
                         match plan.local_csr(part) {
-                            Some(csr) => sweep(
+                            Some(csr) => sweep::<true, _, _>(
                                 program,
                                 csr,
                                 &contexts[shard.nodes()],
@@ -281,7 +281,14 @@ where
                                 0..shard.len(),
                                 out,
                             ),
-                            None => sweep(program, topo, contexts, prev, shard.nodes(), out),
+                            None => sweep::<true, _, _>(
+                                program,
+                                topo,
+                                contexts,
+                                prev,
+                                shard.nodes(),
+                                out,
+                            ),
                         }
                     },
                     phases,
@@ -334,7 +341,7 @@ where
                             }
                             let piece = nodes[bound(k)..bound(k + 1)].iter().map(|&v| v as usize);
                             let mut window = windows[k].lock().expect("one piece per window");
-                            sweep(program, topo, contexts, registers, piece, &mut window);
+                            sweep::<false, _, _>(program, topo, contexts, registers, piece, &mut window);
                         });
                         drop(windows);
                         // one register copy each; the `out` slots are

@@ -195,7 +195,7 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
             reason = "compute_ns measurement reported to the coordinator's observer; never steers results"
         )]
         let compute_start = std::time::Instant::now();
-        sweep(&program, &csr, &contexts, &prev, 0..interior_len, &mut next);
+        sweep::<true, _, _>(&program, &csr, &contexts, &prev, 0..interior_len, &mut next);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
         let changed = (0u32..)
             .zip(&next)
