@@ -64,4 +64,4 @@ pub use labels::CoreLabel;
 pub use marker::{ConstructionReport, Marker};
 pub use scheme::MstVerificationScheme;
 pub use sync_mst::{SyncMst, SyncMstOutcome};
-pub use verifier::{CoreState, CoreVerifier};
+pub use verifier::{CoreState, CoreUpdate, CoreVerifier};

@@ -82,15 +82,33 @@ impl CoreState {
     }
 }
 
+/// What one activation of the verifier rewrites of a [`CoreState`]: every
+/// field but the label, which a step only reads and only a fault changes.
+/// Runners keep one of these per node beside the registers, so a node costs
+/// its register plus this, not two registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CoreUpdate {
+    /// [`CoreState::trains`].
+    pub trains: [TrainState; 2],
+    /// [`CoreState::compare`].
+    pub compare: CompareState,
+    /// [`CoreState::seen_levels`].
+    pub seen_levels: u64,
+    /// [`CoreState::verdict`].
+    pub verdict: Verdict,
+}
+
 // Layout tripwires: the register stays `Copy`; identities, weights, the SP
 // distance and the node counts sit in 32-bit fields, and levels, depths and
-// diameters in bytes (see `crate::labels`), so the label is 184 bytes and
-// the register 328 — `peak_rss_mb` follows these numbers.
+// diameters in bytes (see `crate::labels`), so the label is 184 bytes, the
+// register 328 and the update 144 — `peak_rss_mb` follows these numbers.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<CoreState>();
+    assert_copy::<CoreUpdate>();
     assert!(std::mem::size_of::<CoreState>() <= 328);
     assert!(std::mem::size_of::<CoreLabel>() <= 184);
+    assert!(std::mem::size_of::<CoreUpdate>() <= 144);
 };
 
 /// What one pass over the neighbour registers gathers from the tree children
@@ -317,6 +335,7 @@ fn membership(which: usize, label: &CoreLabel, id: u64, piece: PieceCell, at_roo
 
 impl NodeProgram for CoreVerifier {
     type State = CoreState;
+    type Update = CoreUpdate;
 
     fn init(&self, ctx: &NodeContext) -> CoreState {
         CoreState {
@@ -328,10 +347,14 @@ impl NodeProgram for CoreVerifier {
         }
     }
 
-    fn step(&self, ctx: &NodeContext, own: &CoreState, neighbors: &[&CoreState]) -> CoreState {
+    fn step(&self, ctx: &NodeContext, own: &CoreState, neighbors: &[&CoreState]) -> CoreUpdate {
         let mut alarm = false;
-        let mut next = *own;
-        next.verdict = Verdict::Accept;
+        let mut next = CoreUpdate {
+            trains: own.trains,
+            compare: own.compare,
+            seen_levels: own.seen_levels,
+            verdict: Verdict::Accept,
+        };
         // the parent port, by the component pointer
         let parent_port = (self.components.pointer(ctx.node)).filter(|p| p.index() < ctx.degree);
         let parent = parent_port.map(|p| neighbors[p.index()]);
@@ -400,6 +423,19 @@ impl NodeProgram for CoreVerifier {
             next.verdict = Verdict::Reject;
         }
         next
+    }
+
+    fn apply(state: &mut CoreState, update: CoreUpdate) {
+        let CoreUpdate {
+            trains,
+            compare,
+            seen_levels,
+            verdict,
+        } = update;
+        state.trains = trains;
+        state.compare = compare;
+        state.seen_levels = seen_levels;
+        state.verdict = verdict;
     }
 
     fn verdict(&self, _ctx: &NodeContext, state: &CoreState) -> Verdict {

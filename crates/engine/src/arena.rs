@@ -229,11 +229,15 @@ mod tests {
 
     impl NodeProgram for Marked {
         type State = u64;
+        type Update = u64;
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
         }
         fn step(&self, _ctx: &NodeContext, own: &u64, _neighbors: &[&u64]) -> u64 {
             *own
+        }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
         fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
             if *state == POISON {

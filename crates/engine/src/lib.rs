@@ -9,15 +9,18 @@
 //! that primitive needs:
 //!
 //! * **one kernel** — [`sweep`]: walk a CSR view, gather the neighbour
-//!   registers in port order, call `step`, write into the caller's slice.
+//!   registers in port order, call `step`, write its
+//!   [`Update`](smst_sim::NodeProgram::Update) into the caller's slice.
 //!   It is the only `step` call site outside the `smst-sim` reference;
 //! * **one arena** — [`Arena`]: program, graph, renumbered
 //!   [`CsrTopology`], [`Layout`] (+ inverse), contexts and registers in
 //!   internal order, built by one pipeline and speaking original node ids
 //!   on its whole read / fault surface;
 //! * **one round primitive** — [`WorkerPool::run_rounds`]: a chunk of
-//!   double-buffered rounds over per-part write regions with an optional
-//!   pull exchange, on a persistent pool of parked workers
+//!   rounds over per-part regions, each a compute phase that sweeps
+//!   updates off the unchanged registers and, behind the round barrier, an
+//!   apply phase that writes them in place (halo copies included), on a
+//!   persistent pool of parked workers
 //!   ([`PoolHandle`]; [`PhaseTimes`] optionally splits observed rounds
 //!   into compute / barrier / exchange);
 //! * **one supervised-attempt loop** — [`RecoveryPolicy::supervise`]:
@@ -37,12 +40,12 @@
 //! * [`ShardedRunner`] — one runner with two schedules. **Rounds** run
 //!   over a [`HaloPlan`]: every part sweeps its [`Shard`]
 //!   ([`partition_balanced`] equalizes adjacency work, not node counts);
-//!   the direct plan reads the whole previous buffer, the halo plan runs
+//!   the direct plan reads the whole register vector, the halo plan runs
 //!   on shard-local arenas with an explicit, measurable exchange.
 //!   **Batches** are any [`smst_sim::BatchDaemon`]'s simultaneous
-//!   activations swept into a reused buffer, equal to the central daemon
-//!   at batch width 1. Construction, recovery, injection and the observer
-//!   hook are shared;
+//!   activations swept into a reused update buffer, equal to the central
+//!   daemon at batch width 1. Construction, recovery, injection and the
+//!   observer hook are shared;
 //! * the `smst-net` crate's coordinator and worker processes — one halo
 //!   region per process, the exchange on a socket.
 //!
@@ -70,10 +73,20 @@
 //! Every run is a pure function of `(program, scenario/graph seed, daemon
 //! seed, batch width)`. Thread count, layout, halo mode and recovery
 //! **never** change results — they are purely wall-clock knobs —
-//! because the kernel reads only pre-step registers (double buffering),
-//! every CSR the kernel walks preserves each node's port order exactly,
+//! because the kernel reads only pre-step registers (a round or batch
+//! applies its updates only once all of them are computed), every CSR the
+//! kernel walks preserves each node's port order exactly,
 //! and all scheduling randomness comes from counter-seeded [`smst_rng`]
 //! generators, never from thread interleaving.
+//!
+//! # Memory
+//!
+//! The register is still a node's whole state: a step reads all of it,
+//! [`Runner::state`] and [`Runner::apply_faults`] see and rewrite all of
+//! it, and faults may corrupt any field. What a step may rewrite is the
+//! program's [`Update`](smst_sim::NodeProgram::Update), so every runner
+//! holds the registers once plus one buffer of updates — for the core
+//! verifier 328 + 144 B per node instead of two 328-B registers.
 //!
 //! # Safety
 //!

@@ -5,8 +5,9 @@
 //! (single-digit µs, against tens of µs for a `std::thread::scope`
 //! spawn/join), and [`run_rounds`](WorkerPool::run_rounds) — the **one**
 //! round primitive — amortizes even that over a whole chunk of
-//! double-buffered rounds, synchronizing the workers between rounds with a
-//! lightweight generation barrier instead of returning to the dispatcher.
+//! rounds, synchronizing the workers between the compute and apply phases
+//! of every round with a lightweight generation barrier instead of
+//! returning to the dispatcher.
 //!
 //! Pools are **shared and long-lived**: [`PoolHandle::for_threads`] hands
 //! out the smallest registered pool with enough threads (creating one only
@@ -28,14 +29,16 @@
 //!    `std::thread::scope` provides structurally. Workers without a part
 //!    never dereference the pointer (they only skip the epoch), so no
 //!    worker can call through it after `dispatch` returns.
-//! 2. **Disjoint double-buffer slices.** In
-//!    [`run_rounds`](WorkerPool::run_rounds) each part writes only its
-//!    disjoint region of `next` while all parts read only the other buffer;
-//!    the optional exchange phase copies within `next` from single-owner
-//!    region slots to single-writer halo slots, barrier-separated from both
-//!    the compute writes before it and the reads after it. A poisoning
-//!    round barrier separates consecutive rounds, so no read of round `r`'s
-//!    input can race a write of round `r + 1`.
+//! 2. **Disjoint slices of the register and update buffers.** In
+//!    [`run_rounds`](WorkerPool::run_rounds) a round is two phases split by
+//!    a poisoning barrier. In the compute phase every part reads the whole
+//!    register buffer, which nobody writes, and writes only its own
+//!    disjoint region of the update buffer. In the apply phase every part
+//!    reads the update buffer, which nobody writes, and writes only the
+//!    registers of its own region and its own halo slots (each halo slot
+//!    has exactly one writer, validated before any dispatch). A second
+//!    barrier separates the applies from the next round's reads, so no
+//!    read of round `r`'s input can race a write of round `r`.
 //!
 //! # Self-healing
 //!
@@ -486,33 +489,36 @@ impl WorkerPool {
             .collect()
     }
 
-    /// The round primitive: runs `rounds` double-buffered rounds in **one**
+    /// The round primitive: runs `rounds` synchronous rounds in **one**
     /// dispatch, workers synchronizing on a round barrier instead of
     /// returning to the dispatcher.
     ///
-    /// The buffers are split into per-part regions: `regions[part]` is the
-    /// range of slots the part **writes**; everything outside every region
-    /// is a halo slot, refreshed by the exchange. Every round has two
-    /// phases:
+    /// `registers` holds every slot's whole register and `updates` (of the
+    /// same length) what a round rewrites of it. Both are split into
+    /// per-part regions: `regions[part]` is the range of slots the part
+    /// **computes and applies**; everything outside every region is a halo
+    /// slot, a copy of an interior register kept current by the exchange
+    /// pairs. Every round has two phases:
     ///
-    /// 1. **compute** — each part runs `step(part, round, prev, next)`,
-    ///    where `prev` is the full previous-round buffer and `next` the
-    ///    part's region of the next-round buffer (parts read only `prev`, so
-    ///    what round `r` observes is exactly what round `r − 1` left —
-    ///    double-buffer semantics);
-    /// 2. **exchange** — after a round barrier, each part refreshes its halo
-    ///    slots by pulling `next[dst] = next[src]` for its `exchange[part]`
-    ///    pairs; a second barrier orders the pulls before the next round's
-    ///    reads. With no pairs anywhere (regions covering the buffer, the
-    ///    direct mode) the phase and its barrier vanish: one barrier per
-    ///    round.
+    /// 1. **compute** — each part runs `step(part, round, registers, out)`,
+    ///    where `registers` is the whole buffer as the previous round left
+    ///    it and `out` the part's region of `updates`; no register is
+    ///    written in this phase, so what round `r` observes is exactly what
+    ///    round `r − 1` left;
+    /// 2. **apply** — after a round barrier, each part runs
+    ///    `apply(&mut registers[i], &updates[i])` for every slot `i` of its
+    ///    region, then `apply(&mut registers[dst], &updates[src])` for each
+    ///    of its `exchange[part]` pairs, so a halo copy takes the same
+    ///    update as the interior register it mirrors (and stays equal to it
+    ///    when it was equal before the chunk). A second barrier orders the
+    ///    applies before the next round's reads; the last round needs none.
     ///
-    /// On return `front` holds the final round's buffer and `back` the
-    /// previous round's (the postcondition of `rounds` sequential
-    /// compute-and-swap steps). With one part, or on a 1-thread pool, the
-    /// rounds run inline on the caller with no synchronization at all.
+    /// On return `registers` holds the final round's registers. With one
+    /// part, or on a 1-thread pool, the rounds run inline on the caller
+    /// with no synchronization at all.
     ///
-    /// When `phases` is `Some`, part 0's compute, barrier-wait and exchange
+    /// When `phases` is `Some`, part 0's compute (the interior applies
+    /// included), barrier-wait and exchange (the halo applies)
     /// nanoseconds accumulate into the given [`PhaseTimes`] (see its docs
     /// for the sampling contract); `None` never reads the clock. When
     /// `watchdog` is `Some`, a part that fails to reach a round barrier — or
@@ -530,27 +536,30 @@ impl WorkerPool {
     /// written by exactly one part, every source inside a region (what
     /// [`HaloPlan::build`](crate::shard::HaloPlan::build) guarantees by
     /// construction; verified here in all build modes because the pairs
-    /// feed raw-pointer copies). Propagates `step` panics.
+    /// feed raw-pointer accesses). Propagates `step` and `apply` panics.
     #[expect(
         clippy::too_many_arguments,
-        reason = "the round primitive: regions, exchange plan, buffers, step, timing, watchdog"
+        reason = "the round primitive: regions, exchange plan, buffers, step, apply, timing, watchdog"
     )]
-    pub fn run_rounds<T, F>(
+    pub fn run_rounds<S, U, F, A>(
         &self,
         regions: &[(usize, usize)],
         exchange: &[Vec<(u32, u32)>],
         rounds: usize,
-        front: &mut Vec<T>,
-        back: &mut Vec<T>,
+        registers: &mut [S],
+        updates: &mut [U],
         step: F,
+        apply: A,
         phases: Option<&PhaseTimes>,
         watchdog: Option<Duration>,
     ) where
-        T: Send + Sync + Clone,
-        F: Fn(usize, usize, &[T], &mut [T]) + Sync,
+        S: Send + Sync,
+        U: Send + Sync,
+        F: Fn(usize, usize, &[S], &mut [U]) + Sync,
+        A: Fn(&mut S, &U) + Sync,
     {
-        let n = front.len();
-        assert_eq!(back.len(), n, "double buffers must have equal length");
+        let n = registers.len();
+        assert_eq!(updates.len(), n, "one update slot per register");
         let parts = regions.len();
         assert_eq!(exchange.len(), parts, "one exchange list per part");
         assert!(
@@ -561,18 +570,18 @@ impl WorkerPool {
             regions.windows(2).all(|w| w[0].1 <= w[1].0),
             "regions must be ascending and disjoint"
         );
-        // with no exchange pairs anywhere the exchange phase (and its
-        // barrier) vanishes: one barrier per round, nothing to validate
+        // with no exchange pairs anywhere (regions covering the buffer, the
+        // direct mode) there is nothing to validate
         let has_exchange = exchange.iter().any(|pairs| !pairs.is_empty());
         if has_exchange {
             // O(arena + pairs) plan validation, release mode included: the
-            // exchange pairs feed unchecked raw-pointer copies on the
+            // exchange pairs feed unchecked raw-pointer accesses on the
             // parallel path, so a malformed plan from this *safe* public
             // API must panic here, never scribble out of bounds. (Plans
             // from HaloPlan::build are sound by construction; the halo
             // runner already pays O(arena) per call to gather, so this is
             // a bounded constant factor, not a new asymptotic cost.)
-            // interior[i]: is arena slot i inside some part's write region?
+            // interior[i]: is arena slot i inside some part's region?
             // dst_seen[i]: has some part already claimed slot i as a dst?
             let mut interior = vec![false; n];
             for &(lo, hi) in regions {
@@ -603,21 +612,20 @@ impl WorkerPool {
         }
         if parts == 1 || self.threads == 1 {
             for round in 0..rounds {
-                let (prev, next) = if round % 2 == 0 {
-                    (&*front, &mut *back)
-                } else {
-                    (&*back, &mut *front)
-                };
                 let mut mark = phases.map(|_| Instant::now());
                 for (part, &(lo, hi)) in regions.iter().enumerate() {
-                    let slice = &mut next[lo..hi];
-                    step(part, round, prev, slice);
+                    step(part, round, registers, &mut updates[lo..hi]);
+                }
+                for &(lo, hi) in regions {
+                    for (register, update) in registers[lo..hi].iter_mut().zip(&updates[lo..hi]) {
+                        apply(register, update);
+                    }
                 }
                 lap(phases, &mut mark, PhaseSlot::Compute);
                 if has_exchange {
                     for pairs in exchange {
                         for &(src, dst) in pairs {
-                            next[dst as usize] = next[src as usize].clone();
+                            apply(&mut registers[dst as usize], &updates[src as usize]);
                         }
                     }
                     lap(phases, &mut mark, PhaseSlot::Exchange);
@@ -630,51 +638,65 @@ impl WorkerPool {
                 self.threads
             );
             let barrier = RoundBarrier::new(parts, watchdog);
-            let front_ptr = BufPtr(front.as_mut_ptr());
-            let back_ptr = BufPtr(back.as_mut_ptr());
+            let registers_ptr = BufPtr(registers.as_mut_ptr());
+            let updates_ptr = BufPtr(updates.as_mut_ptr());
             self.dispatch(parts, &|part| {
                 // phase timing samples part 0 only (the dispatching side);
                 // other parts never read the clock
                 let timing = if part == 0 { phases } else { None };
+                let (lo, hi) = regions[part];
                 let work = || {
                     for round in 0..rounds {
-                        let (prev_ptr, next_ptr) = if round % 2 == 0 {
-                            (front_ptr.get(), back_ptr.get())
-                        } else {
-                            (back_ptr.get(), front_ptr.get())
-                        };
-                        // SAFETY: compute phase — every part reads only
-                        // `prev` and writes only its disjoint interior
-                        // region of `next` (asserted above); the barrier
-                        // separates this round's writes from the exchange
-                        // reads, and `dispatch` keeps both buffers borrowed
-                        // until all parts finish.
-                        let prev: &[T] =
-                            unsafe { std::slice::from_raw_parts(prev_ptr as *const T, n) };
-                        let (lo, hi) = regions[part];
-                        // SAFETY: `[lo, hi)` is this part's own interior
-                        // region — `regions` partitions the interior, so no
-                        // other part aliases this mutable slice.
-                        let next: &mut [T] =
-                            unsafe { std::slice::from_raw_parts_mut(next_ptr.add(lo), hi - lo) };
                         let mut mark = timing.map(|_| Instant::now());
-                        step(part, round, prev, next);
+                        // SAFETY: compute phase — no part writes a
+                        // register until every part has passed the barrier
+                        // below, so the shared view of the whole register
+                        // buffer aliases no write; `[lo, hi)` is this
+                        // part's own region (regions are disjoint, asserted
+                        // above), so no other part touches its update
+                        // slots, and nobody reads an update before that
+                        // barrier. `dispatch` keeps both buffers borrowed
+                        // until all parts finish.
+                        let (registers, out): (&[S], &mut [U]) = unsafe {
+                            (
+                                std::slice::from_raw_parts(registers_ptr.get() as *const S, n),
+                                std::slice::from_raw_parts_mut(updates_ptr.get().add(lo), hi - lo),
+                            )
+                        };
+                        step(part, round, registers, out);
+                        lap(timing, &mut mark, PhaseSlot::Compute);
+                        barrier.wait();
+                        lap(timing, &mut mark, PhaseSlot::Barrier);
+                        // SAFETY: apply phase — every update was written
+                        // before the barrier above and none is written
+                        // until the next round's compute, behind a second
+                        // barrier, so the shared view of the whole update
+                        // buffer aliases no write; `[lo, hi)` is this
+                        // part's own region, whose registers no other part
+                        // writes, and nobody reads a register in this phase.
+                        let (updates, own): (&[U], &mut [S]) = unsafe {
+                            (
+                                std::slice::from_raw_parts(updates_ptr.get() as *const U, n),
+                                std::slice::from_raw_parts_mut(
+                                    registers_ptr.get().add(lo),
+                                    hi - lo,
+                                ),
+                            )
+                        };
+                        for (register, update) in own.iter_mut().zip(&updates[lo..hi]) {
+                            apply(register, update);
+                        }
                         lap(timing, &mut mark, PhaseSlot::Compute);
                         if has_exchange {
-                            barrier.wait();
-                            lap(timing, &mut mark, PhaseSlot::Barrier);
                             for &(src, dst) in &exchange[part] {
-                                // SAFETY: exchange phase — `src` is an interior
-                                // slot (every compute write is barrier-ordered
-                                // before this read, and nothing writes
-                                // interiors now); `dst` is one of this part's
-                                // own halo slots, in bounds and written by no
-                                // other part (validated above in every build
-                                // mode).
-                                unsafe {
-                                    let value = (*(next_ptr.add(src as usize) as *const T)).clone();
-                                    *next_ptr.add(dst as usize) = value;
-                                }
+                                // SAFETY: `dst` is one of this part's own
+                                // halo slots — in bounds, outside every
+                                // region (so outside `own`) and written by
+                                // no other part (validated above in every
+                                // build mode); nothing reads a register in
+                                // this phase. `src` only indexes `updates`.
+                                let halo = unsafe { &mut *registers_ptr.get().add(dst as usize) };
+                                apply(halo, &updates[src as usize]);
                             }
                             lap(timing, &mut mark, PhaseSlot::Exchange);
                         }
@@ -685,9 +707,9 @@ impl WorkerPool {
                     }
                     // an armed watchdog also guards chunk completion: a
                     // single-round chunk (the observed, round-granular
-                    // dispatch mode) has no inter-round barrier, so without
-                    // this a part stalled in its last round would only be
-                    // detected when the blocking completion wait ends
+                    // dispatch mode) ends in the apply phase, so without
+                    // this a part stalled there would only be detected
+                    // when the blocking completion wait ends
                     if watchdog.is_some() {
                         let mut mark = timing.map(|_| Instant::now());
                         barrier.wait();
@@ -699,9 +721,6 @@ impl WorkerPool {
                     resume_unwind(payload);
                 }
             });
-        }
-        if rounds % 2 == 1 {
-            std::mem::swap(front, back);
         }
     }
 }
@@ -747,10 +766,12 @@ impl<T> BufPtr<T> {
 // worker write elements it did not create.
 unsafe impl<T: Send + Sync> Send for BufPtr<T> {}
 // SAFETY: sharing `&BufPtr` shares only the address; every dereference is
-// in `WorkerPool::run_rounds`, where a part writes only its own interior
-// region and halo slots, and reads only `prev` or barrier-ordered interior
-// slots, so no access through a shared copy races a write (`T: Sync`
-// covers the concurrent reads).
+// in `WorkerPool::run_rounds`, where in the compute phase every part reads
+// the registers and writes only its own region of the updates, and in the
+// barrier-separated apply phase every part reads the updates and writes
+// only its own region's registers and its own halo slots, so no access
+// through a shared copy races a write (`T: Sync` covers the concurrent
+// reads).
 unsafe impl<T: Send + Sync> Sync for BufPtr<T> {}
 
 fn worker_loop(shared: &Shared, worker: usize) {
@@ -1072,41 +1093,52 @@ mod tests {
             .collect()
     }
 
+    /// The update of an assigning program: the whole register.
+    fn assign(register: &mut u64, update: &u64) {
+        *register = *update;
+    }
+
     #[test]
     fn multi_round_double_buffer_matches_sequential_reference() {
-        // each round: x[i] <- x[i] + max of the full previous buffer
+        // each round: x[i] <- x[i] + max of the full previous buffer + a
+        // label the rounds read but never rewrite (the register is
+        // `(x, label)`, the update `x` alone)
         let n = 97;
         let rounds = 9;
+        let label = |i: usize| (i as u64 * 7) % 5;
+        let init: Vec<(u64, u64)> = (0..n).map(|i| (i as u64, label(i))).collect();
         let reference = {
-            let mut cur: Vec<u64> = (0..n as u64).collect();
+            let mut cur = init.clone();
             for _ in 0..rounds {
-                let m = *cur.iter().max().unwrap();
-                cur = cur.iter().map(|&x| x + m).collect();
+                let m = cur.iter().map(|r| r.0).max().unwrap();
+                cur = cur.iter().map(|&(x, l)| (x + m + l, l)).collect();
             }
             cur
         };
         for parts in [1usize, 2, 3, 4] {
             let pool = WorkerPool::new(4);
             let regions = even_regions(n, parts);
-            let mut front: Vec<u64> = (0..n as u64).collect();
-            let mut back = front.clone();
+            let mut registers = init.clone();
+            let mut updates = vec![0u64; n];
             pool.run_rounds(
                 &regions,
                 &vec![Vec::new(); parts],
                 rounds,
-                &mut front,
-                &mut back,
-                |part: usize, _round: usize, prev: &[u64], next: &mut [u64]| {
-                    let m = *prev.iter().max().unwrap();
+                &mut registers,
+                &mut updates,
+                |part: usize, _round: usize, prev: &[(u64, u64)], out: &mut [u64]| {
+                    let m = prev.iter().map(|r| r.0).max().unwrap();
                     let lo = regions[part].0;
-                    for (i, slot) in next.iter_mut().enumerate() {
-                        *slot = prev[lo + i] + m;
+                    for (i, slot) in out.iter_mut().enumerate() {
+                        let (x, l) = prev[lo + i];
+                        *slot = x + m + l;
                     }
                 },
+                |register: &mut (u64, u64), update: &u64| register.0 = *update,
                 None,
                 None,
             );
-            assert_eq!(front, reference, "{parts} parts diverged");
+            assert_eq!(registers, reference, "{parts} parts diverged");
         }
     }
 
@@ -1133,20 +1165,21 @@ mod tests {
     fn multi_round_panic_does_not_deadlock() {
         let pool = WorkerPool::new(3);
         let n = 30;
-        let mut front = vec![0u64; n];
-        let mut back = vec![0u64; n];
+        let mut registers = vec![0u64; n];
+        let mut updates = vec![0u64; n];
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run_rounds(
                 &even_regions(n, 3),
                 &vec![Vec::new(); 3],
                 5,
-                &mut front,
-                &mut back,
-                |part: usize, round: usize, _prev: &[u64], _next: &mut [u64]| {
+                &mut registers,
+                &mut updates,
+                |part: usize, round: usize, _prev: &[u64], _out: &mut [u64]| {
                     if part == 1 && round == 2 {
                         panic!("mid-chunk boom");
                     }
                 },
+                assign,
                 None,
                 None,
             );
@@ -1227,25 +1260,26 @@ mod tests {
             let expected = reference(rounds);
             for threads in [1usize, 2, 4] {
                 let pool = WorkerPool::new(threads);
-                let mut front = init.clone();
-                let mut back = init.clone();
+                let mut registers = init.clone();
+                let mut updates = vec![0u64; init.len()];
                 pool.run_rounds(
                     &regions,
                     &exchange,
                     rounds,
-                    &mut front,
-                    &mut back,
-                    |part, _round, prev: &[u64], next: &mut [u64]| {
+                    &mut registers,
+                    &mut updates,
+                    |part, _round, prev: &[u64], out: &mut [u64]| {
                         let (lo, _hi) = regions[part];
                         let halo = if part == 0 { prev[4] } else { prev[9] };
-                        for (i, slot) in next.iter_mut().enumerate() {
+                        for (i, slot) in out.iter_mut().enumerate() {
                             *slot = prev[lo + i] + halo;
                         }
                     },
+                    assign,
                     None,
                     None,
                 );
-                assert_eq!(front, expected, "rounds {rounds}, threads {threads}");
+                assert_eq!(registers, expected, "rounds {rounds}, threads {threads}");
             }
         }
     }
@@ -1255,16 +1289,17 @@ mod tests {
         let (regions, mut exchange) = tiny_halo_setup();
         exchange[0].push((1, 9)); // slot 9 already pulled by part 1
         let pool = WorkerPool::new(2);
-        let mut front = vec![0u64; 10];
-        let mut back = vec![0u64; 10];
+        let mut registers = vec![0u64; 10];
+        let mut updates = vec![0u64; 10];
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run_rounds(
                 &regions,
                 &exchange,
                 1,
-                &mut front,
-                &mut back,
+                &mut registers,
+                &mut updates,
                 |_, _, _, _| {},
+                assign,
                 None,
                 None,
             );
@@ -1276,20 +1311,21 @@ mod tests {
     fn halo_rounds_panic_does_not_deadlock() {
         let (regions, exchange) = tiny_halo_setup();
         let pool = WorkerPool::new(2);
-        let mut front = vec![0u64; 10];
-        let mut back = vec![0u64; 10];
+        let mut registers = vec![0u64; 10];
+        let mut updates = vec![0u64; 10];
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run_rounds(
                 &regions,
                 &exchange,
                 4,
-                &mut front,
-                &mut back,
-                |part, round, _prev: &[u64], _next: &mut [u64]| {
+                &mut registers,
+                &mut updates,
+                |part, round, _prev: &[u64], _out: &mut [u64]| {
                     if part == 1 && round == 2 {
                         panic!("halo boom");
                     }
                 },
+                assign,
                 None,
                 None,
             );
@@ -1372,17 +1408,17 @@ mod tests {
     #[test]
     fn hung_part_trips_the_watchdog_instead_of_deadlocking() {
         let pool = WorkerPool::new(2);
-        let mut front = vec![0u64; 10];
-        let mut back = vec![0u64; 10];
+        let mut registers = vec![0u64; 10];
+        let mut updates = vec![0u64; 10];
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run_rounds(
                 &even_regions(10, 2),
                 &[Vec::new(), Vec::new()],
                 3,
-                &mut front,
-                &mut back,
-                |part: usize, round: usize, _prev: &[u64], _next: &mut [u64]| {
+                &mut registers,
+                &mut updates,
+                |part: usize, round: usize, _prev: &[u64], _out: &mut [u64]| {
                     if part == 1 && round == 1 {
                         // a *finite* stall: the dispatcher must still wait
                         // for the part to acknowledge (lifetime-erasure
@@ -1392,6 +1428,7 @@ mod tests {
                         std::thread::sleep(Duration::from_millis(300));
                     }
                 },
+                assign,
                 None,
                 Some(Duration::from_millis(40)),
             );

@@ -37,6 +37,7 @@ impl MinIdFlood {
 
 impl NodeProgram for MinIdFlood {
     type State = u64;
+    type Update = u64;
 
     fn init(&self, ctx: &NodeContext) -> u64 {
         ctx.id
@@ -51,6 +52,10 @@ impl NodeProgram for MinIdFlood {
         });
         let _ = ctx;
         candidate
+    }
+
+    fn apply(state: &mut u64, update: u64) {
+        *state = update;
     }
 
     fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
@@ -113,6 +118,7 @@ impl MonitorFlood {
 
 impl NodeProgram for MonitorFlood {
     type State = u64;
+    type Update = u64;
 
     fn init(&self, ctx: &NodeContext) -> u64 {
         ctx.id
@@ -120,6 +126,10 @@ impl NodeProgram for MonitorFlood {
 
     fn step(&self, _ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
         neighbors.iter().fold(*own, |acc, &&x| acc.max(x))
+    }
+
+    fn apply(state: &mut u64, update: u64) {
+        *state = update;
     }
 
     fn verdict(&self, ctx: &NodeContext, state: &u64) -> Verdict {
@@ -190,6 +200,7 @@ impl AlarmedFlood {
 
 impl NodeProgram for AlarmedFlood {
     type State = u64;
+    type Update = u64;
 
     fn init(&self, ctx: &NodeContext) -> u64 {
         ctx.id
@@ -209,6 +220,10 @@ impl NodeProgram for AlarmedFlood {
         } else {
             raw
         }
+    }
+
+    fn apply(state: &mut u64, update: u64) {
+        *state = update;
     }
 
     fn verdict(&self, ctx: &NodeContext, state: &u64) -> Verdict {

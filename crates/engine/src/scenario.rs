@@ -681,6 +681,7 @@ mod tests {
 
     impl NodeProgram for RejectNonZero {
         type State = u64;
+        type Update = u64;
         fn init(&self, ctx: &smst_sim::NodeContext) -> u64 {
             if self.init_from_id {
                 ctx.id
@@ -690,6 +691,9 @@ mod tests {
         }
         fn step(&self, _ctx: &smst_sim::NodeContext, own: &u64, _n: &[&u64]) -> u64 {
             *own
+        }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
         fn verdict(&self, _ctx: &smst_sim::NodeContext, state: &u64) -> Verdict {
             if *state == 0 {

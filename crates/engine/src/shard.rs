@@ -1,7 +1,7 @@
 //! Shards: contiguous node ranges with balanced round work.
 //!
-//! A synchronous round under double-buffered registers is an embarrassingly
-//! parallel map, so the only scheduling question is how to split the node
+//! A synchronous round — every update computed off the previous round's
+//! registers, then applied — is an embarrassingly parallel map, so the only scheduling question is how to split the node
 //! range. Splitting by *node count* is wrong on skewed-degree graphs (one
 //! shard inherits the hubs); [`partition_balanced`] instead splits by the
 //! CSR **work prefix** (adjacency entries + nodes), so every shard performs
@@ -75,8 +75,8 @@ pub fn partition_balanced(topo: &CsrTopology, count: usize) -> Vec<Shard> {
 }
 
 /// The plan of a chunk of synchronous rounds over a shard partition: which
-/// slots of the double buffers each part writes, which it must re-pull
-/// after every round, and through which CSR it reads.
+/// slots each part computes and applies, which halo copies it must keep
+/// current after every round, and through which CSR it reads.
 ///
 /// **Halo plans** ([`HaloPlan::build`]) run rounds on shard-local arenas of
 /// `interior registers + halo copies`. The arena is one flat buffer, the
@@ -86,10 +86,10 @@ pub fn partition_balanced(topo: &CsrTopology, count: usize) -> Vec<Shard> {
 /// slots holding copies of the shard's halo — the external neighbours,
 /// ascending. A per-shard CSR in **region coordinates**
 /// ([`local_csr`](HaloPlan::local_csr)) lets a shard read nothing but its
-/// own region; after each round every shard refreshes its halo slots by
-/// *pulling* the just-written interior values from the owning shards'
-/// regions ([`HaloPlan::exchange`]), which is the engine's only cross-shard
-/// traffic. A remote worker holds exactly one region of the same plan.
+/// own region; every round each shard refreshes its halo slots by
+/// *pulling* the updates the owning shards computed for the mirrored
+/// interiors and applying them ([`HaloPlan::exchange`]), which is the
+/// engine's only cross-shard traffic. A remote worker holds exactly one region of the same plan.
 ///
 /// The **direct plan** ([`HaloPlan::direct`]) is the same thing with zero
 /// halo slots: the arena *is* the register vector, region `s` is shard `s`,
@@ -108,8 +108,9 @@ pub struct HaloPlan {
     /// Per shard: the CSR over the interior in region coordinates, port
     /// order (empty for the direct plan).
     local_csr: Vec<CsrTopology>,
-    /// Per shard: `(src, dst)` arena-coordinate copies that refresh the
-    /// shard's halo slots from the owners' interiors (the pull exchange).
+    /// Per shard: `(src, dst)` arena-coordinate pairs that refresh the
+    /// shard's halo slots from the owners' interiors (the pull exchange:
+    /// `dst` takes the update computed for `src`).
     exchange: Vec<Vec<(u32, u32)>>,
 }
 
@@ -283,7 +284,7 @@ impl HaloPlan {
         &self.regions
     }
 
-    /// The per-shard pull-exchange copies, in arena coordinates.
+    /// The per-shard pull-exchange pairs `(src, dst)`, in arena coordinates.
     pub fn exchange(&self) -> &[Vec<(u32, u32)>] {
         &self.exchange
     }

@@ -7,17 +7,22 @@
 //!
 //! * **rounds** — the rounds of [`ReferenceRunner::rounds`]. A
 //!   chunk of rounds is one [`run_rounds`](crate::WorkerPool::run_rounds)
-//!   over a [`HaloPlan`]: every part [`sweep`]s its shard out of the
-//!   previous-round buffer into its region of the next. The **direct** plan runs on the register
-//!   vector and one back buffer, parts reading the whole previous buffer
-//!   through the arena's CSR; the **halo** plan runs on shard-local arenas
-//!   gathered before the chunk and scattered after it, every round ending
-//!   with the plan's pull exchange;
+//!   over a [`HaloPlan`]: every part [`sweep`]s its shard's updates off the
+//!   registers into its region of one update buffer, then, behind the
+//!   round barrier, applies them to its registers in place. The **direct**
+//!   plan runs on the register vector itself, parts reading all of it
+//!   through the arena's CSR; the **halo** plan runs on a shard-local arena
+//!   gathered before the chunk and scattered after it, each halo copy
+//!   taking the update of the interior register it mirrors;
 //! * **batches** — any [`BatchDaemon`] (the distributed daemon): a time
 //!   unit is a sequence of batches of simultaneous activations, each one
-//!   [`sweep`] of the daemon's node list into a reused buffer, split across
-//!   the pool when wide enough and written back once the whole batch is
+//!   [`sweep`] of the daemon's node list into a reused update buffer, split
+//!   across the pool when wide enough and applied once the whole batch is
 //!   computed.
+//!
+//! Either way a runner holds every register once, plus one buffer of
+//! [`NodeProgram::Update`]s: what an honest step may rewrite. Faults still
+//! rewrite whole registers between steps.
 //!
 //! # Invariants
 //!
@@ -68,7 +73,7 @@ const MIN_BATCH_SPAWN: usize = 16;
 #[derive(Debug)]
 pub struct ShardedRunner<'p, P: NodeProgram> {
     arena: Arena<'p, P>,
-    schedule: Schedule<P::State>,
+    schedule: Schedule<P::State, P::Update>,
     pool: PoolHandle,
     threads: usize,
     /// Rounds or time units executed.
@@ -90,27 +95,27 @@ pub struct ShardedRunner<'p, P: NodeProgram> {
 
 /// Who is activated when — the one place the two modes differ.
 #[derive(Debug)]
-enum Schedule<S> {
+enum Schedule<S, U> {
     /// Lock-step rounds over a plan.
     Rounds {
-        /// What every part writes, re-pulls and reads through: the halo
+        /// What every part computes, applies and reads through: the halo
         /// plan in halo mode, the direct plan otherwise.
         plan: HaloPlan,
-        /// Halo mode only: the front shard-local arena, gathered from the
-        /// registers before every chunk. In direct mode the register vector
-        /// itself is the front buffer.
-        halo_front: Option<Vec<S>>,
-        /// The back buffer, shaped like the front buffer (sized by the
-        /// first chunk, kept across calls).
-        back: Vec<S>,
+        /// Halo mode only: the shard-local arena, gathered from the
+        /// registers before every chunk. In direct mode the rounds run on
+        /// the register vector itself.
+        halo_arena: Option<Vec<S>>,
+        /// One update slot per slot the rounds run on (sized by the first
+        /// chunk, kept across calls).
+        updates: Vec<U>,
     },
     /// A daemon's batches of simultaneous activations.
     Batches {
         daemon: Box<dyn BatchDaemon>,
         /// Reused per batch: the internal indices of the batch's nodes …
         nodes: Vec<u32>,
-        /// … and their freshly swept registers (grown to the widest batch).
-        out: Vec<S>,
+        /// … and their freshly swept updates (grown to the widest batch).
+        out: Vec<U>,
     },
 }
 
@@ -145,8 +150,8 @@ where
                 };
                 Schedule::Rounds {
                     plan,
-                    halo_front: config.halo.then(Vec::new),
-                    back: Vec::new(),
+                    halo_arena: config.halo.then(Vec::new),
+                    updates: Vec::new(),
                 }
             }
             Mode::Async(daemon) => Schedule::Batches {
@@ -181,7 +186,7 @@ where
         match &self.schedule {
             Schedule::Rounds {
                 plan,
-                halo_front: Some(_),
+                halo_arena: Some(_),
                 ..
             } => Some(plan),
             _ => None,
@@ -213,7 +218,7 @@ where
     }
 
     /// One attempt under the [`RecoveryPolicy`]: a replay restarts from the
-    /// exact pre-attempt registers and counters (the back buffers are
+    /// exact pre-attempt registers and counters (the update buffers are
     /// overwritten before they are read, so nothing else needs restoring).
     fn supervised(&mut self, count: usize, timed: bool) -> Result<(), PoolError> {
         let snapshot = (self.recovery.max_retries > 0).then(|| self.arena.states.clone());
@@ -244,30 +249,31 @@ where
         match &mut self.schedule {
             Schedule::Rounds {
                 plan,
-                halo_front,
-                back,
+                halo_arena,
+                updates,
             } => {
-                let front = match halo_front.as_mut() {
-                    Some(front) => {
-                        plan.gather_into(states, front);
-                        front
+                let registers = match halo_arena.as_mut() {
+                    Some(arena) => {
+                        plan.gather_into(states, arena);
+                        arena
                     }
                     None => &mut *states,
                 };
-                // `back` only needs the matching length: round 0 overwrites
-                // every slot (regions in compute, halo slots in exchange)
-                // before any read
-                if back.len() != front.len() {
-                    back.clone_from(front);
+                // the update slots only need the matching length: every
+                // round's compute overwrites a region's slots before its
+                // apply reads them
+                if updates.len() != registers.len() {
+                    updates.clear();
+                    updates.resize(registers.len(), P::Update::default());
                 }
                 let plan = &*plan;
                 pool.run_rounds(
                     plan.regions(),
                     plan.exchange(),
                     count,
-                    front,
-                    back,
-                    |part, round, prev, out| {
+                    registers,
+                    updates,
+                    |part, round, registers, out| {
                         if let Some(injection) = injection {
                             injection.maybe_fire(base + round, part);
                         }
@@ -277,7 +283,7 @@ where
                                 program,
                                 csr,
                                 &contexts[shard.nodes()],
-                                &prev[plan.region(part)],
+                                &registers[plan.region(part)],
                                 0..shard.len(),
                                 out,
                             ),
@@ -285,17 +291,18 @@ where
                                 program,
                                 topo,
                                 contexts,
-                                prev,
+                                registers,
                                 shard.nodes(),
                                 out,
                             ),
                         }
                     },
+                    |register, update| P::apply(register, update.clone()),
                     phases,
                     self.recovery.watchdog_timeout,
                 );
-                if let Some(front) = halo_front.as_ref() {
-                    plan.scatter_interiors(front, states);
+                if let Some(arena) = halo_arena.as_ref() {
+                    plan.scatter_interiors(arena, states);
                 }
                 self.activations += count * states.len();
             }
@@ -315,9 +322,8 @@ where
                         nodes.extend(batch.iter().map(|v| layout.internal(v.index()) as u32));
                         let len = nodes.len();
                         if out.len() < len {
-                            // any register serves as filler: the sweep
-                            // overwrites it
-                            out.resize(len, states[0].clone());
+                            // the sweep overwrites every slot it applies
+                            out.resize(len, P::Update::default());
                         }
                         // one worker piece per MIN_BATCH_SPAWN activations,
                         // capped by the thread count; a single piece runs
@@ -326,7 +332,7 @@ where
                         let pieces = threads.min(len / MIN_BATCH_SPAWN).max(1);
                         let bound = |k: usize| len * k / pieces;
                         let mut rest = &mut out[..len];
-                        let windows: Vec<Mutex<&mut [P::State]>> = (0..pieces)
+                        let windows: Vec<Mutex<&mut [P::Update]>> = (0..pieces)
                             .map(|k| {
                                 let (window, tail) = std::mem::take(&mut rest)
                                     .split_at_mut(bound(k + 1) - bound(k));
@@ -344,10 +350,10 @@ where
                             sweep::<false, _, _>(program, topo, contexts, registers, piece, &mut window);
                         });
                         drop(windows);
-                        // one register copy each; the `out` slots are
+                        // one update applied each; the `out` slots are
                         // overwritten before they are next read
-                        for (&v, value) in nodes.iter().zip(out.iter()) {
-                            states[v as usize].clone_from(value);
+                        for (&v, update) in nodes.iter().zip(out.iter()) {
+                            P::apply(&mut states[v as usize], update.clone());
                         }
                         *activations += len;
                         if let (Some(phases), Some(start)) = (phases, start) {

@@ -16,9 +16,10 @@
 //! changed them; every other register it keeps from the round before —
 //! optionally executes a one-shot chaos injection (exit / stall — the
 //! process-level analogs of the in-process pool's `ArmedInjection`),
-//! [`sweep`]s its **whole** interior through the region-local CSR — the
-//! same kernel every in-process runner calls — and replies with the
-//! interiors whose value the sweep changed plus the measured compute time.
+//! [`sweep`]s its **whole** interior's updates through the region-local
+//! CSR — the same kernel every in-process runner calls — applies them in
+//! place, and replies with the interiors whose value that changed plus the
+//! measured compute time.
 //! Both deltas are validated before the first register is written, so a
 //! malformed dispatch ends the worker with its region untouched and the
 //! coordinator told why.
@@ -149,13 +150,14 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
         program,
         csr,
         contexts,
-        registers: mut prev,
+        mut registers,
     } = stage_region::<P>(setup).map_err(|e| reject(&mut conn, e))?;
     let interior_len = contexts.len();
-    // interiors are double-buffered against `next` so a round reads only
-    // previous-round registers; the halo slots hold what the setup frame
-    // and every delta since put there
-    let mut next: Vec<P::State> = prev[..interior_len].to_vec();
+    // a round sweeps every interior's update off the registers the round
+    // before left, then applies them in place; the halo slots hold what the
+    // setup frame and every delta since put there
+    let mut updates = vec![P::Update::default(); interior_len];
+    let mut changed: Vec<u32> = Vec::new();
 
     loop {
         let round = match conn.recv()? {
@@ -168,11 +170,11 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
             }
         };
         // both deltas are checked before either writes
-        let halo_len = prev.len() - interior_len;
+        let halo_len = registers.len() - interior_len;
         let patch =
             stage_delta::<P>(round.patch, interior_len).map_err(|e| reject(&mut conn, e))?;
         let halo = stage_delta::<P>(round.halo, halo_len).map_err(|e| reject(&mut conn, e))?;
-        let (interiors, halo_slots) = prev.split_at_mut(interior_len);
+        let (interiors, halo_slots) = registers.split_at_mut(interior_len);
         patch.apply(interiors);
         halo.apply(halo_slots);
         match round.inject {
@@ -195,13 +197,27 @@ fn serve_rounds<P: WireProgram>(setup: SetupFrame, mut conn: Conn) -> Result<(),
             reason = "compute_ns measurement reported to the coordinator's observer; never steers results"
         )]
         let compute_start = std::time::Instant::now();
-        sweep::<true, _, _>(&program, &csr, &contexts, &prev, 0..interior_len, &mut next);
+        sweep::<true, _, _>(
+            &program,
+            &csr,
+            &contexts,
+            &registers,
+            0..interior_len,
+            &mut updates,
+        );
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
-        let changed = (0u32..)
-            .zip(&next)
-            .filter(|&(i, state)| *state != prev[i as usize]);
-        let interiors = encode_delta::<P, _>(interior_len, changed);
-        prev[..interior_len].clone_from_slice(&next);
+        changed.clear();
+        for (i, update) in (0u32..).zip(&updates) {
+            let register = &mut registers[i as usize];
+            let mut next = register.clone();
+            P::apply(&mut next, update.clone());
+            if next != *register {
+                *register = next;
+                changed.push(i);
+            }
+        }
+        let listed = changed.iter().map(|&i| (i, &registers[i as usize]));
+        let interiors = encode_delta::<P, _>(interior_len, listed);
         conn.send(&Frame::Interiors(InteriorsFrame {
             round: round.round,
             dispatch: round.dispatch,

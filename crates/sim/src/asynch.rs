@@ -313,11 +313,15 @@ mod tests {
 
     impl NodeProgram for MinId {
         type State = u64;
+        type Update = u64;
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
         }
         fn step(&self, _ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
             neighbors.iter().fold(*own, |acc, &&x| acc.min(x))
+        }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
         fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
             if *state == 0 {

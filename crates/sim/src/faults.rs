@@ -84,11 +84,15 @@ mod tests {
     struct Stub;
     impl NodeProgram for Stub {
         type State = u32;
+        type Update = u32;
         fn init(&self, _ctx: &NodeContext) -> u32 {
             0
         }
         fn step(&self, _ctx: &NodeContext, own: &u32, _neighbors: &[&u32]) -> u32 {
             *own
+        }
+        fn apply(state: &mut u32, update: u32) {
+            *state = update;
         }
     }
 

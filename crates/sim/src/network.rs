@@ -107,17 +107,17 @@ impl<P: NodeProgram> Network<P> {
         self.states[v.index()] = state;
     }
 
-    /// The next register of `v` read off the current configuration, its
-    /// neighbours' registers gathered into `neighbors` in port order by
-    /// `rows`, the graph's [`WeightedGraph::neighbor_rows`]: the one place
-    /// the simulator calls [`NodeProgram::step`].
-    fn next_state<'a>(
+    /// What `v` rewrites of its register, read off the current
+    /// configuration, its neighbours' registers gathered into `neighbors` in
+    /// port order by `rows`, the graph's [`WeightedGraph::neighbor_rows`]:
+    /// the one place the simulator calls [`NodeProgram::step`].
+    fn next_update<'a>(
         &'a self,
         program: &P,
         rows: &Csr<u32>,
         v: NodeId,
         neighbors: &mut Vec<&'a P::State>,
-    ) -> P::State {
+    ) -> P::Update {
         neighbors.clear();
         let row = rows.row(v.index());
         neighbors.extend(row.iter().map(|&u| &self.states[u as usize]));
@@ -129,37 +129,39 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Performs one atomic activation of node `v`: reads the neighbours'
-    /// registers and rewrites `v`'s register (always; change detection is
-    /// the caller's). `rows` is the graph's
+    /// registers and applies the step's update to `v`'s register (always;
+    /// change detection is the caller's). `rows` is the graph's
     /// [`WeightedGraph::neighbor_rows`]. Once the network has activated a
     /// node of the largest degree, an activation allocates nothing.
     pub(crate) fn activate(&mut self, program: &P, rows: &Csr<u32>, v: NodeId) {
         let mut neighbors = recycle(std::mem::take(&mut self.spare));
-        let next = self.next_state(program, rows, v, &mut neighbors);
+        let update = self.next_update(program, rows, v, &mut neighbors);
         self.spare = recycle(neighbors);
-        self.states[v.index()] = next;
+        P::apply(&mut self.states[v.index()], update);
     }
 
-    /// One synchronous round: every node's next register is computed into
-    /// `scratch` off the current configuration, then `scratch` becomes
-    /// current and the previous round becomes the scratch buffer. The
-    /// neighbour buffer is allocated once for the whole round; `rows` is
-    /// the graph's [`WeightedGraph::neighbor_rows`].
+    /// One synchronous round: every node's update is computed into
+    /// `updates` off the current configuration, then each is applied to
+    /// its node's register in place. The neighbour buffer is allocated once
+    /// for the whole round; `rows` is the graph's
+    /// [`WeightedGraph::neighbor_rows`].
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` does not hold one state per node.
-    pub(crate) fn round(&mut self, program: &P, rows: &Csr<u32>, scratch: &mut Vec<P::State>) {
+    /// Panics if `updates` does not hold one update per node.
+    pub(crate) fn round(&mut self, program: &P, rows: &Csr<u32>, updates: &mut [P::Update]) {
         assert_eq!(
-            scratch.len(),
+            updates.len(),
             self.states.len(),
-            "one state per node is required"
+            "one update per node is required"
         );
         let mut neighbors = Vec::with_capacity(16);
-        for (v, slot) in self.graph.nodes().zip(scratch.iter_mut()) {
-            *slot = self.next_state(program, rows, v, &mut neighbors);
+        for (v, slot) in self.graph.nodes().zip(updates.iter_mut()) {
+            *slot = self.next_update(program, rows, v, &mut neighbors);
         }
-        std::mem::swap(&mut self.states, scratch);
+        for (state, update) in self.states.iter_mut().zip(updates.iter()) {
+            P::apply(state, update.clone());
+        }
     }
 
     /// The verdict of every node under the current configuration, in node
@@ -225,6 +227,7 @@ mod tests {
 
     impl NodeProgram for MinId {
         type State = u64;
+        type Update = u64;
 
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
@@ -232,6 +235,10 @@ mod tests {
 
         fn step(&self, _ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
             neighbors.iter().fold(*own, |acc, &&x| acc.min(x))
+        }
+
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
 
         fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
@@ -265,6 +272,7 @@ mod tests {
 
     impl NodeProgram for PortMix {
         type State = u64;
+        type Update = u64;
 
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -275,19 +283,22 @@ mod tests {
                 acc.wrapping_mul(31).wrapping_add(x ^ port as u64)
             })
         }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
+        }
     }
 
     #[test]
     fn a_round_is_every_node_activated_on_the_previous_registers() {
         let net = Network::new(&PortMix, random_connected_graph(30, 80, 5));
         let mut stepped = net.clone();
-        let mut scratch = vec![0; net.node_count()];
+        let mut updates = vec![0; net.node_count()];
         let rows = net.graph().neighbor_rows();
-        stepped.round(&PortMix, &rows, &mut scratch);
+        stepped.round(&PortMix, &rows, &mut updates);
         assert_eq!(
-            scratch,
-            net.states(),
-            "the previous round becomes the scratch"
+            updates,
+            stepped.states(),
+            "the buffer keeps the round's updates"
         );
         for v in net.graph().nodes() {
             let mut single = net.clone();
@@ -312,6 +323,7 @@ mod tests {
 
     impl NodeProgram for RejectOdd {
         type State = u64;
+        type Update = u64;
 
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
@@ -319,6 +331,10 @@ mod tests {
 
         fn step(&self, _ctx: &NodeContext, own: &u64, _neighbors: &[&u64]) -> u64 {
             *own
+        }
+
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
 
         fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {

@@ -8,6 +8,14 @@
 //! so transient faults (arbitrary corruption of registers) model the paper's
 //! adversary exactly, and the memory size of the algorithm is the size of the
 //! register.
+//!
+//! An activation returns a [`NodeProgram::Update`]: the part of the register
+//! an honest step may rewrite, which [`NodeProgram::apply`] writes over the
+//! register. The register is still the node's whole state — whatever a step
+//! never rewrites (the verifier's label, say) stays in it, is read from it
+//! and is charged in [`NodeProgram::state_bits`] — and faults still rewrite
+//! all of it. What the split buys is memory: a runner holds the registers
+//! once plus one buffer of updates, instead of two buffers of registers.
 
 use smst_graph::{NodeId, Port, WeightedGraph};
 
@@ -15,13 +23,14 @@ use smst_graph::{NodeId, Port, WeightedGraph};
 ///
 /// Verifiers output [`Verdict::Reject`] to "raise an alarm" (§2.4);
 /// construction algorithms stay at [`Verdict::Working`] until they are done.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Verdict {
     /// The node currently accepts the configuration.
     Accept,
     /// The node raises an alarm (detects a fault / rejects the proof).
     Reject,
     /// The node is still computing and has no opinion yet.
+    #[default]
     Working,
 }
 
@@ -78,15 +87,34 @@ pub trait NodeProgram {
     /// The register (full state) of a node.
     type State: Clone + std::fmt::Debug;
 
+    /// What one activation rewrites: the register itself, or the strict
+    /// part of it an honest step can change. Runners keep one buffer of
+    /// these beside the registers, filled with `Default` values that every
+    /// sweep overwrites before they are applied; `Send + Sync` lets a
+    /// runner split that buffer across threads.
+    type Update: Clone + std::fmt::Debug + Default + Send + Sync;
+
     /// The initial register of a node when the algorithm starts from a clean
     /// configuration. Self-stabilizing programs must also behave correctly
     /// when started from *any* register contents (see [`crate::faults`]).
     fn init(&self, ctx: &NodeContext) -> Self::State;
 
-    /// One atomic activation: compute the node's next register from its own
-    /// register and the registers of its neighbours (indexed by port).
-    fn step(&self, ctx: &NodeContext, own: &Self::State, neighbors: &[&Self::State])
-        -> Self::State;
+    /// One atomic activation: compute what the node rewrites of its
+    /// register from its own register and the registers of its neighbours
+    /// (indexed by port). The node's next register is `own` with the result
+    /// [applied](Self::apply).
+    fn step(
+        &self,
+        ctx: &NodeContext,
+        own: &Self::State,
+        neighbors: &[&Self::State],
+    ) -> Self::Update;
+
+    /// Writes an activation's result over a register: every part of the
+    /// register the update names is replaced, the rest is kept. Applying an
+    /// update twice leaves what applying it once does (a daemon batch may
+    /// activate a node twice off the same registers).
+    fn apply(state: &mut Self::State, update: Self::Update);
 
     /// The verdict the node exposes in a given register.
     fn verdict(&self, _ctx: &NodeContext, _state: &Self::State) -> Verdict {

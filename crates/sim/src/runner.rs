@@ -33,11 +33,11 @@ pub enum StopCondition {
 
 /// Who is activated when: the one place the two schedules differ.
 #[derive(Debug)]
-enum Schedule<S> {
-    /// Lock-step rounds. `scratch` is the double buffer the next round is
-    /// computed into, allocated once and swapped with the network's
-    /// registers every round.
-    Rounds { scratch: Vec<S> },
+enum Schedule<U> {
+    /// Lock-step rounds. `updates` is the buffer each round's updates are
+    /// computed into before they are applied to the network's registers,
+    /// allocated once.
+    Rounds { updates: Vec<U> },
     /// One normalized time unit of the daemon's activations per step.
     Daemon(Daemon),
 }
@@ -51,7 +51,7 @@ pub struct ReferenceRunner<'p, P: NodeProgram> {
     /// The graph's [`smst_graph::WeightedGraph::neighbor_rows`]: whom an
     /// activation reads, built once per runner.
     rows: Csr<u32>,
-    schedule: Schedule<P::State>,
+    schedule: Schedule<P::Update>,
     steps: usize,
     activations: usize,
     /// Per-step measurement hook; stats are computed only while attached.
@@ -61,8 +61,8 @@ pub struct ReferenceRunner<'p, P: NodeProgram> {
 impl<'p, P: NodeProgram> ReferenceRunner<'p, P> {
     /// A runner executing lock-step synchronous rounds.
     pub fn rounds(program: &'p P, network: Network<P>) -> Self {
-        let scratch = network.states().to_vec();
-        Self::new(program, network, Schedule::Rounds { scratch })
+        let updates = vec![P::Update::default(); network.node_count()];
+        Self::new(program, network, Schedule::Rounds { updates })
     }
 
     /// A runner executing `daemon`'s time units.
@@ -70,7 +70,7 @@ impl<'p, P: NodeProgram> ReferenceRunner<'p, P> {
         Self::new(program, network, Schedule::Daemon(daemon))
     }
 
-    fn new(program: &'p P, network: Network<P>, schedule: Schedule<P::State>) -> Self {
+    fn new(program: &'p P, network: Network<P>, schedule: Schedule<P::Update>) -> Self {
         ReferenceRunner {
             program,
             rows: network.graph().neighbor_rows(),
@@ -128,8 +128,8 @@ impl<'p, P: NodeProgram> ReferenceRunner<'p, P> {
         )]
         let start = self.observer.is_some().then(std::time::Instant::now);
         let activations = match &mut self.schedule {
-            Schedule::Rounds { scratch } => {
-                self.network.round(self.program, &self.rows, scratch);
+            Schedule::Rounds { updates } => {
+                self.network.round(self.program, &self.rows, updates);
                 self.network.node_count()
             }
             Schedule::Daemon(daemon) => {
@@ -204,11 +204,15 @@ mod tests {
 
     impl NodeProgram for MinId {
         type State = u64;
+        type Update = u64;
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
         }
         fn step(&self, _ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
             neighbors.iter().fold(*own, |acc, &&x| acc.min(x))
+        }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
         fn verdict(&self, _ctx: &NodeContext, state: &u64) -> Verdict {
             if *state == 0 {
@@ -269,11 +273,15 @@ mod tests {
 
     impl NodeProgram for AlarmOnZero {
         type State = u64;
+        type Update = u64;
         fn init(&self, ctx: &NodeContext) -> u64 {
             ctx.id
         }
         fn step(&self, ctx: &NodeContext, own: &u64, neighbors: &[&u64]) -> u64 {
             MinId.step(ctx, own, neighbors)
+        }
+        fn apply(state: &mut u64, update: u64) {
+            *state = update;
         }
         fn verdict(&self, ctx: &NodeContext, state: &u64) -> Verdict {
             if *state == 0 && ctx.id != 0 {

@@ -6,14 +6,14 @@
 //! set and its peak so far (`VmRSS` and `VmHWM` from `/proc/self/status`;
 //! `n/a` where that file does not exist), so the memory each layer adds can
 //! be read off the output: the graph, the tree, the labels, the verifier and
-//! the engine's two register buffers. The resident set also shows what a
+//! the engine's register and update buffers. The resident set also shows what a
 //! stage freed but the allocator kept: memory the next stage reuses before
 //! it grows the peak. Then it prints the bits the paper charges the
 //! widest register (`bits_per_node_max`, the widest node's `state_bits`)
 //! beside the most pieces one node stores
 //! (`ConstructionReport::max_stored_pieces`), and sets the bytes a node
-//! holds — its register and the verifier's copy of its label — beside those
-//! bits.
+//! holds — its register, its slot of the runner's update buffer and the
+//! verifier's copy of its label — beside those bits.
 //!
 //! Run with: `cargo run --release --example verifier_pipeline [-- rounds]`
 //! (release mode matters: a debug verifier round is ~50x slower).
@@ -29,7 +29,7 @@
 )]
 
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::{CoreLabel, CoreState, Marker, MstVerificationScheme};
+use smst_core::{CoreLabel, CoreState, CoreUpdate, Marker, MstVerificationScheme};
 use smst_engine::{EngineConfig, StopCondition};
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
@@ -119,7 +119,12 @@ fn main() {
         .map(|v| verifier.state_bits(&runner.context(NodeId(v)), runner.state(NodeId(v))))
         .max()
         .unwrap_or(0);
-    let (register, label) = (size_of::<CoreState>(), size_of::<CoreLabel>());
+    let (register, update, label) = (
+        size_of::<CoreState>(),
+        size_of::<CoreUpdate>(),
+        size_of::<CoreLabel>(),
+    );
+    let held = register + update + label;
     let charged = bits_max as f64 / 8.0;
 
     let victim = NodeId(n / 2);
@@ -140,10 +145,10 @@ fn main() {
         report.max_stored_pieces
     );
     println!(
-        "held per node: {register} B register + {label} B label copy = {} B; charged: \
-         bits_per_node_max {bits_max} / 8 = {charged:.1} B; register {:.1}x, held {:.1}x the charge",
-        register + label,
+        "held per node: {register} B register + {update} B update + {label} B label copy = \
+         {held} B; charged: bits_per_node_max {bits_max} / 8 = {charged:.1} B; register {:.1}x, \
+         held {:.1}x the charge",
         register as f64 / charged,
-        (register + label) as f64 / charged,
+        held as f64 / charged,
     );
 }
